@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropy
+from . import entropy, linalg
 from .protocols import run_fewqubits, run_kd_oneshot
 from .states import DensityOperator, Povm, PureState, control_state, rank1_refine
 
@@ -110,8 +110,8 @@ def ancilla_comparison(psi: PureState, povm: Povm, K: int, L: int, eps: float,
 
     ``margin`` = log|A| - H_H^eps(A) - slack; whenever it is positive the
     in-place protocol must borrow at least that many qubits fewer, which is
-    asserted. A non-positive margin makes the comparison inconclusive and
-    nothing is asserted.
+    checked (``linalg.InvariantError`` otherwise). A non-positive margin
+    makes the comparison inconclusive and nothing is checked.
     """
     if slack_bits is None:
         slack_bits = float(np.log2(1.0 / eps))
@@ -123,8 +123,8 @@ def ancilla_comparison(psi: PureState, povm: Povm, K: int, L: int, eps: float,
     margin = float(np.log2(rho_a.shape[0]) - entropy.h_h(rho_a, eps).value
                    - slack_bits)
     c_borrow, d_borrow = kd.borrowed, fq.borrowed
-    if margin > 0:
-        assert c_borrow - d_borrow >= margin - 1e-9, (
+    if margin > 0 and c_borrow - d_borrow < margin - 1e-9:
+        raise linalg.InvariantError(
             f"borrow gap {c_borrow - d_borrow} below margin {margin:.3f}")
     return {
         "c_borrow": c_borrow,

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, entropy, io, protocols
+from .compression import NoGoodK
+from .linalg import InvariantError
 from .states import DensityOperator, PureState, control_state
 from .verify import MANIFEST, run_suite
 
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return run(config, seed=getattr(args, "seed", 7))
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, NoGoodK, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

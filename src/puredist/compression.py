@@ -347,7 +347,7 @@ def per_k_errors(cm: CompressedMeasurement, psi: PureState, povm: Povm) -> np.nd
 
 
 class NoGoodK(RuntimeError):
-    pass
+    """The configuration leaves no k with a usable nice outcome set."""
 
 
 def find_good_k(cm: CompressedMeasurement, psi: PureState, povm: Povm,

@@ -15,8 +15,16 @@ HERM_TOL = 1e-9
 PSD_CLIP = -1e-10
 
 
+class InvariantError(RuntimeError):
+    """A result failed a runtime invariant that its construction guarantees.
+
+    Raised instead of ``assert`` so the checks still run under ``python -O``.
+    """
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conjugate(m.T)
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conjugate(np.swapaxes(m, -1, -2))
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
@@ -34,14 +42,9 @@ def tensor(*mats: np.ndarray) -> np.ndarray:
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     # Fix the global phase of each column: largest-magnitude entry made
     # real positive. Keeps repeated runs byte-identical.
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if np.abs(a) > 0:
-            out[:, j] = col * (np.conj(a) / np.abs(a))
-    return out
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    mag = np.abs(top)
+    return vecs * np.divide(np.conj(top), mag, out=np.ones_like(top), where=mag > 0)
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):

@@ -19,6 +19,7 @@ import numpy as np
 from . import entropy, linalg
 from .compression import (
     CompressedMeasurement,
+    NoGoodK,
     compress_measurement,
     find_good_k,
     nice_sets,
@@ -334,7 +335,8 @@ def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
     u = linalg.dagger(wh) @ linalg.dagger(v)
     achieved = float(np.sum(s))
     fid = linalg.fidelity(phi_mat.T @ np.conj(phi_mat), chi_mat.T @ np.conj(chi_mat))
-    assert abs(achieved - fid) <= 1e-8, f"Uhlmann overlap {achieved} != fidelity {fid}"
+    if abs(achieved - fid) > 1e-8:
+        raise linalg.InvariantError(f"Uhlmann overlap {achieved} != fidelity {fid}")
     return u, achieved
 
 
@@ -403,7 +405,8 @@ def plan_fewqubits(psi: PureState, povm: Povm, cm: CompressedMeasurement,
         rank = int(np.sum(hh_pair.witness["weights"] > 1e-12))
         ag_req = max(ag_req, rank)
         ag_cap = max(ag_cap, math.ceil(2.0 ** hh_pair.value + 1 - 1e-9))
-    assert ag_req <= ag_cap, "truncated rank exceeded its entropic cap"
+    if ag_req > ag_cap:
+        raise linalg.InvariantError("truncated rank exceeded its entropic cap")
     la = next_pow2(max(1, len(nice)))
     ag_pow = next_pow2(ag_req)
 
@@ -450,7 +453,7 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
                             bob_labels=(bob_label,))
     nice = nice_all[k]
     if not nice:
-        raise RuntimeError("empty nice outcome set; raise L or K")
+        raise NoGoodK("empty nice outcome set; raise L or K")
 
     da = psi.dim(a_reg)
     env = [l for l in psi.labels if l != a_reg]
@@ -460,7 +463,7 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
     q_lk = cm.q_l_given_k(k)
     p_nice = np.array([q_lk[l] for l in nice])
     if np.sum(p_nice) <= 1e-30:
-        raise RuntimeError("nice outcomes carry no probability; raise L or K")
+        raise NoGoodK("nice outcomes carry no probability; raise L or K")
     p_nice = p_nice / np.sum(p_nice)
 
     # truncated conditionals and their purifications into A_g

@@ -1,0 +1,54 @@
+"""Independent oracles and instance builders shared by several test modules."""
+
+import itertools
+
+import numpy as np
+
+from puredist.sampling import classical_correlated_pure, purified_input
+
+
+def imax_qubit_grid_oracle(states, coarse=24, refine=2):
+    """Fine Bloch-ball grid search for min over sigma of
+    max_x lambda_max(sigma^{-1/2} rho_x sigma^{-1/2}) on qubits."""
+    blochs = np.array([
+        [np.real(np.trace(m @ p)) for p in (
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.array([[1, 0], [0, -1]]))]
+        for m in states])
+    dets = np.array([np.real(np.linalg.det(m)) for m in states])
+
+    def value(vs):
+        s2 = np.sum(vs * vs, axis=1)
+        ok = s2 < 1 - 1e-9
+        vs, s2 = vs[ok], s2[ok]
+        worst = np.zeros(len(vs))
+        for m, det in zip(blochs, dets):
+            tr = 2.0 / (1 - s2) * (1.0 - vs @ m)
+            dd = det * 4.0 / (1 - s2)
+            disc = np.sqrt(np.maximum(tr * tr - 4 * dd, 0.0))
+            worst = np.maximum(worst, (tr + disc) / 2)
+        i = int(np.argmin(worst))
+        return worst[i], vs[i]
+
+    grid = np.linspace(-0.999, 0.999, coarse)
+    vs = np.array(list(itertools.product(grid, grid, grid)))
+    best, center = value(vs)
+    width = 2.0 / coarse
+    for _ in range(refine * 7):
+        local = np.linspace(-width, width, 13)
+        vs = center + np.array(list(itertools.product(local, local, local)))
+        b, center = value(vs)
+        best = min(best, b)
+        width /= 2
+    return np.log2(best)
+
+
+def near_pure_classical(rng, da=8, db=4, top=0.9):
+    """Classical correlated instance with a near-pure A marginal."""
+    pa = np.full(da, (1 - top) / (da - 1))
+    pa[0] = top
+    cond = np.full(db, 0.1 / (db - 1))
+    cond[0] = 0.9
+    joint = np.array([pa[a] * np.roll(cond, a % db) for a in range(da)])
+    return purified_input(classical_correlated_pure(rng, da, db, joint=joint))

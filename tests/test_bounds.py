@@ -12,7 +12,7 @@ from puredist.sampling import (
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state, rank1_refine
 
-from test_protocols import near_pure_classical
+from oracles import near_pure_classical
 
 
 def test_local_bounds_examples():

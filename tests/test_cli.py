@@ -173,3 +173,32 @@ def test_json_17_digit_floats(tmp_path):
     from puredist.io import dumps
     text = dumps({"x": 0.1, "y": [1.0, 2.5], "n": None, "b": True})
     assert text == '{"b":true,"n":null,"x":0.10000000000000001,"y":[1,2.5]}'
+
+
+def test_infeasible_configuration_exits_with_named_error(tmp_path, capsys):
+    # a near-pure source with K = L = 1 leaves no usable nice outcome set
+    vec = np.zeros((2, 2, 2), dtype=complex)
+    vec[0, 0, 0] = np.sqrt(0.9)
+    vec[1, 0, 0] = vec[1, 1, 1] = np.sqrt(0.05)
+    rho = np.einsum("abr,cdr->abcd", vec, np.conj(vec)).reshape(4, 4)
+    io.save_state(DensityOperator([("A", 2), ("B", 2)], rho), str(tmp_path / "s.json"))
+    io.save_povm(Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A"),
+                 str(tmp_path / "p.json"))
+    rc = main(["fewqubits", "--state", str(tmp_path / "s.json"),
+               "--povm", str(tmp_path / "p.json"), "--eps", "1e-12",
+               "--K", "1", "--L", "1", "--slack-bits", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_output_independent_of_hash_seed():
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "puredist.cli", "verify", "--trials", "20"],
+            capture_output=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

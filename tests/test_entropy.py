@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -10,10 +13,20 @@ from puredist.sampling import (
     ginibre_density,
     random_cq,
     random_density,
+    random_povm,
     random_pure,
     random_unitary,
 )
-from puredist.states import CQState, DensityOperator
+from puredist.states import CQState, DensityOperator, control_state
+
+from oracles import imax_qubit_grid_oracle
+
+try:
+    import cvxpy
+except ImportError:
+    cvxpy = None
+
+needs_cvxpy = pytest.mark.skipif(cvxpy is None, reason="cvxpy is not installed")
 
 
 # ---------------------------------------------------------------- oracles
@@ -44,43 +57,6 @@ def lp_scipy_oracle(gains, costs, target):
                   bounds=[(0, 1)] * len(gains), method="highs")
     assert res.success
     return res.fun
-
-
-def imax_qubit_grid_oracle(states, coarse=24, refine=2):
-    """Fine Bloch-ball grid search for min over sigma of
-    max_x lambda_max(sigma^{-1/2} rho_x sigma^{-1/2}) on qubits."""
-    blochs = np.array([
-        [np.real(np.trace(m @ p)) for p in (
-            np.array([[0, 1], [1, 0]]),
-            np.array([[0, -1j], [1j, 0]]),
-            np.array([[1, 0], [0, -1]]))]
-        for m in states])
-    dets = np.array([np.real(np.linalg.det(m)) for m in states])
-
-    def value(vs):
-        s2 = np.sum(vs * vs, axis=1)
-        ok = s2 < 1 - 1e-9
-        vs, s2 = vs[ok], s2[ok]
-        worst = np.zeros(len(vs))
-        for m, det in zip(blochs, dets):
-            tr = 2.0 / (1 - s2) * (1.0 - vs @ m)
-            dd = det * 4.0 / (1 - s2)
-            disc = np.sqrt(np.maximum(tr * tr - 4 * dd, 0.0))
-            worst = np.maximum(worst, (tr + disc) / 2)
-        i = int(np.argmin(worst))
-        return worst[i], vs[i]
-
-    grid = np.linspace(-0.999, 0.999, coarse)
-    vs = np.array(list(itertools.product(grid, grid, grid)))
-    best, center = value(vs)
-    width = 2.0 / coarse
-    for _ in range(refine * 7):
-        local = np.linspace(-width, width, 13)
-        vs = center + np.array(list(itertools.product(local, local, local)))
-        b, center = value(vs)
-        best = min(best, b)
-        width /= 2
-    return np.log2(best)
 
 
 def spectrum_state(spec):
@@ -374,7 +350,64 @@ def test_i_max_sigma_is_feasible(rng):
         assert np.max(w) <= 1e-7
 
 
-cvxpy = pytest.importorskip("cvxpy")
+def kd_environment_ensemble(index, da, db, rank):
+    """The ensemble whose I_max the kd-oneshot rate needs, for one seeded
+    random mixed instance: a Ginibre rho_AB of the given rank, a Wishart
+    POVM on A, and the conditionals on the environment B R of the
+    purification."""
+    rng = np.random.default_rng([2403_16466, zlib.crc32(b"kd-quantum"), index])
+    rho = DensityOperator([("A", da), ("B", db)], ginibre_density(rng, da * db, rank))
+    povm = random_povm(rng, da, int(rng.integers(3, 5)), register="A")
+    return control_state(rho.purify("R"), povm, condition_on=["B", "R"])
+
+
+@pytest.mark.parametrize("index, shape, long_run", [
+    # values of 21 000 and 44 000 fixed-point iterations, certified to 1e-12 bits
+    (486, (4, 4, 2), 0.7401880625346997),
+    (361, (3, 4, 3), 0.7142149877409483),
+])
+def test_i_max_tail_instances_certify_through_the_newton_stage(index, shape, long_run):
+    # the fixed point alone stops at its 10 000-iteration cap on both
+    cq = kd_environment_ensemble(index, *shape)
+    r = ent.i_max_cq(cq, 1e-4)
+    assert r.converged and r.duality_gap <= 1e-9
+    assert r.newton_steps > 0 and r.iterations < 10000
+    assert abs(r.value - long_run) <= 2e-7
+    t = 2.0 ** r.value
+    for c in cq.conditionals:
+        w, _ = linalg.eig_hermitian(c.matrix - t * r.sigma.matrix, tol=1e-7)
+        assert np.max(w) <= 1e-7
+
+
+def test_i_max_commuting_ensemble_needs_no_newton_stage():
+    # classical symbols through a cyclic noise channel with a dominant entry,
+    # as in the compare runs: the fixed point certifies within its budget
+    for d in (2, 4, 8):
+        for c0 in (0.8, 0.9, 0.95):
+            noise = np.array([c0] + [(1 - c0) / (d - 1)] * (d - 1))
+            conds = [DensityOperator([("B", d)], np.diag(np.roll(noise, x)))
+                     for x in range(3)]
+            r = ent.i_max_cq(CQState([0, 1, 2], [0.2, 0.3, 0.5], conds), 0.0)
+            # commuting states: the optimum is sum_b max_x p(b|x)
+            want = np.log2(np.sum(np.max([np.roll(noise, x) for x in range(3)], axis=0)))
+            assert r.newton_steps == 0 and r.duality_gap <= 1e-9
+            assert abs(r.value - want) <= 1e-9
+
+
+def test_h_max_smooth_invariant_survives_python_O():
+    # the runtime check must raise a named error even with asserts stripped
+    code = (
+        "import numpy as np\n"
+        "from puredist import entropy, linalg\n"
+        "entropy.h_tilde_max = lambda rho, eps: -1.0\n"
+        "try:\n"
+        "    entropy.h_max_smooth(np.eye(4) / 4, 0.1)\n"
+        "except linalg.InvariantError as exc:\n"
+        "    print('raised', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised Renyi-1/2")
 
 
 def sdp_dh_oracle(rho, sigma, eps):
@@ -388,6 +421,7 @@ def sdp_dh_oracle(rho, sigma, eps):
     return -np.log2(max(prob.value, 1e-300))
 
 
+@needs_cvxpy
 def test_d_h_matches_sdp_on_noncommuting(rng):
     # fully independent semidefinite route for the general case
     for _ in range(10):
@@ -400,6 +434,7 @@ def test_d_h_matches_sdp_on_noncommuting(rng):
         assert abs(got - want) <= 1e-5, (got, want)
 
 
+@needs_cvxpy
 def test_i_max_matches_sdp_beyond_qubits(rng):
     # min Tr tau s.t. tau >= rho_x, as a plain SDP
     for _ in range(8):
@@ -415,6 +450,7 @@ def test_i_max_matches_sdp_beyond_qubits(rng):
         assert abs(got.value - want) <= 1e-5, (got.value, want)
 
 
+@needs_cvxpy
 def test_h_min_cq_matches_sdp(rng):
     # the conditioner operator pinches to a diagonal sigma^X, leaving one
     # scalar per symbol with s_x * I >= P(x) rho_x

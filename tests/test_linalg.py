@@ -57,6 +57,32 @@ def test_eig_deterministic_phases(rng):
     assert np.array_equal(v1, v2)
 
 
+def _canonical_phases_loop(vecs):
+    # column-by-column reference for the vectorized kernel
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        a = col[i]
+        if np.abs(a) > 0:
+            out[:, j] = col * (np.conj(a) / np.abs(a))
+    return out
+
+
+def test_canonical_phases_match_loop(rng):
+    for _ in range(200):
+        d = int(rng.integers(1, 17))
+        _, v = np.linalg.eigh(random_hermitian(rng, d))
+        v[:, rng.random(d) < 0.1] = 0.0  # zero columns keep their (zero) entries
+        got = linalg._canonical_phases(v)
+        want = _canonical_phases_loop(v)
+        # the entry the loop made real positive is real positive here too
+        top = [int(np.argmax(np.abs(v[:, j]))) for j in range(d)]
+        assert np.all(np.abs(got[top, np.arange(d)].imag) <= 1e-15)
+        assert np.all(got[top, np.arange(d)].real >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_svd_identity_and_rank1(rng):
     u, s, vh = linalg.svd(np.eye(3))
     assert np.allclose(s, 1.0)

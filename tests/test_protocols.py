@@ -6,7 +6,6 @@ from puredist import protocols as pr
 from puredist.sampling import (
     basis_povm,
     bell_pair,
-    classical_correlated_pure,
     ginibre_density,
     mixed_protocol_input,
     purified_input,
@@ -14,15 +13,7 @@ from puredist.sampling import (
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
-
-def near_pure_classical(rng, da=8, db=4, top=0.9):
-    """Classical correlated instance with a near-pure A marginal."""
-    pa = np.full(da, (1 - top) / (da - 1))
-    pa[0] = top
-    cond = np.full(db, 0.1 / (db - 1))
-    cond[0] = 0.9
-    joint = np.array([pa[a] * np.roll(cond, a % db) for a in range(da)])
-    return purified_input(classical_correlated_pure(rng, da, db, joint=joint))
+from oracles import near_pure_classical
 
 
 # ------------------------------------------------------------ local distill
