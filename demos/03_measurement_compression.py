@@ -10,7 +10,7 @@ entropic sense that drives derandomization.
 import numpy as np
 
 from puredist.compression import (
-    compress_measurement,
+    Instance,
     find_good_k,
     nice_sets,
     per_k_errors,
@@ -23,8 +23,10 @@ psi = purified_input(bell_pair())
 povm = basis_povm(2, "A")
 eps = 0.1
 
-cm = compress_measurement(psi, povm, K=4, L=32, seed=7)
-rep = validate_compression(cm, psi, povm, eps)
+inst = Instance(psi, povm, eps)
+view = inst.compression(K=4, L=32, seed=7)
+cm = view.cm
+rep = validate_compression(view)
 print("K x L table:", cm.K, "x", cm.L, "  normalization c =", round(cm.c_norm, 4))
 print("ideal vs simulated (exact trace distance):", round(rep.ideal_vs_simulated, 4))
 print("per-pair state distance:", round(rep.per_pair_state_dist, 6))
@@ -35,19 +37,18 @@ print("Q_KL vs uniform        :", round(rep.qkl_vs_uniform, 4))
 # its old cells, so the comparison is a true paired sample.
 print("\n   L   median error over 20 seeds")
 for L in (8, 16, 32, 64):
-    errs = [validate_compression(compress_measurement(psi, povm, K=4, L=L, seed=s),
-                                 psi, povm, eps).ideal_vs_simulated
+    errs = [validate_compression(inst.compression(K=4, L=L, seed=s)).ideal_vs_simulated
             for s in range(20)]
     print(f"  {L:3d}  {np.median(errs):.4f}")
 
 # Derandomization: the good rows are almost all of them.
-rep = verify_derandomization(psi, povm, cm, eps)
+rep = verify_derandomization(view)
 print("\nnice pair fraction:", rep["fraction"], ">= bound", round(rep["bound"], 3),
       "->", "ok" if rep["passed"] else "FAILED")
 
-tprime, nice = nice_sets(cm, psi, povm, eps)
-k = find_good_k(cm, psi, povm, eps)
-errs = per_k_errors(cm, psi, povm)
+tprime, nice = nice_sets(view)
+k = find_good_k(view)
+errs = per_k_errors(view)
 print("qualifying k's:", tprime)
 print("chosen k:", k, " per-k error", round(errs[k], 4),
       " median", round(float(np.median(errs)), 4))

@@ -9,6 +9,7 @@ embedding borrows almost nothing while distilling at the same rate.
 import numpy as np
 
 from puredist import bounds
+from puredist.compression import Instance
 from puredist.protocols import purity_trace, run_fewqubits, run_kd_oneshot, run_protocol_a
 from puredist.sampling import basis_povm, classical_correlated_pure, purified_input
 
@@ -24,10 +25,9 @@ joint = np.array([pa[a] * np.roll(cond, a % 4) for a in range(8)])
 psi = purified_input(classical_correlated_pure(rng, 8, 4, joint=joint))
 povm = basis_povm(8, "A")
 
-rows = []
-rows.append(run_protocol_a(psi, povm, eps, seed=1))
-rows.append(run_kd_oneshot(psi, povm, K=4, L=16, eps=eps, seed=1))
-rows.append(run_fewqubits(psi, povm, K=4, L=16, eps=eps, seed=1))
+inst = Instance(psi, povm, eps)
+view = inst.compression(K=4, L=16, seed=1)
+rows = [run_protocol_a(inst, seed=1), run_kd_oneshot(view), run_fewqubits(view)]
 
 print(f"{'protocol':<12} {'alice':>5} {'bob':>4} {'borrow':>6} {'comm':>5} "
       f"{'net':>4} {'error':>8} {'case':>5}")
@@ -36,11 +36,11 @@ for t in rows:
           f"{t.borrowed:>6} {t.communication:>5} {t.net_rate:>4} "
           f"{t.final_error:>8.4f} {str(t.case or '-'):>5}")
 
-up = bounds.distributed_upper_bound(psi, povm, eps)
+up = bounds.distributed_upper_bound(inst)
 print("\ndistributed upper bound (slack-free):", round(up, 3),
       "  declared slack:", round(np.log2(1 / eps), 3), "bits")
 
-comp = bounds.ancilla_comparison(psi, povm, K=4, L=16, eps=eps, seed=1)
+comp = bounds.ancilla_comparison(view)
 print("borrow comparison: compressed", comp["c_borrow"], "vs in-place",
       comp["d_borrow"], " margin", round(comp["margin"], 3))
 
@@ -57,7 +57,7 @@ print("\nseed sweep (net rate / borrowed):")
 for name, fn in (("kd-oneshot", run_kd_oneshot), ("fewqubits", run_fewqubits)):
     nets, borrows = [], []
     for seed in range(8):
-        t = fn(psi, povm, K=4, L=16, eps=eps, seed=seed)
+        t = fn(inst.compression(K=4, L=16, seed=seed))
         nets.append(t.net_rate)
         borrows.append(t.borrowed)
     print(f"  {name:<11} net median {np.median(nets):+.0f}  "

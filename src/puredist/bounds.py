@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy, linalg
+from .compression import Compression, Instance, declared_slack
 from .protocols import run_fewqubits, run_kd_oneshot
-from .states import DensityOperator, Povm, PureState, control_state, rank1_refine
+from .states import DensityOperator, rank1_refine
 
 
 @dataclass
@@ -64,8 +65,7 @@ def local_purity_bounds(rho, eps: float, slack_bits: float | None = None):
     lower = log|A| - H_H^{eps^2/9}(A) - slack - 1,
     upper = log|A| - H_H^{eps}(A).
     """
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
+    slack_bits = declared_slack(eps, slack_bits)
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
     d = mat.shape[0]
     lower = float(np.log2(d) - entropy.h_h(mat, eps * eps / 9).value - slack_bits - 1)
@@ -73,10 +73,8 @@ def local_purity_bounds(rho, eps: float, slack_bits: float | None = None):
     return lower, upper
 
 
-def distributed_upper_bound(psi: PureState, povm: Povm, eps: float,
-                            f_eps: float | None = None,
+def distributed_upper_bound(inst: Instance, f_eps: float | None = None,
                             g_eps: float | None = None,
-                            bob_label: str = "B",
                             rank1: bool = False) -> float:
     """Slack-free evaluation of the distributed-purity upper bound for one
     candidate POVM:
@@ -88,40 +86,31 @@ def distributed_upper_bound(psi: PureState, povm: Povm, eps: float,
     elements first (the unbounded-communication variant). This evaluates one
     candidate; optimizing over all POVMs is out of scope.
     """
-    if f_eps is None:
-        f_eps = eps
-    if g_eps is None:
-        g_eps = eps
+    f_eps = inst.eps if f_eps is None else f_eps
+    g_eps = inst.eps if g_eps is None else g_eps
     if rank1:
-        povm = rank1_refine(povm)
-    a_reg = povm.register
-    da, db = psi.dim(a_reg), psi.dim(bob_label)
-    rho_a = psi.marginal([a_reg])
-    cq_b = control_state(psi, povm, condition_on=[bob_label])
-    hmax_a = entropy.h_max_smooth(rho_a, g_eps)
-    hmin_b = entropy.h_min_cq_smoothed(cq_b, f_eps)
+        inst = Instance(inst.psi, rank1_refine(inst.povm), inst.eps,
+                        bob_label=inst.bob_label)
+    da, db = inst.psi.dim(inst.povm.register), inst.psi.dim(inst.bob_label)
+    hmax_a = entropy.h_max_smooth(inst.rho_a, g_eps)
+    hmin_b = entropy.h_min_cq_smoothed(inst.ideal_bob, f_eps)
     return float(np.log2(da) + np.log2(db) - hmax_a - hmin_b)
 
 
-def ancilla_comparison(psi: PureState, povm: Povm, K: int, L: int, eps: float,
-                       seed: int, bob_label: str = "B",
-                       slack_bits: float | None = None) -> dict:
+def ancilla_comparison(view: Compression) -> dict:
     """Borrowed-qubit comparison of the two compressed protocols.
 
-    ``margin`` = log|A| - H_H^eps(A) - slack; whenever it is positive the
-    in-place protocol must borrow at least that many qubits fewer, which is
-    checked (``linalg.InvariantError`` otherwise). A non-positive margin
-    makes the comparison inconclusive and nothing is checked.
+    Both protocols run on the same compressed measurement. ``margin`` =
+    log|A| - H_H^eps(A) - slack; whenever it is positive the in-place
+    protocol must borrow at least that many qubits fewer, which is checked
+    (``linalg.InvariantError`` otherwise). A non-positive margin makes the
+    comparison inconclusive and nothing is checked.
     """
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
-    kd = run_kd_oneshot(psi, povm, K, L, eps, seed, bob_label=bob_label,
-                        slack_bits=slack_bits)
-    fq = run_fewqubits(psi, povm, K, L, eps, seed, bob_label=bob_label,
-                       slack_bits=slack_bits)
-    rho_a = psi.marginal([povm.register])
-    margin = float(np.log2(rho_a.shape[0]) - entropy.h_h(rho_a, eps).value
-                   - slack_bits)
+    inst = view.instance
+    kd = run_kd_oneshot(view)
+    fq = run_fewqubits(view)
+    margin = float(np.log2(inst.rho_a.shape[0]) - entropy.h_h(inst.rho_a, inst.eps).value
+                   - inst.slack_bits)
     c_borrow, d_borrow = kd.borrowed, fq.borrowed
     if margin > 0 and c_borrow - d_borrow < margin - 1e-9:
         raise linalg.InvariantError(
@@ -135,22 +124,16 @@ def ancilla_comparison(psi: PureState, povm: Povm, K: int, L: int, eps: float,
     }
 
 
-def rate_report(psi: PureState, povm: Povm, K: int, L: int, eps: float,
-                seed: int, bob_label: str = "B",
-                slack_bits: float | None = None,
-                f_eps: float | None = None,
+def rate_report(view: Compression, f_eps: float | None = None,
                 g_eps: float | None = None) -> RateReport:
     """Full bound/rate evaluation for one (instance, POVM, seed)."""
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
+    inst = view.instance
+    eps, slack_bits = inst.eps, inst.slack_bits
     f_eps = eps if f_eps is None else f_eps
     g_eps = eps if g_eps is None else g_eps
-    rho_a = psi.marginal([povm.register])
-    lo, up = local_purity_bounds(rho_a, eps, slack_bits)
-    dist = distributed_upper_bound(psi, povm, eps, f_eps=f_eps, g_eps=g_eps,
-                                   bob_label=bob_label)
-    comp = ancilla_comparison(psi, povm, K, L, eps, seed, bob_label=bob_label,
-                              slack_bits=slack_bits)
+    lo, up = local_purity_bounds(inst.rho_a, eps, slack_bits)
+    dist = distributed_upper_bound(inst, f_eps=f_eps, g_eps=g_eps)
+    comp = ancilla_comparison(view)
     kd, fq = comp["kd"], comp["fewqubits"]
     return RateReport(
         local_lower=lo,
@@ -164,7 +147,7 @@ def rate_report(psi: PureState, povm: Povm, K: int, L: int, eps: float,
         final_error_kd=kd.final_error,
         final_error_fq=fq.final_error,
         eps=eps,
-        seed=seed,
+        seed=view.seed,
         slack_convention=f"additive O(log 1/eps) terms carried as {slack_bits} bits",
         slack_bits=slack_bits,
         f_eps=f_eps,

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: entropy, distill-local, protocol-a, kd-oneshot, fewqubits,
-compare, bounds, verify. Outputs are deterministic per (config, seed);
-seed sweeps fan out to a process pool capped by PUREDIST_THREADS.
+compare, bounds, verify. Outputs are deterministic per (config, seed).
+A seed sweep runs each POVM's seeds as contiguous runs that share one
+``Instance``; PUREDIST_THREADS (default 1) splits each POVM's seeds into
+at most that many runs and fans them out to a process pool of that size.
 """
 
 import argparse
@@ -14,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, entropy, io, protocols
-from .compression import NoGoodK
+from .compression import Instance, NoGoodK
 from .linalg import InvariantError
-from .states import DensityOperator, PureState, control_state
+from .states import DensityOperator, PureState
 from .verify import MANIFEST, run_suite
 
 COMMANDS = ("entropy", "distill-local", "protocol-a", "kd-oneshot",
@@ -158,29 +160,46 @@ def _workers(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def _run_one_transcript(job):
-    command, state_path, povm_path, K, L, eps, seed, slack, bob = job
-    psi = protocol_input(io.load_state(state_path))
-    povm = io.load_povm(povm_path)
-    if command == "protocol-a":
-        t = protocols.run_protocol_a(psi, povm, eps, bob_label=bob,
-                                     slack_bits=slack, seed=seed)
-    elif command == "kd-oneshot":
-        t = protocols.run_kd_oneshot(psi, povm, K, L, eps, seed,
-                                     bob_label=bob, slack_bits=slack)
+def _seed_runs(seeds: list, n: int) -> list:
+    """Split ``seeds`` into n contiguous runs of near-equal length."""
+    return [seeds[i * len(seeds) // n:(i + 1) * len(seeds) // n] for i in range(n)]
+
+
+def _run_seeds(job):
+    """Run one contiguous run of seeds on one POVM, sharing one Instance."""
+    config, povm_path, seeds = job
+    inst = Instance(protocol_input(io.load_state(config.state)),
+                    io.load_povm(povm_path), config.eps,
+                    bob_label=config.bob_label, slack_bits=config.slack_bits)
+    out = []
+    for seed in seeds:
+        if config.command == "protocol-a":
+            out.append(protocols.run_protocol_a(inst, seed=seed).to_dict())
+        elif config.command == "compare":
+            out.append(bounds.rate_report(inst.compression(config.K, config.L, seed),
+                                          f_eps=config.f_eps, g_eps=config.g_eps))
+        elif config.command == "kd-oneshot":
+            out.append(protocols.run_kd_oneshot(
+                inst.compression(config.K, config.L, seed)).to_dict())
+        else:
+            out.append(protocols.run_fewqubits(
+                inst.compression(config.K, config.L, seed)).to_dict())
+    return out
+
+
+def _sweep(config: ExperimentConfig) -> list:
+    """Results of every (POVM, seed), POVMs in order, seeds in order."""
+    if not config.povms:
+        raise ValueError(f"{config.command} requires --povm")
+    runs = _seed_runs(config.seeds, _workers(len(config.seeds)))
+    jobs = [(config, p, run) for p in config.povms for run in runs]
+    workers = _workers(len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_seeds, jobs))
     else:
-        t = protocols.run_fewqubits(psi, povm, K, L, eps, seed,
-                                    bob_label=bob, slack_bits=slack)
-    return t.to_dict()
-
-
-def _run_one_report(job):
-    state_path, povm_path, K, L, eps, seed, slack, f_eps, g_eps, bob = job
-    psi = protocol_input(io.load_state(state_path))
-    povm = io.load_povm(povm_path)
-    rep = bounds.rate_report(psi, povm, K, L, eps, seed, bob_label=bob,
-                             slack_bits=slack, f_eps=f_eps, g_eps=g_eps)
-    return rep
+        results = [_run_seeds(j) for j in jobs]
+    return [r for run in results for r in run]
 
 
 def cmd_entropy(config: ExperimentConfig) -> int:
@@ -200,17 +219,13 @@ def cmd_entropy(config: ExperimentConfig) -> int:
         }
     for path in config.povms:
         povm = io.load_povm(path)
-        psi = protocol_input(state)
-        env = [l for l in psi.labels if l != povm.register]
-        cq_env = control_state(psi, povm, condition_on=env)
-        cq_b = control_state(psi, povm, condition_on=[config.bob_label])
-        imax = entropy.i_max_cq(cq_env, eps ** 4)
+        inst = Instance(protocol_input(state), povm, eps, bob_label=config.bob_label)
         payload.setdefault("povm", {})[path] = {
-            "h_h_cond_env": entropy.h_h_cond_cq(cq_env, eps).value,
-            "h_h_cond_bob": entropy.h_h_cond_cq(cq_b, eps).value,
-            "h_min_cond_bob": entropy.h_min_cq(cq_b),
-            "i_max": imax.value,
-            "i_max_gap": imax.duality_gap,
+            "h_h_cond_env": inst.h_h_cond("ideal_env", eps),
+            "h_h_cond_bob": inst.h_h_cond("ideal_bob", eps),
+            "h_min_cond_bob": entropy.h_min_cq(inst.ideal_bob),
+            "i_max": inst.imax.value,
+            "i_max_gap": inst.imax.duality_gap,
         }
     _emit(config, payload)
     return 0
@@ -234,17 +249,7 @@ def cmd_distill_local(config: ExperimentConfig) -> int:
 
 
 def cmd_protocols(config: ExperimentConfig) -> int:
-    if not config.povms:
-        raise ValueError(f"{config.command} requires --povm")
-    jobs = [(config.command, config.state, p, config.K, config.L, config.eps,
-             s, config.slack_bits, config.bob_label)
-            for p in config.povms for s in config.seeds]
-    workers = _workers(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_transcript, jobs))
-    else:
-        results = [_run_one_transcript(j) for j in jobs]
+    results = _sweep(config)
     columns = list(TRANSCRIPT_COLUMNS)
     rows = [[r[c] for c in columns] for r in results]
     _emit(config, {"transcripts": results}, csv_columns=columns, csv_rows=rows)
@@ -252,17 +257,7 @@ def cmd_protocols(config: ExperimentConfig) -> int:
 
 
 def cmd_compare(config: ExperimentConfig) -> int:
-    if not config.povms:
-        raise ValueError("compare requires --povm")
-    jobs = [(config.state, p, config.K, config.L, config.eps, s,
-             config.slack_bits, config.f_eps, config.g_eps, config.bob_label)
-            for p in config.povms for s in config.seeds]
-    workers = _workers(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one_report, jobs))
-    else:
-        reports = [_run_one_report(j) for j in jobs]
+    reports = _sweep(config)
     columns = list(bounds.RateReport.CSV_COLUMNS)
     rows = [r.csv_row() for r in reports]
     _emit(config, {"reports": [r.to_dict() for r in reports]},
@@ -284,14 +279,12 @@ def cmd_bounds(config: ExperimentConfig) -> int:
         "per_povm": {},
     }
     for path in config.povms:
-        povm = io.load_povm(path)
+        inst = Instance(psi, io.load_povm(path), config.eps, bob_label=config.bob_label)
         payload["per_povm"][path] = {
             "dist_upper": bounds.distributed_upper_bound(
-                psi, povm, config.eps, f_eps=config.f_eps, g_eps=config.g_eps,
-                bob_label=config.bob_label),
+                inst, f_eps=config.f_eps, g_eps=config.g_eps),
             "dist_upper_rank1": bounds.distributed_upper_bound(
-                psi, povm, config.eps, f_eps=config.f_eps, g_eps=config.g_eps,
-                bob_label=config.bob_label, rank1=True),
+                inst, f_eps=config.f_eps, g_eps=config.g_eps, rank1=True),
         }
     _emit(config, payload)
     return 0

@@ -12,12 +12,14 @@ across table sizes meaningful.
 
 import json
 import warnings
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import entropy, linalg
-from .states import Povm, PureState, control_state
+from . import entropy, io, linalg, states
+from .states import Povm, PureState
 
 BOT = "bot"
 
@@ -53,10 +55,6 @@ class CompressedMeasurement:
         labels = list(range(self.L)) + [BOT]
         return Povm(self.thetas[k], labels, register=self.register)
 
-    @property
-    def q_k(self) -> np.ndarray:
-        return np.full(self.K, 1.0 / self.K)
-
     def q_l_given_k(self, k: int) -> np.ndarray:
         return self.q_kl[k] * self.K
 
@@ -70,29 +68,21 @@ class CompressedMeasurement:
         return w
 
     def to_json(self) -> str:
-        def mat(m):
-            return [[float(np.real(z)), float(np.imag(z))] for z in np.asarray(m).reshape(-1)]
-
-        return json.dumps({
+        return io.dumps({
             "K": self.K, "L": self.L, "seed": self.seed,
             "register": self.register, "c_norm": self.c_norm,
             "bot_decode": int(self.bot_decode),
-            "decode": self.decode.tolist(),
-            "q_kl": self.q_kl.tolist(),
+            "decode": self.decode,
+            "q_kl": self.q_kl,
             "dim": int(self.thetas[0][0].shape[0]),
-            "thetas": [[mat(e) for e in row] for row in self.thetas],
-        }, sort_keys=True)
+            "thetas": [[io.matrix_to_pairs(e) for e in row] for row in self.thetas],
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "CompressedMeasurement":
         d = json.loads(text)
-        dim = d["dim"]
-
-        def unmat(flat):
-            a = np.array([re + 1j * im for re, im in flat], dtype=complex)
-            return a.reshape(dim, dim)
-
-        thetas = tuple(tuple(unmat(e) for e in row) for row in d["thetas"])
+        thetas = tuple(tuple(io.pairs_to_matrix(e, d["dim"]) for e in row)
+                       for row in d["thetas"])
         return cls(K=d["K"], L=d["L"], thetas=thetas,
                    decode=np.array(d["decode"], dtype=int),
                    q_kl=np.array(d["q_kl"], dtype=float),
@@ -116,8 +106,152 @@ class CompressionReport:
                 raise ValueError(f"{f} must be non-negative")
 
 
-def _environment_labels(psi: PureState, register: str):
-    return [l for l in psi.labels if l != register]
+def declared_slack(eps: float, slack_bits: float | None = None) -> float:
+    """The additive O(log 1/eps) slack of the rate formulas: ``slack_bits``
+    when declared, log2(1/eps) otherwise."""
+    return float(np.log2(1.0 / eps)) if slack_bits is None else slack_bits
+
+
+class Instance:
+    """One (pure input state, POVM, eps) problem and its ideal-state quantities.
+
+    ``psi`` is pure on A, Bob's register and any reference; the POVM acts on
+    its register A. Everything here depends on the state, the POVM and eps
+    only, never on a compression seed, so each quantity is computed on
+    first use and kept: the environment labels, the ideal control states
+    (conditioned on the whole environment, on A with the outcome retained,
+    and on Bob), I_max of the environment ensemble at eps^4, and the H_H
+    conditional entropies of the nice-set bounds and the rate formulas.
+    ``compression(K, L, seed)`` hands out one ``Compression`` view per key.
+    """
+
+    def __init__(self, psi: PureState, povm: Povm, eps: float,
+                 bob_label: str = "B", slack_bits: float | None = None):
+        if not (0.0 < eps < 1.0):
+            raise ValueError(f"eps must be in (0, 1), got {eps}")
+        reg = povm.register
+        if povm.dim != psi.dim(reg):
+            raise ValueError(f"POVM dimension {povm.dim} does not match register "
+                             f"{reg!r} dimension {psi.dim(reg)}")
+        self.psi, self.povm, self.eps, self.bob_label = psi, povm, eps, bob_label
+        self.slack_bits = declared_slack(eps, slack_bits)
+        self.env = [l for l in psi.labels if l != reg]
+        self._h_h_cond = {}
+        # weak values: a view lives while a caller holds it, so a long seed
+        # sweep does not keep every table alive
+        self._views = weakref.WeakValueDictionary()
+
+    def compression(self, K: int, L: int, seed: int) -> "Compression":
+        key = (K, L, seed)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = Compression(self, K, L, seed)
+        return view
+
+    @cached_property
+    def rho_a(self) -> np.ndarray:
+        return self.psi.marginal([self.povm.register])
+
+    @cached_property
+    def env_dim(self) -> int:
+        return int(np.prod([self.psi.dim(l) for l in self.env]))
+
+    @cached_property
+    def ideal_env(self) -> states.CQState:
+        return states.control_state(self.psi, self.povm, condition_on=self.env)
+
+    @cached_property
+    def ideal_a(self) -> states.CQState:
+        return states.control_state(self.psi, self.povm,
+                                    condition_on=[self.povm.register],
+                                    retain_measured=True)
+
+    @cached_property
+    def ideal_bob(self) -> states.CQState:
+        return states.control_state(self.psi, self.povm, condition_on=[self.bob_label])
+
+    @cached_property
+    def ideal_env_bob(self) -> states.CQState:
+        """The environment ensemble reduced to Bob (not ``ideal_bob``: the two
+        agree only in exact arithmetic)."""
+        return self.ideal_env.map_conditionals(
+            lambda c: c.partial_trace([self.bob_label]))
+
+    @cached_property
+    def imax(self) -> entropy.ImaxResult:
+        return entropy.i_max_cq(self.ideal_env, self.eps ** 4)
+
+    @cached_property
+    def hmin_env(self) -> float:
+        return entropy.h_min_cq_smoothed(self.ideal_env, self.eps)
+
+    def h_h_cond(self, ideal: str, smoothing: float) -> float:
+        """``h_h_cond_cq`` value at ``smoothing`` of the ideal control state
+        named by ``ideal`` (one of the ``ideal_*`` attributes)."""
+        key = (ideal, smoothing)
+        if key not in self._h_h_cond:
+            self._h_h_cond[key] = entropy.h_h_cond_cq(getattr(self, ideal), smoothing).value
+        return self._h_h_cond[key]
+
+    @cached_property
+    def ideal_by_outcome(self):
+        """(P(x), rho_x^env matrix) of the ideal control state indexed by POVM
+        outcome, with P(x) = 0 and no matrix for dropped outcomes."""
+        probs = np.zeros(len(self.povm))
+        conds = [None] * len(self.povm)
+        ideal = self.ideal_env
+        for lbl, p, c in zip(ideal.symbols, ideal.probs, ideal.conditionals):
+            x = self.povm.labels.index(lbl)
+            probs[x], conds[x] = p, c.matrix
+        return probs, conds
+
+
+class Compression:
+    """One K x L compressed measurement of an ``Instance`` and what derives
+    from it: the table, the simulated conditionals, the per-symbol pair
+    entropies, the nice sets, the per-k errors and the chosen k, each
+    computed on first use and kept. ``k`` raises ``NoGoodK`` exactly where
+    ``find_good_k`` does. Build views with ``Instance.compression``.
+    """
+
+    def __init__(self, instance: Instance, K: int, L: int, seed: int):
+        self.instance = instance
+        self.K, self.L, self.seed = K, L, seed
+        self.cm = compress_measurement(instance.psi, instance.povm, K, L, seed)
+
+    @cached_property
+    def sims(self) -> dict:
+        return simulated_conditionals(self)[0]
+
+    @cached_property
+    def sims_bob(self) -> dict:
+        """Bob's marginal of each simulated conditional."""
+        env = sorted(self.instance.env)
+        dims = [self.instance.psi.dim(l) for l in env]
+        keep = [env.index(self.instance.bob_label)]
+        return {x: linalg.partial_trace(m, dims, keep) for x, m in self.sims.items()}
+
+    @cached_property
+    def pair_entropies(self):
+        """Per decoded symbol, at smoothing eps^(1/8): the ``h_h`` result of
+        the simulated conditional on the environment, and the H_H value of
+        its Bob marginal."""
+        smooth = self.instance.eps ** 0.125
+        h_env = {x: entropy.h_h(m, smooth) for x, m in self.sims.items()}
+        h_bob = {x: entropy.h_h(m, smooth).value for x, m in self.sims_bob.items()}
+        return h_env, h_bob
+
+    @cached_property
+    def nice(self):
+        return nice_sets(self)
+
+    @cached_property
+    def errors(self) -> np.ndarray:
+        return per_k_errors(self)
+
+    @cached_property
+    def k(self) -> int:
+        return find_good_k(self)
 
 
 def compress_measurement(psi: PureState, povm: Povm, K: int, L: int,
@@ -188,22 +322,21 @@ def compress_measurement(psi: PureState, povm: Povm, K: int, L: int,
         register=reg, quality_warning=bool(warning))
 
 
-def simulated_conditionals(cm: CompressedMeasurement, psi: PureState,
-                           povm: Povm, condition_on=None):
+def simulated_conditionals(view: Compression):
     """Per-symbol simulated post-measurement states on the environment.
 
     The cell conditional depends only on the decoded symbol, so one state
     per original outcome suffices: sigma_x = Tr_A[M_x psi] normalized, with
-    M_x the cell operator for symbol x.
+    M_x the cell operator for symbol x. Returns (states, sorted env labels).
     """
+    psi, povm = view.instance.psi, view.instance.povm
     reg = povm.register
-    env = condition_on if condition_on is not None else _environment_labels(psi, reg)
-    env = sorted(env)
+    env = sorted(view.instance.env)
     rho_a = psi.marginal([reg])
     inv_sqrt = linalg.psd_power(rho_a, -0.5)
     sqrt_rho = linalg.psd_power(rho_a, 0.5)
     out = {}
-    for x in sorted(set(cm.decode.reshape(-1).tolist())):
+    for x in sorted(set(view.cm.decode.reshape(-1).tolist())):
         # K = Y^dag with Y = rho^{-1/2} sqrt(Lam_x) sqrt(rho) satisfies
         # K^dag K = M_x (up to the p_x scale), so the branch needs no
         # operator square root
@@ -216,8 +349,22 @@ def simulated_conditionals(cm: CompressedMeasurement, psi: PureState,
     return out, env
 
 
-def validate_compression(cm: CompressedMeasurement, psi: PureState,
-                         povm: Povm, eps: float) -> CompressionReport:
+def _block_distance(view: Compression, weights) -> float:
+    """Trace distance between the ideal control state and the simulated
+    mixture with per-symbol ``weights``, summed block by block over the
+    POVM outcomes."""
+    probs, conds = view.instance.ideal_by_outcome
+    d_env = view.instance.env_dim
+    dist = 0.0
+    for x, p in enumerate(probs):
+        blk = p * conds[x] if p > 0 else np.zeros((d_env, d_env), dtype=complex)
+        if weights[x] > 0 and x in view.sims:
+            blk = blk - weights[x] * view.sims[x]
+        dist += linalg.trace_norm(blk)
+    return dist
+
+
+def validate_compression(view: Compression) -> CompressionReport:
     """Exact comparison of the compressed measurement against the ideal one.
 
     ``ideal_vs_simulated`` is the trace distance between the ideal control
@@ -226,36 +373,20 @@ def validate_compression(cm: CompressedMeasurement, psi: PureState,
     substate). All quantities are computed exactly from the operators, not
     estimated.
     """
-    reg = povm.register
-    env = _environment_labels(psi, reg)
-    ideal = control_state(psi, povm, condition_on=env)
-    sims, _ = simulated_conditionals(cm, psi, povm, condition_on=env)
-
-    weights = cm.decoded_weight(len(povm))
-    ideal_probs = np.zeros(len(povm))
-    for lbl, p in zip(ideal.symbols, ideal.probs):
-        ideal_probs[povm.labels.index(lbl)] = p
-
-    d_env = int(np.prod([psi.dim(l) for l in env]))
-    zero = np.zeros((d_env, d_env), dtype=complex)
-    symbol_index = {lbl: i for i, lbl in enumerate(ideal.symbols)}
-    dist = 0.0
+    cm = view.cm
+    weights = cm.decoded_weight(len(view.instance.povm))
+    _, conds = view.instance.ideal_by_outcome
     per_pair = 0.0
-    for x in range(len(povm)):
-        ix = symbol_index.get(povm.labels[x])
-        ideal_block = ideal_probs[x] * ideal.conditionals[ix].matrix if ix is not None else zero
-        sim_block = weights[x] * sims.get(x, zero)
-        dist += linalg.trace_norm(ideal_block - sim_block)
-        if x in sims and weights[x] > 1e-12 and ix is not None:
-            per_pair = max(per_pair, linalg.trace_distance(
-                ideal.conditionals[ix].matrix, sims[x]))
+    for x, cond in enumerate(conds):
+        if x in view.sims and weights[x] > 1e-12 and cond is not None:
+            per_pair = max(per_pair, linalg.trace_distance(cond, view.sims[x]))
 
     unif = 1.0 / (cm.K * cm.L)
     qkl_dev = float(np.sum(np.abs(cm.q_kl[:, :cm.L] - unif)) + np.sum(cm.q_kl[:, cm.L]))
     qk_dev = float(np.sum(np.abs(np.sum(cm.q_kl, axis=1) - 1.0 / cm.K)))
     bot_mass = float(np.sum(cm.q_kl[:, cm.L]))
     return CompressionReport(
-        ideal_vs_simulated=float(dist),
+        ideal_vs_simulated=float(_block_distance(view, weights)),
         per_pair_state_dist=float(per_pair),
         qkl_vs_uniform=qkl_dev,
         qk_vs_uniform=qk_dev,
@@ -263,45 +394,19 @@ def validate_compression(cm: CompressedMeasurement, psi: PureState,
     )
 
 
-def _pair_entropies(cm: CompressedMeasurement, psi: PureState, povm: Povm,
-                    eps: float, bob_labels):
-    """Per-decoded-symbol one-shot entropies of the simulated conditionals,
-    on the full environment and on Bob's share, at smoothing eps^(1/8)."""
-    reg = povm.register
-    env = _environment_labels(psi, reg)
-    sims_env, env_sorted = simulated_conditionals(cm, psi, povm, condition_on=env)
-    smooth = eps ** 0.125
-    h_env, h_bob = {}, {}
-    dims = {l: psi.dim(l) for l in env_sorted}
-    keep_idx = [i for i, l in enumerate(env_sorted) if l in bob_labels]
-    for x, m in sims_env.items():
-        h_env[x] = entropy.h_h(m, smooth).value
-        bob_m = linalg.partial_trace(m, [dims[l] for l in env_sorted], keep_idx)
-        h_bob[x] = entropy.h_h(bob_m, smooth).value
-    return h_env, h_bob
-
-
-def nice_sets(cm: CompressedMeasurement, psi: PureState, povm: Povm, eps: float,
-              bob_labels=("B",), slack_bits: float | None = None):
+def nice_sets(view: Compression):
     """Pairs (k, l) whose post-measurement states obey both entropic bounds.
 
     A pair is nice when its conditional entropy on the full environment and
-    on Bob's share each stay within ``slack_bits`` (default log2(1/eps)) of
-    the corresponding conditional entropy of the ideal control state. Returns
+    on Bob's share each stay within the instance's ``slack_bits`` of the
+    corresponding conditional entropy of the ideal control state. Returns
     (T', {k: sorted nice l's}) where T' holds the k whose nice fraction is at
     least 1 - eps^(1/16).
     """
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
-    reg = povm.register
-    env = _environment_labels(psi, reg)
-    ideal = control_state(psi, povm, condition_on=env)
-    bound_env = entropy.h_h_cond_cq(ideal, eps).value + slack_bits
-    bob = sorted(bob_labels)
-    ideal_bob = ideal.map_conditionals(lambda c: c.partial_trace(bob))
-    bound_bob = entropy.h_h_cond_cq(ideal_bob, eps).value + slack_bits
-
-    h_env, h_bob = _pair_entropies(cm, psi, povm, eps, set(bob))
+    inst, cm = view.instance, view.cm
+    bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
+    bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
+    h_env, h_bob = view.pair_entropies
     nice = {}
     for k in range(cm.K):
         ls = []
@@ -309,40 +414,25 @@ def nice_sets(cm: CompressedMeasurement, psi: PureState, povm: Povm, eps: float,
             x = int(cm.decode[k, l])
             if x not in h_env:
                 continue
-            if h_env[x] <= bound_env + 1e-12 and h_bob[x] <= bound_bob + 1e-12:
+            if h_env[x].value <= bound_env + 1e-12 and h_bob[x] <= bound_bob + 1e-12:
                 ls.append(l)
         nice[k] = ls
-    threshold = (1 - eps ** (1.0 / 16)) * cm.L
+    threshold = (1 - inst.eps ** (1.0 / 16)) * cm.L
     tprime = [k for k in range(cm.K) if len(nice[k]) >= threshold - 1e-9]
     return tprime, nice
 
 
-def per_k_errors(cm: CompressedMeasurement, psi: PureState, povm: Povm) -> np.ndarray:
+def per_k_errors(view: Compression) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated one
     restricted to each k (the dominant per-k protocol error term)."""
-    reg = povm.register
-    env = _environment_labels(psi, reg)
-    ideal = control_state(psi, povm, condition_on=env)
-    sims, _ = simulated_conditionals(cm, psi, povm, condition_on=env)
-    ideal_probs = np.zeros(len(povm))
-    for lbl, p in zip(ideal.symbols, ideal.probs):
-        ideal_probs[povm.labels.index(lbl)] = p
+    cm = view.cm
     errs = np.zeros(cm.K)
-    dim_env = psi.marginal(sorted(env)).shape[0]
     for k in range(cm.K):
         q = cm.q_l_given_k(k)
-        w = np.zeros(len(povm))
+        w = np.zeros(len(view.instance.povm))
         for l in range(cm.L):
             w[cm.decode[k, l]] += q[l]
-        dist = 0.0
-        for x in range(len(povm)):
-            blk = np.zeros((dim_env, dim_env), dtype=complex)
-            if ideal_probs[x] > 0:
-                blk = ideal_probs[x] * ideal.conditionals[list(ideal.symbols).index(povm.labels[x])].matrix
-            if w[x] > 0 and x in sims:
-                blk = blk - w[x] * sims[x]
-            dist += linalg.trace_norm(blk)
-        errs[k] = dist
+        errs[k] = _block_distance(view, w)
     return errs
 
 
@@ -350,21 +440,18 @@ class NoGoodK(RuntimeError):
     """The configuration leaves no k with a usable nice outcome set."""
 
 
-def find_good_k(cm: CompressedMeasurement, psi: PureState, povm: Povm,
-                eps: float, bob_labels=("B",),
-                slack_bits: float | None = None) -> int:
+def find_good_k(view: Compression) -> int:
     """Deterministically pick the k used by the derandomized protocols.
 
     Among the k whose nice-outcome fraction clears the 1 - eps^(1/16)
     threshold, returns the one minimizing the per-k simulated error
     (lowest index on ties). Raises ``NoGoodK`` when no k qualifies.
     """
-    tprime, nice = nice_sets(cm, psi, povm, eps, bob_labels=bob_labels,
-                             slack_bits=slack_bits)
+    tprime, _ = view.nice
     if not tprime:
         raise NoGoodK(
             "no k has a large enough nice outcome set; raise L (or K) "
-            f"for eps={eps}")
-    errs = per_k_errors(cm, psi, povm)
+            f"for eps={view.instance.eps}")
+    errs = view.errors
     best = min(tprime, key=lambda k: (errs[k], k))
     return int(best)

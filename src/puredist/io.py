@@ -16,12 +16,12 @@ import numpy as np
 from .states import DensityOperator, Povm
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list:
+def matrix_to_pairs(mat: np.ndarray) -> list:
     return [[float(np.real(z)), float(np.imag(z))]
             for z in np.asarray(mat, dtype=complex).reshape(-1)]
 
 
-def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
+def pairs_to_matrix(pairs, dim: int) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in pairs])
     if flat.size != dim * dim:
         raise ValueError(f"matrix has {flat.size} entries, expected {dim * dim}")
@@ -31,28 +31,28 @@ def _pairs_to_matrix(pairs, dim: int) -> np.ndarray:
 def state_to_dict(state: DensityOperator) -> dict:
     return {
         "registers": [{"label": l, "dim": d} for l, d in state.registers],
-        "matrix": _matrix_to_pairs(state.matrix),
+        "matrix": matrix_to_pairs(state.matrix),
     }
 
 
 def state_from_dict(d: dict) -> DensityOperator:
     regs = [(r["label"], int(r["dim"])) for r in d["registers"]]
     total = int(np.prod([dim for _, dim in regs]))
-    return DensityOperator(regs, _pairs_to_matrix(d["matrix"], total))
+    return DensityOperator(regs, pairs_to_matrix(d["matrix"], total))
 
 
 def povm_to_dict(povm: Povm) -> dict:
     return {
         "register": povm.register,
         "labels": [str(l) for l in povm.labels],
-        "elements": [_matrix_to_pairs(e) for e in povm.elements],
+        "elements": [matrix_to_pairs(e) for e in povm.elements],
     }
 
 
 def povm_from_dict(d: dict) -> Povm:
     elems = d["elements"]
     dim = int(round(np.sqrt(len(elems[0]))))
-    mats = [_pairs_to_matrix(e, dim) for e in elems]
+    mats = [pairs_to_matrix(e, dim) for e in elems]
     return Povm(mats, labels=d.get("labels"), register=d.get("register", "A"))
 
 

@@ -31,14 +31,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
 
 
-def tensor(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices/vectors, left to right."""
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
-
-
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     # Fix the global phase of each column: largest-magnitude entry made
     # real positive. Keeps repeated runs byte-identical.

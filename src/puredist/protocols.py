@@ -7,8 +7,12 @@ the communicated register, so the global state is block diagonal in it and
 per-outcome branches mix exactly.
 
 O(log 1/eps) slack terms from the rate formulas are never folded into
-numbers: transcripts carry them in ``slack_bits`` (default log2(1/eps)) and
-``rate_bound_real`` holds the slack-free formula value.
+numbers: transcripts carry the instance's ``slack_bits`` (default
+log2(1/eps)) and ``rate_bound_real`` holds the slack-free formula value.
+
+Every protocol reads the ideal-state quantities from one
+``compression.Instance`` and the compressed measurement, its nice sets and
+its chosen k from one ``compression.Compression`` view of it.
 """
 
 import math
@@ -17,14 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy, linalg
-from .compression import (
-    CompressedMeasurement,
-    NoGoodK,
-    compress_measurement,
-    find_good_k,
-    nice_sets,
-    simulated_conditionals,
-)
+from .compression import Compression, Instance, NoGoodK
 from .states import DensityOperator, Povm, ProtocolTranscript, PureState
 
 
@@ -61,13 +58,16 @@ class DistillationIsometry:
         return [(self.pure_label, 2 ** self.a_p_bits), (self.garbage_label, self.ag_dim)]
 
 
-def _relabel_isometry(d: int, ap_bits: int) -> np.ndarray:
+def _relabel_code(d: int, ap_bits: int, source: str, pure_label: str,
+                  garbage_label: str) -> DistillationIsometry:
+    """The plain index relabeling into ap_bits qubits (distills nothing)."""
     ap = 2 ** ap_bits
     ag = math.ceil(d / ap)
     iso = np.zeros((ap * ag, d), dtype=complex)
     for i in range(d):
         iso[i, i] = 1.0
-    return iso
+    return DistillationIsometry(source, pure_label, garbage_label, iso,
+                                kept_dim=d, a_p_bits=ap_bits, ag_dim=ag)
 
 
 def _distill_isometry(mat: np.ndarray, eps: float, source: str = "A",
@@ -132,45 +132,44 @@ def _branch_states(psi: PureState, elements, reg: str):
     return out
 
 
-def _conditional_codes(branches, reg: str, eps: float, pure_label, garbage_label,
-                       budget: float):
+def _conditional_codes(marginals, masses, d: int, reg: str, eps: float,
+                       pure_label, garbage_label, budget: float):
     """Per-branch distillation isometries with one shared output size.
 
-    The shared qubit count is the largest one achievable on a set of
-    branches of probability mass >= 1 - budget; the excluded branches get
-    the plain index relabeling (their isometry distills nothing). The
-    budget is capped at 1/2 so the rule stays meaningful at large eps.
+    ``marginals[i]`` is branch i's normalized state on ``reg`` (None when
+    the branch is negligible) and ``masses[i]`` its probability. The shared
+    qubit count is the largest one achievable on a set of branches of
+    probability mass >= 1 - budget; the excluded branches get the plain
+    index relabeling (their isometry distills nothing). The budget is
+    capped at 1/2 so the rule stays meaningful at large eps.
     """
     budget = min(budget, 0.5)
-    probs = np.array([b.norm() ** 2 for b in branches])
-    d = branches[0].dim(reg)
-    isos, bits = [], []
-    for b, p in zip(branches, probs):
-        if p < 1e-12:
-            isos.append(None)
-            bits.append(0)
-            continue
-        mat = b.marginal([reg]) / p
-        iso = _distill_isometry(mat, eps, source=reg,
-                                pure_label=pure_label, garbage_label=garbage_label)
-        isos.append(iso)
-        bits.append(iso.a_p_bits)
-    shared, ok = _good_set_bits(bits, probs, budget)
+    bits = [0 if mat is None else
+            _distill_isometry(mat, eps, source=reg, pure_label=pure_label,
+                              garbage_label=garbage_label).a_p_bits
+            for mat in marginals]
+    shared, ok = _good_set_bits(bits, masses, budget)
     final = []
-    for i, (b, p) in enumerate(zip(branches, probs)):
-        if p < 1e-12 or not ok[i]:
-            mat_iso = _relabel_isometry(d, shared)
-            ag = math.ceil(d / 2 ** shared)
-            final.append(DistillationIsometry(reg, pure_label, garbage_label,
-                                              mat_iso, kept_dim=d,
-                                              a_p_bits=shared, ag_dim=ag))
+    for mat, good in zip(marginals, ok):
+        if mat is None or not good:
+            final.append(_relabel_code(d, shared, reg, pure_label, garbage_label))
         else:
-            mat = b.marginal([reg]) / p
             final.append(_distill_isometry(mat, eps, source=reg,
                                            pure_label=pure_label,
                                            garbage_label=garbage_label,
                                            force_ap_bits=shared))
     return shared, final
+
+
+def _branch_codes(branches, reg: str, eps: float, pure_label, garbage_label,
+                  budget: float):
+    """``_conditional_codes`` on the ``reg`` marginals of sub-normalized
+    branches; branches below mass 1e-12 count as negligible."""
+    masses = np.array([b.norm() ** 2 for b in branches])
+    marginals = [b.marginal([reg]) / p if p >= 1e-12 else None
+                 for b, p in zip(branches, masses)]
+    return _conditional_codes(marginals, masses, branches[0].dim(reg), reg, eps,
+                              pure_label, garbage_label, budget)
 
 
 def _mix_final_state(branches, alice_isos, bob_isos, a_reg, b_reg):
@@ -192,9 +191,7 @@ def _pure_target(dim_a: int, dim_b: int) -> np.ndarray:
     return t
 
 
-def run_protocol_a(psi: PureState, povm: Povm, eps: float,
-                   bob_label: str = "B", slack_bits: float | None = None,
-                   seed: int | None = None) -> ProtocolTranscript:
+def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
     """Coherent measurement of the full POVM plus conditional local codes.
 
     Alice borrows ceil(log2 |X|) qubits to hold the coherent outcome,
@@ -202,30 +199,20 @@ def run_protocol_a(psi: PureState, povm: Povm, eps: float,
     through the dephasing channel, and Bob applies his per-outcome code.
     The |X| = 1 case degenerates to two independent local distillations.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
+    psi, povm, eps, bob_label = inst.psi, inst.povm, inst.eps, inst.bob_label
     a_reg = povm.register
-    if povm.dim != psi.dim(a_reg):
-        raise ValueError(f"POVM dimension {povm.dim} does not match register "
-                         f"{a_reg!r} dimension {psi.dim(a_reg)}")
     n_x = len(povm)
     branches = _branch_states(psi, povm.elements, a_reg)
     budget = 2.0 * np.sqrt(eps)
-    a_bits, alice_isos = _conditional_codes(branches, a_reg, eps, "Ap", "Ag", budget)
-    b_bits, bob_isos = _conditional_codes(branches, bob_label, eps, "Bp", "Bg", budget)
+    a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
+    b_bits, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
     sigma = _mix_final_state(branches, alice_isos, bob_isos, a_reg, bob_label)
     ap, bp = 2 ** a_bits, 2 ** b_bits
     err = linalg.trace_distance(sigma, _pure_target(ap, bp))
 
-    env = [l for l in psi.labels if l != a_reg]
     da, db = psi.dim(a_reg), psi.dim(bob_label)
-    from .states import control_state
-    cq_a = control_state(psi, povm, condition_on=[a_reg], retain_measured=True)
-    cq_b = control_state(psi, povm, condition_on=[bob_label])
-    formula = (np.log2(da) - entropy.h_h_cond_cq(cq_a, eps * eps).value
-               + np.log2(db) - entropy.h_h_cond_cq(cq_b, eps * eps).value
+    formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps * eps)
+               + np.log2(db) - inst.h_h_cond("ideal_bob", eps * eps)
                - np.log2(n_x))
     borrowed = math.ceil(np.log2(n_x)) if n_x > 1 else 0
     return ProtocolTranscript(
@@ -238,51 +225,38 @@ def run_protocol_a(psi: PureState, povm: Povm, eps: float,
         eps=eps,
         seed=seed,
         dims={"A": da, "B": db, "X": n_x},
-        slack_bits=slack_bits,
+        slack_bits=inst.slack_bits,
         rate_bound_real=float(formula),
-        extra={"env": env},
+        extra={"env": inst.env},
     )
 
 
-def run_kd_oneshot(psi: PureState, povm: Povm, K: int, L: int, eps: float,
-                   seed: int, bob_label: str = "B",
-                   slack_bits: float | None = None,
-                   cm: CompressedMeasurement | None = None) -> ProtocolTranscript:
+def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
     """Derandomized compressed-measurement protocol.
 
-    Builds the K x L compressed measurement, fixes the best k, measures
+    Uses the view's K x L compressed measurement and its chosen k, measures
     Theta(k) coherently into a borrowed register of dimension L + 1
     (failure outcome included), distills both sides per outcome, and
     dephases the outcome register to Bob. Communication equals the
     borrowed register size, ceil(log2(L + 1)) bits.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
-    a_reg = povm.register
-    if cm is None:
-        cm = compress_measurement(psi, povm, K, L, seed)
-    k = find_good_k(cm, psi, povm, eps, bob_labels=(bob_label,))
-    theta = cm.thetas[k]
-    branches = _branch_states(psi, theta, a_reg)
+    inst, cm = view.instance, view.cm
+    psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
+    a_reg = inst.povm.register
+    k = view.k
+    branches = _branch_states(psi, cm.thetas[k], a_reg)
     budget = 2.0 * np.sqrt(eps)
-    a_bits, alice_isos = _conditional_codes(branches, a_reg, eps, "Ap", "Ag", budget)
-    b_bits, bob_isos = _conditional_codes(branches, bob_label, eps, "Bp", "Bg", budget)
+    a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
+    b_bits, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
     sigma = _mix_final_state(branches, alice_isos, bob_isos, a_reg, bob_label)
     err = linalg.trace_distance(sigma, _pure_target(2 ** a_bits, 2 ** b_bits))
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
-    env = [l for l in psi.labels if l != a_reg]
-    from .states import control_state
-    ideal_env = control_state(psi, povm, condition_on=env)
-    ideal_a = control_state(psi, povm, condition_on=[a_reg], retain_measured=True)
-    ideal_b = control_state(psi, povm, condition_on=[bob_label])
-    imax = entropy.i_max_cq(ideal_env, eps ** 4)
-    formula = (np.log2(da) - entropy.h_h_cond_cq(ideal_a, eps).value
-               + np.log2(db) - entropy.h_h_cond_cq(ideal_b, eps).value
+    imax = inst.imax
+    formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps)
+               + np.log2(db) - inst.h_h_cond("ideal_bob", eps)
                - imax.value)
-    borrowed = math.ceil(np.log2(L + 1))
+    borrowed = math.ceil(np.log2(cm.L + 1))
     return ProtocolTranscript(
         protocol="kd-oneshot",
         distilled_alice=a_bits,
@@ -291,9 +265,9 @@ def run_kd_oneshot(psi: PureState, povm: Povm, K: int, L: int, eps: float,
         communication=borrowed,
         final_error=float(err),
         eps=eps,
-        seed=seed,
+        seed=view.seed,
         dims={"A": da, "B": db, "K": cm.K, "L": cm.L},
-        slack_bits=slack_bits,
+        slack_bits=inst.slack_bits,
         rate_bound_real=float(formula),
         extra={"k": k, "c_norm": cm.c_norm, "imax_bits": imax.value},
     )
@@ -362,9 +336,7 @@ class FewQubitsPlan:
     extra: dict = field(default_factory=dict)
 
 
-def plan_fewqubits(psi: PureState, povm: Povm, cm: CompressedMeasurement,
-                   k: int, eps: float, bob_label: str = "B",
-                   slack_bits: float | None = None) -> FewQubitsPlan:
+def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     """Evaluate the case condition and lay out the in-place embedding.
 
     Case I requires I_max + H_H(env|X) + slack <= log|A| (entropic
@@ -373,35 +345,26 @@ def plan_fewqubits(psi: PureState, povm: Povm, cm: CompressedMeasurement,
     power-of-two instances). Case II borrows the shortfall, its theoretical
     size being Delta = H_H(env|X) - H_min(env|X) + slack.
     """
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
-    a_reg = povm.register
-    da = psi.dim(a_reg)
-    env = [l for l in psi.labels if l != a_reg]
-    from .states import control_state
-    ideal = control_state(psi, povm, condition_on=env)
-    imax = entropy.i_max_cq(ideal, eps ** 4).value
-    hh_env = entropy.h_h_cond_cq(ideal, eps).value
+    inst, cm, k = view.instance, view.cm, view.k
+    eps, slack_bits = inst.eps, inst.slack_bits
+    da = inst.psi.dim(inst.povm.register)
+    imax = inst.imax.value
+    hh_env = inst.h_h_cond("ideal_env", eps)
     lhs = imax + hh_env + slack_bits
     rhs = float(np.log2(da))
     case = "I" if lhs <= rhs else "II"
-    hmin_env = entropy.h_min_cq_smoothed(ideal, eps)
-    delta = max(0.0, entropy.h_h_cond_cq(ideal, eps * eps).value - hmin_env + slack_bits)
-    ideal_bob = ideal.map_conditionals(lambda c: c.partial_trace([bob_label]))
-    b_p_est = max(0, math.floor(np.log2(psi.dim(bob_label))
-                                - entropy.h_h_cond_cq(ideal_bob, eps * eps).value))
+    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.hmin_env + slack_bits)
+    b_p_est = max(0, math.floor(np.log2(inst.psi.dim(inst.bob_label))
+                                - inst.h_h_cond("ideal_env_bob", eps * eps)))
 
-    _, nice_all = nice_sets(cm, psi, povm, eps, bob_labels=(bob_label,),
-                            slack_bits=slack_bits)
+    _, nice_all = view.nice
     nice = nice_all[k]
-    sims, env_sorted = simulated_conditionals(cm, psi, povm)
-    smooth = eps ** 0.125
+    h_env, _ = view.pair_entropies
     # A_g holds the purifications of the truncated branch states: its size is
     # the largest truncated rank, which 2^{H_H} + 1 upper-bounds
     ag_req, ag_cap = 1, 2
     for l in nice:
-        x = int(cm.decode[k, l])
-        hh_pair = entropy.h_h(sims[x], smooth)
+        hh_pair = h_env[int(cm.decode[k, l])]
         rank = int(np.sum(hh_pair.witness["weights"] > 1e-12))
         ag_req = max(ag_req, rank)
         ag_cap = max(ag_cap, math.ceil(2.0 ** hh_pair.value + 1 - 1e-9))
@@ -428,10 +391,7 @@ def plan_fewqubits(psi: PureState, povm: Povm, cm: CompressedMeasurement,
     )
 
 
-def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
-                  seed: int, bob_label: str = "B",
-                  slack_bits: float | None = None,
-                  cm: CompressedMeasurement | None = None) -> ProtocolTranscript:
+def run_fewqubits(view: Compression) -> ProtocolTranscript:
     """In-place compressed measurement via the Uhlmann embedding.
 
     Alice's single unitary maps A (plus any Case II borrow) onto
@@ -439,27 +399,17 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
     truncated purifications of the nice outcome branches; L_A is dephased to
     Bob, who distills per outcome (identity relabeling off the nice set).
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if slack_bits is None:
-        slack_bits = float(np.log2(1.0 / eps))
-    a_reg = povm.register
-    if cm is None:
-        cm = compress_measurement(psi, povm, K, L, seed)
-    k = find_good_k(cm, psi, povm, eps, bob_labels=(bob_label,))
-    plan = plan_fewqubits(psi, povm, cm, k, eps, bob_label=bob_label,
-                          slack_bits=slack_bits)
-    _, nice_all = nice_sets(cm, psi, povm, eps, slack_bits=slack_bits,
-                            bob_labels=(bob_label,))
+    inst, cm, k = view.instance, view.cm, view.k
+    psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
+    a_reg = inst.povm.register
+    plan = plan_fewqubits(view)
+    _, nice_all = view.nice
     nice = nice_all[k]
     if not nice:
         raise NoGoodK("empty nice outcome set; raise L or K")
 
     da = psi.dim(a_reg)
-    env = [l for l in psi.labels if l != a_reg]
-    env_sorted = sorted(env)
-    d_env = int(np.prod([psi.dim(l) for l in env_sorted]))
-    sims, _ = simulated_conditionals(cm, psi, povm)
+    env_sorted = sorted(inst.env)
     q_lk = cm.q_l_given_k(k)
     p_nice = np.array([q_lk[l] for l in nice])
     if np.sum(p_nice) <= 1e-30:
@@ -467,15 +417,14 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
     p_nice = p_nice / np.sum(p_nice)
 
     # truncated conditionals and their purifications into A_g
-    smooth = eps ** 0.125
+    h_env, _ = view.pair_entropies
     ap, la, ag = plan.ap_dim, plan.la_dim, plan.ag_dim
-    target = np.zeros((ap, la, ag, d_env), dtype=complex)
+    target = np.zeros((ap, la, ag, inst.env_dim), dtype=complex)
     for idx, l in enumerate(nice):
         x = int(cm.decode[k, l])
-        w, v = _descending_eig(sims[x])
-        res = entropy.h_h(sims[x], smooth)
+        w, v = _descending_eig(view.sims[x])
         weights = np.zeros_like(w)
-        weights[: len(res.witness["weights"])] = res.witness["weights"]
+        weights[: len(h_env[x].witness["weights"])] = h_env[x].witness["weights"]
         tw = w * weights
         tw = tw / np.sum(tw)
         for j in range(min(ag, len(tw))):
@@ -499,35 +448,17 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    budget = 2.0 * np.sqrt(eps)
-    bob_isos = {}
-    bits, masses = [], []
-    for idx, l in enumerate(nice):
-        x = int(cm.decode[k, l])
-        bob_mat = linalg.partial_trace(
-            sims[x], [psi.dim(lab) for lab in env_sorted],
-            [env_sorted.index(bob_label)])
-        iso = _distill_isometry(bob_mat, eps, source=bob_label,
-                                pure_label="Bp", garbage_label="Bg")
-        bob_isos[idx] = (bob_mat, iso)
-        bits.append(iso.a_p_bits)
-        masses.append(p_nice[idx])
-    b_bits, _ = _good_set_bits(bits, masses, budget)
+    bob_mats = [view.sims_bob[int(cm.decode[k, l])] for l in nice]
+    b_bits, bob_isos = _conditional_codes(bob_mats, p_nice, db, bob_label, eps,
+                                          "Bp", "Bg", 2.0 * np.sqrt(eps))
+    off_nice = _relabel_code(db, b_bits, bob_label, "Bp", "Bg")
     bp = 2 ** b_bits
-    bg = math.ceil(db / bp)
 
     sigma = None
     for idx, branch in state.branches("LA"):
         if branch.norm() ** 2 < 1e-15:
             continue
-        if idx < len(nice) and bob_isos[idx][1].a_p_bits >= b_bits:
-            iso = _distill_isometry(bob_isos[idx][0], eps, source=bob_label,
-                                    pure_label="Bp", garbage_label="Bg",
-                                    force_ap_bits=b_bits)
-        else:
-            iso = DistillationIsometry(bob_label, "Bp", "Bg",
-                                       _relabel_isometry(db, b_bits),
-                                       kept_dim=db, a_p_bits=b_bits, ag_dim=bg)
+        iso = bob_isos[idx] if idx < len(nice) else off_nice
         st = branch.apply(iso.matrix, [bob_label], out_regs=iso.out_regs())
         m = st.marginal(["Ap", "Bp"])
         sigma = m if sigma is None else sigma + m
@@ -542,10 +473,10 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
         communication=comm,
         final_error=float(err),
         eps=eps,
-        seed=seed,
+        seed=view.seed,
         dims={"A": da, "B": db, "K": cm.K, "L": cm.L,
               "Ap": ap, "LA": la, "Ag": ag},
-        slack_bits=slack_bits,
+        slack_bits=inst.slack_bits,
         case=plan.case,
         rate_bound_real=None,
         extra={"k": k, "uhlmann_overlap": overlap,
@@ -553,28 +484,25 @@ def run_fewqubits(psi: PureState, povm: Povm, K: int, L: int, eps: float,
     )
 
 
-def verify_derandomization(psi: PureState, povm: Povm, cm: CompressedMeasurement,
-                           eps: float, bob_label: str = "B",
-                           slack_bits: float | None = None) -> dict:
+def verify_derandomization(view: Compression) -> dict:
     """Measure the fraction of (k, l) pairs passing both entropic bounds.
 
     The claimed lower bound on the fraction is 1 - eps^(1/8); the report
     carries pass/fail plus the slack convention used, and never raises on
     failure (degenerate tables legitimately fail).
     """
-    _, nice = nice_sets(cm, psi, povm, eps, bob_labels=(bob_label,),
-                        slack_bits=slack_bits)
-    total = cm.K * cm.L
+    _, nice = view.nice
+    total = view.K * view.L
     good = sum(len(v) for v in nice.values())
     fraction = good / total
-    bound = 1.0 - eps ** 0.125
+    bound = 1.0 - view.instance.eps ** 0.125
     return {
         "fraction": fraction,
         "bound": bound,
         "passed": bool(fraction >= bound),
         "pairs": total,
         "nice_pairs": good,
-        "slack_bits": slack_bits if slack_bits is not None else float(np.log2(1 / eps)),
+        "slack_bits": view.instance.slack_bits,
     }
 
 
@@ -637,7 +565,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
     branches = _branch_states(psi, povm.elements, a_reg)
     budget = 2.0 * np.sqrt(eps)
-    _, alice_isos = _conditional_codes(branches, a_reg, eps, "Ap", "Ag", budget)
+    _, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
     blocks = [b.apply(alice_isos[x].matrix, [a_reg], out_regs=alice_isos[x].out_regs())
               for x, b in post.branches("XA")]
     coherent = _stack_coherent(blocks, "XA")
@@ -649,7 +577,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     trace.append(("dephase", measure(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    _, bob_isos = _conditional_codes(branches, bob_label, eps, "Bp", "Bg", budget)
+    _, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
     final_blocks = [b.apply(bob_isos[x].matrix, [bob_label],
                             out_regs=bob_isos[x].out_regs())
                     for x, b in enumerate(blocks)]

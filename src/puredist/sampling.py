@@ -70,11 +70,6 @@ def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
     return CQState(list(range(n_symbols)), probs, conds, renormalize=True)
 
 
-def random_bipartite_pure(rng, da: int, db: int, labels=("A", "B")) -> PureState:
-    v = haar_vector(rng, da * db)
-    return PureState([(labels[0], da), (labels[1], db)], v)
-
-
 def bell_pair(labels=("A", "B")) -> PureState:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)

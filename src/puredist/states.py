@@ -198,9 +198,6 @@ class DensityOperator:
         rank = vec.size // self.dim
         return PureState(list(self.registers) + [(ref_label, rank)], vec)
 
-    def is_close_to(self, other: "DensityOperator", tol=1e-8) -> bool:
-        return linalg.trace_distance(self.matrix, other.matrix) <= tol
-
 
 @dataclass(frozen=True, eq=False)
 class CQState:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy, linalg
-from .compression import compress_measurement, validate_compression
+from .compression import Instance, compress_measurement, validate_compression
 from .sampling import (
     basis_povm,
     ginibre_density,
@@ -345,15 +345,13 @@ def check_compression_pair_closeness(rng, trials, eps=0.1):
     from .sampling import bell_pair, purified_input
     trials = max(1, trials // 100)
     e = eps or 0.1
-    psi = purified_input(bell_pair())
-    povm = basis_povm(2, "A")
+    inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), e)
     bad, worst = 0, np.inf
     for t in range(trials):
         meds = []
         for L in (8, 16, 32):
-            ds = [validate_compression(
-                compress_measurement(psi, povm, K=2, L=L, seed=500 * t + s),
-                psi, povm, e).per_pair_state_dist for s in range(8)]
+            ds = [validate_compression(inst.compression(2, L, 500 * t + s))
+                  .per_pair_state_dist for s in range(8)]
             meds.append(float(np.median(ds)))
         gap = min(meds[i] - meds[i + 1] + 1e-12 for i in range(len(meds) - 1))
         worst = min(worst, gap)

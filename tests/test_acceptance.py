@@ -12,7 +12,7 @@ import pytest
 from puredist import bounds, entropy, linalg
 from puredist import protocols as pr
 from puredist.compression import (
-    compress_measurement,
+    Instance,
     find_good_k,
     per_k_errors,
     validate_compression,
@@ -149,7 +149,7 @@ def test_criterion_4_protocol_a():
     detail = ""
     for da, db, top in ((4, 4, 0.9), (4, 2, 0.8), (8, 4, 0.85)):
         psi = near_pure_classical(rng, da, db, top=top)
-        t = pr.run_protocol_a(psi, basis_povm(da, "A"), eps)
+        t = pr.run_protocol_a(Instance(psi, basis_povm(da, "A"), eps))
         if abs(t.net_rate - t.rate_bound_real) > t.slack_bits + 1:
             ok, detail = False, f"rate {t.net_rate} vs {t.rate_bound_real}"
             break
@@ -166,8 +166,7 @@ def test_criterion_5_measurement_compression():
     rng = np.random.default_rng(5)
     psi_bell = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
-    cm = compress_measurement(psi_bell, triv, K=4, L=4, seed=0)
-    rep = validate_compression(cm, psi_bell, triv, 0.1)
+    rep = validate_compression(Instance(psi_bell, triv, 0.1).compression(K=4, L=4, seed=0))
     report("criterion 5a: povm={I} ideal_vs_simulated <= 1e-8",
            rep.ideal_vs_simulated <= 1e-8, f"{rep.ideal_vs_simulated:.2e}")
 
@@ -180,8 +179,8 @@ def test_criterion_5_measurement_compression():
         medians = []
         for L in (8, 16, 32, 64):
             errs = [validate_compression(
-                compress_measurement(psi, basis, K=4, L=L, seed=s),
-                psi, basis, 0.1).ideal_vs_simulated for s in range(20)]
+                Instance(psi, basis, 0.1).compression(K=4, L=L, seed=s)
+            ).ideal_vs_simulated for s in range(20)]
             medians.append(float(np.median(errs)))
         if not all(medians[i + 1] <= medians[i] + 1e-12 for i in range(3)):
             ok, detail = False, f"{name}: {medians}"
@@ -200,8 +199,8 @@ def test_criterion_5_measurement_compression():
     assert np.log2(L) >= imax + slack - 1e-9
     assert np.log2(K) + np.log2(L) >= hpmax + slack - 1e-9
     bots = [validate_compression(
-        compress_measurement(psi_bell, basis, K=K, L=L, seed=s),
-        psi_bell, basis, eps).bot_mass for s in range(20)]
+        Instance(psi_bell, basis, eps).compression(K=K, L=L, seed=s)
+    ).bot_mass for s in range(20)]
     med = float(np.median(bots))
     report("criterion 5c: median Tr[Theta_bot rho] <= 5 eps at rate thresholds",
            med <= 5 * eps, f"median {med:.3f}, threshold {5 * eps}")
@@ -217,11 +216,11 @@ def test_criterion_6_derandomization():
     K, L = 2, 32  # meets the rate conditions at eps = 0.5 (criterion 5c)
     fracs, sel_ok = [], True
     for seed in range(20):
-        cm = compress_measurement(psi, basis, K=K, L=L, seed=seed)
-        rep = pr.verify_derandomization(psi, basis, cm, eps)
+        view = Instance(psi, basis, eps).compression(K=K, L=L, seed=seed)
+        rep = pr.verify_derandomization(view)
         fracs.append(rep["fraction"])
-        k = find_good_k(cm, psi, basis, eps)
-        errs = per_k_errors(cm, psi, basis)
+        k = find_good_k(view)
+        errs = per_k_errors(view)
         if errs[k] > np.median(errs) + 1e-12:
             sel_ok = False
     med = float(np.median(fracs))
@@ -250,8 +249,9 @@ def test_criterion_7_fewqubits_vs_kd():
         if np.log2(8) - entropy.h_h(rho_a, eps).value < slack:
             margin_ok = False
         for seed in (1, 2, 3):
-            kd = pr.run_kd_oneshot(psi, povm, K=4, L=16, eps=eps, seed=seed)
-            fq = pr.run_fewqubits(psi, povm, K=4, L=16, eps=eps, seed=seed)
+            view = Instance(psi, povm, eps).compression(K=4, L=16, seed=seed)
+            kd = pr.run_kd_oneshot(view)
+            fq = pr.run_fewqubits(view)
             borrow_ok &= fq.borrowed < kd.borrowed
             rank1_ok &= fq.borrowed <= slack  # basis POVM is rank-1
             rate_ok &= fq.net_rate >= kd.net_rate - 1
@@ -271,11 +271,11 @@ def test_criterion_8_bound_consistency():
     detail = ""
     for psi in fewqubits_instances(rng):
         povm = basis_povm(8, "A")
-        up = bounds.distributed_upper_bound(psi, povm, eps)
+        inst = Instance(psi, povm, eps)
+        up = bounds.distributed_upper_bound(inst)
         slack = np.log2(1 / eps)
-        for t in (pr.run_kd_oneshot(psi, povm, K=4, L=16, eps=eps, seed=1),
-                  pr.run_fewqubits(psi, povm, K=4, L=16, eps=eps, seed=1),
-                  pr.run_protocol_a(psi, povm, eps)):
+        view = inst.compression(K=4, L=16, seed=1)
+        for t in (pr.run_kd_oneshot(view), pr.run_fewqubits(view), pr.run_protocol_a(inst)):
             if t.net_rate > up + slack + 1e-9:
                 ok, detail = False, f"{t.protocol}: {t.net_rate} > {up} + {slack}"
     rng2 = np.random.default_rng(88)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from puredist import bounds, entropy
+from puredist.compression import Instance
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -41,7 +42,7 @@ def test_distributed_upper_bound_trivial_povm(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.1
     triv = Povm([np.eye(4)], register="A")
-    got = bounds.distributed_upper_bound(psi, triv, eps)
+    got = bounds.distributed_upper_bound(Instance(psi, triv, eps))
     # single outcome: H_min(B|X) is just the (smoothed) H_min of rho^B
     cq = control_state(psi, triv, condition_on=["B"])
     want = (np.log2(4) + np.log2(4)
@@ -56,7 +57,7 @@ def test_distributed_upper_bound_classical_hand_computed(rng):
     psi = purified_input(classical_correlated_pure(rng, 2, 2, joint=joint))
     eps = 0.1
     povm = basis_povm(2, "A")
-    got = bounds.distributed_upper_bound(psi, povm, eps)
+    got = bounds.distributed_upper_bound(Instance(psi, povm, eps))
     rho_a = psi.marginal(["A"])
     hmax_a = entropy.h_max_smooth(rho_a, eps)
     cq_b = control_state(psi, povm, condition_on=["B"])
@@ -77,8 +78,8 @@ def test_rank1_refinement_weakens_bound(rng):
         psi = PureState([("A", da), ("B", db), ("R", 2)], vec)
         povm = random_povm(rng, da, 2)
         eps = 0.1
-        base = bounds.distributed_upper_bound(psi, povm, eps)
-        refined = bounds.distributed_upper_bound(psi, povm, eps, rank1=True)
+        base = bounds.distributed_upper_bound(Instance(psi, povm, eps))
+        refined = bounds.distributed_upper_bound(Instance(psi, povm, eps), rank1=True)
         assert refined >= base - 1e-9
 
 
@@ -98,8 +99,8 @@ def test_rank1_hmin_monotone(rng):
 def test_ancilla_comparison_margin_asserted(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    out = bounds.ancilla_comparison(psi, basis_povm(8, "A"), K=4, L=16,
-                                    eps=eps, seed=1)
+    out = bounds.ancilla_comparison(
+        Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=1))
     assert out["margin"] > 0  # instance chosen for a conclusive comparison
     assert out["c_borrow"] - out["d_borrow"] >= out["margin"] - 1e-9
 
@@ -109,15 +110,15 @@ def test_ancilla_comparison_inconclusive_when_mixed(rng):
     # margin is <= 0 and nothing is asserted
     joint = np.eye(4) / 4.0
     psi = purified_input(classical_correlated_pure(rng, 4, 4, joint=joint))
-    out = bounds.ancilla_comparison(psi, basis_povm(4, "A"), K=4, L=16,
-                                    eps=0.25, seed=1)
+    out = bounds.ancilla_comparison(
+        Instance(psi, basis_povm(4, "A"), 0.25).compression(K=4, L=16, seed=1))
     assert out["margin"] <= 0
 
 
 def test_rate_report_consistency(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    rep = bounds.rate_report(psi, basis_povm(8, "A"), K=4, L=16, eps=eps, seed=2)
+    rep = bounds.rate_report(Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=2))
     # achievability never beats the upper bound beyond the declared slack
     assert rep.kd_rate <= rep.dist_upper + rep.slack_bits + 1e-9
     assert rep.fewqubits_rate <= rep.dist_upper + rep.slack_bits + 1e-9

@@ -12,22 +12,6 @@ from puredist.sampling import basis_povm, bell_pair
 from puredist.states import DensityOperator, Povm
 
 
-@pytest.fixture
-def bell_file(tmp_path):
-    bell = np.zeros((4, 4))
-    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    path = tmp_path / "bell.json"
-    io.save_state(DensityOperator([("A", 2), ("B", 2)], bell), str(path))
-    return str(path)
-
-
-@pytest.fixture
-def basis_file(tmp_path):
-    path = tmp_path / "basis.json"
-    io.save_povm(basis_povm(2, "A"), str(path))
-    return str(path)
-
-
 def test_parse_seeds():
     assert parse_seeds("1..5") == [1, 2, 3, 4, 5]
     assert parse_seeds("3,7,9") == [3, 7, 9]

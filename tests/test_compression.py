@@ -5,6 +5,7 @@ from puredist import linalg
 from puredist.compression import (
     BOT,
     CompressedMeasurement,
+    Instance,
     NoGoodK,
     compress_measurement,
     find_good_k,
@@ -35,8 +36,9 @@ def classical_instance(rng, da=2, db=2):
 def test_trivial_povm_is_exact(rng):
     psi = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
-    cm = compress_measurement(psi, triv, K=3, L=4, seed=0)
-    rep = validate_compression(cm, psi, triv, 0.1)
+    view = Instance(psi, triv, 0.1).compression(K=3, L=4, seed=0)
+    cm = view.cm
+    rep = validate_compression(view)
     assert rep.ideal_vs_simulated <= 1e-8
     assert rep.bot_mass <= 1e-10
     # all cell operators proportional to the support projector
@@ -99,8 +101,9 @@ def test_k1_basis_recovers_relabeled_measurement(rng):
 def test_validation_exact_fields(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    cm = compress_measurement(psi, povm, K=4, L=16, seed=3)
-    rep = validate_compression(cm, psi, povm, 0.1)
+    view = Instance(psi, povm, 0.1).compression(K=4, L=16, seed=3)
+    cm = view.cm
+    rep = validate_compression(view)
     assert 0 <= rep.ideal_vs_simulated <= 2
     assert rep.qk_vs_uniform <= 1e-9  # k is drawn uniformly by construction
     assert rep.bot_mass == pytest.approx(float(np.sum(cm.q_kl[:, -1])))
@@ -116,8 +119,8 @@ def test_doubling_L_shrinks_error_in_median(rng):
     for L in (8, 16, 32, 64):
         errs = []
         for seed in range(20):
-            cm = compress_measurement(psi, povm, K=4, L=L, seed=seed)
-            errs.append(validate_compression(cm, psi, povm, eps).ideal_vs_simulated)
+            view = Instance(psi, povm, eps).compression(K=4, L=L, seed=seed)
+            errs.append(validate_compression(view).ideal_vs_simulated)
         medians.append(np.median(errs))
     assert all(medians[i + 1] <= medians[i] + 1e-12 for i in range(3)), medians
 
@@ -125,8 +128,8 @@ def test_doubling_L_shrinks_error_in_median(rng):
 def test_simulated_conditionals_depend_on_symbol_only(rng):
     psi = classical_instance(rng, 2, 3)
     povm = basis_povm(2, "A")
-    cm = compress_measurement(psi, povm, K=2, L=8, seed=4)
-    sims, env = simulated_conditionals(cm, psi, povm)
+    view = Instance(psi, povm, 0.1).compression(K=2, L=8, seed=4)
+    sims, env = simulated_conditionals(view)
     assert env == ["B", "R"]
     for m in sims.values():
         assert np.isclose(np.real(np.trace(m)), 1.0, atol=1e-9)
@@ -137,8 +140,7 @@ def test_simulated_conditionals_depend_on_symbol_only(rng):
 def test_nice_sets_trivial_and_degenerate(rng):
     psi = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
-    cm = compress_measurement(psi, triv, K=3, L=4, seed=0)
-    tprime, nice = nice_sets(cm, psi, triv, 0.1)
+    tprime, nice = nice_sets(Instance(psi, triv, 0.1).compression(K=3, L=4, seed=0))
     assert tprime == [0, 1, 2]
     assert all(len(v) == 4 for v in nice.values())
 
@@ -146,12 +148,12 @@ def test_nice_sets_trivial_and_degenerate(rng):
 def test_find_good_k_minimizes_per_k_error(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    cm = compress_measurement(psi, povm, K=8, L=16, seed=6)
-    k = find_good_k(cm, psi, povm, 0.1)
-    errs = per_k_errors(cm, psi, povm)
+    view = Instance(psi, povm, 0.1).compression(K=8, L=16, seed=6)
+    k = find_good_k(view)
+    errs = per_k_errors(view)
     assert errs[k] <= np.median(errs) + 1e-12
     # deterministic given the seed
-    assert k == find_good_k(cm, psi, povm, 0.1)
+    assert k == find_good_k(view)
 
 
 def test_find_good_k_degenerate_raises():
@@ -164,12 +166,12 @@ def test_find_good_k_degenerate_raises():
     vec[1, 1, 1] = np.sqrt((1 - q) / 2)
     psi = PureState([("A", 2), ("B", 2), ("R", 2)], vec)
     povm = Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A")
-    cm = compress_measurement(psi, povm, K=1, L=1, seed=1)
-    assert cm.decode[0, 0] == 1
-    tprime, _ = nice_sets(cm, psi, povm, 1e-12, slack_bits=0.0)
+    view = Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)
+    assert view.cm.decode[0, 0] == 1
+    tprime, _ = nice_sets(view)
     assert tprime == []  # reported without error
     with pytest.raises(NoGoodK):
-        find_good_k(cm, psi, povm, 1e-12, slack_bits=0.0)
+        find_good_k(view)
 
 
 def test_quality_warning_when_L_too_small(rng):

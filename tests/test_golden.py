@@ -1,0 +1,104 @@
+"""Golden stdout bytes of every CLI subcommand on small fixed instances.
+
+The expected files under ``tests/golden/`` pin the exact output bytes, so
+any refactor that changes a single digit fails here. They pin the numpy
+and OpenBLAS build of the machine that wrote them: floats are printed at
+17 significant digits, and another BLAS may round differently in the last
+place. Regenerate them (only after a deliberate output change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io as _io
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from puredist import io, sampling
+from puredist.cli import main
+from puredist.states import DensityOperator
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+BELL = ("--state", "bell.json", "--povm", "basis.json", "--eps", "0.25")
+MIXED = ("--state", "mixed.json", "--povm", "povm3.json", "--eps", "0.1")
+SWEEP = ("--K", "4", "--L", "8", "--seeds", "1..3")
+
+CASES = {
+    "entropy-bell": ("entropy", *BELL),
+    "entropy-mixed": ("entropy", *MIXED),
+    "distill-local-bell": ("distill-local", *BELL),
+    "distill-local-mixed": ("distill-local", *MIXED),
+    "protocol-a-bell": ("protocol-a", *BELL, *SWEEP),
+    "protocol-a-mixed": ("protocol-a", *MIXED, *SWEEP),
+    "kd-oneshot-bell": ("kd-oneshot", *BELL, *SWEEP),
+    "kd-oneshot-mixed": ("kd-oneshot", *MIXED, *SWEEP),
+    "fewqubits-bell": ("fewqubits", *BELL, *SWEEP),
+    "fewqubits-mixed": ("fewqubits", *MIXED, *SWEEP),
+    "compare-bell": ("compare", *BELL, *SWEEP),
+    "compare-bell-csv": ("compare", *BELL, *SWEEP, "--format", "csv"),
+    "compare-mixed": ("compare", *MIXED, *SWEEP),
+    "compare-mixed-csv": ("compare", *MIXED, *SWEEP, "--format", "csv"),
+    "bounds-bell": ("bounds", *BELL),
+    "bounds-mixed": ("bounds", *MIXED),
+    "verify": ("verify", "--trials", "20"),
+}
+
+
+def write_mixed(directory: Path):
+    """A rank-2 mixed 4x4 rho_AB with a random 3-outcome POVM on A; its
+    I_max fixed point iterates."""
+    rng = np.random.default_rng(20240817)
+    rho = sampling.ginibre_density(rng, 16, 2)
+    povm = sampling.random_povm(rng, 4, 3, register="A")
+    io.save_state(DensityOperator([("A", 4), ("B", 4)], rho), str(directory / "mixed.json"))
+    io.save_povm(povm, str(directory / "povm3.json"))
+
+
+def run_case(name: str) -> str:
+    out = _io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(list(CASES[name]))
+    assert rc == 0, name
+    return out.getvalue()
+
+
+@pytest.fixture
+def inputs(bell_file, basis_file, tmp_path, monkeypatch):
+    write_mixed(tmp_path)
+    # relative paths: entropy and bounds print the POVM path as a key
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PUREDIST_THREADS", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_bytes(name, inputs):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert run_case(name) == expected
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+    import warnings
+
+    warnings.simplefilter("ignore")
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # the bell_file and basis_file fixtures of conftest.py
+        bell = np.zeros((4, 4))
+        bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+        io.save_state(DensityOperator([("A", 2), ("B", 2)], bell), f"{tmp}/bell.json")
+        io.save_povm(sampling.basis_povm(2, "A"), f"{tmp}/basis.json")
+        write_mixed(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for case in sorted(CASES):
+                (GOLDEN / f"{case}.txt").write_text(run_case(case))
+                print(case, file=sys.stderr)
+        finally:
+            os.chdir(here)

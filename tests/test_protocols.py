@@ -3,6 +3,7 @@ import pytest
 
 from puredist import entropy, linalg
 from puredist import protocols as pr
+from puredist.compression import Instance
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -61,7 +62,7 @@ def test_protocol_a_trivial_povm_product_state(rng):
     vec = np.kron(vec_a, vec_b).reshape(da, ra, db, rb).transpose(0, 2, 1, 3)
     psi = PureState([("A", da), ("B", db), ("R", ra * rb)],
                     vec.reshape(da, db, ra * rb))
-    t = pr.run_protocol_a(psi, Povm([np.eye(4)], register="A"), 0.1)
+    t = pr.run_protocol_a(Instance(psi, Povm([np.eye(4)], register="A"), 0.1))
     iso_a, _ = pr.local_distill(DensityOperator([("A", 4)], rho_a), 0.1)
     iso_b, _ = pr.local_distill(DensityOperator([("B", 2)], rho_b), 0.1)
     assert t.borrowed == 0 and t.communication == 0
@@ -73,7 +74,7 @@ def test_protocol_a_trivial_povm_product_state(rng):
 def test_protocol_a_classical_matches_formula(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.1
-    t = pr.run_protocol_a(psi, basis_povm(4, "A"), eps)
+    t = pr.run_protocol_a(Instance(psi, basis_povm(4, "A"), eps))
     assert abs(t.net_rate - t.rate_bound_real) <= t.slack_bits + 1
     assert t.final_error <= 4 * np.sqrt(eps)
     assert t.borrowed == 2 and t.communication == 2
@@ -81,7 +82,7 @@ def test_protocol_a_classical_matches_formula(rng):
 
 def test_protocol_a_bell_bob_side_pure(rng):
     psi = purified_input(bell_pair())
-    t = pr.run_protocol_a(psi, basis_povm(2, "A"), 0.1)
+    t = pr.run_protocol_a(Instance(psi, basis_povm(2, "A"), 0.1))
     # conditionals are pure on both sides: everything distills
     assert t.distilled_alice == 1 and t.distilled_bob == 1
     assert t.final_error <= 1e-9
@@ -90,7 +91,7 @@ def test_protocol_a_bell_bob_side_pure(rng):
 
 def test_protocol_a_transcript_fields(rng):
     psi = near_pure_classical(rng, 4, 2)
-    t = pr.run_protocol_a(psi, basis_povm(4, "A"), 0.2, seed=5)
+    t = pr.run_protocol_a(Instance(psi, basis_povm(4, "A"), 0.2), seed=5)
     d = t.to_dict()
     assert d["net_rate"] == d["distilled_alice"] + d["distilled_bob"] - d["borrowed"]
     assert d["seed"] == 5 and d["eps"] == 0.2
@@ -101,7 +102,7 @@ def test_protocol_a_transcript_fields(rng):
 def test_kd_oneshot_classical(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.25
-    t = pr.run_kd_oneshot(psi, basis_povm(4, "A"), K=8, L=16, eps=eps, seed=3)
+    t = pr.run_kd_oneshot(Instance(psi, basis_povm(4, "A"), eps).compression(K=8, L=16, seed=3))
     assert t.borrowed == int(np.ceil(np.log2(17)))
     assert t.communication == t.borrowed
     assert 0 <= t.final_error <= 2
@@ -112,8 +113,8 @@ def test_kd_oneshot_classical(rng):
 
 def test_kd_oneshot_trivial_povm(rng):
     psi = purified_input(bell_pair())
-    t = pr.run_kd_oneshot(psi, Povm([np.eye(2)], register="A"), K=2, L=4,
-                          eps=0.1, seed=1)
+    t = pr.run_kd_oneshot(
+        Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=4, seed=1))
     # reduces to local distillations (nothing distillable from Bell marginals)
     assert t.distilled_alice == 0 and t.distilled_bob == 0
     assert t.final_error <= 1e-8
@@ -123,8 +124,8 @@ def test_kd_oneshot_trivial_povm(rng):
 def test_kd_oneshot_error_budget_over_seeds(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.25
-    errs = [pr.run_kd_oneshot(psi, basis_povm(4, "A"), K=4, L=16, eps=eps,
-                              seed=s).final_error for s in range(20)]
+    errs = [pr.run_kd_oneshot(Instance(psi, basis_povm(4, "A"), eps).compression(
+        K=4, L=16, seed=s)).final_error for s in range(20)]
     budget = 2 * eps ** (1 / 16)  # weaker exponent, declared constant 2
     assert np.median(errs) <= budget
 
@@ -178,7 +179,7 @@ def test_uhlmann_dimension_mismatch(rng):
 def test_fewqubits_rank1_bell(rng):
     psi = purified_input(bell_pair())
     eps = 0.25
-    t = pr.run_fewqubits(psi, basis_povm(2, "A"), K=4, L=8, eps=eps, seed=3)
+    t = pr.run_fewqubits(Instance(psi, basis_povm(2, "A"), eps).compression(K=4, L=8, seed=3))
     # rank-1 POVM: borrow stays within the declared slack
     assert t.borrowed <= t.slack_bits
     assert t.distilled_bob == 1  # Bob's conditionals are pure
@@ -187,8 +188,8 @@ def test_fewqubits_rank1_bell(rng):
 
 def test_fewqubits_trivial_povm(rng):
     psi = purified_input(bell_pair())
-    t = pr.run_fewqubits(psi, Povm([np.eye(2)], register="A"), K=2, L=2,
-                         eps=0.1, seed=3)
+    t = pr.run_fewqubits(
+        Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=2, seed=3))
     assert t.dims["Ag"] == 1
     assert t.borrowed <= 1
     assert t.final_error <= 1e-8
@@ -197,7 +198,7 @@ def test_fewqubits_trivial_povm(rng):
 def test_fewqubits_case1_on_large_A(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    t = pr.run_fewqubits(psi, basis_povm(8, "A"), K=4, L=8, eps=eps, seed=2)
+    t = pr.run_fewqubits(Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=8, seed=2))
     assert t.dims["Ap"] * t.dims["LA"] * t.dims["Ag"] == 8 * 2 ** t.borrowed
     assert t.communication == int(np.log2(t.dims["LA"]))
     assert t.extra["uhlmann_overlap"] <= 1 + 1e-9
@@ -207,20 +208,18 @@ def test_fewqubits_beats_kd_on_borrow(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
     for seed in (1, 2, 3):
-        kd = pr.run_kd_oneshot(psi, basis_povm(8, "A"), K=4, L=16, eps=eps, seed=seed)
-        fq = pr.run_fewqubits(psi, basis_povm(8, "A"), K=4, L=16, eps=eps, seed=seed)
+        view = Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=seed)
+        kd = pr.run_kd_oneshot(view)
+        fq = pr.run_fewqubits(view)
         assert fq.borrowed < kd.borrowed
         assert fq.net_rate >= kd.net_rate - 1
 
 
 def test_plan_fewqubits_cases(rng):
-    from puredist.compression import compress_measurement, find_good_k
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
     povm = basis_povm(8, "A")
-    cm = compress_measurement(psi, povm, K=4, L=8, seed=2)
-    k = find_good_k(cm, psi, povm, eps)
-    plan = pr.plan_fewqubits(psi, povm, cm, k, eps)
+    plan = pr.plan_fewqubits(Instance(psi, povm, eps).compression(K=4, L=8, seed=2))
     assert plan.case in ("I", "II")
     assert plan.ag_dim >= plan.extra["ag_required"]
     assert plan.extra["ag_required"] <= plan.extra["ag_entropic_cap"]
@@ -232,9 +231,7 @@ def test_plan_fewqubits_cases(rng):
     vec[1, 0, 1] = vec[1, 1, 0] = 0.5
     psi2 = PureState([("A", 2), ("B", 2), ("R", 2)], vec)
     povm2 = basis_povm(2, "A")
-    cm2 = compress_measurement(psi2, povm2, K=2, L=4, seed=0)
-    k2 = find_good_k(cm2, psi2, povm2, eps)
-    plan2 = pr.plan_fewqubits(psi2, povm2, cm2, k2, eps)
+    plan2 = pr.plan_fewqubits(Instance(psi2, povm2, eps).compression(K=2, L=4, seed=0))
     assert plan2.case == "II"
     assert plan2.borrow >= 1
 
@@ -249,7 +246,31 @@ def test_fewqubits_empty_nice_raises():
     povm = Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A")
     from puredist.compression import NoGoodK
     with pytest.raises((NoGoodK, RuntimeError)):
-        pr.run_fewqubits(psi, povm, K=1, L=1, eps=1e-12, seed=1, slack_bits=0.0)
+        pr.run_fewqubits(
+            Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1))
+
+
+def test_declared_slack_reaches_the_choice_of_k():
+    # the instance of test_fewqubits_empty_nice_raises: at zero slack no k
+    # qualifies, so both compressed protocols fail where k is chosen
+    from puredist.compression import NoGoodK, find_good_k
+    q = 0.9
+    vec = np.zeros((2, 2, 2), dtype=complex)
+    vec[0, 0, 0] = np.sqrt(q)
+    vec[1, 0, 0] = np.sqrt((1 - q) / 2)
+    vec[1, 1, 1] = np.sqrt((1 - q) / 2)
+    psi = PureState([("A", 2), ("B", 2), ("R", 2)], vec)
+    povm = Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A")
+    view = Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)
+    with pytest.raises(NoGoodK) as chosen:
+        find_good_k(view)
+    for run in (pr.run_kd_oneshot, pr.run_fewqubits):
+        with pytest.raises(NoGoodK) as raised:
+            run(view)
+        assert str(raised.value) == str(chosen.value)
+    # at the default slack the same table has a good k
+    t = pr.run_kd_oneshot(Instance(psi, povm, 1e-12).compression(K=1, L=1, seed=1))
+    assert t.extra["k"] == 0 and t.slack_bits == np.log2(1e12)
 
 
 # -------------------------------------------------------------- invariants
@@ -271,17 +292,17 @@ def test_fewqubits_branchwise_consistency(rng):
     # dephasing, each communicated branch reproduces its truncated target
     # state, up to the Fuchs-van de Graaf envelope of the Uhlmann overlap
     from puredist import entropy, linalg
-    from puredist.compression import (compress_measurement, find_good_k,
-                                      nice_sets, simulated_conditionals)
+    from puredist.compression import find_good_k, nice_sets, simulated_conditionals
     psi = near_pure_classical(rng, 8, 4)
     povm = basis_povm(8, "A")
     eps = 0.25
-    cm = compress_measurement(psi, povm, K=4, L=8, seed=2)
-    k = find_good_k(cm, psi, povm, eps)
-    plan = pr.plan_fewqubits(psi, povm, cm, k, eps)
-    _, nice_all = nice_sets(cm, psi, povm, eps)
+    view = Instance(psi, povm, eps).compression(K=4, L=8, seed=2)
+    cm = view.cm
+    k = find_good_k(view)
+    plan = pr.plan_fewqubits(view)
+    _, nice_all = nice_sets(view)
     nice = nice_all[k]
-    sims, env_sorted = simulated_conditionals(cm, psi, povm)
+    sims, env_sorted = simulated_conditionals(view)
     q = cm.q_l_given_k(k)
     p_nice = np.array([q[l] for l in nice])
     p_nice /= p_nice.sum()
@@ -322,8 +343,9 @@ def test_protocols_on_mixed_input_with_reference(rng):
     psi = mixed_protocol_input(rng, 4, 2, rank=2)
     assert psi.dim("R") == 2
     eps = 0.25
-    kd = pr.run_kd_oneshot(psi, basis_povm(4, "A"), K=4, L=8, eps=eps, seed=2)
-    fq = pr.run_fewqubits(psi, basis_povm(4, "A"), K=4, L=8, eps=eps, seed=2)
+    view = Instance(psi, basis_povm(4, "A"), eps).compression(K=4, L=8, seed=2)
+    kd = pr.run_kd_oneshot(view)
+    fq = pr.run_fewqubits(view)
     for t in (kd, fq):
         assert 0 <= t.final_error <= 2
         assert t.net_rate == t.distilled_alice + t.distilled_bob - t.borrowed
@@ -334,7 +356,7 @@ def test_protocols_on_mixed_input_with_reference(rng):
 def test_protocol_a_generic_povm(rng):
     psi = mixed_protocol_input(rng, 4, 2, rank=2)
     from puredist.sampling import random_povm
-    t = pr.run_protocol_a(psi, random_povm(rng, 4, 3), 0.25)
+    t = pr.run_protocol_a(Instance(psi, random_povm(rng, 4, 3), 0.25))
     assert t.borrowed == 2  # ceil(log2 3)
     assert 0 <= t.final_error <= 2
 
@@ -351,17 +373,14 @@ def test_purity_monotone_through_compressed_row(rng):
 
 
 def test_verify_derandomization_reports(rng):
-    from puredist.compression import compress_measurement
     psi = near_pure_classical(rng, 4, 4)
     povm = basis_povm(4, "A")
     eps = 0.25
-    cm = compress_measurement(psi, povm, K=4, L=16, seed=2)
-    rep = pr.verify_derandomization(psi, povm, cm, eps)
+    rep = pr.verify_derandomization(Instance(psi, povm, eps).compression(K=4, L=16, seed=2))
     assert rep["pairs"] == 64
     assert 0 <= rep["fraction"] <= 1
     assert rep["passed"] == (rep["fraction"] >= rep["bound"])
     # trivial POVM: every pair is nice
     triv = Povm([np.eye(4)], register="A")
-    cm2 = compress_measurement(psi, triv, K=2, L=4, seed=0)
-    rep2 = pr.verify_derandomization(psi, triv, cm2, eps)
+    rep2 = pr.verify_derandomization(Instance(psi, triv, eps).compression(K=2, L=4, seed=0))
     assert rep2["fraction"] == 1.0
