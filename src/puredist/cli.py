@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,11 +171,13 @@ def _run_seeds(job):
     inst = Instance(protocol_input(io.load_state(config.state)),
                     io.load_povm(povm_path), config.eps,
                     bob_label=config.bob_label, slack_bits=config.slack_bits)
+    if config.command == "protocol-a":
+        # protocol A draws nothing at random: run it once, stamp every seed
+        base = protocols.run_protocol_a(inst)
+        return [replace(base, seed=seed).to_dict() for seed in seeds]
     out = []
     for seed in seeds:
-        if config.command == "protocol-a":
-            out.append(protocols.run_protocol_a(inst, seed=seed).to_dict())
-        elif config.command == "compare":
+        if config.command == "compare":
             out.append(bounds.rate_report(inst.compression(config.K, config.L, seed),
                                           f_eps=config.f_eps, g_eps=config.g_eps))
         elif config.command == "kd-oneshot":

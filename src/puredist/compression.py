@@ -297,8 +297,7 @@ def compress_measurement(psi: PureState, povm: Povm, K: int, L: int,
     row_max = 0.0
     for k in range(K):
         row = sum(base_op(int(x)) for x in decode[k]) / L
-        w, _ = linalg.eig_hermitian(row, tol=1e-7)
-        row_max = max(row_max, float(np.max(w)))
+        row_max = max(row_max, float(np.max(linalg.eigvals_hermitian(row, tol=1e-7))))
     c = 1.0 / row_max if row_max > 0 else 1.0
 
     eye = np.eye(d)

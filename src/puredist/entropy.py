@@ -73,8 +73,7 @@ def _validate_eps(eps):
 def _spectrum(rho) -> np.ndarray:
     if isinstance(rho, DensityOperator):
         return rho.spectrum()
-    w, _ = linalg.eig_hermitian(np.asarray(rho, dtype=complex))
-    return linalg.clip_psd_spectrum(w)
+    return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(rho))
 
 
 def _matrix(rho) -> np.ndarray:
@@ -162,8 +161,9 @@ def d_h(rho, sigma, eps: float, iterations: int = 200) -> EntropyResult:
     s = _matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    ws, _ = linalg.eig_hermitian(s)
-    ws = linalg.clip_psd_spectrum(ws)
+    # both inputs are checked (Hermitian, PSD) here, before any early return
+    lmax_r = float(np.max(_spectrum(r)))
+    ws = linalg.clip_psd_spectrum(linalg.eigvals_hermitian(s))
     target = 1.0 - eps
 
     # mass of rho available at zero sigma-cost
@@ -173,14 +173,17 @@ def d_h(rho, sigma, eps: float, iterations: int = 200) -> EntropyResult:
         return EntropyResult(value=np.inf, witness={"infinite": True},
                              method="neyman-pearson")
 
+    # (x + x^dagger) / 2 is Hermitian bit for bit, and so is every rh - t*sh:
+    # the bisection steps need neither a check nor a phase fix
+    rh = (r + linalg.dagger(r)) / 2.0
+    sh = (s + linalg.dagger(s)) / 2.0
+
     def pos_mass(t):
         # strict positive part; the bisection pins the crossing eigenvalue
         # onto this threshold, so the final split must use a wider band
-        w, v = linalg.eig_hermitian(r - t * s, tol=1e-7)
-        pos = v[:, w > 0]
-        return float(np.real(np.trace(linalg.dagger(pos) @ r @ pos)))
+        w, v = np.linalg.eigh(rh - t * sh)
+        return float(np.real(np.conj(v) * (rh @ v)).sum(axis=0)[w > 0].sum())
 
-    lmax_r = float(np.max(_spectrum(r)))
     lmin_s = float(np.min(ws[ws > SUPPORT_TOL])) if np.any(ws > SUPPORT_TOL) else 1.0
     lo = 0.0
     hi = lmax_r / lmin_s + 1.0

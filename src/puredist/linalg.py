@@ -1,9 +1,15 @@
 """Dense complex matrix kernel for small Hilbert spaces (dim <= ~64).
 
-Hermitian eigendecomposition, SVD, tensor algebra, partial trace,
-purification and the state-distance functionals everything else is
-built on. All logarithms in this package are base 2; entropic outputs
-are in qubits/bits.
+Hermitian eigendecomposition, partial trace, purification and the
+state-distance functionals everything else is built on. All logarithms
+in this package are base 2; entropic outputs are in qubits/bits.
+
+Two eigen entry points share one checked ``np.linalg.eigh``: use
+``eig_hermitian`` when the eigenvectors are used (their columns come
+phase-canonicalized, so repeated runs are byte-identical), and
+``eigvals_hermitian`` when only the eigenvalues are (the same bits,
+without the phase fix). ``np.linalg.eigvalsh`` is not used in their
+place: its eigenvalues differ from ``eigh``'s in the last bits.
 """
 
 import numpy as np
@@ -39,6 +45,17 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.divide(np.conj(top), mag, out=np.ones_like(top), where=mag > 0)
 
 
+def _checked_eigh(m: np.ndarray, tol: float):
+    """``np.linalg.eigh`` of the symmetrized ``m`` after the shape and
+    Hermitian checks both public eigen functions share."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not is_hermitian(m, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigh((m + dagger(m)) / 2.0)
+
+
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -60,22 +77,14 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
     ValueError
         If ``m`` is not square or not Hermitian within ``tol``.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    w, v = _checked_eigh(m, tol)
     return w, _canonical_phases(v)
 
 
-def svd(m: np.ndarray):
-    """SVD ``m = U @ diag(s) @ Vh`` with singular values descending."""
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(m)
-    return u, s, vh
+def eigvals_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, bit-identical to
+    ``eig_hermitian(m, tol)[0]``; same checks, same ``ValueError``."""
+    return _checked_eigh(m, tol)[0]
 
 
 def clip_psd_spectrum(w: np.ndarray) -> np.ndarray:
@@ -169,8 +178,7 @@ def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian m, the sum of |eigenvalues|."""
     if is_hermitian(m, 1e-8):
-        w, _ = eig_hermitian(m, tol=1e-8)
-        return float(np.sum(np.abs(w)))
+        return float(np.sum(np.abs(eigvals_hermitian(m, tol=1e-8))))
     return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
 
 

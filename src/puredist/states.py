@@ -187,8 +187,7 @@ class DensityOperator:
         return DensityOperator([(l, self.dim_of(l)) for l in keep], sub, validate=False)
 
     def spectrum(self) -> np.ndarray:
-        w, _ = linalg.eig_hermitian(self.matrix)
-        return linalg.clip_psd_spectrum(w)
+        return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(self.matrix))
 
     def purify(self, ref_label: str = "R") -> PureState:
         """Pure state on (self x ref_label) whose partial trace gives self back."""
@@ -278,7 +277,7 @@ class Povm:
                 raise ValueError("POVM elements have mismatched shapes")
             if not linalg.is_hermitian(e, _ATOL):
                 raise ValueError("POVM element is not Hermitian")
-            w, _ = linalg.eig_hermitian(e)
+            w = linalg.eigvals_hermitian(e)
             if np.min(w) < -_ATOL:
                 raise ValueError(f"POVM element not PSD: min eig {np.min(w):.2e}")
             total += e

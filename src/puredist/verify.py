@@ -311,7 +311,7 @@ def check_compression_povm_validity(rng, trials, eps=None):
             total = sum(row)
             gap = 1e-8 - float(np.max(np.abs(total - np.eye(d))))
             for elem in row:
-                w, _ = linalg.eig_hermitian(elem, tol=1e-7)
+                w = linalg.eigvals_hermitian(elem, tol=1e-7)
                 gap = min(gap, float(np.min(w)) + 1e-9)
             worst = min(worst, gap)
             bad += gap < 0

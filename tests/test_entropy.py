@@ -163,6 +163,14 @@ def test_d_h_infinite_flag():
     assert np.isinf(r.value) and r.witness.get("infinite")
 
 
+def test_d_h_rejects_non_hermitian_rho_with_free_mass():
+    # sigma's kernel holds the target mass, so rho must be checked before
+    # the +inf return
+    rho = np.array([[0.98, 0.3], [0.0, 0.02]])
+    with pytest.raises(ValueError):
+        ent.d_h(rho, np.diag([0.0, 1.0]), 0.1)
+
+
 def test_d_h_neyman_pearson_vs_greedy_lp_commuting(rng):
     for _ in range(200):
         d = int(rng.integers(2, 9))
@@ -259,11 +267,11 @@ def test_h_min_cq_feasibility_grid_oracle(rng):
     # fine scan over the per-symbol scalars sigma_x (diagonal certificates)
     cq = qubit_cq_example()
     got = 2.0 ** (-ent.h_min_cq(cq))
+    lam0 = np.max(cq.conditionals[0].spectrum())
+    lam1 = np.max(cq.conditionals[1].spectrum())
     best = np.inf
     for s0 in np.linspace(0, 1, 501):
         for s1 in np.linspace(0, 1, 501):
-            lam0 = np.max(cq.conditionals[0].spectrum())
-            lam1 = np.max(cq.conditionals[1].spectrum())
             if s0 >= cq.probs[0] * lam0 - 1e-12 and s1 >= cq.probs[1] * lam1 - 1e-12:
                 best = min(best, s0 + s1)
     assert np.isclose(got, best, atol=2e-3)

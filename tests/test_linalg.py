@@ -3,6 +3,7 @@ import pytest
 
 from puredist import linalg
 from puredist.sampling import ginibre_density, haar_vector
+from puredist.states import DensityOperator, Povm
 
 
 def random_hermitian(rng, d):
@@ -83,25 +84,43 @@ def test_canonical_phases_match_loop(rng):
         assert np.max(np.abs(got - want)) <= 1e-15
 
 
-def test_svd_identity_and_rank1(rng):
-    u, s, vh = linalg.svd(np.eye(3))
-    assert np.allclose(s, 1.0)
-    a = haar_vector(rng, 4) * 2.0
-    b = haar_vector(rng, 3) * 1.5
-    m = np.outer(a, np.conj(b))
-    _, s, _ = linalg.svd(m)
-    assert np.isclose(s[0], np.linalg.norm(a) * np.linalg.norm(b))
-    assert np.allclose(s[1:], 0.0, atol=1e-12)
+def test_eigvals_bit_identical_to_eig(rng):
+    for d in range(2, 17):
+        for _ in range(10):
+            m = random_hermitian(rng, d)
+            assert np.array_equal(linalg.eigvals_hermitian(m), linalg.eig_hermitian(m)[0])
+            # within an explicit tol a slightly non-Hermitian input is
+            # symmetrized the same way by both
+            noisy = m + 1e-9 * rng.normal(size=(d, d))
+            assert np.array_equal(linalg.eigvals_hermitian(noisy, tol=1e-7),
+                                  linalg.eig_hermitian(noisy, tol=1e-7)[0])
 
 
-def test_svd_matches_eigh_oracle(rng):
-    # singular values of m equal sqrt eigenvalues of m^dag m
-    for _ in range(25):
-        m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        u, s, vh = linalg.svd(m)
-        w, _ = linalg.eig_hermitian(linalg.dagger(m) @ m)
-        assert np.allclose(np.sort(s), np.sqrt(np.maximum(np.sort(w), 0)), atol=1e-10)
-        assert np.max(np.abs(m - (u[:, :len(s)] * s) @ vh)) <= 1e-8
+def test_eigvals_rejects_what_eig_rejects():
+    near = np.array([[1.0, 1e-8], [0.0, 1.0]])  # Hermitian within 1e-7, not 1e-9
+    for m in (np.ones((2, 3)), np.ones(3), np.array([[0.0, 1.0], [0.0, 0.0]]), near):
+        with pytest.raises(ValueError) as full:
+            linalg.eig_hermitian(m)
+        with pytest.raises(ValueError) as vals:
+            linalg.eigvals_hermitian(m)
+        assert str(vals.value) == str(full.value)
+    assert np.array_equal(linalg.eigvals_hermitian(near, tol=1e-7),
+                          linalg.eig_hermitian(near, tol=1e-7)[0])
+
+
+def test_eigenvalue_only_callers_keep_their_checks():
+    asym = np.array([[0.5, 0.3], [0.1, 0.5]])
+    negative = np.diag([1.5, -0.5])
+    for bad in (asym, negative):
+        with pytest.raises(ValueError):
+            DensityOperator([("A", 2)], bad, validate=False).spectrum()
+    with pytest.raises(ValueError):
+        Povm([asym, np.eye(2) - asym])
+    with pytest.raises(ValueError):
+        Povm([negative, np.eye(2) - negative])
+    # trace_norm takes the eigenvalue route only for Hermitian input
+    assert np.isclose(linalg.trace_norm(negative), 2.0)
+    assert np.isclose(linalg.trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]])), 2.0)
 
 
 def test_partial_trace_product_and_bell(rng):
