@@ -8,12 +8,10 @@ built on them, with their rate and ancilla accounting.
 from .states import (  # noqa: F401
     CQState,
     DensityOperator,
-    DephasingChannel,
     Povm,
     ProtocolTranscript,
     PureState,
     control_state,
-    dephase,
     rank1_refine,
 )
 from .entropy import (  # noqa: F401

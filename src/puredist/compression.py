@@ -118,9 +118,11 @@ class Instance:
     ``psi`` is pure on A, Bob's register and any reference; the POVM acts on
     its register A. Everything here depends on the state, the POVM and eps
     only, never on a compression seed, so each quantity is computed on
-    first use and kept: the environment labels, the ideal control states
-    (conditioned on the whole environment, on A with the outcome retained,
-    and on Bob), I_max of the environment ensemble at eps^4, and the H_H
+    first use and kept: the environment labels, the measurement branches
+    sqrt(Lambda_x) psi, the ideal control states (the branches conditioned
+    on the whole environment, on A with the outcome retained, and on Bob),
+    the outcome distribution P_X and the roots Y_x the compressions are
+    built from, I_max of the environment ensemble at eps^4, and the H_H
     conditional entropies of the nice-set bounds and the rate formulas.
     ``compression(K, L, seed)`` hands out one ``Compression`` view per key.
     """
@@ -157,18 +159,39 @@ class Instance:
         return int(np.prod([self.psi.dim(l) for l in self.env]))
 
     @cached_property
+    def branches(self) -> list:
+        return states.measure(self.psi, self.povm.elements, self.povm.register)
+
+    def _ideal(self, keep) -> states.CQState:
+        return states.branch_ensemble(self.branches, self.povm.labels, keep)
+
+    @cached_property
     def ideal_env(self) -> states.CQState:
-        return states.control_state(self.psi, self.povm, condition_on=self.env)
+        return self._ideal(self.env)
 
     @cached_property
     def ideal_a(self) -> states.CQState:
-        return states.control_state(self.psi, self.povm,
-                                    condition_on=[self.povm.register],
-                                    retain_measured=True)
+        return self._ideal([self.povm.register])
 
     @cached_property
     def ideal_bob(self) -> states.CQState:
-        return states.control_state(self.psi, self.povm, condition_on=[self.bob_label])
+        return self._ideal([self.bob_label])
+
+    @cached_property
+    def p_x(self) -> np.ndarray:
+        """P_X(x) = Tr Lambda_x rho_A, normalized."""
+        p_x = self.povm.outcome_probs(self.rho_a)
+        return p_x / np.sum(p_x)
+
+    @cached_property
+    def roots(self) -> list:
+        """Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2} per outcome x, the
+        inverse taken on the support: the compressed cell for x is
+        proportional to Y_x Y_x^dag, and Y_x^dag is its Kraus operator."""
+        inv_sqrt = linalg.psd_power(self.rho_a, -0.5)
+        sqrt_rho = linalg.psd_power(self.rho_a, 0.5)
+        return [inv_sqrt @ linalg.psd_power(e, 0.5) @ sqrt_rho
+                for e in self.povm.elements]
 
     @cached_property
     def ideal_env_bob(self) -> states.CQState:
@@ -217,7 +240,7 @@ class Compression:
     def __init__(self, instance: Instance, K: int, L: int, seed: int):
         self.instance = instance
         self.K, self.L, self.seed = K, L, seed
-        self.cm = compress_measurement(instance.psi, instance.povm, K, L, seed)
+        self.cm = compress_measurement(instance, K, L, seed)
 
     @cached_property
     def sims(self) -> dict:
@@ -254,49 +277,38 @@ class Compression:
         return find_good_k(self)
 
 
-def compress_measurement(psi: PureState, povm: Povm, K: int, L: int,
+def compress_measurement(inst: Instance, K: int, L: int,
                          seed: int) -> CompressedMeasurement:
-    """Build the randomized K x L compressed measurement for (psi, povm).
+    """Build the randomized K x L compressed measurement of an instance.
 
     For each cell an original outcome x(k, l) is sampled iid from the
     measurement statistics P_X; the cell operator is
-    c/L * rho^{-1/2} sqrt(Lam_x) rho sqrt(Lam_x) rho^{-1/2} on the support
-    of rho^A, with c the largest constant keeping every row summable into a
-    POVM. The failure element absorbs the remainder (and the complement of
-    supp(rho^A)). A row sum short of identity by more than half (c < 1/2)
-    signals that L is too small and raises a quality warning.
+    c/L * Y_x Y_x^dag / P_X(x) = c/L * rho^{-1/2} sqrt(Lam_x) rho sqrt(Lam_x)
+    rho^{-1/2} on the support of rho^A, with c the largest constant keeping
+    every row summable into a POVM. The failure element absorbs the
+    remainder (and the complement of supp(rho^A)). A row sum short of
+    identity by more than half (c < 1/2) signals that L is too small and
+    raises a quality warning.
     """
     if K < 1 or L < 1:
         raise ValueError("K and L must be at least 1")
-    reg = povm.register
-    if povm.dim != psi.dim(reg):
-        raise ValueError(f"POVM dimension {povm.dim} does not match register "
-                         f"{reg!r} dimension {psi.dim(reg)}")
-    rho_a = psi.marginal([reg])
+    rho_a, p_x = inst.rho_a, inst.p_x
     d = rho_a.shape[0]
-    p_x = povm.outcome_probs(rho_a)
-    p_x = p_x / np.sum(p_x)
-    inv_sqrt = linalg.psd_power(rho_a, -0.5)
-    sqrt_rho = linalg.psd_power(rho_a, 0.5)
-
-    # each cell operator depends on its sampled symbol only; cache per symbol.
-    # Gram form Y Y^dag keeps the operators PSD despite the rho^{-1/2} blowup.
-    base = {}
-
-    def base_op(x):
-        if x not in base:
-            y = inv_sqrt @ linalg.psd_power(povm.elements[x], 0.5) @ sqrt_rho
-            base[x] = (y @ linalg.dagger(y)) / p_x[x]
-        return base[x]
 
     decode = np.zeros((K, L), dtype=int)
     for k in range(K):
         for l in range(L):
             decode[k, l] = pair_rng(seed, k, l).choice(len(p_x), p=p_x)
 
+    # each cell operator depends on its sampled symbol only. Gram form
+    # Y Y^dag keeps the operators PSD despite the rho^{-1/2} blowup.
+    roots = inst.roots
+    base = {x: (roots[x] @ linalg.dagger(roots[x])) / p_x[x]
+            for x in set(decode.reshape(-1).tolist())}
+
     row_max = 0.0
     for k in range(K):
-        row = sum(base_op(int(x)) for x in decode[k]) / L
+        row = sum(base[x] for x in decode[k]) / L
         row_max = max(row_max, float(np.max(linalg.eigvals_hermitian(row, tol=1e-7))))
     c = 1.0 / row_max if row_max > 0 else 1.0
 
@@ -304,7 +316,7 @@ def compress_measurement(psi: PureState, povm: Povm, K: int, L: int,
     thetas = []
     q_kl = np.zeros((K, L + 1))
     for k in range(K):
-        row = [c / L * base_op(int(x)) for x in decode[k]]
+        row = [c / L * base[x] for x in decode[k]]
         bot = eye - sum(row)
         bot = (bot + linalg.dagger(bot)) / 2
         thetas.append(tuple(row) + (bot,))
@@ -318,7 +330,7 @@ def compress_measurement(psi: PureState, povm: Povm, K: int, L: int,
     return CompressedMeasurement(
         K=K, L=L, thetas=tuple(thetas), decode=decode, q_kl=q_kl,
         c_norm=float(c), seed=seed, bot_decode=int(np.argmax(p_x)),
-        register=reg, quality_warning=bool(warning))
+        register=inst.povm.register, quality_warning=bool(warning))
 
 
 def simulated_conditionals(view: Compression):
@@ -328,19 +340,13 @@ def simulated_conditionals(view: Compression):
     per original outcome suffices: sigma_x = Tr_A[M_x psi] normalized, with
     M_x the cell operator for symbol x. Returns (states, sorted env labels).
     """
-    psi, povm = view.instance.psi, view.instance.povm
-    reg = povm.register
-    env = sorted(view.instance.env)
-    rho_a = psi.marginal([reg])
-    inv_sqrt = linalg.psd_power(rho_a, -0.5)
-    sqrt_rho = linalg.psd_power(rho_a, 0.5)
+    inst = view.instance
+    env = sorted(inst.env)
     out = {}
     for x in sorted(set(view.cm.decode.reshape(-1).tolist())):
-        # K = Y^dag with Y = rho^{-1/2} sqrt(Lam_x) sqrt(rho) satisfies
-        # K^dag K = M_x (up to the p_x scale), so the branch needs no
-        # operator square root
-        y = inv_sqrt @ linalg.psd_power(povm.elements[x], 0.5) @ sqrt_rho
-        branch = psi.apply(linalg.dagger(y), [reg])
+        # K = Y_x^dag satisfies K^dag K = M_x (up to the p_x scale), so the
+        # branch needs no operator square root
+        branch = inst.psi.apply(linalg.dagger(inst.roots[x]), [inst.povm.register])
         n = branch.norm() ** 2
         if n < 1e-300:
             continue

@@ -80,20 +80,20 @@ def _matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
 
 
-def _truncation_count(ascending: np.ndarray, eps: float) -> int:
-    """Number k of smallest support eigenvalues whose sum stays <= eps."""
-    csum = np.cumsum(ascending)
-    return int(np.searchsorted(csum, eps + 1e-15, side="right"))
+def truncated_support(w: np.ndarray, eps: float):
+    """Spectral truncation at budget eps: the ascending support eigenvalues
+    of the spectrum ``w`` and the number k of the smallest of them whose sum
+    stays <= eps, capped at |supp| - 1 so one eigenvalue is always kept."""
+    supp = np.sort(w[w > SUPPORT_TOL])
+    k = int(np.searchsorted(np.cumsum(supp), eps + 1e-15, side="right"))
+    return supp, min(k, len(supp) - 1)
 
 
 def h_tilde_max(rho, eps: float) -> float:
     """Smoothed support max entropy: log2(|supp| - k) after dropping the
     smallest eigenvalues of total mass <= eps."""
     _validate_eps(eps)
-    w = _spectrum(rho)
-    supp = np.sort(w[w > SUPPORT_TOL])
-    k = _truncation_count(supp, eps)
-    k = min(k, len(supp) - 1)
+    supp, k = truncated_support(_spectrum(rho), eps)
     return float(np.log2(len(supp) - k))
 
 
@@ -101,10 +101,7 @@ def h_prime_max(rho, eps: float) -> float:
     """Smoothed norm max entropy: log2(1 / lambda_{k+1}) with k as in
     ``h_tilde_max``."""
     _validate_eps(eps)
-    w = _spectrum(rho)
-    supp = np.sort(w[w > SUPPORT_TOL])
-    k = _truncation_count(supp, eps)
-    k = min(k, len(supp) - 1)
+    supp, k = truncated_support(_spectrum(rho), eps)
     return float(-np.log2(supp[k]))
 
 
@@ -304,10 +301,7 @@ def h_max_smooth(rho, eps: float) -> float:
     the truncation-smoothing convention documented in the module docstring.
     """
     _validate_eps(eps)
-    w = _spectrum(rho)
-    supp = np.sort(w[w > SUPPORT_TOL])
-    k = _truncation_count(supp, eps)
-    k = min(k, len(supp) - 1)
+    supp, k = truncated_support(_spectrum(rho), eps)
     kept = supp[k:]
     kept = kept / np.sum(kept)
     value = float(2.0 * np.log2(np.sum(np.sqrt(kept))))

@@ -53,6 +53,11 @@ def _checked_eigh(m: np.ndarray, tol: float):
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
+    return _eigh(m)
+
+
+def _eigh(m: np.ndarray):
+    """``np.linalg.eigh`` of the symmetrized complex matrix ``m``, unchecked."""
     return np.linalg.eigh((m + dagger(m)) / 2.0)
 
 
@@ -176,10 +181,12 @@ def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian m, the sum of |eigenvalues|."""
+    """Sum of singular values; for Hermitian m, the sum of |eigenvalues|
+    (the same eigenvalue bits as ``eigvals_hermitian``)."""
+    m = np.asarray(m, dtype=complex)
     if is_hermitian(m, 1e-8):
-        return float(np.sum(np.abs(eigvals_hermitian(m, tol=1e-8))))
-    return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
+        return float(np.sum(np.abs(_eigh(m)[0])))
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropy, linalg
+from . import entropy, linalg, states
 from .compression import Compression, Instance, NoGoodK
 from .states import DensityOperator, Povm, ProtocolTranscript, PureState
 
@@ -75,11 +75,8 @@ def _distill_isometry(mat: np.ndarray, eps: float, source: str = "A",
                       force_ap_bits: int | None = None) -> DistillationIsometry:
     w, v = _descending_eig(mat)
     d = mat.shape[0]
-    supp = int(np.sum(w > 1e-12))
-    asc = np.sort(w[w > 1e-12])
-    k = int(np.searchsorted(np.cumsum(asc), eps + 1e-15, side="right"))
-    k = min(k, supp - 1)
-    kept = supp - k
+    supp, k = entropy.truncated_support(w, eps)
+    kept = len(supp) - k
     ap_bits = (d // kept).bit_length() - 1 if force_ap_bits is None else force_ap_bits
     ap = 2 ** ap_bits
     ag = math.ceil(d / ap)
@@ -122,14 +119,6 @@ def _good_set_bits(values, masses, budget):
             best = b
             break
     return best, values >= best
-
-
-def _branch_states(psi: PureState, elements, reg: str):
-    """Sub-normalized branches of measuring ``elements`` coherently on reg."""
-    out = []
-    for e in elements:
-        out.append(psi.apply(linalg.psd_power(e, 0.5), [reg]))
-    return out
 
 
 def _conditional_codes(marginals, masses, d: int, reg: str, eps: float,
@@ -202,7 +191,7 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     psi, povm, eps, bob_label = inst.psi, inst.povm, inst.eps, inst.bob_label
     a_reg = povm.register
     n_x = len(povm)
-    branches = _branch_states(psi, povm.elements, a_reg)
+    branches = inst.branches
     budget = 2.0 * np.sqrt(eps)
     a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
     b_bits, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
@@ -244,7 +233,7 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
     k = view.k
-    branches = _branch_states(psi, cm.thetas[k], a_reg)
+    branches = states.measure(psi, cm.thetas[k], a_reg)
     budget = 2.0 * np.sqrt(eps)
     a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
     b_bits, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
@@ -541,49 +530,45 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     held = sorted(l for l in psi.labels if l != "R")
     trace = []
 
-    def measure(mat, borrowed_bits):
+    def purity(mat, borrowed_bits):
         return float(np.log2(mat.shape[0]) - entropy.h_h(mat, eps).value - borrowed_bits)
 
     rho0 = psi.marginal(held)
-    trace.append(("input", measure(rho0, 0.0)))
+    trace.append(("input", purity(rho0, 0.0)))
 
     # borrow the outcome register (pure ancilla, accounted)
     borrow_bits = float(np.log2(n_x)) if n_x > 1 else 0.0
     xa = np.zeros((n_x, n_x))
     xa[0, 0] = 1.0
-    trace.append(("borrow", measure(np.kron(xa, rho0), borrow_bits)))
+    trace.append(("borrow", purity(np.kron(xa, rho0), borrow_bits)))
 
-    # coherent measurement: a unitary on X_A x A given the |0> ancilla
-    da = psi.dim(a_reg)
-    iso = np.zeros((n_x * da, da), dtype=complex)
-    for x, e in enumerate(povm.elements):
-        iso[x * da:(x + 1) * da, :] = linalg.psd_power(e, 0.5)
-    post = psi.apply(iso, [a_reg], out_regs=[("XA", n_x), (a_reg, da)])
+    # coherent measurement: a unitary on X_A x A given the |0> ancilla,
+    # which leaves sum_x |x> (x) sqrt(Lambda_x) psi
+    branches = states.measure(psi, povm.elements, a_reg)
+    post = _stack_coherent(branches, "XA")
     trace.append(("coherent-measure",
-                  measure(post.marginal(sorted(held + ["XA"])), borrow_bits)))
+                  purity(post.marginal(sorted(held + ["XA"])), borrow_bits)))
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
-    branches = _branch_states(psi, povm.elements, a_reg)
     budget = 2.0 * np.sqrt(eps)
     _, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
-    blocks = [b.apply(alice_isos[x].matrix, [a_reg], out_regs=alice_isos[x].out_regs())
-              for x, b in post.branches("XA")]
+    blocks = [b.apply(iso.matrix, [a_reg], out_regs=iso.out_regs())
+              for b, iso in zip(branches, alice_isos)]
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
-    trace.append(("conditional-codes", measure(coherent.marginal(keep), borrow_bits)))
+    trace.append(("conditional-codes", purity(coherent.marginal(keep), borrow_bits)))
 
     # dephase X_A -> X_B (a strict decrease is allowed here)
     keep_b = sorted(set(blocks[0].labels) - {"R"})
-    trace.append(("dephase", measure(_block_diag_mix(blocks, keep_b), borrow_bits)))
+    trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
     _, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
-    final_blocks = [b.apply(bob_isos[x].matrix, [bob_label],
-                            out_regs=bob_isos[x].out_regs())
-                    for x, b in enumerate(blocks)]
+    final_blocks = [b.apply(iso.matrix, [bob_label], out_regs=iso.out_regs())
+                    for b, iso in zip(blocks, bob_isos)]
     keep_f = sorted(set(final_blocks[0].labels) - {"R"})
-    trace.append(("bob-codes", measure(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
+    trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
 
     final = sum(b.marginal(["Ap", "Bp"]) for b in final_blocks)
-    trace.append(("discard-garbage", measure(final, borrow_bits)))
+    trace.append(("discard-garbage", purity(final, borrow_bits)))
     return trace

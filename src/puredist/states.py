@@ -1,4 +1,4 @@
-"""Typed states, POVMs and channels over labeled registers.
+"""Typed states, POVMs and the coherent measurement over labeled registers.
 
 Registers are (label, dimension) pairs. A ``DensityOperator`` canonicalizes
 its tensor order alphabetically by label at construction so partial traces
@@ -298,34 +298,6 @@ class Povm:
         return np.array([max(0.0, float(np.real(np.trace(e @ rho)))) for e in self.elements])
 
 
-@dataclass(frozen=True, eq=False)
-class DephasingChannel:
-    """Completely dephasing map in a fixed orthonormal basis, X_A -> X_B."""
-
-    basis: np.ndarray
-    input_label: str = "XA"
-    output_label: str = "XB"
-
-    def __init__(self, basis, input_label="XA", output_label="XB"):
-        basis = np.asarray(basis, dtype=complex)
-        d = basis.shape[0]
-        if basis.shape != (d, d):
-            raise ValueError("basis must be a square matrix of column vectors")
-        if np.max(np.abs(linalg.dagger(basis) @ basis - np.eye(d))) > 1e-8:
-            raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "input_label", str(input_label))
-        object.__setattr__(self, "output_label", str(output_label))
-
-    @classmethod
-    def computational(cls, dim, input_label="XA", output_label="XB"):
-        return cls(np.eye(dim), input_label, output_label)
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-
 @dataclass
 class ProtocolTranscript:
     """Accounting record of one protocol run.
@@ -379,49 +351,42 @@ class ProtocolTranscript:
         }
 
 
-def dephase(state: DensityOperator, channel: DephasingChannel) -> DensityOperator:
-    """Apply a completely dephasing channel to one register of a state.
+def measure(psi: PureState, elements, reg: str) -> list:
+    """Measure ``reg`` of a pure state coherently: the sub-normalized
+    branches sqrt(E) psi, one per element E, in the element order."""
+    return [psi.apply(linalg.psd_power(e, 0.5), [reg]) for e in elements]
 
-    Off-diagonal blocks in the channel basis are zeroed; the register is
-    renamed from the channel's input label to its output label. Correlations
-    of the diagonal blocks with every other register survive.
+
+def branch_ensemble(branches, labels, keep) -> CQState:
+    """The cq state of measurement branches reduced to the registers ``keep``.
+
+    Branch i carries outcome ``labels[i]`` with probability its squared norm
+    and the normalized ``keep`` marginal as its conditional. Outcomes with
+    probability below 1e-12 are dropped (the conditional is undefined at
+    measure zero) and flagged in ``dropped``.
     """
-    if channel.input_label not in state.labels:
-        raise KeyError(f"state has no register {channel.input_label!r}")
-    ax = state.labels.index(channel.input_label)
-    d = state.dims[ax]
-    if d != channel.dim:
-        raise ValueError("channel dimension does not match the register")
-    dims = state.dims
-    t = state.matrix.reshape(dims + dims)
-    n = len(dims)
-    out = np.zeros_like(t)
-    b = channel.basis
-    for i in range(d):
-        vec = b[:, i]
-        # project the row index with <v_i| and the column index with |v_i>
-        ti = np.tensordot(np.conj(vec), t, axes=([0], [ax]))
-        ti = np.tensordot(vec, ti, axes=([0], [ax + n - 1]))
-        # reinsert the basis vector on both sides
-        ti = np.multiply.outer(vec, np.multiply.outer(ti, np.conj(vec)))
-        ti = np.moveaxis(ti, 0, ax)
-        ti = np.moveaxis(ti, -1, ax + n)
-        out += ti
-    regs = [(channel.output_label, d) if j == ax else r
-            for j, r in enumerate(state.registers)]
-    total = state.dim
-    return DensityOperator(regs, out.reshape(total, total), validate=False)
+    keep = sorted(keep)
+    probs, conds, kept = [], [], []
+    for lbl, branch in zip(labels, branches):
+        p = branch.norm() ** 2
+        if p < 1e-12:
+            continue
+        conds.append(DensityOperator([(l, branch.dim(l)) for l in keep],
+                                     branch.marginal(keep) / p, validate=False))
+        probs.append(p)
+        kept.append(lbl)
+    probs = np.asarray(probs)
+    return CQState(kept, probs / np.sum(probs), conds,
+                   pre_dropped=len(kept) != len(branches))
 
 
 def control_state(psi: PureState, povm: Povm, condition_on=("B", "R"),
                   retain_measured=False) -> CQState:
     """Measure one register of a pure state and collect the outcome ensemble.
 
-    Applies ``sqrt(element)`` for each POVM outcome on the measured register
-    and returns the cq state of outcome probabilities with the conditional
-    post-measurement states reduced to ``condition_on`` (pass
-    ``retain_measured=True`` to keep the measured register as well).
-    Outcomes with probability below 1e-12 are dropped.
+    The ``branch_ensemble`` of ``measure``-ing the POVM on its register,
+    reduced to ``condition_on`` (pass ``retain_measured=True`` to keep the
+    measured register as well).
     """
     reg = povm.register
     if reg not in psi.labels:
@@ -432,21 +397,7 @@ def control_state(psi: PureState, povm: Povm, condition_on=("B", "R"),
     keep = list(condition_on)
     if retain_measured and reg not in keep:
         keep = [reg] + keep
-    probs, conds, labels = [], [], []
-    skipped = False
-    for lbl, elem in zip(povm.labels, povm.elements):
-        branch = psi.apply(linalg.psd_power(elem, 0.5), [reg])
-        p = branch.norm() ** 2
-        if p < 1e-12:
-            skipped = True  # conditional undefined at measure zero
-            continue
-        mat = branch.marginal(sorted(keep)) / p
-        conds.append(DensityOperator([(l, psi.dim(l)) for l in sorted(keep)],
-                                     mat, validate=False))
-        probs.append(p)
-        labels.append(lbl)
-    probs = np.asarray(probs)
-    return CQState(labels, probs / np.sum(probs), conds, pre_dropped=skipped)
+    return branch_ensemble(measure(psi, povm.elements, reg), povm.labels, keep)
 
 
 def rank1_refine(povm: Povm, tol: float = 1e-12) -> Povm:

@@ -1,11 +1,13 @@
 """Property suite for the entropic identities the protocols rely on.
 
 Each check draws random instances and counts violations of one exact
-inequality or identity; the suite passes only with zero violations. The
-manifest below is the complete list, so a missing check is detectable by
-callers that print it.
+inequality or identity; the suite passes only with zero violations. Each
+check registers under its name with ``_check``; ``SUITE`` and ``MANIFEST``
+list the registered checks and their names in definition order, so a
+missing check is detectable by callers that print the manifest.
 """
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -32,7 +34,6 @@ class CheckResult:
     trials: int
     violations: int
     worst: float  # most negative slack seen (>= 0 means clean pass)
-    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -47,9 +48,36 @@ def _eps(rng):
     return float(rng.choice([0.01, 0.05, 0.1]))
 
 
-def check_hh_purification_duality(rng, trials, eps=None):
+_CHECKS = {}
+
+
+def _check(name, *, per):
+    """Register a property check under ``name``.
+
+    The decorated generator ``(rng, trials, eps)`` yields one slack per
+    tested case (negative means a violation). The registered function runs
+    it on ``trials`` trials, or ``max(1, trials // per)`` for the costly
+    checks with ``per > 1``, and returns the ``CheckResult`` with the
+    number of negative slacks and the most negative one.
+    """
+    def register(gen):
+        @functools.wraps(gen)
+        def check(rng, trials, eps=None):
+            if per > 1:
+                trials = max(1, trials // per)
+            bad, worst = 0, np.inf
+            for gap in gen(rng, trials, eps):
+                worst = min(worst, gap)
+                bad += gap < 0
+            return CheckResult(name, trials, bad, worst)
+        _CHECKS[name] = check
+        return check
+    return register
+
+
+@_check("hh-purification-duality", per=1)
+def check_hh_purification_duality(rng, trials, eps):
     """Both marginals of a random pure bipartite state share one H_H."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         da, dr = rng.integers(2, 9, size=2)
         v = rng.normal(size=(int(da), int(dr))) + 1j * rng.normal(size=(int(da), int(dr)))
@@ -57,15 +85,12 @@ def check_hh_purification_duality(rng, trials, eps=None):
         e = eps or _eps(rng)
         ha = entropy.h_h(v @ linalg.dagger(v), e).value
         hr = entropy.h_h(v.T @ np.conj(v), e).value
-        gap = TOL - abs(ha - hr)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-purification-duality", trials, bad, worst)
+        yield TOL - abs(ha - hr)
 
 
-def check_hh_pure_tensor(rng, trials, eps=None):
+@_check("hh-pure-tensor-invariance", per=1)
+def check_hh_pure_tensor(rng, trials, eps):
     """Tensoring a pure state on leaves H_H unchanged."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         rho = _rand_state(rng, d)
@@ -74,30 +99,24 @@ def check_hh_pure_tensor(rng, trials, eps=None):
         e = eps or _eps(rng)
         lhs = entropy.h_h(np.kron(rho, np.outer(v, np.conj(v))), e).value
         rhs = entropy.h_h(rho, e).value
-        gap = TOL - abs(lhs - rhs)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-pure-tensor-invariance", trials, bad, worst)
+        yield TOL - abs(lhs - rhs)
 
 
-def check_hh_support_sandwich(rng, trials, eps=None):
+@_check("hh-support-sandwich", per=1)
+def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         d = int(rng.integers(2, 9))
         rho = _rand_state(rng, d)
         e = eps or _eps(rng)
         hh = entropy.h_h(rho, e).value
         ht = entropy.h_tilde_max(rho, e)
-        gap = min(ht + TOL - hh, hh - (ht - 1) + TOL)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-support-sandwich", trials, bad, worst)
+        yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
 
 
-def check_max_entropy_ordering(rng, trials, eps=None):
+@_check("max-entropy-ordering", per=1)
+def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         d = int(rng.integers(2, 9))
         rho = _rand_state(rng, d, )
@@ -106,15 +125,12 @@ def check_max_entropy_ordering(rng, trials, eps=None):
         ht = entropy.h_tilde_max(rho, e)
         hp = entropy.h_prime_max(rho, e)
         cap = np.log2(d / e)
-        gap = min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("max-entropy-ordering", trials, bad, worst)
+        yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
 
 
-def check_hh_subadditivity(rng, trials, eps=None):
+@_check("hh-subadditivity", per=1)
+def check_hh_subadditivity(rng, trials, eps):
     """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = _rand_state(rng, int(da * db))
@@ -123,15 +139,12 @@ def check_hh_subadditivity(rng, trials, eps=None):
         ra = linalg.partial_trace(rho, [int(da), int(db)], 0)
         rb = linalg.partial_trace(rho, [int(da), int(db)], 1)
         rhs = entropy.h_h(ra, e).value + entropy.h_h(rb, e).value
-        gap = rhs - lhs + TOL
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-subadditivity", trials, bad, worst)
+        yield rhs - lhs + TOL
 
 
-def check_hh_mixed_ancilla_additivity(rng, trials, eps=None):
+@_check("hh-mixed-ancilla-additivity", per=1)
+def check_hh_mixed_ancilla_additivity(rng, trials, eps):
     """h_h(rho (x) I/|B|, eps) = h_h(rho, eps) + log2 |B| exactly."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         d = int(rng.integers(2, 6))
         db = int(rng.integers(2, 5))
@@ -139,30 +152,24 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps=None):
         e = eps or _eps(rng)
         lhs = entropy.h_h(np.kron(rho, np.eye(db) / db), e).value
         rhs = entropy.h_h(rho, e).value + np.log2(db)
-        gap = 1e-9 - abs(lhs - rhs)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-mixed-ancilla-additivity", trials, bad, worst)
+        yield 1e-9 - abs(lhs - rhs)
 
 
-def check_hh_dimension_bound(rng, trials, eps=None):
+@_check("hh-dimension-bound", per=1)
+def check_hh_dimension_bound(rng, trials, eps):
     """h_h(AB) <= h_h(A) + log2 |B|."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = _rand_state(rng, int(da * db))
         e = eps or _eps(rng)
         lhs = entropy.h_h(rho, e).value
         ra = linalg.partial_trace(rho, [int(da), int(db)], 0)
-        gap = entropy.h_h(ra, e).value + np.log2(db) - lhs + TOL
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-dimension-bound", trials, bad, worst)
+        yield entropy.h_h(ra, e).value + np.log2(db) - lhs + TOL
 
 
-def check_hh_near_pure(rng, trials, eps=None):
+@_check("hh-near-pure-nonpositive", per=1)
+def check_hh_near_pure(rng, trials, eps):
     """States eps-close to |0><0| have h_h <= 0."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         e = eps or _eps(rng)
@@ -175,28 +182,22 @@ def check_hh_near_pure(rng, trials, eps=None):
         pure0[0, 0] = 1.0
         if linalg.trace_distance(sigma, pure0) > e:
             continue
-        gap = TOL - entropy.h_h(sigma, e).value
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-near-pure-nonpositive", trials, bad, worst)
+        yield TOL - entropy.h_h(sigma, e).value
 
 
-def check_hh_cond_pure(rng, trials, eps=None):
+@_check("hh-cond-pure-nonpositive", per=1)
+def check_hh_cond_pure(rng, trials, eps):
     """cq states with pure conditionals have H_H(B|X) <= 0."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
                        pure_conditionals=True)
         e = eps or _eps(rng)
-        gap = TOL - entropy.h_h_cond_cq(cq, e).value
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-cond-pure-nonpositive", trials, bad, worst)
+        yield TOL - entropy.h_h_cond_cq(cq, e).value
 
 
-def check_hh_cond_purification_switch(rng, trials, eps=None):
+@_check("hh-cond-purification-switch", per=1)
+def check_hh_cond_purification_switch(rng, trials, eps):
     """For bipartite pure conditionals, H_H(B|X) = H_H(A|X)."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = rng.integers(2, 5, size=2)
@@ -210,16 +211,13 @@ def check_hh_cond_purification_switch(rng, trials, eps=None):
         e = eps or _eps(rng)
         ha = entropy.h_h_cond_cq(CQState(range(n), probs, conds_a), e).value
         hb = entropy.h_h_cond_cq(CQState(range(n), probs, conds_b), e).value
-        gap = TOL - abs(ha - hb)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-cond-purification-switch", trials, bad, worst)
+        yield TOL - abs(ha - hb)
 
 
-def check_hh_cond_data_processing(rng, trials, eps=None):
+@_check("hh-cond-data-processing", per=1)
+def check_hh_cond_data_processing(rng, trials, eps):
     """H_H(B|X) never decreases under dephasing or random-unitary mixing
     applied to the B side."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         db = int(rng.integers(2, 5))
         cq = random_cq(rng, int(rng.integers(2, 5)), db)
@@ -234,32 +232,26 @@ def check_hh_cond_data_processing(rng, trials, eps=None):
             c.registers,
             sum(p * u @ c.matrix @ linalg.dagger(u) for p, u in zip(ps, us)),
             validate=False))
-        gap = min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
+        yield min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
                   entropy.h_h_cond_cq(unital, e).value - base + TOL)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-cond-data-processing", trials, bad, worst)
 
 
-def check_hh_average_to_worst_case(rng, trials, eps=None):
+@_check("hh-average-to-worst-case", per=1)
+def check_hh_average_to_worst_case(rng, trials, eps):
     """The symbols obeying the worst-case entropy bound carry probability
     at least 1 - 2 sqrt(eps)."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)))
         e = eps or _eps(rng)
         bound = entropy.h_h_cond_cq(cq, e).value - np.log2(e)
         mass = sum(p for p, c in zip(cq.probs, cq.conditionals)
                    if entropy.h_h(c, np.sqrt(e)).value <= bound + 1e-12)
-        gap = mass - (1 - 2 * np.sqrt(e)) + TOL
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hh-average-to-worst-case", trials, bad, worst)
+        yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
 
-def check_dh_vs_lp(rng, trials, eps=None):
+@_check("dh-neyman-pearson-vs-lp", per=1)
+def check_dh_vs_lp(rng, trials, eps):
     """Neyman-Pearson equals the greedy LP on commuting pairs."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         d = int(rng.integers(2, 9))
         p = rng.dirichlet(np.ones(d))
@@ -275,37 +267,32 @@ def check_dh_vs_lp(rng, trials, eps=None):
             cost += take * q[i]
             need -= take * p[i]
         want = -np.log2(cost) if cost > 0 else np.inf
-        gap = 1e-8 - abs(got - want)
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("dh-neyman-pearson-vs-lp", trials, bad, worst)
+        yield 1e-8 - abs(got - want)
 
 
-def check_hmin_smoothing(rng, trials, eps=None):
+@_check("hmin-truncation-smoothing", per=1)
+def check_hmin_smoothing(rng, trials, eps):
     """Truncation smoothing only increases H_min and vanishes at eps = 0."""
-    bad, worst = 0, np.inf
     for _ in range(trials):
         cq = random_cq(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
         e = eps or _eps(rng)
         base = entropy.h_min_cq(cq)
-        gap = min(entropy.h_min_cq_smoothed(cq, e) - base + TOL,
+        yield min(entropy.h_min_cq_smoothed(cq, e) - base + TOL,
                   TOL - abs(entropy.h_min_cq_smoothed(cq, 0.0) - base))
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("hmin-truncation-smoothing", trials, bad, worst)
 
 
-def check_compression_povm_validity(rng, trials, eps=None):
+@_check("compression-povm-validity", per=50)
+def check_compression_povm_validity(rng, trials, eps):
     """Every generated row is a genuine POVM: PSD elements summing to I."""
-    bad, worst = 0, np.inf
-    trials = max(1, trials // 50)
     for t in range(trials):
         d = int(rng.integers(2, 5))
         vec = rng.normal(size=d * d * 2) + 1j * rng.normal(size=d * d * 2)
         vec /= np.linalg.norm(vec)
         psi = PureState([("A", d), ("B", d), ("R", 2)], vec)
         povm = random_povm(rng, d, int(rng.integers(2, 4)))
-        cm = compress_measurement(psi, povm, K=3, L=6, seed=int(rng.integers(1 << 30)))
+        # eps plays no part in the table
+        cm = compress_measurement(Instance(psi, povm, 0.5), K=3, L=6,
+                                  seed=int(rng.integers(1 << 30)))
         for k in range(cm.K):
             row = cm.thetas[k]
             total = sum(row)
@@ -313,59 +300,45 @@ def check_compression_povm_validity(rng, trials, eps=None):
             for elem in row:
                 w = linalg.eigvals_hermitian(elem, tol=1e-7)
                 gap = min(gap, float(np.min(w)) + 1e-9)
-            worst = min(worst, gap)
-            bad += gap < 0
-    return CheckResult("compression-povm-validity", trials, bad, worst)
+            yield gap
 
 
-def check_compression_bot_mass(rng, trials, eps=0.5):
+@_check("compression-bot-mass", per=100)
+def check_compression_bot_mass(rng, trials, eps):
     """At the compression rate thresholds (slack 4 log2(1/eps)) the failure
     outcome keeps median probability below 5 eps."""
     from .sampling import bell_pair, purified_input
-    trials = max(1, trials // 100)
     e = eps or 0.5
-    psi = purified_input(bell_pair())
-    povm = basis_povm(2, "A")
-    bad, worst = 0, np.inf
+    inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), e)
     for t in range(trials):
         bots = []
         for s in range(8):
-            cm = compress_measurement(psi, povm, K=2, L=32,
-                                      seed=1000 * t + s)
+            cm = compress_measurement(inst, K=2, L=32, seed=1000 * t + s)
             bots.append(float(np.sum(cm.q_kl[:, -1])))
-        gap = 5 * e - float(np.median(bots))
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("compression-bot-mass", trials, bad, worst)
+        yield 5 * e - float(np.median(bots))
 
 
-def check_compression_pair_closeness(rng, trials, eps=0.1):
+@_check("compression-pair-closeness", per=100)
+def check_compression_pair_closeness(rng, trials, eps):
     """Per-pair simulated-vs-ideal state distance does not grow in the
     median when L doubles (paired seeds share table cells)."""
     from .sampling import bell_pair, purified_input
-    trials = max(1, trials // 100)
     e = eps or 0.1
     inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), e)
-    bad, worst = 0, np.inf
     for t in range(trials):
         meds = []
         for L in (8, 16, 32):
             ds = [validate_compression(inst.compression(2, L, 500 * t + s))
                   .per_pair_state_dist for s in range(8)]
             meds.append(float(np.median(ds)))
-        gap = min(meds[i] - meds[i + 1] + 1e-12 for i in range(len(meds) - 1))
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("compression-pair-closeness", trials, bad, worst,
-                       note="median monotone under L doubling")
+        yield min(meds[i] - meds[i + 1] + 1e-12 for i in range(len(meds) - 1))
 
 
-def check_condhh_derandomization(rng, trials, eps=0.05):
+@_check("condhh-derandomization", per=50)
+def check_condhh_derandomization(rng, trials, eps):
     """Promise-based derandomization: when per-symbol states and the table
     distribution are close to ideal, most table rows obey the worst-case
     entropy bound 2^{H_H(eps^{1/8})} <= 2^{H_H(B|X)} / eps."""
-    bad, worst = 0, np.inf
-    trials = max(1, trials // 50)
     e = eps or 0.05
     for _ in range(trials):
         nx = int(rng.integers(2, 5))
@@ -390,54 +363,11 @@ def check_condhh_derandomization(rng, trials, eps=0.05):
             good += reps * (val <= bound + 1e-12)
         frac = good / K
         need = 1 - e ** 0.125 - uniform_dev
-        gap = frac - need + TOL
-        worst = min(worst, gap)
-        bad += gap < 0
-    return CheckResult("condhh-derandomization", trials, bad, worst,
-                       note="promise-instance property")
+        yield frac - need + TOL
 
 
-SUITE = (
-    check_hh_purification_duality,
-    check_hh_pure_tensor,
-    check_hh_support_sandwich,
-    check_max_entropy_ordering,
-    check_hh_subadditivity,
-    check_hh_mixed_ancilla_additivity,
-    check_hh_dimension_bound,
-    check_hh_near_pure,
-    check_hh_cond_pure,
-    check_hh_cond_purification_switch,
-    check_hh_cond_data_processing,
-    check_hh_average_to_worst_case,
-    check_dh_vs_lp,
-    check_hmin_smoothing,
-    check_compression_povm_validity,
-    check_compression_bot_mass,
-    check_compression_pair_closeness,
-    check_condhh_derandomization,
-)
-
-MANIFEST = (
-    "hh-purification-duality",
-    "hh-pure-tensor-invariance",
-    "hh-support-sandwich",
-    "max-entropy-ordering",
-    "hh-subadditivity",
-    "hh-mixed-ancilla-additivity",
-    "hh-dimension-bound",
-    "hh-near-pure-nonpositive",
-    "hh-cond-pure-nonpositive",
-    "hh-cond-purification-switch",
-    "hh-cond-data-processing",
-    "hh-average-to-worst-case",
-    "dh-neyman-pearson-vs-lp",
-    "hmin-truncation-smoothing",
-    "compression-povm-validity",
-    "compression-bot-mass",
-    "compression-pair-closeness",
-    "condhh-derandomization",
-)
+SUITE = tuple(_CHECKS.values())
+MANIFEST = tuple(_CHECKS)
 
 
 def run_suite(trials: int = 1000, eps: float | None = None, seed: int = 7,

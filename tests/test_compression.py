@@ -22,7 +22,7 @@ from puredist.sampling import (
     purified_input,
     random_povm,
 )
-from puredist.states import Povm, PureState
+from puredist.states import Povm, PureState, control_state
 
 
 def classical_instance(rng, da=2, db=2):
@@ -50,7 +50,7 @@ def test_trivial_povm_is_exact(rng):
 def test_rows_are_povms(rng):
     psi = purified_input(bell_pair())
     povm = random_povm(rng, 2, 3)
-    cm = compress_measurement(psi, povm, K=4, L=8, seed=2)
+    cm = compress_measurement(Instance(psi, povm, 0.1), K=4, L=8, seed=2)
     for k in range(cm.K):
         p = cm.theta_povm(k)  # Povm constructor revalidates PSD + sum
         assert p.labels[-1] == BOT
@@ -60,10 +60,11 @@ def test_rows_are_povms(rng):
 def test_seed_streams_extend_with_L(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    small = compress_measurement(psi, povm, K=4, L=8, seed=9)
-    big = compress_measurement(psi, povm, K=4, L=16, seed=9)
+    inst = Instance(psi, povm, 0.1)
+    small = compress_measurement(inst, K=4, L=8, seed=9)
+    big = compress_measurement(inst, K=4, L=16, seed=9)
     assert np.array_equal(small.decode, big.decode[:, :8])
-    wider = compress_measurement(psi, povm, K=8, L=8, seed=9)
+    wider = compress_measurement(inst, K=8, L=8, seed=9)
     assert np.array_equal(small.decode, wider.decode[:4])
 
 
@@ -79,7 +80,7 @@ def test_decode_marginal_matches_sampling_distribution(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
     p_x = povm.outcome_probs(psi.marginal(["A"]))
-    cm = compress_measurement(psi, povm, K=32, L=32, seed=1)
+    cm = compress_measurement(Instance(psi, povm, 0.1), K=32, L=32, seed=1)
     freq = np.bincount(cm.decode.reshape(-1), minlength=2) / cm.decode.size
     assert np.max(np.abs(freq - p_x)) < 0.15  # loose CLT check
 
@@ -89,7 +90,7 @@ def test_k1_basis_recovers_relabeled_measurement(rng):
     # projectors up to the failure weight
     psi = purified_input(bell_pair())
     povm = basis_povm(2, "A")
-    cm = compress_measurement(psi, povm, K=1, L=2, seed=12)
+    cm = compress_measurement(Instance(psi, povm, 0.1), K=1, L=2, seed=12)
     for l in range(2):
         x = cm.decode[0, l]
         proj = np.zeros((2, 2))
@@ -181,14 +182,14 @@ def test_quality_warning_when_L_too_small(rng):
     psi = purified_input(classical_correlated_pure(rng, 2, 2, joint=joint))
     povm = Povm([np.diag([0.97, 0.03]), np.diag([0.03, 0.97])], register="A")
     with pytest.warns(UserWarning, match="raise L"):
-        cm = compress_measurement(psi, povm, K=1, L=1, seed=13)
+        cm = compress_measurement(Instance(psi, povm, 0.1), K=1, L=1, seed=13)
     assert cm.quality_warning
 
 
 def test_json_round_trip(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    cm = compress_measurement(psi, povm, K=2, L=4, seed=5)
+    cm = compress_measurement(Instance(psi, povm, 0.1), K=2, L=4, seed=5)
     back = CompressedMeasurement.from_json(cm.to_json())
     assert back.K == cm.K and back.L == cm.L and back.seed == cm.seed
     assert np.array_equal(back.decode, cm.decode)
@@ -196,3 +197,65 @@ def test_json_round_trip(rng):
     for k in range(cm.K):
         for l in range(cm.L + 1):
             assert np.allclose(back.thetas[k][l], cm.thetas[k][l], atol=1e-15)
+
+
+def _kernel_outcome_instance(rng):
+    # A is supported on span{|0>, |1>} of a qutrit, so the basis outcome 2
+    # has probability zero and every ideal control state drops it
+    vec = np.zeros((3, 2, 2), dtype=complex)
+    vec[:2] = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    vec /= np.linalg.norm(vec)
+    psi = PureState([("A", 3), ("B", 2), ("R", 2)], vec)
+    return Instance(psi, basis_povm(3, "A"), 0.1)
+
+
+def test_ideal_states_equal_control_states(rng):
+    inst = _kernel_outcome_instance(rng)
+    psi, povm = inst.psi, inst.povm
+    pairs = [
+        (inst.ideal_env, control_state(psi, povm, condition_on=inst.env)),
+        (inst.ideal_a, control_state(psi, povm, condition_on=["A"],
+                                     retain_measured=True)),
+        (inst.ideal_bob, control_state(psi, povm, condition_on=["B"])),
+    ]
+    for got, want in pairs:
+        assert got.symbols == want.symbols == (0, 1)
+        assert got.dropped and want.dropped
+        assert np.array_equal(got.probs, want.probs)
+        for c_got, c_want in zip(got.conditionals, want.conditionals):
+            assert c_got.registers == c_want.registers
+            assert np.array_equal(c_got.matrix, c_want.matrix)
+
+
+def _count_psd_power(monkeypatch):
+    calls = []
+    orig = linalg.psd_power
+
+    def counting(m, power, *args, **kwargs):
+        calls.append((np.array(m), power))
+        return orig(m, power, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "psd_power", counting)
+    return calls
+
+
+def test_instance_measures_each_element_once(rng, monkeypatch):
+    from puredist.protocols import run_protocol_a
+    inst = _kernel_outcome_instance(rng)
+    calls = _count_psd_power(monkeypatch)
+    inst.ideal_env, inst.ideal_a, inst.ideal_bob  # build all three
+    run_protocol_a(inst)
+    assert len(calls) == len(inst.povm)
+    for (m, power), elem in zip(calls, inst.povm.elements):
+        assert power == 0.5 and np.array_equal(m, elem)
+
+
+def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):
+    psi = classical_instance(rng, 2, 3)
+    inst = Instance(psi, random_povm(rng, 2, 3), 0.1)
+    rho_a = psi.marginal(["A"])
+    calls = _count_psd_power(monkeypatch)
+    for seed in (1, 2):
+        inst.compression(K=2, L=4, seed=seed).sims  # table and conditionals
+    powers = sorted(p for m, p in calls if np.array_equal(m, rho_a))
+    assert powers == [-0.5, 0.5]

@@ -366,7 +366,7 @@ def test_purity_monotone_through_compressed_row(rng):
     # stay monotone when the protocol measures it coherently
     from puredist.compression import compress_measurement
     psi = purified_input(bell_pair())
-    cm = compress_measurement(psi, basis_povm(2, "A"), K=2, L=4, seed=1)
+    cm = compress_measurement(Instance(psi, basis_povm(2, "A"), 0.1), K=2, L=4, seed=1)
     tr = pr.purity_trace(psi, cm.theta_povm(0), 0.1)
     vals = [v for _, v in tr]
     assert all(vals[i + 1] <= vals[i] + 1e-7 for i in range(len(vals) - 1)), tr

@@ -13,12 +13,10 @@ from puredist.sampling import (
 from puredist.states import (
     CQState,
     DensityOperator,
-    DephasingChannel,
     Povm,
     ProtocolTranscript,
     PureState,
     control_state,
-    dephase,
     rank1_refine,
 )
 
@@ -77,43 +75,6 @@ def test_povm_validation(rng):
     assert np.allclose(sum(p.elements), np.eye(3), atol=1e-8)
 
 
-def test_dephase_diagonal_unchanged_and_plus_mixed():
-    ch = DephasingChannel.computational(2, "XA", "XB")
-    diag = DensityOperator([("XA", 2)], np.diag([0.3, 0.7]))
-    out = dephase(diag, ch)
-    assert np.allclose(out.matrix, np.diag([0.3, 0.7]))
-    assert out.labels == ["XB"]
-    plus = DensityOperator([("XA", 2)], np.full((2, 2), 0.5))
-    assert np.allclose(dephase(plus, ch).matrix, np.eye(2) / 2)
-
-
-def test_dephase_keeps_classical_correlations(rng):
-    # |0>|phi0> + |1>|phi1> correlated state dephases to a cq state with the
-    # same diagonal blocks
-    phi0 = np.array([1.0, 0.0])
-    phi1 = np.array([1.0, 1.0]) / np.sqrt(2)
-    vec = (np.kron([1, 0], phi0) + np.kron([0, 1], phi1)) / np.sqrt(2)
-    rho = DensityOperator([("XA", 2), ("B", 2)], np.outer(vec, vec.conj()))
-    out = dephase(rho, DephasingChannel.computational(2, "XA", "XB"))
-    # canonical register order is (B, XB): extract the x blocks by reshaping
-    assert out.labels == ["B", "XB"]
-    t = out.matrix.reshape(2, 2, 2, 2)
-    assert np.allclose(t[:, 0, :, 0], 0.5 * np.outer(phi0, phi0))
-    assert np.allclose(t[:, 1, :, 1], 0.5 * np.outer(phi1, phi1))
-    assert np.allclose(t[:, 0, :, 1], 0)
-
-
-def test_dephase_idempotent_unital(rng):
-    ch = DephasingChannel.computational(3, "XA", "XB")
-    ch2 = DephasingChannel.computational(3, "XB", "XC")
-    rho = random_density(rng, 3, "XA")
-    once = dephase(rho, ch)
-    twice = dephase(once, ch2)
-    assert np.allclose(once.matrix, twice.matrix, atol=1e-12)
-    mixed = DensityOperator([("XA", 3)], np.eye(3) / 3)
-    assert np.allclose(dephase(mixed, ch).matrix, np.eye(3) / 3)
-
-
 def test_control_state_trivial_povm(rng):
     psi = PureState([("A", 2), ("B", 2), ("R", 1)],
                     np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -143,12 +104,6 @@ def test_control_state_flags_dropped_outcomes():
     psi = PureState([("A", 2), ("B", 1)], np.array([1.0, 0.0]))
     cq = control_state(psi, basis_povm(2, "A"), condition_on=["B"])
     assert len(cq) == 1 and cq.dropped
-
-
-def test_dephase_missing_register(rng):
-    rho = random_density(rng, 2, "A")
-    with pytest.raises(KeyError):
-        dephase(rho, DephasingChannel.computational(2, "XA", "XB"))
 
 
 def test_control_state_bell_basis(rng):
