@@ -51,10 +51,6 @@ class CompressedMeasurement:
     register: str
     quality_warning: bool
 
-    def theta_povm(self, k: int) -> Povm:
-        labels = list(range(self.L)) + [BOT]
-        return Povm(self.thetas[k], labels, register=self.register)
-
     def q_l_given_k(self, k: int) -> np.ndarray:
         return self.q_kl[k] * self.K
 
@@ -118,12 +114,13 @@ class Instance:
     ``psi`` is pure on A, Bob's register and any reference; the POVM acts on
     its register A. Everything here depends on the state, the POVM and eps
     only, never on a compression seed, so each quantity is computed on
-    first use and kept: the environment labels, the measurement branches
-    sqrt(Lambda_x) psi, the ideal control states (the branches conditioned
-    on the whole environment, on A with the outcome retained, and on Bob),
-    the outcome distribution P_X and the roots Y_x the compressions are
-    built from, I_max of the environment ensemble at eps^4, and the H_H
-    conditional entropies of the nice-set bounds and the rate formulas.
+    first use and kept: the environment labels, the element roots
+    sqrt(Lambda_x) and the measurement branches sqrt(Lambda_x) psi, the
+    ideal control states (the branches conditioned on the whole
+    environment, on A with the outcome retained, and on Bob), the outcome
+    distribution P_X and the roots Y_x the compressions are built from,
+    I_max of the environment ensemble at eps^4, and the H_H conditional
+    entropies of the nice-set bounds and the rate formulas.
     ``compression(K, L, seed)`` hands out one ``Compression`` view per key.
     """
 
@@ -159,8 +156,12 @@ class Instance:
         return int(np.prod([self.psi.dim(l) for l in self.env]))
 
     @cached_property
+    def element_roots(self) -> list:
+        return [linalg.psd_power(e, 0.5) for e in self.povm.elements]
+
+    @cached_property
     def branches(self) -> list:
-        return states.measure(self.psi, self.povm.elements, self.povm.register)
+        return [self.psi.apply(r, [self.povm.register]) for r in self.element_roots]
 
     def _ideal(self, keep) -> states.CQState:
         return states.branch_ensemble(self.branches, self.povm.labels, keep)
@@ -190,8 +191,7 @@ class Instance:
         proportional to Y_x Y_x^dag, and Y_x^dag is its Kraus operator."""
         inv_sqrt = linalg.psd_power(self.rho_a, -0.5)
         sqrt_rho = linalg.psd_power(self.rho_a, 0.5)
-        return [inv_sqrt @ linalg.psd_power(e, 0.5) @ sqrt_rho
-                for e in self.povm.elements]
+        return [inv_sqrt @ r @ sqrt_rho for r in self.element_roots]
 
     @cached_property
     def ideal_env_bob(self) -> states.CQState:

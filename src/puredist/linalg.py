@@ -203,11 +203,3 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     sa = psd_power(a, 0.5)
     sb = psd_power(b, 0.5)
     return float(np.sum(np.linalg.svd(sa @ sb, compute_uv=False)))
-
-
-def generalized_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Fidelity extended to sub-states by the missing-trace term."""
-    f = fidelity(a, b)
-    ta = min(1.0, float(np.real(np.trace(a))))
-    tb = min(1.0, float(np.real(np.trace(b))))
-    return f + np.sqrt(max(0.0, 1.0 - ta) * max(0.0, 1.0 - tb))

@@ -13,6 +13,12 @@ log2(1/eps)) and ``rate_bound_real`` holds the slack-free formula value.
 Every protocol reads the ideal-state quantities from one
 ``compression.Instance`` and the compressed measurement, its nice sets and
 its chosen k from one ``compression.Compression`` view of it.
+
+All three protocols end in one path: ``_conditional_codes`` eigendecomposes
+each branch once (``_eig_code``) and codes a good set of branches of mass
+>= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
+``_final_error`` mixes the coded branches, and ``_distill_branches`` runs
+both parties' codes for ``run_protocol_a`` and ``run_kd_oneshot``.
 """
 
 import math
@@ -46,7 +52,6 @@ class DistillationIsometry:
     <= ag_dim) land in the A_p = 0 block.
     """
 
-    source: str
     pure_label: str
     garbage_label: str
     matrix: np.ndarray
@@ -54,40 +59,36 @@ class DistillationIsometry:
     a_p_bits: int
     ag_dim: int
 
-    def out_regs(self):
-        return [(self.pure_label, 2 ** self.a_p_bits), (self.garbage_label, self.ag_dim)]
+    def apply(self, state: PureState, reg: str) -> PureState:
+        return state.apply(self.matrix, [reg], out_regs=[
+            (self.pure_label, 2 ** self.a_p_bits), (self.garbage_label, self.ag_dim)])
 
 
-def _relabel_code(d: int, ap_bits: int, source: str, pure_label: str,
-                  garbage_label: str) -> DistillationIsometry:
-    """The plain index relabeling into ap_bits qubits (distills nothing)."""
+def _isometry(rows: np.ndarray, kept: int, ap_bits: int, pure_label: str,
+              garbage_label: str) -> DistillationIsometry:
+    """The d x d ``rows`` zero-padded to 2^ap_bits * ceil(d / 2^ap_bits)
+    rows: row i maps to basis state i. Rows conj(v).T of a descending
+    eigensystem distill; the identity is the plain index relabeling."""
+    d = rows.shape[0]
     ap = 2 ** ap_bits
     ag = math.ceil(d / ap)
     iso = np.zeros((ap * ag, d), dtype=complex)
-    for i in range(d):
-        iso[i, i] = 1.0
-    return DistillationIsometry(source, pure_label, garbage_label, iso,
-                                kept_dim=d, a_p_bits=ap_bits, ag_dim=ag)
-
-
-def _distill_isometry(mat: np.ndarray, eps: float, source: str = "A",
-                      pure_label: str = "Ap", garbage_label: str = "Ag",
-                      force_ap_bits: int | None = None) -> DistillationIsometry:
-    w, v = _descending_eig(mat)
-    d = mat.shape[0]
-    supp, k = entropy.truncated_support(w, eps)
-    kept = len(supp) - k
-    ap_bits = (d // kept).bit_length() - 1 if force_ap_bits is None else force_ap_bits
-    ap = 2 ** ap_bits
-    ag = math.ceil(d / ap)
-    iso = np.zeros((ap * ag, d), dtype=complex)
-    for i in range(d):
-        iso[i, :] = np.conj(v[:, i])  # eigenvector i -> basis state i
-    return DistillationIsometry(source, pure_label, garbage_label, iso,
+    iso[:d] = rows
+    return DistillationIsometry(pure_label, garbage_label, iso,
                                 kept_dim=kept, a_p_bits=ap_bits, ag_dim=ag)
 
 
-def local_distill(rho, eps: float, source: str = "A"):
+def _eig_code(mat: np.ndarray, eps: float):
+    """(bits, kept, rows) of one state's H_H^eps truncation code from one
+    eigendecomposition: bits = floor(log2(d / kept)), and the rows conj(v).T
+    send eigenvector i (eigenvalues descending) to basis state i."""
+    w, v = _descending_eig(mat)
+    supp, k = entropy.truncated_support(w, eps)
+    kept = len(supp) - k
+    return (mat.shape[0] // kept).bit_length() - 1, kept, np.conj(v).T
+
+
+def local_distill(rho, eps: float):
     """Single-system distillation isometry plus its exactly achieved error.
 
     The eigenvectors carrying all but the smallest <= eps of spectral mass
@@ -98,7 +99,8 @@ def local_distill(rho, eps: float, source: str = "A"):
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    iso = _distill_isometry(mat, eps, source=source)
+    bits, kept, rows = _eig_code(mat, eps)
+    iso = _isometry(rows, kept, bits, "Ap", "Ag")
     out = iso.matrix @ mat @ linalg.dagger(iso.matrix)
     ap = 2 ** iso.a_p_bits
     marg = linalg.partial_trace(out, [ap, iso.ag_dim], 0)
@@ -121,63 +123,62 @@ def _good_set_bits(values, masses, budget):
     return best, values >= best
 
 
-def _conditional_codes(marginals, masses, d: int, reg: str, eps: float,
-                       pure_label, garbage_label, budget: float):
+def _conditional_codes(marginals, masses, d: int, eps: float, pure_label,
+                       garbage_label):
     """Per-branch distillation isometries with one shared output size.
 
-    ``marginals[i]`` is branch i's normalized state on ``reg`` (None when
-    the branch is negligible) and ``masses[i]`` its probability. The shared
+    ``marginals[i]`` is branch i's normalized d x d state (None when the
+    branch is negligible) and ``masses[i]`` its probability. The shared
     qubit count is the largest one achievable on a set of branches of
-    probability mass >= 1 - budget; the excluded branches get the plain
-    index relabeling (their isometry distills nothing). The budget is
-    capped at 1/2 so the rule stays meaningful at large eps.
+    probability mass >= 1 - min(2 sqrt(eps), 1/2), the budget capped so the
+    rule stays meaningful at large eps. Each state is eigendecomposed once:
+    the good branches get their own code at that size, the others the plain
+    index relabeling (their isometry distills nothing).
     """
-    budget = min(budget, 0.5)
-    bits = [0 if mat is None else
-            _distill_isometry(mat, eps, source=reg, pure_label=pure_label,
-                              garbage_label=garbage_label).a_p_bits
-            for mat in marginals]
-    shared, ok = _good_set_bits(bits, masses, budget)
+    relabel = (0, d, np.eye(d))
+    codes = [relabel if mat is None else _eig_code(mat, eps) for mat in marginals]
+    shared, ok = _good_set_bits([c[0] for c in codes], masses, min(2.0 * np.sqrt(eps), 0.5))
     final = []
-    for mat, good in zip(marginals, ok):
-        if mat is None or not good:
-            final.append(_relabel_code(d, shared, reg, pure_label, garbage_label))
-        else:
-            final.append(_distill_isometry(mat, eps, source=reg,
-                                           pure_label=pure_label,
-                                           garbage_label=garbage_label,
-                                           force_ap_bits=shared))
+    for code, good in zip(codes, ok):
+        _, kept, rows = code if good else relabel
+        final.append(_isometry(rows, kept, shared, pure_label, garbage_label))
     return shared, final
 
 
-def _branch_codes(branches, reg: str, eps: float, pure_label, garbage_label,
-                  budget: float):
+def _branch_codes(branches, reg: str, eps: float, pure_label, garbage_label):
     """``_conditional_codes`` on the ``reg`` marginals of sub-normalized
     branches; branches below mass 1e-12 count as negligible."""
     masses = np.array([b.norm() ** 2 for b in branches])
     marginals = [b.marginal([reg]) / p if p >= 1e-12 else None
                  for b, p in zip(branches, masses)]
-    return _conditional_codes(marginals, masses, branches[0].dim(reg), reg, eps,
-                              pure_label, garbage_label, budget)
+    return _conditional_codes(marginals, masses, branches[0].dim(reg), eps,
+                              pure_label, garbage_label)
 
 
-def _mix_final_state(branches, alice_isos, bob_isos, a_reg, b_reg):
-    """Exact A_p x B_p mixture over dephased branches."""
+def _final_error(branches, codes) -> float:
+    """Trace distance to |0>|0> of the exact Ap x Bp mixture over dephased
+    branches; ``codes[i]`` lists branch i's (register, isometry) pairs,
+    applied in order. Branches below mass 1e-15 are skipped."""
     sigma = None
-    for br, ia, ib in zip(branches, alice_isos, bob_isos):
+    for br, code in zip(branches, codes):
         if br.norm() ** 2 < 1e-15:
             continue
-        st = br.apply(ia.matrix, [a_reg], out_regs=ia.out_regs())
-        st = st.apply(ib.matrix, [b_reg], out_regs=ib.out_regs())
-        m = st.marginal([ia.pure_label, ib.pure_label])
+        for reg, iso in code:
+            br = iso.apply(br, reg)
+        m = br.marginal(["Ap", "Bp"])
         sigma = m if sigma is None else sigma + m
-    return sigma
+    target = np.zeros(sigma.shape)
+    target[0, 0] = 1.0
+    return float(linalg.trace_distance(sigma, target))
 
 
-def _pure_target(dim_a: int, dim_b: int) -> np.ndarray:
-    t = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    t[0, 0] = 1.0
-    return t
+def _distill_branches(branches, a_reg: str, b_reg: str, eps: float):
+    """Both parties' conditional codes on the dephased branches; returns
+    (Alice's bits, Bob's bits, final error)."""
+    a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag")
+    b_bits, bob_isos = _branch_codes(branches, b_reg, eps, "Bp", "Bg")
+    codes = [[(a_reg, ia), (b_reg, ib)] for ia, ib in zip(alice_isos, bob_isos)]
+    return a_bits, b_bits, _final_error(branches, codes)
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -191,13 +192,7 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     psi, povm, eps, bob_label = inst.psi, inst.povm, inst.eps, inst.bob_label
     a_reg = povm.register
     n_x = len(povm)
-    branches = inst.branches
-    budget = 2.0 * np.sqrt(eps)
-    a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
-    b_bits, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
-    sigma = _mix_final_state(branches, alice_isos, bob_isos, a_reg, bob_label)
-    ap, bp = 2 ** a_bits, 2 ** b_bits
-    err = linalg.trace_distance(sigma, _pure_target(ap, bp))
+    a_bits, b_bits, err = _distill_branches(inst.branches, a_reg, bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
     formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps * eps)
@@ -210,7 +205,7 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
         distilled_bob=b_bits,
         borrowed=borrowed,
         communication=borrowed,
-        final_error=float(err),
+        final_error=err,
         eps=eps,
         seed=seed,
         dims={"A": da, "B": db, "X": n_x},
@@ -234,11 +229,7 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
     a_reg = inst.povm.register
     k = view.k
     branches = states.measure(psi, cm.thetas[k], a_reg)
-    budget = 2.0 * np.sqrt(eps)
-    a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
-    b_bits, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
-    sigma = _mix_final_state(branches, alice_isos, bob_isos, a_reg, bob_label)
-    err = linalg.trace_distance(sigma, _pure_target(2 ** a_bits, 2 ** b_bits))
+    a_bits, b_bits, err = _distill_branches(branches, a_reg, bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
     imax = inst.imax
@@ -252,7 +243,7 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
         distilled_bob=b_bits,
         borrowed=borrowed,
         communication=borrowed,
-        final_error=float(err),
+        final_error=err,
         eps=eps,
         seed=view.seed,
         dims={"A": da, "B": db, "K": cm.K, "L": cm.L},
@@ -438,20 +429,11 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
     bob_mats = [view.sims_bob[int(cm.decode[k, l])] for l in nice]
-    b_bits, bob_isos = _conditional_codes(bob_mats, p_nice, db, bob_label, eps,
-                                          "Bp", "Bg", 2.0 * np.sqrt(eps))
-    off_nice = _relabel_code(db, b_bits, bob_label, "Bp", "Bg")
-    bp = 2 ** b_bits
-
-    sigma = None
-    for idx, branch in state.branches("LA"):
-        if branch.norm() ** 2 < 1e-15:
-            continue
-        iso = bob_isos[idx] if idx < len(nice) else off_nice
-        st = branch.apply(iso.matrix, [bob_label], out_regs=iso.out_regs())
-        m = st.marginal(["Ap", "Bp"])
-        sigma = m if sigma is None else sigma + m
-    err = linalg.trace_distance(sigma, _pure_target(ap, bp))
+    b_bits, bob_isos = _conditional_codes(bob_mats, p_nice, db, eps, "Bp", "Bg")
+    off_nice = _isometry(np.eye(db), db, b_bits, "Bp", "Bg")
+    bob_isos += [off_nice] * (la - len(nice))
+    err = _final_error([b for _, b in state.branches("LA")],
+                       [[(bob_label, iso)] for iso in bob_isos])
 
     comm = int(np.log2(la))
     return ProtocolTranscript(
@@ -460,7 +442,7 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
         distilled_bob=b_bits,
         borrowed=plan.borrow,
         communication=comm,
-        final_error=float(err),
+        final_error=err,
         eps=eps,
         seed=view.seed,
         dims={"A": da, "B": db, "K": cm.K, "L": cm.L,
@@ -550,10 +532,8 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
                   purity(post.marginal(sorted(held + ["XA"])), borrow_bits)))
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
-    budget = 2.0 * np.sqrt(eps)
-    _, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag", budget)
-    blocks = [b.apply(iso.matrix, [a_reg], out_regs=iso.out_regs())
-              for b, iso in zip(branches, alice_isos)]
+    _, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag")
+    blocks = [iso.apply(b, a_reg) for b, iso in zip(branches, alice_isos)]
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
     trace.append(("conditional-codes", purity(coherent.marginal(keep), borrow_bits)))
@@ -563,9 +543,8 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    _, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg", budget)
-    final_blocks = [b.apply(iso.matrix, [bob_label], out_regs=iso.out_regs())
-                    for b, iso in zip(blocks, bob_isos)]
+    _, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg")
+    final_blocks = [iso.apply(b, bob_label) for b, iso in zip(blocks, bob_isos)]
     keep_f = sorted(set(final_blocks[0].labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
 

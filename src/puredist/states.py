@@ -239,19 +239,6 @@ class CQState:
     def __len__(self):
         return len(self.symbols)
 
-    def average_state(self) -> DensityOperator:
-        mat = sum(p * c.matrix for p, c in zip(self.probs, self.conditionals))
-        return DensityOperator(self.conditionals[0].registers, mat, validate=False)
-
-    def joint_matrix(self) -> np.ndarray:
-        """Block-diagonal matrix of the cq state on X x B with X major."""
-        d = self.conditionals[0].matrix.shape[0]
-        n = len(self.symbols)
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for i, (p, c) in enumerate(zip(self.probs, self.conditionals)):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = p * c.matrix
-        return out
-
     def map_conditionals(self, f) -> "CQState":
         return CQState(self.symbols, self.probs, [f(c) for c in self.conditionals])
 

@@ -52,7 +52,8 @@ def test_rows_are_povms(rng):
     povm = random_povm(rng, 2, 3)
     cm = compress_measurement(Instance(psi, povm, 0.1), K=4, L=8, seed=2)
     for k in range(cm.K):
-        p = cm.theta_povm(k)  # Povm constructor revalidates PSD + sum
+        # the Povm constructor revalidates PSD + sum
+        p = Povm(cm.thetas[k], list(range(cm.L)) + [BOT], register=cm.register)
         assert p.labels[-1] == BOT
         assert len(p) == cm.L + 1
 
@@ -245,9 +246,12 @@ def test_instance_measures_each_element_once(rng, monkeypatch):
     calls = _count_psd_power(monkeypatch)
     inst.ideal_env, inst.ideal_a, inst.ideal_bob  # build all three
     run_protocol_a(inst)
-    assert len(calls) == len(inst.povm)
+    inst.roots
+    # one sqrt per element, then rho_A^{-1/2} and rho_A^{1/2} for the roots
+    assert len(calls) == len(inst.povm) + 2
     for (m, power), elem in zip(calls, inst.povm.elements):
         assert power == 0.5 and np.array_equal(m, elem)
+    assert [p for _, p in calls[-2:]] == [-0.5, 0.5]
 
 
 def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):

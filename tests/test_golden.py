@@ -1,10 +1,11 @@
 """Golden stdout bytes of every CLI subcommand on small fixed instances.
 
 The expected files under ``tests/golden/`` pin the exact output bytes, so
-any refactor that changes a single digit fails here. They pin the numpy
-and OpenBLAS build of the machine that wrote them: floats are printed at
-17 significant digits, and another BLAS may round differently in the last
-place. Regenerate them (only after a deliberate output change) with
+any refactor that changes a single digit fails here; the ``purity-trace``
+case pins ``protocols.purity_trace``, which no subcommand prints. They pin
+the numpy and OpenBLAS build of the machine that wrote them: floats are
+printed at 17 significant digits, and another BLAS may round differently
+in the last place. Regenerate them (only after a deliberate output change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +20,7 @@ import pytest
 
 from puredist import io, sampling
 from puredist.cli import main
+from puredist.protocols import purity_trace
 from puredist.states import DensityOperator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -45,6 +47,7 @@ CASES = {
     "bounds-bell": ("bounds", *BELL),
     "bounds-mixed": ("bounds", *MIXED),
     "verify": ("verify", "--trials", "20"),
+    "purity-trace": None,  # no subcommand prints it: print_purity_trace
 }
 
 
@@ -58,10 +61,26 @@ def write_mixed(directory: Path):
     io.save_povm(povm, str(directory / "povm3.json"))
 
 
+def print_purity_trace():
+    """Every (step, value) of ``purity_trace`` at 17 digits on the Bell
+    instance and on demo 04's 4-outcome classical instance."""
+    small = np.array([[0.40, 0.05], [0.05, 0.20], [0.04, 0.16], [0.06, 0.04]])
+    cases = (
+        ("bell", sampling.bell_pair(), 2, 0.25),
+        ("demo04", sampling.classical_correlated_pure(None, 4, 2, joint=small / small.sum()),
+         4, 0.1),
+    )
+    for name, psi_ab, da, eps in cases:
+        psi = sampling.purified_input(psi_ab)
+        for step, value in purity_trace(psi, sampling.basis_povm(da, "A"), eps):
+            print(name, step, repr(value))
+    return 0
+
+
 def run_case(name: str) -> str:
     out = _io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = main(list(CASES[name]))
+        rc = print_purity_trace() if CASES[name] is None else main(list(CASES[name]))
     assert rc == 0, name
     return out.getvalue()
 

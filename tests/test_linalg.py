@@ -209,14 +209,6 @@ def test_fidelity_cases(rng):
     assert asym <= 1e-9
 
 
-def test_generalized_fidelity_substates():
-    a = 0.5 * np.diag([1.0, 0.0])
-    b = 0.5 * np.diag([0.0, 1.0])
-    # orthogonal substates still pick up the missing-trace term
-    assert np.isclose(linalg.generalized_fidelity(a, b), 0.5)
-    assert np.isclose(linalg.generalized_fidelity(np.diag([1.0, 0]), np.diag([0, 1.0])), 0.0)
-
-
 def test_fuchs_van_de_graaf(rng):
     for _ in range(300):
         d = int(rng.integers(2, 6))

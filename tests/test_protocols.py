@@ -7,6 +7,7 @@ from puredist.compression import Instance
 from puredist.sampling import (
     basis_povm,
     bell_pair,
+    classical_correlated_pure,
     ginibre_density,
     mixed_protocol_input,
     purified_input,
@@ -95,6 +96,26 @@ def test_protocol_a_transcript_fields(rng):
     d = t.to_dict()
     assert d["net_rate"] == d["distilled_alice"] + d["distilled_bob"] - d["borrowed"]
     assert d["seed"] == 5 and d["eps"] == 0.2
+
+
+def test_protocol_a_eigendecomposes_each_branch_once(monkeypatch):
+    # outcome 3 never occurs, so its branch is negligible and gets no code
+    joint = np.array([[0.5, 0.1], [0.05, 0.2], [0.1, 0.05], [0.0, 0.0]])
+    psi = purified_input(classical_correlated_pure(None, 4, 2, joint=joint))
+    inst = Instance(psi, basis_povm(4, "A"), 0.1)
+    pr.run_protocol_a(inst)  # fills the instance's caches
+    calls = []
+    orig = linalg.eig_hermitian
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return orig(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    t = pr.run_protocol_a(inst)
+    assert t.distilled_alice == 2  # every live branch is good for Alice
+    live = sum(b.norm() ** 2 >= 1e-12 for b in inst.branches)
+    assert live == 3 and len(calls) == 2 * live
 
 
 # ---------------------------------------------------------------- kd oneshot
@@ -367,7 +388,7 @@ def test_purity_monotone_through_compressed_row(rng):
     from puredist.compression import compress_measurement
     psi = purified_input(bell_pair())
     cm = compress_measurement(Instance(psi, basis_povm(2, "A"), 0.1), K=2, L=4, seed=1)
-    tr = pr.purity_trace(psi, cm.theta_povm(0), 0.1)
+    tr = pr.purity_trace(psi, Povm(cm.thetas[0], register=cm.register), 0.1)
     vals = [v for _, v in tr]
     assert all(vals[i + 1] <= vals[i] + 1e-7 for i in range(len(vals) - 1)), tr
 

@@ -57,15 +57,6 @@ def test_cq_state_drops_zero_probability(rng):
     assert np.isclose(np.sum(cq.probs), 1.0)
 
 
-def test_cq_average_and_joint(rng):
-    conds = [random_density(rng, 2, "B") for _ in range(3)]
-    cq = CQState([0, 1, 2], [0.2, 0.3, 0.5], conds)
-    avg = cq.average_state()
-    assert np.allclose(avg.matrix, sum(p * c.matrix for p, c in zip(cq.probs, cq.conditionals)))
-    j = cq.joint_matrix()
-    assert np.isclose(np.real(np.trace(j)), 1.0)
-
-
 def test_povm_validation(rng):
     with pytest.raises(ValueError):
         Povm([np.diag([0.5, 0.5]), np.diag([0.4, 0.4])])  # doesn't sum to I
