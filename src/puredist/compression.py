@@ -294,11 +294,15 @@ def compress_measurement(inst: Instance, K: int, L: int,
         raise ValueError("K and L must be at least 1")
     rho_a, p_x = inst.rho_a, inst.p_x
     d = rho_a.shape[0]
-
-    decode = np.zeros((K, L), dtype=int)
-    for k in range(K):
-        for l in range(L):
-            decode[k, l] = pair_rng(seed, k, l).choice(len(p_x), p=p_x)
+    # Generator.choice(len(p_x), p=p_x) per cell: its checks, then one draw
+    if (not np.all(np.isfinite(p_x)) or np.any(p_x < 0)
+            or abs(np.sum(p_x) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
+        raise ValueError(f"P_X is not a probability vector: {p_x}")
+    cdf = np.cumsum(p_x)
+    cdf /= cdf[-1]
+    u = [[pair_rng(seed, k, l).random() for l in range(L)] for k in range(K)]
+    decode = cdf.searchsorted(u, side="right")
+    rows = decode.tolist()
 
     # each cell operator depends on its sampled symbol only. Gram form
     # Y Y^dag keeps the operators PSD despite the rho^{-1/2} blowup.
@@ -307,21 +311,23 @@ def compress_measurement(inst: Instance, K: int, L: int,
             for x in set(decode.reshape(-1).tolist())}
 
     row_max = 0.0
-    for k in range(K):
-        row = sum(base[x] for x in decode[k]) / L
+    for xs in rows:
+        row = sum(base[x] for x in xs) / L
         row_max = max(row_max, float(np.max(linalg.eigvals_hermitian(row, tol=1e-7))))
     c = 1.0 / row_max if row_max > 0 else 1.0
 
+    # one operator and one outcome probability per symbol, shared by its cells
+    cell = {x: c / L * b for x, b in base.items()}
+    q_cell = {x: max(0.0, float(np.real(np.trace(m @ rho_a)))) / K for x, m in cell.items()}
     eye = np.eye(d)
     thetas = []
     q_kl = np.zeros((K, L + 1))
-    for k in range(K):
-        row = [c / L * base[x] for x in decode[k]]
+    for k, xs in enumerate(rows):
+        row = [cell[x] for x in xs]
         bot = eye - sum(row)
         bot = (bot + linalg.dagger(bot)) / 2
         thetas.append(tuple(row) + (bot,))
-        for l in range(L):
-            q_kl[k, l] = max(0.0, float(np.real(np.trace(row[l] @ rho_a)))) / K
+        q_kl[k, :L] = [q_cell[x] for x in xs]
         q_kl[k, L] = max(0.0, float(np.real(np.trace(bot @ rho_a)))) / K
 
     warning = c < 0.5

@@ -149,9 +149,10 @@ def d_h(rho, sigma, eps: float, iterations: int = 200) -> EntropyResult:
     The optimal test is a Neyman-Pearson operator: the projector onto the
     positive part of (rho - t*sigma) plus a fractional weight on the
     threshold eigenspace, with t located by bisection on Tr[Pi_t rho] =
-    1 - eps. ``sigma`` only needs to be PSD (not normalized). Returns
-    +inf (flagged in the witness) when the constraint is satisfiable with
-    zero overlap on supp(sigma).
+    1 - eps; at eps = 0 the test is the support projector Pi_rho of rho,
+    the closed form -log2 Tr[Pi_rho sigma]. ``sigma`` only needs to be PSD
+    (not normalized). Returns +inf (flagged in the witness) when the
+    constraint is satisfiable with zero overlap on supp(sigma).
     """
     _validate_eps(eps)
     r = _matrix(rho)
@@ -169,39 +170,43 @@ def d_h(rho, sigma, eps: float, iterations: int = 200) -> EntropyResult:
     if free_mass >= target - 1e-12:
         return EntropyResult(value=np.inf, witness={"infinite": True},
                              method="neyman-pearson")
+    if eps == 0.0:
+        # the support projector of rho is the optimal test
+        w, v = linalg.eig_hermitian(r)
+        t, pos, zero = 0.0, v[:, w > SUPPORT_TOL], v[:, :0]
+    else:
+        # (x + x^dagger) / 2 is Hermitian bit for bit, and so is every rh - t*sh:
+        # the bisection steps need neither a check nor a phase fix
+        rh = (r + linalg.dagger(r)) / 2.0
+        sh = (s + linalg.dagger(s)) / 2.0
 
-    # (x + x^dagger) / 2 is Hermitian bit for bit, and so is every rh - t*sh:
-    # the bisection steps need neither a check nor a phase fix
-    rh = (r + linalg.dagger(r)) / 2.0
-    sh = (s + linalg.dagger(s)) / 2.0
+        def pos_mass(t):
+            # strict positive part; the bisection pins the crossing eigenvalue
+            # onto this threshold, so the final split must use a wider band
+            w, v = np.linalg.eigh(rh - t * sh)
+            return float(np.real(np.conj(v) * (rh @ v)).sum(axis=0)[w > 0].sum())
 
-    def pos_mass(t):
-        # strict positive part; the bisection pins the crossing eigenvalue
-        # onto this threshold, so the final split must use a wider band
-        w, v = np.linalg.eigh(rh - t * sh)
-        return float(np.real(np.conj(v) * (rh @ v)).sum(axis=0)[w > 0].sum())
-
-    lmin_s = float(np.min(ws[ws > SUPPORT_TOL])) if np.any(ws > SUPPORT_TOL) else 1.0
-    lo = 0.0
-    hi = lmax_r / lmin_s + 1.0
-    guard = 0
-    while pos_mass(hi) >= target and guard < 60:
-        hi *= 2.0
-        guard += 1
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if pos_mass(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    t = 0.5 * (lo + hi)
-    snorm = float(np.max(ws)) if len(ws) else 1.0
-    band = max(SUPPORT_TOL, 10.0 * (hi - lo) * snorm)
-    w, v = linalg.eig_hermitian(r - t * s, tol=1e-7)
-    pos = v[:, w > band]
-    zero = v[:, np.abs(w) <= band]
+        lmin_s = float(np.min(ws[ws > SUPPORT_TOL])) if np.any(ws > SUPPORT_TOL) else 1.0
+        lo = 0.0
+        hi = lmax_r / lmin_s + 1.0
+        guard = 0
+        while pos_mass(hi) >= target and guard < 60:
+            hi *= 2.0
+            guard += 1
+        for _ in range(iterations):
+            mid = 0.5 * (lo + hi)
+            if pos_mass(mid) >= target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-14 * max(1.0, hi):
+                break
+        t = 0.5 * (lo + hi)
+        snorm = float(np.max(ws)) if len(ws) else 1.0
+        band = max(SUPPORT_TOL, 10.0 * (hi - lo) * snorm)
+        w, v = linalg.eig_hermitian(r - t * s, tol=1e-7)
+        pos = v[:, w > band]
+        zero = v[:, np.abs(w) <= band]
     a = float(np.real(np.trace(linalg.dagger(pos) @ r @ pos)))
     b = float(np.real(np.trace(linalg.dagger(zero) @ r @ zero)))
     gamma = 0.0 if b <= 1e-15 else min(1.0, max(0.0, (target - a) / b))
@@ -228,11 +233,10 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     gains, costs = [], []
     for p, cond in zip(cq.probs, cq.conditionals):
         w = cond.spectrum()
-        for lam in w[w > SUPPORT_TOL]:
-            gains.append(p * lam)
-            costs.append(p)
-    gains = np.asarray(gains)
-    costs = np.asarray(costs)
+        w = w[w > SUPPORT_TOL]
+        gains.append(p * w)
+        costs.append(np.full(len(w), p))
+    gains, costs = np.concatenate(gains), np.concatenate(costs)
     ratio = gains / costs
     order = np.argsort(-ratio, kind="stable")
     total, lam = _greedy_lp(gains[order], costs[order], 1.0 - eps)

@@ -15,10 +15,12 @@ Every protocol reads the ideal-state quantities from one
 its chosen k from one ``compression.Compression`` view of it.
 
 All three protocols end in one path: ``_conditional_codes`` eigendecomposes
-each branch once (``_eig_code``) and codes a good set of branches of mass
->= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
+each distinct branch once (``_eig_code``) and codes a good set of outcomes
+of mass >= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
 ``_final_error`` mixes the coded branches, and ``_distill_branches`` runs
 both parties' codes for ``run_protocol_a`` and ``run_kd_oneshot``.
+``cells`` maps each outcome, in order, to its branch, so the cells of one
+decoded symbol share one measured, coded and reduced branch.
 """
 
 import math
@@ -110,75 +112,79 @@ def local_distill(rho, eps: float):
     return iso, float(err)
 
 
-def _good_set_bits(values, masses, budget):
+def _good_set_bits(values, masses, budget) -> int:
     """Largest b such that the outcomes with value >= b keep mass
-    >= 1 - budget; returns (b, indicator list)."""
+    >= 1 - budget."""
     values = np.asarray(values, dtype=int)
     masses = np.asarray(masses, dtype=float)
-    best = 0
     for b in sorted(set(values.tolist()), reverse=True):
         if float(np.sum(masses[values >= b])) >= 1.0 - budget - 1e-12:
-            best = b
-            break
-    return best, values >= best
+            return b
+    return 0
 
 
-def _conditional_codes(marginals, masses, d: int, eps: float, pure_label,
+def _conditional_codes(marginals, masses, cells, d: int, eps: float, pure_label,
                        garbage_label):
     """Per-branch distillation isometries with one shared output size.
 
     ``marginals[i]`` is branch i's normalized d x d state (None when the
-    branch is negligible) and ``masses[i]`` its probability. The shared
-    qubit count is the largest one achievable on a set of branches of
-    probability mass >= 1 - min(2 sqrt(eps), 1/2), the budget capped so the
-    rule stays meaningful at large eps. Each state is eigendecomposed once:
-    the good branches get their own code at that size, the others the plain
-    index relabeling (their isometry distills nothing).
+    branch is negligible); outcome j has branch ``cells[j]`` and probability
+    ``masses[j]``. The shared qubit count is the largest one achievable on
+    a set of outcomes of probability mass >= 1 - min(2 sqrt(eps), 1/2), the
+    budget capped so the rule stays meaningful at large eps. Each branch is
+    eigendecomposed once: the good ones get their own code at that size,
+    the others the plain index relabeling (their isometry distills
+    nothing). Returns the shared size and one isometry per branch.
     """
     relabel = (0, d, np.eye(d))
     codes = [relabel if mat is None else _eig_code(mat, eps) for mat in marginals]
-    shared, ok = _good_set_bits([c[0] for c in codes], masses, min(2.0 * np.sqrt(eps), 0.5))
+    shared = _good_set_bits([codes[i][0] for i in cells], masses,
+                            min(2.0 * np.sqrt(eps), 0.5))
     final = []
-    for code, good in zip(codes, ok):
-        _, kept, rows = code if good else relabel
+    for code in codes:
+        _, kept, rows = code if code[0] >= shared else relabel
         final.append(_isometry(rows, kept, shared, pure_label, garbage_label))
     return shared, final
 
 
-def _branch_codes(branches, reg: str, eps: float, pure_label, garbage_label):
+def _branch_codes(branches, cells, reg: str, eps: float, pure_label, garbage_label):
     """``_conditional_codes`` on the ``reg`` marginals of sub-normalized
     branches; branches below mass 1e-12 count as negligible."""
     masses = np.array([b.norm() ** 2 for b in branches])
     marginals = [b.marginal([reg]) / p if p >= 1e-12 else None
                  for b, p in zip(branches, masses)]
-    return _conditional_codes(marginals, masses, branches[0].dim(reg), eps,
-                              pure_label, garbage_label)
+    return _conditional_codes(marginals, masses[list(cells)], cells,
+                              branches[0].dim(reg), eps, pure_label, garbage_label)
 
 
-def _final_error(branches, codes) -> float:
+def _final_error(branches, codes, cells) -> float:
     """Trace distance to |0>|0> of the exact Ap x Bp mixture over dephased
-    branches; ``codes[i]`` lists branch i's (register, isometry) pairs,
-    applied in order. Branches below mass 1e-15 are skipped."""
-    sigma = None
-    for br, code in zip(branches, codes):
-        if br.norm() ** 2 < 1e-15:
-            continue
-        for reg, iso in code:
+    outcomes; outcome j has branch ``cells[j]``, and ``codes[i]`` lists
+    branch i's (register, isometry) pairs, applied in order. Each branch is
+    coded and reduced once; the mixture adds one marginal per outcome, in
+    outcome order, skipping branches below mass 1e-15."""
+    live = [i for i in cells if branches[i].norm() ** 2 >= 1e-15]
+    margs = {}
+    for i in dict.fromkeys(live):
+        br = branches[i]
+        for reg, iso in codes[i]:
             br = iso.apply(br, reg)
-        m = br.marginal(["Ap", "Bp"])
-        sigma = m if sigma is None else sigma + m
+        margs[i] = br.marginal(["Ap", "Bp"])
+    sigma = margs[live[0]]
+    for i in live[1:]:
+        sigma = sigma + margs[i]
     target = np.zeros(sigma.shape)
     target[0, 0] = 1.0
     return float(linalg.trace_distance(sigma, target))
 
 
-def _distill_branches(branches, a_reg: str, b_reg: str, eps: float):
-    """Both parties' conditional codes on the dephased branches; returns
-    (Alice's bits, Bob's bits, final error)."""
-    a_bits, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag")
-    b_bits, bob_isos = _branch_codes(branches, b_reg, eps, "Bp", "Bg")
+def _distill_branches(branches, cells, a_reg: str, b_reg: str, eps: float):
+    """Both parties' conditional codes on the dephased outcomes of branches
+    ``cells``; returns (Alice's bits, Bob's bits, final error)."""
+    a_bits, alice_isos = _branch_codes(branches, cells, a_reg, eps, "Ap", "Ag")
+    b_bits, bob_isos = _branch_codes(branches, cells, b_reg, eps, "Bp", "Bg")
     codes = [[(a_reg, ia), (b_reg, ib)] for ia, ib in zip(alice_isos, bob_isos)]
-    return a_bits, b_bits, _final_error(branches, codes)
+    return a_bits, b_bits, _final_error(branches, codes, cells)
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -192,7 +198,7 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     psi, povm, eps, bob_label = inst.psi, inst.povm, inst.eps, inst.bob_label
     a_reg = povm.register
     n_x = len(povm)
-    a_bits, b_bits, err = _distill_branches(inst.branches, a_reg, bob_label, eps)
+    a_bits, b_bits, err = _distill_branches(inst.branches, range(n_x), a_reg, bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
     formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps * eps)
@@ -228,8 +234,12 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
     k = view.k
-    branches = states.measure(psi, cm.thetas[k], a_reg)
-    a_bits, b_bits, err = _distill_branches(branches, a_reg, bob_label, eps)
+    row = cm.decode[k].tolist()
+    symbols = list(dict.fromkeys(row))
+    elements = [cm.thetas[k][row.index(x)] for x in symbols] + [cm.thetas[k][-1]]
+    cells = [symbols.index(x) for x in row] + [len(symbols)]
+    branches = states.measure(psi, elements, a_reg)
+    a_bits, b_bits, err = _distill_branches(branches, cells, a_reg, bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
     imax = inst.imax
@@ -396,21 +406,25 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
         raise NoGoodK("nice outcomes carry no probability; raise L or K")
     p_nice = p_nice / np.sum(p_nice)
 
-    # truncated conditionals and their purifications into A_g
+    # truncated conditionals, one per nice symbol, and their purifications
+    # into A_g at every nice outcome of that symbol
+    nice_x = [int(cm.decode[k, l]) for l in nice]
+    symbols = list(dict.fromkeys(nice_x))
+    cells = [symbols.index(x) for x in nice_x]
     h_env, _ = view.pair_entropies
     ap, la, ag = plan.ap_dim, plan.la_dim, plan.ag_dim
     target = np.zeros((ap, la, ag, inst.env_dim), dtype=complex)
-    for idx, l in enumerate(nice):
-        x = int(cm.decode[k, l])
+    for x in symbols:
         w, v = _descending_eig(view.sims[x])
         weights = np.zeros_like(w)
         weights[: len(h_env[x].witness["weights"])] = h_env[x].witness["weights"]
         tw = w * weights
         tw = tw / np.sum(tw)
-        for j in range(min(ag, len(tw))):
-            if tw[j] <= 1e-15:
-                continue
-            target[0, idx, j, :] = np.sqrt(p_nice[idx] * tw[j]) * v[:, j]
+        for idx in [i for i, y in enumerate(nice_x) if y == x]:
+            for j in range(min(ag, len(tw))):
+                if tw[j] <= 1e-15:
+                    continue
+                target[0, idx, j, :] = np.sqrt(p_nice[idx] * tw[j]) * v[:, j]
 
     chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
                     + [(l, psi.dim(l)) for l in env_sorted], target)
@@ -428,12 +442,12 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    bob_mats = [view.sims_bob[int(cm.decode[k, l])] for l in nice]
-    b_bits, bob_isos = _conditional_codes(bob_mats, p_nice, db, eps, "Bp", "Bg")
+    b_bits, bob_isos = _conditional_codes([view.sims_bob[x] for x in symbols], p_nice,
+                                          cells, db, eps, "Bp", "Bg")
     off_nice = _isometry(np.eye(db), db, b_bits, "Bp", "Bg")
-    bob_isos += [off_nice] * (la - len(nice))
+    bob_isos = [bob_isos[i] for i in cells] + [off_nice] * (la - len(nice))
     err = _final_error([b for _, b in state.branches("LA")],
-                       [[(bob_label, iso)] for iso in bob_isos])
+                       [[(bob_label, iso)] for iso in bob_isos], range(la))
 
     comm = int(np.log2(la))
     return ProtocolTranscript(
@@ -532,7 +546,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
                   purity(post.marginal(sorted(held + ["XA"])), borrow_bits)))
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
-    _, alice_isos = _branch_codes(branches, a_reg, eps, "Ap", "Ag")
+    _, alice_isos = _branch_codes(branches, range(n_x), a_reg, eps, "Ap", "Ag")
     blocks = [iso.apply(b, a_reg) for b, iso in zip(branches, alice_isos)]
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
@@ -543,7 +557,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    _, bob_isos = _branch_codes(branches, bob_label, eps, "Bp", "Bg")
+    _, bob_isos = _branch_codes(branches, range(n_x), bob_label, eps, "Bp", "Bg")
     final_blocks = [iso.apply(b, bob_label) for b, iso in zip(blocks, bob_isos)]
     keep_f = sorted(set(final_blocks[0].labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))

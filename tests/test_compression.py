@@ -77,6 +77,26 @@ def test_pair_rng_deterministic():
     assert (a != c) or True  # different streams may collide but not identical
 
 
+@pytest.mark.parametrize("K,L", [(1, 1), (3, 5), (4, 8), (16, 32)])
+def test_decode_matches_generator_choice(rng, K, L):
+    # the table draw is numpy's choice(n, p=P_X) on each cell's own stream
+    for seed in (0, 7, 123):
+        psi = classical_instance(rng, 3, 2)
+        inst = Instance(psi, random_povm(rng, 3, 4), 0.1)
+        cm = compress_measurement(inst, K=K, L=L, seed=seed)
+        want = [[pair_rng(seed, k, l).choice(len(inst.p_x), p=inst.p_x) for l in range(L)]
+                for k in range(K)]
+        assert np.array_equal(cm.decode, want)
+
+
+@pytest.mark.parametrize("p_x", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.5, 0.5]])
+def test_compress_measurement_rejects_a_bad_p_x(rng, monkeypatch, p_x):
+    inst = Instance(classical_instance(rng, 3, 2), basis_povm(3, "A"), 0.1)
+    monkeypatch.setattr(Instance, "p_x", np.array(p_x))
+    with pytest.raises(ValueError, match="P_X"):
+        compress_measurement(inst, K=2, L=2, seed=0)
+
+
 def test_decode_marginal_matches_sampling_distribution(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")

@@ -158,6 +158,20 @@ def test_d_h_examples(rng):
     assert np.isclose(ent.d_h(rho, sig, 0.0).value, -np.log2(0.5), atol=1e-9)
 
 
+def test_d_h_at_eps_zero_is_the_support_projector_closed_form(rng):
+    for _ in range(20):
+        d = int(rng.integers(2, 9))
+        rho = ginibre_density(rng, d, rank=int(rng.integers(1, d)))
+        sig = ginibre_density(rng, d)
+        w, v = np.linalg.eigh(rho)
+        proj = v[:, w > 1e-12] @ linalg.dagger(v[:, w > 1e-12])
+        want = -np.log2(np.trace(proj @ sig).real)
+        first, second = ent.d_h(rho, sig, 0.0), ent.d_h(rho, sig, 0.0)
+        assert np.isclose(first.value, want, rtol=0, atol=1e-9)
+        assert first.value == second.value
+        assert np.isclose(first.witness["achieved_mass"], 1.0, atol=1e-9)
+
+
 def test_d_h_infinite_flag():
     r = ent.d_h(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.1)
     assert np.isinf(r.value) and r.witness.get("infinite")
@@ -250,8 +264,11 @@ def test_h_h_cond_cq_matches_scipy(rng):
                     gains.append(p * lam)
                     costs.append(p)
         want = lp_scipy_oracle(gains, costs, 1 - eps)
-        got = ent.h_h_cond_cq(cq, eps).value
-        assert np.isclose(2.0 ** got, want, atol=1e-8)
+        res = ent.h_h_cond_cq(cq, eps)
+        assert np.isclose(2.0 ** res.value, want, atol=1e-8)
+        # the LP arrays hold exactly the pairs of this loop
+        assert np.array_equal(np.sort(res.witness["gains"]), np.sort(gains))
+        assert np.array_equal(np.sort(res.witness["costs"]), np.sort(costs))
 
 
 def test_h_min_cq_examples(rng):

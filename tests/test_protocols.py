@@ -118,7 +118,36 @@ def test_protocol_a_eigendecomposes_each_branch_once(monkeypatch):
     assert live == 3 and len(calls) == 2 * live
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return orig(m, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 # ---------------------------------------------------------------- kd oneshot
+
+def test_kd_oneshot_codes_each_distinct_symbol_once(rng, monkeypatch):
+    psi = near_pure_classical(rng, 4, 4, top=0.7)
+    view = Instance(psi, basis_povm(4, "A"), 0.25).compression(K=8, L=16, seed=2)
+    pr.run_kd_oneshot(view)  # fills the instance's and the view's caches
+    distinct = len(set(view.cm.decode[view.k].tolist()))
+    assert 1 < distinct < view.L
+    # every cell and the failure element carry mass, so every branch is live
+    assert np.min(view.cm.q_l_given_k(view.k)) > 1e-6
+    roots = _count_calls(monkeypatch, linalg, "psd_power")
+    eigs = _count_calls(monkeypatch, linalg, "eig_hermitian")
+    pr.run_kd_oneshot(view)
+    # one root per distinct symbol plus the failure element; each root is one
+    # eigendecomposition and each live branch takes one code per party
+    assert len(roots) == distinct + 1
+    assert len(eigs) == len(roots) + 2 * (distinct + 1)
+
 
 def test_kd_oneshot_classical(rng):
     psi = near_pure_classical(rng, 4, 4)
@@ -223,6 +252,18 @@ def test_fewqubits_case1_on_large_A(rng):
     assert t.dims["Ap"] * t.dims["LA"] * t.dims["Ag"] == 8 * 2 ** t.borrowed
     assert t.communication == int(np.log2(t.dims["LA"]))
     assert t.extra["uhlmann_overlap"] <= 1 + 1e-9
+
+
+def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
+    psi = near_pure_classical(rng, 8, 4)
+    view = Instance(psi, basis_povm(8, "A"), 0.25).compression(K=4, L=16, seed=1)
+    pr.run_fewqubits(view)  # fills the instance's and the view's caches
+    _, nice = view.nice
+    symbols = {int(view.cm.decode[view.k, l]) for l in nice[view.k]}
+    assert len(symbols) < len(nice[view.k])
+    codes = _count_calls(monkeypatch, pr, "_eig_code")
+    pr.run_fewqubits(view)
+    assert len(codes) == len(symbols)
 
 
 def test_fewqubits_beats_kd_on_borrow(rng):
