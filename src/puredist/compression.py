@@ -7,10 +7,11 @@ the original POVM. A decode table maps (k, l) back to original outcomes.
 Randomness discipline: the table entry x(k, l) is drawn from its own PCG64
 stream keyed by SeedSequence(seed, spawn_key=(k, l)), so enlarging K or L
 keeps every shared cell identical. That is what makes paired comparisons
-across table sizes meaningful.
+across table sizes meaningful. ``_table_uniforms`` draws all cells at once.
 """
 
 import json
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -26,6 +27,51 @@ BOT = "bot"
 
 def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, l)))
+
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _table_uniforms(seed: int, K: int, L: int) -> np.ndarray:
+    """``pair_rng(seed, k, l).random()`` of every cell as a K x L array: numpy's
+    SeedSequence in uint32 arrays, then each cell's PCG64 in 128-bit ints."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    # entropy: the seed's 32-bit words zero-padded to 4, then the spawn key k, l
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = list(np.array(words + [0] * (4 - len(words)), dtype=np.uint32).reshape(-1, 1, 1))
+    entropy += [np.arange(K, dtype=np.uint32)[:, None], np.arange(L, dtype=np.uint32)]
+    hash_const = 0x43b0d7e5  # numpy's INIT_A; the default mult is MULT_A
+
+    def hashmix(value, mult=0x931e8875):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix_in(dst, value):
+        r = 0xca01f9dd * pool[dst] - 0x4973f715 * hashmix(value)
+        pool[dst] = r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+        mix_in(dst, pool[src])
+    for w, dst in [(w, dst) for w in entropy[4:] for dst in range(4)]:
+        mix_in(dst, w)
+    hash_const = 0x8b51f9dd  # generate_state(4, uint64): INIT_B, MULT_B, words low-high
+    state = [hashmix(pool[i % 4], 0x58f38ded).astype(np.uint64) for i in range(8)]
+    v = [(state[2 * j] | state[2 * j + 1] << 32).ravel().tolist() for j in range(4)]
+    raw = []
+    for v0, v1, v2, v3 in zip(*v):
+        # PCG64 seeding (step from 0, add the state, step), then random()'s step
+        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+        s = (((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
+        x, rot = (s >> 64 ^ s) & _MASK64, s >> 122
+        raw.append(((x >> rot | x << (64 - rot)) & _MASK64) >> 11)
+    return np.array(raw, dtype=float).reshape(K, L) * 2.0 ** -53
 
 
 @dataclass(eq=False)
@@ -58,9 +104,7 @@ class CompressedMeasurement:
         """Total simulated probability routed to each original outcome
         (failure mass excluded)."""
         w = np.zeros(n_outcomes)
-        for k in range(self.K):
-            for l in range(self.L):
-                w[self.decode[k, l]] += self.q_kl[k, l]
+        np.add.at(w, self.decode.reshape(-1), self.q_kl[:, :self.L].reshape(-1))
         return w
 
     def to_json(self) -> str:
@@ -228,6 +272,18 @@ class Instance:
             probs[x], conds[x] = p, c.matrix
         return probs, conds
 
+    @cached_property
+    def ideal_blocks(self) -> np.ndarray:
+        """P(x) rho_x^env per POVM outcome x as one stack, zero if x is dropped;
+        ``ideal_block_norms`` holds their trace norms."""
+        probs, conds = self.ideal_by_outcome
+        return np.array([p * conds[x] if p > 0 else np.zeros((self.env_dim,) * 2, dtype=complex)
+                         for x, p in enumerate(probs)])
+
+    @cached_property
+    def ideal_block_norms(self) -> np.ndarray:
+        return linalg.trace_norm(self.ideal_blocks)
+
 
 class Compression:
     """One K x L compressed measurement of an ``Instance`` and what derives
@@ -300,8 +356,7 @@ def compress_measurement(inst: Instance, K: int, L: int,
         raise ValueError(f"P_X is not a probability vector: {p_x}")
     cdf = np.cumsum(p_x)
     cdf /= cdf[-1]
-    u = [[pair_rng(seed, k, l).random() for l in range(L)] for k in range(K)]
-    decode = cdf.searchsorted(u, side="right")
+    decode = cdf.searchsorted(_table_uniforms(seed, K, L), side="right")
     rows = decode.tolist()
 
     # each cell operator depends on its sampled symbol only. Gram form
@@ -310,10 +365,8 @@ def compress_measurement(inst: Instance, K: int, L: int,
     base = {x: (roots[x] @ linalg.dagger(roots[x])) / p_x[x]
             for x in set(decode.reshape(-1).tolist())}
 
-    row_max = 0.0
-    for xs in rows:
-        row = sum(base[x] for x in xs) / L
-        row_max = max(row_max, float(np.max(linalg.eigvals_hermitian(row, tol=1e-7))))
+    row_sums = np.array([sum(base[x] for x in xs) / L for xs in rows])
+    row_max = max(0.0, float(np.max(linalg.eigvals_hermitian(row_sums, tol=1e-7))))
     c = 1.0 / row_max if row_max > 0 else 1.0
 
     # one operator and one outcome probability per symbol, shared by its cells
@@ -360,19 +413,18 @@ def simulated_conditionals(view: Compression):
     return out, env
 
 
-def _block_distance(view: Compression, weights) -> float:
+def _block_distances(view: Compression, weights: np.ndarray) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated
-    mixture with per-symbol ``weights``, summed block by block over the
-    POVM outcomes."""
-    probs, conds = view.instance.ideal_by_outcome
-    d_env = view.instance.env_dim
-    dist = 0.0
-    for x, p in enumerate(probs):
-        blk = p * conds[x] if p > 0 else np.zeros((d_env, d_env), dtype=complex)
-        if weights[x] > 0 and x in view.sims:
-            blk = blk - weights[x] * view.sims[x]
-        dist += linalg.trace_norm(blk)
-    return dist
+    mixture of each row of per-symbol ``weights`` (rows x outcomes), summed
+    block by block in outcome order over one stacked trace norm."""
+    inst, sims = view.instance, view.sims
+    live = (weights > 0) & np.isin(np.arange(weights.shape[1]), list(sims))
+    norms = np.where(live, 0.0, inst.ideal_block_norms)
+    ks, xs = np.nonzero(live)
+    blocks = inst.ideal_blocks[xs]
+    sim = np.array([sims[x] for x in xs.tolist()]).reshape(blocks.shape)
+    norms[ks, xs] = linalg.trace_norm(blocks - weights[ks, xs][:, None, None] * sim)
+    return np.cumsum(norms, axis=1)[:, -1]  # sequential, in outcome order
 
 
 def validate_compression(view: Compression) -> CompressionReport:
@@ -397,7 +449,7 @@ def validate_compression(view: Compression) -> CompressionReport:
     qk_dev = float(np.sum(np.abs(np.sum(cm.q_kl, axis=1) - 1.0 / cm.K)))
     bot_mass = float(np.sum(cm.q_kl[:, cm.L]))
     return CompressionReport(
-        ideal_vs_simulated=float(_block_distance(view, weights)),
+        ideal_vs_simulated=float(_block_distances(view, weights[None])[0]),
         per_pair_state_dist=float(per_pair),
         qkl_vs_uniform=qkl_dev,
         qk_vs_uniform=qk_dev,
@@ -437,14 +489,11 @@ def per_k_errors(view: Compression) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated one
     restricted to each k (the dominant per-k protocol error term)."""
     cm = view.cm
-    errs = np.zeros(cm.K)
-    for k in range(cm.K):
-        q = cm.q_l_given_k(k)
-        w = np.zeros(len(view.instance.povm))
-        for l in range(cm.L):
-            w[cm.decode[k, l]] += q[l]
-        errs[k] = _block_distance(view, w)
-    return errs
+    w = np.zeros((cm.K, len(view.instance.povm)))
+    # each weight adds its cells' q(l|k) in l order, as one loop over l would
+    np.add.at(w, (np.arange(cm.K).repeat(cm.L), cm.decode.reshape(-1)),
+              (cm.q_kl[:, :cm.L] * cm.K).reshape(-1))
+    return _block_distances(view, w)
 
 
 class NoGoodK(RuntimeError):

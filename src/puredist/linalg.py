@@ -10,6 +10,9 @@ phase-canonicalized, so repeated runs are byte-identical), and
 ``eigvals_hermitian`` when only the eigenvalues are (the same bits,
 without the phase fix). ``np.linalg.eigvalsh`` is not used in their
 place: its eigenvalues differ from ``eigh``'s in the last bits.
+
+Both eigen functions and ``trace_norm`` also take an (n, d, d) stack, in
+one LAPACK batch, and give each member the bits of its own 2-D call.
 """
 
 import numpy as np
@@ -49,15 +52,15 @@ def _checked_eigh(m: np.ndarray, tol: float):
     """``np.linalg.eigh`` of the symmetrized ``m`` after the shape and
     Hermitian checks both public eigen functions share."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.size and not np.max(np.abs(m - dagger(m))) <= tol:  # is_hermitian, stacks too
         raise ValueError("matrix is not Hermitian within tolerance")
     return _eigh(m)
 
 
 def _eigh(m: np.ndarray):
-    """``np.linalg.eigh`` of the symmetrized complex matrix ``m``, unchecked."""
+    """``np.linalg.eigh`` of the symmetrized complex matrix or stack ``m``, unchecked."""
     return np.linalg.eigh((m + dagger(m)) / 2.0)
 
 
@@ -83,6 +86,8 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
         If ``m`` is not square or not Hermitian within ``tol``.
     """
     w, v = _checked_eigh(m, tol)
+    if v.ndim == 3:
+        return w, np.array([_canonical_phases(x) for x in v]).reshape(v.shape)
     return w, _canonical_phases(v)
 
 
@@ -180,13 +185,19 @@ def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
     return psi.reshape(d * rank)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian m, the sum of |eigenvalues|
-    (the same eigenvalue bits as ``eigvals_hermitian``)."""
+def trace_norm(m: np.ndarray):
+    """Sum of singular values, per matrix of a stack too; for a Hermitian
+    matrix, the sum of |eigenvalues| (the same bits as ``eigvals_hermitian``)."""
     m = np.asarray(m, dtype=complex)
-    if is_hermitian(m, 1e-8):
-        return float(np.sum(np.abs(_eigh(m)[0])))
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    if m.ndim == 2:
+        if is_hermitian(m, 1e-8):
+            return float(np.sum(np.abs(_eigh(m)[0])))
+        return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    herm = np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= 1e-8
+    out = np.empty(len(m))
+    out[herm] = np.sum(np.abs(_eigh(m[herm])[0]), axis=-1)
+    out[~herm] = np.sum(np.linalg.svd(m[~herm], compute_uv=False), axis=-1)
+    return out
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

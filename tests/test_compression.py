@@ -7,6 +7,7 @@ from puredist.compression import (
     CompressedMeasurement,
     Instance,
     NoGoodK,
+    _table_uniforms,
     compress_measurement,
     find_good_k,
     nice_sets,
@@ -87,6 +88,32 @@ def test_decode_matches_generator_choice(rng, K, L):
         want = [[pair_rng(seed, k, l).choice(len(inst.p_x), p=inst.p_x) for l in range(L)]
                 for k in range(K)]
         assert np.array_equal(cm.decode, want)
+
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 7]
+
+
+@pytest.mark.parametrize("K,L", [(1, 1), (3, 5), (16, 16), (8, 40)])
+def test_table_uniforms_match_pair_rng(K, L):
+    # the vectorized draw is the one random() of each cell's own stream, bit
+    # for bit; the edge seeds cross the word counts where the padding stops
+    rng = np.random.default_rng(8)
+    seeds = _EDGE_SEEDS + [int.from_bytes(rng.bytes(32), "little") >> int(rng.integers(0, 256))
+                           for _ in range(20)]
+    for seed in seeds:
+        want = [[pair_rng(seed, k, l).random() for l in range(L)] for k in range(K)]
+        assert np.array_equal(_table_uniforms(seed, K, L), want), seed
+
+
+def test_table_uniforms_take_seeds_as_seed_sequence_does():
+    for bad, err in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(err):
+            np.random.SeedSequence(bad)
+        with pytest.raises(err):
+            _table_uniforms(bad, 2, 2)
+    want = [[pair_rng(np.int64(5), k, l).random() for l in range(3)] for k in range(2)]
+    assert np.array_equal(_table_uniforms(np.int64(5), 2, 3), want)
+    assert np.array_equal(_table_uniforms(np.int64(5), 2, 3), _table_uniforms(5, 2, 3))
 
 
 @pytest.mark.parametrize("p_x", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.5, 0.5]])
@@ -176,6 +203,27 @@ def test_find_good_k_minimizes_per_k_error(rng):
     assert errs[k] <= np.median(errs) + 1e-12
     # deterministic given the seed
     assert k == find_good_k(view)
+
+
+def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
+    inst = Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25)
+    view = inst.compression(K=8, L=16, seed=2)
+    want = per_k_errors(view)  # fills the instance's and the view's caches
+    calls = []
+    orig = linalg._eigh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return orig(m)
+
+    monkeypatch.setattr(linalg, "_eigh", counting)
+    assert np.array_equal(per_k_errors(view), want)
+    # the blocks the rows weight, all of them at once
+    assert len(calls) == 1 and len(calls[0]) == 3
+    calls.clear()
+    compress_measurement(inst, K=8, L=16, seed=2)
+    # the K row maxima
+    assert calls == [(8, 4, 4)]
 
 
 def test_find_good_k_degenerate_raises():

@@ -108,6 +108,26 @@ def test_eigvals_rejects_what_eig_rejects():
                           linalg.eig_hermitian(near, tol=1e-7)[0])
 
 
+def test_stacked_kernels_match_per_matrix_calls(rng):
+    for _ in range(60):
+        d, n = int(rng.integers(2, 17)), int(rng.integers(1, 9))
+        herm = np.array([random_hermitian(rng, d) for _ in range(n)])
+        w, v = linalg.eig_hermitian(herm)
+        for i, m in enumerate(herm):
+            assert np.array_equal(w[i], linalg.eigvals_hermitian(m))
+            assert np.array_equal(v[i], linalg.eig_hermitian(m)[1])
+        assert np.array_equal(linalg.eigvals_hermitian(herm), w)
+        # trace_norm tests each member: a non-Hermitian one takes the svd
+        mixed = herm.copy()
+        mixed[int(rng.integers(n))] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert np.array_equal(linalg.trace_norm(mixed), [linalg.trace_norm(m) for m in mixed])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.eigvals_hermitian(mixed)
+    empty = np.zeros((0, 3, 3))
+    assert linalg.trace_norm(empty).shape == (0,)
+    assert linalg.eigvals_hermitian(empty).shape == (0, 3)
+
+
 def test_eigenvalue_only_callers_keep_their_checks():
     asym = np.array([[0.5, 0.3], [0.1, 0.5]])
     negative = np.diag([1.5, -0.5])
