@@ -55,9 +55,6 @@ class RateReport:
         d["slack_convention"] = self.slack_convention
         return d
 
-    def csv_row(self) -> list:
-        return [getattr(self, k) for k in self.CSV_COLUMNS]
-
 
 def local_purity_bounds(rho, eps: float, slack_bits: float | None = None):
     """Two-sided bound on the locally distillable purity, in bits.

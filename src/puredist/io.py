@@ -35,8 +35,14 @@ def state_to_dict(state: DensityOperator) -> dict:
     }
 
 
+def _json_object(d, kind: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} JSON must be an object, got {type(d).__name__}")
+    return d
+
+
 def state_from_dict(d: dict) -> DensityOperator:
-    regs = [(r["label"], int(r["dim"])) for r in d["registers"]]
+    regs = [(r["label"], int(r["dim"])) for r in _json_object(d, "state")["registers"]]
     total = int(np.prod([dim for _, dim in regs]))
     return DensityOperator(regs, pairs_to_matrix(d["matrix"], total))
 
@@ -50,8 +56,8 @@ def povm_to_dict(povm: Povm) -> dict:
 
 
 def povm_from_dict(d: dict) -> Povm:
-    elems = d["elements"]
-    dim = int(round(np.sqrt(len(elems[0]))))
+    elems = _json_object(d, "POVM")["elements"]
+    dim = int(round(np.sqrt(len(elems[0])))) if elems else 0  # Povm rejects []
     mats = [pairs_to_matrix(e, dim) for e in elems]
     return Povm(mats, labels=d.get("labels"), register=d.get("register", "A"))
 

@@ -134,6 +134,9 @@ class DensityOperator:
 
     def __init__(self, registers, matrix, validate=True):
         regs = [(str(l), int(d)) for l, d in registers]
+        labels = [l for l, _ in regs]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate register labels: {labels}")
         mat = np.asarray(matrix, dtype=complex)
         order = sorted(range(len(regs)), key=lambda i: regs[i][0])
         if order != list(range(len(regs))):
@@ -253,6 +256,8 @@ class Povm:
 
     def __init__(self, elements, labels=None, register="A"):
         elems = [np.asarray(e, dtype=complex) for e in elements]
+        if not elems:
+            raise ValueError("POVM has no elements")
         d = elems[0].shape[0]
         if labels is None:
             labels = list(range(len(elems)))

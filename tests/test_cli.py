@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from puredist import io
-from puredist.cli import ExperimentConfig, build_parser, config_from_args, main, parse_seeds
+from puredist.bounds import RateReport
+from puredist.cli import TRANSCRIPT_COLUMNS, build_parser, main, parse_seeds
 from puredist.sampling import basis_povm, bell_pair
 from puredist.states import DensityOperator, Povm
 
@@ -18,17 +20,24 @@ def test_parse_seeds():
     assert parse_seeds("4") == [4]
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="entropy", eps=1.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="entropy", eps=0.1, K=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="entropy", eps=0.1, seeds=[])
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="nope")
-    with pytest.raises(ValueError):
-        ExperimentConfig(command="entropy", fmt="xml")
+def test_config_validation(bell_file, capsys):
+    for flags, message in ((["--eps", "1.0"], "eps must be in (0, 1), got 1.0"),
+                           (["--K", "0"], "K and L must be at least 1"),
+                           (["--seeds", "5..3"], "at least one seed is required")):
+        assert main(["entropy", "--state", bell_file, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(SystemExit):
+        main(["nope", "--state", bell_file])
+    with pytest.raises(SystemExit):
+        main(["entropy", "--state", bell_file, "--format", "xml"])
+
+
+def test_help_lists_the_csv_columns():
+    epilog = build_parser().epilog
+    protocol, compare = re.match(r"CSV columns \(protocol commands\): (\S+)\. "
+                                 r"CSV columns \(compare\): (\S+)\. ", epilog).groups()
+    assert protocol.split(",") == list(TRANSCRIPT_COLUMNS)
+    assert compare.split(",") == list(RateReport.CSV_COLUMNS)
 
 
 def test_state_povm_round_trip(tmp_path, rng):
@@ -144,6 +153,18 @@ def test_threads_env_cap(bell_file, basis_file, tmp_path, monkeypatch):
     assert [t["seed"] for t in data["transcripts"]] == [1, 2, 3, 4]
 
 
+def test_compare_csv_independent_of_threads(bell_file, basis_file, capsys, monkeypatch):
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PUREDIST_THREADS", threads)
+        assert main(["compare", "--state", bell_file, "--povm", basis_file,
+                     "--eps", "0.25", "--K", "4", "--L", "8", "--seeds", "1..6",
+                     "--format", "csv"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 7  # header + 6 seeds
+
+
 def test_console_entry_point(bell_file):
     proc = subprocess.run(
         [sys.executable, "-m", "puredist.cli", "entropy", "--state", bell_file,
@@ -174,6 +195,19 @@ def test_infeasible_configuration_exits_with_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_input_files_are_named_errors(bell_file, basis_file, tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"register": "A", "elements": []}))
+    for state, povm in ((bell_file, str(empty)), (str(listed), basis_file),
+                        (bell_file, str(listed))):
+        rc = main(["kd-oneshot", "--state", state, "--povm", povm, "--eps", "0.1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_output_independent_of_hash_seed():

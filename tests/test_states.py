@@ -44,6 +44,14 @@ def test_density_operator_validation():
     assert np.min(d.spectrum()) >= 0
 
 
+def test_duplicate_register_labels_rejected():
+    message = r"duplicate register labels: \['A', 'A'\]"
+    with pytest.raises(ValueError, match=message):
+        DensityOperator([("A", 2), ("A", 2)], np.eye(4) / 4)
+    with pytest.raises(ValueError, match=message):
+        PureState([("A", 2), ("A", 2)], np.eye(4)[0])
+
+
 def test_partial_trace_unknown_label(rng):
     d = random_density(rng, 4, "A")
     with pytest.raises(KeyError):
@@ -62,6 +70,8 @@ def test_povm_validation(rng):
         Povm([np.diag([0.5, 0.5]), np.diag([0.4, 0.4])])  # doesn't sum to I
     with pytest.raises(ValueError):
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # not PSD
+    with pytest.raises(ValueError, match="no elements"):
+        Povm([])
     p = random_povm(rng, 3, 4)
     assert np.allclose(sum(p.elements), np.eye(3), atol=1e-8)
 
