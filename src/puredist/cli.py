@@ -2,15 +2,14 @@
 
 Subcommands: entropy, distill-local, protocol-a, kd-oneshot, fewqubits,
 compare, bounds, verify. Outputs are deterministic per (arguments, seed).
-A seed sweep runs each POVM's seeds as contiguous runs that share one
-``Instance``; PUREDIST_THREADS (default 1) splits each POVM's seeds into
-at most that many runs and fans them out to a process pool of that size.
+A seed sweep builds one ``Instance`` per POVM, in POVM order, and runs its
+seeds in seed order in this process, so every seed shares the instance's
+ideal-state quantities and per-symbol simulated states.
 """
 
 import argparse
-import os
+import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import bounds, entropy, io, protocols
@@ -103,53 +102,29 @@ def _emit(args, payload, csv_columns=None, csv_rows=None):
         print(text)
 
 
-def _workers(n_jobs: int) -> int:
-    cap = os.environ.get("PUREDIST_THREADS")
-    cap = int(cap) if cap else 1
-    return max(1, min(cap, n_jobs))
-
-
-def _seed_runs(seeds: list, n: int) -> list:
-    """Split ``seeds`` into n contiguous runs of near-equal length."""
-    return [seeds[i * len(seeds) // n:(i + 1) * len(seeds) // n] for i in range(n)]
-
-
-# one seed of each compressed sweep command, as the dict its output prints
-_SEED_RESULT = {
-    "kd-oneshot": lambda view, args: protocols.run_kd_oneshot(view).to_dict(),
-    "fewqubits": lambda view, args: protocols.run_fewqubits(view).to_dict(),
-    "compare": lambda view, args: bounds.rate_report(
-        view, f_eps=args.f_eps, g_eps=args.g_eps).to_dict(),
-}
-
-
-def _run_seeds(job):
-    """Run one contiguous run of seeds on one POVM, sharing one Instance."""
-    args, povm_path, seeds = job
-    inst = Instance(protocol_input(io.load_state(args.state)),
-                    io.load_povm(povm_path), args.eps,
-                    bob_label=args.bob_label, slack_bits=args.slack_bits)
-    if args.command == "protocol-a":
-        # protocol A draws nothing at random: run it once, stamp every seed
-        base = protocols.run_protocol_a(inst)
-        return [replace(base, seed=seed).to_dict() for seed in seeds]
-    result = _SEED_RESULT[args.command]
-    return [result(inst.compression(args.K, args.L, seed), args) for seed in seeds]
-
-
 def cmd_sweep(args) -> int:
-    """Results of every (POVM, seed), POVMs in order, seeds in order."""
+    """Results of every (POVM, seed), POVMs in order, seeds in order, with
+    one ``Instance`` per POVM."""
     if not args.povm:
         raise ValueError(f"{args.command} requires --povm")
-    runs = _seed_runs(args.seeds, _workers(len(args.seeds)))
-    jobs = [(args, p, run) for p in args.povm for run in runs]
-    workers = _workers(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_seeds, jobs))
-    else:
-        results = [_run_seeds(j) for j in jobs]
-    results = [r for run in results for r in run]
+    psi = protocol_input(io.load_state(args.state))
+    results = []
+    for path in args.povm:
+        inst = Instance(psi, io.load_povm(path), args.eps,
+                        bob_label=args.bob_label, slack_bits=args.slack_bits)
+        if args.command == "protocol-a":
+            # protocol A draws nothing at random: run it once, stamp every seed
+            base = protocols.run_protocol_a(inst)
+            results += [replace(base, seed=seed) for seed in args.seeds]
+            continue
+        views = (inst.compression(args.K, args.L, seed) for seed in args.seeds)
+        if args.command == "compare":
+            results += [bounds.rate_report(v, f_eps=args.f_eps, g_eps=args.g_eps)
+                        for v in views]
+        else:
+            results += map(protocols.run_kd_oneshot if args.command == "kd-oneshot"
+                           else protocols.run_fewqubits, views)
+    results = [r.to_dict() for r in results]
     key, columns = (("reports", bounds.RateReport.CSV_COLUMNS) if args.command == "compare"
                     else ("transcripts", TRANSCRIPT_COLUMNS))
     _emit(args, {key: results}, columns, [[r[c] for c in columns] for r in results])
@@ -253,8 +228,12 @@ COMMANDS = {
 }
 
 
+# built on the first ``main`` call, not at import: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         check_args(args)
         return COMMANDS[args.command](args)

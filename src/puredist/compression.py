@@ -13,7 +13,6 @@ across table sizes meaningful. ``_table_uniforms`` draws all cells at once.
 import json
 import operator
 import warnings
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,8 +163,11 @@ class Instance:
     environment, on A with the outcome retained, and on Bob), the outcome
     distribution P_X and the roots Y_x the compressions are built from,
     I_max of the environment ensemble at eps^4, and the H_H conditional
-    entropies of the nice-set bounds and the rate formulas.
-    ``compression(K, L, seed)`` hands out one ``Compression`` view per key.
+    entropies of the nice-set bounds and the rate formulas. A compressed
+    cell's post-measurement state depends only on the symbol it decodes
+    to, so the simulated conditionals, their Bob marginals and their pair
+    entropies live here too, one per outcome of nonzero P_X, shared by
+    every ``Compression`` view that ``compression(K, L, seed)`` builds.
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -180,16 +182,9 @@ class Instance:
         self.slack_bits = declared_slack(eps, slack_bits)
         self.env = [l for l in psi.labels if l != reg]
         self._h_h_cond = {}
-        # weak values: a view lives while a caller holds it, so a long seed
-        # sweep does not keep every table alive
-        self._views = weakref.WeakValueDictionary()
 
     def compression(self, K: int, L: int, seed: int) -> "Compression":
-        key = (K, L, seed)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = Compression(self, K, L, seed)
-        return view
+        return Compression(self, K, L, seed)
 
     @cached_property
     def rho_a(self) -> np.ndarray:
@@ -284,20 +279,6 @@ class Instance:
     def ideal_block_norms(self) -> np.ndarray:
         return linalg.trace_norm(self.ideal_blocks)
 
-
-class Compression:
-    """One K x L compressed measurement of an ``Instance`` and what derives
-    from it: the table, the simulated conditionals, the per-symbol pair
-    entropies, the nice sets, the per-k errors and the chosen k, each
-    computed on first use and kept. ``k`` raises ``NoGoodK`` exactly where
-    ``find_good_k`` does. Build views with ``Instance.compression``.
-    """
-
-    def __init__(self, instance: Instance, K: int, L: int, seed: int):
-        self.instance = instance
-        self.K, self.L, self.seed = K, L, seed
-        self.cm = compress_measurement(instance, K, L, seed)
-
     @cached_property
     def sims(self) -> dict:
         return simulated_conditionals(self)[0]
@@ -305,20 +286,34 @@ class Compression:
     @cached_property
     def sims_bob(self) -> dict:
         """Bob's marginal of each simulated conditional."""
-        env = sorted(self.instance.env)
-        dims = [self.instance.psi.dim(l) for l in env]
-        keep = [env.index(self.instance.bob_label)]
+        env = sorted(self.env)
+        dims = [self.psi.dim(l) for l in env]
+        keep = [env.index(self.bob_label)]
         return {x: linalg.partial_trace(m, dims, keep) for x, m in self.sims.items()}
 
     @cached_property
     def pair_entropies(self):
-        """Per decoded symbol, at smoothing eps^(1/8): the ``h_h`` result of
-        the simulated conditional on the environment, and the H_H value of
-        its Bob marginal."""
-        smooth = self.instance.eps ** 0.125
+        """Per simulated symbol, at smoothing eps^(1/8): the ``h_h`` result of
+        its conditional on the environment, and the H_H value of its Bob
+        marginal."""
+        smooth = self.eps ** 0.125
         h_env = {x: entropy.h_h(m, smooth) for x, m in self.sims.items()}
         h_bob = {x: entropy.h_h(m, smooth).value for x, m in self.sims_bob.items()}
         return h_env, h_bob
+
+
+class Compression:
+    """One K x L compressed measurement of an ``Instance`` and what derives
+    from it: the table, the nice sets, the per-k errors and the chosen k,
+    each computed on first use and kept. ``k`` raises ``NoGoodK`` exactly
+    where ``find_good_k`` does. The per-symbol states and entropies are the
+    instance's. Build views with ``Instance.compression``.
+    """
+
+    def __init__(self, instance: Instance, K: int, L: int, seed: int):
+        self.instance = instance
+        self.K, self.L, self.seed = K, L, seed
+        self.cm = compress_measurement(instance, K, L, seed)
 
     @cached_property
     def nice(self):
@@ -392,17 +387,17 @@ def compress_measurement(inst: Instance, K: int, L: int,
         register=inst.povm.register, quality_warning=bool(warning))
 
 
-def simulated_conditionals(view: Compression):
+def simulated_conditionals(inst: Instance):
     """Per-symbol simulated post-measurement states on the environment.
 
     The cell conditional depends only on the decoded symbol, so one state
     per original outcome suffices: sigma_x = Tr_A[M_x psi] normalized, with
-    M_x the cell operator for symbol x. Returns (states, sorted env labels).
+    M_x the cell operator for symbol x, for every x with P_X(x) > 0 (the
+    symbols a table can decode). Returns (states, sorted env labels).
     """
-    inst = view.instance
     env = sorted(inst.env)
     out = {}
-    for x in sorted(set(view.cm.decode.reshape(-1).tolist())):
+    for x in np.flatnonzero(inst.p_x > 0).tolist():
         # K = Y_x^dag satisfies K^dag K = M_x (up to the p_x scale), so the
         # branch needs no operator square root
         branch = inst.psi.apply(linalg.dagger(inst.roots[x]), [inst.povm.register])
@@ -417,7 +412,8 @@ def _block_distances(view: Compression, weights: np.ndarray) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated
     mixture of each row of per-symbol ``weights`` (rows x outcomes), summed
     block by block in outcome order over one stacked trace norm."""
-    inst, sims = view.instance, view.sims
+    inst = view.instance
+    sims = inst.sims
     live = (weights > 0) & np.isin(np.arange(weights.shape[1]), list(sims))
     norms = np.where(live, 0.0, inst.ideal_block_norms)
     ks, xs = np.nonzero(live)
@@ -436,13 +432,13 @@ def validate_compression(view: Compression) -> CompressionReport:
     substate). All quantities are computed exactly from the operators, not
     estimated.
     """
-    cm = view.cm
-    weights = cm.decoded_weight(len(view.instance.povm))
-    _, conds = view.instance.ideal_by_outcome
+    cm, inst = view.cm, view.instance
+    weights = cm.decoded_weight(len(inst.povm))
+    _, conds = inst.ideal_by_outcome
     per_pair = 0.0
     for x, cond in enumerate(conds):
-        if x in view.sims and weights[x] > 1e-12 and cond is not None:
-            per_pair = max(per_pair, linalg.trace_distance(cond, view.sims[x]))
+        if x in inst.sims and weights[x] > 1e-12 and cond is not None:
+            per_pair = max(per_pair, linalg.trace_distance(cond, inst.sims[x]))
 
     unif = 1.0 / (cm.K * cm.L)
     qkl_dev = float(np.sum(np.abs(cm.q_kl[:, :cm.L] - unif)) + np.sum(cm.q_kl[:, cm.L]))
@@ -469,7 +465,7 @@ def nice_sets(view: Compression):
     inst, cm = view.instance, view.cm
     bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
     bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
-    h_env, h_bob = view.pair_entropies
+    h_env, h_bob = inst.pair_entropies
     nice = {}
     for k in range(cm.K):
         ls = []

@@ -80,21 +80,31 @@ def _matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
 
 
+def _truncation_count(ascending: np.ndarray, eps: float) -> int:
+    """The number of leading entries of the ascending masses whose running
+    sum stays <= eps, capped at len - 1 so one entry is always kept."""
+    k = int(np.searchsorted(np.cumsum(ascending), eps + 1e-15, side="right"))
+    return min(k, len(ascending) - 1)
+
+
 def truncated_support(w: np.ndarray, eps: float):
     """Spectral truncation at budget eps: the ascending support eigenvalues
     of the spectrum ``w`` and the number k of the smallest of them whose sum
     stays <= eps, capped at |supp| - 1 so one eigenvalue is always kept."""
     supp = np.sort(w[w > SUPPORT_TOL])
-    k = int(np.searchsorted(np.cumsum(supp), eps + 1e-15, side="right"))
-    return supp, min(k, len(supp) - 1)
+    return supp, _truncation_count(supp, eps)
+
+
+def _kept_bits(supp: np.ndarray, k: int) -> float:
+    """log2 of the number of support eigenvalues a truncation keeps."""
+    return float(np.log2(len(supp) - k))
 
 
 def h_tilde_max(rho, eps: float) -> float:
     """Smoothed support max entropy: log2(|supp| - k) after dropping the
     smallest eigenvalues of total mass <= eps."""
     _validate_eps(eps)
-    supp, k = truncated_support(_spectrum(rho), eps)
-    return float(np.log2(len(supp) - k))
+    return _kept_bits(*truncated_support(_spectrum(rho), eps))
 
 
 def h_prime_max(rho, eps: float) -> float:
@@ -309,7 +319,7 @@ def h_max_smooth(rho, eps: float) -> float:
     kept = supp[k:]
     kept = kept / np.sum(kept)
     value = float(2.0 * np.log2(np.sum(np.sqrt(kept))))
-    bound = h_tilde_max(rho, eps)
+    bound = _kept_bits(supp, k)  # h_tilde_max of the same spectrum
     if value > bound + 1e-9:
         raise linalg.InvariantError(f"Renyi-1/2 {value} exceeded support bound {bound}")
     return value
@@ -319,15 +329,7 @@ def _imax_smooth_support(cq: CQState, eps: float) -> list:
     """Indices of symbols kept after removing lowest-probability symbols
     totaling at most eps mass (always keeps at least one)."""
     order = np.argsort(cq.probs, kind="stable")
-    removed = 0.0
-    drop = set()
-    for i in order[:-1]:
-        if removed + cq.probs[i] <= eps + 1e-15:
-            removed += cq.probs[i]
-            drop.add(int(i))
-        else:
-            break
-    return [i for i in range(len(cq)) if i not in drop]
+    return sorted(order[_truncation_count(cq.probs[order], eps):].tolist())
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

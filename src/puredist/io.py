@@ -41,10 +41,22 @@ def _json_object(d, kind: str) -> dict:
     return d
 
 
+def _field(d: dict, kind: str, name: str, parse):
+    """``parse(d[name])``, a malformed value raising a ValueError that
+    names the field."""
+    try:
+        return parse(d[name])
+    except TypeError as exc:
+        raise ValueError(f"{kind} field {name!r} is malformed: {exc}") from None
+
+
 def state_from_dict(d: dict) -> DensityOperator:
-    regs = [(r["label"], int(r["dim"])) for r in _json_object(d, "state")["registers"]]
+    d = _json_object(d, "state")
+    regs = _field(d, "state", "registers",
+                  lambda rs: [(r["label"], int(r["dim"])) for r in rs])
     total = int(np.prod([dim for _, dim in regs]))
-    return DensityOperator(regs, pairs_to_matrix(d["matrix"], total))
+    return DensityOperator(regs, _field(d, "state", "matrix",
+                                        lambda m: pairs_to_matrix(m, total)))
 
 
 def povm_to_dict(povm: Povm) -> dict:
@@ -55,11 +67,15 @@ def povm_to_dict(povm: Povm) -> dict:
     }
 
 
-def povm_from_dict(d: dict) -> Povm:
-    elems = _json_object(d, "POVM")["elements"]
+def _povm_matrices(elems) -> list:
     dim = int(round(np.sqrt(len(elems[0])))) if elems else 0  # Povm rejects []
-    mats = [pairs_to_matrix(e, dim) for e in elems]
-    return Povm(mats, labels=d.get("labels"), register=d.get("register", "A"))
+    return [pairs_to_matrix(e, dim) for e in elems]
+
+
+def povm_from_dict(d: dict) -> Povm:
+    d = _json_object(d, "POVM")
+    return Povm(_field(d, "POVM", "elements", _povm_matrices),
+                labels=d.get("labels"), register=d.get("register", "A"))
 
 
 def load_state(path: str) -> DensityOperator:

@@ -10,9 +10,10 @@ O(log 1/eps) slack terms from the rate formulas are never folded into
 numbers: transcripts carry the instance's ``slack_bits`` (default
 log2(1/eps)) and ``rate_bound_real`` holds the slack-free formula value.
 
-Every protocol reads the ideal-state quantities from one
-``compression.Instance`` and the compressed measurement, its nice sets and
-its chosen k from one ``compression.Compression`` view of it.
+Every protocol reads the ideal-state quantities and the per-symbol
+simulated conditionals and pair entropies from one ``compression.Instance``,
+and the compressed measurement, its nice sets and its chosen k from one
+``compression.Compression`` view of it.
 
 All three protocols end in one path: ``_conditional_codes`` eigendecomposes
 each distinct branch once (``_eig_code``) and codes a good set of outcomes
@@ -349,7 +350,7 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
 
     _, nice_all = view.nice
     nice = nice_all[k]
-    h_env, _ = view.pair_entropies
+    h_env, _ = inst.pair_entropies
     # A_g holds the purifications of the truncated branch states: its size is
     # the largest truncated rank, which 2^{H_H} + 1 upper-bounds
     ag_req, ag_cap = 1, 2
@@ -411,11 +412,11 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
     nice_x = [int(cm.decode[k, l]) for l in nice]
     symbols = list(dict.fromkeys(nice_x))
     cells = [symbols.index(x) for x in nice_x]
-    h_env, _ = view.pair_entropies
+    h_env, _ = inst.pair_entropies
     ap, la, ag = plan.ap_dim, plan.la_dim, plan.ag_dim
     target = np.zeros((ap, la, ag, inst.env_dim), dtype=complex)
     for x in symbols:
-        w, v = _descending_eig(view.sims[x])
+        w, v = _descending_eig(inst.sims[x])
         weights = np.zeros_like(w)
         weights[: len(h_env[x].witness["weights"])] = h_env[x].witness["weights"]
         tw = w * weights
@@ -442,7 +443,7 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    b_bits, bob_isos = _conditional_codes([view.sims_bob[x] for x in symbols], p_nice,
+    b_bits, bob_isos = _conditional_codes([inst.sims_bob[x] for x in symbols], p_nice,
                                           cells, db, eps, "Bp", "Bg")
     off_nice = _isometry(np.eye(db), db, b_bits, "Bp", "Bg")
     bob_isos = [bob_isos[i] for i in cells] + [off_nice] * (la - len(nice))

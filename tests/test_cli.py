@@ -143,26 +143,13 @@ def test_dimension_mismatch_names_the_invariant(bell_file, tmp_path, capsys):
     assert "does not match register" in capsys.readouterr().err
 
 
-def test_threads_env_cap(bell_file, basis_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("PUREDIST_THREADS", "2")
+def test_threads_env_cap(bell_file, basis_file, tmp_path):
     out = tmp_path / "t.json"
     rc = main(["protocol-a", "--state", bell_file, "--povm", basis_file,
                "--eps", "0.1", "--seeds", "1..4", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert [t["seed"] for t in data["transcripts"]] == [1, 2, 3, 4]
-
-
-def test_compare_csv_independent_of_threads(bell_file, basis_file, capsys, monkeypatch):
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("PUREDIST_THREADS", threads)
-        assert main(["compare", "--state", bell_file, "--povm", basis_file,
-                     "--eps", "0.25", "--K", "4", "--L", "8", "--seeds", "1..6",
-                     "--format", "csv"]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert len(outs[0].splitlines()) == 7  # header + 6 seeds
 
 
 def test_console_entry_point(bell_file):
@@ -208,6 +195,43 @@ def test_malformed_input_files_are_named_errors(bell_file, basis_file, tmp_path,
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_malformed_nested_fields_are_named_errors(bell_file, basis_file, tmp_path, capsys):
+    state = json.loads(open(bell_file).read())
+    state["registers"] = [[r["label"], r["dim"]] for r in state["registers"]]
+    listed_registers = tmp_path / "registers.json"
+    listed_registers.write_text(json.dumps(state))
+    scalar_elements = tmp_path / "elements.json"
+    scalar_elements.write_text(json.dumps({"register": "A", "elements": 5}))
+    for command in ("entropy", "kd-oneshot"):
+        for state_path, povm_path, field in ((str(listed_registers), basis_file, "registers"),
+                                             (bell_file, str(scalar_elements), "elements")):
+            rc = main([command, "--state", state_path, "--povm", povm_path, "--eps", "0.1"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"field {field!r}" in err
+
+
+def test_repeated_main_calls_print_what_fresh_calls_print(bell_file, basis_file, tmp_path,
+                                                          capsys):
+    triv = str(tmp_path / "triv.json")
+    io.save_povm(Povm([np.eye(2)], register="A"), triv)
+    common = ["--state", bell_file, "--eps", "0.1", "--K", "2", "--L", "4"]
+    runs = [["kd-oneshot", *common, "--povm", basis_file, "--seeds", "1..2"],
+            ["kd-oneshot", *common, "--povm", triv, "--seeds", "3"],
+            ["entropy", *common]]
+    in_process = []
+    for argv in runs:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    fresh = [subprocess.run([sys.executable, "-m", "puredist.cli", *argv],
+                            capture_output=True, text=True, timeout=600).stdout
+             for argv in runs]
+    assert in_process == fresh
+    assert len(json.loads(in_process[1])["transcripts"]) == 1
+    assert "povm" not in json.loads(in_process[2])
 
 
 def test_verify_output_independent_of_hash_seed():

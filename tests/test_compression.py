@@ -178,7 +178,7 @@ def test_simulated_conditionals_depend_on_symbol_only(rng):
     psi = classical_instance(rng, 2, 3)
     povm = basis_povm(2, "A")
     view = Instance(psi, povm, 0.1).compression(K=2, L=8, seed=4)
-    sims, env = simulated_conditionals(view)
+    sims, env = simulated_conditionals(view.instance)
     assert env == ["B", "R"]
     for m in sims.values():
         assert np.isclose(np.real(np.trace(m)), 1.0, atol=1e-9)
@@ -328,6 +328,36 @@ def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):
     rho_a = psi.marginal(["A"])
     calls = _count_psd_power(monkeypatch)
     for seed in (1, 2):
-        inst.compression(K=2, L=4, seed=seed).sims  # table and conditionals
+        inst.compression(K=2, L=4, seed=seed)  # the tables
+    inst.sims  # and the conditionals
     powers = sorted(p for m, p in calls if np.array_equal(m, rho_a))
     assert powers == [-0.5, 0.5]
+
+
+def test_views_of_one_instance_share_simulated_conditionals(rng, monkeypatch):
+    from puredist import compression, entropy
+    psi = classical_instance(rng, 4, 3)
+    inst = Instance(psi, basis_povm(4, "A"), 0.25)
+    sims_calls, h_h_calls = [], []
+    orig_sims, orig_h_h = compression.simulated_conditionals, entropy.h_h
+
+    def counting_sims(arg):
+        sims_calls.append(arg)
+        return orig_sims(arg)
+
+    def counting_h_h(*args):
+        h_h_calls.append(args)
+        return orig_h_h(*args)
+
+    monkeypatch.setattr(compression, "simulated_conditionals", counting_sims)
+    monkeypatch.setattr(entropy, "h_h", counting_h_h)
+    first = nice_sets(inst.compression(K=4, L=8, seed=1))
+    n_first = len(h_h_calls)
+    second = nice_sets(inst.compression(K=4, L=8, seed=2))
+    assert len(sims_calls) == 1 and n_first > 0 and len(h_h_calls) == n_first
+    # one state per outcome of nonzero P_X, and the nice sets of views of
+    # separate instances
+    assert list(inst.sims) == np.flatnonzero(inst.p_x > 0).tolist()
+    for seed, got in ((1, first), (2, second)):
+        assert got == nice_sets(Instance(psi, basis_povm(4, "A"), 0.25).compression(
+            K=4, L=8, seed=seed))

@@ -106,6 +106,28 @@ def test_h_max_smooth_examples():
     assert np.isclose(got, want, atol=1e-12)
 
 
+def test_h_max_smooth_takes_one_spectrum(rng, monkeypatch):
+    rhos = [spectrum_state([0.5, 0.3, 0.2]), np.eye(4) / 4]
+    rhos += [random_density(rng, int(rng.integers(2, 9)), "A") for _ in range(20)]
+    calls = []
+    orig = linalg._eigh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return orig(m)
+
+    monkeypatch.setattr(linalg, "_eigh", counting)
+    for rho in rhos:
+        for eps in (0.0, 0.05, 0.3):
+            calls.clear()
+            got = ent.h_max_smooth(rho, eps)
+            assert len(calls) == 1
+            # the Renyi-1/2 value of the truncated spectrum, bit for bit
+            supp, k = ent.truncated_support(ent._spectrum(rho), eps)
+            kept = supp[k:] / np.sum(supp[k:])
+            assert got == float(2.0 * np.log2(np.sum(np.sqrt(kept))))
+
+
 # ------------------------------------------------------------------- h_h
 
 def test_h_h_examples():
@@ -424,7 +446,7 @@ def test_h_max_smooth_invariant_survives_python_O():
     code = (
         "import numpy as np\n"
         "from puredist import entropy, linalg\n"
-        "entropy.h_tilde_max = lambda rho, eps: -1.0\n"
+        "entropy._kept_bits = lambda supp, k: -1.0\n"
         "try:\n"
         "    entropy.h_max_smooth(np.eye(4) / 4, 0.1)\n"
         "except linalg.InvariantError as exc:\n"
@@ -501,3 +523,31 @@ def test_i_max_smoothing_drops_low_mass_symbols(rng):
     assert abs(smooth.value) <= 1e-9  # outlier removed; the rest are identical
     rough = ent.i_max_cq(cq, 0.0)
     assert rough.value >= smooth.value - 1e-12
+
+
+def _imax_support_loop(probs, eps):
+    """The symbol-dropping loop ``_imax_smooth_support`` replaced, kept here
+    as its reference."""
+    order = np.argsort(probs, kind="stable")
+    removed = 0.0
+    drop = set()
+    for i in order[:-1]:
+        if removed + probs[i] <= eps + 1e-15:
+            removed += probs[i]
+            drop.add(int(i))
+        else:
+            break
+    return [i for i in range(len(probs)) if i not in drop]
+
+
+def test_imax_smooth_support_matches_the_loop(rng):
+    cond = DensityOperator([("B", 1)], np.eye(1))
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        # masses on a few levels, so ties are common
+        probs = rng.choice([1.0, 2.0, 3.0, 5.0], size=n)
+        cq = CQState(list(range(n)), probs / probs.sum(), [cond] * n)
+        for eps in (0.0, float(rng.uniform(0, 1)), *np.sort(cq.probs).cumsum(), 1.0, 1.5):
+            got = ent._imax_smooth_support(cq, eps)
+            assert got == _imax_support_loop(cq.probs, eps)
+            assert all(type(i) is int for i in got)

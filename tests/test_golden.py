@@ -90,7 +90,6 @@ def inputs(bell_file, basis_file, tmp_path, monkeypatch):
     write_mixed(tmp_path)
     # relative paths: entropy and bounds print the POVM path as a key
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PUREDIST_THREADS", raising=False)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

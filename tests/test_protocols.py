@@ -364,7 +364,7 @@ def test_fewqubits_branchwise_consistency(rng):
     plan = pr.plan_fewqubits(view)
     _, nice_all = nice_sets(view)
     nice = nice_all[k]
-    sims, env_sorted = simulated_conditionals(view)
+    sims, env_sorted = simulated_conditionals(view.instance)
     q = cm.q_l_given_k(k)
     p_nice = np.array([q[l] for l in nice])
     p_nice /= p_nice.sum()
