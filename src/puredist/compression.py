@@ -352,31 +352,27 @@ def compress_measurement(inst: Instance, K: int, L: int,
     cdf = np.cumsum(p_x)
     cdf /= cdf[-1]
     decode = cdf.searchsorted(_table_uniforms(seed, K, L), side="right")
-    rows = decode.tolist()
 
-    # each cell operator depends on its sampled symbol only. Gram form
-    # Y Y^dag keeps the operators PSD despite the rho^{-1/2} blowup.
+    # each cell operator depends on its sampled symbol only: one stack holds
+    # them, indexed by ``at``. Gram form Y Y^dag keeps them PSD despite the
+    # rho^{-1/2} blowup.
     roots = inst.roots
-    base = {x: (roots[x] @ linalg.dagger(roots[x])) / p_x[x]
-            for x in set(decode.reshape(-1).tolist())}
+    symbols, at = np.unique(decode, return_inverse=True)
+    base = np.stack([(roots[x] @ linalg.dagger(roots[x])) / p_x[x] for x in symbols.tolist()])
+    at = at.reshape(K, L)
 
-    row_sums = np.array([sum(base[x] for x in xs) / L for xs in rows])
-    row_max = max(0.0, float(np.max(linalg.eigvals_hermitian(row_sums, tol=1e-7))))
+    row_max = max(0.0, float(np.max(linalg.eigvals_hermitian(base[at].sum(axis=1) / L, tol=1e-7))))
     c = 1.0 / row_max if row_max > 0 else 1.0
 
     # one operator and one outcome probability per symbol, shared by its cells
-    cell = {x: c / L * b for x, b in base.items()}
-    q_cell = {x: max(0.0, float(np.real(np.trace(m @ rho_a)))) / K for x, m in cell.items()}
-    eye = np.eye(d)
-    thetas = []
+    cell = c / L * base
+    q_cell = np.array([max(0.0, float(np.real(np.trace(m @ rho_a)))) / K for m in cell])
+    bots = np.eye(d) - cell[at].sum(axis=1)
+    bots = (bots + linalg.dagger(bots)) / 2
+    thetas = [tuple(cell[i] for i in row) + (bot,) for row, bot in zip(at.tolist(), bots)]
     q_kl = np.zeros((K, L + 1))
-    for k, xs in enumerate(rows):
-        row = [cell[x] for x in xs]
-        bot = eye - sum(row)
-        bot = (bot + linalg.dagger(bot)) / 2
-        thetas.append(tuple(row) + (bot,))
-        q_kl[k, :L] = [q_cell[x] for x in xs]
-        q_kl[k, L] = max(0.0, float(np.real(np.trace(bot @ rho_a)))) / K
+    q_kl[:, :L] = q_cell[at]
+    q_kl[:, L] = [max(0.0, float(np.real(np.trace(bot @ rho_a)))) / K for bot in bots]
 
     warning = c < 0.5
     if warning:

@@ -74,8 +74,11 @@ def _povm_matrices(elems) -> list:
 
 def povm_from_dict(d: dict) -> Povm:
     d = _json_object(d, "POVM")
-    return Povm(_field(d, "POVM", "elements", _povm_matrices),
-                labels=d.get("labels"), register=d.get("register", "A"))
+    elements = _field(d, "POVM", "elements", _povm_matrices)
+    labels = d.get("labels")  # null keeps the default labels 0..n-1
+    if labels is not None and not (isinstance(labels, list) and len(labels) == len(elements)):
+        raise ValueError(f"POVM field 'labels' must be null or a list of {len(elements)} labels")
+    return Povm(elements, labels=labels, register=d.get("register", "A"))
 
 
 def load_state(path: str) -> DensityOperator:

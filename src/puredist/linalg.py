@@ -122,12 +122,6 @@ def psd_power(m: np.ndarray, power: float, support_tol: float = 1e-12) -> np.nda
     return (v * out_w) @ dagger(v)
 
 
-def support_projector(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    w, v = eig_hermitian(m)
-    keep = v[:, w > tol]
-    return keep @ dagger(keep)
-
-
 def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace of a matrix over a tensor factorization.
 

@@ -257,7 +257,7 @@ def check_dh_vs_lp(rng, trials, eps):
         p = rng.dirichlet(np.ones(d))
         q = rng.dirichlet(np.ones(d))
         e = eps or _eps(rng)
-        got = ent_val = entropy.d_h(np.diag(p), np.diag(q), e).value
+        got = entropy.d_h(np.diag(p), np.diag(q), e).value
         order = sorted(range(d), key=lambda i: -p[i] / max(q[i], 1e-300))
         need, cost = 1 - e, 0.0
         for i in order:

@@ -214,6 +214,31 @@ def test_malformed_nested_fields_are_named_errors(bell_file, basis_file, tmp_pat
             assert f"field {field!r}" in err
 
 
+def test_povm_labels_must_be_null_or_a_list_as_long_as_elements(bell_file, basis_file,
+                                                                 tmp_path, capsys):
+    povm = json.loads(open(basis_file).read())
+    del povm["labels"]
+    paths = {}
+    for name, labels in (("absent", ...), ("null", None), ("number", 5),
+                         ("string", "ab"), ("short", ["0"])):
+        body = dict(povm) if labels is ... else dict(povm, labels=labels)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(body))
+    for command in ("entropy", "kd-oneshot"):
+        outs = {}
+        for name, path in paths.items():
+            rc = main([command, "--state", bell_file, "--povm", str(path), "--eps", "0.1"])
+            out, err = capsys.readouterr()
+            if name in ("absent", "null"):
+                assert rc == 0
+                outs[name] = out.replace(str(path), "povm.json")
+            else:
+                assert rc == 2
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert "field 'labels'" in err
+        assert outs["null"] == outs["absent"]
+
+
 def test_repeated_main_calls_print_what_fresh_calls_print(bell_file, basis_file, tmp_path,
                                                           capsys):
     triv = str(tmp_path / "triv.json")

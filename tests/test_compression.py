@@ -59,6 +59,24 @@ def test_rows_are_povms(rng):
         assert len(p) == cm.L + 1
 
 
+def test_stacked_row_sums_keep_the_bits_of_the_row_loop(rng):
+    # the reference: each row's cell operators summed in order in Python
+    inst = Instance(purified_input(bell_pair()), random_povm(rng, 2, 4), 0.1)
+    for seed in range(5):
+        cm = compress_measurement(inst, K=6, L=7, seed=seed)
+        base = {x: (inst.roots[x] @ linalg.dagger(inst.roots[x])) / inst.p_x[x]
+                for x in set(cm.decode.reshape(-1).tolist())}
+        rows = cm.decode.tolist()
+        sums = np.array([sum(base[x] for x in xs) / cm.L for xs in rows])
+        c = 1.0 / max(0.0, float(np.max(linalg.eigvals_hermitian(sums, tol=1e-7))))
+        assert cm.c_norm == c
+        for xs, theta in zip(rows, cm.thetas):
+            row = [c / cm.L * base[x] for x in xs]
+            bot = np.eye(2) - sum(row)
+            assert all(np.array_equal(a, b) for a, b in zip(theta, row))
+            assert np.array_equal(theta[-1], (bot + linalg.dagger(bot)) / 2)
+
+
 def test_seed_streams_extend_with_L(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")

@@ -252,6 +252,71 @@ def test_d_h_general_beats_commuting_test(rng):
         assert got >= -np.log2(cost) - 1e-8
 
 
+def d_h_dual_bound(rho, sig, eps, t):
+    """Weak SDP duality: mu (1 - eps) - Tr(mu rho - sig)_+ <= min Tr Q sig
+    over tests with Tr Q rho >= 1 - eps, here at mu = 1/t."""
+    lam = np.linalg.eigvalsh(rho - t * sig)
+    return ((1 - eps) - lam[lam > 0].sum()) / t
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the eigendecompositions numpy runs while the test is active."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _orig=orig, **k: calls.append(1) or _orig(*a, **k))
+    return calls
+
+
+def test_d_h_witness_is_certified_by_duality(rng, eigh_calls):
+    # Ginibre pairs, half of them with a singular sigma that leaves rho
+    # some mass, below the target, on its kernel. A feasible witness test
+    # whose cost meets the dual bound pins D_H without trusting d_h; the
+    # jumps of a singular sigma's pencil keep the search short there too.
+    def kernel_mass(rho, sig):
+        ws, vs = np.linalg.eigh(sig)
+        ker = vs[:, ws <= 1e-12]
+        return np.real(np.trace(linalg.dagger(ker) @ rho @ ker))
+
+    for i in range(120):
+        d = int(rng.integers(2, 9))
+        eps = (0.01, 0.1, 0.3)[i % 3]
+        rho = ginibre_density(rng, d)
+        sig = ginibre_density(rng, d)
+        while i % 2 and not 0 < kernel_mass(rho, sig) < 1 - eps:
+            sig = ginibre_density(rng, d, rank=int(rng.integers(1, d)))
+        eigh_calls.clear()
+        r = ent.d_h(rho, sig, eps)
+        assert len(eigh_calls) <= 30, (i, d, eps, len(eigh_calls))
+        w = r.witness
+        test = w["test"]
+        spec = np.linalg.eigvalsh(test)
+        assert spec[0] >= -1e-12 and spec[-1] <= 1 + 1e-12
+        assert np.real(np.trace(test @ rho)) >= 1 - eps - 1e-12
+        assert np.isclose(np.real(np.trace(test @ sig)), w["test_cost"], rtol=1e-12, atol=0)
+        assert r.value == -np.log2(w["test_cost"])
+        gap = np.log2(w["test_cost"]) - np.log2(d_h_dual_bound(rho, sig, eps, w["t"]))
+        assert gap <= 1e-9, (i, d, eps, gap)
+        assert w["duality_gap"] <= 1e-9
+
+
+def test_d_h_takes_few_eigendecompositions_on_commuting_pairs(rng, eigh_calls, monkeypatch):
+    # bisection took about 52; the commuting case must not fall back on the
+    # greedy LP, which verify's dh-neyman-pearson-vs-lp check compares against
+    monkeypatch.setattr(ent, "_greedy_lp", None)
+    for _ in range(200):
+        d = int(rng.integers(2, 9))
+        p = rng.dirichlet(np.ones(d))
+        q = rng.dirichlet(np.ones(d))
+        eps = float(rng.choice([0.01, 0.1, 0.3]))
+        eigh_calls.clear()
+        got = ent.d_h(np.diag(p), np.diag(q), eps)
+        assert len(eigh_calls) <= 12, (d, eps, len(eigh_calls))
+        assert np.isclose(2.0 ** (-got.value), lp_scipy_oracle(p, q, 1 - eps), atol=1e-8)
+
+
 # ------------------------------------------------------------ cq entropies
 
 def qubit_cq_example():
