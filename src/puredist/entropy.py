@@ -154,61 +154,57 @@ def h_h(rho, eps: float) -> EntropyResult:
     )
 
 
-# d_h stops once its test is certified within DH_GAP_TOL bits, or after DH_MAX_PROBES
-DH_GAP_TOL = 1e-12
+# d_h stops once its test is certified within DH_GAP_TOL bits, or after DH_MAX_PROBES;
+# near the root the zero band, not the bisection, sets the gap floor (~1e-10 bits)
+DH_GAP_TOL = 1e-9
 DH_MAX_PROBES = 100
 
 
 class _Split:
     """rho - t sigma at a threshold t > 0: the Neyman-Pearson test P_+ +
-    gamma P_0 (P_0 on the eigenvalues within rounding of zero) and its gap in
-    bits to the dual bound mu (1 - eps) - Tr(mu rho - sigma)_+ at mu = 1/t."""
+    gamma P_0 (P_0 on the eigenvalues within rounding of zero), its rho mass
+    and sigma cost, and its gap in bits to the dual bound mu (1 - eps) -
+    Tr(mu rho - sigma)_+ at mu = 1/t; the gap is inf when the test misses
+    the target, as then it certifies nothing."""
 
     def __init__(self, rh, sh, t, target, smax):
-        self.t, self.sh = t, sh
-        self.w, self.v = w, v = np.linalg.eigh(rh - t * sh)
-        self.rd = (v.conj() * (rh @ v)).real.sum(axis=0)  # diagonal of rho
-        sd = (v.conj() * (sh @ v)).real.sum(axis=0)
+        self.t = t
+        w, self.v = np.linalg.eigh(rh - t * sh)
+        rd = (self.v.conj() * (rh @ self.v)).real.sum(axis=0)  # diagonals of rho
+        sd = (self.v.conj() * (sh @ self.v)).real.sum(axis=0)  # and of sigma
         band = SUPPORT_TOL * max(1.0, t * smax)
         self.pos, self.zero = w > band, np.abs(w) <= band
-        self.a, self.b = float(self.rd[self.pos].sum()), float(self.rd[self.zero].sum())
-        gamma = 0.0 if self.b <= 1e-15 else min(1.0, max(0.0, (target - self.a) / self.b))
-        self.dual = (target - float(w[w > 0].sum())) / t
-        cost = float(sd[self.pos].sum()) + gamma * float(sd[self.zero].sum())
-        self.gap = float(abs(np.log2(cost / self.dual))) if cost > 0 and self.dual > 0 else np.inf
-
-    def newton(self, target) -> float:
-        """Newton step on f(t) = Tr[Pi_{>0}(rho - t sigma) rho] from the side
-        the root is on: f' = -2t sum_{i+, j-} |sigma_ij|^2 / (w_i - w_j), as
-        rho_ij = t sigma_ij off the diagonal of the eigenbasis."""
-        keep = self.pos if self.a > target else self.pos | self.zero
-        cross = self.v[:, keep].conj().T @ self.sh @ self.v[:, ~keep]
-        slope = -2.0 * self.t * float(np.sum(
-            np.abs(cross) ** 2 / (self.w[keep][:, None] - self.w[~keep][None, :])))
-        return self.t - (self.rd[keep].sum() - target) / slope if slope < 0 else np.nan
+        self.a, self.b = float(rd[self.pos].sum()), float(rd[self.zero].sum())
+        self.feasible = self.a + self.b >= target
+        self.gamma = 0.0 if self.b <= 1e-15 else min(1.0, max(0.0, (target - self.a) / self.b))
+        self.cost = float(sd[self.pos].sum()) + self.gamma * float(sd[self.zero].sum())
+        dual = (target - float(w[w > 0].sum())) / t
+        ok = self.feasible and self.cost > 0 and dual > 0
+        self.gap = float(np.log2(self.cost / dual)) if ok else np.inf
 
 
 def _neyman_pearson(rh, sh, cands, target, smax) -> _Split:
-    """The best certified split. f(t) decreases, jumps only at generalized
-    eigenvalues of (rho, sigma) and is smooth between them: the sorted
-    candidates ``cands`` only choose probes (the middle of those left in the
-    bracket lo <= t <= hi), then Newton steps kept inside it. The certificate
-    alone ends the search, so a false candidate costs probes, not accuracy."""
-    lo, hi, best, p = 0.0, np.inf, None, None
-    for _ in range(DH_MAX_PROBES):
+    """The best certified split. f(t) decreases and jumps only at generalized
+    eigenvalues of (rho, sigma): the sorted candidates ``cands`` only choose
+    probes (the middle of those left in the bracket lo <= t <= hi), then
+    bisection takes over. The certificate alone ends the search, so a false
+    candidate costs probes, not accuracy; an uncertified end warns."""
+    lo, hi, best = 0.0, np.inf, None
+    for n in range(1, DH_MAX_PROBES + 1):
         inside = cands[(cands > lo) & (cands < hi)]
         if len(inside):
             t = 0.5 * float(inside[(len(inside) - 1) // 2] + inside[len(inside) // 2])
         else:
-            t = p.newton(target) if p is not None else np.nan
-            if not lo < t < hi:
-                t = 0.5 * (lo + hi) if hi < np.inf else max(2.0 * lo, 1.0)
+            t = 0.5 * (lo + hi) if hi < np.inf else max(2.0 * lo, 1.0)
         p = _Split(rh, sh, t, target, smax)
         best = p if best is None or p.gap < best.gap else best
-        lo = t if p.a + p.b >= target else lo
+        lo = t if p.feasible else lo
         hi = t if p.a <= target else hi
         if p.gap <= DH_GAP_TOL or lo >= hi * (1.0 - 1e-14):
             break
+    if not best.gap <= DH_GAP_TOL:
+        warnings.warn(f"d_h test not certified: duality gap {best.gap:.3g} bits "
+                      f"after {n} probes", stacklevel=3)
     return best
 
 
@@ -218,14 +214,15 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     The optimal test is a Neyman-Pearson operator: the projector onto the
     positive part of (rho - t*sigma) plus a fractional weight on the
     threshold eigenspace. t is bracketed between the generalized eigenvalues
-    of (rho, sigma), read off sigma's whitening, and found by Newton steps
-    inside a smooth piece; every probe is certified by SDP duality at
-    mu = 1/t (Wang and Renner, PRL 108, 200501, 2012), down to a
-    ``duality_gap`` in the witness (value <= D_H <= value + duality_gap, up
-    to rounding). At eps = 0 the test is the support projector Pi_rho of
-    rho, the closed form -log2 Tr[Pi_rho sigma]. ``sigma`` only needs to be
-    PSD (not normalized). Returns +inf (flagged in the witness) when the
-    constraint is satisfiable with zero overlap on supp(sigma).
+    of (rho, sigma), read off sigma's whitening, and bisected inside a
+    smooth piece; every probe is certified by SDP duality at mu = 1/t
+    (Wang and Renner, PRL 108, 200501, 2012), down to a ``duality_gap`` in
+    the witness (value <= D_H <= value + duality_gap, up to rounding; it
+    warns if the gap stays above DH_GAP_TOL). At eps = 0 the test is the
+    support projector Pi_rho of rho, the closed form -log2 Tr[Pi_rho sigma].
+    ``sigma`` only needs to be PSD (not normalized). Returns +inf (flagged
+    in the witness) when the constraint is satisfiable with zero overlap on
+    supp(sigma).
     """
     _validate_eps(eps)
     r = _matrix(rho)
@@ -247,34 +244,25 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     if eps == 0.0:
         # the support projector of rho is the optimal test
         w, v = linalg.eig_hermitian(r)
-        t, pos, zero = 0.0, v[:, w > SUPPORT_TOL], v[:, :0]
+        pos = v[:, w > SUPPORT_TOL]
+        t, gamma, gap, zero = 0.0, 0.0, 0.0, v[:, :0]
+        mass = float(np.real(np.trace(linalg.dagger(pos) @ r @ pos)))
+        cost = float(np.real(np.trace(linalg.dagger(pos) @ s @ pos)))
     else:
         # (x + x^dagger) / 2 is Hermitian bit for bit, and so is every rh - t*sh
         rh = (r + linalg.dagger(r)) / 2.0
         sh = (s + linalg.dagger(s)) / 2.0
         white = vs[:, ws > SUPPORT_TOL] / np.sqrt(ws[ws > SUPPORT_TOL])
-        pencil = linalg.dagger(white) @ rh @ white
-        if ker.shape[1]:
-            # rho's weight on ker sigma moves the jumps: Schur complement
-            e, u = np.linalg.eigh(linalg.dagger(ker) @ rh @ ker)
-            u = u[:, e > SUPPORT_TOL] / np.sqrt(e[e > SUPPORT_TOL])
-            y = linalg.dagger(white) @ rh @ ker @ u
-            pencil -= y @ linalg.dagger(y)
-        cands = np.linalg.eigh(pencil)[0]
+        cands = np.linalg.eigh(linalg.dagger(white) @ rh @ white)[0]
         p = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(np.max(ws)))
-        t, pos, zero = p.t, p.v[:, p.pos], p.v[:, p.zero]
-    a = float(np.real(np.trace(linalg.dagger(pos) @ r @ pos)))
-    b = float(np.real(np.trace(linalg.dagger(zero) @ r @ zero)))
-    gamma = 0.0 if b <= 1e-15 else min(1.0, max(0.0, (target - a) / b))
-    cost = float(np.real(np.trace(linalg.dagger(pos) @ s @ pos)))
-    cost += gamma * float(np.real(np.trace(linalg.dagger(zero) @ s @ zero)))
+        t, gamma, gap, cost = p.t, p.gamma, p.gap, p.cost
+        pos, zero, mass = p.v[:, p.pos], p.v[:, p.zero], p.a + p.gamma * p.b
     cost = max(cost, 1e-300)
-    gap = 0.0 if eps == 0.0 else float(abs(np.log2(cost / max(p.dual, 1e-300))))
     test = pos @ linalg.dagger(pos) + gamma * (zero @ linalg.dagger(zero))
     return EntropyResult(
         value=float(-np.log2(cost)),
         witness={"t": t, "gamma": gamma, "test": test, "test_cost": cost,
-                 "achieved_mass": a + gamma * b, "duality_gap": gap},
+                 "achieved_mass": mass, "duality_gap": gap},
         method="neyman-pearson",
     )
 

@@ -273,8 +273,8 @@ def eigh_calls(monkeypatch):
 def test_d_h_witness_is_certified_by_duality(rng, eigh_calls):
     # Ginibre pairs, half of them with a singular sigma that leaves rho
     # some mass, below the target, on its kernel. A feasible witness test
-    # whose cost meets the dual bound pins D_H without trusting d_h; the
-    # jumps of a singular sigma's pencil keep the search short there too.
+    # whose cost meets the dual bound pins D_H without trusting d_h; on
+    # these smooth pieces the search bisects, within the parent's ~52 calls.
     def kernel_mass(rho, sig):
         ws, vs = np.linalg.eigh(sig)
         ker = vs[:, ws <= 1e-12]
@@ -289,7 +289,7 @@ def test_d_h_witness_is_certified_by_duality(rng, eigh_calls):
             sig = ginibre_density(rng, d, rank=int(rng.integers(1, d)))
         eigh_calls.clear()
         r = ent.d_h(rho, sig, eps)
-        assert len(eigh_calls) <= 30, (i, d, eps, len(eigh_calls))
+        assert len(eigh_calls) <= 52, (i, d, eps, len(eigh_calls))
         w = r.witness
         test = w["test"]
         spec = np.linalg.eigvalsh(test)
@@ -298,8 +298,18 @@ def test_d_h_witness_is_certified_by_duality(rng, eigh_calls):
         assert np.isclose(np.real(np.trace(test @ sig)), w["test_cost"], rtol=1e-12, atol=0)
         assert r.value == -np.log2(w["test_cost"])
         gap = np.log2(w["test_cost"]) - np.log2(d_h_dual_bound(rho, sig, eps, w["t"]))
-        assert gap <= 1e-9, (i, d, eps, gap)
-        assert w["duality_gap"] <= 1e-9
+        assert -1e-12 <= gap <= 1e-9, (i, d, eps, gap)
+        assert -1e-12 <= w["duality_gap"] <= 1e-9
+
+
+def test_d_h_warns_when_it_ends_uncertified(rng, monkeypatch):
+    # one probe cannot pin a Ginibre pair's threshold; the witness keeps an
+    # honest gap (inf when the probe's test misses the target)
+    monkeypatch.setattr(ent, "DH_MAX_PROBES", 1)
+    rho, sig = ginibre_density(rng, 4), ginibre_density(rng, 4)
+    with pytest.warns(UserWarning, match="not certified"):
+        r = ent.d_h(rho, sig, 0.1)
+    assert r.witness["duality_gap"] > ent.DH_GAP_TOL
 
 
 def test_d_h_takes_few_eigendecompositions_on_commuting_pairs(rng, eigh_calls, monkeypatch):
