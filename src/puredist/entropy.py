@@ -154,9 +154,8 @@ def h_h(rho, eps: float) -> EntropyResult:
     )
 
 
-# d_h stops once its test is certified within DH_GAP_TOL bits, or after DH_MAX_PROBES;
-# near the root the zero band, not the bisection, sets the gap floor (~1e-10 bits)
-DH_GAP_TOL = 1e-9
+# d_h stops once its test is certified within DH_GAP_TOL bits, or after DH_MAX_PROBES
+DH_GAP_TOL = 1e-10
 DH_MAX_PROBES = 100
 
 
@@ -175,11 +174,11 @@ class _Split:
         band = SUPPORT_TOL * max(1.0, t * smax)
         self.pos, self.zero = w > band, np.abs(w) <= band
         self.a, self.b = float(rd[self.pos].sum()), float(rd[self.zero].sum())
-        self.feasible = self.a + self.b >= target
+        self.above = float(rd[w > 0].sum()) >= target  # f(t) >= 1 - eps, so t <= the root
         self.gamma = 0.0 if self.b <= 1e-15 else min(1.0, max(0.0, (target - self.a) / self.b))
         self.cost = float(sd[self.pos].sum()) + self.gamma * float(sd[self.zero].sum())
         dual = (target - float(w[w > 0].sum())) / t
-        ok = self.feasible and self.cost > 0 and dual > 0
+        ok = self.a + self.b >= target and self.cost > 0 and dual > 0
         self.gap = float(np.log2(self.cost / dual)) if ok else np.inf
 
 
@@ -198,8 +197,7 @@ def _neyman_pearson(rh, sh, cands, target, smax) -> _Split:
             t = 0.5 * (lo + hi) if hi < np.inf else max(2.0 * lo, 1.0)
         p = _Split(rh, sh, t, target, smax)
         best = p if best is None or p.gap < best.gap else best
-        lo = t if p.feasible else lo
-        hi = t if p.a <= target else hi
+        lo, hi = (t, hi) if p.above else (lo, t)
         if p.gap <= DH_GAP_TOL or lo >= hi * (1.0 - 1e-14):
             break
     if not best.gap <= DH_GAP_TOL:
