@@ -212,11 +212,12 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     The optimal test is a Neyman-Pearson operator: the projector onto the
     positive part of (rho - t*sigma) plus a fractional weight on the
     threshold eigenspace. t is bracketed between the generalized eigenvalues
-    of (rho, sigma), read off sigma's whitening, and bisected inside a
-    smooth piece; every probe is certified by SDP duality at mu = 1/t
-    (Wang and Renner, PRL 108, 200501, 2012), down to a ``duality_gap`` in
-    the witness (value <= D_H <= value + duality_gap, up to rounding; it
-    warns if the gap stays above DH_GAP_TOL). At eps = 0 the test is the
+    of (rho, sigma), read off sigma's whitening (the jumps when rho has no
+    weight on ker sigma), and bisected inside a smooth piece; every probe is
+    certified by SDP duality at mu = 1/t (Wang and Renner, PRL 108, 200501,
+    2012), down to a ``duality_gap`` in the witness (value <= D_H <= value +
+    duality_gap, up to rounding; it warns if the gap stays above
+    DH_GAP_TOL). At eps = 0 the test is the
     support projector Pi_rho of rho, the closed form -log2 Tr[Pi_rho sigma].
     ``sigma`` only needs to be PSD (not normalized). Returns +inf (flagged
     in the witness) when the constraint is satisfiable with zero overlap on
