@@ -72,9 +72,7 @@ def _validate_eps(eps):
 
 
 def _spectrum(rho) -> np.ndarray:
-    if isinstance(rho, DensityOperator):
-        return rho.spectrum()
-    return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(rho))
+    return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(_matrix(rho)))
 
 
 def _matrix(rho) -> np.ndarray:
@@ -182,12 +180,13 @@ class _Split:
         self.gap = float(np.log2(self.cost / dual)) if ok else np.inf
 
 
-def _neyman_pearson(rh, sh, cands, target, smax) -> _Split:
-    """The best certified split. f(t) decreases and jumps only at generalized
-    eigenvalues of (rho, sigma): the sorted candidates ``cands`` only choose
-    probes (the middle of those left in the bracket lo <= t <= hi), then
-    bisection takes over. The certificate alone ends the search, so a false
-    candidate costs probes, not accuracy; an uncertified end warns."""
+def _neyman_pearson(rh, sh, cands, target, smax) -> tuple[_Split, int]:
+    """The best certified split and the number of splits built. f(t)
+    decreases and jumps only at generalized eigenvalues of (rho, sigma): the
+    sorted candidates ``cands`` only choose probes (the middle of those left
+    in the bracket lo <= t <= hi), then bisection takes over. The
+    certificate alone ends the search, so a false candidate costs probes,
+    not accuracy; an uncertified end warns."""
     lo, hi, best = 0.0, np.inf, None
     for n in range(1, DH_MAX_PROBES + 1):
         inside = cands[(cands > lo) & (cands < hi)]
@@ -203,7 +202,7 @@ def _neyman_pearson(rh, sh, cands, target, smax) -> _Split:
     if not best.gap <= DH_GAP_TOL:
         warnings.warn(f"d_h test not certified: duality gap {best.gap:.3g} bits "
                       f"after {n} probes", stacklevel=3)
-    return best
+    return best, n
 
 
 def d_h(rho, sigma, eps: float) -> EntropyResult:
@@ -217,8 +216,9 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     certified by SDP duality at mu = 1/t (Wang and Renner, PRL 108, 200501,
     2012), down to a ``duality_gap`` in the witness (value <= D_H <= value +
     duality_gap, up to rounding; it warns if the gap stays above
-    DH_GAP_TOL). At eps = 0 the test is the
-    support projector Pi_rho of rho, the closed form -log2 Tr[Pi_rho sigma].
+    DH_GAP_TOL), and ``probes`` counts the splits built. At eps = 0 the
+    test is the support projector Pi_rho of rho, the closed form
+    -log2 Tr[Pi_rho sigma], and ``probes`` is 0, as it is at +inf.
     ``sigma`` only needs to be PSD (not normalized). Returns +inf (flagged
     in the witness) when the constraint is satisfiable with zero overlap on
     supp(sigma).
@@ -238,13 +238,13 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     ker = vs[:, ws <= SUPPORT_TOL]
     free_mass = float(np.real(np.trace(linalg.dagger(ker) @ r @ ker)))
     if free_mass >= target - 1e-12:
-        return EntropyResult(value=np.inf, witness={"infinite": True},
+        return EntropyResult(value=np.inf, witness={"infinite": True, "probes": 0},
                              method="neyman-pearson")
     if eps == 0.0:
         # the support projector of rho is the optimal test
         w, v = linalg.eig_hermitian(r)
         pos = v[:, w > SUPPORT_TOL]
-        t, gamma, gap, zero = 0.0, 0.0, 0.0, v[:, :0]
+        t, gamma, gap, zero, probes = 0.0, 0.0, 0.0, v[:, :0], 0
         mass = float(np.real(np.trace(linalg.dagger(pos) @ r @ pos)))
         cost = float(np.real(np.trace(linalg.dagger(pos) @ s @ pos)))
     else:
@@ -253,7 +253,7 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
         sh = (s + linalg.dagger(s)) / 2.0
         white = vs[:, ws > SUPPORT_TOL] / np.sqrt(ws[ws > SUPPORT_TOL])
         cands = np.linalg.eigh(linalg.dagger(white) @ rh @ white)[0]
-        p = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(np.max(ws)))
+        p, probes = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(np.max(ws)))
         t, gamma, gap, cost = p.t, p.gamma, p.gap, p.cost
         pos, zero, mass = p.v[:, p.pos], p.v[:, p.zero], p.a + p.gamma * p.b
     cost = max(cost, 1e-300)
@@ -261,7 +261,7 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     return EntropyResult(
         value=float(-np.log2(cost)),
         witness={"t": t, "gamma": gamma, "test": test, "test_cost": cost,
-                 "achieved_mass": mass, "duality_gap": gap},
+                 "achieved_mass": mass, "duality_gap": gap, "probes": probes},
         method="neyman-pearson",
     )
 
@@ -271,18 +271,14 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
 
     The optimizer is blockwise, Pi = sum_x |x><x| (x) Pi_x, so the LP
     separates: pairs (x, eigenvalue of rho_x) are filled greedily by
-    eigenvalue descending, with gain P(x)*lambda and cost P(x) per pair.
+    eigenvalue descending, with gain P(x)*lambda and cost P(x) per pair, over
+    the support entries of ``cq.spectra`` in row-major order.
     """
     _validate_eps(eps)
-    gains, costs = [], []
-    for p, cond in zip(cq.probs, cq.conditionals):
-        w = cond.spectrum()
-        w = w[w > SUPPORT_TOL]
-        gains.append(p * w)
-        costs.append(np.full(len(w), p))
-    gains, costs = np.concatenate(gains), np.concatenate(costs)
-    ratio = gains / costs
-    order = np.argsort(-ratio, kind="stable")
+    support = cq.spectra > SUPPORT_TOL
+    gains = (cq.probs[:, None] * cq.spectra)[support]
+    costs = np.broadcast_to(cq.probs[:, None], support.shape)[support]
+    order = np.argsort(-(gains / costs), kind="stable")
     total, lam = _greedy_lp(gains[order], costs[order], 1.0 - eps)
     return EntropyResult(
         value=float(np.log2(total)),
@@ -294,49 +290,46 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
 def h_min_cq(cq: CQState) -> float:
     """Unsmoothed conditional min entropy H_min(B|X) of a cq state:
     -log2 sum_x P(x) lambda_max(rho_x), the closed form of the SDP."""
-    acc = sum(p * float(np.max(c.spectrum())) for p, c in zip(cq.probs, cq.conditionals))
-    return float(-np.log2(acc))
+    return h_min_cq_smoothed(cq, 0.0)
 
 
 def h_min_cq_smoothed(cq: CQState, eps: float) -> float:
     """Truncation-smoothed H_min^eps(B|X) for cq states.
 
     Removes up to eps^2 of global trace weight from the tops of the
-    conditionals' spectra (optimal exact water-cut allocation) before
-    applying the closed form. This restricted smoothing lower-bounds the
-    purified-distance-ball optimum; at eps = 0 it equals ``h_min_cq``.
+    conditionals' spectra, the rows of ``cq.spectra`` (optimal exact
+    water-cut allocation), before applying the closed form. This restricted
+    smoothing lower-bounds the purified-distance-ball optimum; at eps = 0 it
+    is ``h_min_cq``.
     """
     _validate_eps(eps)
     budget = eps * eps
-    # per symbol: spectra descending, current cut level, multiplicity at level
-    levels = []
-    for p, cond in zip(cq.probs, cq.conditionals):
-        w = np.sort(cond.spectrum())[::-1]
-        m0 = int(np.sum(w >= w[0] - 1e-15))
-        levels.append({"p": p, "w": w, "t": float(w[0]), "m": m0})
+    # per symbol: spectrum descending, current cut level, multiplicity at level
+    desc = cq.spectra[:, ::-1]
+    level = desc[:, 0].copy()
+    mult = np.sum(desc >= level[:, None] - 1e-15, axis=1).tolist()
     # lower the level with the smallest multiplicity first (P cancels in the
     # gain/cost ratio); advance to eigenvalue breakpoints until budget is gone
-    heap = [(st["m"], i) for i, st in enumerate(levels)]
+    heap = [(m, i) for i, m in enumerate(mult)]
     heapq.heapify(heap)
     while budget > 1e-18 and heap:
         m, i = heapq.heappop(heap)
-        st = levels[i]
-        if m != st["m"]:
+        if m != mult[i]:
             continue  # stale entry
-        w, t = st["w"], st["t"]
-        nxt = float(w[st["m"]]) if st["m"] < len(w) else 0.0
-        step_cost = st["p"] * st["m"] * (t - nxt)
+        w, t, p = desc[i], level[i], cq.probs[i]
+        nxt = w[m] if m < len(w) else 0.0
+        step_cost = p * m * (t - nxt)
         if step_cost <= budget:
             budget -= step_cost
-            st["t"] = nxt
-            while st["m"] < len(w) and w[st["m"]] >= nxt - 1e-15:
-                st["m"] += 1
-            if st["t"] > 0:
-                heapq.heappush(heap, (st["m"], i))
+            level[i] = nxt
+            while mult[i] < len(w) and w[mult[i]] >= nxt - 1e-15:
+                mult[i] += 1
+            if nxt > 0:
+                heapq.heappush(heap, (mult[i], i))
         else:
-            st["t"] = t - budget / (st["p"] * st["m"])
+            level[i] = t - budget / (p * m)
             budget = 0.0
-    acc = sum(st["p"] * max(st["t"], 0.0) for st in levels)
+    acc = sum(cq.probs * np.maximum(level, 0.0))
     return float(-np.log2(max(acc, 1e-300)))
 
 
@@ -593,7 +586,7 @@ def i_max_cq(cq: CQState, eps: float = 0.0, max_iterations: int = 10000,
     candidate tau is lifted to a feasible one for an upper bound, and the
     best pair over both stages is reported, in bits.
 
-    1. The discrimination fixed point, run on the stacked conditionals.
+    1. The discrimination fixed point, run on the kept rows of ``cq.stack``.
     2. If the fixed point has not reached ``gap_tol`` within a budget set by
        d (``_fixed_point_budget``) and d <= ``NEWTON_MAX_DIM``, a Newton
        barrier method takes over the slow tail. Should it stall, the fixed
@@ -604,9 +597,8 @@ def i_max_cq(cq: CQState, eps: float = 0.0, max_iterations: int = 10000,
     iterations and ``newton_steps`` barrier steps.
     """
     _validate_eps(eps)
-    keep = _imax_smooth_support(cq, eps)
     regs = cq.conditionals[0].registers
-    states = np.stack([cq.conditionals[i].matrix for i in keep]).astype(complex)
+    states = cq.stack[_imax_smooth_support(cq, eps)]
     n, d, _ = states.shape
 
     if n == 1:

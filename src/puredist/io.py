@@ -42,11 +42,13 @@ def _json_object(d, kind: str) -> dict:
 
 
 def _field(d: dict, kind: str, name: str, parse):
-    """``parse(d[name])``, a malformed value raising a ValueError that
-    names the field."""
+    """``parse(d[name])``, a missing or malformed value raising a ValueError
+    that names the field."""
+    if name not in d:
+        raise ValueError(f"{kind} field {name!r} is missing")
     try:
         return parse(d[name])
-    except TypeError as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"{kind} field {name!r} is malformed: {exc}") from None
 
 

@@ -7,6 +7,7 @@ and is the working representation inside protocol simulations.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -230,10 +231,8 @@ class CQState:
         symbols = [symbols[i] for i in keep]
         conds = [conditionals[i] for i in keep]
         probs = probs[keep]
-        sig = conds[0].registers
-        for c in conds[1:]:
-            if c.registers != sig:
-                raise ValueError("conditionals have mismatched register signatures")
+        if any(c.registers != conds[0].registers for c in conds):
+            raise ValueError("conditionals have mismatched register signatures")
         object.__setattr__(self, "symbols", tuple(symbols))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "conditionals", tuple(conds))
@@ -241,6 +240,17 @@ class CQState:
 
     def __len__(self):
         return len(self.symbols)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The conditionals' matrices as one (n, d, d) array."""
+        return np.stack([c.matrix for c in self.conditionals])
+
+    @cached_property
+    def spectra(self) -> np.ndarray:
+        """Row i is ``conditionals[i].spectrum()``, bit for bit, from one
+        stacked eigendecomposition."""
+        return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(self.stack))
 
     def map_conditionals(self, f) -> "CQState":
         return CQState(self.symbols, self.probs, [f(c) for c in self.conditionals])

@@ -1,11 +1,16 @@
+import contextlib
+import copy
 import json
 import os
 import re
 import subprocess
 import sys
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puredist import io
 from puredist.bounds import RateReport
@@ -204,9 +209,18 @@ def test_malformed_nested_fields_are_named_errors(bell_file, basis_file, tmp_pat
     listed_registers.write_text(json.dumps(state))
     scalar_elements = tmp_path / "elements.json"
     scalar_elements.write_text(json.dumps({"register": "A", "elements": 5}))
+    state = json.loads(open(bell_file).read())
+    state["matrix"][0] = [0.5]
+    short_pair = tmp_path / "short-pair.json"
+    short_pair.write_text(json.dumps(state))
+    del state["matrix"]
+    no_matrix = tmp_path / "no-matrix.json"
+    no_matrix.write_text(json.dumps(state))
     for command in ("entropy", "kd-oneshot"):
         for state_path, povm_path, field in ((str(listed_registers), basis_file, "registers"),
-                                             (bell_file, str(scalar_elements), "elements")):
+                                             (bell_file, str(scalar_elements), "elements"),
+                                             (str(short_pair), basis_file, "matrix"),
+                                             (str(no_matrix), basis_file, "matrix")):
             rc = main([command, "--state", state_path, "--povm", povm_path, "--eps", "0.1"])
             err = capsys.readouterr().err
             assert rc == 2
@@ -269,3 +283,65 @@ def test_verify_output_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def json_paths(node, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from json_paths(child, path + (key,))
+
+
+def replacements(node, path):
+    """Malformed values for one field: a wrong type, NaN, a zero or negative
+    dim, and a list one entry shorter or longer."""
+    out = [None, True, 5, "x", [], {}, float("nan")]
+    if path and path[-1] == "dim":
+        out += [0, -1, -2]
+    if isinstance(node, list) and node:
+        out += [node[:-1], node + node[-1:]]
+    return out
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(data=st.data())
+def test_one_malformed_field_exits_0_or_2_without_a_traceback(data, malformed_dir):
+    bell = np.zeros((4, 4))
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    docs = {"state": io.state_to_dict(DensityOperator([("A", 2), ("B", 2)], bell)),
+            "povm": io.povm_to_dict(basis_povm(2, "A"))}
+    kind = data.draw(st.sampled_from(sorted(docs)), label="file")
+    path = data.draw(st.sampled_from(list(json_paths(docs[kind]))), label="field")
+    node = docs[kind]
+    for key in path:
+        node = node[key]
+    value = data.draw(st.sampled_from(replacements(node, path)), label="value")
+    docs[kind] = replaced(docs[kind], path, value)
+    for name, doc in docs.items():
+        (malformed_dir / f"{name}.json").write_text(json.dumps(doc))
+    for command in ("entropy", "kd-oneshot"):
+        out, err = StringIO(), StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([command, "--state", str(malformed_dir / "state.json"),
+                       "--povm", str(malformed_dir / "povm.json"), "--eps", "0.1",
+                       "--K", "2", "--L", "4"])
+        assert rc in (0, 2), (command, rc)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

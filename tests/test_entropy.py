@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import subprocess
 import sys
@@ -192,11 +193,13 @@ def test_d_h_at_eps_zero_is_the_support_projector_closed_form(rng):
         assert np.isclose(first.value, want, rtol=0, atol=1e-9)
         assert first.value == second.value
         assert np.isclose(first.witness["achieved_mass"], 1.0, atol=1e-9)
+        assert first.witness["probes"] == 0
 
 
 def test_d_h_infinite_flag():
     r = ent.d_h(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.1)
     assert np.isinf(r.value) and r.witness.get("infinite")
+    assert r.witness["probes"] == 0
 
 
 def test_d_h_rejects_non_hermitian_rho_with_free_mass():
@@ -311,7 +314,7 @@ def test_d_h_warns_when_it_ends_uncertified(rng, monkeypatch):
     rho, sig = ginibre_density(rng, 4), ginibre_density(rng, 4)
     with pytest.warns(UserWarning, match="not certified"):
         r = ent.d_h(rho, sig, 0.1)
-    assert r.witness["duality_gap"] > ent.DH_GAP_TOL
+    assert r.witness["duality_gap"] > ent.DH_GAP_TOL and r.witness["probes"] == 1
 
 
 def test_d_h_takes_few_eigendecompositions_on_commuting_pairs(rng, eigh_calls, monkeypatch):
@@ -326,6 +329,8 @@ def test_d_h_takes_few_eigendecompositions_on_commuting_pairs(rng, eigh_calls, m
         eigh_calls.clear()
         got = ent.d_h(np.diag(p), np.diag(q), eps)
         assert len(eigh_calls) <= 12, (d, eps, len(eigh_calls))
+        # rho's check, sigma's decomposition and the pencil's, then one per probe
+        assert got.witness["probes"] == len(eigh_calls) - 3
         assert np.isclose(2.0 ** (-got.value), lp_scipy_oracle(p, q, 1 - eps), atol=1e-8)
 
 
@@ -428,6 +433,102 @@ def test_h_min_cq_smoothed_matches_enumeration(rng):
             best = min(best, acc)
         got = ent.h_min_cq_smoothed(cq, eps)
         assert got >= -np.log2(best) - 1e-6  # implementation is at least as good
+
+
+def loop_h_h_cond_cq(cq, eps):
+    """h_h_cond_cq's value, weights, gains and costs from one spectrum() per
+    conditional, the per-symbol loop it ran before it read cq.spectra."""
+    gains, costs = [], []
+    for p, cond in zip(cq.probs, cq.conditionals):
+        w = cond.spectrum()
+        w = w[w > ent.SUPPORT_TOL]
+        gains.append(p * w)
+        costs.append(np.full(len(w), p))
+    gains, costs = np.concatenate(gains), np.concatenate(costs)
+    order = np.argsort(-(gains / costs), kind="stable")
+    total, lam = ent._greedy_lp(gains[order], costs[order], 1.0 - eps)
+    return float(np.log2(total)), lam, gains[order], costs[order]
+
+
+def loop_h_min_cq(cq):
+    acc = sum(p * float(np.max(c.spectrum())) for p, c in zip(cq.probs, cq.conditionals))
+    return float(-np.log2(acc))
+
+
+def loop_h_min_cq_smoothed(cq, eps):
+    """h_min_cq_smoothed's water cut over per-symbol dicts, as it ran
+    before it read cq.spectra."""
+    budget = eps * eps
+    levels = []
+    for p, cond in zip(cq.probs, cq.conditionals):
+        w = np.sort(cond.spectrum())[::-1]
+        m0 = int(np.sum(w >= w[0] - 1e-15))
+        levels.append({"p": p, "w": w, "t": float(w[0]), "m": m0})
+    heap = [(st["m"], i) for i, st in enumerate(levels)]
+    heapq.heapify(heap)
+    while budget > 1e-18 and heap:
+        m, i = heapq.heappop(heap)
+        st = levels[i]
+        if m != st["m"]:
+            continue
+        w, t = st["w"], st["t"]
+        nxt = float(w[st["m"]]) if st["m"] < len(w) else 0.0
+        step_cost = st["p"] * st["m"] * (t - nxt)
+        if step_cost <= budget:
+            budget -= step_cost
+            st["t"] = nxt
+            while st["m"] < len(w) and w[st["m"]] >= nxt - 1e-15:
+                st["m"] += 1
+            if st["t"] > 0:
+                heapq.heappush(heap, (st["m"], i))
+        else:
+            st["t"] = t - budget / (st["p"] * st["m"])
+            budget = 0.0
+    acc = sum(st["p"] * max(st["t"], 0.0) for st in levels)
+    return float(-np.log2(max(acc, 1e-300)))
+
+
+def stacked_cq_cases(rng):
+    """Seeded cq states: n = 1, mixed, low-rank and pure conditionals, one
+    that dropped a symbol below 1e-12, and one whose gain/cost ratios tie
+    exactly across symbols, where only the pairs' order breaks the ties."""
+    tied = [DensityOperator([("B", 3)], np.diag(w)) for w in ([0.5, 0.25, 0.25],
+                                                             [0.25, 0.25, 0.5])]
+    yield CQState([0, 1], [0.25, 0.75], tied)
+    for i in range(150):
+        n, d = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+        yield random_cq(rng, n, d, pure_conditionals=i % 3 == 0,
+                        rank=int(rng.integers(1, d + 1)) if i % 3 == 1 else None)
+    conds = [random_density(rng, 3, "B"), random_pure(rng, 3, "B"), random_density(rng, 3, "B")]
+    dropped = CQState([0, 1, 2], [0.7, 1e-13, 0.3], conds)
+    assert dropped.dropped and len(dropped) == 2
+    yield dropped
+
+
+def test_cq_spectra_and_entropies_keep_the_bits_of_the_per_conditional_loops(rng):
+    for cq in stacked_cq_cases(rng):
+        assert cq.stack.shape == (len(cq),) + cq.conditionals[0].matrix.shape
+        for i, c in enumerate(cq.conditionals):
+            assert np.array_equal(cq.stack[i], c.matrix)
+            assert cq.spectra[i].tobytes() == c.spectrum().tobytes()
+        for eps in (0.0, 0.01, 0.1, 0.3, 0.7):
+            got = ent.h_h_cond_cq(cq, eps)
+            value, lam, gains, costs = loop_h_h_cond_cq(cq, eps)
+            assert got.value == value
+            for key, want in (("weights", lam), ("gains", gains), ("costs", costs)):
+                assert got.witness[key].tobytes() == want.tobytes(), key
+            assert ent.h_min_cq_smoothed(cq, eps) == loop_h_min_cq_smoothed(cq, eps)
+        assert ent.h_min_cq(cq) == loop_h_min_cq(cq)
+
+
+def test_cq_entropies_share_one_stacked_eigendecomposition(rng, eigh_calls):
+    for cq in stacked_cq_cases(rng):
+        eigh_calls.clear()
+        ent.h_h_cond_cq(cq, 0.1)
+        ent.h_min_cq(cq)
+        ent.h_min_cq_smoothed(cq, 0.0)
+        ent.h_min_cq_smoothed(cq, 0.2)
+        assert len(eigh_calls) == 1
 
 
 # ------------------------------------------------------------------ i_max

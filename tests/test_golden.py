@@ -1,8 +1,10 @@
-"""Golden stdout bytes of every CLI subcommand on small fixed instances.
+"""Golden stdout bytes of every CLI subcommand on small fixed instances,
+and of every demo script.
 
 The expected files under ``tests/golden/`` pin the exact output bytes, so
 any refactor that changes a single digit fails here; the ``purity-trace``
-case pins ``protocols.purity_trace``, which no subcommand prints. They pin
+case pins ``protocols.purity_trace``, which no subcommand prints, and
+``demo-NN.txt`` the stdout of ``demos/NN_*.py``. They pin
 the numpy and OpenBLAS build of the machine that wrote them: floats are
 printed at 17 significant digits, and another BLAS may round differently
 in the last place. Regenerate them (only after a deliberate output change) with
@@ -12,6 +14,8 @@ in the last place. Regenerate them (only after a deliberate output change) with
 
 import contextlib
 import io as _io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +28,8 @@ from puredist.protocols import purity_trace
 from puredist.states import DensityOperator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN.parent.parent
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 BELL = ("--state", "bell.json", "--povm", "basis.json", "--eps", "0.25")
 MIXED = ("--state", "mixed.json", "--povm", "povm3.json", "--eps", "0.1")
@@ -85,6 +91,18 @@ def run_case(name: str) -> str:
     return out.getvalue()
 
 
+def run_demo(path: Path) -> bytes:
+    """The stdout of a demo script, run in a fresh process on ``src/``."""
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def demo_golden(path: Path) -> Path:
+    return GOLDEN / f"demo-{path.name[:2]}.txt"
+
+
 @pytest.fixture
 def inputs(bell_file, basis_file, tmp_path, monkeypatch):
     write_mixed(tmp_path)
@@ -98,8 +116,12 @@ def test_cli_output_matches_golden_bytes(name, inputs):
     assert run_case(name) == expected
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_stdout_matches_golden_bytes(demo):
+    assert run_demo(demo) == demo_golden(demo).read_bytes()
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
     import warnings
 
@@ -120,3 +142,6 @@ if __name__ == "__main__":
                 print(case, file=sys.stderr)
         finally:
             os.chdir(here)
+    for demo in DEMOS:
+        demo_golden(demo).write_bytes(run_demo(demo))
+        print(demo.name, file=sys.stderr)
