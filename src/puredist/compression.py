@@ -257,14 +257,13 @@ class Instance:
 
     @cached_property
     def ideal_by_outcome(self):
-        """(P(x), rho_x^env matrix) of the ideal control state indexed by POVM
-        outcome, with P(x) = 0 and no matrix for dropped outcomes."""
-        probs = np.zeros(len(self.povm))
-        conds = [None] * len(self.povm)
+        """(P(x), rho_x^env) of the ideal control state indexed by POVM
+        outcome, as a vector and one stack, zero where x is dropped."""
         ideal = self.ideal_env
-        for lbl, p, c in zip(ideal.symbols, ideal.probs, ideal.conditionals):
-            x = self.povm.labels.index(lbl)
-            probs[x], conds[x] = p, c.matrix
+        xs = [self.povm.labels.index(lbl) for lbl in ideal.symbols]
+        probs = np.zeros(len(self.povm))
+        conds = np.zeros((len(self.povm), self.env_dim, self.env_dim), dtype=complex)
+        probs[xs], conds[xs] = ideal.probs, ideal.stack
         return probs, conds
 
     @cached_property
@@ -272,8 +271,7 @@ class Instance:
         """P(x) rho_x^env per POVM outcome x as one stack, zero if x is dropped;
         ``ideal_block_norms`` holds their trace norms."""
         probs, conds = self.ideal_by_outcome
-        return np.array([p * conds[x] if p > 0 else np.zeros((self.env_dim,) * 2, dtype=complex)
-                         for x, p in enumerate(probs)])
+        return probs[:, None, None] * conds
 
     @cached_property
     def ideal_block_norms(self) -> np.ndarray:
@@ -430,10 +428,10 @@ def validate_compression(view: Compression) -> CompressionReport:
     """
     cm, inst = view.cm, view.instance
     weights = cm.decoded_weight(len(inst.povm))
-    _, conds = inst.ideal_by_outcome
+    probs, conds = inst.ideal_by_outcome
     per_pair = 0.0
     for x, cond in enumerate(conds):
-        if x in inst.sims and weights[x] > 1e-12 and cond is not None:
+        if x in inst.sims and weights[x] > 1e-12 and probs[x] > 0:
             per_pair = max(per_pair, linalg.trace_distance(cond, inst.sims[x]))
 
     unif = 1.0 / (cm.K * cm.L)

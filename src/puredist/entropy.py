@@ -428,6 +428,20 @@ class _Bounds:
     def gap(self) -> float:
         return _gap_bits(self.lower, self.upper)
 
+    def lift(self, states: np.ndarray, basis: np.ndarray, povm: np.ndarray):
+        """Turn bounds found on the V^dag rho_x V into bounds on the rho_x.
+
+        tau lifts to V tau V^dag, certified once more against the full
+        ``states``, so the upper bound stays feasible there. The reduced
+        lower bounds stay valid: a lifted POVM {V Pi_x V^dag} is a POVM once
+        the kernel's slack goes to one symbol, which only adds
+        Tr[slack rho_x] >= 0.
+        """
+        lower, self.upper, self.tau = _certify(
+            states, basis @ povm @ linalg.dagger(basis),
+            basis @ self.tau @ linalg.dagger(basis))
+        self.lower = max(self.lower, lower)
+
 
 def _fixed_point(states, povm, best: _Bounds, iterations: int, gap_tol: float):
     """Discrimination fixed point Pi_x <- T rho_x Pi_x rho_x T, certified every
@@ -443,23 +457,39 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int, gap_tol: float):
     return povm, iterations
 
 
-# Stage 2 solves a d^2 x d^2 Newton system, so it only runs up to this size.
+# Stage 2 solves an r^2 x r^2 Newton system, so it only runs up to this support
+# dimension r.
 NEWTON_MAX_DIM = 16
 
 
-def _fixed_point_budget(d: int) -> int:
+def _fixed_point_budget(r: int) -> int:
     """Fixed-point iterations to run before handing the tail to stage 2.
 
+    ``r`` is the dimension the stages run in: the joint support of the
+    ensemble (see ``i_max_cq``), which is also what ``NEWTON_MAX_DIM``
+    gates, so a d > 16 ensemble of small support gets the Newton stage too.
+
     On one core of a 2-CPU x86 host, with n = 3-4 states, a fixed-point
-    iteration costs 0.24-0.4 ms for d <= 16; a Newton step costs about
-    0.4 ms at d <= 6, 0.7 ms at d=8, 1.9 ms at d=12 and 3.3 ms at d=16.
-    Warm-started from the fixed point, stage 2 certifies in a median of 14
-    Newton steps (6-51) on 600 random kd-oneshot ensembles, which costs as
-    much as about 25 fixed-point iterations at d <= 4, 35 at d=8, 65 at
-    d=12 and 115 at d=16. The budget follows that crossover; on those
-    ensembles it ran faster than half and twice itself.
+    iteration costs 0.24-0.4 ms for r <= 16; a Newton step costs about
+    0.4 ms at r <= 6, 0.7 ms at r=8, 1.9 ms at r=12 and 3.3 ms at r=16.
+    Warm-started from the fixed point, stage 2 certified in a median of 14
+    Newton steps (6-51) on 600 random kd-oneshot ensembles solved in their
+    full d = 8-16, which costs as much as about 25 fixed-point iterations
+    at r <= 4, 35 at r=8, 65 at r=12 and 115 at r=16. The budget follows
+    that crossover; on those ensembles it ran faster than half and twice
+    itself. Solved on their supports (r = 3-4), the same ensembles take
+    25-27 fixed-point iterations and a median of 14 Newton steps (max 48).
     """
-    return 25 + d ** 3 // 32
+    return 25 + r ** 3 // 32
+
+
+def _joint_support(states: np.ndarray):
+    """Orthonormal columns V spanning the support of sum_x rho_x, the
+    eigenvalues above ``SUPPORT_TOL`` relative to the largest, or None when
+    that support is the whole space."""
+    w, v = np.linalg.eigh(_hermitian_part(states.sum(axis=0)))
+    keep = w > SUPPORT_TOL * w[-1]
+    return None if keep.all() else v[:, keep]
 
 
 def _newton_step(sinv: np.ndarray, grad: np.ndarray):
@@ -586,38 +616,53 @@ def i_max_cq(cq: CQState, eps: float = 0.0, max_iterations: int = 10000,
     candidate tau is lifted to a feasible one for an upper bound, and the
     best pair over both stages is reported, in bits.
 
-    1. The discrimination fixed point, run on the kept rows of ``cq.stack``.
+    The stages run on the joint support of the kept rows of ``cq.stack``:
+    with V (d x r) spanning the support of sum_x rho_x (``_joint_support``),
+    they solve the same problem for the V^dag rho_x V. That is exact: every
+    rho_x lies in the span of V, so an optimal tau does too (compressing a
+    feasible tau to it stays feasible and lowers no trace). The kd-oneshot
+    environment ensembles, for one, have d = |B| rank(rho_AB) but
+    r <= |A|. When r = d the states are used as they are.
+
+    1. The discrimination fixed point.
     2. If the fixed point has not reached ``gap_tol`` within a budget set by
-       d (``_fixed_point_budget``) and d <= ``NEWTON_MAX_DIM``, a Newton
+       r (``_fixed_point_budget``) and r <= ``NEWTON_MAX_DIM``, a Newton
        barrier method takes over the slow tail. Should it stall, the fixed
        point resumes from its POVM up to ``max_iterations``.
 
-    ``value`` is the feasible (upper) side, so value - duality_gap <=
-    optimum <= value always holds. ``iterations`` counts fixed-point
-    iterations and ``newton_steps`` barrier steps.
+    A reduced result is lifted back and its tau certified once more in the
+    full space (``_Bounds.lift``), so ``sigma`` is a d x d operator feasible
+    for the original rho_x. ``value`` is the feasible (upper) side, so
+    value - duality_gap <= optimum <= value always holds. ``iterations``
+    counts fixed-point iterations and ``newton_steps`` barrier steps.
     """
     _validate_eps(eps)
     regs = cq.conditionals[0].registers
     states = cq.stack[_imax_smooth_support(cq, eps)]
-    n, d, _ = states.shape
+    n = states.shape[0]
 
     if n == 1:
         sigma = DensityOperator(regs, states[0], validate=False)
         return ImaxResult(0.0, sigma, 0.0, iterations=0)
 
-    best = _Bounds(states)
-    povm = np.broadcast_to(np.eye(d, dtype=complex) / n, (n, d, d))
+    basis = _joint_support(states)
+    reduced = states if basis is None else linalg.dagger(basis) @ states @ basis
+    r = reduced.shape[1]
+    best = _Bounds(reduced)
+    povm = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
     budget = max_iterations
-    if d <= NEWTON_MAX_DIM:
-        budget = min(budget, _fixed_point_budget(d))
-    povm, iters = _fixed_point(states, povm, best, budget, gap_tol)
+    if r <= NEWTON_MAX_DIM:
+        budget = min(budget, _fixed_point_budget(r))
+    povm, iters = _fixed_point(reduced, povm, best, budget, gap_tol)
     steps = 0
     if best.gap > gap_tol and iters < max_iterations:  # the budget ran out
-        last, steps = _barrier(states, best, gap_tol)
+        last, steps = _barrier(reduced, best, gap_tol)
         if best.gap > gap_tol:
-            povm, more = _fixed_point(states, povm if last is None else last, best,
+            povm, more = _fixed_point(reduced, povm if last is None else last, best,
                                       max_iterations - iters, gap_tol)
             iters += more
+    if basis is not None:
+        best.lift(states, basis, povm)
     gap = best.gap if iters else np.inf
     converged = gap <= max(gap_tol, 1e-6)
     if not converged:

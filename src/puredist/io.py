@@ -80,7 +80,11 @@ def povm_from_dict(d: dict) -> Povm:
     labels = d.get("labels")  # null keeps the default labels 0..n-1
     if labels is not None and not (isinstance(labels, list) and len(labels) == len(elements)):
         raise ValueError(f"POVM field 'labels' must be null or a list of {len(elements)} labels")
-    return Povm(elements, labels=labels, register=d.get("register", "A"))
+    register = d.get("register", "A")
+    if not isinstance(register, str):
+        raise ValueError("POVM field 'register' is malformed: expected a string, "
+                         f"got {type(register).__name__}")
+    return Povm(elements, labels=labels, register=register)
 
 
 def load_state(path: str) -> DensityOperator:

@@ -253,6 +253,29 @@ def test_povm_labels_must_be_null_or_a_list_as_long_as_elements(bell_file, basis
         assert outs["null"] == outs["absent"]
 
 
+def test_povm_register_must_be_a_string(bell_file, basis_file, tmp_path, capsys):
+    povm = json.loads(open(basis_file).read())
+    del povm["register"]
+    paths = {}
+    for name, register in (("absent", ...), ("A", "A"), ("number", 5), ("null", None),
+                           ("list", ["A"])):
+        body = dict(povm) if register is ... else dict(povm, register=register)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(body))
+    outs = {}
+    for name, path in paths.items():
+        rc = main(["entropy", "--state", bell_file, "--povm", str(path), "--eps", "0.1"])
+        out, err = capsys.readouterr()
+        if name in ("absent", "A"):
+            assert rc == 0
+            outs[name] = out.replace(str(path), "povm.json")
+        else:
+            assert rc == 2
+            assert err.startswith("error: POVM field 'register' is malformed")
+            assert err.count("\n") == 1
+    assert outs["absent"] == outs["A"]
+
+
 def test_repeated_main_calls_print_what_fresh_calls_print(bell_file, basis_file, tmp_path,
                                                           capsys):
     triv = str(tmp_path / "triv.json")

@@ -314,6 +314,34 @@ def test_ideal_states_equal_control_states(rng):
             assert np.array_equal(c_got.matrix, c_want.matrix)
 
 
+def loop_ideal_blocks(inst):
+    """The per-symbol loop that ``Instance.ideal_by_outcome`` and
+    ``ideal_blocks`` replaced, kept as their reference."""
+    probs = np.zeros(len(inst.povm))
+    conds = [None] * len(inst.povm)
+    ideal = inst.ideal_env
+    for lbl, p, c in zip(ideal.symbols, ideal.probs, ideal.conditionals):
+        x = inst.povm.labels.index(lbl)
+        probs[x], conds[x] = p, c.matrix
+    zero = np.zeros((inst.env_dim,) * 2, dtype=complex)
+    return probs, conds, np.array([p * conds[x] if p > 0 else zero
+                                   for x, p in enumerate(probs)])
+
+
+def test_ideal_blocks_keep_the_bits_of_the_per_symbol_loop(rng):
+    # a dropped outcome, and labels that are not the outcome indices
+    povm = random_povm(rng, 2, 3)
+    relabeled = Povm(povm.elements, labels=["c", "a", "b"], register="A")
+    for inst in (_kernel_outcome_instance(rng),
+                 Instance(classical_instance(rng, 2, 3), relabeled, 0.1)):
+        probs, conds, blocks = loop_ideal_blocks(inst)
+        got_probs, got_conds = inst.ideal_by_outcome
+        assert got_probs.tobytes() == probs.tobytes()
+        for got, want in zip(got_conds, conds):
+            assert np.array_equal(got, want if want is not None else np.zeros_like(got))
+        assert inst.ideal_blocks.tobytes() == blocks.tobytes()
+
+
 def _count_psd_power(monkeypatch):
     calls = []
     orig = linalg.psd_power

@@ -566,13 +566,16 @@ def test_i_max_qubit_grid_oracle(rng):
         assert abs(got.value - want) <= 1e-3
 
 
-def test_i_max_sigma_is_feasible(rng):
-    cq = random_cq(rng, 3, 3)
-    r = ent.i_max_cq(cq, 0.0)
+def assert_sigma_feasible(cq, r):
     t = 2.0 ** r.value
     for c in cq.conditionals:
         w, _ = linalg.eig_hermitian(c.matrix - t * r.sigma.matrix, tol=1e-7)
         assert np.max(w) <= 1e-7
+
+
+def test_i_max_sigma_is_feasible(rng):
+    cq = random_cq(rng, 3, 3)
+    assert_sigma_feasible(cq, ent.i_max_cq(cq, 0.0))
 
 
 def kd_environment_ensemble(index, da, db, rank):
@@ -598,10 +601,63 @@ def test_i_max_tail_instances_certify_through_the_newton_stage(index, shape, lon
     assert r.converged and r.duality_gap <= 1e-9
     assert r.newton_steps > 0 and r.iterations < 10000
     assert abs(r.value - long_run) <= 2e-7
-    t = 2.0 ** r.value
-    for c in cq.conditionals:
-        w, _ = linalg.eig_hermitian(c.matrix - t * r.sigma.matrix, tol=1e-7)
-        assert np.max(w) <= 1e-7
+    assert_sigma_feasible(cq, r)
+
+
+def test_i_max_is_invariant_under_an_isometric_embedding(rng):
+    # V rho_x V^dag (d -> 2d) has half-dimensional support, so it is solved
+    # on it and lifted back; the certified intervals of both solves overlap
+    for _ in range(12):
+        d = int(rng.integers(2, 7))
+        cq = random_cq(rng, int(rng.integers(2, 5)), d)
+        iso = random_unitary(rng, 2 * d)[:, :d]
+        big = cq.map_conditionals(lambda c: DensityOperator(
+            [("B", 2 * d)], iso @ c.matrix @ linalg.dagger(iso), validate=False))
+        assert ent._joint_support(big.stack).shape == (2 * d, d)
+        small, embedded = ent.i_max_cq(cq), ent.i_max_cq(big)
+        assert embedded.converged and embedded.duality_gap <= 1e-9
+        assert embedded.sigma.matrix.shape == (2 * d, 2 * d)
+        lower = max(small.value - small.duality_gap, embedded.value - embedded.duality_gap)
+        assert lower <= min(small.value, embedded.value), (small, embedded)
+
+
+def test_i_max_checks_hermiticity_in_the_full_space(rng):
+    # a skew part between the support and its kernel is gone from the
+    # reduced states; the full-space certificate of the lifted tau rejects it
+    cq = random_cq(rng, 3, 2)
+    skew = np.zeros((4, 4))
+    skew[0, 2], skew[2, 0] = 1e-3, -1e-3
+    bad = [DensityOperator([("B", 4)], np.pad(c.matrix, (0, 2)) + (x == 0) * skew,
+                           validate=False) for x, c in enumerate(cq.conditionals)]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ent.i_max_cq(CQState(cq.symbols, cq.probs, bad), 0.0)
+
+
+@pytest.mark.parametrize("index, shape", [(0, (4, 4, 2)), (1, (3, 4, 3)), (2, (4, 4, 4))])
+def test_i_max_sigma_is_feasible_on_a_rank_deficient_kd_ensemble(index, shape):
+    # d = |B| rank(rho_AB) but the support of sum_x rho_x has dimension <= |A|
+    cq = kd_environment_ensemble(index, *shape)
+    d = cq.stack.shape[1]
+    assert ent._joint_support(cq.stack).shape[1] <= shape[0] < d
+    r = ent.i_max_cq(cq, 1e-4)
+    assert r.converged and r.duality_gap <= 1e-9
+    assert r.sigma.matrix.shape == (d, d)
+    assert_sigma_feasible(cq, r)
+
+
+def test_i_max_certifies_a_d64_ensemble_of_small_support():
+    # the entropy-mixed input's shape, a rank-2 rho_AB with a 3-outcome POVM
+    # on |A| = 4, widened to |B| = 32: d = 64, support <= 4, so the Newton
+    # stage runs after the budget of the support dimension
+    rng = np.random.default_rng(20240817)
+    rho = DensityOperator([("A", 4), ("B", 32)], ginibre_density(rng, 128, 2))
+    povm = random_povm(rng, 4, 3, register="A")
+    cq = control_state(rho.purify("R"), povm, condition_on=["B", "R"])
+    assert cq.stack.shape[1] == 64 and ent._joint_support(cq.stack).shape[1] <= 4
+    r = ent.i_max_cq(cq, 0.0)
+    assert r.converged and r.duality_gap <= 1e-9
+    assert r.iterations <= ent._fixed_point_budget(4) and r.newton_steps > 0
+    assert_sigma_feasible(cq, r)
 
 
 def test_i_max_commuting_ensemble_needs_no_newton_stage():
