@@ -10,6 +10,7 @@ entropic sense that drives derandomization.
 import numpy as np
 
 from puredist.compression import (
+    Compression,
     Instance,
     find_good_k,
     nice_sets,
@@ -25,9 +26,8 @@ eps = 0.1
 
 inst = Instance(psi, povm, eps)
 view = inst.compression(K=4, L=32, seed=7)
-cm = view.cm
 rep = validate_compression(view)
-print("K x L table:", cm.K, "x", cm.L, "  normalization c =", round(cm.c_norm, 4))
+print("K x L table:", view.K, "x", view.L, "  normalization c =", round(view.c_norm, 4))
 print("ideal vs simulated (exact trace distance):", round(rep.ideal_vs_simulated, 4))
 print("per-pair state distance:", round(rep.per_pair_state_dist, 6))
 print("failure outcome mass   :", round(rep.bot_mass, 4))
@@ -54,7 +54,6 @@ print("chosen k:", k, " per-k error", round(errs[k], 4),
       " median", round(float(np.median(errs)), 4))
 
 # The table serializes for reproducible reruns.
-text = cm.to_json()
+text = view.to_json()
 print("\nserialized size:", len(text), "bytes; round-trips:",
-      np.array_equal(cm.decode,
-                     type(cm).from_json(text).decode))
+      np.array_equal(view.decode, Compression.from_json(text, inst).decode))

@@ -79,6 +79,8 @@ def check_args(args):
         raise ValueError("K and L must be at least 1")
     if not args.seeds:
         raise ValueError("at least one seed is required")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
 
 
 def protocol_input(state: DensityOperator) -> PureState:

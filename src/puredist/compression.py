@@ -73,63 +73,6 @@ def _table_uniforms(seed: int, K: int, L: int) -> np.ndarray:
     return np.array(raw, dtype=float).reshape(K, L) * 2.0 ** -53
 
 
-@dataclass(eq=False)
-class CompressedMeasurement:
-    """K x L table of sub-POVMs with a decode map back to original outcomes.
-
-    ``thetas[k]`` lists the L outcome operators followed by the failure
-    element. ``decode[k, l]`` is the index of the original POVM outcome that
-    the pair (k, l) stands for; the failure outcome decodes to
-    ``bot_decode`` (the most likely original symbol) and is tracked
-    separately. ``q_kl[k, l]`` is the exact joint outcome distribution with
-    uniform k (failure column last).
-    """
-
-    K: int
-    L: int
-    thetas: tuple
-    decode: np.ndarray
-    q_kl: np.ndarray
-    c_norm: float
-    seed: int
-    bot_decode: int
-    register: str
-    quality_warning: bool
-
-    def q_l_given_k(self, k: int) -> np.ndarray:
-        return self.q_kl[k] * self.K
-
-    def decoded_weight(self, n_outcomes: int) -> np.ndarray:
-        """Total simulated probability routed to each original outcome
-        (failure mass excluded)."""
-        w = np.zeros(n_outcomes)
-        np.add.at(w, self.decode.reshape(-1), self.q_kl[:, :self.L].reshape(-1))
-        return w
-
-    def to_json(self) -> str:
-        return io.dumps({
-            "K": self.K, "L": self.L, "seed": self.seed,
-            "register": self.register, "c_norm": self.c_norm,
-            "bot_decode": int(self.bot_decode),
-            "decode": self.decode,
-            "q_kl": self.q_kl,
-            "dim": int(self.thetas[0][0].shape[0]),
-            "thetas": [[io.matrix_to_pairs(e) for e in row] for row in self.thetas],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CompressedMeasurement":
-        d = json.loads(text)
-        thetas = tuple(tuple(io.pairs_to_matrix(e, d["dim"]) for e in row)
-                       for row in d["thetas"])
-        return cls(K=d["K"], L=d["L"], thetas=thetas,
-                   decode=np.array(d["decode"], dtype=int),
-                   q_kl=np.array(d["q_kl"], dtype=float),
-                   c_norm=d["c_norm"], seed=d["seed"],
-                   bot_decode=d["bot_decode"], register=d["register"],
-                   quality_warning=d["c_norm"] < 0.5)
-
-
 @dataclass
 class CompressionReport:
     ideal_vs_simulated: float
@@ -167,7 +110,7 @@ class Instance:
     cell's post-measurement state depends only on the symbol it decodes
     to, so the simulated conditionals, their Bob marginals and their pair
     entropies live here too, one per outcome of nonzero P_X, shared by
-    every ``Compression`` view that ``compression(K, L, seed)`` builds.
+    every ``Compression`` table that ``compression(K, L, seed)`` builds.
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -184,7 +127,7 @@ class Instance:
         self._h_h_cond = {}
 
     def compression(self, K: int, L: int, seed: int) -> "Compression":
-        return Compression(self, K, L, seed)
+        return compress_measurement(self, K, L, seed)
 
     @cached_property
     def rho_a(self) -> np.ndarray:
@@ -300,18 +243,63 @@ class Instance:
         return h_env, h_bob
 
 
+@dataclass(eq=False)
 class Compression:
-    """One K x L compressed measurement of an ``Instance`` and what derives
-    from it: the table, the nice sets, the per-k errors and the chosen k,
-    each computed on first use and kept. ``k`` raises ``NoGoodK`` exactly
-    where ``find_good_k`` does. The per-symbol states and entropies are the
-    instance's. Build views with ``Instance.compression``.
+    """One K x L compressed measurement of an ``Instance``, built by
+    ``compress_measurement`` and reloaded by ``from_json(text, instance)``.
+
+    ``thetas[k]`` lists row k's L cell operators, then the failure element.
+    ``decode[k, l]`` is the original outcome x that cell (k, l) stands for;
+    its operator, state and niceness depend on x alone. ``q_kl`` is the
+    exact joint outcome distribution with uniform k (failure column last).
+    The nice sets, per-k errors and chosen k are computed on first use and
+    kept; ``k`` raises ``NoGoodK`` exactly where ``find_good_k`` does.
     """
 
-    def __init__(self, instance: Instance, K: int, L: int, seed: int):
-        self.instance = instance
-        self.K, self.L, self.seed = K, L, seed
-        self.cm = compress_measurement(instance, K, L, seed)
+    instance: Instance
+    K: int
+    L: int
+    seed: int
+    thetas: tuple
+    decode: np.ndarray
+    q_kl: np.ndarray
+    c_norm: float
+
+    @property
+    def quality_warning(self) -> bool:
+        return self.c_norm < 0.5
+
+    def q_l_given_k(self, k: int) -> np.ndarray:
+        return self.q_kl[k] * self.K
+
+    def decoded_weight(self, n_outcomes: int) -> np.ndarray:
+        """Total simulated probability routed to each original outcome
+        (failure mass excluded)."""
+        w = np.zeros(n_outcomes)
+        np.add.at(w, self.decode.reshape(-1), self.q_kl[:, :self.L].reshape(-1))
+        return w
+
+    def to_json(self) -> str:
+        return io.dumps({
+            "K": self.K, "L": self.L, "seed": self.seed,
+            "register": self.instance.povm.register, "c_norm": self.c_norm,
+            "bot_decode": int(np.argmax(self.instance.p_x)),  # the likeliest x
+            "decode": self.decode,
+            "q_kl": self.q_kl,
+            "dim": int(self.thetas[0][0].shape[0]),
+            "thetas": [[io.matrix_to_pairs(e) for e in row] for row in self.thetas],
+        })
+
+    @classmethod
+    def from_json(cls, text: str, instance: Instance) -> "Compression":
+        d = json.loads(text)
+        if d["register"] != instance.povm.register or d["dim"] != instance.povm.dim:
+            raise ValueError("the table does not measure this instance's register")
+        thetas = tuple(tuple(io.pairs_to_matrix(e, d["dim"]) for e in row)
+                       for row in d["thetas"])
+        return cls(instance, K=d["K"], L=d["L"], seed=d["seed"], thetas=thetas,
+                   decode=np.array(d["decode"], dtype=int),
+                   q_kl=np.array(d["q_kl"], dtype=float), c_norm=d["c_norm"])
 
     @cached_property
     def nice(self):
@@ -326,8 +314,7 @@ class Compression:
         return find_good_k(self)
 
 
-def compress_measurement(inst: Instance, K: int, L: int,
-                         seed: int) -> CompressedMeasurement:
+def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compression:
     """Build the randomized K x L compressed measurement of an instance.
 
     For each cell an original outcome x(k, l) is sampled iid from the
@@ -372,13 +359,11 @@ def compress_measurement(inst: Instance, K: int, L: int,
     q_kl[:, :L] = q_cell[at]
     q_kl[:, L] = [max(0.0, float(np.real(np.trace(bot @ rho_a)))) / K for bot in bots]
 
-    warning = c < 0.5
-    if warning:
+    view = Compression(inst, K, L, seed, thetas=tuple(thetas), decode=decode,
+                       q_kl=q_kl, c_norm=float(c))
+    if view.quality_warning:
         warnings.warn(f"compression normalization c={c:.3f} < 1/2; raise L")
-    return CompressedMeasurement(
-        K=K, L=L, thetas=tuple(thetas), decode=decode, q_kl=q_kl,
-        c_norm=float(c), seed=seed, bot_decode=int(np.argmax(p_x)),
-        register=inst.povm.register, quality_warning=bool(warning))
+    return view
 
 
 def simulated_conditionals(inst: Instance):
@@ -426,18 +411,19 @@ def validate_compression(view: Compression) -> CompressionReport:
     substate). All quantities are computed exactly from the operators, not
     estimated.
     """
-    cm, inst = view.cm, view.instance
-    weights = cm.decoded_weight(len(inst.povm))
+    inst = view.instance
+    weights = view.decoded_weight(len(inst.povm))
     probs, conds = inst.ideal_by_outcome
     per_pair = 0.0
     for x, cond in enumerate(conds):
         if x in inst.sims and weights[x] > 1e-12 and probs[x] > 0:
             per_pair = max(per_pair, linalg.trace_distance(cond, inst.sims[x]))
 
-    unif = 1.0 / (cm.K * cm.L)
-    qkl_dev = float(np.sum(np.abs(cm.q_kl[:, :cm.L] - unif)) + np.sum(cm.q_kl[:, cm.L]))
-    qk_dev = float(np.sum(np.abs(np.sum(cm.q_kl, axis=1) - 1.0 / cm.K)))
-    bot_mass = float(np.sum(cm.q_kl[:, cm.L]))
+    K, L, q_kl = view.K, view.L, view.q_kl
+    unif = 1.0 / (K * L)
+    qkl_dev = float(np.sum(np.abs(q_kl[:, :L] - unif)) + np.sum(q_kl[:, L]))
+    qk_dev = float(np.sum(np.abs(np.sum(q_kl, axis=1) - 1.0 / K)))
+    bot_mass = float(np.sum(q_kl[:, L]))
     return CompressionReport(
         ideal_vs_simulated=float(_block_distances(view, weights[None])[0]),
         per_pair_state_dist=float(per_pair),
@@ -452,37 +438,33 @@ def nice_sets(view: Compression):
 
     A pair is nice when its conditional entropy on the full environment and
     on Bob's share each stay within the instance's ``slack_bits`` of the
-    corresponding conditional entropy of the ideal control state. Returns
-    (T', {k: sorted nice l's}) where T' holds the k whose nice fraction is at
-    least 1 - eps^(1/16).
+    corresponding conditional entropy of the ideal control state. Both
+    depend on the decoded symbol only, so each symbol is checked once and
+    every row maps through that verdict. Returns (T', {k: sorted nice l's})
+    where T' holds the k whose nice fraction is at least 1 - eps^(1/16).
     """
-    inst, cm = view.instance, view.cm
+    inst = view.instance
     bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
     bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
     h_env, h_bob = inst.pair_entropies
-    nice = {}
-    for k in range(cm.K):
-        ls = []
-        for l in range(cm.L):
-            x = int(cm.decode[k, l])
-            if x not in h_env:
-                continue
-            if h_env[x].value <= bound_env + 1e-12 and h_bob[x] <= bound_bob + 1e-12:
-                ls.append(l)
-        nice[k] = ls
-    threshold = (1 - inst.eps ** (1.0 / 16)) * cm.L
-    tprime = [k for k in range(cm.K) if len(nice[k]) >= threshold - 1e-9]
+    symbols, at = np.unique(view.decode, return_inverse=True)
+    ok = np.array([x in h_env and h_env[x].value <= bound_env + 1e-12
+                   and h_bob[x] <= bound_bob + 1e-12 for x in symbols.tolist()])
+    nice = {k: np.flatnonzero(row).tolist()
+            for k, row in enumerate(ok[at.reshape(view.decode.shape)])}
+    threshold = (1 - inst.eps ** (1.0 / 16)) * view.L
+    tprime = [k for k in range(view.K) if len(nice[k]) >= threshold - 1e-9]
     return tprime, nice
 
 
 def per_k_errors(view: Compression) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated one
     restricted to each k (the dominant per-k protocol error term)."""
-    cm = view.cm
-    w = np.zeros((cm.K, len(view.instance.povm)))
+    K, L = view.K, view.L
+    w = np.zeros((K, len(view.instance.povm)))
     # each weight adds its cells' q(l|k) in l order, as one loop over l would
-    np.add.at(w, (np.arange(cm.K).repeat(cm.L), cm.decode.reshape(-1)),
-              (cm.q_kl[:, :cm.L] * cm.K).reshape(-1))
+    np.add.at(w, (np.arange(K).repeat(L), view.decode.reshape(-1)),
+              (view.q_kl[:, :L] * K).reshape(-1))
     return _block_distances(view, w)
 
 

@@ -443,7 +443,7 @@ class _Bounds:
         self.lower = max(self.lower, lower)
 
 
-def _fixed_point(states, povm, best: _Bounds, iterations: int, gap_tol: float):
+def _fixed_point(states, povm, best: _Bounds, iterations: int):
     """Discrimination fixed point Pi_x <- T rho_x Pi_x rho_x T, certified every
     iteration by its Lagrange operator Y = sum_x rho_x Pi_x. Returns the last
     POVM and the number of iterations run."""
@@ -452,7 +452,7 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int, gap_tol: float):
         povm = _povm_from(states, rp @ states)
         rp = states @ povm
         y = _hermitian_part(rp.sum(axis=0))
-        if best.update(*_certify(states, povm, y)) <= gap_tol:
+        if best.update(*_certify(states, povm, y)) <= IMAX_GAP_TOL:
             return povm, it
     return povm, iterations
 
@@ -460,6 +460,10 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int, gap_tol: float):
 # Stage 2 solves an r^2 x r^2 Newton system, so it only runs up to this support
 # dimension r.
 NEWTON_MAX_DIM = 16
+
+# i_max_cq stops once certified within this many bits, or after this many iterations
+IMAX_GAP_TOL = 1e-9
+IMAX_MAX_ITERATIONS = 10000
 
 
 def _fixed_point_budget(r: int) -> int:
@@ -525,7 +529,7 @@ BARRIER_GROWTH = 8.0
 NEWTON_MAX_STEPS = 200
 
 
-def _barrier(states, best: _Bounds, gap_tol: float):
+def _barrier(states, best: _Bounds):
     """Newton barrier method for min Tr tau s.t. tau > rho_x.
 
     Minimizes t Tr tau - sum_x log det(tau - rho_x) for t rising by
@@ -534,7 +538,7 @@ def _barrier(states, best: _Bounds, gap_tol: float):
     positive definite. Each outer step is certified through ``_certify``
     with the dual point Z_x = (tau - rho_x)^-1 / t, built from the positive
     eigenvalues of tau - rho_x and normalized into an exact POVM. Stops when
-    the gap reaches ``gap_tol`` or stalls (singular Newton system, no gap
+    the gap reaches ``IMAX_GAP_TOL`` or stalls (singular Newton system, no gap
     progress). Returns the POVM of the last outer step (None if there was
     none) and the number of Newton steps taken.
     """
@@ -593,15 +597,14 @@ def _barrier(states, best: _Bounds, gap_tol: float):
         povm = _povm_from(states, inverses(eig, t))
         lower, upper, feasible = _certify(states, povm, tau)
         step_gap = _gap_bits(lower, upper)
-        if best.update(lower, upper, feasible) <= gap_tol or step_gap > 0.5 * gap:
+        if best.update(lower, upper, feasible) <= IMAX_GAP_TOL or step_gap > 0.5 * gap:
             break
         gap = step_gap
         t *= BARRIER_GROWTH
     return povm, steps
 
 
-def i_max_cq(cq: CQState, eps: float = 0.0, max_iterations: int = 10000,
-             gap_tol: float = 1e-9) -> ImaxResult:
+def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     """Smooth max mutual information I_max^eps(X:B) of a cq ensemble.
 
     For cq states the D_max-based definition reduces to
@@ -625,16 +628,18 @@ def i_max_cq(cq: CQState, eps: float = 0.0, max_iterations: int = 10000,
     r <= |A|. When r = d the states are used as they are.
 
     1. The discrimination fixed point.
-    2. If the fixed point has not reached ``gap_tol`` within a budget set by
-       r (``_fixed_point_budget``) and r <= ``NEWTON_MAX_DIM``, a Newton
-       barrier method takes over the slow tail. Should it stall, the fixed
-       point resumes from its POVM up to ``max_iterations``.
+    2. If the fixed point has not reached ``IMAX_GAP_TOL`` within a budget
+       set by r (``_fixed_point_budget``) and r <= ``NEWTON_MAX_DIM``, a
+       Newton barrier method takes over the slow tail. Should it stall, the
+       fixed point resumes from its POVM, up to ``IMAX_MAX_ITERATIONS``
+       iterations in all.
 
     A reduced result is lifted back and its tau certified once more in the
     full space (``_Bounds.lift``), so ``sigma`` is a d x d operator feasible
     for the original rho_x. ``value`` is the feasible (upper) side, so
     value - duality_gap <= optimum <= value always holds. ``iterations``
-    counts fixed-point iterations and ``newton_steps`` barrier steps.
+    counts fixed-point iterations and ``newton_steps`` barrier steps; a run
+    left at the cap above max(IMAX_GAP_TOL, 1e-6) bits warns, unconverged.
     """
     _validate_eps(eps)
     regs = cq.conditionals[0].registers
@@ -650,21 +655,21 @@ def i_max_cq(cq: CQState, eps: float = 0.0, max_iterations: int = 10000,
     r = reduced.shape[1]
     best = _Bounds(reduced)
     povm = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
-    budget = max_iterations
+    budget = IMAX_MAX_ITERATIONS
     if r <= NEWTON_MAX_DIM:
         budget = min(budget, _fixed_point_budget(r))
-    povm, iters = _fixed_point(reduced, povm, best, budget, gap_tol)
+    povm, iters = _fixed_point(reduced, povm, best, budget)
     steps = 0
-    if best.gap > gap_tol and iters < max_iterations:  # the budget ran out
-        last, steps = _barrier(reduced, best, gap_tol)
-        if best.gap > gap_tol:
+    if best.gap > IMAX_GAP_TOL and iters < IMAX_MAX_ITERATIONS:  # the budget ran out
+        last, steps = _barrier(reduced, best)
+        if best.gap > IMAX_GAP_TOL:
             povm, more = _fixed_point(reduced, povm if last is None else last, best,
-                                      max_iterations - iters, gap_tol)
+                                      IMAX_MAX_ITERATIONS - iters)
             iters += more
     if basis is not None:
         best.lift(states, basis, povm)
     gap = best.gap if iters else np.inf
-    converged = gap <= max(gap_tol, 1e-6)
+    converged = gap <= max(IMAX_GAP_TOL, 1e-6)
     if not converged:
         warnings.warn(
             f"i_max_cq hit the iteration cap with duality gap {gap:.2e} bits")

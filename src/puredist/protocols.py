@@ -20,8 +20,8 @@ each distinct branch once (``_eig_code``) and codes a good set of outcomes
 of mass >= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
 ``_final_error`` mixes the coded branches, and ``_distill_branches`` runs
 both parties' codes for ``run_protocol_a`` and ``run_kd_oneshot``.
-``cells`` maps each outcome, in order, to its branch, so the cells of one
-decoded symbol share one measured, coded and reduced branch.
+``cells`` maps each outcome to its branch (one per decoded symbol, in
+``np.unique`` order); code sizes and mixtures run in outcome order.
 """
 
 import math
@@ -231,14 +231,13 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
     dephases the outcome register to Bob. Communication equals the
     borrowed register size, ceil(log2(L + 1)) bits.
     """
-    inst, cm = view.instance, view.cm
+    inst, k = view.instance, view.k
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
-    k = view.k
-    row = cm.decode[k].tolist()
-    symbols = list(dict.fromkeys(row))
-    elements = [cm.thetas[k][row.index(x)] for x in symbols] + [cm.thetas[k][-1]]
-    cells = [symbols.index(x) for x in row] + [len(symbols)]
+    # one branch per distinct symbol of row k, then the failure branch
+    _, first, at = np.unique(view.decode[k], return_index=True, return_inverse=True)
+    elements = [view.thetas[k][l] for l in first.tolist()] + [view.thetas[k][-1]]
+    cells = at.tolist() + [len(first)]
     branches = states.measure(psi, elements, a_reg)
     a_bits, b_bits, err = _distill_branches(branches, cells, a_reg, bob_label, eps)
 
@@ -247,7 +246,7 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
     formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps)
                + np.log2(db) - inst.h_h_cond("ideal_bob", eps)
                - imax.value)
-    borrowed = math.ceil(np.log2(cm.L + 1))
+    borrowed = math.ceil(np.log2(view.L + 1))
     return ProtocolTranscript(
         protocol="kd-oneshot",
         distilled_alice=a_bits,
@@ -257,10 +256,10 @@ def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
         final_error=err,
         eps=eps,
         seed=view.seed,
-        dims={"A": da, "B": db, "K": cm.K, "L": cm.L},
+        dims={"A": da, "B": db, "K": view.K, "L": view.L},
         slack_bits=inst.slack_bits,
         rate_bound_real=float(formula),
-        extra={"k": k, "c_norm": cm.c_norm, "imax_bits": imax.value},
+        extra={"k": k, "c_norm": view.c_norm, "imax_bits": imax.value},
     )
 
 
@@ -336,7 +335,7 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     power-of-two instances). Case II borrows the shortfall, its theoretical
     size being Delta = H_H(env|X) - H_min(env|X) + slack.
     """
-    inst, cm, k = view.instance, view.cm, view.k
+    inst, k = view.instance, view.k
     eps, slack_bits = inst.eps, inst.slack_bits
     da = inst.psi.dim(inst.povm.register)
     imax = inst.imax.value
@@ -354,8 +353,9 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     # A_g holds the purifications of the truncated branch states: its size is
     # the largest truncated rank, which 2^{H_H} + 1 upper-bounds
     ag_req, ag_cap = 1, 2
-    for l in nice:
-        hh_pair = h_env[int(cm.decode[k, l])]
+    # return_inverse keeps np.unique off its masked-array check (a numpy.ma import)
+    for x in np.unique(view.decode[k, nice], return_inverse=True)[0].tolist():
+        hh_pair = h_env[x]
         rank = int(np.sum(hh_pair.witness["weights"] > 1e-12))
         ag_req = max(ag_req, rank)
         ag_cap = max(ag_cap, math.ceil(2.0 ** hh_pair.value + 1 - 1e-9))
@@ -390,7 +390,7 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
     truncated purifications of the nice outcome branches; L_A is dephased to
     Bob, who distills per outcome (identity relabeling off the nice set).
     """
-    inst, cm, k = view.instance, view.cm, view.k
+    inst, k = view.instance, view.k
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
     plan = plan_fewqubits(view)
@@ -401,50 +401,42 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
 
     da = psi.dim(a_reg)
     env_sorted = sorted(inst.env)
-    q_lk = cm.q_l_given_k(k)
-    p_nice = np.array([q_lk[l] for l in nice])
+    p_nice = view.q_l_given_k(k)[nice]
     if np.sum(p_nice) <= 1e-30:
         raise NoGoodK("nice outcomes carry no probability; raise L or K")
     p_nice = p_nice / np.sum(p_nice)
 
     # truncated conditionals, one per nice symbol, and their purifications
     # into A_g at every nice outcome of that symbol
-    nice_x = [int(cm.decode[k, l]) for l in nice]
-    symbols = list(dict.fromkeys(nice_x))
-    cells = [symbols.index(x) for x in nice_x]
+    symbols, cells = np.unique(view.decode[k, nice], return_inverse=True)
     h_env, _ = inst.pair_entropies
     ap, la, ag = plan.ap_dim, plan.la_dim, plan.ag_dim
     target = np.zeros((ap, la, ag, inst.env_dim), dtype=complex)
-    for x in symbols:
+    for s, x in enumerate(symbols.tolist()):
         w, v = _descending_eig(inst.sims[x])
         weights = np.zeros_like(w)
         weights[: len(h_env[x].witness["weights"])] = h_env[x].witness["weights"]
         tw = w * weights
         tw = tw / np.sum(tw)
-        for idx in [i for i, y in enumerate(nice_x) if y == x]:
-            for j in range(min(ag, len(tw))):
-                if tw[j] <= 1e-15:
-                    continue
-                target[0, idx, j, :] = np.sqrt(p_nice[idx] * tw[j]) * v[:, j]
+        at = np.flatnonzero(cells == s)
+        j = np.flatnonzero(tw[:ag] > 1e-15)
+        target[0, at[:, None], j] = np.sqrt(p_nice[at, None] * tw[j])[..., None] * v[:, j].T
 
     chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
                     + [(l, psi.dim(l)) for l in env_sorted], target)
+    phi = psi
     if plan.borrow > 0:
         # append |0>^borrow to A: out index a * 2^borrow + 0
         block = 2 ** plan.borrow
-        ext = np.zeros((da * block, da), dtype=complex)
-        for i in range(da):
-            ext[i * block, i] = 1.0
-        phi = psi.apply(ext, [a_reg], out_regs=[(a_reg, da * block)])
-    else:
-        phi = psi
+        phi = psi.apply(np.eye(da * block, dtype=complex)[:, ::block], [a_reg],
+                        out_regs=[(a_reg, da * block)])
     u, overlap = uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
     state = phi.apply(u, [a_reg], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)])
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    b_bits, bob_isos = _conditional_codes([inst.sims_bob[x] for x in symbols], p_nice,
-                                          cells, db, eps, "Bp", "Bg")
+    b_bits, bob_isos = _conditional_codes([inst.sims_bob[x] for x in symbols.tolist()],
+                                          p_nice, cells, db, eps, "Bp", "Bg")
     off_nice = _isometry(np.eye(db), db, b_bits, "Bp", "Bg")
     bob_isos = [bob_isos[i] for i in cells] + [off_nice] * (la - len(nice))
     err = _final_error([b for _, b in state.branches("LA")],
@@ -460,7 +452,7 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
         final_error=err,
         eps=eps,
         seed=view.seed,
-        dims={"A": da, "B": db, "K": cm.K, "L": cm.L,
+        dims={"A": da, "B": db, "K": view.K, "L": view.L,
               "Ap": ap, "LA": la, "Ag": ag},
         slack_bits=inst.slack_bits,
         case=plan.case,
@@ -495,23 +487,17 @@ def verify_derandomization(view: Compression) -> dict:
 def _block_diag_mix(blocks, keep):
     """Block-diagonal matrix mixing each branch's ``keep`` marginal with an
     explicit classical index (a dephased classical register)."""
-    mats = [b.marginal(keep) for b in blocks]
-    d = mats[0].shape[0]
-    n = len(mats)
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for x, m in enumerate(mats):
-        out[x * d:(x + 1) * d, x * d:(x + 1) * d] = m
-    return out
+    mats = np.stack([b.marginal(keep) for b in blocks])
+    n, d, _ = mats.shape
+    out = np.zeros((n, d, n, d), dtype=complex)
+    out[np.arange(n), :, np.arange(n)] = mats
+    return out.reshape(n * d, n * d)
 
 
 def _stack_coherent(blocks, label):
     """Rebuild the coherent pure state sum_x |x> (x) block_x."""
-    full = None
-    for x, b in enumerate(blocks):
-        vec = np.zeros((len(blocks),) + b.tensor.shape, dtype=complex)
-        vec[x] = b.tensor
-        full = vec if full is None else full + vec
-    return PureState([(label, len(blocks))] + list(blocks[0].regs), full)
+    return PureState([(label, len(blocks))] + list(blocks[0].regs),
+                     np.stack([b.tensor for b in blocks]))
 
 
 def purity_trace(psi: PureState, povm: Povm, eps: float,

@@ -37,6 +37,15 @@ def test_config_validation(bell_file, capsys):
         main(["entropy", "--state", bell_file, "--format", "xml"])
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(trials, capsys):
+    # a suite of zero trials checks nothing, so it must not report a pass
+    assert main(["verify", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 def test_help_lists_the_csv_columns():
     epilog = build_parser().epilog
     protocol, compare = re.match(r"CSV columns \(protocol commands\): (\S+)\. "

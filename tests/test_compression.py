@@ -4,7 +4,7 @@ import pytest
 from puredist import linalg
 from puredist.compression import (
     BOT,
-    CompressedMeasurement,
+    Compression,
     Instance,
     NoGoodK,
     _table_uniforms,
@@ -38,25 +38,25 @@ def test_trivial_povm_is_exact(rng):
     psi = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
     view = Instance(psi, triv, 0.1).compression(K=3, L=4, seed=0)
-    cm = view.cm
     rep = validate_compression(view)
     assert rep.ideal_vs_simulated <= 1e-8
     assert rep.bot_mass <= 1e-10
     # all cell operators proportional to the support projector
-    for k in range(cm.K):
-        for l in range(cm.L):
-            assert np.allclose(cm.thetas[k][l], np.eye(2) / cm.L, atol=1e-9)
+    for k in range(view.K):
+        for l in range(view.L):
+            assert np.allclose(view.thetas[k][l], np.eye(2) / view.L, atol=1e-9)
 
 
 def test_rows_are_povms(rng):
     psi = purified_input(bell_pair())
     povm = random_povm(rng, 2, 3)
-    cm = compress_measurement(Instance(psi, povm, 0.1), K=4, L=8, seed=2)
-    for k in range(cm.K):
+    view = compress_measurement(Instance(psi, povm, 0.1), K=4, L=8, seed=2)
+    for k in range(view.K):
         # the Povm constructor revalidates PSD + sum
-        p = Povm(cm.thetas[k], list(range(cm.L)) + [BOT], register=cm.register)
+        p = Povm(view.thetas[k], list(range(view.L)) + [BOT],
+                 register=view.instance.povm.register)
         assert p.labels[-1] == BOT
-        assert len(p) == cm.L + 1
+        assert len(p) == view.L + 1
 
 
 def test_stacked_row_sums_keep_the_bits_of_the_row_loop(rng):
@@ -169,13 +169,12 @@ def test_validation_exact_fields(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
     view = Instance(psi, povm, 0.1).compression(K=4, L=16, seed=3)
-    cm = view.cm
     rep = validate_compression(view)
     assert 0 <= rep.ideal_vs_simulated <= 2
     assert rep.qk_vs_uniform <= 1e-9  # k is drawn uniformly by construction
-    assert rep.bot_mass == pytest.approx(float(np.sum(cm.q_kl[:, -1])))
+    assert rep.bot_mass == pytest.approx(float(np.sum(view.q_kl[:, -1])))
     # the simulated mixture is a substate: its total weight + bot mass = 1
-    assert np.isclose(np.sum(cm.q_kl), 1.0, atol=1e-9)
+    assert np.isclose(np.sum(view.q_kl), 1.0, atol=1e-9)
 
 
 def test_doubling_L_shrinks_error_in_median(rng):
@@ -212,6 +211,23 @@ def test_nice_sets_trivial_and_degenerate(rng):
     assert all(len(v) == 4 for v in nice.values())
 
 
+def test_nice_sets_match_the_per_cell_loop(rng):
+    # the reference: both bounds checked cell by cell, in row order
+    for inst in (Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25),
+                 _kernel_outcome_instance(rng), _broad_outcome_instance()):
+        bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
+        bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
+        h_env, h_bob = inst.pair_entropies
+        for seed in range(4):
+            view = inst.compression(K=4, L=8, seed=seed)
+            want = {k: [l for l, x in enumerate(row) if x in h_env
+                        and h_env[x].value <= bound_env + 1e-12
+                        and h_bob[x] <= bound_bob + 1e-12]
+                    for k, row in enumerate(view.decode.tolist())}
+            assert view.nice[1] == want
+    assert 0 < sum(map(len, want.values())) < view.K * view.L  # both verdicts occur
+
+
 def test_find_good_k_minimizes_per_k_error(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
@@ -244,9 +260,9 @@ def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
     assert calls == [(8, 4, 4)]
 
 
-def test_find_good_k_degenerate_raises():
-    # adversarial L = 1: one outcome whose simulated state is much broader
-    # than the average fails the pair bound with zero slack, emptying T'
+def _broad_outcome_instance():
+    # outcome 1's simulated state is much broader than the average, so it
+    # fails the pair bound with zero slack
     q = 0.9
     vec = np.zeros((2, 2, 2), dtype=complex)
     vec[0, 0, 0] = np.sqrt(q)
@@ -254,8 +270,13 @@ def test_find_good_k_degenerate_raises():
     vec[1, 1, 1] = np.sqrt((1 - q) / 2)
     psi = PureState([("A", 2), ("B", 2), ("R", 2)], vec)
     povm = Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A")
-    view = Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)
-    assert view.cm.decode[0, 0] == 1
+    return Instance(psi, povm, 1e-12, slack_bits=0.0)
+
+
+def test_find_good_k_degenerate_raises():
+    # adversarial L = 1 on the broad outcome empties T'
+    view = _broad_outcome_instance().compression(K=1, L=1, seed=1)
+    assert view.decode[0, 0] == 1
     tprime, _ = nice_sets(view)
     assert tprime == []  # reported without error
     with pytest.raises(NoGoodK):
@@ -276,14 +297,24 @@ def test_quality_warning_when_L_too_small(rng):
 def test_json_round_trip(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    cm = compress_measurement(Instance(psi, povm, 0.1), K=2, L=4, seed=5)
-    back = CompressedMeasurement.from_json(cm.to_json())
-    assert back.K == cm.K and back.L == cm.L and back.seed == cm.seed
-    assert np.array_equal(back.decode, cm.decode)
-    assert np.allclose(back.q_kl, cm.q_kl, atol=0)
-    for k in range(cm.K):
-        for l in range(cm.L + 1):
-            assert np.allclose(back.thetas[k][l], cm.thetas[k][l], atol=1e-15)
+    inst = Instance(psi, povm, 0.1)
+    view = compress_measurement(inst, K=2, L=4, seed=5)
+    text = view.to_json()
+    back = Compression.from_json(text, inst)
+    assert back.instance is inst
+    assert back.K == view.K and back.L == view.L and back.seed == view.seed
+    assert np.array_equal(back.decode, view.decode)
+    assert np.allclose(back.q_kl, view.q_kl, atol=0)
+    for k in range(view.K):
+        for l in range(view.L + 1):
+            assert np.allclose(back.thetas[k][l], view.thetas[k][l], atol=1e-15)
+    assert back.to_json() == text
+    # the reloaded table derives the same nice sets, per-k errors and k
+    assert back.nice == view.nice
+    assert np.array_equal(back.errors, view.errors)
+    assert back.k == view.k
+    with pytest.raises(ValueError, match="does not measure"):
+        Compression.from_json(text, Instance(psi, basis_povm(2, "B"), 0.1))
 
 
 def _kernel_outcome_instance(rng):

@@ -660,6 +660,17 @@ def test_i_max_certifies_a_d64_ensemble_of_small_support():
     assert_sigma_feasible(cq, r)
 
 
+def test_i_max_iteration_cap_warns_and_keeps_a_valid_interval(monkeypatch):
+    cq = random_cq(np.random.default_rng(3), 3, 5)
+    uncapped = ent.i_max_cq(cq, 0.0)
+    monkeypatch.setattr(ent, "IMAX_MAX_ITERATIONS", 2)
+    with pytest.warns(UserWarning, match="hit the iteration cap"):
+        r = ent.i_max_cq(cq, 0.0)
+    assert r.converged is False and r.iterations == 2 and r.newton_steps == 0
+    assert r.duality_gap > 1e-6
+    assert r.value - r.duality_gap <= uncapped.value <= r.value
+
+
 def test_i_max_commuting_ensemble_needs_no_newton_stage():
     # classical symbols through a cyclic noise channel with a dominant entry,
     # as in the compare runs: the fixed point certifies within its budget

@@ -136,10 +136,10 @@ def test_kd_oneshot_codes_each_distinct_symbol_once(rng, monkeypatch):
     psi = near_pure_classical(rng, 4, 4, top=0.7)
     view = Instance(psi, basis_povm(4, "A"), 0.25).compression(K=8, L=16, seed=2)
     pr.run_kd_oneshot(view)  # fills the instance's and the view's caches
-    distinct = len(set(view.cm.decode[view.k].tolist()))
+    distinct = len(set(view.decode[view.k].tolist()))
     assert 1 < distinct < view.L
     # every cell and the failure element carry mass, so every branch is live
-    assert np.min(view.cm.q_l_given_k(view.k)) > 1e-6
+    assert np.min(view.q_l_given_k(view.k)) > 1e-6
     roots = _count_calls(monkeypatch, linalg, "psd_power")
     eigs = _count_calls(monkeypatch, linalg, "eig_hermitian")
     pr.run_kd_oneshot(view)
@@ -259,7 +259,7 @@ def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     view = Instance(psi, basis_povm(8, "A"), 0.25).compression(K=4, L=16, seed=1)
     pr.run_fewqubits(view)  # fills the instance's and the view's caches
     _, nice = view.nice
-    symbols = {int(view.cm.decode[view.k, l]) for l in nice[view.k]}
+    symbols = {int(view.decode[view.k, l]) for l in nice[view.k]}
     assert len(symbols) < len(nice[view.k])
     codes = _count_calls(monkeypatch, pr, "_eig_code")
     pr.run_fewqubits(view)
@@ -359,13 +359,12 @@ def test_fewqubits_branchwise_consistency(rng):
     povm = basis_povm(8, "A")
     eps = 0.25
     view = Instance(psi, povm, eps).compression(K=4, L=8, seed=2)
-    cm = view.cm
     k = find_good_k(view)
     plan = pr.plan_fewqubits(view)
     _, nice_all = nice_sets(view)
     nice = nice_all[k]
     sims, env_sorted = simulated_conditionals(view.instance)
-    q = cm.q_l_given_k(k)
+    q = view.q_l_given_k(k)
     p_nice = np.array([q[l] for l in nice])
     p_nice /= p_nice.sum()
 
@@ -375,7 +374,7 @@ def test_fewqubits_branchwise_consistency(rng):
     target = np.zeros((ap, la, ag, d_env), dtype=complex)
     tilde = {}
     for idx, l in enumerate(nice):
-        x = int(cm.decode[k, l])
+        x = int(view.decode[k, l])
         w, v = pr._descending_eig(sims[x])
         res = entropy.h_h(sims[x], smooth)
         weights = np.zeros_like(w)
@@ -428,8 +427,8 @@ def test_purity_monotone_through_compressed_row(rng):
     # stay monotone when the protocol measures it coherently
     from puredist.compression import compress_measurement
     psi = purified_input(bell_pair())
-    cm = compress_measurement(Instance(psi, basis_povm(2, "A"), 0.1), K=2, L=4, seed=1)
-    tr = pr.purity_trace(psi, Povm(cm.thetas[0], register=cm.register), 0.1)
+    view = compress_measurement(Instance(psi, basis_povm(2, "A"), 0.1), K=2, L=4, seed=1)
+    tr = pr.purity_trace(psi, Povm(view.thetas[0], register="A"), 0.1)
     vals = [v for _, v in tr]
     assert all(vals[i + 1] <= vals[i] + 1e-7 for i in range(len(vals) - 1)), tr
 
