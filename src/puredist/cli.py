@@ -40,7 +40,6 @@ def _add_common(p, state_required=True):
     p.add_argument("--g-eps", type=float, default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--bob-label", default="B")
 
 
@@ -68,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, state_required=name not in ("verify",))
         if name == "verify":
             p.add_argument("--seed", type=int, default=7)
+            p.add_argument("--trials", type=int, default=1000)
     return ap
 
 
@@ -79,7 +79,7 @@ def check_args(args):
         raise ValueError("K and L must be at least 1")
     if not args.seeds:
         raise ValueError("at least one seed is required")
-    if args.trials < 1:
+    if "trials" in args and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
 
 

@@ -123,7 +123,7 @@ def _greedy_lp(gains: np.ndarray, costs: np.ndarray, target: float):
     """
     lam = np.zeros(len(gains))
     acc = 0.0
-    for i, g in enumerate(gains):
+    for i, g in enumerate(gains.tolist()):
         if acc >= target - 1e-15 or g <= 0:
             break
         take = min(1.0, (target - acc) / g)
@@ -142,7 +142,7 @@ def h_h(rho, eps: float) -> EntropyResult:
     """
     _validate_eps(eps)
     w = _spectrum(rho)
-    p = np.sort(w[w > SUPPORT_TOL])[::-1]
+    p = w[w > SUPPORT_TOL][::-1]  # eigh's spectrum is ascending: no sort needed
     costs = np.ones_like(p)
     total, lam = _greedy_lp(p, costs, 1.0 - eps)
     return EntropyResult(
@@ -236,7 +236,7 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
 
     # mass of rho available at zero sigma-cost
     ker = vs[:, ws <= SUPPORT_TOL]
-    free_mass = float(np.real(np.trace(linalg.dagger(ker) @ r @ ker)))
+    free_mass = float((linalg.dagger(ker) @ r @ ker).trace().real)
     if free_mass >= target - 1e-12:
         return EntropyResult(value=np.inf, witness={"infinite": True, "probes": 0},
                              method="neyman-pearson")
@@ -245,15 +245,15 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
         w, v = linalg.eig_hermitian(r)
         pos = v[:, w > SUPPORT_TOL]
         t, gamma, gap, zero, probes = 0.0, 0.0, 0.0, v[:, :0], 0
-        mass = float(np.real(np.trace(linalg.dagger(pos) @ r @ pos)))
-        cost = float(np.real(np.trace(linalg.dagger(pos) @ s @ pos)))
+        mass = float((linalg.dagger(pos) @ r @ pos).trace().real)
+        cost = float((linalg.dagger(pos) @ s @ pos).trace().real)
     else:
         # (x + x^dagger) / 2 is Hermitian bit for bit, and so is every rh - t*sh
         rh = (r + linalg.dagger(r)) / 2.0
         sh = (s + linalg.dagger(s)) / 2.0
         white = vs[:, ws > SUPPORT_TOL] / np.sqrt(ws[ws > SUPPORT_TOL])
         cands = np.linalg.eigh(linalg.dagger(white) @ rh @ white)[0]
-        p, probes = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(np.max(ws)))
+        p, probes = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(ws.max()))
         t, gamma, gap, cost = p.t, p.gamma, p.gap, p.cost
         pos, zero, mass = p.v[:, p.pos], p.v[:, p.zero], p.a + p.gamma * p.b
     cost = max(cost, 1e-300)
@@ -277,7 +277,7 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     _validate_eps(eps)
     support = cq.spectra > SUPPORT_TOL
     gains = (cq.probs[:, None] * cq.spectra)[support]
-    costs = np.broadcast_to(cq.probs[:, None], support.shape)[support]
+    costs = np.repeat(cq.probs, support.sum(axis=1))
     order = np.argsort(-(gains / costs), kind="stable")
     total, lam = _greedy_lp(gains[order], costs[order], 1.0 - eps)
     return EntropyResult(
@@ -307,7 +307,7 @@ def h_min_cq_smoothed(cq: CQState, eps: float) -> float:
     # per symbol: spectrum descending, current cut level, multiplicity at level
     desc = cq.spectra[:, ::-1]
     level = desc[:, 0].copy()
-    mult = np.sum(desc >= level[:, None] - 1e-15, axis=1).tolist()
+    mult = (desc >= level[:, None] - 1e-15).sum(axis=1).tolist()
     # lower the level with the smallest multiplicity first (P cancels in the
     # gain/cost ratio); advance to eigenvalue breakpoints until budget is gone
     heap = [(m, i) for i, m in enumerate(mult)]
@@ -344,8 +344,8 @@ def h_max_smooth(rho, eps: float) -> float:
     _validate_eps(eps)
     supp, k = truncated_support(_spectrum(rho), eps)
     kept = supp[k:]
-    kept = kept / np.sum(kept)
-    value = float(2.0 * np.log2(np.sum(np.sqrt(kept))))
+    kept = kept / kept.sum()
+    value = float(2.0 * np.log2(np.sqrt(kept).sum()))
     bound = _kept_bits(supp, k)  # h_tilde_max of the same spectrum
     if value > bound + 1e-9:
         raise linalg.InvariantError(f"Renyi-1/2 {value} exceeded support bound {bound}")
@@ -378,7 +378,7 @@ def _povm_from(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     t = (v * inv_sqrt) @ linalg.dagger(v)
     povm = _hermitian_part(t @ weights @ t)
     slack = _hermitian_part(np.eye(d) - povm.sum(axis=0))
-    if np.max(np.abs(slack)) > 1e-14:
+    if np.abs(slack).max() > 1e-14:
         gains = np.real(np.einsum("ij,xji->x", slack, states))
         povm[int(np.argmax(gains))] += slack
     return povm
@@ -395,10 +395,10 @@ def _certify(states: np.ndarray, povm: np.ndarray, y: np.ndarray):
     d = states.shape[1]
     lower = float(np.real(np.einsum("xij,xji->", povm, states)))
     excess = states - y
-    if np.max(np.abs(excess - linalg.dagger(excess))) > 1e-6:
+    if np.abs(excess - linalg.dagger(excess)).max() > 1e-6:
         raise ValueError("matrix is not Hermitian within tolerance")
-    c = max(float(np.max(np.linalg.eigvalsh(_hermitian_part(excess)))), 0.0)
-    upper = float(np.real(np.trace(y))) + d * c
+    c = max(float(np.linalg.eigvalsh(_hermitian_part(excess)).max()), 0.0)
+    upper = float(y.trace().real) + d * c
     return lower, upper, y + c * np.eye(d)
 
 
@@ -413,7 +413,7 @@ class _Bounds:
     def __init__(self, states: np.ndarray):
         self.lower = 1e-300
         self.tau = states.sum(axis=0)  # always feasible: tau = sum_x rho_x
-        self.upper = float(np.real(np.trace(self.tau)))
+        self.upper = float(self.tau.trace().real)
 
     def update(self, lower: float, upper: float, tau: np.ndarray) -> float:
         """Keep the better bounds; returns the gap in bits."""
@@ -553,9 +553,9 @@ def _barrier(states, best: _Bounds):
         # sum_x log det(candidate - rho_x) and the eigensystems of the
         # candidate - rho_x, or None outside the interior
         w, v = np.linalg.eigh(candidate - states)
-        if np.min(w) <= 0:
+        if w.min() <= 0:
             return None, None
-        return float(np.sum(np.log(w))), (w, v)
+        return float(np.log(w).sum()), (w, v)
 
     def inverses(eig, scale=1.0):
         w, v = eig
@@ -581,7 +581,7 @@ def _barrier(states, best: _Bounds):
             # decrease; farther out, backtrack into the interior and to
             # sufficient decrease, formed from differences since t Tr tau
             # alone is too large to resolve it
-            slope = t * float(np.real(np.trace(step)))
+            slope = t * float(step.trace().real)
             alpha = 1.0
             while True:
                 new_logdet, new_eig = factor(tau + alpha * step)
@@ -673,7 +673,7 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     if not converged:
         warnings.warn(
             f"i_max_cq hit the iteration cap with duality gap {gap:.2e} bits")
-    sigma = DensityOperator(regs, best.tau / np.real(np.trace(best.tau)),
+    sigma = DensityOperator(regs, best.tau / best.tau.trace().real,
                             validate=False)
     return ImaxResult(
         value=float(np.log2(best.upper)),

@@ -4,16 +4,18 @@ Hermitian eigendecomposition, partial trace, purification and the
 state-distance functionals everything else is built on. All logarithms
 in this package are base 2; entropic outputs are in qubits/bits.
 
-Two eigen entry points share one checked ``np.linalg.eigh``: use
-``eig_hermitian`` when the eigenvectors are used (their columns come
-phase-canonicalized, so repeated runs are byte-identical), and
-``eigvals_hermitian`` when only the eigenvalues are (the same bits,
-without the phase fix). ``np.linalg.eigvalsh`` is not used in their
-place: its eigenvalues differ from ``eigh``'s in the last bits.
+Two eigen entry points share one checked ``np.linalg.eigh``:
+``eig_hermitian`` when the eigenvectors are used (columns phase-canonicalized,
+so repeated runs are byte-identical), ``eigvals_hermitian`` when only the
+eigenvalues are (the same bits; ``np.linalg.eigvalsh`` differs in the last
+bits). One conjugate transpose serves both the Hermitian check and the
+symmetrization, and every decomposition goes through the one funnel ``_eigh``.
 
 Both eigen functions and ``trace_norm`` also take an (n, d, d) stack, in
 one LAPACK batch, and give each member the bits of its own 2-D call.
 """
+
+import math
 
 import numpy as np
 
@@ -32,12 +34,12 @@ class InvariantError(RuntimeError):
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.conjugate(np.swapaxes(m, -1, -2))
+    """Conjugate transpose of a matrix, or of each matrix in a stack (a view for real input)."""
+    return m.swapaxes(-1, -2).conj()
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
+    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= tol
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -54,14 +56,15 @@ def _checked_eigh(m: np.ndarray, tol: float):
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if m.size and not np.max(np.abs(m - dagger(m))) <= tol:  # is_hermitian, stacks too
+    mh = dagger(m)
+    if m.size and not np.abs(m - mh).max() <= tol:  # is_hermitian, stacks too
         raise ValueError("matrix is not Hermitian within tolerance")
-    return _eigh(m)
+    return _eigh((m + mh) / 2.0)
 
 
-def _eigh(m: np.ndarray):
-    """``np.linalg.eigh`` of the symmetrized complex matrix or stack ``m``, unchecked."""
-    return np.linalg.eigh((m + dagger(m)) / 2.0)
+def _eigh(h: np.ndarray):
+    """``np.linalg.eigh`` of the symmetrized complex matrix or stack ``h``, unchecked."""
+    return np.linalg.eigh(h)
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
@@ -99,8 +102,8 @@ def eigvals_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
 
 def clip_psd_spectrum(w: np.ndarray) -> np.ndarray:
     """Clip tiny negative eigenvalues to zero; reject genuinely negative ones."""
-    if np.min(w) < PSD_CLIP:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {np.min(w):.3e}")
+    if w.min() < PSD_CLIP:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     return np.maximum(w, 0.0)
 
 
@@ -144,7 +147,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
         keep = [int(keep)]
     keep = sorted(int(k) for k in keep)
     n = len(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
@@ -156,7 +159,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     # trace highest index first so axis numbering stays valid
     for idx in sorted(traced, reverse=True):
         t = np.trace(t, axis1=idx, axis2=idx + (t.ndim // 2))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d_keep = math.prod(dims[i] for i in keep)
     return t.reshape(d_keep, d_keep)
 
 
@@ -171,12 +174,8 @@ def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
     w = clip_psd_spectrum(w)
     idx = np.argsort(w)[::-1]
     w, v = w[idx], v[:, idx]
-    rank = max(1, int(np.sum(w > support_tol)))
-    d = rho.shape[0]
-    psi = np.zeros((d, rank), dtype=complex)
-    for r in range(rank):
-        psi[:, r] = np.sqrt(w[r]) * v[:, r]
-    return psi.reshape(d * rank)
+    rank = max(1, int((w > support_tol).sum()))
+    return (v[:, :rank] * np.sqrt(w[:rank])).reshape(-1)
 
 
 def trace_norm(m: np.ndarray):
@@ -185,12 +184,13 @@ def trace_norm(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim == 2:
         if is_hermitian(m, 1e-8):
-            return float(np.sum(np.abs(_eigh(m)[0])))
-        return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-    herm = np.max(np.abs(m - dagger(m)), axis=(-2, -1)) <= 1e-8
+            return float(np.abs(_eigh((m + dagger(m)) / 2.0)[0]).sum())
+        return float(np.linalg.svd(m, compute_uv=False).sum())
+    mh = dagger(m)
+    herm = np.abs(m - mh).max(axis=(-2, -1)) <= 1e-8
     out = np.empty(len(m))
-    out[herm] = np.sum(np.abs(_eigh(m[herm])[0]), axis=-1)
-    out[~herm] = np.sum(np.linalg.svd(m[~herm], compute_uv=False), axis=-1)
+    out[herm] = np.abs(_eigh((m[herm] + mh[herm]) / 2.0)[0]).sum(axis=-1)
+    out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
     return out
 
 
@@ -207,4 +207,4 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace <= 1."""
     sa = psd_power(a, 0.5)
     sb = psd_power(b, 0.5)
-    return float(np.sum(np.linalg.svd(sa @ sb, compute_uv=False)))
+    return float(np.linalg.svd(sa @ sb, compute_uv=False).sum())

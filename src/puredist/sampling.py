@@ -25,7 +25,7 @@ def ginibre_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
     rank = dim if rank is None else rank
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ linalg.dagger(g)
-    return m / np.real(np.trace(m))
+    return m / m.trace().real
 
 def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> DensityOperator:
     return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)

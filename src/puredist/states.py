@@ -6,6 +6,7 @@ are unambiguous; the lighter ``PureState`` keeps an explicit register order
 and is the working representation inside protocol simulations.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,7 +21,7 @@ _SUM_TOL = 1e-8
 def _perm_matrix_indices(dims_from, perm):
     """Row-major index permutation sending factor order ``dims_from`` to
     the order picked out by ``perm`` (perm[i] = which old axis goes to slot i)."""
-    idx = np.arange(int(np.prod(dims_from))).reshape(dims_from)
+    idx = np.arange(math.prod(dims_from)).reshape(dims_from)
     return np.transpose(idx, perm).reshape(-1)
 
 
@@ -69,14 +70,14 @@ class PureState:
         """
         on = list(on)
         axes = self._axes(on)
-        d_in = int(np.prod([self.dim(l) for l in on]))
+        d_in = math.prod(self.dim(l) for l in on)
         if out_regs is None:
             out_regs = [(l, self.dim(l)) for l in on]
         kept_labels = {l for i, (l, _) in enumerate(self.regs) if i not in axes}
         for l, _ in out_regs:
             if l in kept_labels:
                 raise ValueError(f"output register {l!r} collides with an existing one")
-        d_out = int(np.prod([d for _, d in out_regs]))
+        d_out = math.prod(d for _, d in out_regs)
         op = np.asarray(op, dtype=complex)
         if op.shape != (d_out, d_in):
             raise ValueError(f"operator shape {op.shape} != ({d_out}, {d_in})")
@@ -115,7 +116,7 @@ class PureState:
         axes = self._axes(keep)
         rest = [i for i in range(len(self.regs)) if i not in axes]
         moved = np.transpose(self.tensor, axes + rest)
-        d_keep = int(np.prod([self.regs[i][1] for i in axes])) if axes else 1
+        d_keep = math.prod(self.regs[i][1] for i in axes)
         m = moved.reshape(d_keep, -1)
         return m @ linalg.dagger(m)
 
@@ -139,13 +140,12 @@ class DensityOperator:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate register labels: {labels}")
         mat = np.asarray(matrix, dtype=complex)
-        order = sorted(range(len(regs)), key=lambda i: regs[i][0])
-        if order != list(range(len(regs))):
-            dims = [d for _, d in regs]
-            perm = _perm_matrix_indices(dims, order)
+        if labels != sorted(labels):
+            order = sorted(range(len(regs)), key=lambda i: labels[i])
+            perm = _perm_matrix_indices([d for _, d in regs], order)
             mat = mat[np.ix_(perm, perm)]
             regs = [regs[i] for i in order]
-        total = int(np.prod([d for _, d in regs])) if regs else 1
+        total = math.prod(d for _, d in regs)
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match registers {regs}")
         if validate:
@@ -154,7 +154,7 @@ class DensityOperator:
             w, v = linalg.eig_hermitian(mat)
             w = linalg.clip_psd_spectrum(w)
             mat = (v * w) @ linalg.dagger(v)
-            tr = float(np.real(np.trace(mat)))
+            tr = float(mat.trace().real)
             if abs(tr - 1.0) > _ATOL:
                 raise ValueError(f"trace {tr} is not 1 within 1e-9")
         object.__setattr__(self, "registers", tuple(regs))
@@ -170,7 +170,7 @@ class DensityOperator:
 
     @property
     def dim(self):
-        return int(np.prod(self.dims)) if self.registers else 1
+        return math.prod(self.dims)
 
     def dim_of(self, label):
         for l, d in self.registers:
@@ -220,13 +220,13 @@ class CQState:
     def __init__(self, symbols, probs, conditionals, renormalize=False,
                  pre_dropped=False):
         probs = np.asarray(probs, dtype=float)
-        if np.any(probs < -1e-12):
+        if (probs < -1e-12).any():
             raise ValueError("negative probabilities")
         if renormalize:
-            probs = probs / np.sum(probs)
-        if abs(float(np.sum(probs)) - 1.0) > _ATOL:
-            raise ValueError(f"probabilities sum to {np.sum(probs)}, not 1")
-        keep = [i for i, p in enumerate(probs) if p >= 1e-12]
+            probs = probs / probs.sum()
+        if abs(float(probs.sum()) - 1.0) > _ATOL:
+            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+        keep = [i for i, p in enumerate(probs.tolist()) if p >= 1e-12]
         dropped = bool(pre_dropped) or len(keep) != len(probs)
         symbols = [symbols[i] for i in keep]
         conds = [conditionals[i] for i in keep]
@@ -280,10 +280,10 @@ class Povm:
             if not linalg.is_hermitian(e, _ATOL):
                 raise ValueError("POVM element is not Hermitian")
             w = linalg.eigvals_hermitian(e)
-            if np.min(w) < -_ATOL:
-                raise ValueError(f"POVM element not PSD: min eig {np.min(w):.2e}")
+            if w.min() < -_ATOL:
+                raise ValueError(f"POVM element not PSD: min eig {w.min():.2e}")
             total += e
-        if np.max(np.abs(total - np.eye(d))) > _SUM_TOL:
+        if np.abs(total - np.eye(d)).max() > _SUM_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-8")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "elements", tuple(elems))
@@ -297,7 +297,7 @@ class Povm:
         return self.elements[0].shape[0]
 
     def outcome_probs(self, rho: np.ndarray) -> np.ndarray:
-        return np.array([max(0.0, float(np.real(np.trace(e @ rho)))) for e in self.elements])
+        return np.array([max(0.0, float((e @ rho).trace().real)) for e in self.elements])
 
 
 @dataclass

@@ -119,7 +119,7 @@ def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
     for _ in range(trials):
         d = int(rng.integers(2, 9))
-        rho = _rand_state(rng, d, )
+        rho = _rand_state(rng, d)
         e = eps or _eps(rng)
         hm = entropy.h_max_smooth(rho, e)
         ht = entropy.h_tilde_max(rho, e)
@@ -175,7 +175,7 @@ def check_hh_near_pure(rng, trials, eps):
         e = eps or _eps(rng)
         junk = _rand_state(rng, d)
         delta = e / 2 * rng.uniform(0.0, 1.0)
-        sigma = (1 - delta) * np.eye(d, dtype=complex) * 0
+        sigma = np.zeros((d, d), dtype=complex)
         sigma[0, 0] = 1 - delta
         sigma = sigma + delta * junk
         pure0 = np.zeros((d, d))

@@ -46,6 +46,15 @@ def test_verify_rejects_fewer_than_one_trial(trials, capsys):
     assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
+def test_only_verify_takes_trials(bell_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--state", bell_file, "--trials", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+    # without --trials, no other command checks it
+    assert main(["entropy", "--state", bell_file]) == 0
+
+
 def test_help_lists_the_csv_columns():
     epilog = build_parser().epilog
     protocol, compare = re.match(r"CSV columns \(protocol commands\): (\S+)\. "

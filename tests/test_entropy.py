@@ -167,6 +167,39 @@ def test_h_h_basis_independent(rng):
                       ent.h_h(spectrum_state(spec), 0.1).value, atol=1e-9)
 
 
+def _h_h_sorted_reference(rho, eps):
+    # h_h with an explicit sort of the support and the LP loop over numpy scalars
+    w = ent._spectrum(rho)
+    p = np.sort(w[w > ent.SUPPORT_TOL])[::-1]
+    costs, lam, acc, target = np.ones_like(p), np.zeros(len(p)), 0.0, 1.0 - eps
+    for i, g in enumerate(p):
+        if acc >= target - 1e-15 or g <= 0:
+            break
+        lam[i] = take = min(1.0, (target - acc) / g)
+        acc += take * g
+    return float(np.log2(float(np.dot(costs, lam)))), lam, p, costs
+
+
+def test_h_h_keeps_the_bits_of_the_sorted_numpy_scalar_path(rng):
+    tol = ent.SUPPORT_TOL
+    rhos = [random_density(rng, int(rng.integers(2, 17)), "A") for _ in range(40)]
+    rhos += [np.eye(d) / d for d in (1, 2, 5, 16)]  # one repeated eigenvalue
+    for spec in ([0.4, 0.4, 0.1, 0.1], [0.25] * 3 + [0.125] * 2,
+                 # eigenvalues straddling SUPPORT_TOL, and on it
+                 [1 - 5 * tol, tol, 0.5 * tol, 2 * tol, tol * (1 + 1e-15), tol * (1 - 1e-15), 1e-13],
+                 [1 - 3 * tol, tol, tol, tol, 0.0]):
+        spec = np.array(spec) / np.sum(spec)
+        u = random_unitary(rng, len(spec))
+        rhos += [np.diag(spec).astype(complex), u @ np.diag(spec) @ linalg.dagger(u)]
+    for rho in rhos:
+        for eps in (0.0, 0.01, 0.1, 0.3, 0.9):
+            got = ent.h_h(rho, eps)
+            value, lam, gains, costs = _h_h_sorted_reference(rho, eps)
+            assert np.array_equal(got.value, value)
+            for name, want in (("weights", lam), ("gains", gains), ("costs", costs)):
+                assert np.array_equal(got.witness[name], want)
+
+
 # ------------------------------------------------------------------- d_h
 
 def test_d_h_examples(rng):
@@ -373,6 +406,23 @@ def test_h_h_cond_cq_matches_scipy(rng):
         # the LP arrays hold exactly the pairs of this loop
         assert np.array_equal(np.sort(res.witness["gains"]), np.sort(gains))
         assert np.array_equal(np.sort(res.witness["costs"]), np.sort(costs))
+
+
+def test_h_h_cond_cq_costs_keep_the_bits_of_the_broadcast(rng):
+    cqs = [random_cq(rng, int(rng.integers(1, 6)), int(rng.integers(2, 6)),
+                     pure_conditionals=bool(rng.integers(2))) for _ in range(40)]
+    cqs.append(qubit_cq_example())  # rows with 1 and 2 support entries
+    for cq in cqs:
+        support = cq.spectra > ent.SUPPORT_TOL
+        gains = (cq.probs[:, None] * cq.spectra)[support]
+        costs = np.broadcast_to(cq.probs[:, None], support.shape)[support]
+        order = np.argsort(-(gains / costs), kind="stable")
+        res = ent.h_h_cond_cq(cq, 0.1)
+        assert np.array_equal(res.witness["costs"], costs[order])
+        assert np.array_equal(res.witness["gains"], gains[order])
+        total, lam = ent._greedy_lp(gains[order], costs[order], 0.9)
+        assert np.array_equal(res.witness["weights"], lam)
+        assert res.value == float(np.log2(total))
 
 
 def test_h_min_cq_examples(rng):

@@ -108,6 +108,21 @@ def test_eigvals_rejects_what_eig_rejects():
                           linalg.eig_hermitian(near, tol=1e-7)[0])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_eigen_functions_reject_non_finite_input(bad):
+    for cells in ([(0, 0)], [(0, 2)], [(0, 2), (2, 0)]):
+        m = np.eye(3, dtype=complex)
+        for cell in cells:
+            m[cell] = bad
+        for x in (m, np.stack([np.eye(3), m])):
+            with pytest.raises(ValueError) as full:
+                linalg.eig_hermitian(x)
+            with pytest.raises(ValueError) as vals:
+                linalg.eigvals_hermitian(x)
+            assert str(full.value) == str(vals.value) == "matrix is not Hermitian within tolerance"
+
+
 def test_stacked_kernels_match_per_matrix_calls(rng):
     for _ in range(60):
         d, n = int(rng.integers(2, 17)), int(rng.integers(1, 9))
@@ -188,6 +203,21 @@ def test_purify_pure_and_mixed(rng):
     dr = vec.size // 4
     back = linalg.partial_trace(np.outer(vec, np.conj(vec)), [4, dr], 0)
     assert np.max(np.abs(back - rho)) <= 1e-8
+
+
+def test_purify_keeps_the_bits_of_the_column_loop(rng):
+    for _ in range(40):
+        d = int(rng.integers(1, 9))
+        rho = ginibre_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        w, v = linalg.eig_hermitian(rho)
+        w = linalg.clip_psd_spectrum(w)
+        idx = np.argsort(w)[::-1]
+        w, v = w[idx], v[:, idx]
+        rank = max(1, int(np.sum(w > 1e-12)))
+        psi = np.zeros((d, rank), dtype=complex)
+        for r in range(rank):
+            psi[:, r] = np.sqrt(w[r]) * v[:, r]
+        assert np.array_equal(linalg.purify(rho), psi.reshape(d * rank))
 
 
 def test_purify_schmidt_coefficients():
