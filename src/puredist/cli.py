@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: entropy, distill-local, protocol-a, kd-oneshot, fewqubits,
-compare, bounds, verify. Outputs are deterministic per (arguments, seed).
-A seed sweep builds one ``Instance`` per POVM, in POVM order, and runs its
-seeds in seed order in this process, so every seed shares the instance's
-ideal-state quantities and per-symbol simulated states.
+compare, bounds, verify; ``COMMANDS`` gives each its handler and the only
+flags it takes, declared once in ``OPTIONS``. Outputs are deterministic per
+(arguments, seed). A seed sweep builds one ``Instance`` per POVM, in POVM
+order, and runs its seeds in seed order in this process, so every seed
+shares the instance's ideal-state quantities and per-symbol simulated states.
 """
 
 import argparse
@@ -27,21 +28,22 @@ def parse_seeds(text: str) -> list:
     return [int(s) for s in text.split(",") if s]
 
 
-def _add_common(p, state_required=True):
-    p.add_argument("--state", required=state_required, help="state JSON file")
-    p.add_argument("--povm", action="append", default=[],
-                   help="POVM JSON file (repeatable)")
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--K", type=int, default=8)
-    p.add_argument("--L", type=int, default=16)
-    p.add_argument("--seeds", type=parse_seeds, default=[1])
-    p.add_argument("--slack-bits", type=float, default=None)
-    p.add_argument("--f-eps", type=float, default=None)
-    p.add_argument("--g-eps", type=float, default=None)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--bob-label", default="B")
-
+OPTIONS = {
+    "--state": dict(required=True, help="state JSON file"),
+    "--povm": dict(action="append", default=[], help="POVM JSON file (repeatable)"),
+    "--eps": dict(type=float, default=0.1),
+    "--bob-label": dict(default="B"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--seeds": dict(type=parse_seeds, default=[1]),
+    "--slack-bits": dict(type=float, default=None),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--K": dict(type=int, default=8),
+    "--L": dict(type=int, default=16),
+    "--f-eps": dict(type=float, default=None),
+    "--g-eps": dict(type=float, default=None),
+    "--seed": dict(type=int, default=7),
+    "--trials": dict(type=int, default=1000),
+}
 
 TRANSCRIPT_COLUMNS = ("protocol", "seed", "eps", "distilled_alice",
                       "distilled_bob", "borrowed", "communication",
@@ -62,22 +64,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulations, bounds and the verification suite.",
         epilog=_CSV_HELP)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, epilog=_CSV_HELP)
-        _add_common(p, state_required=name not in ("verify",))
-        if name == "verify":
-            p.add_argument("--seed", type=int, default=7)
-            p.add_argument("--trials", type=int, default=1000)
+    for name, (_, flags) in COMMANDS.items():
+        # no abbreviations: kd-oneshot --seed would otherwise mean --seeds
+        p = sub.add_parser(name, allow_abbrev=False,
+                           epilog=_CSV_HELP if "--format" in flags else None)
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
     return ap
 
 
 def check_args(args):
-    """The checks argparse does not make itself."""
+    """The checks argparse does not make itself, on the options the command has."""
     if not (0.0 < args.eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {args.eps}")
-    if args.K < 1 or args.L < 1:
+    if "K" in args and (args.K < 1 or args.L < 1):
         raise ValueError("K and L must be at least 1")
-    if not args.seeds:
+    if "seeds" in args and not args.seeds:
         raise ValueError("at least one seed is required")
     if "trials" in args and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
@@ -90,12 +92,7 @@ def protocol_input(state: DensityOperator) -> PureState:
     return state.purify("R")
 
 
-def _emit(args, payload, csv_columns=None, csv_rows=None):
-    if args.fmt == "csv":
-        if csv_columns is None:
-            raise ValueError("this command has no CSV schema; use --format json")
-        io.write_csv(args.out or sys.stdout, csv_columns, csv_rows)
-        return
+def _emit(args, payload):
     text = io.dumps(payload)
     if args.out:
         with open(args.out, "w") as fh:
@@ -129,7 +126,10 @@ def cmd_sweep(args) -> int:
     results = [r.to_dict() for r in results]
     key, columns = (("reports", bounds.RateReport.CSV_COLUMNS) if args.command == "compare"
                     else ("transcripts", TRANSCRIPT_COLUMNS))
-    _emit(args, {key: results}, columns, [[r[c] for c in columns] for r in results])
+    if args.fmt == "csv":
+        io.write_csv(args.out or sys.stdout, columns, [[r[c] for c in columns] for r in results])
+    else:
+        _emit(args, {key: results})
     return 0
 
 
@@ -165,7 +165,7 @@ def cmd_distill_local(args) -> int:
     state = io.load_state(args.state)
     iso, err = protocols.local_distill(state, args.eps)
     lo, up = bounds.local_purity_bounds(state, args.eps, args.slack_bits)
-    payload = {
+    _emit(args, {
         "eps": args.eps,
         "pure_qubits": iso.a_p_bits,
         "kept_dim": iso.kept_dim,
@@ -173,8 +173,7 @@ def cmd_distill_local(args) -> int:
         "achieved_error": err,
         "local_lower": lo,
         "local_upper": up,
-    }
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -208,25 +207,26 @@ def cmd_verify(args) -> int:
     for name in MANIFEST:
         print(f"  {name}")
     results = run_suite(trials=args.trials, eps=args.eps, seed=args.seed)
-    failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failed += not r.passed
-        print(f"{status} {r.name:36s} trials={r.trials:5d} "
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name:36s} trials={r.trials:5d} "
               f"violations={r.violations} worst_slack={r.worst:+.3e}")
+    failed = sum(not r.passed for r in results)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
 
 
+INPUT = ("--state", "--povm", "--eps", "--bob-label", "--out")
+SWEEP = INPUT + ("--seeds", "--slack-bits", "--format")
+COMPRESSED = SWEEP + ("--K", "--L")
 COMMANDS = {
-    "entropy": cmd_entropy,
-    "distill-local": cmd_distill_local,
-    "protocol-a": cmd_sweep,
-    "kd-oneshot": cmd_sweep,
-    "fewqubits": cmd_sweep,
-    "compare": cmd_sweep,
-    "bounds": cmd_bounds,
-    "verify": cmd_verify,
+    "entropy": (cmd_entropy, INPUT),
+    "distill-local": (cmd_distill_local, ("--state", "--eps", "--slack-bits", "--out")),
+    "protocol-a": (cmd_sweep, SWEEP),
+    "kd-oneshot": (cmd_sweep, COMPRESSED),
+    "fewqubits": (cmd_sweep, COMPRESSED),
+    "compare": (cmd_sweep, COMPRESSED + ("--f-eps", "--g-eps")),
+    "bounds": (cmd_bounds, INPUT + ("--slack-bits", "--f-eps", "--g-eps")),
+    "verify": (cmd_verify, ("--eps", "--seed", "--trials")),
 }
 
 
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         check_args(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, OSError, KeyError, NoGoodK, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

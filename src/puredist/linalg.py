@@ -33,13 +33,13 @@ class InvariantError(RuntimeError):
     """
 
 
+class NotHermitianError(ValueError):
+    """The input of an eigen function is not Hermitian within its tolerance."""
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack (a view for real input)."""
     return m.swapaxes(-1, -2).conj()
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= tol
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
@@ -57,8 +57,8 @@ def _checked_eigh(m: np.ndarray, tol: float):
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     mh = dagger(m)
-    if m.size and not np.abs(m - mh).max() <= tol:  # is_hermitian, stacks too
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if m.size and not np.abs(m - mh).max() <= tol:  # NaN fails the comparison too
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
     return _eigh((m + mh) / 2.0)
 
 
@@ -86,7 +86,7 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
     Raises
     ------
     ValueError
-        If ``m`` is not square or not Hermitian within ``tol``.
+        If ``m`` is not square, or (``NotHermitianError``) not Hermitian within ``tol``.
     """
     w, v = _checked_eigh(m, tol)
     if v.ndim == 3:
@@ -183,7 +183,7 @@ def trace_norm(m: np.ndarray):
     matrix, the sum of |eigenvalues| (the same bits as ``eigvals_hermitian``)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim == 2:
-        if is_hermitian(m, 1e-8):
+        if m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= 1e-8:
             return float(np.abs(_eigh((m + dagger(m)) / 2.0)[0]).sum())
         return float(np.linalg.svd(m, compute_uv=False).sum())
     mh = dagger(m)

@@ -149,11 +149,11 @@ class DensityOperator:
         if mat.shape != (total, total):
             raise ValueError(f"matrix shape {mat.shape} does not match registers {regs}")
         if validate:
-            if not linalg.is_hermitian(mat, _ATOL):
-                raise ValueError("density matrix is not Hermitian within 1e-9")
-            w, v = linalg.eig_hermitian(mat)
-            w = linalg.clip_psd_spectrum(w)
-            mat = (v * w) @ linalg.dagger(v)
+            try:
+                w, v = linalg.eig_hermitian(mat, _ATOL)
+            except linalg.NotHermitianError:
+                raise ValueError("density matrix is not Hermitian within 1e-9") from None
+            mat = (v * linalg.clip_psd_spectrum(w)) @ linalg.dagger(v)
             tr = float(mat.trace().real)
             if abs(tr - 1.0) > _ATOL:
                 raise ValueError(f"trace {tr} is not 1 within 1e-9")
@@ -277,9 +277,10 @@ class Povm:
         for e in elems:
             if e.shape != (d, d):
                 raise ValueError("POVM elements have mismatched shapes")
-            if not linalg.is_hermitian(e, _ATOL):
-                raise ValueError("POVM element is not Hermitian")
-            w = linalg.eigvals_hermitian(e)
+            try:
+                w = linalg.eigvals_hermitian(e, _ATOL)
+            except linalg.NotHermitianError:
+                raise ValueError("POVM element is not Hermitian") from None
             if w.min() < -_ATOL:
                 raise ValueError(f"POVM element not PSD: min eig {w.min():.2e}")
             total += e

@@ -1,9 +1,11 @@
 """Independent oracles and instance builders shared by several test modules."""
 
 import itertools
+import math
 
 import numpy as np
 
+from puredist.entropy import _greedy_lp
 from puredist.sampling import classical_correlated_pure, purified_input
 
 
@@ -42,6 +44,36 @@ def imax_qubit_grid_oracle(states, coarse=24, refine=2):
         best = min(best, b)
         width /= 2
     return np.log2(best)
+
+
+def _types(n, parts):
+    """Every composition of n into ``parts`` non-negative counts."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _types(n - first, parts - 1):
+            yield (first, *rest)
+
+
+def h_h_iid(p, n, eps):
+    """Exact H_H^eps(rho^{(x)n}) in bits from the spectrum p of rho, without
+    an eigendecomposition: the type (k_1..k_d) of n draws holds n! / prod k_i!
+    eigenvalues, each prod p_i^k_i. The types, sorted by that eigenvalue, go
+    through the greedy LP of ``entropy.h_h`` with gain multiplicity * eigenvalue;
+    the LP value sum(multiplicity * weight) is summed in logs. Types whose mass
+    underflows to zero are left out, so a large n neither stops the fill early
+    nor overflows a count."""
+    logp = np.log(np.asarray(p, dtype=float))
+    types = np.array(list(_types(n, len(logp))))
+    log_mult = np.array([math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in t)
+                         for t in types])
+    log_q = types @ logp
+    gains = np.exp(log_mult + log_q)
+    order = [i for i in np.argsort(-log_q, kind="stable") if gains[i] > 0]
+    _, lam = _greedy_lp(gains[order], np.ones(len(order)), 1.0 - eps)
+    taken = lam > 0
+    return float(np.logaddexp.reduce(np.log(lam[taken]) + log_mult[order][taken])) / math.log(2)
 
 
 def near_pure_classical(rng, da=8, db=4, top=0.9):

@@ -26,15 +26,52 @@ def test_parse_seeds():
 
 
 def test_config_validation(bell_file, capsys):
-    for flags, message in ((["--eps", "1.0"], "eps must be in (0, 1), got 1.0"),
-                           (["--K", "0"], "K and L must be at least 1"),
-                           (["--seeds", "5..3"], "at least one seed is required")):
-        assert main(["entropy", "--state", bell_file, *flags]) == 2
+    for command, flags, message in (
+            ("entropy", ["--eps", "1.0"], "eps must be in (0, 1), got 1.0"),
+            ("kd-oneshot", ["--K", "0"], "K and L must be at least 1"),
+            ("kd-oneshot", ["--seeds", "5..3"], "at least one seed is required")):
+        assert main([command, "--state", bell_file, *flags]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     with pytest.raises(SystemExit):
         main(["nope", "--state", bell_file])
     with pytest.raises(SystemExit):
-        main(["entropy", "--state", bell_file, "--format", "xml"])
+        main(["kd-oneshot", "--state", bell_file, "--format", "xml"])
+
+
+# one value for each of the 14 flags, and the flags each command reads
+FLAG_VALUES = {"--state": "s.json", "--povm": "p.json", "--eps": "0.2", "--bob-label": "C",
+               "--out": "o.json", "--seeds": "2..3", "--slack-bits": "1", "--format": "csv",
+               "--K": "2", "--L": "4", "--f-eps": "0.3", "--g-eps": "0.4", "--seed": "3",
+               "--trials": "5"}
+INPUT = {"--state", "--povm", "--eps", "--bob-label", "--out"}
+SWEEP = INPUT | {"--seeds", "--slack-bits", "--format"}
+TAKES = {
+    "entropy": INPUT,
+    "distill-local": {"--state", "--eps", "--slack-bits", "--out"},
+    "protocol-a": SWEEP,
+    "kd-oneshot": SWEEP | {"--K", "--L"},
+    "fewqubits": SWEEP | {"--K", "--L"},
+    "compare": SWEEP | {"--K", "--L", "--f-eps", "--g-eps"},
+    "bounds": INPUT | {"--slack-bits", "--f-eps", "--g-eps"},
+    "verify": {"--eps", "--seed", "--trials"},
+}
+
+
+def test_each_command_takes_only_its_own_options(capsys):
+    assert sum(map(len, TAKES.values())) == 60
+    parser = build_parser()
+    for command, takes in TAKES.items():
+        for flag, value in FLAG_VALUES.items():
+            state = ["--state", "s.json"] if "--state" in takes and flag != "--state" else []
+            argv = [command, *state, flag, value]
+            if flag in takes:
+                args = parser.parse_args(argv)
+                assert args.command == command
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -298,9 +335,10 @@ def test_repeated_main_calls_print_what_fresh_calls_print(bell_file, basis_file,
                                                           capsys):
     triv = str(tmp_path / "triv.json")
     io.save_povm(Povm([np.eye(2)], register="A"), triv)
-    common = ["--state", bell_file, "--eps", "0.1", "--K", "2", "--L", "4"]
-    runs = [["kd-oneshot", *common, "--povm", basis_file, "--seeds", "1..2"],
-            ["kd-oneshot", *common, "--povm", triv, "--seeds", "3"],
+    common = ["--state", bell_file, "--eps", "0.1"]
+    sizes = ["--K", "2", "--L", "4"]
+    runs = [["kd-oneshot", *common, *sizes, "--povm", basis_file, "--seeds", "1..2"],
+            ["kd-oneshot", *common, *sizes, "--povm", triv, "--seeds", "3"],
             ["entropy", *common]]
     in_process = []
     for argv in runs:
@@ -377,12 +415,11 @@ def test_one_malformed_field_exits_0_or_2_without_a_traceback(data, malformed_di
     docs[kind] = replaced(docs[kind], path, value)
     for name, doc in docs.items():
         (malformed_dir / f"{name}.json").write_text(json.dumps(doc))
-    for command in ("entropy", "kd-oneshot"):
+    for command, sizes in (("entropy", []), ("kd-oneshot", ["--K", "2", "--L", "4"])):
         out, err = StringIO(), StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main([command, "--state", str(malformed_dir / "state.json"),
-                       "--povm", str(malformed_dir / "povm.json"), "--eps", "0.1",
-                       "--K", "2", "--L", "4"])
+                       "--povm", str(malformed_dir / "povm.json"), "--eps", "0.1", *sizes])
         assert rc in (0, 2), (command, rc)
         if rc == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -20,7 +20,7 @@ from puredist.sampling import (
 )
 from puredist.states import CQState, DensityOperator, control_state
 
-from oracles import imax_qubit_grid_oracle
+from oracles import h_h_iid, imax_qubit_grid_oracle
 
 try:
     import cvxpy
@@ -150,6 +150,23 @@ def test_h_h_matches_lp_oracles(rng):
         want_s = lp_scipy_oracle(spec, np.ones(d), 1 - eps)
         assert np.isclose(2.0 ** got, want_v, atol=1e-10)
         assert np.isclose(2.0 ** got, want_s, atol=1e-8)
+
+
+def test_h_h_of_a_kronecker_power_matches_the_iid_type_oracle(rng):
+    degenerate = ([0.5, 0.5], [0.4, 0.3, 0.3], [1 / 3] * 3, [0.25] * 4, [0.4, 0.2, 0.2, 0.2],
+                  [0.7, 0.1, 0.1, 0.1])
+    spectra = [np.array(p) for p in degenerate]
+    for d in (2, 2, 3, 3, 4, 4):  # random, min p >= 0.05: no product nears SUPPORT_TOL
+        spectra.append(0.05 + (1 - 0.05 * d) * rng.dirichlet(np.ones(d)))
+    for p in spectra:
+        d = len(p)
+        u = random_unitary(rng, d)
+        rho = (u * p) @ u.conj().T
+        power = rho
+        for n in range(1, {2: 6, 3: 3, 4: 3}[d] + 1):  # every d^n <= 64
+            for eps in (0.01, 0.1, 0.3):
+                assert abs(ent.h_h(power, eps).value - h_h_iid(p, n, eps)) <= 1e-9, (p, n, eps)
+            power = np.kron(power, rho)
 
 
 def test_h_h_witness_reevaluates(rng):

@@ -33,15 +33,16 @@ DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 BELL = ("--state", "bell.json", "--povm", "basis.json", "--eps", "0.25")
 MIXED = ("--state", "mixed.json", "--povm", "povm3.json", "--eps", "0.1")
-SWEEP = ("--K", "4", "--L", "8", "--seeds", "1..3")
+SEEDS = ("--seeds", "1..3")
+SWEEP = ("--K", "4", "--L", "8", *SEEDS)
 
 CASES = {
     "entropy-bell": ("entropy", *BELL),
     "entropy-mixed": ("entropy", *MIXED),
-    "distill-local-bell": ("distill-local", *BELL),
-    "distill-local-mixed": ("distill-local", *MIXED),
-    "protocol-a-bell": ("protocol-a", *BELL, *SWEEP),
-    "protocol-a-mixed": ("protocol-a", *MIXED, *SWEEP),
+    "distill-local-bell": ("distill-local", "--state", "bell.json", "--eps", "0.25"),
+    "distill-local-mixed": ("distill-local", "--state", "mixed.json", "--eps", "0.1"),
+    "protocol-a-bell": ("protocol-a", *BELL, *SEEDS),
+    "protocol-a-mixed": ("protocol-a", *MIXED, *SEEDS),
     "kd-oneshot-bell": ("kd-oneshot", *BELL, *SWEEP),
     "kd-oneshot-mixed": ("kd-oneshot", *MIXED, *SWEEP),
     "fewqubits-bell": ("fewqubits", *BELL, *SWEEP),

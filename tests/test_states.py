@@ -44,6 +44,26 @@ def test_density_operator_validation():
     assert np.min(d.spectrum()) >= 0
 
 
+@pytest.mark.parametrize("bad", [np.array([[0.5, 0.3], [0.1, 0.5]]), np.full((2, 2), np.nan)],
+                         ids=["asymmetric", "nan"])
+def test_constructors_name_a_matrix_that_is_not_hermitian(bad):
+    with pytest.raises(ValueError, match=r"^density matrix is not Hermitian within 1e-9$"):
+        DensityOperator([("A", 2)], bad)
+    with pytest.raises(ValueError, match=r"^POVM element is not Hermitian$"):
+        Povm([bad, np.eye(2) - bad])
+
+
+def test_constructors_pass_a_lapack_failure_through(monkeypatch):
+    # LinAlgError is a ValueError: it must not come out as "not Hermitian"
+    def diverge(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(linalg, "_eigh", diverge)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        DensityOperator([("A", 2)], np.eye(2) / 2)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        Povm([np.eye(2)])
+
+
 def test_duplicate_register_labels_rejected():
     message = r"duplicate register labels: \['A', 'A'\]"
     with pytest.raises(ValueError, match=message):
