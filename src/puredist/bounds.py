@@ -98,16 +98,16 @@ def ancilla_comparison(view: Compression) -> dict:
     """Borrowed-qubit comparison of the two compressed protocols.
 
     Both protocols run on the same compressed measurement. ``margin`` =
-    log|A| - H_H^eps(A) - slack; whenever it is positive the in-place
-    protocol must borrow at least that many qubits fewer, which is checked
-    (``linalg.InvariantError`` otherwise). A non-positive margin makes the
-    comparison inconclusive and nothing is checked.
+    log|A| - H_H^eps(A) - slack (the instance's local upper bound less the
+    slack); whenever it is positive the in-place protocol must borrow at
+    least that many qubits fewer, which is checked (``linalg.InvariantError``
+    otherwise). A non-positive margin makes the comparison inconclusive and
+    nothing is checked.
     """
     inst = view.instance
     kd = run_kd_oneshot(view)
     fq = run_fewqubits(view)
-    margin = float(np.log2(inst.rho_a.shape[0]) - entropy.h_h(inst.rho_a, inst.eps).value
-                   - inst.slack_bits)
+    margin = inst.local_bounds[1] - inst.slack_bits
     c_borrow, d_borrow = kd.borrowed, fq.borrowed
     if margin > 0 and c_borrow - d_borrow < margin - 1e-9:
         raise linalg.InvariantError(
@@ -123,13 +123,14 @@ def ancilla_comparison(view: Compression) -> dict:
 
 def rate_report(view: Compression, f_eps: float | None = None,
                 g_eps: float | None = None) -> RateReport:
-    """Full bound/rate evaluation for one (instance, POVM, seed)."""
+    """Full bound/rate evaluation for one (instance, POVM, seed); the
+    bounds are the instance's, computed once for all its seeds."""
     inst = view.instance
     eps, slack_bits = inst.eps, inst.slack_bits
     f_eps = eps if f_eps is None else f_eps
     g_eps = eps if g_eps is None else g_eps
-    lo, up = local_purity_bounds(inst.rho_a, eps, slack_bits)
-    dist = distributed_upper_bound(inst, f_eps=f_eps, g_eps=g_eps)
+    lo, up = inst.local_bounds
+    dist = inst.dist_upper(f_eps, g_eps)
     comp = ancilla_comparison(view)
     kd, fq = comp["kd"], comp["fewqubits"]
     return RateReport(

@@ -111,6 +111,10 @@ class Instance:
     to, so the simulated conditionals, their Bob marginals and their pair
     entropies live here too, one per outcome of nonzero P_X, shared by
     every ``Compression`` table that ``compression(K, L, seed)`` builds.
+    So do the seed-independent inputs of the layers above (their code stays
+    in ``protocols`` and ``bounds``, imported where used): the in-place
+    target's eigensystems and Bob's codes, one stacked pass each, and the
+    local and distributed rate bounds.
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -125,6 +129,7 @@ class Instance:
         self.slack_bits = declared_slack(eps, slack_bits)
         self.env = [l for l in psi.labels if l != reg]
         self._h_h_cond = {}
+        self._dist_upper = {}
 
     def compression(self, K: int, L: int, seed: int) -> "Compression":
         return compress_measurement(self, K, L, seed)
@@ -142,8 +147,9 @@ class Instance:
         return [linalg.psd_power(e, 0.5) for e in self.povm.elements]
 
     @cached_property
-    def branches(self) -> list:
-        return [self.psi.apply(r, [self.povm.register]) for r in self.element_roots]
+    def branches(self) -> states.PureState:
+        """The measurement branches sqrt(Lambda_x) psi as one stacked state."""
+        return self.psi.apply(np.array(self.element_roots), [self.povm.register])
 
     def _ideal(self, keep) -> states.CQState:
         return states.branch_ensemble(self.branches, self.povm.labels, keep)
@@ -241,6 +247,32 @@ class Instance:
         h_env = {x: entropy.h_h(m, smooth) for x, m in self.sims.items()}
         h_bob = {x: entropy.h_h(m, smooth).value for x, m in self.sims_bob.items()}
         return h_env, h_bob
+
+    @cached_property
+    def sims_eig(self) -> dict:
+        """The descending eigensystem (w, v) of each simulated conditional."""
+        from .protocols import _descending_eig
+        return dict(zip(self.sims, zip(*_descending_eig(np.array(list(self.sims.values()))))))
+
+    @cached_property
+    def bob_codes(self) -> dict:
+        """Bob's distillation code (bits, kept, rows) of each simulated Bob marginal."""
+        from .protocols import _eig_codes
+        return dict(zip(self.sims_bob, _eig_codes(np.array(list(self.sims_bob.values())),
+                                                  self.eps)))
+
+    @cached_property
+    def local_bounds(self) -> tuple:
+        """(lower, upper) ``local_purity_bounds`` of rho_A."""
+        from .bounds import local_purity_bounds
+        return local_purity_bounds(self.rho_a, self.eps, self.slack_bits)
+
+    def dist_upper(self, f_eps: float, g_eps: float) -> float:
+        """``distributed_upper_bound`` at smoothings (f_eps, g_eps)."""
+        from .bounds import distributed_upper_bound
+        if (f_eps, g_eps) not in self._dist_upper:
+            self._dist_upper[f_eps, g_eps] = distributed_upper_bound(self, f_eps, g_eps)
+        return self._dist_upper[f_eps, g_eps]
 
 
 @dataclass(eq=False)
@@ -351,13 +383,13 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
 
     # one operator and one outcome probability per symbol, shared by its cells
     cell = c / L * base
-    q_cell = np.array([max(0.0, float(np.real(np.trace(m @ rho_a)))) / K for m in cell])
+    q_cell = np.array([max(0.0, float(np.real(np.trace(m)))) / K for m in cell @ rho_a])
     bots = np.eye(d) - cell[at].sum(axis=1)
     bots = (bots + linalg.dagger(bots)) / 2
     thetas = [tuple(cell[i] for i in row) + (bot,) for row, bot in zip(at.tolist(), bots)]
     q_kl = np.zeros((K, L + 1))
     q_kl[:, :L] = q_cell[at]
-    q_kl[:, L] = [max(0.0, float(np.real(np.trace(bot @ rho_a)))) / K for bot in bots]
+    q_kl[:, L] = [max(0.0, float(np.real(np.trace(m)))) / K for m in bots @ rho_a]
 
     view = Compression(inst, K, L, seed, thetas=tuple(thetas), decode=decode,
                        q_kl=q_kl, c_norm=float(c))

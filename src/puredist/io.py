@@ -52,10 +52,17 @@ def _field(d: dict, kind: str, name: str, parse):
         raise ValueError(f"{kind} field {name!r} is malformed: {exc}") from None
 
 
+def _positive_dim(dim) -> int:
+    dim = int(dim)
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
+    return dim
+
+
 def state_from_dict(d: dict) -> DensityOperator:
     d = _json_object(d, "state")
     regs = _field(d, "state", "registers",
-                  lambda rs: [(r["label"], int(r["dim"])) for r in rs])
+                  lambda rs: [(r["label"], _positive_dim(r["dim"])) for r in rs])
     total = int(np.prod([dim for _, dim in regs]))
     return DensityOperator(regs, _field(d, "state", "matrix",
                                         lambda m: pairs_to_matrix(m, total)))
@@ -70,7 +77,9 @@ def povm_to_dict(povm: Povm) -> dict:
 
 
 def _povm_matrices(elems) -> list:
-    dim = int(round(np.sqrt(len(elems[0])))) if elems else 0  # Povm rejects []
+    if not elems:
+        return []  # Povm rejects it by name
+    dim = _positive_dim(round(np.sqrt(len(elems[0]))))
     return [pairs_to_matrix(e, dim) for e in elems]
 
 

@@ -11,8 +11,9 @@ eigenvalues are (the same bits; ``np.linalg.eigvalsh`` differs in the last
 bits). One conjugate transpose serves both the Hermitian check and the
 symmetrization, and every decomposition goes through the one funnel ``_eigh``.
 
-Both eigen functions and ``trace_norm`` also take an (n, d, d) stack, in
-one LAPACK batch, and give each member the bits of its own 2-D call.
+Both eigen functions, ``psd_power`` and ``trace_norm`` also take an
+(n, d, d) stack, in one LAPACK batch, and give each member the bits of its
+own 2-D call.
 """
 
 import math
@@ -43,9 +44,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
-    # Fix the global phase of each column: largest-magnitude entry made
-    # real positive. Keeps repeated runs byte-identical.
-    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    # Fix the global phase of each column (of each matrix of a stack):
+    # largest-magnitude entry made real positive. Keeps repeated runs
+    # byte-identical.
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], -2)
     mag = np.abs(top)
     return vecs * np.divide(np.conj(top), mag, out=np.ones_like(top), where=mag > 0)
 
@@ -89,8 +91,6 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
         If ``m`` is not square, or (``NotHermitianError``) not Hermitian within ``tol``.
     """
     w, v = _checked_eigh(m, tol)
-    if v.ndim == 3:
-        return w, np.array([_canonical_phases(x) for x in v]).reshape(v.shape)
     return w, _canonical_phases(v)
 
 
@@ -112,7 +112,8 @@ def psd_power(m: np.ndarray, power: float, support_tol: float = 1e-12) -> np.nda
 
     Negative powers invert only the eigenvalues above ``support_tol``;
     the kernel is mapped to zero. Used for sqrt, inverse sqrt and
-    pseudo-inverse of density operators and POVM elements.
+    pseudo-inverse of density operators and POVM elements, of one matrix
+    or of each matrix of a stack.
     """
     w, v = eig_hermitian(m)
     w = clip_psd_spectrum(w)
@@ -122,7 +123,7 @@ def psd_power(m: np.ndarray, power: float, support_tol: float = 1e-12) -> np.nda
     if power >= 0:
         # non-negative powers act on the sub-threshold part too (continuity)
         out_w[~mask] = np.maximum(w[~mask], 0.0) ** power if power > 0 else 0.0
-    return (v * out_w) @ dagger(v)
+    return (v * out_w[..., None, :]) @ dagger(v)
 
 
 def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -205,6 +206,5 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace <= 1."""
-    sa = psd_power(a, 0.5)
-    sb = psd_power(b, 0.5)
+    sa, sb = psd_power(np.array([a, b]), 0.5)
     return float(np.linalg.svd(sa @ sb, compute_uv=False).sum())

@@ -15,11 +15,13 @@ simulated conditionals and pair entropies from one ``compression.Instance``,
 and the compressed measurement, its nice sets and its chosen k from one
 ``compression.Compression`` view of it.
 
-All three protocols end in one path: ``_conditional_codes`` eigendecomposes
-each distinct branch once (``_eig_code``) and codes a good set of outcomes
-of mass >= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
-``_final_error`` mixes the coded branches, and ``_distill_branches`` runs
-both parties' codes for ``run_protocol_a`` and ``run_kd_oneshot``.
+All three protocols end in one path on one stacked ``PureState`` of
+branches, measured, coded and mixed as stacks: ``_branch_codes`` codes
+every live branch from one stacked eigendecomposition (``_eig_codes``),
+``_conditional_codes`` codes a good set of outcomes of mass
+>= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
+``_final_error`` applies and mixes the codes, and ``_distill_branches``
+runs both parties' codes for ``run_protocol_a`` and ``run_kd_oneshot``.
 ``cells`` maps each outcome to its branch (one per decoded symbol, in
 ``np.unique`` order); code sizes and mixtures run in outcome order.
 """
@@ -39,10 +41,12 @@ def next_pow2(n: int) -> int:
 
 
 def _descending_eig(mat: np.ndarray):
+    """Eigenvalues, descending, and their eigenvector columns, of a matrix
+    or of each matrix of a stack."""
     w, v = linalg.eig_hermitian(mat, tol=1e-7)
     w = linalg.clip_psd_spectrum(w)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    order = np.argsort(w)[..., ::-1]
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 @dataclass(eq=False)
@@ -62,9 +66,16 @@ class DistillationIsometry:
     a_p_bits: int
     ag_dim: int
 
-    def apply(self, state: PureState, reg: str) -> PureState:
-        return state.apply(self.matrix, [reg], out_regs=[
-            (self.pure_label, 2 ** self.a_p_bits), (self.garbage_label, self.ag_dim)])
+    @property
+    def out_regs(self):
+        return [(self.pure_label, 2 ** self.a_p_bits), (self.garbage_label, self.ag_dim)]
+
+
+def _apply_codes(branches: PureState, reg: str, isos) -> PureState:
+    """Branch i of a stack coded by ``isos[i]`` on ``reg``, all in one
+    stacked product (the isometries share their output registers)."""
+    return branches.apply(np.stack([iso.matrix for iso in isos]), [reg],
+                          out_regs=isos[0].out_regs)
 
 
 def _isometry(rows: np.ndarray, kept: int, ap_bits: int, pure_label: str,
@@ -81,14 +92,19 @@ def _isometry(rows: np.ndarray, kept: int, ap_bits: int, pure_label: str,
                                 kept_dim=kept, a_p_bits=ap_bits, ag_dim=ag)
 
 
-def _eig_code(mat: np.ndarray, eps: float):
-    """(bits, kept, rows) of one state's H_H^eps truncation code from one
-    eigendecomposition: bits = floor(log2(d / kept)), and the rows conj(v).T
-    send eigenvector i (eigenvalues descending) to basis state i."""
-    w, v = _descending_eig(mat)
+def _eig_code(w: np.ndarray, v: np.ndarray, eps: float):
+    """(bits, kept, rows) of one state's H_H^eps truncation code from its
+    descending eigensystem: bits = floor(log2(d / kept)), and the rows
+    conj(v).T send eigenvector i (eigenvalues descending) to basis state i."""
     supp, k = entropy.truncated_support(w, eps)
     kept = len(supp) - k
-    return (mat.shape[0] // kept).bit_length() - 1, kept, np.conj(v).T
+    return (len(w) // kept).bit_length() - 1, kept, np.conj(v).T
+
+
+def _eig_codes(mats: np.ndarray, eps: float) -> list:
+    """``_eig_code`` of each matrix of an (n, d, d) stack, from one stacked
+    eigendecomposition."""
+    return [_eig_code(w, v, eps) for w, v in zip(*_descending_eig(mats))]
 
 
 def local_distill(rho, eps: float):
@@ -102,7 +118,7 @@ def local_distill(rho, eps: float):
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    bits, kept, rows = _eig_code(mat, eps)
+    bits, kept, rows = _eig_code(*_descending_eig(mat), eps)
     iso = _isometry(rows, kept, bits, "Ap", "Ag")
     out = iso.matrix @ mat @ linalg.dagger(iso.matrix)
     ap = 2 ** iso.a_p_bits
@@ -124,21 +140,21 @@ def _good_set_bits(values, masses, budget) -> int:
     return 0
 
 
-def _conditional_codes(marginals, masses, cells, d: int, eps: float, pure_label,
+def _conditional_codes(codes, masses, cells, d: int, eps: float, pure_label,
                        garbage_label):
     """Per-branch distillation isometries with one shared output size.
 
-    ``marginals[i]`` is branch i's normalized d x d state (None when the
-    branch is negligible); outcome j has branch ``cells[j]`` and probability
+    ``codes[i]`` is branch i's ``_eig_code`` (None when the branch is
+    negligible); outcome j has branch ``cells[j]`` and probability
     ``masses[j]``. The shared qubit count is the largest one achievable on
     a set of outcomes of probability mass >= 1 - min(2 sqrt(eps), 1/2), the
-    budget capped so the rule stays meaningful at large eps. Each branch is
-    eigendecomposed once: the good ones get their own code at that size,
-    the others the plain index relabeling (their isometry distills
+    budget capped so the rule stays meaningful at large eps. The good
+    branches get their own code at that size, the others the plain index
+    relabeling of the d-dimensional register (their isometry distills
     nothing). Returns the shared size and one isometry per branch.
     """
     relabel = (0, d, np.eye(d))
-    codes = [relabel if mat is None else _eig_code(mat, eps) for mat in marginals]
+    codes = [relabel if code is None else code for code in codes]
     shared = _good_set_bits([codes[i][0] for i in cells], masses,
                             min(2.0 * np.sqrt(eps), 0.5))
     final = []
@@ -148,44 +164,45 @@ def _conditional_codes(marginals, masses, cells, d: int, eps: float, pure_label,
     return shared, final
 
 
-def _branch_codes(branches, cells, reg: str, eps: float, pure_label, garbage_label):
-    """``_conditional_codes`` on the ``reg`` marginals of sub-normalized
-    branches; branches below mass 1e-12 count as negligible."""
-    masses = np.array([b.norm() ** 2 for b in branches])
-    marginals = [b.marginal([reg]) / p if p >= 1e-12 else None
-                 for b, p in zip(branches, masses)]
-    return _conditional_codes(marginals, masses[list(cells)], cells,
-                              branches[0].dim(reg), eps, pure_label, garbage_label)
+def _branch_codes(branches: PureState, masses, cells, reg: str, eps: float,
+                  pure_label, garbage_label):
+    """``_conditional_codes`` on the normalized ``reg`` marginals of a stack
+    of sub-normalized branches of squared norms ``masses``; branches below
+    mass 1e-12 count as negligible."""
+    live = masses >= 1e-12
+    codes = [None] * len(masses)
+    marginals = branches.marginal([reg])[live] / masses[live, None, None]
+    for i, code in zip(np.flatnonzero(live).tolist(), _eig_codes(marginals, eps)):
+        codes[i] = code
+    return _conditional_codes(codes, masses[list(cells)], cells, branches.dim(reg), eps,
+                              pure_label, garbage_label)
 
 
-def _final_error(branches, codes, cells) -> float:
+def _final_error(branches: PureState, masses, steps, cells) -> float:
     """Trace distance to |0>|0> of the exact Ap x Bp mixture over dephased
-    outcomes; outcome j has branch ``cells[j]``, and ``codes[i]`` lists
-    branch i's (register, isometry) pairs, applied in order. Each branch is
-    coded and reduced once; the mixture adds one marginal per outcome, in
-    outcome order, skipping branches below mass 1e-15."""
-    live = [i for i in cells if branches[i].norm() ** 2 >= 1e-15]
-    margs = {}
-    for i in dict.fromkeys(live):
-        br = branches[i]
-        for reg, iso in codes[i]:
-            br = iso.apply(br, reg)
-        margs[i] = br.marginal(["Ap", "Bp"])
-    sigma = margs[live[0]]
-    for i in live[1:]:
-        sigma = sigma + margs[i]
+    outcomes. ``branches`` stacks the sub-normalized branches, of squared
+    norms ``masses``; outcome j has branch ``cells[j]``; each step
+    (register, isometries) codes branch i with its isometry on that
+    register, every branch in one stacked product. The mixture adds one
+    marginal per outcome, in outcome order, skipping branches below mass
+    1e-15."""
+    for reg, isos in steps:
+        branches = _apply_codes(branches, reg, isos)
+    live = [i for i in cells if masses[i] >= 1e-15]
+    sigma = np.cumsum(branches.marginal(["Ap", "Bp"])[live], axis=0)[-1]  # in outcome order
     target = np.zeros(sigma.shape)
     target[0, 0] = 1.0
     return float(linalg.trace_distance(sigma, target))
 
 
-def _distill_branches(branches, cells, a_reg: str, b_reg: str, eps: float):
-    """Both parties' conditional codes on the dephased outcomes of branches
-    ``cells``; returns (Alice's bits, Bob's bits, final error)."""
-    a_bits, alice_isos = _branch_codes(branches, cells, a_reg, eps, "Ap", "Ag")
-    b_bits, bob_isos = _branch_codes(branches, cells, b_reg, eps, "Bp", "Bg")
-    codes = [[(a_reg, ia), (b_reg, ib)] for ia, ib in zip(alice_isos, bob_isos)]
-    return a_bits, b_bits, _final_error(branches, codes, cells)
+def _distill_branches(branches: PureState, cells, a_reg: str, b_reg: str, eps: float):
+    """Both parties' conditional codes on the dephased outcomes of the
+    stacked ``branches``; returns (Alice's bits, Bob's bits, final error)."""
+    masses = branches.masses()
+    a_bits, alice_isos = _branch_codes(branches, masses, cells, a_reg, eps, "Ap", "Ag")
+    b_bits, bob_isos = _branch_codes(branches, masses, cells, b_reg, eps, "Bp", "Bg")
+    return a_bits, b_bits, _final_error(branches, masses,
+                                        [(a_reg, alice_isos), (b_reg, bob_isos)], cells)
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -413,7 +430,7 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
     ap, la, ag = plan.ap_dim, plan.la_dim, plan.ag_dim
     target = np.zeros((ap, la, ag, inst.env_dim), dtype=complex)
     for s, x in enumerate(symbols.tolist()):
-        w, v = _descending_eig(inst.sims[x])
+        w, v = inst.sims_eig[x]
         weights = np.zeros_like(w)
         weights[: len(h_env[x].witness["weights"])] = h_env[x].witness["weights"]
         tw = w * weights
@@ -435,12 +452,12 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    b_bits, bob_isos = _conditional_codes([inst.sims_bob[x] for x in symbols.tolist()],
+    b_bits, bob_isos = _conditional_codes([inst.bob_codes[x] for x in symbols.tolist()],
                                           p_nice, cells, db, eps, "Bp", "Bg")
     off_nice = _isometry(np.eye(db), db, b_bits, "Bp", "Bg")
     bob_isos = [bob_isos[i] for i in cells] + [off_nice] * (la - len(nice))
-    err = _final_error([b for _, b in state.branches("LA")],
-                       [[(bob_label, iso)] for iso in bob_isos], range(la))
+    branches = state.split("LA")
+    err = _final_error(branches, branches.masses(), [(bob_label, bob_isos)], range(la))
 
     comm = int(np.log2(la))
     return ProtocolTranscript(
@@ -484,20 +501,20 @@ def verify_derandomization(view: Compression) -> dict:
     }
 
 
-def _block_diag_mix(blocks, keep):
-    """Block-diagonal matrix mixing each branch's ``keep`` marginal with an
-    explicit classical index (a dephased classical register)."""
-    mats = np.stack([b.marginal(keep) for b in blocks])
+def _block_diag_mix(blocks: PureState, keep):
+    """Block-diagonal matrix mixing each stacked branch's ``keep`` marginal
+    with an explicit classical index (a dephased classical register)."""
+    mats = blocks.marginal(keep)
     n, d, _ = mats.shape
     out = np.zeros((n, d, n, d), dtype=complex)
     out[np.arange(n), :, np.arange(n)] = mats
     return out.reshape(n * d, n * d)
 
 
-def _stack_coherent(blocks, label):
+def _stack_coherent(blocks: PureState, label):
     """Rebuild the coherent pure state sum_x |x> (x) block_x."""
-    return PureState([(label, len(blocks))] + list(blocks[0].regs),
-                     np.stack([b.tensor for b in blocks]))
+    return PureState([(label, len(blocks.tensor))] + list(blocks.regs),
+                     np.ascontiguousarray(blocks.tensor))
 
 
 def purity_trace(psi: PureState, povm: Povm, eps: float,
@@ -533,22 +550,23 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
                   purity(post.marginal(sorted(held + ["XA"])), borrow_bits)))
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
-    _, alice_isos = _branch_codes(branches, range(n_x), a_reg, eps, "Ap", "Ag")
-    blocks = [iso.apply(b, a_reg) for b, iso in zip(branches, alice_isos)]
+    masses = branches.masses()
+    _, alice_isos = _branch_codes(branches, masses, range(n_x), a_reg, eps, "Ap", "Ag")
+    blocks = _apply_codes(branches, a_reg, alice_isos)
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
     trace.append(("conditional-codes", purity(coherent.marginal(keep), borrow_bits)))
 
     # dephase X_A -> X_B (a strict decrease is allowed here)
-    keep_b = sorted(set(blocks[0].labels) - {"R"})
+    keep_b = sorted(set(blocks.labels) - {"R"})
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    _, bob_isos = _branch_codes(branches, range(n_x), bob_label, eps, "Bp", "Bg")
-    final_blocks = [iso.apply(b, bob_label) for b, iso in zip(blocks, bob_isos)]
-    keep_f = sorted(set(final_blocks[0].labels) - {"R"})
+    _, bob_isos = _branch_codes(branches, masses, range(n_x), bob_label, eps, "Bp", "Bg")
+    final_blocks = _apply_codes(blocks, bob_label, bob_isos)
+    keep_f = sorted(set(final_blocks.labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
 
-    final = sum(b.marginal(["Ap", "Bp"]) for b in final_blocks)
+    final = sum(final_blocks.marginal(["Ap", "Bp"]))
     trace.append(("discard-garbage", purity(final, borrow_bits)))
     return trace

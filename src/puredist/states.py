@@ -32,12 +32,17 @@ class PureState:
     (including isometries that reshape registers), classical decomposition
     along a register, and reduced density matrices. No normalization is
     enforced, so sub-normalized branch vectors are fine.
+
+    A stacked PureState holds states over the same registers along a
+    leading tensor axis; ``masses``, ``apply`` (of one operator or a stack)
+    and ``marginal`` act member by member, with each member's own bits.
     """
 
-    def __init__(self, regs, vec):
+    def __init__(self, regs, vec, stacked=False):
         self.regs = [(str(l), int(d)) for l, d in regs]
+        self.stacked = stacked
         dims = tuple(d for _, d in self.regs)
-        self.tensor = np.asarray(vec, dtype=complex).reshape(dims)
+        self.tensor = np.asarray(vec, dtype=complex).reshape(((-1,) if stacked else ()) + dims)
         labels = [l for l, _ in self.regs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate register labels: {labels}")
@@ -58,15 +63,29 @@ class PureState:
     def norm(self):
         return float(np.linalg.norm(self.tensor))
 
+    def masses(self) -> np.ndarray:
+        """The squared norm of each member of a stack."""
+        return np.array([float(np.linalg.norm(t)) ** 2 for t in self.tensor])
+
     def _axes(self, labels):
         return [self.labels.index(l) for l in labels]
+
+    def _moved(self, axes):
+        """The tensor with the registers ``axes`` first, reshaped to
+        (members x) their dimension x the rest; and the rest's axes."""
+        s = int(self.stacked)
+        rest = [i for i in range(len(self.regs)) if i not in axes]
+        t = np.transpose(self.tensor, list(range(s)) + [s + i for i in axes + rest])
+        d = math.prod(self.regs[i][1] for i in axes)
+        return t.reshape(self.tensor.shape[:s] + (d, -1)), rest
 
     def apply(self, op, on, out_regs=None) -> "PureState":
         """Apply ``op`` to the registers ``on`` (in that order).
 
         ``op`` may be rectangular (an isometry); ``out_regs`` then names the
         output registers replacing ``on``. Output registers are placed where
-        the first input register was.
+        the first input register was. An (n, d_out, d_in) stack of operators
+        applies member by member.
         """
         on = list(on)
         axes = self._axes(on)
@@ -79,45 +98,40 @@ class PureState:
                 raise ValueError(f"output register {l!r} collides with an existing one")
         d_out = math.prod(d for _, d in out_regs)
         op = np.asarray(op, dtype=complex)
-        if op.shape != (d_out, d_in):
+        if op.ndim not in (2, 3) or op.shape[-2:] != (d_out, d_in):
             raise ValueError(f"operator shape {op.shape} != ({d_out}, {d_in})")
-        rest_axes = [i for i in range(len(self.regs)) if i not in axes]
-        moved = np.transpose(self.tensor, axes + rest_axes)
-        moved = moved.reshape(d_in, -1)
+        moved, rest_axes = self._moved(axes)
         out = op @ moved
+        lead = out.shape[:-2]
         new_front = list(out_regs)
         new_rest = [self.regs[i] for i in rest_axes]
-        out = out.reshape([d for _, d in new_front] + [d for _, d in new_rest])
+        out = out.reshape(lead + tuple(d for _, d in new_front + new_rest))
         # restore: put the new registers at the position of the first input one
         pos = min(axes) if axes else 0
         order_regs = new_rest[:pos] + new_front + new_rest[pos:]
         cur = new_front + new_rest
-        perm = [cur.index(r) for r in order_regs]
-        return PureState(order_regs, np.transpose(out, perm))
+        s = len(lead)
+        perm = list(range(s)) + [s + cur.index(r) for r in order_regs]
+        return PureState(order_regs, np.transpose(out, perm), stacked=bool(lead))
+
+    def split(self, label) -> "PureState":
+        """The branches along the computational basis of one register, as a
+        stack of states without that register (member i for basis state i).
+        Mixing the branch projectors reproduces the dephased state."""
+        ax = self._axes([label])[0]
+        rest = [r for i, r in enumerate(self.regs) if i != ax]
+        return PureState(rest, np.ascontiguousarray(np.moveaxis(self.tensor, ax, 0)),
+                         stacked=True)
 
     def branches(self, label):
-        """Decompose along the computational basis of one register.
-
-        Returns a list of (index, sub-normalized PureState without that
-        register). Mixing the branch projectors reproduces the dephased state.
-        """
-        ax = self._axes([label])[0]
-        d = self.regs[ax][1]
-        out = []
-        rest = [r for i, r in enumerate(self.regs) if i != ax]
-        for i in range(d):
-            sub = np.take(self.tensor, i, axis=ax)
-            out.append((i, PureState(rest, sub)))
-        return out
+        """``split``'s members as a list of (index, sub-normalized PureState)."""
+        stack = self.split(label)
+        return [(i, PureState(stack.regs, t)) for i, t in enumerate(stack.tensor)]
 
     def marginal(self, keep):
-        """Reduced density matrix on ``keep`` (in the listed order)."""
-        keep = list(keep)
-        axes = self._axes(keep)
-        rest = [i for i in range(len(self.regs)) if i not in axes]
-        moved = np.transpose(self.tensor, axes + rest)
-        d_keep = math.prod(self.regs[i][1] for i in axes)
-        m = moved.reshape(d_keep, -1)
+        """Reduced density matrix on ``keep`` (in the listed order), one
+        per member of a stack."""
+        m, _ = self._moved(self._axes(list(keep)))
         return m @ linalg.dagger(m)
 
     def density(self, keep=None) -> "DensityOperator":
@@ -354,14 +368,16 @@ class ProtocolTranscript:
         }
 
 
-def measure(psi: PureState, elements, reg: str) -> list:
+def measure(psi: PureState, elements, reg: str) -> PureState:
     """Measure ``reg`` of a pure state coherently: the sub-normalized
-    branches sqrt(E) psi, one per element E, in the element order."""
-    return [psi.apply(linalg.psd_power(e, 0.5), [reg]) for e in elements]
+    branches sqrt(E) psi, one per element E in the element order, as one
+    stacked state from one stacked root."""
+    return psi.apply(linalg.psd_power(np.array(elements), 0.5), [reg])
 
 
-def branch_ensemble(branches, labels, keep) -> CQState:
-    """The cq state of measurement branches reduced to the registers ``keep``.
+def branch_ensemble(branches: PureState, labels, keep) -> CQState:
+    """The cq state of a stack of measurement branches reduced to the
+    registers ``keep``.
 
     Branch i carries outcome ``labels[i]`` with probability its squared norm
     and the normalized ``keep`` marginal as its conditional. Outcomes with
@@ -369,18 +385,14 @@ def branch_ensemble(branches, labels, keep) -> CQState:
     measure zero) and flagged in ``dropped``.
     """
     keep = sorted(keep)
-    probs, conds, kept = [], [], []
-    for lbl, branch in zip(labels, branches):
-        p = branch.norm() ** 2
-        if p < 1e-12:
-            continue
-        conds.append(DensityOperator([(l, branch.dim(l)) for l in keep],
-                                     branch.marginal(keep) / p, validate=False))
-        probs.append(p)
-        kept.append(lbl)
-    probs = np.asarray(probs)
-    return CQState(kept, probs / np.sum(probs), conds,
-                   pre_dropped=len(kept) != len(branches))
+    regs = [(l, branches.dim(l)) for l in keep]
+    probs = branches.masses()
+    live = probs >= 1e-12
+    conds = [DensityOperator(regs, m / p, validate=False)
+             for m, p in zip(branches.marginal(keep)[live], probs[live])]
+    kept = [lbl for lbl, ok in zip(labels, live.tolist()) if ok]
+    return CQState(kept, probs[live] / np.sum(probs[live]), conds,
+                   pre_dropped=len(kept) != len(probs))
 
 
 def control_state(psi: PureState, povm: Povm, condition_on=("B", "R"),

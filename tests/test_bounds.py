@@ -13,7 +13,7 @@ from puredist.sampling import (
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state, rank1_refine
 
-from oracles import near_pure_classical
+from oracles import h_h_iid, near_pure_classical
 
 
 def test_local_bounds_examples():
@@ -36,6 +36,42 @@ def test_local_bounds_sandwich_random(rng):
         eps = float(rng.choice([0.05, 0.1, 0.3]))
         lo, up = bounds.local_purity_bounds(rho, eps)
         assert lo <= up + np.log2(1 / eps) + 1e-9
+
+
+def _iid_local_lower(p, n, eps):
+    """``local_purity_bounds``' lower bound of rho^{(x)n}, rho of spectrum p,
+    through the type-class oracle."""
+    return n * np.log2(len(p)) - h_h_iid(p, n, eps * eps / 9) - np.log2(1 / eps) - 1
+
+
+def test_local_lower_bound_reaches_devetaks_rate_with_its_second_order_term():
+    # Devetak's rate log d - S(rho) per copy, approached from below as
+    # sqrt(n V) Phi^{-1}(eps^2 / 9) + O(log n) with V the varentropy
+    # (Tomamichel-Hayashi, IEEE TIT 59 (2013); Li, Ann. Stat. 42 (2014))
+    from scipy.stats import norm
+    for p, ns in (((0.9, 0.1), (10, 100, 1000, 10_000)), ((0.6, 0.4), (10, 100, 1000, 10_000)),
+                  ((0.7, 0.2, 0.1), (10, 30, 100, 300))):
+        p = np.array(p)
+        rho = np.diag(p)
+        power = rho
+        for n in range(1, {2: 6, 3: 3}[len(p)] + 1):  # the dense bound, every d^n <= 64
+            for eps in (0.1, 0.3):
+                lower, _ = bounds.local_purity_bounds(power, eps)
+                assert abs(lower - _iid_local_lower(p, n, eps)) <= 1e-9, (p, n, eps)
+            power = np.kron(power, rho)
+        rate = np.log2(len(p)) + np.sum(p * np.log2(p))
+        var = np.sum(p * np.log2(p) ** 2) - np.sum(p * np.log2(p)) ** 2
+        for eps in (0.1, 0.3):
+            gaps = [_iid_local_lower(p, n, eps) - n * rate for n in ns]
+            per_copy = [abs(g) / n for g, n in zip(gaps, ns)]
+            assert per_copy == sorted(per_copy, reverse=True), (p, eps)
+            for g, n in zip(gaps, ns):
+                second = np.sqrt(n * var) * norm.ppf(eps * eps / 9)
+                assert abs(g - second) <= np.log2(n), (p, eps, n)
+            # at the largest n the opposite sign misses by more than 2 log n
+            assert abs(g + second) > 2 * np.log2(n), (p, eps)
+        if len(p) == 2:
+            assert per_copy[-1] < 0.03
 
 
 def test_distributed_upper_bound_trivial_povm(rng):
@@ -132,6 +168,37 @@ def test_rate_report_consistency(rng):
     row = [d[c] for c in bounds.RateReport.CSV_COLUMNS]
     assert len(row) == len(bounds.RateReport.CSV_COLUMNS)
     assert d["c_borrow"] == rep.c_borrow
+
+
+def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
+    psi = near_pure_classical(rng, 8, 4)
+    inst = Instance(psi, basis_povm(8, "A"), 0.25)
+    calls = {"local": 0, "dist": 0, "h_h_rho_a": 0}
+    orig_local, orig_dist, orig_h_h = (bounds.local_purity_bounds,
+                                       bounds.distributed_upper_bound, entropy.h_h)
+
+    def local(*args, **kwargs):
+        calls["local"] += 1
+        return orig_local(*args, **kwargs)
+
+    def dist(*args, **kwargs):
+        calls["dist"] += 1
+        return orig_dist(*args, **kwargs)
+
+    def h_h(rho, eps):
+        calls["h_h_rho_a"] += rho is inst.rho_a
+        return orig_h_h(rho, eps)
+
+    monkeypatch.setattr(bounds, "local_purity_bounds", local)
+    monkeypatch.setattr(bounds, "distributed_upper_bound", dist)
+    monkeypatch.setattr(entropy, "h_h", h_h)
+    reports = [bounds.rate_report(inst.compression(K=4, L=16, seed=s)) for s in (1, 2, 3)]
+    # one local pair (two h_h of rho_A, margin included) and one distributed bound
+    assert calls == {"local": 1, "dist": 1, "h_h_rho_a": 2}
+    fresh = bounds.rate_report(Instance(psi, basis_povm(8, "A"), 0.25).compression(
+        K=4, L=16, seed=3))
+    assert reports[-1].to_dict() == fresh.to_dict()
+    assert {r.margin for r in reports} == {reports[0].local_upper - reports[0].slack_bits}
 
 
 def test_rate_report_rejects_nonfinite():

@@ -283,6 +283,25 @@ def test_malformed_nested_fields_are_named_errors(bell_file, basis_file, tmp_pat
             assert f"field {field!r}" in err
 
 
+def test_empty_registers_and_elements_are_named_errors(bell_file, basis_file, tmp_path,
+                                                       capsys):
+    cases = []
+    for dim in (0, -2):
+        path = tmp_path / f"dim{dim}.json"
+        path.write_text(json.dumps({"registers": [{"label": "A", "dim": dim}],
+                                    "matrix": [[1.0, 0.0]] * 4}))
+        cases.append((str(path), basis_file, "state field 'registers'", f"got {dim}"))
+    empty = tmp_path / "empty-element.json"
+    empty.write_text(json.dumps({"register": "A", "elements": [[]]}))
+    cases.append((bell_file, str(empty), "POVM field 'elements'", "got 0"))
+    for command in ("entropy", "kd-oneshot"):
+        for state_path, povm_path, field, got in cases:
+            rc = main([command, "--state", state_path, "--povm", povm_path, "--eps", "0.1"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err == f"error: {field} is malformed: dimension must be at least 1, {got}\n"
+
+
 def test_povm_labels_must_be_null_or_a_list_as_long_as_elements(bell_file, basis_file,
                                                                  tmp_path, capsys):
     povm = json.loads(open(basis_file).read())

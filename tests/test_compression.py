@@ -59,6 +59,19 @@ def test_rows_are_povms(rng):
         assert len(p) == view.L + 1
 
 
+def test_q_kl_keeps_the_bits_of_the_per_matrix_trace_loop(rng):
+    from puredist.sampling import mixed_protocol_input
+    for psi, povm in ((classical_instance(rng, 4, 3), basis_povm(4, "A")),
+                      (mixed_protocol_input(rng, 3, 2, rank=2), random_povm(rng, 3, 4))):
+        inst = Instance(psi, povm, 0.1)
+        for seed in range(4):
+            view = compress_measurement(inst, K=5, L=6, seed=seed)
+            # the reference: Tr(M rho_A) of every cell and failure element, one by one
+            want = [[max(0.0, float(np.real(np.trace(m @ inst.rho_a)))) / view.K for m in row]
+                    for row in view.thetas]
+            assert np.array_equal(view.q_kl, want)
+
+
 def test_stacked_row_sums_keep_the_bits_of_the_row_loop(rng):
     # the reference: each row's cell operators summed in order in Python
     inst = Instance(purified_input(bell_pair()), random_povm(rng, 2, 4), 0.1)

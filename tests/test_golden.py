@@ -14,6 +14,7 @@ in the last place. Regenerate them (only after a deliberate output change) with
 
 import contextlib
 import io as _io
+import json
 import os
 import subprocess
 import sys
@@ -115,6 +116,26 @@ def inputs(bell_file, basis_file, tmp_path, monkeypatch):
 def test_cli_output_matches_golden_bytes(name, inputs):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert run_case(name) == expected
+
+
+@pytest.mark.parametrize("name", ["compare-mixed", "fewqubits-mixed"])
+def test_each_seed_of_a_sweep_prints_what_it_prints_alone(name, inputs):
+    # guards the per-Instance caches: a seed's record must not depend on the
+    # seeds the same Instance ran before it
+    args = list(CASES[name])
+    at = args.index("--seeds") + 1
+
+    def records(seeds):
+        args[at] = seeds
+        out = _io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(args) == 0
+        (recs,) = json.loads(out.getvalue()).values()
+        return [io.dumps(r) for r in recs]
+
+    swept = records("1..3")
+    assert swept == [records(str(seed))[0] for seed in (1, 2, 3)]
+    assert len(set(swept)) == 3
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

@@ -270,6 +270,38 @@ def test_fuchs_van_de_graaf(rng):
         assert td <= 2 * np.sqrt(max(0.0, 1 - f * f)) + 1e-8
 
 
+def test_psd_power_of_a_stack_keeps_the_bits_of_each_member(rng):
+    for _ in range(40):
+        d, n = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        # ranks from 0 (the zero matrix) to d: singular members included
+        stack = np.array([ginibre_density(rng, d, rank=int(rng.integers(1, d + 1)))
+                          * (rng.random() > 0.2) for _ in range(n)])
+        for power in (0.5, -0.5, 1.0):
+            got = linalg.psd_power(stack, power)
+            assert got.shape == stack.shape
+            for m, g in zip(stack, got):
+                assert np.array_equal(g, linalg.psd_power(m, power))
+
+
+def _canonical_phases_per_column(vecs):
+    """The 2-D column loop ``linalg._canonical_phases`` replaced."""
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    mag = np.abs(top)
+    return vecs * np.divide(np.conj(top), mag, out=np.ones_like(top), where=mag > 0)
+
+
+def test_canonical_phases_keep_the_bits_of_the_column_loop(rng):
+    # random eigenvectors, ties in magnitude (the identity, a Hadamard
+    # basis) and a zero column
+    cases = [np.linalg.eigh(random_hermitian(rng, d))[1] for d in (1, 2, 5, 16)]
+    cases += [np.eye(4, dtype=complex), np.array([[1, 1], [1, -1]]) / np.sqrt(2) + 0j,
+              np.array([[0, 1j], [0, 0]])]
+    for v in cases:
+        assert np.array_equal(linalg._canonical_phases(v), _canonical_phases_per_column(v))
+        stacked = linalg._canonical_phases(np.array([v, 1j * v]))
+        assert np.array_equal(stacked[1], _canonical_phases_per_column(1j * v))
+
+
 def test_psd_power_support(rng):
     rho = ginibre_density(rng, 4, rank=2)
     inv = linalg.psd_power(rho, -1.0)

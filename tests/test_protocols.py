@@ -104,30 +104,65 @@ def test_protocol_a_eigendecomposes_each_branch_once(monkeypatch):
     psi = purified_input(classical_correlated_pure(None, 4, 2, joint=joint))
     inst = Instance(psi, basis_povm(4, "A"), 0.1)
     pr.run_protocol_a(inst)  # fills the instance's caches
-    calls = []
-    orig = linalg.eig_hermitian
-
-    def counting(m, *args, **kwargs):
-        calls.append(m)
-        return orig(m, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "eig_hermitian", counting)
+    calls = _count_calls(monkeypatch, linalg, "eig_hermitian")
     t = pr.run_protocol_a(inst)
     assert t.distilled_alice == 2  # every live branch is good for Alice
-    live = sum(b.norm() ** 2 >= 1e-12 for b in inst.branches)
+    live = sum(inst.branches.masses() >= 1e-12)
     assert live == 3 and len(calls) == 2 * live
 
 
 def _count_calls(monkeypatch, module, name):
+    """The matrices ``module.name`` is called on, one per member of a stack."""
     calls = []
     orig = getattr(module, name)
 
     def counting(m, *args, **kwargs):
-        calls.append(m)
+        calls.extend(m if np.ndim(m) == 3 else [m])
         return orig(m, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _final_error_per_branch(branches, codes, cells):
+    """The per-branch loop the stacked ``_final_error`` replaced: ``codes[i]``
+    lists branch i's (register, isometry) pairs."""
+    live = [i for i in cells if branches[i].norm() ** 2 >= 1e-15]
+    margs = {}
+    for i in dict.fromkeys(live):
+        br = branches[i]
+        for reg, iso in codes[i]:
+            br = br.apply(iso.matrix, [reg], out_regs=iso.out_regs)
+        margs[i] = br.marginal(["Ap", "Bp"])
+    sigma = margs[live[0]]
+    for i in live[1:]:
+        sigma = sigma + margs[i]
+    target = np.zeros(sigma.shape)
+    target[0, 0] = 1.0
+    return float(linalg.trace_distance(sigma, target))
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+def test_final_error_keeps_the_bits_of_the_per_branch_loop(rng, first):
+    from puredist.sampling import random_povm
+    from puredist.states import measure
+    psi = mixed_protocol_input(rng, 4, 2, rank=2)
+    if first == "B":  # A in the middle: every branch tensor is a strided view
+        psi = PureState([("B", 2), ("A", 4), ("R", 2)], np.transpose(psi.tensor, (1, 0, 2)))
+    # branch 3 is exactly zero, so below 1e-15; the cells repeat branches
+    elements = list(random_povm(rng, 4, 3).elements) + [np.zeros((4, 4))]
+    cells = [0, 2, 1, 0, 3, 2, 2]
+    for eps in (0.05, 0.25):
+        branches = measure(psi, elements, "A")
+        masses = branches.masses()
+        assert masses[3] < 1e-15 <= masses[:3].min()
+        _, alice = pr._branch_codes(branches, masses, cells, "A", eps, "Ap", "Ag")
+        _, bob = pr._branch_codes(branches, masses, cells, "B", eps, "Bp", "Bg")
+        got = pr._final_error(branches, masses, [("A", alice), ("B", bob)], cells)
+        singles = [psi.apply(linalg.psd_power(e, 0.5), ["A"]) for e in elements]
+        want = _final_error_per_branch(singles, [[("A", a), ("B", b)] for a, b in zip(alice, bob)],
+                                       cells)
+        assert got == want
 
 
 # ---------------------------------------------------------------- kd oneshot
@@ -256,14 +291,18 @@ def test_fewqubits_case1_on_large_A(rng):
 
 def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     psi = near_pure_classical(rng, 8, 4)
-    view = Instance(psi, basis_povm(8, "A"), 0.25).compression(K=4, L=16, seed=1)
-    pr.run_fewqubits(view)  # fills the instance's and the view's caches
+    inst = Instance(psi, basis_povm(8, "A"), 0.25)
+    view = inst.compression(K=4, L=16, seed=1)
+    codes = _count_calls(monkeypatch, pr, "_eig_code")
+    pr.run_fewqubits(view)
     _, nice = view.nice
     symbols = {int(view.decode[view.k, l]) for l in nice[view.k]}
     assert len(symbols) < len(nice[view.k])
-    codes = _count_calls(monkeypatch, pr, "_eig_code")
-    pr.run_fewqubits(view)
-    assert len(codes) == len(symbols)
+    # the first run codes each simulated symbol once, the nice ones among them
+    assert len(codes) == len(inst.sims_bob) and symbols <= set(inst.sims_bob)
+    codes.clear()
+    pr.run_fewqubits(inst.compression(K=4, L=16, seed=2))
+    assert codes == []  # a second seed codes none again
 
 
 def test_fewqubits_beats_kd_on_borrow(rng):

@@ -6,6 +6,7 @@ from puredist.sampling import (
     basis_povm,
     bell_pair,
     ginibre_density,
+    mixed_protocol_input,
     random_density,
     random_povm,
     random_unitary,
@@ -17,6 +18,7 @@ from puredist.states import (
     ProtocolTranscript,
     PureState,
     control_state,
+    measure,
     rank1_refine,
 )
 
@@ -189,6 +191,46 @@ def test_pure_state_apply_isometry_reshapes_registers():
     out = psi.apply(iso, ["A"], out_regs=[("C", 3), ("F", 2)])
     assert out.labels == ["C", "F", "B"]
     assert np.isclose(out.norm(), 1.0)
+
+
+@pytest.mark.parametrize("first", ["A", "B"])
+def test_measure_keeps_the_bits_of_the_per_element_loop(rng, first):
+    psi = mixed_protocol_input(rng, 4, 3, rank=2)  # registers A, B, R
+    if first == "B":  # A in the middle: every tensor is a strided view
+        psi = PureState([("B", 3), ("A", 4), ("R", 2)], np.transpose(psi.tensor, (1, 0, 2)))
+    # full-rank and singular elements; measure needs no POVM
+    elements = list(random_povm(rng, 4, 3).elements) + list(basis_povm(4).elements)[:2]
+    got = measure(psi, elements, "A")
+    ref = [psi.apply(linalg.psd_power(e, 0.5), ["A"]) for e in elements]  # the parent's loop
+    assert got.stacked and got.regs == ref[0].regs and len(got.tensor) == len(ref)
+    assert got.masses().tolist() == [b.norm() ** 2 for b in ref]
+    margs = got.marginal(["B", "R"])
+    for i, b in enumerate(ref):
+        assert np.array_equal(got.tensor[i], b.tensor)
+        assert np.array_equal(margs[i], b.marginal(["B", "R"]))
+
+
+def test_stacked_apply_acts_member_by_member(rng):
+    psi = mixed_protocol_input(rng, 3, 2, rank=2)
+    ops = np.array([random_unitary(rng, 3) for _ in range(4)])
+    branches = psi.apply(ops, ["A"])  # a stack of operators stacks the results
+    iso = np.zeros((6, 2), dtype=complex)  # embed qubit into qutrit x flag
+    iso[0, 0] = iso[4, 1] = 1.0
+    one_op = branches.apply(iso, ["B"], out_regs=[("C", 3), ("F", 2)])
+    per_member = branches.apply(ops[::-1], ["A"])
+    margs = one_op.marginal(["F", "A"])
+    for i in range(len(ops)):
+        single = psi.apply(ops[i], ["A"])
+        assert np.array_equal(branches.tensor[i], single.tensor)
+        want = single.apply(iso, ["B"], out_regs=[("C", 3), ("F", 2)])
+        assert one_op.regs == want.regs and np.array_equal(one_op.tensor[i], want.tensor)
+        assert np.array_equal(margs[i], want.marginal(["F", "A"]))
+        assert np.array_equal(per_member.tensor[i], single.apply(ops[::-1][i], ["A"]).tensor)
+    split = psi.split("B")
+    assert split.stacked and split.labels == ["A", "R"]
+    for (i, b), t in zip(psi.branches("B"), split.tensor):
+        assert np.array_equal(b.tensor, np.take(psi.tensor, i, axis=1))
+        assert np.array_equal(t, b.tensor)
 
 
 def test_transcript_accounting():
