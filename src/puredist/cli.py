@@ -10,6 +10,7 @@ shares the instance's ideal-state quantities and per-symbol simulated states.
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 
@@ -81,6 +82,8 @@ def check_args(args):
         raise ValueError("K and L must be at least 1")
     if "seeds" in args and not args.seeds:
         raise ValueError("at least one seed is required")
+    if getattr(args, "slack_bits", None) is not None and not 0.0 <= args.slack_bits < math.inf:
+        raise ValueError(f"--slack-bits must be finite and at least 0, got {args.slack_bits}")
     if "trials" in args and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
 

@@ -97,24 +97,24 @@ def declared_slack(eps: float, slack_bits: float | None = None) -> float:
 class Instance:
     """One (pure input state, POVM, eps) problem and its ideal-state quantities.
 
-    ``psi`` is pure on A, Bob's register and any reference; the POVM acts on
-    its register A. Everything here depends on the state, the POVM and eps
-    only, never on a compression seed, so each quantity is computed on
-    first use and kept: the environment labels, the element roots
-    sqrt(Lambda_x) and the measurement branches sqrt(Lambda_x) psi, the
-    ideal control states (the branches conditioned on the whole
-    environment, on A with the outcome retained, and on Bob), the outcome
-    distribution P_X and the roots Y_x the compressions are built from,
-    I_max of the environment ensemble at eps^4, and the H_H conditional
-    entropies of the nice-set bounds and the rate formulas. A compressed
-    cell's post-measurement state depends only on the symbol it decodes
-    to, so the simulated conditionals, their Bob marginals and their pair
-    entropies live here too, one per outcome of nonzero P_X, shared by
-    every ``Compression`` table that ``compression(K, L, seed)`` builds.
-    So do the seed-independent inputs of the layers above (their code stays
-    in ``protocols`` and ``bounds``, imported where used): the in-place
-    target's eigensystems and Bob's codes, one stacked pass each, and the
-    local and distributed rate bounds.
+    ``psi`` is pure on A, Bob's register ``bob_label`` (another register of
+    psi) and any reference; the POVM acts on its register A. Everything here
+    depends on the state, the POVM and eps only, never on a compression
+    seed, so each quantity is computed on first use and kept: the
+    environment labels, the element roots sqrt(Lambda_x) and the measurement
+    branches sqrt(Lambda_x) psi, the ideal control states (the branches
+    conditioned on the whole environment, on A with the outcome retained,
+    and on Bob), the outcome distribution P_X and the roots Y_x the
+    compressions are built from, I_max of the environment ensemble at eps^4,
+    and the H_H conditional entropies of the nice-set bounds and the rate
+    formulas. A compressed cell's post-measurement state depends only on the
+    symbol it decodes to, so the simulated conditionals, their Bob marginals
+    and their pair entropies live here too, one per outcome of nonzero P_X,
+    shared by every ``Compression`` table that ``compression(K, L, seed)``
+    builds. So do the seed-independent inputs of the layers above (their
+    code stays in ``protocols`` and ``bounds``, imported where used): the
+    in-place target's eigensystems and Bob's codes, one stacked pass each,
+    and the local and distributed rate bounds.
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -125,6 +125,9 @@ class Instance:
         if povm.dim != psi.dim(reg):
             raise ValueError(f"POVM dimension {povm.dim} does not match register "
                              f"{reg!r} dimension {psi.dim(reg)}")
+        if bob_label == reg or bob_label not in psi.labels:
+            raise ValueError(f"Bob's register {bob_label!r} must be a register of the state "
+                             f"other than the measured register {reg!r}")
         self.psi, self.povm, self.eps, self.bob_label = psi, povm, eps, bob_label
         self.slack_bits = declared_slack(eps, slack_bits)
         self.env = [l for l in psi.labels if l != reg]

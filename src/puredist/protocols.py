@@ -16,12 +16,12 @@ and the compressed measurement, its nice sets and its chosen k from one
 ``compression.Compression`` view of it.
 
 All three protocols end in one path on one stacked ``PureState`` of
-branches, measured, coded and mixed as stacks: ``_branch_codes`` codes
-every live branch from one stacked eigendecomposition (``_eig_codes``),
-``_conditional_codes`` codes a good set of outcomes of mass
->= 1 - min(2 sqrt(eps), 1/2) at one shared size (``_isometry``),
-``_final_error`` applies and mixes the codes, and ``_distill_branches``
-runs both parties' codes for ``run_protocol_a`` and ``run_kd_oneshot``.
+branches, measured, coded and mixed as stacks. A conditional code is a
+shared bit count and an (n, d, d) stack of rows, one per branch:
+``_branch_codes`` codes every live branch from one stacked
+eigendecomposition, ``_conditional_codes`` keeps the rows of a good set of
+outcomes of mass >= 1 - min(2 sqrt(eps), 1/2) and gives the rest the
+identity, and ``_final_error`` pads, applies and mixes the codes.
 ``cells`` maps each outcome to its branch (one per decoded symbol, in
 ``np.unique`` order); code sizes and mixtures run in outcome order.
 """
@@ -51,7 +51,7 @@ def _descending_eig(mat: np.ndarray):
 
 @dataclass(eq=False)
 class DistillationIsometry:
-    """Isometry relabeling the kept eigenvectors into |0>^{A_p} (x) basis(A_g).
+    """``local_distill``'s isometry into |0>^{A_p} (x) basis(A_g).
 
     ``matrix`` has shape (2^a_p_bits * ag_dim, d) with orthonormal columns;
     eigenvector i (eigenvalues descending) maps to basis state
@@ -59,37 +59,32 @@ class DistillationIsometry:
     <= ag_dim) land in the A_p = 0 block.
     """
 
-    pure_label: str
-    garbage_label: str
     matrix: np.ndarray
     kept_dim: int
     a_p_bits: int
     ag_dim: int
 
-    @property
-    def out_regs(self):
-        return [(self.pure_label, 2 ** self.a_p_bits), (self.garbage_label, self.ag_dim)]
+
+def _padded(rows: np.ndarray, bits: int) -> np.ndarray:
+    """A d x d ``rows`` matrix, or an (n, d, d) stack of them, zero-padded
+    to 2^bits * ceil(d / 2^bits) rows: row i maps to basis state i. Rows
+    conj(v).T of a descending eigensystem distill; the identity is the
+    plain index relabeling."""
+    d = rows.shape[-1]
+    iso = np.zeros(rows.shape[:-2] + (2 ** bits * math.ceil(d / 2 ** bits), d), dtype=complex)
+    iso[..., :d, :] = rows
+    return iso
 
 
-def _apply_codes(branches: PureState, reg: str, isos) -> PureState:
-    """Branch i of a stack coded by ``isos[i]`` on ``reg``, all in one
-    stacked product (the isometries share their output registers)."""
-    return branches.apply(np.stack([iso.matrix for iso in isos]), [reg],
-                          out_regs=isos[0].out_regs)
-
-
-def _isometry(rows: np.ndarray, kept: int, ap_bits: int, pure_label: str,
-              garbage_label: str) -> DistillationIsometry:
-    """The d x d ``rows`` zero-padded to 2^ap_bits * ceil(d / 2^ap_bits)
-    rows: row i maps to basis state i. Rows conj(v).T of a descending
-    eigensystem distill; the identity is the plain index relabeling."""
-    d = rows.shape[0]
-    ap = 2 ** ap_bits
-    ag = math.ceil(d / ap)
-    iso = np.zeros((ap * ag, d), dtype=complex)
-    iso[:d] = rows
-    return DistillationIsometry(pure_label, garbage_label, iso,
-                                kept_dim=kept, a_p_bits=ap_bits, ag_dim=ag)
+def _apply_code(branches: PureState, step) -> PureState:
+    """Branch i of a stack coded by a step (register, (pure, garbage)
+    labels, bits, rows): ``rows[i]``, padded, maps the register onto the
+    pure register of 2^bits levels and the garbage register, every branch
+    in one stacked product."""
+    reg, (pure, garbage), bits, rows = step
+    iso = _padded(rows, bits)
+    ap = 2 ** bits
+    return branches.apply(iso, [reg], out_regs=[(pure, ap), (garbage, iso.shape[-2] // ap)])
 
 
 def _eig_code(w: np.ndarray, v: np.ndarray, eps: float):
@@ -119,14 +114,14 @@ def local_distill(rho, eps: float):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
     bits, kept, rows = _eig_code(*_descending_eig(mat), eps)
-    iso = _isometry(rows, kept, bits, "Ap", "Ag")
-    out = iso.matrix @ mat @ linalg.dagger(iso.matrix)
-    ap = 2 ** iso.a_p_bits
-    marg = linalg.partial_trace(out, [ap, iso.ag_dim], 0)
+    ap = 2 ** bits
+    iso = _padded(rows, bits)
+    out = iso @ mat @ linalg.dagger(iso)
+    marg = linalg.partial_trace(out, [ap, len(iso) // ap], 0)
     target = np.zeros((ap, ap))
     target[0, 0] = 1.0
     err = linalg.trace_distance(marg, target)
-    return iso, float(err)
+    return DistillationIsometry(iso, kept, bits, len(iso) // ap), float(err)
 
 
 def _good_set_bits(values, masses, budget) -> int:
@@ -140,32 +135,25 @@ def _good_set_bits(values, masses, budget) -> int:
     return 0
 
 
-def _conditional_codes(codes, masses, cells, d: int, eps: float, pure_label,
-                       garbage_label):
-    """Per-branch distillation isometries with one shared output size.
+def _conditional_codes(codes, masses, cells, d: int, eps: float):
+    """Per-branch distillation codes with one shared output size.
 
     ``codes[i]`` is branch i's ``_eig_code`` (None when the branch is
     negligible); outcome j has branch ``cells[j]`` and probability
     ``masses[j]``. The shared qubit count is the largest one achievable on
     a set of outcomes of probability mass >= 1 - min(2 sqrt(eps), 1/2), the
     budget capped so the rule stays meaningful at large eps. The good
-    branches get their own code at that size, the others the plain index
-    relabeling of the d-dimensional register (their isometry distills
-    nothing). Returns the shared size and one isometry per branch.
+    branches get their own rows at that size, the others the plain index
+    relabeling of the d-dimensional register (it distills nothing).
+    Returns the shared size and the (n, d, d) stack of rows, one per branch.
     """
-    relabel = (0, d, np.eye(d))
-    codes = [relabel if code is None else code for code in codes]
-    shared = _good_set_bits([codes[i][0] for i in cells], masses,
+    shared = _good_set_bits([0 if codes[i] is None else codes[i][0] for i in cells], masses,
                             min(2.0 * np.sqrt(eps), 0.5))
-    final = []
-    for code in codes:
-        _, kept, rows = code if code[0] >= shared else relabel
-        final.append(_isometry(rows, kept, shared, pure_label, garbage_label))
-    return shared, final
+    return shared, np.stack([np.eye(d) if code is None or code[0] < shared else code[2]
+                             for code in codes])
 
 
-def _branch_codes(branches: PureState, masses, cells, reg: str, eps: float,
-                  pure_label, garbage_label):
+def _branch_codes(branches: PureState, masses, cells, reg: str, eps: float):
     """``_conditional_codes`` on the normalized ``reg`` marginals of a stack
     of sub-normalized branches of squared norms ``masses``; branches below
     mass 1e-12 count as negligible."""
@@ -174,20 +162,18 @@ def _branch_codes(branches: PureState, masses, cells, reg: str, eps: float,
     marginals = branches.marginal([reg])[live] / masses[live, None, None]
     for i, code in zip(np.flatnonzero(live).tolist(), _eig_codes(marginals, eps)):
         codes[i] = code
-    return _conditional_codes(codes, masses[list(cells)], cells, branches.dim(reg), eps,
-                              pure_label, garbage_label)
+    return _conditional_codes(codes, masses[list(cells)], cells, branches.dim(reg), eps)
 
 
 def _final_error(branches: PureState, masses, steps, cells) -> float:
     """Trace distance to |0>|0> of the exact Ap x Bp mixture over dephased
     outcomes. ``branches`` stacks the sub-normalized branches, of squared
     norms ``masses``; outcome j has branch ``cells[j]``; each step
-    (register, isometries) codes branch i with its isometry on that
-    register, every branch in one stacked product. The mixture adds one
-    marginal per outcome, in outcome order, skipping branches below mass
-    1e-15."""
-    for reg, isos in steps:
-        branches = _apply_codes(branches, reg, isos)
+    (register, (pure, garbage) labels, bits, rows) codes every branch in
+    one stacked product (``_apply_code``). The mixture adds one marginal
+    per outcome, in outcome order, skipping branches below mass 1e-15."""
+    for step in steps:
+        branches = _apply_code(branches, step)
     live = [i for i in cells if masses[i] >= 1e-15]
     sigma = np.cumsum(branches.marginal(["Ap", "Bp"])[live], axis=0)[-1]  # in outcome order
     target = np.zeros(sigma.shape)
@@ -199,10 +185,10 @@ def _distill_branches(branches: PureState, cells, a_reg: str, b_reg: str, eps: f
     """Both parties' conditional codes on the dephased outcomes of the
     stacked ``branches``; returns (Alice's bits, Bob's bits, final error)."""
     masses = branches.masses()
-    a_bits, alice_isos = _branch_codes(branches, masses, cells, a_reg, eps, "Ap", "Ag")
-    b_bits, bob_isos = _branch_codes(branches, masses, cells, b_reg, eps, "Bp", "Bg")
-    return a_bits, b_bits, _final_error(branches, masses,
-                                        [(a_reg, alice_isos), (b_reg, bob_isos)], cells)
+    a_bits, a_rows = _branch_codes(branches, masses, cells, a_reg, eps)
+    b_bits, b_rows = _branch_codes(branches, masses, cells, b_reg, eps)
+    steps = [(a_reg, ("Ap", "Ag"), a_bits, a_rows), (b_reg, ("Bp", "Bg"), b_bits, b_rows)]
+    return a_bits, b_bits, _final_error(branches, masses, steps, cells)
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -332,7 +318,6 @@ class FewQubitsPlan:
     case: str
     borrow: int
     a_p_bits: int
-    b_p_bits: int | None
     ap_dim: int
     la_dim: int
     ag_dim: int
@@ -361,8 +346,6 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     rhs = float(np.log2(da))
     case = "I" if lhs <= rhs else "II"
     delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.hmin_env + slack_bits)
-    b_p_est = max(0, math.floor(np.log2(inst.psi.dim(inst.bob_label))
-                                - inst.h_h_cond("ideal_env_bob", eps * eps)))
 
     _, nice_all = view.nice
     nice = nice_all[k]
@@ -391,7 +374,7 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
         borrow += 1
     ag = (da << borrow) // (ap * la)
     return FewQubitsPlan(
-        case=case, borrow=borrow, a_p_bits=ap_bits, b_p_bits=b_p_est,
+        case=case, borrow=borrow, a_p_bits=ap_bits,
         ap_dim=ap, la_dim=la, ag_dim=ag, nice_count=len(nice),
         condition_lhs=float(lhs), condition_rhs=rhs, delta_bits=float(delta),
         extra={"ag_required": ag_req, "ag_entropic_cap": ag_cap,
@@ -452,12 +435,12 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    b_bits, bob_isos = _conditional_codes([inst.bob_codes[x] for x in symbols.tolist()],
-                                          p_nice, cells, db, eps, "Bp", "Bg")
-    off_nice = _isometry(np.eye(db), db, b_bits, "Bp", "Bg")
-    bob_isos = [bob_isos[i] for i in cells] + [off_nice] * (la - len(nice))
+    b_bits, rows = _conditional_codes([inst.bob_codes[x] for x in symbols.tolist()],
+                                      p_nice, cells, db, eps)
+    rows = np.concatenate([rows[cells], np.broadcast_to(np.eye(db), (la - len(nice), db, db))])
     branches = state.split("LA")
-    err = _final_error(branches, branches.masses(), [(bob_label, bob_isos)], range(la))
+    err = _final_error(branches, branches.masses(), [(bob_label, ("Bp", "Bg"), b_bits, rows)],
+                       range(la))
 
     comm = int(np.log2(la))
     return ProtocolTranscript(
@@ -551,8 +534,8 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
     masses = branches.masses()
-    _, alice_isos = _branch_codes(branches, masses, range(n_x), a_reg, eps, "Ap", "Ag")
-    blocks = _apply_codes(branches, a_reg, alice_isos)
+    alice = (a_reg, ("Ap", "Ag"), *_branch_codes(branches, masses, range(n_x), a_reg, eps))
+    blocks = _apply_code(branches, alice)
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
     trace.append(("conditional-codes", purity(coherent.marginal(keep), borrow_bits)))
@@ -562,8 +545,8 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    _, bob_isos = _branch_codes(branches, masses, range(n_x), bob_label, eps, "Bp", "Bg")
-    final_blocks = _apply_codes(blocks, bob_label, bob_isos)
+    bob = (bob_label, ("Bp", "Bg"), *_branch_codes(branches, masses, range(n_x), bob_label, eps))
+    final_blocks = _apply_code(blocks, bob)
     keep_f = sorted(set(final_blocks.labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
 

@@ -123,11 +123,6 @@ class PureState:
         return PureState(rest, np.ascontiguousarray(np.moveaxis(self.tensor, ax, 0)),
                          stacked=True)
 
-    def branches(self, label):
-        """``split``'s members as a list of (index, sub-normalized PureState)."""
-        stack = self.split(label)
-        return [(i, PureState(stack.regs, t)) for i, t in enumerate(stack.tensor)]
-
     def marginal(self, keep):
         """Reduced density matrix on ``keep`` (in the listed order), one
         per member of a stack."""

@@ -83,6 +83,31 @@ def test_verify_rejects_fewer_than_one_trial(trials, capsys):
     assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("command", ["distill-local", "protocol-a", "kd-oneshot", "fewqubits",
+                                     "compare", "bounds"])
+def test_slack_bits_must_be_finite_and_nonnegative(bell_file, basis_file, command, value, capsys):
+    # nan once printed "local_lower":"nan" and inf ran kd-oneshot to exit 0
+    povm = [] if command == "distill-local" else ["--povm", basis_file]
+    assert main([command, "--state", bell_file, *povm, f"--slack-bits={value}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --slack-bits must be finite and at least 0, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("label", ["A", "C"])
+def test_bob_register_must_be_an_unmeasured_register_of_the_state(bell_file, basis_file,
+                                                                  label, capsys):
+    # Bob = A once ran entropy and bounds to exit 0 on Alice's own register
+    for command in ("entropy", "bounds", "protocol-a"):
+        argv = [command, "--state", bell_file, "--povm", basis_file, "--bob-label", label]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: Bob's register {label!r} must be a register of the state "
+                       "other than the measured register 'A'\n")
+
+
 def test_only_verify_takes_trials(bell_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["entropy", "--state", bell_file, "--trials", "5"])

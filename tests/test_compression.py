@@ -327,7 +327,7 @@ def test_json_round_trip(rng):
     assert np.array_equal(back.errors, view.errors)
     assert back.k == view.k
     with pytest.raises(ValueError, match="does not measure"):
-        Compression.from_json(text, Instance(psi, basis_povm(2, "B"), 0.1))
+        Compression.from_json(text, Instance(psi, basis_povm(2, "B"), 0.1, bob_label="A"))
 
 
 def _kernel_outcome_instance(rng):

@@ -124,15 +124,20 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _final_error_per_branch(branches, codes, cells):
-    """The per-branch loop the stacked ``_final_error`` replaced: ``codes[i]``
-    lists branch i's (register, isometry) pairs."""
+def _final_error_per_branch(branches, steps, cells):
+    """The per-branch loop the stacked ``_final_error`` replaced: each step
+    (register, (pure, garbage) labels, bits, rows) codes branch i alone with
+    ``rows[i]``, zero-padded to 2^bits * ceil(d / 2^bits) rows."""
     live = [i for i in cells if branches[i].norm() ** 2 >= 1e-15]
     margs = {}
     for i in dict.fromkeys(live):
         br = branches[i]
-        for reg, iso in codes[i]:
-            br = br.apply(iso.matrix, [reg], out_regs=iso.out_regs)
+        for reg, (pure, garbage), bits, rows in steps:
+            d = rows.shape[-1]
+            ap, ag = 2 ** bits, -(-d // 2 ** bits)
+            iso = np.zeros((ap * ag, d), dtype=complex)
+            iso[:d] = rows[i]
+            br = br.apply(iso, [reg], out_regs=[(pure, ap), (garbage, ag)])
         margs[i] = br.marginal(["Ap", "Bp"])
     sigma = margs[live[0]]
     for i in live[1:]:
@@ -156,12 +161,11 @@ def test_final_error_keeps_the_bits_of_the_per_branch_loop(rng, first):
         branches = measure(psi, elements, "A")
         masses = branches.masses()
         assert masses[3] < 1e-15 <= masses[:3].min()
-        _, alice = pr._branch_codes(branches, masses, cells, "A", eps, "Ap", "Ag")
-        _, bob = pr._branch_codes(branches, masses, cells, "B", eps, "Bp", "Bg")
-        got = pr._final_error(branches, masses, [("A", alice), ("B", bob)], cells)
+        steps = [("A", ("Ap", "Ag"), *pr._branch_codes(branches, masses, cells, "A", eps)),
+                 ("B", ("Bp", "Bg"), *pr._branch_codes(branches, masses, cells, "B", eps))]
+        got = pr._final_error(branches, masses, steps, cells)
         singles = [psi.apply(linalg.psd_power(e, 0.5), ["A"]) for e in elements]
-        want = _final_error_per_branch(singles, [[("A", a), ("B", b)] for a, b in zip(alice, bob)],
-                                       cells)
+        want = _final_error_per_branch(singles, steps, cells)
         assert got == want
 
 
@@ -429,8 +433,7 @@ def test_fewqubits_branchwise_consistency(rng):
     u, ov = pr.uhlmann_unitary(psi, chi, ["A"], ["Ap", "LA", "Ag"])
     state = psi.apply(u, ["A"], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)])
     total_dev = 0.0
-    for idx, br in state.branches("LA"):
-        m = br.marginal(env_sorted)
+    for idx, m in enumerate(state.split("LA").marginal(env_sorted)):
         if idx < len(nice):
             total_dev += linalg.trace_norm(m - p_nice[idx] * tilde[idx])
         else:

@@ -178,10 +178,9 @@ def test_pure_state_apply_and_branches(rng):
     assert np.isclose(rotated.norm(), 1.0)
     back = rotated.apply(linalg.dagger(u), ["A"])
     assert np.allclose(back.vector(), psi.vector())
-    branches = psi.branches("A")
-    assert len(branches) == 2
-    total = sum(b.norm() ** 2 for _, b in branches)
-    assert np.isclose(total, 1.0)
+    branches = psi.split("A")
+    assert len(branches.tensor) == 2
+    assert np.isclose(branches.masses().sum(), 1.0)
 
 
 def test_pure_state_apply_isometry_reshapes_registers():
@@ -228,9 +227,9 @@ def test_stacked_apply_acts_member_by_member(rng):
         assert np.array_equal(per_member.tensor[i], single.apply(ops[::-1][i], ["A"]).tensor)
     split = psi.split("B")
     assert split.stacked and split.labels == ["A", "R"]
-    for (i, b), t in zip(psi.branches("B"), split.tensor):
-        assert np.array_equal(b.tensor, np.take(psi.tensor, i, axis=1))
-        assert np.array_equal(t, b.tensor)
+    assert len(split.tensor) == psi.dim("B")
+    for i, t in enumerate(split.tensor):
+        assert np.array_equal(t, np.take(psi.tensor, i, axis=1))
 
 
 def test_transcript_accounting():
