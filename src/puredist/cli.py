@@ -5,7 +5,7 @@ compare, bounds, verify; ``COMMANDS`` gives each its handler and the only
 flags it takes, declared once in ``OPTIONS``. Outputs are deterministic per
 (arguments, seed). A seed sweep builds one ``Instance`` per POVM, in POVM
 order, and runs its seeds in seed order in this process, so every seed
-shares the instance's ideal-state quantities and per-symbol simulated states.
+shares the instance's ideal-state quantities and per-outcome simulated states.
 """
 
 import argparse
@@ -88,10 +88,13 @@ def check_args(args):
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
 
 
-def protocol_input(state: DensityOperator) -> PureState:
-    """Present a (possibly mixed) loaded state as a pure |state>^{...R}."""
+def protocol_input(state: DensityOperator, bob_label: str) -> PureState:
+    """Present a (possibly mixed) loaded state as a pure |state>^{...R}, the
+    reference R held by neither party."""
     if "R" in state.labels:
         raise ValueError("register label R is reserved for the purification")
+    if bob_label == "R":
+        raise ValueError("--bob-label cannot be R, the purification's register")
     return state.purify("R")
 
 
@@ -109,7 +112,7 @@ def cmd_sweep(args) -> int:
     one ``Instance`` per POVM."""
     if not args.povm:
         raise ValueError(f"{args.command} requires --povm")
-    psi = protocol_input(io.load_state(args.state))
+    psi = protocol_input(io.load_state(args.state), args.bob_label)
     results = []
     for path in args.povm:
         inst = Instance(psi, io.load_povm(path), args.eps,
@@ -150,7 +153,7 @@ def cmd_entropy(args) -> int:
             "h_prime_max": entropy.h_prime_max(rho, eps),
             "h_max_smooth": entropy.h_max_smooth(rho, eps),
         }
-    psi = protocol_input(state) if args.povm else None
+    psi = protocol_input(state, args.bob_label) if args.povm else None
     for path in args.povm:
         inst = Instance(psi, io.load_povm(path), eps, bob_label=args.bob_label)
         payload.setdefault("povm", {})[path] = {
@@ -182,7 +185,7 @@ def cmd_distill_local(args) -> int:
 
 def cmd_bounds(args) -> int:
     state = io.load_state(args.state)
-    psi = protocol_input(state)
+    psi = protocol_input(state, args.bob_label)
     rho_a = state.partial_trace("A") if len(state.registers) > 1 else state
     lo, up = bounds.local_purity_bounds(rho_a, args.eps, args.slack_bits)
     payload = {

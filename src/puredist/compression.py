@@ -11,6 +11,7 @@ across table sizes meaningful. ``_table_uniforms`` draws all cells at once.
 """
 
 import json
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -95,26 +96,20 @@ def declared_slack(eps: float, slack_bits: float | None = None) -> float:
 
 
 class Instance:
-    """One (pure input state, POVM, eps) problem and its ideal-state quantities.
+    """One (pure input state, POVM, eps) problem and what it fixes.
 
     ``psi`` is pure on A, Bob's register ``bob_label`` (another register of
-    psi) and any reference; the POVM acts on its register A. Everything here
-    depends on the state, the POVM and eps only, never on a compression
-    seed, so each quantity is computed on first use and kept: the
-    environment labels, the element roots sqrt(Lambda_x) and the measurement
-    branches sqrt(Lambda_x) psi, the ideal control states (the branches
-    conditioned on the whole environment, on A with the outcome retained,
-    and on Bob), the outcome distribution P_X and the roots Y_x the
-    compressions are built from, I_max of the environment ensemble at eps^4,
-    and the H_H conditional entropies of the nice-set bounds and the rate
-    formulas. A compressed cell's post-measurement state depends only on the
-    symbol it decodes to, so the simulated conditionals, their Bob marginals
-    and their pair entropies live here too, one per outcome of nonzero P_X,
-    shared by every ``Compression`` table that ``compression(K, L, seed)``
-    builds. So do the seed-independent inputs of the layers above (their
-    code stays in ``protocols`` and ``bounds``, imported where used): the
-    in-place target's eigensystems and Bob's codes, one stacked pass each,
-    and the local and distributed rate bounds.
+    psi) and any reference; the POVM acts on its register A. Nothing here
+    depends on a compression seed, so each quantity is computed on first
+    use and kept: the measurement branches and the ideal control states,
+    P_X and the roots Y_x the tables are built from, I_max at eps^4 and the
+    H_H conditional entropies. A compressed cell's state depends only on the
+    outcome x it decodes to, so the per-outcome data every table shares
+    lives here too, indexed by x: which outcomes are ``live``, the
+    simulated conditionals and their Bob marginals (one stacked pass), their
+    pair entropies and nice verdicts, the A_g bounds, truncated targets and
+    Bob's codes of the in-place protocol, and the rate bounds (code in
+    ``protocols`` and ``bounds``, imported where used).
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -230,39 +225,61 @@ class Instance:
         return linalg.trace_norm(self.ideal_blocks)
 
     @cached_property
-    def sims(self) -> dict:
-        return simulated_conditionals(self)[0]
+    def simulated(self) -> tuple:
+        """``simulated_conditionals``, read as ``live``, ``sims`` and ``sims_bob``."""
+        return simulated_conditionals(self)
+
+    live = property(lambda self: self.simulated[0])
+    sims = property(lambda self: self.simulated[1])
+    sims_bob = property(lambda self: self.simulated[2])
 
     @cached_property
-    def sims_bob(self) -> dict:
-        """Bob's marginal of each simulated conditional."""
-        env = sorted(self.env)
-        dims = [self.psi.dim(l) for l in env]
-        keep = [env.index(self.bob_label)]
-        return {x: linalg.partial_trace(m, dims, keep) for x, m in self.sims.items()}
+    def pair_entropies(self) -> tuple:
+        """At smoothing eps^(1/8), zero where x is not live: the H_H value of
+        each simulated conditional, its LP weights (padded to ``env_dim``) and
+        the H_H value of its Bob marginal."""
+        smooth, n = self.eps ** 0.125, len(self.live)
+        h_env, weights, h_bob = np.zeros(n), np.zeros((n, self.env_dim)), np.zeros(n)
+        for x in np.flatnonzero(self.live).tolist():
+            res = entropy.h_h(self.sims[x], smooth)
+            h_env[x], weights[x, :len(res.witness["weights"])] = res.value, res.witness["weights"]
+            h_bob[x] = entropy.h_h(self.sims_bob[x], smooth).value
+        return h_env, weights, h_bob
 
     @cached_property
-    def pair_entropies(self):
-        """Per simulated symbol, at smoothing eps^(1/8): the ``h_h`` result of
-        its conditional on the environment, and the H_H value of its Bob
-        marginal."""
-        smooth = self.eps ** 0.125
-        h_env = {x: entropy.h_h(m, smooth) for x, m in self.sims.items()}
-        h_bob = {x: entropy.h_h(m, smooth).value for x, m in self.sims_bob.items()}
-        return h_env, h_bob
+    def nice_outcomes(self) -> np.ndarray:
+        """``nice_sets``' verdict on a cell that decodes to x, per outcome x."""
+        bound_env = self.h_h_cond("ideal_env", self.eps) + self.slack_bits + 1e-12
+        bound_bob = self.h_h_cond("ideal_env_bob", self.eps) + self.slack_bits + 1e-12
+        h_env, _, h_bob = self.pair_entropies
+        return self.live & (h_env <= bound_env) & (h_bob <= bound_bob)
 
     @cached_property
-    def sims_eig(self) -> dict:
-        """The descending eigensystem (w, v) of each simulated conditional."""
+    def ag_bounds(self) -> tuple:
+        """The rank of each truncated simulated conditional (its LP weights
+        above 1e-12) and the entropic cap ceil(2^{H_H} + 1) on it."""
+        h_env, weights, _ = self.pair_entropies
+        return (np.sum(weights > 1e-12, axis=1),
+                np.array([math.ceil(2.0 ** h + 1 - 1e-9) for h in h_env.tolist()]))
+
+    @cached_property
+    def truncated_targets(self) -> tuple:
+        """(tw, v): the descending eigenvectors v of each simulated conditional
+        and its eigenvalues times the LP weights, renormalized (zero where x
+        is not live): the states the in-place protocol purifies into A_g."""
         from .protocols import _descending_eig
-        return dict(zip(self.sims, zip(*_descending_eig(np.array(list(self.sims.values()))))))
+        w, v = _descending_eig(self.sims)
+        tw = w * self.pair_entropies[1]
+        return np.divide(tw, np.sum(tw, axis=1, keepdims=True), out=np.zeros_like(tw),
+                         where=self.live[:, None]), v
 
     @cached_property
-    def bob_codes(self) -> dict:
-        """Bob's distillation code (bits, kept, rows) of each simulated Bob marginal."""
+    def bob_codes(self) -> list:
+        """Bob's code (bits, kept, rows) of each simulated Bob marginal, None
+        where x is not live."""
         from .protocols import _eig_codes
-        return dict(zip(self.sims_bob, _eig_codes(np.array(list(self.sims_bob.values())),
-                                                  self.eps)))
+        codes = iter(_eig_codes(self.sims_bob[self.live], self.eps))
+        return [next(codes) if ok else None for ok in self.live.tolist()]
 
     @cached_property
     def local_bounds(self) -> tuple:
@@ -306,13 +323,6 @@ class Compression:
 
     def q_l_given_k(self, k: int) -> np.ndarray:
         return self.q_kl[k] * self.K
-
-    def decoded_weight(self, n_outcomes: int) -> np.ndarray:
-        """Total simulated probability routed to each original outcome
-        (failure mass excluded)."""
-        w = np.zeros(n_outcomes)
-        np.add.at(w, self.decode.reshape(-1), self.q_kl[:, :self.L].reshape(-1))
-        return w
 
     def to_json(self) -> str:
         return io.dumps({
@@ -387,14 +397,15 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
     # one operator and one outcome probability per symbol, shared by its cells
     cell = c / L * base
     q_cell = np.array([max(0.0, float(np.real(np.trace(m)))) / K for m in cell @ rho_a])
-    bots = np.eye(d) - cell[at].sum(axis=1)
+    cells = cell[at]
+    bots = np.eye(d) - cells.sum(axis=1)
     bots = (bots + linalg.dagger(bots)) / 2
-    thetas = [tuple(cell[i] for i in row) + (bot,) for row, bot in zip(at.tolist(), bots)]
+    thetas = tuple(tuple(row) + (bot,) for row, bot in zip(cells, bots))
     q_kl = np.zeros((K, L + 1))
     q_kl[:, :L] = q_cell[at]
     q_kl[:, L] = [max(0.0, float(np.real(np.trace(m)))) / K for m in bots @ rho_a]
 
-    view = Compression(inst, K, L, seed, thetas=tuple(thetas), decode=decode,
+    view = Compression(inst, K, L, seed, thetas=thetas, decode=decode,
                        q_kl=q_kl, c_norm=float(c))
     if view.quality_warning:
         warnings.warn(f"compression normalization c={c:.3f} < 1/2; raise L")
@@ -402,38 +413,38 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
 
 
 def simulated_conditionals(inst: Instance):
-    """Per-symbol simulated post-measurement states on the environment.
+    """The simulated post-measurement states on the environment and on Bob,
+    one per POVM outcome, from one stacked pass.
 
     The cell conditional depends only on the decoded symbol, so one state
     per original outcome suffices: sigma_x = Tr_A[M_x psi] normalized, with
-    M_x the cell operator for symbol x, for every x with P_X(x) > 0 (the
-    symbols a table can decode). Returns (states, sorted env labels).
+    M_x the cell operator for symbol x. Returns (live, sigma, sigma_bob):
+    ``live[x]`` holds where P_X(x) > 0 (a table can decode x) and the branch
+    has mass >= 1e-300; the stack ``sigma``, on the sorted environment
+    registers, is zero elsewhere, and ``sigma_bob`` holds its Bob marginals.
     """
+    # K = Y_x^dag satisfies K^dag K = M_x (up to the p_x scale), so the
+    # branches need no operator square root
+    branches = inst.psi.apply(linalg.dagger(np.array(inst.roots)), [inst.povm.register])
+    masses = branches.masses()
+    live = (inst.p_x > 0) & (masses >= 1e-300)
     env = sorted(inst.env)
-    out = {}
-    for x in np.flatnonzero(inst.p_x > 0).tolist():
-        # K = Y_x^dag satisfies K^dag K = M_x (up to the p_x scale), so the
-        # branch needs no operator square root
-        branch = inst.psi.apply(linalg.dagger(inst.roots[x]), [inst.povm.register])
-        n = branch.norm() ** 2
-        if n < 1e-300:
-            continue
-        out[x] = branch.marginal(env) / n
-    return out, env
+    sims = np.zeros((len(live), inst.env_dim, inst.env_dim), dtype=complex)
+    sims[live] = branches.marginal(env)[live] / masses[live, None, None]
+    dims, keep = [inst.psi.dim(l) for l in env], env.index(inst.bob_label)
+    return live, sims, np.array([linalg.partial_trace(m, dims, keep) for m in sims])
 
 
 def _block_distances(view: Compression, weights: np.ndarray) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated
-    mixture of each row of per-symbol ``weights`` (rows x outcomes), summed
+    mixture of each row of per-outcome ``weights`` (rows x outcomes), summed
     block by block in outcome order over one stacked trace norm."""
     inst = view.instance
-    sims = inst.sims
-    live = (weights > 0) & np.isin(np.arange(weights.shape[1]), list(sims))
+    live = (weights > 0) & inst.live
     norms = np.where(live, 0.0, inst.ideal_block_norms)
     ks, xs = np.nonzero(live)
     blocks = inst.ideal_blocks[xs]
-    sim = np.array([sims[x] for x in xs.tolist()]).reshape(blocks.shape)
-    norms[ks, xs] = linalg.trace_norm(blocks - weights[ks, xs][:, None, None] * sim)
+    norms[ks, xs] = linalg.trace_norm(blocks - weights[ks, xs][:, None, None] * inst.sims[xs])
     return np.cumsum(norms, axis=1)[:, -1]  # sequential, in outcome order
 
 
@@ -447,25 +458,20 @@ def validate_compression(view: Compression) -> CompressionReport:
     estimated.
     """
     inst = view.instance
-    weights = view.decoded_weight(len(inst.povm))
+    # the simulated probability decoded to each outcome, failure mass excluded
+    weights = np.zeros(len(inst.povm))
+    np.add.at(weights, view.decode.reshape(-1), view.q_kl[:, :view.L].reshape(-1))
     probs, conds = inst.ideal_by_outcome
-    per_pair = 0.0
-    for x, cond in enumerate(conds):
-        if x in inst.sims and weights[x] > 1e-12 and probs[x] > 0:
-            per_pair = max(per_pair, linalg.trace_distance(cond, inst.sims[x]))
+    xs = np.flatnonzero(inst.live & (weights > 1e-12) & (probs > 0))
+    per_pair = max([0.0] + linalg.trace_norm(conds[xs] - inst.sims[xs]).tolist())
 
     K, L, q_kl = view.K, view.L, view.q_kl
-    unif = 1.0 / (K * L)
-    qkl_dev = float(np.sum(np.abs(q_kl[:, :L] - unif)) + np.sum(q_kl[:, L]))
-    qk_dev = float(np.sum(np.abs(np.sum(q_kl, axis=1) - 1.0 / K)))
-    bot_mass = float(np.sum(q_kl[:, L]))
     return CompressionReport(
         ideal_vs_simulated=float(_block_distances(view, weights[None])[0]),
         per_pair_state_dist=float(per_pair),
-        qkl_vs_uniform=qkl_dev,
-        qk_vs_uniform=qk_dev,
-        bot_mass=bot_mass,
-    )
+        qkl_vs_uniform=float(np.sum(np.abs(q_kl[:, :L] - 1.0 / (K * L))) + np.sum(q_kl[:, L])),
+        qk_vs_uniform=float(np.sum(np.abs(np.sum(q_kl, axis=1) - 1.0 / K))),
+        bot_mass=float(np.sum(q_kl[:, L])))
 
 
 def nice_sets(view: Compression):
@@ -474,19 +480,14 @@ def nice_sets(view: Compression):
     A pair is nice when its conditional entropy on the full environment and
     on Bob's share each stay within the instance's ``slack_bits`` of the
     corresponding conditional entropy of the ideal control state. Both
-    depend on the decoded symbol only, so each symbol is checked once and
-    every row maps through that verdict. Returns (T', {k: sorted nice l's})
-    where T' holds the k whose nice fraction is at least 1 - eps^(1/16).
+    depend on the decoded symbol only, so the instance decides each outcome
+    once (``Instance.nice_outcomes``) and the decode table indexes that
+    verdict. Returns (T', {k: sorted nice l's}) where T' holds the k whose
+    nice fraction is at least 1 - eps^(1/16).
     """
     inst = view.instance
-    bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
-    bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
-    h_env, h_bob = inst.pair_entropies
-    symbols, at = np.unique(view.decode, return_inverse=True)
-    ok = np.array([x in h_env and h_env[x].value <= bound_env + 1e-12
-                   and h_bob[x] <= bound_bob + 1e-12 for x in symbols.tolist()])
     nice = {k: np.flatnonzero(row).tolist()
-            for k, row in enumerate(ok[at.reshape(view.decode.shape)])}
+            for k, row in enumerate(inst.nice_outcomes[view.decode])}
     threshold = (1 - inst.eps ** (1.0 / 16)) * view.L
     tprime = [k for k in range(view.K) if len(nice[k]) >= threshold - 1e-9]
     return tprime, nice
@@ -516,9 +517,13 @@ def find_good_k(view: Compression) -> int:
     """
     tprime, _ = view.nice
     if not tprime:
+        inst, slack = view.instance, 4 * np.log2(1 / view.instance.eps)
+        hpmax = entropy.h_prime_max(np.diag(inst.ideal_env.probs), inst.eps ** 4)
         raise NoGoodK(
-            "no k has a large enough nice outcome set; raise L (or K) "
-            f"for eps={view.instance.eps}")
+            f"no k has a large enough nice outcome set; raise L (or K) for eps={inst.eps} "
+            "(the compression theorem's rate margins, met at >= 0: log2 L - I_max "
+            f"- 4 log2(1/eps) = {np.log2(view.L) - inst.imax.value - slack:.3f} bits, log2 KL "
+            f"- H'_max(P_X) - 4 log2(1/eps) = "
+            f"{np.log2(view.K) + np.log2(view.L) - hpmax - slack:.3f} bits)")
     errs = view.errors
-    best = min(tprime, key=lambda k: (errs[k], k))
-    return int(best)
+    return int(min(tprime, key=lambda k: (errs[k], k)))

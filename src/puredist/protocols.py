@@ -10,10 +10,11 @@ O(log 1/eps) slack terms from the rate formulas are never folded into
 numbers: transcripts carry the instance's ``slack_bits`` (default
 log2(1/eps)) and ``rate_bound_real`` holds the slack-free formula value.
 
-Every protocol reads the ideal-state quantities and the per-symbol
-simulated conditionals and pair entropies from one ``compression.Instance``,
-and the compressed measurement, its nice sets and its chosen k from one
-``compression.Compression`` view of it.
+Every protocol reads the ideal-state quantities from one
+``compression.Instance``, and the compressed measurement, its nice sets and
+its chosen k from one ``compression.Compression`` view of it. The in-place
+protocol indexes the instance's per-outcome data (A_g bounds, truncated
+targets, Bob's codes) with its nice cells' decoded outcomes.
 
 All three protocols end in one path on one stacked ``PureState`` of
 branches, measured, coded and mixed as stacks. A conditional code is a
@@ -22,8 +23,9 @@ shared bit count and an (n, d, d) stack of rows, one per branch:
 eigendecomposition, ``_conditional_codes`` keeps the rows of a good set of
 outcomes of mass >= 1 - min(2 sqrt(eps), 1/2) and gives the rest the
 identity, and ``_final_error`` pads, applies and mixes the codes.
-``cells`` maps each outcome to its branch (one per decoded symbol, in
-``np.unique`` order); code sizes and mixtures run in outcome order.
+``cells`` maps each outcome to its branch (the one-shot protocol measures
+one branch per decoded symbol of its row, in ``np.unique`` order); code
+sizes and mixtures run in outcome order.
 """
 
 import math
@@ -347,18 +349,12 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     case = "I" if lhs <= rhs else "II"
     delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.hmin_env + slack_bits)
 
-    _, nice_all = view.nice
-    nice = nice_all[k]
-    h_env, _ = inst.pair_entropies
+    nice = view.nice[1][k]
     # A_g holds the purifications of the truncated branch states: its size is
     # the largest truncated rank, which 2^{H_H} + 1 upper-bounds
-    ag_req, ag_cap = 1, 2
-    # return_inverse keeps np.unique off its masked-array check (a numpy.ma import)
-    for x in np.unique(view.decode[k, nice], return_inverse=True)[0].tolist():
-        hh_pair = h_env[x]
-        rank = int(np.sum(hh_pair.witness["weights"] > 1e-12))
-        ag_req = max(ag_req, rank)
-        ag_cap = max(ag_cap, math.ceil(2.0 ** hh_pair.value + 1 - 1e-9))
+    ranks, caps = inst.ag_bounds
+    xs = view.decode[k, nice]
+    ag_req, ag_cap = int(np.max(ranks[xs], initial=1)), int(np.max(caps[xs], initial=2))
     if ag_req > ag_cap:
         raise linalg.InvariantError("truncated rank exceeded its entropic cap")
     la = next_pow2(max(1, len(nice)))
@@ -394,8 +390,7 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
     plan = plan_fewqubits(view)
-    _, nice_all = view.nice
-    nice = nice_all[k]
+    nice = view.nice[1][k]
     if not nice:
         raise NoGoodK("empty nice outcome set; raise L or K")
 
@@ -406,21 +401,13 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
         raise NoGoodK("nice outcomes carry no probability; raise L or K")
     p_nice = p_nice / np.sum(p_nice)
 
-    # truncated conditionals, one per nice symbol, and their purifications
-    # into A_g at every nice outcome of that symbol
-    symbols, cells = np.unique(view.decode[k, nice], return_inverse=True)
-    h_env, _ = inst.pair_entropies
+    # the truncated conditional of each nice outcome's symbol, purified into A_g
+    xs = view.decode[k, nice]
+    tw, v = inst.truncated_targets
     ap, la, ag = plan.ap_dim, plan.la_dim, plan.ag_dim
     target = np.zeros((ap, la, ag, inst.env_dim), dtype=complex)
-    for s, x in enumerate(symbols.tolist()):
-        w, v = inst.sims_eig[x]
-        weights = np.zeros_like(w)
-        weights[: len(h_env[x].witness["weights"])] = h_env[x].witness["weights"]
-        tw = w * weights
-        tw = tw / np.sum(tw)
-        at = np.flatnonzero(cells == s)
-        j = np.flatnonzero(tw[:ag] > 1e-15)
-        target[0, at[:, None], j] = np.sqrt(p_nice[at, None] * tw[j])[..., None] * v[:, j].T
+    i, j = np.nonzero(tw[xs, :ag] > 1e-15)
+    target[0, i, j] = np.sqrt(p_nice[i] * tw[xs[i], j])[:, None] * v[xs[i], :, j]
 
     chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
                     + [(l, psi.dim(l)) for l in env_sorted], target)
@@ -435,9 +422,9 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
 
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
     db = psi.dim(bob_label)
-    b_bits, rows = _conditional_codes([inst.bob_codes[x] for x in symbols.tolist()],
-                                      p_nice, cells, db, eps)
-    rows = np.concatenate([rows[cells], np.broadcast_to(np.eye(db), (la - len(nice), db, db))])
+    b_bits, rows = _conditional_codes([inst.bob_codes[x] for x in xs.tolist()],
+                                      p_nice, range(len(nice)), db, eps)
+    rows = np.concatenate([rows, np.broadcast_to(np.eye(db), (la - len(nice), db, db))])
     branches = state.split("LA")
     err = _final_error(branches, branches.masses(), [(bob_label, ("Bp", "Bg"), b_bits, rows)],
                        range(la))

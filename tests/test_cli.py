@@ -108,6 +108,16 @@ def test_bob_register_must_be_an_unmeasured_register_of_the_state(bell_file, bas
                        "other than the measured register 'A'\n")
 
 
+def test_bob_register_cannot_be_the_purifying_reference(bell_file, basis_file, capsys):
+    # R is the reference the CLI adds; as Bob it once ran protocol-a to exit 0
+    for command in ("entropy", "bounds", "protocol-a", "kd-oneshot", "fewqubits", "compare"):
+        argv = [command, "--state", bell_file, "--povm", basis_file, "--bob-label", "R"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --bob-label cannot be R, the purification's register\n"
+
+
 def test_only_verify_takes_trials(bell_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["entropy", "--state", bell_file, "--trials", "5"])

@@ -303,7 +303,8 @@ def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     symbols = {int(view.decode[view.k, l]) for l in nice[view.k]}
     assert len(symbols) < len(nice[view.k])
     # the first run codes each simulated symbol once, the nice ones among them
-    assert len(codes) == len(inst.sims_bob) and symbols <= set(inst.sims_bob)
+    simulated = set(np.flatnonzero(inst.live).tolist())
+    assert len(codes) == len(simulated) and symbols <= simulated
     codes.clear()
     pr.run_fewqubits(inst.compression(K=4, L=16, seed=2))
     assert codes == []  # a second seed codes none again
@@ -406,7 +407,8 @@ def test_fewqubits_branchwise_consistency(rng):
     plan = pr.plan_fewqubits(view)
     _, nice_all = nice_sets(view)
     nice = nice_all[k]
-    sims, env_sorted = simulated_conditionals(view.instance)
+    _, sims, _ = simulated_conditionals(view.instance)
+    env_sorted = sorted(view.instance.env)
     q = view.q_l_given_k(k)
     p_nice = np.array([q[l] for l in nice])
     p_nice /= p_nice.sum()
