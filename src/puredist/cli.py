@@ -33,7 +33,7 @@ OPTIONS = {
     "--state": dict(required=True, help="state JSON file"),
     "--povm": dict(action="append", default=[], help="POVM JSON file (repeatable)"),
     "--eps": dict(type=float, default=0.1),
-    "--bob-label": dict(default="B"),
+    "--bob-label": dict(default=None, help="Bob's register (default B)"),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--seeds": dict(type=parse_seeds, default=[1]),
     "--slack-bits": dict(type=float, default=None),
@@ -86,6 +86,21 @@ def check_args(args):
         raise ValueError(f"--slack-bits must be finite and at least 0, got {args.slack_bits}")
     if "trials" in args and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    for flag in ("f_eps", "g_eps"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 <= value < 1.0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be in [0, 1), got {value}")
+
+
+def load_input(args) -> tuple[DensityOperator, str]:
+    """The --state and Bob's register, --bob-label or B. With --povm each
+    ``Instance`` checks the register; without one nothing reads it, so a
+    label given then must still name a register of the state."""
+    state = io.load_state(args.state)
+    if args.bob_label not in state.labels + [None] and not args.povm:
+        raise ValueError(f"--bob-label {args.bob_label!r} names no register of the state "
+                         f"(registers {', '.join(state.labels)})")
+    return state, "B" if args.bob_label is None else args.bob_label
 
 
 def protocol_input(state: DensityOperator, bob_label: str) -> PureState:
@@ -112,11 +127,12 @@ def cmd_sweep(args) -> int:
     one ``Instance`` per POVM."""
     if not args.povm:
         raise ValueError(f"{args.command} requires --povm")
-    psi = protocol_input(io.load_state(args.state), args.bob_label)
+    state, bob = load_input(args)
+    psi = protocol_input(state, bob)
     results = []
     for path in args.povm:
         inst = Instance(psi, io.load_povm(path), args.eps,
-                        bob_label=args.bob_label, slack_bits=args.slack_bits)
+                        bob_label=bob, slack_bits=args.slack_bits)
         if args.command == "protocol-a":
             # protocol A draws nothing at random: run it once, stamp every seed
             base = protocols.run_protocol_a(inst)
@@ -140,7 +156,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    state = io.load_state(args.state)
+    state, bob = load_input(args)
     eps = args.eps
     payload = {"eps": eps, "registers": dict(state.registers), "marginals": {}}
     targets = {"joint": state}
@@ -153,9 +169,9 @@ def cmd_entropy(args) -> int:
             "h_prime_max": entropy.h_prime_max(rho, eps),
             "h_max_smooth": entropy.h_max_smooth(rho, eps),
         }
-    psi = protocol_input(state, args.bob_label) if args.povm else None
+    psi = protocol_input(state, bob) if args.povm else None
     for path in args.povm:
-        inst = Instance(psi, io.load_povm(path), eps, bob_label=args.bob_label)
+        inst = Instance(psi, io.load_povm(path), eps, bob_label=bob)
         payload.setdefault("povm", {})[path] = {
             "h_h_cond_env": inst.h_h_cond("ideal_env", eps),
             "h_h_cond_bob": inst.h_h_cond("ideal_bob", eps),
@@ -184,8 +200,8 @@ def cmd_distill_local(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    state = io.load_state(args.state)
-    psi = protocol_input(state, args.bob_label)
+    state, bob = load_input(args)
+    psi = protocol_input(state, bob)
     rho_a = state.partial_trace("A") if len(state.registers) > 1 else state
     lo, up = bounds.local_purity_bounds(rho_a, args.eps, args.slack_bits)
     payload = {
@@ -197,7 +213,7 @@ def cmd_bounds(args) -> int:
         "per_povm": {},
     }
     for path in args.povm:
-        inst = Instance(psi, io.load_povm(path), args.eps, bob_label=args.bob_label)
+        inst = Instance(psi, io.load_povm(path), args.eps, bob_label=bob)
         payload["per_povm"][path] = {
             "dist_upper": bounds.distributed_upper_bound(
                 inst, f_eps=args.f_eps, g_eps=args.g_eps),

@@ -72,6 +72,9 @@ def _validate_eps(eps):
 
 
 def _spectrum(rho) -> np.ndarray:
+    """The clipped spectrum; a DensityOperator's kept one when it keeps one."""
+    if isinstance(rho, DensityOperator):
+        return rho.spectrum()
     return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(_matrix(rho)))
 
 

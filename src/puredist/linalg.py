@@ -13,7 +13,8 @@ symmetrization, and every decomposition goes through the one funnel ``_eigh``.
 
 Both eigen functions, ``psd_power`` and ``trace_norm`` also take an
 (n, d, d) stack, in one LAPACK batch, and give each member the bits of its
-own 2-D call.
+own 2-D call; ``per_size`` applies one of them to stacks of several sizes
+with one call per size.
 """
 
 import math
@@ -192,6 +193,20 @@ def trace_norm(m: np.ndarray):
     out = np.empty(len(m))
     out[herm] = np.abs(_eigh((m[herm] + mh[herm]) / 2.0)[0]).sum(axis=-1)
     out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
+    return out
+
+
+def per_size(f, stacks) -> list:
+    """``[f(s) for s in stacks]`` for (n, d, d) stacks, from one call of the
+    stack function ``f`` per size d on all the stacks of that size joined;
+    with the stack functions of this module each member keeps its bits."""
+    out, sizes = [None] * len(stacks), {}
+    for i, s in enumerate(stacks):
+        sizes.setdefault(s.shape[-1], []).append(i)
+    for idx in sizes.values():
+        joined = f(np.concatenate([stacks[i] for i in idx]))
+        for i, part in zip(idx, np.split(joined, np.cumsum([len(stacks[i]) for i in idx]))):
+            out[i] = part
     return out
 
 

@@ -32,10 +32,21 @@ def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> 
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    return haar_unitary(ginibre_matrix(rng, dim))
+
+
+def ginibre_matrix(rng, dim: int) -> np.ndarray:
+    """A dim x dim matrix of independent standard complex Gaussians."""
+    return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+
+
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """The Q of z = QR with the phases of R's diagonal moved into it, for one
+    matrix or each of a stack (one QR call, each member with its own bits):
+    Haar distributed when z is ``ginibre_matrix``."""
     q, r = np.linalg.qr(z)
-    ph = np.diag(r)
-    return q * (np.conj(ph) / np.abs(ph))
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (np.conj(ph) / np.abs(ph))[..., None, :]
 
 
 def random_povm(rng, dim: int, outcomes: int, register: str = "A") -> Povm:

@@ -138,7 +138,12 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """PSD unit-trace operator over alphabetically ordered labeled registers."""
+    """PSD unit-trace operator over alphabetically ordered labeled registers.
+
+    The matrix is read-only from construction on (so is the caller's array
+    when it is taken without a copy), so a spectrum kept by ``keep_spectra``
+    never goes stale.
+    """
 
     registers: tuple
     matrix: np.ndarray
@@ -166,6 +171,7 @@ class DensityOperator:
             tr = float(mat.trace().real)
             if abs(tr - 1.0) > _ATOL:
                 raise ValueError(f"trace {tr} is not 1 within 1e-9")
+        mat.flags.writeable = False
         object.__setattr__(self, "registers", tuple(regs))
         object.__setattr__(self, "matrix", mat)
 
@@ -200,7 +206,10 @@ class DensityOperator:
         return DensityOperator([(l, self.dim_of(l)) for l in keep], sub, validate=False)
 
     def spectrum(self) -> np.ndarray:
-        return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(self.matrix))
+        """The clipped ascending eigenvalues: the kept ones (read-only) once
+        ``keep_spectra`` has filled them, else a fresh decomposition."""
+        kept = self.__dict__.get("kept")
+        return _clipped_eigvals(self.matrix) if kept is None else kept
 
     def purify(self, ref_label: str = "R") -> PureState:
         """Pure state on (self x ref_label) whose partial trace gives self back."""
@@ -258,11 +267,36 @@ class CQState:
     @cached_property
     def spectra(self) -> np.ndarray:
         """Row i is ``conditionals[i].spectrum()``, bit for bit, from one
-        stacked eigendecomposition."""
-        return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(self.stack))
+        stacked eigendecomposition (``keep_spectra``); the conditionals
+        keep these rows."""
+        keep_spectra([self])
+        return self.__dict__["spectra"]
 
     def map_conditionals(self, f) -> "CQState":
         return CQState(self.symbols, self.probs, [f(c) for c in self.conditionals])
+
+
+def _clipped_eigvals(m: np.ndarray) -> np.ndarray:
+    return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(m))
+
+
+def keep_spectra(items) -> None:
+    """Give every ``DensityOperator`` and ``CQState`` of ``items`` that keeps
+    no spectrum yet its kept spectrum, from one stacked eigendecomposition
+    per matrix size for all of them (``linalg.per_size``), each with the
+    bits of its own call. A CQState keeps its ``spectra`` and each of its
+    conditionals the row of it."""
+    todo = [it for it in items if ("spectra" if isinstance(it, CQState) else "kept")
+            not in it.__dict__]
+    stacks = [it.stack if isinstance(it, CQState) else it.matrix[None] for it in todo]
+    for it, w in zip(todo, linalg.per_size(_clipped_eigvals, stacks)):
+        w.flags.writeable = False
+        if isinstance(it, CQState):
+            it.__dict__["spectra"] = w
+            for c, row in zip(it.conditionals, w):
+                c.__dict__["kept"] = row
+        else:
+            it.__dict__["kept"] = w[0]
 
 
 @dataclass(frozen=True, eq=False)

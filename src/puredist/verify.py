@@ -5,6 +5,15 @@ inequality or identity; the suite passes only with zero violations. Each
 check registers under its name with ``_check``; ``SUITE`` and ``MANIFEST``
 list the registered checks and their names in definition order, so a
 missing check is detectable by callers that print the manifest.
+
+The checks that read only spectra run in three steps: draw every trial's
+instance, decompose all its operators (``keep_spectra``: one stacked
+eigendecomposition per matrix size, each member with the bits of its own
+call), then evaluate the slacks in trial order through the public entropy
+functions. The draw step keeps the generator's order: it makes the calls
+one trial at a time would make, trial after trial, and within a trial in
+the order of its body, eps included, and no later step draws. So every
+slack is that of the trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -18,12 +27,12 @@ from .compression import Instance, compress_measurement, validate_compression
 from .sampling import (
     basis_povm,
     ginibre_density,
+    ginibre_matrix,
+    haar_unitary,
     random_cq,
-    random_density,
     random_povm,
-    random_unitary,
 )
-from .states import CQState, DensityOperator, PureState
+from .states import CQState, DensityOperator, PureState, keep_spectra
 
 TOL = 1e-7
 
@@ -46,6 +55,11 @@ def _rand_state(rng, d):
 
 def _eps(rng):
     return float(rng.choice([0.01, 0.05, 0.1]))
+
+
+def _op(m):
+    """``m`` as an unvalidated one-register DensityOperator, to keep a spectrum."""
+    return DensityOperator([("A", len(m))], m, validate=False)
 
 
 _CHECKS = {}
@@ -78,37 +92,39 @@ def _check(name, *, per):
 @_check("hh-purification-duality", per=1)
 def check_hh_purification_duality(rng, trials, eps):
     """Both marginals of a random pure bipartite state share one H_H."""
+    cases = []
     for _ in range(trials):
         da, dr = rng.integers(2, 9, size=2)
         v = rng.normal(size=(int(da), int(dr))) + 1j * rng.normal(size=(int(da), int(dr)))
         v /= np.linalg.norm(v)
-        e = eps or _eps(rng)
-        ha = entropy.h_h(v @ linalg.dagger(v), e).value
-        hr = entropy.h_h(v.T @ np.conj(v), e).value
-        yield TOL - abs(ha - hr)
+        cases.append((_op(v @ linalg.dagger(v)), _op(v.T @ np.conj(v)), eps or _eps(rng)))
+    keep_spectra(rho for case in cases for rho in case[:2])
+    for rho_a, rho_r, e in cases:
+        yield TOL - abs(entropy.h_h(rho_a, e).value - entropy.h_h(rho_r, e).value)
 
 
 @_check("hh-pure-tensor-invariance", per=1)
 def check_hh_pure_tensor(rng, trials, eps):
     """Tensoring a pure state on leaves H_H unchanged."""
+    cases = []
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         rho = _rand_state(rng, d)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        e = eps or _eps(rng)
-        lhs = entropy.h_h(np.kron(rho, np.outer(v, np.conj(v))), e).value
-        rhs = entropy.h_h(rho, e).value
-        yield TOL - abs(lhs - rhs)
+        cases.append((_op(np.kron(rho, np.outer(v, np.conj(v)))), _op(rho), eps or _eps(rng)))
+    keep_spectra(rho for case in cases for rho in case[:2])
+    for joint, rho, e in cases:
+        yield TOL - abs(entropy.h_h(joint, e).value - entropy.h_h(rho, e).value)
 
 
 @_check("hh-support-sandwich", per=1)
 def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
-    for _ in range(trials):
-        d = int(rng.integers(2, 9))
-        rho = _rand_state(rng, d)
-        e = eps or _eps(rng)
+    cases = [(_op(_rand_state(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
+             for _ in range(trials)]
+    keep_spectra(rho for rho, _ in cases)
+    for rho, e in cases:
         hh = entropy.h_h(rho, e).value
         ht = entropy.h_tilde_max(rho, e)
         yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
@@ -117,27 +133,29 @@ def check_hh_support_sandwich(rng, trials, eps):
 @_check("max-entropy-ordering", per=1)
 def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
-    for _ in range(trials):
-        d = int(rng.integers(2, 9))
-        rho = _rand_state(rng, d)
-        e = eps or _eps(rng)
+    cases = [(_op(_rand_state(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
+             for _ in range(trials)]
+    keep_spectra(rho for rho, _ in cases)
+    for rho, e in cases:
         hm = entropy.h_max_smooth(rho, e)
         ht = entropy.h_tilde_max(rho, e)
         hp = entropy.h_prime_max(rho, e)
-        cap = np.log2(d / e)
+        cap = np.log2(rho.dim / e)
         yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
 
 
 @_check("hh-subadditivity", per=1)
 def check_hh_subadditivity(rng, trials, eps):
     """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
+    cases = []
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = _rand_state(rng, int(da * db))
-        e = eps or _eps(rng)
+        cases.append((_op(rho), _op(linalg.partial_trace(rho, [int(da), int(db)], 0)),
+                      _op(linalg.partial_trace(rho, [int(da), int(db)], 1)), eps or _eps(rng)))
+    keep_spectra(rho for case in cases for rho in case[:3])
+    for rho, ra, rb, e in cases:
         lhs = entropy.h_h(rho, min(3 * np.sqrt(e), 0.999)).value
-        ra = linalg.partial_trace(rho, [int(da), int(db)], 0)
-        rb = linalg.partial_trace(rho, [int(da), int(db)], 1)
         rhs = entropy.h_h(ra, e).value + entropy.h_h(rb, e).value
         yield rhs - lhs + TOL
 
@@ -145,12 +163,15 @@ def check_hh_subadditivity(rng, trials, eps):
 @_check("hh-mixed-ancilla-additivity", per=1)
 def check_hh_mixed_ancilla_additivity(rng, trials, eps):
     """h_h(rho (x) I/|B|, eps) = h_h(rho, eps) + log2 |B| exactly."""
+    cases = []
     for _ in range(trials):
         d = int(rng.integers(2, 6))
         db = int(rng.integers(2, 5))
         rho = _rand_state(rng, d)
-        e = eps or _eps(rng)
-        lhs = entropy.h_h(np.kron(rho, np.eye(db) / db), e).value
+        cases.append((_op(np.kron(rho, np.eye(db) / db)), _op(rho), db, eps or _eps(rng)))
+    keep_spectra(rho for case in cases for rho in case[:2])
+    for joint, rho, db, e in cases:
+        lhs = entropy.h_h(joint, e).value
         rhs = entropy.h_h(rho, e).value + np.log2(db)
         yield 1e-9 - abs(lhs - rhs)
 
@@ -158,18 +179,22 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps):
 @_check("hh-dimension-bound", per=1)
 def check_hh_dimension_bound(rng, trials, eps):
     """h_h(AB) <= h_h(A) + log2 |B|."""
+    cases = []
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = _rand_state(rng, int(da * db))
-        e = eps or _eps(rng)
+        cases.append((_op(rho), _op(linalg.partial_trace(rho, [int(da), int(db)], 0)), db,
+                      eps or _eps(rng)))
+    keep_spectra(rho for case in cases for rho in case[:2])
+    for rho, ra, db, e in cases:
         lhs = entropy.h_h(rho, e).value
-        ra = linalg.partial_trace(rho, [int(da), int(db)], 0)
         yield entropy.h_h(ra, e).value + np.log2(db) - lhs + TOL
 
 
 @_check("hh-near-pure-nonpositive", per=1)
 def check_hh_near_pure(rng, trials, eps):
     """States eps-close to |0><0| have h_h <= 0."""
+    cases = []
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         e = eps or _eps(rng)
@@ -180,24 +205,30 @@ def check_hh_near_pure(rng, trials, eps):
         sigma = sigma + delta * junk
         pure0 = np.zeros((d, d))
         pure0[0, 0] = 1.0
-        if linalg.trace_distance(sigma, pure0) > e:
-            continue
+        cases.append((sigma, pure0, e))
+    # the trace distances, as linalg.trace_distance takes them
+    dists = linalg.per_size(linalg.trace_norm, [(sigma - pure0)[None]
+                                                for sigma, pure0, _ in cases])
+    cases = [(_op(sigma), e) for (sigma, _, e), dist in zip(cases, dists) if not dist[0] > e]
+    keep_spectra(sigma for sigma, _ in cases)
+    for sigma, e in cases:
         yield TOL - entropy.h_h(sigma, e).value
 
 
 @_check("hh-cond-pure-nonpositive", per=1)
 def check_hh_cond_pure(rng, trials, eps):
     """cq states with pure conditionals have H_H(B|X) <= 0."""
-    for _ in range(trials):
-        cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
-                       pure_conditionals=True)
-        e = eps or _eps(rng)
+    cases = [(random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
+                        pure_conditionals=True), eps or _eps(rng)) for _ in range(trials)]
+    keep_spectra(cq for cq, _ in cases)
+    for cq, e in cases:
         yield TOL - entropy.h_h_cond_cq(cq, e).value
 
 
 @_check("hh-cond-purification-switch", per=1)
 def check_hh_cond_purification_switch(rng, trials, eps):
     """For bipartite pure conditionals, H_H(B|X) = H_H(A|X)."""
+    cases = []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = rng.integers(2, 5, size=2)
@@ -208,9 +239,12 @@ def check_hh_cond_purification_switch(rng, trials, eps):
             v /= np.linalg.norm(v)
             conds_a.append(DensityOperator([("A", int(da))], v @ linalg.dagger(v), validate=False))
             conds_b.append(DensityOperator([("B", int(db))], v.T @ np.conj(v), validate=False))
-        e = eps or _eps(rng)
-        ha = entropy.h_h_cond_cq(CQState(range(n), probs, conds_a), e).value
-        hb = entropy.h_h_cond_cq(CQState(range(n), probs, conds_b), e).value
+        cases.append((CQState(range(n), probs, conds_a), CQState(range(n), probs, conds_b),
+                      eps or _eps(rng)))
+    keep_spectra(cq for case in cases for cq in case[:2])
+    for cq_a, cq_b, e in cases:
+        ha = entropy.h_h_cond_cq(cq_a, e).value
+        hb = entropy.h_h_cond_cq(cq_b, e).value
         yield TOL - abs(ha - hb)
 
 
@@ -218,31 +252,42 @@ def check_hh_cond_purification_switch(rng, trials, eps):
 def check_hh_cond_data_processing(rng, trials, eps):
     """H_H(B|X) never decreases under dephasing or random-unitary mixing
     applied to the B side."""
+    cases = []
     for _ in range(trials):
         db = int(rng.integers(2, 5))
         cq = random_cq(rng, int(rng.integers(2, 5)), db)
         e = eps or _eps(rng)
+        zs = np.array([ginibre_matrix(rng, db) for _ in range(int(rng.integers(2, 4)))])
+        cases.append((cq, zs, rng.dirichlet(np.ones(len(zs))), e))
+    unitaries = linalg.per_size(haar_unitary, [zs for _, zs, _, _ in cases])
+    cases = [(cq, cq.map_conditionals(lambda c: DensityOperator(
+                 c.registers, np.diag(np.diag(c.matrix)), validate=False)),
+              _mixed(cq, ps, us), e) for (cq, _, ps, e), us in zip(cases, unitaries)]
+    keep_spectra(cq for case in cases for cq in case[:3])
+    for cq, deph, unital, e in cases:
         base = entropy.h_h_cond_cq(cq, e).value
-        deph = cq.map_conditionals(lambda c: DensityOperator(
-            c.registers, np.diag(np.diag(c.matrix)), validate=False))
-        n_u = int(rng.integers(2, 4))
-        us = [random_unitary(rng, db) for _ in range(n_u)]
-        ps = rng.dirichlet(np.ones(n_u))
-        unital = cq.map_conditionals(lambda c: DensityOperator(
-            c.registers,
-            sum(p * u @ c.matrix @ linalg.dagger(u) for p, u in zip(ps, us)),
-            validate=False))
         yield min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
                   entropy.h_h_cond_cq(unital, e).value - base + TOL)
+
+
+def _mixed(cq, ps, us):
+    """``cq`` with each conditional rho mixed to sum_j p_j u_j rho u_j^dag,
+    the terms of all conditionals in one stacked product, summed in the order
+    of ``sum`` over j."""
+    terms = (ps[:, None, None] * us) @ cq.stack[:, None] @ linalg.dagger(us)
+    mixed = sum(terms[:, j] for j in range(len(us)))
+    return CQState(cq.symbols, cq.probs, [DensityOperator(c.registers, m, validate=False)
+                                          for c, m in zip(cq.conditionals, mixed)])
 
 
 @_check("hh-average-to-worst-case", per=1)
 def check_hh_average_to_worst_case(rng, trials, eps):
     """The symbols obeying the worst-case entropy bound carry probability
     at least 1 - 2 sqrt(eps)."""
-    for _ in range(trials):
-        cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)))
-        e = eps or _eps(rng)
+    cases = [(random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5))),
+              eps or _eps(rng)) for _ in range(trials)]
+    keep_spectra(cq for cq, _ in cases)
+    for cq, e in cases:
         bound = entropy.h_h_cond_cq(cq, e).value - np.log2(e)
         mass = sum(p for p, c in zip(cq.probs, cq.conditionals)
                    if entropy.h_h(c, np.sqrt(e)).value <= bound + 1e-12)
@@ -273,9 +318,10 @@ def check_dh_vs_lp(rng, trials, eps):
 @_check("hmin-truncation-smoothing", per=1)
 def check_hmin_smoothing(rng, trials, eps):
     """Truncation smoothing only increases H_min and vanishes at eps = 0."""
-    for _ in range(trials):
-        cq = random_cq(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
-        e = eps or _eps(rng)
+    cases = [(random_cq(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))),
+              eps or _eps(rng)) for _ in range(trials)]
+    keep_spectra(cq for cq, _ in cases)
+    for cq, e in cases:
         base = entropy.h_min_cq(cq)
         yield min(entropy.h_min_cq_smoothed(cq, e) - base + TOL,
                   TOL - abs(entropy.h_min_cq_smoothed(cq, 0.0) - base))

@@ -108,6 +108,33 @@ def test_bob_register_must_be_an_unmeasured_register_of_the_state(bell_file, bas
                        "other than the measured register 'A'\n")
 
 
+def test_bob_register_must_be_a_register_of_the_state_without_a_povm(bell_file, capsys):
+    # no Instance checks the label without --povm: Z once ran both to exit 0
+    for command in ("entropy", "bounds"):
+        assert main([command, "--state", bell_file, "--bob-label", "Z"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --bob-label 'Z' names no register of the state (registers A, B)\n"
+        # a register of the state, or the default B, still runs
+        for extra in (["--bob-label", "A"], []):
+            assert main([command, "--state", bell_file] + extra) == 0
+            capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--f-eps", "--g-eps"])
+@pytest.mark.parametrize("value", ["1.5", "1", "-0.1", "nan"])
+def test_f_and_g_eps_are_checked_against_their_flag(bell_file, basis_file, flag, value,
+                                                    capsys):
+    # they once failed inside a solver with a message that named no flag
+    for command in ("compare", "bounds"):
+        argv = [command, "--state", bell_file, "--povm", basis_file, flag, value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be in [0, 1), got {float(value)}\n"
+    assert main(["bounds", "--state", bell_file, "--povm", basis_file, flag, "0"]) == 0
+
+
 def test_bob_register_cannot_be_the_purifying_reference(bell_file, basis_file, capsys):
     # R is the reference the CLI adds; as Bob it once ran protocol-a to exit 0
     for command in ("entropy", "bounds", "protocol-a", "kd-oneshot", "fewqubits", "compare"):

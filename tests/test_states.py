@@ -7,6 +7,7 @@ from puredist.sampling import (
     bell_pair,
     ginibre_density,
     mixed_protocol_input,
+    random_cq,
     random_density,
     random_povm,
     random_unitary,
@@ -18,6 +19,7 @@ from puredist.states import (
     ProtocolTranscript,
     PureState,
     control_state,
+    keep_spectra,
     measure,
     rank1_refine,
 )
@@ -241,3 +243,48 @@ def test_transcript_accounting():
         ProtocolTranscript("local", 1.5, 0, 0, 0, 0.0, eps=0.1)
     with pytest.raises(ValueError):
         ProtocolTranscript("local", -1, 0, 0, 0, 0.0, eps=0.1)
+
+
+def test_keep_spectra_takes_one_call_per_size_and_keeps_each_spectrum(rng, monkeypatch):
+    ops = [random_density(rng, d, "A") for d in (2, 3, 3, 5, 2)]
+    cqs = [random_cq(rng, 3, d) for d in (2, 3)]
+    fresh = [op.spectrum() for op in ops]
+    fresh_cq = [[c.spectrum() for c in cq.conditionals] for cq in cqs]
+    sizes = []
+    orig = linalg._eigh
+
+    def counting(h):
+        sizes.append(h.shape)
+        return orig(h)
+
+    monkeypatch.setattr(linalg, "_eigh", counting)
+    keep_spectra(ops + cqs)
+    assert sorted(sizes) == [(1, 5, 5), (5, 2, 2), (5, 3, 3)]
+    keep_spectra(ops + cqs)  # kept already: no second decomposition
+    for op in ops:
+        op.spectrum()
+    assert len(sizes) == 3
+    for op, want in zip(ops, fresh):
+        assert op.spectrum().tobytes() == want.tobytes()
+        assert op.spectrum() is op.spectrum() and not op.spectrum().flags.writeable
+    for cq, want in zip(cqs, fresh_cq):
+        for c, row, w in zip(cq.conditionals, cq.spectra, want):
+            assert c.spectrum() is not w and c.spectrum().tobytes() == w.tobytes()
+            assert np.shares_memory(c.spectrum(), row)
+    assert len(sizes) == 3
+
+
+def test_density_matrix_is_read_only_so_a_kept_spectrum_stays_valid(rng):
+    m = ginibre_density(rng, 3)
+    for rho in (DensityOperator([("A", 3)], m, validate=False), random_density(rng, 3)):
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = 1.0
+    # taken without a copy, the caller's array is protected too
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1.0
+
+
+def test_cq_spectra_are_shared_with_the_conditionals(rng):
+    cq = random_cq(rng, 4, 3)
+    for c, row in zip(cq.conditionals, cq.spectra):
+        assert c.spectrum() is not None and np.shares_memory(c.spectrum(), row)

@@ -1,0 +1,314 @@
+"""The batched property checks against the per-trial bodies they replace.
+
+Thirteen checks of ``puredist.verify`` draw every trial first, decompose all
+their operators with one stacked eigendecomposition per matrix size, then
+evaluate the slacks in trial order. ``REFERENCE`` keeps the per-trial bodies
+they had before, as the reference: one trial at a time, drawn, decomposed and
+evaluated in turn.
+"""
+
+import numpy as np
+import pytest
+
+from puredist import entropy, linalg, verify
+from puredist.sampling import random_cq
+from puredist.states import CQState, DensityOperator
+
+TOL = verify.TOL
+REFERENCE = {}
+
+
+def _reference(name):
+    def register(gen):
+        REFERENCE[name] = gen
+        return gen
+    return register
+
+
+def _rand_state(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ linalg.dagger(g)
+    return m / m.trace().real
+
+
+def _eps(rng):
+    return float(rng.choice([0.01, 0.05, 0.1]))
+
+
+def random_unitary(rng, dim):
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    ph = np.diag(r)
+    return q * (np.conj(ph) / np.abs(ph))
+
+
+@_reference("hh-purification-duality")
+def check_hh_purification_duality(rng, trials, eps):
+    """Both marginals of a random pure bipartite state share one H_H."""
+    for _ in range(trials):
+        da, dr = rng.integers(2, 9, size=2)
+        v = rng.normal(size=(int(da), int(dr))) + 1j * rng.normal(size=(int(da), int(dr)))
+        v /= np.linalg.norm(v)
+        e = eps or _eps(rng)
+        ha = entropy.h_h(v @ linalg.dagger(v), e).value
+        hr = entropy.h_h(v.T @ np.conj(v), e).value
+        yield TOL - abs(ha - hr)
+
+
+@_reference("hh-pure-tensor-invariance")
+def check_hh_pure_tensor(rng, trials, eps):
+    """Tensoring a pure state on leaves H_H unchanged."""
+    for _ in range(trials):
+        d = int(rng.integers(2, 7))
+        rho = _rand_state(rng, d)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        e = eps or _eps(rng)
+        lhs = entropy.h_h(np.kron(rho, np.outer(v, np.conj(v))), e).value
+        rhs = entropy.h_h(rho, e).value
+        yield TOL - abs(lhs - rhs)
+
+
+@_reference("hh-support-sandwich")
+def check_hh_support_sandwich(rng, trials, eps):
+    """h_tilde_max - 1 <= h_h <= h_tilde_max."""
+    for _ in range(trials):
+        d = int(rng.integers(2, 9))
+        rho = _rand_state(rng, d)
+        e = eps or _eps(rng)
+        hh = entropy.h_h(rho, e).value
+        ht = entropy.h_tilde_max(rho, e)
+        yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
+
+
+@_reference("max-entropy-ordering")
+def check_max_entropy_ordering(rng, trials, eps):
+    """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
+    for _ in range(trials):
+        d = int(rng.integers(2, 9))
+        rho = _rand_state(rng, d)
+        e = eps or _eps(rng)
+        hm = entropy.h_max_smooth(rho, e)
+        ht = entropy.h_tilde_max(rho, e)
+        hp = entropy.h_prime_max(rho, e)
+        cap = np.log2(d / e)
+        yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
+
+
+@_reference("hh-subadditivity")
+def check_hh_subadditivity(rng, trials, eps):
+    """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
+    for _ in range(trials):
+        da, db = rng.integers(2, 5, size=2)
+        rho = _rand_state(rng, int(da * db))
+        e = eps or _eps(rng)
+        lhs = entropy.h_h(rho, min(3 * np.sqrt(e), 0.999)).value
+        ra = linalg.partial_trace(rho, [int(da), int(db)], 0)
+        rb = linalg.partial_trace(rho, [int(da), int(db)], 1)
+        rhs = entropy.h_h(ra, e).value + entropy.h_h(rb, e).value
+        yield rhs - lhs + TOL
+
+
+@_reference("hh-mixed-ancilla-additivity")
+def check_hh_mixed_ancilla_additivity(rng, trials, eps):
+    """h_h(rho (x) I/|B|, eps) = h_h(rho, eps) + log2 |B| exactly."""
+    for _ in range(trials):
+        d = int(rng.integers(2, 6))
+        db = int(rng.integers(2, 5))
+        rho = _rand_state(rng, d)
+        e = eps or _eps(rng)
+        lhs = entropy.h_h(np.kron(rho, np.eye(db) / db), e).value
+        rhs = entropy.h_h(rho, e).value + np.log2(db)
+        yield 1e-9 - abs(lhs - rhs)
+
+
+@_reference("hh-dimension-bound")
+def check_hh_dimension_bound(rng, trials, eps):
+    """h_h(AB) <= h_h(A) + log2 |B|."""
+    for _ in range(trials):
+        da, db = rng.integers(2, 5, size=2)
+        rho = _rand_state(rng, int(da * db))
+        e = eps or _eps(rng)
+        lhs = entropy.h_h(rho, e).value
+        ra = linalg.partial_trace(rho, [int(da), int(db)], 0)
+        yield entropy.h_h(ra, e).value + np.log2(db) - lhs + TOL
+
+
+@_reference("hh-near-pure-nonpositive")
+def check_hh_near_pure(rng, trials, eps):
+    """States eps-close to |0><0| have h_h <= 0."""
+    for _ in range(trials):
+        d = int(rng.integers(2, 7))
+        e = eps or _eps(rng)
+        junk = _rand_state(rng, d)
+        delta = e / 2 * rng.uniform(0.0, 1.0)
+        sigma = np.zeros((d, d), dtype=complex)
+        sigma[0, 0] = 1 - delta
+        sigma = sigma + delta * junk
+        pure0 = np.zeros((d, d))
+        pure0[0, 0] = 1.0
+        if linalg.trace_distance(sigma, pure0) > e:
+            continue
+        yield TOL - entropy.h_h(sigma, e).value
+
+
+@_reference("hh-cond-pure-nonpositive")
+def check_hh_cond_pure(rng, trials, eps):
+    """cq states with pure conditionals have H_H(B|X) <= 0."""
+    for _ in range(trials):
+        cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
+                       pure_conditionals=True)
+        e = eps or _eps(rng)
+        yield TOL - entropy.h_h_cond_cq(cq, e).value
+
+
+@_reference("hh-cond-purification-switch")
+def check_hh_cond_purification_switch(rng, trials, eps):
+    """For bipartite pure conditionals, H_H(B|X) = H_H(A|X)."""
+    for _ in range(trials):
+        n = int(rng.integers(2, 6))
+        da, db = rng.integers(2, 5, size=2)
+        probs = rng.dirichlet(np.ones(n))
+        conds_a, conds_b = [], []
+        for _ in range(n):
+            v = rng.normal(size=(int(da), int(db))) + 1j * rng.normal(size=(int(da), int(db)))
+            v /= np.linalg.norm(v)
+            conds_a.append(DensityOperator([("A", int(da))], v @ linalg.dagger(v), validate=False))
+            conds_b.append(DensityOperator([("B", int(db))], v.T @ np.conj(v), validate=False))
+        e = eps or _eps(rng)
+        ha = entropy.h_h_cond_cq(CQState(range(n), probs, conds_a), e).value
+        hb = entropy.h_h_cond_cq(CQState(range(n), probs, conds_b), e).value
+        yield TOL - abs(ha - hb)
+
+
+@_reference("hh-cond-data-processing")
+def check_hh_cond_data_processing(rng, trials, eps):
+    """H_H(B|X) never decreases under dephasing or random-unitary mixing
+    applied to the B side."""
+    for _ in range(trials):
+        db = int(rng.integers(2, 5))
+        cq = random_cq(rng, int(rng.integers(2, 5)), db)
+        e = eps or _eps(rng)
+        base = entropy.h_h_cond_cq(cq, e).value
+        deph = cq.map_conditionals(lambda c: DensityOperator(
+            c.registers, np.diag(np.diag(c.matrix)), validate=False))
+        n_u = int(rng.integers(2, 4))
+        us = [random_unitary(rng, db) for _ in range(n_u)]
+        ps = rng.dirichlet(np.ones(n_u))
+        unital = cq.map_conditionals(lambda c: DensityOperator(
+            c.registers,
+            sum(p * u @ c.matrix @ linalg.dagger(u) for p, u in zip(ps, us)),
+            validate=False))
+        yield min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
+                  entropy.h_h_cond_cq(unital, e).value - base + TOL)
+
+
+@_reference("hh-average-to-worst-case")
+def check_hh_average_to_worst_case(rng, trials, eps):
+    """The symbols obeying the worst-case entropy bound carry probability
+    at least 1 - 2 sqrt(eps)."""
+    for _ in range(trials):
+        cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)))
+        e = eps or _eps(rng)
+        bound = entropy.h_h_cond_cq(cq, e).value - np.log2(e)
+        mass = sum(p for p, c in zip(cq.probs, cq.conditionals)
+                   if entropy.h_h(c, np.sqrt(e)).value <= bound + 1e-12)
+        yield mass - (1 - 2 * np.sqrt(e)) + TOL
+
+
+@_reference("hmin-truncation-smoothing")
+def check_hmin_smoothing(rng, trials, eps):
+    """Truncation smoothing only increases H_min and vanishes at eps = 0."""
+    for _ in range(trials):
+        cq = random_cq(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)))
+        e = eps or _eps(rng)
+        base = entropy.h_min_cq(cq)
+        yield min(entropy.h_min_cq_smoothed(cq, e) - base + TOL,
+                  TOL - abs(entropy.h_min_cq_smoothed(cq, 0.0) - base))
+
+
+
+
+def _run(name, gen, seed, trials, eps):
+    """The CheckResult the suite's harness makes of a per-trial body."""
+    bad, worst = 0, np.inf
+    for gap in gen(np.random.default_rng(seed), trials, eps):
+        worst = min(worst, gap)
+        bad += gap < 0
+    return verify.CheckResult(name, trials, bad, worst)
+
+
+def _check(name):
+    return verify.SUITE[verify.MANIFEST.index(name)]
+
+
+def test_reference_covers_the_batched_checks():
+    assert len(REFERENCE) == 13 and set(REFERENCE) <= set(verify.MANIFEST)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_batched_check_keeps_the_results_of_the_per_trial_body(name):
+    for seed in (1, 2, 3, 4):
+        for eps in (None, 0.1):
+            got = _check(name)(np.random.default_rng(seed), 40, eps)
+            want = _run(name, REFERENCE[name], seed, 40, eps)
+            assert (got.trials, got.violations, got.worst) == \
+                (want.trials, want.violations, want.worst), (seed, eps)
+
+
+def _dim(rho):
+    return np.shape(getattr(rho, "matrix", rho))[0]
+
+
+def _shifted(f, shift):
+    def faulty(*args):
+        out = f(*args)
+        if isinstance(out, entropy.EntropyResult):
+            return entropy.EntropyResult(out.value + shift(*args), out.witness, out.method)
+        return out + shift(*args)
+    return faulty
+
+
+# per check: the public function it checks and a fault planted in its value
+FAULTS = {
+    "hh-purification-duality": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-pure-tensor-invariance": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-support-sandwich": ("h_tilde_max", lambda rho, eps: -10.0),
+    "max-entropy-ordering": ("h_max_smooth", lambda rho, eps: 10.0),
+    "hh-subadditivity": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-mixed-ancilla-additivity": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-dimension-bound": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-near-pure-nonpositive": ("h_h", lambda rho, eps: 1.0),
+    "hh-cond-pure-nonpositive": ("h_h_cond_cq", lambda cq, eps: 1.0),
+    "hh-cond-purification-switch": ("h_h_cond_cq", lambda cq, eps: 10 * _dim(cq.stack[0])),
+    "hh-cond-data-processing": ("h_h_cond_cq",
+                                lambda cq, eps: 10 * float(np.abs(cq.stack).sum())),
+    "hh-average-to-worst-case": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hmin-truncation-smoothing": ("h_min_cq_smoothed", lambda cq, eps: -10 * eps),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_batched_check_reports_a_fault_in_the_function_it_checks(name, monkeypatch):
+    fn, shift = FAULTS[name]
+    clean = _check(name)(np.random.default_rng(5), 30, 0.1)
+    monkeypatch.setattr(entropy, fn, _shifted(getattr(entropy, fn), shift))
+    faulty = _check(name)(np.random.default_rng(5), 30, 0.1)
+    assert clean.violations == 0 and faulty.violations > 0
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
+    sizes = []
+    orig = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        sizes.append(np.shape(m)[-1])
+        return orig(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for trials in (50, 200):
+        sizes.clear()
+        _check(name)(np.random.default_rng(6), trials, None)
+        # linalg._eigh and every direct np.linalg.eigh call end here
+        assert 0 < len(sizes) <= 2 * len(set(sizes)), (trials, sizes)
