@@ -183,8 +183,9 @@ class Instance:
     def ideal_env_bob(self) -> states.CQState:
         """The environment ensemble reduced to Bob (not ``ideal_bob``: the two
         agree only in exact arithmetic)."""
-        return self.ideal_env.map_conditionals(
-            lambda c: c.partial_trace([self.bob_label]))
+        env = self.ideal_env
+        return states.CQState(env.symbols, env.probs,
+                              [c.partial_trace([self.bob_label]) for c in env.conditionals])
 
     @cached_property
     def imax(self) -> entropy.ImaxResult:

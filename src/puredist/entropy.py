@@ -645,12 +645,11 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     left at the cap above max(IMAX_GAP_TOL, 1e-6) bits warns, unconverged.
     """
     _validate_eps(eps)
-    regs = cq.conditionals[0].registers
     states = cq.stack[_imax_smooth_support(cq, eps)]
     n = states.shape[0]
 
     if n == 1:
-        sigma = DensityOperator(regs, states[0], validate=False)
+        sigma = DensityOperator(cq.registers, states[0], validate=False)
         return ImaxResult(0.0, sigma, 0.0, iterations=0)
 
     basis = _joint_support(states)
@@ -676,7 +675,7 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     if not converged:
         warnings.warn(
             f"i_max_cq hit the iteration cap with duality gap {gap:.2e} bits")
-    sigma = DensityOperator(regs, best.tau / best.tau.trace().real,
+    sigma = DensityOperator(cq.registers, best.tau / best.tau.trace().real,
                             validate=False)
     return ImaxResult(
         value=float(np.log2(best.upper)),

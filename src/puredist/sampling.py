@@ -31,10 +31,6 @@ def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> 
     return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)
 
 
-def random_unitary(rng, dim: int) -> np.ndarray:
-    return haar_unitary(ginibre_matrix(rng, dim))
-
-
 def ginibre_matrix(rng, dim: int) -> np.ndarray:
     """A dim x dim matrix of independent standard complex Gaussians."""
     return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
@@ -51,13 +47,11 @@ def haar_unitary(z: np.ndarray) -> np.ndarray:
 
 def random_povm(rng, dim: int, outcomes: int, register: str = "A") -> Povm:
     """Random POVM from normalized Wishart pieces."""
-    parts = []
-    for _ in range(outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        parts.append(g @ linalg.dagger(g))
-    total = sum(parts)
-    t_inv_sqrt = linalg.psd_power(total, -0.5)
-    elems = [t_inv_sqrt @ p @ t_inv_sqrt for p in parts]
+    z = rng.normal(size=(outcomes, 2, dim, dim))
+    g = z[:, 0] + 1j * z[:, 1]
+    parts = g @ linalg.dagger(g)
+    t_inv_sqrt = linalg.psd_power(sum(parts), -0.5)
+    elems = list(t_inv_sqrt @ parts @ t_inv_sqrt)
     # absorb the support defect (Wishart sums are full rank a.s., but be safe)
     defect = np.eye(dim) - sum(elems)
     elems[0] = elems[0] + (defect + linalg.dagger(defect)) / 2
@@ -71,14 +65,21 @@ def basis_povm(dim: int, register: str = "A") -> Povm:
 
 def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
               pure_conditionals: bool = False, rank: int | None = None) -> CQState:
+    """Dirichlet probabilities and ``random_pure`` or ``random_density``
+    conditionals with their bits, from one ``normal`` call for all (each
+    member's real, then imaginary part: the values of the calls in turn)."""
     probs = rng.dirichlet(np.ones(n_symbols))
-    conds = []
-    for _ in range(n_symbols):
-        if pure_conditionals:
-            conds.append(random_pure(rng, dim, label))
-        else:
-            conds.append(random_density(rng, dim, label, rank))
-    return CQState(list(range(n_symbols)), probs, conds, renormalize=True)
+    rank = 1 if pure_conditionals else dim if rank is None else rank
+    z = rng.normal(size=(n_symbols, 2, dim, rank))
+    g = z[:, 0] + 1j * z[:, 1]
+    if pure_conditionals:
+        # np.linalg.norm along an axis sums in another order: one call a row
+        v = g[..., 0] / np.array([np.linalg.norm(x) for x in g[..., 0]])[:, None]
+        stack = v[:, :, None] * np.conj(v)[:, None, :]
+    else:
+        m = g @ linalg.dagger(g)
+        stack = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return CQState(range(n_symbols), probs / probs.sum(), stack, registers=[(label, dim)])
 
 
 def bell_pair(labels=("A", "B")) -> PureState:

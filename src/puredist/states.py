@@ -222,47 +222,60 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class CQState:
-    """Classical symbols paired with conditional density operators.
+    """Classical symbols with their conditionals as one read-only (n, d, d)
+    ``stack`` over sorted ``registers``: given as ``DensityOperator``s of one
+    register signature, or with ``registers=`` as a stack taken unvalidated.
 
-    The distribution must be normalized and every conditional must share
-    one register signature. Symbols with probability below ``1e-12`` are
-    dropped at construction (conditionals are undefined there); the
-    ``dropped`` flag records that this happened.
+    The distribution must be normalized. Symbols with probability below
+    ``1e-12`` are dropped (conditionals are undefined there), which
+    ``dropped`` records. ``conditionals``, views of the stack's rows, are
+    built on first read; each keeps its row of ``spectra`` once that is kept.
     """
 
     symbols: tuple
     probs: np.ndarray
-    conditionals: tuple
+    stack: np.ndarray
+    registers: tuple
     dropped: bool = False
 
-    def __init__(self, symbols, probs, conditionals, renormalize=False,
-                 pre_dropped=False):
+    def __init__(self, symbols, probs, conditionals, pre_dropped=False, registers=None):
         probs = np.asarray(probs, dtype=float)
         if (probs < -1e-12).any():
             raise ValueError("negative probabilities")
-        if renormalize:
-            probs = probs / probs.sum()
         if abs(float(probs.sum()) - 1.0) > _ATOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
         keep = [i for i, p in enumerate(probs.tolist()) if p >= 1e-12]
-        dropped = bool(pre_dropped) or len(keep) != len(probs)
-        symbols = [symbols[i] for i in keep]
-        conds = [conditionals[i] for i in keep]
-        probs = probs[keep]
-        if any(c.registers != conds[0].registers for c in conds):
-            raise ValueError("conditionals have mismatched register signatures")
-        object.__setattr__(self, "symbols", tuple(symbols))
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "conditionals", tuple(conds))
-        object.__setattr__(self, "dropped", dropped)
+        if registers is None:
+            registers = conditionals[0].registers
+            if any(c.registers != registers for c in conditionals):
+                raise ValueError("conditionals have mismatched register signatures")
+            conditionals = [c.matrix for c in conditionals]
+        regs = tuple((str(l), int(d)) for l, d in registers)
+        if [l for l, _ in regs] != sorted({l for l, _ in regs}):
+            raise ValueError(f"registers {regs} are not distinct and sorted")
+        stack = np.asarray(conditionals, dtype=complex)
+        d = math.prod(d for _, d in regs)
+        if stack.shape != (len(probs), d, d):
+            raise ValueError(f"stack shape {stack.shape} does not match {len(probs)} "
+                             f"symbols over registers {regs}")
+        stack = stack[keep] if len(keep) < len(probs) else stack
+        stack.flags.writeable = False
+        object.__setattr__(self, "symbols", tuple(symbols[i] for i in keep))
+        object.__setattr__(self, "probs", probs[keep])
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "registers", regs)
+        object.__setattr__(self, "dropped", bool(pre_dropped) or len(keep) < len(probs))
 
     def __len__(self):
         return len(self.symbols)
 
     @cached_property
-    def stack(self) -> np.ndarray:
-        """The conditionals' matrices as one (n, d, d) array."""
-        return np.stack([c.matrix for c in self.conditionals])
+    def conditionals(self) -> tuple:
+        """The stack's rows as ``DensityOperator``s, with kept ``spectra`` rows."""
+        conds = tuple(DensityOperator(self.registers, m, validate=False) for m in self.stack)
+        for c, row in zip(conds, self.__dict__.get("spectra", ())):
+            c.__dict__["kept"] = row
+        return conds
 
     @cached_property
     def spectra(self) -> np.ndarray:
@@ -271,9 +284,6 @@ class CQState:
         keep these rows."""
         keep_spectra([self])
         return self.__dict__["spectra"]
-
-    def map_conditionals(self, f) -> "CQState":
-        return CQState(self.symbols, self.probs, [f(c) for c in self.conditionals])
 
 
 def _clipped_eigvals(m: np.ndarray) -> np.ndarray:
@@ -293,7 +303,7 @@ def keep_spectra(items) -> None:
         w.flags.writeable = False
         if isinstance(it, CQState):
             it.__dict__["spectra"] = w
-            for c, row in zip(it.conditionals, w):
+            for c, row in zip(it.__dict__.get("conditionals", ()), w):
                 c.__dict__["kept"] = row
         else:
             it.__dict__["kept"] = w[0]
@@ -414,14 +424,13 @@ def branch_ensemble(branches: PureState, labels, keep) -> CQState:
     measure zero) and flagged in ``dropped``.
     """
     keep = sorted(keep)
-    regs = [(l, branches.dim(l)) for l in keep]
     probs = branches.masses()
     live = probs >= 1e-12
-    conds = [DensityOperator(regs, m / p, validate=False)
-             for m, p in zip(branches.marginal(keep)[live], probs[live])]
+    stack = branches.marginal(keep)[live] / probs[live][:, None, None]
     kept = [lbl for lbl, ok in zip(labels, live.tolist()) if ok]
-    return CQState(kept, probs[live] / np.sum(probs[live]), conds,
-                   pre_dropped=len(kept) != len(probs))
+    return CQState(kept, probs[live] / np.sum(probs[live]), stack,
+                   pre_dropped=len(kept) != len(probs),
+                   registers=[(l, branches.dim(l)) for l in keep])
 
 
 def control_state(psi: PureState, povm: Povm, condition_on=("B", "R"),

@@ -10,10 +10,12 @@ The checks that read only spectra run in three steps: draw every trial's
 instance, decompose all its operators (``keep_spectra``: one stacked
 eigendecomposition per matrix size, each member with the bits of its own
 call), then evaluate the slacks in trial order through the public entropy
-functions. The draw step keeps the generator's order: it makes the calls
-one trial at a time would make, trial after trial, and within a trial in
-the order of its body, eps included, and no later step draws. So every
-slack is that of the trial-at-a-time body, bit for bit.
+functions. The draw step keeps the generator's values: one trial's draws
+follow the last one's, in the order of its body, eps included, and no
+later step draws. A cq state is drawn as one stack (``random_cq``, or one
+``normal`` call for all its conditionals) and the dephased and mixed
+ensembles are stacked products of it, so no draw builds an object per
+conditional. Every slack is that of the trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -47,10 +49,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.violations == 0
-
-
-def _rand_state(rng, d):
-    return ginibre_density(rng, d)
 
 
 def _eps(rng):
@@ -109,7 +107,7 @@ def check_hh_pure_tensor(rng, trials, eps):
     cases = []
     for _ in range(trials):
         d = int(rng.integers(2, 7))
-        rho = _rand_state(rng, d)
+        rho = ginibre_density(rng, d)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
         cases.append((_op(np.kron(rho, np.outer(v, np.conj(v)))), _op(rho), eps or _eps(rng)))
@@ -121,7 +119,7 @@ def check_hh_pure_tensor(rng, trials, eps):
 @_check("hh-support-sandwich", per=1)
 def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
-    cases = [(_op(_rand_state(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
+    cases = [(_op(ginibre_density(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
              for _ in range(trials)]
     keep_spectra(rho for rho, _ in cases)
     for rho, e in cases:
@@ -133,7 +131,7 @@ def check_hh_support_sandwich(rng, trials, eps):
 @_check("max-entropy-ordering", per=1)
 def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
-    cases = [(_op(_rand_state(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
+    cases = [(_op(ginibre_density(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
              for _ in range(trials)]
     keep_spectra(rho for rho, _ in cases)
     for rho, e in cases:
@@ -150,7 +148,7 @@ def check_hh_subadditivity(rng, trials, eps):
     cases = []
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
-        rho = _rand_state(rng, int(da * db))
+        rho = ginibre_density(rng, int(da * db))
         cases.append((_op(rho), _op(linalg.partial_trace(rho, [int(da), int(db)], 0)),
                       _op(linalg.partial_trace(rho, [int(da), int(db)], 1)), eps or _eps(rng)))
     keep_spectra(rho for case in cases for rho in case[:3])
@@ -167,7 +165,7 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps):
     for _ in range(trials):
         d = int(rng.integers(2, 6))
         db = int(rng.integers(2, 5))
-        rho = _rand_state(rng, d)
+        rho = ginibre_density(rng, d)
         cases.append((_op(np.kron(rho, np.eye(db) / db)), _op(rho), db, eps or _eps(rng)))
     keep_spectra(rho for case in cases for rho in case[:2])
     for joint, rho, db, e in cases:
@@ -182,7 +180,7 @@ def check_hh_dimension_bound(rng, trials, eps):
     cases = []
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
-        rho = _rand_state(rng, int(da * db))
+        rho = ginibre_density(rng, int(da * db))
         cases.append((_op(rho), _op(linalg.partial_trace(rho, [int(da), int(db)], 0)), db,
                       eps or _eps(rng)))
     keep_spectra(rho for case in cases for rho in case[:2])
@@ -198,7 +196,7 @@ def check_hh_near_pure(rng, trials, eps):
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         e = eps or _eps(rng)
-        junk = _rand_state(rng, d)
+        junk = ginibre_density(rng, d)
         delta = e / 2 * rng.uniform(0.0, 1.0)
         sigma = np.zeros((d, d), dtype=complex)
         sigma[0, 0] = 1 - delta
@@ -231,16 +229,14 @@ def check_hh_cond_purification_switch(rng, trials, eps):
     cases = []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
-        da, db = rng.integers(2, 5, size=2)
+        da, db = (int(d) for d in rng.integers(2, 5, size=2))
         probs = rng.dirichlet(np.ones(n))
-        conds_a, conds_b = [], []
-        for _ in range(n):
-            v = rng.normal(size=(int(da), int(db))) + 1j * rng.normal(size=(int(da), int(db)))
-            v /= np.linalg.norm(v)
-            conds_a.append(DensityOperator([("A", int(da))], v @ linalg.dagger(v), validate=False))
-            conds_b.append(DensityOperator([("B", int(db))], v.T @ np.conj(v), validate=False))
-        cases.append((CQState(range(n), probs, conds_a), CQState(range(n), probs, conds_b),
-                      eps or _eps(rng)))
+        z = rng.normal(size=(n, 2, da, db))
+        v = z[:, 0] + 1j * z[:, 1]
+        v = v / np.array([np.linalg.norm(m) for m in v])[:, None, None]
+        cases.append((CQState(range(n), probs, v @ linalg.dagger(v), registers=[("A", da)]),
+                      CQState(range(n), probs, v.swapaxes(1, 2) @ np.conj(v),
+                              registers=[("B", db)]), eps or _eps(rng)))
     keep_spectra(cq for case in cases for cq in case[:2])
     for cq_a, cq_b, e in cases:
         ha = entropy.h_h_cond_cq(cq_a, e).value
@@ -260,8 +256,9 @@ def check_hh_cond_data_processing(rng, trials, eps):
         zs = np.array([ginibre_matrix(rng, db) for _ in range(int(rng.integers(2, 4)))])
         cases.append((cq, zs, rng.dirichlet(np.ones(len(zs))), e))
     unitaries = linalg.per_size(haar_unitary, [zs for _, zs, _, _ in cases])
-    cases = [(cq, cq.map_conditionals(lambda c: DensityOperator(
-                 c.registers, np.diag(np.diag(c.matrix)), validate=False)),
+    # dephased: the diagonal kept, +0 elsewhere, as np.diag(np.diag(rho)) has it
+    cases = [(cq, CQState(cq.symbols, cq.probs, np.where(np.eye(len(us[0]), dtype=bool),
+                                                         cq.stack, 0), registers=cq.registers),
               _mixed(cq, ps, us), e) for (cq, _, ps, e), us in zip(cases, unitaries)]
     keep_spectra(cq for case in cases for cq in case[:3])
     for cq, deph, unital, e in cases:
@@ -275,9 +272,8 @@ def _mixed(cq, ps, us):
     the terms of all conditionals in one stacked product, summed in the order
     of ``sum`` over j."""
     terms = (ps[:, None, None] * us) @ cq.stack[:, None] @ linalg.dagger(us)
-    mixed = sum(terms[:, j] for j in range(len(us)))
-    return CQState(cq.symbols, cq.probs, [DensityOperator(c.registers, m, validate=False)
-                                          for c, m in zip(cq.conditionals, mixed)])
+    return CQState(cq.symbols, cq.probs, sum(terms[:, j] for j in range(len(us))),
+                   registers=cq.registers)
 
 
 @_check("hh-average-to-worst-case", per=1)
@@ -393,13 +389,7 @@ def check_condhh_derandomization(rng, trials, eps):
         # build a K-table whose rows decode to symbols with Q close to P
         reps = int(rng.integers(3, 6))
         K = nx * reps
-        delta = 0.0
-        sigma_conds = []
-        for c in cq.conditionals:
-            pert = _rand_state(rng, db)
-            mixed = (1 - e / 4) * c.matrix + e / 4 * pert
-            sigma_conds.append(DensityOperator(c.registers, mixed, validate=False))
-            delta = max(delta, linalg.trace_distance(c.matrix, mixed))
+        sigma_conds = [(1 - e / 4) * rho + e / 4 * ginibre_density(rng, db) for rho in cq.stack]
         q_k = np.repeat(cq.probs / reps, reps)  # f(k) = x for each block
         bound = 2.0 ** entropy.h_h_cond_cq(cq, e).value / e
         uniform_dev = float(np.sum(np.abs(q_k - 1.0 / K)))

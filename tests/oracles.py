@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 
+from puredist import linalg
 from puredist.entropy import _greedy_lp
 from puredist.sampling import classical_correlated_pure, purified_input
+from puredist.states import CQState, DensityOperator
 
 
 def imax_qubit_grid_oracle(states, coarse=24, refine=2):
@@ -47,13 +49,18 @@ def imax_qubit_grid_oracle(states, coarse=24, refine=2):
 
 
 def _types(n, parts):
-    """Every composition of n into ``parts`` non-negative counts."""
+    """Every composition of n into ``parts`` non-negative counts, as the rows
+    of an int array in lexicographic order: one block per leading count."""
     if parts == 1:
-        yield (n,)
-        return
+        return np.array([[n]])
+    if parts == 2:
+        first = np.arange(n + 1)
+        return np.column_stack([first, n - first])
+    blocks = []
     for first in range(n + 1):
-        for rest in _types(n - first, parts - 1):
-            yield (first, *rest)
+        rest = _types(n - first, parts - 1)
+        blocks.append(np.column_stack([np.full(len(rest), first), rest]))
+    return np.concatenate(blocks)
 
 
 def h_h_iid(p, n, eps):
@@ -65,12 +72,16 @@ def h_h_iid(p, n, eps):
     underflows to zero are left out, so a large n neither stops the fill early
     nor overflows a count."""
     logp = np.log(np.asarray(p, dtype=float))
-    types = np.array(list(_types(n, len(logp))))
-    log_mult = np.array([math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in t)
-                         for t in types])
+    types = _types(n, len(logp))
+    lgamma = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_fact = 0.0  # summed column by column, in the order of a sum over one type
+    for k in types.T:
+        log_fact = log_fact + lgamma[k]
+    log_mult = lgamma[n] - log_fact
     log_q = types @ logp
     gains = np.exp(log_mult + log_q)
-    order = [i for i in np.argsort(-log_q, kind="stable") if gains[i] > 0]
+    order = np.argsort(-log_q, kind="stable")
+    order = order[gains[order] > 0]
     _, lam = _greedy_lp(gains[order], np.ones(len(order)), 1.0 - eps)
     taken = lam > 0
     return float(np.logaddexp.reduce(np.log(lam[taken]) + log_mult[order][taken])) / math.log(2)
@@ -84,3 +95,22 @@ def near_pure_classical(rng, da=8, db=4, top=0.9):
     cond[0] = 0.9
     joint = np.array([pa[a] * np.roll(cond, a % db) for a in range(da)])
     return purified_input(classical_correlated_pure(rng, da, db, joint=joint))
+
+
+def per_symbol_random_cq(rng, n_symbols, dim, label="B", pure_conditionals=False, rank=None):
+    """``sampling.random_cq`` as it drew before its draws were stacked: one
+    pair of ``normal`` calls and one ``DensityOperator`` per conditional."""
+    probs = rng.dirichlet(np.ones(n_symbols))
+    conds = []
+    for _ in range(n_symbols):
+        if pure_conditionals:
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            v = v / np.linalg.norm(v)
+            m = np.outer(v, np.conj(v))
+        else:
+            r = dim if rank is None else rank
+            g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+            m = g @ linalg.dagger(g)
+            m = m / m.trace().real
+        conds.append(DensityOperator([(label, dim)], m, validate=False))
+    return CQState(list(range(n_symbols)), probs / probs.sum(), conds)

@@ -12,11 +12,12 @@ from puredist import entropy as ent
 from puredist import linalg
 from puredist.sampling import (
     ginibre_density,
+    ginibre_matrix,
+    haar_unitary,
     random_cq,
     random_density,
     random_povm,
     random_pure,
-    random_unitary,
 )
 from puredist.states import CQState, DensityOperator, control_state
 
@@ -160,7 +161,7 @@ def test_h_h_of_a_kronecker_power_matches_the_iid_type_oracle(rng):
         spectra.append(0.05 + (1 - 0.05 * d) * rng.dirichlet(np.ones(d)))
     for p in spectra:
         d = len(p)
-        u = random_unitary(rng, d)
+        u = haar_unitary(ginibre_matrix(rng, d))
         rho = (u * p) @ u.conj().T
         power = rho
         for n in range(1, {2: 6, 3: 3, 4: 3}[d] + 1):  # every d^n <= 64
@@ -178,7 +179,7 @@ def test_h_h_witness_reevaluates(rng):
 
 def test_h_h_basis_independent(rng):
     spec = rng.dirichlet(np.ones(5))
-    u = random_unitary(rng, 5)
+    u = haar_unitary(ginibre_matrix(rng, 5))
     rotated = u @ np.diag(spec) @ linalg.dagger(u)
     assert np.isclose(ent.h_h(rotated, 0.1).value,
                       ent.h_h(spectrum_state(spec), 0.1).value, atol=1e-9)
@@ -206,7 +207,7 @@ def test_h_h_keeps_the_bits_of_the_sorted_numpy_scalar_path(rng):
                  [1 - 5 * tol, tol, 0.5 * tol, 2 * tol, tol * (1 + 1e-15), tol * (1 - 1e-15), 1e-13],
                  [1 - 3 * tol, tol, tol, tol, 0.0]):
         spec = np.array(spec) / np.sum(spec)
-        u = random_unitary(rng, len(spec))
+        u = haar_unitary(ginibre_matrix(rng, len(spec)))
         rhos += [np.diag(spec).astype(complex), u @ np.diag(spec) @ linalg.dagger(u)]
     for rho in rhos:
         for eps in (0.0, 0.01, 0.1, 0.3, 0.9):
@@ -677,9 +678,10 @@ def test_i_max_is_invariant_under_an_isometric_embedding(rng):
     for _ in range(12):
         d = int(rng.integers(2, 7))
         cq = random_cq(rng, int(rng.integers(2, 5)), d)
-        iso = random_unitary(rng, 2 * d)[:, :d]
-        big = cq.map_conditionals(lambda c: DensityOperator(
-            [("B", 2 * d)], iso @ c.matrix @ linalg.dagger(iso), validate=False))
+        iso = haar_unitary(ginibre_matrix(rng, 2 * d))[:, :d]
+        big = CQState(cq.symbols, cq.probs, [DensityOperator(
+            [("B", 2 * d)], iso @ c.matrix @ linalg.dagger(iso), validate=False)
+            for c in cq.conditionals])
         assert ent._joint_support(big.stack).shape == (2 * d, d)
         small, embedded = ent.i_max_cq(cq), ent.i_max_cq(big)
         assert embedded.converged and embedded.duality_gap <= 1e-9
@@ -754,19 +756,27 @@ def test_i_max_commuting_ensemble_needs_no_newton_stage():
 
 
 def test_h_max_smooth_invariant_survives_python_O():
-    # the runtime check must raise a named error even with asserts stripped
+    # the runtime checks must raise named errors even with asserts stripped:
+    # the Renyi-1/2 support bound, and a cq stack that does not match its registers
     code = (
         "import numpy as np\n"
         "from puredist import entropy, linalg\n"
+        "from puredist.states import CQState\n"
         "entropy._kept_bits = lambda supp, k: -1.0\n"
         "try:\n"
         "    entropy.h_max_smooth(np.eye(4) / 4, 0.1)\n"
         "except linalg.InvariantError as exc:\n"
+        "    print('raised', exc)\n"
+        "try:\n"
+        "    CQState([0, 1], [0.5, 0.5], np.zeros((2, 3, 3)), registers=[('B', 2)])\n"
+        "except ValueError as exc:\n"
         "    print('raised', exc)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised Renyi-1/2")
+    renyi, stack = proc.stdout.splitlines()
+    assert renyi.startswith("raised Renyi-1/2")
+    assert stack.startswith("raised stack shape (2, 3, 3) does not match")
 
 
 def sdp_dh_oracle(rho, sigma, eps):

@@ -231,8 +231,8 @@ def test_uhlmann_identical_states(rng):
 def test_uhlmann_equal_marginals_saturate(rng):
     # same B,R marginal reached by two different purifying isometries
     phi = mixed_protocol_input(rng, 4, 3, rank=2)
-    from puredist.sampling import random_unitary
-    w = random_unitary(rng, 4)
+    from puredist.sampling import ginibre_matrix, haar_unitary
+    w = haar_unitary(ginibre_matrix(rng, 4))
     chi = phi.apply(w, ["A"])
     u, ov = pr.uhlmann_unitary(phi, chi, ["A"], ["A"])
     assert abs(ov - 1) <= 1e-8

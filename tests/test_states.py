@@ -6,11 +6,12 @@ from puredist.sampling import (
     basis_povm,
     bell_pair,
     ginibre_density,
+    ginibre_matrix,
+    haar_unitary,
     mixed_protocol_input,
     random_cq,
     random_density,
     random_povm,
-    random_unitary,
 )
 from puredist.states import (
     CQState,
@@ -23,6 +24,8 @@ from puredist.states import (
     measure,
     rank1_refine,
 )
+
+from oracles import per_symbol_random_cq
 
 
 def test_density_operator_canonical_register_order(rng):
@@ -175,7 +178,7 @@ def test_rank1_refine(rng):
 
 def test_pure_state_apply_and_branches(rng):
     psi = bell_pair()
-    u = random_unitary(rng, 2)
+    u = haar_unitary(ginibre_matrix(rng, 2))
     rotated = psi.apply(u, ["A"])
     assert np.isclose(rotated.norm(), 1.0)
     back = rotated.apply(linalg.dagger(u), ["A"])
@@ -213,7 +216,7 @@ def test_measure_keeps_the_bits_of_the_per_element_loop(rng, first):
 
 def test_stacked_apply_acts_member_by_member(rng):
     psi = mixed_protocol_input(rng, 3, 2, rank=2)
-    ops = np.array([random_unitary(rng, 3) for _ in range(4)])
+    ops = np.array([haar_unitary(ginibre_matrix(rng, 3)) for _ in range(4)])
     branches = psi.apply(ops, ["A"])  # a stack of operators stacks the results
     iso = np.zeros((6, 2), dtype=complex)  # embed qubit into qutrit x flag
     iso[0, 0] = iso[4, 1] = 1.0
@@ -288,3 +291,79 @@ def test_cq_spectra_are_shared_with_the_conditionals(rng):
     cq = random_cq(rng, 4, 3)
     for c, row in zip(cq.conditionals, cq.spectra):
         assert c.spectrum() is not None and np.shares_memory(c.spectrum(), row)
+
+
+def test_conditionals_built_after_the_spectra_read_the_kept_rows(rng):
+    cq = random_cq(rng, 4, 3)
+    spectra = cq.spectra
+    assert "conditionals" not in cq.__dict__  # not built yet
+    for c, row in zip(cq.conditionals, spectra):
+        assert np.shares_memory(c.spectrum(), row) and c.spectrum() is c.spectrum()
+        assert c.spectrum().tobytes() == row.tobytes()
+        assert np.shares_memory(c.matrix, cq.stack)
+
+
+def test_cq_stack_is_read_only(rng):
+    for cq in (random_cq(rng, 3, 2), CQState([0, 1], [0.5, 0.5], [random_density(rng, 2, "B")] * 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            cq.stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cq.conditionals[0].matrix[0, 0] = 1.0
+
+
+def test_cq_stack_must_match_its_registers(rng):
+    stack = random_cq(rng, 3, 2).stack
+    for regs in ([("B", 3)], [("B", 2), ("C", 2)]):
+        with pytest.raises(ValueError, match="does not match"):
+            CQState(range(3), [0.2, 0.3, 0.5], stack, registers=regs)
+    with pytest.raises(ValueError, match="does not match"):
+        CQState(range(2), [0.5, 0.5], stack, registers=[("B", 2)])
+    with pytest.raises(ValueError, match="sorted"):
+        CQState(range(3), [0.2, 0.3, 0.5], np.zeros((3, 4, 4)), registers=[("B", 2), ("A", 2)])
+
+
+def test_cq_stack_drops_a_symbol_below_1e12(rng):
+    stack = random_cq(rng, 3, 2).stack
+    cq = CQState("xyz", [0.6, 1e-13, 0.4 - 1e-13], stack, registers=[("B", 2)])
+    assert cq.dropped and cq.symbols == ("x", "z") and len(cq) == 2
+    assert np.array_equal(cq.stack, stack[[0, 2]])
+    assert not CQState("xyz", [0.2, 0.3, 0.5], stack, registers=[("B", 2)]).dropped
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "low-rank"])
+def test_random_cq_keeps_the_bits_and_generator_state_of_the_per_symbol_draw(kind):
+    for seed in range(600):
+        pick = np.random.default_rng([seed, 1])
+        n, d = int(pick.integers(1, 9)), int(pick.integers(2, 7))
+        rank = int(pick.integers(1, d + 1)) if kind == "low-rank" else None
+        stacked, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_cq(stacked, n, d, pure_conditionals=kind == "pure", rank=rank)
+        want = per_symbol_random_cq(loop, n, d, pure_conditionals=kind == "pure", rank=rank)
+        assert got.symbols == want.symbols and got.registers == want.registers
+        assert got.probs.tobytes() == want.probs.tobytes(), seed
+        assert got.stack.tobytes() == want.stack.tobytes(), seed
+        assert stacked.normal() == loop.normal(), seed
+
+
+def per_outcome_random_povm(rng, dim, outcomes):
+    """``sampling.random_povm`` as it drew before its draws were stacked."""
+    parts = []
+    for _ in range(outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        parts.append(g @ linalg.dagger(g))
+    t_inv_sqrt = linalg.psd_power(sum(parts), -0.5)
+    elems = [t_inv_sqrt @ p @ t_inv_sqrt for p in parts]
+    defect = np.eye(dim) - sum(elems)
+    elems[0] = elems[0] + (defect + linalg.dagger(defect)) / 2
+    return elems
+
+
+def test_random_povm_keeps_the_bits_and_generator_state_of_the_per_outcome_draw():
+    for seed in range(500):
+        pick = np.random.default_rng([seed, 2])
+        d, k = int(pick.integers(2, 9)), int(pick.integers(2, 6))
+        stacked, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_povm(stacked, d, k).elements
+        want = per_outcome_random_povm(loop, d, k)
+        assert [e.tobytes() for e in got] == [e.tobytes() for e in want], seed
+        assert stacked.normal() == loop.normal(), seed

@@ -4,15 +4,18 @@ Thirteen checks of ``puredist.verify`` draw every trial first, decompose all
 their operators with one stacked eigendecomposition per matrix size, then
 evaluate the slacks in trial order. ``REFERENCE`` keeps the per-trial bodies
 they had before, as the reference: one trial at a time, drawn, decomposed and
-evaluated in turn.
+evaluated in turn. Their cq states come from ``per_symbol_random_cq``, the
+per-symbol sampler that ``sampling.random_cq`` replaced, so a change in the
+stacked sampler's bits shows here too.
 """
 
 import numpy as np
 import pytest
 
 from puredist import entropy, linalg, verify
-from puredist.sampling import random_cq
 from puredist.states import CQState, DensityOperator
+
+from oracles import per_symbol_random_cq as random_cq
 
 TOL = verify.TOL
 REFERENCE = {}
@@ -190,15 +193,15 @@ def check_hh_cond_data_processing(rng, trials, eps):
         cq = random_cq(rng, int(rng.integers(2, 5)), db)
         e = eps or _eps(rng)
         base = entropy.h_h_cond_cq(cq, e).value
-        deph = cq.map_conditionals(lambda c: DensityOperator(
-            c.registers, np.diag(np.diag(c.matrix)), validate=False))
+        deph = CQState(cq.symbols, cq.probs, [DensityOperator(
+            c.registers, np.diag(np.diag(c.matrix)), validate=False) for c in cq.conditionals])
         n_u = int(rng.integers(2, 4))
         us = [random_unitary(rng, db) for _ in range(n_u)]
         ps = rng.dirichlet(np.ones(n_u))
-        unital = cq.map_conditionals(lambda c: DensityOperator(
+        unital = CQState(cq.symbols, cq.probs, [DensityOperator(
             c.registers,
             sum(p * u @ c.matrix @ linalg.dagger(u) for p, u in zip(ps, us)),
-            validate=False))
+            validate=False) for c in cq.conditionals])
         yield min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
                   entropy.h_h_cond_cq(unital, e).value - base + TOL)
 
