@@ -12,7 +12,7 @@ import numpy as np
 from . import entropy, linalg
 from .compression import Compression, Instance, declared_slack
 from .protocols import run_fewqubits, run_kd_oneshot
-from .states import DensityOperator, rank1_refine
+from .states import rank1_refine
 
 
 @dataclass
@@ -63,7 +63,7 @@ def local_purity_bounds(rho, eps: float, slack_bits: float | None = None):
     upper = log|A| - H_H^{eps}(A).
     """
     slack_bits = declared_slack(eps, slack_bits)
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+    mat = entropy._matrix(rho)
     d = mat.shape[0]
     lower = float(np.log2(d) - entropy.h_h(mat, eps * eps / 9).value - slack_bits - 1)
     upper = float(np.log2(d) - entropy.h_h(mat, eps).value)

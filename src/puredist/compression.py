@@ -107,8 +107,8 @@ class Instance:
     outcome x it decodes to, so the per-outcome data every table shares
     lives here too, indexed by x: which outcomes are ``live``, the
     simulated conditionals and their Bob marginals (one stacked pass), their
-    pair entropies and nice verdicts, the A_g bounds, truncated targets and
-    Bob's codes of the in-place protocol, and the rate bounds (code in
+    pair entropies and nice verdicts, the A_g bounds and truncated targets of
+    the in-place protocol, Bob's codes and the rate bounds (code in
     ``protocols`` and ``bounds``, imported where used).
     """
 
@@ -141,13 +141,14 @@ class Instance:
         return int(np.prod([self.psi.dim(l) for l in self.env]))
 
     @cached_property
-    def element_roots(self) -> list:
-        return [linalg.psd_power(e, 0.5) for e in self.povm.elements]
+    def element_roots(self) -> np.ndarray:
+        """sqrt(Lambda_x) per outcome x, as one stack from one stacked root."""
+        return linalg.psd_power(np.array(self.povm.elements), 0.5)
 
     @cached_property
     def branches(self) -> states.PureState:
         """The measurement branches sqrt(Lambda_x) psi as one stacked state."""
-        return self.psi.apply(np.array(self.element_roots), [self.povm.register])
+        return self.psi.apply(self.element_roots, [self.povm.register])
 
     def _ideal(self, keep) -> states.CQState:
         return states.branch_ensemble(self.branches, self.povm.labels, keep)
@@ -171,13 +172,13 @@ class Instance:
         return p_x / np.sum(p_x)
 
     @cached_property
-    def roots(self) -> list:
-        """Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2} per outcome x, the
-        inverse taken on the support: the compressed cell for x is
+    def roots(self) -> np.ndarray:
+        """Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2} per outcome x, as one
+        stack, the inverse taken on the support: the compressed cell for x is
         proportional to Y_x Y_x^dag, and Y_x^dag is its Kraus operator."""
         inv_sqrt = linalg.psd_power(self.rho_a, -0.5)
         sqrt_rho = linalg.psd_power(self.rho_a, 0.5)
-        return [inv_sqrt @ r @ sqrt_rho for r in self.element_roots]
+        return inv_sqrt @ self.element_roots @ sqrt_rho
 
     @cached_property
     def ideal_env_bob(self) -> states.CQState:
@@ -268,8 +269,7 @@ class Instance:
         """(tw, v): the descending eigenvectors v of each simulated conditional
         and its eigenvalues times the LP weights, renormalized (zero where x
         is not live): the states the in-place protocol purifies into A_g."""
-        from .protocols import _descending_eig
-        w, v = _descending_eig(self.sims)
+        w, v = linalg.descending_eig(self.sims, tol=1e-7)
         tw = w * self.pair_entropies[1]
         return np.divide(tw, np.sum(tw, axis=1, keepdims=True), out=np.zeros_like(tw),
                          where=self.live[:, None]), v
@@ -399,8 +399,7 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
     cell = c / L * base
     q_cell = np.array([max(0.0, float(np.real(np.trace(m)))) / K for m in cell @ rho_a])
     cells = cell[at]
-    bots = np.eye(d) - cells.sum(axis=1)
-    bots = (bots + linalg.dagger(bots)) / 2
+    bots = linalg.hermitian_part(np.eye(d) - cells.sum(axis=1))
     thetas = tuple(tuple(row) + (bot,) for row, bot in zip(cells, bots))
     q_kl = np.zeros((K, L + 1))
     q_kl[:, :L] = q_cell[at]
@@ -426,7 +425,7 @@ def simulated_conditionals(inst: Instance):
     """
     # K = Y_x^dag satisfies K^dag K = M_x (up to the p_x scale), so the
     # branches need no operator square root
-    branches = inst.psi.apply(linalg.dagger(np.array(inst.roots)), [inst.povm.register])
+    branches = inst.psi.apply(linalg.dagger(inst.roots), [inst.povm.register])
     masses = branches.masses()
     live = (inst.p_x > 0) & (masses >= 1e-300)
     env = sorted(inst.env)

@@ -43,7 +43,7 @@ class EntropyResult:
         w = self.witness
         if self.method in ("greedy-lp", "blockwise"):
             return float(np.log2(np.dot(w["costs"], w["weights"])))
-        if self.method == "neyman-pearson":
+        if self.method == "neyman-pearson" and not w.get("infinite"):
             return float(-np.log2(w["test_cost"]))
         return self.value
 
@@ -75,7 +75,7 @@ def _spectrum(rho) -> np.ndarray:
     """The clipped spectrum; a DensityOperator's kept one when it keeps one."""
     if isinstance(rho, DensityOperator):
         return rho.spectrum()
-    return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(_matrix(rho)))
+    return linalg.psd_eigvals(_matrix(rho))
 
 
 def _matrix(rho) -> np.ndarray:
@@ -169,7 +169,7 @@ class _Split:
 
     def __init__(self, rh, sh, t, target, smax):
         self.t = t
-        w, self.v = np.linalg.eigh(rh - t * sh)
+        w, self.v = linalg._eigh(rh - t * sh)
         rd = (self.v.conj() * (rh @ self.v)).real.sum(axis=0)  # diagonals of rho
         sd = (self.v.conj() * (sh @ self.v)).real.sum(axis=0)  # and of sigma
         band = SUPPORT_TOL * max(1.0, t * smax)
@@ -251,11 +251,10 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
         mass = float((linalg.dagger(pos) @ r @ pos).trace().real)
         cost = float((linalg.dagger(pos) @ s @ pos).trace().real)
     else:
-        # (x + x^dagger) / 2 is Hermitian bit for bit, and so is every rh - t*sh
-        rh = (r + linalg.dagger(r)) / 2.0
-        sh = (s + linalg.dagger(s)) / 2.0
+        # every rh - t*sh is Hermitian bit for bit too
+        rh, sh = linalg.hermitian_part(r), linalg.hermitian_part(s)
         white = vs[:, ws > SUPPORT_TOL] / np.sqrt(ws[ws > SUPPORT_TOL])
-        cands = np.linalg.eigh(linalg.dagger(white) @ rh @ white)[0]
+        cands = linalg._eigh(linalg.dagger(white) @ rh @ white)[0]
         p, probes = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(ws.max()))
         t, gamma, gap, cost = p.t, p.gamma, p.gap, p.cost
         pos, zero, mass = p.v[:, p.pos], p.v[:, p.zero], p.a + p.gamma * p.b
@@ -362,25 +361,20 @@ def _imax_smooth_support(cq: CQState, eps: float) -> list:
     return sorted(order[_truncation_count(cq.probs[order], eps):].tolist())
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + linalg.dagger(m)) / 2.0
-
-
 def _povm_from(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Normalize a stack of PSD weights {M_x} into a POVM {T M_x T} with
     T = (sum_x M_x)^{-1/2} on its support; kernel slack goes to the symbol
     whose state gains most from it, so the elements sum to the identity."""
     d = states.shape[1]
-    s = _hermitian_part(weights.sum(axis=0))
     # T = V f(W) V^dagger does not depend on the phases of the eigenvectors
-    w, v = np.linalg.eigh(s)
+    w, v = linalg._eigh(linalg.hermitian_part(weights.sum(axis=0)))
     w = linalg.clip_psd_spectrum(w)
     inv_sqrt = np.zeros_like(w)
     mask = w > 1e-12
     inv_sqrt[mask] = w[mask] ** -0.5
     t = (v * inv_sqrt) @ linalg.dagger(v)
-    povm = _hermitian_part(t @ weights @ t)
-    slack = _hermitian_part(np.eye(d) - povm.sum(axis=0))
+    povm = linalg.hermitian_part(t @ weights @ t)
+    slack = linalg.hermitian_part(np.eye(d) - povm.sum(axis=0))
     if np.abs(slack).max() > 1e-14:
         gains = np.real(np.einsum("ij,xji->x", slack, states))
         povm[int(np.argmax(gains))] += slack
@@ -400,7 +394,7 @@ def _certify(states: np.ndarray, povm: np.ndarray, y: np.ndarray):
     excess = states - y
     if np.abs(excess - linalg.dagger(excess)).max() > 1e-6:
         raise ValueError("matrix is not Hermitian within tolerance")
-    c = max(float(np.linalg.eigvalsh(_hermitian_part(excess)).max()), 0.0)
+    c = max(float(linalg._eigvalsh(linalg.hermitian_part(excess)).max()), 0.0)
     upper = float(y.trace().real) + d * c
     return lower, upper, y + c * np.eye(d)
 
@@ -454,7 +448,7 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int):
     for it in range(1, iterations + 1):
         povm = _povm_from(states, rp @ states)
         rp = states @ povm
-        y = _hermitian_part(rp.sum(axis=0))
+        y = linalg.hermitian_part(rp.sum(axis=0))
         if best.update(*_certify(states, povm, y)) <= IMAX_GAP_TOL:
             return povm, it
     return povm, iterations
@@ -494,7 +488,7 @@ def _joint_support(states: np.ndarray):
     """Orthonormal columns V spanning the support of sum_x rho_x, the
     eigenvalues above ``SUPPORT_TOL`` relative to the largest, or None when
     that support is the whole space."""
-    w, v = np.linalg.eigh(_hermitian_part(states.sum(axis=0)))
+    w, v = linalg._eigh(linalg.hermitian_part(states.sum(axis=0)))
     keep = w > SUPPORT_TOL * w[-1]
     return None if keep.all() else v[:, keep]
 
@@ -555,7 +549,7 @@ def _barrier(states, best: _Bounds):
     def factor(candidate):
         # sum_x log det(candidate - rho_x) and the eigensystems of the
         # candidate - rho_x, or None outside the interior
-        w, v = np.linalg.eigh(candidate - states)
+        w, v = linalg._eigh(candidate - states)
         if w.min() <= 0:
             return None, None
         return float(np.log(w).sum()), (w, v)

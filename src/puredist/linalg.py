@@ -4,14 +4,15 @@ Hermitian eigendecomposition, partial trace, purification and the
 state-distance functionals everything else is built on. All logarithms
 in this package are base 2; entropic outputs are in qubits/bits.
 
-Two eigen entry points share one checked ``np.linalg.eigh``:
-``eig_hermitian`` when the eigenvectors are used (columns phase-canonicalized,
-so repeated runs are byte-identical), ``eigvals_hermitian`` when only the
-eigenvalues are (the same bits; ``np.linalg.eigvalsh`` differs in the last
-bits). One conjugate transpose serves both the Hermitian check and the
-symmetrization, and every decomposition goes through the one funnel ``_eigh``.
+Every Hermitian eigendecomposition of the package runs here, through the
+one funnel ``_eigh`` (or ``_eigvalsh``, whose bits differ from its
+eigenvalues'). Its checked entry points are ``eig_hermitian`` when the
+eigenvectors are used (columns phase-canonicalized, so repeated runs are
+byte-identical) and ``eigvals_hermitian`` when only the eigenvalues are (the
+same bits); one conjugate transpose serves both the Hermitian check and the
+symmetrization. The solvers of ``entropy`` pass it ``hermitian_part``s unchecked.
 
-Both eigen functions, ``psd_power`` and ``trace_norm`` also take an
+The eigen functions, ``psd_power`` and ``trace_norm`` also take an
 (n, d, d) stack, in one LAPACK batch, and give each member the bits of its
 own 2-D call; ``per_size`` applies one of them to stacks of several sizes
 with one call per size.
@@ -44,6 +45,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2 of a matrix or of each matrix of a stack, Hermitian bit for bit."""
+    return (m + dagger(m)) / 2.0
+
+
 def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     # Fix the global phase of each column (of each matrix of a stack):
     # largest-magnitude entry made real positive. Keeps repeated runs
@@ -68,6 +74,11 @@ def _checked_eigh(m: np.ndarray, tol: float):
 def _eigh(h: np.ndarray):
     """``np.linalg.eigh`` of the symmetrized complex matrix or stack ``h``, unchecked."""
     return np.linalg.eigh(h)
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of the symmetrized complex matrix or stack ``h``, unchecked."""
+    return np.linalg.eigvalsh(h)
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
@@ -106,6 +117,18 @@ def clip_psd_spectrum(w: np.ndarray) -> np.ndarray:
     if w.min() < PSD_CLIP:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
     return np.maximum(w, 0.0)
+
+
+def psd_eigvals(m: np.ndarray) -> np.ndarray:
+    """The clipped ascending eigenvalues of a PSD matrix, or of each matrix of a stack."""
+    return clip_psd_spectrum(eigvals_hermitian(m))
+
+
+def descending_eig(m: np.ndarray, tol: float = HERM_TOL):
+    """``eig_hermitian`` of a PSD matrix or stack, eigenvalues clipped, in
+    descending order (the ascending order reversed)."""
+    w, v = eig_hermitian(m, tol)
+    return clip_psd_spectrum(w)[..., ::-1], v[..., ::-1]
 
 
 def psd_power(m: np.ndarray, power: float, support_tol: float = 1e-12) -> np.ndarray:
@@ -172,10 +195,7 @@ def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
     and Schmidt coefficients equal to the square roots of the nonzero
     eigenvalues of ``rho``.
     """
-    w, v = eig_hermitian(rho)
-    w = clip_psd_spectrum(w)
-    idx = np.argsort(w)[::-1]
-    w, v = w[idx], v[:, idx]
+    w, v = descending_eig(rho)
     rank = max(1, int((w > support_tol).sum()))
     return (v[:, :rank] * np.sqrt(w[:rank])).reshape(-1)
 
@@ -186,12 +206,12 @@ def trace_norm(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim == 2:
         if m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= 1e-8:
-            return float(np.abs(_eigh((m + dagger(m)) / 2.0)[0]).sum())
+            return float(np.abs(_eigh(hermitian_part(m))[0]).sum())
         return float(np.linalg.svd(m, compute_uv=False).sum())
     mh = dagger(m)
     herm = np.abs(m - mh).max(axis=(-2, -1)) <= 1e-8
     out = np.empty(len(m))
-    out[herm] = np.abs(_eigh((m[herm] + mh[herm]) / 2.0)[0]).sum(axis=-1)
+    out[herm] = np.abs(_eigh(hermitian_part(m[herm]))[0]).sum(axis=-1)
     out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
     return out
 

@@ -35,20 +35,11 @@ import numpy as np
 
 from . import entropy, linalg, states
 from .compression import Compression, Instance, NoGoodK
-from .states import DensityOperator, Povm, ProtocolTranscript, PureState
+from .states import Povm, ProtocolTranscript, PureState
 
 
 def next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
-
-
-def _descending_eig(mat: np.ndarray):
-    """Eigenvalues, descending, and their eigenvector columns, of a matrix
-    or of each matrix of a stack."""
-    w, v = linalg.eig_hermitian(mat, tol=1e-7)
-    w = linalg.clip_psd_spectrum(w)
-    order = np.argsort(w)[..., ::-1]
-    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 @dataclass(eq=False)
@@ -101,7 +92,7 @@ def _eig_code(w: np.ndarray, v: np.ndarray, eps: float):
 def _eig_codes(mats: np.ndarray, eps: float) -> list:
     """``_eig_code`` of each matrix of an (n, d, d) stack, from one stacked
     eigendecomposition."""
-    return [_eig_code(w, v, eps) for w, v in zip(*_descending_eig(mats))]
+    return [_eig_code(w, v, eps) for w, v in zip(*linalg.descending_eig(mats, tol=1e-7))]
 
 
 def local_distill(rho, eps: float):
@@ -112,18 +103,14 @@ def local_distill(rho, eps: float):
     a_p = floor(log2 d - log2 kept_dim) qubits; the achieved error is the
     exact trace distance of the A_p marginal from |0><0|.
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    bits, kept, rows = _eig_code(*_descending_eig(mat), eps)
+    entropy._validate_eps(eps)
+    mat = entropy._matrix(rho)
+    bits, kept, rows = _eig_code(*linalg.descending_eig(mat, tol=1e-7), eps)
     ap = 2 ** bits
     iso = _padded(rows, bits)
     out = iso @ mat @ linalg.dagger(iso)
     marg = linalg.partial_trace(out, [ap, len(iso) // ap], 0)
-    target = np.zeros((ap, ap))
-    target[0, 0] = 1.0
-    err = linalg.trace_distance(marg, target)
-    return DistillationIsometry(iso, kept, bits, len(iso) // ap), float(err)
+    return DistillationIsometry(iso, kept, bits, len(iso) // ap), _distance_to_zero(marg)
 
 
 def _good_set_bits(values, masses, budget) -> int:
@@ -167,6 +154,13 @@ def _branch_codes(branches: PureState, masses, cells, reg: str, eps: float):
     return _conditional_codes(codes, masses[list(cells)], cells, branches.dim(reg), eps)
 
 
+def _distance_to_zero(sigma: np.ndarray) -> float:
+    """Trace distance of ``sigma`` to |0><0|, the pure target of every protocol."""
+    target = np.zeros(sigma.shape)
+    target[0, 0] = 1.0
+    return float(linalg.trace_distance(sigma, target))
+
+
 def _final_error(branches: PureState, masses, steps, cells) -> float:
     """Trace distance to |0>|0> of the exact Ap x Bp mixture over dephased
     outcomes. ``branches`` stacks the sub-normalized branches, of squared
@@ -177,10 +171,7 @@ def _final_error(branches: PureState, masses, steps, cells) -> float:
     for step in steps:
         branches = _apply_code(branches, step)
     live = [i for i in cells if masses[i] >= 1e-15]
-    sigma = np.cumsum(branches.marginal(["Ap", "Bp"])[live], axis=0)[-1]  # in outcome order
-    target = np.zeros(sigma.shape)
-    target[0, 0] = 1.0
-    return float(linalg.trace_distance(sigma, target))
+    return _distance_to_zero(np.cumsum(branches.marginal(["Ap", "Bp"])[live], axis=0)[-1])
 
 
 def _distill_branches(branches: PureState, cells, a_reg: str, b_reg: str, eps: float):

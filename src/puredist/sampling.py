@@ -54,7 +54,7 @@ def random_povm(rng, dim: int, outcomes: int, register: str = "A") -> Povm:
     elems = list(t_inv_sqrt @ parts @ t_inv_sqrt)
     # absorb the support defect (Wishart sums are full rank a.s., but be safe)
     defect = np.eye(dim) - sum(elems)
-    elems[0] = elems[0] + (defect + linalg.dagger(defect)) / 2
+    elems[0] = elems[0] + linalg.hermitian_part(defect)
     return Povm(elems, register=register)
 
 

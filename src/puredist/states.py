@@ -164,10 +164,9 @@ class DensityOperator:
             raise ValueError(f"matrix shape {mat.shape} does not match registers {regs}")
         if validate:
             try:
-                w, v = linalg.eig_hermitian(mat, _ATOL)
+                mat = linalg.psd_power(mat, 1.0)
             except linalg.NotHermitianError:
                 raise ValueError("density matrix is not Hermitian within 1e-9") from None
-            mat = (v * linalg.clip_psd_spectrum(w)) @ linalg.dagger(v)
             tr = float(mat.trace().real)
             if abs(tr - 1.0) > _ATOL:
                 raise ValueError(f"trace {tr} is not 1 within 1e-9")
@@ -209,7 +208,7 @@ class DensityOperator:
         """The clipped ascending eigenvalues: the kept ones (read-only) once
         ``keep_spectra`` has filled them, else a fresh decomposition."""
         kept = self.__dict__.get("kept")
-        return _clipped_eigvals(self.matrix) if kept is None else kept
+        return linalg.psd_eigvals(self.matrix) if kept is None else kept
 
     def purify(self, ref_label: str = "R") -> PureState:
         """Pure state on (self x ref_label) whose partial trace gives self back."""
@@ -286,10 +285,6 @@ class CQState:
         return self.__dict__["spectra"]
 
 
-def _clipped_eigvals(m: np.ndarray) -> np.ndarray:
-    return linalg.clip_psd_spectrum(linalg.eigvals_hermitian(m))
-
-
 def keep_spectra(items) -> None:
     """Give every ``DensityOperator`` and ``CQState`` of ``items`` that keeps
     no spectrum yet its kept spectrum, from one stacked eigendecomposition
@@ -299,7 +294,7 @@ def keep_spectra(items) -> None:
     todo = [it for it in items if ("spectra" if isinstance(it, CQState) else "kept")
             not in it.__dict__]
     stacks = [it.stack if isinstance(it, CQState) else it.matrix[None] for it in todo]
-    for it, w in zip(todo, linalg.per_size(_clipped_eigvals, stacks)):
+    for it, w in zip(todo, linalg.per_size(linalg.psd_eigvals, stacks)):
         w.flags.writeable = False
         if isinstance(it, CQState):
             it.__dict__["spectra"] = w
@@ -322,10 +317,13 @@ class Povm:
         if not elems:
             raise ValueError("POVM has no elements")
         d = elems[0].shape[0]
-        if labels is None:
-            labels = list(range(len(elems)))
+        labels = list(range(len(elems)) if labels is None else labels)
         if len(labels) != len(elems):
             raise ValueError("labels/elements length mismatch")
+        # an outcome is found by its label (``labels.index``)
+        repeated = [lbl for i, lbl in enumerate(labels) if labels.index(lbl) != i]
+        if repeated:
+            raise ValueError(f"POVM label {repeated[0]!r} is repeated")
         total = np.zeros((d, d), dtype=complex)
         for e in elems:
             if e.shape != (d, d):
@@ -461,11 +459,8 @@ def rank1_refine(povm: Povm, tol: float = 1e-12) -> Povm:
     """
     elems, labels = [], []
     for lbl, e in zip(povm.labels, povm.elements):
-        w, v = linalg.eig_hermitian(e)
-        for j in range(len(w))[::-1]:
-            if w[j] <= tol:
-                continue
-            vec = v[:, j]
-            elems.append(w[j] * np.outer(vec, np.conj(vec)))
-            labels.append((lbl, len(w) - 1 - j))
+        w, v = linalg.descending_eig(e)
+        for j in np.flatnonzero(w > tol).tolist():
+            elems.append(w[j] * np.outer(v[:, j], np.conj(v[:, j])))
+            labels.append((lbl, j))
     return Povm(elems, labels, register=povm.register)

@@ -257,6 +257,31 @@ def test_missing_povm_is_an_error(bell_file):
     assert rc == 2
 
 
+def test_compare_rejects_a_povm_with_repeated_labels(bell_file, tmp_path, capsys):
+    # repeated labels once sent one outcome's weight to another and exited 0
+    povm = io.povm_to_dict(Povm([np.diag([0.5, 0.0]), np.eye(2) - np.diag([1.0, 0.0]),
+                                 np.diag([0.5, 0.0])]))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(dict(povm, labels=["x", "y", "x"])))
+    rc = main(["compare", "--state", bell_file, "--povm", str(path), "--K", "2", "--L", "4"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == "error: POVM label 'x' is repeated\n"
+
+
+def test_a_state_with_a_register_named_r_is_a_named_error(basis_file, tmp_path, capsys):
+    # R is the register the CLI adds to purify the state
+    bell = np.zeros((4, 4))
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    path = tmp_path / "ar.json"
+    io.save_state(DensityOperator([("A", 2), ("R", 2)], bell), str(path))
+    for command in ("compare", "bounds", "entropy"):
+        rc = main([command, "--state", str(path), "--povm", basis_file])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", command
+        assert err == "error: register label R is reserved for the purification\n"
+
+
 def test_dimension_mismatch_names_the_invariant(bell_file, tmp_path, capsys):
     io.save_povm(basis_povm(3, "A"), str(tmp_path / "p3.json"))
     rc = main(["kd-oneshot", "--state", bell_file,

@@ -406,11 +406,10 @@ def test_instance_measures_each_element_once(rng, monkeypatch):
     inst.ideal_env, inst.ideal_a, inst.ideal_bob  # build all three
     run_protocol_a(inst)
     inst.roots
-    # one sqrt per element, then rho_A^{-1/2} and rho_A^{1/2} for the roots
-    assert len(calls) == len(inst.povm) + 2
-    for (m, power), elem in zip(calls, inst.povm.elements):
-        assert power == 0.5 and np.array_equal(m, elem)
-    assert [p for _, p in calls[-2:]] == [-0.5, 0.5]
+    # one stacked sqrt of the elements, then rho_A^{-1/2} and rho_A^{1/2} for the roots
+    assert len(calls) == 3
+    assert calls[0][1] == 0.5 and np.array_equal(calls[0][0], np.array(inst.povm.elements))
+    assert [p for _, p in calls[1:]] == [-0.5, 0.5]
 
 
 def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):

@@ -177,6 +177,15 @@ def test_h_h_witness_reevaluates(rng):
     assert np.dot(w["gains"], w["weights"]) >= 1 - 0.07 - 1e-12
 
 
+def test_d_h_witness_reevaluates(rng):
+    # a Neyman-Pearson witness keeps its test's cost; the +inf one has none
+    for eps in (0.0, 0.1):
+        r = ent.d_h(ginibre_density(rng, 4), ginibre_density(rng, 4), eps)
+        assert r.method == "neyman-pearson" and r.reevaluate() == r.value
+    r = ent.d_h(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.1)
+    assert r.value == np.inf and r.reevaluate() == np.inf
+
+
 def test_h_h_basis_independent(rng):
     spec = rng.dirichlet(np.ones(5))
     u = haar_unitary(ginibre_matrix(rng, 5))
@@ -738,6 +747,26 @@ def test_i_max_iteration_cap_warns_and_keeps_a_valid_interval(monkeypatch):
     assert r.converged is False and r.iterations == 2 and r.newton_steps == 0
     assert r.duality_gap > 1e-6
     assert r.value - r.duality_gap <= uncapped.value <= r.value
+
+
+def test_i_max_resumes_the_fixed_point_when_the_newton_stage_stalls(monkeypatch):
+    # a singular Newton system ends stage 2 before its first step; the fixed
+    # point then resumes from its own POVM and must certify the same optimum
+    reached = 0
+    for index in range(6):
+        cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
+        newton = ent.i_max_cq(cq, 1e-4)
+        with monkeypatch.context() as m:
+            m.setattr(ent, "_newton_step", lambda sinv, grad: None)
+            resumed = ent.i_max_cq(cq, 1e-4)
+        assert resumed.converged and resumed.duality_gap <= ent.IMAX_GAP_TOL
+        assert resumed.newton_steps == 0
+        assert abs(resumed.value - newton.value) <= resumed.duality_gap + newton.duality_gap
+        assert_sigma_feasible(cq, resumed)
+        if newton.newton_steps:  # stage 2 ran, so the fixed point ran past its budget
+            reached += 1
+            assert resumed.iterations > newton.iterations
+    assert reached == 5
 
 
 def test_i_max_commuting_ensemble_needs_no_newton_stage():

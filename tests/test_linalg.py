@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -308,3 +311,19 @@ def test_psd_power_support(rng):
     w, v = np.linalg.eigh(rho)
     proj = v[:, w > 1e-12] @ linalg.dagger(v[:, w > 1e-12])
     assert np.allclose(inv @ rho, proj, atol=1e-8)
+
+
+def test_only_linalg_calls_the_numpy_hermitian_eigensolvers():
+    # every Hermitian eigendecomposition of the package runs in linalg
+    found = {}
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                named = isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                named = any(a.name in ("eigh", "eigvalsh") for a in node.names)
+            else:
+                continue
+            if named:
+                found.setdefault(path.name, []).append(node.lineno)
+    assert set(found) == {"linalg.py"}, found

@@ -293,6 +293,25 @@ def test_fewqubits_case1_on_large_A(rng):
     assert t.extra["uhlmann_overlap"] <= 1 + 1e-9
 
 
+def test_fewqubits_case1_distills_alice_qubits_in_place():
+    # a near-deterministic classical A through a near-noiseless cyclic channel
+    # to B: I_max + H_H(env|X) + slack fits two qubits below log|A| = 4, so
+    # Case I keeps a_p = 2 pure qubits of A with no borrow
+    rng = np.random.default_rng(0)
+    top = rng.uniform(0.9, 0.999)
+    p_a = np.concatenate([[top], rng.dirichlet(np.ones(15)) * (1 - top)])
+    c0 = rng.uniform(0.9, 0.999)
+    noise = np.concatenate([[c0], rng.dirichlet(np.ones(3)) * (1 - c0)])
+    joint = np.array([p_a[a] * np.roll(noise, a % 4) for a in range(16)])
+    psi = purified_input(classical_correlated_pure(rng, 16, 4, joint=joint))
+    view = Instance(psi, basis_povm(16, "A"), 0.05, slack_bits=0.5).compression(4, 4, 1)
+    plan = pr.plan_fewqubits(view)
+    assert plan.case == "I" and plan.a_p_bits == 2 and plan.borrow == 0
+    assert plan.ap_dim * plan.la_dim * plan.ag_dim == 16 << plan.borrow
+    t = pr.run_fewqubits(view)
+    assert t.case == "I" and t.distilled_alice == plan.a_p_bits and t.borrowed == 0
+
+
 def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     psi = near_pure_classical(rng, 8, 4)
     inst = Instance(psi, basis_povm(8, "A"), 0.25)
@@ -420,7 +439,7 @@ def test_fewqubits_branchwise_consistency(rng):
     tilde = {}
     for idx, l in enumerate(nice):
         x = int(view.decode[k, l])
-        w, v = pr._descending_eig(sims[x])
+        w, v = linalg.descending_eig(sims[x])
         res = entropy.h_h(sims[x], smooth)
         weights = np.zeros_like(w)
         weights[:len(res.witness["weights"])] = res.witness["weights"]
