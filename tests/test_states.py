@@ -101,6 +101,9 @@ def test_povm_validation(rng):
         Povm([])
     p = random_povm(rng, 3, 4)
     assert np.allclose(sum(p.elements), np.eye(3), atol=1e-8)
+
+
+def test_povm_rejects_repeated_labels():
     # an outcome is found by its label: with ["x", "y", "x"] the third
     # outcome's weight would land on the first
     elems = [np.diag([0.5, 0.0]), np.diag([0.0, 1.0]), np.diag([0.5, 0.0])]
