@@ -30,48 +30,79 @@ def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
 
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+# PCG64 seeded with (s, i) (step from 0, add s, step), then stepped for
+# random(), holds s M^2 + (2 i + 1)(M^2 + M + 1) mod 2^128
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_A = _PCG_MULT ** 2 & _MASK128
+_PCG_B = (_PCG_A + _PCG_MULT + 1) & _MASK128
+
+
+def _hash_consts(init, mult, n):
+    """The (before, after) hash constants of SeedSequence's next n hashmix calls."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    return list(zip(c, c[1:]))
+
+
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32).T[..., None, None]
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix, on Python ints or (wrapping) uint32 arrays."""
+    value = (value ^ consts[0]) * consts[1] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x and a hashed word y."""
+    r = 0xca01f9dd * x - 0x4973f715 * y & _MASK32
+    return r ^ r >> 16
+
+
+def _mul128(hi, lo, c):
+    """(hi 2^64 + lo) c mod 2^128 as 64-bit halves, of uint64 arrays and an int c."""
+    c_hi, c_lo = c >> 64, c & _MASK64
+    x1, x0, c1, c0 = lo >> 32, lo & _MASK32, c_lo >> 32, c_lo & _MASK32
+    mid = x1 * c0 + (x0 * c0 >> 32)
+    carry = x1 * c1 + (mid >> 32) + (x0 * c1 + (mid & _MASK32) >> 32)
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(hi, lo, c_hi, c_lo):
+    out = lo + c_lo
+    return hi + c_hi + (out < lo), out
 
 
 def _table_uniforms(seed: int, K: int, L: int) -> np.ndarray:
-    """``pair_rng(seed, k, l).random()`` of every cell as a K x L array: numpy's
-    SeedSequence in uint32 arrays, then each cell's PCG64 in 128-bit ints."""
+    """``pair_rng(seed, k, l).random()`` of every cell as a K x L array, in
+    array passes: numpy's SeedSequence mixes the seed words in Python ints
+    and the spawn key (k, l) into its four pool lanes as uint32 arrays, and
+    each cell's PCG64 runs on 64-bit halves in uint64 arrays."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     # entropy: the seed's 32-bit words zero-padded to 4, then the spawn key k, l
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = list(np.array(words + [0] * (4 - len(words)), dtype=np.uint32).reshape(-1, 1, 1))
-    entropy += [np.arange(K, dtype=np.uint32)[:, None], np.arange(L, dtype=np.uint32)]
-    hash_const = 0x43b0d7e5  # numpy's INIT_A; the default mult is MULT_A
-
-    def hashmix(value, mult=0x931e8875):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * mult & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix_in(dst, value):
-        r = 0xca01f9dd * pool[dst] - 0x4973f715 * hashmix(value)
-        pool[dst] = r ^ r >> 16
-
-    pool = [hashmix(w) for w in entropy[:4]]
+    words += [0] * (4 - len(words))
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, 4 * len(words) + 8))
+    pool = [_hashmix(w, next(consts)) for w in words[:4]]
     for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
-        mix_in(dst, pool[src])
-    for w, dst in [(w, dst) for w in entropy[4:] for dst in range(4)]:
-        mix_in(dst, w)
-    hash_const = 0x8b51f9dd  # generate_state(4, uint64): INIT_B, MULT_B, words low-high
-    state = [hashmix(pool[i % 4], 0x58f38ded).astype(np.uint64) for i in range(8)]
-    v = [(state[2 * j] | state[2 * j + 1] << 32).ravel().tolist() for j in range(4)]
-    raw = []
-    for v0, v1, v2, v3 in zip(*v):
-        # PCG64 seeding (step from 0, add the state, step), then random()'s step
-        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-        s = (((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
-        x, rot = (s >> 64 ^ s) & _MASK64, s >> 122
-        raw.append(((x >> rot | x << (64 - rot)) & _MASK64) >> 11)
-    return np.array(raw, dtype=float).reshape(K, L) * 2.0 ** -53
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    for w, dst in [(w, dst) for w in words[4:] for dst in range(4)]:
+        pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
+    key = np.array(list(consts), dtype=np.uint32).T[..., None, None]  # (2, 8, 1, 1)
+    pool = np.array(pool, dtype=np.uint32)[:, None, None]
+    pool = _mix(pool, _hashmix(np.arange(K, dtype=np.uint32)[:, None], key[:, :4]))
+    pool = _mix(pool, _hashmix(np.arange(L, dtype=np.uint32), key[:, 4:]))
+    # generate_state(4, uint64): eight words, low then high, of s and i
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_CONSTS).astype(np.uint64)
+    v = state[0::2] | state[1::2] << 32
+    hi, lo = _add128(*_mul128(v[0], v[1], _PCG_A), *_mul128(v[2], v[3], 2 * _PCG_B & _MASK128))
+    hi, lo = _add128(hi, lo, _PCG_B >> 64, _PCG_B & _MASK64)
+    x, rot = hi ^ lo, hi >> 58  # the XSL-RR output, as random() takes it
+    return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0 ** -53
 
 
 @dataclass
@@ -102,13 +133,14 @@ class Instance:
     psi) and any reference; the POVM acts on its register A. Nothing here
     depends on a compression seed, so each quantity is computed on first
     use and kept: the measurement branches and the ideal control states,
-    P_X and the roots Y_x the tables are built from, I_max at eps^4 and the
-    H_H conditional entropies. A compressed cell's state depends only on the
-    outcome x it decodes to, so the per-outcome data every table shares
-    lives here too, indexed by x: which outcomes are ``live``, the
-    simulated conditionals and their Bob marginals (one stacked pass), their
-    pair entropies and nice verdicts, the A_g bounds and truncated targets of
-    the in-place protocol, Bob's codes and the rate bounds (code in
+    P_X, the roots Y_x and cell Grams the tables are built from, their cap
+    ``c_cap`` on a table's c, I_max at eps^4 and the H_H conditional
+    entropies. A compressed cell's state depends only on the outcome x it
+    decodes to, so the per-outcome data every table shares lives here too,
+    indexed by x: which outcomes are ``live``, the simulated conditionals
+    and their Bob marginals (one stacked pass), their pair entropies (from
+    one stacked spectrum each) and nice verdicts, the A_g bounds and
+    truncated targets of the in-place protocol, Bob's codes and the rate bounds (code in
     ``protocols`` and ``bounds``, imported where used).
     """
 
@@ -181,12 +213,29 @@ class Instance:
         return inv_sqrt @ self.element_roots @ sqrt_rho
 
     @cached_property
+    def cell_grams(self) -> np.ndarray:
+        """Y_x Y_x^dag / P_X(x) per outcome x as one stack, zero where P_X(x)
+        = 0 (no table draws x): a cell's operator for x before the table's
+        scale c / L. The Gram form keeps them PSD despite rho^{-1/2}."""
+        grams, p_x = self.roots @ linalg.dagger(self.roots), self.p_x[:, None, None]
+        return np.divide(grams, p_x, out=np.zeros_like(grams), where=p_x > 0)
+
+    @cached_property
     def ideal_env_bob(self) -> states.CQState:
         """The environment ensemble reduced to Bob (not ``ideal_bob``: the two
         agree only in exact arithmetic)."""
         env = self.ideal_env
-        return states.CQState(env.symbols, env.probs,
-                              [c.partial_trace([self.bob_label]) for c in env.conditionals])
+        labels, dims = zip(*env.registers)
+        bob = labels.index(self.bob_label)
+        return states.CQState(env.symbols, env.probs, linalg.partial_trace(env.stack, dims, bob),
+                              registers=[env.registers[bob]])
+
+    @cached_property
+    def c_cap(self) -> float:
+        """1 / lambda_max(S), S = sum_x Y_x Y_x^dag the mean of ``cell_grams``
+        over P_X: the cap a table's c tends to, not 1, as L grows."""
+        mean = np.tensordot(self.p_x, self.cell_grams, axes=1)
+        return 1.0 / float(linalg.eigvals_hermitian(linalg.hermitian_part(mean))[-1])
 
     @cached_property
     def imax(self) -> entropy.ImaxResult:
@@ -240,12 +289,14 @@ class Instance:
         """At smoothing eps^(1/8), zero where x is not live: the H_H value of
         each simulated conditional, its LP weights (padded to ``env_dim``) and
         the H_H value of its Bob marginal."""
-        smooth, n = self.eps ** 0.125, len(self.live)
+        smooth, live, n = self.eps ** 0.125, self.live, len(self.live)
         h_env, weights, h_bob = np.zeros(n), np.zeros((n, self.env_dim)), np.zeros(n)
-        for x in np.flatnonzero(self.live).tolist():
-            res = entropy.h_h(self.sims[x], smooth)
+        spectra = zip(np.flatnonzero(live).tolist(), linalg.psd_eigvals(self.sims[live]),
+                      linalg.psd_eigvals(self.sims_bob[live]))
+        for x, w_env, w_bob in spectra:
+            res = entropy.h_h(w_env, smooth)
             h_env[x], weights[x, :len(res.witness["weights"])] = res.value, res.witness["weights"]
-            h_bob[x] = entropy.h_h(self.sims_bob[x], smooth).value
+            h_bob[x] = entropy.h_h(w_bob, smooth).value
         return h_env, weights, h_bob
 
     @cached_property
@@ -369,8 +420,8 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
     rho^{-1/2} on the support of rho^A, with c the largest constant keeping
     every row summable into a POVM. The failure element absorbs the
     remainder (and the complement of supp(rho^A)). A row sum short of
-    identity by more than half (c < 1/2) signals that L is too small and
-    raises a quality warning.
+    identity by more than half (c < 1/2) raises a quality warning: L is too
+    small, or, when the instance's ``c_cap`` is below 1/2, no L lifts c to 1/2.
     """
     if K < 1 or L < 1:
         raise ValueError("K and L must be at least 1")
@@ -384,31 +435,31 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
     cdf /= cdf[-1]
     decode = cdf.searchsorted(_table_uniforms(seed, K, L), side="right")
 
-    # each cell operator depends on its sampled symbol only: one stack holds
-    # them, indexed by ``at``. Gram form Y Y^dag keeps them PSD despite the
-    # rho^{-1/2} blowup.
-    roots = inst.roots
-    symbols, at = np.unique(decode, return_inverse=True)
-    base = np.stack([(roots[x] @ linalg.dagger(roots[x])) / p_x[x] for x in symbols.tolist()])
-    at = at.reshape(K, L)
-
-    row_max = max(0.0, float(np.max(linalg.eigvals_hermitian(base[at].sum(axis=1) / L, tol=1e-7))))
+    # each cell operator depends on its sampled symbol only: the instance's
+    # stack holds them, indexed by the decode table
+    base = inst.cell_grams
+    row_sums = base[decode].sum(axis=1) / L
+    row_max = max(0.0, float(np.max(linalg.eigvals_hermitian(row_sums, tol=1e-7))))
     c = 1.0 / row_max if row_max > 0 else 1.0
+
+    def probs(ops):  # max(0, Re Tr(M rho_A)) / K of each M of a stack
+        t = np.trace(ops @ rho_a, axis1=1, axis2=2).real
+        return np.where(t > 0, t, 0.0) / K
 
     # one operator and one outcome probability per symbol, shared by its cells
     cell = c / L * base
-    q_cell = np.array([max(0.0, float(np.real(np.trace(m)))) / K for m in cell @ rho_a])
-    cells = cell[at]
+    cells = cell[decode]
     bots = linalg.hermitian_part(np.eye(d) - cells.sum(axis=1))
     thetas = tuple(tuple(row) + (bot,) for row, bot in zip(cells, bots))
     q_kl = np.zeros((K, L + 1))
-    q_kl[:, :L] = q_cell[at]
-    q_kl[:, L] = [max(0.0, float(np.real(np.trace(m)))) / K for m in bots @ rho_a]
+    q_kl[:, :L], q_kl[:, L] = probs(cell)[decode], probs(bots)
 
     view = Compression(inst, K, L, seed, thetas=thetas, decode=decode,
                        q_kl=q_kl, c_norm=float(c))
     if view.quality_warning:
-        warnings.warn(f"compression normalization c={c:.3f} < 1/2; raise L")
+        cap = inst.c_cap
+        warnings.warn(f"compression normalization c={c:.3f} < 1/2; " + (
+            "raise L" if cap >= 0.5 else f"no L lifts it past its cap c_cap={cap:.3f}"))
     return view
 
 
@@ -432,7 +483,7 @@ def simulated_conditionals(inst: Instance):
     sims = np.zeros((len(live), inst.env_dim, inst.env_dim), dtype=complex)
     sims[live] = branches.marginal(env)[live] / masses[live, None, None]
     dims, keep = [inst.psi.dim(l) for l in env], env.index(inst.bob_label)
-    return live, sims, np.array([linalg.partial_trace(m, dims, keep) for m in sims])
+    return live, sims, linalg.partial_trace(sims, dims, keep)
 
 
 def _block_distances(view: Compression, weights: np.ndarray) -> np.ndarray:
@@ -443,8 +494,12 @@ def _block_distances(view: Compression, weights: np.ndarray) -> np.ndarray:
     live = (weights > 0) & inst.live
     norms = np.where(live, 0.0, inst.ideal_block_norms)
     ks, xs = np.nonzero(live)
-    blocks = inst.ideal_blocks[xs]
-    norms[ks, xs] = linalg.trace_norm(blocks - weights[ks, xs][:, None, None] * inst.sims[xs])
+    # a block is a function of (x, weight): one trace norm per distinct pair,
+    # found as the distinct keys x + i weight (both parts exact)
+    key, at = np.unique(xs + 1j * weights[ks, xs], return_inverse=True)
+    x = key.real.astype(int)
+    blocks = inst.ideal_blocks[x] - key.imag[:, None, None] * inst.sims[x]
+    norms[ks, xs] = linalg.trace_norm(blocks)[at]
     return np.cumsum(norms, axis=1)[:, -1]  # sequential, in outcome order
 
 

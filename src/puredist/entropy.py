@@ -5,7 +5,9 @@ testing entropy (unconditional greedy LP, general Neyman-Pearson test
 with a duality certificate, cq-conditional blockwise greedy), the cq
 conditional min entropy with a truncation-based smoothing, the truncated
 Renyi-1/2 max entropy, and the D_max-based mutual information of cq
-ensembles.
+ensembles. The single-state functions of a spectrum (``h_tilde_max``,
+``h_prime_max``, ``h_h``, ``h_max_smooth``) take a state or, as a 1-D
+array, its clipped ascending spectrum; ``d_h`` takes matrices.
 
 Smoothing convention: unless noted otherwise, smoothing is operationalized
 as spectral truncation (dropping smallest-eigenvalue mass up to the budget)
@@ -72,9 +74,10 @@ def _validate_eps(eps):
 
 
 def _spectrum(rho) -> np.ndarray:
-    """The clipped spectrum; a DensityOperator's kept one when it keeps one."""
-    if isinstance(rho, DensityOperator):
-        return rho.spectrum()
+    """The clipped ascending spectrum of a state, or ``rho`` itself when it is
+    1-D: such a spectrum, as ``linalg.psd_eigvals`` gives it."""
+    if np.ndim(rho) == 1:
+        return np.asarray(rho, dtype=float)
     return linalg.psd_eigvals(_matrix(rho))
 
 
@@ -229,6 +232,9 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     _validate_eps(eps)
     r = _matrix(rho)
     s = _matrix(sigma)
+    for name, m in (("rho", r), ("sigma", s)):
+        if m.ndim != 2:
+            raise ValueError(f"d_h takes matrices, not spectra: {name} has shape {m.shape}")
     if r.shape != s.shape:
         raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
     # both inputs are checked (Hermitian, PSD) here, before any early return

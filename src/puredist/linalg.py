@@ -12,10 +12,10 @@ byte-identical) and ``eigvals_hermitian`` when only the eigenvalues are (the
 same bits); one conjugate transpose serves both the Hermitian check and the
 symmetrization. The solvers of ``entropy`` pass it ``hermitian_part``s unchecked.
 
-The eigen functions, ``psd_power`` and ``trace_norm`` also take an
-(n, d, d) stack, in one LAPACK batch, and give each member the bits of its
-own 2-D call; ``per_size`` applies one of them to stacks of several sizes
-with one call per size.
+The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
+also take an (n, d, d) stack, the first three in one LAPACK batch, and give
+each member the bits of its own 2-D call; ``per_size`` applies one of them
+to stacks of several sizes with one call per size.
 """
 
 import math
@@ -156,7 +156,8 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     Parameters
     ----------
     mat : np.ndarray
-        Square matrix on the full space ``prod(dims)``.
+        Square matrix on the full space ``prod(dims)``, or an (n, d, d)
+        stack of them (traced member by member, each with its own bits).
     dims : sequence of int
         Dimensions of the tensor factors, in order.
     keep : int or sequence of int
@@ -165,7 +166,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Matrix on the kept factors, in their original relative order.
+        Matrix (or stack) on the kept factors, in their original relative order.
     """
     dims = list(dims)
     if isinstance(keep, (int, np.integer)):
@@ -174,18 +175,19 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     n = len(dims)
     total = math.prod(dims)
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (total, total):
+    lead = mat.shape[:-2]
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (total, total):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
     for k in keep:
         if k < 0 or k >= n:
             raise ValueError(f"keep index {k} out of range for {n} factors")
-    t = mat.reshape(dims + dims)
+    t = mat.reshape(lead + tuple(dims + dims))
     traced = [i for i in range(n) if i not in keep]
     # trace highest index first so axis numbering stays valid
     for idx in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + (t.ndim // 2))
+        t = np.trace(t, axis1=len(lead) + idx, axis2=len(lead) + idx + (t.ndim - len(lead)) // 2)
     d_keep = math.prod(dims[i] for i in keep)
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:

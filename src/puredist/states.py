@@ -141,8 +141,7 @@ class DensityOperator:
     """PSD unit-trace operator over alphabetically ordered labeled registers.
 
     The matrix is read-only from construction on (so is the caller's array
-    when it is taken without a copy), so a spectrum kept by ``keep_spectra``
-    never goes stale.
+    when it is taken without a copy).
     """
 
     registers: tuple
@@ -205,10 +204,8 @@ class DensityOperator:
         return DensityOperator([(l, self.dim_of(l)) for l in keep], sub, validate=False)
 
     def spectrum(self) -> np.ndarray:
-        """The clipped ascending eigenvalues: the kept ones (read-only) once
-        ``keep_spectra`` has filled them, else a fresh decomposition."""
-        kept = self.__dict__.get("kept")
-        return linalg.psd_eigvals(self.matrix) if kept is None else kept
+        """The clipped ascending eigenvalues."""
+        return linalg.psd_eigvals(self.matrix)
 
     def purify(self, ref_label: str = "R") -> PureState:
         """Pure state on (self x ref_label) whose partial trace gives self back."""
@@ -228,7 +225,7 @@ class CQState:
     The distribution must be normalized. Symbols with probability below
     ``1e-12`` are dropped (conditionals are undefined there), which
     ``dropped`` records. ``conditionals``, views of the stack's rows, are
-    built on first read; each keeps its row of ``spectra`` once that is kept.
+    built on first read.
     """
 
     symbols: tuple
@@ -270,38 +267,25 @@ class CQState:
 
     @cached_property
     def conditionals(self) -> tuple:
-        """The stack's rows as ``DensityOperator``s, with kept ``spectra`` rows."""
-        conds = tuple(DensityOperator(self.registers, m, validate=False) for m in self.stack)
-        for c, row in zip(conds, self.__dict__.get("spectra", ())):
-            c.__dict__["kept"] = row
-        return conds
+        """The stack's rows as ``DensityOperator``s."""
+        return tuple(DensityOperator(self.registers, m, validate=False) for m in self.stack)
 
     @cached_property
     def spectra(self) -> np.ndarray:
         """Row i is ``conditionals[i].spectrum()``, bit for bit, from one
-        stacked eigendecomposition (``keep_spectra``); the conditionals
-        keep these rows."""
+        stacked eigendecomposition (``keep_spectra``), read-only."""
         keep_spectra([self])
         return self.__dict__["spectra"]
 
 
-def keep_spectra(items) -> None:
-    """Give every ``DensityOperator`` and ``CQState`` of ``items`` that keeps
-    no spectrum yet its kept spectrum, from one stacked eigendecomposition
-    per matrix size for all of them (``linalg.per_size``), each with the
-    bits of its own call. A CQState keeps its ``spectra`` and each of its
-    conditionals the row of it."""
-    todo = [it for it in items if ("spectra" if isinstance(it, CQState) else "kept")
-            not in it.__dict__]
-    stacks = [it.stack if isinstance(it, CQState) else it.matrix[None] for it in todo]
-    for it, w in zip(todo, linalg.per_size(linalg.psd_eigvals, stacks)):
+def keep_spectra(cqs) -> None:
+    """Give every ``CQState`` of ``cqs`` that keeps no ``spectra`` yet its
+    spectra, from one stacked eigendecomposition per matrix size for all of
+    them (``linalg.per_size``), each row with the bits of its own call."""
+    todo = [cq for cq in cqs if "spectra" not in cq.__dict__]
+    for cq, w in zip(todo, linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in todo])):
         w.flags.writeable = False
-        if isinstance(it, CQState):
-            it.__dict__["spectra"] = w
-            for c, row in zip(it.__dict__.get("conditionals", ()), w):
-                c.__dict__["kept"] = row
-        else:
-            it.__dict__["kept"] = w[0]
+        cq.__dict__["spectra"] = w
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,18 +308,16 @@ class Povm:
         repeated = [lbl for i, lbl in enumerate(labels) if labels.index(lbl) != i]
         if repeated:
             raise ValueError(f"POVM label {repeated[0]!r} is repeated")
-        total = np.zeros((d, d), dtype=complex)
-        for e in elems:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements have mismatched shapes")
-            try:
-                w = linalg.eigvals_hermitian(e, _ATOL)
-            except linalg.NotHermitianError:
-                raise ValueError("POVM element is not Hermitian") from None
-            if w.min() < -_ATOL:
-                raise ValueError(f"POVM element not PSD: min eig {w.min():.2e}")
-            total += e
-        if np.abs(total - np.eye(d)).max() > _SUM_TOL:
+        if any(e.shape != (d, d) for e in elems):
+            raise ValueError("POVM elements have mismatched shapes")
+        try:
+            w = linalg.eigvals_hermitian(np.array(elems), _ATOL)
+        except linalg.NotHermitianError:
+            raise ValueError("POVM element is not Hermitian") from None
+        # the tolerance of ``linalg.psd_power``, which takes the elements' roots
+        if w.min() < linalg.PSD_CLIP:
+            raise ValueError(f"POVM element not PSD: min eig {w.min():.2e}")
+        if np.abs(sum(elems) - np.eye(d)).max() > _SUM_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-8")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "elements", tuple(elems))

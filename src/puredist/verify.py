@@ -7,15 +7,16 @@ list the registered checks and their names in definition order, so a
 missing check is detectable by callers that print the manifest.
 
 The checks that read only spectra run in three steps: draw every trial's
-instance, decompose all its operators (``keep_spectra``: one stacked
-eigendecomposition per matrix size, each member with the bits of its own
-call), then evaluate the slacks in trial order through the public entropy
-functions. The draw step keeps the generator's values: one trial's draws
-follow the last one's, in the order of its body, eps included, and no
-later step draws. A cq state is drawn as one stack (``random_cq``, or one
-``normal`` call for all its conditionals) and the dephased and mixed
-ensembles are stacked products of it, so no draw builds an object per
-conditional. Every slack is that of the trial-at-a-time body, bit for bit.
+instance, decompose all its operators (``_with_spectra`` and ``keep_spectra``:
+one stacked eigendecomposition per matrix size, each member with the bits of
+its own call), then evaluate the slacks in trial order through the public
+entropy functions, which take the spectra. The draw step keeps the
+generator's values: one trial's draws follow the last one's, in the order
+of its body, eps included, and no later step draws. A cq state is drawn as
+one stack (``random_cq``, or one ``normal`` call for all its conditionals)
+and the dephased and mixed ensembles are stacked products of it, so no
+draw builds an object per conditional. Every slack is that of the
+trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -34,7 +35,7 @@ from .sampling import (
     random_cq,
     random_povm,
 )
-from .states import CQState, DensityOperator, PureState, keep_spectra
+from .states import CQState, PureState, keep_spectra
 
 TOL = 1e-7
 
@@ -55,9 +56,11 @@ def _eps(rng):
     return float(rng.choice([0.01, 0.05, 0.1]))
 
 
-def _op(m):
-    """``m`` as an unvalidated one-register DensityOperator, to keep a spectrum."""
-    return DensityOperator([("A", len(m))], m, validate=False)
+def _with_spectra(cases, n):
+    """``cases`` with the first ``n`` matrices of each replaced by their
+    clipped spectra, from one stacked decomposition per matrix size."""
+    ws = iter(linalg.per_size(linalg.psd_eigvals, [m[None] for c in cases for m in c[:n]]))
+    return [tuple(next(ws)[0] for _ in range(n)) + c[n:] for c in cases]
 
 
 _CHECKS = {}
@@ -95,9 +98,8 @@ def check_hh_purification_duality(rng, trials, eps):
         da, dr = rng.integers(2, 9, size=2)
         v = rng.normal(size=(int(da), int(dr))) + 1j * rng.normal(size=(int(da), int(dr)))
         v /= np.linalg.norm(v)
-        cases.append((_op(v @ linalg.dagger(v)), _op(v.T @ np.conj(v)), eps or _eps(rng)))
-    keep_spectra(rho for case in cases for rho in case[:2])
-    for rho_a, rho_r, e in cases:
+        cases.append((v @ linalg.dagger(v), v.T @ np.conj(v), eps or _eps(rng)))
+    for rho_a, rho_r, e in _with_spectra(cases, 2):
         yield TOL - abs(entropy.h_h(rho_a, e).value - entropy.h_h(rho_r, e).value)
 
 
@@ -110,19 +112,17 @@ def check_hh_pure_tensor(rng, trials, eps):
         rho = ginibre_density(rng, d)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        cases.append((_op(np.kron(rho, np.outer(v, np.conj(v)))), _op(rho), eps or _eps(rng)))
-    keep_spectra(rho for case in cases for rho in case[:2])
-    for joint, rho, e in cases:
+        cases.append((np.kron(rho, np.outer(v, np.conj(v))), rho, eps or _eps(rng)))
+    for joint, rho, e in _with_spectra(cases, 2):
         yield TOL - abs(entropy.h_h(joint, e).value - entropy.h_h(rho, e).value)
 
 
 @_check("hh-support-sandwich", per=1)
 def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
-    cases = [(_op(ginibre_density(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
+    cases = [(ginibre_density(rng, int(rng.integers(2, 9))), eps or _eps(rng))
              for _ in range(trials)]
-    keep_spectra(rho for rho, _ in cases)
-    for rho, e in cases:
+    for rho, e in _with_spectra(cases, 1):
         hh = entropy.h_h(rho, e).value
         ht = entropy.h_tilde_max(rho, e)
         yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
@@ -131,14 +131,13 @@ def check_hh_support_sandwich(rng, trials, eps):
 @_check("max-entropy-ordering", per=1)
 def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
-    cases = [(_op(ginibre_density(rng, int(rng.integers(2, 9)))), eps or _eps(rng))
+    cases = [(ginibre_density(rng, int(rng.integers(2, 9))), eps or _eps(rng))
              for _ in range(trials)]
-    keep_spectra(rho for rho, _ in cases)
-    for rho, e in cases:
+    for rho, e in _with_spectra(cases, 1):
         hm = entropy.h_max_smooth(rho, e)
         ht = entropy.h_tilde_max(rho, e)
         hp = entropy.h_prime_max(rho, e)
-        cap = np.log2(rho.dim / e)
+        cap = np.log2(len(rho) / e)
         yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
 
 
@@ -149,10 +148,9 @@ def check_hh_subadditivity(rng, trials, eps):
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = ginibre_density(rng, int(da * db))
-        cases.append((_op(rho), _op(linalg.partial_trace(rho, [int(da), int(db)], 0)),
-                      _op(linalg.partial_trace(rho, [int(da), int(db)], 1)), eps or _eps(rng)))
-    keep_spectra(rho for case in cases for rho in case[:3])
-    for rho, ra, rb, e in cases:
+        cases.append((rho, linalg.partial_trace(rho, [int(da), int(db)], 0),
+                      linalg.partial_trace(rho, [int(da), int(db)], 1), eps or _eps(rng)))
+    for rho, ra, rb, e in _with_spectra(cases, 3):
         lhs = entropy.h_h(rho, min(3 * np.sqrt(e), 0.999)).value
         rhs = entropy.h_h(ra, e).value + entropy.h_h(rb, e).value
         yield rhs - lhs + TOL
@@ -166,9 +164,8 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps):
         d = int(rng.integers(2, 6))
         db = int(rng.integers(2, 5))
         rho = ginibre_density(rng, d)
-        cases.append((_op(np.kron(rho, np.eye(db) / db)), _op(rho), db, eps or _eps(rng)))
-    keep_spectra(rho for case in cases for rho in case[:2])
-    for joint, rho, db, e in cases:
+        cases.append((np.kron(rho, np.eye(db) / db), rho, db, eps or _eps(rng)))
+    for joint, rho, db, e in _with_spectra(cases, 2):
         lhs = entropy.h_h(joint, e).value
         rhs = entropy.h_h(rho, e).value + np.log2(db)
         yield 1e-9 - abs(lhs - rhs)
@@ -181,10 +178,9 @@ def check_hh_dimension_bound(rng, trials, eps):
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = ginibre_density(rng, int(da * db))
-        cases.append((_op(rho), _op(linalg.partial_trace(rho, [int(da), int(db)], 0)), db,
+        cases.append((rho, linalg.partial_trace(rho, [int(da), int(db)], 0), db,
                       eps or _eps(rng)))
-    keep_spectra(rho for case in cases for rho in case[:2])
-    for rho, ra, db, e in cases:
+    for rho, ra, db, e in _with_spectra(cases, 2):
         lhs = entropy.h_h(rho, e).value
         yield entropy.h_h(ra, e).value + np.log2(db) - lhs + TOL
 
@@ -207,9 +203,8 @@ def check_hh_near_pure(rng, trials, eps):
     # the trace distances, as linalg.trace_distance takes them
     dists = linalg.per_size(linalg.trace_norm, [(sigma - pure0)[None]
                                                 for sigma, pure0, _ in cases])
-    cases = [(_op(sigma), e) for (sigma, _, e), dist in zip(cases, dists) if not dist[0] > e]
-    keep_spectra(sigma for sigma, _ in cases)
-    for sigma, e in cases:
+    cases = [(sigma, e) for (sigma, _, e), dist in zip(cases, dists) if not dist[0] > e]
+    for sigma, e in _with_spectra(cases, 1):
         yield TOL - entropy.h_h(sigma, e).value
 
 
@@ -285,8 +280,8 @@ def check_hh_average_to_worst_case(rng, trials, eps):
     keep_spectra(cq for cq, _ in cases)
     for cq, e in cases:
         bound = entropy.h_h_cond_cq(cq, e).value - np.log2(e)
-        mass = sum(p for p, c in zip(cq.probs, cq.conditionals)
-                   if entropy.h_h(c, np.sqrt(e)).value <= bound + 1e-12)
+        mass = sum(p for p, w in zip(cq.probs, cq.spectra)
+                   if entropy.h_h(w, np.sqrt(e)).value <= bound + 1e-12)
         yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
 

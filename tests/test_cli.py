@@ -269,6 +269,19 @@ def test_compare_rejects_a_povm_with_repeated_labels(bell_file, tmp_path, capsys
     assert err == "error: POVM label 'x' is repeated\n"
 
 
+def test_a_povm_element_below_the_psd_tolerance_is_a_named_error(bell_file, tmp_path, capsys):
+    # it used to load and then fail in psd_power with a message naming no POVM
+    elements = [np.diag([-5e-10, 1.0]), np.diag([1 + 5e-10, 0.0])]
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"register": "A", "elements": [
+        np.column_stack([e.reshape(-1), np.zeros(4)]).tolist() for e in elements]}))
+    for command in ("compare", "kd-oneshot", "entropy"):
+        rc = main([command, "--state", bell_file, "--povm", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", command
+        assert err == "error: POVM element not PSD: min eig -5.00e-10\n", command
+
+
 def test_a_state_with_a_register_named_r_is_a_named_error(basis_file, tmp_path, capsys):
     # R is the register the CLI adds to purify the state
     bell = np.zeros((4, 4))

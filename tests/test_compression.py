@@ -1,3 +1,6 @@
+import warnings
+import zlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from puredist.sampling import (
     purified_input,
     random_povm,
 )
-from puredist.states import Povm, PureState, control_state
+from puredist.states import DensityOperator, Povm, PureState, control_state
 
 
 def classical_instance(rng, da=2, db=2):
@@ -124,16 +127,21 @@ def test_decode_matches_generator_choice(rng, K, L):
 _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 7]
 
 
-@pytest.mark.parametrize("K,L", [(1, 1), (3, 5), (16, 16), (8, 40)])
+@pytest.mark.parametrize("K,L", [(1, 1), (3, 5), (16, 16), (8, 40), (1, 9), (7, 1), (16, 40)])
 def test_table_uniforms_match_pair_rng(K, L):
     # the vectorized draw is the one random() of each cell's own stream, bit
-    # for bit; the edge seeds cross the word counts where the padding stops
+    # for bit; the edge seeds cross the word counts where the padding stops,
+    # and its wrapping integer arithmetic raises no warning
     rng = np.random.default_rng(8)
     seeds = _EDGE_SEEDS + [int.from_bytes(rng.bytes(32), "little") >> int(rng.integers(0, 256))
                            for _ in range(20)]
+    seeds += [int.from_bytes(rng.bytes(4 * words), "little") | 1 << (32 * words - 1)
+              for words in range(1, 8)]  # 1-7 words, the top one set
     for seed in seeds:
         want = [[pair_rng(seed, k, l).random() for l in range(L)] for k in range(K)]
-        assert np.array_equal(_table_uniforms(seed, K, L), want), seed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_table_uniforms(seed, K, L), want), seed
 
 
 def test_table_uniforms_take_seeds_as_seed_sequence_does():
@@ -242,6 +250,34 @@ def test_nice_sets_match_the_per_cell_loop(rng):
     assert 0 < sum(map(len, want.values())) < view.K * view.L  # both verdicts occur
 
 
+def _per_k_errors_per_block(view):
+    # the reference: one trace norm for every live (k, x) block, repeats included
+    inst, K, L = view.instance, view.K, view.L
+    w = np.zeros((K, len(inst.povm)))
+    np.add.at(w, (np.arange(K).repeat(L), view.decode.reshape(-1)),
+              (view.q_kl[:, :L] * K).reshape(-1))
+    live = (w > 0) & inst.live
+    norms = np.where(live, 0.0, inst.ideal_block_norms)
+    ks, xs = np.nonzero(live)
+    blocks = inst.ideal_blocks[xs] - w[ks, xs][:, None, None] * inst.sims[xs]
+    norms[ks, xs] = linalg.trace_norm(blocks)
+    return np.cumsum(norms, axis=1)[:, -1], len(ks), len(set(zip(xs.tolist(), w[ks, xs].tolist())))
+
+
+def test_per_k_errors_keep_the_bits_of_a_norm_per_block(rng):
+    from puredist.sampling import mixed_protocol_input
+    repeats = 0
+    for inst in (Instance(classical_instance(rng, 3, 2), basis_povm(3, "A"), 0.1),
+                 Instance(mixed_protocol_input(rng, 3, 2, rank=2), random_povm(rng, 3, 4), 0.1),
+                 _kernel_outcome_instance(rng)):
+        for seed in range(4):
+            view = compress_measurement(inst, K=8, L=5, seed=seed)
+            want, blocks, distinct = _per_k_errors_per_block(view)
+            assert per_k_errors(view).tobytes() == want.tobytes()
+            repeats += blocks - distinct
+    assert repeats > 50  # rows that repeat a count of an outcome repeat its block
+
+
 def test_find_good_k_minimizes_per_k_error(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
@@ -306,6 +342,50 @@ def test_quality_warning_when_L_too_small(rng):
     with pytest.warns(UserWarning, match="raise L"):
         cm = compress_measurement(Instance(psi, povm, 0.1), K=1, L=1, seed=13)
     assert cm.quality_warning
+
+
+def _commuting_instance(rng):
+    # diag(p(a, b)) purified, with one symbol of A never occurring: rho_A is
+    # diagonal of rank 2 and commutes with the basis POVM
+    p = np.zeros((3, 2))
+    p[:2] = rng.dirichlet(np.ones(4)).reshape(2, 2)
+    psi = DensityOperator([("A", 3), ("B", 2)], np.diag(p.reshape(-1))).purify()
+    return Instance(psi, basis_povm(3, "A"), 0.1)
+
+
+def test_mean_cell_operator_is_the_support_projector_when_the_povm_commutes(rng):
+    # sum_x Y_x Y_x^dag = rho^-1/2 Phi(rho) rho^-1/2 with Phi the Lueders
+    # channel of the POVM, so Pi when Phi(rho) = rho; then c_cap = 1
+    for _ in range(5):
+        inst = _commuting_instance(rng)
+        mean = np.sum(inst.roots @ linalg.dagger(inst.roots), axis=0)
+        assert np.allclose(mean, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+        assert abs(inst.c_cap - 1.0) <= 1e-12
+
+
+def test_c_rises_toward_one_with_L_when_the_povm_commutes(rng):
+    inst = _commuting_instance(rng)
+    medians = [np.median([compress_measurement(inst, K=1, L=L, seed=s).c_norm
+                          for s in range(9)]) for L in (2, 32, 512)]
+    assert medians[0] < medians[1] < medians[2] and medians[2] > 0.9
+
+
+def test_quality_warning_names_the_cap_past_which_no_L_lifts_c():
+    # compare-sweep pool instance 2 (perfbench/jobs.py): the coherent
+    # sum_ab sqrt(p(a, b)) |ab> measured in the basis, with c_cap = 1 / 28.75
+    rng = np.random.default_rng([2403_16466, zlib.crc32(b"compare-sweep"), 2])
+    top = rng.uniform(0.5, 0.95)
+    p_a = np.concatenate([[top], rng.dirichlet(np.ones(7)) * (1 - top)])
+    c0 = rng.uniform(0.6, 0.95)
+    noise = np.concatenate([[c0], rng.dirichlet(np.ones(3)) * (1 - c0)])
+    joint = np.array([p_a[a] * np.roll(noise, a % 4) for a in range(8)])
+    seed = int(rng.integers(1, 1_000_000))
+    inst = Instance(classical_correlated_pure(rng, 8, 4, joint=joint), basis_povm(8, "A"), 0.25)
+    assert abs(1 / inst.c_cap - 28.75) < 0.01
+    with pytest.warns(UserWarning, match=r"^compression normalization c=0\.021 < 1/2; "
+                      r"no L lifts it past its cap c_cap=0\.035$"):
+        view = compress_measurement(inst, K=16, L=16, seed=seed)
+    assert view.c_norm < inst.c_cap < 0.5
 
 
 def test_json_round_trip(rng):

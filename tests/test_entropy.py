@@ -130,6 +130,29 @@ def test_h_max_smooth_takes_one_spectrum(rng, monkeypatch):
             assert got == float(2.0 * np.log2(np.sum(np.sqrt(kept))))
 
 
+def test_spectral_entropies_take_a_state_or_its_spectrum(rng):
+    # a 1-D input is the clipped ascending spectrum linalg.psd_eigvals gives
+    rhos = [random_density(rng, int(rng.integers(1, 9)), "A") for _ in range(30)]
+    rhos += [spectrum_state([0.5, 0.3, 0.2, 0.0]), np.eye(4) / 4]
+    for rho in rhos:
+        w = linalg.psd_eigvals(rho.matrix if isinstance(rho, DensityOperator) else rho)
+        for eps in (0.0, 0.05, 0.3):
+            for fn in (ent.h_tilde_max, ent.h_prime_max, ent.h_max_smooth):
+                assert np.float64(fn(w, eps)).tobytes() == np.float64(fn(rho, eps)).tobytes()
+            got, want = ent.h_h(w, eps), ent.h_h(rho, eps)
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            for name in ("weights", "gains", "costs"):
+                assert got.witness[name].tobytes() == want.witness[name].tobytes()
+
+
+def test_d_h_takes_matrices_not_spectra():
+    rho = np.diag([0.75, 0.25])
+    for args, name in (((np.array([0.25, 0.75]), rho), "rho"),
+                       ((rho, np.array([0.5, 0.5])), "sigma")):
+        with pytest.raises(ValueError, match=f"d_h takes matrices, not spectra: {name}"):
+            ent.d_h(*args, 0.1)
+
+
 # ------------------------------------------------------------------- h_h
 
 def test_h_h_examples():

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,20 @@ def test_partial_trace_preserves_trace_and_psd(rng):
         red = linalg.partial_trace(rho, [int(da), int(db)], int(rng.integers(0, 2)))
         assert abs(np.real(np.trace(red)) - 1.0) <= 1e-9
         assert np.min(np.linalg.eigvalsh(red)) >= -1e-9
+
+
+def test_partial_trace_of_a_stack_keeps_the_bits_of_each_member(rng):
+    for n_factors in (2, 3):
+        for dims in itertools.product((2, 3, 4), repeat=n_factors):
+            d = int(np.prod(dims))
+            stack = np.array([ginibre_density(rng, d) for _ in range(3)])
+            for r in range(n_factors + 1):
+                for keep in itertools.combinations(range(n_factors), r):
+                    got = linalg.partial_trace(stack, dims, keep)
+                    want = np.array([linalg.partial_trace(m, dims, keep) for m in stack])
+                    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    with pytest.raises(ValueError, match="does not match dims"):
+        linalg.partial_trace(np.zeros((2, 6, 6)), [2, 2], 0)
 
 
 def test_purify_pure_and_mixed(rng):

@@ -112,6 +112,15 @@ def test_povm_rejects_repeated_labels():
     assert Povm(elems, labels=["x", "y", "z"]).labels == ("x", "y", "z")
 
 
+def test_povm_takes_the_psd_tolerance_of_the_element_roots():
+    # psd_power, which roots every element for an Instance, clips only above
+    # linalg.PSD_CLIP: an element below it is rejected where the POVM is made
+    with pytest.raises(ValueError, match=r"^POVM element not PSD: min eig -5\.00e-10$"):
+        Povm([np.diag([-5e-10, 1.0]), np.diag([1 + 5e-10, 0.0])])
+    ok = Povm([np.diag([-5e-11, 1.0]), np.diag([1 + 5e-11, 0.0])])
+    assert linalg.psd_power(np.array(ok.elements), 0.5).shape == (2, 2, 2)
+
+
 def test_control_state_trivial_povm(rng):
     psi = PureState([("A", 2), ("B", 2), ("R", 1)],
                     np.array([1, 0, 0, 1]) / np.sqrt(2))
@@ -258,10 +267,8 @@ def test_transcript_accounting():
 
 
 def test_keep_spectra_takes_one_call_per_size_and_keeps_each_spectrum(rng, monkeypatch):
-    ops = [random_density(rng, d, "A") for d in (2, 3, 3, 5, 2)]
-    cqs = [random_cq(rng, 3, d) for d in (2, 3)]
-    fresh = [op.spectrum() for op in ops]
-    fresh_cq = [[c.spectrum() for c in cq.conditionals] for cq in cqs]
+    cqs = [random_cq(rng, n, d) for n, d in ((3, 2), (2, 3), (4, 3), (1, 5), (2, 2))]
+    fresh = [[c.spectrum() for c in cq.conditionals] for cq in cqs]
     sizes = []
     orig = linalg._eigh
 
@@ -270,19 +277,15 @@ def test_keep_spectra_takes_one_call_per_size_and_keeps_each_spectrum(rng, monke
         return orig(h)
 
     monkeypatch.setattr(linalg, "_eigh", counting)
-    keep_spectra(ops + cqs)
-    assert sorted(sizes) == [(1, 5, 5), (5, 2, 2), (5, 3, 3)]
-    keep_spectra(ops + cqs)  # kept already: no second decomposition
-    for op in ops:
-        op.spectrum()
-    assert len(sizes) == 3
-    for op, want in zip(ops, fresh):
-        assert op.spectrum().tobytes() == want.tobytes()
-        assert op.spectrum() is op.spectrum() and not op.spectrum().flags.writeable
-    for cq, want in zip(cqs, fresh_cq):
+    keep_spectra(cqs)
+    assert sorted(sizes) == [(1, 5, 5), (5, 2, 2), (6, 3, 3)]
+    keep_spectra(cqs)  # kept already: no second decomposition
+    for cq, want in zip(cqs, fresh):
+        assert cq.spectra is cq.spectra and not cq.spectra.flags.writeable
+        # each row has the bits of its conditional's own spectrum, and the
+        # conditionals are views of the stack
         for c, row, w in zip(cq.conditionals, cq.spectra, want):
-            assert c.spectrum() is not w and c.spectrum().tobytes() == w.tobytes()
-            assert np.shares_memory(c.spectrum(), row)
+            assert row.tobytes() == w.tobytes() and np.shares_memory(c.matrix, cq.stack)
     assert len(sizes) == 3
 
 
@@ -294,22 +297,6 @@ def test_density_matrix_is_read_only_so_a_kept_spectrum_stays_valid(rng):
     # taken without a copy, the caller's array is protected too
     with pytest.raises(ValueError, match="read-only"):
         m[0, 0] = 1.0
-
-
-def test_cq_spectra_are_shared_with_the_conditionals(rng):
-    cq = random_cq(rng, 4, 3)
-    for c, row in zip(cq.conditionals, cq.spectra):
-        assert c.spectrum() is not None and np.shares_memory(c.spectrum(), row)
-
-
-def test_conditionals_built_after_the_spectra_read_the_kept_rows(rng):
-    cq = random_cq(rng, 4, 3)
-    spectra = cq.spectra
-    assert "conditionals" not in cq.__dict__  # not built yet
-    for c, row in zip(cq.conditionals, spectra):
-        assert np.shares_memory(c.spectrum(), row) and c.spectrum() is c.spectrum()
-        assert c.spectrum().tobytes() == row.tobytes()
-        assert np.shares_memory(c.matrix, cq.stack)
 
 
 def test_cq_stack_is_read_only(rng):
