@@ -48,7 +48,7 @@ print("\nnice pair fraction:", rep["fraction"], ">= bound", round(rep["bound"], 
 
 tprime, nice = nice_sets(view)
 k = find_good_k(view)
-errs = per_k_errors(view)
+[errs] = per_k_errors([view])
 print("qualifying k's:", tprime)
 print("chosen k:", k, " per-k error", round(errs[k], 4),
       " median", round(float(np.median(errs)), 4))

@@ -9,7 +9,7 @@ embedding borrows almost nothing while distilling at the same rate.
 import numpy as np
 
 from puredist import bounds
-from puredist.compression import Instance
+from puredist.compression import Instance, compress_seeds
 from puredist.protocols import purity_trace, run_fewqubits, run_kd_oneshot, run_protocol_a
 from puredist.sampling import basis_povm, classical_correlated_pure, purified_input
 
@@ -27,7 +27,7 @@ povm = basis_povm(8, "A")
 
 inst = Instance(psi, povm, eps)
 view = inst.compression(K=4, L=16, seed=1)
-rows = [run_protocol_a(inst, seed=1), run_kd_oneshot(view), run_fewqubits(view)]
+rows = [run_protocol_a(inst, seed=1), *run_kd_oneshot([view]), run_fewqubits(view)]
 
 print(f"{'protocol':<12} {'alice':>5} {'bob':>4} {'borrow':>6} {'comm':>5} "
       f"{'net':>4} {'error':>8} {'case':>5}")
@@ -40,7 +40,7 @@ up = bounds.distributed_upper_bound(inst)
 print("\ndistributed upper bound (slack-free):", round(up, 3),
       "  declared slack:", round(np.log2(1 / eps), 3), "bits")
 
-comp = bounds.ancilla_comparison(view)
+[comp] = bounds.ancilla_comparison([view])
 print("borrow comparison: compressed", comp["c_borrow"], "vs in-place",
       comp["d_borrow"], " margin", round(comp["margin"], 3))
 
@@ -54,11 +54,9 @@ for step, value in purity_trace(psi_small, basis_povm(4, "A"), 0.1):
 
 # Seed sweep: medians absorb the compression randomness.
 print("\nseed sweep (net rate / borrowed):")
-for name, fn in (("kd-oneshot", run_kd_oneshot), ("fewqubits", run_fewqubits)):
-    nets, borrows = [], []
-    for seed in range(8):
-        t = fn(inst.compression(K=4, L=16, seed=seed))
-        nets.append(t.net_rate)
-        borrows.append(t.borrowed)
+views = compress_seeds(inst, K=4, L=16, seeds=range(8))
+for name, runs in (("kd-oneshot", run_kd_oneshot(views)),
+                   ("fewqubits", [run_fewqubits(v) for v in views])):
+    nets, borrows = [t.net_rate for t in runs], [t.borrowed for t in runs]
     print(f"  {name:<11} net median {np.median(nets):+.0f}  "
           f"borrow median {np.median(borrows):.0f}")

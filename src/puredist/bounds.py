@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy, linalg
-from .compression import Compression, Instance, declared_slack
+from .compression import Instance, declared_slack
 from .protocols import run_fewqubits, run_kd_oneshot
 from .states import rank1_refine
 
@@ -94,8 +94,10 @@ def distributed_upper_bound(inst: Instance, f_eps: float | None = None,
     return float(np.log2(da) + np.log2(db) - hmax_a - hmin_b)
 
 
-def ancilla_comparison(view: Compression) -> dict:
-    """Borrowed-qubit comparison of the two compressed protocols.
+def ancilla_comparison(views) -> list:
+    """Borrowed-qubit comparison of the two compressed protocols, for each
+    of a sequence of views of one instance (``run_kd_oneshot`` runs them as
+    one stack).
 
     Both protocols run on the same compressed measurement. ``margin`` =
     log|A| - H_H^eps(A) - slack (the instance's local upper bound less the
@@ -104,51 +106,46 @@ def ancilla_comparison(view: Compression) -> dict:
     otherwise). A non-positive margin makes the comparison inconclusive and
     nothing is checked.
     """
-    inst = view.instance
-    kd = run_kd_oneshot(view)
-    fq = run_fewqubits(view)
-    margin = inst.local_bounds[1] - inst.slack_bits
-    c_borrow, d_borrow = kd.borrowed, fq.borrowed
-    if margin > 0 and c_borrow - d_borrow < margin - 1e-9:
-        raise linalg.InvariantError(
-            f"borrow gap {c_borrow - d_borrow} below margin {margin:.3f}")
-    return {
-        "c_borrow": c_borrow,
-        "d_borrow": d_borrow,
-        "margin": margin,
-        "kd": kd,
-        "fewqubits": fq,
-    }
+    out = []
+    for view, kd in zip(views, run_kd_oneshot(views)):
+        inst = view.instance
+        fq = run_fewqubits(view)
+        margin = inst.local_bounds[1] - inst.slack_bits
+        c_borrow, d_borrow = kd.borrowed, fq.borrowed
+        if margin > 0 and c_borrow - d_borrow < margin - 1e-9:
+            raise linalg.InvariantError(
+                f"borrow gap {c_borrow - d_borrow} below margin {margin:.3f}")
+        out.append(dict(c_borrow=c_borrow, d_borrow=d_borrow, margin=margin, kd=kd, fewqubits=fq))
+    return out
 
 
-def rate_report(view: Compression, f_eps: float | None = None,
-                g_eps: float | None = None) -> RateReport:
-    """Full bound/rate evaluation for one (instance, POVM, seed); the
-    bounds are the instance's, computed once for all its seeds."""
-    inst = view.instance
+def rate_report(views, f_eps: float | None = None, g_eps: float | None = None) -> list:
+    """Full bound/rate evaluation for each of a sequence of views of one
+    instance (one per seed), reports in view order; the bounds are the
+    instance's, computed once for all its seeds."""
+    inst = views[0].instance
     eps, slack_bits = inst.eps, inst.slack_bits
     f_eps = eps if f_eps is None else f_eps
     g_eps = eps if g_eps is None else g_eps
     lo, up = inst.local_bounds
     dist = inst.dist_upper(f_eps, g_eps)
-    comp = ancilla_comparison(view)
-    kd, fq = comp["kd"], comp["fewqubits"]
-    return RateReport(
+    return [RateReport(
         local_lower=lo,
         local_upper=up,
         dist_upper=dist,
-        kd_rate=float(kd.net_rate),
-        fewqubits_rate=float(fq.net_rate),
+        kd_rate=float(comp["kd"].net_rate),
+        fewqubits_rate=float(comp["fewqubits"].net_rate),
         c_borrow=comp["c_borrow"],
         d_borrow=comp["d_borrow"],
         margin=comp["margin"],
-        final_error_kd=kd.final_error,
-        final_error_fq=fq.final_error,
+        final_error_kd=comp["kd"].final_error,
+        final_error_fq=comp["fewqubits"].final_error,
         eps=eps,
         seed=view.seed,
         slack_convention=f"additive O(log 1/eps) terms carried as {slack_bits} bits",
         slack_bits=slack_bits,
         f_eps=f_eps,
         g_eps=g_eps,
-        extra={"kd_transcript": kd.to_dict(), "fq_transcript": fq.to_dict()},
-    )
+        extra={"kd_transcript": comp["kd"].to_dict(),
+               "fq_transcript": comp["fewqubits"].to_dict()},
+    ) for view, comp in zip(views, ancilla_comparison(views))]

@@ -4,8 +4,10 @@ Subcommands: entropy, distill-local, protocol-a, kd-oneshot, fewqubits,
 compare, bounds, verify; ``COMMANDS`` gives each its handler and the only
 flags it takes, declared once in ``OPTIONS``. Outputs are deterministic per
 (arguments, seed). A seed sweep builds one ``Instance`` per POVM, in POVM
-order, and runs its seeds in seed order in this process, so every seed
-shares the instance's ideal-state quantities and per-outcome simulated states.
+order, so every seed shares the instance's ideal-state quantities and
+per-outcome simulated states, and runs its seeds as one stack (one seed is a
+stack of one): ``compress_seeds`` and kd-oneshot take them all at once,
+fewqubits one by one, and results stay in seed order.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import bounds, entropy, io, protocols
-from .compression import Instance, NoGoodK
+from .compression import Instance, NoGoodK, compress_seeds
 from .linalg import InvariantError
 from .states import DensityOperator, PureState
 from .verify import MANIFEST, run_suite
@@ -138,13 +140,13 @@ def cmd_sweep(args) -> int:
             base = protocols.run_protocol_a(inst)
             results += [replace(base, seed=seed) for seed in args.seeds]
             continue
-        views = (inst.compression(args.K, args.L, seed) for seed in args.seeds)
+        views = compress_seeds(inst, args.K, args.L, args.seeds)
         if args.command == "compare":
-            results += [bounds.rate_report(v, f_eps=args.f_eps, g_eps=args.g_eps)
-                        for v in views]
+            results += bounds.rate_report(views, f_eps=args.f_eps, g_eps=args.g_eps)
+        elif args.command == "kd-oneshot":
+            results += protocols.run_kd_oneshot(views)
         else:
-            results += map(protocols.run_kd_oneshot if args.command == "kd-oneshot"
-                           else protocols.run_fewqubits, views)
+            results += map(protocols.run_fewqubits, views)
     results = [r.to_dict() for r in results]
     key, columns = (("reports", bounds.RateReport.CSV_COLUMNS) if args.command == "compare"
                     else ("transcripts", TRANSCRIPT_COLUMNS))

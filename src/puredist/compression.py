@@ -7,7 +7,8 @@ the original POVM. A decode table maps (k, l) back to original outcomes.
 Randomness discipline: the table entry x(k, l) is drawn from its own PCG64
 stream keyed by SeedSequence(seed, spawn_key=(k, l)), so enlarging K or L
 keeps every shared cell identical. That is what makes paired comparisons
-across table sizes meaningful. ``_table_uniforms`` draws all cells at once.
+across table sizes meaningful. A seed sweep is one stack: ``compress_seeds``
+draws and builds all its tables, and ``per_k_errors`` scores them, in shared passes.
 """
 
 import json
@@ -23,10 +24,6 @@ from . import entropy, io, linalg, states
 from .states import Povm, PureState
 
 BOT = "bot"
-
-
-def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, l)))
 
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
@@ -46,7 +43,7 @@ def _hash_consts(init, mult, n):
     return list(zip(c, c[1:]))
 
 
-_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32).T[..., None, None]
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32).T.reshape(2, 8, 1, 1, 1)
 
 
 def _hashmix(value, consts):
@@ -75,25 +72,29 @@ def _add128(hi, lo, c_hi, c_lo):
     return hi + c_hi + (out < lo), out
 
 
-def _table_uniforms(seed: int, K: int, L: int) -> np.ndarray:
-    """``pair_rng(seed, k, l).random()`` of every cell as a K x L array, in
-    array passes: numpy's SeedSequence mixes the seed words in Python ints
-    and the spawn key (k, l) into its four pool lanes as uint32 arrays, and
-    each cell's PCG64 runs on 64-bit halves in uint64 arrays."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    # entropy: the seed's 32-bit words zero-padded to 4, then the spawn key k, l
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    consts = iter(_hash_consts(_INIT_A, _MULT_A, 4 * len(words) + 8))
-    pool = [_hashmix(w, next(consts)) for w in words[:4]]
-    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    for w, dst in [(w, dst) for w in words[4:] for dst in range(4)]:
-        pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
-    key = np.array(list(consts), dtype=np.uint32).T[..., None, None]  # (2, 8, 1, 1)
-    pool = np.array(pool, dtype=np.uint32)[:, None, None]
+def _table_uniforms(seeds, K: int, L: int) -> np.ndarray:
+    """The first ``random()`` of every cell's own stream (see above) for each
+    of S seeds, as an S x K x L array: SeedSequence mixes each seed's words in
+    Python ints and the spawn key (k, l) into its four pool lanes as uint32
+    arrays, and each cell's PCG64 runs on 64-bit halves in uint64 arrays."""
+    pools, keys = [], []
+    for seed in seeds:
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        # entropy: the seed's 32-bit words zero-padded to 4, then the spawn key k, l
+        words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        words += [0] * (4 - len(words))
+        consts = iter(_hash_consts(_INIT_A, _MULT_A, 4 * len(words) + 8))
+        pool = [_hashmix(w, next(consts)) for w in words[:4]]
+        for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+        for w, dst in [(w, dst) for w in words[4:] for dst in range(4)]:
+            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
+        pools.append(pool)
+        keys.append(list(consts))
+    key = np.array(keys, dtype=np.uint32).reshape(-1, 8, 2).T[..., None, None]  # (2, 8, S, 1, 1)
+    pool = np.array(pools, dtype=np.uint32).T[..., None, None]
     pool = _mix(pool, _hashmix(np.arange(K, dtype=np.uint32)[:, None], key[:, :4]))
     pool = _mix(pool, _hashmix(np.arange(L, dtype=np.uint32), key[:, 4:]))
     # generate_state(4, uint64): eight words, low then high, of s and i
@@ -202,6 +203,17 @@ class Instance:
         """P_X(x) = Tr Lambda_x rho_A, normalized."""
         p_x = self.povm.outcome_probs(self.rho_a)
         return p_x / np.sum(p_x)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative P_X every table draws its cells from, after the
+        checks of numpy's ``Generator.choice(len(p_x), p=p_x)``."""
+        p_x = self.p_x
+        if (not np.all(np.isfinite(p_x)) or np.any(p_x < 0)
+                or abs(np.sum(p_x) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
+            raise ValueError(f"P_X is not a probability vector: {p_x}")
+        cdf = np.cumsum(p_x)
+        return cdf / cdf[-1]
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -352,7 +364,7 @@ class Compression:
     """One K x L compressed measurement of an ``Instance``, built by
     ``compress_measurement`` and reloaded by ``from_json(text, instance)``.
 
-    ``thetas[k]`` lists row k's L cell operators, then the failure element.
+    ``elements[k]`` stacks row k's L cell operators, then the failure element.
     ``decode[k, l]`` is the original outcome x that cell (k, l) stands for;
     its operator, state and niceness depend on x alone. ``q_kl`` is the
     exact joint outcome distribution with uniform k (failure column last).
@@ -364,7 +376,7 @@ class Compression:
     K: int
     L: int
     seed: int
-    thetas: tuple
+    elements: np.ndarray
     decode: np.ndarray
     q_kl: np.ndarray
     c_norm: float
@@ -383,8 +395,8 @@ class Compression:
             "bot_decode": int(np.argmax(self.instance.p_x)),  # the likeliest x
             "decode": self.decode,
             "q_kl": self.q_kl,
-            "dim": int(self.thetas[0][0].shape[0]),
-            "thetas": [[io.matrix_to_pairs(e) for e in row] for row in self.thetas],
+            "dim": self.elements.shape[-1],
+            "thetas": [[io.matrix_to_pairs(e) for e in row] for row in self.elements],
         })
 
     @classmethod
@@ -392,9 +404,9 @@ class Compression:
         d = json.loads(text)
         if d["register"] != instance.povm.register or d["dim"] != instance.povm.dim:
             raise ValueError("the table does not measure this instance's register")
-        thetas = tuple(tuple(io.pairs_to_matrix(e, d["dim"]) for e in row)
-                       for row in d["thetas"])
-        return cls(instance, K=d["K"], L=d["L"], seed=d["seed"], thetas=thetas,
+        elements = np.array([[io.pairs_to_matrix(e, d["dim"]) for e in row]
+                             for row in d["thetas"]])
+        return cls(instance, K=d["K"], L=d["L"], seed=d["seed"], elements=elements,
                    decode=np.array(d["decode"], dtype=int),
                    q_kl=np.array(d["q_kl"], dtype=float), c_norm=d["c_norm"])
 
@@ -404,7 +416,7 @@ class Compression:
 
     @cached_property
     def errors(self) -> np.ndarray:
-        return per_k_errors(self)
+        return per_k_errors([self])[0]
 
     @cached_property
     def k(self) -> int:
@@ -412,7 +424,13 @@ class Compression:
 
 
 def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compression:
-    """Build the randomized K x L compressed measurement of an instance.
+    """The K x L compressed measurement of an instance for one seed (``compress_seeds``)."""
+    return compress_seeds(inst, K, L, [seed])[0]
+
+
+def compress_seeds(inst: Instance, K: int, L: int, seeds) -> list:
+    """Build the randomized K x L compressed measurement of an instance for
+    each seed, all seeds in shared array passes, views in seed order.
 
     For each cell an original outcome x(k, l) is sampled iid from the
     measurement statistics P_X; the cell operator is
@@ -420,47 +438,42 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
     rho^{-1/2} on the support of rho^A, with c the largest constant keeping
     every row summable into a POVM. The failure element absorbs the
     remainder (and the complement of supp(rho^A)). A row sum short of
-    identity by more than half (c < 1/2) raises a quality warning: L is too
-    small, or, when the instance's ``c_cap`` is below 1/2, no L lifts c to 1/2.
+    identity by more than half (c < 1/2) raises a quality warning, one per
+    seed in seed order: L is too small, or, when the instance's ``c_cap`` is
+    below 1/2, no L lifts c to 1/2.
     """
     if K < 1 or L < 1:
         raise ValueError("K and L must be at least 1")
-    rho_a, p_x = inst.rho_a, inst.p_x
-    d = rho_a.shape[0]
-    # Generator.choice(len(p_x), p=p_x) per cell: its checks, then one draw
-    if (not np.all(np.isfinite(p_x)) or np.any(p_x < 0)
-            or abs(np.sum(p_x) - 1.0) > np.sqrt(np.finfo(np.float64).eps)):
-        raise ValueError(f"P_X is not a probability vector: {p_x}")
-    cdf = np.cumsum(p_x)
-    cdf /= cdf[-1]
-    decode = cdf.searchsorted(_table_uniforms(seed, K, L), side="right")
+    rho_a, d, n, base = inst.rho_a, inst.rho_a.shape[0], len(seeds), inst.cell_grams
+    # Generator.choice(len(p_x), p=p_x) per cell: one draw on the instance's cdf
+    decode = inst.cdf.searchsorted(_table_uniforms(seeds, K, L), side="right")
+    seed_at = np.arange(n)[:, None]
 
     # each cell operator depends on its sampled symbol only: the instance's
-    # stack holds them, indexed by the decode table
-    base = inst.cell_grams
-    row_sums = base[decode].sum(axis=1) / L
-    row_max = max(0.0, float(np.max(linalg.eigvals_hermitian(row_sums, tol=1e-7))))
-    c = 1.0 / row_max if row_max > 0 else 1.0
+    # stack holds them; the sums over a row's cells run in cell order
+    row_sums = linalg.sum_in_order(base[decode[..., l]] for l in range(L)) / L
+    row_max = np.maximum(linalg.eigvals_hermitian(row_sums.reshape(n * K, d, d), tol=1e-7)
+                         .reshape(n, K * d).max(axis=1), 0.0)
+    c = np.divide(1.0, row_max, out=np.ones(n), where=row_max > 0)
 
-    def probs(ops):  # max(0, Re Tr(M rho_A)) / K of each M of a stack
-        t = np.trace(ops @ rho_a, axis1=1, axis2=2).real
-        return np.where(t > 0, t, 0.0) / K
+    # per seed, one operator per symbol, shared by its cells, then one
+    # failure element per row, and the outcome probability of each
+    cell = (c / L)[:, None, None, None] * base
+    bots = np.eye(d) - linalg.sum_in_order(cell[seed_at, decode[..., l]] for l in range(L))
+    table = np.concatenate([cell, linalg.hermitian_part(bots)], axis=1)
+    t = np.trace(table @ rho_a, axis1=-2, axis2=-1).real  # Re Tr(M rho_A)
+    at = seed_at[..., None], np.concatenate(
+        [decode, np.broadcast_to(len(base) + np.arange(K)[:, None], (n, K, 1))], axis=2)
+    q_kl, elements = (np.where(t > 0, t, 0.0) / K)[at], table[at]
 
-    # one operator and one outcome probability per symbol, shared by its cells
-    cell = c / L * base
-    cells = cell[decode]
-    bots = linalg.hermitian_part(np.eye(d) - cells.sum(axis=1))
-    thetas = tuple(tuple(row) + (bot,) for row, bot in zip(cells, bots))
-    q_kl = np.zeros((K, L + 1))
-    q_kl[:, :L], q_kl[:, L] = probs(cell)[decode], probs(bots)
-
-    view = Compression(inst, K, L, seed, thetas=thetas, decode=decode,
-                       q_kl=q_kl, c_norm=float(c))
-    if view.quality_warning:
-        cap = inst.c_cap
-        warnings.warn(f"compression normalization c={c:.3f} < 1/2; " + (
-            "raise L" if cap >= 0.5 else f"no L lifts it past its cap c_cap={cap:.3f}"))
-    return view
+    views = [Compression(inst, K, L, seed, elements=e, decode=dec, q_kl=q, c_norm=float(cs))
+             for seed, e, dec, q, cs in zip(seeds, elements, decode, q_kl, c)]
+    for view in views:
+        if view.quality_warning:
+            cap = inst.c_cap
+            warnings.warn(f"compression normalization c={view.c_norm:.3f} < 1/2; " + (
+                "raise L" if cap >= 0.5 else f"no L lifts it past its cap c_cap={cap:.3f}"))
+    return views
 
 
 def simulated_conditionals(inst: Instance):
@@ -486,11 +499,10 @@ def simulated_conditionals(inst: Instance):
     return live, sims, linalg.partial_trace(sims, dims, keep)
 
 
-def _block_distances(view: Compression, weights: np.ndarray) -> np.ndarray:
+def _block_distances(inst: Instance, weights: np.ndarray) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated
     mixture of each row of per-outcome ``weights`` (rows x outcomes), summed
     block by block in outcome order over one stacked trace norm."""
-    inst = view.instance
     live = (weights > 0) & inst.live
     norms = np.where(live, 0.0, inst.ideal_block_norms)
     ks, xs = np.nonzero(live)
@@ -522,7 +534,7 @@ def validate_compression(view: Compression) -> CompressionReport:
 
     K, L, q_kl = view.K, view.L, view.q_kl
     return CompressionReport(
-        ideal_vs_simulated=float(_block_distances(view, weights[None])[0]),
+        ideal_vs_simulated=float(_block_distances(inst, weights[None])[0]),
         per_pair_state_dist=float(per_pair),
         qkl_vs_uniform=float(np.sum(np.abs(q_kl[:, :L] - 1.0 / (K * L))) + np.sum(q_kl[:, L])),
         qk_vs_uniform=float(np.sum(np.abs(np.sum(q_kl, axis=1) - 1.0 / K))),
@@ -548,15 +560,17 @@ def nice_sets(view: Compression):
     return tprime, nice
 
 
-def per_k_errors(view: Compression) -> np.ndarray:
+def per_k_errors(views) -> np.ndarray:
     """Trace distance between the ideal control state and the simulated one
-    restricted to each k (the dominant per-k protocol error term)."""
-    K, L = view.K, view.L
-    w = np.zeros((K, len(view.instance.povm)))
+    restricted to each k (the dominant per-k protocol error term), as an
+    S x K array for S views of one instance and one table shape, from one
+    ``_block_distances`` pass."""
+    inst, K, L = views[0].instance, views[0].K, views[0].L
+    w = np.zeros((len(views) * K, len(inst.povm)))
     # each weight adds its cells' q(l|k) in l order, as one loop over l would
-    np.add.at(w, (np.arange(K).repeat(L), view.decode.reshape(-1)),
-              (view.q_kl[:, :L] * K).reshape(-1))
-    return _block_distances(view, w)
+    np.add.at(w, (np.arange(len(w)).repeat(L), np.array([v.decode for v in views]).reshape(-1)),
+              (np.array([v.q_kl[:, :L] for v in views]) * K).reshape(-1))
+    return _block_distances(inst, w).reshape(len(views), K)
 
 
 class NoGoodK(RuntimeError):

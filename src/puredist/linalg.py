@@ -232,6 +232,17 @@ def per_size(f, stacks) -> list:
     return out
 
 
+def sum_in_order(arrays) -> np.ndarray:
+    """a0 + a1 + ... of an iterable of arrays (or a stack's members), one
+    in-place add at a time: the bits of ``np.cumsum(stack, axis=0)[-1]``,
+    which ``np.sum`` does not keep, without its stack of partial sums."""
+    arrays = iter(arrays)
+    out = np.array(next(arrays))
+    for a in arrays:
+        out += a
+    return out
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """One-norm distance ``||a - b||_1`` (unnormalized, in [0, 2] for states)."""
     a = np.asarray(a, dtype=complex)

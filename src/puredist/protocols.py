@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy, linalg, states
-from .compression import Compression, Instance, NoGoodK
+from .compression import Compression, Instance, NoGoodK, per_k_errors
 from .states import Povm, ProtocolTranscript, PureState
 
 
@@ -142,16 +142,20 @@ def _conditional_codes(codes, masses, cells, d: int, eps: float):
                              for code in codes])
 
 
-def _branch_codes(branches: PureState, masses, cells, reg: str, eps: float):
-    """``_conditional_codes`` on the normalized ``reg`` marginals of a stack
-    of sub-normalized branches of squared norms ``masses``; branches below
-    mass 1e-12 count as negligible."""
+def _branch_codes(branches: PureState, masses, runs, reg: str, eps: float) -> list:
+    """``_conditional_codes`` of each run on the normalized ``reg`` marginals
+    of a stack of sub-normalized branches of squared norms ``masses``, every
+    branch of mass >= 1e-12 coded from one stacked eigendecomposition. A run
+    is (branch count, cells): its branches follow the previous run's, and its
+    cells index them."""
     live = masses >= 1e-12
     codes = [None] * len(masses)
     marginals = branches.marginal([reg])[live] / masses[live, None, None]
     for i, code in zip(np.flatnonzero(live).tolist(), _eig_codes(marginals, eps)):
         codes[i] = code
-    return _conditional_codes(codes, masses[list(cells)], cells, branches.dim(reg), eps)
+    ends = np.cumsum([n for n, _ in runs]).tolist()
+    return [_conditional_codes(codes[end - n:end], masses[end - n:end][list(cells)], cells,
+                               branches.dim(reg), eps) for (n, cells), end in zip(runs, ends)]
 
 
 def _distance_to_zero(sigma: np.ndarray) -> float:
@@ -170,18 +174,23 @@ def _final_error(branches: PureState, masses, steps, cells) -> float:
     per outcome, in outcome order, skipping branches below mass 1e-15."""
     for step in steps:
         branches = _apply_code(branches, step)
-    live = [i for i in cells if masses[i] >= 1e-15]
-    return _distance_to_zero(np.cumsum(branches.marginal(["Ap", "Bp"])[live], axis=0)[-1])
+    margs = branches.marginal(["Ap", "Bp"])
+    return _distance_to_zero(linalg.sum_in_order(margs[i] for i in cells if masses[i] >= 1e-15))
 
 
-def _distill_branches(branches: PureState, cells, a_reg: str, b_reg: str, eps: float):
-    """Both parties' conditional codes on the dephased outcomes of the
-    stacked ``branches``; returns (Alice's bits, Bob's bits, final error)."""
-    masses = branches.masses()
-    a_bits, a_rows = _branch_codes(branches, masses, cells, a_reg, eps)
-    b_bits, b_rows = _branch_codes(branches, masses, cells, b_reg, eps)
-    steps = [(a_reg, ("Ap", "Ag"), a_bits, a_rows), (b_reg, ("Bp", "Bg"), b_bits, b_rows)]
-    return a_bits, b_bits, _final_error(branches, masses, steps, cells)
+def _distill_branches(branches: PureState, runs, a_reg: str, b_reg: str, eps: float) -> list:
+    """Both parties' conditional codes on the dephased outcomes of each run
+    (as in ``_branch_codes``) of the stacked ``branches``; returns (Alice's
+    bits, Bob's bits, final error) per run."""
+    masses, end, out = branches.masses(), 0, []
+    codes = zip(_branch_codes(branches, masses, runs, a_reg, eps),
+                _branch_codes(branches, masses, runs, b_reg, eps))
+    for (n, cells), ((a_bits, a_rows), (b_bits, b_rows)) in zip(runs, codes):
+        end += n
+        part = PureState(branches.regs, branches.tensor[end - n:end], stacked=True)
+        steps = [(a_reg, ("Ap", "Ag"), a_bits, a_rows), (b_reg, ("Bp", "Bg"), b_bits, b_rows)]
+        out.append((a_bits, b_bits, _final_error(part, masses[end - n:end], steps, cells)))
+    return out
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -195,7 +204,8 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     psi, povm, eps, bob_label = inst.psi, inst.povm, inst.eps, inst.bob_label
     a_reg = povm.register
     n_x = len(povm)
-    a_bits, b_bits, err = _distill_branches(inst.branches, range(n_x), a_reg, bob_label, eps)
+    [(a_bits, b_bits, err)] = _distill_branches(inst.branches, [(n_x, range(n_x))], a_reg,
+                                                bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
     formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps * eps)
@@ -218,45 +228,50 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     )
 
 
-def run_kd_oneshot(view: Compression) -> ProtocolTranscript:
-    """Derandomized compressed-measurement protocol.
+def run_kd_oneshot(views) -> list:
+    """Derandomized compressed-measurement protocol on each of a sequence of
+    views of one instance and one table shape, transcripts in view order.
 
-    Uses the view's K x L compressed measurement and its chosen k, measures
+    Uses each view's K x L compressed measurement and its chosen k, measures
     Theta(k) coherently into a borrowed register of dimension L + 1
     (failure outcome included), distills both sides per outcome, and
     dephases the outcome register to Bob. Communication equals the
-    borrowed register size, ceil(log2(L + 1)) bits.
+    borrowed register size, ceil(log2(L + 1)) bits. The views run as one
+    stack: their per-k errors in one pass, the branches of all their rows
+    from one stacked root and each party's codes from one stacked
+    eigendecomposition.
     """
-    inst, k = view.instance, view.k
+    inst = views[0].instance
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
+    for view, errs in zip(views, per_k_errors(views)):
+        view.__dict__.setdefault("errors", errs)
     # one branch per distinct symbol of row k, then the failure branch
-    _, first, at = np.unique(view.decode[k], return_index=True, return_inverse=True)
-    elements = [view.thetas[k][l] for l in first.tolist()] + [view.thetas[k][-1]]
-    cells = at.tolist() + [len(first)]
-    branches = states.measure(psi, elements, a_reg)
-    a_bits, b_bits, err = _distill_branches(branches, cells, a_reg, bob_label, eps)
+    rows = [np.unique(v.decode[v.k], return_index=True, return_inverse=True)[1:] for v in views]
+    elements = np.concatenate([v.elements[v.k, np.append(first, v.L)]
+                               for v, (first, _) in zip(views, rows)])
+    runs = [(len(first) + 1, at.tolist() + [len(first)]) for first, at in rows]
+    results = _distill_branches(states.measure(psi, elements, a_reg), runs, a_reg, bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
     imax = inst.imax
     formula = (np.log2(da) - inst.h_h_cond("ideal_a", eps)
                + np.log2(db) - inst.h_h_cond("ideal_bob", eps)
                - imax.value)
-    borrowed = math.ceil(np.log2(view.L + 1))
-    return ProtocolTranscript(
+    return [ProtocolTranscript(
         protocol="kd-oneshot",
         distilled_alice=a_bits,
         distilled_bob=b_bits,
-        borrowed=borrowed,
-        communication=borrowed,
+        borrowed=math.ceil(np.log2(view.L + 1)),
+        communication=math.ceil(np.log2(view.L + 1)),
         final_error=err,
         eps=eps,
         seed=view.seed,
         dims={"A": da, "B": db, "K": view.K, "L": view.L},
         slack_bits=inst.slack_bits,
         rate_bound_real=float(formula),
-        extra={"k": k, "c_norm": view.c_norm, "imax_bits": imax.value},
-    )
+        extra={"k": view.k, "c_norm": view.c_norm, "imax_bits": imax.value},
+    ) for view, (a_bits, b_bits, err) in zip(views, results)]
 
 
 def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
@@ -512,7 +527,8 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
     masses = branches.masses()
-    alice = (a_reg, ("Ap", "Ag"), *_branch_codes(branches, masses, range(n_x), a_reg, eps))
+    run = [(n_x, range(n_x))]
+    alice = (a_reg, ("Ap", "Ag"), *_branch_codes(branches, masses, run, a_reg, eps)[0])
     blocks = _apply_code(branches, alice)
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
@@ -523,7 +539,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    bob = (bob_label, ("Bp", "Bg"), *_branch_codes(branches, masses, range(n_x), bob_label, eps))
+    bob = (bob_label, ("Bp", "Bg"), *_branch_codes(branches, masses, run, bob_label, eps)[0])
     final_blocks = _apply_code(blocks, bob)
     keep_f = sorted(set(final_blocks.labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))

@@ -331,7 +331,7 @@ def check_compression_povm_validity(rng, trials, eps):
         cm = compress_measurement(Instance(psi, povm, 0.5), K=3, L=6,
                                   seed=int(rng.integers(1 << 30)))
         for k in range(cm.K):
-            row = cm.thetas[k]
+            row = cm.elements[k]
             total = sum(row)
             gap = 1e-8 - float(np.max(np.abs(total - np.eye(d))))
             for elem in row:

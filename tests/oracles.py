@@ -11,6 +11,12 @@ from puredist.sampling import classical_correlated_pure, purified_input
 from puredist.states import CQState, DensityOperator
 
 
+def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
+    """The generator of table cell (k, l): its own PCG64 stream keyed by
+    SeedSequence(seed, spawn_key=(k, l)), the reference of the table draw."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, l)))
+
+
 def imax_qubit_grid_oracle(states, coarse=24, refine=2):
     """Fine Bloch-ball grid search for min over sigma of
     max_x lambda_max(sigma^{-1/2} rho_x sigma^{-1/2}) on qubits."""

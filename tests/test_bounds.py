@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from puredist import bounds, entropy
-from puredist.compression import Instance
+from puredist.compression import Instance, compress_seeds
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -135,8 +135,8 @@ def test_rank1_hmin_monotone(rng):
 def test_ancilla_comparison_margin_asserted(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    out = bounds.ancilla_comparison(
-        Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=1))
+    [out] = bounds.ancilla_comparison(
+        [Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=1)])
     assert out["margin"] > 0  # instance chosen for a conclusive comparison
     assert out["c_borrow"] - out["d_borrow"] >= out["margin"] - 1e-9
 
@@ -146,15 +146,16 @@ def test_ancilla_comparison_inconclusive_when_mixed(rng):
     # margin is <= 0 and nothing is asserted
     joint = np.eye(4) / 4.0
     psi = purified_input(classical_correlated_pure(rng, 4, 4, joint=joint))
-    out = bounds.ancilla_comparison(
-        Instance(psi, basis_povm(4, "A"), 0.25).compression(K=4, L=16, seed=1))
+    [out] = bounds.ancilla_comparison(
+        [Instance(psi, basis_povm(4, "A"), 0.25).compression(K=4, L=16, seed=1)])
     assert out["margin"] <= 0
 
 
 def test_rate_report_consistency(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    rep = bounds.rate_report(Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=2))
+    [rep] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), eps).compression(
+        K=4, L=16, seed=2)])
     # achievability never beats the upper bound beyond the declared slack
     assert rep.kd_rate <= rep.dist_upper + rep.slack_bits + 1e-9
     assert rep.fewqubits_rate <= rep.dist_upper + rep.slack_bits + 1e-9
@@ -192,11 +193,11 @@ def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
     monkeypatch.setattr(bounds, "local_purity_bounds", local)
     monkeypatch.setattr(bounds, "distributed_upper_bound", dist)
     monkeypatch.setattr(entropy, "h_h", h_h)
-    reports = [bounds.rate_report(inst.compression(K=4, L=16, seed=s)) for s in (1, 2, 3)]
+    reports = bounds.rate_report(compress_seeds(inst, K=4, L=16, seeds=[1, 2, 3]))
     # one local pair (two h_h of rho_A, margin included) and one distributed bound
     assert calls == {"local": 1, "dist": 1, "h_h_rho_a": 2}
-    fresh = bounds.rate_report(Instance(psi, basis_povm(8, "A"), 0.25).compression(
-        K=4, L=16, seed=3))
+    [fresh] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), 0.25).compression(
+        K=4, L=16, seed=3)])
     assert reports[-1].to_dict() == fresh.to_dict()
     assert {r.margin for r in reports} == {reports[0].local_upper - reports[0].slack_bits}
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puredist import io
+from puredist import io, sampling
 from puredist.bounds import RateReport
 from puredist.cli import TRANSCRIPT_COLUMNS, build_parser, main, parse_seeds
 from puredist.sampling import basis_povm, bell_pair
@@ -542,3 +543,62 @@ def test_one_malformed_field_exits_0_or_2_without_a_traceback(data, malformed_di
         assert rc in (0, 2), (command, rc)
         if rc == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _run(argv):
+    """Exit code, stdout, stderr and every warning of one in-process CLI run."""
+    out, err = StringIO(), StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["compare", "kd-oneshot", "fewqubits"])
+@pytest.mark.parametrize("seeds", [
+    "3,3,1,8,2,5,1",
+    "9,2,5,14,6,11,4",
+    f"{2**32 + 1},{2**64 + 5},7,{2**96 + 3},{2**32 + 1},0,{2**130}",
+], ids=["repeated", "unordered", "multi-word"])
+def test_a_seed_sweep_prints_the_reports_of_its_single_seed_runs(command, seeds, tmp_path):
+    # the seeds of a sweep run as one stack; each report keeps its bytes and
+    # each seed's quality warning comes once, in seed order
+    rng = np.random.default_rng(20240817)
+    io.save_state(DensityOperator([("A", 4), ("B", 4)], sampling.ginibre_density(rng, 16, 2)),
+                  str(tmp_path / "s.json"))
+    io.save_povm(sampling.random_povm(rng, 4, 3, register="A"), str(tmp_path / "p.json"))
+    argv = [command, "--state", str(tmp_path / "s.json"), "--povm", str(tmp_path / "p.json"),
+            "--eps", "0.1", "--K", "4", "--L", "8", "--seeds"]
+    head = '{"reports":[' if command == "compare" else '{"transcripts":['
+    singles, warned = [], []
+    for seed in parse_seeds(seeds):
+        rc, out, err, caught = _run(argv + [str(seed)])
+        assert (rc, err) == (0, "") and out.startswith(head) and out.endswith("]}\n")
+        singles.append(out[len(head):-3])
+        warned += caught
+    assert len(singles) == 7 and warned
+    assert _run(argv + [seeds]) == (0, head + ",".join(singles) + "]}\n", "", warned)
+
+
+@pytest.mark.parametrize("command", ["compare", "kd-oneshot", "fewqubits"])
+def test_a_sweep_with_an_infeasible_seed_names_it_and_warns_once_per_seed(command, tmp_path):
+    # near-pure source, K = L = 1 and no slack: seed 1's one cell has no
+    # usable nice set, and seeds 0, 1 and 2 each warn with their own c
+    vec = np.zeros((2, 2, 2), dtype=complex)
+    vec[0, 0, 0] = np.sqrt(0.9)
+    vec[1, 0, 0] = vec[1, 1, 1] = np.sqrt(0.05)
+    rho = np.einsum("abr,cdr->abcd", vec, np.conj(vec)).reshape(4, 4)
+    io.save_state(DensityOperator([("A", 2), ("B", 2)], rho), str(tmp_path / "s.json"))
+    io.save_povm(Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A"),
+                 str(tmp_path / "p.json"))
+    argv = [command, "--state", str(tmp_path / "s.json"), "--povm", str(tmp_path / "p.json"),
+            "--eps", "1e-12", "--K", "1", "--L", "1", "--slack-bits", "0", "--seeds"]
+    runs = {seed: _run(argv + [str(seed)]) for seed in (3, 0, 1, 4, 2)}
+    assert [runs[s][0] for s in (3, 0, 1, 4, 2)] == [0, 0, 2, 0, 2]
+    assert all(len(run[3]) == 1 for run in runs.values())
+    assert runs[0][3] != runs[1][3]  # the warnings differ by seed
+    rc, out, err, warned = _run(argv + ["3,0,1,4,2"])
+    assert (rc, out) == (2, "")
+    assert err == runs[1][2] and err.startswith("error: no k has a large enough nice")
+    assert warned == sum((runs[s][3] for s in (3, 0, 1, 4, 2)), [])

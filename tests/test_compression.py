@@ -14,7 +14,6 @@ from puredist.compression import (
     compress_measurement,
     find_good_k,
     nice_sets,
-    pair_rng,
     per_k_errors,
     simulated_conditionals,
     validate_compression,
@@ -27,6 +26,8 @@ from puredist.sampling import (
     random_povm,
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
+
+from oracles import pair_rng
 
 
 def classical_instance(rng, da=2, db=2):
@@ -47,7 +48,7 @@ def test_trivial_povm_is_exact(rng):
     # all cell operators proportional to the support projector
     for k in range(view.K):
         for l in range(view.L):
-            assert np.allclose(view.thetas[k][l], np.eye(2) / view.L, atol=1e-9)
+            assert np.allclose(view.elements[k, l], np.eye(2) / view.L, atol=1e-9)
 
 
 def test_rows_are_povms(rng):
@@ -56,7 +57,7 @@ def test_rows_are_povms(rng):
     view = compress_measurement(Instance(psi, povm, 0.1), K=4, L=8, seed=2)
     for k in range(view.K):
         # the Povm constructor revalidates PSD + sum
-        p = Povm(view.thetas[k], list(range(view.L)) + [BOT],
+        p = Povm(view.elements[k], list(range(view.L)) + [BOT],
                  register=view.instance.povm.register)
         assert p.labels[-1] == BOT
         assert len(p) == view.L + 1
@@ -71,7 +72,7 @@ def test_q_kl_keeps_the_bits_of_the_per_matrix_trace_loop(rng):
             view = compress_measurement(inst, K=5, L=6, seed=seed)
             # the reference: Tr(M rho_A) of every cell and failure element, one by one
             want = [[max(0.0, float(np.real(np.trace(m @ inst.rho_a)))) / view.K for m in row]
-                    for row in view.thetas]
+                    for row in view.elements]
             assert np.array_equal(view.q_kl, want)
 
 
@@ -86,7 +87,7 @@ def test_stacked_row_sums_keep_the_bits_of_the_row_loop(rng):
         sums = np.array([sum(base[x] for x in xs) / cm.L for xs in rows])
         c = 1.0 / max(0.0, float(np.max(linalg.eigvals_hermitian(sums, tol=1e-7))))
         assert cm.c_norm == c
-        for xs, theta in zip(rows, cm.thetas):
+        for xs, theta in zip(rows, cm.elements):
             row = [c / cm.L * base[x] for x in xs]
             bot = np.eye(2) - sum(row)
             assert all(np.array_equal(a, b) for a, b in zip(theta, row))
@@ -129,30 +130,37 @@ _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200 + 7]
 
 @pytest.mark.parametrize("K,L", [(1, 1), (3, 5), (16, 16), (8, 40), (1, 9), (7, 1), (16, 40)])
 def test_table_uniforms_match_pair_rng(K, L):
-    # the vectorized draw is the one random() of each cell's own stream, bit
-    # for bit; the edge seeds cross the word counts where the padding stops,
-    # and its wrapping integer arithmetic raises no warning
+    # the draw of a seed list is, seed by seed, the one random() of each
+    # cell's own stream, bit for bit, wherever the seed stands in the list
+    # and however often; the edge seeds cross the word counts where the
+    # padding stops, and the wrapping integer arithmetic raises no warning
     rng = np.random.default_rng(8)
     seeds = _EDGE_SEEDS + [int.from_bytes(rng.bytes(32), "little") >> int(rng.integers(0, 256))
                            for _ in range(20)]
     seeds += [int.from_bytes(rng.bytes(4 * words), "little") | 1 << (32 * words - 1)
               for words in range(1, 8)]  # 1-7 words, the top one set
-    for seed in seeds:
-        want = [[pair_rng(seed, k, l).random() for l in range(L)] for k in range(K)]
+    lists = [seeds, [0, 2**32 + 1, 2**64 + 5], [2**64 + 5, 3, 2**64 + 5, 3], seeds[-1:]]
+    want = {seed: [[pair_rng(seed, k, l).random() for l in range(L)] for k in range(K)]
+            for seed in set(sum(lists, []))}
+    for batch in lists:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(_table_uniforms(seed, K, L), want), seed
+            got = _table_uniforms(batch, K, L)
+        assert got.shape == (len(batch), K, L)
+        for seed, table in zip(batch, got):
+            assert np.array_equal(table, want[seed]), seed
 
 
 def test_table_uniforms_take_seeds_as_seed_sequence_does():
     for bad, err in ((-1, ValueError), (1.5, TypeError)):
         with pytest.raises(err):
             np.random.SeedSequence(bad)
-        with pytest.raises(err):
-            _table_uniforms(bad, 2, 2)
+        for batch in ([bad], [3, bad]):
+            with pytest.raises(err):
+                _table_uniforms(batch, 2, 2)
     want = [[pair_rng(np.int64(5), k, l).random() for l in range(3)] for k in range(2)]
-    assert np.array_equal(_table_uniforms(np.int64(5), 2, 3), want)
-    assert np.array_equal(_table_uniforms(np.int64(5), 2, 3), _table_uniforms(5, 2, 3))
+    assert np.array_equal(_table_uniforms([np.int64(5)], 2, 3)[0], want)
+    assert np.array_equal(_table_uniforms([np.int64(5)], 2, 3), _table_uniforms([5], 2, 3))
 
 
 @pytest.mark.parametrize("p_x", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.5, 0.5]])
@@ -182,7 +190,7 @@ def test_k1_basis_recovers_relabeled_measurement(rng):
         x = cm.decode[0, l]
         proj = np.zeros((2, 2))
         proj[x, x] = 1.0
-        e = cm.thetas[0][l]
+        e = cm.elements[0, l]
         assert np.allclose(e, np.trace(e).real * proj, atol=1e-9)
 
 
@@ -273,7 +281,7 @@ def test_per_k_errors_keep_the_bits_of_a_norm_per_block(rng):
         for seed in range(4):
             view = compress_measurement(inst, K=8, L=5, seed=seed)
             want, blocks, distinct = _per_k_errors_per_block(view)
-            assert per_k_errors(view).tobytes() == want.tobytes()
+            assert per_k_errors([view])[0].tobytes() == want.tobytes()
             repeats += blocks - distinct
     assert repeats > 50  # rows that repeat a count of an outcome repeat its block
 
@@ -283,7 +291,7 @@ def test_find_good_k_minimizes_per_k_error(rng):
     povm = basis_povm(2, "A")
     view = Instance(psi, povm, 0.1).compression(K=8, L=16, seed=6)
     k = find_good_k(view)
-    errs = per_k_errors(view)
+    errs = per_k_errors([view])[0]
     assert errs[k] <= np.median(errs) + 1e-12
     # deterministic given the seed
     assert k == find_good_k(view)
@@ -292,7 +300,7 @@ def test_find_good_k_minimizes_per_k_error(rng):
 def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
     inst = Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25)
     view = inst.compression(K=8, L=16, seed=2)
-    want = per_k_errors(view)  # fills the instance's and the view's caches
+    want = per_k_errors([view])  # fills the instance's caches
     calls = []
     orig = linalg._eigh
 
@@ -301,7 +309,7 @@ def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
         return orig(m)
 
     monkeypatch.setattr(linalg, "_eigh", counting)
-    assert np.array_equal(per_k_errors(view), want)
+    assert np.array_equal(per_k_errors([view]), want)
     # the blocks the rows weight, all of them at once
     assert len(calls) == 1 and len(calls[0]) == 3
     calls.clear()
@@ -401,7 +409,7 @@ def test_json_round_trip(rng):
     assert np.allclose(back.q_kl, view.q_kl, atol=0)
     for k in range(view.K):
         for l in range(view.L + 1):
-            assert np.allclose(back.thetas[k][l], view.thetas[k][l], atol=1e-15)
+            assert np.allclose(back.elements[k, l], view.elements[k, l], atol=1e-15)
     assert back.to_json() == text
     # the reloaded table derives the same nice sets, per-k errors and k
     assert back.nice == view.nice

@@ -320,6 +320,29 @@ def test_canonical_phases_keep_the_bits_of_the_column_loop(rng):
         assert np.array_equal(stacked[1], _canonical_phases_per_column(1j * v))
 
 
+def test_sum_in_order_keeps_the_bits_of_the_sequential_cumsum(rng):
+    # 2000 random stacks: (n, d, d) complex ones as the protocols mix them
+    # and (n, m) real ones summed along the last axis; np.sum reorders the
+    # additions of both and so moves bits that the in-order loop keeps
+    moved = 0
+    for t in range(2000):
+        n = int(rng.integers(1, 40))
+        if t % 2:
+            d = int(rng.integers(1, 33))
+            stack = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            want, arrays = np.cumsum(stack, axis=0)[-1], stack
+        else:
+            stack = rng.normal(size=(int(rng.integers(1, 9)), n)) * 10.0 ** rng.integers(-3, 4)
+            want, arrays = np.cumsum(stack, axis=1)[:, -1], stack.T
+        got = linalg.sum_in_order(arrays)
+        assert got.tobytes() == want.tobytes()
+        assert got is not arrays[0] and not np.shares_memory(got, arrays)
+        moved += np.sum(arrays, axis=0).tobytes() != want.tobytes()
+    assert moved > 100
+    parts = [rng.normal(size=(3, 3)) for _ in range(5)]  # any iterable, read once
+    assert linalg.sum_in_order(iter(parts)).tobytes() == np.cumsum(parts, axis=0)[-1].tobytes()
+
+
 def test_psd_power_support(rng):
     rho = ginibre_density(rng, 4, rank=2)
     inv = linalg.psd_power(rho, -1.0)

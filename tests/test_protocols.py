@@ -3,7 +3,7 @@ import pytest
 
 from puredist import entropy, linalg
 from puredist import protocols as pr
-from puredist.compression import Instance
+from puredist.compression import Instance, compress_seeds
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -161,8 +161,9 @@ def test_final_error_keeps_the_bits_of_the_per_branch_loop(rng, first):
         branches = measure(psi, elements, "A")
         masses = branches.masses()
         assert masses[3] < 1e-15 <= masses[:3].min()
-        steps = [("A", ("Ap", "Ag"), *pr._branch_codes(branches, masses, cells, "A", eps)),
-                 ("B", ("Bp", "Bg"), *pr._branch_codes(branches, masses, cells, "B", eps))]
+        run = [(len(elements), cells)]
+        steps = [("A", ("Ap", "Ag"), *pr._branch_codes(branches, masses, run, "A", eps)[0]),
+                 ("B", ("Bp", "Bg"), *pr._branch_codes(branches, masses, run, "B", eps)[0])]
         got = pr._final_error(branches, masses, steps, cells)
         singles = [psi.apply(linalg.psd_power(e, 0.5), ["A"]) for e in elements]
         want = _final_error_per_branch(singles, steps, cells)
@@ -174,14 +175,14 @@ def test_final_error_keeps_the_bits_of_the_per_branch_loop(rng, first):
 def test_kd_oneshot_codes_each_distinct_symbol_once(rng, monkeypatch):
     psi = near_pure_classical(rng, 4, 4, top=0.7)
     view = Instance(psi, basis_povm(4, "A"), 0.25).compression(K=8, L=16, seed=2)
-    pr.run_kd_oneshot(view)  # fills the instance's and the view's caches
+    pr.run_kd_oneshot([view])  # fills the instance's and the view's caches
     distinct = len(set(view.decode[view.k].tolist()))
     assert 1 < distinct < view.L
     # every cell and the failure element carry mass, so every branch is live
     assert np.min(view.q_l_given_k(view.k)) > 1e-6
     roots = _count_calls(monkeypatch, linalg, "psd_power")
     eigs = _count_calls(monkeypatch, linalg, "eig_hermitian")
-    pr.run_kd_oneshot(view)
+    pr.run_kd_oneshot([view])
     # one root per distinct symbol plus the failure element; each root is one
     # eigendecomposition and each live branch takes one code per party
     assert len(roots) == distinct + 1
@@ -191,7 +192,8 @@ def test_kd_oneshot_codes_each_distinct_symbol_once(rng, monkeypatch):
 def test_kd_oneshot_classical(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.25
-    t = pr.run_kd_oneshot(Instance(psi, basis_povm(4, "A"), eps).compression(K=8, L=16, seed=3))
+    [t] = pr.run_kd_oneshot([Instance(psi, basis_povm(4, "A"), eps).compression(
+        K=8, L=16, seed=3)])
     assert t.borrowed == int(np.ceil(np.log2(17)))
     assert t.communication == t.borrowed
     assert 0 <= t.final_error <= 2
@@ -202,8 +204,8 @@ def test_kd_oneshot_classical(rng):
 
 def test_kd_oneshot_trivial_povm(rng):
     psi = purified_input(bell_pair())
-    t = pr.run_kd_oneshot(
-        Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=4, seed=1))
+    [t] = pr.run_kd_oneshot(
+        [Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=4, seed=1)])
     # reduces to local distillations (nothing distillable from Bell marginals)
     assert t.distilled_alice == 0 and t.distilled_bob == 0
     assert t.final_error <= 1e-8
@@ -213,8 +215,8 @@ def test_kd_oneshot_trivial_povm(rng):
 def test_kd_oneshot_error_budget_over_seeds(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.25
-    errs = [pr.run_kd_oneshot(Instance(psi, basis_povm(4, "A"), eps).compression(
-        K=4, L=16, seed=s)).final_error for s in range(20)]
+    errs = [t.final_error for t in pr.run_kd_oneshot(
+        compress_seeds(Instance(psi, basis_povm(4, "A"), eps), K=4, L=16, seeds=range(20)))]
     budget = 2 * eps ** (1 / 16)  # weaker exponent, declared constant 2
     assert np.median(errs) <= budget
 
@@ -334,7 +336,7 @@ def test_fewqubits_beats_kd_on_borrow(rng):
     eps = 0.25
     for seed in (1, 2, 3):
         view = Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=seed)
-        kd = pr.run_kd_oneshot(view)
+        [kd] = pr.run_kd_oneshot([view])
         fq = pr.run_fewqubits(view)
         assert fq.borrowed < kd.borrowed
         assert fq.net_rate >= kd.net_rate - 1
@@ -389,12 +391,12 @@ def test_declared_slack_reaches_the_choice_of_k():
     view = Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)
     with pytest.raises(NoGoodK) as chosen:
         find_good_k(view)
-    for run in (pr.run_kd_oneshot, pr.run_fewqubits):
+    for run in (lambda v: pr.run_kd_oneshot([v]), pr.run_fewqubits):
         with pytest.raises(NoGoodK) as raised:
             run(view)
         assert str(raised.value) == str(chosen.value)
     # at the default slack the same table has a good k
-    t = pr.run_kd_oneshot(Instance(psi, povm, 1e-12).compression(K=1, L=1, seed=1))
+    [t] = pr.run_kd_oneshot([Instance(psi, povm, 1e-12).compression(K=1, L=1, seed=1)])
     assert t.extra["k"] == 0 and t.slack_bits == np.log2(1e12)
 
 
@@ -468,7 +470,7 @@ def test_protocols_on_mixed_input_with_reference(rng):
     assert psi.dim("R") == 2
     eps = 0.25
     view = Instance(psi, basis_povm(4, "A"), eps).compression(K=4, L=8, seed=2)
-    kd = pr.run_kd_oneshot(view)
+    [kd] = pr.run_kd_oneshot([view])
     fq = pr.run_fewqubits(view)
     for t in (kd, fq):
         assert 0 <= t.final_error <= 2
@@ -491,7 +493,7 @@ def test_purity_monotone_through_compressed_row(rng):
     from puredist.compression import compress_measurement
     psi = purified_input(bell_pair())
     view = compress_measurement(Instance(psi, basis_povm(2, "A"), 0.1), K=2, L=4, seed=1)
-    tr = pr.purity_trace(psi, Povm(view.thetas[0], register="A"), 0.1)
+    tr = pr.purity_trace(psi, Povm(view.elements[0], register="A"), 0.1)
     vals = [v for _, v in tr]
     assert all(vals[i + 1] <= vals[i] + 1e-7 for i in range(len(vals) - 1)), tr
 
