@@ -43,7 +43,7 @@ def _hash_consts(init, mult, n):
     return list(zip(c, c[1:]))
 
 
-_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32).T.reshape(2, 8, 1, 1, 1)
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), np.uint32).T.reshape(2, 8, 1, 1, 1)
 
 
 def _hashmix(value, consts):
@@ -133,10 +133,10 @@ class Instance:
     ``psi`` is pure on A, Bob's register ``bob_label`` (another register of
     psi) and any reference; the POVM acts on its register A. Nothing here
     depends on a compression seed, so each quantity is computed on first
-    use and kept: the measurement branches and the ideal control states,
-    P_X, the roots Y_x and cell Grams the tables are built from, their cap
-    ``c_cap`` on a table's c, I_max at eps^4 and the H_H conditional
-    entropies. A compressed cell's state depends only on the outcome x it
+    use and kept: the measurement branches and the ideal control states, P_X
+    and its checked cdf, the roots Y_x and cell Grams the tables are built
+    from, their cap ``c_cap`` on a table's c, I_max at eps^4 and the H_H
+    conditional entropies. A compressed cell's state depends only on the outcome x it
     decodes to, so the per-outcome data every table shares lives here too,
     indexed by x: which outcomes are ``live``, the simulated conditionals
     and their Bob marginals (one stacked pass), their pair entropies (from
@@ -362,7 +362,7 @@ class Instance:
 @dataclass(eq=False)
 class Compression:
     """One K x L compressed measurement of an ``Instance``, built by
-    ``compress_measurement`` and reloaded by ``from_json(text, instance)``.
+    ``compress_seeds`` (one seed: ``compress_measurement``) and reloaded by ``from_json``.
 
     ``elements[k]`` stacks row k's L cell operators, then the failure element.
     ``decode[k, l]`` is the original outcome x that cell (k, l) stands for;

@@ -244,7 +244,7 @@ def run_kd_oneshot(views) -> list:
     inst = views[0].instance
     psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
     a_reg = inst.povm.register
-    for view, errs in zip(views, per_k_errors(views)):
+    for view, errs in zip(views, per_k_errors(views)):  # one pass, kept for find_good_k
         view.__dict__.setdefault("errors", errs)
     # one branch per distinct symbol of row k, then the failure branch
     rows = [np.unique(v.decode[v.k], return_index=True, return_inverse=True)[1:] for v in views]
