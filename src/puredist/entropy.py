@@ -367,42 +367,40 @@ def _imax_smooth_support(cq: CQState, eps: float) -> list:
     return sorted(order[_truncation_count(cq.probs[order], eps):].tolist())
 
 
-def _povm_from(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _povm_from(states: np.ndarray, weights: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Normalize a stack of PSD weights {M_x} into a POVM {T M_x T} with
     T = (sum_x M_x)^{-1/2} on its support; kernel slack goes to the symbol
-    whose state gains most from it, so the elements sum to the identity."""
-    d = states.shape[1]
+    whose state gains most from it, so the elements sum to the identity.
+    ``eye`` is the identity of the states' dimension."""
     # T = V f(W) V^dagger does not depend on the phases of the eigenvectors
-    w, v = linalg._eigh(linalg.hermitian_part(weights.sum(axis=0)))
+    w, v = linalg._eigh(linalg.hermitian_part(np.add.reduce(weights)))
     w = linalg.clip_psd_spectrum(w)
-    inv_sqrt = np.zeros_like(w)
-    mask = w > 1e-12
-    inv_sqrt[mask] = w[mask] ** -0.5
-    t = (v * inv_sqrt) @ linalg.dagger(v)
+    t = (v * np.where(w > 1e-12, w, np.inf) ** -0.5) @ linalg.dagger(v)
     povm = linalg.hermitian_part(t @ weights @ t)
-    slack = linalg.hermitian_part(np.eye(d) - povm.sum(axis=0))
-    if np.abs(slack).max() > 1e-14:
+    # Hermitian bit for bit, as a sum of Hermitian parts
+    slack = eye - np.add.reduce(povm)
+    if np.maximum.reduce(np.abs(slack), axis=None) > 1e-14:
         gains = np.real(np.einsum("ij,xji->x", slack, states))
         povm[int(np.argmax(gains))] += slack
     return povm
 
 
-def _certify(states: np.ndarray, povm: np.ndarray, y: np.ndarray):
+def _certify(states: np.ndarray, povm: np.ndarray, y: np.ndarray, eye: np.ndarray):
     """Certified bounds on min{Tr tau : tau >= rho_x} from a POVM and a
     candidate operator ``y``.
 
     The POVM gives the dual lower bound sum_x Tr[Pi_x rho_x]; ``y`` is lifted
     to the feasible tau = y + max(0, lambda_max(rho_x - y)) I, whose trace is
-    the upper bound. Returns (lower, upper, tau).
+    the upper bound (``eye`` is that I). Returns (lower, upper, tau).
     """
-    d = states.shape[1]
     lower = float(np.real(np.einsum("xij,xji->", povm, states)))
     excess = states - y
-    if np.abs(excess - linalg.dagger(excess)).max() > 1e-6:
+    mh = linalg.dagger(excess)
+    if np.maximum.reduce(np.abs(excess - mh), axis=None) > 1e-6:
         raise ValueError("matrix is not Hermitian within tolerance")
-    c = max(float(linalg._eigvalsh(linalg.hermitian_part(excess)).max()), 0.0)
-    upper = float(y.trace().real) + d * c
-    return lower, upper, y + c * np.eye(d)
+    c = max(float(np.maximum.reduce(linalg._eigvalsh((excess + mh) / 2.0), axis=None)), 0.0)
+    upper = float(y.trace().real) + len(eye) * c
+    return lower, upper, y + c * eye
 
 
 def _gap_bits(lower: float, upper: float) -> float:
@@ -442,7 +440,7 @@ class _Bounds:
         """
         lower, self.upper, self.tau = _certify(
             states, basis @ povm @ linalg.dagger(basis),
-            basis @ self.tau @ linalg.dagger(basis))
+            basis @ self.tau @ linalg.dagger(basis), np.eye(len(basis)))
         self.lower = max(self.lower, lower)
 
 
@@ -450,12 +448,13 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int):
     """Discrimination fixed point Pi_x <- T rho_x Pi_x rho_x T, certified every
     iteration by its Lagrange operator Y = sum_x rho_x Pi_x. Returns the last
     POVM and the number of iterations run."""
+    eye = np.eye(states.shape[1])
     rp = states @ povm
     for it in range(1, iterations + 1):
-        povm = _povm_from(states, rp @ states)
+        povm = _povm_from(states, rp @ states, eye)
         rp = states @ povm
-        y = linalg.hermitian_part(rp.sum(axis=0))
-        if best.update(*_certify(states, povm, y)) <= IMAX_GAP_TOL:
+        y = linalg.hermitian_part(np.add.reduce(rp))
+        if best.update(*_certify(states, povm, y, eye)) <= IMAX_GAP_TOL:
             return povm, it
     return povm, iterations
 
@@ -477,15 +476,15 @@ def _fixed_point_budget(r: int) -> int:
     gates, so a d > 16 ensemble of small support gets the Newton stage too.
 
     On one core of a 2-CPU x86 host, with n = 3-4 states, a fixed-point
-    iteration costs 0.24-0.4 ms for r <= 16; a Newton step costs about
-    0.4 ms at r <= 6, 0.7 ms at r=8, 1.9 ms at r=12 and 3.3 ms at r=16.
-    Warm-started from the fixed point, stage 2 certified in a median of 14
-    Newton steps (6-51) on 600 random kd-oneshot ensembles solved in their
-    full d = 8-16, which costs as much as about 25 fixed-point iterations
-    at r <= 4, 35 at r=8, 65 at r=12 and 115 at r=16. The budget follows
-    that crossover; on those ensembles it ran faster than half and twice
-    itself. Solved on their supports (r = 3-4), the same ensembles take
-    25-27 fixed-point iterations and a median of 14 Newton steps (max 48).
+    iteration costs 0.09-0.12 ms at r <= 4, 0.1-0.17 ms at r = 6-8, 0.2 ms
+    at r=12 and 0.3 ms at r=16; a Newton step about 0.17 ms at r <= 4,
+    0.3-0.45 ms at r = 6-8, 0.9 ms at r=12 and 3 ms at r=16. A stage 2 of
+    14 steps costs about as much as 25 fixed-point iterations at r <= 4,
+    35 at r=8, 65 at r=12 and 130 at r=16, and the budget follows that
+    crossover. Solved on their supports (r = 3-4), 500 of the
+    600 kd-quantum pool ensembles spend the whole 25-27-iteration budget
+    and then take a median of 15 Newton steps (5-48); the other 100
+    certify within 12-27 iterations.
     """
     return 25 + r ** 3 // 32
 
@@ -519,8 +518,8 @@ def _newton_step(sinv: np.ndarray, grad: np.ndarray):
     hess = (pq.T @ np.concatenate([p, -q])).reshape(d, d, d, d).transpose(0, 3, 1, 2).copy()
     hess += (pq.T @ np.concatenate([q, p])).reshape(d, d, d, d).transpose(0, 3, 2, 1)
     try:
-        m = np.linalg.solve(hess.reshape(d * d, d * d),
-                            -(grad.real + grad.imag).reshape(-1)).reshape(d, d)
+        m = linalg._solve(hess.reshape(d * d, d * d),
+                          -(grad.real + grad.imag).reshape(-1)).reshape(d, d)
     except np.linalg.LinAlgError:
         return None
     return (m + m.T) / 2.0 + 0.5j * (m - m.T)
@@ -556,9 +555,9 @@ def _barrier(states, best: _Bounds):
         # sum_x log det(candidate - rho_x) and the eigensystems of the
         # candidate - rho_x, or None outside the interior
         w, v = linalg._eigh(candidate - states)
-        if w.min() <= 0:
+        if np.minimum.reduce(w, axis=None) <= 0:
             return None, None
-        return float(np.log(w).sum()), (w, v)
+        return float(np.add.reduce(np.log(w), axis=None)), (w, v)
 
     def inverses(eig, scale=1.0):
         w, v = eig
@@ -570,7 +569,7 @@ def _barrier(states, best: _Bounds):
         # centering: damped Newton steps until the decrement is small
         while steps < NEWTON_MAX_STEPS:
             sinv = inverses(eig)
-            grad = t * eye - sinv.sum(axis=0)
+            grad = t * eye - np.add.reduce(sinv)
             step = _newton_step(sinv, grad)
             if step is None:
                 return povm, steps
@@ -587,7 +586,8 @@ def _barrier(states, best: _Bounds):
             slope = t * float(step.trace().real)
             alpha = 1.0
             while True:
-                new_logdet, new_eig = factor(tau + alpha * step)
+                trial = tau + alpha * step
+                new_logdet, new_eig = factor(trial)
                 if new_logdet is not None and (
                         decrement < 1e-2 or alpha * slope - (new_logdet - logdet)
                         <= -0.25 * alpha * decrement):
@@ -595,10 +595,10 @@ def _barrier(states, best: _Bounds):
                 alpha *= 0.5
                 if alpha < 1e-10:
                     return povm, steps
-            tau, logdet, eig = tau + alpha * step, new_logdet, new_eig
+            tau, logdet, eig = trial, new_logdet, new_eig
             steps += 1
-        povm = _povm_from(states, inverses(eig, t))
-        lower, upper, feasible = _certify(states, povm, tau)
+        povm = _povm_from(states, inverses(eig, t), eye)
+        lower, upper, feasible = _certify(states, povm, tau, eye)
         step_gap = _gap_bits(lower, upper)
         if best.update(lower, upper, feasible) <= IMAX_GAP_TOL or step_gap > 0.5 * gap:
             break

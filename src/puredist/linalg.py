@@ -4,13 +4,17 @@ Hermitian eigendecomposition, partial trace, purification and the
 state-distance functionals everything else is built on. All logarithms
 in this package are base 2; entropic outputs are in qubits/bits.
 
-Every Hermitian eigendecomposition of the package runs here, through the
-one funnel ``_eigh`` (or ``_eigvalsh``, whose bits differ from its
-eigenvalues'). Its checked entry points are ``eig_hermitian`` when the
-eigenvectors are used (columns phase-canonicalized, so repeated runs are
-byte-identical) and ``eigvals_hermitian`` when only the eigenvalues are (the
-same bits); one conjugate transpose serves both the Hermitian check and the
-symmetrization. The solvers of ``entropy`` pass it ``hermitian_part``s unchecked.
+Every LAPACK call of the package runs here, through one funnel that calls
+numpy's LAPACK gufuncs directly under their public wrappers' error state:
+each gives its wrapper's bits (on complex input, real for ``_solve``) and
+``LinAlgError`` without the wrapper's per-call checks. It holds ``_eigh``,
+``_eigvalsh`` (whose bits differ from ``_eigh``'s eigenvalues'), ``_solve``,
+``_svd`` and ``_svdvals``. The checked eigen functions are ``eig_hermitian``
+when the eigenvectors are used (columns phase-canonicalized, so repeated
+runs are byte-identical) and ``eigvals_hermitian`` when only the eigenvalues
+are (the same bits); one conjugate transpose serves both the Hermitian check
+and the symmetrization. The solvers of ``entropy`` pass the funnel
+``hermitian_part``s unchecked.
 
 The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
 also take an (n, d, d) stack, the first three in one LAPACK batch, and give
@@ -21,6 +25,7 @@ to stacks of several sizes with one call per size.
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # Hermiticity / orthonormality checks
 HERM_TOL = 1e-9
@@ -60,7 +65,7 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _checked_eigh(m: np.ndarray, tol: float):
-    """``np.linalg.eigh`` of the symmetrized ``m`` after the shape and
+    """``_eigh`` of the symmetrized ``m`` after the shape and
     Hermitian checks both public eigen functions share."""
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -71,14 +76,25 @@ def _checked_eigh(m: np.ndarray, tol: float):
     return _eigh((m + mh) / 2.0)
 
 
-def _eigh(h: np.ndarray):
-    """``np.linalg.eigh`` of the symmetrized complex matrix or stack ``h``, unchecked."""
-    return np.linalg.eigh(h)
+def _lapack(gufunc, signature: str, failure: str):
+    """``gufunc(*args)`` at ``signature`` under its numpy wrapper's error
+    state, so a LAPACK failure raises ``LinAlgError(failure)`` as it does."""
+    def fail(err, flag):
+        raise LinAlgError(failure)
+
+    def call(*args):
+        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                         under="ignore"):
+            return gufunc(*args, signature=signature)
+    return call
 
 
-def _eigvalsh(h: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh`` of the symmetrized complex matrix or stack ``h``, unchecked."""
-    return np.linalg.eigvalsh(h)
+# unchecked; _eigh and _eigvalsh take symmetrized complex matrices or stacks
+_eigh = _lapack(_umath_linalg.eigh_lo, "D->dD", "Eigenvalues did not converge")
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "D->d", "Eigenvalues did not converge")
+_solve = _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix")  # real a x = b, b 1-D
+_svd = _lapack(_umath_linalg.svd_s, "D->DdD", "SVD did not converge")  # reduced u, s, vh
+_svdvals = _lapack(_umath_linalg.svd, "D->d", "SVD did not converge")
 
 
 def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
@@ -209,12 +225,12 @@ def trace_norm(m: np.ndarray):
     if m.ndim == 2:
         if m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= 1e-8:
             return float(np.abs(_eigh(hermitian_part(m))[0]).sum())
-        return float(np.linalg.svd(m, compute_uv=False).sum())
+        return float(_svdvals(m).sum())
     mh = dagger(m)
     herm = np.abs(m - mh).max(axis=(-2, -1)) <= 1e-8
     out = np.empty(len(m))
     out[herm] = np.abs(_eigh(hermitian_part(m[herm]))[0]).sum(axis=-1)
-    out[~herm] = np.linalg.svd(m[~herm], compute_uv=False).sum(axis=-1)
+    out[~herm] = _svdvals(m[~herm]).sum(axis=-1)
     return out
 
 
@@ -255,4 +271,4 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace <= 1."""
     sa, sb = psd_power(np.array([a, b]), 0.5)
-    return float(np.linalg.svd(sa @ sb, compute_uv=False).sum())
+    return float(_svdvals(sa @ sb).sum())

@@ -306,7 +306,7 @@ def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
                            [chi.labels.index(l) for l in chi_system + shared_sorted])
     chi_mat = chi_mat.reshape(dq, -1)
     overlap = phi_mat @ linalg.dagger(chi_mat)  # N[p, q]
-    v, s, wh = np.linalg.svd(overlap, full_matrices=False)
+    v, s, wh = linalg._svd(overlap)
     u = linalg.dagger(wh) @ linalg.dagger(v)
     achieved = float(np.sum(s))
     fid = linalg.fidelity(phi_mat.T @ np.conj(phi_mat), chi_mat.T @ np.conj(chi_mat))

@@ -347,11 +347,12 @@ def d_h_dual_bound(rho, sig, eps, t):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Counts the eigendecompositions numpy runs while the test is active."""
+    """Counts the eigendecompositions the package runs while the test is
+    active: all of them pass the funnel ``linalg._eigh`` / ``_eigvalsh``."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        orig = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
+    for name in ("_eigh", "_eigvalsh"):
+        orig = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
                             lambda *a, _orig=orig, **k: calls.append(1) or _orig(*a, **k))
     return calls
 
@@ -790,6 +791,154 @@ def test_i_max_resumes_the_fixed_point_when_the_newton_stage_stalls(monkeypatch)
             reached += 1
             assert resumed.iterations > newton.iterations
     assert reached == 5
+
+
+# The solver's stages as they were before their numpy calls were trimmed:
+# the identity built per call, the slack symmetrized again, .sum/.max method
+# calls, a masked inverse square root and np.linalg.solve.
+
+def ref_povm_from(states, weights):
+    d = states.shape[1]
+    w, v = np.linalg.eigh(linalg.hermitian_part(weights.sum(axis=0)))
+    w = linalg.clip_psd_spectrum(w)
+    inv_sqrt = np.zeros_like(w)
+    mask = w > 1e-12
+    inv_sqrt[mask] = w[mask] ** -0.5
+    t = (v * inv_sqrt) @ linalg.dagger(v)
+    povm = linalg.hermitian_part(t @ weights @ t)
+    slack = linalg.hermitian_part(np.eye(d) - povm.sum(axis=0))
+    if np.abs(slack).max() > 1e-14:
+        gains = np.real(np.einsum("ij,xji->x", slack, states))
+        povm[int(np.argmax(gains))] += slack
+    return povm
+
+
+def ref_certify(states, povm, y):
+    d = states.shape[1]
+    lower = float(np.real(np.einsum("xij,xji->", povm, states)))
+    excess = states - y
+    if np.abs(excess - linalg.dagger(excess)).max() > 1e-6:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    c = max(float(np.linalg.eigvalsh(linalg.hermitian_part(excess)).max()), 0.0)
+    upper = float(y.trace().real) + d * c
+    return lower, upper, y + c * np.eye(d)
+
+
+def ref_lift(best, states, basis, povm):
+    lower, best.upper, best.tau = ref_certify(
+        states, basis @ povm @ linalg.dagger(basis), basis @ best.tau @ linalg.dagger(basis))
+    best.lower = max(best.lower, lower)
+
+
+def ref_fixed_point(states, povm, best, iterations):
+    rp = states @ povm
+    for it in range(1, iterations + 1):
+        povm = ref_povm_from(states, rp @ states)
+        rp = states @ povm
+        y = linalg.hermitian_part(rp.sum(axis=0))
+        if best.update(*ref_certify(states, povm, y)) <= ent.IMAX_GAP_TOL:
+            return povm, it
+    return povm, iterations
+
+
+def ref_newton_step(sinv, grad):
+    n, d, _ = sinv.shape
+    p = sinv.real.reshape(n, d * d)
+    q = sinv.imag.reshape(n, d * d)
+    pq = np.concatenate([p, q])
+    hess = (pq.T @ np.concatenate([p, -q])).reshape(d, d, d, d).transpose(0, 3, 1, 2).copy()
+    hess += (pq.T @ np.concatenate([q, p])).reshape(d, d, d, d).transpose(0, 3, 2, 1)
+    try:
+        m = np.linalg.solve(hess.reshape(d * d, d * d),
+                            -(grad.real + grad.imag).reshape(-1)).reshape(d, d)
+    except np.linalg.LinAlgError:
+        return None
+    return (m + m.T) / 2.0 + 0.5j * (m - m.T)
+
+
+def ref_barrier(states, best):
+    n, d, _ = states.shape
+    eye = np.eye(d)
+    margin = max(best.upper - best.lower, 1e-12 * best.upper)
+    tau = best.tau + (margin / d) * eye
+    t = n * d / margin
+    povm, steps = None, 0
+
+    def factor(candidate):
+        w, v = np.linalg.eigh(candidate - states)
+        if w.min() <= 0:
+            return None, None
+        return float(np.log(w).sum()), (w, v)
+
+    def inverses(eig, scale=1.0):
+        w, v = eig
+        return (v / (scale * w)[:, None, :]) @ linalg.dagger(v)
+
+    logdet, eig = factor(tau)
+    gap = np.inf
+    while logdet is not None and steps < ent.NEWTON_MAX_STEPS:
+        while steps < ent.NEWTON_MAX_STEPS:
+            sinv = inverses(eig)
+            grad = t * eye - sinv.sum(axis=0)
+            step = ref_newton_step(sinv, grad)
+            if step is None:
+                return povm, steps
+            decrement = -float(np.real(np.vdot(grad, step)))
+            if not np.isfinite(decrement) or decrement < 0:
+                return povm, steps
+            if decrement < 1e-9:
+                break
+            slope = t * float(step.trace().real)
+            alpha = 1.0
+            while True:
+                new_logdet, new_eig = factor(tau + alpha * step)
+                if new_logdet is not None and (
+                        decrement < 1e-2 or alpha * slope - (new_logdet - logdet)
+                        <= -0.25 * alpha * decrement):
+                    break
+                alpha *= 0.5
+                if alpha < 1e-10:
+                    return povm, steps
+            tau, logdet, eig = tau + alpha * step, new_logdet, new_eig
+            steps += 1
+        povm = ref_povm_from(states, inverses(eig, t))
+        lower, upper, feasible = ref_certify(states, povm, tau)
+        step_gap = ent._gap_bits(lower, upper)
+        if best.update(lower, upper, feasible) <= ent.IMAX_GAP_TOL or step_gap > 0.5 * gap:
+            break
+        gap = step_gap
+        t *= ent.BARRIER_GROWTH
+    return povm, steps
+
+
+def test_i_max_keeps_the_bits_of_the_reference_stages(monkeypatch):
+    # 48 kd environment ensembles (d = 8-16 on supports r = 3-4) and 12
+    # full-support ensembles of r = 2-16; most of them reach the Newton stage
+    rng = np.random.default_rng(27)
+    cases = [(kd_environment_ensemble(i, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[i % 3]), 1e-4)
+             for i in range(48)]
+    cases += [(random_cq(rng, int(rng.integers(3, 5)), d), 0.0)
+              for d in (2, 2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16)]
+    ref = {"_fixed_point": ref_fixed_point, "_barrier": ref_barrier}
+    supports, steps = set(), 0
+    for cq, eps in cases:
+        got = ent.i_max_cq(cq, eps)
+        with monkeypatch.context() as m:
+            for name, f in ref.items():
+                m.setattr(ent, name, f)
+            m.setattr(ent._Bounds, "lift", ref_lift)
+            want = ent.i_max_cq(cq, eps)
+        assert (got.value, got.duality_gap, got.iterations, got.newton_steps) == (
+            want.value, want.duality_gap, want.iterations, want.newton_steps)
+        assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+        basis = ent._joint_support(cq.stack)
+        supports.add(cq.stack.shape[1] if basis is None else basis.shape[1])
+        steps += got.newton_steps > 0
+    assert supports >= {2, 3, 4, 5, 8, 12, 16} and steps >= 40, (supports, steps)
+
+
+def test_newton_step_of_a_singular_system_is_none():
+    assert ent._newton_step(np.zeros((2, 3, 3), dtype=complex), np.eye(3, dtype=complex)) is None
 
 
 def test_i_max_commuting_ensemble_needs_no_newton_stage():

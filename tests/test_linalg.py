@@ -352,16 +352,65 @@ def test_psd_power_support(rng):
 
 
 def test_only_linalg_calls_the_numpy_hermitian_eigensolvers():
-    # every Hermitian eigendecomposition of the package runs in linalg
+    # every eigendecomposition, solve and SVD of the package runs in linalg's
+    # funnel, the one module that imports numpy's LAPACK gufuncs
+    lapack = ("eigh", "eigvalsh", "solve", "svd")
     found = {}
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+            if isinstance(node, ast.Attribute) and node.attr in lapack:
                 named = isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
-            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-                named = any(a.name in ("eigh", "eigvalsh") for a in node.names)
+            elif isinstance(node, ast.Attribute) and node.attr == "_umath_linalg":
+                named = True
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "numpy"):
+                named = any(a.name in lapack + ("_umath_linalg",) for a in node.names)
+            elif isinstance(node, ast.Import):
+                named = any("_umath_linalg" in a.name for a in node.names)
             else:
                 continue
             if named:
                 found.setdefault(path.name, []).append(node.lineno)
     assert set(found) == {"linalg.py"}, found
+
+
+def funnel_cases(rng):
+    """Square complex matrices of every size 1..64 and (n, d, d) stacks with
+    n = 0 among them, each as a Ginibre matrix and its Hermitian part."""
+    shapes = [(d, d) for d in range(1, 65)]
+    shapes += [(n, d, d) for n in (0, 1, 3, 17) for d in (1, 2, 4, 7, 16, 33)]
+    for shape in shapes:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        yield m, linalg.hermitian_part(m)
+
+
+def test_the_lapack_funnel_keeps_the_bits_of_the_numpy_wrappers(rng):
+    for m, h in funnel_cases(rng):
+        for got, want in zip(linalg._eigh(h), np.linalg.eigh(h)):
+            assert got.tobytes() == want.tobytes(), h.shape
+        assert linalg._eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        for a in (m, h, m[..., :-1, :], m[..., :, 1:]):  # rectangular too, as in Uhlmann's overlap
+            want = np.linalg.svd(a, compute_uv=False)
+            assert linalg._svdvals(a).tobytes() == want.tobytes(), a.shape
+            for got, want in zip(linalg._svd(a), np.linalg.svd(a, full_matrices=False)):
+                assert got.tobytes() == want.tobytes(), a.shape
+        if m.ndim == 2:
+            b = rng.normal(size=len(m))
+            want = np.linalg.solve(m.real, b)
+            assert linalg._solve(m.real, b).tobytes() == want.tobytes()
+
+
+def test_the_lapack_funnel_raises_the_numpy_wrappers_errors():
+    # the tier-1 run turns RuntimeWarnings into errors: the funnel's error
+    # state must turn LAPACK's flag into the wrapper's LinAlgError first
+    nan = np.full((3, 3), np.nan, dtype=complex)
+    for funnel, public, arg in (
+            (linalg._eigh, np.linalg.eigh, nan),
+            (linalg._eigvalsh, np.linalg.eigvalsh, nan),
+            (linalg._svdvals, lambda a: np.linalg.svd(a, compute_uv=False), nan),
+            (linalg._svd, lambda a: np.linalg.svd(a, full_matrices=False), nan),
+            (linalg._solve, lambda a: np.linalg.solve(a, np.ones(3)), np.ones((3, 3)))):
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            public(arg)
+        args = (arg, np.ones(3)) if funnel is linalg._solve else (arg,)
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{want.value}$"):
+            funnel(*args)

@@ -206,6 +206,27 @@ def test_pure_state_apply_and_branches(rng):
     assert np.isclose(branches.masses().sum(), 1.0)
 
 
+def test_masses_keep_the_bits_of_a_norm_per_member(rng):
+    # stacks of 0-8 members over 1-4 registers, scaled over nine decades;
+    # after apply, most tensors are strided views, which the norm reads in
+    # memory order
+    strided = 0
+    for _ in range(2000):
+        n, dims = int(rng.integers(0, 9)), [int(d) for d in rng.integers(1, 7, rng.integers(1, 5))]
+        scale = 10.0 ** int(rng.integers(-6, 3))
+        psi = PureState([(f"R{i}", d) for i, d in enumerate(dims)],
+                        scale * (rng.normal(size=[n] + dims) + 1j * rng.normal(size=[n] + dims)),
+                        stacked=True)
+        if n and len(dims) > 1:
+            on = [f"R{i}" for i in rng.permutation(len(dims))[:int(rng.integers(1, len(dims)))]]
+            d = int(np.prod([psi.dim(l) for l in on]))
+            psi = psi.apply(ginibre_matrix(rng, d), on)
+        strided += not psi.tensor.flags.c_contiguous
+        want = np.array([float(np.linalg.norm(t)) ** 2 for t in psi.tensor])  # the loop it replaced
+        assert psi.masses().tobytes() == want.tobytes(), (n, dims)
+    assert strided > 200
+
+
 def test_pure_state_apply_isometry_reshapes_registers():
     psi = PureState([("A", 2), ("B", 2)], np.array([1, 0, 0, 1]) / np.sqrt(2))
     iso = np.zeros((6, 2), dtype=complex)  # embed qubit into qutrit x flag
