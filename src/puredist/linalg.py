@@ -4,8 +4,9 @@ Hermitian eigendecomposition, partial trace, purification and the
 state-distance functionals everything else is built on. All logarithms
 in this package are base 2; entropic outputs are in qubits/bits.
 
-Every LAPACK call of the package runs here, through one funnel that calls
-numpy's LAPACK gufuncs directly under their public wrappers' error state:
+Every eigendecomposition, solve and SVD of the package runs here, through
+one funnel that calls numpy's LAPACK gufuncs directly (private numpy 2
+names, hence ``numpy>=2.0,<3``) under their public wrappers' error state:
 each gives its wrapper's bits (on complex input, real for ``_solve``) and
 ``LinAlgError`` without the wrapper's per-call checks. It holds ``_eigh``,
 ``_eigvalsh`` (whose bits differ from ``_eigh``'s eigenvalues'), ``_solve``,
