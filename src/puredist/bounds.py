@@ -63,10 +63,10 @@ def local_purity_bounds(rho, eps: float, slack_bits: float | None = None):
     upper = log|A| - H_H^{eps}(A).
     """
     slack_bits = declared_slack(eps, slack_bits)
-    mat = entropy._matrix(rho)
-    d = mat.shape[0]
-    lower = float(np.log2(d) - entropy.h_h(mat, eps * eps / 9).value - slack_bits - 1)
-    upper = float(np.log2(d) - entropy.h_h(mat, eps).value)
+    w = entropy._spectrum(rho)  # one eigendecomposition for both h_h
+    d = len(w)
+    lower = float(np.log2(d) - entropy.h_h(w, eps * eps / 9).value - slack_bits - 1)
+    upper = float(np.log2(d) - entropy.h_h(w, eps).value)
     return lower, upper
 
 
@@ -128,7 +128,7 @@ def rate_report(views, f_eps: float | None = None, g_eps: float | None = None) -
     f_eps = eps if f_eps is None else f_eps
     g_eps = eps if g_eps is None else g_eps
     lo, up = inst.local_bounds
-    dist = inst.dist_upper(f_eps, g_eps)
+    dist = distributed_upper_bound(inst, f_eps, g_eps)
     return [RateReport(
         local_lower=lo,
         local_upper=up,

@@ -165,11 +165,12 @@ def cmd_entropy(args) -> int:
     if len(state.registers) > 1:
         targets.update((label, state.partial_trace(label)) for label, _ in state.registers)
     for name, rho in sorted(targets.items()):
+        w = rho.spectrum()  # one eigendecomposition for all four
         payload["marginals"][name] = {
-            "h_h": entropy.h_h(rho, eps).value,
-            "h_tilde_max": entropy.h_tilde_max(rho, eps),
-            "h_prime_max": entropy.h_prime_max(rho, eps),
-            "h_max_smooth": entropy.h_max_smooth(rho, eps),
+            "h_h": entropy.h_h(w, eps).value,
+            "h_tilde_max": entropy.h_tilde_max(w, eps),
+            "h_prime_max": entropy.h_prime_max(w, eps),
+            "h_max_smooth": entropy.h_max_smooth(w, eps),
         }
     psi = protocol_input(state, bob) if args.povm else None
     for path in args.povm:

@@ -133,16 +133,18 @@ class Instance:
     ``psi`` is pure on A, Bob's register ``bob_label`` (another register of
     psi) and any reference; the POVM acts on its register A. Nothing here
     depends on a compression seed, so each quantity is computed on first
-    use and kept: the measurement branches and the ideal control states, P_X
-    and its checked cdf, the roots Y_x and cell Grams the tables are built
-    from, their cap ``c_cap`` on a table's c, I_max at eps^4 and the H_H
-    conditional entropies. A compressed cell's state depends only on the outcome x it
+    use and kept: the measurement branches and the ideal control states
+    (one per reduction: the environment, A and Bob; ``ideal_bob`` serves
+    both the rate formulas and the nice verdicts), P_X and its checked cdf,
+    the roots Y_x and cell Grams the tables are built from, their cap
+    ``c_cap`` on a table's c, I_max at eps^4 and the H_H conditional
+    entropies. A compressed cell's state depends only on the outcome x it
     decodes to, so the per-outcome data every table shares lives here too,
     indexed by x: which outcomes are ``live``, the simulated conditionals
     and their Bob marginals (one stacked pass), their pair entropies (from
     one stacked spectrum each) and nice verdicts, the A_g bounds and
-    truncated targets of the in-place protocol, Bob's codes and the rate bounds (code in
-    ``protocols`` and ``bounds``, imported where used).
+    truncated targets of the in-place protocol, Bob's codes and the local
+    purity bounds (code in ``protocols`` and ``bounds``, imported where used).
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -160,7 +162,6 @@ class Instance:
         self.slack_bits = declared_slack(eps, slack_bits)
         self.env = [l for l in psi.labels if l != reg]
         self._h_h_cond = {}
-        self._dist_upper = {}
 
     def compression(self, K: int, L: int, seed: int) -> "Compression":
         return compress_measurement(self, K, L, seed)
@@ -231,16 +232,6 @@ class Instance:
         scale c / L. The Gram form keeps them PSD despite rho^{-1/2}."""
         grams, p_x = self.roots @ linalg.dagger(self.roots), self.p_x[:, None, None]
         return np.divide(grams, p_x, out=np.zeros_like(grams), where=p_x > 0)
-
-    @cached_property
-    def ideal_env_bob(self) -> states.CQState:
-        """The environment ensemble reduced to Bob (not ``ideal_bob``: the two
-        agree only in exact arithmetic)."""
-        env = self.ideal_env
-        labels, dims = zip(*env.registers)
-        bob = labels.index(self.bob_label)
-        return states.CQState(env.symbols, env.probs, linalg.partial_trace(env.stack, dims, bob),
-                              registers=[env.registers[bob]])
 
     @cached_property
     def c_cap(self) -> float:
@@ -315,7 +306,7 @@ class Instance:
     def nice_outcomes(self) -> np.ndarray:
         """``nice_sets``' verdict on a cell that decodes to x, per outcome x."""
         bound_env = self.h_h_cond("ideal_env", self.eps) + self.slack_bits + 1e-12
-        bound_bob = self.h_h_cond("ideal_env_bob", self.eps) + self.slack_bits + 1e-12
+        bound_bob = self.h_h_cond("ideal_bob", self.eps) + self.slack_bits + 1e-12
         h_env, _, h_bob = self.pair_entropies
         return self.live & (h_env <= bound_env) & (h_bob <= bound_bob)
 
@@ -350,13 +341,6 @@ class Instance:
         """(lower, upper) ``local_purity_bounds`` of rho_A."""
         from .bounds import local_purity_bounds
         return local_purity_bounds(self.rho_a, self.eps, self.slack_bits)
-
-    def dist_upper(self, f_eps: float, g_eps: float) -> float:
-        """``distributed_upper_bound`` at smoothings (f_eps, g_eps)."""
-        from .bounds import distributed_upper_bound
-        if (f_eps, g_eps) not in self._dist_upper:
-            self._dist_upper[f_eps, g_eps] = distributed_upper_bound(self, f_eps, g_eps)
-        return self._dist_upper[f_eps, g_eps]
 
 
 @dataclass(eq=False)

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .states import CQState, DensityOperator
 
-SUPPORT_TOL = 1e-12
+SUPPORT_TOL = linalg.SUPPORT_TOL
 
 
 @dataclass
@@ -321,9 +321,8 @@ def h_min_cq_smoothed(cq: CQState, eps: float) -> float:
     heap = [(m, i) for i, m in enumerate(mult)]
     heapq.heapify(heap)
     while budget > 1e-18 and heap:
+        # one entry per symbol: a symbol is pushed back only once popped
         m, i = heapq.heappop(heap)
-        if m != mult[i]:
-            continue  # stale entry
         w, t, p = desc[i], level[i], cq.probs[i]
         nxt = w[m] if m < len(w) else 0.0
         step_cost = p * m * (t - nxt)

@@ -23,6 +23,7 @@ each member the bits of its own 2-D call; ``per_size`` applies one of them
 to stacks of several sizes with one call per size.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,8 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 # Hermiticity / orthonormality checks
 HERM_TOL = 1e-9
+# Eigenvalues at or below SUPPORT_TOL lie outside a PSD matrix's support
+SUPPORT_TOL = 1e-12
 # Eigenvalues in (PSD_CLIP, 0) are treated as numerical noise and clipped
 # to zero; anything more negative is an error.
 PSD_CLIP = -1e-10
@@ -79,15 +82,13 @@ def _checked_eigh(m: np.ndarray, tol: float):
 
 def _lapack(gufunc, signature: str, failure: str):
     """``gufunc(*args)`` at ``signature`` under its numpy wrapper's error
-    state, so a LAPACK failure raises ``LinAlgError(failure)`` as it does."""
+    state, so a LAPACK failure raises ``LinAlgError(failure)`` as it does;
+    the ``errstate`` is built once, and its decorator form is reentrant."""
     def fail(err, flag):
         raise LinAlgError(failure)
 
-    def call(*args):
-        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
-                         under="ignore"):
-            return gufunc(*args, signature=signature)
-    return call
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")(functools.partial(gufunc, signature=signature))
 
 
 # unchecked; _eigh and _eigvalsh take symmetrized complex matrices or stacks
@@ -148,10 +149,10 @@ def descending_eig(m: np.ndarray, tol: float = HERM_TOL):
     return clip_psd_spectrum(w)[..., ::-1], v[..., ::-1]
 
 
-def psd_power(m: np.ndarray, power: float, support_tol: float = 1e-12) -> np.ndarray:
+def psd_power(m: np.ndarray, power: float) -> np.ndarray:
     """Matrix power of a PSD matrix on its support (pseudo-power).
 
-    Negative powers invert only the eigenvalues above ``support_tol``;
+    Negative powers invert only the eigenvalues above ``SUPPORT_TOL``;
     the kernel is mapped to zero. Used for sqrt, inverse sqrt and
     pseudo-inverse of density operators and POVM elements, of one matrix
     or of each matrix of a stack.
@@ -159,7 +160,7 @@ def psd_power(m: np.ndarray, power: float, support_tol: float = 1e-12) -> np.nda
     w, v = eig_hermitian(m)
     w = clip_psd_spectrum(w)
     out_w = np.zeros_like(w)
-    mask = w > support_tol
+    mask = w > SUPPORT_TOL
     out_w[mask] = w[mask] ** power
     if power >= 0:
         # non-negative powers act on the sub-threshold part too (continuity)
@@ -207,7 +208,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(lead + (d_keep, d_keep))
 
 
-def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
+def purify(rho: np.ndarray) -> np.ndarray:
     """Purification of a density matrix.
 
     Returns a vector on ``A x R`` (A-major ordering) with ``|R| = rank(rho)``
@@ -215,7 +216,7 @@ def purify(rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
     eigenvalues of ``rho``.
     """
     w, v = descending_eig(rho)
-    rank = max(1, int((w > support_tol).sum()))
+    rank = max(1, int((w > SUPPORT_TOL).sum()))
     return (v[:, :rank] * np.sqrt(w[:rank])).reshape(-1)
 
 

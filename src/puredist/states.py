@@ -190,12 +190,6 @@ class DensityOperator:
     def dim(self):
         return math.prod(self.dims)
 
-    def dim_of(self, label):
-        for l, d in self.registers:
-            if l == label:
-                return d
-        raise KeyError(f"no register {label!r}; have {self.labels}")
-
     def partial_trace(self, keep) -> "DensityOperator":
         """Reduced state on the registers named in ``keep``."""
         if isinstance(keep, str):
@@ -206,7 +200,7 @@ class DensityOperator:
                 raise KeyError(f"no register {l!r}; have {self.labels}")
         idx = [self.labels.index(l) for l in keep]
         sub = linalg.partial_trace(self.matrix, self.dims, idx)
-        return DensityOperator([(l, self.dim_of(l)) for l in keep], sub, validate=False)
+        return DensityOperator([self.registers[i] for i in idx], sub, validate=False)
 
     def spectrum(self) -> np.ndarray:
         """The clipped ascending eigenvalues."""
@@ -418,13 +412,11 @@ def branch_ensemble(branches: PureState, labels, keep) -> CQState:
                    registers=[(l, branches.dim(l)) for l in keep])
 
 
-def control_state(psi: PureState, povm: Povm, condition_on=("B", "R"),
-                  retain_measured=False) -> CQState:
+def control_state(psi: PureState, povm: Povm, condition_on=("B", "R")) -> CQState:
     """Measure one register of a pure state and collect the outcome ensemble.
 
     The ``branch_ensemble`` of ``measure``-ing the POVM on its register,
-    reduced to ``condition_on`` (pass ``retain_measured=True`` to keep the
-    measured register as well).
+    reduced to ``condition_on``.
     """
     reg = povm.register
     if reg not in psi.labels:
@@ -432,14 +424,12 @@ def control_state(psi: PureState, povm: Povm, condition_on=("B", "R"),
     if povm.dim != psi.dim(reg):
         raise ValueError(f"POVM dimension {povm.dim} does not match register "
                          f"{reg!r} dimension {psi.dim(reg)}")
-    keep = list(condition_on)
-    if retain_measured and reg not in keep:
-        keep = [reg] + keep
-    return branch_ensemble(measure(psi, povm.elements, reg), povm.labels, keep)
+    return branch_ensemble(measure(psi, povm.elements, reg), povm.labels, condition_on)
 
 
-def rank1_refine(povm: Povm, tol: float = 1e-12) -> Povm:
-    """Split every POVM element into its rank-1 eigenpieces.
+def rank1_refine(povm: Povm) -> Povm:
+    """Split every POVM element into its rank-1 eigenpieces, those of
+    eigenvalue above ``linalg.SUPPORT_TOL``.
 
     Output labels are (parent label, eigenindex); regrouping by parent label
     reproduces the parent elements exactly.
@@ -447,7 +437,7 @@ def rank1_refine(povm: Povm, tol: float = 1e-12) -> Povm:
     elems, labels = [], []
     for lbl, e in zip(povm.labels, povm.elements):
         w, v = linalg.descending_eig(e)
-        for j in np.flatnonzero(w > tol).tolist():
+        for j in np.flatnonzero(w > linalg.SUPPORT_TOL).tolist():
             elems.append(w[j] * np.outer(v[:, j], np.conj(v[:, j])))
             labels.append((lbl, j))
     return Povm(elems, labels, register=povm.register)

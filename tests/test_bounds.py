@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from puredist import bounds, entropy
+from puredist import bounds, entropy, linalg
 from puredist.compression import Instance, compress_seeds
 from puredist.sampling import (
     basis_povm,
@@ -174,9 +174,9 @@ def test_rate_report_consistency(rng):
 def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
     psi = near_pure_classical(rng, 8, 4)
     inst = Instance(psi, basis_povm(8, "A"), 0.25)
-    calls = {"local": 0, "dist": 0, "h_h_rho_a": 0}
-    orig_local, orig_dist, orig_h_h = (bounds.local_purity_bounds,
-                                       bounds.distributed_upper_bound, entropy.h_h)
+    calls = {"local": 0, "dist": 0, "spectrum_rho_a": 0}
+    orig_local, orig_dist, orig_eigvals = (bounds.local_purity_bounds,
+                                           bounds.distributed_upper_bound, linalg.psd_eigvals)
 
     def local(*args, **kwargs):
         calls["local"] += 1
@@ -186,16 +186,17 @@ def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
         calls["dist"] += 1
         return orig_dist(*args, **kwargs)
 
-    def h_h(rho, eps):
-        calls["h_h_rho_a"] += rho is inst.rho_a
-        return orig_h_h(rho, eps)
+    def eigvals(m):
+        calls["spectrum_rho_a"] += m is inst.rho_a
+        return orig_eigvals(m)
 
     monkeypatch.setattr(bounds, "local_purity_bounds", local)
     monkeypatch.setattr(bounds, "distributed_upper_bound", dist)
-    monkeypatch.setattr(entropy, "h_h", h_h)
+    monkeypatch.setattr(linalg, "psd_eigvals", eigvals)
     reports = bounds.rate_report(compress_seeds(inst, K=4, L=16, seeds=[1, 2, 3]))
-    # one local pair (two h_h of rho_A, margin included) and one distributed bound
-    assert calls == {"local": 1, "dist": 1, "h_h_rho_a": 2}
+    # one local pair (both h_h of one spectrum of rho_A, margin included) and
+    # one distributed bound (one more spectrum of rho_A, for H_max)
+    assert calls == {"local": 1, "dist": 1, "spectrum_rho_a": 2}
     [fresh] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), 0.25).compression(
         K=4, L=16, seed=3)])
     assert reports[-1].to_dict() == fresh.to_dict()

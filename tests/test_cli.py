@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puredist import io, sampling
+from puredist import entropy, io, linalg, sampling
 from puredist.bounds import RateReport
 from puredist.cli import TRANSCRIPT_COLUMNS, build_parser, main, parse_seeds
 from puredist.sampling import basis_povm, bell_pair
@@ -326,6 +326,47 @@ def test_json_17_digit_floats(tmp_path):
     from puredist.io import dumps
     text = dumps({"x": 0.1, "y": [1.0, 2.5], "n": None, "b": True})
     assert text == '{"b":true,"n":null,"x":0.10000000000000001,"y":[1,2.5]}'
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("nan"), '"nan"'), (np.float64("inf"), '"inf"'), (-np.inf, '"-inf"'),
+    ([1.0, np.nan], '[1,"nan"]'), (object(), None), ({"x": {1, 2}}, None),
+], ids=["nan", "inf", "-inf", "nested", "object", "set"])
+def test_dumps_non_finite_floats_and_unsupported_types(value, text):
+    if text is None:
+        with pytest.raises(TypeError, match="cannot serialize"):
+            io.dumps(value)
+    else:
+        assert io.dumps(value) == text
+
+
+def test_entropy_command_decomposes_each_marginal_once(tmp_path, monkeypatch, capsys):
+    # A and B of different sizes, so each call's shape names its matrix
+    rho = sampling.ginibre_density(np.random.default_rng(5), 6, 4)
+    state = DensityOperator([("A", 2), ("B", 3)], rho)
+    path = str(tmp_path / "state.json")
+    io.save_state(state, path)
+    calls, orig = [], linalg._eigh
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return orig(m)
+
+    monkeypatch.setattr(linalg, "_eigh", counting)
+    assert main(["entropy", "--state", path, "--eps", "0.2"]) == 0
+    # the joint state's load check and spectrum, one spectrum per marginal
+    assert sorted(calls) == [(2, 2), (3, 3), (6, 6), (6, 6)]
+    monkeypatch.undo()
+    got = json.loads(capsys.readouterr().out)["marginals"]
+    loaded = io.load_state(path)
+    for name, rho in [("joint", loaded), ("A", loaded.partial_trace("A")),
+                      ("B", loaded.partial_trace("B"))]:
+        # the same bits as each function decomposing the state itself
+        assert got[name] == json.loads(io.dumps({
+            "h_h": entropy.h_h(rho, 0.2).value,
+            "h_tilde_max": entropy.h_tilde_max(rho, 0.2),
+            "h_prime_max": entropy.h_prime_max(rho, 0.2),
+            "h_max_smooth": entropy.h_max_smooth(rho, 0.2)}))
 
 
 def test_infeasible_configuration_exits_with_named_error(tmp_path, capsys):

@@ -12,6 +12,7 @@ from puredist.compression import (
     NoGoodK,
     _table_uniforms,
     compress_measurement,
+    compress_seeds,
     find_good_k,
     nice_sets,
     per_k_errors,
@@ -163,6 +164,18 @@ def test_table_uniforms_take_seeds_as_seed_sequence_does():
     assert np.array_equal(_table_uniforms([np.int64(5)], 2, 3), _table_uniforms([5], 2, 3))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda inst: Instance(inst.psi, inst.povm, 0.0), r"eps must be in \(0, 1\), got 0.0"),
+    (lambda inst: Instance(inst.psi, inst.povm, 1.0), r"eps must be in \(0, 1\), got 1.0"),
+    (lambda inst: compress_seeds(inst, 0, 4, [1]), "K and L must be at least 1"),
+    (lambda inst: compress_seeds(inst, 4, 0, [1]), "K and L must be at least 1"),
+], ids=["eps-0", "eps-1", "K-0", "L-0"])
+def test_named_input_errors(build, message):
+    inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), 0.1)
+    with pytest.raises(ValueError, match=message):
+        build(inst)
+
+
 @pytest.mark.parametrize("p_x", [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [0.5, 0.5, 0.5]])
 def test_compress_measurement_rejects_a_bad_p_x(rng, monkeypatch, p_x):
     inst = Instance(classical_instance(rng, 3, 2), basis_povm(3, "A"), 0.1)
@@ -246,7 +259,7 @@ def test_nice_sets_match_the_per_cell_loop(rng):
     for inst in (Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25),
                  _kernel_outcome_instance(rng), _broad_outcome_instance()):
         bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
-        bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
+        bound_bob = inst.h_h_cond("ideal_bob", inst.eps) + inst.slack_bits
         h_env, _, h_bob = inst.pair_entropies
         for seed in range(4):
             view = inst.compression(K=4, L=8, seed=seed)
@@ -434,8 +447,7 @@ def test_ideal_states_equal_control_states(rng):
     psi, povm = inst.psi, inst.povm
     pairs = [
         (inst.ideal_env, control_state(psi, povm, condition_on=inst.env)),
-        (inst.ideal_a, control_state(psi, povm, condition_on=["A"],
-                                     retain_measured=True)),
+        (inst.ideal_a, control_state(psi, povm, condition_on=["A"])),
         (inst.ideal_bob, control_state(psi, povm, condition_on=["B"])),
     ]
     for got, want in pairs:

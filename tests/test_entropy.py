@@ -146,10 +146,12 @@ def test_spectral_entropies_take_a_state_or_its_spectrum(rng):
 
 
 def test_d_h_takes_matrices_not_spectra():
+    # two matrices of one dimension
     rho = np.diag([0.75, 0.25])
-    for args, name in (((np.array([0.25, 0.75]), rho), "rho"),
-                       ((rho, np.array([0.5, 0.5])), "sigma")):
-        with pytest.raises(ValueError, match=f"d_h takes matrices, not spectra: {name}"):
+    for args, message in (((np.array([0.25, 0.75]), rho), "d_h takes matrices, not spectra: rho"),
+                          ((rho, np.array([0.5, 0.5])), "d_h takes matrices, not spectra: sigma"),
+                          ((rho, np.eye(3) / 3), r"dimension mismatch: \(2, 2\) vs \(3, 3\)")):
+        with pytest.raises(ValueError, match=message):
             ent.d_h(*args, 0.1)
 
 

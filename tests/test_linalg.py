@@ -48,6 +48,12 @@ def test_eig_reconstruction_random_dims(rng):
         assert np.all(np.diff(w) >= -1e-12)
 
 
+@pytest.mark.parametrize("keep", [2, -1, [0, 2]])
+def test_partial_trace_rejects_a_keep_index_out_of_range(keep):
+    with pytest.raises(ValueError, match="keep index -?[0-9] out of range for 2 factors"):
+        linalg.partial_trace(np.eye(4) / 4, [2, 2], keep)
+
+
 def test_eig_rejects_bad_input():
     with pytest.raises(ValueError):
         linalg.eig_hermitian(np.ones((2, 3)))

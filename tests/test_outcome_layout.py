@@ -75,7 +75,7 @@ def _validation(ref, view):
 def _nice_sets(ref, view):
     inst = ref.inst
     bound_env = inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
-    bound_bob = inst.h_h_cond("ideal_env_bob", inst.eps) + inst.slack_bits
+    bound_bob = inst.h_h_cond("ideal_bob", inst.eps) + inst.slack_bits
     symbols, at = np.unique(view.decode, return_inverse=True)
     ok = np.array([x in ref.h_env and ref.h_env[x].value <= bound_env + 1e-12
                    and ref.h_bob[x] <= bound_bob + 1e-12 for x in symbols.tolist()])

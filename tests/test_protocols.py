@@ -223,6 +223,18 @@ def test_kd_oneshot_error_budget_over_seeds(rng):
 
 # ------------------------------------------------------------------ uhlmann
 
+@pytest.mark.parametrize("chi_regs, message", [
+    ([("A", 2), ("C", 2)], "shared registers differ"),
+    ([("A", 2), ("B", 3)], "shared register 'B' has mismatched dimension"),
+    ([("A", 1), ("B", 2)], "target system smaller than source"),
+], ids=["labels", "dims", "smaller"])
+def test_uhlmann_rejects_mismatched_states(chi_regs, message):
+    phi = PureState([("A", 2), ("B", 2)], np.eye(4)[0])
+    chi = PureState(chi_regs, np.eye(chi_regs[0][1] * chi_regs[1][1])[0])
+    with pytest.raises(ValueError, match=message):
+        pr.uhlmann_unitary(phi, chi, ["A"], ["A"])
+
+
 def test_uhlmann_identical_states(rng):
     phi = mixed_protocol_input(rng, 4, 2, rank=3)
     u, ov = pr.uhlmann_unitary(phi, phi, ["A"], ["A"])

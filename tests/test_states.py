@@ -79,6 +79,44 @@ def test_duplicate_register_labels_rejected():
         PureState([("A", 2), ("A", 2)], np.eye(4)[0])
 
 
+def _pair():
+    return PureState([("A", 2), ("B", 2)], np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _pair().apply(np.eye(2), ["A"], out_regs=[("B", 2)]),
+     "output register 'B' collides with an existing one"),
+    (lambda: _pair().apply(np.eye(3), ["A"]), r"operator shape \(3, 3\) != \(2, 2\)"),
+    (lambda: DensityOperator([("A", 2)], np.eye(3) / 3),
+     r"matrix shape \(3, 3\) does not match registers"),
+    (lambda: DensityOperator([("A", 2), ("R", 2)], np.eye(4) / 4).purify("R"),
+     "reference label 'R' already in use"),
+    (lambda: CQState([0, 1], [1.5, -0.5], [np.eye(2) / 2] * 2, registers=[("B", 2)]),
+     "negative probabilities"),
+    (lambda: CQState([0, 1], [0.5, 0.4], [np.eye(2) / 2] * 2, registers=[("B", 2)]),
+     "probabilities sum to 0.9"),
+    (lambda: Povm([np.eye(2)], labels=[0, 1]), "labels/elements length mismatch"),
+    (lambda: Povm([np.eye(2), np.zeros((3, 3))]), "POVM elements have mismatched shapes"),
+], ids=["apply-collision", "apply-shape", "density-shape", "purify-label", "cq-negative",
+        "cq-unnormalized", "povm-labels", "povm-shapes"])
+def test_named_input_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_density_of_a_pure_state_is_its_sorted_marginal(rng):
+    vec = rng.normal(size=12) + 1j * rng.normal(size=12)
+    psi = PureState([("B", 3), ("A", 2), ("C", 2)], vec / np.linalg.norm(vec))
+    full = psi.density()
+    # the marginal on the sorted registers, through the constructor's PSD check
+    assert full.registers == (("A", 2), ("B", 3), ("C", 2))
+    assert np.array_equal(full.matrix, linalg.psd_power(psi.marginal(["A", "B", "C"]), 1.0))
+    part = psi.density(["C", "B"])
+    assert part.registers == (("B", 3), ("C", 2))
+    assert np.array_equal(part.matrix, linalg.psd_power(psi.marginal(["B", "C"]), 1.0))
+    assert np.allclose(part.matrix, full.partial_trace(["B", "C"]).matrix, atol=1e-12)
+
+
 def test_partial_trace_unknown_label(rng):
     d = random_density(rng, 4, "A")
     with pytest.raises(KeyError):
