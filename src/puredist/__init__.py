@@ -18,6 +18,7 @@ from .entropy import (  # noqa: F401
     EntropyResult,
     ImaxResult,
     d_h,
+    d_h_many,
     h_h,
     h_h_cond_cq,
     h_max_smooth,

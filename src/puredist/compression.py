@@ -171,6 +171,11 @@ class Instance:
         return self.psi.marginal([self.povm.register])
 
     @cached_property
+    def rho_a_spectrum(self) -> np.ndarray:
+        """rho_A's clipped ascending spectrum, read by both local bounds and H_max."""
+        return entropy._spectrum(self.rho_a)
+
+    @cached_property
     def env_dim(self) -> int:
         return int(np.prod([self.psi.dim(l) for l in self.env]))
 
@@ -340,7 +345,7 @@ class Instance:
     def local_bounds(self) -> tuple:
         """(lower, upper) ``local_purity_bounds`` of rho_A."""
         from .bounds import local_purity_bounds
-        return local_purity_bounds(self.rho_a, self.eps, self.slack_bits)
+        return local_purity_bounds(self.rho_a_spectrum, self.eps, self.slack_bits)
 
 
 @dataclass(eq=False)

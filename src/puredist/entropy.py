@@ -163,56 +163,181 @@ DH_GAP_TOL = 1e-10
 DH_MAX_PROBES = 100
 
 
-class _Split:
-    """rho - t sigma at a threshold t > 0: the Neyman-Pearson test P_+ +
-    gamma P_0 (P_0 on the eigenvalues within rounding of zero), its rho mass
-    and sigma cost, and its gap in bits to the dual bound mu (1 - eps) -
-    Tr(mu rho - sigma)_+ at mu = 1/t; the gap is inf when the test misses
-    the target, as then it certifies nothing."""
-
-    def __init__(self, rh, sh, t, target, smax):
-        self.t = t
-        w, self.v = linalg._eigh(rh - t * sh)
-        rd = (self.v.conj() * (rh @ self.v)).real.sum(axis=0)  # diagonals of rho
-        sd = (self.v.conj() * (sh @ self.v)).real.sum(axis=0)  # and of sigma
-        band = SUPPORT_TOL * max(1.0, t * smax)
-        self.pos, self.zero = w > band, np.abs(w) <= band
-        self.a, self.b = float(rd[self.pos].sum()), float(rd[self.zero].sum())
-        self.above = float(rd[w > 0].sum()) >= target  # f(t) >= 1 - eps, so t <= the root
-        self.gamma = 0.0 if self.b <= 1e-15 else min(1.0, max(0.0, (target - self.a) / self.b))
-        self.cost = float(sd[self.pos].sum()) + self.gamma * float(sd[self.zero].sum())
-        dual = (target - float(w[w > 0].sum())) / t
-        ok = self.a + self.b >= target and self.cost > 0 and dual > 0
-        self.gap = float(np.log2(self.cost / dual)) if ok else np.inf
+def _run_sums(x, start, stop):
+    """x[i, start[i]:stop[i]].sum() for each row i of a 2-D array, each with
+    the bits of its own 1-D sum: numpy sums 8 or more entries pairwise, so
+    the rows are summed in groups of one run length."""
+    out, count = np.zeros(len(x)), stop - start
+    for c in set(count.tolist()) - {0}:
+        rows = np.flatnonzero(count == c)
+        out[rows] = x[rows[:, None], start[rows, None] + np.arange(c)].sum(axis=1)
+    return out
 
 
-def _neyman_pearson(rh, sh, cands, target, smax) -> tuple[_Split, int]:
-    """The best certified split and the number of splits built. f(t)
-    decreases and jumps only at generalized eigenvalues of (rho, sigma): the
-    sorted candidates ``cands`` only choose probes (the middle of those left
-    in the bracket lo <= t <= hi), then bisection takes over. The
-    certificate alone ends the search, so a false candidate costs probes,
-    not accuracy; an uncertified end warns."""
-    lo, hi, best = 0.0, np.inf, None
-    for n in range(1, DH_MAX_PROBES + 1):
-        inside = cands[(cands > lo) & (cands < hi)]
-        if len(inside):
-            t = 0.5 * float(inside[(len(inside) - 1) // 2] + inside[len(inside) // 2])
-        else:
-            t = 0.5 * (lo + hi) if hi < np.inf else max(2.0 * lo, 1.0)
-        p = _Split(rh, sh, t, target, smax)
-        best = p if best is None or p.gap < best.gap else best
-        lo, hi = (t, hi) if p.above else (lo, t)
-        if p.gap <= DH_GAP_TOL or lo >= hi * (1.0 - 1e-14):
-            break
-    if not best.gap <= DH_GAP_TOL:
-        warnings.warn(f"d_h test not certified: duality gap {best.gap:.3g} bits "
-                      f"after {n} probes", stacklevel=3)
-    return best, n
+class _Splits:
+    """rho - t sigma at thresholds t > 0 for pairs of any sizes up to d, one
+    stacked eigendecomposition per size: each pair's Neyman-Pearson test P_+
+    + gamma P_0 (P_0 on the eigenvalues within rounding of zero), its rho
+    mass a + gamma b and sigma ``cost``, and its ``gap`` in bits to the dual
+    bound mu (1 - eps) - Tr(mu rho - sigma)_+ at mu = 1/t; the gap is inf
+    when the test misses the target, as then it certifies nothing. A k x k
+    pair's eigenvectors are its entry of ``v``, and its ascending spectrum
+    the last k entries of a row of d (``pad`` = d - k zeros first); P_0 is
+    the columns ``low`` to ``top`` of that row, P_+ those from ``top`` on.
+    Each pair has the bits of its own split.
+    ``stacks`` holds (rows, rho stack, sigma stack) per size, the pairs at
+    ``rows`` of t."""
+
+    def __init__(self, stacks, t, target, smax, d):
+        w, rd, sd = np.zeros((3, len(t), d))
+        self.t, self.v, self.pad = t, np.empty(len(t), object), np.zeros(len(t), int)
+        for rows, rh, sh in stacks:
+            k = rh.shape[-1]
+            w[rows, d - k:], v = linalg._eigh(rh - t[rows, None, None] * sh)
+            rd[rows, d - k:] = (v.conj() * (rh @ v)).real.sum(axis=1)  # diagonals of rho
+            sd[rows, d - k:] = (v.conj() * (sh @ v)).real.sum(axis=1)  # and of sigma
+            self.v[rows], self.pad[rows] = np.fromiter(v, object, len(v)), d - k
+        band = SUPPORT_TOL * np.maximum(1.0, t * smax)
+        self.top = d - (w > band[:, None]).sum(axis=1)
+        self.low = self.pad + (w < -band[:, None]).sum(axis=1)
+        plus, end = d - (w > 0).sum(axis=1), np.full(2 * len(t), d)
+        # rho and sigma on P_+ and on P_0, then rho and w where w > 0
+        self.a, pos_cost, self.b, zero_cost, mass, wsum = _run_sums(
+            np.concatenate([rd, sd, rd, sd, rd, w]),
+            np.concatenate([self.top, self.top, self.low, self.low, plus, plus]),
+            np.concatenate([end, self.top, self.top, end])).reshape(6, -1)
+        self.above = mass >= target  # f(t) >= 1 - eps, so t <= the root
+        self.gamma = np.array([0.0 if b <= 1e-15 else min(1.0, max(0.0, (g - a) / b)) for g, a, b
+                               in zip(target.tolist(), self.a.tolist(), self.b.tolist())])
+        self.cost = pos_cost + self.gamma * zero_cost
+        dual = (target - wsum) / t
+        ok = (self.a + self.b >= target) & (self.cost > 0) & (dual > 0)
+        self.gap = np.log2(self.cost / np.where(ok, dual, 1.0), where=ok,
+                           out=np.full(len(t), np.inf))
+
+
+def _neyman_pearson(pairs, cands, target, smax) -> tuple[_Splits, np.ndarray]:
+    """The best certified split of each pair and the number of splits built
+    for it. ``pairs`` holds a (rho, sigma) stack per size; their pairs follow
+    each other in the rows of ``cands``. The searches run in lockstep: a
+    round builds one split for every pair still searching, in one stacked
+    eigendecomposition per size. f(t) decreases and jumps only at
+    generalized eigenvalues of (rho, sigma): a pair's sorted candidates, its
+    row of ``cands`` (padded with inf), only choose probes (the middle of
+    those above SUPPORT_TOL left in the bracket lo <= t <= hi), then
+    bisection takes over. The certificate alone ends a search, so a false
+    candidate costs probes, not accuracy."""
+    n, first_of = len(cands), np.cumsum([0] + [len(rh) for rh, _ in pairs])
+    lo, hi, probes = np.zeros(n), np.full(n, np.inf), np.zeros(n, int)
+    best, live = None, np.arange(n)
+    while live.size:
+        c, l, h = cands[live], lo[live], hi[live]
+        first = (c <= np.maximum(l, SUPPORT_TOL)[:, None]).sum(axis=1)
+        m = (c < h[:, None]).sum(axis=1) - first
+        # the middle candidates (-1 and d - 1 stand in when there are none)
+        x, y = c[np.arange(len(live)), np.minimum(first + [(m - 1) // 2, m // 2], c.shape[1] - 1)]
+        t = np.where(m > 0, 0.5 * (x + y),
+                     np.where(h < np.inf, 0.5 * (l + h), np.maximum(2.0 * l, 1.0)))
+        ends = np.searchsorted(live, first_of).tolist()  # live is sorted: each size is a run
+        p = _Splits([(slice(i, j), rh[live[i:j] - f], sh[live[i:j] - f])
+                     for (rh, sh), f, i, j in zip(pairs, first_of, ends, ends[1:]) if j > i],
+                    t, target[live], smax[live], c.shape[1])
+        probes[live] += 1
+        best = best or p  # the first round holds every pair
+        take = p.gap < best.gap[live]
+        for name, field in vars(p).items():
+            getattr(best, name)[live[take]] = field[take]
+        lo[live], hi[live] = np.where(p.above, t, l), np.where(p.above, h, t)
+        live = live[(p.gap > DH_GAP_TOL) & (lo[live] < hi[live] * (1.0 - 1e-14))
+                    & (probes[live] < DH_MAX_PROBES)]
+    return best, probes
+
+
+def _test(pos, zero, gamma):
+    """P_+ + gamma P_0 from the columns ``pos`` and ``zero`` spanning them, of
+    one matrix or of each of a stack."""
+    return pos @ linalg.dagger(pos) + gamma * (zero @ linalg.dagger(zero))
+
+
+def _result(test, t, gamma, gap, cost, mass, probes) -> EntropyResult:
+    """The Neyman-Pearson result of ``test``; it warns when uncertified."""
+    if not gap <= DH_GAP_TOL:
+        warnings.warn(f"d_h test not certified: duality gap {gap:.3g} bits "
+                      f"after {probes} probes", stacklevel=3)
+    cost = max(cost, 1e-300)
+    return EntropyResult(float(-np.log2(cost)), dict(
+        t=t, gamma=gamma, test=test, test_cost=cost, achieved_mass=mass, duality_gap=gap,
+        probes=probes), "neyman-pearson")
+
+
+def d_h_many(rhos, sigmas, eps) -> list:
+    """``d_h(rhos[i], sigmas[i], eps[i])`` for each i, as one stacked solver.
+    The pairs of one size check their rhos and decompose their sigmas and
+    their whitened pencils in one stacked call each. Then the threshold
+    searches of all sizes run in lockstep, one stacked eigendecomposition
+    per size and probe round for the pairs still searching. Every pair's
+    result has the bits of its own solve, whatever else is in the lists;
+    each uncertified one warns."""
+    rs, ss, sizes = [_matrix(r) for r in rhos], [_matrix(s) for s in sigmas], {}
+    for i, (r, s, e) in enumerate(zip(rs, ss, eps, strict=True)):
+        _validate_eps(e)
+        for name, m in (("rho", r), ("sigma", s)):
+            if m.ndim != 2:
+                raise ValueError(f"d_h takes matrices, not spectra: {name} has shape {m.shape}")
+        if r.shape != s.shape:
+            raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
+        sizes.setdefault(r.shape, []).append(i)
+    out, groups, width = [None] * len(rs), [], max((len(r) for r in rs), default=0)
+    for idx in sizes.values():
+        r, s, e = (np.array([x[i] for i in idx]) for x in (rs, ss, eps))
+        # both inputs are checked (Hermitian, PSD) here, before any early return
+        linalg.psd_eigvals(r)
+        ws, vs = linalg.eig_hermitian(s)
+        ws, d = linalg.clip_psd_spectrum(ws), r.shape[-1]
+        # every rh - t*sh is Hermitian bit for bit too
+        rh, sh = linalg.hermitian_part(r), linalg.hermitian_part(s)
+        rank, free_mass = (ws > SUPPORT_TOL).sum(axis=1), np.zeros(len(idx))
+        cands = np.full((len(idx), width), np.inf)
+        for k in set(rank.tolist()):  # sigma's support: its last k eigenvectors
+            g = np.flatnonzero(rank == k)
+            ker, white = vs[g, :, :d - k], vs[g, :, d - k:] / np.sqrt(ws[g, None, d - k:])
+            # the mass of rho at zero sigma-cost, and the pencil whitened on the support
+            free_mass[g] = np.trace(linalg.dagger(ker) @ r[g] @ ker, axis1=1, axis2=2).real
+            cands[g, :k] = linalg._eigh(linalg.dagger(white) @ rh[g] @ white)[0]
+        infinite = free_mass >= 1.0 - e - 1e-12
+        for i in np.flatnonzero(infinite):
+            out[idx[i]] = EntropyResult(np.inf, {"infinite": True, "probes": 0}, "neyman-pearson")
+        for i in np.flatnonzero(~infinite & (e == 0.0)):
+            # the support projector of rho is the optimal test
+            w, v = linalg.eig_hermitian(r[i])
+            pos = v[:, w > SUPPORT_TOL]
+            out[idx[i]] = _result(_test(pos, v[:, :0], 0.0), 0.0, 0.0, 0.0,
+                                  float((linalg.dagger(pos) @ s[i] @ pos).trace().real),
+                                  float((linalg.dagger(pos) @ r[i] @ pos).trace().real), 0)
+        g = np.flatnonzero(~infinite & (e != 0.0))
+        groups.append(([idx[i] for i in g], (rh[g], sh[g]), cands[g], 1.0 - e[g],
+                       ws[g].max(axis=1)))
+    search = [i for group in groups for i in group[0]]
+    if not search:
+        return out
+    _, pairs, cands, target, smax = zip(*groups)
+    p, probes = _neyman_pearson(pairs, *map(np.concatenate, (cands, target, smax)))
+    tests = [None] * len(search)
+    for pad, top, low in set(zip(p.pad.tolist(), p.top.tolist(), p.low.tolist())):
+        g = np.flatnonzero((p.pad == pad) & (p.top == top) & (p.low == low))
+        v = np.stack(p.v[g])
+        pos, zero = v[:, :, top - pad:].copy(), v[:, :, low - pad:top - pad].copy()
+        for j, test in zip(g.tolist(), _test(pos, zero, p.gamma[g, None, None])):
+            tests[j] = test
+    for i, *fields in zip(search, tests, *(x.tolist() for x in (
+            p.t, p.gamma, p.gap, p.cost, p.a + p.gamma * p.b, probes))):
+        out[i] = _result(*fields)
+    return out
 
 
 def d_h(rho, sigma, eps: float) -> EntropyResult:
-    """Hypothesis testing relative entropy D_H^eps(rho || sigma), in bits.
+    """Hypothesis testing relative entropy D_H^eps(rho || sigma), in bits:
+    ``d_h_many([rho], [sigma], [eps])[0]``.
 
     The optimal test is a Neyman-Pearson operator: the projector onto the
     positive part of (rho - t*sigma) plus a fractional weight on the
@@ -228,50 +353,12 @@ def d_h(rho, sigma, eps: float) -> EntropyResult:
     ``sigma`` only needs to be PSD (not normalized). Returns +inf (flagged
     in the witness) when the constraint is satisfiable with zero overlap on
     supp(sigma).
-    """
-    _validate_eps(eps)
-    r = _matrix(rho)
-    s = _matrix(sigma)
-    for name, m in (("rho", r), ("sigma", s)):
-        if m.ndim != 2:
-            raise ValueError(f"d_h takes matrices, not spectra: {name} has shape {m.shape}")
-    if r.shape != s.shape:
-        raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    # both inputs are checked (Hermitian, PSD) here, before any early return
-    _spectrum(r)
-    ws, vs = linalg.eig_hermitian(s)
-    ws = linalg.clip_psd_spectrum(ws)
-    target = 1.0 - eps
 
-    # mass of rho available at zero sigma-cost
-    ker = vs[:, ws <= SUPPORT_TOL]
-    free_mass = float((linalg.dagger(ker) @ r @ ker).trace().real)
-    if free_mass >= target - 1e-12:
-        return EntropyResult(value=np.inf, witness={"infinite": True, "probes": 0},
-                             method="neyman-pearson")
-    if eps == 0.0:
-        # the support projector of rho is the optimal test
-        w, v = linalg.eig_hermitian(r)
-        pos = v[:, w > SUPPORT_TOL]
-        t, gamma, gap, zero, probes = 0.0, 0.0, 0.0, v[:, :0], 0
-        mass = float((linalg.dagger(pos) @ r @ pos).trace().real)
-        cost = float((linalg.dagger(pos) @ s @ pos).trace().real)
-    else:
-        # every rh - t*sh is Hermitian bit for bit too
-        rh, sh = linalg.hermitian_part(r), linalg.hermitian_part(s)
-        white = vs[:, ws > SUPPORT_TOL] / np.sqrt(ws[ws > SUPPORT_TOL])
-        cands = linalg._eigh(linalg.dagger(white) @ rh @ white)[0]
-        p, probes = _neyman_pearson(rh, sh, cands[cands > SUPPORT_TOL], target, float(ws.max()))
-        t, gamma, gap, cost = p.t, p.gamma, p.gap, p.cost
-        pos, zero, mass = p.v[:, p.pos], p.v[:, p.zero], p.a + p.gamma * p.b
-    cost = max(cost, 1e-300)
-    test = pos @ linalg.dagger(pos) + gamma * (zero @ linalg.dagger(zero))
-    return EntropyResult(
-        value=float(-np.log2(cost)),
-        witness={"t": t, "gamma": gamma, "test": test, "test_cost": cost,
-                 "achieved_mass": mass, "duality_gap": gap, "probes": probes},
-        method="neyman-pearson",
-    )
+    There is one solver, ``d_h_many``'s: it stacks the pairs by size and runs
+    all their probes in lockstep, and each pair keeps the bits it has when
+    solved alone.
+    """
+    return d_h_many([rho], [sigma], [eps])[0]
 
 
 def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:

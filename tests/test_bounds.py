@@ -195,8 +195,8 @@ def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
     monkeypatch.setattr(linalg, "psd_eigvals", eigvals)
     reports = bounds.rate_report(compress_seeds(inst, K=4, L=16, seeds=[1, 2, 3]))
     # one local pair (both h_h of one spectrum of rho_A, margin included) and
-    # one distributed bound (one more spectrum of rho_A, for H_max)
-    assert calls == {"local": 1, "dist": 1, "spectrum_rho_a": 2}
+    # one distributed bound, whose H_max reads the same kept spectrum
+    assert calls == {"local": 1, "dist": 1, "spectrum_rho_a": 1}
     [fresh] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), 0.25).compression(
         K=4, L=16, seed=3)])
     assert reports[-1].to_dict() == fresh.to_dict()

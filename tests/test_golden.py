@@ -118,6 +118,17 @@ def test_cli_output_matches_golden_bytes(name, inputs):
     assert run_case(name) == expected
 
 
+def test_verify_prints_its_golden_bytes_under_python_O():
+    # the runtime invariants are exceptions, not asserts, so the checks of the
+    # stacked solvers still run, and print the same bytes, under -O
+    code = "import sys; from puredist.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *CASES["verify"]],
+                          capture_output=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "verify.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["compare-mixed", "fewqubits-mixed"])
 def test_each_seed_of_a_sweep_prints_what_it_prints_alone(name, inputs):
     # guards the per-Instance caches: a seed's record must not depend on the

@@ -1,12 +1,14 @@
 """The batched property checks against the per-trial bodies they replace.
 
-Thirteen checks of ``puredist.verify`` draw every trial first, decompose all
-their operators with one stacked eigendecomposition per matrix size, then
-evaluate the slacks in trial order. ``REFERENCE`` keeps the per-trial bodies
-they had before, as the reference: one trial at a time, drawn, decomposed and
-evaluated in turn. Their cq states come from ``per_symbol_random_cq``, the
-per-symbol sampler that ``sampling.random_cq`` replaced, so a change in the
-stacked sampler's bits shows here too.
+Fourteen checks of ``puredist.verify`` draw every trial first, decompose all
+their operators with one stacked eigendecomposition per matrix size (the
+D_H check: one ``entropy.d_h_many`` call, one per size and probe round),
+then evaluate the slacks in trial order. ``REFERENCE`` keeps the per-trial
+bodies they had before, as the reference: one trial at a time, drawn,
+decomposed and evaluated in turn. Their cq states come from
+``per_symbol_random_cq``, the per-symbol sampler that ``sampling.random_cq``
+replaced, so a change in the stacked sampler's bits shows here too, and the
+D_H check's pairs go through the one-pair solver that ``d_h_many`` replaced.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from puredist import entropy, linalg, verify
 from puredist.states import CQState, DensityOperator
 
 from oracles import per_symbol_random_cq as random_cq
+from test_d_h_many import reference_d_h
 
 TOL = verify.TOL
 REFERENCE = {}
@@ -219,6 +222,27 @@ def check_hh_average_to_worst_case(rng, trials, eps):
         yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
 
+@_reference("dh-neyman-pearson-vs-lp")
+def check_dh_vs_lp(rng, trials, eps):
+    """Neyman-Pearson equals the greedy LP on commuting pairs."""
+    for _ in range(trials):
+        d = int(rng.integers(2, 9))
+        p = rng.dirichlet(np.ones(d))
+        q = rng.dirichlet(np.ones(d))
+        e = eps or _eps(rng)
+        got = reference_d_h(np.diag(p), np.diag(q), e).value
+        order = sorted(range(d), key=lambda i: -p[i] / max(q[i], 1e-300))
+        need, cost = 1 - e, 0.0
+        for i in order:
+            if need <= 1e-15:
+                break
+            take = min(1.0, need / p[i]) if p[i] > 0 else 0.0
+            cost += take * q[i]
+            need -= take * p[i]
+        want = -np.log2(cost) if cost > 0 else np.inf
+        yield 1e-8 - abs(got - want)
+
+
 @_reference("hmin-truncation-smoothing")
 def check_hmin_smoothing(rng, trials, eps):
     """Truncation smoothing only increases H_min and vanishes at eps = 0."""
@@ -246,7 +270,7 @@ def _check(name):
 
 
 def test_reference_covers_the_batched_checks():
-    assert len(REFERENCE) == 13 and set(REFERENCE) <= set(verify.MANIFEST)
+    assert len(REFERENCE) == 14 and set(REFERENCE) <= set(verify.MANIFEST)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
@@ -266,6 +290,9 @@ def _dim(rho):
 def _shifted(f, shift):
     def faulty(*args):
         out = f(*args)
+        if isinstance(out, list):  # one result per member of the argument lists
+            return [entropy.EntropyResult(r.value + shift(*member), r.witness, r.method)
+                    for r, member in zip(out, zip(*args))]
         if isinstance(out, entropy.EntropyResult):
             return entropy.EntropyResult(out.value + shift(*args), out.witness, out.method)
         return out + shift(*args)
@@ -288,6 +315,7 @@ FAULTS = {
                                 lambda cq, eps: 10 * float(np.abs(cq.stack).sum())),
     "hh-average-to-worst-case": ("h_h", lambda rho, eps: 10 * _dim(rho)),
     "hmin-truncation-smoothing": ("h_min_cq_smoothed", lambda cq, eps: -10 * eps),
+    "dh-neyman-pearson-vs-lp": ("d_h_many", lambda rho, sigma, eps: 10 * _dim(rho)),
 }
 
 
@@ -300,7 +328,7 @@ def test_batched_check_reports_a_fault_in_the_function_it_checks(name, monkeypat
     assert clean.violations == 0 and faulty.violations > 0
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE))
+@pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"dh-neyman-pearson-vs-lp"}))
 def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
     sizes = []
     orig = linalg._eigh
@@ -315,3 +343,27 @@ def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
         _check(name)(np.random.default_rng(6), trials, None)
         # every eigendecomposition with eigenvectors passes linalg._eigh
         assert 0 < len(sizes) <= 2 * len(set(sizes)), (trials, sizes)
+
+
+def test_dh_check_decomposes_once_per_size_and_probe_round(monkeypatch):
+    shapes, probes = [], []
+    for name in ("_eigh", "_eigvalsh"):  # every eigendecomposition passes one of them
+        monkeypatch.setattr(linalg, name, lambda m, _orig=getattr(linalg, name):
+                            shapes.append(np.shape(m)) or _orig(m))
+    orig = entropy.d_h_many
+
+    def recording(*args):
+        out = orig(*args)
+        probes.extend(r.witness["probes"] for r in out)
+        return out
+
+    monkeypatch.setattr(entropy, "d_h_many", recording)
+    for trials in (50, 200):
+        shapes.clear()
+        probes.clear()
+        _check("dh-neyman-pearson-vs-lp")(np.random.default_rng(6), trials, None)
+        sizes = {shape[-1] for shape in shapes}
+        # per size: rho's check, sigma's decomposition, the pencils, then one a probe round
+        assert len(probes) == trials and len(sizes) == 7
+        assert 0 < len(shapes) <= len(sizes) * (3 + max(probes)), (trials, len(shapes))
+        assert all(len(shape) == 3 for shape in shapes)
