@@ -11,6 +11,7 @@ fewqubits one by one, and results stay in seed order.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -115,13 +116,10 @@ def protocol_input(state: DensityOperator, bob_label: str) -> PureState:
     return state.purify("R")
 
 
-def _emit(args, payload):
-    text = io.dumps(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(args, text):
+    """Write a command's finished output text to --out, or to stdout."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def cmd_sweep(args) -> int:
@@ -151,9 +149,9 @@ def cmd_sweep(args) -> int:
     key, columns = (("reports", bounds.RateReport.CSV_COLUMNS) if args.command == "compare"
                     else ("transcripts", TRANSCRIPT_COLUMNS))
     if args.fmt == "csv":
-        io.write_csv(args.out or sys.stdout, columns, [[r[c] for c in columns] for r in results])
+        _emit(args, io.csv_text(columns, [[r[c] for c in columns] for r in results]))
     else:
-        _emit(args, {key: results})
+        _emit(args, io.dumps({key: results}) + "\n")
     return 0
 
 
@@ -182,7 +180,7 @@ def cmd_entropy(args) -> int:
             "i_max": inst.imax.value,
             "i_max_gap": inst.imax.duality_gap,
         }
-    _emit(args, payload)
+    _emit(args, io.dumps(payload) + "\n")
     return 0
 
 
@@ -190,7 +188,7 @@ def cmd_distill_local(args) -> int:
     state = io.load_state(args.state)
     iso, err = protocols.local_distill(state, args.eps)
     lo, up = bounds.local_purity_bounds(state, args.eps, args.slack_bits)
-    _emit(args, {
+    _emit(args, io.dumps({
         "eps": args.eps,
         "pure_qubits": iso.a_p_bits,
         "kept_dim": iso.kept_dim,
@@ -198,7 +196,7 @@ def cmd_distill_local(args) -> int:
         "achieved_error": err,
         "local_lower": lo,
         "local_upper": up,
-    })
+    }) + "\n")
     return 0
 
 
@@ -223,7 +221,7 @@ def cmd_bounds(args) -> int:
             "dist_upper_rank1": bounds.distributed_upper_bound(
                 inst, f_eps=args.f_eps, g_eps=args.g_eps, rank1=True),
         }
-    _emit(args, payload)
+    _emit(args, io.dumps(payload) + "\n")
     return 0
 
 

@@ -141,10 +141,11 @@ class Instance:
     entropies. A compressed cell's state depends only on the outcome x it
     decodes to, so the per-outcome data every table shares lives here too,
     indexed by x: which outcomes are ``live``, the simulated conditionals
-    and their Bob marginals (one stacked pass), their pair entropies (from
-    one stacked spectrum each) and nice verdicts, the A_g bounds and
-    truncated targets of the in-place protocol, Bob's codes and the local
-    purity bounds (code in ``protocols`` and ``bounds``, imported where used).
+    and their Bob marginals (one stacked pass) with one stacked eigensystem
+    each (``sims_eig``), their pair entropies and nice verdicts, the A_g
+    bounds and truncated targets of the in-place protocol, Bob's codes and
+    the local purity bounds (code in ``protocols`` and ``bounds``, imported
+    where used).
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -293,18 +294,26 @@ class Instance:
     sims_bob = property(lambda self: self.simulated[2])
 
     @cached_property
+    def sims_eig(self) -> tuple:
+        """The descending eigensystems (w, v) of ``sims`` and of ``sims_bob``,
+        one stacked ``linalg.descending_eig`` each: the pair entropies read
+        their spectra, the truncated targets and Bob's codes the whole."""
+        return (linalg.descending_eig(self.sims, tol=1e-7),
+                linalg.descending_eig(self.sims_bob, tol=1e-7))
+
+    @cached_property
     def pair_entropies(self) -> tuple:
         """At smoothing eps^(1/8), zero where x is not live: the H_H value of
         each simulated conditional, its LP weights (padded to ``env_dim``) and
         the H_H value of its Bob marginal."""
         smooth, live, n = self.eps ** 0.125, self.live, len(self.live)
         h_env, weights, h_bob = np.zeros(n), np.zeros((n, self.env_dim)), np.zeros(n)
-        spectra = zip(np.flatnonzero(live).tolist(), linalg.psd_eigvals(self.sims[live]),
-                      linalg.psd_eigvals(self.sims_bob[live]))
-        for x, w_env, w_bob in spectra:
-            res = entropy.h_h(w_env, smooth)
+        (w_env, _), (w_bob, _) = self.sims_eig
+        for x in np.flatnonzero(live).tolist():
+            # h_h takes ascending spectra
+            res = entropy.h_h(w_env[x, ::-1], smooth)
             h_env[x], weights[x, :len(res.witness["weights"])] = res.value, res.witness["weights"]
-            h_bob[x] = entropy.h_h(w_bob, smooth).value
+            h_bob[x] = entropy.h_h(w_bob[x, ::-1], smooth).value
         return h_env, weights, h_bob
 
     @cached_property
@@ -328,7 +337,7 @@ class Instance:
         """(tw, v): the descending eigenvectors v of each simulated conditional
         and its eigenvalues times the LP weights, renormalized (zero where x
         is not live): the states the in-place protocol purifies into A_g."""
-        w, v = linalg.descending_eig(self.sims, tol=1e-7)
+        w, v = self.sims_eig[0]
         tw = w * self.pair_entropies[1]
         return np.divide(tw, np.sum(tw, axis=1, keepdims=True), out=np.zeros_like(tw),
                          where=self.live[:, None]), v
@@ -337,9 +346,10 @@ class Instance:
     def bob_codes(self) -> list:
         """Bob's code (bits, kept, rows) of each simulated Bob marginal, None
         where x is not live."""
-        from .protocols import _eig_codes
-        codes = iter(_eig_codes(self.sims_bob[self.live], self.eps))
-        return [next(codes) if ok else None for ok in self.live.tolist()]
+        from .protocols import _eig_code
+        w, v = self.sims_eig[1]
+        return [_eig_code(w[x], v[x], self.eps) if ok else None
+                for x, ok in enumerate(self.live.tolist())]
 
     @cached_property
     def local_bounds(self) -> tuple:

@@ -32,8 +32,8 @@ class EntropyResult:
     """Entropy value plus the witness that attains it.
 
     ``witness`` holds enough data to re-evaluate ``value`` independently
-    (see ``reevaluate``); ``method`` is one of greedy-lp, neyman-pearson,
-    blockwise, closed-form, iterative.
+    (see ``reevaluate``); ``method`` is one of greedy-lp (``h_h``),
+    neyman-pearson (``d_h``) and blockwise (``h_h_cond_cq``).
     """
 
     value: float
@@ -253,18 +253,14 @@ def _neyman_pearson(pairs, cands, target, smax) -> tuple[_Splits, np.ndarray]:
     return best, probes
 
 
-def _test(pos, zero, gamma):
-    """P_+ + gamma P_0 from the columns ``pos`` and ``zero`` spanning them, of
-    one matrix or of each of a stack."""
-    return pos @ linalg.dagger(pos) + gamma * (zero @ linalg.dagger(zero))
-
-
-def _result(test, t, gamma, gap, cost, mass, probes) -> EntropyResult:
-    """The Neyman-Pearson result of ``test``; it warns when uncertified."""
+def _result(pos, zero, t, gamma, gap, cost, mass, probes) -> EntropyResult:
+    """The Neyman-Pearson result whose test is P_+ + gamma P_0, from the
+    columns ``pos`` and ``zero`` spanning them; it warns when uncertified."""
     if not gap <= DH_GAP_TOL:
         warnings.warn(f"d_h test not certified: duality gap {gap:.3g} bits "
                       f"after {probes} probes", stacklevel=3)
     cost = max(cost, 1e-300)
+    test = pos @ linalg.dagger(pos) + gamma * (zero @ linalg.dagger(zero))
     return EntropyResult(float(-np.log2(cost)), dict(
         t=t, gamma=gamma, test=test, test_cost=cost, achieved_mass=mass, duality_gap=gap,
         probes=probes), "neyman-pearson")
@@ -272,12 +268,12 @@ def _result(test, t, gamma, gap, cost, mass, probes) -> EntropyResult:
 
 def d_h_many(rhos, sigmas, eps) -> list:
     """``d_h(rhos[i], sigmas[i], eps[i])`` for each i, as one stacked solver.
-    The pairs of one size check their rhos and decompose their sigmas and
-    their whitened pencils in one stacked call each. Then the threshold
-    searches of all sizes run in lockstep, one stacked eigendecomposition
-    per size and probe round for the pairs still searching. Every pair's
-    result has the bits of its own solve, whatever else is in the lists;
-    each uncertified one warns."""
+    The pairs of one size decompose their rhos (the check, and the support
+    projectors of the eps = 0 pairs), their sigmas and their whitened pencils
+    in one stacked call each. Then the threshold searches of all sizes run
+    in lockstep, one stacked eigendecomposition per size and probe round for
+    the pairs still searching. Every pair's result has the bits of its own
+    solve, whatever else is in the lists; each uncertified one warns."""
     rs, ss, sizes = [_matrix(r) for r in rhos], [_matrix(s) for s in sigmas], {}
     for i, (r, s, e) in enumerate(zip(rs, ss, eps, strict=True)):
         _validate_eps(e)
@@ -290,8 +286,10 @@ def d_h_many(rhos, sigmas, eps) -> list:
     out, groups, width = [None] * len(rs), [], max((len(r) for r in rs), default=0)
     for idx in sizes.values():
         r, s, e = (np.array([x[i] for i in idx]) for x in (rs, ss, eps))
-        # both inputs are checked (Hermitian, PSD) here, before any early return
-        linalg.psd_eigvals(r)
+        # both inputs are checked (Hermitian, PSD) here, before any early return;
+        # rho's eigenvectors give the eps = 0 pairs their support projectors
+        wr, vr = linalg.eig_hermitian(r)
+        wr = linalg.clip_psd_spectrum(wr)
         ws, vs = linalg.eig_hermitian(s)
         ws, d = linalg.clip_psd_spectrum(ws), r.shape[-1]
         # every rh - t*sh is Hermitian bit for bit too
@@ -309,9 +307,8 @@ def d_h_many(rhos, sigmas, eps) -> list:
             out[idx[i]] = EntropyResult(np.inf, {"infinite": True, "probes": 0}, "neyman-pearson")
         for i in np.flatnonzero(~infinite & (e == 0.0)):
             # the support projector of rho is the optimal test
-            w, v = linalg.eig_hermitian(r[i])
-            pos = v[:, w > SUPPORT_TOL]
-            out[idx[i]] = _result(_test(pos, v[:, :0], 0.0), 0.0, 0.0, 0.0,
+            pos = vr[i][:, wr[i] > SUPPORT_TOL]
+            out[idx[i]] = _result(pos, pos[:, :0], 0.0, 0.0, 0.0,
                                   float((linalg.dagger(pos) @ s[i] @ pos).trace().real),
                                   float((linalg.dagger(pos) @ r[i] @ pos).trace().real), 0)
         g = np.flatnonzero(~infinite & (e != 0.0))
@@ -322,16 +319,9 @@ def d_h_many(rhos, sigmas, eps) -> list:
         return out
     _, pairs, cands, target, smax = zip(*groups)
     p, probes = _neyman_pearson(pairs, *map(np.concatenate, (cands, target, smax)))
-    tests = [None] * len(search)
-    for pad, top, low in set(zip(p.pad.tolist(), p.top.tolist(), p.low.tolist())):
-        g = np.flatnonzero((p.pad == pad) & (p.top == top) & (p.low == low))
-        v = np.stack(p.v[g])
-        pos, zero = v[:, :, top - pad:].copy(), v[:, :, low - pad:top - pad].copy()
-        for j, test in zip(g.tolist(), _test(pos, zero, p.gamma[g, None, None])):
-            tests[j] = test
-    for i, *fields in zip(search, tests, *(x.tolist() for x in (
-            p.t, p.gamma, p.gap, p.cost, p.a + p.gamma * p.b, probes))):
-        out[i] = _result(*fields)
+    for i, v, pad, top, low, *fields in zip(search, p.v, *(x.tolist() for x in (
+            p.pad, p.top, p.low, p.t, p.gamma, p.gap, p.cost, p.a + p.gamma * p.b, probes))):
+        out[i] = _result(v[:, top - pad:].copy(), v[:, low - pad:top - pad].copy(), *fields)
     return out
 
 

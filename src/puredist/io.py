@@ -153,13 +153,6 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path_or_handle, columns, rows):
-    own = isinstance(path_or_handle, str)
-    fh = open(path_or_handle, "w") if own else path_or_handle
-    try:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_cell(v) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+def csv_text(columns, rows) -> str:
+    """The CSV text of ``rows``: a header line of ``columns``, then one line per row."""
+    return "".join(",".join(csv_cell(v) for v in line) + "\n" for line in [columns, *rows])

@@ -277,15 +277,13 @@ def run_kd_oneshot(views) -> list:
 def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
     """Isometry on phi's system registers maximizing the overlap with chi.
 
-    ``phi_system`` and ``chi_system`` name the registers to be mapped; the
-    remaining registers of both states must agree (label and dimension) and
-    are untouched. Returns (matrix, achieved overlap); the achieved overlap
-    equals the fidelity of the shared-register marginals (Uhlmann), which is
-    asserted within 1e-8. The matrix is unitary when the system dimensions
-    match and an isometry when chi's side is larger.
+    ``phi_system`` and ``chi_system`` are lists of the registers to be
+    mapped; the remaining registers of both states must agree (label and
+    dimension) and are untouched. Returns (matrix, achieved overlap); the
+    achieved overlap equals the fidelity of the shared-register marginals
+    (Uhlmann), which is asserted within 1e-8. The matrix is unitary when the
+    system dimensions match and an isometry when chi's side is larger.
     """
-    phi_system = [phi_system] if isinstance(phi_system, str) else list(phi_system)
-    chi_system = [chi_system] if isinstance(chi_system, str) else list(chi_system)
     shared = [l for l in phi.labels if l not in phi_system]
     chi_shared = [l for l in chi.labels if l not in chi_system]
     if sorted(shared) != sorted(chi_shared):

@@ -28,12 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy, linalg
-from .compression import Instance, compress_measurement, validate_compression
+from .compression import Instance, compress_measurement, compress_seeds, validate_compression
 from .sampling import (
     basis_povm,
+    bell_pair,
     ginibre_density,
     ginibre_matrix,
     haar_unitary,
+    purified_input,
     random_cq,
     random_povm,
 )
@@ -348,14 +350,11 @@ def check_compression_povm_validity(rng, trials, eps):
 def check_compression_bot_mass(rng, trials, eps):
     """At the compression rate thresholds (slack 4 log2(1/eps)) the failure
     outcome keeps median probability below 5 eps."""
-    from .sampling import bell_pair, purified_input
     e = eps or 0.5
     inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), e)
     for t in range(trials):
-        bots = []
-        for s in range(8):
-            cm = compress_measurement(inst, K=2, L=32, seed=1000 * t + s)
-            bots.append(float(np.sum(cm.q_kl[:, -1])))
+        views = compress_seeds(inst, 2, 32, range(1000 * t, 1000 * t + 8))
+        bots = [float(np.sum(cm.q_kl[:, -1])) for cm in views]
         yield 5 * e - float(np.median(bots))
 
 
@@ -363,14 +362,13 @@ def check_compression_bot_mass(rng, trials, eps):
 def check_compression_pair_closeness(rng, trials, eps):
     """Per-pair simulated-vs-ideal state distance does not grow in the
     median when L doubles (paired seeds share table cells)."""
-    from .sampling import bell_pair, purified_input
     e = eps or 0.1
     inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), e)
     for t in range(trials):
         meds = []
         for L in (8, 16, 32):
-            ds = [validate_compression(inst.compression(2, L, 500 * t + s))
-                  .per_pair_state_dist for s in range(8)]
+            ds = [validate_compression(cm).per_pair_state_dist
+                  for cm in compress_seeds(inst, 2, L, range(500 * t, 500 * t + 8))]
             meds.append(float(np.median(ds)))
         yield min(meds[i] - meds[i + 1] + 1e-12 for i in range(len(meds) - 1))
 

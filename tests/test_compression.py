@@ -331,6 +331,23 @@ def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
     assert calls == [(8, 4, 4)]
 
 
+def test_instance_decomposes_each_simulated_stack_once(rng, monkeypatch):
+    inst = Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25)
+    inst.simulated  # the conditionals, from the roots of rho_A and of the elements
+    calls = []
+    for name in ("_eigh", "_eigvalsh"):
+        def counting(m, _orig=getattr(linalg, name)):
+            calls.append(np.shape(m))
+            return _orig(m)
+
+        monkeypatch.setattr(linalg, name, counting)
+    inst.nice_outcomes, inst.ag_bounds, inst.truncated_targets, inst.bob_codes
+    # the spectra of the two ideal ensembles the nice bounds read, then one
+    # stacked eigensystem of each simulated stack
+    ideal = [np.shape(inst.ideal_env.stack), np.shape(inst.ideal_bob.stack)]
+    assert calls == ideal + [inst.sims.shape, inst.sims_bob.shape]
+
+
 def _broad_outcome_instance():
     # outcome 1's simulated state is much broader than the average, so it
     # fails the pair bound with zero slack

@@ -190,10 +190,13 @@ def test_d_h_many_takes_one_decomposition_per_size_and_round(rng, monkeypatch):
 
     monkeypatch.setattr(linalg, "_eigh", counting)
     dims = [int(d) for d in rng.integers(2, 7, size=40)]
+    eps = [0.0 if i % 4 == 0 else 0.1 for i in range(len(dims))]  # eps = 0: no search
     out = ent.d_h_many([np.diag(rng.dirichlet(np.ones(d))) for d in dims],
-                       [np.diag(rng.dirichlet(np.ones(d))) for d in dims], [0.1] * len(dims))
+                       [np.diag(rng.dirichlet(np.ones(d))) for d in dims], eps)
     rounds = {d: max(r.witness["probes"] for r, e in zip(out, dims) if e == d) for d in set(dims)}
-    # per size: rho's check, sigma's decomposition, the pencils, then one per round
+    # per size: rho's check (which also gives the eps = 0 tests their support
+    # projectors), sigma's decomposition, the pencils, then one per round
+    assert [r.witness["probes"] == 0 for r in out] == [e == 0.0 for e in eps]
     assert len(sizes) == sum(3 + n for n in rounds.values())
     assert all(len(s) == 3 for s in sizes)
 

@@ -2,7 +2,8 @@
 and of every demo script.
 
 The expected files under ``tests/golden/`` pin the exact output bytes, so
-any refactor that changes a single digit fails here; the ``purity-trace``
+any refactor that changes a single digit fails here; a command that takes
+``--out`` must write the same bytes to that file. The ``purity-trace``
 case pins ``protocols.purity_trace``, which no subcommand prints, and
 ``demo-NN.txt`` the stdout of ``demos/NN_*.py``. They pin
 the numpy and OpenBLAS build of the machine that wrote them: floats are
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from puredist import io, sampling
-from puredist.cli import main
+from puredist.cli import COMMANDS, main
 from puredist.protocols import purity_trace
 from puredist.states import DensityOperator
 
@@ -113,9 +114,16 @@ def inputs(bell_file, basis_file, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_bytes(name, inputs):
+def test_cli_output_matches_golden_bytes(name, inputs, tmp_path):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert run_case(name) == expected
+    if CASES[name] is not None and "--out" in COMMANDS[CASES[name][0]][1]:
+        # the same bytes through --out FILE, and nothing on stdout
+        path, out = tmp_path / f"{name}.out", _io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*CASES[name], "--out", str(path)]) == 0
+        assert out.getvalue() == ""
+        assert path.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 def test_verify_prints_its_golden_bytes_under_python_O():
