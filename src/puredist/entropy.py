@@ -9,6 +9,14 @@ ensembles. The single-state functions of a spectrum (``h_tilde_max``,
 ``h_prime_max``, ``h_h``, ``h_max_smooth``) take a state or, as a 1-D
 array, its clipped ascending spectrum; ``d_h`` takes matrices.
 
+``h_h_many`` and ``h_h_cond_cq_many`` solve many H_H LPs as one stacked
+greedy, for callers with a hundred or more of them (``puredist verify``).
+``h_h_many`` takes one (n, d) stack of clipped ascending spectra, the
+shorter ones left-padded with zeros; ``h_h_cond_cq_many`` takes a list of
+cq states. Both return (values, weights) arrays, each row with the bits of
+its own ``h_h`` or ``h_h_cond_cq`` call. A lone call keeps the per-call loop
+of ``h_h`` and ``h_h_cond_cq``, which is faster below about ten rows.
+
 Smoothing convention: unless noted otherwise, smoothing is operationalized
 as spectral truncation (dropping smallest-eigenvalue mass up to the budget)
 rather than optimization over a purified-distance ball; each function's
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .states import CQState, DensityOperator
+from .states import CQState, DensityOperator, keep_spectra
 
 SUPPORT_TOL = linalg.SUPPORT_TOL
 
@@ -138,6 +146,37 @@ def _greedy_lp(gains: np.ndarray, costs: np.ndarray, target: float):
     return float(np.dot(costs, lam)), lam
 
 
+def _greedy_many(gains, costs, target, width):
+    """``_greedy_lp`` of each row of the (n, m) stacks ``gains`` and ``costs``
+    at its ``target``, over its first ``width`` entries (its gains 0 past
+    them): the (totals, weights), each row with the bits of its own loop.
+    The rows fill column by column while any is live; each total is a
+    ``vecdot`` over the row's first ``width`` entries, the rows of one width
+    together, as ``np.dot`` has it (a padded dot does not keep the bits)."""
+    lam, acc, live = np.zeros(gains.shape), np.zeros(len(gains)), np.arange(len(gains))
+    for j, g in enumerate(gains.T):
+        live = live[(acc[live] < target[live] - 1e-15) & (g[live] > 0)]
+        if not live.size:
+            break
+        take = np.minimum(1.0, (target[live] - acc[live]) / g[live])
+        lam[live, j] = take
+        acc[live] += take * g[live]
+    total = np.zeros(len(gains))
+    for w in set(width.tolist()) - {0}:
+        rows = np.flatnonzero(width == w)
+        total[rows] = np.vecdot(costs[rows, :w], lam[rows, :w])
+    return total, lam
+
+
+def _eps_rows(eps, n) -> np.ndarray:
+    """One eps per row of n, each checked as ``_validate_eps`` does."""
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
+    bad = eps[~((eps >= 0.0) & (eps < 1.0))]
+    if bad.size:
+        _validate_eps(float(bad[0]))
+    return eps
+
+
 def h_h(rho, eps: float) -> EntropyResult:
     """Smooth hypothesis testing entropy of a single system.
 
@@ -156,6 +195,20 @@ def h_h(rho, eps: float) -> EntropyResult:
         witness={"weights": lam, "gains": p, "costs": costs},
         method="greedy-lp",
     )
+
+
+def h_h_many(spectra, eps):
+    """``h_h(spectra[i], eps[i])`` for each row i of one (n, d) stack of
+    clipped ascending spectra, the shorter ones left-padded with zeros (which
+    lie outside every support), as one stacked greedy. Returns the (values,
+    weights) arrays, each row with the bits of its own ``h_h`` value and
+    witness weights; a row's weights are descending and zero past its
+    support. Below about ten rows the loop of ``h_h`` is the faster."""
+    p = np.asarray(spectra, dtype=float)[:, ::-1]
+    support = p > SUPPORT_TOL
+    total, lam = _greedy_many(np.where(support, p, 0.0), np.ones_like(p),
+                              1.0 - _eps_rows(eps, len(p)), support.sum(axis=1))
+    return np.log2(total), lam
 
 
 # d_h stops once its test is certified within DH_GAP_TOL bits, or after DH_MAX_PROBES
@@ -370,6 +423,29 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
         witness={"weights": lam, "gains": gains[order], "costs": costs[order]},
         method="blockwise",
     )
+
+
+def h_h_cond_cq_many(cqs, eps):
+    """``h_h_cond_cq(cqs[i], eps[i])`` for each i, as one stacked greedy: row
+    i holds the row-major (P(x) lambda, P(x)) entries of ``cqs[i].spectra``,
+    padded, and a stable argsort per row keys its non-support entries and
+    pads +inf, so they sort last. Returns the (values, weights) arrays, each
+    row with the bits of its own ``h_h_cond_cq`` value and witness weights
+    (in its sorted order, zero past its support). The states keep their
+    spectra from one stacked decomposition per size (``keep_spectra``)."""
+    eps = _eps_rows(eps, len(cqs))
+    keep_spectra(cqs)
+    n, d = np.array([cq.spectra.shape for cq in cqs]).T
+    filled = np.arange((n * d).max()) < (n * d)[:, None]  # a boolean mask fills row-major
+    spectra, costs = np.zeros(filled.shape), np.ones(filled.shape)
+    spectra[filled] = np.concatenate([cq.spectra for cq in cqs], axis=None)
+    costs[filled] = np.repeat(np.concatenate([cq.probs for cq in cqs]), np.repeat(d, n))
+    support = spectra > SUPPORT_TOL
+    gains = np.where(support, costs * spectra, 0.0)
+    order = np.argsort(np.where(support, -(gains / costs), np.inf), axis=1, kind="stable")
+    total, lam = _greedy_many(*(np.take_along_axis(x, order, axis=1) for x in (gains, costs)),
+                              1.0 - eps, support.sum(axis=1))
+    return np.log2(total), lam
 
 
 def h_min_cq(cq: CQState) -> float:

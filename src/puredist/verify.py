@@ -7,12 +7,15 @@ list the registered checks and their names in definition order, so a
 missing check is detectable by callers that print the manifest.
 
 The checks that read only spectra run in three steps: draw every trial's
-instance, decompose all its operators (``_with_spectra`` and ``keep_spectra``:
+instance, decompose all its operators (``_spectra`` and ``keep_spectra``:
 one stacked eigendecomposition per matrix size, each member with the bits of
 its own call), then evaluate the slacks in trial order through the public
-entropy functions, which take the spectra. The D_H check does the same with
-one ``entropy.d_h_many`` call for all its pairs, one stacked
-eigendecomposition per size and probe round. The draw step keeps the
+entropy functions, which take the spectra. The H_H checks solve all their
+LPs in one ``entropy.h_h_many`` call on the left-padded stack of spectra
+and one ``entropy.h_h_cond_cq_many`` call on the cq states, whichever they
+need. The D_H check does the same with one ``entropy.d_h_many`` call for
+all its pairs, one stacked eigendecomposition per size and probe round.
+Each value has the bits of its own one-state call. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. A cq state is drawn as
 one stack (``random_cq``, or one ``normal`` call for all its conditionals)
@@ -60,11 +63,23 @@ def _eps(rng):
     return float(rng.choice([0.01, 0.05, 0.1]))
 
 
-def _with_spectra(cases, n):
-    """``cases`` with the first ``n`` matrices of each replaced by their
-    clipped spectra, from one stacked decomposition per matrix size."""
-    ws = iter(linalg.per_size(linalg.psd_eigvals, [m[None] for c in cases for m in c[:n]]))
-    return [tuple(next(ws)[0] for _ in range(n)) + c[n:] for c in cases]
+def _spectra(mats):
+    """The clipped ascending spectra of ``mats`` as one (n, d) stack, the
+    shorter ones left-padded with zeros: one stacked decomposition per matrix
+    size, each row with the bits of its own call."""
+    sizes = {}
+    for i, m in enumerate(mats):
+        sizes.setdefault(len(m), []).append(i)
+    out = np.zeros((len(mats), max(sizes, default=0)))
+    for d, idx in sizes.items():
+        out[idx, out.shape[1] - d:] = linalg.psd_eigvals(np.array([mats[i] for i in idx]))
+    return out
+
+
+def _h_h(mats, eps, k):
+    """The H_H value of each matrix of ``mats`` at its eps, in rows of ``k``
+    Python floats: one ``entropy.h_h_many`` call on their ``_spectra``."""
+    return entropy.h_h_many(_spectra(mats), eps)[0].reshape(-1, k).tolist()
 
 
 _CHECKS = {}
@@ -85,7 +100,8 @@ def _check(name, *, per):
             if per > 1:
                 trials = max(1, trials // per)
             bad, worst = 0, np.inf
-            for gap in gen(rng, trials, eps):
+            # with no trials there is nothing to draw, and the stacked solvers need a row
+            for gap in gen(rng, trials, eps) if trials > 0 else ():
                 worst = min(worst, gap)
                 bad += gap < 0
             return CheckResult(name, trials, bad, worst)
@@ -97,28 +113,30 @@ def _check(name, *, per):
 @_check("hh-purification-duality", per=1)
 def check_hh_purification_duality(rng, trials, eps):
     """Both marginals of a random pure bipartite state share one H_H."""
-    cases = []
+    mats, es = [], []
     for _ in range(trials):
         da, dr = rng.integers(2, 9, size=2)
         v = rng.normal(size=(int(da), int(dr))) + 1j * rng.normal(size=(int(da), int(dr)))
         v /= np.linalg.norm(v)
-        cases.append((v @ linalg.dagger(v), v.T @ np.conj(v), eps or _eps(rng)))
-    for rho_a, rho_r, e in _with_spectra(cases, 2):
-        yield TOL - abs(entropy.h_h(rho_a, e).value - entropy.h_h(rho_r, e).value)
+        mats += (v @ linalg.dagger(v), v.T @ np.conj(v))
+        es += [eps or _eps(rng)] * 2
+    for ha, hr in _h_h(mats, es, 2):
+        yield TOL - abs(ha - hr)
 
 
 @_check("hh-pure-tensor-invariance", per=1)
 def check_hh_pure_tensor(rng, trials, eps):
     """Tensoring a pure state on leaves H_H unchanged."""
-    cases = []
+    mats, es = [], []
     for _ in range(trials):
         d = int(rng.integers(2, 7))
         rho = ginibre_density(rng, d)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v /= np.linalg.norm(v)
-        cases.append((np.kron(rho, np.outer(v, np.conj(v))), rho, eps or _eps(rng)))
-    for joint, rho, e in _with_spectra(cases, 2):
-        yield TOL - abs(entropy.h_h(joint, e).value - entropy.h_h(rho, e).value)
+        mats += (np.kron(rho, np.outer(v, np.conj(v))), rho)
+        es += [eps or _eps(rng)] * 2
+    for joint, single in _h_h(mats, es, 2):
+        yield TOL - abs(joint - single)
 
 
 @_check("hh-support-sandwich", per=1)
@@ -126,9 +144,9 @@ def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
     cases = [(ginibre_density(rng, int(rng.integers(2, 9))), eps or _eps(rng))
              for _ in range(trials)]
-    for rho, e in _with_spectra(cases, 1):
-        hh = entropy.h_h(rho, e).value
-        ht = entropy.h_tilde_max(rho, e)
+    ws, es = _spectra([rho for rho, _ in cases]), [e for _, e in cases]
+    for w, e, hh in zip(ws, es, entropy.h_h_many(ws, es)[0].tolist()):
+        ht = entropy.h_tilde_max(w, e)
         yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
 
 
@@ -137,10 +155,10 @@ def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
     cases = [(ginibre_density(rng, int(rng.integers(2, 9))), eps or _eps(rng))
              for _ in range(trials)]
-    for rho, e in _with_spectra(cases, 1):
-        hm = entropy.h_max_smooth(rho, e)
-        ht = entropy.h_tilde_max(rho, e)
-        hp = entropy.h_prime_max(rho, e)
+    for (rho, e), w in zip(cases, _spectra([rho for rho, _ in cases])):
+        hm = entropy.h_max_smooth(w, e)
+        ht = entropy.h_tilde_max(w, e)
+        hp = entropy.h_prime_max(w, e)
         cap = np.log2(len(rho) / e)
         yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
 
@@ -148,45 +166,45 @@ def check_max_entropy_ordering(rng, trials, eps):
 @_check("hh-subadditivity", per=1)
 def check_hh_subadditivity(rng, trials, eps):
     """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
-    cases = []
+    mats, es = [], []
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = ginibre_density(rng, int(da * db))
-        cases.append((rho, linalg.partial_trace(rho, [int(da), int(db)], 0),
-                      linalg.partial_trace(rho, [int(da), int(db)], 1), eps or _eps(rng)))
-    for rho, ra, rb, e in _with_spectra(cases, 3):
-        lhs = entropy.h_h(rho, min(3 * np.sqrt(e), 0.999)).value
-        rhs = entropy.h_h(ra, e).value + entropy.h_h(rb, e).value
-        yield rhs - lhs + TOL
+        mats += (rho, linalg.partial_trace(rho, [int(da), int(db)], 0),
+                 linalg.partial_trace(rho, [int(da), int(db)], 1))
+        e = eps or _eps(rng)
+        es += (min(3 * np.sqrt(e), 0.999), e, e)
+    for lhs, ha, hb in _h_h(mats, es, 3):
+        yield ha + hb - lhs + TOL
 
 
 @_check("hh-mixed-ancilla-additivity", per=1)
 def check_hh_mixed_ancilla_additivity(rng, trials, eps):
     """h_h(rho (x) I/|B|, eps) = h_h(rho, eps) + log2 |B| exactly."""
-    cases = []
+    mats, es, dbs = [], [], []
     for _ in range(trials):
         d = int(rng.integers(2, 6))
         db = int(rng.integers(2, 5))
         rho = ginibre_density(rng, d)
-        cases.append((np.kron(rho, np.eye(db) / db), rho, db, eps or _eps(rng)))
-    for joint, rho, db, e in _with_spectra(cases, 2):
-        lhs = entropy.h_h(joint, e).value
-        rhs = entropy.h_h(rho, e).value + np.log2(db)
-        yield 1e-9 - abs(lhs - rhs)
+        mats += (np.kron(rho, np.eye(db) / db), rho)
+        es += [eps or _eps(rng)] * 2
+        dbs.append(db)
+    for (lhs, h), db in zip(_h_h(mats, es, 2), dbs):
+        yield 1e-9 - abs(lhs - (h + np.log2(db)))
 
 
 @_check("hh-dimension-bound", per=1)
 def check_hh_dimension_bound(rng, trials, eps):
     """h_h(AB) <= h_h(A) + log2 |B|."""
-    cases = []
+    mats, es, dbs = [], [], []
     for _ in range(trials):
         da, db = rng.integers(2, 5, size=2)
         rho = ginibre_density(rng, int(da * db))
-        cases.append((rho, linalg.partial_trace(rho, [int(da), int(db)], 0), db,
-                      eps or _eps(rng)))
-    for rho, ra, db, e in _with_spectra(cases, 2):
-        lhs = entropy.h_h(rho, e).value
-        yield entropy.h_h(ra, e).value + np.log2(db) - lhs + TOL
+        mats += (rho, linalg.partial_trace(rho, [int(da), int(db)], 0))
+        es += [eps or _eps(rng)] * 2
+        dbs.append(db)
+    for (lhs, ha), db in zip(_h_h(mats, es, 2), dbs):
+        yield ha + np.log2(db) - lhs + TOL
 
 
 @_check("hh-near-pure-nonpositive", per=1)
@@ -208,8 +226,8 @@ def check_hh_near_pure(rng, trials, eps):
     dists = linalg.per_size(linalg.trace_norm, [(sigma - pure0)[None]
                                                 for sigma, pure0, _ in cases])
     cases = [(sigma, e) for (sigma, _, e), dist in zip(cases, dists) if not dist[0] > e]
-    for sigma, e in _with_spectra(cases, 1):
-        yield TOL - entropy.h_h(sigma, e).value
+    for (h,) in _h_h([sigma for sigma, _ in cases], [e for _, e in cases], 1):
+        yield TOL - h
 
 
 @_check("hh-cond-pure-nonpositive", per=1)
@@ -217,15 +235,14 @@ def check_hh_cond_pure(rng, trials, eps):
     """cq states with pure conditionals have H_H(B|X) <= 0."""
     cases = [(random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
                         pure_conditionals=True), eps or _eps(rng)) for _ in range(trials)]
-    keep_spectra(cq for cq, _ in cases)
-    for cq, e in cases:
-        yield TOL - entropy.h_h_cond_cq(cq, e).value
+    for h in entropy.h_h_cond_cq_many([cq for cq, _ in cases], [e for _, e in cases])[0].tolist():
+        yield TOL - h
 
 
 @_check("hh-cond-purification-switch", per=1)
 def check_hh_cond_purification_switch(rng, trials, eps):
     """For bipartite pure conditionals, H_H(B|X) = H_H(A|X)."""
-    cases = []
+    cqs, es = [], []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = (int(d) for d in rng.integers(2, 5, size=2))
@@ -233,13 +250,10 @@ def check_hh_cond_purification_switch(rng, trials, eps):
         z = rng.normal(size=(n, 2, da, db))
         v = z[:, 0] + 1j * z[:, 1]
         v = v / np.array([np.linalg.norm(m) for m in v])[:, None, None]
-        cases.append((CQState(range(n), probs, v @ linalg.dagger(v), registers=[("A", da)]),
-                      CQState(range(n), probs, v.swapaxes(1, 2) @ np.conj(v),
-                              registers=[("B", db)]), eps or _eps(rng)))
-    keep_spectra(cq for case in cases for cq in case[:2])
-    for cq_a, cq_b, e in cases:
-        ha = entropy.h_h_cond_cq(cq_a, e).value
-        hb = entropy.h_h_cond_cq(cq_b, e).value
+        cqs += (CQState(range(n), probs, v @ linalg.dagger(v), registers=[("A", da)]),
+                CQState(range(n), probs, v.swapaxes(1, 2) @ np.conj(v), registers=[("B", db)]))
+        es += [eps or _eps(rng)] * 2
+    for ha, hb in entropy.h_h_cond_cq_many(cqs, es)[0].reshape(-1, 2).tolist():
         yield TOL - abs(ha - hb)
 
 
@@ -255,15 +269,14 @@ def check_hh_cond_data_processing(rng, trials, eps):
         zs = np.array([ginibre_matrix(rng, db) for _ in range(int(rng.integers(2, 4)))])
         cases.append((cq, zs, rng.dirichlet(np.ones(len(zs))), e))
     unitaries = linalg.per_size(haar_unitary, [zs for _, zs, _, _ in cases])
+    es = np.repeat([e for *_, e in cases], 3)
     # dephased: the diagonal kept, +0 elsewhere, as np.diag(np.diag(rho)) has it
     cases = [(cq, CQState(cq.symbols, cq.probs, np.where(np.eye(len(us[0]), dtype=bool),
                                                          cq.stack, 0), registers=cq.registers),
-              _mixed(cq, ps, us), e) for (cq, _, ps, e), us in zip(cases, unitaries)]
-    keep_spectra(cq for case in cases for cq in case[:3])
-    for cq, deph, unital, e in cases:
-        base = entropy.h_h_cond_cq(cq, e).value
-        yield min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
-                  entropy.h_h_cond_cq(unital, e).value - base + TOL)
+              _mixed(cq, ps, us)) for (cq, _, ps, _), us in zip(cases, unitaries)]
+    values = entropy.h_h_cond_cq_many([cq for case in cases for cq in case], es)[0]
+    for base, deph, unital in values.reshape(-1, 3).tolist():
+        yield min(deph - base + TOL, unital - base + TOL)
 
 
 def _mixed(cq, ps, us):
@@ -281,11 +294,17 @@ def check_hh_average_to_worst_case(rng, trials, eps):
     at least 1 - 2 sqrt(eps)."""
     cases = [(random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5))),
               eps or _eps(rng)) for _ in range(trials)]
-    keep_spectra(cq for cq, _ in cases)
-    for cq, e in cases:
-        bound = entropy.h_h_cond_cq(cq, e).value - np.log2(e)
-        mass = sum(p for p, w in zip(cq.probs, cq.spectra)
-                   if entropy.h_h(w, np.sqrt(e)).value <= bound + 1e-12)
+    cqs, es = [cq for cq, _ in cases], [e for _, e in cases]
+    bounds = (entropy.h_h_cond_cq_many(cqs, es)[0] - np.log2(es)).tolist()
+    # every conditional's spectrum, left-padded: a boolean mask fills row-major
+    d = np.repeat([cq.spectra.shape[1] for cq in cqs], [len(cq) for cq in cqs])
+    ws = np.zeros((len(d), d.max()))
+    ws[np.arange(d.max()) >= d.max() - d[:, None]] = np.concatenate([cq.spectra for cq in cqs],
+                                                                   axis=None)
+    hs = iter(entropy.h_h_many(ws, np.repeat(np.sqrt(es), [len(cq) for cq in cqs]))[0].tolist())
+    for cq, bound, e in zip(cqs, bounds, es):
+        # zip draws a probability first, so a state reads only its own rows of hs
+        mass = sum(p for p, h in zip(cq.probs, hs) if h <= bound + 1e-12)
         yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
 

@@ -634,6 +634,71 @@ def test_cq_entropies_share_one_stacked_eigendecomposition(rng, eigh_calls):
         assert len(eigh_calls) == 1
 
 
+# ------------------------------------------------------- stacked H_H solvers
+
+def _left_padded(spectra):
+    out = np.zeros((len(spectra), max(map(len, spectra))))
+    for row, w in zip(out, spectra):
+        row[len(row) - len(w):] = w
+    return out
+
+
+def test_h_h_many_keeps_the_bits_of_h_h(rng):
+    tol = ent.SUPPORT_TOL
+    spectra = []
+    for _ in range(200):
+        d = int(rng.integers(2, 33))
+        spectra.append(linalg.psd_eigvals(ginibre_density(rng, d, int(rng.integers(1, d + 1)))))
+    for spec in ([1 - 5 * tol, tol, 0.5 * tol, 2 * tol, tol * (1 + 1e-15), tol * (1 - 1e-15),
+                  1e-13], [1 - 3 * tol, tol, tol, tol, 0.0], [0.25] * 4, [1.0, 0.0, 0.0]):
+        spectra.append(np.sort(np.array(spec) / np.sum(spec)))  # on and straddling the tolerance
+    stack = _left_padded(spectra)
+    for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
+        values, weights = ent.h_h_many(stack, eps)
+        for w, value, row in zip(spectra, values, weights):
+            want = ent.h_h(w, eps)
+            k = len(want.witness["weights"])
+            assert value.tobytes() == np.float64(want.value).tobytes()
+            assert row[:k].tobytes() == want.witness["weights"].tobytes() and not row[k:].any()
+            assert np.all(np.diff(row) <= 0)
+    # one eps per row, and a one-row stack
+    eps = rng.choice([0.0, 0.01, 0.1, 0.3, 0.999], size=len(spectra))
+    values, _ = ent.h_h_many(stack, eps)
+    assert values.tolist() == [ent.h_h(w, e).value for w, e in zip(spectra, eps.tolist())]
+    assert ent.h_h_many(stack[:1], [0.1])[0].tolist() == [ent.h_h(spectra[0], 0.1).value]
+
+
+def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
+    cqs = list(stacked_cq_cases(rng))  # pure conditionals, ties and a dropped symbol among them
+    eigh_calls.clear()
+    for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
+        values, weights = ent.h_h_cond_cq_many(cqs, [eps] * len(cqs))
+        for cq, value, row in zip(cqs, values, weights):
+            want = ent.h_h_cond_cq(cq, eps)
+            k = len(want.witness["weights"])
+            assert value.tobytes() == np.float64(want.value).tobytes()
+            assert row[:k].tobytes() == want.witness["weights"].tobytes() and not row[k:].any()
+    # the states took their spectra from one stacked decomposition per size
+    assert len(eigh_calls) == len({cq.stack.shape[-1] for cq in cqs})
+    eps = rng.choice([0.0, 0.01, 0.1, 0.3, 0.999], size=len(cqs))
+    values, _ = ent.h_h_cond_cq_many(cqs, eps)
+    assert values.tolist() == [ent.h_h_cond_cq(cq, e).value for cq, e in zip(cqs, eps.tolist())]
+
+
+def test_stacked_h_h_solvers_reject_eps_as_h_h_does(rng):
+    w = np.array([0.25, 0.75])
+    cq = random_cq(rng, 2, 2)
+    for bad in (1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError) as want:
+            ent.h_h(w, bad)
+        for solve in (lambda: ent.h_h_many(w[None], [bad]),
+                      lambda: ent.h_h_many(np.stack([w, w]), [0.1, bad]),
+                      lambda: ent.h_h_cond_cq_many([cq, cq], [bad, 0.1])):
+            with pytest.raises(ValueError) as got:
+                solve()
+            assert str(got.value) == str(want.value)
+
+
 # ------------------------------------------------------------------ i_max
 
 def test_i_max_identical_and_orthogonal(rng):

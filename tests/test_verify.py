@@ -15,6 +15,13 @@ def test_suite_passes_at_moderate_trials():
         assert r.passed, f"{r.name}: {r.violations} violations, worst {r.worst}"
 
 
+def test_suite_runs_with_no_trials():
+    results = run_suite(trials=0, seed=1)
+    assert all(r.passed for r in results)
+    # the 14 checks with per = 1 run none; the costly ones run max(1, 0 // per) = 1
+    assert [r.name for r in results if (r.trials, r.worst) == (0, np.inf)] == list(MANIFEST[:14])
+
+
 def test_suite_deterministic():
     a = run_suite(trials=25, seed=3)
     b = run_suite(trials=25, seed=3)

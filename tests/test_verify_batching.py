@@ -3,9 +3,11 @@
 Fourteen checks of ``puredist.verify`` draw every trial first, decompose all
 their operators with one stacked eigendecomposition per matrix size (the
 D_H check: one ``entropy.d_h_many`` call, one per size and probe round),
-then evaluate the slacks in trial order. ``REFERENCE`` keeps the per-trial
-bodies they had before, as the reference: one trial at a time, drawn,
-decomposed and evaluated in turn. Their cq states come from
+then evaluate the slacks in trial order; the H_H checks solve all their
+LPs in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind.
+``REFERENCE`` keeps the per-trial bodies they had before, as the
+reference: one trial at a time, drawn, decomposed and evaluated in turn,
+each H_H value from its own ``h_h`` or ``h_h_cond_cq`` call. Their cq states come from
 ``per_symbol_random_cq``, the per-symbol sampler that ``sampling.random_cq``
 replaced, so a change in the stacked sampler's bits shows here too, and the
 D_H check's pairs go through the one-pair solver that ``d_h_many`` replaced.
@@ -290,6 +292,9 @@ def _dim(rho):
 def _shifted(f, shift):
     def faulty(*args):
         out = f(*args)
+        if isinstance(out, tuple):  # (values, weights) of a stack, shifted by row position
+            values, weights = out
+            return values + shift(np.arange(len(values)), args[1]), weights
         if isinstance(out, list):  # one result per member of the argument lists
             return [entropy.EntropyResult(r.value + shift(*member), r.witness, r.method)
                     for r, member in zip(out, zip(*args))]
@@ -299,21 +304,28 @@ def _shifted(f, shift):
     return faulty
 
 
+def _by_row(rows, eps):
+    """A fault of the stacked solvers that grows down the stack: a check's
+    states of one trial fill adjacent rows, each later one lower. (Padding
+    hides a spectrum's dimension, and a pure state's two marginals share their
+    nonzero spectrum, so only the row tells them apart.)"""
+    return -10.0 * rows
+
+
 # per check: the public function it checks and a fault planted in its value
 FAULTS = {
-    "hh-purification-duality": ("h_h", lambda rho, eps: 10 * _dim(rho)),
-    "hh-pure-tensor-invariance": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-purification-duality": ("h_h_many", _by_row),
+    "hh-pure-tensor-invariance": ("h_h_many", _by_row),
     "hh-support-sandwich": ("h_tilde_max", lambda rho, eps: -10.0),
     "max-entropy-ordering": ("h_max_smooth", lambda rho, eps: 10.0),
-    "hh-subadditivity": ("h_h", lambda rho, eps: 10 * _dim(rho)),
-    "hh-mixed-ancilla-additivity": ("h_h", lambda rho, eps: 10 * _dim(rho)),
-    "hh-dimension-bound": ("h_h", lambda rho, eps: 10 * _dim(rho)),
-    "hh-near-pure-nonpositive": ("h_h", lambda rho, eps: 1.0),
-    "hh-cond-pure-nonpositive": ("h_h_cond_cq", lambda cq, eps: 1.0),
-    "hh-cond-purification-switch": ("h_h_cond_cq", lambda cq, eps: 10 * _dim(cq.stack[0])),
-    "hh-cond-data-processing": ("h_h_cond_cq",
-                                lambda cq, eps: 10 * float(np.abs(cq.stack).sum())),
-    "hh-average-to-worst-case": ("h_h", lambda rho, eps: 10 * _dim(rho)),
+    "hh-subadditivity": ("h_h_many", _by_row),
+    "hh-mixed-ancilla-additivity": ("h_h_many", _by_row),
+    "hh-dimension-bound": ("h_h_many", _by_row),
+    "hh-near-pure-nonpositive": ("h_h_many", lambda rows, eps: 1.0),
+    "hh-cond-pure-nonpositive": ("h_h_cond_cq_many", lambda rows, eps: 1.0),
+    "hh-cond-purification-switch": ("h_h_cond_cq_many", _by_row),
+    "hh-cond-data-processing": ("h_h_cond_cq_many", _by_row),
+    "hh-average-to-worst-case": ("h_h_many", lambda rows, eps: 10.0),
     "hmin-truncation-smoothing": ("h_min_cq_smoothed", lambda cq, eps: -10 * eps),
     "dh-neyman-pearson-vs-lp": ("d_h_many", lambda rho, sigma, eps: 10 * _dim(rho)),
 }
