@@ -7,10 +7,11 @@ then evaluate the slacks in trial order; the H_H checks solve all their
 LPs in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind.
 ``REFERENCE`` keeps the per-trial bodies they had before, as the
 reference: one trial at a time, drawn, decomposed and evaluated in turn,
-each H_H value from its own ``h_h`` or ``h_h_cond_cq`` call. Their cq states come from
-``per_symbol_random_cq``, the per-symbol sampler that ``sampling.random_cq``
-replaced, so a change in the stacked sampler's bits shows here too, and the
-D_H check's pairs go through the one-pair solver that ``d_h_many`` replaced.
+each H_H value from its own ``h_h`` or ``h_h_cond_cq`` call. Their cq
+states come from ``per_symbol_random_cq``, the per-symbol sampler that
+``sampling.random_cq`` replaced, so a change in the stacked sampler's bits
+shows here too, and the D_H check's pairs go through the one-pair solver
+that ``d_h_many`` replaced.
 """
 
 import numpy as np
