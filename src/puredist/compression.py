@@ -309,11 +309,9 @@ class Instance:
         smooth, live, n = self.eps ** 0.125, self.live, len(self.live)
         h_env, weights, h_bob = np.zeros(n), np.zeros((n, self.env_dim)), np.zeros(n)
         (w_env, _), (w_bob, _) = self.sims_eig
-        for x in np.flatnonzero(live).tolist():
-            # h_h takes ascending spectra
-            res = entropy.h_h(w_env[x, ::-1], smooth)
-            h_env[x], weights[x, :len(res.witness["weights"])] = res.value, res.witness["weights"]
-            h_bob[x] = entropy.h_h(w_bob[x, ::-1], smooth).value
+        # h_h_many takes ascending spectra
+        h_env[live], weights[live] = entropy.h_h_many(w_env[live, ::-1], smooth)
+        h_bob[live] = entropy.h_h_many(w_bob[live, ::-1], smooth)[0]
         return h_env, weights, h_bob
 
     @cached_property

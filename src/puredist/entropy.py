@@ -9,13 +9,12 @@ ensembles. The single-state functions of a spectrum (``h_tilde_max``,
 ``h_prime_max``, ``h_h``, ``h_max_smooth``) take a state or, as a 1-D
 array, its clipped ascending spectrum; ``d_h`` takes matrices.
 
-``h_h_many`` and ``h_h_cond_cq_many`` solve many H_H LPs as one stacked
-greedy, for callers with a hundred or more of them (``puredist verify``).
+The H_H LPs have one solver, a greedy over a stack of rows:
 ``h_h_many`` takes one (n, d) stack of clipped ascending spectra, the
-shorter ones left-padded with zeros; ``h_h_cond_cq_many`` takes a list of
-cq states. Both return (values, weights) arrays, each row with the bits of
-its own ``h_h`` or ``h_h_cond_cq`` call. A lone call keeps the per-call loop
-of ``h_h`` and ``h_h_cond_cq``, which is faster below about ten rows.
+shorter ones left-padded with zeros (``left_padded``), and
+``h_h_cond_cq_many`` a list of cq states. Both return (values, weights)
+arrays, each row with the bits it has when solved alone; ``h_h`` and
+``h_h_cond_cq`` solve one row and return it with its witness.
 
 Smoothing convention: unless noted otherwise, smoothing is operationalized
 as spectral truncation (dropping smallest-eigenvalue mass up to the budget)
@@ -128,40 +127,34 @@ def h_prime_max(rho, eps: float) -> float:
     return float(-np.log2(supp[k]))
 
 
-def _greedy_lp(gains: np.ndarray, costs: np.ndarray, target: float):
-    """Fractional-knapsack minimum of sum(costs * lam) subject to
-    sum(gains * lam) >= target, 0 <= lam <= 1.
-
-    Entries must be pre-sorted by gain/cost ratio descending. Returns
-    (total cost, lam).
-    """
-    lam = np.zeros(len(gains))
-    acc = 0.0
-    for i, g in enumerate(gains.tolist()):
-        if acc >= target - 1e-15 or g <= 0:
-            break
-        take = min(1.0, (target - acc) / g)
-        lam[i] = take
-        acc += take * g
-    return float(np.dot(costs, lam)), lam
-
-
 def _greedy_many(gains, costs, target, width):
-    """``_greedy_lp`` of each row of the (n, m) stacks ``gains`` and ``costs``
-    at its ``target``, over its first ``width`` entries (its gains 0 past
-    them): the (totals, weights), each row with the bits of its own loop.
-    The rows fill column by column while any is live; each total is a
-    ``vecdot`` over the row's first ``width`` entries, the rows of one width
-    together, as ``np.dot`` has it (a padded dot does not keep the bits)."""
-    lam, acc, live = np.zeros(gains.shape), np.zeros(len(gains)), np.arange(len(gains))
-    for j, g in enumerate(gains.T):
-        live = live[(acc[live] < target[live] - 1e-15) & (g[live] > 0)]
-        if not live.size:
-            break
-        take = np.minimum(1.0, (target[live] - acc[live]) / g[live])
-        lam[live, j] = take
-        acc[live] += take * g[live]
-    total = np.zeros(len(gains))
+    """The fractional-knapsack minimum of sum(costs * lam) subject to
+    sum(gains * lam) >= target, 0 <= lam <= 1, for each row of the (n, m)
+    stacks ``gains`` and ``costs`` at its ``target``: the (totals, weights).
+    A row's entries are sorted by gain/cost ratio descending, its gains 0 past
+    its first ``width``, and its target is at most 1. Each row takes whole
+    entries, then tops up its target with a fraction of the next: the scalar
+    loop of one entry at a time, ``take = min(1, (target - acc) / g)`` and
+    ``acc += take * g`` while ``acc < target - 1e-15`` and ``g > 0``, with its
+    bits. Each total is a ``vecdot`` over the row's first ``width`` entries,
+    the rows of one width together, so a row has the bits of ``np.dot`` over
+    them alone (a padded dot does not keep them)."""
+    n, m = gains.shape
+    # while every take is 1 the loop's acc is the running sum (a cumsum adds in
+    # its order); the first entry not surely taken whole ends that prefix
+    acc = np.zeros((n, m + 1))
+    np.cumsum(gains, axis=1, out=acc[:, 1:])
+    whole = (acc[:, :-1] < (target - 1e-15)[:, None]) & (gains > 0) & (
+        target[:, None] - acc[:, :-1] >= gains)
+    col = np.logical_and.accumulate(whole, axis=1).sum(axis=1)
+    lam = (np.arange(m) < col[:, None]) * 1.0
+    # the loop's step at that entry, if it is live, leaves acc within a few
+    # roundings of a target <= 1, well inside 1e-15, so the loop stops there
+    rows, j = np.arange(n), np.minimum(col, m - 1)
+    acc, g = acc[rows, col], gains[rows, j]
+    step = (col < m) & (acc < target - 1e-15) & (g > 0)
+    lam[rows[step], j[step]] = np.minimum(1.0, (target[step] - acc[step]) / g[step])
+    total = np.zeros(n)
     for w in set(width.tolist()) - {0}:
         rows = np.flatnonzero(width == w)
         total[rows] = np.vecdot(costs[rows, :w], lam[rows, :w])
@@ -182,19 +175,29 @@ def h_h(rho, eps: float) -> EntropyResult:
 
     Solves the LP  min sum(lam_a)  s.t.  sum(P(a) lam_a) >= 1 - eps,
     0 <= lam <= 1, over the eigenvalues P of the state, by the greedy
-    fractional-knapsack rule (fill the largest eigenvalues first).
-    The value is log2 of the LP optimum and can be negative.
+    fractional-knapsack rule (fill the largest eigenvalues first): the one
+    row of ``h_h_many``. The value is log2 of the LP optimum and can be
+    negative.
     """
     _validate_eps(eps)
     w = _spectrum(rho)
+    values, lam = h_h_many(w[None], eps)
     p = w[w > SUPPORT_TOL][::-1]  # eigh's spectrum is ascending: no sort needed
-    costs = np.ones_like(p)
-    total, lam = _greedy_lp(p, costs, 1.0 - eps)
     return EntropyResult(
-        value=float(np.log2(total)),
-        witness={"weights": lam, "gains": p, "costs": costs},
+        value=float(values[0]),
+        witness={"weights": lam[0, :len(p)], "gains": p, "costs": np.ones_like(p)},
         method="greedy-lp",
     )
+
+
+def left_padded(rows) -> np.ndarray:
+    """The 1-D spectra ``rows`` as one (n, d) stack, the shorter ones
+    left-padded with zeros: the layout ``h_h_many`` takes."""
+    size = np.array([len(w) for w in rows], dtype=int)
+    out = np.zeros((len(rows), size.max(initial=0)))
+    filled = np.arange(out.shape[1]) >= out.shape[1] - size[:, None]  # fills row-major
+    out[filled] = np.concatenate(rows) if rows else ()
+    return out
 
 
 def h_h_many(spectra, eps):
@@ -203,7 +206,7 @@ def h_h_many(spectra, eps):
     lie outside every support), as one stacked greedy. Returns the (values,
     weights) arrays, each row with the bits of its own ``h_h`` value and
     witness weights; a row's weights are descending and zero past its
-    support. Below about ten rows the loop of ``h_h`` is the faster."""
+    support."""
     p = np.asarray(spectra, dtype=float)[:, ::-1]
     support = p > SUPPORT_TOL
     total, lam = _greedy_many(np.where(support, p, 0.0), np.ones_like(p),
@@ -410,30 +413,27 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     The optimizer is blockwise, Pi = sum_x |x><x| (x) Pi_x, so the LP
     separates: pairs (x, eigenvalue of rho_x) are filled greedily by
     eigenvalue descending, with gain P(x)*lambda and cost P(x) per pair, over
-    the support entries of ``cq.spectra`` in row-major order.
+    the support entries of ``cq.spectra`` in row-major order: the one row of
+    ``h_h_cond_cq_many``.
     """
     _validate_eps(eps)
-    support = cq.spectra > SUPPORT_TOL
-    gains = (cq.probs[:, None] * cq.spectra)[support]
-    costs = np.repeat(cq.probs, support.sum(axis=1))
-    order = np.argsort(-(gains / costs), kind="stable")
-    total, lam = _greedy_lp(gains[order], costs[order], 1.0 - eps)
+    gains, costs, width = _blockwise([cq])
+    total, lam = _greedy_many(gains, costs, np.array([1.0 - eps]), width)
+    k = int(width[0])
     return EntropyResult(
-        value=float(np.log2(total)),
-        witness={"weights": lam, "gains": gains[order], "costs": costs[order]},
+        value=float(np.log2(total)[0]),
+        witness={"weights": lam[0, :k], "gains": gains[0, :k], "costs": costs[0, :k]},
         method="blockwise",
     )
 
 
-def h_h_cond_cq_many(cqs, eps):
-    """``h_h_cond_cq(cqs[i], eps[i])`` for each i, as one stacked greedy: row
-    i holds the row-major (P(x) lambda, P(x)) entries of ``cqs[i].spectra``,
-    padded, and a stable argsort per row keys its non-support entries and
-    pads +inf, so they sort last. Returns the (values, weights) arrays, each
-    row with the bits of its own ``h_h_cond_cq`` value and witness weights
-    (in its sorted order, zero past its support). The states keep their
-    spectra from one stacked decomposition per size (``keep_spectra``)."""
-    eps = _eps_rows(eps, len(cqs))
+def _blockwise(cqs):
+    """The blockwise LPs of ``cqs``: row i holds the row-major (P(x) lambda,
+    P(x)) entries of ``cqs[i].spectra``, padded, in the order of a stable
+    argsort of each row that keys its non-support entries and pads +inf, so
+    they sort last; returns the (gains, costs) stacks and each row's support
+    width. The states keep their spectra from one stacked decomposition per
+    size (``keep_spectra``)."""
     keep_spectra(cqs)
     n, d = np.array([cq.spectra.shape for cq in cqs]).T
     filled = np.arange((n * d).max()) < (n * d)[:, None]  # a boolean mask fills row-major
@@ -443,8 +443,18 @@ def h_h_cond_cq_many(cqs, eps):
     support = spectra > SUPPORT_TOL
     gains = np.where(support, costs * spectra, 0.0)
     order = np.argsort(np.where(support, -(gains / costs), np.inf), axis=1, kind="stable")
-    total, lam = _greedy_many(*(np.take_along_axis(x, order, axis=1) for x in (gains, costs)),
-                              1.0 - eps, support.sum(axis=1))
+    return (*(np.take_along_axis(x, order, axis=1) for x in (gains, costs)),
+            support.sum(axis=1))
+
+
+def h_h_cond_cq_many(cqs, eps):
+    """``h_h_cond_cq(cqs[i], eps[i])`` for each i, as one stacked greedy over
+    their ``_blockwise`` LPs. Returns the (values, weights) arrays, each row
+    with the bits of its own ``h_h_cond_cq`` value and witness weights (in its
+    sorted order, zero past its support)."""
+    eps = _eps_rows(eps, len(cqs))
+    gains, costs, width = _blockwise(cqs)
+    total, lam = _greedy_many(gains, costs, 1.0 - eps, width)
     return np.log2(total), lam
 
 

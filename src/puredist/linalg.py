@@ -245,8 +245,9 @@ def per_size(f, stacks) -> list:
         sizes.setdefault(s.shape[-1], []).append(i)
     for idx in sizes.values():
         joined = f(np.concatenate([stacks[i] for i in idx]))
-        for i, part in zip(idx, np.split(joined, np.cumsum([len(stacks[i]) for i in idx]))):
-            out[i] = part
+        stops = np.cumsum([len(stacks[i]) for i in idx]).tolist()
+        for i, start, stop in zip(idx, [0] + stops, stops):
+            out[i] = joined[start:stop]
     return out
 
 

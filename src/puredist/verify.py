@@ -11,10 +11,11 @@ instance, decompose all its operators (``_spectra`` and ``keep_spectra``:
 one stacked eigendecomposition per matrix size, each member with the bits of
 its own call), then evaluate the slacks in trial order through the public
 entropy functions, which take the spectra. The H_H checks solve all their
-LPs in one ``entropy.h_h_many`` call on the left-padded stack of spectra
-and one ``entropy.h_h_cond_cq_many`` call on the cq states, whichever they
-need. The D_H check does the same with one ``entropy.d_h_many`` call for
-all its pairs, one stacked eigendecomposition per size and probe round.
+LPs in one ``entropy.h_h_many`` call on the ``entropy.left_padded`` stack of
+spectra and one ``entropy.h_h_cond_cq_many`` call on the cq states,
+whichever they need. The D_H check does the same with one
+``entropy.d_h_many`` call for all its pairs, one stacked eigendecomposition
+per size and probe round.
 Each value has the bits of its own one-state call. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. A cq state is drawn as
@@ -64,16 +65,11 @@ def _eps(rng):
 
 
 def _spectra(mats):
-    """The clipped ascending spectra of ``mats`` as one (n, d) stack, the
-    shorter ones left-padded with zeros: one stacked decomposition per matrix
-    size, each row with the bits of its own call."""
-    sizes = {}
-    for i, m in enumerate(mats):
-        sizes.setdefault(len(m), []).append(i)
-    out = np.zeros((len(mats), max(sizes, default=0)))
-    for d, idx in sizes.items():
-        out[idx, out.shape[1] - d:] = linalg.psd_eigvals(np.array([mats[i] for i in idx]))
-    return out
+    """The clipped ascending spectra of ``mats`` as one ``entropy.left_padded``
+    stack: one stacked decomposition per matrix size, each row with the bits
+    of its own call."""
+    return entropy.left_padded([w for ws in linalg.per_size(linalg.psd_eigvals,
+                                                            [m[None] for m in mats]) for w in ws])
 
 
 def _h_h(mats, eps, k):
@@ -100,7 +96,7 @@ def _check(name, *, per):
             if per > 1:
                 trials = max(1, trials // per)
             bad, worst = 0, np.inf
-            # with no trials there is nothing to draw, and the stacked solvers need a row
+            # with no trials there is nothing to draw, and h_h_cond_cq_many needs a state
             for gap in gen(rng, trials, eps) if trials > 0 else ():
                 worst = min(worst, gap)
                 bad += gap < 0
@@ -296,11 +292,7 @@ def check_hh_average_to_worst_case(rng, trials, eps):
               eps or _eps(rng)) for _ in range(trials)]
     cqs, es = [cq for cq, _ in cases], [e for _, e in cases]
     bounds = (entropy.h_h_cond_cq_many(cqs, es)[0] - np.log2(es)).tolist()
-    # every conditional's spectrum, left-padded: a boolean mask fills row-major
-    d = np.repeat([cq.spectra.shape[1] for cq in cqs], [len(cq) for cq in cqs])
-    ws = np.zeros((len(d), d.max()))
-    ws[np.arange(d.max()) >= d.max() - d[:, None]] = np.concatenate([cq.spectra for cq in cqs],
-                                                                   axis=None)
+    ws = entropy.left_padded([w for cq in cqs for w in cq.spectra])  # every conditional's
     hs = iter(entropy.h_h_many(ws, np.repeat(np.sqrt(es), [len(cq) for cq in cqs]))[0].tolist())
     for cq, bound, e in zip(cqs, bounds, es):
         # zip draws a probability first, so a state reads only its own rows of hs

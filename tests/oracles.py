@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from puredist import linalg
-from puredist.entropy import _greedy_lp
 from puredist.sampling import classical_correlated_pure, purified_input
 from puredist.states import CQState, DensityOperator
 
@@ -15,6 +14,23 @@ def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
     """The generator of table cell (k, l): its own PCG64 stream keyed by
     SeedSequence(seed, spawn_key=(k, l)), the reference of the table draw."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k, l)))
+
+
+def greedy_lp(gains: np.ndarray, costs: np.ndarray, target: float):
+    """Fractional-knapsack minimum of sum(costs * lam) subject to
+    sum(gains * lam) >= target, 0 <= lam <= 1, one entry at a time over
+    Python floats: the scalar loop the stacked H_H greedy keeps the bits of.
+    Entries must be pre-sorted by gain/cost ratio descending. Returns
+    (total cost, lam)."""
+    lam = np.zeros(len(gains))
+    acc = 0.0
+    for i, g in enumerate(gains.tolist()):
+        if acc >= target - 1e-15 or g <= 0:
+            break
+        take = min(1.0, (target - acc) / g)
+        lam[i] = take
+        acc += take * g
+    return float(np.dot(costs, lam)), lam
 
 
 def imax_qubit_grid_oracle(states, coarse=24, refine=2):
@@ -88,7 +104,7 @@ def h_h_iid(p, n, eps):
     gains = np.exp(log_mult + log_q)
     order = np.argsort(-log_q, kind="stable")
     order = order[gains[order] > 0]
-    _, lam = _greedy_lp(gains[order], np.ones(len(order)), 1.0 - eps)
+    _, lam = greedy_lp(gains[order], np.ones(len(order)), 1.0 - eps)
     taken = lam > 0
     return float(np.logaddexp.reduce(np.log(lam[taken]) + log_mult[order][taken])) / math.log(2)
 

@@ -546,7 +546,8 @@ def test_views_of_one_instance_share_simulated_conditionals(rng, monkeypatch):
     psi = classical_instance(rng, 4, 3)
     inst = Instance(psi, basis_povm(4, "A"), 0.25)
     sims_calls, h_h_calls = [], []
-    orig_sims, orig_h_h = compression.simulated_conditionals, entropy.h_h
+    # pair_entropies solves its H_H LPs in h_h_many
+    orig_sims, orig_h_h = compression.simulated_conditionals, entropy.h_h_many
 
     def counting_sims(arg):
         sims_calls.append(arg)
@@ -557,7 +558,7 @@ def test_views_of_one_instance_share_simulated_conditionals(rng, monkeypatch):
         return orig_h_h(*args)
 
     monkeypatch.setattr(compression, "simulated_conditionals", counting_sims)
-    monkeypatch.setattr(entropy, "h_h", counting_h_h)
+    monkeypatch.setattr(entropy, "h_h_many", counting_h_h)
     first = nice_sets(inst.compression(K=4, L=8, seed=1))
     n_first = len(h_h_calls)
     second = nice_sets(inst.compression(K=4, L=8, seed=2))

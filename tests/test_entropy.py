@@ -21,7 +21,7 @@ from puredist.sampling import (
 )
 from puredist.states import CQState, DensityOperator, control_state
 
-from oracles import h_h_iid, imax_qubit_grid_oracle
+from oracles import greedy_lp, h_h_iid, imax_qubit_grid_oracle
 
 try:
     import cvxpy
@@ -406,7 +406,7 @@ def test_d_h_warns_when_it_ends_uncertified(rng, monkeypatch):
 def test_d_h_takes_few_eigendecompositions_on_commuting_pairs(rng, eigh_calls, monkeypatch):
     # bisection took about 52; the commuting case must not fall back on the
     # greedy LP, which verify's dh-neyman-pearson-vs-lp check compares against
-    monkeypatch.setattr(ent, "_greedy_lp", None)
+    monkeypatch.setattr(ent, "_greedy_many", None)
     for _ in range(200):
         d = int(rng.integers(2, 9))
         p = rng.dirichlet(np.ones(d))
@@ -473,7 +473,7 @@ def test_h_h_cond_cq_costs_keep_the_bits_of_the_broadcast(rng):
         res = ent.h_h_cond_cq(cq, 0.1)
         assert np.array_equal(res.witness["costs"], costs[order])
         assert np.array_equal(res.witness["gains"], gains[order])
-        total, lam = ent._greedy_lp(gains[order], costs[order], 0.9)
+        total, lam = greedy_lp(gains[order], costs[order], 0.9)
         assert np.array_equal(res.witness["weights"], lam)
         assert res.value == float(np.log2(total))
 
@@ -549,7 +549,7 @@ def loop_h_h_cond_cq(cq, eps):
         costs.append(np.full(len(w), p))
     gains, costs = np.concatenate(gains), np.concatenate(costs)
     order = np.argsort(-(gains / costs), kind="stable")
-    total, lam = ent._greedy_lp(gains[order], costs[order], 1.0 - eps)
+    total, lam = greedy_lp(gains[order], costs[order], 1.0 - eps)
     return float(np.log2(total)), lam, gains[order], costs[order]
 
 
@@ -636,13 +636,6 @@ def test_cq_entropies_share_one_stacked_eigendecomposition(rng, eigh_calls):
 
 # ------------------------------------------------------- stacked H_H solvers
 
-def _left_padded(spectra):
-    out = np.zeros((len(spectra), max(map(len, spectra))))
-    for row, w in zip(out, spectra):
-        row[len(row) - len(w):] = w
-    return out
-
-
 def test_h_h_many_keeps_the_bits_of_h_h(rng):
     tol = ent.SUPPORT_TOL
     spectra = []
@@ -652,15 +645,16 @@ def test_h_h_many_keeps_the_bits_of_h_h(rng):
     for spec in ([1 - 5 * tol, tol, 0.5 * tol, 2 * tol, tol * (1 + 1e-15), tol * (1 - 1e-15),
                   1e-13], [1 - 3 * tol, tol, tol, tol, 0.0], [0.25] * 4, [1.0, 0.0, 0.0]):
         spectra.append(np.sort(np.array(spec) / np.sum(spec)))  # on and straddling the tolerance
-    stack = _left_padded(spectra)
+    stack = ent.left_padded(spectra)
     for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
         values, weights = ent.h_h_many(stack, eps)
         for w, value, row in zip(spectra, values, weights):
             want = ent.h_h(w, eps)
-            k = len(want.witness["weights"])
-            assert value.tobytes() == np.float64(want.value).tobytes()
-            assert row[:k].tobytes() == want.witness["weights"].tobytes() and not row[k:].any()
-            assert np.all(np.diff(row) <= 0)
+            ref, lam, _, _ = _h_h_sorted_reference(w, eps)  # the scalar loop
+            k = len(lam)
+            assert value.tobytes() == np.float64(want.value).tobytes() == np.float64(ref).tobytes()
+            assert row[:k].tobytes() == want.witness["weights"].tobytes() == lam.tobytes()
+            assert not row[k:].any() and np.all(np.diff(row) <= 0)
     # one eps per row, and a one-row stack
     eps = rng.choice([0.0, 0.01, 0.1, 0.3, 0.999], size=len(spectra))
     values, _ = ent.h_h_many(stack, eps)
@@ -671,15 +665,18 @@ def test_h_h_many_keeps_the_bits_of_h_h(rng):
 def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
     cqs = list(stacked_cq_cases(rng))  # pure conditionals, ties and a dropped symbol among them
     eigh_calls.clear()
+    ent.h_h_cond_cq_many(cqs, 0.1)
+    # the states took their spectra from one stacked decomposition per size
+    assert len(eigh_calls) == len({cq.stack.shape[-1] for cq in cqs})
     for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
         values, weights = ent.h_h_cond_cq_many(cqs, [eps] * len(cqs))
         for cq, value, row in zip(cqs, values, weights):
             want = ent.h_h_cond_cq(cq, eps)
-            k = len(want.witness["weights"])
-            assert value.tobytes() == np.float64(want.value).tobytes()
-            assert row[:k].tobytes() == want.witness["weights"].tobytes() and not row[k:].any()
-    # the states took their spectra from one stacked decomposition per size
-    assert len(eigh_calls) == len({cq.stack.shape[-1] for cq in cqs})
+            ref, lam, _, _ = loop_h_h_cond_cq(cq, eps)  # the scalar loop
+            k = len(lam)
+            assert value.tobytes() == np.float64(want.value).tobytes() == np.float64(ref).tobytes()
+            assert row[:k].tobytes() == want.witness["weights"].tobytes() == lam.tobytes()
+            assert not row[k:].any()
     eps = rng.choice([0.0, 0.01, 0.1, 0.3, 0.999], size=len(cqs))
     values, _ = ent.h_h_cond_cq_many(cqs, eps)
     assert values.tolist() == [ent.h_h_cond_cq(cq, e).value for cq, e in zip(cqs, eps.tolist())]

@@ -5,15 +5,14 @@ verify-suite benchmark runs (``perfbench.jobs._pool_rng`` seeds, its trials
 and eps), untraced, in one process, and prints as JSON each check's median
 time per chunk in seconds and the round total, the sum of those medians.
 
-    python3 tools/verify_split.py [ROOT] [--chunks N] [--first C] [--repeats R]
+    python3 tools/verify_split.py [ROOT]
 
 ROOT is a checkout of the repository (default: the one holding this script);
 its ``src/puredist`` and ``perfbench`` are imported, so the same script times
-a ``git archive`` extraction of any commit. Chunks C .. C + N - 1 of every
-check run in turn, R times over; a chunk's time is the best of its R runs.
+a ``git archive`` extraction of any commit. The ``CHUNKS`` of every check run
+in turn, ``REPEATS`` times over; a chunk's time is the best of its runs.
 """
 
-import argparse
 import json
 import statistics
 import sys
@@ -21,33 +20,29 @@ import time
 import warnings
 from pathlib import Path
 
+CHUNKS = range(20, 30)
+REPEATS = 3
+
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", nargs="?", default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--chunks", type=int, default=10)
-    parser.add_argument("--first", type=int, default=20)
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-    root = Path(args.root).resolve()
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     from perfbench import jobs
     from puredist import verify
 
-    chunks = range(args.first, args.first + args.chunks)
-    best = {name: [float("inf")] * len(chunks) for name in verify.MANIFEST}
+    best = {name: [float("inf")] * len(CHUNKS) for name in verify.MANIFEST}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the compression checks' quality warnings
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             for name, check in zip(verify.MANIFEST, verify.SUITE):
-                for i, chunk in enumerate(chunks):
+                for i, chunk in enumerate(CHUNKS):
                     rng = jobs._pool_rng(name, chunk)
                     start = time.perf_counter()
                     check(rng, jobs.VERIFY_TRIALS, jobs.VERIFY_EPS)
                     best[name][i] = min(best[name][i], time.perf_counter() - start)
     checks = {name: statistics.median(times) for name, times in best.items()}
-    print(json.dumps({"root": str(root), "chunks": [chunks.start, chunks.stop],
-                      "repeats": args.repeats, "checks_s": checks,
+    print(json.dumps({"root": str(root), "chunks": [CHUNKS.start, CHUNKS.stop],
+                      "repeats": REPEATS, "checks_s": checks,
                       "round_s": sum(checks.values())}, indent=1))
     return 0
 
