@@ -9,6 +9,8 @@ stream keyed by SeedSequence(seed, spawn_key=(k, l)), so enlarging K or L
 keeps every shared cell identical. That is what makes paired comparisons
 across table sizes meaningful. A seed sweep is one stack: ``compress_seeds``
 draws and builds all its tables, and ``per_k_errors`` scores them, in shared passes.
+The cells are built from Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2}, powers
+of two kept eigensystems, the POVM's and rho_A's, each decomposed once.
 """
 
 import json
@@ -133,10 +135,11 @@ class Instance:
     ``psi`` is pure on A, Bob's register ``bob_label`` (another register of
     psi) and any reference; the POVM acts on its register A. Nothing here
     depends on a compression seed, so each quantity is computed on first
-    use and kept: the measurement branches and the ideal control states
-    (one per reduction: the environment, A and Bob; ``ideal_bob`` serves
-    both the rate formulas and the nice verdicts), P_X and its checked cdf,
-    the roots Y_x and cell Grams the tables are built from, their cap
+    use and kept: the measurement branches (from the POVM's kept roots) and
+    the ideal control states (one per reduction: the environment, A and
+    Bob; ``ideal_bob`` serves both the rate formulas and the nice verdicts),
+    P_X and its checked cdf, rho_A's one eigensystem (both its roots and its
+    spectrum), the roots Y_x and cell Grams the tables are built from, their cap
     ``c_cap`` on a table's c, I_max at eps^4 and the H_H conditional
     entropies. A compressed cell's state depends only on the outcome x it
     decodes to, so the per-outcome data every table shares lives here too,
@@ -146,6 +149,11 @@ class Instance:
     bounds and truncated targets of the in-place protocol, Bob's codes and
     the local purity bounds (code in ``protocols`` and ``bounds``, imported
     where used).
+
+    When Bob's register is the environment's only register of dimension > 1
+    (``bob_alone``: a pure input's purification R has dimension 1), Bob's
+    ensemble is the environment's: ``ideal_bob`` is ``ideal_env``,
+    ``sims_bob`` is ``sims`` and ``sims_eig`` holds one eigensystem twice.
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -162,6 +170,10 @@ class Instance:
         self.psi, self.povm, self.eps, self.bob_label = psi, povm, eps, bob_label
         self.slack_bits = declared_slack(eps, slack_bits)
         self.env = [l for l in psi.labels if l != reg]
+        self.env_dim = math.prod(psi.dim(l) for l in self.env)
+        # Bob's register is the environment's only one of dimension > 1: his
+        # ensemble and simulated states are the environment's, one object each
+        self.bob_alone = self.env_dim == psi.dim(bob_label)
         self._h_h_cond = {}
 
     def compression(self, K: int, L: int, seed: int) -> "Compression":
@@ -172,23 +184,15 @@ class Instance:
         return self.psi.marginal([self.povm.register])
 
     @cached_property
-    def rho_a_spectrum(self) -> np.ndarray:
-        """rho_A's clipped ascending spectrum, read by both local bounds and H_max."""
-        return entropy._spectrum(self.rho_a)
-
-    @cached_property
-    def env_dim(self) -> int:
-        return int(np.prod([self.psi.dim(l) for l in self.env]))
-
-    @cached_property
-    def element_roots(self) -> np.ndarray:
-        """sqrt(Lambda_x) per outcome x, as one stack from one stacked root."""
-        return linalg.psd_power(np.array(self.povm.elements), 0.5)
+    def rho_a_eig(self) -> tuple:
+        """rho_A's clipped ascending eigensystem (w, v), its one decomposition:
+        both roots in ``roots`` and the spectrum both local bounds and H_max read."""
+        return linalg.psd_eig(self.rho_a)
 
     @cached_property
     def branches(self) -> states.PureState:
         """The measurement branches sqrt(Lambda_x) psi as one stacked state."""
-        return self.psi.apply(self.element_roots, [self.povm.register])
+        return self.psi.apply(self.povm.roots, [self.povm.register])
 
     def _ideal(self, keep) -> states.CQState:
         return states.branch_ensemble(self.branches, self.povm.labels, keep)
@@ -203,7 +207,7 @@ class Instance:
 
     @cached_property
     def ideal_bob(self) -> states.CQState:
-        return self._ideal([self.bob_label])
+        return self.ideal_env if self.bob_alone else self._ideal([self.bob_label])
 
     @cached_property
     def p_x(self) -> np.ndarray:
@@ -227,9 +231,8 @@ class Instance:
         """Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2} per outcome x, as one
         stack, the inverse taken on the support: the compressed cell for x is
         proportional to Y_x Y_x^dag, and Y_x^dag is its Kraus operator."""
-        inv_sqrt = linalg.psd_power(self.rho_a, -0.5)
-        sqrt_rho = linalg.psd_power(self.rho_a, 0.5)
-        return inv_sqrt @ self.element_roots @ sqrt_rho
+        w, v = self.rho_a_eig
+        return linalg.eig_power(w, v, -0.5) @ self.povm.roots @ linalg.eig_power(w, v, 0.5)
 
     @cached_property
     def cell_grams(self) -> np.ndarray:
@@ -257,9 +260,10 @@ class Instance:
     def h_h_cond(self, ideal: str, smoothing: float) -> float:
         """``h_h_cond_cq`` value at ``smoothing`` of the ideal control state
         named by ``ideal`` (one of the ``ideal_*`` attributes)."""
-        key = (ideal, smoothing)
+        cq = getattr(self, ideal)
+        key = (cq, smoothing)  # by identity: a shared ensemble is solved once
         if key not in self._h_h_cond:
-            self._h_h_cond[key] = entropy.h_h_cond_cq(getattr(self, ideal), smoothing).value
+            self._h_h_cond[key] = entropy.h_h_cond_cq(cq, smoothing).value
         return self._h_h_cond[key]
 
     @cached_property
@@ -296,10 +300,11 @@ class Instance:
     @cached_property
     def sims_eig(self) -> tuple:
         """The descending eigensystems (w, v) of ``sims`` and of ``sims_bob``,
-        one stacked ``linalg.descending_eig`` each: the pair entropies read
-        their spectra, the truncated targets and Bob's codes the whole."""
-        return (linalg.descending_eig(self.sims, tol=1e-7),
-                linalg.descending_eig(self.sims_bob, tol=1e-7))
+        one stacked ``linalg.descending_eig`` each, one in all when the stacks
+        are one: the pair entropies read their spectra, the truncated targets
+        and Bob's codes the whole."""
+        env = linalg.descending_eig(self.sims, tol=1e-7)
+        return env, env if self.bob_alone else linalg.descending_eig(self.sims_bob, tol=1e-7)
 
     @cached_property
     def pair_entropies(self) -> tuple:
@@ -353,7 +358,7 @@ class Instance:
     def local_bounds(self) -> tuple:
         """(lower, upper) ``local_purity_bounds`` of rho_A."""
         from .bounds import local_purity_bounds
-        return local_purity_bounds(self.rho_a_spectrum, self.eps, self.slack_bits)
+        return local_purity_bounds(self.rho_a_eig[0], self.eps, self.slack_bits)
 
 
 @dataclass(eq=False)
@@ -493,7 +498,7 @@ def simulated_conditionals(inst: Instance):
     sims = np.zeros((len(live), inst.env_dim, inst.env_dim), dtype=complex)
     sims[live] = branches.marginal(env)[live] / masses[live, None, None]
     dims, keep = [inst.psi.dim(l) for l in env], env.index(inst.bob_label)
-    return live, sims, linalg.partial_trace(sims, dims, keep)
+    return live, sims, sims if inst.bob_alone else linalg.partial_trace(sims, dims, keep)
 
 
 def _block_distances(inst: Instance, weights: np.ndarray) -> np.ndarray:

@@ -17,10 +17,16 @@ are (the same bits); one conjugate transpose serves both the Hermitian check
 and the symmetrization. The solvers of ``entropy`` pass the funnel
 ``hermitian_part``s unchecked.
 
+``psd_eig`` gives the clipped eigensystem of a PSD operator and
+``eig_power`` takes powers of a kept one (``psd_power`` is the two in one
+call), so the owner of an operator decomposes it once for all its roots and
+its spectrum.
+
 The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
 also take an (n, d, d) stack, the first three in one LAPACK batch, and give
-each member the bits of its own 2-D call; ``per_size`` applies one of them
-to stacks of several sizes with one call per size.
+each member the bits of its own 2-D call (``trace_norm`` runs a matrix as a
+stack of one); ``per_size`` applies one of them to stacks of several sizes
+with one call per size.
 """
 
 import functools
@@ -142,23 +148,34 @@ def psd_eigvals(m: np.ndarray) -> np.ndarray:
     return clip_psd_spectrum(eigvals_hermitian(m))
 
 
-def descending_eig(m: np.ndarray, tol: float = HERM_TOL):
-    """``eig_hermitian`` of a PSD matrix or stack, eigenvalues clipped, in
-    descending order (the ascending order reversed)."""
+def psd_eig(m: np.ndarray, tol: float = HERM_TOL):
+    """``eig_hermitian`` of a PSD matrix or stack, eigenvalues clipped: the
+    eigensystem ``eig_power`` takes, its spectrum ``psd_eigvals``' bits."""
     w, v = eig_hermitian(m, tol)
-    return clip_psd_spectrum(w)[..., ::-1], v[..., ::-1]
+    return clip_psd_spectrum(w), v
+
+
+def descending_eig(m: np.ndarray, tol: float = HERM_TOL):
+    """``psd_eig`` in descending order (the ascending order reversed)."""
+    w, v = psd_eig(m, tol)
+    return w[..., ::-1], v[..., ::-1]
 
 
 def psd_power(m: np.ndarray, power: float) -> np.ndarray:
-    """Matrix power of a PSD matrix on its support (pseudo-power).
+    """Matrix power of a PSD matrix on its support (pseudo-power), of one
+    matrix or of each matrix of a stack: ``eig_power`` of its ``psd_eig``."""
+    return eig_power(*psd_eig(m), power)
+
+
+def eig_power(w: np.ndarray, v: np.ndarray, power: float) -> np.ndarray:
+    """The power of the PSD matrix (or stack) with clipped ascending
+    eigensystem (w, v), as ``psd_eig`` gives it: the owner of an operator
+    keeps one eigensystem and takes every power from it.
 
     Negative powers invert only the eigenvalues above ``SUPPORT_TOL``;
     the kernel is mapped to zero. Used for sqrt, inverse sqrt and
-    pseudo-inverse of density operators and POVM elements, of one matrix
-    or of each matrix of a stack.
+    pseudo-inverse of density operators and POVM elements.
     """
-    w, v = eig_hermitian(m)
-    w = clip_psd_spectrum(w)
     out_w = np.zeros_like(w)
     mask = w > SUPPORT_TOL
     out_w[mask] = w[mask] ** power
@@ -224,16 +241,13 @@ def trace_norm(m: np.ndarray):
     """Sum of singular values, per matrix of a stack too; for a Hermitian
     matrix, the sum of |eigenvalues| (the same bits as ``eigvals_hermitian``)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim == 2:
-        if m.shape[0] == m.shape[1] and np.abs(m - dagger(m)).max() <= 1e-8:
-            return float(np.abs(_eigh(hermitian_part(m))[0]).sum())
-        return float(_svdvals(m).sum())
-    mh = dagger(m)
-    herm = np.abs(m - mh).max(axis=(-2, -1)) <= 1e-8
-    out = np.empty(len(m))
-    out[herm] = np.abs(_eigh(hermitian_part(m[herm]))[0]).sum(axis=-1)
-    out[~herm] = _svdvals(m[~herm]).sum(axis=-1)
-    return out
+    stack = m if m.ndim == 3 else m[None]  # a matrix is a stack of one
+    out, herm = np.empty(len(stack)), np.zeros(len(stack), dtype=bool)
+    if m.shape[-1] == m.shape[-2]:
+        herm = np.abs(stack - dagger(stack)).max(axis=(-2, -1)) <= 1e-8
+        out[herm] = np.abs(_eigh(hermitian_part(stack[herm]))[0]).sum(axis=-1)
+    out[~herm] = _svdvals(stack[~herm]).sum(axis=-1)
+    return out if m.ndim == 3 else float(out[0])
 
 
 def per_size(f, stacks) -> list:

@@ -518,7 +518,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
 
     # coherent measurement: a unitary on X_A x A given the |0> ancilla,
     # which leaves sum_x |x> (x) sqrt(Lambda_x) psi
-    branches = states.measure(psi, povm.elements, a_reg)
+    branches = psi.apply(povm.roots, [a_reg])
     post = _stack_coherent(branches, "XA")
     trace.append(("coherent-measure",
                   purity(post.marginal(sorted(held + ["XA"])), borrow_bits)))

@@ -3,7 +3,9 @@
 Registers are (label, dimension) pairs. A ``DensityOperator`` canonicalizes
 its tensor order alphabetically by label at construction so partial traces
 are unambiguous; the lighter ``PureState`` keeps an explicit register order
-and is the working representation inside protocol simulations.
+and is the working representation inside protocol simulations. A ``Povm``
+keeps the eigensystem its check computes and the roots sqrt(E) taken from
+it, which every coherent measurement and refinement of it reads.
 """
 
 import math
@@ -289,7 +291,13 @@ def keep_spectra(cqs) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite list of PSD operators on one register summing to identity."""
+    """Finite list of PSD operators on one register summing to identity.
+
+    ``eig`` keeps the clipped ascending eigensystems (w, v) of the element
+    stack that the PSD check computes (``linalg.psd_eig``'s bits), and
+    ``roots`` the stack of sqrt(E) taken from them: every coherent
+    measurement of the POVM reads these, and no element is decomposed again.
+    """
 
     labels: tuple
     elements: tuple
@@ -310,10 +318,10 @@ class Povm:
         if any(e.shape != (d, d) for e in elems):
             raise ValueError("POVM elements have mismatched shapes")
         try:
-            w = linalg.eigvals_hermitian(np.array(elems), _ATOL)
+            w, v = linalg.eig_hermitian(np.array(elems), _ATOL)
         except linalg.NotHermitianError:
             raise ValueError("POVM element is not Hermitian") from None
-        # the tolerance of ``linalg.psd_power``, which takes the elements' roots
+        # the tolerance of ``linalg.clip_psd_spectrum``, which the roots' eigensystem takes
         if w.min() < linalg.PSD_CLIP:
             raise ValueError(f"POVM element not PSD: min eig {w.min():.2e}")
         if np.abs(sum(elems) - np.eye(d)).max() > _SUM_TOL:
@@ -321,6 +329,8 @@ class Povm:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "register", str(register))
+        object.__setattr__(self, "eig", (linalg.clip_psd_spectrum(w), v))
+        object.__setattr__(self, "roots", linalg.eig_power(*self.eig, 0.5))
 
     def __len__(self):
         return len(self.elements)
@@ -424,20 +434,19 @@ def control_state(psi: PureState, povm: Povm, condition_on=("B", "R")) -> CQStat
     if povm.dim != psi.dim(reg):
         raise ValueError(f"POVM dimension {povm.dim} does not match register "
                          f"{reg!r} dimension {psi.dim(reg)}")
-    return branch_ensemble(measure(psi, povm.elements, reg), povm.labels, condition_on)
+    return branch_ensemble(psi.apply(povm.roots, [reg]), povm.labels, condition_on)
 
 
 def rank1_refine(povm: Povm) -> Povm:
     """Split every POVM element into its rank-1 eigenpieces, those of
-    eigenvalue above ``linalg.SUPPORT_TOL``.
+    eigenvalue above ``linalg.SUPPORT_TOL``, read from the POVM's ``eig``.
 
-    Output labels are (parent label, eigenindex); regrouping by parent label
-    reproduces the parent elements exactly.
+    Output labels are (parent label, eigenindex), eigenvalues descending;
+    regrouping by parent label reproduces the parent elements exactly.
     """
-    elems, labels = [], []
-    for lbl, e in zip(povm.labels, povm.elements):
-        w, v = linalg.descending_eig(e)
-        for j in np.flatnonzero(w > linalg.SUPPORT_TOL).tolist():
-            elems.append(w[j] * np.outer(v[:, j], np.conj(v[:, j])))
-            labels.append((lbl, j))
-    return Povm(elems, labels, register=povm.register)
+    w, v = povm.eig
+    xs, js = np.nonzero(w[:, ::-1] > linalg.SUPPORT_TOL)  # j counts from the largest
+    at = povm.dim - 1 - js  # its ascending index
+    elems = w[xs, at, None, None] * (v[xs, :, at][:, :, None] * np.conj(v[xs, :, at])[:, None])
+    return Povm(elems, [(povm.labels[x], j) for x, j in zip(xs.tolist(), js.tolist())],
+                register=povm.register)

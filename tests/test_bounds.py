@@ -174,9 +174,10 @@ def test_rate_report_consistency(rng):
 def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
     psi = near_pure_classical(rng, 8, 4)
     inst = Instance(psi, basis_povm(8, "A"), 0.25)
-    calls = {"local": 0, "dist": 0, "spectrum_rho_a": 0}
-    orig_local, orig_dist, orig_eigvals = (bounds.local_purity_bounds,
-                                           bounds.distributed_upper_bound, linalg.psd_eigvals)
+    calls = {"local": 0, "dist": 0, "eig_rho_a": 0}
+    orig_local, orig_dist, orig_eig, orig_eigvals = (
+        bounds.local_purity_bounds, bounds.distributed_upper_bound, linalg.psd_eig,
+        linalg.psd_eigvals)
 
     def local(*args, **kwargs):
         calls["local"] += 1
@@ -186,17 +187,23 @@ def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
         calls["dist"] += 1
         return orig_dist(*args, **kwargs)
 
+    def eig(m, *args):
+        calls["eig_rho_a"] += m is inst.rho_a
+        return orig_eig(m, *args)
+
     def eigvals(m):
-        calls["spectrum_rho_a"] += m is inst.rho_a
+        calls["eig_rho_a"] += m is inst.rho_a
         return orig_eigvals(m)
 
     monkeypatch.setattr(bounds, "local_purity_bounds", local)
     monkeypatch.setattr(bounds, "distributed_upper_bound", dist)
+    monkeypatch.setattr(linalg, "psd_eig", eig)
     monkeypatch.setattr(linalg, "psd_eigvals", eigvals)
     reports = bounds.rate_report(compress_seeds(inst, K=4, L=16, seeds=[1, 2, 3]))
     # one local pair (both h_h of one spectrum of rho_A, margin included) and
-    # one distributed bound, whose H_max reads the same kept spectrum
-    assert calls == {"local": 1, "dist": 1, "spectrum_rho_a": 1}
+    # one distributed bound, whose H_max reads the same kept spectrum; the
+    # tables' roots of rho_A come from that one eigensystem too
+    assert calls == {"local": 1, "dist": 1, "eig_rho_a": 1}
     [fresh] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), 0.25).compression(
         K=4, L=16, seed=3)])
     assert reports[-1].to_dict() == fresh.to_dict()

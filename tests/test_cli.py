@@ -643,3 +643,31 @@ def test_a_sweep_with_an_infeasible_seed_names_it_and_warns_once_per_seed(comman
     assert (rc, out) == (2, "")
     assert err == runs[1][2] and err.startswith("error: no k has a large enough nice")
     assert warned == sum((runs[s][3] for s in (3, 0, 1, 4, 2)), [])
+
+
+def test_no_operator_is_decomposed_twice_in_a_run(rng, tmp_path, monkeypatch):
+    # a pure classical 8x4 state (R has dimension 1) with the basis POVM over
+    # three seeds, and a rank-2 4x4 state with a 3-outcome Wishart POVM
+    io.save_state(sampling.classical_correlated_pure(rng, 8, 4).density(),
+                  str(tmp_path / "c.json"))
+    io.save_povm(basis_povm(8, "A"), str(tmp_path / "basis.json"))
+    io.save_state(DensityOperator([("A", 4), ("B", 4)], sampling.ginibre_density(rng, 16, 2)),
+                  str(tmp_path / "k.json"))
+    io.save_povm(sampling.random_povm(rng, 4, 3, "A"), str(tmp_path / "wishart.json"))
+    inputs = []
+    for name in ("_eigh", "_eigvalsh"):
+        def recording(m, _orig=getattr(linalg, name)):
+            inputs.append((np.shape(m), m.tobytes()))
+            return _orig(m)
+
+        monkeypatch.setattr(linalg, name, recording)
+    for argv in (["compare", "--state", str(tmp_path / "c.json"), "--povm",
+                  str(tmp_path / "basis.json"), "--K", "4", "--L", "16", "--eps", "0.25",
+                  "--seeds", "1..3"],
+                 ["kd-oneshot", "--state", str(tmp_path / "k.json"), "--povm",
+                  str(tmp_path / "wishart.json"), "--K", "4", "--L", "8", "--eps", "0.1",
+                  "--seeds", "1"]):
+        rc, _, err, _ = _run(argv)
+        assert (rc, err) == (0, "")
+    # rho_A, the element stack and Bob's ensemble are each decomposed once
+    assert len(inputs) > 100 and len(set(inputs)) == len(inputs)

@@ -332,8 +332,12 @@ def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
 
 
 def test_instance_decomposes_each_simulated_stack_once(rng, monkeypatch):
-    inst = Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25)
-    inst.simulated  # the conditionals, from the roots of rho_A and of the elements
+    pure = classical_instance(rng, 4, 3)  # R of dimension 1
+    mixed = PureState([("A", 4), ("B", 3), ("R", 2)],
+                      np.kron(pure.vector(), [np.sqrt(0.7), np.sqrt(0.3)]))
+    insts = [Instance(psi, basis_povm(4, "A"), 0.25) for psi in (pure, mixed)]
+    for inst in insts:
+        inst.simulated  # the conditionals, from the roots of rho_A and of the elements
     calls = []
     for name in ("_eigh", "_eigvalsh"):
         def counting(m, _orig=getattr(linalg, name)):
@@ -341,11 +345,18 @@ def test_instance_decomposes_each_simulated_stack_once(rng, monkeypatch):
             return _orig(m)
 
         monkeypatch.setattr(linalg, name, counting)
-    inst.nice_outcomes, inst.ag_bounds, inst.truncated_targets, inst.bob_codes
-    # the spectra of the two ideal ensembles the nice bounds read, then one
-    # stacked eigensystem of each simulated stack
+    got = []
+    for inst in insts:
+        inst.nice_outcomes, inst.ag_bounds, inst.truncated_targets, inst.bob_codes
+        got.append(calls[:])
+        calls.clear()
+    # the spectra of the ideal ensembles the nice bounds read, then one
+    # stacked eigensystem of each simulated stack: with R trivial, Bob's
+    # ensemble and stack are the environment's, decomposed once
+    assert got[0] == [np.shape(insts[0].ideal_env.stack), insts[0].sims.shape]
+    inst = insts[1]
     ideal = [np.shape(inst.ideal_env.stack), np.shape(inst.ideal_bob.stack)]
-    assert calls == ideal + [inst.sims.shape, inst.sims_bob.shape]
+    assert got[1] == ideal + [inst.sims.shape, inst.sims_bob.shape]
 
 
 def _broad_outcome_instance():
@@ -476,6 +487,24 @@ def test_ideal_states_equal_control_states(rng):
             assert np.array_equal(c_got.matrix, c_want.matrix)
 
 
+@pytest.mark.parametrize("ref_dim", [1, 2])
+def test_bob_shares_the_environment_ensemble_exactly_when_r_is_trivial(rng, ref_dim):
+    psi = classical_instance(rng, 4, 3)  # R of dimension 1
+    if ref_dim == 2:
+        psi = _kernel_outcome_instance(rng).psi
+    povm = basis_povm(psi.dim("A"), "A")
+    inst = Instance(psi, povm, 0.25)
+    shared = ref_dim == 1
+    assert (inst.ideal_bob is inst.ideal_env) == shared
+    assert (inst.sims_bob is inst.sims) == shared
+    assert (inst.sims_eig[1] is inst.sims_eig[0]) == shared
+    want = control_state(psi, povm, condition_on=["B"])
+    assert inst.ideal_bob.stack.tobytes() == want.stack.tobytes()
+    assert inst.ideal_bob.spectra.tobytes() == want.spectra.tobytes()
+    assert inst.sims_bob.tobytes() == linalg.partial_trace(
+        inst.sims, [psi.dim(l) for l in sorted(inst.env)], sorted(inst.env).index("B")).tobytes()
+
+
 def loop_ideal_blocks(inst):
     """The per-symbol loop that ``Instance.ideal_by_outcome`` and
     ``ideal_blocks`` replaced, kept as their reference."""
@@ -504,41 +533,62 @@ def test_ideal_blocks_keep_the_bits_of_the_per_symbol_loop(rng):
         assert inst.ideal_blocks.tobytes() == blocks.tobytes()
 
 
-def _count_psd_power(monkeypatch):
-    calls = []
-    orig = linalg.psd_power
+def _count_roots(monkeypatch):
+    """The calls of ``psd_power`` (the power) and ``eig_power`` (the
+    eigenvalues and the power), and the symmetrized bytes of every ``_eigh``
+    input, in call order."""
+    powers, eighs = [], []
+    orig_power, orig_eig_power, orig_eigh = linalg.psd_power, linalg.eig_power, linalg._eigh
 
-    def counting(m, power, *args, **kwargs):
-        calls.append((np.array(m), power))
-        return orig(m, power, *args, **kwargs)
+    def psd_power(m, power):
+        powers.append(("psd_power", power))
+        return orig_power(m, power)
 
-    monkeypatch.setattr(linalg, "psd_power", counting)
-    return calls
+    def eig_power(w, v, power):
+        powers.append(("eig_power", w, power))
+        return orig_eig_power(w, v, power)
+
+    def eigh(m):
+        eighs.append(m.tobytes())
+        return orig_eigh(m)
+
+    monkeypatch.setattr(linalg, "psd_power", psd_power)
+    monkeypatch.setattr(linalg, "eig_power", eig_power)
+    monkeypatch.setattr(linalg, "_eigh", eigh)
+    return powers, eighs
 
 
 def test_instance_measures_each_element_once(rng, monkeypatch):
     from puredist.protocols import run_protocol_a
-    inst = _kernel_outcome_instance(rng)
-    calls = _count_psd_power(monkeypatch)
+    kernel = _kernel_outcome_instance(rng)
+    elements, rho_a = np.array(kernel.povm.elements), kernel.psi.marginal(["A"])
+    powers, eighs = _count_roots(monkeypatch)
+    inst = Instance(kernel.psi, Povm(elements, register="A"), kernel.eps)
     inst.ideal_env, inst.ideal_a, inst.ideal_bob  # build all three
     run_protocol_a(inst)
     inst.roots
-    # one stacked sqrt of the elements, then rho_A^{-1/2} and rho_A^{1/2} for the roots
-    assert len(calls) == 3
-    assert calls[0][1] == 0.5 and np.array_equal(calls[0][0], np.array(inst.povm.elements))
-    assert [p for _, p in calls[1:]] == [-0.5, 0.5]
+    # the POVM's check decomposes the elements, and rho_A is decomposed once
+    assert eighs.count(linalg.hermitian_part(elements).tobytes()) == 1
+    assert eighs.count(linalg.hermitian_part(rho_a).tobytes()) == 1
+    # the sqrt of the elements from the POVM's eigensystem, then rho_A^{-1/2}
+    # and rho_A^{1/2} from rho_A's; psd_power decomposes nothing here
+    assert [(p[0], p[-1]) for p in powers] == [("eig_power", 0.5), ("eig_power", -0.5),
+                                               ("eig_power", 0.5)]
+    assert powers[0][1] is inst.povm.eig[0]
+    assert powers[1][1] is powers[2][1] is inst.rho_a_eig[0]
 
 
 def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):
     psi = classical_instance(rng, 2, 3)
     inst = Instance(psi, random_povm(rng, 2, 3), 0.1)
     rho_a = psi.marginal(["A"])
-    calls = _count_psd_power(monkeypatch)
+    powers, eighs = _count_roots(monkeypatch)
     for seed in (1, 2):
         inst.compression(K=2, L=4, seed=seed)  # the tables
-    inst.sims  # and the conditionals
-    powers = sorted(p for m, p in calls if np.array_equal(m, rho_a))
-    assert powers == [-0.5, 0.5]
+    inst.sims, inst.local_bounds  # the conditionals, and the spectrum of rho_A
+    assert eighs.count(linalg.hermitian_part(rho_a).tobytes()) == 1
+    of_rho_a = [p[-1] for p in powers if p[1] is inst.rho_a_eig[0]]
+    assert of_rho_a == [-0.5, 0.5] and not [p for p in powers if p[0] == "psd_power"]
 
 
 def test_views_of_one_instance_share_simulated_conditionals(rng, monkeypatch):

@@ -1,6 +1,6 @@
 """The batched property checks against the per-trial bodies they replace.
 
-Fourteen checks of ``puredist.verify`` draw every trial first, decompose all
+Fifteen checks of ``puredist.verify`` draw every trial first, decompose all
 their operators with one stacked eigendecomposition per matrix size (the
 D_H check: one ``entropy.d_h_many`` call, one per size and probe round),
 then evaluate the slacks in trial order; the H_H checks solve all their
@@ -25,11 +25,12 @@ from test_d_h_many import reference_d_h
 
 TOL = verify.TOL
 REFERENCE = {}
+PER = {}  # the suite runs a check registered with per > 1 on trials // per trials
 
 
-def _reference(name):
+def _reference(name, per=1):
     def register(gen):
-        REFERENCE[name] = gen
+        REFERENCE[name], PER[name] = gen, per
         return gen
     return register
 
@@ -257,11 +258,35 @@ def check_hmin_smoothing(rng, trials, eps):
                   TOL - abs(entropy.h_min_cq_smoothed(cq, 0.0) - base))
 
 
+@_reference("condhh-derandomization", per=50)
+def check_condhh_derandomization(rng, trials, eps):
+    """Promise-based derandomization: most table rows obey the worst-case
+    entropy bound 2^{H_H(eps^{1/8})} <= 2^{H_H(B|X)} / eps."""
+    e = eps or 0.05
+    for _ in range(trials):
+        nx = int(rng.integers(2, 5))
+        db = int(rng.integers(2, 5))
+        cq = random_cq(rng, nx, db)
+        reps = int(rng.integers(3, 6))
+        K = nx * reps
+        sigma_conds = [(1 - e / 4) * rho + e / 4 * _rand_state(rng, db) for rho in cq.stack]
+        q_k = np.repeat(cq.probs / reps, reps)
+        bound = 2.0 ** entropy.h_h_cond_cq(cq, e).value / e
+        uniform_dev = float(np.sum(np.abs(q_k - 1.0 / K)))
+        good = 0
+        for x in range(nx):
+            val = 2.0 ** entropy.h_h(sigma_conds[x], e ** 0.125).value
+            good += reps * (val <= bound + 1e-12)
+        frac = good / K
+        need = 1 - e ** 0.125 - uniform_dev
+        yield frac - need + TOL
+
+
 
 
 def _run(name, gen, seed, trials, eps):
     """The CheckResult the suite's harness makes of a per-trial body."""
-    bad, worst = 0, np.inf
+    trials, bad, worst = max(1, trials // PER[name]), 0, np.inf
     for gap in gen(np.random.default_rng(seed), trials, eps):
         worst = min(worst, gap)
         bad += gap < 0
@@ -273,15 +298,15 @@ def _check(name):
 
 
 def test_reference_covers_the_batched_checks():
-    assert len(REFERENCE) == 14 and set(REFERENCE) <= set(verify.MANIFEST)
+    assert len(REFERENCE) == 15 and set(REFERENCE) <= set(verify.MANIFEST)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_batched_check_keeps_the_results_of_the_per_trial_body(name):
     for seed in (1, 2, 3, 4):
         for eps in (None, 0.1):
-            got = _check(name)(np.random.default_rng(seed), 40, eps)
-            want = _run(name, REFERENCE[name], seed, 40, eps)
+            got = _check(name)(np.random.default_rng(seed), 40 * PER[name], eps)
+            want = _run(name, REFERENCE[name], seed, 40 * PER[name], eps)
             assert (got.trials, got.violations, got.worst) == \
                 (want.trials, want.violations, want.worst), (seed, eps)
 
