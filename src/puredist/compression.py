@@ -145,7 +145,8 @@ class Instance:
     decodes to, so the per-outcome data every table shares lives here too,
     indexed by x: which outcomes are ``live``, the simulated conditionals
     and their Bob marginals (one stacked pass) with one stacked eigensystem
-    each (``sims_eig``), their pair entropies and nice verdicts, the A_g
+    each (``sims_eig``), their trace distances to the ideal conditionals
+    (``sim_dists``), their pair entropies and nice verdicts, the A_g
     bounds and truncated targets of the in-place protocol, Bob's codes and
     the local purity bounds (code in ``protocols`` and ``bounds``, imported
     where used).
@@ -153,7 +154,8 @@ class Instance:
     When Bob's register is the environment's only register of dimension > 1
     (``bob_alone``: a pure input's purification R has dimension 1), Bob's
     ensemble is the environment's: ``ideal_bob`` is ``ideal_env``,
-    ``sims_bob`` is ``sims`` and ``sims_eig`` holds one eigensystem twice.
+    ``sims_bob`` is ``sims``, ``sims_eig`` holds one eigensystem twice and
+    the pair entropies solve its LPs once.
     """
 
     def __init__(self, psi: PureState, povm: Povm, eps: float,
@@ -289,6 +291,13 @@ class Instance:
         return linalg.trace_norm(self.ideal_blocks)
 
     @cached_property
+    def sim_dists(self) -> np.ndarray:
+        """||rho_x^env - sigma_x||_1 per outcome x that is live and kept in the
+        ideal state, zero elsewhere: every view's per-pair state distances."""
+        probs, conds = self.ideal_by_outcome
+        return np.where(self.live & (probs > 0), linalg.trace_norm(conds - self.sims), 0.0)
+
+    @cached_property
     def simulated(self) -> tuple:
         """``simulated_conditionals``, read as ``live``, ``sims`` and ``sims_bob``."""
         return simulated_conditionals(self)
@@ -316,7 +325,9 @@ class Instance:
         (w_env, _), (w_bob, _) = self.sims_eig
         # h_h_many takes ascending spectra
         h_env[live], weights[live] = entropy.h_h_many(w_env[live, ::-1], smooth)
-        h_bob[live] = entropy.h_h_many(w_bob[live, ::-1], smooth)[0]
+        # Bob's LPs are the environment's when his ensemble is
+        h_bob[live] = (h_env[live] if self.bob_alone
+                       else entropy.h_h_many(w_bob[live, ::-1], smooth)[0])
         return h_env, weights, h_bob
 
     @cached_property
@@ -530,9 +541,8 @@ def validate_compression(view: Compression) -> CompressionReport:
     # the simulated probability decoded to each outcome, failure mass excluded
     weights = np.zeros(len(inst.povm))
     np.add.at(weights, view.decode.reshape(-1), view.q_kl[:, :view.L].reshape(-1))
-    probs, conds = inst.ideal_by_outcome
-    xs = np.flatnonzero(inst.live & (weights > 1e-12) & (probs > 0))
-    per_pair = max([0.0] + linalg.trace_norm(conds[xs] - inst.sims[xs]).tolist())
+    xs = np.flatnonzero(inst.live & (weights > 1e-12) & (inst.ideal_by_outcome[0] > 0))
+    per_pair = max([0.0] + inst.sim_dists[xs].tolist())
 
     K, L, q_kl = view.K, view.L, view.q_kl
     return CompressionReport(

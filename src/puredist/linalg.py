@@ -26,7 +26,8 @@ The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
 also take an (n, d, d) stack, the first three in one LAPACK batch, and give
 each member the bits of its own 2-D call (``trace_norm`` runs a matrix as a
 stack of one); ``per_size`` applies one of them to stacks of several sizes
-with one call per size.
+with one call per size. ``kron`` and ``row_norms`` are ``np.kron`` and
+``np.linalg.norm`` of each member of a stack, with their bits.
 """
 
 import functools
@@ -263,6 +264,25 @@ def per_size(f, stacks) -> list:
         for i, start, stop in zip(idx, [0] + stops, stops):
             out[i] = joined[start:stop]
     return out
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two matrices, or of each pair of members of two
+    (n, ., .) stacks, with its bits: the same broadcast products a_ij b_kl."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, a0, b0, a1, b1 = out.shape
+    return out.reshape(*lead, a0 * b0, a1 * b1)
+
+
+def row_norms(t: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(m)`` of each member m of a stack, bit for bit, from
+    one pass of dot products, each member read in memory order as the norm
+    reads it."""
+    order = sorted(range(1, t.ndim), key=lambda i: -abs(t.strides[i]))
+    # contiguous rows, as the norm's copy is: BLAS sums strided rows in another order
+    flat = np.ascontiguousarray(np.transpose(t, [0] + order))
+    flat = flat.reshape(len(t), math.prod(t.shape[1:]))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def sum_in_order(arrays) -> np.ndarray:

@@ -514,7 +514,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     borrow_bits = float(np.log2(n_x)) if n_x > 1 else 0.0
     xa = np.zeros((n_x, n_x))
     xa[0, 0] = 1.0
-    trace.append(("borrow", purity(np.kron(xa, rho0), borrow_bits)))
+    trace.append(("borrow", purity(linalg.kron(xa, rho0), borrow_bits)))
 
     # coherent measurement: a unitary on X_A x A given the |0> ancilla,
     # which leaves sum_x |x> (x) sqrt(Lambda_x) psi

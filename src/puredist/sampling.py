@@ -21,11 +21,23 @@ def random_pure(rng, dim: int, label: str = "A") -> DensityOperator:
 
 
 def ginibre_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random density matrix from the Ginibre ensemble (full rank by default)."""
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    """Random density matrix from the Ginibre ensemble (full rank by default):
+    the ``ginibre_gram`` of a ``ginibre_normals`` draw."""
+    return ginibre_gram(ginibre_normals(rng, dim, rank))
+
+
+def ginibre_normals(rng, dim: int, rank: int | None = None) -> np.ndarray:
+    """The (2, dim, rank) normals of one ``ginibre_density`` draw: the real
+    part's, then the imaginary part's, from one ``normal`` call."""
+    return rng.normal(size=(2, dim, dim if rank is None else rank))
+
+
+def ginibre_gram(z: np.ndarray) -> np.ndarray:
+    """g g^dag / Tr(g g^dag) for g = z[0] + i z[1] of a ``ginibre_normals``
+    draw z, or for each draw of an (n, 2, dim, rank) stack with its bits."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
     m = g @ linalg.dagger(g)
-    return m / m.trace().real
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> DensityOperator:
     return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)
@@ -71,14 +83,12 @@ def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
     probs = rng.dirichlet(np.ones(n_symbols))
     rank = 1 if pure_conditionals else dim if rank is None else rank
     z = rng.normal(size=(n_symbols, 2, dim, rank))
-    g = z[:, 0] + 1j * z[:, 1]
     if pure_conditionals:
-        # np.linalg.norm along an axis sums in another order: one call a row
-        v = g[..., 0] / np.array([np.linalg.norm(x) for x in g[..., 0]])[:, None]
+        v = z[:, 0, :, 0] + 1j * z[:, 1, :, 0]
+        v = v / linalg.row_norms(v)[:, None]
         stack = v[:, :, None] * np.conj(v)[:, None, :]
     else:
-        m = g @ linalg.dagger(g)
-        stack = m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+        stack = ginibre_gram(z)
     return CQState(range(n_symbols), probs / probs.sum(), stack, registers=[(label, dim)])
 
 

@@ -66,13 +66,9 @@ class PureState:
         return float(np.linalg.norm(self.tensor))
 
     def masses(self) -> np.ndarray:
-        """``float(np.linalg.norm(t)) ** 2`` of each member t of a stack, in one
-        pass of its dot products, each member read in memory order as the norm does."""
-        t = self.tensor
-        order = sorted(range(1, t.ndim), key=lambda i: -abs(t.strides[i]))
-        flat = np.transpose(t, [0] + order).reshape(len(t), math.prod(t.shape[1:]))
-        sq = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
-        return np.array([math.sqrt(s) ** 2 for s in sq.tolist()])
+        """``float(np.linalg.norm(t)) ** 2`` of each member t of a stack, from
+        ``linalg.row_norms`` (Python's power: numpy's square differs in the last bit)."""
+        return np.array([r ** 2 for r in linalg.row_norms(self.tensor).tolist()])
 
     def _axes(self, labels):
         return [self.labels.index(l) for l in labels]
@@ -226,7 +222,8 @@ class CQState:
     The distribution must be normalized. Symbols with probability below
     ``1e-12`` are dropped (conditionals are undefined there), which
     ``dropped`` records. ``conditionals``, views of the stack's rows, are
-    built on first read.
+    built on first read. ``with_stack`` gives the ensemble with new
+    conditionals without checking its distribution again.
     """
 
     symbols: tuple
@@ -237,11 +234,13 @@ class CQState:
 
     def __init__(self, symbols, probs, conditionals, pre_dropped=False, registers=None):
         probs = np.asarray(probs, dtype=float)
-        if (probs < -1e-12).any():
+        if np.fmin.reduce(probs, initial=0.0) < -1e-12:  # fmin skips NaN: it hides no negative
             raise ValueError("negative probabilities")
         if abs(float(probs.sum()) - 1.0) > _ATOL:
             raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-        keep = [i for i, p in enumerate(probs.tolist()) if p >= 1e-12]
+        # one reduction tells whether a symbol is dropped (a NaN is: it is not >= 1e-12)
+        keep = (range(len(probs)) if probs.min(initial=1.0) >= 1e-12
+                else [i for i, p in enumerate(probs.tolist()) if p >= 1e-12])
         if registers is None:
             registers = conditionals[0].registers
             if any(c.registers != registers for c in conditionals):
@@ -255,13 +254,25 @@ class CQState:
         if stack.shape != (len(probs), d, d):
             raise ValueError(f"stack shape {stack.shape} does not match {len(probs)} "
                              f"symbols over registers {regs}")
-        stack = stack[keep] if len(keep) < len(probs) else stack
+        drop = len(keep) < len(probs)
+        stack, probs = (stack[keep], probs[keep]) if drop else (stack, probs)
         stack.flags.writeable = False
-        object.__setattr__(self, "symbols", tuple(symbols[i] for i in keep))
-        object.__setattr__(self, "probs", probs[keep])
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "registers", regs)
-        object.__setattr__(self, "dropped", bool(pre_dropped) or len(keep) < len(probs))
+        self.__dict__.update(symbols=tuple(symbols[i] for i in keep), probs=probs, stack=stack,
+                             registers=regs, dropped=bool(pre_dropped) or drop)
+
+    def with_stack(self, stack) -> "CQState":
+        """``CQState(self.symbols, self.probs, stack, registers=self.registers)``
+        for an (n, d, d) ``stack`` of this one's shape, without checking the
+        distribution and registers again: every probability is kept, so
+        ``dropped`` is False."""
+        stack = np.asarray(stack, dtype=complex)
+        if stack.shape != self.stack.shape:
+            raise ValueError(f"stack shape {stack.shape} is not {self.stack.shape}")
+        stack.flags.writeable = False
+        new = object.__new__(CQState)
+        new.__dict__.update(symbols=self.symbols, probs=self.probs, stack=stack,
+                            registers=self.registers, dropped=False)
+        return new
 
     def __len__(self):
         return len(self.symbols)

@@ -18,11 +18,18 @@ whichever they need. The D_H check does the same with one
 per size and probe round.
 Each value has the bits of its own one-state call. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
-of its body, eps included, and no later step draws. A cq state is drawn as
-one stack (``random_cq``, or one ``normal`` call for all its conditionals)
-and the dephased and mixed ensembles are stacked products of it, so no
-draw builds an object per conditional. Every slack is that of the
-trial-at-a-time body, bit for bit.
+of its body, eps included, and no later step draws. Its loop over trials
+makes only the generator calls (one ``normal`` call where the body made
+several in a row, such as ``ginibre_normals`` for a Ginibre density), except
+that a cq state comes from ``random_cq`` as one stack. Everything derived
+from the draws is built after the loop by ``_stacked``: one stacked
+operation per shape of the draws, each member with the bits of its
+one-trial call. That covers the Ginibre normalizations
+(``sampling.ginibre_gram``), the pure states' norms (``linalg.row_norms``)
+and marginals, the Kronecker products (``linalg.kron``), the partial traces,
+and the data-processing check's dephased and mixed ensembles, which take the
+drawn ensemble's validated distribution through ``CQState.with_stack``.
+Every slack is that of the trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -36,8 +43,8 @@ from .compression import Instance, compress_measurement, compress_seeds, validat
 from .sampling import (
     basis_povm,
     bell_pair,
-    ginibre_density,
-    ginibre_matrix,
+    ginibre_gram,
+    ginibre_normals,
     haar_unitary,
     purified_input,
     random_cq,
@@ -72,10 +79,63 @@ def _spectra(mats):
                                                             [m[None] for m in mats]) for w in ws])
 
 
-def _h_h(mats, eps, k):
-    """The H_H value of each matrix of ``mats`` at its eps, in rows of ``k``
-    Python floats: one ``entropy.h_h_many`` call on their ``_spectra``."""
+def _h_h(cases, eps, k):
+    """The H_H value of each matrix of ``cases``, tuples of ``k`` matrices, at
+    its eps, in rows of ``k`` Python floats: one ``entropy.h_h_many`` call on
+    their ``_spectra``."""
+    mats = [m for case in cases for m in case]
     return entropy.h_h_many(_spectra(mats), eps)[0].reshape(-1, k).tolist()
+
+
+def _stacked(f, keys, *draws) -> list:
+    """``[f(k, *d) for k, *d in zip(keys, *draws)]``, from one call of ``f``
+    per distinct key on the draws of its trials stacked (``f`` gives each
+    member the bits of its one-trial call): per trial, the member of ``f``'s
+    stack, or the tuple of its members of ``f``'s tuple of stacks."""
+    out, groups = [None] * len(keys), {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    for k, idx in groups.items():
+        res = f(k, *(np.array([d[i] for i in idx]) for d in draws))
+        for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+            out[i] = r
+    return out
+
+
+def _ginibre_trials(rng, trials, eps):
+    """Trials that each draw a size d in 2..8, a Ginibre density of size d
+    and eps, in turn: their sizes, densities (stacked per size) and eps."""
+    ds, zs, es = [], [], []
+    for _ in range(trials):
+        ds.append(int(rng.integers(2, 9)))
+        zs.append(ginibre_normals(rng, ds[-1]))
+        es.append(eps or _eps(rng))
+    return ds, _stacked(lambda _, z: ginibre_gram(z), ds, zs), es
+
+
+def _bipartite_trials(rng, trials, eps):
+    """Trials that each draw dims (da, db) in 2..4, a Ginibre density rho on
+    them and eps, in turn: their dims, (rho, rho_A, rho_B) (stacked per
+    dims) and eps."""
+    dims, zs, es = [], [], []
+    for _ in range(trials):
+        dims.append(tuple(int(d) for d in rng.integers(2, 5, size=2)))
+        zs.append(ginibre_normals(rng, dims[-1][0] * dims[-1][1]))
+        es.append(eps or _eps(rng))
+
+    def parts(dims, z):
+        rho = ginibre_gram(z)
+        return rho, linalg.partial_trace(rho, dims, 0), linalg.partial_trace(rho, dims, 1)
+
+    return dims, _stacked(parts, dims, zs), es
+
+
+def _pure_marginals(_, z):
+    """Both marginals of each normalized v = z[..., 0, :, :] + i z[..., 1, :, :],
+    as ``v /= np.linalg.norm(v)`` normalizes one."""
+    v = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    v = v / linalg.row_norms(v.reshape(-1, *v.shape[-2:])).reshape(v.shape[:-2] + (1, 1))
+    return v @ linalg.dagger(v), v.swapaxes(-1, -2) @ np.conj(v)
 
 
 _CHECKS = {}
@@ -109,38 +169,39 @@ def _check(name, *, per):
 @_check("hh-purification-duality", per=1)
 def check_hh_purification_duality(rng, trials, eps):
     """Both marginals of a random pure bipartite state share one H_H."""
-    mats, es = [], []
+    shapes, zs, es = [], [], []
     for _ in range(trials):
-        da, dr = rng.integers(2, 9, size=2)
-        v = rng.normal(size=(int(da), int(dr))) + 1j * rng.normal(size=(int(da), int(dr)))
-        v /= np.linalg.norm(v)
-        mats += (v @ linalg.dagger(v), v.T @ np.conj(v))
+        shapes.append(tuple(int(d) for d in rng.integers(2, 9, size=2)))
+        zs.append(rng.normal(size=(2,) + shapes[-1]))  # the real parts, then the imaginary
         es += [eps or _eps(rng)] * 2
-    for ha, hr in _h_h(mats, es, 2):
+    for ha, hr in _h_h(_stacked(_pure_marginals, shapes, zs), es, 2):
         yield TOL - abs(ha - hr)
 
 
 @_check("hh-pure-tensor-invariance", per=1)
 def check_hh_pure_tensor(rng, trials, eps):
     """Tensoring a pure state on leaves H_H unchanged."""
-    mats, es = [], []
+    ds, zs, ws, es = [], [], [], []
     for _ in range(trials):
-        d = int(rng.integers(2, 7))
-        rho = ginibre_density(rng, d)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        mats += (np.kron(rho, np.outer(v, np.conj(v))), rho)
+        ds.append(int(rng.integers(2, 7)))
+        zs.append(ginibre_normals(rng, ds[-1]))
+        ws.append(rng.normal(size=(2, 3)))
         es += [eps or _eps(rng)] * 2
-    for joint, single in _h_h(mats, es, 2):
+
+    def tensored(_, z, w):
+        rho, v = ginibre_gram(z), w[:, 0] + 1j * w[:, 1]
+        v = v / linalg.row_norms(v)[:, None]
+        return linalg.kron(rho, v[:, :, None] * np.conj(v)[:, None]), rho
+
+    for joint, single in _h_h(_stacked(tensored, ds, zs, ws), es, 2):
         yield TOL - abs(joint - single)
 
 
 @_check("hh-support-sandwich", per=1)
 def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
-    cases = [(ginibre_density(rng, int(rng.integers(2, 9))), eps or _eps(rng))
-             for _ in range(trials)]
-    ws, es = _spectra([rho for rho, _ in cases]), [e for _, e in cases]
+    _, rhos, es = _ginibre_trials(rng, trials, eps)
+    ws = _spectra(rhos)
     for w, e, hh in zip(ws, es, entropy.h_h_many(ws, es)[0].tolist()):
         ht = entropy.h_tilde_max(w, e)
         yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
@@ -149,80 +210,71 @@ def check_hh_support_sandwich(rng, trials, eps):
 @_check("max-entropy-ordering", per=1)
 def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
-    cases = [(ginibre_density(rng, int(rng.integers(2, 9))), eps or _eps(rng))
-             for _ in range(trials)]
-    for (rho, e), w in zip(cases, _spectra([rho for rho, _ in cases])):
+    ds, rhos, es = _ginibre_trials(rng, trials, eps)
+    for d, e, w in zip(ds, es, _spectra(rhos)):
         hm = entropy.h_max_smooth(w, e)
         ht = entropy.h_tilde_max(w, e)
         hp = entropy.h_prime_max(w, e)
-        cap = np.log2(len(rho) / e)
+        cap = np.log2(d / e)
         yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
 
 
 @_check("hh-subadditivity", per=1)
 def check_hh_subadditivity(rng, trials, eps):
     """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
-    mats, es = [], []
-    for _ in range(trials):
-        da, db = rng.integers(2, 5, size=2)
-        rho = ginibre_density(rng, int(da * db))
-        mats += (rho, linalg.partial_trace(rho, [int(da), int(db)], 0),
-                 linalg.partial_trace(rho, [int(da), int(db)], 1))
-        e = eps or _eps(rng)
-        es += (min(3 * np.sqrt(e), 0.999), e, e)
-    for lhs, ha, hb in _h_h(mats, es, 3):
+    _, parts, es = _bipartite_trials(rng, trials, eps)
+    es = [x for e in es for x in (min(3 * np.sqrt(e), 0.999), e, e)]
+    for lhs, ha, hb in _h_h(parts, es, 3):
         yield ha + hb - lhs + TOL
 
 
 @_check("hh-mixed-ancilla-additivity", per=1)
 def check_hh_mixed_ancilla_additivity(rng, trials, eps):
     """h_h(rho (x) I/|B|, eps) = h_h(rho, eps) + log2 |B| exactly."""
-    mats, es, dbs = [], [], []
+    dims, zs, es = [], [], []
     for _ in range(trials):
-        d = int(rng.integers(2, 6))
-        db = int(rng.integers(2, 5))
-        rho = ginibre_density(rng, d)
-        mats += (np.kron(rho, np.eye(db) / db), rho)
+        dims.append((int(rng.integers(2, 6)), int(rng.integers(2, 5))))
+        zs.append(ginibre_normals(rng, dims[-1][0]))
         es += [eps or _eps(rng)] * 2
-        dbs.append(db)
-    for (lhs, h), db in zip(_h_h(mats, es, 2), dbs):
+
+    def with_ancilla(dims, z):
+        rho = ginibre_gram(z)
+        return linalg.kron(rho, np.eye(dims[1]) / dims[1]), rho
+
+    for (lhs, h), (_, db) in zip(_h_h(_stacked(with_ancilla, dims, zs), es, 2), dims):
         yield 1e-9 - abs(lhs - (h + np.log2(db)))
 
 
 @_check("hh-dimension-bound", per=1)
 def check_hh_dimension_bound(rng, trials, eps):
     """h_h(AB) <= h_h(A) + log2 |B|."""
-    mats, es, dbs = [], [], []
-    for _ in range(trials):
-        da, db = rng.integers(2, 5, size=2)
-        rho = ginibre_density(rng, int(da * db))
-        mats += (rho, linalg.partial_trace(rho, [int(da), int(db)], 0))
-        es += [eps or _eps(rng)] * 2
-        dbs.append(db)
-    for (lhs, ha), db in zip(_h_h(mats, es, 2), dbs):
+    dims, parts, es = _bipartite_trials(rng, trials, eps)
+    es = [e for e in es for _ in (0, 1)]
+    for (lhs, ha), (_, db) in zip(_h_h([p[:2] for p in parts], es, 2), dims):
         yield ha + np.log2(db) - lhs + TOL
 
 
 @_check("hh-near-pure-nonpositive", per=1)
 def check_hh_near_pure(rng, trials, eps):
     """States eps-close to |0><0| have h_h <= 0."""
-    cases = []
+    ds, es, zs, deltas = [], [], [], []
     for _ in range(trials):
-        d = int(rng.integers(2, 7))
-        e = eps or _eps(rng)
-        junk = ginibre_density(rng, d)
-        delta = e / 2 * rng.uniform(0.0, 1.0)
-        sigma = np.zeros((d, d), dtype=complex)
-        sigma[0, 0] = 1 - delta
-        sigma = sigma + delta * junk
-        pure0 = np.zeros((d, d))
-        pure0[0, 0] = 1.0
-        cases.append((sigma, pure0, e))
-    # the trace distances, as linalg.trace_distance takes them
-    dists = linalg.per_size(linalg.trace_norm, [(sigma - pure0)[None]
-                                                for sigma, pure0, _ in cases])
-    cases = [(sigma, e) for (sigma, _, e), dist in zip(cases, dists) if not dist[0] > e]
-    for (h,) in _h_h([sigma for sigma, _ in cases], [e for _, e in cases], 1):
+        ds.append(int(rng.integers(2, 7)))
+        es.append(eps or _eps(rng))
+        zs.append(ginibre_normals(rng, ds[-1]))
+        deltas.append(es[-1] / 2 * rng.uniform(0.0, 1.0))
+
+    def near_pure(d, z, delta):
+        sigma = np.zeros((len(z), d, d), dtype=complex)
+        sigma[:, 0, 0] = 1 - delta
+        sigma = sigma + delta[:, None, None] * ginibre_gram(z)
+        pure0 = np.diag([1.0] + [0.0] * (d - 1))
+        # the trace distances, as linalg.trace_distance takes them
+        return sigma, linalg.trace_norm(sigma - pure0)
+
+    cases = [(sigma, e) for (sigma, dist), e in zip(_stacked(near_pure, ds, zs, deltas), es)
+             if not dist > e]
+    for (h,) in _h_h([case[:1] for case in cases], [e for _, e in cases], 1):
         yield TOL - h
 
 
@@ -238,17 +290,17 @@ def check_hh_cond_pure(rng, trials, eps):
 @_check("hh-cond-purification-switch", per=1)
 def check_hh_cond_purification_switch(rng, trials, eps):
     """For bipartite pure conditionals, H_H(B|X) = H_H(A|X)."""
-    cqs, es = [], []
+    probs, zs, es = [], [], []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = (int(d) for d in rng.integers(2, 5, size=2))
-        probs = rng.dirichlet(np.ones(n))
-        z = rng.normal(size=(n, 2, da, db))
-        v = z[:, 0] + 1j * z[:, 1]
-        v = v / np.array([np.linalg.norm(m) for m in v])[:, None, None]
-        cqs += (CQState(range(n), probs, v @ linalg.dagger(v), registers=[("A", da)]),
-                CQState(range(n), probs, v.swapaxes(1, 2) @ np.conj(v), registers=[("B", db)]))
+        probs.append(rng.dirichlet(np.ones(n)))
+        zs.append(rng.normal(size=(n, 2, da, db)))
         es += [eps or _eps(rng)] * 2
+    cqs, shapes = [], [z.shape for z in zs]
+    for p, (n, _, da, db), (a, b) in zip(probs, shapes, _stacked(_pure_marginals, shapes, zs)):
+        cqs += (CQState(range(n), p, a, registers=[("A", da)]),
+                CQState(range(n), p, b, registers=[("B", db)]))
     for ha, hb in entropy.h_h_cond_cq_many(cqs, es)[0].reshape(-1, 2).tolist():
         yield TOL - abs(ha - hb)
 
@@ -257,31 +309,34 @@ def check_hh_cond_purification_switch(rng, trials, eps):
 def check_hh_cond_data_processing(rng, trials, eps):
     """H_H(B|X) never decreases under dephasing or random-unitary mixing
     applied to the B side."""
-    cases = []
+    cqs, zs, ps, es = [], [], [], []
     for _ in range(trials):
         db = int(rng.integers(2, 5))
-        cq = random_cq(rng, int(rng.integers(2, 5)), db)
-        e = eps or _eps(rng)
-        zs = np.array([ginibre_matrix(rng, db) for _ in range(int(rng.integers(2, 4)))])
-        cases.append((cq, zs, rng.dirichlet(np.ones(len(zs))), e))
-    unitaries = linalg.per_size(haar_unitary, [zs for _, zs, _, _ in cases])
-    es = np.repeat([e for *_, e in cases], 3)
-    # dephased: the diagonal kept, +0 elsewhere, as np.diag(np.diag(rho)) has it
-    cases = [(cq, CQState(cq.symbols, cq.probs, np.where(np.eye(len(us[0]), dtype=bool),
-                                                         cq.stack, 0), registers=cq.registers),
-              _mixed(cq, ps, us)) for (cq, _, ps, _), us in zip(cases, unitaries)]
-    values = entropy.h_h_cond_cq_many([cq for case in cases for cq in case], es)[0]
+        cqs.append(random_cq(rng, int(rng.integers(2, 5)), db))
+        es.append(eps or _eps(rng))
+        # ginibre_matrix's draws for each unitary in turn
+        zs.append(rng.normal(size=(int(rng.integers(2, 4)), 2, db, db)))
+        ps.append(rng.dirichlet(np.ones(len(zs[-1]))))
+    keys = [(cq.stack.shape, z.shape) for cq, z in zip(cqs, zs)]
+    stacks = _stacked(_processed, keys, [cq.stack for cq in cqs], zs, ps)
+    cases = [state for cq, (deph, mixed) in zip(cqs, stacks)
+             for state in (cq, cq.with_stack(deph), cq.with_stack(mixed))]
+    values = entropy.h_h_cond_cq_many(cases, np.repeat(es, 3))[0]
     for base, deph, unital in values.reshape(-1, 3).tolist():
         yield min(deph - base + TOL, unital - base + TOL)
 
 
-def _mixed(cq, ps, us):
-    """``cq`` with each conditional rho mixed to sum_j p_j u_j rho u_j^dag,
-    the terms of all conditionals in one stacked product, summed in the order
-    of ``sum`` over j."""
-    terms = (ps[:, None, None] * us) @ cq.stack[:, None] @ linalg.dagger(us)
-    return CQState(cq.symbols, cq.probs, sum(terms[:, j] for j in range(len(us))),
-                   registers=cq.registers)
+def _processed(_, stacks, zs, ps):
+    """Per member of the (m, n, d, d) ``stacks`` of conditionals rho: the
+    dephased ones, the diagonal kept and +0 elsewhere as np.diag(np.diag(rho))
+    has it, and the ones mixed to sum_j p_j u_j rho u_j^dag over the Haar
+    unitaries of the ``zs`` draws, the terms in one stacked product and summed
+    in the order of ``sum`` over j."""
+    us = haar_unitary((zs[:, :, 0] + 1j * zs[:, :, 1]) / np.sqrt(2))
+    terms = ((ps[..., None, None] * us)[:, None] @ stacks[:, :, None]
+             @ linalg.dagger(us)[:, None])
+    return (np.where(np.eye(stacks.shape[-1], dtype=bool), stacks, 0),
+            sum(terms[:, :, j] for j in range(us.shape[1])))
 
 
 @_check("hh-average-to-worst-case", per=1)
@@ -395,10 +450,11 @@ def check_condhh_derandomization(rng, trials, eps):
         cq = random_cq(rng, nx, db)
         # build a K-table whose rows decode to symbols with Q close to P
         reps = int(rng.integers(3, 6))
-        cases.append((cq, reps, [(1 - e / 4) * rho + e / 4 * ginibre_density(rng, db)
-                                 for rho in cq.stack]))
+        # a ginibre_normals draw per conditional, in turn
+        cases.append((cq, reps, rng.normal(size=(len(cq), 2, db, db))))
     bounds = entropy.h_h_cond_cq_many([cq for cq, _, _ in cases], e)[0].tolist()
-    sigmas = _spectra([sigma for *_, sigma_conds in cases for sigma in sigma_conds])
+    sigmas = _spectra([sigma for cq, _, z in cases
+                       for sigma in (1 - e / 4) * cq.stack + e / 4 * ginibre_gram(z)])
     hs = iter(entropy.h_h_many(sigmas, e ** 0.125)[0].tolist())
     for (cq, reps, _), h_cond in zip(cases, bounds):
         K = len(cq) * reps

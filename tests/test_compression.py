@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from puredist import linalg
+from puredist import entropy, linalg
 from puredist.compression import (
     BOT,
     Compression,
@@ -619,3 +619,56 @@ def test_views_of_one_instance_share_simulated_conditionals(rng, monkeypatch):
     for seed, got in ((1, first), (2, second)):
         assert got == nice_sets(Instance(psi, basis_povm(4, "A"), 0.25).compression(
             K=4, L=8, seed=seed))
+
+
+def test_pair_entropies_solve_bob_once_when_his_ensemble_is_the_environments(monkeypatch):
+    rng = np.random.default_rng(8)
+    joint = rng.dirichlet(np.ones(32)).reshape(8, 4)
+    calls, orig = [], entropy.h_h_many
+    monkeypatch.setattr(entropy, "h_h_many", lambda *a: calls.append(a) or orig(*a))
+    for psi in (purified_input(classical_correlated_pure(rng, 8, 4, joint=joint)),
+                _kernel_outcome_instance(rng).psi):  # R of dimension 1, then 2
+        inst = Instance(psi, basis_povm(psi.dim("A"), "A"), 0.25)
+        inst.sims_eig  # noqa: B018 -- decomposed before the count
+        calls.clear()
+        h_env, _, h_bob = inst.pair_entropies
+        assert len(calls) == (1 if inst.bob_alone else 2)
+        # Bob's values are those of his own solve, bit for bit
+        live, smooth = inst.live, inst.eps ** 0.125
+        want = orig(inst.sims_eig[1][0][live, ::-1], smooth)[0]
+        assert h_bob[live].tobytes() == want.tobytes()
+        assert not h_bob[~live].any() and h_env[live].tobytes() == orig(
+            inst.sims_eig[0][0][live, ::-1], smooth)[0].tobytes()
+
+
+def test_views_share_the_instance_per_pair_state_distances(monkeypatch):
+    inst = Instance(purified_input(bell_pair()), basis_povm(2, "A"), 0.1)
+    views = [cm for L in (8, 16) for cm in compress_seeds(inst, 2, L, range(8))]
+    first = validate_compression(views[0])  # the instance's norms, kept
+    calls, orig = [], linalg.trace_norm
+    monkeypatch.setattr(linalg, "trace_norm", lambda m: calls.append(len(m)) or orig(m))
+    reports = [first] + [validate_compression(cm) for cm in views[1:]]
+    # then one trace norm a view, for its ideal_vs_simulated, and none per pair
+    assert len(calls) == len(views) - 1
+    probs, conds = inst.ideal_by_outcome
+    for cm, rep in zip(views, reports):
+        weights = np.zeros(len(inst.povm))
+        np.add.at(weights, cm.decode.reshape(-1), cm.q_kl[:, :cm.L].reshape(-1))
+        xs = np.flatnonzero(inst.live & (weights > 1e-12) & (probs > 0))
+        want = max([0.0] + linalg.trace_norm(conds[xs] - inst.sims[xs]).tolist())  # per view
+        assert np.float64(rep.per_pair_state_dist).tobytes() == np.float64(want).tobytes()
+
+
+def test_pair_closeness_check_decomposes_once_a_view(monkeypatch):
+    from puredist import verify
+    eighs, orig = [], linalg._eigh
+    monkeypatch.setattr(linalg, "_eigh", lambda m: eighs.append(len(m)) or orig(m))
+    check = verify.SUITE[verify.MANIFEST.index("compression-pair-closeness")]
+    counts = []
+    for trials in (100, 200):  # one trial, then two
+        eighs.clear()
+        check(np.random.default_rng(0), trials, None)
+        counts.append(len(eighs))
+    # a trial: one call per compress_seeds batch (3) and one per view (24),
+    # for its ideal_vs_simulated; its per-pair distances took 24 more
+    assert counts[1] - counts[0] == 3 + 24

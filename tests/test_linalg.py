@@ -349,6 +349,53 @@ def test_sum_in_order_keeps_the_bits_of_the_sequential_cumsum(rng):
     assert linalg.sum_in_order(iter(parts)).tobytes() == np.cumsum(parts, axis=0)[-1].tobytes()
 
 
+def test_kron_keeps_the_bits_of_numpy_kron(rng):
+    # matrices and stacks of random shapes, complex with complex or real,
+    # as contiguous arrays and as strided views (transposed, reversed, sliced)
+    strided = 0
+    for t in range(1500):
+        n = int(rng.integers(1, 6))
+        sa, sb = (tuple(int(d) for d in rng.integers(1, 7, size=2)) for _ in range(2))
+        a = rng.normal(size=(n,) + sa) + 1j * rng.normal(size=(n,) + sa)
+        b = rng.normal(size=(n,) + sb) * 10.0 ** int(rng.integers(-3, 3))
+        if t % 3:
+            b = b + 1j * rng.normal(size=(n,) + sb)
+        if t % 2:
+            a = a.swapaxes(1, 2)
+        if t % 5 == 0:
+            b = b[:, ::-1]
+        if t % 7 == 0:
+            a = a[:, ::2]
+        strided += not (a.flags.c_contiguous and b.flags.c_contiguous)
+        want = np.array([np.kron(x, y) for x, y in zip(a, b)])
+        assert linalg.kron(a, b).tobytes() == want.tobytes(), (sa, sb)
+        assert linalg.kron(a[0], b[0]).tobytes() == np.kron(a[0], b[0]).tobytes()
+        # one matrix against each member of a stack
+        assert linalg.kron(a, b[0]).tobytes() == np.array([np.kron(x, b[0]) for x in a]).tobytes()
+    assert strided > 600
+
+
+def test_row_norms_keep_the_bits_of_a_norm_per_member(rng):
+    # stacks of 0-8 members of 1-3 axes, scaled over nine decades, as
+    # contiguous arrays and strided views, which the norm reads in memory order
+    strided = 0
+    for t in range(2000):
+        n = int(rng.integers(0, 9))
+        shape = [n] + [int(d) for d in rng.integers(1, 7, size=int(rng.integers(1, 4)))]
+        scale = 10.0 ** int(rng.integers(-6, 3))
+        t_ = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        if len(shape) > 2 and t % 2:
+            t_ = np.moveaxis(t_, 1, -1)
+        if t % 3 == 0:
+            t_ = t_[:, ::-1]
+        if t % 5 == 0:
+            t_ = t_.real
+        strided += not t_.flags.c_contiguous
+        want = np.array([np.linalg.norm(m) for m in t_])
+        assert linalg.row_norms(t_).tobytes() == want.tobytes(), shape
+    assert strided > 1000
+
+
 def test_psd_power_support(rng):
     rho = ginibre_density(rng, 4, rank=2)
     inv = linalg.psd_power(rho, -1.0)

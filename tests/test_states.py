@@ -6,7 +6,9 @@ from puredist.sampling import (
     basis_povm,
     bell_pair,
     ginibre_density,
+    ginibre_gram,
     ginibre_matrix,
+    ginibre_normals,
     haar_unitary,
     mixed_protocol_input,
     random_cq,
@@ -95,10 +97,24 @@ def _pair():
      "negative probabilities"),
     (lambda: CQState([0, 1], [0.5, 0.4], [np.eye(2) / 2] * 2, registers=[("B", 2)]),
      "probabilities sum to 0.9"),
+    # the whole message; a NaN hides no negative entry
+    (lambda: CQState([0, 1], [np.nan, -0.5], [np.eye(2) / 2] * 2, registers=[("B", 2)]),
+     "^negative probabilities$"),
+    (lambda: CQState([], [], np.zeros((0, 2, 2)), registers=[("B", 2)]),
+     r"^probabilities sum to 0\.0, not 1$"),
+    (lambda: CQState([0, 1], [np.inf, 0.0], [np.eye(2) / 2] * 2, registers=[("B", 2)]),
+     "^probabilities sum to inf, not 1$"),
+    (lambda: CQState([0, 1], [0.5, 0.5], [DensityOperator([(l, 2)], np.eye(2) / 2) for l in "BC"]),
+     "^conditionals have mismatched register signatures$"),
+    (lambda: CQState([0], [1.0], np.zeros((1, 4, 4)), registers=[("B", 2), ("A", 2)]),
+     r"^registers \(\('B', 2\), \('A', 2\)\) are not distinct and sorted$"),
+    (lambda: CQState([0, 1], [0.5, 0.5], np.zeros((3, 2, 2)), registers=[("B", 2)]),
+     r"^stack shape \(3, 2, 2\) does not match 2 symbols over registers \(\('B', 2\),\)$"),
     (lambda: Povm([np.eye(2)], labels=[0, 1]), "labels/elements length mismatch"),
     (lambda: Povm([np.eye(2), np.zeros((3, 3))]), "POVM elements have mismatched shapes"),
 ], ids=["apply-collision", "apply-shape", "density-shape", "purify-label", "cq-negative",
-        "cq-unnormalized", "povm-labels", "povm-shapes"])
+        "cq-unnormalized", "cq-nan-negative", "cq-empty", "cq-inf", "cq-signatures",
+        "cq-unsorted", "cq-stack-shape", "povm-labels", "povm-shapes"])
 def test_named_input_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -383,6 +399,50 @@ def test_cq_stack_drops_a_symbol_below_1e12(rng):
     assert cq.dropped and cq.symbols == ("x", "z") and len(cq) == 2
     assert np.array_equal(cq.stack, stack[[0, 2]])
     assert not CQState("xyz", [0.2, 0.3, 0.5], stack, registers=[("B", 2)]).dropped
+    # a NaN passes the sign and sum tests (comparisons with it fail) and is
+    # dropped, as it is not >= 1e-12
+    cq = CQState("xyz", [0.6, np.nan, 0.4], stack, registers=[("B", 2)])
+    assert cq.dropped and cq.symbols == ("x", "z") and cq.probs.tolist() == [0.6, 0.4]
+    assert np.array_equal(cq.stack, stack[[0, 2]])
+    cq = CQState("xy", [np.nan, np.nan], stack[:2], registers=[("B", 2)])
+    assert cq.dropped and cq.symbols == () and cq.stack.shape == (0, 2, 2)
+
+
+def test_with_stack_is_the_constructor_without_its_checks(rng):
+    base = random_cq(rng, 4, 3)
+    dropped = CQState("xyz", [0.6, 1e-13, 0.4 - 1e-13], random_cq(rng, 3, 2).stack,
+                      registers=[("B", 2)])
+    for cq in (base, dropped):
+        new = ginibre_gram(rng.normal(size=cq.stack.shape[:1] + (2,) + cq.stack.shape[1:]))
+        got = cq.with_stack(new)
+        want = CQState(cq.symbols, cq.probs, new.copy(), registers=cq.registers)
+        for name in ("symbols", "registers", "dropped"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.probs.tobytes() == want.probs.tobytes() and not got.dropped
+        assert got.stack is new and not new.flags.writeable
+        assert got.spectra.tobytes() == want.spectra.tobytes()
+        assert [c.matrix.tobytes() for c in got.conditionals] == [m.tobytes() for m in new]
+    for shape in ((4, 2, 2), (3, 3, 3), (4, 3, 3, 1)):
+        with pytest.raises(ValueError, match=r"^stack shape .* is not \(4, 3, 3\)$"):
+            base.with_stack(np.zeros(shape))
+
+
+def test_ginibre_density_keeps_the_bits_and_generator_state_of_the_two_draws():
+    for seed in range(400):
+        pick = np.random.default_rng([seed, 3])
+        d = int(pick.integers(1, 9))
+        rank = int(pick.integers(1, d + 1)) if seed % 2 else None
+        drawn, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ginibre_density(drawn, d, rank)
+        r = d if rank is None else rank
+        g = loop.normal(size=(d, r)) + 1j * loop.normal(size=(d, r))  # the draw it replaced
+        m = g @ linalg.dagger(g)
+        assert got.tobytes() == (m / m.trace().real).tobytes(), seed
+        assert drawn.normal() == loop.normal(), seed
+        # a stack of draws: each member with its own bits
+        zs = np.array([ginibre_normals(pick, d, rank) for _ in range(int(pick.integers(1, 5)))])
+        want = np.array([ginibre_gram(z) for z in zs])
+        assert ginibre_gram(zs).tobytes() == want.tobytes(), seed
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed", "low-rank"])

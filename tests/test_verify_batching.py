@@ -11,7 +11,9 @@ each H_H value from its own ``h_h`` or ``h_h_cond_cq`` call. Their cq
 states come from ``per_symbol_random_cq``, the per-symbol sampler that
 ``sampling.random_cq`` replaced, so a change in the stacked sampler's bits
 shows here too, and the D_H check's pairs go through the one-pair solver
-that ``d_h_many`` replaced.
+that ``d_h_many`` replaced. Each batched check must also leave its generator
+where its reference leaves it: its loop makes the same draws, merged into
+fewer ``normal`` calls at most, and builds the rest after it.
 """
 
 import numpy as np
@@ -284,10 +286,10 @@ def check_condhh_derandomization(rng, trials, eps):
 
 
 
-def _run(name, gen, seed, trials, eps):
+def _run(name, gen, rng, trials, eps):
     """The CheckResult the suite's harness makes of a per-trial body."""
     trials, bad, worst = max(1, trials // PER[name]), 0, np.inf
-    for gap in gen(np.random.default_rng(seed), trials, eps):
+    for gap in gen(rng, trials, eps):
         worst = min(worst, gap)
         bad += gap < 0
     return verify.CheckResult(name, trials, bad, worst)
@@ -305,10 +307,13 @@ def test_reference_covers_the_batched_checks():
 def test_batched_check_keeps_the_results_of_the_per_trial_body(name):
     for seed in (1, 2, 3, 4):
         for eps in (None, 0.1):
-            got = _check(name)(np.random.default_rng(seed), 40 * PER[name], eps)
-            want = _run(name, REFERENCE[name], seed, 40 * PER[name], eps)
+            batched, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _check(name)(batched, 40 * PER[name], eps)
+            want = _run(name, REFERENCE[name], loop, 40 * PER[name], eps)
             assert (got.trials, got.violations, got.worst) == \
                 (want.trials, want.violations, want.worst), (seed, eps)
+            # the same draws, and no others: the generator ends where the body leaves it
+            assert batched.bit_generator.state == loop.bit_generator.state, (seed, eps)
 
 
 def _dim(rho):

@@ -3,7 +3,9 @@
 Runs every check of ``puredist.verify.SUITE`` on the pool chunks that the
 verify-suite benchmark runs (``perfbench.jobs._pool_rng`` seeds, its trials
 and eps), untraced, in one process, and prints as JSON each check's median
-time per chunk in seconds and the round total, the sum of those medians.
+time per chunk in seconds and the round total, the sum of those medians;
+then each check's slowest chunk and the check whose slowest chunk is the
+slowest of all, the one that sets verify-suite's ``job_s.tail``.
 
     python3 tools/verify_split.py [ROOT]
 
@@ -41,9 +43,11 @@ def main(argv) -> int:
                     check(rng, jobs.VERIFY_TRIALS, jobs.VERIFY_EPS)
                     best[name][i] = min(best[name][i], time.perf_counter() - start)
     checks = {name: statistics.median(times) for name, times in best.items()}
+    slowest = {name: max(times) for name, times in best.items()}
     print(json.dumps({"root": str(root), "chunks": [CHUNKS.start, CHUNKS.stop],
                       "repeats": REPEATS, "checks_s": checks,
-                      "round_s": sum(checks.values())}, indent=1))
+                      "round_s": sum(checks.values()), "slowest_chunk_s": slowest,
+                      "slowest_check": max(slowest, key=slowest.get)}, indent=1))
     return 0
 
 
