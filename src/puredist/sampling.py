@@ -26,26 +26,42 @@ def ginibre_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
     return ginibre_gram(ginibre_normals(rng, dim, rank))
 
 
-def ginibre_normals(rng, dim: int, rank: int | None = None) -> np.ndarray:
-    """The (2, dim, rank) normals of one ``ginibre_density`` draw: the real
-    part's, then the imaginary part's, from one ``normal`` call."""
-    return rng.normal(size=(2, dim, dim if rank is None else rank))
+def ginibre_normals(rng, dim: int, rank: int | None = None, n: int | None = None) -> np.ndarray:
+    """The (2, dim, rank) normals of one ``ginibre_density`` draw, the real
+    part's, then the imaginary part's, from one ``normal`` call; with ``n``,
+    n such draws in turn as one (n, 2, dim, rank) call."""
+    shape = (2, dim, dim if rank is None else rank)
+    return rng.normal(size=shape if n is None else (n, *shape))
+
+
+def complex_normals(z: np.ndarray) -> np.ndarray:
+    """g = z[0] + i z[1] of a ``ginibre_normals`` draw z, or of each draw of
+    a stack of them: the one place that reads a draw's layout."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def ginibre_gram(z: np.ndarray) -> np.ndarray:
-    """g g^dag / Tr(g g^dag) for g = z[0] + i z[1] of a ``ginibre_normals``
-    draw z, or for each draw of an (n, 2, dim, rank) stack with its bits."""
-    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    """g g^dag / Tr(g g^dag) for the ``complex_normals`` g of a
+    ``ginibre_normals`` draw z, or for each draw of a stack with its bits."""
+    g = complex_normals(z)
     m = g @ linalg.dagger(g)
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
 
 def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> DensityOperator:
     return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)
 
 
 def ginibre_matrix(rng, dim: int) -> np.ndarray:
-    """A dim x dim matrix of independent standard complex Gaussians."""
-    return (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    """A dim x dim matrix of independent standard complex Gaussians: the
+    ``standard_complex`` of a ``ginibre_normals`` draw."""
+    return standard_complex(ginibre_normals(rng, dim))
+
+
+def standard_complex(z: np.ndarray) -> np.ndarray:
+    """``complex_normals(z) / sqrt(2)``, entries of unit variance, for a
+    ``ginibre_normals`` draw z or each draw of a stack with its bits."""
+    return complex_normals(z) / np.sqrt(2)
 
 
 def haar_unitary(z: np.ndarray) -> np.ndarray:
@@ -59,8 +75,7 @@ def haar_unitary(z: np.ndarray) -> np.ndarray:
 
 def random_povm(rng, dim: int, outcomes: int, register: str = "A") -> Povm:
     """Random POVM from normalized Wishart pieces."""
-    z = rng.normal(size=(outcomes, 2, dim, dim))
-    g = z[:, 0] + 1j * z[:, 1]
+    g = complex_normals(ginibre_normals(rng, dim, n=outcomes))
     parts = g @ linalg.dagger(g)
     t_inv_sqrt = linalg.psd_power(sum(parts), -0.5)
     elems = list(t_inv_sqrt @ parts @ t_inv_sqrt)
@@ -82,9 +97,9 @@ def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
     member's real, then imaginary part: the values of the calls in turn)."""
     probs = rng.dirichlet(np.ones(n_symbols))
     rank = 1 if pure_conditionals else dim if rank is None else rank
-    z = rng.normal(size=(n_symbols, 2, dim, rank))
+    z = ginibre_normals(rng, dim, rank, n=n_symbols)
     if pure_conditionals:
-        v = z[:, 0, :, 0] + 1j * z[:, 1, :, 0]
+        v = complex_normals(z)[..., 0]
         v = v / linalg.row_norms(v)[:, None]
         stack = v[:, :, None] * np.conj(v)[:, None, :]
     else:

@@ -222,8 +222,7 @@ class CQState:
     The distribution must be normalized. Symbols with probability below
     ``1e-12`` are dropped (conditionals are undefined there), which
     ``dropped`` records. ``conditionals``, views of the stack's rows, are
-    built on first read. ``with_stack`` gives the ensemble with new
-    conditionals without checking its distribution again.
+    built on first read.
     """
 
     symbols: tuple
@@ -255,24 +254,11 @@ class CQState:
             raise ValueError(f"stack shape {stack.shape} does not match {len(probs)} "
                              f"symbols over registers {regs}")
         drop = len(keep) < len(probs)
-        stack, probs = (stack[keep], probs[keep]) if drop else (stack, probs)
-        stack.flags.writeable = False
+        # probs is copied either way: the caller's array cannot change it
+        stack, probs = (stack[keep], probs[keep]) if drop else (stack, probs.copy())
+        stack.flags.writeable = probs.flags.writeable = False
         self.__dict__.update(symbols=tuple(symbols[i] for i in keep), probs=probs, stack=stack,
                              registers=regs, dropped=bool(pre_dropped) or drop)
-
-    def with_stack(self, stack) -> "CQState":
-        """``CQState(self.symbols, self.probs, stack, registers=self.registers)``
-        for an (n, d, d) ``stack`` of this one's shape, without checking the
-        distribution and registers again: every probability is kept, so
-        ``dropped`` is False."""
-        stack = np.asarray(stack, dtype=complex)
-        if stack.shape != self.stack.shape:
-            raise ValueError(f"stack shape {stack.shape} is not {self.stack.shape}")
-        stack.flags.writeable = False
-        new = object.__new__(CQState)
-        new.__dict__.update(symbols=self.symbols, probs=self.probs, stack=stack,
-                            registers=self.registers, dropped=False)
-        return new
 
     def __len__(self):
         return len(self.symbols)

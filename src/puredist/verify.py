@@ -19,17 +19,17 @@ per size and probe round.
 Each value has the bits of its own one-state call. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. Its loop over trials
-makes only the generator calls (one ``normal`` call where the body made
-several in a row, such as ``ginibre_normals`` for a Ginibre density), except
-that a cq state comes from ``random_cq`` as one stack. Everything derived
-from the draws is built after the loop by ``_stacked``: one stacked
+makes only the generator calls (one ``sampling.ginibre_normals`` call
+where the body drew the real and imaginary parts of complex Gaussians),
+except that a cq state comes from ``random_cq`` as one stack. Everything
+derived from the draws is built after the loop by ``_stacked``: one stacked
 operation per shape of the draws, each member with the bits of its
-one-trial call. That covers the Ginibre normalizations
-(``sampling.ginibre_gram``), the pure states' norms (``linalg.row_norms``)
-and marginals, the Kronecker products (``linalg.kron``), the partial traces,
-and the data-processing check's dephased and mixed ensembles, which take the
-drawn ensemble's validated distribution through ``CQState.with_stack``.
-Every slack is that of the trial-at-a-time body, bit for bit.
+one-trial call. That covers the complex matrices and Ginibre densities of
+the draws (``sampling.complex_normals``, ``standard_complex`` and
+``ginibre_gram``), the pure states' norms (``linalg.row_norms``) and
+marginals, the Kronecker products (``linalg.kron``), the partial traces, and
+the conditionals of the data-processing check's dephased and mixed
+ensembles. Every slack is that of the trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -43,12 +43,14 @@ from .compression import Instance, compress_measurement, compress_seeds, validat
 from .sampling import (
     basis_povm,
     bell_pair,
+    complex_normals,
     ginibre_gram,
     ginibre_normals,
     haar_unitary,
     purified_input,
     random_cq,
     random_povm,
+    standard_complex,
 )
 from .states import CQState, PureState, keep_spectra
 
@@ -113,10 +115,10 @@ def _ginibre_trials(rng, trials, eps):
     return ds, _stacked(lambda _, z: ginibre_gram(z), ds, zs), es
 
 
-def _bipartite_trials(rng, trials, eps):
+def _bipartite_trials(rng, trials, eps, marginals):
     """Trials that each draw dims (da, db) in 2..4, a Ginibre density rho on
-    them and eps, in turn: their dims, (rho, rho_A, rho_B) (stacked per
-    dims) and eps."""
+    them and eps, in turn: their dims, rho with its partial traces onto each
+    system of ``marginals`` (0 for A, 1 for B), stacked per dims, and eps."""
     dims, zs, es = [], [], []
     for _ in range(trials):
         dims.append(tuple(int(d) for d in rng.integers(2, 5, size=2)))
@@ -125,15 +127,15 @@ def _bipartite_trials(rng, trials, eps):
 
     def parts(dims, z):
         rho = ginibre_gram(z)
-        return rho, linalg.partial_trace(rho, dims, 0), linalg.partial_trace(rho, dims, 1)
+        return (rho, *(linalg.partial_trace(rho, dims, s) for s in marginals))
 
     return dims, _stacked(parts, dims, zs), es
 
 
 def _pure_marginals(_, z):
-    """Both marginals of each normalized v = z[..., 0, :, :] + i z[..., 1, :, :],
-    as ``v /= np.linalg.norm(v)`` normalizes one."""
-    v = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    """Both marginals of each normalized ``complex_normals`` matrix v of the
+    draws z, as ``v /= np.linalg.norm(v)`` normalizes one."""
+    v = complex_normals(z)
     v = v / linalg.row_norms(v.reshape(-1, *v.shape[-2:])).reshape(v.shape[:-2] + (1, 1))
     return v @ linalg.dagger(v), v.swapaxes(-1, -2) @ np.conj(v)
 
@@ -172,7 +174,7 @@ def check_hh_purification_duality(rng, trials, eps):
     shapes, zs, es = [], [], []
     for _ in range(trials):
         shapes.append(tuple(int(d) for d in rng.integers(2, 9, size=2)))
-        zs.append(rng.normal(size=(2,) + shapes[-1]))  # the real parts, then the imaginary
+        zs.append(ginibre_normals(rng, *shapes[-1]))
         es += [eps or _eps(rng)] * 2
     for ha, hr in _h_h(_stacked(_pure_marginals, shapes, zs), es, 2):
         yield TOL - abs(ha - hr)
@@ -185,11 +187,11 @@ def check_hh_pure_tensor(rng, trials, eps):
     for _ in range(trials):
         ds.append(int(rng.integers(2, 7)))
         zs.append(ginibre_normals(rng, ds[-1]))
-        ws.append(rng.normal(size=(2, 3)))
+        ws.append(ginibre_normals(rng, 3, 1))
         es += [eps or _eps(rng)] * 2
 
     def tensored(_, z, w):
-        rho, v = ginibre_gram(z), w[:, 0] + 1j * w[:, 1]
+        rho, v = ginibre_gram(z), complex_normals(w)[..., 0]
         v = v / linalg.row_norms(v)[:, None]
         return linalg.kron(rho, v[:, :, None] * np.conj(v)[:, None]), rho
 
@@ -222,7 +224,7 @@ def check_max_entropy_ordering(rng, trials, eps):
 @_check("hh-subadditivity", per=1)
 def check_hh_subadditivity(rng, trials, eps):
     """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
-    _, parts, es = _bipartite_trials(rng, trials, eps)
+    _, parts, es = _bipartite_trials(rng, trials, eps, (0, 1))
     es = [x for e in es for x in (min(3 * np.sqrt(e), 0.999), e, e)]
     for lhs, ha, hb in _h_h(parts, es, 3):
         yield ha + hb - lhs + TOL
@@ -248,9 +250,9 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps):
 @_check("hh-dimension-bound", per=1)
 def check_hh_dimension_bound(rng, trials, eps):
     """h_h(AB) <= h_h(A) + log2 |B|."""
-    dims, parts, es = _bipartite_trials(rng, trials, eps)
+    dims, parts, es = _bipartite_trials(rng, trials, eps, (0,))
     es = [e for e in es for _ in (0, 1)]
-    for (lhs, ha), (_, db) in zip(_h_h([p[:2] for p in parts], es, 2), dims):
+    for (lhs, ha), (_, db) in zip(_h_h(parts, es, 2), dims):
         yield ha + np.log2(db) - lhs + TOL
 
 
@@ -295,7 +297,7 @@ def check_hh_cond_purification_switch(rng, trials, eps):
         n = int(rng.integers(2, 6))
         da, db = (int(d) for d in rng.integers(2, 5, size=2))
         probs.append(rng.dirichlet(np.ones(n)))
-        zs.append(rng.normal(size=(n, 2, da, db)))
+        zs.append(ginibre_normals(rng, da, db, n=n))
         es += [eps or _eps(rng)] * 2
     cqs, shapes = [], [z.shape for z in zs]
     for p, (n, _, da, db), (a, b) in zip(probs, shapes, _stacked(_pure_marginals, shapes, zs)):
@@ -315,12 +317,13 @@ def check_hh_cond_data_processing(rng, trials, eps):
         cqs.append(random_cq(rng, int(rng.integers(2, 5)), db))
         es.append(eps or _eps(rng))
         # ginibre_matrix's draws for each unitary in turn
-        zs.append(rng.normal(size=(int(rng.integers(2, 4)), 2, db, db)))
+        zs.append(ginibre_normals(rng, db, n=int(rng.integers(2, 4))))
         ps.append(rng.dirichlet(np.ones(len(zs[-1]))))
     keys = [(cq.stack.shape, z.shape) for cq, z in zip(cqs, zs)]
     stacks = _stacked(_processed, keys, [cq.stack for cq in cqs], zs, ps)
-    cases = [state for cq, (deph, mixed) in zip(cqs, stacks)
-             for state in (cq, cq.with_stack(deph), cq.with_stack(mixed))]
+    cases = [state for cq, stacks_of in zip(cqs, stacks)
+             for state in (cq, *(CQState(cq.symbols, cq.probs, m, registers=cq.registers)
+                                 for m in stacks_of))]
     values = entropy.h_h_cond_cq_many(cases, np.repeat(es, 3))[0]
     for base, deph, unital in values.reshape(-1, 3).tolist():
         yield min(deph - base + TOL, unital - base + TOL)
@@ -332,7 +335,7 @@ def _processed(_, stacks, zs, ps):
     has it, and the ones mixed to sum_j p_j u_j rho u_j^dag over the Haar
     unitaries of the ``zs`` draws, the terms in one stacked product and summed
     in the order of ``sum`` over j."""
-    us = haar_unitary((zs[:, :, 0] + 1j * zs[:, :, 1]) / np.sqrt(2))
+    us = haar_unitary(standard_complex(zs))
     terms = ((ps[..., None, None] * us)[:, None] @ stacks[:, :, None]
              @ linalg.dagger(us)[:, None])
     return (np.where(np.eye(stacks.shape[-1], dtype=bool), stacks, 0),
@@ -450,8 +453,8 @@ def check_condhh_derandomization(rng, trials, eps):
         cq = random_cq(rng, nx, db)
         # build a K-table whose rows decode to symbols with Q close to P
         reps = int(rng.integers(3, 6))
-        # a ginibre_normals draw per conditional, in turn
-        cases.append((cq, reps, rng.normal(size=(len(cq), 2, db, db))))
+        # a ginibre_density draw per conditional, in turn
+        cases.append((cq, reps, ginibre_normals(rng, db, n=len(cq))))
     bounds = entropy.h_h_cond_cq_many([cq for cq, _, _ in cases], e)[0].tolist()
     sigmas = _spectra([sigma for cq, _, z in cases
                        for sigma in (1 - e / 4) * cq.stack + e / 4 * ginibre_gram(z)])

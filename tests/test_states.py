@@ -14,6 +14,7 @@ from puredist.sampling import (
     random_cq,
     random_density,
     random_povm,
+    standard_complex,
 )
 from puredist.states import (
     CQState,
@@ -382,6 +383,18 @@ def test_cq_stack_is_read_only(rng):
             cq.conditionals[0].matrix[0, 0] = 1.0
 
 
+def test_cq_probs_are_a_read_only_copy(rng):
+    stack = random_cq(rng, 3, 2).stack
+    for given in ([0.2, 0.3, 0.5], [0.2, 0.0, 0.8]):  # kept whole, and with a symbol dropped
+        probs = np.array(given)
+        cq = CQState("xyz", probs, stack, registers=[("B", 2)])
+        want = cq.probs.tolist()
+        probs[:] = 1.0
+        assert cq.probs.tolist() == want and probs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cq.probs[0] = 1.0
+
+
 def test_cq_stack_must_match_its_registers(rng):
     stack = random_cq(rng, 3, 2).stack
     for regs in ([("B", 3)], [("B", 2), ("C", 2)]):
@@ -408,25 +421,6 @@ def test_cq_stack_drops_a_symbol_below_1e12(rng):
     assert cq.dropped and cq.symbols == () and cq.stack.shape == (0, 2, 2)
 
 
-def test_with_stack_is_the_constructor_without_its_checks(rng):
-    base = random_cq(rng, 4, 3)
-    dropped = CQState("xyz", [0.6, 1e-13, 0.4 - 1e-13], random_cq(rng, 3, 2).stack,
-                      registers=[("B", 2)])
-    for cq in (base, dropped):
-        new = ginibre_gram(rng.normal(size=cq.stack.shape[:1] + (2,) + cq.stack.shape[1:]))
-        got = cq.with_stack(new)
-        want = CQState(cq.symbols, cq.probs, new.copy(), registers=cq.registers)
-        for name in ("symbols", "registers", "dropped"):
-            assert getattr(got, name) == getattr(want, name), name
-        assert got.probs.tobytes() == want.probs.tobytes() and not got.dropped
-        assert got.stack is new and not new.flags.writeable
-        assert got.spectra.tobytes() == want.spectra.tobytes()
-        assert [c.matrix.tobytes() for c in got.conditionals] == [m.tobytes() for m in new]
-    for shape in ((4, 2, 2), (3, 3, 3), (4, 3, 3, 1)):
-        with pytest.raises(ValueError, match=r"^stack shape .* is not \(4, 3, 3\)$"):
-            base.with_stack(np.zeros(shape))
-
-
 def test_ginibre_density_keeps_the_bits_and_generator_state_of_the_two_draws():
     for seed in range(400):
         pick = np.random.default_rng([seed, 3])
@@ -443,6 +437,22 @@ def test_ginibre_density_keeps_the_bits_and_generator_state_of_the_two_draws():
         zs = np.array([ginibre_normals(pick, d, rank) for _ in range(int(pick.integers(1, 5)))])
         want = np.array([ginibre_gram(z) for z in zs])
         assert ginibre_gram(zs).tobytes() == want.tobytes(), seed
+
+
+def test_ginibre_matrix_keeps_the_bits_and_generator_state_of_the_two_draws():
+    for seed in range(200):
+        pick = np.random.default_rng([seed, 4])
+        d, n = int(pick.integers(1, 9)), int(pick.integers(1, 5))
+        drawn, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = (loop.normal(size=(d, d)) + 1j * loop.normal(size=(d, d))) / np.sqrt(2)
+        assert ginibre_matrix(drawn, d).tobytes() == want.tobytes(), seed
+        # n draws in one call are the draws in turn, and a stack's
+        # transform has each member's bits
+        zs = ginibre_normals(drawn, d, n=n)
+        assert zs.tobytes() == np.array([ginibre_normals(loop, d) for _ in range(n)]).tobytes()
+        want = np.array([standard_complex(z) for z in zs])
+        assert standard_complex(zs).tobytes() == want.tobytes(), seed
+        assert drawn.normal() == loop.normal(), seed
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed", "low-rank"])
