@@ -321,9 +321,9 @@ def check_hh_cond_data_processing(rng, trials, eps):
         ps.append(rng.dirichlet(np.ones(len(zs[-1]))))
     keys = [(cq.stack.shape, z.shape) for cq, z in zip(cqs, zs)]
     stacks = _stacked(_processed, keys, [cq.stack for cq in cqs], zs, ps)
-    cases = [state for cq, stacks_of in zip(cqs, stacks)
+    cases = [state for cq, derived in zip(cqs, stacks)
              for state in (cq, *(CQState(cq.symbols, cq.probs, m, registers=cq.registers)
-                                 for m in stacks_of))]
+                                 for m in derived))]
     values = entropy.h_h_cond_cq_many(cases, np.repeat(es, 3))[0]
     for base, deph, unital in values.reshape(-1, 3).tolist():
         yield min(deph - base + TOL, unital - base + TOL)
