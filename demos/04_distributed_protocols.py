@@ -40,9 +40,9 @@ up = bounds.distributed_upper_bound(inst)
 print("\ndistributed upper bound (slack-free):", round(up, 3),
       "  declared slack:", round(np.log2(1 / eps), 3), "bits")
 
-[comp] = bounds.ancilla_comparison([view])
-print("borrow comparison: compressed", comp["c_borrow"], "vs in-place",
-      comp["d_borrow"], " margin", round(comp["margin"], 3))
+report = bounds.rate_report([view])[0]
+print("borrow comparison: compressed", report.c_borrow, "vs in-place",
+      report.d_borrow, " margin", round(report.margin, 3))
 
 # The purity measure never increases along the allowable operations.
 print("\npurity bookkeeping along the coherent-measurement protocol (4 x 2):")

@@ -1,11 +1,11 @@
-"""Closed-form rate bounds and the borrowed-ancilla comparisons.
+"""Closed-form rate bounds and the borrowed-ancilla comparison.
 
 All bound values are reported slack-free; the O(log 1/eps) terms live in
 the declared ``slack_bits`` of each report so that no unspecified constant
 is ever silently folded into a number.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class RateReport:
     slack_bits: float
     f_eps: float
     g_eps: float
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("local_lower", "local_upper", "dist_upper",
@@ -94,58 +93,39 @@ def distributed_upper_bound(inst: Instance, f_eps: float | None = None,
     return float(np.log2(da) + np.log2(db) - hmax_a - hmin_b)
 
 
-def ancilla_comparison(views) -> list:
-    """Borrowed-qubit comparison of the two compressed protocols, for each
-    of a sequence of views of one instance (``run_kd_oneshot`` runs them as
-    one stack).
-
-    Both protocols run on the same compressed measurement. ``margin`` =
-    log|A| - H_H^eps(A) - slack (the instance's local upper bound less the
-    slack); whenever it is positive the in-place protocol must borrow at
-    least that many qubits fewer, which is checked (``linalg.InvariantError``
-    otherwise). A non-positive margin makes the comparison inconclusive and
-    nothing is checked.
-    """
-    out = []
-    for view, kd in zip(views, run_kd_oneshot(views)):
-        inst = view.instance
-        fq = run_fewqubits(view)
-        margin = inst.local_bounds[1] - inst.slack_bits
-        c_borrow, d_borrow = kd.borrowed, fq.borrowed
-        if margin > 0 and c_borrow - d_borrow < margin - 1e-9:
-            raise linalg.InvariantError(
-                f"borrow gap {c_borrow - d_borrow} below margin {margin:.3f}")
-        out.append(dict(c_borrow=c_borrow, d_borrow=d_borrow, margin=margin, kd=kd, fewqubits=fq))
-    return out
-
-
 def rate_report(views, f_eps: float | None = None, g_eps: float | None = None) -> list:
     """Full bound/rate evaluation for each of a sequence of views of one
     instance (one per seed), reports in view order; the bounds are the
-    instance's, computed once for all its seeds."""
+    instance's, computed once for all its seeds.
+
+    This is the borrowed-qubit comparison of the two compressed protocols:
+    kd-oneshot runs on all the views as one stack, fewqubits on each view,
+    both on the same compressed measurement. ``margin`` = log|A| -
+    H_H^eps(A) - slack (the local upper bound less the slack); whenever it
+    is positive the in-place protocol must borrow at least that many qubits
+    fewer, which is checked (``linalg.InvariantError`` otherwise). A
+    non-positive margin makes the comparison inconclusive and nothing is
+    checked.
+    """
     inst = views[0].instance
     eps, slack_bits = inst.eps, inst.slack_bits
     f_eps = eps if f_eps is None else f_eps
     g_eps = eps if g_eps is None else g_eps
-    lo, up = inst.local_bounds
+    lo, up = local_purity_bounds(inst.rho_a_eig[0], eps, slack_bits)
     dist = distributed_upper_bound(inst, f_eps, g_eps)
-    return [RateReport(
-        local_lower=lo,
-        local_upper=up,
-        dist_upper=dist,
-        kd_rate=float(comp["kd"].net_rate),
-        fewqubits_rate=float(comp["fewqubits"].net_rate),
-        c_borrow=comp["c_borrow"],
-        d_borrow=comp["d_borrow"],
-        margin=comp["margin"],
-        final_error_kd=comp["kd"].final_error,
-        final_error_fq=comp["fewqubits"].final_error,
-        eps=eps,
-        seed=view.seed,
-        slack_convention=f"additive O(log 1/eps) terms carried as {slack_bits} bits",
-        slack_bits=slack_bits,
-        f_eps=f_eps,
-        g_eps=g_eps,
-        extra={"kd_transcript": comp["kd"].to_dict(),
-               "fq_transcript": comp["fewqubits"].to_dict()},
-    ) for view, comp in zip(views, ancilla_comparison(views))]
+    margin = up - slack_bits
+    reports = []
+    for view, kd in zip(views, run_kd_oneshot(views)):
+        fq = run_fewqubits(view)
+        if margin > 0 and kd.borrowed - fq.borrowed < margin - 1e-9:
+            raise linalg.InvariantError(
+                f"borrow gap {kd.borrowed - fq.borrowed} below margin {margin:.3f}")
+        reports.append(RateReport(
+            local_lower=lo, local_upper=up, dist_upper=dist,
+            kd_rate=float(kd.net_rate), fewqubits_rate=float(fq.net_rate),
+            c_borrow=kd.borrowed, d_borrow=fq.borrowed, margin=margin,
+            final_error_kd=kd.final_error, final_error_fq=fq.final_error,
+            eps=eps, seed=view.seed,
+            slack_convention=f"additive O(log 1/eps) terms carried as {slack_bits} bits",
+            slack_bits=slack_bits, f_eps=f_eps, g_eps=g_eps))
+    return reports

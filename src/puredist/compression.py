@@ -147,9 +147,7 @@ class Instance:
     and their Bob marginals (one stacked pass) with one stacked eigensystem
     each (``sims_eig``), their trace distances to the ideal conditionals
     (``sim_dists``), their pair entropies and nice verdicts, the A_g
-    bounds and truncated targets of the in-place protocol, Bob's codes and
-    the local purity bounds (code in ``protocols`` and ``bounds``, imported
-    where used).
+    bounds and truncated targets of the in-place protocol, and Bob's codes.
 
     When Bob's register is the environment's only register of dimension > 1
     (``bob_alone``: a pure input's purification R has dimension 1), Bob's
@@ -360,16 +358,9 @@ class Instance:
     def bob_codes(self) -> list:
         """Bob's code (bits, kept, rows) of each simulated Bob marginal, None
         where x is not live."""
-        from .protocols import _eig_code
         w, v = self.sims_eig[1]
-        return [_eig_code(w[x], v[x], self.eps) if ok else None
+        return [entropy.truncation_code(w[x], v[x], self.eps) if ok else None
                 for x, ok in enumerate(self.live.tolist())]
-
-    @cached_property
-    def local_bounds(self) -> tuple:
-        """(lower, upper) ``local_purity_bounds`` of rho_A."""
-        from .bounds import local_purity_bounds
-        return local_purity_bounds(self.rho_a_eig[0], self.eps, self.slack_bits)
 
 
 @dataclass(eq=False)

@@ -107,6 +107,15 @@ def truncated_support(w: np.ndarray, eps: float):
     return supp, _truncation_count(supp, eps)
 
 
+def truncation_code(w: np.ndarray, v: np.ndarray, eps: float):
+    """(bits, kept, rows) of one state's H_H^eps truncation code from its
+    descending eigensystem: bits = floor(log2(d / kept)), and the rows
+    conj(v).T send eigenvector i (eigenvalues descending) to basis state i."""
+    supp, k = truncated_support(w, eps)
+    kept = len(supp) - k
+    return (len(w) // kept).bit_length() - 1, kept, np.conj(v).T
+
+
 def _kept_bits(supp: np.ndarray, k: int) -> float:
     """log2 of the number of support eigenvalues a truncation keeps."""
     return float(np.log2(len(supp) - k))

@@ -246,8 +246,10 @@ def trace_norm(m: np.ndarray):
     out, herm = np.empty(len(stack)), np.zeros(len(stack), dtype=bool)
     if m.shape[-1] == m.shape[-2]:
         herm = np.abs(stack - dagger(stack)).max(axis=(-2, -1)) <= 1e-8
+    if herm.any():  # no LAPACK call on an empty side
         out[herm] = np.abs(_eigh(hermitian_part(stack[herm]))[0]).sum(axis=-1)
-    out[~herm] = _svdvals(stack[~herm]).sum(axis=-1)
+    if not herm.all():
+        out[~herm] = _svdvals(stack[~herm]).sum(axis=-1)
     return out if m.ndim == 3 else float(out[0])
 
 

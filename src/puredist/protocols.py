@@ -80,19 +80,11 @@ def _apply_code(branches: PureState, step) -> PureState:
     return branches.apply(iso, [reg], out_regs=[(pure, ap), (garbage, iso.shape[-2] // ap)])
 
 
-def _eig_code(w: np.ndarray, v: np.ndarray, eps: float):
-    """(bits, kept, rows) of one state's H_H^eps truncation code from its
-    descending eigensystem: bits = floor(log2(d / kept)), and the rows
-    conj(v).T send eigenvector i (eigenvalues descending) to basis state i."""
-    supp, k = entropy.truncated_support(w, eps)
-    kept = len(supp) - k
-    return (len(w) // kept).bit_length() - 1, kept, np.conj(v).T
-
-
 def _eig_codes(mats: np.ndarray, eps: float) -> list:
-    """``_eig_code`` of each matrix of an (n, d, d) stack, from one stacked
-    eigendecomposition."""
-    return [_eig_code(w, v, eps) for w, v in zip(*linalg.descending_eig(mats, tol=1e-7))]
+    """``entropy.truncation_code`` of each matrix of an (n, d, d) stack, from
+    one stacked eigendecomposition."""
+    return [entropy.truncation_code(w, v, eps)
+            for w, v in zip(*linalg.descending_eig(mats, tol=1e-7))]
 
 
 def local_distill(rho, eps: float):
@@ -105,7 +97,7 @@ def local_distill(rho, eps: float):
     """
     entropy._validate_eps(eps)
     mat = entropy._matrix(rho)
-    bits, kept, rows = _eig_code(*linalg.descending_eig(mat, tol=1e-7), eps)
+    bits, kept, rows = entropy.truncation_code(*linalg.descending_eig(mat, tol=1e-7), eps)
     ap = 2 ** bits
     iso = _padded(rows, bits)
     out = iso @ mat @ linalg.dagger(iso)
@@ -127,7 +119,7 @@ def _good_set_bits(values, masses, budget) -> int:
 def _conditional_codes(codes, masses, cells, d: int, eps: float):
     """Per-branch distillation codes with one shared output size.
 
-    ``codes[i]`` is branch i's ``_eig_code`` (None when the branch is
+    ``codes[i]`` is branch i's ``entropy.truncation_code`` (None when the branch is
     negligible); outcome j has branch ``cells[j]`` and probability
     ``masses[j]``. The shared qubit count is the largest one achievable on
     a set of outcomes of probability mass >= 1 - min(2 sqrt(eps), 1/2), the

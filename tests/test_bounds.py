@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from puredist import bounds, entropy, linalg
+from puredist import bounds, entropy, io, linalg
+from puredist.cli import main
 from puredist.compression import Instance, compress_seeds
+from puredist.protocols import run_kd_oneshot
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -135,10 +139,10 @@ def test_rank1_hmin_monotone(rng):
 def test_ancilla_comparison_margin_asserted(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    [out] = bounds.ancilla_comparison(
+    [rep] = bounds.rate_report(
         [Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=1)])
-    assert out["margin"] > 0  # instance chosen for a conclusive comparison
-    assert out["c_borrow"] - out["d_borrow"] >= out["margin"] - 1e-9
+    assert rep.margin > 0  # instance chosen for a conclusive comparison
+    assert rep.c_borrow - rep.d_borrow >= rep.margin - 1e-9
 
 
 def test_ancilla_comparison_inconclusive_when_mixed(rng):
@@ -146,16 +150,38 @@ def test_ancilla_comparison_inconclusive_when_mixed(rng):
     # margin is <= 0 and nothing is asserted
     joint = np.eye(4) / 4.0
     psi = purified_input(classical_correlated_pure(rng, 4, 4, joint=joint))
-    [out] = bounds.ancilla_comparison(
+    [rep] = bounds.rate_report(
         [Instance(psi, basis_povm(4, "A"), 0.25).compression(K=4, L=16, seed=1)])
-    assert out["margin"] <= 0
+    assert rep.margin <= 0
+
+
+def test_borrow_gap_below_the_margin_is_a_named_error(rng, monkeypatch, tmp_path, capsys):
+    # the in-place protocol made to borrow more than the compressed one, on an
+    # instance of positive margin: the invariant fails by name, in
+    # rate_report and at the command line (exit 2, no traceback)
+    psi = near_pure_classical(rng, 8, 4)
+    orig = bounds.run_fewqubits
+    monkeypatch.setattr(bounds, "run_fewqubits", lambda view: replace(orig(view), borrowed=99))
+    view = Instance(psi, basis_povm(8, "A"), 0.25).compression(K=4, L=16, seed=1)
+    [kd] = run_kd_oneshot([view])
+    with pytest.raises(linalg.InvariantError, match=f"^borrow gap {kd.borrowed - 99} below "
+                       r"margin (\d+\.\d{3})$") as exc:
+        bounds.rate_report([view])
+    assert float(str(exc.value).split()[-1]) > 0
+    state, povm = str(tmp_path / "state.json"), str(tmp_path / "povm.json")
+    io.save_state(DensityOperator([("A", 8), ("B", 4)], psi.marginal(["A", "B"])), state)
+    io.save_povm(basis_povm(8, "A"), povm)
+    assert main(["compare", "--state", state, "--povm", povm, "--K", "4", "--L", "16",
+                 "--eps", "0.25", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: borrow gap ") and err.count("\n") == 1
 
 
 def test_rate_report_consistency(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    [rep] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), eps).compression(
-        K=4, L=16, seed=2)])
+    view = Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=2)
+    [rep] = bounds.rate_report([view])
     # achievability never beats the upper bound beyond the declared slack
     assert rep.kd_rate <= rep.dist_upper + rep.slack_bits + 1e-9
     assert rep.fewqubits_rate <= rep.dist_upper + rep.slack_bits + 1e-9
@@ -163,8 +189,8 @@ def test_rate_report_consistency(rng):
     env = [l for l in psi.labels if l != "A"]
     cq_env = control_state(psi, basis_povm(8, "A"), condition_on=env)
     imax = entropy.i_max_cq(cq_env, eps ** 4).value
-    kd = rep.extra["kd_transcript"]
-    assert kd["communication"] <= imax + 4 * np.log2(1 / eps) + 1
+    [kd] = run_kd_oneshot([view])
+    assert kd.communication <= imax + 4 * np.log2(1 / eps) + 1
     d = rep.to_dict()
     row = [d[c] for c in bounds.RateReport.CSV_COLUMNS]
     assert len(row) == len(bounds.RateReport.CSV_COLUMNS)

@@ -585,7 +585,7 @@ def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):
     powers, eighs = _count_roots(monkeypatch)
     for seed in (1, 2):
         inst.compression(K=2, L=4, seed=seed)  # the tables
-    inst.sims, inst.local_bounds  # the conditionals, and the spectrum of rho_A
+    inst.sims, inst.rho_a_eig  # the conditionals, and the spectrum of rho_A
     assert eighs.count(linalg.hermitian_part(rho_a).tobytes()) == 1
     of_rho_a = [p[-1] for p in powers if p[1] is inst.rho_a_eig[0]]
     assert of_rho_a == [-0.5, 0.5] and not [p for p in powers if p[0] == "psd_power"]

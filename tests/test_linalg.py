@@ -153,6 +153,32 @@ def test_stacked_kernels_match_per_matrix_calls(rng):
     assert linalg.eigvals_hermitian(empty).shape == (0, 3)
 
 
+def test_trace_norm_calls_no_funnel_on_an_empty_side(rng, monkeypatch):
+    # a stack's Hermitian members go to _eigh and the rest to _svdvals; a side
+    # with no members makes no call, and every value has the bits of its
+    # member's numpy route
+    calls = []
+    for name in ("_eigh", "_svdvals"):
+        orig = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda m, name=name, orig=orig:
+                            calls.append((name, len(m))) or orig(m))
+    d = 4
+    herm = np.array([random_hermitian(rng, d) for _ in range(3)])
+    other = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    for stack, want in ((herm, {"_eigh"}), (other, {"_svdvals"}),
+                        (np.concatenate([herm, other])[[0, 3, 1, 4, 5, 2]], {"_eigh", "_svdvals"}),
+                        (herm[0], {"_eigh"}), (other[0], {"_svdvals"}),
+                        (np.zeros((0, d, d)), set())):
+        calls.clear()
+        got = linalg.trace_norm(stack)
+        assert {name for name, _ in calls} == want and len(calls) == len(want)
+        assert all(n > 0 for _, n in calls), calls
+        want = [np.abs(np.linalg.eigh(linalg.hermitian_part(m))[0]).sum()
+                if np.abs(m - linalg.dagger(m)).max() <= 1e-8
+                else np.linalg.svd(m, compute_uv=False).sum() for m in np.reshape(stack, (-1, d, d))]
+        assert np.reshape(got, -1).tobytes() == np.array(want, dtype=float).tobytes()
+
+
 def test_eigenvalue_only_callers_keep_their_checks():
     asym = np.array([[0.5, 0.3], [0.1, 0.5]])
     negative = np.diag([1.5, -0.5])
