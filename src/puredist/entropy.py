@@ -12,9 +12,10 @@ array, its clipped ascending spectrum; ``d_h`` takes matrices.
 The H_H LPs have one solver, a greedy over a stack of rows:
 ``h_h_many`` takes one (n, d) stack of clipped ascending spectra, the
 shorter ones left-padded with zeros (``left_padded``), and
-``h_h_cond_cq_many`` a list of cq states. Both return (values, weights)
-arrays, each row with the bits it has when solved alone; ``h_h`` and
-``h_h_cond_cq`` solve one row and return it with its witness.
+``h_h_cond_cq_many`` the probabilities and (n, d) spectra of cq states,
+which obey ``states.kept_symbols`` as a ``CQState``'s do. Both return
+(values, weights) arrays, each row with the bits it has when solved alone;
+``h_h`` and ``h_h_cond_cq`` solve one row and return it with its witness.
 
 Smoothing convention: unless noted otherwise, smoothing is operationalized
 as spectral truncation (dropping smallest-eigenvalue mass up to the budget)
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .states import CQState, DensityOperator, keep_spectra
+from .states import CQState, DensityOperator, kept_symbols
 
 SUPPORT_TOL = linalg.SUPPORT_TOL
 
@@ -423,10 +424,10 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     separates: pairs (x, eigenvalue of rho_x) are filled greedily by
     eigenvalue descending, with gain P(x)*lambda and cost P(x) per pair, over
     the support entries of ``cq.spectra`` in row-major order: the one row of
-    ``h_h_cond_cq_many``.
+    ``h_h_cond_cq_many`` on ``cq.probs`` and ``cq.spectra``.
     """
     _validate_eps(eps)
-    gains, costs, width = _blockwise([cq])
+    gains, costs, width = _blockwise([cq.probs], [cq.spectra])
     total, lam = _greedy_many(gains, costs, np.array([1.0 - eps]), width)
     k = int(width[0])
     return EntropyResult(
@@ -436,33 +437,43 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     )
 
 
-def _blockwise(cqs):
-    """The blockwise LPs of ``cqs``: row i holds the row-major (P(x) lambda,
-    P(x)) entries of ``cqs[i].spectra``, padded, in the order of a stable
-    argsort of each row that keys its non-support entries and pads +inf, so
-    they sort last; returns the (gains, costs) stacks and each row's support
-    width. The states keep their spectra from one stacked decomposition per
-    size (``keep_spectra``)."""
-    keep_spectra(cqs)
-    n, d = np.array([cq.spectra.shape for cq in cqs]).T
+def _blockwise(probs, spectra):
+    """The blockwise LPs of the cq states with the probabilities ``probs[i]``
+    and the (n, d) clipped ascending spectra ``spectra[i]`` of their
+    conditionals: row i holds the row-major (P(x) lambda, P(x)) entries of
+    state i, padded, in the order of a stable argsort of each row that keys
+    its non-support entries and pads +inf, so they sort last; returns the
+    (gains, costs) stacks and each row's support width. The probabilities
+    obey ``kept_symbols``, checked on the states of each number of symbols as
+    one stack; a symbol it does not keep has no support entry, as a
+    ``CQState`` drops it."""
+    n, d = np.array([w.shape for w in spectra]).T
+    p, at = np.concatenate(probs), np.cumsum(n) - n
+    keep = np.zeros(len(p), dtype=bool)
+    for k in set(n.tolist()):
+        rows = at[n == k, None] + np.arange(k)
+        keep[rows] = kept_symbols(p[rows])
+    keep = np.repeat(keep, np.repeat(d, n))
     filled = np.arange((n * d).max()) < (n * d)[:, None]  # a boolean mask fills row-major
-    spectra, costs = np.zeros(filled.shape), np.ones(filled.shape)
-    spectra[filled] = np.concatenate([cq.spectra for cq in cqs], axis=None)
-    costs[filled] = np.repeat(np.concatenate([cq.probs for cq in cqs]), np.repeat(d, n))
-    support = spectra > SUPPORT_TOL
-    gains = np.where(support, costs * spectra, 0.0)
+    w, costs = np.zeros(filled.shape), np.ones(filled.shape)
+    w[filled] = np.where(keep, np.concatenate(spectra, axis=None), 0.0)
+    costs[filled] = np.where(keep, np.repeat(p, np.repeat(d, n)), 1.0)
+    support = w > SUPPORT_TOL
+    gains = np.where(support, costs * w, 0.0)
     order = np.argsort(np.where(support, -(gains / costs), np.inf), axis=1, kind="stable")
     return (*(np.take_along_axis(x, order, axis=1) for x in (gains, costs)),
             support.sum(axis=1))
 
 
-def h_h_cond_cq_many(cqs, eps):
-    """``h_h_cond_cq(cqs[i], eps[i])`` for each i, as one stacked greedy over
-    their ``_blockwise`` LPs. Returns the (values, weights) arrays, each row
-    with the bits of its own ``h_h_cond_cq`` value and witness weights (in its
+def h_h_cond_cq_many(probs, spectra, eps):
+    """``h_h_cond_cq`` at ``eps[i]`` of the cq state with the probabilities
+    ``probs[i]`` and the (n, d) clipped ascending spectra ``spectra[i]`` of
+    its conditionals, for each i, as one stacked greedy over their
+    ``_blockwise`` LPs. Returns the (values, weights) arrays, each row with
+    the bits of its own ``h_h_cond_cq`` value and witness weights (in its
     sorted order, zero past its support)."""
-    eps = _eps_rows(eps, len(cqs))
-    gains, costs, width = _blockwise(cqs)
+    eps = _eps_rows(eps, len(spectra))
+    gains, costs, width = _blockwise(probs, spectra)
     total, lam = _greedy_many(gains, costs, 1.0 - eps, width)
     return np.log2(total), lam
 

@@ -1,13 +1,17 @@
 """Seeded random states, POVMs and cq ensembles for tests and sweeps.
 
 All samplers take a ``numpy.random.Generator`` so every experiment is
-reproducible from a single integer seed (PCG64 via ``default_rng``).
+reproducible from a single integer seed (PCG64 via ``default_rng``). The
+stacked samplers split into their generator calls and a build that takes a
+stack of draws of one shape, each member with the bits of its own sampler:
+``ginibre_normals`` and ``ginibre_gram`` (``ginibre_density``), and
+``cq_draws`` and ``cq_ensembles`` (``random_cq``).
 """
 
 import numpy as np
 
 from . import linalg
-from .states import CQState, DensityOperator, Povm, PureState
+from .states import CQState, DensityOperator, Povm, PureState, kept_symbols
 
 
 def haar_vector(rng, dim: int) -> np.ndarray:
@@ -90,21 +94,40 @@ def basis_povm(dim: int, register: str = "A") -> Povm:
     return Povm([np.outer(eye[:, i], eye[:, i]) for i in range(dim)], register=register)
 
 
+def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
+             rank: int | None = None):
+    """``random_cq``'s two generator calls in turn: the Dirichlet
+    probabilities and the ``ginibre_normals`` of the n conditionals (of rank
+    1 when they are pure)."""
+    probs = rng.dirichlet(np.ones(n_symbols))
+    rank = 1 if pure_conditionals else dim if rank is None else rank
+    return probs, ginibre_normals(rng, dim, rank, n=n_symbols)
+
+
+def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
+    """The cq ensembles of m ``cq_draws`` of one shape, their (m, n)
+    probabilities and (m, n, 2, d, rank) normals stacked: the normalized
+    probabilities, the (m, n, d, d) conditionals (the pure states of the
+    normalized ``complex_normals``, or their ``ginibre_gram``) and the mask
+    of the symbols ``kept_symbols`` keeps, row by row. Each member has the
+    bits of its own ``random_cq``."""
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    if pure_conditionals:
+        v = complex_normals(z)[..., 0]
+        v = v / linalg.row_norms(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1] + (1,))
+        stack = v[..., :, None] * np.conj(v)[..., None, :]
+    else:
+        stack = ginibre_gram(z)
+    return probs, stack, kept_symbols(probs)
+
+
 def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
               pure_conditionals: bool = False, rank: int | None = None) -> CQState:
     """Dirichlet probabilities and ``random_pure`` or ``random_density``
-    conditionals with their bits, from one ``normal`` call for all (each
-    member's real, then imaginary part: the values of the calls in turn)."""
-    probs = rng.dirichlet(np.ones(n_symbols))
-    rank = 1 if pure_conditionals else dim if rank is None else rank
-    z = ginibre_normals(rng, dim, rank, n=n_symbols)
-    if pure_conditionals:
-        v = complex_normals(z)[..., 0]
-        v = v / linalg.row_norms(v)[:, None]
-        stack = v[:, :, None] * np.conj(v)[:, None, :]
-    else:
-        stack = ginibre_gram(z)
-    return CQState(range(n_symbols), probs / probs.sum(), stack, registers=[(label, dim)])
+    conditionals with their bits: the ``cq_ensembles`` of one ``cq_draws``."""
+    draws = cq_draws(rng, n_symbols, dim, pure_conditionals, rank)
+    probs, stack, _ = cq_ensembles(*(x[None] for x in draws), pure_conditionals)
+    return CQState(range(n_symbols), probs[0], stack[0], registers=[(label, dim)])
 
 
 def bell_pair(labels=("A", "B")) -> PureState:

@@ -219,10 +219,9 @@ class CQState:
     ``stack`` over sorted ``registers``: given as ``DensityOperator``s of one
     register signature, or with ``registers=`` as a stack taken unvalidated.
 
-    The distribution must be normalized. Symbols with probability below
-    ``1e-12`` are dropped (conditionals are undefined there), which
-    ``dropped`` records. ``conditionals``, views of the stack's rows, are
-    built on first read.
+    The probabilities obey ``kept_symbols``: the symbols it does not keep
+    are dropped, which ``dropped`` records. ``conditionals``, views of the
+    stack's rows, are built on first read.
     """
 
     symbols: tuple
@@ -233,13 +232,7 @@ class CQState:
 
     def __init__(self, symbols, probs, conditionals, pre_dropped=False, registers=None):
         probs = np.asarray(probs, dtype=float)
-        if np.fmin.reduce(probs, initial=0.0) < -1e-12:  # fmin skips NaN: it hides no negative
-            raise ValueError("negative probabilities")
-        if abs(float(probs.sum()) - 1.0) > _ATOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-        # one reduction tells whether a symbol is dropped (a NaN is: it is not >= 1e-12)
-        keep = (range(len(probs)) if probs.min(initial=1.0) >= 1e-12
-                else [i for i, p in enumerate(probs.tolist()) if p >= 1e-12])
+        keep = np.flatnonzero(kept_symbols(probs)).tolist()
         if registers is None:
             registers = conditionals[0].registers
             if any(c.registers != registers for c in conditionals):
@@ -274,6 +267,22 @@ class CQState:
         stacked eigendecomposition (``keep_spectra``), read-only."""
         keep_spectra([self])
         return self.__dict__["spectra"]
+
+
+def kept_symbols(probs) -> np.ndarray:
+    """The rule for the probabilities of a cq state, or of each row of a
+    stack of them: ``ValueError`` if one is negative (below -1e-12) or they
+    do not sum to 1 within 1e-9; else the mask of the symbols kept, those of
+    probability at least 1e-12 (not a NaN: a conditional is undefined at
+    measure zero)."""
+    # fmin skips NaN: it hides no negative
+    if np.fmin.reduce(probs, axis=None, initial=0.0) < -1e-12:
+        raise ValueError("negative probabilities")
+    sums = probs.sum(axis=-1, keepdims=True)
+    off = sums[np.abs(sums - 1.0) > _ATOL]
+    if off.size:
+        raise ValueError(f"probabilities sum to {off[0]}, not 1")
+    return probs >= 1e-12
 
 
 def keep_spectra(cqs) -> None:

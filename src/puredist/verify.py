@@ -7,29 +7,33 @@ list the registered checks and their names in definition order, so a
 missing check is detectable by callers that print the manifest.
 
 The checks that read only spectra run in three steps: draw every trial's
-instance, decompose all its operators (``_spectra`` and ``keep_spectra``:
-one stacked eigendecomposition per matrix size, each member with the bits of
-its own call), then evaluate the slacks in trial order through the public
-entropy functions, which take the spectra. The H_H checks solve all their
-LPs in one ``entropy.h_h_many`` call on the ``entropy.left_padded`` stack of
-spectra and one ``entropy.h_h_cond_cq_many`` call on the cq states,
-whichever they need. The D_H check does the same with one
+instance, decompose all its operators (``_spectra``, ``linalg.per_size``
+and ``keep_spectra``: one stacked eigendecomposition per matrix size, each
+member with the bits of its own call), then evaluate the slacks in trial
+order through the public entropy functions, which take the spectra. The H_H
+checks solve all their LPs in one ``entropy.h_h_many`` call on the
+``entropy.left_padded`` stack of spectra and one ``entropy.h_h_cond_cq_many``
+call on the cq states' probabilities and spectra, whichever they need; no
+``CQState`` is built for them. The D_H check does the same with one
 ``entropy.d_h_many`` call for all its pairs, one stacked eigendecomposition
 per size and probe round.
 Each value has the bits of its own one-state call. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. Its loop over trials
 makes only the generator calls (one ``sampling.ginibre_normals`` call
-where the body drew the real and imaginary parts of complex Gaussians),
-except that a cq state comes from ``random_cq`` as one stack. Everything
-derived from the draws is built after the loop by ``_stacked``: one stacked
-operation per shape of the draws, each member with the bits of its
-one-trial call. That covers the complex matrices and Ginibre densities of
-the draws (``sampling.complex_normals``, ``standard_complex`` and
-``ginibre_gram``), the pure states' norms (``linalg.row_norms``) and
-marginals, the Kronecker products (``linalg.kron``), the partial traces, and
-the conditionals of the data-processing check's dephased and mixed
-ensembles. Every slack is that of the trial-at-a-time body, bit for bit.
+where the body drew the real and imaginary parts of complex Gaussians; a cq
+state's two, ``sampling.cq_draws``). Everything derived from the draws is
+built after the loop by ``_stacked``: one stacked operation per shape of the
+draws, each member with the bits of its one-trial call. That covers the
+complex matrices and Ginibre densities of the draws
+(``sampling.complex_normals``, ``standard_complex`` and ``ginibre_gram``),
+the cq ensembles (``sampling.cq_ensembles``, less the symbols a ``CQState``
+drops), the pure states' norms (``linalg.row_norms``) and marginals, the
+Kronecker products (``linalg.kron``), the partial traces, and the
+conditionals of the data-processing check's dephased and mixed ensembles.
+The derandomization check builds each cq ensemble in its loop, since the
+number of symbols kept sizes a later draw. Every slack is that of the
+trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -44,11 +48,12 @@ from .sampling import (
     basis_povm,
     bell_pair,
     complex_normals,
+    cq_draws,
+    cq_ensembles,
     ginibre_gram,
     ginibre_normals,
     haar_unitary,
     purified_input,
-    random_cq,
     random_povm,
     standard_complex,
 )
@@ -130,6 +135,19 @@ def _bipartite_trials(rng, trials, eps, marginals):
         return (rho, *(linalg.partial_trace(rho, dims, s) for s in marginals))
 
     return dims, _stacked(parts, dims, zs), es
+
+
+def _cq_ensembles(draws, pure=False) -> tuple:
+    """The probabilities and the stacks of conditionals of the ``random_cq``
+    of each ``sampling.cq_draws`` pair of ``draws``, with their bits and
+    without the symbols it drops: one ``sampling.cq_ensembles`` call per
+    shape of the draws."""
+    def build(_, probs, z):
+        probs, stack, keep = cq_ensembles(probs, z, pure)
+        return (probs, stack) if keep.all() else (
+            [p[k] for p, k in zip(probs, keep)], [m[k] for m, k in zip(stack, keep)])
+
+    return tuple(zip(*_stacked(build, [z.shape for _, z in draws], *zip(*draws))))
 
 
 def _pure_marginals(_, z):
@@ -283,9 +301,11 @@ def check_hh_near_pure(rng, trials, eps):
 @_check("hh-cond-pure-nonpositive", per=1)
 def check_hh_cond_pure(rng, trials, eps):
     """cq states with pure conditionals have H_H(B|X) <= 0."""
-    cases = [(random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
-                        pure_conditionals=True), eps or _eps(rng)) for _ in range(trials)]
-    for h in entropy.h_h_cond_cq_many([cq for cq, _ in cases], [e for _, e in cases])[0].tolist():
+    cases = [(cq_draws(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
+                       pure_conditionals=True), eps or _eps(rng)) for _ in range(trials)]
+    probs, stacks = _cq_ensembles([draw for draw, _ in cases], pure=True)
+    spectra = linalg.per_size(linalg.psd_eigvals, stacks)
+    for h in entropy.h_h_cond_cq_many(probs, spectra, [e for _, e in cases])[0].tolist():
         yield TOL - h
 
 
@@ -296,14 +316,12 @@ def check_hh_cond_purification_switch(rng, trials, eps):
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = (int(d) for d in rng.integers(2, 5, size=2))
-        probs.append(rng.dirichlet(np.ones(n)))
+        probs += [rng.dirichlet(np.ones(n))] * 2
         zs.append(ginibre_normals(rng, da, db, n=n))
         es += [eps or _eps(rng)] * 2
-    cqs, shapes = [], [z.shape for z in zs]
-    for p, (n, _, da, db), (a, b) in zip(probs, shapes, _stacked(_pure_marginals, shapes, zs)):
-        cqs += (CQState(range(n), p, a, registers=[("A", da)]),
-                CQState(range(n), p, b, registers=[("B", db)]))
-    for ha, hb in entropy.h_h_cond_cq_many(cqs, es)[0].reshape(-1, 2).tolist():
+    marginals = _stacked(_pure_marginals, [z.shape for z in zs], zs)
+    spectra = linalg.per_size(linalg.psd_eigvals, [m for ab in marginals for m in ab])
+    for ha, hb in entropy.h_h_cond_cq_many(probs, spectra, es)[0].reshape(-1, 2).tolist():
         yield TOL - abs(ha - hb)
 
 
@@ -311,20 +329,19 @@ def check_hh_cond_purification_switch(rng, trials, eps):
 def check_hh_cond_data_processing(rng, trials, eps):
     """H_H(B|X) never decreases under dephasing or random-unitary mixing
     applied to the B side."""
-    cqs, zs, ps, es = [], [], [], []
+    draws, zs, ps, es = [], [], [], []
     for _ in range(trials):
         db = int(rng.integers(2, 5))
-        cqs.append(random_cq(rng, int(rng.integers(2, 5)), db))
+        draws.append(cq_draws(rng, int(rng.integers(2, 5)), db))
         es.append(eps or _eps(rng))
         # ginibre_matrix's draws for each unitary in turn
         zs.append(ginibre_normals(rng, db, n=int(rng.integers(2, 4))))
         ps.append(rng.dirichlet(np.ones(len(zs[-1]))))
-    keys = [(cq.stack.shape, z.shape) for cq, z in zip(cqs, zs)]
-    stacks = _stacked(_processed, keys, [cq.stack for cq in cqs], zs, ps)
-    cases = [state for cq, derived in zip(cqs, stacks)
-             for state in (cq, *(CQState(cq.symbols, cq.probs, m, registers=cq.registers)
-                                 for m in derived))]
-    values = entropy.h_h_cond_cq_many(cases, np.repeat(es, 3))[0]
+    probs, stacks = _cq_ensembles(draws)
+    more = _stacked(_processed, [(m.shape, z.shape) for m, z in zip(stacks, zs)], stacks, zs, ps)
+    cases = [m for stack, ms in zip(stacks, more) for m in (stack, *ms)]
+    values = entropy.h_h_cond_cq_many([p for p in probs for _ in range(3)], linalg.per_size(
+        linalg.psd_eigvals, cases), np.repeat(es, 3))[0]
     for base, deph, unital in values.reshape(-1, 3).tolist():
         yield min(deph - base + TOL, unital - base + TOL)
 
@@ -346,15 +363,16 @@ def _processed(_, stacks, zs, ps):
 def check_hh_average_to_worst_case(rng, trials, eps):
     """The symbols obeying the worst-case entropy bound carry probability
     at least 1 - 2 sqrt(eps)."""
-    cases = [(random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5))),
+    cases = [(cq_draws(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5))),
               eps or _eps(rng)) for _ in range(trials)]
-    cqs, es = [cq for cq, _ in cases], [e for _, e in cases]
-    bounds = (entropy.h_h_cond_cq_many(cqs, es)[0] - np.log2(es)).tolist()
-    ws = entropy.left_padded([w for cq in cqs for w in cq.spectra])  # every conditional's
-    hs = iter(entropy.h_h_many(ws, np.repeat(np.sqrt(es), [len(cq) for cq in cqs]))[0].tolist())
-    for cq, bound, e in zip(cqs, bounds, es):
+    (probs, stacks), es = _cq_ensembles([draw for draw, _ in cases]), [e for _, e in cases]
+    spectra = linalg.per_size(linalg.psd_eigvals, stacks)
+    bounds = (entropy.h_h_cond_cq_many(probs, spectra, es)[0] - np.log2(es)).tolist()
+    ws = entropy.left_padded([w for ws in spectra for w in ws])  # every conditional's
+    hs = iter(entropy.h_h_many(ws, np.repeat(np.sqrt(es), [len(p) for p in probs]))[0].tolist())
+    for p, bound, e in zip(probs, bounds, es):
         # zip draws a probability first, so a state reads only its own rows of hs
-        mass = sum(p for p, h in zip(cq.probs, hs) if h <= bound + 1e-12)
+        mass = sum(q for q, h in zip(p, hs) if h <= bound + 1e-12)
         yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
 
@@ -384,10 +402,12 @@ def check_dh_vs_lp(rng, trials, eps):
 @_check("hmin-truncation-smoothing", per=1)
 def check_hmin_smoothing(rng, trials, eps):
     """Truncation smoothing only increases H_min and vanishes at eps = 0."""
-    cases = [(random_cq(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))),
+    cases = [(cq_draws(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))),
               eps or _eps(rng)) for _ in range(trials)]
-    keep_spectra(cq for cq, _ in cases)
-    for cq, e in cases:
+    cqs = [CQState(range(len(p)), p, stack, registers=[("B", stack.shape[-1])])
+           for p, stack in zip(*_cq_ensembles([draw for draw, _ in cases]))]
+    keep_spectra(cqs)
+    for cq, (_, e) in zip(cqs, cases):
         base = entropy.h_min_cq(cq)
         yield min(entropy.h_min_cq_smoothed(cq, e) - base + TOL,
                   TOL - abs(entropy.h_min_cq_smoothed(cq, 0.0) - base))
@@ -450,21 +470,23 @@ def check_condhh_derandomization(rng, trials, eps):
     cases = []
     for _ in range(trials):
         nx, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        cq = random_cq(rng, nx, db)
+        # built in the loop: the number of symbols it keeps sizes a later draw
+        (p,), (stack,) = _cq_ensembles([cq_draws(rng, nx, db)])
         # build a K-table whose rows decode to symbols with Q close to P
         reps = int(rng.integers(3, 6))
         # a ginibre_density draw per conditional, in turn
-        cases.append((cq, reps, ginibre_normals(rng, db, n=len(cq))))
-    bounds = entropy.h_h_cond_cq_many([cq for cq, _, _ in cases], e)[0].tolist()
-    sigmas = _spectra([sigma for cq, _, z in cases
-                       for sigma in (1 - e / 4) * cq.stack + e / 4 * ginibre_gram(z)])
+        cases.append((p, stack, reps, ginibre_normals(rng, db, n=len(p))))
+    spectra = linalg.per_size(linalg.psd_eigvals, [stack for _, stack, _, _ in cases])
+    bounds = entropy.h_h_cond_cq_many([p for p, _, _, _ in cases], spectra, e)[0].tolist()
+    sigmas = _spectra([sigma for _, stack, _, z in cases
+                       for sigma in (1 - e / 4) * stack + e / 4 * ginibre_gram(z)])
     hs = iter(entropy.h_h_many(sigmas, e ** 0.125)[0].tolist())
-    for (cq, reps, _), h_cond in zip(cases, bounds):
-        K = len(cq) * reps
-        q_k = np.repeat(cq.probs / reps, reps)  # f(k) = x for each block
+    for (p, _, reps, _), h_cond in zip(cases, bounds):
+        K = len(p) * reps
+        q_k = np.repeat(p / reps, reps)  # f(k) = x for each block
         bound = 2.0 ** h_cond / e
         uniform_dev = float(np.sum(np.abs(q_k - 1.0 / K)))
-        good = reps * sum(2.0 ** next(hs) <= bound + 1e-12 for _ in range(len(cq)))
+        good = reps * sum(2.0 ** next(hs) <= bound + 1e-12 for _ in range(len(p)))
         need = 1 - e ** 0.125 - uniform_dev
         yield good / K - need + TOL
 

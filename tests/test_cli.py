@@ -586,6 +586,26 @@ def test_one_malformed_field_exits_0_or_2_without_a_traceback(data, malformed_di
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+def test_bounds_decomposes_the_instance_rho_a_once(rng, tmp_path, monkeypatch):
+    # a pure classical 4x2 state and the basis POVM: both distributed bounds
+    # read the instance's one decomposition of rho_A (the rank-1 refinement
+    # keeps psi and the register), and the local bounds decompose the state's
+    # own A marginal
+    io.save_state(sampling.classical_correlated_pure(rng, 4, 2).density(),
+                  str(tmp_path / "c.json"))
+    io.save_povm(basis_povm(4, "A"), str(tmp_path / "basis.json"))
+    shapes = []
+    for name in ("_eigh", "_eigvalsh"):
+        monkeypatch.setattr(linalg, name, lambda m, _orig=getattr(linalg, name):
+                            shapes.append(np.shape(m)) or _orig(m))
+    rc, _, err, _ = _run(["bounds", "--state", str(tmp_path / "c.json"), "--povm",
+                          str(tmp_path / "basis.json"), "--eps", "0.1"])
+    assert (rc, err) == (0, "")
+    # the state's check (twice), two POVM checks, Bob's two ensembles, and rho_A
+    # twice: once for the local bounds, once for the instance
+    assert len(shapes) == 8 and shapes.count((4, 4)) == 2
+
+
 def _run(argv):
     """Exit code, stdout, stderr and every warning of one in-process CLI run."""
     out, err = StringIO(), StringIO()

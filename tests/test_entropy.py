@@ -11,6 +11,8 @@ from scipy.optimize import linprog
 from puredist import entropy as ent
 from puredist import linalg
 from puredist.sampling import (
+    cq_draws,
+    cq_ensembles,
     ginibre_density,
     ginibre_matrix,
     haar_unitary,
@@ -665,11 +667,14 @@ def test_h_h_many_keeps_the_bits_of_h_h(rng):
 def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
     cqs = list(stacked_cq_cases(rng))  # pure conditionals, ties and a dropped symbol among them
     eigh_calls.clear()
-    ent.h_h_cond_cq_many(cqs, 0.1)
-    # the states took their spectra from one stacked decomposition per size
+    spectra = linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in cqs])
+    probs = [cq.probs for cq in cqs]
+    ent.h_h_cond_cq_many(probs, spectra, 0.1)
+    # the spectra came from one stacked decomposition per size, the states' bits
     assert len(eigh_calls) == len({cq.stack.shape[-1] for cq in cqs})
+    assert all(w.tobytes() == cq.spectra.tobytes() for cq, w in zip(cqs, spectra))
     for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
-        values, weights = ent.h_h_cond_cq_many(cqs, [eps] * len(cqs))
+        values, weights = ent.h_h_cond_cq_many(probs, spectra, [eps] * len(cqs))
         for cq, value, row in zip(cqs, values, weights):
             want = ent.h_h_cond_cq(cq, eps)
             ref, lam, _, _ = loop_h_h_cond_cq(cq, eps)  # the scalar loop
@@ -678,8 +683,39 @@ def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
             assert row[:k].tobytes() == want.witness["weights"].tobytes() == lam.tobytes()
             assert not row[k:].any()
     eps = rng.choice([0.0, 0.01, 0.1, 0.3, 0.999], size=len(cqs))
-    values, _ = ent.h_h_cond_cq_many(cqs, eps)
+    values, _ = ent.h_h_cond_cq_many(probs, spectra, eps)
     assert values.tolist() == [ent.h_h_cond_cq(cq, e).value for cq, e in zip(cqs, eps.tolist())]
+
+
+def test_h_h_cond_cq_many_on_arrays_drops_and_rejects_as_a_cq_state_does(rng):
+    for i in range(60):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        pure, rank = i % 3 == 0, int(rng.integers(1, d + 1)) if i % 3 == 1 else None
+        draws = [cq_draws(rng, n, d, pure_conditionals=pure, rank=rank) for _ in range(3)]
+        probs, stack, _ = cq_ensembles(*map(np.array, zip(*draws)), pure)
+        spectra = linalg.per_size(linalg.psd_eigvals, list(stack))
+        x = int(rng.integers(n))
+        for forced in (1e-13, np.nan):  # each is dropped
+            p = probs.copy()
+            p[1, (x + 1) % n] += p[1, x]  # the distribution stays normalized within 1e-9
+            p[1, x] = forced
+            cqs = [CQState(range(n), q, m, registers=[("B", d)]) for q, m in zip(p, stack)]
+            assert cqs[1].dropped and len(cqs[1]) == n - 1
+            for eps in (0.01, 0.1, 0.3):
+                values, weights = ent.h_h_cond_cq_many(list(p), spectra, eps)
+                for cq, value, row in zip(cqs, values, weights):
+                    want = ent.h_h_cond_cq(cq, eps)
+                    k = len(want.witness["weights"])
+                    assert value.tobytes() == np.float64(want.value).tobytes(), (i, forced)
+                    assert row[:k].tobytes() == want.witness["weights"].tobytes()
+                    assert not row[k:].any()
+        p = probs.copy()
+        p[1, x] = -1e-3
+        with pytest.raises(ValueError) as want:
+            CQState(range(n), p[1], stack[1], registers=[("B", d)])
+        with pytest.raises(ValueError) as got:
+            ent.h_h_cond_cq_many(list(p), spectra, 0.1)
+        assert str(got.value) == str(want.value) == "negative probabilities"
 
 
 def test_stacked_h_h_solvers_reject_eps_as_h_h_does(rng):
@@ -690,7 +726,8 @@ def test_stacked_h_h_solvers_reject_eps_as_h_h_does(rng):
             ent.h_h(w, bad)
         for solve in (lambda: ent.h_h_many(w[None], [bad]),
                       lambda: ent.h_h_many(np.stack([w, w]), [0.1, bad]),
-                      lambda: ent.h_h_cond_cq_many([cq, cq], [bad, 0.1])):
+                      lambda: ent.h_h_cond_cq_many([cq.probs] * 2, [cq.spectra] * 2,
+                                                   [bad, 0.1])):
             with pytest.raises(ValueError) as got:
                 solve()
             assert str(got.value) == str(want.value)

@@ -5,6 +5,8 @@ from puredist import linalg
 from puredist.sampling import (
     basis_povm,
     bell_pair,
+    cq_draws,
+    cq_ensembles,
     ginibre_density,
     ginibre_gram,
     ginibre_matrix,
@@ -24,6 +26,7 @@ from puredist.states import (
     PureState,
     control_state,
     keep_spectra,
+    kept_symbols,
     measure,
     rank1_refine,
 )
@@ -468,6 +471,39 @@ def test_random_cq_keeps_the_bits_and_generator_state_of_the_per_symbol_draw(kin
         assert got.probs.tobytes() == want.probs.tobytes(), seed
         assert got.stack.tobytes() == want.stack.tobytes(), seed
         assert stacked.normal() == loop.normal(), seed
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "low-rank"])
+def test_cq_ensembles_keep_the_bits_and_generator_state_of_random_cq(kind):
+    for seed in range(200):
+        pick = np.random.default_rng([seed, 5])
+        n, d, m = int(pick.integers(1, 13)), int(pick.integers(2, 7)), int(pick.integers(1, 6))
+        rank = int(pick.integers(1, d + 1)) if kind == "low-rank" else None
+        stacked, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [cq_draws(stacked, n, d, pure_conditionals=kind == "pure", rank=rank)
+                 for _ in range(m)]
+        probs, stack, keep = cq_ensembles(*map(np.array, zip(*draws)), kind == "pure")
+        assert probs.shape == (m, n) and stack.shape == (m, n, d, d) and keep.all()
+        for i in range(m):
+            want = random_cq(loop, n, d, pure_conditionals=kind == "pure", rank=rank)
+            assert probs[i].tobytes() == want.probs.tobytes(), seed
+            assert stack[i].tobytes() == want.stack.tobytes(), seed
+        # the m draws and no others: the generator ends where m random_cq calls leave it
+        assert stacked.bit_generator.state == loop.bit_generator.state, seed
+
+
+def test_kept_symbols_is_the_cq_state_rule_row_by_row():
+    rows = np.array([[0.6, 1e-13, 0.4 - 1e-13], [0.2, 0.3, 0.5], [0.6, np.nan, 0.4]])
+    assert kept_symbols(rows).tolist() == [[True, False, True], [True] * 3, [True, False, True]]
+    for i, row in enumerate(rows):
+        assert kept_symbols(row).tolist() == kept_symbols(rows)[i].tolist()
+    for bad, message in (([0.5, 0.5, -0.1], "^negative probabilities$"),
+                         ([0.5, 0.4, 0.0], "^probabilities sum to 0.9, not 1$")):
+        for probs in (np.array(bad), np.array([rows[1], bad])):
+            with pytest.raises(ValueError, match=message):
+                kept_symbols(probs)
+        with pytest.raises(ValueError, match=message):
+            CQState("xyz", bad, np.zeros((3, 2, 2)), registers=[("B", 2)])
 
 
 def per_outcome_random_povm(rng, dim, outcomes):

@@ -19,7 +19,7 @@ fewer ``normal`` calls at most, and builds the rest after it.
 import numpy as np
 import pytest
 
-from puredist import entropy, linalg, verify
+from puredist import entropy, linalg, sampling, verify
 from puredist.states import CQState, DensityOperator
 
 from oracles import per_symbol_random_cq as random_cq
@@ -324,8 +324,8 @@ def _shifted(f, shift):
     def faulty(*args):
         out = f(*args)
         if isinstance(out, tuple):  # (values, weights) of a stack, shifted by row position
-            values, weights = out
-            return values + shift(np.arange(len(values)), args[1]), weights
+            values, weights = out  # the stacked solvers take eps last
+            return values + shift(np.arange(len(values)), args[-1]), weights
         if isinstance(out, list):  # one result per member of the argument lists
             return [entropy.EntropyResult(r.value + shift(*member), r.witness, r.method)
                     for r, member in zip(out, zip(*args))]
@@ -386,6 +386,35 @@ def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
         _check(name)(np.random.default_rng(6), trials, None)
         # every eigendecomposition with eigenvectors passes linalg._eigh
         assert 0 < len(sizes) <= 2 * len(set(sizes)), (trials, sizes)
+
+
+CQ_CHECKS = ("hh-cond-pure-nonpositive", "hh-cond-purification-switch",
+             "hh-cond-data-processing", "hh-average-to-worst-case",
+             "hmin-truncation-smoothing", "condhh-derandomization")
+
+
+@pytest.mark.parametrize("name", CQ_CHECKS)
+def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
+    calls = {"CQState": 0, "random_cq": 0}
+    init, sample = CQState.__init__, sampling.random_cq
+
+    def counting_init(self, *args, **kwargs):
+        calls["CQState"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_sample(*args, **kwargs):
+        calls["random_cq"] += 1
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(CQState, "__init__", counting_init)
+    monkeypatch.setattr(sampling, "random_cq", counting_sample)
+    assert not hasattr(verify, "random_cq")  # the suite holds no reference of its own
+    for trials in (50, 200):
+        calls.update(CQState=0, random_cq=0)
+        result = _check(name)(np.random.default_rng(6), trials, None)
+        # the smoothing check keeps one state per trial for h_min_cq_smoothed
+        want = result.trials if name == "hmin-truncation-smoothing" else 0
+        assert calls == {"CQState": want, "random_cq": 0}, trials
 
 
 def test_dh_check_decomposes_once_per_size_and_probe_round(monkeypatch):

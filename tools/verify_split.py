@@ -8,13 +8,23 @@ then each check's slowest chunk and the check whose slowest chunk is the
 slowest of all, the one that sets verify-suite's ``job_s.tail``.
 
     python3 tools/verify_split.py [ROOT]
+    python3 tools/verify_split.py ROOT_A ROOT_B
 
 ROOT is a checkout of the repository (default: the one holding this script);
 its ``src/puredist`` and ``perfbench`` are imported, so the same script times
 a ``git archive`` extraction of any commit. The ``CHUNKS`` of every check run
 in turn, ``REPEATS`` times over; a chunk's time is the best of its runs.
+
+With two roots, each root's ``src/puredist`` is imported in this one process
+under its own package name (``puredist_a`` and ``puredist_b``; the package
+imports itself only relatively), and every chunk runs on both back to back,
+alternating which goes first, so a drift of the host's speed falls on both
+alike. It prints per check both medians and their ratio B/A, then both
+rounds and their ratio. ``perfbench`` is imported from ROOT_A.
 """
 
+import importlib
+import importlib.util
 import json
 import statistics
 import sys
@@ -26,28 +36,61 @@ CHUNKS = range(20, 30)
 REPEATS = 3
 
 
-def main(argv) -> int:
-    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
-    sys.path[:0] = [str(root / "src"), str(root)]
-    from perfbench import jobs
-    from puredist import verify
+def load_verify(name: str, root: Path):
+    """``root``'s ``src/puredist`` imported as the package ``name``: its verify module."""
+    src = root / "src" / "puredist"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return importlib.import_module(f"{name}.verify")
 
-    best = {name: [float("inf")] * len(CHUNKS) for name in verify.MANIFEST}
+
+def best_times(verifies, jobs) -> list:
+    """Per verify module, each check's best time per chunk, the modules run
+    back to back on each chunk, the first of them turning with each run."""
+    best = [{name: [float("inf")] * len(CHUNKS) for name in verifies[0].MANIFEST}
+            for _ in verifies]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the compression checks' quality warnings
-        for _ in range(REPEATS):
-            for name, check in zip(verify.MANIFEST, verify.SUITE):
+        for r in range(REPEATS):
+            for name in verifies[0].MANIFEST:
                 for i, chunk in enumerate(CHUNKS):
-                    rng = jobs._pool_rng(name, chunk)
-                    start = time.perf_counter()
-                    check(rng, jobs.VERIFY_TRIALS, jobs.VERIFY_EPS)
-                    best[name][i] = min(best[name][i], time.perf_counter() - start)
-    checks = {name: statistics.median(times) for name, times in best.items()}
-    slowest = {name: max(times) for name, times in best.items()}
-    print(json.dumps({"root": str(root), "chunks": [CHUNKS.start, CHUNKS.stop],
-                      "repeats": REPEATS, "checks_s": checks,
-                      "round_s": sum(checks.values()), "slowest_chunk_s": slowest,
-                      "slowest_check": max(slowest, key=slowest.get)}, indent=1))
+                    for k in range(len(verifies)):
+                        k = (k + r + i) % len(verifies)
+                        check = verifies[k].SUITE[verifies[k].MANIFEST.index(name)]
+                        rng = jobs._pool_rng(name, chunk)
+                        start = time.perf_counter()
+                        check(rng, jobs.VERIFY_TRIALS, jobs.VERIFY_EPS)
+                        best[k][name][i] = min(best[k][name][i], time.perf_counter() - start)
+    return best
+
+
+def main(argv) -> int:
+    roots = [Path(a).resolve() for a in argv] or [Path(__file__).resolve().parent.parent]
+    if len(roots) > 2:
+        print("usage: python3 tools/verify_split.py [ROOT | ROOT_A ROOT_B]", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(roots[0]))
+    from perfbench import jobs
+
+    names = ["puredist"] if len(roots) == 1 else ["puredist_a", "puredist_b"]
+    best = best_times([load_verify(n, root) for n, root in zip(names, roots)], jobs)
+    checks = [{name: statistics.median(times) for name, times in b.items()} for b in best]
+    if len(roots) == 1:
+        slowest = {name: max(times) for name, times in best[0].items()}
+        out = {"root": str(roots[0]), "chunks": [CHUNKS.start, CHUNKS.stop],
+               "repeats": REPEATS, "checks_s": checks[0], "round_s": sum(checks[0].values()),
+               "slowest_chunk_s": slowest, "slowest_check": max(slowest, key=slowest.get)}
+    else:
+        a, b = checks
+        rounds = [sum(c.values()) for c in checks]
+        out = {"roots": [str(r) for r in roots], "chunks": [CHUNKS.start, CHUNKS.stop],
+               "repeats": REPEATS,
+               "checks_s": {name: {"a": a[name], "b": b[name], "ratio": b[name] / a[name]}
+                            for name in a},
+               "round_s": {"a": rounds[0], "b": rounds[1], "ratio": rounds[1] / rounds[0]}}
+    print(json.dumps(out, indent=1))
     return 0
 
 
