@@ -90,7 +90,7 @@ def distributed_upper_bound(inst: Instance, f_eps: float | None = None,
         inst = Instance(inst.psi, rank1_refine(inst.povm), inst.eps,
                         bob_label=inst.bob_label)
     da, db = inst.psi.dim(inst.povm.register), inst.psi.dim(inst.bob_label)
-    hmin_b = entropy.h_min_cq_smoothed(inst.ideal_bob, f_eps)
+    hmin_b = inst.h_min_cond("ideal_bob", f_eps)
     return float(np.log2(da) + np.log2(db) - hmax_a - hmin_b)
 
 

@@ -176,7 +176,7 @@ def cmd_entropy(args) -> int:
         payload.setdefault("povm", {})[path] = {
             "h_h_cond_env": inst.h_h_cond("ideal_env", eps),
             "h_h_cond_bob": inst.h_h_cond("ideal_bob", eps),
-            "h_min_cond_bob": entropy.h_min_cq(inst.ideal_bob),
+            "h_min_cond_bob": inst.h_min_cond("ideal_bob", 0.0),
             "i_max": inst.imax.value,
             "i_max_gap": inst.imax.duality_gap,
         }

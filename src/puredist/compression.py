@@ -140,14 +140,16 @@ class Instance:
     Bob; ``ideal_bob`` serves both the rate formulas and the nice verdicts),
     P_X and its checked cdf, rho_A's one eigensystem (both its roots and its
     spectrum), the roots Y_x and cell Grams the tables are built from, their cap
-    ``c_cap`` on a table's c, I_max at eps^4 and the H_H conditional
-    entropies. A compressed cell's state depends only on the outcome x it
-    decodes to, so the per-outcome data every table shares lives here too,
-    indexed by x: which outcomes are ``live``, the simulated conditionals
-    and their Bob marginals (one stacked pass) with one stacked eigensystem
-    each (``sims_eig``), their trace distances to the ideal conditionals
-    (``sim_dists``), their pair entropies and nice verdicts, the A_g
-    bounds and truncated targets of the in-place protocol, and Bob's codes.
+    ``c_cap`` on a table's c, I_max at eps^4 and the H_H and H_min
+    conditional entropies (``h_h_cond`` and ``h_min_cond``, one solve per
+    solver, state and smoothing). A compressed cell's state depends only on
+    the outcome x it decodes to, so the per-outcome data every table shares
+    lives here too, indexed by x: which outcomes are ``live``, the simulated
+    conditionals and their Bob marginals (one stacked pass) with one stacked
+    eigensystem each (``sims_eig``), their trace distances to the ideal
+    conditionals (``sim_dists``), their pair entropies and nice verdicts,
+    the A_g bounds and truncated targets of the in-place protocol, and Bob's
+    codes.
 
     When Bob's register is the environment's only register of dimension > 1
     (``bob_alone``: a pure input's purification R has dimension 1), Bob's
@@ -174,7 +176,7 @@ class Instance:
         # Bob's register is the environment's only one of dimension > 1: his
         # ensemble and simulated states are the environment's, one object each
         self.bob_alone = self.env_dim == psi.dim(bob_label)
-        self._h_h_cond = {}
+        self._solves = {}
 
     def compression(self, K: int, L: int, seed: int) -> "Compression":
         return compress_measurement(self, K, L, seed)
@@ -253,18 +255,22 @@ class Instance:
     def imax(self) -> entropy.ImaxResult:
         return entropy.i_max_cq(self.ideal_env, self.eps ** 4)
 
-    @cached_property
-    def hmin_env(self) -> float:
-        return entropy.h_min_cq_smoothed(self.ideal_env, self.eps)
-
     def h_h_cond(self, ideal: str, smoothing: float) -> float:
         """``h_h_cond_cq`` value at ``smoothing`` of the ideal control state
         named by ``ideal`` (one of the ``ideal_*`` attributes)."""
-        cq = getattr(self, ideal)
-        key = (cq, smoothing)  # by identity: a shared ensemble is solved once
-        if key not in self._h_h_cond:
-            self._h_h_cond[key] = entropy.h_h_cond_cq(cq, smoothing).value
-        return self._h_h_cond[key]
+        return self._solved(entropy.h_h_cond_cq, ideal, smoothing).value
+
+    def h_min_cond(self, ideal: str, smoothing: float) -> float:
+        """``h_min_cq_smoothed`` at ``smoothing`` of the ideal control state
+        named by ``ideal``."""
+        return self._solved(entropy.h_min_cq_smoothed, ideal, smoothing)
+
+    def _solved(self, solve, ideal, smoothing):
+        # keyed by identity: an ensemble that two names share is solved once
+        key = (solve, getattr(self, ideal), smoothing)
+        if key not in self._solves:
+            self._solves[key] = solve(key[1], smoothing)
+        return self._solves[key]
 
     @cached_property
     def ideal_by_outcome(self):

@@ -12,10 +12,15 @@ array, its clipped ascending spectrum; ``d_h`` takes matrices.
 The H_H LPs have one solver, a greedy over a stack of rows:
 ``h_h_many`` takes one (n, d) stack of clipped ascending spectra, the
 shorter ones left-padded with zeros (``left_padded``), and
-``h_h_cond_cq_many`` the probabilities and (n, d) spectra of cq states,
-which obey ``states.kept_symbols`` as a ``CQState``'s do. Both return
-(values, weights) arrays, each row with the bits it has when solved alone;
-``h_h`` and ``h_h_cond_cq`` solve one row and return it with its witness.
+``h_h_cond_cq_many`` the probabilities and (n, d) spectra of cq states.
+Both return (values, weights) arrays, each row with the bits it has when
+solved alone; ``h_h`` and ``h_h_cond_cq`` solve one row and return it with
+its witness. The cq H_min has one solver too, the lockstep water cut of
+``h_min_cq_smoothed_many``, which takes the same arrays; ``h_min_cq`` and
+``h_min_cq_smoothed`` solve one row. The two cq ``_many`` solvers share one
+entry for arrays, ``_cq_rows``, which pads them and applies
+``states.kept_symbols``; the one-state functions pass a ``CQState``'s
+arrays straight through, since its constructor applied that rule.
 
 Smoothing convention: unless noted otherwise, smoothing is operationalized
 as spectral truncation (dropping smallest-eigenvalue mass up to the budget)
@@ -23,7 +28,6 @@ rather than optimization over a purified-distance ball; each function's
 docstring says whether it lower- or upper-bounds the ball-optimal quantity.
 """
 
-import heapq
 import warnings
 from dataclasses import dataclass, field
 
@@ -424,10 +428,11 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     separates: pairs (x, eigenvalue of rho_x) are filled greedily by
     eigenvalue descending, with gain P(x)*lambda and cost P(x) per pair, over
     the support entries of ``cq.spectra`` in row-major order: the one row of
-    ``h_h_cond_cq_many`` on ``cq.probs`` and ``cq.spectra``.
+    ``h_h_cond_cq_many``, on ``cq.probs`` and ``cq.spectra`` as they are (the
+    state's constructor applied ``kept_symbols``).
     """
     _validate_eps(eps)
-    gains, costs, width = _blockwise([cq.probs], [cq.spectra])
+    gains, costs, width = _blockwise(cq.probs[None], cq.spectra[None])
     total, lam = _greedy_many(gains, costs, np.array([1.0 - eps]), width)
     k = int(width[0])
     return EntropyResult(
@@ -437,28 +442,39 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
     )
 
 
-def _blockwise(probs, spectra):
-    """The blockwise LPs of the cq states with the probabilities ``probs[i]``
-    and the (n, d) clipped ascending spectra ``spectra[i]`` of their
-    conditionals: row i holds the row-major (P(x) lambda, P(x)) entries of
-    state i, padded, in the order of a stable argsort of each row that keys
-    its non-support entries and pads +inf, so they sort last; returns the
-    (gains, costs) stacks and each row's support width. The probabilities
-    obey ``kept_symbols``, checked on the states of each number of symbols as
-    one stack; a symbol it does not keep has no support entry, as a
-    ``CQState`` drops it."""
-    n, d = np.array([w.shape for w in spectra]).T
-    p, at = np.concatenate(probs), np.cumsum(n) - n
-    keep = np.zeros(len(p), dtype=bool)
+def _cq_rows(probs, spectra):
+    """The arrays entry of the stacked cq solvers: the probabilities
+    ``probs[i]`` and the (n, d) clipped ascending spectra ``spectra[i]`` of
+    the conditionals of cq state i, as one (m, n, d) stack of spectra, each
+    left-padded with -1 to the widest d and the rows past a state's n all -1,
+    and one (m, n) stack of probabilities, 0 past a state's n. The
+    probabilities obey ``kept_symbols``, applied to the states of each number
+    of symbols as one stack; a symbol it does not keep gets probability 0 and
+    spectrum -1, as if a ``CQState`` had dropped it."""
+    n, d = np.array([np.shape(w) for w in spectra]).T
+    rows = np.arange(n.max()) < n[:, None]  # a boolean mask fills row-major
+    p, w = np.zeros(rows.shape), np.full(rows.shape + (d.max(),), -1.0)
+    p[rows] = np.concatenate(probs)
+    w[rows[..., None] & (np.arange(d.max()) >= (d.max() - d)[:, None, None])] = np.concatenate(
+        spectra, axis=None)
     for k in set(n.tolist()):
-        rows = at[n == k, None] + np.arange(k)
-        keep[rows] = kept_symbols(p[rows])
-    keep = np.repeat(keep, np.repeat(d, n))
-    filled = np.arange((n * d).max()) < (n * d)[:, None]  # a boolean mask fills row-major
-    w, costs = np.zeros(filled.shape), np.ones(filled.shape)
-    w[filled] = np.where(keep, np.concatenate(spectra, axis=None), 0.0)
-    costs[filled] = np.where(keep, np.repeat(p, np.repeat(d, n)), 1.0)
+        p[n == k, :k] = np.where(kept_symbols(p[n == k, :k]), p[n == k, :k], 0.0)
+    w[p == 0.0] = -1.0
+    return p, w
+
+
+def _blockwise(p, w):
+    """The blockwise LPs of the cq states with the (m, n) probabilities ``p``
+    and the (m, n, d) clipped ascending spectra ``w`` of their conditionals
+    (a ``CQState``'s, or ``_cq_rows``'s with entries of -1 outside them): row
+    i holds the row-major (P(x) lambda, P(x)) entries of state i in the order
+    of a stable argsort of the row that keys its non-support entries +inf, so
+    they sort last, with cost 1; returns the (gains, costs) stacks and each
+    row's support width."""
+    costs = np.repeat(p, w.shape[-1], axis=1)
+    w = w.reshape(costs.shape)
     support = w > SUPPORT_TOL
+    costs = np.where(support, costs, 1.0)
     gains = np.where(support, costs * w, 0.0)
     order = np.argsort(np.where(support, -(gains / costs), np.inf), axis=1, kind="stable")
     return (*(np.take_along_axis(x, order, axis=1) for x in (gains, costs)),
@@ -469,11 +485,11 @@ def h_h_cond_cq_many(probs, spectra, eps):
     """``h_h_cond_cq`` at ``eps[i]`` of the cq state with the probabilities
     ``probs[i]`` and the (n, d) clipped ascending spectra ``spectra[i]`` of
     its conditionals, for each i, as one stacked greedy over their
-    ``_blockwise`` LPs. Returns the (values, weights) arrays, each row with
-    the bits of its own ``h_h_cond_cq`` value and witness weights (in its
-    sorted order, zero past its support)."""
+    ``_blockwise`` LPs, from ``_cq_rows``. Returns the (values, weights)
+    arrays, each row with the bits of its own ``h_h_cond_cq`` value and
+    witness weights (in its sorted order, zero past its support)."""
     eps = _eps_rows(eps, len(spectra))
-    gains, costs, width = _blockwise(probs, spectra)
+    gains, costs, width = _blockwise(*_cq_rows(probs, spectra))
     total, lam = _greedy_many(gains, costs, 1.0 - eps, width)
     return np.log2(total), lam
 
@@ -491,36 +507,53 @@ def h_min_cq_smoothed(cq: CQState, eps: float) -> float:
     conditionals' spectra, the rows of ``cq.spectra`` (optimal exact
     water-cut allocation), before applying the closed form. This restricted
     smoothing lower-bounds the purified-distance-ball optimum; at eps = 0 it
-    is ``h_min_cq``.
+    is ``h_min_cq``. The one row of ``h_min_cq_smoothed_many``, on
+    ``cq.probs`` and ``cq.spectra`` as they are.
     """
     _validate_eps(eps)
+    return float(_water_cut(cq.probs[None], cq.spectra[None], np.array([eps]))[0])
+
+
+def h_min_cq_smoothed_many(probs, spectra, eps) -> np.ndarray:
+    """``h_min_cq_smoothed`` at ``eps[i]`` of the cq state with the
+    probabilities ``probs[i]`` and the (n, d) clipped ascending spectra
+    ``spectra[i]`` of its conditionals, for each i, as one water cut over
+    their ``_cq_rows``; each value has the bits of its own call."""
+    eps = _eps_rows(eps, len(spectra))
+    return _water_cut(*_cq_rows(probs, spectra), eps)
+
+
+def _water_cut(p, w, eps) -> np.ndarray:
+    """The smoothed H_min of each cq state of the (m, n) probabilities ``p``
+    and (m, n, d) clipped ascending spectra ``w`` at its ``eps``: its budget
+    eps^2 lowers the cut level of one symbol at a time, the one of smallest
+    multiplicity at its level and then of lowest index (P cancels in the
+    gain/cost ratio), to its next eigenvalue while the budget pays for it,
+    and then as far as the rest pays. The states run in lockstep, one step
+    each per round, with the arithmetic of a heap loop over one state. A
+    symbol of probability 0 takes no step; entries of -1 lie outside every
+    spectrum (zeros would count toward a tiny level's multiplicity)."""
+    m, n, d = w.shape
+    desc = np.concatenate([w[..., ::-1], np.full((m, n, 1), -1.0)], axis=-1)  # and a -1 last
+    level = desc[..., 0].copy()
+    # a symbol's multiplicity at its level while it can step, d + 1 once it cannot
+    mult = np.where(p > 0, (desc >= level[..., None] - 1e-15).sum(axis=-1), d + 1)
     budget = eps * eps
-    # per symbol: spectrum descending, current cut level, multiplicity at level
-    desc = cq.spectra[:, ::-1]
-    level = desc[:, 0].copy()
-    mult = (desc >= level[:, None] - 1e-15).sum(axis=1).tolist()
-    # lower the level with the smallest multiplicity first (P cancels in the
-    # gain/cost ratio); advance to eigenvalue breakpoints until budget is gone
-    heap = [(m, i) for i, m in enumerate(mult)]
-    heapq.heapify(heap)
-    while budget > 1e-18 and heap:
-        # one entry per symbol: a symbol is pushed back only once popped
-        m, i = heapq.heappop(heap)
-        w, t, p = desc[i], level[i], cq.probs[i]
-        nxt = w[m] if m < len(w) else 0.0
-        step_cost = p * m * (t - nxt)
-        if step_cost <= budget:
-            budget -= step_cost
-            level[i] = nxt
-            while mult[i] < len(w) and w[mult[i]] >= nxt - 1e-15:
-                mult[i] += 1
-            if nxt > 0:
-                heapq.heappush(heap, (mult[i], i))
-        else:
-            level[i] = t - budget / (p * m)
-            budget = 0.0
-    acc = sum(cq.probs * np.maximum(level, 0.0))
-    return float(-np.log2(max(acc, 1e-300)))
+    rows = np.flatnonzero((budget > 1e-18) & (mult.min(axis=1) <= d))
+    while rows.size:
+        i = mult[rows].argmin(axis=1)  # the first of the smallest
+        k = mult[rows, i]
+        t, q, b = level[rows, i], p[rows, i], budget[rows]
+        nxt = np.maximum(desc[rows, i, k], 0.0)
+        cost = q * k * (t - nxt)
+        fits = cost <= b
+        budget[rows] = np.where(fits, b - cost, 0.0)
+        level[rows, i] = np.where(fits, nxt, t - b / (q * k))
+        more = (desc[rows, i] >= (nxt - 1e-15)[:, None]).sum(axis=1)
+        mult[rows, i] = np.where(nxt > 0, np.maximum(k, more), d + 1)
+        rows = rows[fits & (budget[rows] > 1e-18) & (mult[rows].min(axis=1) <= d)]
+    acc = np.cumsum(p * np.maximum(level, 0.0), axis=1)[:, -1]  # summed in order
+    return -np.log2(np.maximum(acc, 1e-300))
 
 
 def h_max_smooth(rho, eps: float) -> float:

@@ -343,7 +343,8 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     lhs = imax + hh_env + slack_bits
     rhs = float(np.log2(da))
     case = "I" if lhs <= rhs else "II"
-    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.hmin_env + slack_bits)
+    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.h_min_cond("ideal_env", eps)
+                + slack_bits)
 
     nice = view.nice[1][k]
     # A_g holds the purifications of the truncated branch states: its size is

@@ -264,9 +264,10 @@ class CQState:
     @cached_property
     def spectra(self) -> np.ndarray:
         """Row i is ``conditionals[i].spectrum()``, bit for bit, from one
-        stacked eigendecomposition (``keep_spectra``), read-only."""
-        keep_spectra([self])
-        return self.__dict__["spectra"]
+        stacked eigendecomposition, read-only."""
+        w = linalg.psd_eigvals(self.stack)
+        w.flags.writeable = False
+        return w
 
 
 def kept_symbols(probs) -> np.ndarray:
@@ -283,16 +284,6 @@ def kept_symbols(probs) -> np.ndarray:
     if off.size:
         raise ValueError(f"probabilities sum to {off[0]}, not 1")
     return probs >= 1e-12
-
-
-def keep_spectra(cqs) -> None:
-    """Give every ``CQState`` of ``cqs`` that keeps no ``spectra`` yet its
-    spectra, from one stacked eigendecomposition per matrix size for all of
-    them (``linalg.per_size``), each row with the bits of its own call."""
-    todo = [cq for cq in cqs if "spectra" not in cq.__dict__]
-    for cq, w in zip(todo, linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in todo])):
-        w.flags.writeable = False
-        cq.__dict__["spectra"] = w
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,16 +7,17 @@ list the registered checks and their names in definition order, so a
 missing check is detectable by callers that print the manifest.
 
 The checks that read only spectra run in three steps: draw every trial's
-instance, decompose all its operators (``_spectra``, ``linalg.per_size``
-and ``keep_spectra``: one stacked eigendecomposition per matrix size, each
-member with the bits of its own call), then evaluate the slacks in trial
-order through the public entropy functions, which take the spectra. The H_H
-checks solve all their LPs in one ``entropy.h_h_many`` call on the
-``entropy.left_padded`` stack of spectra and one ``entropy.h_h_cond_cq_many``
-call on the cq states' probabilities and spectra, whichever they need; no
-``CQState`` is built for them. The D_H check does the same with one
-``entropy.d_h_many`` call for all its pairs, one stacked eigendecomposition
-per size and probe round.
+instance, decompose all its operators (``_spectra`` and ``linalg.per_size``:
+one stacked eigendecomposition per matrix size, each member with the bits
+of its own call), then evaluate the slacks in trial order through the
+public entropy functions, which take the spectra. The H_H checks solve all
+their LPs in one ``entropy.h_h_many`` call on the ``entropy.left_padded``
+stack of spectra and one ``entropy.h_h_cond_cq_many`` call on the cq
+states' probabilities and spectra, whichever they need; the H_min check
+solves in one ``entropy.h_min_cq_smoothed_many`` call per eps on the same
+arrays. No check builds a ``CQState``. The D_H check does the same with
+one ``entropy.d_h_many`` call for all its pairs, one stacked
+eigendecomposition per size and probe round.
 Each value has the bits of its own one-state call. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. Its loop over trials
@@ -57,7 +58,7 @@ from .sampling import (
     random_povm,
     standard_complex,
 )
-from .states import CQState, PureState, keep_spectra
+from .states import PureState
 
 TOL = 1e-7
 
@@ -401,16 +402,16 @@ def check_dh_vs_lp(rng, trials, eps):
 
 @_check("hmin-truncation-smoothing", per=1)
 def check_hmin_smoothing(rng, trials, eps):
-    """Truncation smoothing only increases H_min and vanishes at eps = 0."""
+    """Truncation smoothing only increases H_min and vanishes at eps = 0,
+    where it is the closed form -log2 sum_x P(x) lambda_max(rho_x)."""
     cases = [(cq_draws(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))),
               eps or _eps(rng)) for _ in range(trials)]
-    cqs = [CQState(range(len(p)), p, stack, registers=[("B", stack.shape[-1])])
-           for p, stack in zip(*_cq_ensembles([draw for draw, _ in cases]))]
-    keep_spectra(cqs)
-    for cq, (_, e) in zip(cqs, cases):
-        base = entropy.h_min_cq(cq)
-        yield min(entropy.h_min_cq_smoothed(cq, e) - base + TOL,
-                  TOL - abs(entropy.h_min_cq_smoothed(cq, 0.0) - base))
+    probs, stacks = _cq_ensembles([draw for draw, _ in cases])
+    spectra = linalg.per_size(linalg.psd_eigvals, stacks)
+    base, smoothed = (entropy.h_min_cq_smoothed_many(probs, spectra, e).tolist()
+                      for e in (0.0, [e for _, e in cases]))
+    for p, w, b, s in zip(probs, spectra, base, smoothed):
+        yield min(s - b + TOL, TOL - abs(-np.log2(sum(p * w[:, -1])) - b))
 
 
 @_check("compression-povm-validity", per=50)

@@ -691,3 +691,20 @@ def test_no_operator_is_decomposed_twice_in_a_run(rng, tmp_path, monkeypatch):
         assert (rc, err) == (0, "")
     # rho_A, the element stack and Bob's ensemble are each decomposed once
     assert len(inputs) > 100 and len(set(inputs)) == len(inputs)
+
+
+def test_compare_solves_the_conditional_h_min_once(rng, tmp_path, monkeypatch):
+    # a pure classical 8x4 state (R has dimension 1) with the basis POVM over
+    # three seeds: Bob's ensemble is the environment's and f_eps is eps, so
+    # the converse and the Case II borrow read one H_min solve
+    io.save_state(sampling.classical_correlated_pure(rng, 8, 4).density(),
+                  str(tmp_path / "c.json"))
+    io.save_povm(basis_povm(8, "A"), str(tmp_path / "basis.json"))
+    solves = []
+    monkeypatch.setattr(entropy, "h_min_cq_smoothed",
+                        lambda cq, eps, _orig=entropy.h_min_cq_smoothed:
+                        solves.append(eps) or _orig(cq, eps))
+    rc, _, err, _ = _run(["compare", "--state", str(tmp_path / "c.json"), "--povm",
+                          str(tmp_path / "basis.json"), "--K", "4", "--L", "16", "--eps", "0.25",
+                          "--seeds", "1..3"])
+    assert (rc, err) == (0, "") and solves == [0.25]

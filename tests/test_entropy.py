@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from puredist import entropy as ent
-from puredist import linalg
+from puredist import linalg, states
 from puredist.sampling import (
     cq_draws,
     cq_ensembles,
@@ -595,11 +595,16 @@ def loop_h_min_cq_smoothed(cq, eps):
 
 def stacked_cq_cases(rng):
     """Seeded cq states: n = 1, mixed, low-rank and pure conditionals, one
-    that dropped a symbol below 1e-12, and one whose gain/cost ratios tie
-    exactly across symbols, where only the pairs' order breaks the ties."""
+    that dropped a symbol below 1e-12, one whose gain/cost ratios tie
+    exactly across symbols, where only the pairs' order breaks the ties, and
+    one of dimension 2 whose water cut at eps = 0.999 lowers a level to an
+    eigenvalue of 1e-15 and cuts on from it with the multiplicity of the
+    conditional's own spectrum (the padding of a wider stack must not count)."""
     tied = [DensityOperator([("B", 3)], np.diag(w)) for w in ([0.5, 0.25, 0.25],
                                                              [0.25, 0.25, 0.5])]
     yield CQState([0, 1], [0.25, 0.75], tied)
+    tiny = [np.diag(w) for w in ([1e-15, 1 - 1e-15], [0.1, 0.9], [0.25, 0.75], [0.25, 0.75])]
+    yield CQState(range(4), [0.59, 0.07, 0.06, 0.28], tiny, registers=[("B", 2)])
     for i in range(150):
         n, d = int(rng.integers(1, 7)), int(rng.integers(2, 7))
         yield random_cq(rng, n, d, pure_conditionals=i % 3 == 0,
@@ -665,6 +670,7 @@ def test_h_h_many_keeps_the_bits_of_h_h(rng):
 
 
 def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
+    # and h_min_cq_smoothed_many those of the heap loop, on the same ragged stack
     cqs = list(stacked_cq_cases(rng))  # pure conditionals, ties and a dropped symbol among them
     eigh_calls.clear()
     spectra = linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in cqs])
@@ -682,12 +688,18 @@ def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
             assert value.tobytes() == np.float64(want.value).tobytes() == np.float64(ref).tobytes()
             assert row[:k].tobytes() == want.witness["weights"].tobytes() == lam.tobytes()
             assert not row[k:].any()
+        hmin = ent.h_min_cq_smoothed_many(probs, spectra, eps)
+        assert hmin.tobytes() == np.array([loop_h_min_cq_smoothed(cq, eps) for cq in cqs]).tobytes()
     eps = rng.choice([0.0, 0.01, 0.1, 0.3, 0.999], size=len(cqs))
     values, _ = ent.h_h_cond_cq_many(probs, spectra, eps)
     assert values.tolist() == [ent.h_h_cond_cq(cq, e).value for cq, e in zip(cqs, eps.tolist())]
+    want = [loop_h_min_cq_smoothed(cq, e) for cq, e in zip(cqs, eps.tolist())]
+    assert ent.h_min_cq_smoothed_many(probs, spectra, eps).tobytes() == np.array(want).tobytes()
 
 
 def test_h_h_cond_cq_many_on_arrays_drops_and_rejects_as_a_cq_state_does(rng):
+    # both stacked cq solvers, h_h_cond_cq_many and h_min_cq_smoothed_many,
+    # take arrays through one entry
     for i in range(60):
         n, d = int(rng.integers(2, 9)), int(rng.integers(2, 6))
         pure, rank = i % 3 == 0, int(rng.integers(1, d + 1)) if i % 3 == 1 else None
@@ -703,19 +715,43 @@ def test_h_h_cond_cq_many_on_arrays_drops_and_rejects_as_a_cq_state_does(rng):
             assert cqs[1].dropped and len(cqs[1]) == n - 1
             for eps in (0.01, 0.1, 0.3):
                 values, weights = ent.h_h_cond_cq_many(list(p), spectra, eps)
-                for cq, value, row in zip(cqs, values, weights):
+                hmin = ent.h_min_cq_smoothed_many(list(p), spectra, eps)
+                for cq, value, row, h in zip(cqs, values, weights, hmin):
                     want = ent.h_h_cond_cq(cq, eps)
                     k = len(want.witness["weights"])
                     assert value.tobytes() == np.float64(want.value).tobytes(), (i, forced)
                     assert row[:k].tobytes() == want.witness["weights"].tobytes()
                     assert not row[k:].any()
+                    assert h.tobytes() == np.float64(ent.h_min_cq_smoothed(cq, eps)).tobytes()
         p = probs.copy()
         p[1, x] = -1e-3
         with pytest.raises(ValueError) as want:
             CQState(range(n), p[1], stack[1], registers=[("B", d)])
-        with pytest.raises(ValueError) as got:
-            ent.h_h_cond_cq_many(list(p), spectra, 0.1)
-        assert str(got.value) == str(want.value) == "negative probabilities"
+        for solve in (ent.h_h_cond_cq_many, ent.h_min_cq_smoothed_many):
+            with pytest.raises(ValueError) as got:
+                solve(list(p), spectra, 0.1)
+            assert str(got.value) == str(want.value) == "negative probabilities"
+    for bad in (1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError) as want:
+            ent.h_min_cq_smoothed(cqs[0], bad)
+        for solve in (ent.h_h_cond_cq_many, ent.h_min_cq_smoothed_many):
+            with pytest.raises(ValueError) as got:
+                solve(list(probs), spectra, [0.1, bad, 0.1])
+            assert str(got.value) == str(want.value)
+
+
+def test_one_state_cq_solvers_trust_their_cq_state(rng, monkeypatch):
+    # the constructor applied the probability rule; a lone solve does not again
+    cq, calls = random_cq(rng, 4, 3), []
+    for module in (states, ent):
+        monkeypatch.setattr(module, "kept_symbols",
+                            lambda probs, _orig=states.kept_symbols: calls.append(1) or _orig(probs))
+    ent.h_h_cond_cq(cq, 0.1)
+    ent.h_min_cq_smoothed(cq, 0.1)
+    ent.h_min_cq(cq)
+    assert calls == []
+    ent.h_min_cq_smoothed_many([cq.probs], [cq.spectra], 0.1)  # arrays enter: the rule runs
+    assert calls
 
 
 def test_stacked_h_h_solvers_reject_eps_as_h_h_does(rng):

@@ -102,7 +102,8 @@ def _plan_fewqubits(ref, view, k, nice):
     lhs = imax + hh_env + slack_bits
     rhs = float(np.log2(da))
     case = "I" if lhs <= rhs else "II"
-    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.hmin_env + slack_bits)
+    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.h_min_cond("ideal_env", eps)
+                + slack_bits)
     ag_req, ag_cap = 1, 2
     for x in np.unique(view.decode[k, nice], return_inverse=True)[0].tolist():
         hh_pair = ref.h_env[x]

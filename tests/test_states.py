@@ -25,7 +25,6 @@ from puredist.states import (
     ProtocolTranscript,
     PureState,
     control_state,
-    keep_spectra,
     kept_symbols,
     measure,
     rank1_refine,
@@ -345,27 +344,25 @@ def test_transcript_accounting():
         ProtocolTranscript("local", -1, 0, 0, 0, 0.0, eps=0.1)
 
 
-def test_keep_spectra_takes_one_call_per_size_and_keeps_each_spectrum(rng, monkeypatch):
-    cqs = [random_cq(rng, n, d) for n, d in ((3, 2), (2, 3), (4, 3), (1, 5), (2, 2))]
-    fresh = [[c.spectrum() for c in cq.conditionals] for cq in cqs]
-    sizes = []
-    orig = linalg._eigh
+def test_cq_spectra_take_one_decomposition_and_keep_each_spectrum(rng, monkeypatch):
+    for n, d in ((3, 2), (2, 3), (4, 3), (1, 5), (2, 2)):
+        cq = random_cq(rng, n, d)
+        want = [c.spectrum() for c in cq.conditionals]
+        sizes = []
+        orig = linalg._eigh
 
-    def counting(h):
-        sizes.append(h.shape)
-        return orig(h)
+        def counting(h):
+            sizes.append(h.shape)
+            return orig(h)
 
-    monkeypatch.setattr(linalg, "_eigh", counting)
-    keep_spectra(cqs)
-    assert sorted(sizes) == [(1, 5, 5), (5, 2, 2), (6, 3, 3)]
-    keep_spectra(cqs)  # kept already: no second decomposition
-    for cq, want in zip(cqs, fresh):
+        monkeypatch.setattr(linalg, "_eigh", counting)
         assert cq.spectra is cq.spectra and not cq.spectra.flags.writeable
+        assert sizes == [(n, d, d)]  # one stacked decomposition, kept
+        monkeypatch.undo()
         # each row has the bits of its conditional's own spectrum, and the
         # conditionals are views of the stack
         for c, row, w in zip(cq.conditionals, cq.spectra, want):
             assert row.tobytes() == w.tobytes() and np.shares_memory(c.matrix, cq.stack)
-    assert len(sizes) == 3
 
 
 def test_density_matrix_is_read_only_so_a_kept_spectrum_stays_valid(rng):

@@ -4,7 +4,8 @@ Fifteen checks of ``puredist.verify`` draw every trial first, decompose all
 their operators with one stacked eigendecomposition per matrix size (the
 D_H check: one ``entropy.d_h_many`` call, one per size and probe round),
 then evaluate the slacks in trial order; the H_H checks solve all their
-LPs in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind.
+LPs in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind, and
+the H_min check in one ``h_min_cq_smoothed_many`` call per eps.
 ``REFERENCE`` keeps the per-trial bodies they had before, as the
 reference: one trial at a time, drawn, decomposed and evaluated in turn,
 each H_H value from its own ``h_h`` or ``h_h_cond_cq`` call. Their cq
@@ -357,7 +358,8 @@ FAULTS = {
     "hh-cond-purification-switch": ("h_h_cond_cq_many", _by_row),
     "hh-cond-data-processing": ("h_h_cond_cq_many", _by_row),
     "hh-average-to-worst-case": ("h_h_many", lambda rows, eps: 10.0),
-    "hmin-truncation-smoothing": ("h_min_cq_smoothed", lambda cq, eps: -10 * eps),
+    "hmin-truncation-smoothing": ("h_min_cq_smoothed_many",
+                                  lambda probs, spectra, eps: -10 * np.asarray(eps)),
     "dh-neyman-pearson-vs-lp": ("d_h_many", lambda rho, sigma, eps: 10 * _dim(rho)),
 }
 
@@ -411,10 +413,8 @@ def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
     assert not hasattr(verify, "random_cq")  # the suite holds no reference of its own
     for trials in (50, 200):
         calls.update(CQState=0, random_cq=0)
-        result = _check(name)(np.random.default_rng(6), trials, None)
-        # the smoothing check keeps one state per trial for h_min_cq_smoothed
-        want = result.trials if name == "hmin-truncation-smoothing" else 0
-        assert calls == {"CQState": want, "random_cq": 0}, trials
+        _check(name)(np.random.default_rng(6), trials, None)
+        assert calls == {"CQState": 0, "random_cq": 0}, trials
 
 
 def test_dh_check_decomposes_once_per_size_and_probe_round(monkeypatch):

@@ -1,0 +1,24 @@
+"""Import the ``src/puredist`` of a checkout under a package name of its own.
+
+The timing tools (``verify_split.py``, ``pool_time.py``) load two checkouts'
+packages in one process this way, as ``puredist_a`` and ``puredist_b``,
+and run them side by side; the package imports itself only relatively, so
+the two never share a module.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+
+def load_package(name: str, root: Path):
+    """``root``'s ``src/puredist`` imported as the package ``name``, with
+    every module that a ``perfbench`` job uses (``cli`` imports them all)."""
+    src = root / "src" / "puredist"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    importlib.import_module(f"{name}.cli")
+    return sys.modules[name]

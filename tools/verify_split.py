@@ -16,15 +16,13 @@ a ``git archive`` extraction of any commit. The ``CHUNKS`` of every check run
 in turn, ``REPEATS`` times over; a chunk's time is the best of its runs.
 
 With two roots, each root's ``src/puredist`` is imported in this one process
-under its own package name (``puredist_a`` and ``puredist_b``; the package
-imports itself only relatively), and every chunk runs on both back to back,
+under its own package name (``puredist_a`` and ``puredist_b``, by
+``checkouts.load_package``), and every chunk runs on both back to back,
 alternating which goes first, so a drift of the host's speed falls on both
 alike. It prints per check both medians and their ratio B/A, then both
 rounds and their ratio. ``perfbench`` is imported from ROOT_A.
 """
 
-import importlib
-import importlib.util
 import json
 import statistics
 import sys
@@ -32,18 +30,10 @@ import time
 import warnings
 from pathlib import Path
 
+from checkouts import load_package
+
 CHUNKS = range(20, 30)
 REPEATS = 3
-
-
-def load_verify(name: str, root: Path):
-    """``root``'s ``src/puredist`` imported as the package ``name``: its verify module."""
-    src = root / "src" / "puredist"
-    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
-                                                  submodule_search_locations=[str(src)])
-    sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[name])
-    return importlib.import_module(f"{name}.verify")
 
 
 def best_times(verifies, jobs) -> list:
@@ -75,7 +65,7 @@ def main(argv) -> int:
     from perfbench import jobs
 
     names = ["puredist"] if len(roots) == 1 else ["puredist_a", "puredist_b"]
-    best = best_times([load_verify(n, root) for n, root in zip(names, roots)], jobs)
+    best = best_times([load_package(n, root).verify for n, root in zip(names, roots)], jobs)
     checks = [{name: statistics.median(times) for name, times in b.items()} for b in best]
     if len(roots) == 1:
         slowest = {name: max(times) for name, times in best[0].items()}
