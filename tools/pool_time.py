@@ -17,6 +17,7 @@ to a temporary directory; ``perfbench`` is imported from ROOT_A. Like
 ``perfbench/run.py``, it runs with one BLAS thread.
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -24,12 +25,11 @@ import time
 import warnings
 from pathlib import Path
 
+from checkouts import load_package
+
+# one BLAS thread, as perfbench/run.py sets it, before numpy loads (in main)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy loads
-
-import json  # noqa: E402
-
-from checkouts import load_package  # noqa: E402
+    os.environ[_var] = "1"
 
 # the protocol workloads (tools/verify_split.py splits verify-suite by check)
 JOBS = {"compare-sweep": range(2, 400, 5), "kd-quantum": range(3, 600, 7)}
