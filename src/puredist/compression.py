@@ -363,10 +363,9 @@ class Instance:
     @cached_property
     def bob_codes(self) -> list:
         """Bob's code (bits, kept, rows) of each simulated Bob marginal, None
-        where x is not live."""
-        w, v = self.sims_eig[1]
-        return [entropy.truncation_code(w[x], v[x], self.eps) if ok else None
-                for x, ok in enumerate(self.live.tolist())]
+        where x is not live: one ``entropy.truncation_codes`` call on the live ones."""
+        codes = iter(entropy.truncation_codes(*(x[self.live] for x in self.sims_eig[1]), self.eps))
+        return [next(codes) if ok else None for ok in self.live.tolist()]
 
 
 @dataclass(eq=False)

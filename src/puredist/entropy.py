@@ -9,16 +9,21 @@ ensembles. The single-state functions of a spectrum (``h_tilde_max``,
 ``h_prime_max``, ``h_h``, ``h_max_smooth``) take a state or, as a 1-D
 array, its clipped ascending spectrum; ``d_h`` takes matrices.
 
-The H_H LPs have one solver, a greedy over a stack of rows:
-``h_h_many`` takes one (n, d) stack of clipped ascending spectra, the
-shorter ones left-padded with zeros (``left_padded``), and
-``h_h_cond_cq_many`` the probabilities and (n, d) spectra of cq states.
-Both return (values, weights) arrays, each row with the bits it has when
-solved alone; ``h_h`` and ``h_h_cond_cq`` solve one row and return it with
-its witness. The cq H_min has one solver too, the lockstep water cut of
-``h_min_cq_smoothed_many``, which takes the same arrays; ``h_min_cq`` and
-``h_min_cq_smoothed`` solve one row. The two cq ``_many`` solvers share one
-entry for arrays, ``_cq_rows``, which pads them and applies
+The solvers of spectra take one (n, d) stack of clipped ascending
+spectra, the shorter ones left-padded with zeros, each row with the bits
+it has when solved alone. The spectral truncation has one solver,
+``Truncation``: one masked cumsum and a count give each row's kept
+eigenvalues, and its methods H~_max, H'_max and the Renyi-1/2 H_max;
+``truncation_codes`` codes a stack of eigensystems with it, and
+``h_tilde_max``, ``h_prime_max`` and ``h_max_smooth`` solve one row. The
+H_H LPs have one solver, a greedy over a stack of rows: ``h_h_many`` takes
+the spectra, and ``h_h_cond_cq_many`` the (m, n) probabilities and
+(m, n, d) spectra of cq states in one padded layout (``_cq_rows``). Both
+return (values, weights) arrays; ``h_h`` and ``h_h_cond_cq`` solve one row
+and return it with its witness. The cq H_min has one solver too, the
+lockstep water cut of ``h_min_cq_smoothed_many``, which takes the same
+arrays; ``h_min_cq`` and ``h_min_cq_smoothed`` solve one row. The two cq
+``_many`` solvers share one entry for arrays, ``_cq_rows``, which applies
 ``states.kept_symbols``; the one-state functions pass a ``CQState``'s
 arrays straight through, since its constructor applied that rule.
 
@@ -97,48 +102,65 @@ def _matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
 
 
-def _truncation_count(ascending: np.ndarray, eps: float) -> int:
-    """The number of leading entries of the ascending masses whose running
-    sum stays <= eps, capped at len - 1 so one entry is always kept."""
-    k = int(np.searchsorted(np.cumsum(ascending), eps + 1e-15, side="right"))
-    return min(k, len(ascending) - 1)
+class Truncation:
+    """The spectral truncation of each row of an (n, d) stack of clipped
+    ascending spectra, the shorter ones left-padded with zeros as ``h_h_many``
+    takes them, at its eps (one per row, or one for all). Of a row's support
+    eigenvalues (those above SUPPORT_TOL, its last entries), the smallest
+    whose running sum stays <= eps are cut, but never all: ``kept`` counts
+    the others, at least one, from one masked ``cumsum`` and a count. The
+    methods give the entropies of the truncated rows, each with the bits of
+    its one-state function, which solves one row (``h_tilde_max``,
+    ``h_prime_max``, ``h_max_smooth``); ``truncation_codes`` codes a stack."""
+
+    def __init__(self, spectra, eps):
+        self.w = np.asarray(spectra, dtype=float)
+        support = self.w > SUPPORT_TOL
+        mass = np.cumsum(np.where(support, self.w, 0.0), axis=1)  # in order, as one row's
+        over = mass > (_eps_rows(eps, len(self.w)) + 1e-15)[:, None]
+        self.kept = np.maximum((support & over).sum(axis=1), 1)
+
+    def h_tilde_max(self) -> np.ndarray:
+        """The smoothed support max entropy of each row: log2(kept)."""
+        return np.log2(self.kept)
+
+    def h_prime_max(self) -> np.ndarray:
+        """The smoothed norm max entropy of each row: -log2 of its smallest
+        kept eigenvalue."""
+        return -np.log2(self.w[np.arange(len(self.w)), self.w.shape[1] - self.kept])
+
+    def h_max_smooth(self) -> np.ndarray:
+        """The Renyi-1/2 entropy of each row's kept eigenvalues, renormalized:
+        2 log2 sum_i sqrt(lambda'_i), each sum by ``_run_sums``. Raises
+        ``InvariantError`` if a row's value exceeds its ``h_tilde_max``."""
+        start, stop = self.w.shape[1] - self.kept, np.full(len(self.w), self.w.shape[1])
+        roots = np.sqrt(self.w / _run_sums(self.w, start, stop)[:, None])
+        value, bound = 2.0 * np.log2(_run_sums(roots, start, stop)), self.h_tilde_max()
+        for i in np.flatnonzero(value > bound + 1e-9)[:1]:  # the first row over it
+            raise linalg.InvariantError(f"Renyi-1/2 {value[i]} exceeded support bound {bound[i]}")
+        return value
 
 
-def truncated_support(w: np.ndarray, eps: float):
-    """Spectral truncation at budget eps: the ascending support eigenvalues
-    of the spectrum ``w`` and the number k of the smallest of them whose sum
-    stays <= eps, capped at |supp| - 1 so one eigenvalue is always kept."""
-    supp = np.sort(w[w > SUPPORT_TOL])
-    return supp, _truncation_count(supp, eps)
-
-
-def truncation_code(w: np.ndarray, v: np.ndarray, eps: float):
-    """(bits, kept, rows) of one state's H_H^eps truncation code from its
-    descending eigensystem: bits = floor(log2(d / kept)), and the rows
-    conj(v).T send eigenvector i (eigenvalues descending) to basis state i."""
-    supp, k = truncated_support(w, eps)
-    kept = len(supp) - k
-    return (len(w) // kept).bit_length() - 1, kept, np.conj(v).T
-
-
-def _kept_bits(supp: np.ndarray, k: int) -> float:
-    """log2 of the number of support eigenvalues a truncation keeps."""
-    return float(np.log2(len(supp) - k))
+def truncation_codes(w: np.ndarray, v: np.ndarray, eps: float) -> list:
+    """(bits, kept, rows) of the H_H^eps truncation code of each state of a
+    stack, from its descending eigensystem (w, v), one ``Truncation`` for
+    all: bits = floor(log2(d / kept)), and the rows conj(v).T send
+    eigenvector i (eigenvalues descending) to basis state i."""
+    kept = Truncation(w[:, ::-1], eps).kept
+    bits = np.frexp(w.shape[1] // kept)[1] - 1  # x = m 2^e with 1/2 <= m < 1
+    return list(zip(bits.tolist(), kept.tolist(), np.conj(v).swapaxes(-1, -2)))
 
 
 def h_tilde_max(rho, eps: float) -> float:
     """Smoothed support max entropy: log2(|supp| - k) after dropping the
-    smallest eigenvalues of total mass <= eps."""
-    _validate_eps(eps)
-    return _kept_bits(*truncated_support(_spectrum(rho), eps))
+    smallest eigenvalues of total mass <= eps (one row of ``Truncation``)."""
+    return float(Truncation(_spectrum(rho)[None], eps).h_tilde_max()[0])
 
 
 def h_prime_max(rho, eps: float) -> float:
     """Smoothed norm max entropy: log2(1 / lambda_{k+1}) with k as in
-    ``h_tilde_max``."""
-    _validate_eps(eps)
-    supp, k = truncated_support(_spectrum(rho), eps)
-    return float(-np.log2(supp[k]))
+    ``h_tilde_max`` (one row of ``Truncation``)."""
+    return float(Truncation(_spectrum(rho)[None], eps).h_prime_max()[0])
 
 
 def _greedy_many(gains, costs, target, width):
@@ -202,16 +224,6 @@ def h_h(rho, eps: float) -> EntropyResult:
         witness={"weights": lam[0, :len(p)], "gains": p, "costs": np.ones_like(p)},
         method="greedy-lp",
     )
-
-
-def left_padded(rows) -> np.ndarray:
-    """The 1-D spectra ``rows`` as one (n, d) stack, the shorter ones
-    left-padded with zeros: the layout ``h_h_many`` takes."""
-    size = np.array([len(w) for w in rows], dtype=int)
-    out = np.zeros((len(rows), size.max(initial=0)))
-    filled = np.arange(out.shape[1]) >= out.shape[1] - size[:, None]  # fills row-major
-    out[filled] = np.concatenate(rows) if rows else ()
-    return out
 
 
 def h_h_many(spectra, eps):
@@ -443,22 +455,16 @@ def h_h_cond_cq(cq: CQState, eps: float) -> EntropyResult:
 
 
 def _cq_rows(probs, spectra):
-    """The arrays entry of the stacked cq solvers: the probabilities
-    ``probs[i]`` and the (n, d) clipped ascending spectra ``spectra[i]`` of
-    the conditionals of cq state i, as one (m, n, d) stack of spectra, each
-    left-padded with -1 to the widest d and the rows past a state's n all -1,
-    and one (m, n) stack of probabilities, 0 past a state's n. The
-    probabilities obey ``kept_symbols``, applied to the states of each number
-    of symbols as one stack; a symbol it does not keep gets probability 0 and
-    spectrum -1, as if a ``CQState`` had dropped it."""
-    n, d = np.array([np.shape(w) for w in spectra]).T
-    rows = np.arange(n.max()) < n[:, None]  # a boolean mask fills row-major
-    p, w = np.zeros(rows.shape), np.full(rows.shape + (d.max(),), -1.0)
-    p[rows] = np.concatenate(probs)
-    w[rows[..., None] & (np.arange(d.max()) >= (d.max() - d)[:, None, None])] = np.concatenate(
-        spectra, axis=None)
-    for k in set(n.tolist()):
-        p[n == k, :k] = np.where(kept_symbols(p[n == k, :k]), p[n == k, :k], 0.0)
+    """The arrays entry of the stacked cq solvers: copies of the (m, n)
+    probabilities and (m, n, d) spectra of m cq states in their layout, a
+    state's symbols first with probability 0 after them, each conditional's
+    clipped ascending spectrum at the end of its row with -1 before it, and
+    -1 on a symbol past the state's. The probabilities obey
+    ``kept_symbols``, applied to all the states as one stack; a symbol it
+    does not keep gets probability 0 and spectrum -1, as if a ``CQState``
+    had dropped it."""
+    p, w = np.array(probs, dtype=float), np.array(spectra, dtype=float)
+    p[~kept_symbols(p)] = 0.0
     w[p == 0.0] = -1.0
     return p, w
 
@@ -483,9 +489,10 @@ def _blockwise(p, w):
 
 def h_h_cond_cq_many(probs, spectra, eps):
     """``h_h_cond_cq`` at ``eps[i]`` of the cq state with the probabilities
-    ``probs[i]`` and the (n, d) clipped ascending spectra ``spectra[i]`` of
-    its conditionals, for each i, as one stacked greedy over their
-    ``_blockwise`` LPs, from ``_cq_rows``. Returns the (values, weights)
+    ``probs[i]`` and the clipped ascending spectra ``spectra[i]`` of its
+    conditionals, for each i, in the layout of ``_cq_rows`` (states of one
+    shape need no padding), as one stacked greedy over their ``_blockwise``
+    LPs. Returns the (values, weights)
     arrays, each row with the bits of its own ``h_h_cond_cq`` value and
     witness weights (in its sorted order, zero past its support)."""
     eps = _eps_rows(eps, len(spectra))
@@ -516,9 +523,10 @@ def h_min_cq_smoothed(cq: CQState, eps: float) -> float:
 
 def h_min_cq_smoothed_many(probs, spectra, eps) -> np.ndarray:
     """``h_min_cq_smoothed`` at ``eps[i]`` of the cq state with the
-    probabilities ``probs[i]`` and the (n, d) clipped ascending spectra
-    ``spectra[i]`` of its conditionals, for each i, as one water cut over
-    their ``_cq_rows``; each value has the bits of its own call."""
+    probabilities ``probs[i]`` and the clipped ascending spectra
+    ``spectra[i]`` of its conditionals, for each i, in the layout of
+    ``_cq_rows``, as one water cut; each value has the bits of its own
+    call."""
     eps = _eps_rows(eps, len(spectra))
     return _water_cut(*_cq_rows(probs, spectra), eps)
 
@@ -534,12 +542,13 @@ def _water_cut(p, w, eps) -> np.ndarray:
     symbol of probability 0 takes no step; entries of -1 lie outside every
     spectrum (zeros would count toward a tiny level's multiplicity)."""
     m, n, d = w.shape
-    desc = np.concatenate([w[..., ::-1], np.full((m, n, 1), -1.0)], axis=-1)  # and a -1 last
-    level = desc[..., 0].copy()
-    # a symbol's multiplicity at its level while it can step, d + 1 once it cannot
-    mult = np.where(p > 0, (desc >= level[..., None] - 1e-15).sum(axis=-1), d + 1)
-    budget = eps * eps
-    rows = np.flatnonzero((budget > 1e-18) & (mult.min(axis=1) <= d))
+    level, budget = w[..., -1].copy(), eps * eps  # each symbol's cut level, at its top
+    rows = np.flatnonzero(budget > 1e-18)
+    if rows.size:  # the rounds' setup, only when some state has budget to spend
+        desc = np.concatenate([w[..., ::-1], np.full((m, n, 1), -1.0)], axis=-1)  # and a -1 last
+        # a symbol's multiplicity at its level while it can step, d + 1 once it cannot
+        mult = np.where(p > 0, (desc >= level[..., None] - 1e-15).sum(axis=-1), d + 1)
+        rows = rows[mult[rows].min(axis=1) <= d]
     while rows.size:
         i = mult[rows].argmin(axis=1)  # the first of the smallest
         k = mult[rows, i]
@@ -547,11 +556,11 @@ def _water_cut(p, w, eps) -> np.ndarray:
         nxt = np.maximum(desc[rows, i, k], 0.0)
         cost = q * k * (t - nxt)
         fits = cost <= b
-        budget[rows] = np.where(fits, b - cost, 0.0)
         level[rows, i] = np.where(fits, nxt, t - b / (q * k))
+        budget[rows] = b = np.where(fits, b - cost, 0.0)
         more = (desc[rows, i] >= (nxt - 1e-15)[:, None]).sum(axis=1)
         mult[rows, i] = np.where(nxt > 0, np.maximum(k, more), d + 1)
-        rows = rows[fits & (budget[rows] > 1e-18) & (mult[rows].min(axis=1) <= d)]
+        rows = rows[fits & (b > 1e-18) & (mult[rows].min(axis=1) <= d)]
     acc = np.cumsum(p * np.maximum(level, 0.0), axis=1)[:, -1]  # summed in order
     return -np.log2(np.maximum(acc, 1e-300))
 
@@ -560,26 +569,20 @@ def h_max_smooth(rho, eps: float) -> float:
     """Truncation-smoothed unconditional max entropy.
 
     Renyi-1/2 of the eps-truncated, renormalized spectrum:
-    2 log2 sum_i sqrt(lambda'_i). Guaranteed <= ``h_tilde_max`` at the same
-    eps (checked at runtime); lower-bounds the ball-smoothed H_max only in
-    the truncation-smoothing convention documented in the module docstring.
+    2 log2 sum_i sqrt(lambda'_i), one row of ``Truncation``. Guaranteed
+    <= ``h_tilde_max`` at the same eps (checked at runtime); lower-bounds the
+    ball-smoothed H_max only in the truncation-smoothing convention
+    documented in the module docstring.
     """
-    _validate_eps(eps)
-    supp, k = truncated_support(_spectrum(rho), eps)
-    kept = supp[k:]
-    kept = kept / kept.sum()
-    value = float(2.0 * np.log2(np.sqrt(kept).sum()))
-    bound = _kept_bits(supp, k)  # h_tilde_max of the same spectrum
-    if value > bound + 1e-9:
-        raise linalg.InvariantError(f"Renyi-1/2 {value} exceeded support bound {bound}")
-    return value
+    return float(Truncation(_spectrum(rho)[None], eps).h_max_smooth()[0])
 
 
 def _imax_smooth_support(cq: CQState, eps: float) -> list:
     """Indices of symbols kept after removing lowest-probability symbols
     totaling at most eps mass (always keeps at least one)."""
     order = np.argsort(cq.probs, kind="stable")
-    return sorted(order[_truncation_count(cq.probs[order], eps):].tolist())
+    k = int(np.searchsorted(np.cumsum(cq.probs[order]), eps + 1e-15, side="right"))
+    return sorted(order[min(k, len(order) - 1):].tolist())
 
 
 def _povm_from(states: np.ndarray, weights: np.ndarray, eye: np.ndarray) -> np.ndarray:

@@ -81,10 +81,9 @@ def _apply_code(branches: PureState, step) -> PureState:
 
 
 def _eig_codes(mats: np.ndarray, eps: float) -> list:
-    """``entropy.truncation_code`` of each matrix of an (n, d, d) stack, from
+    """``entropy.truncation_codes`` of an (n, d, d) stack of matrices, from
     one stacked eigendecomposition."""
-    return [entropy.truncation_code(w, v, eps)
-            for w, v in zip(*linalg.descending_eig(mats, tol=1e-7))]
+    return entropy.truncation_codes(*linalg.descending_eig(mats, tol=1e-7), eps)
 
 
 def local_distill(rho, eps: float):
@@ -97,7 +96,7 @@ def local_distill(rho, eps: float):
     """
     entropy._validate_eps(eps)
     mat = entropy._matrix(rho)
-    bits, kept, rows = entropy.truncation_code(*linalg.descending_eig(mat, tol=1e-7), eps)
+    bits, kept, rows = _eig_codes(mat[None], eps)[0]
     ap = 2 ** bits
     iso = _padded(rows, bits)
     out = iso @ mat @ linalg.dagger(iso)
@@ -119,7 +118,7 @@ def _good_set_bits(values, masses, budget) -> int:
 def _conditional_codes(codes, masses, cells, d: int, eps: float):
     """Per-branch distillation codes with one shared output size.
 
-    ``codes[i]`` is branch i's ``entropy.truncation_code`` (None when the branch is
+    ``codes[i]`` is branch i's code from ``entropy.truncation_codes`` (None when the branch is
     negligible); outcome j has branch ``cells[j]`` and probability
     ``masses[j]``. The shared qubit count is the largest one achievable on
     a set of outcomes of probability mass >= 1 - min(2 sqrt(eps), 1/2), the
@@ -141,10 +140,8 @@ def _branch_codes(branches: PureState, masses, runs, reg: str, eps: float) -> li
     is (branch count, cells): its branches follow the previous run's, and its
     cells index them."""
     live = masses >= 1e-12
-    codes = [None] * len(masses)
-    marginals = branches.marginal([reg])[live] / masses[live, None, None]
-    for i, code in zip(np.flatnonzero(live).tolist(), _eig_codes(marginals, eps)):
-        codes[i] = code
+    codes = iter(_eig_codes(branches.marginal([reg])[live] / masses[live, None, None], eps))
+    codes = [next(codes) if ok else None for ok in live.tolist()]
     ends = np.cumsum([n for n, _ in runs]).tolist()
     return [_conditional_codes(codes[end - n:end], masses[end - n:end][list(cells)], cells,
                                branches.dim(reg), eps) for (n, cells), end in zip(runs, ends)]

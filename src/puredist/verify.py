@@ -7,34 +7,36 @@ list the registered checks and their names in definition order, so a
 missing check is detectable by callers that print the manifest.
 
 The checks that read only spectra run in three steps: draw every trial's
-instance, decompose all its operators (``_spectra`` and ``linalg.per_size``:
-one stacked eigendecomposition per matrix size, each member with the bits
-of its own call), then evaluate the slacks in trial order through the
-public entropy functions, which take the spectra. The H_H checks solve all
-their LPs in one ``entropy.h_h_many`` call on the ``entropy.left_padded``
-stack of spectra and one ``entropy.h_h_cond_cq_many`` call on the cq
-states' probabilities and spectra, whichever they need; the H_min check
-solves in one ``entropy.h_min_cq_smoothed_many`` call per eps on the same
-arrays. No check builds a ``CQState``. The D_H check does the same with
-one ``entropy.d_h_many`` call for all its pairs, one stacked
-eigendecomposition per size and probe round.
-Each value has the bits of its own one-state call. The draw step keeps the
+instance, build and decompose, then solve. The draw step keeps the
 generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. Its loop over trials
 makes only the generator calls (one ``sampling.ginibre_normals`` call
 where the body drew the real and imaginary parts of complex Gaussians; a cq
 state's two, ``sampling.cq_draws``). Everything derived from the draws is
 built after the loop by ``_stacked``: one stacked operation per shape of the
-draws, each member with the bits of its one-trial call. That covers the
-complex matrices and Ginibre densities of the draws
-(``sampling.complex_normals``, ``standard_complex`` and ``ginibre_gram``),
-the cq ensembles (``sampling.cq_ensembles``, less the symbols a ``CQState``
-drops), the pure states' norms (``linalg.row_norms``) and marginals, the
-Kronecker products (``linalg.kron``), the partial traces, and the
-conditionals of the data-processing check's dephased and mixed ensembles.
-The derandomization check builds each cq ensemble in its loop, since the
-number of symbols kept sizes a later draw. Every slack is that of the
-trial-at-a-time body, bit for bit.
+draws, each member with the bits of its one-trial call, which hands back
+the group's trial indices and its output stacks. That covers the complex
+matrices and Ginibre densities of the draws (``sampling.complex_normals``,
+``standard_complex`` and ``ginibre_gram``), the cq ensembles
+(``sampling.cq_ensembles``, a symbol that a ``CQState`` drops kept at
+probability 0), the pure states' norms (``linalg.row_norms``) and
+marginals, the Kronecker products (``linalg.kron``), the partial traces,
+and the conditionals of the data-processing check's dephased and mixed
+ensembles. No check splits those stacks into per-trial arrays: they go
+whole into one ``linalg.per_size`` call (one stacked eigendecomposition per
+matrix size, each member with the bits of its own call), and their spectra
+are written by row index into the padded arrays the stacked solvers take
+(``_padded_spectra``, ``_cq_arrays``). The H_H checks solve all their LPs in
+one ``entropy.h_h_many`` call and one ``entropy.h_h_cond_cq_many`` call,
+whichever they need; the max-entropy checks solve in one
+``entropy.Truncation``; the H_min check solves in one
+``entropy.h_min_cq_smoothed_many`` call per eps. No check builds a
+``CQState``. The D_H check does the same with one ``entropy.d_h_many`` call
+for all its pairs, one stacked eigendecomposition per size and probe round.
+Each value has the bits of its own one-state call, and the slacks are
+evaluated in trial order from them. The derandomization check counts in
+its loop the symbols that each ensemble keeps, since that count sizes a
+later draw. Every slack is that of the trial-at-a-time body, bit for bit.
 """
 
 import functools
@@ -58,7 +60,7 @@ from .sampling import (
     random_povm,
     standard_complex,
 )
-from .states import PureState
+from .states import PureState, kept_symbols
 
 TOL = 1e-7
 
@@ -79,35 +81,63 @@ def _eps(rng):
     return float(rng.choice([0.01, 0.05, 0.1]))
 
 
-def _spectra(mats):
-    """The clipped ascending spectra of ``mats`` as one ``entropy.left_padded``
-    stack: one stacked decomposition per matrix size, each row with the bits
-    of its own call."""
-    return entropy.left_padded([w for ws in linalg.per_size(linalg.psd_eigvals,
-                                                            [m[None] for m in mats]) for w in ws])
-
-
-def _h_h(cases, eps, k):
-    """The H_H value of each matrix of ``cases``, tuples of ``k`` matrices, at
-    its eps, in rows of ``k`` Python floats: one ``entropy.h_h_many`` call on
-    their ``_spectra``."""
-    mats = [m for case in cases for m in case]
-    return entropy.h_h_many(_spectra(mats), eps)[0].reshape(-1, k).tolist()
-
-
 def _stacked(f, keys, *draws) -> list:
-    """``[f(k, *d) for k, *d in zip(keys, *draws)]``, from one call of ``f``
-    per distinct key on the draws of its trials stacked (``f`` gives each
-    member the bits of its one-trial call): per trial, the member of ``f``'s
-    stack, or the tuple of its members of ``f``'s tuple of stacks."""
-    out, groups = [None] * len(keys), {}
+    """The trials of each distinct key of ``keys``, in order of first
+    appearance, as (their indices, ``f(key, *draws)`` on their draws
+    stacked): one call of ``f`` per key, whose tuple of stacks gives each
+    member the bits of its one-trial call."""
+    groups = {}
     for i, k in enumerate(keys):
         groups.setdefault(k, []).append(i)
-    for k, idx in groups.items():
-        res = f(k, *(np.array([d[i] for i in idx]) for d in draws))
-        for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
-            out[i] = r
+    return [(np.array(idx), f(k, *(np.array([d[i] for i in idx]) for d in draws)))
+            for k, idx in groups.items()]
+
+
+def _padded_spectra(groups, fill) -> np.ndarray:
+    """The clipped ascending spectra of the k output stacks of each of the
+    ``_stacked`` ``groups``, stacks of matrices or of (n, d, d) ensembles,
+    from one ``linalg.per_size`` call on those stacks as they are: output j
+    of trial i in row k i + j of one array, a spectrum in the last entries
+    of the last axis and an ensemble's n spectra in the first n rows of the
+    axis before, ``fill`` elsewhere."""
+    k = len(groups[0][1])
+    outs = [(idx * k + j, s) for idx, stacks in groups for j, s in enumerate(stacks)]
+    ws = linalg.per_size(linalg.psd_eigvals, [s.reshape(-1, *s.shape[-2:]) for _, s in outs])
+    out = np.full((k * sum(len(idx) for idx, _ in groups),
+                   *np.max([s.shape[1:-1] for _, s in outs], axis=0)), fill)
+    for (rows, s), w in zip(outs, ws):
+        out[(rows, *map(slice, s.shape[1:-2]), slice(-s.shape[-1], None))] = w.reshape(s.shape[:-1])
     return out
+
+
+def _h_h_rows(groups, eps) -> list:
+    """The H_H value of each output of each trial of ``groups`` at its eps,
+    in rows of the k outputs of a trial: one ``entropy.h_h_many`` call on
+    their ``_padded_spectra``."""
+    return entropy.h_h_many(_padded_spectra(groups, 0.0), eps)[0].reshape(
+        -1, len(groups[0][1])).tolist()
+
+
+def _cq_arrays(groups) -> tuple:
+    """The probabilities and spectra of the cq states of the ``_stacked``
+    ``groups``, whose outputs are m trials' (m, n) probabilities and k
+    (m, n, d, d) stacks of conditionals: state j of trial i in row k i + j
+    of the arrays the stacked cq solvers take, its probabilities first and 0
+    after them, its spectra ``_padded_spectra`` with -1 outside them."""
+    w = _padded_spectra([(idx, stacks) for idx, (_, *stacks) in groups], -1.0)
+    p, k = np.zeros(w.shape[:2]), len(groups[0][1]) - 1
+    for idx, (probs, *_) in groups:
+        p[(idx[:, None] * k + np.arange(k)).ravel(), :probs.shape[1]] = np.repeat(probs, k, axis=0)
+    return p, w
+
+
+def _conditional_h_h(w, eps) -> list:
+    """The H_H of each conditional of the (T, n, d) ``_padded_spectra`` w
+    (fill -1), at the ``eps`` of its state, in rows of n, inf past a state's
+    conditionals: one ``entropy.h_h_many`` call."""
+    real, hs = w[:, :, -1] >= 0.0, np.full(w.shape[:2], np.inf)
+    hs[real] = entropy.h_h_many(np.maximum(w[real], 0.0), np.repeat(eps, real.sum(axis=1)))[0]
+    return hs.tolist()
 
 
 def _ginibre_trials(rng, trials, eps):
@@ -118,7 +148,7 @@ def _ginibre_trials(rng, trials, eps):
         ds.append(int(rng.integers(2, 9)))
         zs.append(ginibre_normals(rng, ds[-1]))
         es.append(eps or _eps(rng))
-    return ds, _stacked(lambda _, z: ginibre_gram(z), ds, zs), es
+    return ds, _stacked(lambda _, z: (ginibre_gram(z),), ds, zs), es
 
 
 def _bipartite_trials(rng, trials, eps, marginals):
@@ -138,17 +168,18 @@ def _bipartite_trials(rng, trials, eps, marginals):
     return dims, _stacked(parts, dims, zs), es
 
 
-def _cq_ensembles(draws, pure=False) -> tuple:
-    """The probabilities and the stacks of conditionals of the ``random_cq``
-    of each ``sampling.cq_draws`` pair of ``draws``, with their bits and
-    without the symbols it drops: one ``sampling.cq_ensembles`` call per
-    shape of the draws."""
-    def build(_, probs, z):
-        probs, stack, keep = cq_ensembles(probs, z, pure)
-        return (probs, stack) if keep.all() else (
-            [p[k] for p, k in zip(probs, keep)], [m[k] for m, k in zip(stack, keep)])
+def _cq(probs, z, pure) -> tuple:
+    """The ensembles of m ``sampling.cq_draws`` of one shape, their (m, n)
+    probabilities and normals stacked (``sampling.cq_ensembles``): the
+    probabilities, 0 for a symbol that ``random_cq`` drops, and the
+    conditionals, each member with its ``random_cq`` bits."""
+    probs, stack, keep = cq_ensembles(probs, z, pure)
+    return np.where(keep, probs, 0.0), stack
 
-    return tuple(zip(*_stacked(build, [z.shape for _, z in draws], *zip(*draws))))
+
+def _cq_trials(draws, pure) -> list:
+    """The ``_stacked`` ``_cq`` ensembles of ``cq_draws`` pairs, per shape."""
+    return _stacked(lambda _, p, z: _cq(p, z, pure), [z.shape for _, z in draws], *zip(*draws))
 
 
 def _pure_marginals(_, z):
@@ -195,7 +226,7 @@ def check_hh_purification_duality(rng, trials, eps):
         shapes.append(tuple(int(d) for d in rng.integers(2, 9, size=2)))
         zs.append(ginibre_normals(rng, *shapes[-1]))
         es += [eps or _eps(rng)] * 2
-    for ha, hr in _h_h(_stacked(_pure_marginals, shapes, zs), es, 2):
+    for ha, hr in _h_h_rows(_stacked(_pure_marginals, shapes, zs), es):
         yield TOL - abs(ha - hr)
 
 
@@ -214,28 +245,27 @@ def check_hh_pure_tensor(rng, trials, eps):
         v = v / linalg.row_norms(v)[:, None]
         return linalg.kron(rho, v[:, :, None] * np.conj(v)[:, None]), rho
 
-    for joint, single in _h_h(_stacked(tensored, ds, zs, ws), es, 2):
+    for joint, single in _h_h_rows(_stacked(tensored, ds, zs, ws), es):
         yield TOL - abs(joint - single)
 
 
 @_check("hh-support-sandwich", per=1)
 def check_hh_support_sandwich(rng, trials, eps):
     """h_tilde_max - 1 <= h_h <= h_tilde_max."""
-    _, rhos, es = _ginibre_trials(rng, trials, eps)
-    ws = _spectra(rhos)
-    for w, e, hh in zip(ws, es, entropy.h_h_many(ws, es)[0].tolist()):
-        ht = entropy.h_tilde_max(w, e)
+    _, groups, es = _ginibre_trials(rng, trials, eps)
+    ws = _padded_spectra(groups, 0.0)
+    for hh, ht in zip(entropy.h_h_many(ws, es)[0].tolist(),
+                      entropy.Truncation(ws, es).h_tilde_max().tolist()):
         yield min(ht + TOL - hh, hh - (ht - 1) + TOL)
 
 
 @_check("max-entropy-ordering", per=1)
 def check_max_entropy_ordering(rng, trials, eps):
     """h_max_smooth <= h_tilde_max <= h_prime_max <= log2(d/eps)."""
-    ds, rhos, es = _ginibre_trials(rng, trials, eps)
-    for d, e, w in zip(ds, es, _spectra(rhos)):
-        hm = entropy.h_max_smooth(w, e)
-        ht = entropy.h_tilde_max(w, e)
-        hp = entropy.h_prime_max(w, e)
+    ds, groups, es = _ginibre_trials(rng, trials, eps)
+    t = entropy.Truncation(_padded_spectra(groups, 0.0), es)
+    for d, e, hm, ht, hp in zip(ds, es, t.h_max_smooth().tolist(), t.h_tilde_max().tolist(),
+                                t.h_prime_max().tolist()):
         cap = np.log2(d / e)
         yield min(ht - hm + TOL, hp - ht + TOL, cap - hp + TOL)
 
@@ -245,7 +275,7 @@ def check_hh_subadditivity(rng, trials, eps):
     """h_h(AB, 3 sqrt(eps)) <= h_h(A, eps) + h_h(B, eps)."""
     _, parts, es = _bipartite_trials(rng, trials, eps, (0, 1))
     es = [x for e in es for x in (min(3 * np.sqrt(e), 0.999), e, e)]
-    for lhs, ha, hb in _h_h(parts, es, 3):
+    for lhs, ha, hb in _h_h_rows(parts, es):
         yield ha + hb - lhs + TOL
 
 
@@ -262,7 +292,7 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps):
         rho = ginibre_gram(z)
         return linalg.kron(rho, np.eye(dims[1]) / dims[1]), rho
 
-    for (lhs, h), (_, db) in zip(_h_h(_stacked(with_ancilla, dims, zs), es, 2), dims):
+    for (lhs, h), (_, db) in zip(_h_h_rows(_stacked(with_ancilla, dims, zs), es), dims):
         yield 1e-9 - abs(lhs - (h + np.log2(db)))
 
 
@@ -271,7 +301,7 @@ def check_hh_dimension_bound(rng, trials, eps):
     """h_h(AB) <= h_h(A) + log2 |B|."""
     dims, parts, es = _bipartite_trials(rng, trials, eps, (0,))
     es = [e for e in es for _ in (0, 1)]
-    for (lhs, ha), (_, db) in zip(_h_h(parts, es, 2), dims):
+    for (lhs, ha), (_, db) in zip(_h_h_rows(parts, es), dims):
         yield ha + np.log2(db) - lhs + TOL
 
 
@@ -293,10 +323,14 @@ def check_hh_near_pure(rng, trials, eps):
         # the trace distances, as linalg.trace_distance takes them
         return sigma, linalg.trace_norm(sigma - pure0)
 
-    cases = [(sigma, e) for (sigma, dist), e in zip(_stacked(near_pure, ds, zs, deltas), es)
-             if not dist > e]
-    for (h,) in _h_h([case[:1] for case in cases], [e for _, e in cases], 1):
-        yield TOL - h
+    groups, dists = _stacked(near_pure, ds, zs, deltas), np.zeros(trials)
+    for idx, (_, dist) in groups:
+        dists[idx] = dist
+    # every state is solved, and the ones farther than eps from |0> are skipped
+    for (h,), dist, e in zip(_h_h_rows([(idx, (sigma,)) for idx, (sigma, _) in groups], es),
+                             dists.tolist(), es):
+        if not dist > e:
+            yield TOL - h
 
 
 @_check("hh-cond-pure-nonpositive", per=1)
@@ -304,9 +338,8 @@ def check_hh_cond_pure(rng, trials, eps):
     """cq states with pure conditionals have H_H(B|X) <= 0."""
     cases = [(cq_draws(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
                        pure_conditionals=True), eps or _eps(rng)) for _ in range(trials)]
-    probs, stacks = _cq_ensembles([draw for draw, _ in cases], pure=True)
-    spectra = linalg.per_size(linalg.psd_eigvals, stacks)
-    for h in entropy.h_h_cond_cq_many(probs, spectra, [e for _, e in cases])[0].tolist():
+    p, w = _cq_arrays(_cq_trials([draw for draw, _ in cases], True))
+    for h in entropy.h_h_cond_cq_many(p, w, [e for _, e in cases])[0].tolist():
         yield TOL - h
 
 
@@ -317,12 +350,12 @@ def check_hh_cond_purification_switch(rng, trials, eps):
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = (int(d) for d in rng.integers(2, 5, size=2))
-        probs += [rng.dirichlet(np.ones(n))] * 2
+        probs.append(rng.dirichlet(np.ones(n)))
         zs.append(ginibre_normals(rng, da, db, n=n))
         es += [eps or _eps(rng)] * 2
-    marginals = _stacked(_pure_marginals, [z.shape for z in zs], zs)
-    spectra = linalg.per_size(linalg.psd_eigvals, [m for ab in marginals for m in ab])
-    for ha, hb in entropy.h_h_cond_cq_many(probs, spectra, es)[0].reshape(-1, 2).tolist():
+    p, w = _cq_arrays(_stacked(lambda _, probs, z: (probs, *_pure_marginals(_, z)),
+                               [z.shape for z in zs], probs, zs))
+    for ha, hb in entropy.h_h_cond_cq_many(p, w, es)[0].reshape(-1, 2).tolist():
         yield TOL - abs(ha - hb)
 
 
@@ -338,25 +371,25 @@ def check_hh_cond_data_processing(rng, trials, eps):
         # ginibre_matrix's draws for each unitary in turn
         zs.append(ginibre_normals(rng, db, n=int(rng.integers(2, 4))))
         ps.append(rng.dirichlet(np.ones(len(zs[-1]))))
-    probs, stacks = _cq_ensembles(draws)
-    more = _stacked(_processed, [(m.shape, z.shape) for m, z in zip(stacks, zs)], stacks, zs, ps)
-    cases = [m for stack, ms in zip(stacks, more) for m in (stack, *ms)]
-    values = entropy.h_h_cond_cq_many([p for p in probs for _ in range(3)], linalg.per_size(
-        linalg.psd_eigvals, cases), np.repeat(es, 3))[0]
+    groups = _stacked(_processed, [(z.shape, zu.shape) for (_, z), zu in zip(draws, zs)],
+                      *zip(*draws), zs, ps)
+    values = entropy.h_h_cond_cq_many(*_cq_arrays(groups), np.repeat(es, 3))[0]
     for base, deph, unital in values.reshape(-1, 3).tolist():
         yield min(deph - base + TOL, unital - base + TOL)
 
 
-def _processed(_, stacks, zs, ps):
-    """Per member of the (m, n, d, d) ``stacks`` of conditionals rho: the
-    dephased ones, the diagonal kept and +0 elsewhere as np.diag(np.diag(rho))
-    has it, and the ones mixed to sum_j p_j u_j rho u_j^dag over the Haar
-    unitaries of the ``zs`` draws, the terms in one stacked product and summed
-    in the order of ``sum`` over j."""
+def _processed(_, probs, z, zs, ps):
+    """The ``_cq`` ensembles of the ``cq_draws`` (probs, z), and per member
+    of their (m, n, d, d) stacks of conditionals rho: the dephased ones, the
+    diagonal kept and +0 elsewhere as np.diag(np.diag(rho)) has it, and the
+    ones mixed to sum_j p_j u_j rho u_j^dag over the Haar unitaries of the
+    ``zs`` draws, the terms in one stacked product and summed in the order of
+    ``sum`` over j."""
+    probs, stacks = _cq(probs, z, False)
     us = haar_unitary(standard_complex(zs))
     terms = ((ps[..., None, None] * us)[:, None] @ stacks[:, :, None]
              @ linalg.dagger(us)[:, None])
-    return (np.where(np.eye(stacks.shape[-1], dtype=bool), stacks, 0),
+    return (probs, stacks, np.where(np.eye(stacks.shape[-1], dtype=bool), stacks, 0),
             sum(terms[:, :, j] for j in range(us.shape[1])))
 
 
@@ -366,14 +399,11 @@ def check_hh_average_to_worst_case(rng, trials, eps):
     at least 1 - 2 sqrt(eps)."""
     cases = [(cq_draws(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5))),
               eps or _eps(rng)) for _ in range(trials)]
-    (probs, stacks), es = _cq_ensembles([draw for draw, _ in cases]), [e for _, e in cases]
-    spectra = linalg.per_size(linalg.psd_eigvals, stacks)
-    bounds = (entropy.h_h_cond_cq_many(probs, spectra, es)[0] - np.log2(es)).tolist()
-    ws = entropy.left_padded([w for ws in spectra for w in ws])  # every conditional's
-    hs = iter(entropy.h_h_many(ws, np.repeat(np.sqrt(es), [len(p) for p in probs]))[0].tolist())
-    for p, bound, e in zip(probs, bounds, es):
-        # zip draws a probability first, so a state reads only its own rows of hs
-        mass = sum(q for q, h in zip(p, hs) if h <= bound + 1e-12)
+    (p, w), es = _cq_arrays(_cq_trials([draw for draw, _ in cases], False)), [e for _, e in cases]
+    bounds = (entropy.h_h_cond_cq_many(p, w, es)[0] - np.log2(es)).tolist()
+    # a dropped symbol's H_H too: its probability is 0
+    for q, h, bound, e in zip(p.tolist(), _conditional_h_h(w, np.sqrt(es)), bounds, es):
+        mass = sum(x for x, y in zip(q, h) if y <= bound + 1e-12)
         yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
 
@@ -406,12 +436,13 @@ def check_hmin_smoothing(rng, trials, eps):
     where it is the closed form -log2 sum_x P(x) lambda_max(rho_x)."""
     cases = [(cq_draws(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))),
               eps or _eps(rng)) for _ in range(trials)]
-    probs, stacks = _cq_ensembles([draw for draw, _ in cases])
-    spectra = linalg.per_size(linalg.psd_eigvals, stacks)
-    base, smoothed = (entropy.h_min_cq_smoothed_many(probs, spectra, e).tolist()
+    p, w = _cq_arrays(_cq_trials([draw for draw, _ in cases], False))
+    base, smoothed = (entropy.h_min_cq_smoothed_many(p, w, e).tolist()
                       for e in (0.0, [e for _, e in cases]))
-    for p, w, b, s in zip(probs, spectra, base, smoothed):
-        yield min(s - b + TOL, TOL - abs(-np.log2(sum(p * w[:, -1])) - b))
+    # summed in symbol order, as sum() adds; a symbol outside the state adds 0
+    closed = (-np.log2(np.cumsum(p * w[:, :, -1], axis=1)[:, -1])).tolist()
+    for b, s, c in zip(base, smoothed, closed):
+        yield min(s - b + TOL, TOL - abs(c - b))
 
 
 @_check("compression-povm-validity", per=50)
@@ -468,28 +499,35 @@ def check_condhh_derandomization(rng, trials, eps):
     distribution are close to ideal, most table rows obey the worst-case
     entropy bound 2^{H_H(eps^{1/8})} <= 2^{H_H(B|X)} / eps."""
     e = eps or 0.05
-    cases = []
+    draws, reps, zs = [], [], []
     for _ in range(trials):
         nx, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        # built in the loop: the number of symbols it keeps sizes a later draw
-        (p,), (stack,) = _cq_ensembles([cq_draws(rng, nx, db)])
+        draws.append(cq_draws(rng, nx, db))
         # build a K-table whose rows decode to symbols with Q close to P
-        reps = int(rng.integers(3, 6))
-        # a ginibre_density draw per conditional, in turn
-        cases.append((p, stack, reps, ginibre_normals(rng, db, n=len(p))))
-    spectra = linalg.per_size(linalg.psd_eigvals, [stack for _, stack, _, _ in cases])
-    bounds = entropy.h_h_cond_cq_many([p for p, _, _, _ in cases], spectra, e)[0].tolist()
-    sigmas = _spectra([sigma for _, stack, _, z in cases
-                       for sigma in (1 - e / 4) * stack + e / 4 * ginibre_gram(z)])
-    hs = iter(entropy.h_h_many(sigmas, e ** 0.125)[0].tolist())
-    for (p, _, reps, _), h_cond in zip(cases, bounds):
-        K = len(p) * reps
-        q_k = np.repeat(p / reps, reps)  # f(k) = x for each block
+        reps.append(int(rng.integers(3, 6)))
+        # a ginibre_density draw per conditional that random_cq keeps, in turn
+        kept = kept_symbols(draws[-1][0] / draws[-1][0].sum())
+        zs.append(ginibre_normals(rng, db, n=int(kept.sum())))
+
+    def build(_, probs, z, zs):
+        probs, stacks = _cq(probs, z, False)
+        kept = stacks[probs > 0].reshape(len(stacks), -1, *stacks.shape[-2:])
+        return probs, stacks, (1 - e / 4) * kept + e / 4 * ginibre_gram(zs)
+
+    groups = _stacked(build, [(z.shape, zk.shape) for (_, z), zk in zip(draws, zs)],
+                      *zip(*draws), zs)
+    p, w = _cq_arrays([(idx, out[:2]) for idx, out in groups])
+    bounds = entropy.h_h_cond_cq_many(p, w, e)[0].tolist()
+    hs = _conditional_h_h(_padded_spectra([(idx, out[2:]) for idx, out in groups], -1.0),
+                          np.full(len(p), e ** 0.125))
+    for q, h, r, h_cond in zip(p, hs, reps, bounds):
+        q = q[q > 0]  # the symbols random_cq keeps
+        K = len(q) * r
+        q_k = np.repeat(q / r, r)  # f(k) = x for each block
         bound = 2.0 ** h_cond / e
         uniform_dev = float(np.sum(np.abs(q_k - 1.0 / K)))
-        good = reps * sum(2.0 ** next(hs) <= bound + 1e-12 for _ in range(len(p)))
-        need = 1 - e ** 0.125 - uniform_dev
-        yield good / K - need + TOL
+        good = r * sum(2.0 ** x <= bound + 1e-12 for x in h)
+        yield good / K - (1 - e ** 0.125 - uniform_dev) + TOL
 
 
 SUITE = tuple(_CHECKS.values())

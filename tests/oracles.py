@@ -109,6 +109,52 @@ def h_h_iid(p, n, eps):
     return float(np.logaddexp.reduce(np.log(lam[taken]) + log_mult[order][taken])) / math.log(2)
 
 
+def left_padded(rows) -> np.ndarray:
+    """The 1-D spectra ``rows`` as one (n, d) stack, the shorter ones
+    left-padded with zeros: the layout ``entropy.h_h_many`` takes."""
+    size = np.array([len(w) for w in rows], dtype=int)
+    out = np.zeros((len(rows), size.max(initial=0)))
+    filled = np.arange(out.shape[1]) >= out.shape[1] - size[:, None]  # fills row-major
+    out[filled] = np.concatenate(rows) if rows else ()
+    return out
+
+
+def cq_layout(probs, spectra):
+    """The probabilities ``probs[i]`` and (n, d) spectra ``spectra[i]`` of cq
+    states of any shapes in the layout the stacked cq solvers take: one
+    (m, n) array, 0 past a state's symbols, and one (m, n, d) array, each
+    spectrum left-padded with -1 and the rows past a state's symbols all -1."""
+    n, d = np.array([np.shape(w) for w in spectra]).T
+    rows = np.arange(n.max()) < n[:, None]  # a boolean mask fills row-major
+    p, w = np.zeros(rows.shape), np.full(rows.shape + (d.max(),), -1.0)
+    p[rows] = np.concatenate(probs)
+    w[rows[..., None] & (np.arange(d.max()) >= (d.max() - d)[:, None, None])] = np.concatenate(
+        spectra, axis=None)
+    return p, w
+
+
+def truncated_support(w, eps):
+    """The spectral truncation of one spectrum by the formulas of the
+    one-state functions before ``entropy.Truncation`` stacked them: the
+    support eigenvalues (above SUPPORT_TOL) sorted ascending, and the number
+    k of the smallest whose running sum stays <= eps, capped at |supp| - 1 so
+    one is always kept."""
+    supp = np.sort(w[w > linalg.SUPPORT_TOL])
+    k = int(np.searchsorted(np.cumsum(supp), eps + 1e-15, side="right"))
+    return supp, min(k, len(supp) - 1)
+
+
+def truncation_entropies(w, eps):
+    """H~_max, H'_max and the Renyi-1/2 H_max of one spectrum, and its
+    truncation code's (bits, kept) at dimension len(w), each by its
+    one-state formula on ``truncated_support``."""
+    supp, k = truncated_support(w, eps)
+    kept = supp[k:] / supp[k:].sum()
+    return (float(np.log2(len(supp) - k)), float(-np.log2(supp[k])),
+            float(2.0 * np.log2(np.sqrt(kept).sum())),
+            (len(w) // (len(supp) - k)).bit_length() - 1, len(supp) - k)
+
+
 def near_pure_classical(rng, da=8, db=4, top=0.9):
     """Classical correlated instance with a near-pure A marginal."""
     pa = np.full(da, (1 - top) / (da - 1))

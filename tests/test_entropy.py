@@ -23,7 +23,15 @@ from puredist.sampling import (
 )
 from puredist.states import CQState, DensityOperator, control_state
 
-from oracles import greedy_lp, h_h_iid, imax_qubit_grid_oracle
+from oracles import (
+    cq_layout,
+    greedy_lp,
+    h_h_iid,
+    imax_qubit_grid_oracle,
+    left_padded,
+    truncated_support,
+    truncation_entropies,
+)
 
 try:
     import cvxpy
@@ -127,9 +135,76 @@ def test_h_max_smooth_takes_one_spectrum(rng, monkeypatch):
             got = ent.h_max_smooth(rho, eps)
             assert len(calls) == 1
             # the Renyi-1/2 value of the truncated spectrum, bit for bit
-            supp, k = ent.truncated_support(ent._spectrum(rho), eps)
+            supp, k = truncated_support(ent._spectrum(rho), eps)
             kept = supp[k:] / np.sum(supp[k:])
             assert got == float(2.0 * np.log2(np.sum(np.sqrt(kept))))
+
+
+def truncation_cases(rng):
+    """(spectrum, eps) pairs: clipped ascending spectra of widths 1-16, some
+    with repeated eigenvalues, some with entries on both sides of
+    SUPPORT_TOL, some with a single support eigenvalue; each at eps = 0, at
+    a random eps, exactly at a boundary of its support's cumsum, just below
+    one, and where eps + 1e-15 is one."""
+    tol, cases = linalg.SUPPORT_TOL, []
+    for _ in range(300):
+        d = int(rng.integers(1, 17))
+        w = rng.dirichlet(np.full(d, rng.choice([0.3, 1.0, 3.0])))
+        kind = int(rng.integers(4))
+        if kind == 1:  # repeated eigenvalues
+            w = np.repeat(w[:(d + 1) // 2], 2)[:d]
+        elif kind == 2:  # tiny entries on both sides of SUPPORT_TOL
+            small = (rng.random(d) < 0.5) & (np.arange(d) != np.argmax(w))
+            w[small] = rng.choice([0.0, 0.5 * tol, tol, np.nextafter(tol, 1.0), 2 * tol],
+                                  size=small.sum())
+        elif kind == 3:  # one support eigenvalue, maybe with tiny ones below it
+            w = np.where(rng.random(d) < 0.5, 0.5 * tol, 0.0)
+        w[-1] = max(w[-1], 0.5) if kind == 3 else w[-1]
+        w = np.sort(w)
+        cums = np.cumsum(w[w > tol])
+        j = int(rng.integers(len(cums)))
+        # eps + 1e-15 lands on the boundary itself, a row's cut keeps it
+        edge = float(cums[j] - 1e-15) if cums[j] - 1e-15 + 1e-15 == cums[j] else 0.0
+        for eps in (0.0, float(rng.uniform(0.0, 0.6)), float(cums[j]),
+                    float(np.nextafter(cums[j], 0.0)), edge):
+            if 0.0 <= eps < 1.0:
+                cases.append((w, eps))
+    return cases
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_stacked_truncation_keeps_the_bits_of_each_row(rng):
+    # random left-padded stacks of the cases, one eps per row, against the
+    # one-state formulas of tests/oracles.py; the one-state functions too
+    cases = truncation_cases(rng)
+    order = rng.permutation(len(cases))
+    for chunk in np.array_split(order, 40):
+        rows = [cases[i] for i in chunk]
+        t = ent.Truncation(left_padded([w for w, _ in rows]), [e for _, e in rows])
+        got = zip(t.h_tilde_max(), t.h_prime_max(), t.h_max_smooth())
+        for (w, eps), values in zip(rows, got):
+            want = truncation_entropies(w, eps)
+            assert [_bits(v) for v in values] == [_bits(v) for v in want[:3]], (w, eps)
+            assert [_bits(f(w, eps)) for f in (ent.h_tilde_max, ent.h_prime_max,
+                                                ent.h_max_smooth)] == [_bits(v) for v in want[:3]]
+
+
+def test_stacked_truncation_codes_keep_the_bits_of_each_row(rng):
+    # the codes of stacks of one dimension d each, from descending eigensystems
+    cases = truncation_cases(rng)
+    for d in range(1, 17):
+        rows = [(w, e) for w, e in cases if len(w) == d]
+        if not rows:
+            continue
+        w = np.array([w[::-1] for w, _ in rows])
+        v = np.array([ginibre_matrix(rng, d) for _ in rows])
+        codes = ent.truncation_codes(w, v, [e for _, e in rows])  # one eps per row
+        for (spectrum, eps), (bits, kept, out), vi in zip(rows, codes, v):
+            assert (bits, kept) == truncation_entropies(spectrum, eps)[3:], (spectrum, eps)
+            assert out.tobytes() == np.conj(vi).T.tobytes()
 
 
 def test_spectral_entropies_take_a_state_or_its_spectrum(rng):
@@ -652,7 +727,7 @@ def test_h_h_many_keeps_the_bits_of_h_h(rng):
     for spec in ([1 - 5 * tol, tol, 0.5 * tol, 2 * tol, tol * (1 + 1e-15), tol * (1 - 1e-15),
                   1e-13], [1 - 3 * tol, tol, tol, tol, 0.0], [0.25] * 4, [1.0, 0.0, 0.0]):
         spectra.append(np.sort(np.array(spec) / np.sum(spec)))  # on and straddling the tolerance
-    stack = ent.left_padded(spectra)
+    stack = left_padded(spectra)
     for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
         values, weights = ent.h_h_many(stack, eps)
         for w, value, row in zip(spectra, values, weights):
@@ -670,15 +745,15 @@ def test_h_h_many_keeps_the_bits_of_h_h(rng):
 
 
 def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
-    # and h_min_cq_smoothed_many those of the heap loop, on the same ragged stack
+    # and h_min_cq_smoothed_many those of the heap loop, on the same stack of
+    # states of every shape, padded into the solvers' layout
     cqs = list(stacked_cq_cases(rng))  # pure conditionals, ties and a dropped symbol among them
     eigh_calls.clear()
     spectra = linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in cqs])
-    probs = [cq.probs for cq in cqs]
-    ent.h_h_cond_cq_many(probs, spectra, 0.1)
     # the spectra came from one stacked decomposition per size, the states' bits
     assert len(eigh_calls) == len({cq.stack.shape[-1] for cq in cqs})
     assert all(w.tobytes() == cq.spectra.tobytes() for cq, w in zip(cqs, spectra))
+    probs, spectra = cq_layout([cq.probs for cq in cqs], spectra)  # the solvers' layout
     for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
         values, weights = ent.h_h_cond_cq_many(probs, spectra, [eps] * len(cqs))
         for cq, value, row in zip(cqs, values, weights):
@@ -1100,7 +1175,7 @@ def test_h_max_smooth_invariant_survives_python_O():
         "import numpy as np\n"
         "from puredist import entropy, linalg\n"
         "from puredist.states import CQState\n"
-        "entropy._kept_bits = lambda supp, k: -1.0\n"
+        "entropy.Truncation.h_tilde_max = lambda self: np.log2(self.kept) - 2.0\n"
         "try:\n"
         "    entropy.h_max_smooth(np.eye(4) / 4, 0.1)\n"
         "except linalg.InvariantError as exc:\n"

@@ -330,7 +330,13 @@ def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     psi = near_pure_classical(rng, 8, 4)
     inst = Instance(psi, basis_povm(8, "A"), 0.25)
     view = inst.compression(K=4, L=16, seed=1)
-    codes = _count_calls(monkeypatch, entropy, "truncation_code")
+    codes, orig = [], entropy.truncation_codes
+
+    def counting(w, v, eps):
+        codes.extend(w)  # the members of the stacked call, one spectrum each
+        return orig(w, v, eps)
+
+    monkeypatch.setattr(entropy, "truncation_codes", counting)
     pr.run_fewqubits(view)
     _, nice = view.nice
     symbols = {int(view.decode[view.k, l]) for l in nice[view.k]}

@@ -1,18 +1,20 @@
 """The batched property checks against the per-trial bodies they replace.
 
-Fifteen checks of ``puredist.verify`` draw every trial first, decompose all
-their operators with one stacked eigendecomposition per matrix size (the
-D_H check: one ``entropy.d_h_many`` call, one per size and probe round),
-then evaluate the slacks in trial order; the H_H checks solve all their
-LPs in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind, and
-the H_min check in one ``h_min_cq_smoothed_many`` call per eps.
-``REFERENCE`` keeps the per-trial bodies they had before, as the
-reference: one trial at a time, drawn, decomposed and evaluated in turn,
-each H_H value from its own ``h_h`` or ``h_h_cond_cq`` call. Their cq
-states come from ``per_symbol_random_cq``, the per-symbol sampler that
-``sampling.random_cq`` replaced, so a change in the stacked sampler's bits
-shows here too, and the D_H check's pairs go through the one-pair solver
-that ``d_h_many`` replaced. Each batched check must also leave its generator
+Fifteen checks of ``puredist.verify`` draw every trial first, build each
+shape of their draws as one stack, decompose those stacks whole with one
+stacked eigendecomposition per matrix size (the D_H check: one
+``entropy.d_h_many`` call, one per size and probe round), and solve once
+from the spectra written into padded arrays: the H_H checks all their LPs
+in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind, the
+max-entropy checks in one ``entropy.Truncation``, and the H_min check in
+one ``h_min_cq_smoothed_many`` call per eps; then they evaluate the slacks
+in trial order. ``REFERENCE`` keeps the per-trial bodies they had before,
+as the reference: one trial at a time, drawn, decomposed and evaluated in
+turn, each value from its own one-state call (``h_h``, ``h_h_cond_cq``,
+``h_tilde_max``, ...). Their cq states come from ``per_symbol_random_cq``,
+the per-symbol sampler that ``sampling.random_cq`` replaced, so a change in
+the stacked sampler's bits shows here too, and the D_H check's pairs go
+through the one-pair solver that ``d_h_many`` replaced. Each batched check must also leave its generator
 where its reference leaves it: its loop makes the same draws, merged into
 fewer ``normal`` calls at most, and builds the rest after it.
 """
@@ -344,12 +346,13 @@ def _by_row(rows, eps):
     return -10.0 * rows
 
 
-# per check: the public function it checks and a fault planted in its value
+# per check: the public function (or method of an entropy class) it checks and a
+# fault planted in its value
 FAULTS = {
     "hh-purification-duality": ("h_h_many", _by_row),
     "hh-pure-tensor-invariance": ("h_h_many", _by_row),
-    "hh-support-sandwich": ("h_tilde_max", lambda rho, eps: -10.0),
-    "max-entropy-ordering": ("h_max_smooth", lambda rho, eps: 10.0),
+    "hh-support-sandwich": ("Truncation.h_tilde_max", lambda truncation: -10.0),
+    "max-entropy-ordering": ("Truncation.h_max_smooth", lambda truncation: 10.0),
     "hh-subadditivity": ("h_h_many", _by_row),
     "hh-mixed-ancilla-additivity": ("h_h_many", _by_row),
     "hh-dimension-bound": ("h_h_many", _by_row),
@@ -367,8 +370,10 @@ FAULTS = {
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_batched_check_reports_a_fault_in_the_function_it_checks(name, monkeypatch):
     fn, shift = FAULTS[name]
+    owner, _, fn = fn.rpartition(".")
+    owner = getattr(entropy, owner) if owner else entropy
     clean = _check(name)(np.random.default_rng(5), 30, 0.1)
-    monkeypatch.setattr(entropy, fn, _shifted(getattr(entropy, fn), shift))
+    monkeypatch.setattr(owner, fn, _shifted(getattr(owner, fn), shift))
     faulty = _check(name)(np.random.default_rng(5), 30, 0.1)
     assert clean.violations == 0 and faulty.violations > 0
 
@@ -388,6 +393,34 @@ def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
         _check(name)(np.random.default_rng(6), trials, None)
         # every eigendecomposition with eigenvectors passes linalg._eigh
         assert 0 < len(sizes) <= 2 * len(set(sizes)), (trials, sizes)
+
+
+@pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"dh-neyman-pearson-vs-lp"}))
+def test_batched_check_decomposes_its_build_stacks_whole(name, monkeypatch):
+    # no check splits the stacks of its draws' build into per-trial arrays before
+    # the decomposition: linalg.per_size gets at most one stack per build call of
+    # verify._stacked (one per key of its draws) and output of that call
+    outputs, stacks = [], []
+    stacked, per_size = verify._stacked, linalg.per_size
+
+    def counting_stacked(f, keys, *draws):
+        def counted(*args):
+            out = f(*args)
+            outputs.append(len(out) if isinstance(out, tuple) else 1)
+            return out
+        return stacked(counted, keys, *draws)
+
+    def counting_per_size(f, given):
+        stacks.append(len(given))
+        return per_size(f, given)
+
+    monkeypatch.setattr(verify, "_stacked", counting_stacked)
+    monkeypatch.setattr(linalg, "per_size", counting_per_size)
+    for trials in (50, 200):
+        outputs.clear()
+        stacks.clear()
+        _check(name)(np.random.default_rng(6), trials * PER[name], None)
+        assert 0 < sum(stacks) <= sum(outputs), (trials, stacks, outputs)
 
 
 CQ_CHECKS = ("hh-cond-pure-nonpositive", "hh-cond-purification-switch",

@@ -12,7 +12,9 @@ reference check alone allows floats to move within ``FLOAT_TOL``.
 ROOT is a checkout of the repository (default: the one holding this script);
 its ``src/puredist`` and ``perfbench`` are imported, so the same script hashes
 a ``git archive`` extraction of any commit. A failed job's output is its
-error text. The pool's input files go to a temporary directory.
+error text. The pool's input files go to a temporary directory. The exit
+status is 1 when any job failed or missed its reference, so a bit-for-bit
+gate can be scripted, and 0 otherwise.
 """
 
 import hashlib
@@ -34,6 +36,7 @@ def main(argv) -> int:
     import puredist.cli  # noqa: F401  (imports every module a job uses)
     import puredist as pd
 
+    missed = False
     for workload in argv:
         refs, digest, misses = jobs.load_refs(workload), hashlib.sha256(), 0
         with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
@@ -49,7 +52,8 @@ def main(argv) -> int:
                     misses += not jobs.matches(workload, output, ref)
                 digest.update(output.encode() + b"\0")
         print(f"{workload}: pool {len(specs)}, ref misses {misses}, sha256 {digest.hexdigest()}")
-    return 0
+        missed = missed or misses > 0
+    return int(missed)
 
 
 if __name__ == "__main__":
