@@ -450,6 +450,41 @@ def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
         assert calls == {"CQState": 0, "random_cq": 0}, trials
 
 
+class _DroppingRng:
+    """A generator whose every third Dirichlet draw puts its first entry at
+    1e-13, below the 1e-12 that a cq state keeps, and moves the rest of that
+    entry's mass to the second: seeded draws almost never drop a symbol."""
+
+    def __init__(self, seed):
+        self._rng, self._calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def dirichlet(self, alpha):
+        p = self._rng.dirichlet(alpha)
+        self._calls += 1
+        if self._calls % 3 == 0:
+            p[1] += p[0] - 1e-13
+            p[0] = 1e-13
+        return p
+
+
+# the derandomization reference indexes its kept conditionals by the number
+# of symbols drawn, so a dropped symbol stops it
+@pytest.mark.parametrize("name", [n for n in CQ_CHECKS if n != "condhh-derandomization"])
+def test_cq_check_drops_a_symbol_as_its_per_trial_body_does(name):
+    # the batched check keeps a dropped symbol at probability 0, where the
+    # reference's CQState leaves it out
+    for seed in (1, 2):
+        batched, loop = _DroppingRng(seed), _DroppingRng(seed)
+        got = _check(name)(batched, 40 * PER[name], None)
+        want = _run(name, REFERENCE[name], loop, 40 * PER[name], None)
+        assert (got.trials, got.violations, got.worst) == \
+            (want.trials, want.violations, want.worst), seed
+        assert batched.bit_generator.state == loop.bit_generator.state, seed
+
+
 def test_dh_check_decomposes_once_per_size_and_probe_round(monkeypatch):
     shapes, probes = [], []
     for name in ("_eigh", "_eigvalsh"):  # every eigendecomposition passes one of them
