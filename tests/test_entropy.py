@@ -749,11 +749,12 @@ def test_h_h_cond_cq_many_keeps_the_bits_of_h_h_cond_cq(rng, eigh_calls):
     # states of every shape, padded into the solvers' layout
     cqs = list(stacked_cq_cases(rng))  # pure conditionals, ties and a dropped symbol among them
     eigh_calls.clear()
-    spectra = linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in cqs])
+    ragged = linalg.per_size(linalg.psd_eigvals, [cq.stack for cq in cqs])
+    probs, spectra = cq_layout([cq.probs for cq in cqs], ragged)  # the solvers' layout
+    ent.h_h_cond_cq_many(probs, spectra, 0.1)
     # the spectra came from one stacked decomposition per size, the states' bits
     assert len(eigh_calls) == len({cq.stack.shape[-1] for cq in cqs})
-    assert all(w.tobytes() == cq.spectra.tobytes() for cq, w in zip(cqs, spectra))
-    probs, spectra = cq_layout([cq.probs for cq in cqs], spectra)  # the solvers' layout
+    assert all(w.tobytes() == cq.spectra.tobytes() for cq, w in zip(cqs, ragged))
     for eps in (0.0, 0.01, 0.1, 0.3, 0.999):
         values, weights = ent.h_h_cond_cq_many(probs, spectra, [eps] * len(cqs))
         for cq, value, row in zip(cqs, values, weights):
