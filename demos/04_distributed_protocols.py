@@ -27,7 +27,7 @@ povm = basis_povm(8, "A")
 
 inst = Instance(psi, povm, eps)
 view = inst.compression(K=4, L=16, seed=1)
-rows = [run_protocol_a(inst, seed=1), *run_kd_oneshot([view]), run_fewqubits(view)]
+rows = [run_protocol_a(inst, seed=1), *run_kd_oneshot([view]), *run_fewqubits([view])]
 
 print(f"{'protocol':<12} {'alice':>5} {'bob':>4} {'borrow':>6} {'comm':>5} "
       f"{'net':>4} {'error':>8} {'case':>5}")
@@ -56,7 +56,7 @@ for step, value in purity_trace(psi_small, basis_povm(4, "A"), 0.1):
 print("\nseed sweep (net rate / borrowed):")
 views = compress_seeds(inst, K=4, L=16, seeds=range(8))
 for name, runs in (("kd-oneshot", run_kd_oneshot(views)),
-                   ("fewqubits", [run_fewqubits(v) for v in views])):
+                   ("fewqubits", run_fewqubits(views))):
     nets, borrows = [t.net_rate for t in runs], [t.borrowed for t in runs]
     print(f"  {name:<11} net median {np.median(nets):+.0f}  "
           f"borrow median {np.median(borrows):.0f}")

@@ -6,8 +6,8 @@ flags it takes, declared once in ``OPTIONS``. Outputs are deterministic per
 (arguments, seed). A seed sweep builds one ``Instance`` per POVM, in POVM
 order, so every seed shares the instance's ideal-state quantities and
 per-outcome simulated states, and runs its seeds as one stack (one seed is a
-stack of one): ``compress_seeds`` and kd-oneshot take them all at once,
-fewqubits one by one, and results stay in seed order.
+stack of one): ``compress_seeds``, kd-oneshot and fewqubits take them all
+at once, and results stay in seed order.
 """
 
 import argparse
@@ -144,7 +144,7 @@ def cmd_sweep(args) -> int:
         elif args.command == "kd-oneshot":
             results += protocols.run_kd_oneshot(views)
         else:
-            results += map(protocols.run_fewqubits, views)
+            results += protocols.run_fewqubits(views)
     results = [r.to_dict() for r in results]
     key, columns = (("reports", bounds.RateReport.CSV_COLUMNS) if args.command == "compare"
                     else ("transcripts", TRANSCRIPT_COLUMNS))

@@ -307,7 +307,9 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return trace_norm(a - b)
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace <= 1."""
-    sa, sb = psd_power(np.array([a, b]), 0.5)
-    return float(_svdvals(sa @ sb).sum())
+def fidelity(a: np.ndarray, b: np.ndarray):
+    """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace
+    <= 1, or of a with each member of a stack b, a's root taken in b's stack."""
+    roots = psd_power(np.concatenate([[a], b if np.ndim(b) == 3 else [b]]), 0.5)
+    out = _svdvals(roots[0] @ roots[1:]).sum(axis=-1)
+    return out if np.ndim(b) == 3 else float(out[0])

@@ -22,10 +22,12 @@ shared bit count and an (n, d, d) stack of rows, one per branch:
 ``_branch_codes`` codes every live branch from one stacked
 eigendecomposition, ``_conditional_codes`` keeps the rows of a good set of
 outcomes of mass >= 1 - min(2 sqrt(eps), 1/2) and gives the rest the
-identity, and ``_final_error`` pads, applies and mixes the codes.
-``cells`` maps each outcome to its branch (the one-shot protocol measures
-one branch per decoded symbol of its row, in ``np.unique`` order); code
-sizes and mixtures run in outcome order.
+identity, and ``_final_error`` pads, applies and mixes the codes, one
+pass for all the runs of equal code sizes. A run is one seed's branches:
+``cells`` maps each of its outcomes to its branch (the one-shot protocol
+measures one branch per decoded symbol of its row, in ``np.unique``
+order); code sizes and mixtures run in outcome order. The compressed
+protocols take a sweep's views as one stack of runs.
 """
 
 import math
@@ -69,12 +71,11 @@ def _padded(rows: np.ndarray, bits: int) -> np.ndarray:
     return iso
 
 
-def _apply_code(branches: PureState, step) -> PureState:
-    """Branch i of a stack coded by a step (register, (pure, garbage)
-    labels, bits, rows): ``rows[i]``, padded, maps the register onto the
-    pure register of 2^bits levels and the garbage register, every branch
-    in one stacked product."""
-    reg, (pure, garbage), bits, rows = step
+def _apply_code(branches: PureState, reg: str, labels, bits: int, rows) -> PureState:
+    """Branch i of a stack coded on register ``reg``: ``rows[i]``, padded,
+    maps it onto the (pure, garbage) ``labels``, a pure register of 2^bits
+    levels and the garbage register, every branch in one stacked product."""
+    pure, garbage = labels
     iso = _padded(rows, bits)
     ap = 2 ** bits
     return branches.apply(iso, [reg], out_regs=[(pure, ap), (garbage, iso.shape[-2] // ap)])
@@ -147,39 +148,54 @@ def _branch_codes(branches: PureState, masses, runs, reg: str, eps: float) -> li
                                branches.dim(reg), eps) for (n, cells), end in zip(runs, ends)]
 
 
-def _distance_to_zero(sigma: np.ndarray) -> float:
-    """Trace distance of ``sigma`` to |0><0|, the pure target of every protocol."""
-    target = np.zeros(sigma.shape)
-    target[0, 0] = 1.0
-    return float(linalg.trace_distance(sigma, target))
+def _distance_to_zero(sigma: np.ndarray):
+    """Trace distance of ``sigma``, or of each member of a stack, to |0><0|,
+    the pure target of every protocol."""
+    return linalg.trace_norm(sigma - np.diag(np.eye(sigma.shape[-1])[0]))
 
 
-def _final_error(branches: PureState, masses, steps, cells) -> float:
-    """Trace distance to |0>|0> of the exact Ap x Bp mixture over dephased
-    outcomes. ``branches`` stacks the sub-normalized branches, of squared
-    norms ``masses``; outcome j has branch ``cells[j]``; each step
-    (register, (pure, garbage) labels, bits, rows) codes every branch in
-    one stacked product (``_apply_code``). The mixture adds one marginal
-    per outcome, in outcome order, skipping branches below mass 1e-15."""
-    for step in steps:
-        branches = _apply_code(branches, step)
-    margs = branches.marginal(["Ap", "Bp"])
-    return _distance_to_zero(linalg.sum_in_order(margs[i] for i in cells if masses[i] >= 1e-15))
+def _groups(keys) -> dict:
+    """The indices of each distinct key, keys in order of first appearance."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
+def _final_error(branches: PureState, masses, runs, codes, regs) -> list:
+    """Trace distance to |0>|0> of each run's exact Ap x Bp mixture over its
+    dephased outcomes. ``branches`` stacks the sub-normalized branches, of
+    squared norms ``masses``, in runs as in ``_branch_codes``; run r codes its
+    branches on each (register, (pure, garbage) labels) of ``regs`` by its
+    (bits, rows) in ``codes[r]``. The runs of equal bits go in one pass: one
+    stacked product per register (``_apply_code``), one stack of marginals
+    and one stacked trace norm. A mixture adds one marginal per outcome, in
+    outcome order, skipping branches below mass 1e-15."""
+    ends, errors = np.cumsum([n for n, _ in runs]).tolist(), [None] * len(runs)
+    for bits, rs in _groups(tuple(b for b, _ in code) for code in codes).items():
+        at = [j for r in rs for j in range(ends[r] - runs[r][0], ends[r])]
+        part = PureState(branches.regs, branches.tensor[at], stacked=True)
+        for i, ((reg, labels), b) in enumerate(zip(regs, bits)):
+            part = _apply_code(part, reg, labels, b, np.concatenate([codes[r][i][1] for r in rs]))
+        margs, kept = part.marginal(["Ap", "Bp"]), masses[at] >= 1e-15
+        starts = np.cumsum([0] + [runs[r][0] for r in rs]).tolist()
+        mixes = [linalg.sum_in_order(margs[s + i] for i in runs[r][1] if kept[s + i])
+                 for s, r in zip(starts, rs)]
+        for r, err in zip(rs, _distance_to_zero(np.stack(mixes)).tolist()):
+            errors[r] = err
+    return errors
 
 
 def _distill_branches(branches: PureState, runs, a_reg: str, b_reg: str, eps: float) -> list:
     """Both parties' conditional codes on the dephased outcomes of each run
     (as in ``_branch_codes``) of the stacked ``branches``; returns (Alice's
     bits, Bob's bits, final error) per run."""
-    masses, end, out = branches.masses(), 0, []
-    codes = zip(_branch_codes(branches, masses, runs, a_reg, eps),
-                _branch_codes(branches, masses, runs, b_reg, eps))
-    for (n, cells), ((a_bits, a_rows), (b_bits, b_rows)) in zip(runs, codes):
-        end += n
-        part = PureState(branches.regs, branches.tensor[end - n:end], stacked=True)
-        steps = [(a_reg, ("Ap", "Ag"), a_bits, a_rows), (b_reg, ("Bp", "Bg"), b_bits, b_rows)]
-        out.append((a_bits, b_bits, _final_error(part, masses[end - n:end], steps, cells)))
-    return out
+    masses = branches.masses()
+    codes = list(zip(_branch_codes(branches, masses, runs, a_reg, eps),
+                     _branch_codes(branches, masses, runs, b_reg, eps)))
+    errors = _final_error(branches, masses, runs, codes,
+                          [(a_reg, ("Ap", "Ag")), (b_reg, ("Bp", "Bg"))])
+    return [(a[0], b[0], err) for (a, b), err in zip(codes, errors)]
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -264,14 +280,19 @@ def run_kd_oneshot(views) -> list:
 
 
 def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
-    """Isometry on phi's system registers maximizing the overlap with chi.
+    """Isometry on phi's system registers maximizing the overlap with chi,
+    or with each member of a stacked chi.
 
     ``phi_system`` and ``chi_system`` are lists of the registers to be
     mapped; the remaining registers of both states must agree (label and
-    dimension) and are untouched. Returns (matrix, achieved overlap); the
-    achieved overlap equals the fidelity of the shared-register marginals
-    (Uhlmann), which is asserted within 1e-8. The matrix is unitary when the
-    system dimensions match and an isometry when chi's side is larger.
+    dimension) and are untouched. Returns (matrix, achieved overlap), for a
+    stacked chi an (n, dq, dp) stack and a list of overlaps, from one
+    overlap product and one SVD. Each achieved overlap equals the fidelity of
+    the shared-register marginals (Uhlmann, ``linalg.fidelity`` of phi's
+    with the stack of chi's), which is checked within 1e-8 member by member
+    in order
+    (``linalg.InvariantError``). The matrix is unitary when the system
+    dimensions match and an isometry when chi's side is larger.
     """
     shared = [l for l in phi.labels if l not in phi_system]
     chi_shared = [l for l in chi.labels if l not in chi_system]
@@ -285,21 +306,22 @@ def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
     if dq < dp:
         raise ValueError("target system smaller than source")
 
-    shared_sorted = sorted(shared)
-    phi_mat = np.transpose(phi.tensor,
-                           [phi.labels.index(l) for l in phi_system + shared_sorted])
-    phi_mat = phi_mat.reshape(dp, -1)
-    chi_mat = np.transpose(chi.tensor,
-                           [chi.labels.index(l) for l in chi_system + shared_sorted])
-    chi_mat = chi_mat.reshape(dq, -1)
-    overlap = phi_mat @ linalg.dagger(chi_mat)  # N[p, q]
+    rest = sorted(shared)
+    phi_mat = np.transpose(phi.tensor, [phi.labels.index(l) for l in phi_system + rest]
+                           ).reshape(dp, -1)
+    chi_t = chi.tensor if chi.stacked else chi.tensor[None]  # one state is a stack of one
+    chi_mat = np.transpose(chi_t, [0] + [1 + chi.labels.index(l) for l in chi_system + rest]
+                           ).reshape(len(chi_t), dq, -1)
+    overlap = phi_mat @ linalg.dagger(chi_mat)  # N[p, q] per member
     v, s, wh = linalg._svd(overlap)
     u = linalg.dagger(wh) @ linalg.dagger(v)
-    achieved = float(np.sum(s))
-    fid = linalg.fidelity(phi_mat.T @ np.conj(phi_mat), chi_mat.T @ np.conj(chi_mat))
-    if abs(achieved - fid) > 1e-8:
-        raise linalg.InvariantError(f"Uhlmann overlap {achieved} != fidelity {fid}")
-    return u, achieved
+    achieved = s.sum(axis=-1).tolist()
+    fids = linalg.fidelity(phi_mat.T @ np.conj(phi_mat),
+                           chi_mat.swapaxes(-1, -2) @ np.conj(chi_mat)).tolist()
+    for got, fid in zip(achieved, fids):
+        if abs(got - fid) > 1e-8:
+            raise linalg.InvariantError(f"Uhlmann overlap {got} != fidelity {fid}")
+    return (u, achieved) if chi.stacked else (u[0], achieved[0])
 
 
 @dataclass
@@ -372,24 +394,15 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     )
 
 
-def run_fewqubits(view: Compression) -> ProtocolTranscript:
-    """In-place compressed measurement via the Uhlmann embedding.
-
-    Alice's single unitary maps A (plus any Case II borrow) onto
-    A_p (x) L_A (x) A_g so that the post-measurement state is reproduced by
-    truncated purifications of the nice outcome branches; L_A is dephased to
-    Bob, who distills per outcome (identity relabeling off the nice set).
-    """
+def _fewqubits_setup(view: Compression, bob_codes, db: int, eps: float):
+    """One view's plan shape (A_p, L_A, A_g dimensions and borrow), plan, nice
+    set's Uhlmann target of that shape (and env) and Bob's (bits, rows) over
+    the L_A branches."""
     inst, k = view.instance, view.k
-    psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
-    a_reg = inst.povm.register
     plan = plan_fewqubits(view)
     nice = view.nice[1][k]
     if not nice:
         raise NoGoodK("empty nice outcome set; raise L or K")
-
-    da = psi.dim(a_reg)
-    env_sorted = sorted(inst.env)
     p_nice = view.q_l_given_k(k)[nice]
     if np.sum(p_nice) <= 1e-30:
         raise NoGoodK("nice outcomes carry no probability; raise L or K")
@@ -403,44 +416,60 @@ def run_fewqubits(view: Compression) -> ProtocolTranscript:
     i, j = np.nonzero(tw[xs, :ag] > 1e-15)
     target[0, i, j] = np.sqrt(p_nice[i] * tw[xs[i], j])[:, None] * v[xs[i], :, j]
 
-    chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
-                    + [(l, psi.dim(l)) for l in env_sorted], target)
-    phi = psi
-    if plan.borrow > 0:
-        # append |0>^borrow to A: out index a * 2^borrow + 0
-        block = 2 ** plan.borrow
-        phi = psi.apply(np.eye(da * block, dtype=complex)[:, ::block], [a_reg],
-                        out_regs=[(a_reg, da * block)])
-    u, overlap = uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
-    state = phi.apply(u, [a_reg], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)])
-
     # Bob's per-branch codes: distill on nice branches, relabel elsewhere
-    db = psi.dim(bob_label)
-    b_bits, rows = _conditional_codes([inst.bob_codes[x] for x in xs.tolist()],
-                                      p_nice, range(len(nice)), db, eps)
+    b_bits, rows = _conditional_codes([bob_codes[x] for x in xs.tolist()], p_nice,
+                                      range(len(nice)), db, eps)
     rows = np.concatenate([rows, np.broadcast_to(np.eye(db), (la - len(nice), db, db))])
-    branches = state.split("LA")
-    err = _final_error(branches, branches.masses(), [(bob_label, ("Bp", "Bg"), b_bits, rows)],
-                       range(la))
+    return (ap, la, ag, plan.borrow), plan, target, (b_bits, rows)
 
-    comm = int(np.log2(la))
-    return ProtocolTranscript(
-        protocol="fewqubits",
-        distilled_alice=plan.a_p_bits,
-        distilled_bob=b_bits,
-        borrowed=plan.borrow,
-        communication=comm,
-        final_error=err,
-        eps=eps,
-        seed=view.seed,
-        dims={"A": da, "B": db, "K": view.K, "L": view.L,
-              "Ap": ap, "LA": la, "Ag": ag},
-        slack_bits=inst.slack_bits,
-        case=plan.case,
-        rate_bound_real=None,
-        extra={"k": k, "uhlmann_overlap": overlap,
-               "nice_count": len(nice), "plan_delta_bits": plan.delta_bits},
-    )
+
+def run_fewqubits(views) -> list:
+    """In-place compressed measurement via the Uhlmann embedding, on each of
+    a sequence of views of one instance, transcripts in view order.
+
+    Alice's single unitary maps A (plus any Case II borrow) onto
+    A_p (x) L_A (x) A_g so that the post-measurement state is reproduced by
+    truncated purifications of the nice outcome branches; L_A is dephased to
+    Bob, who distills per outcome (identity relabeling off the nice set).
+    Each view's plan, nice-set checks and Bob's codes come in view order;
+    the views of one plan shape then run as one stack: one Uhlmann call, one
+    application, and Bob's coding and mixing in ``_final_error``. A view that
+    fails its setup raises after the Uhlmann checks of the views before it.
+    """
+    inst = views[0].instance
+    psi, eps, bob_label, a_reg = inst.psi, inst.eps, inst.bob_label, inst.povm.register
+    da, db = psi.dim(a_reg), psi.dim(bob_label)
+    setups = []
+    for view in views:
+        try:
+            setups.append(_fewqubits_setup(view, inst.bob_codes, db, eps))
+        except (NoGoodK, linalg.InvariantError):
+            if setups:  # the Uhlmann checks of the views before it come first
+                run_fewqubits(views[:len(setups)])
+            raise
+    out = [None] * len(setups)
+    for (ap, la, ag, borrow), members in _groups(s[0] for s in setups).items():
+        chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
+                        + [(l, psi.dim(l)) for l in sorted(inst.env)],
+                        np.stack([setups[i][2] for i in members]), stacked=True)
+        # append |0>^borrow to A: out index a * 2^borrow + 0
+        phi = psi.apply(np.eye(da << borrow, dtype=complex)[:, ::2 ** borrow], [a_reg],
+                        out_regs=[(a_reg, da << borrow)]) if borrow else psi
+        u, overlaps = uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
+        branches = phi.apply(u, [a_reg], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)]).split("LA")
+        errors = _final_error(branches, branches.masses(), [(la, range(la))] * len(members),
+                              [[setups[i][3]] for i in members], [(bob_label, ("Bp", "Bg"))])
+        for i, overlap, err in zip(members, overlaps, errors):
+            view, (_, plan, _, (b_bits, _)) = views[i], setups[i]
+            out[i] = ProtocolTranscript(
+                protocol="fewqubits", distilled_alice=plan.a_p_bits, distilled_bob=b_bits,
+                borrowed=borrow, communication=int(np.log2(la)), final_error=err, eps=eps,
+                seed=view.seed, dims={"A": da, "B": db, "K": view.K, "L": view.L,
+                                      "Ap": ap, "LA": la, "Ag": ag},
+                slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None,
+                extra={"k": view.k, "uhlmann_overlap": overlap,
+                       "nice_count": plan.nice_count, "plan_delta_bits": plan.delta_bits})
+    return out
 
 
 def verify_derandomization(view: Compression) -> dict:
@@ -517,7 +546,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     masses = branches.masses()
     run = [(n_x, range(n_x))]
     alice = (a_reg, ("Ap", "Ag"), *_branch_codes(branches, masses, run, a_reg, eps)[0])
-    blocks = _apply_code(branches, alice)
+    blocks = _apply_code(branches, *alice)
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
     trace.append(("conditional-codes", purity(coherent.marginal(keep), borrow_bits)))
@@ -528,7 +557,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
 
     # Bob's conditional codes, then discard the garbage registers
     bob = (bob_label, ("Bp", "Bg"), *_branch_codes(branches, masses, run, bob_label, eps)[0])
-    final_blocks = _apply_code(blocks, bob)
+    final_blocks = _apply_code(blocks, *bob)
     keep_f = sorted(set(final_blocks.labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
 

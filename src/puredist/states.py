@@ -119,11 +119,12 @@ class PureState:
 
     def split(self, label) -> "PureState":
         """The branches along the computational basis of one register, as a
-        stack of states without that register (member i for basis state i).
-        Mixing the branch projectors reproduces the dephased state."""
-        ax = self._axes([label])[0]
+        stack of states without that register (member i for basis state i;
+        of a stack, each member's branches in turn). Mixing the branch
+        projectors reproduces the dephased state."""
+        ax, s = self._axes([label])[0], int(self.stacked)
         rest = [r for i, r in enumerate(self.regs) if i != ax]
-        return PureState(rest, np.ascontiguousarray(np.moveaxis(self.tensor, ax, 0)),
+        return PureState(rest, np.ascontiguousarray(np.moveaxis(self.tensor, s + ax, s)),
                          stacked=True)
 
     def marginal(self, keep):

@@ -251,7 +251,7 @@ def test_criterion_7_fewqubits_vs_kd():
         for seed in (1, 2, 3):
             view = Instance(psi, povm, eps).compression(K=4, L=16, seed=seed)
             [kd] = pr.run_kd_oneshot([view])
-            fq = pr.run_fewqubits(view)
+            [fq] = pr.run_fewqubits([view])
             borrow_ok &= fq.borrowed < kd.borrowed
             rank1_ok &= fq.borrowed <= slack  # basis POVM is rank-1
             rate_ok &= fq.net_rate >= kd.net_rate - 1
@@ -275,7 +275,7 @@ def test_criterion_8_bound_consistency():
         up = bounds.distributed_upper_bound(inst)
         slack = np.log2(1 / eps)
         view = inst.compression(K=4, L=16, seed=1)
-        for t in (*pr.run_kd_oneshot([view]), pr.run_fewqubits(view), pr.run_protocol_a(inst)):
+        for t in (*pr.run_kd_oneshot([view]), *pr.run_fewqubits([view]), pr.run_protocol_a(inst)):
             if t.net_rate > up + slack + 1e-9:
                 ok, detail = False, f"{t.protocol}: {t.net_rate} > {up} + {slack}"
     rng2 = np.random.default_rng(88)

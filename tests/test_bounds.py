@@ -161,7 +161,8 @@ def test_borrow_gap_below_the_margin_is_a_named_error(rng, monkeypatch, tmp_path
     # rate_report and at the command line (exit 2, no traceback)
     psi = near_pure_classical(rng, 8, 4)
     orig = bounds.run_fewqubits
-    monkeypatch.setattr(bounds, "run_fewqubits", lambda view: replace(orig(view), borrowed=99))
+    monkeypatch.setattr(bounds, "run_fewqubits",
+                        lambda views: [replace(t, borrowed=99) for t in orig(views)])
     view = Instance(psi, basis_povm(8, "A"), 0.25).compression(K=4, L=16, seed=1)
     [kd] = run_kd_oneshot([view])
     with pytest.raises(linalg.InvariantError, match=f"^borrow gap {kd.borrowed - 99} below "

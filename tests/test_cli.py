@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puredist import entropy, io, linalg, sampling
+from puredist import entropy, io, linalg, protocols, sampling
 from puredist.bounds import RateReport
 from puredist.cli import TRANSCRIPT_COLUMNS, build_parser, main, parse_seeds
+from puredist.compression import Instance, NoGoodK, compress_seeds
+from puredist.linalg import InvariantError
 from puredist.sampling import basis_povm, bell_pair
 from puredist.states import DensityOperator, Povm
 
@@ -708,3 +710,117 @@ def test_compare_solves_the_conditional_h_min_once(rng, tmp_path, monkeypatch):
                           str(tmp_path / "basis.json"), "--K", "4", "--L", "16", "--eps", "0.25",
                           "--seeds", "1..3"])
     assert (rc, err) == (0, "") and solves == [0.25]
+
+
+def test_a_sweep_takes_one_svd_per_plan_shape(rng, tmp_path, monkeypatch):
+    # the input of test_compare_solves_the_conditional_h_min_once: its three
+    # seeds share one plan shape, so compare and fewqubits make one stacked
+    # Uhlmann SVD where a run seed by seed makes three
+    io.save_state(sampling.classical_correlated_pure(rng, 8, 4).density(),
+                  str(tmp_path / "c.json"))
+    io.save_povm(basis_povm(8, "A"), str(tmp_path / "basis.json"))
+    calls = []
+    monkeypatch.setattr(linalg, "_svd", lambda a, _orig=linalg._svd: calls.append(a) or _orig(a))
+    for command in ("compare", "fewqubits"):
+        calls.clear()
+        rc, _, err, _ = _run([command, "--state", str(tmp_path / "c.json"), "--povm",
+                              str(tmp_path / "basis.json"), "--K", "4", "--L", "16",
+                              "--eps", "0.25", "--seeds", "1..3"])
+        assert (rc, err) == (0, "") and [len(a) for a in calls] == [3], command
+
+
+def _plant_uhlmann_failure(monkeypatch, view):
+    """``view``'s Uhlmann check fails, planted by its data as a fault of the
+    numbers would be: every SVD of its overlap gains 1e-6 of overlap."""
+    overlaps, svd = [], linalg._svd
+    monkeypatch.setattr(linalg, "_svd", lambda a: overlaps.append(a) or svd(a))
+    protocols.run_fewqubits([view])
+    planted = overlaps[0].reshape(overlaps[0].shape[-2:])
+
+    def failing_svd(a):
+        v, s, wh = svd(a)
+        for m, member in enumerate(a.reshape((-1,) + a.shape[-2:])):
+            if np.array_equal(member, planted):
+                s.reshape(-1, s.shape[-1])[m, 0] += 1e-6
+        return v, s, wh
+
+    monkeypatch.setattr(linalg, "_svd", failing_svd)
+
+
+def _plant_empty_nice_sets(monkeypatch, seed):
+    """The tables of ``seed`` keep their qualifying ks, but no nice outcomes."""
+    from puredist import compression
+
+    def emptied(view, _orig=compression.nice_sets):
+        tprime, nice = _orig(view)
+        return tprime, ({k: [] for k in nice} if view.seed == seed else nice)
+
+    monkeypatch.setattr(compression, "nice_sets", emptied)
+
+
+def test_a_sweep_raises_the_first_failure_in_seed_order(rng, tmp_path, monkeypatch):
+    # seed 2 fails its Uhlmann check, as the second member of the stack, and
+    # seed 3 has an empty nice set: the stacked run raises seed 2's error, as
+    # a run seed by seed does, at the command line with exit 2, and under
+    # python -O
+    state = sampling.classical_correlated_pure(rng, 8, 4).density()
+    io.save_state(state, str(tmp_path / "c.json"))
+    io.save_povm(basis_povm(8, "A"), str(tmp_path / "basis.json"))
+    # the command line's instance, from the state as it loads
+    inst = Instance(io.load_state(str(tmp_path / "c.json")).purify("R"), basis_povm(8, "A"), 0.25)
+    views = compress_seeds(inst, 4, 16, [1, 2, 3])
+    _plant_uhlmann_failure(monkeypatch, views[1])
+    _plant_empty_nice_sets(monkeypatch, 3)
+    protocols.run_fewqubits(views[:1])
+    with pytest.raises(NoGoodK, match="^empty nice outcome set"):
+        protocols.run_fewqubits(views[2:])
+    with pytest.raises(InvariantError, match="^Uhlmann overlap ") as single:
+        protocols.run_fewqubits(views[1:2])
+    for sweep in (views, views[:2]):
+        with pytest.raises(InvariantError) as stacked:
+            protocols.run_fewqubits(sweep)
+        assert str(stacked.value) == str(single.value)
+    argv = ["--state", str(tmp_path / "c.json"), "--povm", str(tmp_path / "basis.json"),
+            "--K", "4", "--L", "16", "--eps", "0.25", "--seeds", "1..3"]
+    for command in ("compare", "fewqubits"):
+        assert _run([command, *argv])[:3] == (2, "", f"error: {single.value}\n"), command
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from puredist import linalg, protocols\n"
+        "from puredist.compression import Instance, compress_seeds\n"
+        "from puredist.io import load_povm, load_state\n"
+        "inst = Instance(load_state(sys.argv[1]).purify('R'), load_povm(sys.argv[2]), 0.25)\n"
+        "svd = linalg._svd\n"
+        "def failing_svd(a):\n"
+        "    v, s, wh = svd(a)\n"
+        "    s[..., 0] += 1e-6\n"
+        "    return v, s, wh\n"
+        "linalg._svd = failing_svd\n"
+        "try:\n"
+        "    protocols.run_fewqubits(compress_seeds(inst, 4, 16, [1, 2, 3]))\n"
+        "except linalg.InvariantError as exc:\n"
+        "    print('raised', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(tmp_path / "c.json"),
+                           str(tmp_path / "basis.json")], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised Uhlmann overlap ")
+
+
+def test_compare_checks_a_borrow_gap_before_a_later_seed_runs(tmp_path, monkeypatch):
+    # no slack and L = 2 on a near-pure source: every seed's borrow gap is
+    # below the margin, and seed 3's nice sets are planted empty; as seed by
+    # seed, seed 1's gap is the error
+    from oracles import near_pure_classical
+    psi = near_pure_classical(None, 8, 4)
+    io.save_state(DensityOperator([("A", 8), ("B", 4)], psi.marginal(["A", "B"])),
+                  str(tmp_path / "c.json"))
+    io.save_povm(basis_povm(8, "A"), str(tmp_path / "basis.json"))
+    _plant_empty_nice_sets(monkeypatch, 3)
+    argv = ["--state", str(tmp_path / "c.json"), "--povm", str(tmp_path / "basis.json"),
+            "--K", "4", "--L", "2", "--eps", "0.25", "--slack-bits", "0", "--seeds", "1..3"]
+    rc, out, err, _ = _run(["compare", *argv])
+    assert (rc, out) == (2, "") and err.startswith("error: borrow gap ")
+    rc, out, err, _ = _run(["fewqubits", *argv])
+    assert (rc, out, err) == (2, "", "error: empty nice outcome set; raise L or K\n")

@@ -15,11 +15,18 @@ from puredist import protocols as pr
 from puredist.compression import (
     Instance,
     NoGoodK,
+    compress_seeds,
     nice_sets,
     per_k_errors,
     validate_compression,
 )
-from puredist.sampling import basis_povm, mixed_protocol_input, random_povm
+from puredist.sampling import (
+    basis_povm,
+    classical_correlated_pure,
+    mixed_protocol_input,
+    purified_input,
+    random_povm,
+)
 from puredist.states import Povm, ProtocolTranscript, PureState
 
 from oracles import near_pure_classical
@@ -164,8 +171,8 @@ def _run_fewqubits(ref, view, k, nice):
                                          p_nice, cells, db, eps)
     rows = np.concatenate([rows[cells], np.broadcast_to(np.eye(db), (la - len(nice), db, db))])
     branches = state.split("LA")
-    err = pr._final_error(branches, branches.masses(),
-                          [(bob_label, ("Bp", "Bg"), b_bits, rows)], range(la))
+    [err] = pr._final_error(branches, branches.masses(), [(la, range(la))],
+                            [[(b_bits, rows)]], [(bob_label, ("Bp", "Bg"))])
     return plan, ProtocolTranscript(
         protocol="fewqubits", distilled_alice=plan.a_p_bits, distilled_bob=b_bits,
         borrowed=plan.borrow, communication=int(np.log2(la)), final_error=err, eps=eps,
@@ -250,6 +257,51 @@ def test_outcome_layout_keeps_the_bits_of_the_per_symbol_dicts(rng, family):
                 continue
             plan, transcript = _run_fewqubits(ref, ref_view, k, nice_all[k])
             assert pr.plan_fewqubits(view) == plan
-            assert pr.run_fewqubits(view).to_dict() == transcript.to_dict()
+            [got] = pr.run_fewqubits([view])
+            assert got.to_dict() == transcript.to_dict()
             made += 1
     assert made >= 3  # the transcripts were compared on several tables
+
+
+def _coarse_classical():
+    """A pure classical 8x4 state under a coarse basis POVM on A. Outcome 2
+    joins four symbols that send B four ways, so its conditional is mixed
+    for Bob and of rank 4 for the environment; the other outcomes leave both
+    pure. Which rows hold outcome 2 then sets a seed's A_g and Bob's bits."""
+    joint = np.zeros((8, 4))
+    joint[0, 0], joint[7, 2] = 0.3, 0.2
+    joint[[1, 2], 1] = 0.15
+    joint[[3, 4, 5, 6], [0, 1, 2, 3]] = 0.05
+    groups = [[0], [1, 2], [3, 4, 5, 6], [7]]
+    povm = Povm([np.diag(np.isin(np.arange(8), g).astype(float)) for g in groups], register="A")
+    return purified_input(classical_correlated_pure(None, 8, 4, joint=joint)), povm
+
+
+def test_sweeps_run_as_one_stack_with_the_bits_of_each_view():
+    # seeds 0-5 of three sweeps of the coarse instance: two plan shapes, each
+    # with its own Bob code size, at eps = 1e-4; one plan shape with two Bob
+    # code sizes at 1e-3; two kd code shapes (a_bits, b_bits) at 0.1
+    psi, povm = _coarse_classical()
+    sweeps = []
+    for eps, slack_bits, K, L in ((1e-4, 0.0, 4, 3), (1e-3, 0.0, 4, 4), (0.1, None, 4, 3)):
+        new, ref = Instance(psi, povm, eps, slack_bits=slack_bits), _per_symbol(
+            Instance(psi, povm, eps, slack_bits=slack_bits))
+        views = compress_seeds(new, K, L, range(6))
+        kds, fqs = pr.run_kd_oneshot(views), pr.run_fewqubits(views)
+        shapes = []
+        for seed, kd, fq in zip(range(6), kds, fqs):
+            ref_view = ref.inst.compression(K, L, seed)
+            (tprime, nice), errs = _nice_sets(ref, ref_view), _per_k_errors(ref, ref_view)
+            k = min(tprime, key=lambda k: (errs[k], k))
+            ref_view.__dict__.update(nice=(tprime, nice), errors=errs)
+            [want] = pr.run_kd_oneshot([ref_view])
+            assert kd.to_dict() == want.to_dict()
+            plan, want = _run_fewqubits(ref, ref_view, k, nice[k])
+            assert fq.to_dict() == want.to_dict()
+            shapes.append(((plan.ap_dim, plan.la_dim, plan.ag_dim, plan.borrow),
+                           fq.distilled_bob, (kd.distilled_alice, kd.distilled_bob)))
+        plans, bobs, kd_bits = (set(column) for column in zip(*shapes))
+        sweeps.append((len(plans), len(bobs), len({s[:2] for s in shapes}), len(kd_bits)))
+    assert any(plans > 1 and bobs > 1 for plans, bobs, _, _ in sweeps)
+    assert any(pairs > plans for plans, _, pairs, _ in sweeps)  # one plan shape, two Bob sizes
+    assert any(kd_bits > 1 for *_, kd_bits in sweeps)

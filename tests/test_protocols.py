@@ -164,10 +164,37 @@ def test_final_error_keeps_the_bits_of_the_per_branch_loop(rng, first):
         run = [(len(elements), cells)]
         steps = [("A", ("Ap", "Ag"), *pr._branch_codes(branches, masses, run, "A", eps)[0]),
                  ("B", ("Bp", "Bg"), *pr._branch_codes(branches, masses, run, "B", eps)[0])]
-        got = pr._final_error(branches, masses, steps, cells)
+        [got] = pr._final_error(branches, masses, run, [[step[2:] for step in steps]],
+                                [step[:2] for step in steps])
         singles = [psi.apply(linalg.psd_power(e, 0.5), ["A"]) for e in elements]
         want = _final_error_per_branch(singles, steps, cells)
         assert got == want
+
+
+def test_final_error_of_runs_keeps_the_bits_of_each_run_alone(rng):
+    # three runs: the second has the first's code sizes, and the third, the
+    # first's branches rotated so that its zero branch comes first, is coded
+    # by the identity at 0 bits; so two passes, each on the runs that it
+    # takes out of the stack, with each run's bits alone
+    from puredist.sampling import random_povm
+    from puredist.states import measure
+    psi = mixed_protocol_input(rng, 4, 2, rank=2)
+    elements = list(random_povm(rng, 4, 3).elements) + [np.zeros((4, 4))]
+    order = [0, 1, 2, 3, 0, 1, 2, 3, 3, 0, 1, 2]
+    branches = measure(psi, [elements[i] for i in order], "A")
+    masses = branches.masses()
+    runs = [(4, [0, 2, 1, 0, 3]), (4, [1, 1, 2]), (4, [1, 0, 3, 2])]
+    regs = [("A", ("Ap", "Ag")), ("B", ("Bp", "Bg"))]
+    coded = [pr._branch_codes(branches, masses, runs, reg, 0.25)[0] for reg, _ in regs]
+    identity = [(0, np.broadcast_to(np.eye(d), (4, d, d))) for d in (4, 2)]
+    codes = [coded, coded, identity]
+    assert coded[0][0] + coded[1][0] > 0  # the third run's sizes differ
+    got = pr._final_error(branches, masses, runs, codes, regs)
+    for r, (n, cells) in enumerate(runs):
+        alone = PureState(branches.regs, branches.tensor[4 * r:4 * r + 4], stacked=True)
+        assert got[r] == pr._final_error(alone, masses[4 * r:4 * r + 4], [(n, cells)],
+                                         [codes[r]], regs)[0]
+    assert got[0] != got[1]
 
 
 # ---------------------------------------------------------------- kd oneshot
@@ -282,7 +309,7 @@ def test_uhlmann_dimension_mismatch(rng):
 def test_fewqubits_rank1_bell(rng):
     psi = purified_input(bell_pair())
     eps = 0.25
-    t = pr.run_fewqubits(Instance(psi, basis_povm(2, "A"), eps).compression(K=4, L=8, seed=3))
+    [t] = pr.run_fewqubits([Instance(psi, basis_povm(2, "A"), eps).compression(K=4, L=8, seed=3)])
     # rank-1 POVM: borrow stays within the declared slack
     assert t.borrowed <= t.slack_bits
     assert t.distilled_bob == 1  # Bob's conditionals are pure
@@ -291,8 +318,8 @@ def test_fewqubits_rank1_bell(rng):
 
 def test_fewqubits_trivial_povm(rng):
     psi = purified_input(bell_pair())
-    t = pr.run_fewqubits(
-        Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=2, seed=3))
+    [t] = pr.run_fewqubits(
+        [Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=2, seed=3)])
     assert t.dims["Ag"] == 1
     assert t.borrowed <= 1
     assert t.final_error <= 1e-8
@@ -301,7 +328,7 @@ def test_fewqubits_trivial_povm(rng):
 def test_fewqubits_case1_on_large_A(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    t = pr.run_fewqubits(Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=8, seed=2))
+    [t] = pr.run_fewqubits([Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=8, seed=2)])
     assert t.dims["Ap"] * t.dims["LA"] * t.dims["Ag"] == 8 * 2 ** t.borrowed
     assert t.communication == int(np.log2(t.dims["LA"]))
     assert t.extra["uhlmann_overlap"] <= 1 + 1e-9
@@ -322,7 +349,7 @@ def test_fewqubits_case1_distills_alice_qubits_in_place():
     plan = pr.plan_fewqubits(view)
     assert plan.case == "I" and plan.a_p_bits == 2 and plan.borrow == 0
     assert plan.ap_dim * plan.la_dim * plan.ag_dim == 16 << plan.borrow
-    t = pr.run_fewqubits(view)
+    [t] = pr.run_fewqubits([view])
     assert t.case == "I" and t.distilled_alice == plan.a_p_bits and t.borrowed == 0
 
 
@@ -337,7 +364,7 @@ def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
         return orig(w, v, eps)
 
     monkeypatch.setattr(entropy, "truncation_codes", counting)
-    pr.run_fewqubits(view)
+    pr.run_fewqubits([view])
     _, nice = view.nice
     symbols = {int(view.decode[view.k, l]) for l in nice[view.k]}
     assert len(symbols) < len(nice[view.k])
@@ -345,7 +372,7 @@ def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     simulated = set(np.flatnonzero(inst.live).tolist())
     assert len(codes) == len(simulated) and symbols <= simulated
     codes.clear()
-    pr.run_fewqubits(inst.compression(K=4, L=16, seed=2))
+    pr.run_fewqubits([inst.compression(K=4, L=16, seed=2)])
     assert codes == []  # a second seed codes none again
 
 
@@ -355,7 +382,7 @@ def test_fewqubits_beats_kd_on_borrow(rng):
     for seed in (1, 2, 3):
         view = Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=seed)
         [kd] = pr.run_kd_oneshot([view])
-        fq = pr.run_fewqubits(view)
+        [fq] = pr.run_fewqubits([view])
         assert fq.borrowed < kd.borrowed
         assert fq.net_rate >= kd.net_rate - 1
 
@@ -392,7 +419,7 @@ def test_fewqubits_empty_nice_raises():
     from puredist.compression import NoGoodK
     with pytest.raises((NoGoodK, RuntimeError)):
         pr.run_fewqubits(
-            Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1))
+            [Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)])
 
 
 def test_declared_slack_reaches_the_choice_of_k():
@@ -409,7 +436,7 @@ def test_declared_slack_reaches_the_choice_of_k():
     view = Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)
     with pytest.raises(NoGoodK) as chosen:
         find_good_k(view)
-    for run in (lambda v: pr.run_kd_oneshot([v]), pr.run_fewqubits):
+    for run in (lambda v: pr.run_kd_oneshot([v]), lambda v: pr.run_fewqubits([v])):
         with pytest.raises(NoGoodK) as raised:
             run(view)
         assert str(raised.value) == str(chosen.value)
@@ -489,7 +516,7 @@ def test_protocols_on_mixed_input_with_reference(rng):
     eps = 0.25
     view = Instance(psi, basis_povm(4, "A"), eps).compression(K=4, L=8, seed=2)
     [kd] = pr.run_kd_oneshot([view])
-    fq = pr.run_fewqubits(view)
+    [fq] = pr.run_fewqubits([view])
     for t in (kd, fq):
         assert 0 <= t.final_error <= 2
         assert t.net_rate == t.distilled_alice + t.distilled_bob - t.borrowed

@@ -14,7 +14,10 @@ from pathlib import Path
 
 def load_package(name: str, root: Path):
     """``root``'s ``src/puredist`` imported as the package ``name``, with
-    every module that a ``perfbench`` job uses (``cli`` imports them all)."""
+    every module that a ``perfbench`` job uses (``cli`` imports them all).
+    A package loaded before under ``name`` is dropped first, modules and all."""
+    for stale in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[stale]
     src = root / "src" / "puredist"
     spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
                                                   submodule_search_locations=[str(src)])
