@@ -356,17 +356,16 @@ def d_h_many(rhos, sigmas, eps) -> list:
     in lockstep, one stacked eigendecomposition per size and probe round for
     the pairs still searching. Every pair's result has the bits of its own
     solve, whatever else is in the lists; each uncertified one warns."""
-    rs, ss, sizes = [_matrix(r) for r in rhos], [_matrix(s) for s in sigmas], {}
-    for i, (r, s, e) in enumerate(zip(rs, ss, eps, strict=True)):
+    rs, ss = [_matrix(r) for r in rhos], [_matrix(s) for s in sigmas]
+    for r, s, e in zip(rs, ss, eps, strict=True):
         _validate_eps(e)
         for name, m in (("rho", r), ("sigma", s)):
             if m.ndim != 2:
                 raise ValueError(f"d_h takes matrices, not spectra: {name} has shape {m.shape}")
         if r.shape != s.shape:
             raise ValueError(f"dimension mismatch: {r.shape} vs {s.shape}")
-        sizes.setdefault(r.shape, []).append(i)
     out, groups, width = [None] * len(rs), [], max((len(r) for r in rs), default=0)
-    for idx in sizes.values():
+    for idx in linalg.groups(r.shape for r in rs).values():
         r, s, e = (np.array([x[i] for i in idx]) for x in (rs, ss, eps))
         # both inputs are checked (Hermitian, PSD) here, before any early return;
         # rho's eigenvectors give the eps = 0 pairs their support projectors

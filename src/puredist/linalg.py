@@ -26,8 +26,10 @@ The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
 also take an (n, d, d) stack, the first three in one LAPACK batch, and give
 each member the bits of its own 2-D call (``trace_norm`` runs a matrix as a
 stack of one); ``per_size`` applies one of them to stacks of several sizes
-with one call per size. ``kron`` and ``row_norms`` are ``np.kron`` and
-``np.linalg.norm`` of each member of a stack, with their bits.
+with one call per size. ``groups`` is the one rule by which a stacked call
+groups its members: by key, in order of first appearance. ``kron`` and
+``row_norms`` are ``np.kron`` and ``np.linalg.norm`` of each member of a
+stack, with their bits.
 """
 
 import functools
@@ -253,14 +255,22 @@ def trace_norm(m: np.ndarray):
     return out if m.ndim == 3 else float(out[0])
 
 
+def groups(keys) -> dict:
+    """The indices of each distinct key of ``keys``, keys in order of first
+    appearance: how a stacked call groups its members."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
 def per_size(f, stacks) -> list:
     """``[f(s) for s in stacks]`` for (n, d, d) stacks, from one call of the
-    stack function ``f`` per size d on all the stacks of that size joined;
-    with the stack functions of this module each member keeps its bits."""
-    out, sizes = [None] * len(stacks), {}
-    for i, s in enumerate(stacks):
-        sizes.setdefault(s.shape[-1], []).append(i)
-    for idx in sizes.values():
+    stack function ``f`` per size d on all the stacks of that size joined
+    (``groups``); with the stack functions of this module each member keeps
+    its bits."""
+    out = [None] * len(stacks)
+    for idx in groups(s.shape[-1] for s in stacks).values():
         joined = f(np.concatenate([stacks[i] for i in idx]))
         stops = np.cumsum([len(stacks[i]) for i in idx]).tolist()
         for i, start, stop in zip(idx, [0] + stops, stops):
@@ -309,7 +319,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def fidelity(a: np.ndarray, b: np.ndarray):
     """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace
-    <= 1, or of a with each member of a stack b, a's root taken in b's stack."""
-    roots = psd_power(np.concatenate([[a], b if np.ndim(b) == 3 else [b]]), 0.5)
+    <= 1, or of a with each member of a stack b, a's root taken in b's stack;
+    the roots count every eigenvalue at or below ``SUPPORT_TOL`` as 0."""
+    w, v = psd_eig(np.concatenate([[a], b if np.ndim(b) == 3 else [b]]))
+    # no root of rounding noise: off the support, an eigenvalue is 0
+    roots = eig_power(np.where(w > SUPPORT_TOL, w, 0.0), v, 0.5)
     out = _svdvals(roots[0] @ roots[1:]).sum(axis=-1)
     return out if np.ndim(b) == 3 else float(out[0])

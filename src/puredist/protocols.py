@@ -154,14 +154,6 @@ def _distance_to_zero(sigma: np.ndarray):
     return linalg.trace_norm(sigma - np.diag(np.eye(sigma.shape[-1])[0]))
 
 
-def _groups(keys) -> dict:
-    """The indices of each distinct key, keys in order of first appearance."""
-    out = {}
-    for i, key in enumerate(keys):
-        out.setdefault(key, []).append(i)
-    return out
-
-
 def _final_error(branches: PureState, masses, runs, codes, regs) -> list:
     """Trace distance to |0>|0> of each run's exact Ap x Bp mixture over its
     dephased outcomes. ``branches`` stacks the sub-normalized branches, of
@@ -172,7 +164,7 @@ def _final_error(branches: PureState, masses, runs, codes, regs) -> list:
     and one stacked trace norm. A mixture adds one marginal per outcome, in
     outcome order, skipping branches below mass 1e-15."""
     ends, errors = np.cumsum([n for n, _ in runs]).tolist(), [None] * len(runs)
-    for bits, rs in _groups(tuple(b for b, _ in code) for code in codes).items():
+    for bits, rs in linalg.groups(tuple(b for b, _ in code) for code in codes).items():
         at = [j for r in rs for j in range(ends[r] - runs[r][0], ends[r])]
         part = PureState(branches.regs, branches.tensor[at], stacked=True)
         for i, ((reg, labels), b) in enumerate(zip(regs, bits)):
@@ -448,7 +440,7 @@ def run_fewqubits(views) -> list:
                 run_fewqubits(views[:len(setups)])
             raise
     out = [None] * len(setups)
-    for (ap, la, ag, borrow), members in _groups(s[0] for s in setups).items():
+    for (ap, la, ag, borrow), members in linalg.groups(s[0] for s in setups).items():
         chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
                         + [(l, psi.dim(l)) for l in sorted(inst.env)],
                         np.stack([setups[i][2] for i in members]), stacked=True)

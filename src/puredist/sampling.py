@@ -107,10 +107,11 @@ def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
 def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
     """The cq ensembles of m ``cq_draws`` of one shape, their (m, n)
     probabilities and (m, n, 2, d, rank) normals stacked: the normalized
-    probabilities, the (m, n, d, d) conditionals (the pure states of the
-    normalized ``complex_normals``, or their ``ginibre_gram``) and the mask
-    of the symbols ``kept_symbols`` keeps, row by row. Each member has the
-    bits of its own ``random_cq``."""
+    probabilities, 0 for each symbol that ``kept_symbols`` does not keep, the
+    (m, n, d, d) conditionals (the pure states of the normalized
+    ``complex_normals``, or their ``ginibre_gram``) and the mask of the
+    symbols kept, row by row. Each member has the bits of its own
+    ``random_cq``, whose ``CQState`` drops the symbols of probability 0."""
     probs = probs / probs.sum(axis=-1, keepdims=True)
     if pure_conditionals:
         v = complex_normals(z)[..., 0]
@@ -118,7 +119,8 @@ def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
         stack = v[..., :, None] * np.conj(v)[..., None, :]
     else:
         stack = ginibre_gram(z)
-    return probs, stack, kept_symbols(probs)
+    keep = kept_symbols(probs)
+    return np.where(keep, probs, 0.0), stack, keep
 
 
 def random_cq(rng, n_symbols: int, dim: int, label: str = "B",

@@ -14,16 +14,18 @@ makes only the generator calls (one ``sampling.ginibre_normals`` call
 where the body drew the real and imaginary parts of complex Gaussians; a cq
 state's two, ``sampling.cq_draws``). Everything derived from the draws is
 built after the loop by ``_stacked``: one stacked operation per shape of the
-draws, each member with the bits of its one-trial call, which hands back
-the group's trial indices and its output stacks. That covers the complex
-matrices and Ginibre densities of the draws (``sampling.complex_normals``,
-``standard_complex`` and ``ginibre_gram``), the cq ensembles
-(``sampling.cq_ensembles``, a symbol that a ``CQState`` drops kept at
-probability 0), the pure states' norms (``linalg.row_norms``) and
-marginals, the Kronecker products (``linalg.kron``), the partial traces,
-and the conditionals of the data-processing check's dephased and mixed
-ensembles. No check splits those stacks into per-trial arrays: they go
-whole into one ``linalg.per_size`` call (one stacked eigendecomposition per
+draws (``linalg.groups``), each member with the bits of its one-trial call,
+which hands back the group's trial indices and its output stacks. That
+covers the complex matrices and Ginibre densities of the draws
+(``sampling.complex_normals``, ``standard_complex`` and ``ginibre_gram``),
+the cq ensembles (``sampling.cq_ensembles``, a symbol that a ``CQState``
+drops kept at probability 0; the checks that draw one cq state and one eps
+a trial share that draw and build in ``_cq_cases``), the pure states' norms
+(``linalg.row_norms``) and marginals, the Kronecker products
+(``linalg.kron``), the partial traces, and the conditionals of the
+data-processing check's dephased and mixed ensembles. No check splits
+those stacks into per-trial arrays: they go whole into one
+``linalg.per_size`` call (one stacked eigendecomposition per
 matrix size, each member with the bits of its own call), and their spectra
 are written by row index into the padded arrays the stacked solvers take
 (``_padded_spectra``, ``_cq_arrays``). The H_H checks solve all their LPs in
@@ -84,13 +86,10 @@ def _eps(rng):
 def _stacked(f, keys, *draws) -> list:
     """The trials of each distinct key of ``keys``, in order of first
     appearance, as (their indices, ``f(key, *draws)`` on their draws
-    stacked): one call of ``f`` per key, whose tuple of stacks gives each
-    member the bits of its one-trial call."""
-    groups = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
+    stacked): one call of ``f`` per key (``linalg.groups``), whose tuple of
+    stacks gives each member the bits of its one-trial call."""
     return [(np.array(idx), f(k, *(np.array([d[i] for i in idx]) for d in draws)))
-            for k, idx in groups.items()]
+            for k, idx in linalg.groups(keys).items()]
 
 
 def _padded_spectra(groups, fill) -> np.ndarray:
@@ -168,18 +167,15 @@ def _bipartite_trials(rng, trials, eps, marginals):
     return dims, _stacked(parts, dims, zs), es
 
 
-def _cq(probs, z, pure) -> tuple:
-    """The ensembles of m ``sampling.cq_draws`` of one shape, their (m, n)
-    probabilities and normals stacked (``sampling.cq_ensembles``): the
-    probabilities, 0 for a symbol that ``random_cq`` drops, and the
-    conditionals, each member with its ``random_cq`` bits."""
-    probs, stack, keep = cq_ensembles(probs, z, pure)
-    return np.where(keep, probs, 0.0), stack
-
-
-def _cq_trials(draws, pure) -> list:
-    """The ``_stacked`` ``_cq`` ensembles of ``cq_draws`` pairs, per shape."""
-    return _stacked(lambda _, p, z: _cq(p, z, pure), [z.shape for _, z in draws], *zip(*draws))
+def _cq_cases(rng, trials, eps, symbols, dims, pure=False):
+    """Trials that each draw a symbol count in 2..symbols - 1 and a size in
+    2..dims - 1, a ``cq_draws`` of them and eps, in turn: the ``_cq_arrays``
+    of their ``cq_ensembles``, stacked per shape, and their eps."""
+    draws, es = zip(*[(cq_draws(rng, int(rng.integers(2, symbols)), int(rng.integers(2, dims)),
+                                pure_conditionals=pure), eps or _eps(rng)) for _ in range(trials)])
+    groups = _stacked(lambda _, p, z: cq_ensembles(p, z, pure)[:2], [z.shape for _, z in draws],
+                      *zip(*draws))
+    return _cq_arrays(groups), es
 
 
 def _pure_marginals(_, z):
@@ -336,10 +332,8 @@ def check_hh_near_pure(rng, trials, eps):
 @_check("hh-cond-pure-nonpositive", per=1)
 def check_hh_cond_pure(rng, trials, eps):
     """cq states with pure conditionals have H_H(B|X) <= 0."""
-    cases = [(cq_draws(rng, int(rng.integers(2, 9)), int(rng.integers(2, 6)),
-                       pure_conditionals=True), eps or _eps(rng)) for _ in range(trials)]
-    p, w = _cq_arrays(_cq_trials([draw for draw, _ in cases], True))
-    for h in entropy.h_h_cond_cq_many(p, w, [e for _, e in cases])[0].tolist():
+    (p, w), es = _cq_cases(rng, trials, eps, 9, 6, pure=True)
+    for h in entropy.h_h_cond_cq_many(p, w, es)[0].tolist():
         yield TOL - h
 
 
@@ -379,13 +373,13 @@ def check_hh_cond_data_processing(rng, trials, eps):
 
 
 def _processed(_, probs, z, zs, ps):
-    """The ``_cq`` ensembles of the ``cq_draws`` (probs, z), and per member
+    """The ``cq_ensembles`` of the ``cq_draws`` (probs, z), and per member
     of their (m, n, d, d) stacks of conditionals rho: the dephased ones, the
     diagonal kept and +0 elsewhere as np.diag(np.diag(rho)) has it, and the
     ones mixed to sum_j p_j u_j rho u_j^dag over the Haar unitaries of the
     ``zs`` draws, the terms in one stacked product and summed in the order of
     ``sum`` over j."""
-    probs, stacks = _cq(probs, z, False)
+    probs, stacks = cq_ensembles(probs, z, False)[:2]
     us = haar_unitary(standard_complex(zs))
     terms = ((ps[..., None, None] * us)[:, None] @ stacks[:, :, None]
              @ linalg.dagger(us)[:, None])
@@ -397,9 +391,7 @@ def _processed(_, probs, z, zs, ps):
 def check_hh_average_to_worst_case(rng, trials, eps):
     """The symbols obeying the worst-case entropy bound carry probability
     at least 1 - 2 sqrt(eps)."""
-    cases = [(cq_draws(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5))),
-              eps or _eps(rng)) for _ in range(trials)]
-    (p, w), es = _cq_arrays(_cq_trials([draw for draw, _ in cases], False)), [e for _, e in cases]
+    (p, w), es = _cq_cases(rng, trials, eps, 9, 5)
     bounds = (entropy.h_h_cond_cq_many(p, w, es)[0] - np.log2(es)).tolist()
     # a dropped symbol's H_H too: its probability is 0
     for q, h, bound, e in zip(p.tolist(), _conditional_h_h(w, np.sqrt(es)), bounds, es):
@@ -434,11 +426,8 @@ def check_dh_vs_lp(rng, trials, eps):
 def check_hmin_smoothing(rng, trials, eps):
     """Truncation smoothing only increases H_min and vanishes at eps = 0,
     where it is the closed form -log2 sum_x P(x) lambda_max(rho_x)."""
-    cases = [(cq_draws(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))),
-              eps or _eps(rng)) for _ in range(trials)]
-    p, w = _cq_arrays(_cq_trials([draw for draw, _ in cases], False))
-    base, smoothed = (entropy.h_min_cq_smoothed_many(p, w, e).tolist()
-                      for e in (0.0, [e for _, e in cases]))
+    (p, w), es = _cq_cases(rng, trials, eps, 6, 5)
+    base, smoothed = (entropy.h_min_cq_smoothed_many(p, w, e).tolist() for e in (0.0, es))
     # summed in symbol order, as sum() adds; a symbol outside the state adds 0
     closed = (-np.log2(np.cumsum(p * w[:, :, -1], axis=1)[:, -1])).tolist()
     for b, s, c in zip(base, smoothed, closed):
@@ -510,7 +499,7 @@ def check_condhh_derandomization(rng, trials, eps):
         zs.append(ginibre_normals(rng, db, n=int(kept.sum())))
 
     def build(_, probs, z, zs):
-        probs, stacks = _cq(probs, z, False)
+        probs, stacks = cq_ensembles(probs, z, False)[:2]
         kept = stacks[probs > 0].reshape(len(stacks), -1, *stacks.shape[-2:])
         return probs, stacks, (1 - e / 4) * kept + e / 4 * ginibre_gram(zs)
 

@@ -309,6 +309,22 @@ def test_fidelity_cases(rng):
     assert asym <= 1e-9
 
 
+def test_fidelity_with_a_pure_state_takes_no_roots_of_rounding_noise(rng):
+    # F(|v><v|, b) = sqrt(<v|b|v>); the d - 1 zero eigenvalues of |v><v| come out
+    # of LAPACK as noise near 1e-17, whose roots would add up to 1e-8
+    for _ in range(300):
+        d = int(rng.integers(2, 9))
+        v, b = haar_vector(rng, d), ginibre_density(rng, d)
+        want = np.sqrt((np.conj(v) @ b @ v).real)
+        assert abs(linalg.fidelity(np.outer(v, np.conj(v)), b) - want) <= 1e-12
+
+
+def test_groups_keep_their_keys_in_order_of_first_appearance():
+    got = linalg.groups(["b", (2, 1), "a", "b", (2, 1), "c", "a"])
+    assert list(got.items()) == [("b", [0, 3]), ((2, 1), [1, 4]), ("a", [2, 6]), ("c", [5])]
+    assert linalg.groups(k for k in ()) == {}
+
+
 def test_fuchs_van_de_graaf(rng):
     for _ in range(300):
         d = int(rng.integers(2, 6))

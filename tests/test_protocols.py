@@ -3,6 +3,7 @@ import pytest
 
 from puredist import entropy, linalg
 from puredist import protocols as pr
+from puredist.bounds import rate_report
 from puredist.compression import Instance, compress_seeds
 from puredist.sampling import (
     basis_povm,
@@ -295,6 +296,23 @@ def test_uhlmann_overlap_equals_marginal_fidelity(rng):
         assert abs(ov - fid) <= 1e-8
         got = chi.vector() @ np.conj(phi.apply(u, ["P"], out_regs=[("Q", da)]).vector())
         assert abs(abs(got) - fid) <= 1e-8
+
+
+def test_uhlmann_check_holds_on_a_rank_one_shared_marginal():
+    # the 20th input drawn in turn from the classical and the mixed family: one
+    # Uhlmann target is of rank 1 on the shared registers, and the fidelity must
+    # take no roots of the rounding noise off its support (they added 1.06e-8)
+    rng = np.random.default_rng(3)
+    for i in range(20):
+        psi = (classical_correlated_pure(rng, 8, 4) if i % 2 == 0
+               else mixed_protocol_input(rng, 8, 2, rank=2))
+    eye = np.eye(8)
+    povm = Povm([eye[:, c] @ eye[:, c].T for c in ([0], [1, 2], [3, 4, 5, 6], [7])],
+                register="A")
+    view = Instance(psi, povm, 0.25).compression(K=4, L=4, seed=4)
+    [t] = pr.run_fewqubits([view])
+    [report] = rate_report([view])
+    assert report.final_error_fq == t.final_error
 
 
 def test_uhlmann_dimension_mismatch(rng):

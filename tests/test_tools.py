@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture
 def tools(monkeypatch):
     """The tools directory and the repository root importable; afterwards the
-    BLAS variables that ``pool_time`` sets on import are restored and the
+    BLAS variables that ``checkouts`` sets on import are restored and the
     packages the tools loaded are dropped."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")

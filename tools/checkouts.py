@@ -3,13 +3,19 @@
 The timing tools (``verify_split.py``, ``pool_time.py``) load two checkouts'
 packages in one process this way, as ``puredist_a`` and ``puredist_b``,
 and run them side by side; the package imports itself only relatively, so
-the two never share a module.
+the two never share a module. Importing this module pins BLAS to one
+thread, as ``perfbench/run.py`` does, so both tools import it before numpy
+loads.
 """
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def load_package(name: str, root: Path):

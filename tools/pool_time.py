@@ -14,11 +14,10 @@ cannot promise.
 
 The jobs of a workload are ``JOBS[workload]`` of its pool, whose inputs go
 to a temporary directory; ``perfbench`` is imported from ROOT_A. Like
-``perfbench/run.py``, it runs with one BLAS thread.
+``perfbench/run.py``, it runs with one BLAS thread (``checkouts`` pins it).
 """
 
 import json
-import os
 import sys
 import tempfile
 import time
@@ -26,10 +25,6 @@ import warnings
 from pathlib import Path
 
 from checkouts import load_package
-
-# one BLAS thread, as perfbench/run.py sets it, before numpy loads (in main)
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
 # the protocol workloads (tools/verify_split.py splits verify-suite by check)
 JOBS = {"compare-sweep": range(2, 400, 5), "kd-quantum": range(3, 600, 7)}

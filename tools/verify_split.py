@@ -14,6 +14,8 @@ ROOT is a checkout of the repository (default: the one holding this script);
 its ``src/puredist`` and ``perfbench`` are imported, so the same script times
 a ``git archive`` extraction of any commit. The ``CHUNKS`` of every check run
 in turn, ``REPEATS`` times over; a chunk's time is the best of its runs.
+Like ``perfbench/run.py``, it runs with one BLAS thread (``checkouts`` pins
+it).
 
 With two roots, each root's ``src/puredist`` is imported in this one process
 under its own package name (``puredist_a`` and ``puredist_b``, by
