@@ -182,3 +182,23 @@ def per_symbol_random_cq(rng, n_symbols, dim, label="B", pure_conditionals=False
             m = m / m.trace().real
         conds.append(DensityOperator([(label, dim)], m, validate=False))
     return CQState(list(range(n_symbols)), probs / probs.sum(), conds)
+
+
+class DroppingRng:
+    """A generator whose every ``every``-th Dirichlet draw puts its first entry
+    at 1e-13, below the 1e-12 that a cq state keeps, and moves the rest of
+    that entry's mass to the second: seeded draws almost never drop a symbol."""
+
+    def __init__(self, seed, every=1):
+        self._rng, self._every, self._calls = np.random.default_rng(seed), every, 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def dirichlet(self, alpha):
+        p = self._rng.dirichlet(alpha)
+        self._calls += 1
+        if self._calls % self._every == 0:
+            p[1] += p[0] - 1e-13
+            p[0] = 1e-13
+        return p

@@ -30,7 +30,7 @@ from puredist.states import (
     rank1_refine,
 )
 
-from oracles import per_symbol_random_cq
+from oracles import DroppingRng, per_symbol_random_cq
 
 
 def test_density_operator_canonical_register_order(rng):
@@ -489,34 +489,16 @@ def test_cq_ensembles_keep_the_bits_and_generator_state_of_random_cq(kind):
         assert stacked.bit_generator.state == loop.bit_generator.state, seed
 
 
-class _DroppingRng:
-    """A generator whose Dirichlet draws put their first entry at 1e-13, below
-    the 1e-12 that a cq state keeps, and move the rest of its mass to the
-    second: seeded draws almost never drop a symbol."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def dirichlet(self, alpha):
-        p = self._rng.dirichlet(alpha)
-        p[1] += p[0] - 1e-13
-        p[0] = 1e-13
-        return p
-
-
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_cq_ensembles_give_a_dropped_symbol_probability_zero(kind):
     pure = kind == "pure"
     for seed in range(20):
         n, d = 2 + seed % 4, 2 + seed % 3
-        probs, stack, keep = cq_ensembles(*(x[None] for x in cq_draws(_DroppingRng(seed), n, d,
-                                                                      pure)), pure)
+        draw = cq_draws(DroppingRng(seed), n, d, pure)
+        probs, stack, keep = cq_ensembles(*(x[None] for x in draw), pure)
         assert probs[0, 0] == 0.0 and keep[0].tolist() == [False] + [True] * (n - 1)
         # random_cq of the same draw drops that symbol and keeps the others' bits
-        cq = random_cq(_DroppingRng(seed), n, d, pure_conditionals=pure)
+        cq = random_cq(DroppingRng(seed), n, d, pure_conditionals=pure)
         assert cq.dropped and cq.symbols == tuple(range(1, n))
         assert cq.probs.tobytes() == probs[0, 1:].tobytes()
         assert cq.stack.tobytes() == stack[0, 1:].tobytes()

@@ -25,7 +25,7 @@ import pytest
 from puredist import entropy, linalg, sampling, verify
 from puredist.states import CQState, DensityOperator
 
-from oracles import per_symbol_random_cq as random_cq
+from oracles import DroppingRng, per_symbol_random_cq as random_cq
 from test_d_h_many import reference_d_h
 
 TOL = verify.TOL
@@ -450,26 +450,6 @@ def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
         assert calls == {"CQState": 0, "random_cq": 0}, trials
 
 
-class _DroppingRng:
-    """A generator whose every third Dirichlet draw puts its first entry at
-    1e-13, below the 1e-12 that a cq state keeps, and moves the rest of that
-    entry's mass to the second: seeded draws almost never drop a symbol."""
-
-    def __init__(self, seed):
-        self._rng, self._calls = np.random.default_rng(seed), 0
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def dirichlet(self, alpha):
-        p = self._rng.dirichlet(alpha)
-        self._calls += 1
-        if self._calls % 3 == 0:
-            p[1] += p[0] - 1e-13
-            p[0] = 1e-13
-        return p
-
-
 # the derandomization reference indexes its kept conditionals by the number
 # of symbols drawn, so a dropped symbol stops it
 @pytest.mark.parametrize("name", [n for n in CQ_CHECKS if n != "condhh-derandomization"])
@@ -477,7 +457,7 @@ def test_cq_check_drops_a_symbol_as_its_per_trial_body_does(name):
     # the batched check keeps a dropped symbol at probability 0, where the
     # reference's CQState leaves it out
     for seed in (1, 2):
-        batched, loop = _DroppingRng(seed), _DroppingRng(seed)
+        batched, loop = DroppingRng(seed, every=3), DroppingRng(seed, every=3)
         got = _check(name)(batched, 40 * PER[name], None)
         want = _run(name, REFERENCE[name], loop, 40 * PER[name], None)
         assert (got.trials, got.violations, got.worst) == \
