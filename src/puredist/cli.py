@@ -203,7 +203,11 @@ def cmd_distill_local(args) -> int:
 def cmd_bounds(args) -> int:
     state, bob = load_input(args)
     psi = protocol_input(state, bob)
-    rho_a = state.partial_trace("A") if len(state.registers) > 1 else state
+    povms = {path: io.load_povm(path) for path in args.povm}
+    measured = {povm.register for povm in povms.values()} or {"A"}
+    if len(measured) > 1:
+        raise ValueError(f"the POVMs measure different registers: {sorted(measured)}")
+    rho_a = state.partial_trace(measured.pop()) if len(state.registers) > 1 else state
     lo, up = bounds.local_purity_bounds(rho_a, args.eps, args.slack_bits)
     payload = {
         "eps": args.eps,
@@ -213,8 +217,8 @@ def cmd_bounds(args) -> int:
         "local_upper_A": up,
         "per_povm": {},
     }
-    for path in args.povm:
-        inst = Instance(psi, io.load_povm(path), args.eps, bob_label=bob)
+    for path, povm in povms.items():
+        inst = Instance(psi, povm, args.eps, bob_label=bob)
         payload["per_povm"][path] = {
             "dist_upper": bounds.distributed_upper_bound(
                 inst, f_eps=args.f_eps, g_eps=args.g_eps),

@@ -488,23 +488,25 @@ def check_condhh_derandomization(rng, trials, eps):
     distribution are close to ideal, most table rows obey the worst-case
     entropy bound 2^{H_H(eps^{1/8})} <= 2^{H_H(B|X)} / eps."""
     e = eps or 0.05
-    draws, reps, zs = [], [], []
+    draws, reps, keeps, zs = [], [], [], []
     for _ in range(trials):
         nx, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         draws.append(cq_draws(rng, nx, db))
         # build a K-table whose rows decode to symbols with Q close to P
         reps.append(int(rng.integers(3, 6)))
         # a ginibre_density draw per conditional that random_cq keeps, in turn
-        kept = kept_symbols(draws[-1][0] / draws[-1][0].sum())
-        zs.append(ginibre_normals(rng, db, n=int(kept.sum())))
+        keeps.append(kept_symbols(draws[-1][0] / draws[-1][0].sum()))
+        zs.append(ginibre_normals(rng, db, n=int(keeps[-1].sum())))
 
-    def build(_, probs, z, zs):
-        probs, stacks = cq_ensembles(probs, z, False)[:2]
-        kept = stacks[probs > 0].reshape(len(stacks), -1, *stacks.shape[-2:])
+    def build(_, probs, z, keep, zs):
+        # random_cq's ensemble (cq_ensembles) on the mask of the loop
+        probs = np.where(keep, probs / probs.sum(axis=-1, keepdims=True), 0.0)
+        stacks = ginibre_gram(z)
+        kept = stacks[keep].reshape(len(stacks), -1, *stacks.shape[-2:])
         return probs, stacks, (1 - e / 4) * kept + e / 4 * ginibre_gram(zs)
 
     groups = _stacked(build, [(z.shape, zk.shape) for (_, z), zk in zip(draws, zs)],
-                      *zip(*draws), zs)
+                      *zip(*draws), keeps, zs)
     p, w = _cq_arrays([(idx, out[:2]) for idx, out in groups])
     bounds = entropy.h_h_cond_cq_many(p, w, e)[0].tolist()
     hs = _conditional_h_h(_padded_spectra([(idx, out[2:]) for idx, out in groups], -1.0),

@@ -244,6 +244,36 @@ def test_bounds_command(bell_file, basis_file, capsys):
     assert "dist_upper" in per and "dist_upper_rank1" in per
 
 
+def test_bounds_takes_the_local_bounds_on_the_measured_register(tmp_path):
+    # registers X and B, measured on X: bounds once took them on a register
+    # A and exited 2 with "no register 'A'", while compare ran
+    rng = np.random.default_rng(1)
+    state, povm = str(tmp_path / "xb.json"), str(tmp_path / "x.json")
+    io.save_state(DensityOperator([("X", 2), ("B", 2)], sampling.ginibre_density(rng, 4)), state)
+    io.save_povm(basis_povm(2, "X"), povm)
+    rc, out, err, _ = _run(["bounds", "--state", state, "--povm", povm])
+    assert (rc, err) == (0, "")
+    rc, compared, err, _ = _run(["compare", "--state", state, "--povm", povm, "--K", "2",
+                                 "--L", "4"])
+    assert (rc, err) == (0, "")
+    out, [report] = json.loads(out), json.loads(compared)["reports"]
+    assert abs(out["local_lower_A"] - report["local_lower"]) <= 1e-12
+    assert abs(out["local_upper_A"] - report["local_upper"]) <= 1e-12
+
+
+def test_bounds_with_povms_on_different_registers_is_a_named_error(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    state = str(tmp_path / "ab.json")
+    io.save_state(DensityOperator([("A", 2), ("B", 2)], sampling.ginibre_density(rng, 4)), state)
+    argv = ["bounds", "--state", state]
+    for register in ("A", "B"):
+        io.save_povm(basis_povm(2, register), str(tmp_path / f"{register}.json"))
+        argv += ["--povm", str(tmp_path / f"{register}.json")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the POVMs measure different registers: ['A', 'B']\n"
+
+
 def test_verify_command_passes(capsys):
     from puredist.verify import MANIFEST
     rc = main(["verify", "--trials", "15", "--eps", "0.05", "--seed", "7"])
@@ -592,7 +622,7 @@ def test_bounds_decomposes_the_instance_rho_a_once(rng, tmp_path, monkeypatch):
     # a pure classical 4x2 state and the basis POVM: both distributed bounds
     # read the instance's one decomposition of rho_A (the rank-1 refinement
     # keeps psi and the register), and the local bounds decompose the state's
-    # own A marginal
+    # own marginal of the measured register A
     io.save_state(sampling.classical_correlated_pure(rng, 4, 2).density(),
                   str(tmp_path / "c.json"))
     io.save_povm(basis_povm(4, "A"), str(tmp_path / "basis.json"))

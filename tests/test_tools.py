@@ -1,6 +1,7 @@
-"""Smoke tests of the timing tools that compare two checkouts in one
-process: ``tools/pool_time.py`` and ``tools/verify_split.py``, each with
-this repository loaded as both sides, on a narrowed set of jobs."""
+"""Smoke tests of the tools that compare checkouts: ``tools/pool_time.py``,
+which times two checkouts in one process, here this repository loaded as
+both sides on a narrowed set of jobs, and ``tools/pool_hash.py``, whose
+exit status is the bit-for-bit gate, on a narrowed pool."""
 
 import json
 import sys
@@ -13,16 +14,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture
 def tools(monkeypatch):
-    """The tools directory and the repository root importable; afterwards the
-    BLAS variables that ``checkouts`` sets on import are restored and the
-    packages the tools loaded are dropped."""
+    """The tools directory and the repository root importable; afterwards
+    ``sys.path`` (which ``pool_hash`` prepends to) and the BLAS variables that
+    ``pool_time`` sets on import are restored, and the packages the tools
+    loaded are dropped."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.syspath_prepend(str(ROOT))
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import pool_hash
     import pool_time
-    import verify_split
-    yield pool_time, verify_split
+    yield pool_time, pool_hash
     for name in [m for m in sys.modules if m.split(".")[0] in ("puredist_a", "puredist_b")]:
         del sys.modules[name]
 
@@ -36,11 +38,31 @@ def test_pool_time_on_two_compare_jobs(tools, monkeypatch, capsys):
     assert out["a_s"] > 0 and out["b_s"] > 0
 
 
-def test_verify_split_on_one_chunk(tools, monkeypatch, capsys):
-    _, verify_split = tools
-    monkeypatch.setattr(verify_split, "CHUNKS", range(20, 21))
-    assert verify_split.main([str(ROOT), str(ROOT)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["chunks"] == [20, 21] and len(out["checks_s"]) == 18
-    assert all(c["a"] > 0 and c["b"] > 0 for c in out["checks_s"].values())
-    assert out["round_s"]["a"] > 0 and out["round_s"]["b"] > 0
+def test_pool_time_on_one_verify_chunk_of_every_check(tools, monkeypatch, capsys):
+    pool_time, _ = tools
+    monkeypatch.setitem(pool_time.JOBS, "verify-suite", range(20, 21))
+    assert pool_time.main([str(ROOT), str(ROOT), "verify-suite"]) == 0
+    out = json.loads(capsys.readouterr().out)["workloads"]["verify-suite"]
+    assert out["jobs"] == 18 and out["outputs_equal"] is True
+    assert len(out["checks"]) == 18
+    for check in out["checks"].values():
+        # one chunk: a check's total is its slowest job
+        assert check["a_s"] > 0 and check["b_s"] > 0
+        assert check["slowest_s"] == [check["a_s"], check["b_s"]]
+    assert out["a_s"] == pytest.approx(sum(c["a_s"] for c in out["checks"].values()))
+
+
+def test_pool_hash_exits_1_when_an_output_misses_its_ref(tools, monkeypatch, capsys):
+    _, pool_hash = tools
+    from perfbench import jobs
+
+    refs = jobs.load_refs("compare-sweep")[:3]
+    monkeypatch.setitem(jobs.WORKLOADS, "compare-sweep", jobs.Workload(3, trace_jobs=3))
+    monkeypatch.setattr(jobs, "load_refs", lambda workload: refs)
+    assert pool_hash.main([str(ROOT), "compare-sweep"]) == 0
+    assert "pool 3, ref misses 0," in capsys.readouterr().out
+    changed = json.loads(refs[1]["out"])
+    changed["reports"][0]["margin"] += 1.0
+    refs[1] = dict(refs[1], out=json.dumps(changed))
+    assert pool_hash.main([str(ROOT), "compare-sweep"]) == 1
+    assert "pool 3, ref misses 1," in capsys.readouterr().out

@@ -1,53 +1,86 @@
-"""Time the protocol workloads' pool jobs on two checkouts in one process.
-
-Imports each root's ``src/puredist`` under its own package name
-(``checkouts.load_package``), runs the same pool jobs of each named
-workload through ``perfbench.jobs.run_job`` on both back to back,
-alternating which goes first, ``REPEATS`` times over, and prints as JSON
-per workload the number of jobs, each side's total of its best time per
-job in seconds, their ratio B/A, and whether every output of B equals A's.
-Since both sides share the process and the moments of their runs, a drift
-of the host's speed falls on both alike, which separate benchmark runs
-cannot promise.
+"""Time the benchmark workloads' pool jobs on two checkouts in one process.
 
     python3 tools/pool_time.py ROOT_A ROOT_B WORKLOAD...
 
-The jobs of a workload are ``JOBS[workload]`` of its pool, whose inputs go
-to a temporary directory; ``perfbench`` is imported from ROOT_A. Like
-``perfbench/run.py``, it runs with one BLAS thread (``checkouts`` pins it).
+Imports each root's ``src/puredist`` under its own package name
+(``load_package``) and runs the same pool jobs of each workload, ``JOBS`` of
+its pool (for verify-suite, those chunks of every check), through
+``perfbench.jobs.run_job`` on both back to back, alternating which goes
+first, ``REPEATS`` times over. Prints as JSON per workload the number of
+jobs, each side's total of its best time per job in seconds, their ratio
+B/A, each side's slowest job and whether all outputs agree; for verify-suite
+also the totals, ratio and slowest jobs per check. A drift of the host's
+speed falls on both sides alike, as separate benchmark runs cannot promise.
+ROOT ROOT times one checkout against itself. Inputs go to a temporary
+directory, ``perfbench`` comes from ROOT_A, and BLAS runs one thread, as in
+``perfbench/run.py``.
 """
 
+import importlib.util
 import json
+import os
 import sys
 import tempfile
 import time
 import warnings
 from pathlib import Path
 
-from checkouts import load_package
+# before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-# the protocol workloads (tools/verify_split.py splits verify-suite by check)
-JOBS = {"compare-sweep": range(2, 400, 5), "kd-quantum": range(3, 600, 7)}
+JOBS = {"compare-sweep": range(2, 400, 5), "kd-quantum": range(3, 600, 7),
+        "verify-suite": range(20, 30)}
 REPEATS = 3
 
 
+def load_package(name: str, root: Path):
+    """``root``'s ``src/puredist`` imported as the package ``name``, with
+    every module that a ``perfbench`` job uses (``cli`` imports them all).
+    A package loaded before under ``name`` is dropped first, modules and all;
+    the package imports itself only relatively, so two names share no module."""
+    for stale in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[stale]
+    src = root / "src" / "puredist"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    importlib.import_module(f"{name}.cli")
+    return sys.modules[name]
+
+
+def _sides(times) -> dict:
+    a, b = zip(*times)
+    return {"a_s": sum(a), "b_s": sum(b), "ratio": sum(b) / sum(a), "slowest_s": [max(a), max(b)]}
+
+
 def time_pool(pds, jobs, workload) -> dict:
-    """Both packages' best times on the workload's ``JOBS``, in turn per job."""
-    best, same = [0.0, 0.0], True
+    """Both packages' best times on the workload's jobs, in turn per job."""
+    indices = JOBS[workload]
+    if workload == "verify-suite":  # those chunks of every check
+        indices = [check * jobs.VERIFY_CHUNKS + chunk for check in range(len(pds[0].verify.SUITE))
+                   for chunk in indices]
+    best, same = [], True
     with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the quality warnings of the pool
         specs = jobs.prepare(pds[0], workload, workdir)
-        for i, index in enumerate(JOBS[workload]):
+        for i, index in enumerate(indices):
             times, outputs = [float("inf")] * 2, [None] * 2
             for r in range(REPEATS):
                 for k in ((i + r) % 2, (i + r + 1) % 2):
                     start = time.perf_counter()
                     outputs[k] = jobs.run_job(pds[k], workload, specs[index])
                     times[k] = min(times[k], time.perf_counter() - start)
-            best = [b + t for b, t in zip(best, times)]
+            best.append(times)
             same = same and outputs[0] == outputs[1]
-    return {"jobs": len(JOBS[workload]), "a_s": best[0], "b_s": best[1],
-            "ratio": best[1] / best[0], "outputs_equal": same}
+    out = {"jobs": len(indices), **_sides(best), "outputs_equal": same}
+    if workload == "verify-suite":
+        checks = {}
+        for index, times in zip(indices, best):
+            checks.setdefault(pds[0].verify.MANIFEST[specs[index][0]], []).append(times)
+        out["checks"] = {name: _sides(t) for name, t in checks.items()}
+    return out
 
 
 def main(argv) -> int:
