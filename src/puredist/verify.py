@@ -499,7 +499,7 @@ def check_condhh_derandomization(rng, trials, eps):
         zs.append(ginibre_normals(rng, db, n=int(keeps[-1].sum())))
 
     def build(_, probs, z, keep, zs):
-        # random_cq's ensemble (cq_ensembles) on the mask of the loop
+        # the cq_ensembles of the draws (random_cq's bits), on the loop's masks
         probs = np.where(keep, probs / probs.sum(axis=-1, keepdims=True), 0.0)
         stacks = ginibre_gram(z)
         kept = stacks[keep].reshape(len(stacks), -1, *stacks.shape[-2:])

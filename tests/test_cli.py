@@ -245,8 +245,7 @@ def test_bounds_command(bell_file, basis_file, capsys):
 
 
 def test_bounds_takes_the_local_bounds_on_the_measured_register(tmp_path):
-    # registers X and B, measured on X: bounds once took them on a register
-    # A and exited 2 with "no register 'A'", while compare ran
+    # registers X and B, measured on X: the local bounds are X's, as in compare
     rng = np.random.default_rng(1)
     state, povm = str(tmp_path / "xb.json"), str(tmp_path / "x.json")
     io.save_state(DensityOperator([("X", 2), ("B", 2)], sampling.ginibre_density(rng, 4)), state)
