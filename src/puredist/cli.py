@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import bounds, entropy, io, protocols
 from .compression import Instance, NoGoodK, compress_seeds
 from .linalg import InvariantError
-from .states import DensityOperator, PureState
+from .states import DensityOperator, ProtocolTranscript, PureState
 from .verify import MANIFEST, run_suite
 
 
@@ -49,16 +49,12 @@ OPTIONS = {
     "--trials": dict(type=int, default=1000),
 }
 
-TRANSCRIPT_COLUMNS = ("protocol", "seed", "eps", "distilled_alice",
-                      "distilled_bob", "borrowed", "communication",
-                      "net_rate", "final_error", "slack_bits", "case")
-
 _CSV_HELP = (
     "CSV columns (protocol commands): %s. "
     "CSV columns (compare): %s. Counts are qubits/bits; final_error is the "
     "exact trace distance to the target pure state; slack_bits is the "
     "declared O(log 1/eps) convention." % (
-        ",".join(TRANSCRIPT_COLUMNS), ",".join(bounds.RateReport.CSV_COLUMNS)))
+        ",".join(ProtocolTranscript.CSV_COLUMNS), ",".join(bounds.RateReport.CSV_COLUMNS)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +143,7 @@ def cmd_sweep(args) -> int:
             results += protocols.run_fewqubits(views)
     results = [r.to_dict() for r in results]
     key, columns = (("reports", bounds.RateReport.CSV_COLUMNS) if args.command == "compare"
-                    else ("transcripts", TRANSCRIPT_COLUMNS))
+                    else ("transcripts", ProtocolTranscript.CSV_COLUMNS))
     if args.fmt == "csv":
         _emit(args, io.csv_text(columns, [[r[c] for c in columns] for r in results]))
     else:
@@ -164,11 +160,12 @@ def cmd_entropy(args) -> int:
         targets.update((label, state.partial_trace(label)) for label, _ in state.registers)
     for name, rho in sorted(targets.items()):
         w = rho.spectrum()  # one eigendecomposition for all four
+        t = entropy.Truncation(w[None], eps)  # one truncation for the three max entropies
         payload["marginals"][name] = {
             "h_h": entropy.h_h(w, eps).value,
-            "h_tilde_max": entropy.h_tilde_max(w, eps),
-            "h_prime_max": entropy.h_prime_max(w, eps),
-            "h_max_smooth": entropy.h_max_smooth(w, eps),
+            "h_tilde_max": float(t.h_tilde_max()[0]),
+            "h_prime_max": float(t.h_prime_max()[0]),
+            "h_max_smooth": float(t.h_max_smooth()[0]),
         }
     psi = protocol_input(state, bob) if args.povm else None
     for path in args.povm:

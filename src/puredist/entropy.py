@@ -887,7 +887,7 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
             iters += more
     if basis is not None:
         best.lift(states, basis, povm)
-    gap = best.gap if iters else np.inf
+    gap = best.gap
     converged = gap <= max(IMAX_GAP_TOL, 1e-6)
     if not converged:
         warnings.warn(

@@ -308,15 +308,6 @@ def sum_in_order(arrays) -> np.ndarray:
     return out
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """One-norm distance ``||a - b||_1`` (unnormalized, in [0, 2] for states)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return trace_norm(a - b)
-
-
 def fidelity(a: np.ndarray, b: np.ndarray):
     """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace
     <= 1, or of a with each member of a stack b, a's root taken in b's stack;

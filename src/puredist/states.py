@@ -59,12 +59,6 @@ class PureState:
                 return d
         raise KeyError(f"no register {label!r}; have {self.labels}")
 
-    def vector(self):
-        return self.tensor.reshape(-1)
-
-    def norm(self):
-        return float(np.linalg.norm(self.tensor))
-
     def masses(self) -> np.ndarray:
         """``float(np.linalg.norm(t)) ** 2`` of each member t of a stack, from
         ``linalg.row_norms`` (Python's power: numpy's square differs in the last bit)."""
@@ -365,6 +359,10 @@ class ProtocolTranscript:
     rate_bound_real: float | None = None
     extra: dict = field(default_factory=dict)
 
+    CSV_COLUMNS = ("protocol", "seed", "eps", "distilled_alice", "distilled_bob",
+                   "borrowed", "communication", "net_rate", "final_error",
+                   "slack_bits", "case")
+
     def __post_init__(self):
         for name in ("distilled_alice", "distilled_bob", "borrowed", "communication"):
             v = getattr(self, name)
@@ -377,21 +375,7 @@ class ProtocolTranscript:
         return self.distilled_alice + self.distilled_bob - self.borrowed
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "dims": self.dims,
-            "eps": self.eps,
-            "distilled_alice": self.distilled_alice,
-            "distilled_bob": self.distilled_bob,
-            "borrowed": self.borrowed,
-            "communication": self.communication,
-            "final_error": self.final_error,
-            "net_rate": self.net_rate,
-            "slack_bits": self.slack_bits,
-            "case": self.case,
-            "rate_bound_real": self.rate_bound_real,
-        }
+        return {k: getattr(self, k) for k in self.CSV_COLUMNS + ("dims", "rate_bound_real")}
 
 
 def measure(psi: PureState, elements, reg: str) -> PureState:

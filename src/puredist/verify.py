@@ -316,7 +316,7 @@ def check_hh_near_pure(rng, trials, eps):
         sigma[:, 0, 0] = 1 - delta
         sigma = sigma + delta[:, None, None] * ginibre_gram(z)
         pure0 = np.diag([1.0] + [0.0] * (d - 1))
-        # the trace distances, as linalg.trace_distance takes them
+        # the trace distances ||sigma - |0><0| ||_1, one stacked trace_norm
         return sigma, linalg.trace_norm(sigma - pure0)
 
     groups, dists = _stacked(near_pure, ds, zs, deltas), np.zeros(trials)

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from puredist import entropy, io, linalg, protocols, sampling
 from puredist.bounds import RateReport
-from puredist.cli import TRANSCRIPT_COLUMNS, build_parser, main, parse_seeds
+from puredist.cli import build_parser, main, parse_seeds
 from puredist.compression import Instance, NoGoodK, compress_seeds
 from puredist.linalg import InvariantError
 from puredist.sampling import basis_povm, bell_pair
-from puredist.states import DensityOperator, Povm
+from puredist.states import DensityOperator, Povm, ProtocolTranscript
 
 
 def test_parse_seeds():
@@ -161,7 +161,7 @@ def test_help_lists_the_csv_columns():
     epilog = build_parser().epilog
     protocol, compare = re.match(r"CSV columns \(protocol commands\): (\S+)\. "
                                  r"CSV columns \(compare\): (\S+)\. ", epilog).groups()
-    assert protocol.split(",") == list(TRANSCRIPT_COLUMNS)
+    assert protocol.split(",") == list(ProtocolTranscript.CSV_COLUMNS)
     assert compare.split(",") == list(RateReport.CSV_COLUMNS)
 
 

@@ -334,7 +334,7 @@ def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
 def test_instance_decomposes_each_simulated_stack_once(rng, monkeypatch):
     pure = classical_instance(rng, 4, 3)  # R of dimension 1
     mixed = PureState([("A", 4), ("B", 3), ("R", 2)],
-                      np.kron(pure.vector(), [np.sqrt(0.7), np.sqrt(0.3)]))
+                      np.kron(pure.tensor.reshape(-1), [np.sqrt(0.7), np.sqrt(0.3)]))
     insts = [Instance(psi, basis_povm(4, "A"), 0.25) for psi in (pure, mixed)]
     for inst in insts:
         inst.simulated  # the conditionals, from the roots of rho_A and of the elements

@@ -866,7 +866,7 @@ def test_i_max_two_state_helstrom_oracle(rng):
         r0 = random_density(rng, d, "B")
         r1 = random_density(rng, d, "B")
         cq = CQState([0, 1], [0.5, 0.5], [r0, r1])
-        want = np.log2(1 + 0.5 * linalg.trace_distance(r0.matrix, r1.matrix))
+        want = np.log2(1 + 0.5 * linalg.trace_norm(r0.matrix - r1.matrix))
         got = ent.i_max_cq(cq, 0.0)
         assert abs(got.value - want) <= 1e-6
         assert got.duality_gap <= 1e-6

@@ -291,11 +291,11 @@ def test_purify_partial_trace_idempotent_on_spectra(rng):
 
 
 def test_trace_distance_cases():
-    assert linalg.trace_distance(np.diag([0.5, 0.5]), np.diag([0.5, 0.5])) == 0
-    assert np.isclose(linalg.trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 2.0)
-    assert np.isclose(linalg.trace_distance(np.diag([0.6, 0.4]), np.diag([0.5, 0.5])), 0.2)
+    assert linalg.trace_norm(np.diag([0.5, 0.5]) - np.diag([0.5, 0.5])) == 0
+    assert np.isclose(linalg.trace_norm(np.diag([1.0, 0.0]) - np.diag([0.0, 1.0])), 2.0)
+    assert np.isclose(linalg.trace_norm(np.diag([0.6, 0.4]) - np.diag([0.5, 0.5])), 0.2)
     with pytest.raises(ValueError):
-        linalg.trace_distance(np.eye(2), np.eye(3))
+        linalg.trace_norm(np.eye(2) - np.eye(3))
 
 
 def test_fidelity_cases(rng):
@@ -331,7 +331,7 @@ def test_fuchs_van_de_graaf(rng):
         a = ginibre_density(rng, d)
         b = ginibre_density(rng, d)
         f = linalg.fidelity(a, b)
-        td = linalg.trace_distance(a, b)
+        td = linalg.trace_norm(a - b)
         assert 2 * (1 - f) <= td + 1e-8
         assert td <= 2 * np.sqrt(max(0.0, 1 - f * f)) + 1e-8
 

@@ -38,7 +38,7 @@ def _per_symbol(inst):
     sims = {}
     for x in np.flatnonzero(inst.p_x > 0).tolist():
         branch = inst.psi.apply(linalg.dagger(inst.roots[x]), [inst.povm.register])
-        n = branch.norm() ** 2
+        n = float(np.linalg.norm(branch.tensor)) ** 2
         if n < 1e-300:
             continue
         sims[x] = branch.marginal(env) / n
@@ -75,7 +75,7 @@ def _validation(ref, view):
     per_pair = 0.0
     for x, cond in enumerate(conds):
         if x in ref.sims and weights[x] > 1e-12 and probs[x] > 0:
-            per_pair = max(per_pair, linalg.trace_distance(cond, ref.sims[x]))
+            per_pair = max(per_pair, linalg.trace_norm(cond - ref.sims[x]))
     return float(_block_distances(ref, view, weights[None])[0]), float(per_pair)
 
 

@@ -129,7 +129,7 @@ def _final_error_per_branch(branches, steps, cells):
     """The per-branch loop the stacked ``_final_error`` replaced: each step
     (register, (pure, garbage) labels, bits, rows) codes branch i alone with
     ``rows[i]``, zero-padded to 2^bits * ceil(d / 2^bits) rows."""
-    live = [i for i in cells if branches[i].norm() ** 2 >= 1e-15]
+    live = [i for i in cells if float(np.linalg.norm(branches[i].tensor)) ** 2 >= 1e-15]
     margs = {}
     for i in dict.fromkeys(live):
         br = branches[i]
@@ -145,7 +145,7 @@ def _final_error_per_branch(branches, steps, cells):
         sigma = sigma + margs[i]
     target = np.zeros(sigma.shape)
     target[0, 0] = 1.0
-    return float(linalg.trace_distance(sigma, target))
+    return float(linalg.trace_norm(sigma - target))
 
 
 @pytest.mark.parametrize("first", ["A", "B"])
@@ -294,7 +294,8 @@ def test_uhlmann_overlap_equals_marginal_fidelity(rng):
         u, ov = pr.uhlmann_unitary(phi, chi, ["P"], ["Q"])
         fid = linalg.fidelity(va.T @ np.conj(va), vb.T @ np.conj(vb))
         assert abs(ov - fid) <= 1e-8
-        got = chi.vector() @ np.conj(phi.apply(u, ["P"], out_regs=[("Q", da)]).vector())
+        moved = phi.apply(u, ["P"], out_regs=[("Q", da)])
+        got = chi.tensor.reshape(-1) @ np.conj(moved.tensor.reshape(-1))
         assert abs(abs(got) - fid) <= 1e-8
 
 

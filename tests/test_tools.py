@@ -1,7 +1,8 @@
 """Smoke tests of the tools that compare checkouts: ``tools/pool_time.py``,
 which times two checkouts in one process, here this repository loaded as
 both sides on a narrowed set of jobs, and ``tools/pool_hash.py``, whose
-exit status is the bit-for-bit gate, on a narrowed pool."""
+exit status is the bit-for-bit gate, on a narrowed pool; and of
+``tools/code_lines.py``, the size figure, on a module written here."""
 
 import json
 import sys
@@ -66,3 +67,30 @@ def test_pool_hash_exits_1_when_an_output_misses_its_ref(tools, monkeypatch, cap
     refs[1] = dict(refs[1], out=json.dumps(changed))
     assert pool_hash.main([str(ROOT), "compare-sweep"]) == 1
     assert "pool 3, ref misses 1," in capsys.readouterr().out
+
+
+def test_code_lines_counts_neither_docstrings_nor_comments_nor_blank_lines(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import code_lines
+
+    (tmp_path / "mod.py").write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "\n"
+        "# a comment line\n"
+        "import math\n"
+        'TEXT = """a string that is\n'
+        'not a docstring"""\n'
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """A class docstring."""\n'
+        "\n"
+        "    def f(self, x):\n"
+        '        """A function\n'
+        '        docstring."""\n'
+        "        # an indented comment\n"
+        "        return math.sqrt(x)  # a trailing comment\n")
+    assert code_lines.code_lines(tmp_path / "mod.py") == 6
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["mod", "6", "total", "6"]

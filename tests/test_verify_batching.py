@@ -162,7 +162,7 @@ def check_hh_near_pure(rng, trials, eps):
         sigma = sigma + delta * junk
         pure0 = np.zeros((d, d))
         pure0[0, 0] = 1.0
-        if linalg.trace_distance(sigma, pure0) > e:
+        if linalg.trace_norm(sigma - pure0) > e:
             continue
         yield TOL - entropy.h_h(sigma, e).value
 
