@@ -204,8 +204,9 @@ def cmd_bounds(args) -> int:
     measured = {povm.register for povm in povms.values()} or {"A"}
     if len(measured) > 1:
         raise ValueError(f"the POVMs measure different registers: {sorted(measured)}")
-    rho_a = state.partial_trace(measured.pop()) if len(state.registers) > 1 else state
-    lo, up = bounds.local_purity_bounds(rho_a, args.eps, args.slack_bits)
+    # the purified input's marginal: the rho_A of every Instance and of compare
+    reg = measured.pop() if len(state.registers) > 1 else state.labels[0]
+    lo, up = bounds.local_purity_bounds(psi.marginal([reg]), args.eps, args.slack_bits)
     payload = {
         "eps": args.eps,
         "f_eps": args.f_eps if args.f_eps is not None else args.eps,

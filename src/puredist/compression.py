@@ -136,8 +136,10 @@ class Instance:
     psi) and any reference; the POVM acts on its register A. Nothing here
     depends on a compression seed, so each quantity is computed on first
     use and kept: the measurement branches (from the POVM's kept roots) and
-    the ideal control states (one per reduction: the environment, A and
-    Bob; ``ideal_bob`` serves both the rate formulas and the nice verdicts),
+    the ideal control states (one per party: the environment's and Bob's;
+    ``ideal_bob`` serves both the rate formulas and the nice verdicts, and
+    the environment's serves H_H(A|X) too, which equals H_H(E|X) on the
+    pure branches),
     P_X and its checked cdf, rho_A's one eigensystem (both its roots and its
     spectrum), the roots Y_x and cell Grams the tables are built from, their cap
     ``c_cap`` on a table's c, I_max at eps^4 and the H_H and H_min
@@ -202,10 +204,6 @@ class Instance:
     @cached_property
     def ideal_env(self) -> states.CQState:
         return self._ideal(self.env)
-
-    @cached_property
-    def ideal_a(self) -> states.CQState:
-        return self._ideal([self.povm.register])
 
     @cached_property
     def ideal_bob(self) -> states.CQState:

@@ -215,17 +215,16 @@ class CQState:
     register signature, or with ``registers=`` as a stack taken unvalidated.
 
     The probabilities obey ``kept_symbols``: the symbols it does not keep
-    are dropped, which ``dropped`` records. ``conditionals``, views of the
-    stack's rows, are built on first read.
+    are dropped. ``conditionals``, views of the stack's rows, are built on
+    first read.
     """
 
     symbols: tuple
     probs: np.ndarray
     stack: np.ndarray
     registers: tuple
-    dropped: bool = False
 
-    def __init__(self, symbols, probs, conditionals, pre_dropped=False, registers=None):
+    def __init__(self, symbols, probs, conditionals, registers=None):
         probs = np.asarray(probs, dtype=float)
         keep = np.flatnonzero(kept_symbols(probs)).tolist()
         if registers is None:
@@ -246,7 +245,7 @@ class CQState:
         stack, probs = (stack[keep], probs[keep]) if drop else (stack, probs.copy())
         stack.flags.writeable = probs.flags.writeable = False
         self.__dict__.update(symbols=tuple(symbols[i] for i in keep), probs=probs, stack=stack,
-                             registers=regs, dropped=bool(pre_dropped) or drop)
+                             registers=regs)
 
     def __len__(self):
         return len(self.symbols)
@@ -392,7 +391,7 @@ def branch_ensemble(branches: PureState, labels, keep) -> CQState:
     Branch i carries outcome ``labels[i]`` with probability its squared norm
     and the normalized ``keep`` marginal as its conditional. Outcomes with
     probability below 1e-12 are dropped (the conditional is undefined at
-    measure zero) and flagged in ``dropped``.
+    measure zero).
     """
     keep = sorted(keep)
     probs = branches.masses()
@@ -400,7 +399,6 @@ def branch_ensemble(branches: PureState, labels, keep) -> CQState:
     stack = branches.marginal(keep)[live] / probs[live][:, None, None]
     kept = [lbl for lbl, ok in zip(labels, live.tolist()) if ok]
     return CQState(kept, probs[live] / np.sum(probs[live]), stack,
-                   pre_dropped=len(kept) != len(probs),
                    registers=[(l, branches.dim(l)) for l in keep])
 
 

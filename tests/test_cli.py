@@ -256,8 +256,9 @@ def test_bounds_takes_the_local_bounds_on_the_measured_register(tmp_path):
                                  "--L", "4"])
     assert (rc, err) == (0, "")
     out, [report] = json.loads(out), json.loads(compared)["reports"]
-    assert abs(out["local_lower_A"] - report["local_lower"]) <= 1e-12
-    assert abs(out["local_upper_A"] - report["local_upper"]) <= 1e-12
+    # both read the purified input's marginal, so the bits agree
+    assert out["local_lower_A"] == report["local_lower"]
+    assert out["local_upper_A"] == report["local_upper"]
 
 
 def test_bounds_with_povms_on_different_registers_is_a_named_error(tmp_path, capsys):
@@ -620,8 +621,8 @@ def test_one_malformed_field_exits_0_or_2_without_a_traceback(data, malformed_di
 def test_bounds_decomposes_the_instance_rho_a_once(rng, tmp_path, monkeypatch):
     # a pure classical 4x2 state and the basis POVM: both distributed bounds
     # read the instance's one decomposition of rho_A (the rank-1 refinement
-    # keeps psi and the register), and the local bounds decompose the state's
-    # own marginal of the measured register A
+    # keeps psi and the register), and the local bounds decompose the
+    # purified input's marginal of the measured register A, the same matrix
     io.save_state(sampling.classical_correlated_pure(rng, 4, 2).density(),
                   str(tmp_path / "c.json"))
     io.save_povm(basis_povm(4, "A"), str(tmp_path / "basis.json"))

@@ -475,12 +475,10 @@ def test_ideal_states_equal_control_states(rng):
     psi, povm = inst.psi, inst.povm
     pairs = [
         (inst.ideal_env, control_state(psi, povm, condition_on=inst.env)),
-        (inst.ideal_a, control_state(psi, povm, condition_on=["A"])),
         (inst.ideal_bob, control_state(psi, povm, condition_on=["B"])),
     ]
     for got, want in pairs:
         assert got.symbols == want.symbols == (0, 1)
-        assert got.dropped and want.dropped
         assert np.array_equal(got.probs, want.probs)
         for c_got, c_want in zip(got.conditionals, want.conditionals):
             assert c_got.registers == c_want.registers
@@ -564,7 +562,7 @@ def test_instance_measures_each_element_once(rng, monkeypatch):
     elements, rho_a = np.array(kernel.povm.elements), kernel.psi.marginal(["A"])
     powers, eighs = _count_roots(monkeypatch)
     inst = Instance(kernel.psi, Povm(elements, register="A"), kernel.eps)
-    inst.ideal_env, inst.ideal_a, inst.ideal_bob  # build all three
+    inst.ideal_env, inst.ideal_bob  # build both
     run_protocol_a(inst)
     inst.roots
     # the POVM's check decomposes the elements, and rho_A is decomposed once

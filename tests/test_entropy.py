@@ -686,7 +686,7 @@ def stacked_cq_cases(rng):
                         rank=int(rng.integers(1, d + 1)) if i % 3 == 1 else None)
     conds = [random_density(rng, 3, "B"), random_pure(rng, 3, "B"), random_density(rng, 3, "B")]
     dropped = CQState([0, 1, 2], [0.7, 1e-13, 0.3], conds)
-    assert dropped.dropped and len(dropped) == 2
+    assert len(dropped) == 2
     yield dropped
 
 
@@ -788,7 +788,7 @@ def test_h_h_cond_cq_many_on_arrays_drops_and_rejects_as_a_cq_state_does(rng):
             p[1, (x + 1) % n] += p[1, x]  # the distribution stays normalized within 1e-9
             p[1, x] = forced
             cqs = [CQState(range(n), q, m, registers=[("B", d)]) for q, m in zip(p, stack)]
-            assert cqs[1].dropped and len(cqs[1]) == n - 1
+            assert len(cqs[1]) == n - 1
             for eps in (0.01, 0.1, 0.3):
                 values, weights = ent.h_h_cond_cq_many(list(p), spectra, eps)
                 hmin = ent.h_min_cq_smoothed_many(list(p), spectra, eps)

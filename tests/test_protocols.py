@@ -13,6 +13,7 @@ from puredist.sampling import (
     mixed_protocol_input,
     purified_input,
     random_density,
+    random_povm,
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
@@ -543,9 +544,39 @@ def test_protocols_on_mixed_input_with_reference(rng):
     assert fq.borrowed <= kd.borrowed
 
 
+def _rate_cases(rng):
+    """(psi, povm, eps, K, L): seeded pure inputs and mixed ones of the
+    kd-quantum shapes (|A|, |B|, rank) with a 3-4 outcome POVM, Bell and the
+    golden mixed input (``test_golden.write_mixed``)."""
+    for da, db, rank in ((4, 4, 1), (3, 4, 1), (4, 4, 2), (3, 4, 3), (4, 4, 4)):
+        for _ in range(2):
+            psi = mixed_protocol_input(rng, da, db, rank=rank)
+            yield psi, random_povm(rng, da, int(rng.integers(3, 5))), 0.1, 8, 16
+    yield purified_input(bell_pair()), basis_povm(2, "A"), 0.25, 4, 8
+    golden = np.random.default_rng(20240817)
+    rho = DensityOperator([("A", 4), ("B", 4)], ginibre_density(golden, 16, 2))
+    yield rho.purify("R"), random_povm(golden, 4, 3), 0.1, 4, 8
+
+
+def test_rate_formulas_read_h_h_of_a_given_x_from_the_environment(rng):
+    # the branches are pure, so H_H(A|X) = H_H(E|X): both formulas read the
+    # environment's solve, and agree with H_H(A|X) of the control state on A
+    for psi, povm, eps, K, L in _rate_cases(rng):
+        def hh(reg, e):
+            return entropy.h_h_cond_cq(control_state(psi, povm, condition_on=[reg]), e).value
+
+        def formula(e, cost):
+            return np.log2(psi.dim("A")) - hh("A", e) + np.log2(psi.dim("B")) - hh("B", e) - cost
+
+        inst = Instance(psi, povm, eps)
+        t = pr.run_protocol_a(inst)
+        assert abs(t.rate_bound_real - formula(eps * eps, np.log2(len(povm)))) <= 1e-12
+        [kd] = pr.run_kd_oneshot([inst.compression(K=K, L=L, seed=1)])
+        assert abs(kd.rate_bound_real - formula(eps, kd.extra["imax_bits"])) <= 1e-12
+
+
 def test_protocol_a_generic_povm(rng):
     psi = mixed_protocol_input(rng, 4, 2, rank=2)
-    from puredist.sampling import random_povm
     t = pr.run_protocol_a(Instance(psi, random_povm(rng, 4, 3), 0.25))
     assert t.borrowed == 2  # ceil(log2 3)
     assert 0 <= t.final_error <= 2

@@ -145,7 +145,7 @@ def test_partial_trace_unknown_label(rng):
 def test_cq_state_drops_zero_probability(rng):
     conds = [random_density(rng, 2, "B") for _ in range(3)]
     cq = CQState([0, 1, 2], [0.6, 0.4, 1e-15], conds)
-    assert len(cq) == 2 and cq.dropped
+    assert len(cq) == 2
     assert np.isclose(np.sum(cq.probs), 1.0)
 
 
@@ -206,7 +206,7 @@ def test_control_state_flags_dropped_outcomes():
     # measuring |0><0| in the basis: outcome 1 has zero probability
     psi = PureState([("A", 2), ("B", 1)], np.array([1.0, 0.0]))
     cq = control_state(psi, basis_povm(2, "A"), condition_on=["B"])
-    assert len(cq) == 1 and cq.dropped
+    assert len(cq) == 1
 
 
 def test_control_state_bell_basis(rng):
@@ -409,16 +409,16 @@ def test_cq_stack_must_match_its_registers(rng):
 def test_cq_stack_drops_a_symbol_below_1e12(rng):
     stack = random_cq(rng, 3, 2).stack
     cq = CQState("xyz", [0.6, 1e-13, 0.4 - 1e-13], stack, registers=[("B", 2)])
-    assert cq.dropped and cq.symbols == ("x", "z") and len(cq) == 2
+    assert cq.symbols == ("x", "z") and len(cq) == 2
     assert np.array_equal(cq.stack, stack[[0, 2]])
-    assert not CQState("xyz", [0.2, 0.3, 0.5], stack, registers=[("B", 2)]).dropped
+    assert CQState("xyz", [0.2, 0.3, 0.5], stack, registers=[("B", 2)]).symbols == ("x", "y", "z")
     # a NaN passes the sign and sum tests (comparisons with it fail) and is
     # dropped, as it is not >= 1e-12
     cq = CQState("xyz", [0.6, np.nan, 0.4], stack, registers=[("B", 2)])
-    assert cq.dropped and cq.symbols == ("x", "z") and cq.probs.tolist() == [0.6, 0.4]
+    assert cq.symbols == ("x", "z") and cq.probs.tolist() == [0.6, 0.4]
     assert np.array_equal(cq.stack, stack[[0, 2]])
     cq = CQState("xy", [np.nan, np.nan], stack[:2], registers=[("B", 2)])
-    assert cq.dropped and cq.symbols == () and cq.stack.shape == (0, 2, 2)
+    assert cq.symbols == () and cq.stack.shape == (0, 2, 2)
 
 
 def test_ginibre_density_keeps_the_bits_and_generator_state_of_the_two_draws():
@@ -499,7 +499,7 @@ def test_cq_ensembles_give_a_dropped_symbol_probability_zero(kind):
         assert probs[0, 0] == 0.0 and keep[0].tolist() == [False] + [True] * (n - 1)
         # random_cq of the same draw drops that symbol and keeps the others' bits
         cq = random_cq(DroppingRng(seed), n, d, pure_conditionals=pure)
-        assert cq.dropped and cq.symbols == tuple(range(1, n))
+        assert cq.symbols == tuple(range(1, n))
         assert cq.probs.tobytes() == probs[0, 1:].tobytes()
         assert cq.stack.tobytes() == stack[0, 1:].tobytes()
 

@@ -1,8 +1,9 @@
 """Smoke tests of the tools that compare checkouts: ``tools/pool_time.py``,
-which times two checkouts in one process, here this repository loaded as
-both sides on a narrowed set of jobs, and ``tools/pool_hash.py``, whose
-exit status is the bit-for-bit gate, on a narrowed pool; and of
-``tools/code_lines.py``, the size figure, on a module written here."""
+which times two checkouts in one process and shows the fields where their
+outputs differ, here this repository loaded as both sides on a narrowed set
+of jobs, and ``tools/pool_hash.py``, whose exit status is the bit-for-bit
+gate, on a narrowed pool; and of ``tools/code_lines.py``, the size figure,
+on a module written here."""
 
 import json
 import sys
@@ -35,8 +36,35 @@ def test_pool_time_on_two_compare_jobs(tools, monkeypatch, capsys):
     monkeypatch.setattr(pool_time, "JOBS", {"compare-sweep": range(2, 12, 5)})
     assert pool_time.main([str(ROOT), str(ROOT), "compare-sweep"]) == 0
     out = json.loads(capsys.readouterr().out)["workloads"]["compare-sweep"]
-    assert out["jobs"] == 2 and out["outputs_equal"] is True
+    assert out["jobs"] == 2 and out["outputs_equal"] is True and out["moved"] == {}
     assert out["a_s"] > 0 and out["b_s"] > 0
+
+
+def test_pool_time_shows_the_fields_that_moved(tools, monkeypatch, capsys):
+    pool_time, _ = tools
+    from perfbench import jobs
+
+    run_job = jobs.run_job
+
+    def shifted(pd, workload, spec, span=None):
+        # side B's margins move by 0.5; every other field keeps its value
+        out = run_job(pd, workload, spec, span)
+        if pd.__name__ != "puredist_b":
+            return out
+        got = json.loads(out)
+        for report in got["reports"]:
+            report["margin"] += 0.5
+        return json.dumps(got)
+
+    monkeypatch.setattr(jobs, "run_job", shifted)
+    monkeypatch.setattr(pool_time, "JOBS", {"compare-sweep": range(2, 12, 5)})
+    assert pool_time.main([str(ROOT), str(ROOT), "compare-sweep"]) == 0
+    out = json.loads(capsys.readouterr().out)["workloads"]["compare-sweep"]
+    assert out["outputs_equal"] is False
+    assert out["moved"] == {"margin": {"jobs": 2, "max_abs": pytest.approx(0.5)}}
+    # a move that is not a number has no size, nor has an output that is not JSON
+    assert pool_time.field_moves('{"a": [1, "x"]}', '{"a": [1, "y"]}') == {"a": None}
+    assert pool_time.field_moves("x", "y") == {"output": None}
 
 
 def test_pool_time_on_one_verify_chunk_of_every_check(tools, monkeypatch, capsys):

@@ -32,3 +32,14 @@ def test_suite_deterministic():
 def test_suite_eps_override():
     results = run_suite(trials=40, eps=0.1, seed=5)
     assert all(r.passed for r in results)
+
+
+def test_eps_draw_keeps_the_values_and_generator_state_of_choice():
+    # _eps indexes a tuple by rng.integers(3): rng.choice([0.01, 0.05, 0.1])'s
+    # values, and the generator ends where that leaves it
+    from puredist.verify import _eps
+    for seed in range(5):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [_eps(got) for _ in range(5000)] == [
+            float(want.choice([0.01, 0.05, 0.1])) for _ in range(5000)]
+        assert got.bit_generator.state == want.bit_generator.state

@@ -8,12 +8,13 @@ its pool (for verify-suite, those chunks of every check), through
 ``perfbench.jobs.run_job`` on both back to back, alternating which goes
 first, ``REPEATS`` times over. Prints as JSON per workload the number of
 jobs, each side's total of its best time per job in seconds, their ratio
-B/A, each side's slowest job and whether all outputs agree; for verify-suite
-also the totals, ratio and slowest jobs per check. A drift of the host's
-speed falls on both sides alike, as separate benchmark runs cannot promise.
-ROOT ROOT times one checkout against itself. Inputs go to a temporary
-directory, ``perfbench`` comes from ROOT_A, and BLAS runs one thread, as in
-``perfbench/run.py``.
+B/A, each side's slowest job, whether all outputs agree and, where they do
+not, each JSON field that differs (``moved``: on how many jobs, and its
+largest absolute move); for verify-suite also the totals, ratio and slowest
+jobs per check. A drift of the host's speed falls on both sides alike, as
+separate benchmark runs cannot promise. ROOT ROOT times one checkout
+against itself. Inputs go to a temporary directory, ``perfbench`` comes
+from ROOT_A, and BLAS runs one thread, as in ``perfbench/run.py``.
 """
 
 import importlib.util
@@ -55,13 +56,43 @@ def _sides(times) -> dict:
     return {"a_s": sum(a), "b_s": sum(b), "ratio": sum(b) / sum(a), "slowest_s": [max(a), max(b)]}
 
 
+def _larger(last, move):
+    """The larger of two absolute moves; None (a move that is not a number) wins."""
+    return None if last is None or move is None else max(last, move)
+
+
+def field_moves(a: str, b: str) -> dict:
+    """Each field, named by its innermost JSON key, whose values differ
+    between the outputs ``a`` and ``b``, with its largest absolute move;
+    None where a differing value is not a number, and ``output`` names what
+    sits under no key (the whole output, when either is not JSON)."""
+    moves = {}
+
+    def walk(x, y, field):
+        if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            for key in x:
+                walk(x[key], y[key], key)
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for u, v in zip(x, y):
+                walk(u, v, field)
+        elif x != y:
+            numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+            moves[field] = _larger(moves.get(field, 0.0), abs(x - y) if numbers else None)
+
+    try:
+        walk(json.loads(a), json.loads(b), "output")
+    except ValueError:
+        return {"output": None}
+    return moves
+
+
 def time_pool(pds, jobs, workload) -> dict:
     """Both packages' best times on the workload's jobs, in turn per job."""
     indices = JOBS[workload]
     if workload == "verify-suite":  # those chunks of every check
         indices = [check * jobs.VERIFY_CHUNKS + chunk for check in range(len(pds[0].verify.SUITE))
                    for chunk in indices]
-    best, same = [], True
+    best, same, moved = [], True, {}
     with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the quality warnings of the pool
         specs = jobs.prepare(pds[0], workload, workdir)
@@ -73,8 +104,13 @@ def time_pool(pds, jobs, workload) -> dict:
                     outputs[k] = jobs.run_job(pds[k], workload, specs[index])
                     times[k] = min(times[k], time.perf_counter() - start)
             best.append(times)
-            same = same and outputs[0] == outputs[1]
-    out = {"jobs": len(indices), **_sides(best), "outputs_equal": same}
+            if outputs[0] != outputs[1]:
+                same = False
+                for field, move in field_moves(*outputs).items():
+                    entry = moved.setdefault(field, {"jobs": 0, "max_abs": 0.0})
+                    entry["jobs"] += 1
+                    entry["max_abs"] = _larger(entry["max_abs"], move)
+    out = {"jobs": len(indices), **_sides(best), "outputs_equal": same, "moved": moved}
     if workload == "verify-suite":
         checks = {}
         for index, times in zip(indices, best):
