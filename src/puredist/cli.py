@@ -206,6 +206,8 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"the POVMs measure different registers: {sorted(measured)}")
     # the purified input's marginal: the rho_A of every Instance and of compare
     reg = measured.pop() if len(state.registers) > 1 else state.labels[0]
+    if reg not in state.labels:
+        raise KeyError(f"no register {reg!r}; have {state.labels}")
     lo, up = bounds.local_purity_bounds(psi.marginal([reg]), args.eps, args.slack_bits)
     payload = {
         "eps": args.eps,

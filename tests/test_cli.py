@@ -261,6 +261,19 @@ def test_bounds_takes_the_local_bounds_on_the_measured_register(tmp_path):
     assert out["local_upper_A"] == report["local_upper"]
 
 
+def test_bounds_on_a_register_the_state_lacks_is_a_named_error(tmp_path, capsys):
+    # registers X and B: no A to take the local bounds on without --povm,
+    # and no Z for a POVM on Z
+    rng = np.random.default_rng(1)
+    state, povm = str(tmp_path / "xb.json"), str(tmp_path / "z.json")
+    io.save_state(DensityOperator([("X", 2), ("B", 2)], sampling.ginibre_density(rng, 4)), state)
+    io.save_povm(basis_povm(2, "Z"), povm)
+    for extra, reg in (([], "A"), (["--povm", povm], "Z")):
+        assert main(["bounds", "--state", state] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: \"no register '{reg}'; have ['B', 'X']\"\n"
+
+
 def test_bounds_with_povms_on_different_registers_is_a_named_error(tmp_path, capsys):
     rng = np.random.default_rng(1)
     state = str(tmp_path / "ab.json")
