@@ -350,11 +350,12 @@ def _result(pos, zero, t, gamma, gap, cost, mass, probes) -> EntropyResult:
 
 def d_h_many(rhos, sigmas, eps) -> list:
     """``d_h(rhos[i], sigmas[i], eps[i])`` for each i, as one stacked solver.
-    The pairs of one size decompose their rhos (the check, and the support
-    projectors of the eps = 0 pairs), their sigmas and their whitened pencils
-    in one stacked call each. Then the threshold searches of all sizes run
-    in lockstep, one stacked eigendecomposition per size and probe round for
-    the pairs still searching. Every pair's result has the bits of its own
+    The pairs of one size decompose their rhos (the check, with
+    eigenvectors only where an eps = 0 pair takes its support projector),
+    their sigmas and their whitened pencils in one stacked call each. Then
+    the threshold searches of all sizes run in lockstep, one stacked
+    eigendecomposition per size and probe round for the pairs still
+    searching. Every pair's result has the bits of its own
     solve, whatever else is in the lists; each uncertified one warns."""
     rs, ss = [_matrix(r) for r in rhos], [_matrix(s) for s in sigmas]
     for r, s, e in zip(rs, ss, eps, strict=True):
@@ -368,9 +369,10 @@ def d_h_many(rhos, sigmas, eps) -> list:
     for idx in linalg.groups(r.shape for r in rs).values():
         r, s, e = (np.array([x[i] for i in idx]) for x in (rs, ss, eps))
         # both inputs are checked (Hermitian, PSD) here, before any early return;
-        # rho's eigenvectors give the eps = 0 pairs their support projectors
-        wr, vr = linalg.eig_hermitian(r)
-        wr = linalg.clip_psd_spectrum(wr)
+        # rho's eigenvectors, read only where they give eps = 0 pairs their support
+        # projectors, come with the same spectrum
+        zero = e == 0.0
+        wr, vr = linalg.psd_eig(r) if zero.any() else (linalg.psd_eigvals(r), None)
         ws, vs = linalg.eig_hermitian(s)
         ws, d = linalg.clip_psd_spectrum(ws), r.shape[-1]
         # every rh - t*sh is Hermitian bit for bit too
@@ -386,13 +388,13 @@ def d_h_many(rhos, sigmas, eps) -> list:
         infinite = free_mass >= 1.0 - e - 1e-12
         for i in np.flatnonzero(infinite):
             out[idx[i]] = EntropyResult(np.inf, {"infinite": True, "probes": 0}, "neyman-pearson")
-        for i in np.flatnonzero(~infinite & (e == 0.0)):
+        for i in np.flatnonzero(~infinite & zero):
             # the support projector of rho is the optimal test
             pos = vr[i][:, wr[i] > SUPPORT_TOL]
             out[idx[i]] = _result(pos, pos[:, :0], 0.0, 0.0, 0.0,
                                   float((linalg.dagger(pos) @ s[i] @ pos).trace().real),
                                   float((linalg.dagger(pos) @ r[i] @ pos).trace().real), 0)
-        g = np.flatnonzero(~infinite & (e != 0.0))
+        g = np.flatnonzero(~infinite & ~zero)
         groups.append(([idx[i] for i in g], (rh[g], sh[g]), cands[g], 1.0 - e[g],
                        ws[g].max(axis=1)))
     search = [i for group in groups for i in group[0]]

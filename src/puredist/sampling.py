@@ -3,9 +3,12 @@
 All samplers take a ``numpy.random.Generator`` so every experiment is
 reproducible from a single integer seed (PCG64 via ``default_rng``). The
 stacked samplers split into their generator calls and a build that takes a
-stack of draws of one shape, each member with the bits of its own sampler:
+stack of draws, each member with the bits of its own sampler:
 ``ginibre_normals`` and ``ginibre_gram`` (``ginibre_density``), and
-``cq_draws`` and ``cq_ensembles`` (``random_cq``).
+``cq_draws`` and ``cq_ensembles`` (``random_cq``), which builds the
+probabilities (``cq_probs``, a stack per symbol count) apart from the
+conditionals (``cq_conditionals``, a stack of any symbols of one shape).
+Flat Dirichlet probabilities come from ``flat_dirichlet``.
 """
 
 import numpy as np
@@ -94,38 +97,60 @@ def basis_povm(dim: int, register: str = "A") -> Povm:
     return Povm([np.outer(eye[:, i], eye[:, i]) for i in range(dim)], register=register)
 
 
+def flat_dirichlet(rng, n: int) -> np.ndarray:
+    """The values and generator state of ``rng.dirichlet(np.ones(n))``
+    without its argument checks: n ``standard_gamma(1.0)`` draws, each
+    times 1 / (their sum, added left to right)."""
+    g = rng.standard_gamma(1.0, n)
+    total = 0.0
+    for x in g.tolist():
+        total += x
+    return g * (1.0 / total)
+
+
 def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
              rank: int | None = None):
-    """``random_cq``'s two generator calls in turn: the Dirichlet
+    """``random_cq``'s two generator calls in turn: the ``flat_dirichlet``
     probabilities and the ``ginibre_normals`` of the n conditionals (of rank
     1 when they are pure)."""
-    probs = rng.dirichlet(np.ones(n_symbols))
+    probs = flat_dirichlet(rng, n_symbols)
     rank = 1 if pure_conditionals else dim if rank is None else rank
     return probs, ginibre_normals(rng, dim, rank, n=n_symbols)
 
 
+def cq_probs(probs: np.ndarray):
+    """The (m, n) probabilities of m ``cq_draws`` of n symbols normalized, 0
+    for each symbol that ``kept_symbols`` does not keep, and the mask of the
+    symbols kept, row by row."""
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    keep = kept_symbols(probs)
+    return np.where(keep, probs, 0.0), keep
+
+
+def cq_conditionals(z: np.ndarray, pure_conditionals: bool) -> np.ndarray:
+    """The (..., d, d) conditionals of a stack of (..., 2, d, rank)
+    ``cq_draws`` normals: the pure states of the normalized
+    ``complex_normals``, or their ``ginibre_gram``, each member with its bits."""
+    if not pure_conditionals:
+        return ginibre_gram(z)
+    v = complex_normals(z)[..., 0]
+    v = v / linalg.row_norms(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1] + (1,))
+    return v[..., :, None] * np.conj(v)[..., None, :]
+
+
 def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
     """The cq ensembles of m ``cq_draws`` of one shape, their (m, n)
-    probabilities and (m, n, 2, d, rank) normals stacked: the normalized
-    probabilities, 0 for each symbol that ``kept_symbols`` does not keep, the
-    (m, n, d, d) conditionals (the pure states of the normalized
-    ``complex_normals``, or their ``ginibre_gram``) and the mask of the
-    symbols kept, row by row. Each member has the bits of its own
-    ``random_cq``, whose ``CQState`` drops the symbols of probability 0."""
-    probs = probs / probs.sum(axis=-1, keepdims=True)
-    if pure_conditionals:
-        v = complex_normals(z)[..., 0]
-        v = v / linalg.row_norms(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1] + (1,))
-        stack = v[..., :, None] * np.conj(v)[..., None, :]
-    else:
-        stack = ginibre_gram(z)
-    keep = kept_symbols(probs)
-    return np.where(keep, probs, 0.0), stack, keep
+    probabilities and (m, n, 2, d, rank) normals stacked: the ``cq_probs``
+    and their mask, and the (m, n, d, d) ``cq_conditionals``. Each member
+    has the bits of its own ``random_cq``, whose ``CQState`` drops the
+    symbols of probability 0."""
+    probs, keep = cq_probs(probs)
+    return probs, cq_conditionals(z, pure_conditionals), keep
 
 
 def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
               pure_conditionals: bool = False, rank: int | None = None) -> CQState:
-    """Dirichlet probabilities and ``random_pure`` or ``random_density``
+    """Flat Dirichlet probabilities and ``random_pure`` or ``random_density``
     conditionals with their bits: the ``cq_ensembles`` of one ``cq_draws``."""
     draws = cq_draws(rng, n_symbols, dim, pure_conditionals, rank)
     probs, stack, _ = cq_ensembles(*(x[None] for x in draws), pure_conditionals)
@@ -147,7 +172,7 @@ def classical_correlated_pure(rng, da: int, db: int, labels=("A", "B"),
     conditional-entropy oracles possible.
     """
     if joint is None:
-        joint = rng.dirichlet(np.ones(da * db)).reshape(da, db)
+        joint = flat_dirichlet(rng, da * db).reshape(da, db)
     joint = np.asarray(joint, dtype=float)
     vec = np.sqrt(joint).reshape(-1)
     return PureState([(labels[0], da), (labels[1], db)], vec)

@@ -12,18 +12,26 @@ generator's values: one trial's draws follow the last one's, in the order
 of its body, eps included, and no later step draws. Its loop over trials
 makes only the generator calls (one ``sampling.ginibre_normals`` call
 where the body drew the real and imaginary parts of complex Gaussians; a cq
-state's two, ``sampling.cq_draws``). Everything derived from the draws is
-built after the loop by ``_stacked``: one stacked operation per shape of the
-draws (``linalg.groups``), each member with the bits of its one-trial call,
-which hands back the group's trial indices and its output stacks. That
-covers the complex matrices and Ginibre densities of the draws
+state's two, ``sampling.cq_draws``; ``sampling.flat_dirichlet`` where it
+drew ``dirichlet(np.ones(n))``). Everything derived from the draws is built
+after the loop by ``_stacked``, which concatenates the members of the
+trials' draws (a trial's one matrix, the symbols of a cq ensemble, the
+unitaries of a mixture) and builds them once per shape their arithmetic
+depends on (``linalg.groups``), each member with the bits of its one-trial
+call, handing back each group's trial indices and its output stacks. The
+cq conditionals build once per (d, rank) (``sampling.cq_conditionals``;
+the checks that draw one cq state and one eps a trial share that draw and
+build in ``_cq_cases``), the probabilities once per symbol count
+(``sampling.cq_probs``, a symbol that a ``CQState`` drops kept at
+probability 0), the pure marginals once per (d_A, d_B), and the
+data-processing check's Haar unitaries (one stacked QR), conditionals and
+their dephased and mixed forms once per size. The builds also cover the
+complex matrices and Ginibre densities of the draws
 (``sampling.complex_normals``, ``standard_complex`` and ``ginibre_gram``),
-the cq ensembles (``sampling.cq_ensembles``, a symbol that a ``CQState``
-drops kept at probability 0; the checks that draw one cq state and one eps
-a trial share that draw and build in ``_cq_cases``), the pure states' norms
-(``linalg.row_norms``) and marginals, the Kronecker products
-(``linalg.kron``), the partial traces, and the conditionals of the
-data-processing check's dephased and mixed ensembles. No check splits
+the pure states' norms (``linalg.row_norms``), the Kronecker products
+(``linalg.kron``) and the partial traces; a check whose trials draw one
+matrix of a kind each builds per trial key, a size or a pair of dims. No
+check splits
 those stacks into per-trial arrays: they go whole into one
 ``linalg.per_size`` call (one stacked eigendecomposition per
 matrix size, each member with the bits of its own call), and their spectra
@@ -53,8 +61,10 @@ from .sampling import (
     basis_povm,
     bell_pair,
     complex_normals,
+    cq_conditionals,
     cq_draws,
-    cq_ensembles,
+    cq_probs,
+    flat_dirichlet,
     ginibre_gram,
     ginibre_normals,
     haar_unitary,
@@ -87,28 +97,33 @@ def _eps(rng):
 
 def _stacked(f, keys, *draws) -> list:
     """The trials of each distinct key of ``keys``, in order of first
-    appearance, as (their indices, ``f(key, *draws)`` on their draws
-    stacked): one call of ``f`` per key (``linalg.groups``), whose tuple of
-    stacks gives each member the bits of its one-trial call."""
-    return [(np.array(idx), f(k, *(np.array([d[i] for i in idx]) for d in draws)))
+    appearance, as (their indices, ``f(key, *draws)`` on the members of
+    their draws, the entries along a draw's first axis, concatenated in
+    trial order): one call of ``f`` per key (``linalg.groups``), whose tuple
+    of stacks gives each member the bits of its one-trial call."""
+    return [(np.array(idx), f(k, *(np.concatenate([d[i] for i in idx]) for d in draws)))
             for k, idx in linalg.groups(keys).items()]
 
 
-def _padded_spectra(groups, fill) -> np.ndarray:
-    """The clipped ascending spectra of the k output stacks of each of the
-    ``_stacked`` ``groups``, stacks of matrices or of (n, d, d) ensembles,
-    from one ``linalg.per_size`` call on those stacks as they are: output j
-    of trial i in row k i + j of one array, a spectrum in the last entries
-    of the last axis and an ensemble's n spectra in the first n rows of the
-    axis before, ``fill`` elsewhere."""
-    k = len(groups[0][1])
-    outs = [(idx * k + j, s) for idx, stacks in groups for j, s in enumerate(stacks)]
-    ws = linalg.per_size(linalg.psd_eigvals, [s.reshape(-1, *s.shape[-2:]) for _, s in outs])
-    out = np.full((k * sum(len(idx) for idx, _ in groups),
-                   *np.max([s.shape[1:-1] for _, s in outs], axis=0)), fill)
-    for (rows, s), w in zip(outs, ws):
-        out[(rows, *map(slice, s.shape[1:-2]), slice(-s.shape[-1], None))] = w.reshape(s.shape[:-1])
-    return out
+def _padded_spectra(groups, fill, counts=None) -> np.ndarray:
+    """The clipped ascending spectra of the k (M, d, d) output stacks of
+    each of the ``_stacked`` ``groups``, from one ``linalg.per_size`` call
+    on those stacks as they are: output j of trial i in row k i + j of one
+    array, a spectrum in the last entries of the last axis, ``fill``
+    elsewhere. With ``counts``, a stack holds counts[i] members of each
+    trial i of its group in turn, such as an ensemble's conditionals, and
+    member s goes in row s of the axis before."""
+    k, stacks = len(groups[0][1]), [s for _, out in groups for s in out]
+    ws = linalg.per_size(linalg.psd_eigvals, stacks)
+    n = np.array([1] * sum(len(idx) for idx, _ in groups) if counts is None else counts)
+    out = np.full((k * len(n), n.max(), max(s.shape[-1] for s in stacks)), fill)
+    for g, (idx, _) in enumerate(groups):
+        # each member's trial (its index in idx) and place in it, trial by trial
+        t, members = (slice(None), 0) if counts is None else np.nonzero(
+            np.arange(n.max()) < n[idx][:, None])
+        for j, w in enumerate(ws[g * k:(g + 1) * k]):
+            out[idx[t] * k + j, members, -w.shape[-1]:] = w
+    return out if counts is not None else out[:, 0]
 
 
 def _h_h_rows(groups, eps) -> list:
@@ -119,16 +134,19 @@ def _h_h_rows(groups, eps) -> list:
         -1, len(groups[0][1])).tolist()
 
 
-def _cq_arrays(groups) -> tuple:
-    """The probabilities and spectra of the cq states of the ``_stacked``
-    ``groups``, whose outputs are m trials' (m, n) probabilities and k
-    (m, n, d, d) stacks of conditionals: state j of trial i in row k i + j
-    of the arrays the stacked cq solvers take, its probabilities first and 0
-    after them, its spectra ``_padded_spectra`` with -1 outside them."""
-    w = _padded_spectra([(idx, stacks) for idx, (_, *stacks) in groups], -1.0)
-    p, k = np.zeros(w.shape[:2]), len(groups[0][1]) - 1
-    for idx, (probs, *_) in groups:
-        p[(idx[:, None] * k + np.arange(k)).ravel(), :probs.shape[1]] = np.repeat(probs, k, axis=0)
+def _cq_arrays(probs, groups, normalized=True) -> tuple:
+    """The probabilities and spectra of the cq states of the trials'
+    probabilities ``probs`` and the ``_stacked`` ``groups`` of their k stacks
+    of conditionals: state j of trial i in row k i + j of the arrays the
+    stacked cq solvers take, its probabilities first and 0 after them (with
+    ``normalized``, their ``cq_probs``, built once per symbol count), its
+    spectra ``_padded_spectra`` with -1 outside them."""
+    ns = [len(q) for q in probs]
+    w = _padded_spectra(groups, -1.0, ns)
+    p, k = np.zeros(w.shape[:2]), len(groups[0][1])
+    for idx, (q,) in _stacked(lambda n, q: (q.reshape(-1, n),), ns, probs):
+        q = cq_probs(q)[0] if normalized else q
+        p[(idx[:, None] * k + np.arange(k)).ravel(), :q.shape[1]] = np.repeat(q, k, axis=0)
     return p, w
 
 
@@ -147,7 +165,7 @@ def _ginibre_trials(rng, trials, eps):
     ds, zs, es = [], [], []
     for _ in range(trials):
         ds.append(int(rng.integers(2, 9)))
-        zs.append(ginibre_normals(rng, ds[-1]))
+        zs.append(ginibre_normals(rng, ds[-1], n=1))
         es.append(eps or _eps(rng))
     return ds, _stacked(lambda _, z: (ginibre_gram(z),), ds, zs), es
 
@@ -159,7 +177,7 @@ def _bipartite_trials(rng, trials, eps, marginals):
     dims, zs, es = [], [], []
     for _ in range(trials):
         dims.append(tuple(int(d) for d in rng.integers(2, 5, size=2)))
-        zs.append(ginibre_normals(rng, dims[-1][0] * dims[-1][1]))
+        zs.append(ginibre_normals(rng, dims[-1][0] * dims[-1][1], n=1))
         es.append(eps or _eps(rng))
 
     def parts(dims, z):
@@ -172,12 +190,13 @@ def _bipartite_trials(rng, trials, eps, marginals):
 def _cq_cases(rng, trials, eps, symbols, dims, pure=False):
     """Trials that each draw a symbol count in 2..symbols - 1 and a size in
     2..dims - 1, a ``cq_draws`` of them and eps, in turn: the ``_cq_arrays``
-    of their ``cq_ensembles``, stacked per shape, and their eps."""
+    of their cq ensembles, the conditionals built once per shape, and their
+    eps."""
     draws, es = zip(*[(cq_draws(rng, int(rng.integers(2, symbols)), int(rng.integers(2, dims)),
                                 pure_conditionals=pure), eps or _eps(rng)) for _ in range(trials)])
-    groups = _stacked(lambda _, p, z: cq_ensembles(p, z, pure)[:2], [z.shape for _, z in draws],
-                      *zip(*draws))
-    return _cq_arrays(groups), es
+    probs, zs = zip(*draws)
+    groups = _stacked(lambda _, z: (cq_conditionals(z, pure),), [z.shape[1:] for z in zs], zs)
+    return _cq_arrays(probs, groups), es
 
 
 def _pure_marginals(_, z):
@@ -222,7 +241,7 @@ def check_hh_purification_duality(rng, trials, eps):
     shapes, zs, es = [], [], []
     for _ in range(trials):
         shapes.append(tuple(int(d) for d in rng.integers(2, 9, size=2)))
-        zs.append(ginibre_normals(rng, *shapes[-1]))
+        zs.append(ginibre_normals(rng, *shapes[-1], n=1))
         es += [eps or _eps(rng)] * 2
     for ha, hr in _h_h_rows(_stacked(_pure_marginals, shapes, zs), es):
         yield TOL - abs(ha - hr)
@@ -234,8 +253,8 @@ def check_hh_pure_tensor(rng, trials, eps):
     ds, zs, ws, es = [], [], [], []
     for _ in range(trials):
         ds.append(int(rng.integers(2, 7)))
-        zs.append(ginibre_normals(rng, ds[-1]))
-        ws.append(ginibre_normals(rng, 3, 1))
+        zs.append(ginibre_normals(rng, ds[-1], n=1))
+        ws.append(ginibre_normals(rng, 3, 1, n=1))
         es += [eps or _eps(rng)] * 2
 
     def tensored(_, z, w):
@@ -283,7 +302,7 @@ def check_hh_mixed_ancilla_additivity(rng, trials, eps):
     dims, zs, es = [], [], []
     for _ in range(trials):
         dims.append((int(rng.integers(2, 6)), int(rng.integers(2, 5))))
-        zs.append(ginibre_normals(rng, dims[-1][0]))
+        zs.append(ginibre_normals(rng, dims[-1][0], n=1))
         es += [eps or _eps(rng)] * 2
 
     def with_ancilla(dims, z):
@@ -310,7 +329,7 @@ def check_hh_near_pure(rng, trials, eps):
     for _ in range(trials):
         ds.append(int(rng.integers(2, 7)))
         es.append(eps or _eps(rng))
-        zs.append(ginibre_normals(rng, ds[-1]))
+        zs.append(ginibre_normals(rng, ds[-1], n=1))
         deltas.append(es[-1] / 2 * rng.uniform(0.0, 1.0))
 
     def near_pure(d, z, delta):
@@ -321,7 +340,8 @@ def check_hh_near_pure(rng, trials, eps):
         # the trace distances ||sigma - |0><0| ||_1, one stacked trace_norm
         return sigma, linalg.trace_norm(sigma - pure0)
 
-    groups, dists = _stacked(near_pure, ds, zs, deltas), np.zeros(trials)
+    # one delta a trial: the rows of a (trials, 1) array
+    groups, dists = _stacked(near_pure, ds, zs, np.array(deltas)[:, None]), np.zeros(trials)
     for idx, (_, dist) in groups:
         dists[idx] = dist
     # every state is solved, and the ones farther than eps from |0> are skipped
@@ -346,11 +366,12 @@ def check_hh_cond_purification_switch(rng, trials, eps):
     for _ in range(trials):
         n = int(rng.integers(2, 6))
         da, db = (int(d) for d in rng.integers(2, 5, size=2))
-        probs.append(rng.dirichlet(np.ones(n)))
+        probs.append(flat_dirichlet(rng, n))
         zs.append(ginibre_normals(rng, da, db, n=n))
         es += [eps or _eps(rng)] * 2
-    p, w = _cq_arrays(_stacked(lambda _, probs, z: (probs, *_pure_marginals(_, z)),
-                               [z.shape for z in zs], probs, zs))
+    # the marginals built once per (da, db); CQState keeps the drawn probabilities
+    p, w = _cq_arrays(probs, _stacked(_pure_marginals, [z.shape[1:] for z in zs], zs),
+                      normalized=False)
     for ha, hb in entropy.h_h_cond_cq_many(p, w, es)[0].reshape(-1, 2).tolist():
         yield TOL - abs(ha - hb)
 
@@ -366,27 +387,32 @@ def check_hh_cond_data_processing(rng, trials, eps):
         es.append(eps or _eps(rng))
         # ginibre_matrix's draws for each unitary in turn
         zs.append(ginibre_normals(rng, db, n=int(rng.integers(2, 4))))
-        ps.append(rng.dirichlet(np.ones(len(zs[-1]))))
-    groups = _stacked(_processed, [(z.shape, zu.shape) for (_, z), zu in zip(draws, zs)],
-                      *zip(*draws), zs, ps)
-    values = entropy.h_h_cond_cq_many(*_cq_arrays(groups), np.repeat(es, 3))[0]
+        ps.append(flat_dirichlet(rng, len(zs[-1])))
+    probs, conds = zip(*draws)
+    # one member a trial: its numbers of conditionals and unitaries
+    sizes = np.array([(len(c), len(z)) for c, z in zip(conds, zs)])[:, None]
+    groups = _stacked(_processed, [z.shape[-1] for z in zs], conds, zs, ps, sizes)
+    values = entropy.h_h_cond_cq_many(*_cq_arrays(probs, groups), np.repeat(es, 3))[0]
     for base, deph, unital in values.reshape(-1, 3).tolist():
         yield min(deph - base + TOL, unital - base + TOL)
 
 
-def _processed(_, probs, z, zs, ps):
-    """The ``cq_ensembles`` of the ``cq_draws`` (probs, z), and per member
-    of their (m, n, d, d) stacks of conditionals rho: the dephased ones, the
-    diagonal kept and +0 elsewhere as np.diag(np.diag(rho)) has it, and the
-    ones mixed to sum_j p_j u_j rho u_j^dag over the Haar unitaries of the
-    ``zs`` draws, the terms in one stacked product and summed in the order of
-    ``sum`` over j."""
-    probs, stacks = cq_ensembles(probs, z, False)[:2]
-    us = haar_unitary(standard_complex(zs))
-    terms = ((ps[..., None, None] * us)[:, None] @ stacks[:, :, None]
-             @ linalg.dagger(us)[:, None])
-    return (probs, stacks, np.where(np.eye(stacks.shape[-1], dtype=bool), stacks, 0),
-            sum(terms[:, :, j] for j in range(us.shape[1])))
+def _processed(_, z, zs, ps, sizes):
+    """The conditionals rho of the ``cq_draws`` normals z of one size and,
+    per rho, the dephased one, the diagonal kept and +0 elsewhere as
+    np.diag(np.diag(rho)) has it, and the one mixed to sum_j p_j u_j rho
+    u_j^dag over the Haar unitaries of the ``zs`` draws of its trial (each
+    trial's numbers of both in ``sizes``), one stacked product per j, added
+    in the order of ``sum`` over j."""
+    stacks, us = ginibre_gram(z), haar_unitary(standard_complex(zs))
+    n, n_u = sizes.T
+    first, count = np.repeat(np.cumsum(n_u) - n_u, n), np.repeat(n_u, n)
+    mixed = np.zeros_like(stacks)  # sum() starts at 0
+    for j in range(n_u.max()):
+        on = j < count
+        u = us[first[on] + j]
+        mixed[on] += (ps[first[on] + j, None, None] * u) @ stacks[on] @ linalg.dagger(u)
+    return stacks, np.where(np.eye(stacks.shape[-1], dtype=bool), stacks, 0), mixed
 
 
 @_check("hh-average-to-worst-case", per=1)
@@ -407,7 +433,7 @@ def check_dh_vs_lp(rng, trials, eps):
     cases = []
     for _ in range(trials):
         d = int(rng.integers(2, 9))
-        cases.append((rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)), eps or _eps(rng)))
+        cases.append((flat_dirichlet(rng, d), flat_dirichlet(rng, d), eps or _eps(rng)))
     results = entropy.d_h_many([np.diag(p) for p, _, _ in cases],
                                [np.diag(q) for _, q, _ in cases], [e for _, _, e in cases])
     for (p, q, e), result in zip(cases, results):
@@ -500,19 +526,17 @@ def check_condhh_derandomization(rng, trials, eps):
         keeps.append(kept_symbols(draws[-1][0] / draws[-1][0].sum()))
         zs.append(ginibre_normals(rng, db, n=int(keeps[-1].sum())))
 
-    def build(_, probs, z, keep, zs):
-        # the cq_ensembles of the draws (random_cq's bits), on the loop's masks
-        probs = np.where(keep, probs / probs.sum(axis=-1, keepdims=True), 0.0)
+    def build(_, z, keep, zs):
+        # the conditionals (random_cq's bits), and the kept ones mixed with noise
         stacks = ginibre_gram(z)
-        kept = stacks[keep].reshape(len(stacks), -1, *stacks.shape[-2:])
-        return probs, stacks, (1 - e / 4) * kept + e / 4 * ginibre_gram(zs)
+        return stacks, (1 - e / 4) * stacks[keep] + e / 4 * ginibre_gram(zs)
 
-    groups = _stacked(build, [(z.shape, zk.shape) for (_, z), zk in zip(draws, zs)],
-                      *zip(*draws), keeps, zs)
-    p, w = _cq_arrays([(idx, out[:2]) for idx, out in groups])
+    probs, conds = zip(*draws)
+    groups = _stacked(build, [z.shape[1:] for z in conds], conds, keeps, zs)
+    p, w = _cq_arrays(probs, [(idx, out[:1]) for idx, out in groups])
     bounds = entropy.h_h_cond_cq_many(p, w, e)[0].tolist()
-    hs = _conditional_h_h(_padded_spectra([(idx, out[2:]) for idx, out in groups], -1.0),
-                          np.full(len(p), e ** 0.125))
+    hs = _conditional_h_h(_padded_spectra([(idx, out[1:]) for idx, out in groups], -1.0,
+                                          [len(z) for z in zs]), np.full(len(p), e ** 0.125))
     for q, h, r, h_cond in zip(p, hs, reps, bounds):
         q = q[q > 0]  # the symbols random_cq keeps
         K = len(q) * r

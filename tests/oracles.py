@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from puredist import linalg
-from puredist.sampling import classical_correlated_pure, purified_input
+from puredist.sampling import classical_correlated_pure, flat_dirichlet, purified_input
 from puredist.states import CQState, DensityOperator
 
 
@@ -185,20 +185,31 @@ def per_symbol_random_cq(rng, n_symbols, dim, label="B", pure_conditionals=False
 
 
 class DroppingRng:
-    """A generator whose every ``every``-th Dirichlet draw puts its first entry
-    at 1e-13, below the 1e-12 that a cq state keeps, and moves the rest of
-    that entry's mass to the second: seeded draws almost never drop a symbol."""
+    """A generator whose every ``every``-th flat Dirichlet draw puts its first
+    entry near 1e-13, below the 1e-12 that a cq state keeps, and moves the
+    rest of that entry's mass to the second: seeded draws almost never drop
+    a symbol. The plant goes in the ``standard_gamma`` draws that
+    ``sampling.flat_dirichlet`` normalizes, and ``dirichlet`` (of a flat
+    alpha only) is that draw, so both forms drop alike. ``planted`` counts
+    the plants."""
 
     def __init__(self, seed, every=1):
         self._rng, self._every, self._calls = np.random.default_rng(seed), every, 0
+        self.planted = 0
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def dirichlet(self, alpha):
-        p = self._rng.dirichlet(alpha)
+    def standard_gamma(self, shape, size):
+        g = self._rng.standard_gamma(shape, size)
         self._calls += 1
         if self._calls % self._every == 0:
-            p[1] += p[0] - 1e-13
-            p[0] = 1e-13
-        return p
+            total = g.sum()
+            g[1] += g[0] - 1e-13 * total
+            g[0] = 1e-13 * total
+            self.planted += 1
+        return g
+
+    def dirichlet(self, alpha):
+        assert np.all(np.asarray(alpha) == 1.0), "a flat alpha only"
+        return flat_dirichlet(self, len(alpha))

@@ -136,6 +136,34 @@ def test_rank1_hmin_monotone(rng):
         assert entropy.h_min_cq(cq_ref) <= entropy.h_min_cq(cq) + 1e-9
 
 
+def test_unsmoothed_bound_never_falls_under_rank1_refinement(rng):
+    # at f = 0, H_min(B|X) is unsmoothed, and refining X can only lower it, so
+    # dist_upper can only grow under the rank-1 refinement
+    for _ in range(40):
+        da, db, dr = (int(d) for d in rng.integers(2, 4, size=3))
+        vec = rng.normal(size=(da, db, dr)) + 1j * rng.normal(size=(da, db, dr))
+        psi = PureState([("A", da), ("B", db), ("R", dr)], vec / np.linalg.norm(vec))
+        inst = Instance(psi, random_povm(rng, da, int(rng.integers(2, 5))), 0.1)
+        g_eps = float(rng.choice([0.05, 0.1, 0.3]))
+        base = bounds.distributed_upper_bound(inst, f_eps=0.0, g_eps=g_eps)
+        refined = bounds.distributed_upper_bound(inst, f_eps=0.0, g_eps=g_eps, rank1=True)
+        assert refined >= base - 1e-12
+
+
+def test_pure_input_with_a_rank1_povm_has_no_conditional_min_entropy(rng):
+    # a pure bipartite input measured by a rank-1 POVM on A leaves every
+    # conditional on B pure, so H_min^0(B|X) = 0 and the bound is closed form
+    for _ in range(40):
+        da, db = (int(d) for d in rng.integers(2, 5, size=2))
+        vec = rng.normal(size=(da, db)) + 1j * rng.normal(size=(da, db))
+        psi = purified_input(PureState([("A", da), ("B", db)], vec / np.linalg.norm(vec)))
+        povm = rank1_refine(random_povm(rng, da, int(rng.integers(2, 4))))
+        g_eps = float(rng.choice([0.05, 0.1, 0.3]))
+        got = bounds.distributed_upper_bound(Instance(psi, povm, 0.1), f_eps=0.0, g_eps=g_eps)
+        want = np.log2(da) + np.log2(db) - entropy.h_max_smooth(psi.marginal(["A"]), g_eps)
+        assert abs(got - want) <= 1e-12
+
+
 def test_ancilla_comparison_margin_asserted(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25

@@ -631,11 +631,27 @@ def test_one_malformed_field_exits_0_or_2_without_a_traceback(data, malformed_di
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+def test_compare_at_large_eps_exits_with_the_borrow_gap_error(tmp_path):
+    # margin = log|A| - H_H^eps(A) - slack grows without bound as eps -> 1, so on
+    # a 2x2 rank-2 Ginibre input with a 3-outcome Wishart POVM the borrow check
+    # holds at eps = 0.5 and fails at 0.9: a named error, exit 2, no traceback
+    rng = np.random.default_rng(0)
+    io.save_state(DensityOperator([("A", 2), ("B", 2)], sampling.ginibre_density(rng, 4, 2)),
+                  str(tmp_path / "s.json"))
+    io.save_povm(sampling.random_povm(rng, 2, 3, "A"), str(tmp_path / "p.json"))
+    argv = ["compare", "--state", str(tmp_path / "s.json"), "--povm", str(tmp_path / "p.json")]
+    rc, out, err, _ = _run(argv + ["--eps", "0.5"])
+    assert (rc, err) == (0, "") and out
+    rc, out, err, _ = _run(argv + ["--eps", "0.9"])
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"error: borrow gap \d+ below margin \d+\.\d{3}\n", err), err
+
+
 def test_bounds_decomposes_the_instance_rho_a_once(rng, tmp_path, monkeypatch):
-    # a pure classical 4x2 state and the basis POVM: both distributed bounds
-    # read the instance's one decomposition of rho_A (the rank-1 refinement
-    # keeps psi and the register), and the local bounds decompose the
-    # purified input's marginal of the measured register A, the same matrix
+    # a pure classical 4x2 state and the basis POVM: the local bounds and both
+    # distributed bounds read one decomposition of rho_A, the purified input's
+    # marginal of the measured register A, which the instance is given (the
+    # rank-1 refinement keeps psi and the register)
     io.save_state(sampling.classical_correlated_pure(rng, 4, 2).density(),
                   str(tmp_path / "c.json"))
     io.save_povm(basis_povm(4, "A"), str(tmp_path / "basis.json"))
@@ -647,8 +663,8 @@ def test_bounds_decomposes_the_instance_rho_a_once(rng, tmp_path, monkeypatch):
                           str(tmp_path / "basis.json"), "--eps", "0.1"])
     assert (rc, err) == (0, "")
     # the state's check (twice), two POVM checks, Bob's two ensembles, and rho_A
-    # twice: once for the local bounds, once for the instance
-    assert len(shapes) == 8 and shapes.count((4, 4)) == 2
+    # once: the local bounds and the instance share its decomposition
+    assert len(shapes) == 7 and shapes.count((4, 4)) == 1
 
 
 def _run(argv):

@@ -7,6 +7,7 @@ from puredist.sampling import (
     bell_pair,
     cq_draws,
     cq_ensembles,
+    flat_dirichlet,
     ginibre_density,
     ginibre_gram,
     ginibre_matrix,
@@ -489,12 +490,34 @@ def test_cq_ensembles_keep_the_bits_and_generator_state_of_random_cq(kind):
         assert stacked.bit_generator.state == loop.bit_generator.state, seed
 
 
+def test_flat_dirichlet_keeps_the_values_and_generator_state_of_dirichlet():
+    for n in range(1, 10):
+        for seed in range(500):
+            flat, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert flat_dirichlet(flat, n).tobytes() == loop.dirichlet(np.ones(n)).tobytes()
+            assert flat.bit_generator.state == loop.bit_generator.state, (n, seed)
+
+
+def test_dropping_rng_plants_through_the_flat_dirichlet_draw():
+    for seed in range(20):
+        rng, twin = DroppingRng(seed, every=2), DroppingRng(seed, every=2)
+        draws = [flat_dirichlet(rng, 4) for _ in range(4)]
+        # the references' dirichlet call is the same draw, planted alike
+        assert all(p.tobytes() == twin.dirichlet(np.ones(4)).tobytes() for p in draws)
+        assert rng.planted == twin.planted == 2
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert [kept_symbols(p)[0] for p in draws] == [True, False, True, False]
+        assert [kept_symbols(p)[1:].all() for p in draws] == [True] * 4
+
+
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_cq_ensembles_give_a_dropped_symbol_probability_zero(kind):
     pure = kind == "pure"
     for seed in range(20):
         n, d = 2 + seed % 4, 2 + seed % 3
-        draw = cq_draws(DroppingRng(seed), n, d, pure)
+        rng = DroppingRng(seed)
+        draw = cq_draws(rng, n, d, pure)
+        assert rng.planted == 1  # the draw really dropped a symbol
         probs, stack, keep = cq_ensembles(*(x[None] for x in draw), pure)
         assert probs[0, 0] == 0.0 and keep[0].tolist() == [False] + [True] * (n - 1)
         # random_cq of the same draw drops that symbol and keeps the others' bits

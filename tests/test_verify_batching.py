@@ -453,16 +453,61 @@ def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
 # the derandomization reference indexes its kept conditionals by the number
 # of symbols drawn, so a dropped symbol stops it
 @pytest.mark.parametrize("name", [n for n in CQ_CHECKS if n != "condhh-derandomization"])
-def test_cq_check_drops_a_symbol_as_its_per_trial_body_does(name):
+def test_cq_check_drops_a_symbol_as_its_per_trial_body_does(name, monkeypatch):
     # the batched check keeps a dropped symbol at probability 0, where the
     # reference's CQState leaves it out
+    drops, init = [], CQState.__init__
+
+    def counting_init(self, symbols, probs, *args, **kwargs):
+        init(self, symbols, probs, *args, **kwargs)
+        drops.append(len(probs) - len(self))
+
+    monkeypatch.setattr(CQState, "__init__", counting_init)
     for seed in (1, 2):
         batched, loop = DroppingRng(seed, every=3), DroppingRng(seed, every=3)
         got = _check(name)(batched, 40 * PER[name], None)
+        drops.clear()
         want = _run(name, REFERENCE[name], loop, 40 * PER[name], None)
+        # not vacuous: the reference really dropped symbols
+        assert sum(drops) > 0, seed
         assert (got.trials, got.violations, got.worst) == \
             (want.trials, want.violations, want.worst), seed
         assert batched.bit_generator.state == loop.bit_generator.state, seed
+
+
+# the most builds of each verify._stacked call of a cq check on 200 trials, one
+# per member shape: its conditionals' (the pure marginals', the unitaries' and
+# conditionals'), then its probabilities', one per symbol count
+MEMBER_SHAPES = {
+    "hh-cond-pure-nonpositive": (4, 7),  # d in 2..5 (rank 1), n in 2..8
+    "hh-cond-purification-switch": (9, 4),  # (da, db) in 2..4 x 2..4, n in 2..5
+    "hh-cond-data-processing": (3, 3),  # db in 2..4, n in 2..4
+    "hh-average-to-worst-case": (3, 7),  # d in 2..4, n in 2..8
+    "hmin-truncation-smoothing": (3, 4),  # d in 2..4, n in 2..5
+    "condhh-derandomization": (3, 3),  # d in 2..4, n in 2..4
+}
+
+
+@pytest.mark.parametrize("name", CQ_CHECKS)
+def test_cq_check_builds_once_per_member_shape(name, monkeypatch):
+    # the members of the trials' draws (the symbols of an ensemble, the
+    # unitaries of a mixture) build together whatever trial drew them
+    calls, stacked = [], verify._stacked
+
+    def recording(f, keys, *draws):
+        out = stacked(f, keys, *draws)
+        # a stack's members are its entries; a vector of probabilities is one
+        shapes = {x.shape[1:] if x.ndim > 1 else x.shape for x in draws[0]}
+        calls.append((len(out), len(shapes)))
+        return out
+
+    monkeypatch.setattr(verify, "_stacked", recording)
+    for trials in (50, 200):
+        calls.clear()
+        _check(name)(np.random.default_rng(6), trials * PER[name], None)
+        assert [builds for builds, _ in calls] == [shapes for _, shapes in calls], trials
+        assert all(b <= most for (b, _), most in zip(calls, MEMBER_SHAPES[name], strict=True))
+    assert tuple(builds for builds, _ in calls) == MEMBER_SHAPES[name]
 
 
 def test_dh_check_decomposes_once_per_size_and_probe_round(monkeypatch):
