@@ -1,8 +1,9 @@
 """The batched property checks against the per-trial bodies they replace.
 
-Fifteen checks of ``puredist.verify`` draw every trial first, build each
-shape of their draws as one stack, decompose those stacks whole with one
-stacked eigendecomposition per matrix size (the D_H check: one
+Fifteen checks of ``puredist.verify`` draw every trial first, build the
+members of their draws (a trial's one matrix, an ensemble's symbols, a
+mixture's unitaries) as one stack per member shape, decompose those stacks
+whole with one stacked eigendecomposition per matrix size (the D_H check: one
 ``entropy.d_h_many`` call, one per size and probe round), and solve once
 from the spectra written into padded arrays: the H_H checks all their LPs
 in one ``entropy.h_h_many`` or ``h_h_cond_cq_many`` call per kind, the
@@ -14,9 +15,11 @@ turn, each value from its own one-state call (``h_h``, ``h_h_cond_cq``,
 ``h_tilde_max``, ...). Their cq states come from ``per_symbol_random_cq``,
 the per-symbol sampler that ``sampling.random_cq`` replaced, so a change in
 the stacked sampler's bits shows here too, and the D_H check's pairs go
-through the one-pair solver that ``d_h_many`` replaced. Each batched check must also leave its generator
-where its reference leaves it: its loop makes the same draws, merged into
-fewer ``normal`` calls at most, and builds the rest after it.
+through the one-pair solver that ``d_h_many`` replaced. Each batched check
+must also leave its generator where its reference leaves it: its loop makes
+the same draws, merged into fewer ``normal`` calls at most (a flat
+``dirichlet`` call as ``sampling.flat_dirichlet``), and builds the rest
+after it.
 """
 
 import numpy as np
@@ -399,14 +402,15 @@ def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
 def test_batched_check_decomposes_its_build_stacks_whole(name, monkeypatch):
     # no check splits the stacks of its draws' build into per-trial arrays before
     # the decomposition: linalg.per_size gets at most one stack per build call of
-    # verify._stacked (one per key of its draws) and output of that call
+    # verify._stacked (one per key of its draws) and output of that call that is
+    # a stack of matrices
     outputs, stacks = [], []
     stacked, per_size = verify._stacked, linalg.per_size
 
     def counting_stacked(f, keys, *draws):
         def counted(*args):
             out = f(*args)
-            outputs.append(len(out) if isinstance(out, tuple) else 1)
+            outputs.append(sum(np.ndim(x) == 3 for x in out) if isinstance(out, tuple) else 1)
             return out
         return stacked(counted, keys, *draws)
 
