@@ -375,7 +375,8 @@ class Compression:
     ``decode[k, l]`` is the original outcome x that cell (k, l) stands for;
     its operator, state and niceness depend on x alone. ``q_kl`` is the
     exact joint outcome distribution with uniform k (failure column last).
-    The nice sets, per-k errors and chosen k are computed on first use and
+    The nice sets, per-k errors, chosen k, the probability decoded to each
+    outcome and the per-pair state distance are computed on first use and
     kept; ``k`` raises ``NoGoodK`` exactly where ``find_good_k`` does.
     """
 
@@ -428,6 +429,20 @@ class Compression:
     @cached_property
     def k(self) -> int:
         return find_good_k(self)
+
+    @cached_property
+    def outcome_weights(self) -> np.ndarray:
+        """The simulated probability decoded to each outcome, failure mass excluded."""
+        weights = np.zeros(len(self.instance.povm))
+        np.add.at(weights, self.decode.reshape(-1), self.q_kl[:, :self.L].reshape(-1))
+        return weights
+
+    @cached_property
+    def per_pair_state_dist(self) -> float:
+        """The largest ``Instance.sim_dists`` of an outcome decoded with
+        probability above 1e-12, 0 when there is none: the per-pair state
+        distance of ``validate_compression``."""
+        return max([0.0] + self.instance.sim_dists[self.outcome_weights > 1e-12].tolist())
 
 
 def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compression:
@@ -531,17 +546,10 @@ def validate_compression(view: Compression) -> CompressionReport:
     substate). All quantities are computed exactly from the operators, not
     estimated.
     """
-    inst = view.instance
-    # the simulated probability decoded to each outcome, failure mass excluded
-    weights = np.zeros(len(inst.povm))
-    np.add.at(weights, view.decode.reshape(-1), view.q_kl[:, :view.L].reshape(-1))
-    xs = np.flatnonzero(inst.live & (weights > 1e-12) & (inst.ideal_by_outcome[0] > 0))
-    per_pair = max([0.0] + inst.sim_dists[xs].tolist())
-
     K, L, q_kl = view.K, view.L, view.q_kl
     return CompressionReport(
-        ideal_vs_simulated=float(_block_distances(inst, weights[None])[0]),
-        per_pair_state_dist=float(per_pair),
+        ideal_vs_simulated=float(_block_distances(view.instance, view.outcome_weights[None])[0]),
+        per_pair_state_dist=view.per_pair_state_dist,
         qkl_vs_uniform=float(np.sum(np.abs(q_kl[:, :L] - 1.0 / (K * L))) + np.sum(q_kl[:, L])),
         qk_vs_uniform=float(np.sum(np.abs(np.sum(q_kl, axis=1) - 1.0 / K))),
         bot_mass=float(np.sum(q_kl[:, L])))

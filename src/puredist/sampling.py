@@ -119,9 +119,9 @@ def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
 
 
 def cq_probs(probs: np.ndarray):
-    """The (m, n) probabilities of m ``cq_draws`` of n symbols normalized, 0
-    for each symbol that ``kept_symbols`` does not keep, and the mask of the
-    symbols kept, row by row."""
+    """The (m, n) probabilities of m ``cq_draws`` of n symbols (or the n of
+    one) normalized, 0 for each symbol that ``kept_symbols`` does not keep,
+    and the mask of the symbols kept, row by row."""
     probs = probs / probs.sum(axis=-1, keepdims=True)
     keep = kept_symbols(probs)
     return np.where(keep, probs, 0.0), keep

@@ -13,7 +13,10 @@ of its body, eps included, and no later step draws. Its loop over trials
 makes only the generator calls (one ``sampling.ginibre_normals`` call
 where the body drew the real and imaginary parts of complex Gaussians; a cq
 state's two, ``sampling.cq_draws``; ``sampling.flat_dirichlet`` where it
-drew ``dirichlet(np.ones(n))``). Everything derived from the draws is built
+drew ``dirichlet(np.ones(n))``; two scalar ``integers(lo, hi)`` calls
+where it drew ``integers(lo, hi, size=2)``, and ``random()`` where it drew
+``uniform(0.0, 1.0)``, each with the values and generator state of the
+form it replaces, at a fraction of its cost). Everything derived from the draws is built
 after the loop by ``_stacked``, which concatenates the members of the
 trials' draws (a trial's one matrix, the symbols of a cq ensemble, the
 unitaries of a mixture) and builds them once per shape their arithmetic
@@ -44,9 +47,14 @@ whichever they need; the max-entropy checks solve in one
 ``CQState``. The D_H check does the same with one ``entropy.d_h_many`` call
 for all its pairs, one stacked eigendecomposition per size and probe round.
 Each value has the bits of its own one-state call, and the slacks are
-evaluated in trial order from them. The derandomization check counts in
-its loop the symbols that each ensemble keeps, since that count sizes a
-later draw. Every slack is that of the trial-at-a-time body, bit for bit.
+evaluated in trial order from them. The derandomization check takes each
+ensemble's ``cq_probs`` in its loop, since the count of the symbols kept
+sizes a later draw, and builds from those probabilities and masks. Every
+slack is that of the trial-at-a-time body, bit for bit.
+
+The pair-closeness check reads only each view's per-pair state distances
+(``Compression.per_pair_state_dist``, which ``validate_compression``
+reports too), not the whole ``CompressionReport``.
 """
 
 import functools
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy, linalg
-from .compression import Instance, compress_measurement, compress_seeds, validate_compression
+from .compression import Instance, compress_measurement, compress_seeds
 from .sampling import (
     basis_povm,
     bell_pair,
@@ -72,7 +80,7 @@ from .sampling import (
     random_povm,
     standard_complex,
 )
-from .states import PureState, kept_symbols
+from .states import PureState
 
 TOL = 1e-7
 
@@ -176,7 +184,7 @@ def _bipartite_trials(rng, trials, eps, marginals):
     system of ``marginals`` (0 for A, 1 for B), stacked per dims, and eps."""
     dims, zs, es = [], [], []
     for _ in range(trials):
-        dims.append(tuple(int(d) for d in rng.integers(2, 5, size=2)))
+        dims.append((int(rng.integers(2, 5)), int(rng.integers(2, 5))))
         zs.append(ginibre_normals(rng, dims[-1][0] * dims[-1][1], n=1))
         es.append(eps or _eps(rng))
 
@@ -240,7 +248,7 @@ def check_hh_purification_duality(rng, trials, eps):
     """Both marginals of a random pure bipartite state share one H_H."""
     shapes, zs, es = [], [], []
     for _ in range(trials):
-        shapes.append(tuple(int(d) for d in rng.integers(2, 9, size=2)))
+        shapes.append((int(rng.integers(2, 9)), int(rng.integers(2, 9))))
         zs.append(ginibre_normals(rng, *shapes[-1], n=1))
         es += [eps or _eps(rng)] * 2
     for ha, hr in _h_h_rows(_stacked(_pure_marginals, shapes, zs), es):
@@ -330,7 +338,7 @@ def check_hh_near_pure(rng, trials, eps):
         ds.append(int(rng.integers(2, 7)))
         es.append(eps or _eps(rng))
         zs.append(ginibre_normals(rng, ds[-1], n=1))
-        deltas.append(es[-1] / 2 * rng.uniform(0.0, 1.0))
+        deltas.append(es[-1] / 2 * rng.random())
 
     def near_pure(d, z, delta):
         sigma = np.zeros((len(z), d, d), dtype=complex)
@@ -365,7 +373,7 @@ def check_hh_cond_purification_switch(rng, trials, eps):
     probs, zs, es = [], [], []
     for _ in range(trials):
         n = int(rng.integers(2, 6))
-        da, db = (int(d) for d in rng.integers(2, 5, size=2))
+        da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         probs.append(flat_dirichlet(rng, n))
         zs.append(ginibre_normals(rng, da, db, n=n))
         es += [eps or _eps(rng)] * 2
@@ -504,7 +512,7 @@ def check_compression_pair_closeness(rng, trials, eps):
     for t in range(trials):
         meds = []
         for L in (8, 16, 32):
-            ds = [validate_compression(cm).per_pair_state_dist
+            ds = [cm.per_pair_state_dist
                   for cm in compress_seeds(inst, 2, L, range(500 * t, 500 * t + 8))]
             meds.append(float(np.median(ds)))
         yield min(meds[i] - meds[i + 1] + 1e-12 for i in range(len(meds) - 1))
@@ -516,24 +524,25 @@ def check_condhh_derandomization(rng, trials, eps):
     distribution are close to ideal, most table rows obey the worst-case
     entropy bound 2^{H_H(eps^{1/8})} <= 2^{H_H(B|X)} / eps."""
     e = eps or 0.05
-    draws, reps, keeps, zs = [], [], [], []
+    draws, reps, zs = [], [], []
     for _ in range(trials):
         nx, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        draws.append(cq_draws(rng, nx, db))
+        probs, z = cq_draws(rng, nx, db)
+        # random_cq's probabilities and the mask of the symbols it keeps
+        draws.append((*cq_probs(probs), z))
         # build a K-table whose rows decode to symbols with Q close to P
         reps.append(int(rng.integers(3, 6)))
         # a ginibre_density draw per conditional that random_cq keeps, in turn
-        keeps.append(kept_symbols(draws[-1][0] / draws[-1][0].sum()))
-        zs.append(ginibre_normals(rng, db, n=int(keeps[-1].sum())))
+        zs.append(ginibre_normals(rng, db, n=int(draws[-1][1].sum())))
 
     def build(_, z, keep, zs):
         # the conditionals (random_cq's bits), and the kept ones mixed with noise
         stacks = ginibre_gram(z)
         return stacks, (1 - e / 4) * stacks[keep] + e / 4 * ginibre_gram(zs)
 
-    probs, conds = zip(*draws)
+    probs, keeps, conds = zip(*draws)
     groups = _stacked(build, [z.shape[1:] for z in conds], conds, keeps, zs)
-    p, w = _cq_arrays(probs, [(idx, out[:1]) for idx, out in groups])
+    p, w = _cq_arrays(probs, [(idx, out[:1]) for idx, out in groups], normalized=False)
     bounds = entropy.h_h_cond_cq_many(p, w, e)[0].tolist()
     hs = _conditional_h_h(_padded_spectra([(idx, out[1:]) for idx, out in groups], -1.0,
                                           [len(z) for z in zs]), np.full(len(p), e ** 0.125))

@@ -667,6 +667,40 @@ def test_pair_closeness_check_decomposes_once_a_view(monkeypatch):
         eighs.clear()
         check(np.random.default_rng(0), trials, None)
         counts.append(len(eighs))
-    # a trial: one call per compress_seeds batch (3) and one per view (24),
-    # for its ideal_vs_simulated; its per-pair distances took 24 more
-    assert counts[1] - counts[0] == 3 + 24
+    # a trial: one call per compress_seeds batch (3) and none per view, which
+    # reads the instance's per-pair distances, not validate_compression's
+    # report with its ideal_vs_simulated (one call a view)
+    assert counts[1] - counts[0] == 3
+
+
+def test_pair_closeness_check_builds_no_compression_report(monkeypatch):
+    from puredist import compression, verify
+    calls, orig = [], compression._block_distances
+    monkeypatch.setattr(compression, "_block_distances", lambda *a: calls.append(a) or orig(*a))
+    check = verify.SUITE[verify.MANIFEST.index("compression-pair-closeness")]
+    for seed in range(3):
+        for trials, eps in ((100, 0.1), (200, None)):  # a pool chunk, then two trials
+            assert check(np.random.default_rng(seed), trials, eps).passed
+    assert calls == []
+
+
+def test_view_per_pair_state_dist_is_the_reports(rng):
+    instances = [Instance(purified_input(bell_pair()), basis_povm(2, "A"), 0.1),
+                 _kernel_outcome_instance(rng), _broad_outcome_instance(),
+                 Instance(classical_instance(rng, 3, 2), random_povm(rng, 3, 4), 0.1)]
+    for inst in instances:
+        seeds = range(20)
+        views = compress_seeds(inst, 2, 8, seeds)
+        # the reports of views built apart, on an instance built apart
+        fresh = Instance(inst.psi, inst.povm, inst.eps, slack_bits=inst.slack_bits)
+        reports = [validate_compression(cm) for cm in compress_seeds(fresh, 2, 8, seeds)]
+        probs, conds = inst.ideal_by_outcome
+        for cm, rep in zip(views, reports, strict=True):
+            got = np.float64(cm.per_pair_state_dist).tobytes()
+            assert got == np.float64(rep.per_pair_state_dist).tobytes()
+            # the outcomes the table decodes to, live and kept in the ideal state
+            weights = np.zeros(len(inst.povm))
+            np.add.at(weights, cm.decode.reshape(-1), cm.q_kl[:, :cm.L].reshape(-1))
+            xs = np.flatnonzero(inst.live & (weights > 1e-12) & (probs > 0))
+            want = max([0.0] + linalg.trace_norm(conds[xs] - inst.sims[xs]).tolist())
+            assert got == np.float64(want).tobytes()

@@ -498,6 +498,25 @@ def test_flat_dirichlet_keeps_the_values_and_generator_state_of_dirichlet():
             assert flat.bit_generator.state == loop.bit_generator.state, (n, seed)
 
 
+def test_scalar_draws_keep_the_values_and_generator_state_of_the_forms_they_replace():
+    # verify's draw loops make two integers(lo, hi) calls where the bodies they
+    # replace drew integers(lo, hi, size=2), and random() for uniform(0.0, 1.0);
+    # integers(3) takes one uint32 of a 64-bit output and caches the other half
+    for seed in range(500):
+        scalar, vector = np.random.default_rng(seed), np.random.default_rng(seed)
+        for lo, hi in ((2, 5), (2, 9), (2, 5), (0, 1 << 40)):
+            for rng in (scalar, vector):
+                rng.integers(3)
+            got = [scalar.integers(lo, hi), scalar.integers(lo, hi)]
+            assert got == vector.integers(lo, hi, size=2).tolist(), (seed, lo, hi)
+            assert scalar.bit_generator.state == vector.bit_generator.state, (seed, lo, hi)
+            for rng in (scalar, vector):
+                rng.normal(size=3)
+            x, y = scalar.random(), vector.uniform(0.0, 1.0)
+            assert np.float64(x).tobytes() == np.float64(y).tobytes(), (seed, lo, hi)
+            assert scalar.bit_generator.state == vector.bit_generator.state, (seed, lo, hi)
+
+
 def test_dropping_rng_plants_through_the_flat_dirichlet_draw():
     for seed in range(20):
         rng, twin = DroppingRng(seed, every=2), DroppingRng(seed, every=2)

@@ -6,6 +6,7 @@ gate, on a narrowed pool; and of ``tools/code_lines.py``, the size figure,
 on a module written here."""
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -38,6 +39,9 @@ def test_pool_time_on_two_compare_jobs(tools, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)["workloads"]["compare-sweep"]
     assert out["jobs"] == 2 and out["outputs_equal"] is True and out["moved"] == {}
     assert out["a_s"] > 0 and out["b_s"] > 0
+    # the median of two jobs' best times is their mean
+    assert out["median_s"] == pytest.approx([out["a_s"] / 2, out["b_s"] / 2])
+    assert out["median_ratio"] == pytest.approx(out["ratio"])
 
 
 def test_pool_time_shows_the_fields_that_moved(tools, monkeypatch, capsys):
@@ -77,8 +81,13 @@ def test_pool_time_on_one_verify_chunk_of_every_check(tools, monkeypatch, capsys
     for check in out["checks"].values():
         # one chunk: a check's total is its slowest job
         assert check["a_s"] > 0 and check["b_s"] > 0
-        assert check["slowest_s"] == [check["a_s"], check["b_s"]]
+        assert check["slowest_s"] == check["median_s"] == [check["a_s"], check["b_s"]]
+        assert check["median_ratio"] == check["ratio"]
     assert out["a_s"] == pytest.approx(sum(c["a_s"] for c in out["checks"].values()))
+    # the workload's medians are those of the 18 jobs, one a check
+    checks = out["checks"].values()
+    medians = [statistics.median(c[side] for c in checks) for side in ("a_s", "b_s")]
+    assert out["median_s"] == medians and out["median_ratio"] == medians[1] / medians[0]
 
 
 def test_pool_hash_exits_1_when_an_output_misses_its_ref(tools, monkeypatch, capsys):

@@ -8,10 +8,12 @@ its pool (for verify-suite, those chunks of every check), through
 ``perfbench.jobs.run_job`` on both back to back, alternating which goes
 first, ``REPEATS`` times over. Prints as JSON per workload the number of
 jobs, each side's total of its best time per job in seconds, their ratio
-B/A, each side's slowest job, whether all outputs agree and, where they do
-not, each JSON field that differs (``moved``: on how many jobs, and its
-largest absolute move); for verify-suite also the totals, ratio and slowest
-jobs per check. A drift of the host's speed falls on both sides alike, as
+B/A, each side's median best job time (``median_s``) and the ratio B/A of
+those medians (``median_ratio``), each side's slowest job, whether all
+outputs agree and, where they do not, each JSON field that differs
+(``moved``: on how many jobs, and its largest absolute move); for
+verify-suite also the totals, ratio, medians, median ratio and slowest jobs
+per check. A drift of the host's speed falls on both sides alike, as
 separate benchmark runs cannot promise. ROOT ROOT times one checkout
 against itself. Inputs go to a temporary directory, ``perfbench`` comes
 from ROOT_A, and BLAS runs one thread, as in ``perfbench/run.py``.
@@ -20,6 +22,7 @@ from ROOT_A, and BLAS runs one thread, as in ``perfbench/run.py``.
 import importlib.util
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -53,7 +56,9 @@ def load_package(name: str, root: Path):
 
 def _sides(times) -> dict:
     a, b = zip(*times)
-    return {"a_s": sum(a), "b_s": sum(b), "ratio": sum(b) / sum(a), "slowest_s": [max(a), max(b)]}
+    medians = [statistics.median(a), statistics.median(b)]
+    return {"a_s": sum(a), "b_s": sum(b), "ratio": sum(b) / sum(a), "median_s": medians,
+            "median_ratio": medians[1] / medians[0], "slowest_s": [max(a), max(b)]}
 
 
 def _larger(last, move):
