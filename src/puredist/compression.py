@@ -7,7 +7,9 @@ the original POVM. A decode table maps (k, l) back to original outcomes.
 Randomness discipline: the table entry x(k, l) is drawn from its own PCG64
 stream keyed by SeedSequence(seed, spawn_key=(k, l)), so enlarging K or L
 keeps every shared cell identical. That is what makes paired comparisons
-across table sizes meaningful. A seed sweep is one stack: ``compress_seeds``
+across table sizes meaningful. numpy's SeedSequence mixes each seed into its
+pool; the package mixes the spawn key into that pool and steps each cell's
+PCG64 itself, for all cells at once. A seed sweep is one stack: ``compress_seeds``
 draws and builds all its tables, and ``per_k_errors`` scores them, in shared passes.
 The cells are built from Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2}, powers
 of two kept eigensystems, the POVM's and rho_A's, each decomposed once.
@@ -18,15 +20,12 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import entropy, io, linalg, states
 from .states import Povm, PureState
-
-BOT = "bot"
-
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
@@ -37,19 +36,19 @@ _PCG_A = _PCG_MULT ** 2 & _MASK128
 _PCG_B = (_PCG_A + _PCG_MULT + 1) & _MASK128
 
 
-def _hash_consts(init, mult, n):
-    """The (before, after) hash constants of SeedSequence's next n hashmix calls."""
-    c = [init]
-    for _ in range(n):
-        c.append(c[-1] * mult & _MASK32)
+@cache
+def _hash_consts(init, mult, start, n):
+    """The (before, after) hash constants of n SeedSequence hashmix calls,
+    from the one that ``start`` calls precede."""
+    c = [init * pow(mult, start + j, 2**32) & _MASK32 for j in range(n + 1)]
     return list(zip(c, c[1:]))
 
 
-_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), np.uint32).T.reshape(2, 8, 1, 1, 1)
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 0, 8), np.uint32).T.reshape(2, 8, 1, 1, 1)
 
 
 def _hashmix(value, consts):
-    """SeedSequence's hashmix, on Python ints or (wrapping) uint32 arrays."""
+    """SeedSequence's hashmix, on (wrapping) uint32 arrays."""
     value = (value ^ consts[0]) * consts[1] & _MASK32
     return value ^ value >> 16
 
@@ -76,25 +75,18 @@ def _add128(hi, lo, c_hi, c_lo):
 
 def _table_uniforms(seeds, K: int, L: int) -> np.ndarray:
     """The first ``random()`` of every cell's own stream (see above) for each
-    of S seeds, as an S x K x L array: SeedSequence mixes each seed's words in
-    Python ints and the spawn key (k, l) into its four pool lanes as uint32
-    arrays, and each cell's PCG64 runs on 64-bit halves in uint64 arrays."""
+    of S seeds, as an S x K x L array: numpy's SeedSequence mixes each seed's
+    words into its pool, the spawn key (k, l) is mixed into the four pool
+    lanes as uint32 arrays, and each cell's PCG64 runs on 64-bit halves in
+    uint64 arrays."""
     pools, keys = [], []
     for seed in seeds:
         seed = operator.index(seed)
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        # entropy: the seed's 32-bit words zero-padded to 4, then the spawn key k, l
-        words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-        words += [0] * (4 - len(words))
-        consts = iter(_hash_consts(_INIT_A, _MULT_A, 4 * len(words) + 8))
-        pool = [_hashmix(w, next(consts)) for w in words[:4]]
-        for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-        for w, dst in [(w, dst) for w in words[4:] for dst in range(4)]:
-            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
-        pools.append(pool)
-        keys.append(list(consts))
+        pools.append(np.random.SeedSequence(seed).pool)
+        # the spawn key's hashmix calls follow the seed's 4 w, w = max(4, its 32-bit words)
+        keys.append(_hash_consts(_INIT_A, _MULT_A, 4 * max(4, -(-seed.bit_length() // 32)), 8))
     key = np.array(keys, dtype=np.uint32).reshape(-1, 8, 2).T[..., None, None]  # (2, 8, S, 1, 1)
     pool = np.array(pools, dtype=np.uint32).T[..., None, None]
     pool = _mix(pool, _hashmix(np.arange(K, dtype=np.uint32)[:, None], key[:, :4]))

@@ -433,14 +433,13 @@ def run_fewqubits(views) -> list:
     inst = views[0].instance
     psi, eps, bob_label, a_reg = inst.psi, inst.eps, inst.bob_label, inst.povm.register
     da, db = psi.dim(a_reg), psi.dim(bob_label)
-    setups = []
+    setups, failure = [], None
     for view in views:
         try:
             setups.append(_fewqubits_setup(view, inst.bob_codes, db, eps))
-        except (NoGoodK, linalg.InvariantError):
-            if setups:  # the Uhlmann checks of the views before it come first
-                run_fewqubits(views[:len(setups)])
-            raise
+        except (NoGoodK, linalg.InvariantError) as exc:
+            failure = exc  # raised after the Uhlmann checks of the views before it
+            break
     out = [None] * len(setups)
     for (ap, la, ag, borrow), members in linalg.groups(s[0] for s in setups).items():
         chi = PureState([("Ap", ap), ("LA", la), ("Ag", ag)]
@@ -463,6 +462,8 @@ def run_fewqubits(views) -> list:
                 slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None,
                 extra={"k": view.k, "uhlmann_overlap": overlap,
                        "nice_count": plan.nice_count, "plan_delta_bits": plan.delta_bits})
+    if failure is not None:
+        raise failure
     return out
 
 

@@ -1,30 +1,20 @@
-"""Seeded random states, POVMs and cq ensembles for tests and sweeps.
+"""Seeded random states, POVMs and cq ensembles for the property suite, the demos and sweeps.
 
 All samplers take a ``numpy.random.Generator`` so every experiment is
 reproducible from a single integer seed (PCG64 via ``default_rng``). The
 stacked samplers split into their generator calls and a build that takes a
 stack of draws, each member with the bits of its own sampler:
 ``ginibre_normals`` and ``ginibre_gram`` (``ginibre_density``), and
-``cq_draws`` and ``cq_ensembles`` (``random_cq``), which builds the
-probabilities (``cq_probs``, a stack per symbol count) apart from the
-conditionals (``cq_conditionals``, a stack of any symbols of one shape).
-Flat Dirichlet probabilities come from ``flat_dirichlet``.
+``cq_draws``, whose cq ensembles build their probabilities (``cq_probs``, a
+stack per symbol count) apart from their conditionals (``cq_conditionals``,
+a stack of any symbols of one shape). Flat Dirichlet probabilities come
+from ``flat_dirichlet``.
 """
 
 import numpy as np
 
 from . import linalg
-from .states import CQState, DensityOperator, Povm, PureState, kept_symbols
-
-
-def haar_vector(rng, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_pure(rng, dim: int, label: str = "A") -> DensityOperator:
-    v = haar_vector(rng, dim)
-    return DensityOperator([(label, dim)], np.outer(v, np.conj(v)), validate=False)
+from .states import DensityOperator, Povm, PureState, kept_symbols
 
 
 def ginibre_density(rng, dim: int, rank: int | None = None) -> np.ndarray:
@@ -59,12 +49,6 @@ def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> 
     return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)
 
 
-def ginibre_matrix(rng, dim: int) -> np.ndarray:
-    """A dim x dim matrix of independent standard complex Gaussians: the
-    ``standard_complex`` of a ``ginibre_normals`` draw."""
-    return standard_complex(ginibre_normals(rng, dim))
-
-
 def standard_complex(z: np.ndarray) -> np.ndarray:
     """``complex_normals(z) / sqrt(2)``, entries of unit variance, for a
     ``ginibre_normals`` draw z or each draw of a stack with its bits."""
@@ -74,7 +58,7 @@ def standard_complex(z: np.ndarray) -> np.ndarray:
 def haar_unitary(z: np.ndarray) -> np.ndarray:
     """The Q of z = QR with the phases of R's diagonal moved into it, for one
     matrix or each of a stack (one QR call, each member with its own bits):
-    Haar distributed when z is ``ginibre_matrix``."""
+    Haar distributed when z is the ``standard_complex`` of a ``ginibre_normals`` draw."""
     q, r = np.linalg.qr(z)
     ph = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (np.conj(ph) / np.abs(ph))[..., None, :]
@@ -110,7 +94,7 @@ def flat_dirichlet(rng, n: int) -> np.ndarray:
 
 def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
              rank: int | None = None):
-    """``random_cq``'s two generator calls in turn: the ``flat_dirichlet``
+    """A cq ensemble's two generator calls in turn: the ``flat_dirichlet``
     probabilities and the ``ginibre_normals`` of the n conditionals (of rank
     1 when they are pure)."""
     probs = flat_dirichlet(rng, n_symbols)
@@ -136,25 +120,6 @@ def cq_conditionals(z: np.ndarray, pure_conditionals: bool) -> np.ndarray:
     v = complex_normals(z)[..., 0]
     v = v / linalg.row_norms(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1] + (1,))
     return v[..., :, None] * np.conj(v)[..., None, :]
-
-
-def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
-    """The cq ensembles of m ``cq_draws`` of one shape, their (m, n)
-    probabilities and (m, n, 2, d, rank) normals stacked: the ``cq_probs``
-    and their mask, and the (m, n, d, d) ``cq_conditionals``. Each member
-    has the bits of its own ``random_cq``, whose ``CQState`` drops the
-    symbols of probability 0."""
-    probs, keep = cq_probs(probs)
-    return probs, cq_conditionals(z, pure_conditionals), keep
-
-
-def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
-              pure_conditionals: bool = False, rank: int | None = None) -> CQState:
-    """Flat Dirichlet probabilities and ``random_pure`` or ``random_density``
-    conditionals with their bits: the ``cq_ensembles`` of one ``cq_draws``."""
-    draws = cq_draws(rng, n_symbols, dim, pure_conditionals, rank)
-    probs, stack, _ = cq_ensembles(*(x[None] for x in draws), pure_conditionals)
-    return CQState(range(n_symbols), probs[0], stack[0], registers=[(label, dim)])
 
 
 def bell_pair(labels=("A", "B")) -> PureState:
@@ -186,13 +151,3 @@ def purified_input(psi_ab: PureState, ref_label: str = "R") -> PureState:
     """
     regs = list(psi_ab.regs) + [(ref_label, 1)]
     return PureState(regs, psi_ab.tensor.reshape(psi_ab.tensor.shape + (1,)))
-
-
-def mixed_protocol_input(rng, da: int, db: int, rank: int = 2,
-                         labels=("A", "B", "R")) -> PureState:
-    """Random mixed rho^{AB} of the given rank, presented as |rho>^{ABR}."""
-    rho = ginibre_density(rng, da * db, rank)
-    vec = linalg.purify(rho)
-    dr = vec.size // (da * db)
-    return PureState([(labels[0], da), (labels[1], db), (labels[2], dr)],
-                     vec.reshape(da, db, dr))

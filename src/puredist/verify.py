@@ -393,7 +393,7 @@ def check_hh_cond_data_processing(rng, trials, eps):
         db = int(rng.integers(2, 5))
         draws.append(cq_draws(rng, int(rng.integers(2, 5)), db))
         es.append(eps or _eps(rng))
-        # ginibre_matrix's draws for each unitary in turn
+        # the draws of tests/oracles.ginibre_matrix for each unitary in turn
         zs.append(ginibre_normals(rng, db, n=int(rng.integers(2, 4))))
         ps.append(flat_dirichlet(rng, len(zs[-1])))
     probs, conds = zip(*draws)
@@ -528,15 +528,15 @@ def check_condhh_derandomization(rng, trials, eps):
     for _ in range(trials):
         nx, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         probs, z = cq_draws(rng, nx, db)
-        # random_cq's probabilities and the mask of the symbols it keeps
+        # the probabilities of tests/oracles.random_cq and the mask of the symbols it keeps
         draws.append((*cq_probs(probs), z))
         # build a K-table whose rows decode to symbols with Q close to P
         reps.append(int(rng.integers(3, 6)))
-        # a ginibre_density draw per conditional that random_cq keeps, in turn
+        # a ginibre_density draw per conditional that tests/oracles.random_cq keeps, in turn
         zs.append(ginibre_normals(rng, db, n=int(draws[-1][1].sum())))
 
     def build(_, z, keep, zs):
-        # the conditionals (random_cq's bits), and the kept ones mixed with noise
+        # the conditionals (tests/oracles.random_cq's bits), and the kept ones mixed with noise
         stacks = ginibre_gram(z)
         return stacks, (1 - e / 4) * stacks[keep] + e / 4 * ginibre_gram(zs)
 
@@ -547,7 +547,7 @@ def check_condhh_derandomization(rng, trials, eps):
     hs = _conditional_h_h(_padded_spectra([(idx, out[1:]) for idx, out in groups], -1.0,
                                           [len(z) for z in zs]), np.full(len(p), e ** 0.125))
     for q, h, r, h_cond in zip(p, hs, reps, bounds):
-        q = q[q > 0]  # the symbols random_cq keeps
+        q = q[q > 0]  # the symbols tests/oracles.random_cq keeps
         K = len(q) * r
         q_k = np.repeat(q / r, r)  # f(k) = x for each block
         bound = 2.0 ** h_cond / e

@@ -1,4 +1,4 @@
-"""Independent oracles and instance builders shared by several test modules."""
+"""Independent oracles, instance builders and samplers shared by several test modules."""
 
 import itertools
 import math
@@ -6,8 +6,18 @@ import math
 import numpy as np
 
 from puredist import linalg
-from puredist.sampling import classical_correlated_pure, flat_dirichlet, purified_input
-from puredist.states import CQState, DensityOperator
+from puredist.sampling import (
+    classical_correlated_pure,
+    cq_conditionals,
+    cq_draws,
+    cq_probs,
+    flat_dirichlet,
+    ginibre_density,
+    ginibre_normals,
+    purified_input,
+    standard_complex,
+)
+from puredist.states import CQState, DensityOperator, PureState
 
 
 def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
@@ -165,8 +175,53 @@ def near_pure_classical(rng, da=8, db=4, top=0.9):
     return purified_input(classical_correlated_pure(rng, da, db, joint=joint))
 
 
+def haar_vector(rng, dim: int) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_pure(rng, dim: int, label: str = "A") -> DensityOperator:
+    v = haar_vector(rng, dim)
+    return DensityOperator([(label, dim)], np.outer(v, np.conj(v)), validate=False)
+
+
+def ginibre_matrix(rng, dim: int) -> np.ndarray:
+    """A dim x dim matrix of independent standard complex Gaussians: the
+    ``standard_complex`` of a ``ginibre_normals`` draw."""
+    return standard_complex(ginibre_normals(rng, dim))
+
+
+def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
+    """The cq ensembles of m ``cq_draws`` of one shape, their (m, n)
+    probabilities and (m, n, 2, d, rank) normals stacked: the ``cq_probs``
+    and their mask, and the (m, n, d, d) ``cq_conditionals``. Each member
+    has the bits of its own ``random_cq``, whose ``CQState`` drops the
+    symbols of probability 0."""
+    probs, keep = cq_probs(probs)
+    return probs, cq_conditionals(z, pure_conditionals), keep
+
+
+def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
+              pure_conditionals: bool = False, rank: int | None = None) -> CQState:
+    """Flat Dirichlet probabilities and ``random_pure`` or ``random_density``
+    conditionals with their bits: the ``cq_ensembles`` of one ``cq_draws``."""
+    draws = cq_draws(rng, n_symbols, dim, pure_conditionals, rank)
+    probs, stack, _ = cq_ensembles(*(x[None] for x in draws), pure_conditionals)
+    return CQState(range(n_symbols), probs[0], stack[0], registers=[(label, dim)])
+
+
+def mixed_protocol_input(rng, da: int, db: int, rank: int = 2,
+                         labels=("A", "B", "R")) -> PureState:
+    """Random mixed rho^{AB} of the given rank, presented as |rho>^{ABR}."""
+    rho = ginibre_density(rng, da * db, rank)
+    vec = linalg.purify(rho)
+    dr = vec.size // (da * db)
+    return PureState([(labels[0], da), (labels[1], db), (labels[2], dr)],
+                     vec.reshape(da, db, dr))
+
+
 def per_symbol_random_cq(rng, n_symbols, dim, label="B", pure_conditionals=False, rank=None):
-    """``sampling.random_cq`` as it drew before its draws were stacked: one
+    """``random_cq`` as it drew before its draws were stacked: one
     pair of ``normal`` calls and one ``DensityOperator`` per conditional."""
     probs = rng.dirichlet(np.ones(n_symbols))
     conds = []

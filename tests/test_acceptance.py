@@ -22,7 +22,6 @@ from puredist.sampling import (
     bell_pair,
     classical_correlated_pure,
     purified_input,
-    random_cq,
     random_density,
 )
 from puredist.states import CQState, DensityOperator, Povm, PureState, control_state
@@ -41,7 +40,7 @@ from puredist.verify import (
     check_hh_support_sandwich,
 )
 
-from oracles import imax_qubit_grid_oracle, near_pure_classical
+from oracles import imax_qubit_grid_oracle, near_pure_classical, random_cq
 
 
 def report(name, ok, detail=""):

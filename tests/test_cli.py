@@ -867,6 +867,25 @@ def test_a_sweep_raises_the_first_failure_in_seed_order(rng, tmp_path, monkeypat
     assert proc.stdout.startswith("raised Uhlmann overlap ")
 
 
+def test_a_failing_sweep_plans_each_seed_once(rng, monkeypatch):
+    # seed 3 has an empty nice set: seeds 1 and 2 still run their Uhlmann
+    # checks first, from the plans already made
+    inst = Instance(sampling.purified_input(sampling.classical_correlated_pure(rng, 8, 4)),
+                    basis_povm(8, "A"), 0.25)
+    views = compress_seeds(inst, 4, 16, [1, 2, 3])
+    _plant_empty_nice_sets(monkeypatch, 3)
+    planned, plan = [], protocols.plan_fewqubits
+
+    def counting_plan(view):
+        planned.append(view.seed)
+        return plan(view)
+
+    monkeypatch.setattr(protocols, "plan_fewqubits", counting_plan)
+    with pytest.raises(NoGoodK, match="^empty nice outcome set"):
+        protocols.run_fewqubits(views)
+    assert planned == [1, 2, 3]
+
+
 def test_compare_checks_a_borrow_gap_before_a_later_seed_runs(tmp_path, monkeypatch):
     # no slack and L = 2 on a near-pure source: seed 1's borrow gap is below
     # the margin, and seed 3's nice sets are planted empty; as seed by seed,

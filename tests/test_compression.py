@@ -6,7 +6,6 @@ import pytest
 
 from puredist import entropy, linalg
 from puredist.compression import (
-    BOT,
     Compression,
     Instance,
     NoGoodK,
@@ -28,7 +27,9 @@ from puredist.sampling import (
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
-from oracles import pair_rng
+from oracles import mixed_protocol_input, pair_rng
+
+BOT = "bot"  # the failure symbol's label
 
 
 def classical_instance(rng, da=2, db=2):
@@ -65,7 +66,6 @@ def test_rows_are_povms(rng):
 
 
 def test_q_kl_keeps_the_bits_of_the_per_matrix_trace_loop(rng):
-    from puredist.sampling import mixed_protocol_input
     for psi, povm in ((classical_instance(rng, 4, 3), basis_povm(4, "A")),
                       (mixed_protocol_input(rng, 3, 2, rank=2), random_povm(rng, 3, 4))):
         inst = Instance(psi, povm, 0.1)
@@ -286,7 +286,6 @@ def _per_k_errors_per_block(view):
 
 
 def test_per_k_errors_keep_the_bits_of_a_norm_per_block(rng):
-    from puredist.sampling import mixed_protocol_input
     repeats = 0
     for inst in (Instance(classical_instance(rng, 3, 2), basis_povm(3, "A"), 0.1),
                  Instance(mixed_protocol_input(rng, 3, 2, rank=2), random_povm(rng, 3, 4), 0.1),

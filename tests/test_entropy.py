@@ -12,23 +12,23 @@ from puredist import entropy as ent
 from puredist import linalg, states
 from puredist.sampling import (
     cq_draws,
-    cq_ensembles,
     ginibre_density,
-    ginibre_matrix,
     haar_unitary,
-    random_cq,
     random_density,
     random_povm,
-    random_pure,
 )
 from puredist.states import CQState, DensityOperator, control_state
 
 from oracles import (
+    cq_ensembles,
     cq_layout,
+    ginibre_matrix,
     greedy_lp,
     h_h_iid,
     imax_qubit_grid_oracle,
     left_padded,
+    random_cq,
+    random_pure,
     truncated_support,
     truncation_entropies,
 )

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from puredist import linalg
-from puredist.sampling import ginibre_density, haar_vector
+from puredist.sampling import ginibre_density
 from puredist.states import DensityOperator, Povm
+
+from oracles import haar_vector
 
 
 def random_hermitian(rng, d):

@@ -23,13 +23,12 @@ from puredist.compression import (
 from puredist.sampling import (
     basis_povm,
     classical_correlated_pure,
-    mixed_protocol_input,
     purified_input,
     random_povm,
 )
 from puredist.states import Povm, ProtocolTranscript, PureState
 
-from oracles import near_pure_classical
+from oracles import mixed_protocol_input, near_pure_classical
 
 
 def _per_symbol(inst):

@@ -10,14 +10,13 @@ from puredist.sampling import (
     bell_pair,
     classical_correlated_pure,
     ginibre_density,
-    mixed_protocol_input,
     purified_input,
     random_density,
     random_povm,
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
-from oracles import near_pure_classical
+from oracles import ginibre_matrix, mixed_protocol_input, near_pure_classical
 
 
 # ------------------------------------------------------------ local distill
@@ -274,7 +273,7 @@ def test_uhlmann_identical_states(rng):
 def test_uhlmann_equal_marginals_saturate(rng):
     # same B,R marginal reached by two different purifying isometries
     phi = mixed_protocol_input(rng, 4, 3, rank=2)
-    from puredist.sampling import ginibre_matrix, haar_unitary
+    from puredist.sampling import haar_unitary
     w = haar_unitary(ginibre_matrix(rng, 4))
     chi = phi.apply(w, ["A"])
     u, ov = pr.uhlmann_unitary(phi, chi, ["A"], ["A"])

@@ -6,15 +6,11 @@ from puredist.sampling import (
     basis_povm,
     bell_pair,
     cq_draws,
-    cq_ensembles,
     flat_dirichlet,
     ginibre_density,
     ginibre_gram,
-    ginibre_matrix,
     ginibre_normals,
     haar_unitary,
-    mixed_protocol_input,
-    random_cq,
     random_density,
     random_povm,
     standard_complex,
@@ -31,7 +27,14 @@ from puredist.states import (
     rank1_refine,
 )
 
-from oracles import DroppingRng, per_symbol_random_cq
+from oracles import (
+    DroppingRng,
+    cq_ensembles,
+    ginibre_matrix,
+    mixed_protocol_input,
+    per_symbol_random_cq,
+    random_cq,
+)
 
 
 def test_density_operator_canonical_register_order(rng):

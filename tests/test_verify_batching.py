@@ -13,7 +13,7 @@ in trial order. ``REFERENCE`` keeps the per-trial bodies they had before,
 as the reference: one trial at a time, drawn, decomposed and evaluated in
 turn, each value from its own one-state call (``h_h``, ``h_h_cond_cq``,
 ``h_tilde_max``, ...). Their cq states come from ``per_symbol_random_cq``,
-the per-symbol sampler that ``sampling.random_cq`` replaced, so a change in
+the per-symbol sampler that ``random_cq`` replaced, so a change in
 the stacked sampler's bits shows here too, and the D_H check's pairs go
 through the one-pair solver that ``d_h_many`` replaced. Each batched check
 must also leave its generator where its reference leaves it: its loop makes
@@ -25,9 +25,10 @@ after it.
 import numpy as np
 import pytest
 
-from puredist import entropy, linalg, sampling, verify
+from puredist import entropy, linalg, verify
 from puredist.states import CQState, DensityOperator
 
+import oracles
 from oracles import DroppingRng, per_symbol_random_cq as random_cq
 from test_d_h_many import reference_d_h
 
@@ -435,7 +436,7 @@ CQ_CHECKS = ("hh-cond-pure-nonpositive", "hh-cond-purification-switch",
 @pytest.mark.parametrize("name", CQ_CHECKS)
 def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
     calls = {"CQState": 0, "random_cq": 0}
-    init, sample = CQState.__init__, sampling.random_cq
+    init, sample = CQState.__init__, oracles.random_cq
 
     def counting_init(self, *args, **kwargs):
         calls["CQState"] += 1
@@ -446,7 +447,7 @@ def test_cq_check_builds_no_state_per_trial(name, monkeypatch):
         return sample(*args, **kwargs)
 
     monkeypatch.setattr(CQState, "__init__", counting_init)
-    monkeypatch.setattr(sampling, "random_cq", counting_sample)
+    monkeypatch.setattr(oracles, "random_cq", counting_sample)
     assert not hasattr(verify, "random_cq")  # the suite holds no reference of its own
     for trials in (50, 200):
         calls.update(CQState=0, random_cq=0)
