@@ -613,11 +613,7 @@ def _certify(states: np.ndarray, povm: np.ndarray, y: np.ndarray, eye: np.ndarra
     the upper bound (``eye`` is that I). Returns (lower, upper, tau).
     """
     lower = float(np.real(np.einsum("xij,xji->", povm, states)))
-    excess = states - y
-    mh = linalg.dagger(excess)
-    if np.maximum.reduce(np.abs(excess - mh), axis=None) > 1e-6:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    c = max(float(np.maximum.reduce(linalg._eigvalsh((excess + mh) / 2.0), axis=None)), 0.0)
+    c = max(float(np.maximum.reduce(linalg.eigvalsh(states - y, tol=1e-6), axis=None)), 0.0)
     upper = float(y.trace().real) + len(eye) * c
     return lower, upper, y + c * eye
 

@@ -10,12 +10,18 @@ names, hence ``numpy>=2.0,<3``) under their public wrappers' error state:
 each gives its wrapper's bits (on complex input, real for ``_solve``) and
 ``LinAlgError`` without the wrapper's per-call checks. It holds ``_eigh``,
 ``_eigvalsh`` (whose bits differ from ``_eigh``'s eigenvalues'), ``_solve``,
-``_svd`` and ``_svdvals``. The checked eigen functions are ``eig_hermitian``
-when the eigenvectors are used (columns phase-canonicalized, so repeated
-runs are byte-identical) and ``eigvals_hermitian`` when only the eigenvalues
-are (the same bits); one conjugate transpose serves both the Hermitian check
-and the symmetrization. The solvers of ``entropy`` pass the funnel
-``hermitian_part``s unchecked.
+``_svd`` and ``_svdvals``. The checked eigen functions share one Hermitian
+check and symmetrization, in which one conjugate transpose serves both:
+``eig_hermitian`` (``_eigh``) when the eigenvectors are used (columns
+phase-canonicalized, so repeated runs are byte-identical),
+``eigvals_hermitian`` (``_eigh``, the same bits) when only the eigenvalues
+are, and ``eigvalsh`` (``_eigvalsh``, LAPACK's eigenvalue-only routine and
+``np.linalg.eigvalsh``'s bits) when only the eigenvalues are and no output
+depends on their last bits: ``i_max_cq``'s certificate and the property
+checks' spectra. Every other eigenvalue-only caller keeps ``_eigh``'s bits
+(``psd_eigvals`` included), since a spectrum that feeds a protocol can move a
+printed error through its last bits. The solvers of ``entropy`` pass the
+funnel ``hermitian_part``s unchecked.
 
 ``psd_eig`` gives the clipped eigensystem of a PSD operator and
 ``eig_power`` takes powers of a kept one (``psd_power`` is the two in one
@@ -77,16 +83,16 @@ def _canonical_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.divide(np.conj(top), mag, out=np.ones_like(top), where=mag > 0)
 
 
-def _checked_eigh(m: np.ndarray, tol: float):
-    """``_eigh`` of the symmetrized ``m`` after the shape and
-    Hermitian checks both public eigen functions share."""
+def _symmetrized(m: np.ndarray, tol: float) -> np.ndarray:
+    """(m + m^dagger) / 2 of a square complex matrix or stack ``m``, after
+    the shape and Hermitian checks every checked eigen function shares."""
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     mh = dagger(m)
     if m.size and not np.abs(m - mh).max() <= tol:  # NaN fails the comparison too
         raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return _eigh((m + mh) / 2.0)
+    return (m + mh) / 2.0
 
 
 def _lapack(gufunc, signature: str, failure: str):
@@ -129,14 +135,21 @@ def eig_hermitian(m: np.ndarray, tol: float = HERM_TOL):
     ValueError
         If ``m`` is not square, or (``NotHermitianError``) not Hermitian within ``tol``.
     """
-    w, v = _checked_eigh(m, tol)
+    w, v = _eigh(_symmetrized(m, tol))
     return w, _canonical_phases(v)
 
 
 def eigvals_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, bit-identical to
     ``eig_hermitian(m, tol)[0]``; same checks, same ``ValueError``."""
-    return _checked_eigh(m, tol)[0]
+    return _eigh(_symmetrized(m, tol))[0]
+
+
+def eigvalsh(m: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of each matrix of a
+    stack from LAPACK's eigenvalue-only routine, with ``np.linalg.eigvalsh``'s
+    bits (not ``eigvals_hermitian``'s); same checks, same ``ValueError``."""
+    return _eigvalsh(_symmetrized(m, tol))
 
 
 def clip_psd_spectrum(w: np.ndarray) -> np.ndarray:

@@ -34,23 +34,27 @@ complex matrices and Ginibre densities of the draws
 the pure states' norms (``linalg.row_norms``), the Kronecker products
 (``linalg.kron``) and the partial traces; a check whose trials draw one
 matrix of a kind each builds per trial key, a size or a pair of dims. No
-check splits
-those stacks into per-trial arrays: they go whole into one
-``linalg.per_size`` call (one stacked eigendecomposition per
-matrix size, each member with the bits of its own call), and their spectra
-are written by row index into the padded arrays the stacked solvers take
-(``_padded_spectra``, ``_cq_arrays``). The H_H checks solve all their LPs in
-one ``entropy.h_h_many`` call and one ``entropy.h_h_cond_cq_many`` call,
-whichever they need; the max-entropy checks solve in one
-``entropy.Truncation``; the H_min check solves in one
+check splits those stacks into per-trial arrays: they go whole into one
+``linalg.per_size`` call (one stacked eigendecomposition per matrix size,
+each member with the bits of its own call), and their spectra are written
+by row index into the padded arrays the stacked solvers take
+(``_padded_spectra``, ``_cq_arrays``). Those spectra come from
+``linalg.eigvalsh``, LAPACK's eigenvalue-only routine, not from the
+``linalg.psd_eigvals`` that a state's own spectrum takes (eigh's
+eigenvalues): the eigenvectors would go unread, and a slack reaches no
+protocol output, so its last bits may follow the routine. The H_H checks
+solve all their LPs in one ``entropy.h_h_many`` call and one
+``entropy.h_h_cond_cq_many`` call, whichever they need; the max-entropy
+checks solve in one ``entropy.Truncation``; the H_min check solves in one
 ``entropy.h_min_cq_smoothed_many`` call per eps. No check builds a
 ``CQState``. The D_H check does the same with one ``entropy.d_h_many`` call
 for all its pairs, one stacked eigendecomposition per size and probe round.
-Each value has the bits of its own one-state call, and the slacks are
-evaluated in trial order from them. The derandomization check takes each
-ensemble's ``cq_probs`` in its loop, since the count of the symbols kept
-sizes a later draw, and builds from those probabilities and masks. Every
-slack is that of the trial-at-a-time body, bit for bit.
+Each value has the bits of its own one-state call on the same spectra, and
+the slacks are evaluated in trial order from them. The derandomization
+check takes each ensemble's ``cq_probs`` in its loop, since the count of
+the symbols kept sizes a later draw, and builds from those probabilities
+and masks. Every slack is that of the trial-at-a-time body with its spectra
+taken the same way, bit for bit.
 
 The pair-closeness check reads only each view's per-pair state distances
 (``Compression.per_pair_state_dist``, which ``validate_compression``
@@ -116,13 +120,13 @@ def _stacked(f, keys, *draws) -> list:
 def _padded_spectra(groups, fill, counts=None) -> np.ndarray:
     """The clipped ascending spectra of the k (M, d, d) output stacks of
     each of the ``_stacked`` ``groups``, from one ``linalg.per_size`` call
-    on those stacks as they are: output j of trial i in row k i + j of one
-    array, a spectrum in the last entries of the last axis, ``fill``
-    elsewhere. With ``counts``, a stack holds counts[i] members of each
-    trial i of its group in turn, such as an ensemble's conditionals, and
-    member s goes in row s of the axis before."""
+    of ``linalg.eigvalsh`` on those stacks as they are: output j of trial i
+    in row k i + j of one array, a spectrum in the last entries of the last
+    axis, ``fill`` elsewhere. With ``counts``, a stack holds counts[i]
+    members of each trial i of its group in turn, such as an ensemble's
+    conditionals, and member s goes in row s of the axis before."""
     k, stacks = len(groups[0][1]), [s for _, out in groups for s in out]
-    ws = linalg.per_size(linalg.psd_eigvals, stacks)
+    ws = linalg.per_size(lambda s: linalg.clip_psd_spectrum(linalg.eigvalsh(s)), stacks)
     n = np.array([1] * sum(len(idx) for idx, _ in groups) if counts is None else counts)
     out = np.full((k * len(n), n.max(), max(s.shape[-1] for s in stacks)), fill)
     for g, (idx, _) in enumerate(groups):

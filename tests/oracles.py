@@ -80,6 +80,20 @@ def imax_qubit_grid_oracle(states, coarse=24, refine=2):
     return np.log2(best)
 
 
+def imax_commuting(probs, dists, eps=0.0) -> float:
+    """I_max^eps(X:E) of a cq ensemble whose conditionals are diagonal in one
+    basis, rho_x = sum_e p(e|x) |e><e| with dists[x] = p(.|x), in closed
+    form: log2 sum_e max_x p(e|x) over the kept symbols, since the entrywise
+    maximum is the least-trace tau >= every kept rho_x (a common unitary
+    rotation keeps the value). Smoothing drops the lowest-probability
+    symbols while their total mass stays <= eps, always keeping one."""
+    kept = sorted(range(len(probs)), key=lambda x: probs[x])
+    dropped = 0.0
+    while len(kept) > 1 and dropped + probs[kept[0]] <= eps:
+        dropped += probs[kept.pop(0)]
+    return math.log2(sum(max(dists[x][e] for x in kept) for e in range(len(dists[0]))))
+
+
 def _types(n, parts):
     """Every composition of n into ``parts`` non-negative counts, as the rows
     of an int array in lexicographic order: one block per leading count."""

@@ -7,7 +7,6 @@ pass lines. Tolerances and instance scales are pinned here, not configurable.
 import zlib
 
 import numpy as np
-import pytest
 
 from puredist import bounds, entropy, linalg
 from puredist import protocols as pr
@@ -26,7 +25,6 @@ from puredist.sampling import (
 )
 from puredist.states import CQState, DensityOperator, Povm, PureState, control_state
 from puredist.verify import (
-    check_dh_vs_lp,
     check_hh_average_to_worst_case,
     check_hh_cond_data_processing,
     check_hh_cond_pure,

@@ -9,7 +9,6 @@ from puredist.compression import Instance, compress_seeds
 from puredist.protocols import run_kd_oneshot
 from puredist.sampling import (
     basis_povm,
-    bell_pair,
     classical_correlated_pure,
     purified_input,
     random_density,

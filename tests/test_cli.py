@@ -18,7 +18,7 @@ from puredist.bounds import RateReport
 from puredist.cli import build_parser, main, parse_seeds
 from puredist.compression import Instance, NoGoodK, compress_seeds
 from puredist.linalg import InvariantError
-from puredist.sampling import basis_povm, bell_pair
+from puredist.sampling import basis_povm
 from puredist.states import DensityOperator, Povm, ProtocolTranscript
 
 

@@ -12,10 +12,13 @@ from puredist import entropy as ent
 from puredist import linalg, states
 from puredist.sampling import (
     cq_draws,
+    flat_dirichlet,
     ginibre_density,
+    ginibre_normals,
     haar_unitary,
     random_density,
     random_povm,
+    standard_complex,
 )
 from puredist.states import CQState, DensityOperator, control_state
 
@@ -25,6 +28,7 @@ from oracles import (
     ginibre_matrix,
     greedy_lp,
     h_h_iid,
+    imax_commuting,
     imax_qubit_grid_oracle,
     left_padded,
     random_cq,
@@ -944,7 +948,7 @@ def test_i_max_checks_hermiticity_in_the_full_space(rng):
     skew[0, 2], skew[2, 0] = 1e-3, -1e-3
     bad = [DensityOperator([("B", 4)], np.pad(c.matrix, (0, 2)) + (x == 0) * skew,
                            validate=False) for x, c in enumerate(cq.conditionals)]
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(linalg.NotHermitianError, match="^matrix is not Hermitian within"):
         ent.i_max_cq(CQState(cq.symbols, cq.probs, bad), 0.0)
 
 
@@ -1163,10 +1167,34 @@ def test_i_max_commuting_ensemble_needs_no_newton_stage():
             conds = [DensityOperator([("B", d)], np.diag(np.roll(noise, x)))
                      for x in range(3)]
             r = ent.i_max_cq(CQState([0, 1, 2], [0.2, 0.3, 0.5], conds), 0.0)
-            # commuting states: the optimum is sum_b max_x p(b|x)
-            want = np.log2(np.sum(np.max([np.roll(noise, x) for x in range(3)], axis=0)))
+            want = imax_commuting([0.2, 0.3, 0.5], [np.roll(noise, x) for x in range(3)])
             assert r.newton_steps == 0 and r.duality_gap <= 1e-9
             assert abs(r.value - want) <= 1e-9
+
+
+# (d, symbols, levels of each state's support, eps), each drawn twice under
+# its own Haar rotation: joint supports of 3 to 24 levels, some solved with
+# the Newton stage and some above NEWTON_MAX_DIM by the fixed point alone
+COMMUTING_CASES = [(4, 3, 2, 0.0), (4, 4, 4, 0.1), (8, 3, 4, 0.0), (8, 5, 8, 0.2),
+                   (16, 4, 4, 0.0), (16, 5, 8, 0.1), (32, 3, 4, 0.0), (32, 4, 8, 0.1),
+                   (64, 3, 8, 0.0)]
+
+
+def test_i_max_matches_the_commuting_closed_form_up_to_d64():
+    rng, smoothed = np.random.default_rng(20261020), []
+    for _ in range(2):
+        for d, n, levels, eps in COMMUTING_CASES:
+            probs, dists = flat_dirichlet(rng, n), np.zeros((n, d))
+            for x in range(n):
+                dists[x, rng.choice(d, size=levels, replace=False)] = flat_dirichlet(rng, levels)
+            u = haar_unitary(standard_complex(ginibre_normals(rng, d, n=1)))[0]
+            cq = CQState(range(n), probs, (u * dists[:, None, :]) @ linalg.dagger(u),
+                         registers=(("E", d),))
+            r = ent.i_max_cq(cq, eps)
+            want = imax_commuting(probs.tolist(), dists.tolist(), eps)
+            assert r.value - r.duality_gap - 1e-12 <= want <= r.value + 1e-12, (d, n, eps, r)
+            smoothed.append(eps > 0 and want != imax_commuting(probs.tolist(), dists.tolist()))
+    assert any(smoothed)  # the oracle dropped symbols that moved the value
 
 
 def test_h_max_smooth_invariant_survives_python_O():

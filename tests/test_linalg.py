@@ -7,7 +7,7 @@ import pytest
 
 from puredist import linalg
 from puredist.sampling import ginibre_density
-from puredist.states import DensityOperator, Povm
+from puredist.states import CQState, DensityOperator, Povm
 
 from oracles import haar_vector
 
@@ -110,14 +110,20 @@ def test_eigvals_bit_identical_to_eig(rng):
 
 def test_eigvals_rejects_what_eig_rejects():
     near = np.array([[1.0, 1e-8], [0.0, 1.0]])  # Hermitian within 1e-7, not 1e-9
-    for m in (np.ones((2, 3)), np.ones(3), np.array([[0.0, 1.0], [0.0, 0.0]]), near):
-        with pytest.raises(ValueError) as full:
-            linalg.eig_hermitian(m)
-        with pytest.raises(ValueError) as vals:
-            linalg.eigvals_hermitian(m)
-        assert str(vals.value) == str(full.value)
-    assert np.array_equal(linalg.eigvals_hermitian(near, tol=1e-7),
-                          linalg.eig_hermitian(near, tol=1e-7)[0])
+    # each eigenvalue-only function, and the bits it gives a Hermitian part
+    for eigvals, bits in ((linalg.eigvals_hermitian, lambda h: linalg.eig_hermitian(h)[0]),
+                          (linalg.eigvalsh, np.linalg.eigvalsh)):
+        for m in (np.ones((2, 3)), np.ones(3), np.array([[0.0, 1.0], [0.0, 0.0]]), near):
+            with pytest.raises(ValueError) as full:
+                linalg.eig_hermitian(m)
+            with pytest.raises(ValueError) as vals:
+                eigvals(m)
+            assert type(vals.value) is type(full.value) and str(vals.value) == str(full.value)
+        with pytest.raises(linalg.NotHermitianError):
+            eigvals(np.stack([np.eye(2), near]))
+        # within an explicit tol, the input is symmetrized
+        want = bits(linalg.hermitian_part(near + 0j))
+        assert eigvals(near, tol=1e-7).tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
@@ -128,11 +134,10 @@ def test_eigen_functions_reject_non_finite_input(bad):
         for cell in cells:
             m[cell] = bad
         for x in (m, np.stack([np.eye(3), m])):
-            with pytest.raises(ValueError) as full:
-                linalg.eig_hermitian(x)
-            with pytest.raises(ValueError) as vals:
-                linalg.eigvals_hermitian(x)
-            assert str(full.value) == str(vals.value) == "matrix is not Hermitian within tolerance"
+            for f in (linalg.eig_hermitian, linalg.eigvals_hermitian, linalg.eigvalsh):
+                with pytest.raises(linalg.NotHermitianError,
+                                   match="^matrix is not Hermitian within tolerance$"):
+                    f(x)
 
 
 def test_stacked_kernels_match_per_matrix_calls(rng):
@@ -152,7 +157,27 @@ def test_stacked_kernels_match_per_matrix_calls(rng):
             linalg.eigvals_hermitian(mixed)
     empty = np.zeros((0, 3, 3))
     assert linalg.trace_norm(empty).shape == (0,)
-    assert linalg.eigvals_hermitian(empty).shape == (0, 3)
+    assert linalg.eigvals_hermitian(empty).shape == linalg.eigvalsh(empty).shape == (0, 3)
+
+
+def test_each_eigenvalue_function_keeps_the_bits_of_its_lapack_routine(rng):
+    # per_size stacks of mixed sizes of Hermitian states: every member of
+    # eigvalsh has the bits of np.linalg.eigvalsh, LAPACK's eigenvalue-only
+    # routine, and every member of psd_eigvals and of a CQState's spectra the
+    # clipped eigenvalues of eig_hermitian, eigh's
+    stacks = [linalg.hermitian_part(np.array([ginibre_density(rng, d, int(rng.integers(1, d + 1)))
+                                              for _ in range(int(rng.integers(1, 5)))]))
+              for d in rng.integers(1, 17, size=12)]
+    for f, bits in ((linalg.eigvalsh, np.linalg.eigvalsh),
+                    (linalg.psd_eigvals,
+                     lambda m: linalg.clip_psd_spectrum(linalg.eig_hermitian(m)[0]))):
+        for stack, got in zip(stacks, linalg.per_size(f, stacks), strict=True):
+            assert [w.tobytes() for w in got] == [bits(m).tobytes() for m in stack]
+    for stack in stacks[:6]:
+        cq = CQState(range(len(stack)), np.full(len(stack), 1 / len(stack)), stack,
+                     registers=(("B", stack.shape[-1]),))
+        assert [w.tobytes() for w in cq.spectra] == [
+            linalg.clip_psd_spectrum(linalg.eig_hermitian(m)[0]).tobytes() for m in stack]
 
 
 def test_trace_norm_calls_no_funnel_on_an_empty_side(rng, monkeypatch):

@@ -15,11 +15,13 @@ turn, each value from its own one-state call (``h_h``, ``h_h_cond_cq``,
 ``h_tilde_max``, ...). Their cq states come from ``per_symbol_random_cq``,
 the per-symbol sampler that ``random_cq`` replaced, so a change in
 the stacked sampler's bits shows here too, and the D_H check's pairs go
-through the one-pair solver that ``d_h_many`` replaced. Each batched check
-must also leave its generator where its reference leaves it: its loop makes
-the same draws, merged into fewer ``normal`` calls at most (a flat
-``dirichlet`` call as ``sampling.flat_dirichlet``), and builds the rest
-after it.
+through the one-pair solver that ``d_h_many`` replaced. The spectral checks
+take their spectra from LAPACK's eigenvalue-only routine (``linalg.eigvalsh``),
+so their references run with ``linalg.psd_eigvals`` taking theirs the same
+way (``_run``). Each batched check must also leave its generator where its
+reference leaves it: its loop makes the same draws, merged into fewer
+``normal`` calls at most (a flat ``dirichlet`` call as
+``sampling.flat_dirichlet``), and builds the rest after it.
 """
 
 import numpy as np
@@ -293,12 +295,27 @@ def check_condhh_derandomization(rng, trials, eps):
 
 
 
-def _run(name, gen, rng, trials, eps):
-    """The CheckResult the suite's harness makes of a per-trial body."""
+# the checks that take their spectra in verify._padded_spectra, from LAPACK's
+# eigenvalue-only routine, whose bits differ from those of eigh's eigenvalues
+SPECTRAL = set(REFERENCE) - {"dh-neyman-pearson-vs-lp"}
+
+
+def _eigvalsh_spectra(m):
+    """The clipped spectra of verify._padded_spectra, where the per-trial
+    bodies' states take ``linalg.psd_eigvals``."""
+    return linalg.clip_psd_spectrum(linalg.eigvalsh(m))
+
+
+def _run(name, rng, trials, eps, monkeypatch):
+    """The CheckResult the suite's harness makes of a check's per-trial body,
+    a spectral check's states decomposed as the batched check decomposes them."""
     trials, bad, worst = max(1, trials // PER[name]), 0, np.inf
-    for gap in gen(rng, trials, eps):
-        worst = min(worst, gap)
-        bad += gap < 0
+    with monkeypatch.context() as patch:
+        if name in SPECTRAL:
+            patch.setattr(linalg, "psd_eigvals", _eigvalsh_spectra)
+        for gap in REFERENCE[name](rng, trials, eps):
+            worst = min(worst, gap)
+            bad += gap < 0
     return verify.CheckResult(name, trials, bad, worst)
 
 
@@ -311,12 +328,12 @@ def test_reference_covers_the_batched_checks():
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
-def test_batched_check_keeps_the_results_of_the_per_trial_body(name):
+def test_batched_check_keeps_the_results_of_the_per_trial_body(name, monkeypatch):
     for seed in (1, 2, 3, 4):
         for eps in (None, 0.1):
             batched, loop = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _check(name)(batched, 40 * PER[name], eps)
-            want = _run(name, REFERENCE[name], loop, 40 * PER[name], eps)
+            want = _run(name, loop, 40 * PER[name], eps, monkeypatch)
             assert (got.trials, got.violations, got.worst) == \
                 (want.trials, want.violations, want.worst), (seed, eps)
             # the same draws, and no others: the generator ends where the body leaves it
@@ -385,17 +402,12 @@ def test_batched_check_reports_a_fault_in_the_function_it_checks(name, monkeypat
 @pytest.mark.parametrize("name", sorted(set(REFERENCE) - {"dh-neyman-pearson-vs-lp"}))
 def test_batched_check_decomposes_once_per_matrix_size(name, monkeypatch):
     sizes = []
-    orig = linalg._eigh
-
-    def counting(m, *args, **kwargs):
-        sizes.append(np.shape(m)[-1])
-        return orig(m, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_eigh", counting)
+    for fn in ("_eigh", "_eigvalsh"):  # every eigendecomposition passes one of them
+        monkeypatch.setattr(linalg, fn, lambda m, _orig=getattr(linalg, fn):
+                            sizes.append(np.shape(m)[-1]) or _orig(m))
     for trials in (50, 200):
         sizes.clear()
         _check(name)(np.random.default_rng(6), trials, None)
-        # every eigendecomposition with eigenvectors passes linalg._eigh
         assert 0 < len(sizes) <= 2 * len(set(sizes)), (trials, sizes)
 
 
@@ -472,7 +484,7 @@ def test_cq_check_drops_a_symbol_as_its_per_trial_body_does(name, monkeypatch):
         batched, loop = DroppingRng(seed, every=3), DroppingRng(seed, every=3)
         got = _check(name)(batched, 40 * PER[name], None)
         drops.clear()
-        want = _run(name, REFERENCE[name], loop, 40 * PER[name], None)
+        want = _run(name, loop, 40 * PER[name], None, monkeypatch)
         # not vacuous: the reference really dropped symbols
         assert sum(drops) > 0, seed
         assert (got.trials, got.violations, got.worst) == \
