@@ -74,7 +74,8 @@ class ImaxResult:
     ``value`` is attained by the feasible ``sigma``; ``duality_gap`` bounds
     the distance to the true optimum (value - gap <= optimum <= value).
     ``iterations`` counts fixed-point iterations and ``newton_steps`` the
-    Newton steps of the barrier stage.
+    Newton steps of both Newton stages: on the optimality conditions and on
+    the barrier.
     """
 
     value: float
@@ -674,7 +675,7 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int):
     return povm, iterations
 
 
-# Stage 2 solves an r^2 x r^2 Newton system, so it only runs up to this support
+# Stage 3 solves an r^2 x r^2 Newton system, so it only runs up to this support
 # dimension r.
 NEWTON_MAX_DIM = 16
 
@@ -683,25 +684,31 @@ IMAX_GAP_TOL = 1e-9
 IMAX_MAX_ITERATIONS = 10000
 
 
-def _fixed_point_budget(r: int) -> int:
-    """Fixed-point iterations to run before handing the tail to stage 2.
+def _fixed_point_budget(r: int, kkt: bool = False) -> int:
+    """Fixed-point iterations to run before handing the tail to stages 2 and 3.
 
     ``r`` is the dimension the stages run in: the joint support of the
     ensemble (see ``i_max_cq``), which is also what ``NEWTON_MAX_DIM``
-    gates, so a d > 16 ensemble of small support gets the Newton stage too.
+    gates, so a d > 16 ensemble of small support gets the Newton stages too;
+    ``kkt`` says whether stage 2 runs (``KKT_MAX_UNKNOWNS``).
 
-    On one core of a 2-CPU x86 host, with n = 3-4 states, a fixed-point
-    iteration costs 0.09-0.12 ms at r <= 4, 0.1-0.17 ms at r = 6-8, 0.2 ms
-    at r=12 and 0.3 ms at r=16; a Newton step about 0.17 ms at r <= 4,
-    0.3-0.45 ms at r = 6-8, 0.9 ms at r=12 and 3 ms at r=16. A stage 2 of
-    14 steps costs about as much as 25 fixed-point iterations at r <= 4,
-    35 at r=8, 65 at r=12 and 130 at r=16, and the budget follows that
-    crossover. Solved on their supports (r = 3-4), 500 of the
-    600 kd-quantum pool ensembles spend the whole 25-27-iteration budget
-    and then take a median of 15 Newton steps (5-48); the other 100
-    certify within 12-27 iterations.
+    Where it runs, 15 iterations bring the fixed point into its basin: of
+    the 600 kd-quantum pool ensembles (n = 3-4 states on r = 3-4), 20
+    certify within them, and the other 580 start stage 2 at gaps of 1e-9 to
+    1e-2 bits, from which 566 certify in 1-6 steps (median 2) and 14 decline
+    to stage 3. A budget of 10 runs faster still, but it hands stage 2
+    ensembles that the fixed point certifies within 11-15 iterations, such as
+    demo 01's, and moves their printed values.
+
+    Elsewhere the budget is the crossover with stage 3. On one core of a
+    2-CPU x86 host, with n = 3-4 states, a fixed-point iteration costs
+    0.09-0.12 ms at r <= 4, 0.1-0.17 ms at r = 6-8, 0.2 ms at r=12 and 0.3
+    ms at r=16; a barrier Newton step about 0.17 ms at r <= 4, 0.3-0.45 ms at
+    r = 6-8, 0.9 ms at r=12 and 3 ms at r=16. A stage 3 of 14 steps costs
+    about as much as 25 fixed-point iterations at r <= 4, 35 at r=8, 65 at
+    r=12 and 130 at r=16, and the budget follows that crossover.
     """
-    return 25 + r ** 3 // 32
+    return 15 if kkt else 25 + r ** 3 // 32
 
 
 def _joint_support(states: np.ndarray):
@@ -737,10 +744,85 @@ def _newton_step(sinv: np.ndarray, grad: np.ndarray):
                           -(grad.real + grad.imag).reshape(-1)).reshape(d, d)
     except np.linalg.LinAlgError:
         return None
-    return (m + m.T) / 2.0 + 0.5j * (m - m.T)
+    return _hermitian(m)
 
 
-# Stage 2 multiplies t by this factor per outer step, and takes at most this
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """The Hermitian H = (M + M^T)/2 + i (M - M^T)/2 of each real matrix M of a
+    stack: the inverse of the real coordinates M = Re H + Im H."""
+    mt = m.swapaxes(-1, -2)
+    return (m + mt) / 2.0 + 0.5j * (m - mt)
+
+
+def _kkt_step(states, tau, pis):
+    """The Newton step (dtau, dPi_1, ..., dPi_n), as one (n + 1, r, r) stack,
+    of the optimality conditions of min Tr tau s.t. tau >= rho_x at (tau, Pi):
+    sum_x Pi_x = I and S_x Pi_x + Pi_x S_x = 0 with S_x = tau - rho_x (the AHO
+    direction at mu = 0). None if the system is singular.
+
+    Its (n + 1) r^2 real unknowns are the real coordinates of the Hermitian
+    dtau and dPi_x (see ``_newton_step``): the map H -> A H + H A of a
+    Hermitian A has the complex matrix K = A (x) I + I (x) A^T and the real
+    one Re K[ij,kl] + Im K[ij,lk].
+    """
+    n, r, _ = states.shape
+    r2, eye = r * r, np.eye(r)
+    s = tau - states
+    ops = np.concatenate([pis, s])
+    k = np.einsum("aik,jl->aijkl", ops, eye) + np.einsum("ik,alj->aijkl", eye, ops)
+    k = (k.real + k.imag.swapaxes(-1, -2)).reshape(2 * n, r2, r2)
+    # rows: sum_x dPi_x, then per x dtau Pi_x + Pi_x dtau + S_x dPi_x + dPi_x S_x
+    jac = np.zeros((n + 1, r2, n + 1, r2))
+    rows = np.arange(1, n + 1)
+    jac[0, :, 1:] = np.eye(r2)[:, None]
+    jac[rows, :, 0] = k[:n]
+    jac[rows, :, rows] = k[n:]
+    sp = s @ pis
+    res = np.concatenate([(eye - np.add.reduce(pis))[None], -(sp + linalg.dagger(sp))])
+    try:
+        m = linalg._solve(jac.reshape((n + 1) * r2, -1), (res.real + res.imag).reshape(-1))
+    except np.linalg.LinAlgError:
+        return None
+    return _hermitian(m.reshape(n + 1, r, r))
+
+
+# Stage 2 solves (n + 1) r^2 real unknowns a step, so it only runs up to this
+# many, and it takes at most this many steps. From the fixed point's budget on
+# full-support ensembles, one core of a 2-CPU x86 host, it took x0.36-0.64 of
+# stage 3's time up to 180 unknowns, x0.82 at 196 and x1.02-2.2 from 216 up.
+KKT_MAX_UNKNOWNS = 150
+KKT_MAX_STEPS = 6
+
+
+def _kkt_newton(states, povm, best: _Bounds) -> int:
+    """Newton's method on the optimality conditions (``_kkt_step``), from
+    ``povm`` and the best feasible tau.
+
+    Each step is certified through ``_certify`` with the exact POVM that
+    ``_povm_from`` makes of the PSD parts of the Pi_x, and kept through
+    ``best``. Stops at ``IMAX_GAP_TOL``; declines on a singular system, on a
+    step that does not halve the gap, or after ``KKT_MAX_STEPS``. Returns the
+    number of steps taken.
+    """
+    eye = np.eye(states.shape[1])
+    tau, pis, gap = best.tau, povm, best.gap
+    for step in range(1, KKT_MAX_STEPS + 1):
+        h = _kkt_step(states, tau, pis)
+        if h is None:
+            return step - 1
+        tau, pis = tau + h[0], pis + h[1:]
+        w, v = linalg._eigh(pis)
+        certified = _povm_from(states, (v * np.maximum(w, 0.0)[:, None, :]) @ linalg.dagger(v),
+                               eye)
+        lower, upper, feasible = _certify(states, certified, tau, eye)
+        step_gap = _gap_bits(lower, upper)
+        if best.update(lower, upper, feasible) <= IMAX_GAP_TOL or step_gap > 0.5 * gap:
+            return step
+        gap = step_gap
+    return KKT_MAX_STEPS
+
+
+# Stage 3 multiplies t by this factor per outer step, and takes at most this
 # many Newton steps in all.
 BARRIER_GROWTH = 8.0
 NEWTON_MAX_STEPS = 200
@@ -832,10 +914,10 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     total mass <= eps before solving.
 
     The SDP dual is unnormalized multi-state discrimination
-    max sum_x Tr[Y_x rho_x] over POVMs {Y_x}. Two stages share one
+    max sum_x Tr[Y_x rho_x] over POVMs {Y_x}. The stages share one
     certificate (``_certify``): every POVM gives a lower bound, every
     candidate tau is lifted to a feasible one for an upper bound, and the
-    best pair over both stages is reported, in bits.
+    best pair over all stages is reported, in bits.
 
     The stages run on the joint support of the kept rows of ``cq.stack``:
     with V (d x r) spanning the support of sum_x rho_x (``_joint_support``),
@@ -845,19 +927,24 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     environment ensembles, for one, have d = |B| rank(rho_AB) but
     r <= |A|. When r = d the states are used as they are.
 
-    1. The discrimination fixed point.
-    2. If the fixed point has not reached ``IMAX_GAP_TOL`` within a budget
-       set by r (``_fixed_point_budget``) and r <= ``NEWTON_MAX_DIM``, a
-       Newton barrier method takes over the slow tail. Should it stall, the
-       fixed point resumes from its POVM, up to ``IMAX_MAX_ITERATIONS``
-       iterations in all.
+    1. The discrimination fixed point, for a budget set by r and by whether
+       stage 2 runs (``_fixed_point_budget``) when r <= ``NEWTON_MAX_DIM``.
+    2. If it has not reached ``IMAX_GAP_TOL`` and the (n + 1) r^2 unknowns
+       of n states are at most ``KKT_MAX_UNKNOWNS``, Newton's method on the
+       optimality conditions (``_kkt_newton``) takes over from its POVM and
+       the best feasible tau. Where the optimum is nondegenerate it
+       converges quadratically; elsewhere it declines within a few steps.
+    3. If the gap is still open, a Newton barrier method (``_barrier``) takes
+       over the slow tail. Should it stall, the fixed point resumes from its
+       POVM, up to ``IMAX_MAX_ITERATIONS`` iterations in all.
 
     A reduced result is lifted back and its tau certified once more in the
     full space (``_Bounds.lift``), so ``sigma`` is a d x d operator feasible
     for the original rho_x. ``value`` is the feasible (upper) side, so
     value - duality_gap <= optimum <= value always holds. ``iterations``
-    counts fixed-point iterations and ``newton_steps`` barrier steps; a run
-    left at the cap above max(IMAX_GAP_TOL, 1e-6) bits warns, unconverged.
+    counts fixed-point iterations and ``newton_steps`` the steps of stages 2
+    and 3; a run left at the cap above max(IMAX_GAP_TOL, 1e-6) bits warns,
+    unconverged.
     """
     _validate_eps(eps)
     states = cq.stack[_imax_smooth_support(cq, eps)]
@@ -872,17 +959,21 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     r = reduced.shape[1]
     best = _Bounds(reduced)
     povm = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
+    kkt = (n + 1) * r * r <= KKT_MAX_UNKNOWNS
     budget = IMAX_MAX_ITERATIONS
     if r <= NEWTON_MAX_DIM:
-        budget = min(budget, _fixed_point_budget(r))
+        budget = min(budget, _fixed_point_budget(r, kkt))
     povm, iters = _fixed_point(reduced, povm, best, budget)
     steps = 0
     if best.gap > IMAX_GAP_TOL and iters < IMAX_MAX_ITERATIONS:  # the budget ran out
-        last, steps = _barrier(reduced, best)
+        steps = _kkt_newton(reduced, povm, best) if kkt else 0
         if best.gap > IMAX_GAP_TOL:
-            povm, more = _fixed_point(reduced, povm if last is None else last, best,
-                                      IMAX_MAX_ITERATIONS - iters)
-            iters += more
+            last, more = _barrier(reduced, best)
+            steps += more
+            if best.gap > IMAX_GAP_TOL:
+                povm, more = _fixed_point(reduced, povm if last is None else last, best,
+                                          IMAX_MAX_ITERATIONS - iters)
+                iters += more
     if basis is not None:
         best.lift(states, basis, povm)
     gap = best.gap

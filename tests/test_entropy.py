@@ -991,8 +991,11 @@ def test_i_max_iteration_cap_warns_and_keeps_a_valid_interval(monkeypatch):
 
 
 def test_i_max_resumes_the_fixed_point_when_the_newton_stage_stalls(monkeypatch):
-    # a singular Newton system ends stage 2 before its first step; the fixed
-    # point then resumes from its own POVM and must certify the same optimum
+    # a singular Newton system ends the barrier stage before its first step;
+    # the fixed point then resumes from its own POVM and must certify the same
+    # optimum. The stage on the optimality conditions is gated off, so both
+    # solves run the barrier's fixed-point budget
+    monkeypatch.setattr(ent, "KKT_MAX_UNKNOWNS", 0)
     reached = 0
     for index in range(6):
         cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
@@ -1130,7 +1133,9 @@ def ref_barrier(states, best):
 
 def test_i_max_keeps_the_bits_of_the_reference_stages(monkeypatch):
     # 48 kd environment ensembles (d = 8-16 on supports r = 3-4) and 12
-    # full-support ensembles of r = 2-16; most of them reach the Newton stage
+    # full-support ensembles of r = 2-16; most of them reach the barrier
+    # stage, since the stage on the optimality conditions declines at once
+    monkeypatch.setattr(ent, "_kkt_newton", lambda states, povm, best: 0)
     rng = np.random.default_rng(27)
     cases = [(kd_environment_ensemble(i, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[i % 3]), 1e-4)
              for i in range(48)]
@@ -1156,6 +1161,100 @@ def test_i_max_keeps_the_bits_of_the_reference_stages(monkeypatch):
 
 def test_newton_step_of_a_singular_system_is_none():
     assert ent._newton_step(np.zeros((2, 3, 3), dtype=complex), np.eye(3, dtype=complex)) is None
+
+
+def kkt_cases():
+    """The 48 kd environment ensembles and 12 full-support ensembles of
+    r = 3-4, with the eps each is solved at."""
+    rng = np.random.default_rng(48)
+    cases = [(kd_environment_ensemble(i, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[i % 3]), 1e-4)
+             for i in range(48)]
+    return cases + [(random_cq(rng, int(rng.integers(3, 6)), 3 + i % 2), 0.0) for i in range(12)]
+
+
+def test_i_max_certified_intervals_overlap_with_and_without_the_kkt_stage(monkeypatch):
+    # stage 2 declined at once (as on a singular system) leaves the barrier to
+    # certify; both solves certify the same optimum, and stage 2 certifies
+    # most of the ensembles it runs on
+    kkt, after = ent._kkt_newton, []
+
+    def recorded(states, povm, best):
+        steps = kkt(states, povm, best)
+        after.append(best.gap <= ent.IMAX_GAP_TOL)
+        return steps
+
+    for cq, eps in kkt_cases():
+        with monkeypatch.context() as m:
+            m.setattr(ent, "_kkt_newton", recorded)
+            got = ent.i_max_cq(cq, eps)
+        with monkeypatch.context() as m:
+            m.setattr(ent, "_kkt_newton", lambda states, povm, best: 0)
+            declined = ent.i_max_cq(cq, eps)
+        for r in (got, declined):
+            assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
+            assert_sigma_feasible(cq, r)
+        lower = max(got.value - got.duality_gap, declined.value - declined.duality_gap)
+        assert lower <= min(got.value, declined.value), (got, declined)
+    assert len(after) >= 45 and sum(after) >= 0.9 * len(after), (len(after), sum(after))
+
+
+def test_i_max_kkt_stage_declines_to_the_barrier_on_a_degenerate_kd_ensemble(monkeypatch):
+    # kd-quantum pool ensemble 47: Newton on the optimality conditions cuts
+    # its gap only about 4x a step, so stage 2 stops at its step cap and the
+    # barrier certifies; with both Newton stages singular, the fixed point
+    # resumes past its budget and certifies the same optimum
+    cq, budget = kd_environment_ensemble(47, 4, 4, 4), ent._fixed_point_budget(4, kkt=True)
+    kkt, after = ent._kkt_newton, []
+
+    def recorded(states, povm, best):
+        steps = kkt(states, povm, best)
+        after.append((steps, best.gap))
+        return steps
+
+    monkeypatch.setattr(ent, "_kkt_newton", recorded)
+    r = ent.i_max_cq(cq, 1e-4)
+    [(steps, gap)] = after
+    assert steps == ent.KKT_MAX_STEPS and gap > ent.IMAX_GAP_TOL
+    assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
+    assert r.iterations == budget and r.newton_steps > steps
+    assert_sigma_feasible(cq, r)
+    monkeypatch.setattr(ent, "_kkt_step", lambda states, tau, pis: None)
+    monkeypatch.setattr(ent, "_newton_step", lambda sinv, grad: None)
+    resumed = ent.i_max_cq(cq, 1e-4)
+    assert after[-1][0] == 0
+    assert resumed.converged and resumed.newton_steps == 0 and resumed.iterations > budget
+    assert abs(resumed.value - r.value) <= resumed.duality_gap + r.duality_gap
+    assert_sigma_feasible(cq, resumed)
+
+
+def test_kkt_step_solves_the_complex_optimality_system():
+    # the real-coordinate solve against np.linalg.solve of the complex system
+    # in dtau and the dPi_x, at the iterate each ensemble hands to stage 2
+    def lyapunov(a):  # H -> A H + H A on row-major vec(H)
+        return np.kron(a, np.eye(len(a))) + np.kron(np.eye(len(a)), a.T)
+
+    for cq, eps in kkt_cases()[::4]:
+        states = cq.stack[ent._imax_smooth_support(cq, eps)]
+        basis = ent._joint_support(states)
+        if basis is not None:
+            states = linalg.dagger(basis) @ states @ basis
+        n, r, _ = states.shape
+        best = ent._Bounds(states)
+        uniform = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
+        pis, _ = ent._fixed_point(states, uniform, best, ent._fixed_point_budget(r, kkt=True))
+        tau, r2 = best.tau, r * r
+        jac = np.zeros(((n + 1) * r2, (n + 1) * r2), dtype=complex)
+        for x in range(n):
+            block = slice((x + 1) * r2, (x + 2) * r2)
+            jac[:r2, block] = np.eye(r2)
+            jac[block, :r2] = lyapunov(pis[x])
+            jac[block, block] = lyapunov(tau - states[x])
+        s = tau - states
+        res = np.concatenate([(np.eye(r) - pis.sum(axis=0))[None], -(s @ pis + pis @ s)])
+        want = np.linalg.solve(jac, res.reshape(-1)).reshape(n + 1, r, r)
+        assert np.abs(ent._kkt_step(states, tau, pis) - want).max() <= 1e-12
+    assert ent._kkt_step(np.zeros((2, 3, 3), dtype=complex), np.zeros((3, 3)),
+                         np.zeros((2, 3, 3))) is None
 
 
 def test_i_max_commuting_ensemble_needs_no_newton_stage():

@@ -1,8 +1,8 @@
 """Smoke tests of the tools that compare checkouts: ``tools/pool_time.py``,
 which times two checkouts in one process and shows the fields where their
 outputs differ, here this repository loaded as both sides on a narrowed set
-of jobs, and ``tools/pool_hash.py``, whose exit status is the bit-for-bit
-gate, on a narrowed pool; and of ``tools/code_lines.py``, the size figure,
+of jobs, and ``tools/pool_hash.py``, whose exit status is the reference
+gate and whose byte count shows drift within it, on a narrowed pool; and of ``tools/code_lines.py``, the size figure,
 on a module written here."""
 
 import json
@@ -105,6 +105,24 @@ def test_pool_hash_exits_1_when_an_output_misses_its_ref(tools, monkeypatch, cap
     assert pool_hash.main([str(ROOT), "compare-sweep"]) == 1
     assert "pool 3, ref misses 1," in capsys.readouterr().out
 
+
+
+def test_pool_hash_counts_the_outputs_that_keep_their_refs_bytes(tools, monkeypatch, capsys):
+    # an output that moved within FLOAT_TOL still matches its ref, so the exit
+    # status stays 0, but it no longer has the ref's bytes
+    _, pool_hash = tools
+    from perfbench import jobs
+
+    refs = jobs.load_refs("compare-sweep")[:3]
+    monkeypatch.setitem(jobs.WORKLOADS, "compare-sweep", jobs.Workload(3, trace_jobs=3))
+    monkeypatch.setattr(jobs, "load_refs", lambda workload: refs)
+    assert pool_hash.main([str(ROOT), "compare-sweep"]) == 0
+    assert "pool 3, ref misses 0, ref bytes 3," in capsys.readouterr().out
+    moved = json.loads(refs[2]["out"])
+    moved["reports"][0]["margin"] += jobs.FLOAT_TOL / 10
+    refs[2] = dict(refs[2], out=json.dumps(moved))
+    assert pool_hash.main([str(ROOT), "compare-sweep"]) == 0
+    assert "pool 3, ref misses 0, ref bytes 2," in capsys.readouterr().out
 
 def test_code_lines_counts_neither_docstrings_nor_comments_nor_blank_lines(
         tmp_path, monkeypatch, capsys):

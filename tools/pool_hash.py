@@ -2,10 +2,12 @@
 
 Runs every job of each named workload's pool once, in pool order, untraced,
 in one process, and prints per workload the pool size, the number of
-outputs that miss their references (by ``perfbench.jobs.matches``) and the
-sha256 of all outputs in pool order, each followed by a NUL byte. Two
-checkouts whose hashes agree produce the same bytes on the whole pool; the
-reference check alone allows floats to move within ``FLOAT_TOL``.
+outputs that miss their references (by ``perfbench.jobs.matches``), the
+number that equal their references' bytes and the sha256 of all outputs in
+pool order, each followed by a NUL byte. Two checkouts whose hashes agree
+produce the same bytes on the whole pool; the reference check alone allows
+floats to move within ``FLOAT_TOL``, so the byte count shows how far the
+outputs have drifted from the bytes the references pin.
 
     python3 tools/pool_hash.py [ROOT] WORKLOAD...
 
@@ -38,7 +40,7 @@ def main(argv) -> int:
 
     missed = False
     for workload in argv:
-        refs, digest, misses = jobs.load_refs(workload), hashlib.sha256(), 0
+        refs, digest, misses, same = jobs.load_refs(workload), hashlib.sha256(), 0, 0
         with tempfile.TemporaryDirectory() as workdir, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the quality warnings of the pool
             specs = jobs.prepare(pd, workload, workdir)
@@ -50,8 +52,10 @@ def main(argv) -> int:
                     misses += 1
                 else:
                     misses += not jobs.matches(workload, output, ref)
+                    same += output == ref["out"]
                 digest.update(output.encode() + b"\0")
-        print(f"{workload}: pool {len(specs)}, ref misses {misses}, sha256 {digest.hexdigest()}")
+        print(f"{workload}: pool {len(specs)}, ref misses {misses}, ref bytes {same}, "
+              f"sha256 {digest.hexdigest()}")
         missed = missed or misses > 0
     return int(missed)
 
