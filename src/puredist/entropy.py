@@ -624,13 +624,28 @@ def _gap_bits(lower: float, upper: float) -> float:
 
 
 class _Bounds:
-    """Best certified lower and upper bound found so far, with the feasible
-    tau attaining the upper one."""
+    """Best certified lower and upper bound found so far on the ``states``
+    that the stages solve, with the feasible tau attaining the upper one, and
+    ``eye``, the identity the stages take. ``certify`` is the one
+    certify-and-stop step of all three stages."""
 
     def __init__(self, states: np.ndarray):
+        self.states, self.eye = states, np.eye(states.shape[1])
         self.lower = 1e-300
         self.tau = states.sum(axis=0)  # always feasible: tau = sum_x rho_x
         self.upper = float(self.tau.trace().real)
+
+    def certify(self, povm: np.ndarray, y: np.ndarray, last: float = np.inf):
+        """Certify ``povm`` and the candidate ``y`` (``_certify``) and keep
+        what improves (``update``). Returns the pair's gap in bits, or None
+        to stop: when the best gap is <= ``IMAX_GAP_TOL``, or when the pair's
+        gap is above half of ``last``, the previous gap that a Newton stage
+        passes."""
+        lower, upper, tau = _certify(self.states, povm, y, self.eye)
+        gap = _gap_bits(lower, upper)
+        if self.update(lower, upper, tau) <= IMAX_GAP_TOL or gap > 0.5 * last:
+            return None
+        return gap
 
     def update(self, lower: float, upper: float, tau: np.ndarray) -> float:
         """Keep the better bounds; returns the gap in bits."""
@@ -664,13 +679,11 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int):
     """Discrimination fixed point Pi_x <- T rho_x Pi_x rho_x T, certified every
     iteration by its Lagrange operator Y = sum_x rho_x Pi_x. Returns the last
     POVM and the number of iterations run."""
-    eye = np.eye(states.shape[1])
     rp = states @ povm
     for it in range(1, iterations + 1):
-        povm = _povm_from(states, rp @ states, eye)
+        povm = _povm_from(states, rp @ states, best.eye)
         rp = states @ povm
-        y = linalg.hermitian_part(np.add.reduce(rp))
-        if best.update(*_certify(states, povm, y, eye)) <= IMAX_GAP_TOL:
+        if best.certify(povm, linalg.hermitian_part(np.add.reduce(rp))) is None:
             return povm, it
     return povm, iterations
 
@@ -739,17 +752,17 @@ def _newton_step(sinv: np.ndarray, grad: np.ndarray):
     # place, so no more than two d^4 arrays are alive at a time
     hess = (pq.T @ np.concatenate([p, -q])).reshape(d, d, d, d).transpose(0, 3, 1, 2).copy()
     hess += (pq.T @ np.concatenate([q, p])).reshape(d, d, d, d).transpose(0, 3, 2, 1)
+    return _solve_hermitian(hess, -(grad.real + grad.imag))
+
+
+def _solve_hermitian(jac: np.ndarray, rhs: np.ndarray):
+    """Solve the real system ``jac`` M = ``rhs`` for the real coordinates
+    M = Re H + Im H of a stack of Hermitian H, shaped as ``rhs``; returns
+    H = (M + M^T)/2 + i (M - M^T)/2, or None if the system is singular."""
     try:
-        m = linalg._solve(hess.reshape(d * d, d * d),
-                          -(grad.real + grad.imag).reshape(-1)).reshape(d, d)
+        m = linalg._solve(jac.reshape(rhs.size, rhs.size), rhs.reshape(-1)).reshape(rhs.shape)
     except np.linalg.LinAlgError:
         return None
-    return _hermitian(m)
-
-
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    """The Hermitian H = (M + M^T)/2 + i (M - M^T)/2 of each real matrix M of a
-    stack: the inverse of the real coordinates M = Re H + Im H."""
     mt = m.swapaxes(-1, -2)
     return (m + mt) / 2.0 + 0.5j * (m - mt)
 
@@ -779,11 +792,7 @@ def _kkt_step(states, tau, pis):
     jac[rows, :, rows] = k[n:]
     sp = s @ pis
     res = np.concatenate([(eye - np.add.reduce(pis))[None], -(sp + linalg.dagger(sp))])
-    try:
-        m = linalg._solve(jac.reshape((n + 1) * r2, -1), (res.real + res.imag).reshape(-1))
-    except np.linalg.LinAlgError:
-        return None
-    return _hermitian(m.reshape(n + 1, r, r))
+    return _solve_hermitian(jac, res.real + res.imag)
 
 
 # Stage 2 solves (n + 1) r^2 real unknowns a step, so it only runs up to this
@@ -798,13 +807,12 @@ def _kkt_newton(states, povm, best: _Bounds) -> int:
     """Newton's method on the optimality conditions (``_kkt_step``), from
     ``povm`` and the best feasible tau.
 
-    Each step is certified through ``_certify`` with the exact POVM that
-    ``_povm_from`` makes of the PSD parts of the Pi_x, and kept through
-    ``best``. Stops at ``IMAX_GAP_TOL``; declines on a singular system, on a
-    step that does not halve the gap, or after ``KKT_MAX_STEPS``. Returns the
-    number of steps taken.
+    Each step is certified and kept through ``best.certify``, with the exact
+    POVM that ``_povm_from`` makes of the PSD parts of the Pi_x. Stops at
+    ``IMAX_GAP_TOL``; declines on a singular system, on a step that does not
+    halve the gap, or after ``KKT_MAX_STEPS``. Returns the number of steps
+    taken.
     """
-    eye = np.eye(states.shape[1])
     tau, pis, gap = best.tau, povm, best.gap
     for step in range(1, KKT_MAX_STEPS + 1):
         h = _kkt_step(states, tau, pis)
@@ -813,12 +821,10 @@ def _kkt_newton(states, povm, best: _Bounds) -> int:
         tau, pis = tau + h[0], pis + h[1:]
         w, v = linalg._eigh(pis)
         certified = _povm_from(states, (v * np.maximum(w, 0.0)[:, None, :]) @ linalg.dagger(v),
-                               eye)
-        lower, upper, feasible = _certify(states, certified, tau, eye)
-        step_gap = _gap_bits(lower, upper)
-        if best.update(lower, upper, feasible) <= IMAX_GAP_TOL or step_gap > 0.5 * gap:
+                               best.eye)
+        gap = best.certify(certified, tau, gap)
+        if gap is None:
             return step
-        gap = step_gap
     return KKT_MAX_STEPS
 
 
@@ -834,17 +840,17 @@ def _barrier(states, best: _Bounds):
     Minimizes t Tr tau - sum_x log det(tau - rho_x) for t rising by
     ``BARRIER_GROWTH``, warm-started just inside the best feasible tau, with
     damped Newton steps that backtrack until every tau - rho_x stays
-    positive definite. Each outer step is certified through ``_certify``
-    with the dual point Z_x = (tau - rho_x)^-1 / t, built from the positive
-    eigenvalues of tau - rho_x and normalized into an exact POVM. Stops when
-    the gap reaches ``IMAX_GAP_TOL`` or stalls (singular Newton system, no gap
-    progress). Returns the POVM of the last outer step (None if there was
-    none) and the number of Newton steps taken.
+    positive definite. Each outer step is certified and kept through
+    ``best.certify`` with the dual point Z_x = (tau - rho_x)^-1 / t, built
+    from the positive eigenvalues of tau - rho_x and normalized into an exact
+    POVM. Stops when the gap reaches ``IMAX_GAP_TOL`` or stalls (singular or
+    non-descent Newton step, failed backtracking, or an outer step that does
+    not halve the gap). Returns the POVM of the last outer step (None if
+    there was none) and the number of Newton steps taken.
     """
     n, d, _ = states.shape
-    eye = np.eye(d)
     margin = max(best.upper - best.lower, 1e-12 * best.upper)
-    tau = best.tau + (margin / d) * eye
+    tau = best.tau + (margin / d) * best.eye
     t = n * d / margin
     povm, steps = None, 0
 
@@ -862,11 +868,11 @@ def _barrier(states, best: _Bounds):
 
     logdet, eig = factor(tau)
     gap = np.inf
-    while logdet is not None and steps < NEWTON_MAX_STEPS:
+    while gap is not None and logdet is not None and steps < NEWTON_MAX_STEPS:
         # centering: damped Newton steps until the decrement is small
         while steps < NEWTON_MAX_STEPS:
             sinv = inverses(eig)
-            grad = t * eye - np.add.reduce(sinv)
+            grad = t * best.eye - np.add.reduce(sinv)
             step = _newton_step(sinv, grad)
             if step is None:
                 return povm, steps
@@ -894,12 +900,8 @@ def _barrier(states, best: _Bounds):
                     return povm, steps
             tau, logdet, eig = trial, new_logdet, new_eig
             steps += 1
-        povm = _povm_from(states, inverses(eig, t), eye)
-        lower, upper, feasible = _certify(states, povm, tau, eye)
-        step_gap = _gap_bits(lower, upper)
-        if best.update(lower, upper, feasible) <= IMAX_GAP_TOL or step_gap > 0.5 * gap:
-            break
-        gap = step_gap
+        povm = _povm_from(states, inverses(eig, t), best.eye)
+        gap = best.certify(povm, tau, gap)
         t *= BARRIER_GROWTH
     return povm, steps
 
@@ -915,9 +917,13 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
 
     The SDP dual is unnormalized multi-state discrimination
     max sum_x Tr[Y_x rho_x] over POVMs {Y_x}. The stages share one
-    certificate (``_certify``): every POVM gives a lower bound, every
-    candidate tau is lifted to a feasible one for an upper bound, and the
-    best pair over all stages is reported, in bits.
+    certify-and-stop step (``_Bounds.certify``): every POVM gives a lower
+    bound (``_certify``), every candidate tau is lifted to a feasible one for
+    an upper bound, the best pair over all stages is kept and reported, in
+    bits, and a stage stops once that best gap is within ``IMAX_GAP_TOL``, or,
+    in a Newton stage, once a step's gap does not halve. Both Newton stages
+    solve their linear systems in the real coordinates of Hermitian matrices
+    through one helper (``_solve_hermitian``).
 
     The stages run on the joint support of the kept rows of ``cq.stack``:
     with V (d x r) spanning the support of sum_x rho_x (``_joint_support``),

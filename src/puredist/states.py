@@ -215,8 +215,7 @@ class CQState:
     register signature, or with ``registers=`` as a stack taken unvalidated.
 
     The probabilities obey ``kept_symbols``: the symbols it does not keep
-    are dropped. ``conditionals``, views of the stack's rows, are built on
-    first read.
+    are dropped.
     """
 
     symbols: tuple
@@ -251,14 +250,10 @@ class CQState:
         return len(self.symbols)
 
     @cached_property
-    def conditionals(self) -> tuple:
-        """The stack's rows as ``DensityOperator``s."""
-        return tuple(DensityOperator(self.registers, m, validate=False) for m in self.stack)
-
-    @cached_property
     def spectra(self) -> np.ndarray:
-        """Row i is ``conditionals[i].spectrum()``, bit for bit, from one
-        stacked eigendecomposition, read-only."""
+        """Row i is the spectrum of ``stack[i]`` as a ``DensityOperator``'s
+        ``spectrum()`` gives it, bit for bit, from one stacked
+        eigendecomposition, read-only."""
         w = linalg.psd_eigvals(self.stack)
         w.flags.writeable = False
         return w

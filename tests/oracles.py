@@ -20,6 +20,11 @@ from puredist.sampling import (
 from puredist.states import CQState, DensityOperator, PureState
 
 
+def conditionals(cq: CQState) -> tuple:
+    """The rows of ``cq.stack`` as ``DensityOperator`` views."""
+    return tuple(DensityOperator(cq.registers, m, validate=False) for m in cq.stack)
+
+
 def pair_rng(seed: int, k: int, l: int) -> np.random.Generator:
     """The generator of table cell (k, l): its own PCG64 stream keyed by
     SeedSequence(seed, spawn_key=(k, l)), the reference of the table draw."""

@@ -38,7 +38,7 @@ from puredist.verify import (
     check_hh_support_sandwich,
 )
 
-from oracles import imax_qubit_grid_oracle, near_pure_classical, random_cq
+from oracles import conditionals, imax_qubit_grid_oracle, near_pure_classical, random_cq
 
 
 def report(name, ok, detail=""):
@@ -103,7 +103,7 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(100):
         cq = random_cq(rng, int(rng.integers(2, 4)), 2)
         got = entropy.i_max_cq(cq, 0.0)
-        want = imax_qubit_grid_oracle([c.matrix for c in cq.conditionals])
+        want = imax_qubit_grid_oracle([c.matrix for c in conditionals(cq)])
         worst_imax = max(worst_imax, abs(got.value - want))
     report("criterion 2b: i_max vs Bloch grid oracle, 100 qubit cq states",
            worst_imax <= 1e-3, f"worst {worst_imax:.2e}")

@@ -27,7 +27,7 @@ from puredist.sampling import (
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
-from oracles import mixed_protocol_input, pair_rng
+from oracles import conditionals, mixed_protocol_input, pair_rng
 
 BOT = "bot"  # the failure symbol's label
 
@@ -479,7 +479,7 @@ def test_ideal_states_equal_control_states(rng):
     for got, want in pairs:
         assert got.symbols == want.symbols == (0, 1)
         assert np.array_equal(got.probs, want.probs)
-        for c_got, c_want in zip(got.conditionals, want.conditionals):
+        for c_got, c_want in zip(conditionals(got), conditionals(want)):
             assert c_got.registers == c_want.registers
             assert np.array_equal(c_got.matrix, c_want.matrix)
 
@@ -508,7 +508,7 @@ def loop_ideal_blocks(inst):
     probs = np.zeros(len(inst.povm))
     conds = [None] * len(inst.povm)
     ideal = inst.ideal_env
-    for lbl, p, c in zip(ideal.symbols, ideal.probs, ideal.conditionals):
+    for lbl, p, c in zip(ideal.symbols, ideal.probs, conditionals(ideal)):
         x = inst.povm.labels.index(lbl)
         probs[x], conds[x] = p, c.matrix
     zero = np.zeros((inst.env_dim,) * 2, dtype=complex)

@@ -23,6 +23,7 @@ from puredist.sampling import (
 from puredist.states import CQState, DensityOperator, control_state
 
 from oracles import (
+    conditionals,
     cq_ensembles,
     cq_layout,
     ginibre_matrix,
@@ -514,7 +515,7 @@ def test_h_h_cond_cq_examples(rng):
     assert ent.h_h_cond_cq(cq_pure, 0.1).value <= 1e-12
     single = CQState([0], [1.0], [random_density(rng, 4, "B")])
     assert np.isclose(ent.h_h_cond_cq(single, 0.1).value,
-                      ent.h_h(single.conditionals[0], 0.1).value, atol=1e-12)
+                      ent.h_h(conditionals(single)[0], 0.1).value, atol=1e-12)
     # hand/exhaustive LP on the 3-variable knapsack
     got = ent.h_h_cond_cq(qubit_cq_example(), 0.1).value
     gains = [0.5 * 1.0, 0.5 * 0.5, 0.5 * 0.5]
@@ -529,7 +530,7 @@ def test_h_h_cond_cq_matches_scipy(rng):
         cq = random_cq(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
         eps = float(rng.choice([0.01, 0.1]))
         gains, costs = [], []
-        for p, c in zip(cq.probs, cq.conditionals):
+        for p, c in zip(cq.probs, conditionals(cq)):
             for lam in c.spectrum():
                 if lam > 1e-12:
                     gains.append(p * lam)
@@ -572,8 +573,8 @@ def test_h_min_cq_feasibility_grid_oracle(rng):
     # fine scan over the per-symbol scalars sigma_x (diagonal certificates)
     cq = qubit_cq_example()
     got = 2.0 ** (-ent.h_min_cq(cq))
-    lam0 = np.max(cq.conditionals[0].spectrum())
-    lam1 = np.max(cq.conditionals[1].spectrum())
+    lam0 = np.max(conditionals(cq)[0].spectrum())
+    lam1 = np.max(conditionals(cq)[1].spectrum())
     best = np.inf
     for s0 in np.linspace(0, 1, 501):
         for s1 in np.linspace(0, 1, 501):
@@ -602,7 +603,7 @@ def test_h_min_cq_smoothed_matches_enumeration(rng):
         for share in np.linspace(0, 1, 201):
             acc = 0.0
             for st_budget, p, c in zip((share * budget, (1 - share) * budget),
-                                       cq.probs, cq.conditionals):
+                                       cq.probs, conditionals(cq)):
                 w = np.sort(c.spectrum())[::-1]
                 local = st_budget / p
                 # optimal within one symbol: water-cut from the top
@@ -623,7 +624,7 @@ def loop_h_h_cond_cq(cq, eps):
     """h_h_cond_cq's value, weights, gains and costs from one spectrum() per
     conditional, the per-symbol loop it ran before it read cq.spectra."""
     gains, costs = [], []
-    for p, cond in zip(cq.probs, cq.conditionals):
+    for p, cond in zip(cq.probs, conditionals(cq)):
         w = cond.spectrum()
         w = w[w > ent.SUPPORT_TOL]
         gains.append(p * w)
@@ -635,7 +636,7 @@ def loop_h_h_cond_cq(cq, eps):
 
 
 def loop_h_min_cq(cq):
-    acc = sum(p * float(np.max(c.spectrum())) for p, c in zip(cq.probs, cq.conditionals))
+    acc = sum(p * float(np.max(c.spectrum())) for p, c in zip(cq.probs, conditionals(cq)))
     return float(-np.log2(acc))
 
 
@@ -644,7 +645,7 @@ def loop_h_min_cq_smoothed(cq, eps):
     before it read cq.spectra."""
     budget = eps * eps
     levels = []
-    for p, cond in zip(cq.probs, cq.conditionals):
+    for p, cond in zip(cq.probs, conditionals(cq)):
         w = np.sort(cond.spectrum())[::-1]
         m0 = int(np.sum(w >= w[0] - 1e-15))
         levels.append({"p": p, "w": w, "t": float(w[0]), "m": m0})
@@ -696,8 +697,8 @@ def stacked_cq_cases(rng):
 
 def test_cq_spectra_and_entropies_keep_the_bits_of_the_per_conditional_loops(rng):
     for cq in stacked_cq_cases(rng):
-        assert cq.stack.shape == (len(cq),) + cq.conditionals[0].matrix.shape
-        for i, c in enumerate(cq.conditionals):
+        assert cq.stack.shape == (len(cq),) + conditionals(cq)[0].matrix.shape
+        for i, c in enumerate(conditionals(cq)):
             assert np.array_equal(cq.stack[i], c.matrix)
             assert cq.spectra[i].tobytes() == c.spectrum().tobytes()
         for eps in (0.0, 0.01, 0.1, 0.3, 0.7):
@@ -880,13 +881,13 @@ def test_i_max_qubit_grid_oracle(rng):
     for _ in range(10):
         cq = random_cq(rng, int(rng.integers(2, 4)), 2)
         got = ent.i_max_cq(cq, 0.0)
-        want = imax_qubit_grid_oracle([c.matrix for c in cq.conditionals])
+        want = imax_qubit_grid_oracle([c.matrix for c in conditionals(cq)])
         assert abs(got.value - want) <= 1e-3
 
 
 def assert_sigma_feasible(cq, r):
     t = 2.0 ** r.value
-    for c in cq.conditionals:
+    for c in conditionals(cq):
         w, _ = linalg.eig_hermitian(c.matrix - t * r.sigma.matrix, tol=1e-7)
         assert np.max(w) <= 1e-7
 
@@ -931,7 +932,7 @@ def test_i_max_is_invariant_under_an_isometric_embedding(rng):
         iso = haar_unitary(ginibre_matrix(rng, 2 * d))[:, :d]
         big = CQState(cq.symbols, cq.probs, [DensityOperator(
             [("B", 2 * d)], iso @ c.matrix @ linalg.dagger(iso), validate=False)
-            for c in cq.conditionals])
+            for c in conditionals(cq)])
         assert ent._joint_support(big.stack).shape == (2 * d, d)
         small, embedded = ent.i_max_cq(cq), ent.i_max_cq(big)
         assert embedded.converged and embedded.duality_gap <= 1e-9
@@ -947,7 +948,7 @@ def test_i_max_checks_hermiticity_in_the_full_space(rng):
     skew = np.zeros((4, 4))
     skew[0, 2], skew[2, 0] = 1e-3, -1e-3
     bad = [DensityOperator([("B", 4)], np.pad(c.matrix, (0, 2)) + (x == 0) * skew,
-                           validate=False) for x, c in enumerate(cq.conditionals)]
+                           validate=False) for x, c in enumerate(conditionals(cq))]
     with pytest.raises(linalg.NotHermitianError, match="^matrix is not Hermitian within"):
         ent.i_max_cq(CQState(cq.symbols, cq.probs, bad), 0.0)
 
@@ -966,8 +967,9 @@ def test_i_max_sigma_is_feasible_on_a_rank_deficient_kd_ensemble(index, shape):
 
 def test_i_max_certifies_a_d64_ensemble_of_small_support():
     # the entropy-mixed input's shape, a rank-2 rho_AB with a 3-outcome POVM
-    # on |A| = 4, widened to |B| = 32: d = 64, support <= 4, so the Newton
-    # stage runs after the budget of the support dimension
+    # on |A| = 4, widened to |B| = 32: d = 64, support <= 4, so the stage on
+    # the optimality conditions runs after its budget (15 iterations, then 2
+    # Newton steps)
     rng = np.random.default_rng(20240817)
     rho = DensityOperator([("A", 4), ("B", 32)], ginibre_density(rng, 128, 2))
     povm = random_povm(rng, 4, 3, register="A")
@@ -975,7 +977,7 @@ def test_i_max_certifies_a_d64_ensemble_of_small_support():
     assert cq.stack.shape[1] == 64 and ent._joint_support(cq.stack).shape[1] <= 4
     r = ent.i_max_cq(cq, 0.0)
     assert r.converged and r.duality_gap <= 1e-9
-    assert r.iterations <= ent._fixed_point_budget(4) and r.newton_steps > 0
+    assert r.iterations <= ent._fixed_point_budget(4, kkt=True) and r.newton_steps > 0
     assert_sigma_feasible(cq, r)
 
 
@@ -1011,6 +1013,36 @@ def test_i_max_resumes_the_fixed_point_when_the_newton_stage_stalls(monkeypatch)
             reached += 1
             assert resumed.iterations > newton.iterations
     assert reached == 5
+
+
+@pytest.mark.parametrize("scale", [-1.0, 1e15])
+def test_i_max_resumes_the_fixed_point_when_the_barrier_stalls(monkeypatch, scale):
+    # the barrier's two other stall exits: a Newton direction that is not a
+    # descent direction (-step), and one along which backtracking finds no
+    # acceptable point before alpha drops below 1e-10 (1e15 x step). Either
+    # ends the barrier at its first step, and the fixed point resumes from its
+    # own POVM and certifies the same optimum. Stage 2 is gated off, so the
+    # barrier runs on these kd ensembles
+    monkeypatch.setattr(ent, "KKT_MAX_UNKNOWNS", 0)
+    newton_step, calls = ent._newton_step, []
+
+    def scaled(sinv, grad):
+        calls.append(1)
+        return scale * newton_step(sinv, grad)
+
+    for index in (0, 1, 2, 4, 5):
+        cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
+        newton = ent.i_max_cq(cq, 1e-4)
+        assert newton.newton_steps > 0
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ent, "_newton_step", scaled)
+            stalled = ent.i_max_cq(cq, 1e-4)
+        assert len(calls) == 1 and stalled.newton_steps == 0
+        assert stalled.converged and stalled.duality_gap <= ent.IMAX_GAP_TOL
+        assert stalled.iterations > newton.iterations
+        assert abs(stalled.value - newton.value) <= stalled.duality_gap + newton.duality_gap
+        assert_sigma_feasible(cq, stalled)
 
 
 # The solver's stages as they were before their numpy calls were trimmed:
@@ -1352,7 +1384,7 @@ def test_i_max_matches_sdp_beyond_qubits(rng):
         n = int(rng.integers(2, 5))
         cq = random_cq(rng, n, d)
         tau = cvxpy.Variable((d, d), hermitian=True)
-        cons = [tau - c.matrix >> 0 for c in cq.conditionals]
+        cons = [tau - c.matrix >> 0 for c in conditionals(cq)]
         prob = cvxpy.Problem(cvxpy.Minimize(cvxpy.real(cvxpy.trace(tau))), cons)
         prob.solve(solver="SCS", eps=1e-9)
         want = np.log2(prob.value)
@@ -1370,7 +1402,7 @@ def test_h_min_cq_matches_sdp(rng):
         cq = random_cq(rng, n, d)
         s = cvxpy.Variable(n)
         cons = [s[i] * np.eye(d) - p * c.matrix >> 0
-                for i, (p, c) in enumerate(zip(cq.probs, cq.conditionals))]
+                for i, (p, c) in enumerate(zip(cq.probs, conditionals(cq)))]
         prob = cvxpy.Problem(cvxpy.Minimize(cvxpy.sum(s)), cons)
         prob.solve(solver="SCS", eps=1e-9)
         want = -np.log2(prob.value)

@@ -6,9 +6,12 @@ any refactor that changes a single digit fails here; a command that takes
 ``--out`` must write the same bytes to that file. The ``purity-trace``
 case pins ``protocols.purity_trace``, which no subcommand prints, and
 ``demo-NN.txt`` the stdout of ``demos/NN_*.py``. They pin
-the numpy and OpenBLAS build of the machine that wrote them: floats are
-printed at 17 significant digits, and another BLAS may round differently
-in the last place. Regenerate them (only after a deliberate output change) with
+the numpy and OpenBLAS build of the machine that wrote them, and the
+OpenBLAS kernel it picked, ``Core: SkylakeX`` (``OPENBLAS_VERBOSE=2``
+prints it): floats are printed at 17 significant digits, and another BLAS
+or kernel may round differently in the last place. Under
+``OPENBLAS_CORETYPE=Haswell`` or ``Zen`` the eight ``*-mixed`` CLI cases and
+demo 04 fail. Regenerate them (only after a deliberate output change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """

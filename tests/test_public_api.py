@@ -7,8 +7,10 @@ only re-exports). A name is used when it appears in the code of
 ``src/puredist`` outside its own definition (the ``__init__`` re-exports do
 not count), ``demos/*.py`` or ``perfbench/*.py``: as an identifier, an
 import alias, or a whole string constant, such as the names that
-``getattr`` takes and the benchmark tracer's ``"Class.method"`` targets.
-Docstrings and comments are not uses.
+``getattr`` takes and the benchmark tracer's ``"Class.method"`` targets. A
+method or property is used only through an attribute access (``x.name``) or
+a whole string constant: a bare name of the same spelling, such as a
+parameter, binds something else. Docstrings and comments are not uses.
 """
 
 import ast
@@ -39,28 +41,30 @@ def _registered(node) -> bool:
 
 
 def definitions(tree) -> list:
-    """(name, node) of the public top-level functions, classes and
+    """(name, node, owner) of the public top-level functions, classes and
     UPPER_CASE constants of a module, and of the public methods of its
-    classes, the decorated registrations left out."""
+    classes, the decorated registrations left out; ``owner`` is a method's
+    class name, None for the others."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
             if not _registered(node):
-                out.append((node.name, node))
+                out.append((node.name, node, None))
             if isinstance(node, ast.ClassDef):
-                out += [(f.name, f) for f in node.body
+                out += [(f.name, f, node.name) for f in node.body
                         if isinstance(f, ast.FunctionDef) and _public(f.name)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out += [(t.id, node) for t in targets
+            out += [(t.id, node, None) for t in targets
                     if isinstance(t, ast.Name) and _public(t.id) and t.id.isupper()]
     return out
 
 
 def uses(tree) -> list:
-    """(name, line) of every identifier, import alias and whole string
+    """(name, line, bare) of every identifier, import alias and whole string
     constant in the code of ``tree``; a dotted string also uses each part.
-    Docstrings and other bare string statements are left out."""
+    ``bare`` marks a bare name or an import alias, which cannot reach a
+    method. Docstrings and other bare string statements are left out."""
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
@@ -70,34 +74,41 @@ def uses(tree) -> list:
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, False))
         elif isinstance(node, ast.alias):
-            out += [(n, node.lineno) for n in (node.name, node.asname) if n]
+            out += [(n, node.lineno, True) for n in (node.name, node.asname) if n]
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in skip):
-            out += [(n, node.lineno) for n in {node.value, *node.value.split(".")}]
+            out += [(n, node.lineno, False) for n in {node.value, *node.value.split(".")}]
     return out
 
 
 def unused(modules: dict, others: list) -> list:
-    """``module.name`` of each definition in ``modules`` (stem -> source)
-    that no code of ``modules`` outside its own lines and no source of
-    ``others`` uses."""
+    """``module.name`` (``module.Class.name`` for a method) of each
+    definition in ``modules`` (stem -> source) that no code of ``modules``
+    outside its own lines and no source of ``others`` uses."""
     trees = {stem: ast.parse(text) for stem, text in modules.items()}
-    where = defaultdict(list)  # name -> (module, line) of each use in the package
+    where = defaultdict(list)  # name -> (module, line, bare) of each use in the package
     for stem, tree in trees.items():
-        for name, line in uses(tree):
-            where[name].append((stem, line))
-    outside = {name for text in others for name, _ in uses(ast.parse(text))}
+        for name, line, bare in uses(tree):
+            where[name].append((stem, line, bare))
+    outside = defaultdict(set)  # name -> the bare flags of its uses in ``others``
+    for text in others:
+        for name, _, bare in uses(ast.parse(text)):
+            outside[name].add(bare)
     dead = []
     for stem, tree in trees.items():
-        for name, node in definitions(tree):
+        for name, node, owner in definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
-            used = name in outside or any(s != stem or line not in own for s, line in where[name])
+            # a bare name is never a use of a method
+            reach = {False} if owner else {False, True}
+            used = bool(outside[name] & reach) or any(
+                bare in reach and (s != stem or line not in own)
+                for s, line, bare in where[name])
             if not used and (stem, name) not in ALLOWED:
-                dead.append(f"{stem}.{name}")
+                dead.append(".".join(filter(None, (stem, owner, name))))
     return dead
 
 
@@ -108,7 +119,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               for p in sorted((ROOT / d).glob("*.py"))]
     assert unused(modules, others) == []
     # every allowance names a definition that still exists
-    assert all(name in {n for n, _ in definitions(ast.parse(modules[module]))}
+    assert all(name in {n for n, _, _ in definitions(ast.parse(modules[module]))}
                for module, name in ALLOWED)
 
 
@@ -129,10 +140,15 @@ def test_the_scan_flags_a_dead_name_and_counts_only_code(tmp_path):
         "        return getattr(self, 'by_string')\n"
         "    def unused_method(self):\n"
         "        return Box.unused_method\n"
+        "    def shadowed(self):\n"
+        "        pass\n"
+        "    def by_attribute(self):\n"
+        "        pass\n"
         "    def _private(self):\n"
         "        pass\n"
-        "def caller():\n"
+        "def caller(shadowed=None):\n"
         "    # docstring_only in a comment\n"
-        '    return "Box.run", LIMIT\n')
-    assert sorted(unused({"mod": src.read_text()}, ["import mod\nmod.caller()\n"])) == [
-        "mod.dead", "mod.docstring_only", "mod.unused_method"]
+        '    return "Box.run", LIMIT, shadowed\n')
+    others = ["import mod\nmod.caller()\nmod.Box().by_attribute()\n"]
+    assert sorted(unused({"mod": src.read_text()}, others)) == [
+        "mod.Box.shadowed", "mod.Box.unused_method", "mod.dead", "mod.docstring_only"]

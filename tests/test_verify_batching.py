@@ -31,7 +31,7 @@ from puredist import entropy, linalg, verify
 from puredist.states import CQState, DensityOperator
 
 import oracles
-from oracles import DroppingRng, per_symbol_random_cq as random_cq
+from oracles import DroppingRng, conditionals, per_symbol_random_cq as random_cq
 from test_d_h_many import reference_d_h
 
 TOL = verify.TOL
@@ -212,14 +212,14 @@ def check_hh_cond_data_processing(rng, trials, eps):
         e = eps or _eps(rng)
         base = entropy.h_h_cond_cq(cq, e).value
         deph = CQState(cq.symbols, cq.probs, [DensityOperator(
-            c.registers, np.diag(np.diag(c.matrix)), validate=False) for c in cq.conditionals])
+            c.registers, np.diag(np.diag(c.matrix)), validate=False) for c in conditionals(cq)])
         n_u = int(rng.integers(2, 4))
         us = [random_unitary(rng, db) for _ in range(n_u)]
         ps = rng.dirichlet(np.ones(n_u))
         unital = CQState(cq.symbols, cq.probs, [DensityOperator(
             c.registers,
             sum(p * u @ c.matrix @ linalg.dagger(u) for p, u in zip(ps, us)),
-            validate=False) for c in cq.conditionals])
+            validate=False) for c in conditionals(cq)])
         yield min(entropy.h_h_cond_cq(deph, e).value - base + TOL,
                   entropy.h_h_cond_cq(unital, e).value - base + TOL)
 
@@ -232,7 +232,7 @@ def check_hh_average_to_worst_case(rng, trials, eps):
         cq = random_cq(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)))
         e = eps or _eps(rng)
         bound = entropy.h_h_cond_cq(cq, e).value - np.log2(e)
-        mass = sum(p for p, c in zip(cq.probs, cq.conditionals)
+        mass = sum(p for p, c in zip(cq.probs, conditionals(cq))
                    if entropy.h_h(c, np.sqrt(e)).value <= bound + 1e-12)
         yield mass - (1 - 2 * np.sqrt(e)) + TOL
 
