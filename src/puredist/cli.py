@@ -109,7 +109,7 @@ def protocol_input(state: DensityOperator, bob_label: str) -> PureState:
         raise ValueError("register label R is reserved for the purification")
     if bob_label == "R":
         raise ValueError("--bob-label cannot be R, the purification's register")
-    return state.purify("R")
+    return state.purify()
 
 
 def _emit(args, text):

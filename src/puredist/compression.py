@@ -593,7 +593,7 @@ def find_good_k(view: Compression) -> int:
     tprime, _ = view.nice
     if not tprime:
         inst, slack = view.instance, 4 * np.log2(1 / view.instance.eps)
-        hpmax = entropy.h_prime_max(np.diag(inst.ideal_env.probs), inst.eps ** 4)
+        hpmax = entropy.h_prime_max(np.sort(inst.ideal_env.probs), inst.eps ** 4)
         raise NoGoodK(
             f"no k has a large enough nice outcome set; raise L (or K) for eps={inst.eps} "
             "(the compression theorem's rate margins, met at >= 0: log2 L - I_max "

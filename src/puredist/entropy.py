@@ -72,7 +72,8 @@ class ImaxResult:
     """Certified D_max mutual information of a cq ensemble.
 
     ``value`` is attained by the feasible ``sigma``; ``duality_gap`` bounds
-    the distance to the true optimum (value - gap <= optimum <= value).
+    the distance to the true optimum (value - gap <= optimum <= value, up to
+    rounding; a computed gap below 0 is reported as 0).
     ``iterations`` counts fixed-point iterations and ``newton_steps`` the
     Newton steps of both Newton stages: on the optimality conditions and on
     the barrier.
@@ -594,8 +595,7 @@ def _povm_from(states: np.ndarray, weights: np.ndarray, eye: np.ndarray) -> np.n
     ``eye`` is the identity of the states' dimension."""
     # T = V f(W) V^dagger does not depend on the phases of the eigenvectors
     w, v = linalg._eigh(linalg.hermitian_part(np.add.reduce(weights)))
-    w = linalg.clip_psd_spectrum(w)
-    t = (v * np.where(w > 1e-12, w, np.inf) ** -0.5) @ linalg.dagger(v)
+    t = linalg.eig_power(linalg.clip_psd_spectrum(w), v, -0.5)
     povm = linalg.hermitian_part(t @ weights @ t)
     # Hermitian bit for bit, as a sum of Hermitian parts
     slack = eye - np.add.reduce(povm)
@@ -947,10 +947,11 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     A reduced result is lifted back and its tau certified once more in the
     full space (``_Bounds.lift``), so ``sigma`` is a d x d operator feasible
     for the original rho_x. ``value`` is the feasible (upper) side, so
-    value - duality_gap <= optimum <= value always holds. ``iterations``
-    counts fixed-point iterations and ``newton_steps`` the steps of stages 2
-    and 3; a run left at the cap above max(IMAX_GAP_TOL, 1e-6) bits warns,
-    unconverged.
+    value - duality_gap <= optimum <= value holds up to rounding: where the
+    bounds meet within a few ulps the computed gap can fall below 0, and it
+    is reported as 0. ``iterations`` counts fixed-point iterations and
+    ``newton_steps`` the steps of stages 2 and 3; a run left at the cap above
+    max(IMAX_GAP_TOL, 1e-6) bits warns, unconverged.
     """
     _validate_eps(eps)
     states = cq.stack[_imax_smooth_support(cq, eps)]

@@ -29,13 +29,14 @@ call), so the owner of an operator decomposes it once for all its roots and
 its spectrum.
 
 The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
-also take an (n, d, d) stack, the first three in one LAPACK batch, and give
-each member the bits of its own 2-D call (``trace_norm`` runs a matrix as a
-stack of one); ``per_size`` applies one of them to stacks of several sizes
-with one call per size. ``groups`` is the one rule by which a stacked call
-groups its members: by key, in order of first appearance. ``kron`` and
-``row_norms`` are ``np.kron`` and ``np.linalg.norm`` of each member of a
-stack, with their bits.
+also take an (n, d, d) stack, all but the last in one LAPACK batch, and
+give each member the bits of its own 2-D call (``trace_norm`` takes the
+checked symmetrization of the eigen functions, at 1e-8); ``per_size``
+applies one of them to stacks of several sizes with one call per size.
+``groups`` is the one rule by which a stacked call groups its members: by
+key, in order of first appearance. ``kron`` and ``row_norms`` are
+``np.kron`` and ``np.linalg.norm`` of each member of a stack, with their
+bits.
 """
 
 import functools
@@ -254,18 +255,11 @@ def purify(rho: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray):
-    """Sum of singular values, per matrix of a stack too; for a Hermitian
-    matrix, the sum of |eigenvalues| (the same bits as ``eigvals_hermitian``)."""
-    m = np.asarray(m, dtype=complex)
-    stack = m if m.ndim == 3 else m[None]  # a matrix is a stack of one
-    out, herm = np.empty(len(stack)), np.zeros(len(stack), dtype=bool)
-    if m.shape[-1] == m.shape[-2]:
-        herm = np.abs(stack - dagger(stack)).max(axis=(-2, -1)) <= 1e-8
-    if herm.any():  # no LAPACK call on an empty side
-        out[herm] = np.abs(_eigh(hermitian_part(stack[herm]))[0]).sum(axis=-1)
-    if not herm.all():
-        out[~herm] = _svdvals(stack[~herm]).sum(axis=-1)
-    return out if m.ndim == 3 else float(out[0])
+    """Sum of |eigenvalues| of a Hermitian matrix, or of each matrix of a
+    stack (the eigenvalues ``eigvals_hermitian`` gives); Hermitian within
+    1e-8, else ``NotHermitianError``."""
+    out = np.abs(_eigh(_symmetrized(m, 1e-8))[0]).sum(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def groups(keys) -> dict:

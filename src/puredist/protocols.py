@@ -505,8 +505,7 @@ def _stack_coherent(blocks: PureState, label):
                      np.ascontiguousarray(blocks.tensor))
 
 
-def purity_trace(psi: PureState, povm: Povm, eps: float,
-                 bob_label: str = "B") -> list:
+def purity_trace(psi: PureState, povm: Povm, eps: float) -> list:
     """Step-wise purity bookkeeping along Protocol A on a small instance.
 
     Returns [(step name, corrected purity measure)] where the measure is
@@ -551,7 +550,7 @@ def purity_trace(psi: PureState, povm: Povm, eps: float,
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    bob = (bob_label, ("Bp", "Bg"), *_branch_codes(branches, masses, run, bob_label, eps)[0])
+    bob = ("B", ("Bp", "Bg"), *_branch_codes(branches, masses, run, "B", eps)[0])
     final_blocks = _apply_code(blocks, *bob)
     keep_f = sorted(set(final_blocks.labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))

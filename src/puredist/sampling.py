@@ -45,8 +45,9 @@ def ginibre_gram(z: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_density(rng, dim: int, label: str = "A", rank: int | None = None) -> DensityOperator:
-    return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)
+def random_density(rng, dim: int) -> DensityOperator:
+    """A full-rank ``ginibre_density`` on register A."""
+    return DensityOperator([("A", dim)], ginibre_density(rng, dim), validate=False)
 
 
 def standard_complex(z: np.ndarray) -> np.ndarray:
@@ -92,14 +93,12 @@ def flat_dirichlet(rng, n: int) -> np.ndarray:
     return g * (1.0 / total)
 
 
-def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
-             rank: int | None = None):
+def cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False):
     """A cq ensemble's two generator calls in turn: the ``flat_dirichlet``
     probabilities and the ``ginibre_normals`` of the n conditionals (of rank
-    1 when they are pure)."""
+    1 when they are pure, full rank otherwise)."""
     probs = flat_dirichlet(rng, n_symbols)
-    rank = 1 if pure_conditionals else dim if rank is None else rank
-    return probs, ginibre_normals(rng, dim, rank, n=n_symbols)
+    return probs, ginibre_normals(rng, dim, 1 if pure_conditionals else dim, n=n_symbols)
 
 
 def cq_probs(probs: np.ndarray):
@@ -122,14 +121,14 @@ def cq_conditionals(z: np.ndarray, pure_conditionals: bool) -> np.ndarray:
     return v[..., :, None] * np.conj(v)[..., None, :]
 
 
-def bell_pair(labels=("A", "B")) -> PureState:
+def bell_pair() -> PureState:
+    """(|00> + |11>) / sqrt(2) on A x B."""
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)
-    return PureState([(labels[0], 2), (labels[1], 2)], v)
+    return PureState([("A", 2), ("B", 2)], v)
 
 
-def classical_correlated_pure(rng, da: int, db: int, labels=("A", "B"),
-                              joint=None) -> PureState:
+def classical_correlated_pure(rng, da: int, db: int, joint=None) -> PureState:
     """Purification-ready classical joint state sum_ab sqrt(p(a,b)) |a b>.
 
     Measuring the first register in the computational basis reproduces the
@@ -140,14 +139,14 @@ def classical_correlated_pure(rng, da: int, db: int, labels=("A", "B"),
         joint = flat_dirichlet(rng, da * db).reshape(da, db)
     joint = np.asarray(joint, dtype=float)
     vec = np.sqrt(joint).reshape(-1)
-    return PureState([(labels[0], da), (labels[1], db)], vec)
+    return PureState([("A", da), ("B", db)], vec)
 
 
-def purified_input(psi_ab: PureState, ref_label: str = "R") -> PureState:
-    """Extend a bipartite pure state with a trivial reference register.
+def purified_input(psi_ab: PureState) -> PureState:
+    """Extend a bipartite pure state with a trivial reference register R.
 
     Protocol inputs are pure on A x B x R; when the shared state is already
     pure the reference is one-dimensional.
     """
-    regs = list(psi_ab.regs) + [(ref_label, 1)]
+    regs = list(psi_ab.regs) + [("R", 1)]
     return PureState(regs, psi_ab.tensor.reshape(psi_ab.tensor.shape + (1,)))

@@ -127,10 +127,9 @@ class PureState:
         m, _ = self._moved(self._axes(list(keep)))
         return m @ linalg.dagger(m)
 
-    def density(self, keep=None) -> "DensityOperator":
-        if keep is None:
-            keep = self.labels
-        keep = sorted(keep)
+    def density(self) -> "DensityOperator":
+        """The density operator of the whole state."""
+        keep = sorted(self.labels)
         return DensityOperator([(l, self.dim(l)) for l in keep], self.marginal(keep))
 
 
@@ -199,13 +198,12 @@ class DensityOperator:
         """The clipped ascending eigenvalues."""
         return linalg.psd_eigvals(self.matrix)
 
-    def purify(self, ref_label: str = "R") -> PureState:
-        """Pure state on (self x ref_label) whose partial trace gives self back."""
-        if ref_label in self.labels:
-            raise ValueError(f"reference label {ref_label!r} already in use")
+    def purify(self) -> PureState:
+        """Pure state on (self x R) whose partial trace gives self back."""
+        if "R" in self.labels:
+            raise ValueError("reference label 'R' already in use")
         vec = linalg.purify(self.matrix)
-        rank = vec.size // self.dim
-        return PureState(list(self.registers) + [(ref_label, rank)], vec)
+        return PureState(list(self.registers) + [("R", vec.size // self.dim)], vec)
 
 
 @dataclass(frozen=True, eq=False)

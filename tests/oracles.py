@@ -9,7 +9,6 @@ from puredist import linalg
 from puredist.sampling import (
     classical_correlated_pure,
     cq_conditionals,
-    cq_draws,
     cq_probs,
     flat_dirichlet,
     ginibre_density,
@@ -204,10 +203,26 @@ def random_pure(rng, dim: int, label: str = "A") -> DensityOperator:
     return DensityOperator([(label, dim)], np.outer(v, np.conj(v)), validate=False)
 
 
+def random_mixed(rng, dim: int, label: str, rank: int | None = None) -> DensityOperator:
+    """``sampling.random_density``'s draw on any register and of any rank:
+    a ``ginibre_density`` (full rank by default) on register ``label``."""
+    return DensityOperator([(label, dim)], ginibre_density(rng, dim, rank), validate=False)
+
+
 def ginibre_matrix(rng, dim: int) -> np.ndarray:
     """A dim x dim matrix of independent standard complex Gaussians: the
     ``standard_complex`` of a ``ginibre_normals`` draw."""
     return standard_complex(ginibre_normals(rng, dim))
+
+
+def ranked_cq_draws(rng, n_symbols: int, dim: int, pure_conditionals: bool = False,
+                    rank: int | None = None):
+    """``sampling.cq_draws``' generator calls with mixed conditionals of any
+    rank (full by default): the ``flat_dirichlet`` probabilities, then the
+    ``ginibre_normals`` of the n conditionals."""
+    probs = flat_dirichlet(rng, n_symbols)
+    rank = 1 if pure_conditionals else dim if rank is None else rank
+    return probs, ginibre_normals(rng, dim, rank, n=n_symbols)
 
 
 def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
@@ -223,8 +238,8 @@ def cq_ensembles(probs: np.ndarray, z: np.ndarray, pure_conditionals: bool):
 def random_cq(rng, n_symbols: int, dim: int, label: str = "B",
               pure_conditionals: bool = False, rank: int | None = None) -> CQState:
     """Flat Dirichlet probabilities and ``random_pure`` or ``random_density``
-    conditionals with their bits: the ``cq_ensembles`` of one ``cq_draws``."""
-    draws = cq_draws(rng, n_symbols, dim, pure_conditionals, rank)
+    conditionals with their bits: the ``cq_ensembles`` of one ``ranked_cq_draws``."""
+    draws = ranked_cq_draws(rng, n_symbols, dim, pure_conditionals, rank)
     probs, stack, _ = cq_ensembles(*(x[None] for x in draws), pure_conditionals)
     return CQState(range(n_symbols), probs[0], stack[0], registers=[(label, dim)])
 

@@ -38,7 +38,13 @@ from puredist.verify import (
     check_hh_support_sandwich,
 )
 
-from oracles import conditionals, imax_qubit_grid_oracle, near_pure_classical, random_cq
+from oracles import (
+    conditionals,
+    imax_qubit_grid_oracle,
+    near_pure_classical,
+    random_cq,
+    random_mixed,
+)
 
 
 def report(name, ok, detail=""):
@@ -124,7 +130,7 @@ def test_criterion_3_local_distillation():
     detail = ""
     for _ in range(500):
         d = int(rng.integers(2, 9))
-        rho = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        rho = random_mixed(rng, d, "A", int(rng.integers(1, d + 1)))
         eps = float(rng.choice([0.01, 0.05, 0.1, 0.25]))
         iso, err = pr.local_distill(rho, eps)
         want_bits = int(np.floor(np.log2(d) - entropy.h_tilde_max(rho, eps)))

@@ -167,7 +167,7 @@ def test_help_lists_the_csv_columns():
 
 def test_state_povm_round_trip(tmp_path, rng):
     from puredist.sampling import random_density, random_povm
-    st = random_density(rng, 4, "A")
+    st = random_density(rng, 4)
     p = tmp_path / "s.json"
     io.save_state(st, str(p))
     back = io.load_state(str(p))
@@ -826,7 +826,7 @@ def test_a_sweep_raises_the_first_failure_in_seed_order(rng, tmp_path, monkeypat
     io.save_state(state, str(tmp_path / "c.json"))
     io.save_povm(basis_povm(8, "A"), str(tmp_path / "basis.json"))
     # the command line's instance, from the state as it loads
-    inst = Instance(io.load_state(str(tmp_path / "c.json")).purify("R"), basis_povm(8, "A"),
+    inst = Instance(io.load_state(str(tmp_path / "c.json")).purify(), basis_povm(8, "A"),
                     0.25)
     views = compress_seeds(inst, 4, 16, [1, 2, 3])
     _plant_uhlmann_failure(monkeypatch, views[1])
@@ -849,7 +849,7 @@ def test_a_sweep_raises_the_first_failure_in_seed_order(rng, tmp_path, monkeypat
         "from puredist import linalg, protocols\n"
         "from puredist.compression import Instance, compress_seeds\n"
         "from puredist.io import load_povm, load_state\n"
-        "inst = Instance(load_state(sys.argv[1]).purify('R'), load_povm(sys.argv[2]), 0.25)\n"
+        "inst = Instance(load_state(sys.argv[1]).purify(), load_povm(sys.argv[2]), 0.25)\n"
         "svd = linalg._svd\n"
         "def failing_svd(a):\n"
         "    v, s, wh = svd(a)\n"

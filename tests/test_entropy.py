@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from puredist import entropy as ent
 from puredist import linalg, states
 from puredist.sampling import (
-    cq_draws,
     flat_dirichlet,
     ginibre_density,
     ginibre_normals,
@@ -33,7 +32,9 @@ from oracles import (
     imax_qubit_grid_oracle,
     left_padded,
     random_cq,
+    random_mixed,
     random_pure,
+    ranked_cq_draws,
     truncated_support,
     truncation_entropies,
 )
@@ -125,7 +126,7 @@ def test_h_max_smooth_examples():
 
 def test_h_max_smooth_takes_one_spectrum(rng, monkeypatch):
     rhos = [spectrum_state([0.5, 0.3, 0.2]), np.eye(4) / 4]
-    rhos += [random_density(rng, int(rng.integers(2, 9)), "A") for _ in range(20)]
+    rhos += [random_density(rng, int(rng.integers(2, 9))) for _ in range(20)]
     calls = []
     orig = linalg._eigh
 
@@ -214,7 +215,7 @@ def test_stacked_truncation_codes_keep_the_bits_of_each_row(rng):
 
 def test_spectral_entropies_take_a_state_or_its_spectrum(rng):
     # a 1-D input is the clipped ascending spectrum linalg.psd_eigvals gives
-    rhos = [random_density(rng, int(rng.integers(1, 9)), "A") for _ in range(30)]
+    rhos = [random_density(rng, int(rng.integers(1, 9))) for _ in range(30)]
     rhos += [spectrum_state([0.5, 0.3, 0.2, 0.0]), np.eye(4) / 4]
     for rho in rhos:
         w = linalg.psd_eigvals(rho.matrix if isinstance(rho, DensityOperator) else rho)
@@ -316,7 +317,7 @@ def _h_h_sorted_reference(rho, eps):
 
 def test_h_h_keeps_the_bits_of_the_sorted_numpy_scalar_path(rng):
     tol = ent.SUPPORT_TOL
-    rhos = [random_density(rng, int(rng.integers(2, 17)), "A") for _ in range(40)]
+    rhos = [random_density(rng, int(rng.integers(2, 17))) for _ in range(40)]
     rhos += [np.eye(d) / d for d in (1, 2, 5, 16)]  # one repeated eigenvalue
     for spec in ([0.4, 0.4, 0.1, 0.1], [0.25] * 3 + [0.125] * 2,
                  # eigenvalues straddling SUPPORT_TOL, and on it
@@ -513,7 +514,7 @@ def qubit_cq_example():
 def test_h_h_cond_cq_examples(rng):
     cq_pure = random_cq(rng, 4, 3, pure_conditionals=True)
     assert ent.h_h_cond_cq(cq_pure, 0.1).value <= 1e-12
-    single = CQState([0], [1.0], [random_density(rng, 4, "B")])
+    single = CQState([0], [1.0], [random_mixed(rng, 4, "B")])
     assert np.isclose(ent.h_h_cond_cq(single, 0.1).value,
                       ent.h_h(conditionals(single)[0], 0.1).value, atol=1e-12)
     # hand/exhaustive LP on the 3-variable knapsack
@@ -689,7 +690,7 @@ def stacked_cq_cases(rng):
         n, d = int(rng.integers(1, 7)), int(rng.integers(2, 7))
         yield random_cq(rng, n, d, pure_conditionals=i % 3 == 0,
                         rank=int(rng.integers(1, d + 1)) if i % 3 == 1 else None)
-    conds = [random_density(rng, 3, "B"), random_pure(rng, 3, "B"), random_density(rng, 3, "B")]
+    conds = [random_mixed(rng, 3, "B"), random_pure(rng, 3, "B"), random_mixed(rng, 3, "B")]
     dropped = CQState([0, 1, 2], [0.7, 1e-13, 0.3], conds)
     assert len(dropped) == 2
     yield dropped
@@ -784,7 +785,7 @@ def test_h_h_cond_cq_many_on_arrays_drops_and_rejects_as_a_cq_state_does(rng):
     for i in range(60):
         n, d = int(rng.integers(2, 9)), int(rng.integers(2, 6))
         pure, rank = i % 3 == 0, int(rng.integers(1, d + 1)) if i % 3 == 1 else None
-        draws = [cq_draws(rng, n, d, pure_conditionals=pure, rank=rank) for _ in range(3)]
+        draws = [ranked_cq_draws(rng, n, d, pure_conditionals=pure, rank=rank) for _ in range(3)]
         probs, stack, _ = cq_ensembles(*map(np.array, zip(*draws)), pure)
         spectra = linalg.per_size(linalg.psd_eigvals, list(stack))
         x = int(rng.integers(n))
@@ -853,7 +854,7 @@ def test_stacked_h_h_solvers_reject_eps_as_h_h_does(rng):
 # ------------------------------------------------------------------ i_max
 
 def test_i_max_identical_and_orthogonal(rng):
-    rho = random_density(rng, 3, "B")
+    rho = random_mixed(rng, 3, "B")
     cq = CQState([0, 1], [0.4, 0.6], [rho, rho])
     r = ent.i_max_cq(cq, 0.0)
     assert abs(r.value) <= 1e-9 and r.duality_gap <= 1e-6
@@ -868,8 +869,8 @@ def test_i_max_two_state_helstrom_oracle(rng):
     # closed form for 2 symbols: log2(1 + 0.5*||rho_0 - rho_1||_1)
     for _ in range(40):
         d = int(rng.integers(2, 6))
-        r0 = random_density(rng, d, "B")
-        r1 = random_density(rng, d, "B")
+        r0 = random_mixed(rng, d, "B")
+        r1 = random_mixed(rng, d, "B")
         cq = CQState([0, 1], [0.5, 0.5], [r0, r1])
         want = np.log2(1 + 0.5 * linalg.trace_norm(r0.matrix - r1.matrix))
         got = ent.i_max_cq(cq, 0.0)
@@ -905,7 +906,7 @@ def kd_environment_ensemble(index, da, db, rank):
     rng = np.random.default_rng([2403_16466, zlib.crc32(b"kd-quantum"), index])
     rho = DensityOperator([("A", da), ("B", db)], ginibre_density(rng, da * db, rank))
     povm = random_povm(rng, da, int(rng.integers(3, 5)), register="A")
-    return control_state(rho.purify("R"), povm, condition_on=["B", "R"])
+    return control_state(rho.purify(), povm, condition_on=["B", "R"])
 
 
 @pytest.mark.parametrize("index, shape, long_run", [
@@ -973,7 +974,7 @@ def test_i_max_certifies_a_d64_ensemble_of_small_support():
     rng = np.random.default_rng(20240817)
     rho = DensityOperator([("A", 4), ("B", 32)], ginibre_density(rng, 128, 2))
     povm = random_povm(rng, 4, 3, register="A")
-    cq = control_state(rho.purify("R"), povm, condition_on=["B", "R"])
+    cq = control_state(rho.purify(), povm, condition_on=["B", "R"])
     assert cq.stack.shape[1] == 64 and ent._joint_support(cq.stack).shape[1] <= 4
     r = ent.i_max_cq(cq, 0.0)
     assert r.converged and r.duality_gap <= 1e-9
@@ -1410,9 +1411,9 @@ def test_h_min_cq_matches_sdp(rng):
 
 
 def test_i_max_smoothing_drops_low_mass_symbols(rng):
-    rho = random_density(rng, 2, "B")
+    rho = random_mixed(rng, 2, "B")
     far = DensityOperator([("B", 2)], np.eye(2) - rho.matrix, validate=False) \
-        if abs(np.trace(np.eye(2) - rho.matrix) - 1) < 1e-9 else random_density(rng, 2, "B")
+        if abs(np.trace(np.eye(2) - rho.matrix) - 1) < 1e-9 else random_mixed(rng, 2, "B")
     cq = CQState([0, 1, 2], [0.02, 0.49, 0.49], [far, rho, rho])
     smooth = ent.i_max_cq(cq, 0.05)
     assert abs(smooth.value) <= 1e-9  # outlier removed; the rest are identical

@@ -149,12 +149,13 @@ def test_stacked_kernels_match_per_matrix_calls(rng):
             assert np.array_equal(w[i], linalg.eigvals_hermitian(m))
             assert np.array_equal(v[i], linalg.eig_hermitian(m)[1])
         assert np.array_equal(linalg.eigvals_hermitian(herm), w)
-        # trace_norm tests each member: a non-Hermitian one takes the svd
+        assert np.array_equal(linalg.trace_norm(herm), [linalg.trace_norm(m) for m in herm])
+        # one non-Hermitian member fails the whole stack
         mixed = herm.copy()
         mixed[int(rng.integers(n))] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert np.array_equal(linalg.trace_norm(mixed), [linalg.trace_norm(m) for m in mixed])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            linalg.eigvals_hermitian(mixed)
+        for f in (linalg.trace_norm, linalg.eigvals_hermitian):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                f(mixed)
     empty = np.zeros((0, 3, 3))
     assert linalg.trace_norm(empty).shape == (0,)
     assert linalg.eigvals_hermitian(empty).shape == linalg.eigvalsh(empty).shape == (0, 3)
@@ -181,9 +182,9 @@ def test_each_eigenvalue_function_keeps_the_bits_of_its_lapack_routine(rng):
 
 
 def test_trace_norm_calls_no_funnel_on_an_empty_side(rng, monkeypatch):
-    # a stack's Hermitian members go to _eigh and the rest to _svdvals; a side
-    # with no members makes no call, and every value has the bits of its
-    # member's numpy route
+    # a Hermitian matrix or stack (within 1e-8) makes one _eigh call, with
+    # the bits of numpy's eigh; input with a non-Hermitian member raises
+    # before any funnel call, and no input reaches _svdvals
     calls = []
     for name in ("_eigh", "_svdvals"):
         orig = getattr(linalg, name)
@@ -191,19 +192,20 @@ def test_trace_norm_calls_no_funnel_on_an_empty_side(rng, monkeypatch):
                             calls.append((name, len(m))) or orig(m))
     d = 4
     herm = np.array([random_hermitian(rng, d) for _ in range(3)])
+    near = herm + 5e-10 * (rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)))
     other = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-    for stack, want in ((herm, {"_eigh"}), (other, {"_svdvals"}),
-                        (np.concatenate([herm, other])[[0, 3, 1, 4, 5, 2]], {"_eigh", "_svdvals"}),
-                        (herm[0], {"_eigh"}), (other[0], {"_svdvals"}),
-                        (np.zeros((0, d, d)), set())):
+    for stack in (herm, near, herm[0], near[0]):
         calls.clear()
         got = linalg.trace_norm(stack)
-        assert {name for name, _ in calls} == want and len(calls) == len(want)
-        assert all(n > 0 for _, n in calls), calls
+        assert calls == [("_eigh", len(stack))]
         want = [np.abs(np.linalg.eigh(linalg.hermitian_part(m))[0]).sum()
-                if np.abs(m - linalg.dagger(m)).max() <= 1e-8
-                else np.linalg.svd(m, compute_uv=False).sum() for m in np.reshape(stack, (-1, d, d))]
+                for m in np.reshape(stack, (-1, d, d))]
         assert np.reshape(got, -1).tobytes() == np.array(want, dtype=float).tobytes()
+    for stack in (other, other[0], np.concatenate([herm, other])[[0, 3, 1]]):
+        calls.clear()
+        with pytest.raises(linalg.NotHermitianError):
+            linalg.trace_norm(stack)
+        assert calls == []
 
 
 def test_eigenvalue_only_callers_keep_their_checks():
@@ -216,9 +218,10 @@ def test_eigenvalue_only_callers_keep_their_checks():
         Povm([asym, np.eye(2) - asym])
     with pytest.raises(ValueError):
         Povm([negative, np.eye(2) - negative])
-    # trace_norm takes the eigenvalue route only for Hermitian input
+    # trace_norm takes Hermitian input only
     assert np.isclose(linalg.trace_norm(negative), 2.0)
-    assert np.isclose(linalg.trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]])), 2.0)
+    with pytest.raises(linalg.NotHermitianError):
+        linalg.trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]]))
 
 
 def test_partial_trace_product_and_bell(rng):

@@ -554,7 +554,7 @@ def _rate_cases(rng):
     yield purified_input(bell_pair()), basis_povm(2, "A"), 0.25, 4, 8
     golden = np.random.default_rng(20240817)
     rho = DensityOperator([("A", 4), ("B", 4)], ginibre_density(golden, 16, 2))
-    yield rho.purify("R"), random_povm(golden, 4, 3), 0.1, 4, 8
+    yield rho.purify(), random_povm(golden, 4, 3), 0.1, 4, 8
 
 
 def test_rate_formulas_read_h_h_of_a_given_x_from_the_environment(rng):

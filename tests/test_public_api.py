@@ -11,6 +11,12 @@ import alias, or a whole string constant, such as the names that
 method or property is used only through an attribute access (``x.name``) or
 a whole string constant: a bare name of the same spelling, such as a
 parameter, binds something else. Docstrings and comments are not uses.
+
+Every parameter with a default of those functions and methods is set by
+some call in the same code: a call ``name(...)`` or ``x.name(...)`` (a
+method only the latter) that passes it by position or by keyword, or
+through ``*args`` or ``**kwargs``. A default that no call overrides is a
+constant.
 """
 
 import ast
@@ -25,6 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     ("io", "save_state"): "writes the state files that the CLI reads",
     ("io", "save_povm"): "writes the POVM files that the CLI reads",
+}
+# (module, function, parameter): why a default that no call in the scanned code
+# overrides stays a parameter
+ALLOWED_PARAMETERS = {
+    ("states", "control_state", "condition_on"):
+        "the benchmark tracer wraps control_state by name, so it leaves with the tracer",
 }
 # a function under this decorator registers itself, and the registry runs it:
 # verify's checks, run through verify.SUITE
@@ -112,15 +124,82 @@ def unused(modules: dict, others: list) -> list:
     return dead
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def defaulted(node, method: bool) -> list:
+    """(name, position) of each parameter of a function node that has a
+    default, position None for a keyword-only one; a method's first
+    parameter (``self``, ``cls``) is not counted, a staticmethod's is."""
+    a = node.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    positional = a.posonlyargs + a.args
+    skip = int(method and not static)
+    out = [(p.arg, i - skip) for i, p in enumerate(positional)
+           if i >= len(positional) - len(a.defaults)]
+    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def calls(tree) -> list:
+    """(name, attribute, positional count, keywords) of every call in
+    ``tree`` to a bare name or an attribute; ``*args`` counts as every
+    position and ``**kwargs`` as every keyword (None)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            attr = isinstance(node.func, ast.Attribute)
+            star = any(isinstance(x, ast.Starred) for x in node.args)
+            kws = {k.arg for k in node.keywords}
+            out.append((node.func.attr if attr else node.func.id, attr,
+                        float("inf") if star else len(node.args), None if None in kws else kws))
+    return out
+
+
+def unset(modules: dict, others: list) -> list:
+    """``module.name(param)`` (``module.Class.name(param)`` for a method) of
+    each parameter with a default, of each function and method that
+    ``definitions`` finds in ``modules``, that no call in ``modules`` or
+    ``others`` passes."""
+    found = defaultdict(list)  # name -> (attribute, positional count, keywords)
+    for text in [*modules.values(), *others]:
+        for name, attr, n, kws in calls(ast.parse(text)):
+            found[name].append((attr, n, kws))
+    dead = []
+    for stem, text in modules.items():
+        for name, node, owner in definitions(ast.parse(text)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, pos in defaulted(node, owner is not None):
+                passed = any((attr or not owner) and (
+                    (pos is not None and n > pos) or kws is None or param in kws)
+                    for attr, n, kws in found[name])
+                if not passed and (stem, name, param) not in ALLOWED_PARAMETERS:
+                    dead.append(".".join(filter(None, (stem, owner, name))) + f"({param})")
+    return dead
+
+
+def scanned():
+    """The package's modules (stem -> source) and the sources of the demos
+    and the benchmark that the scans read."""
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                if p.stem != "__init__"}
     others = [p.read_text() for d in ("demos", "perfbench")
               for p in sorted((ROOT / d).glob("*.py"))]
+    return modules, others
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules, others = scanned()
     assert unused(modules, others) == []
     # every allowance names a definition that still exists
     assert all(name in {n for n, _, _ in definitions(ast.parse(modules[module]))}
                for module, name in ALLOWED)
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    modules, others = scanned()
+    assert unset(modules, others) == []
+    # every allowance names a defaulted parameter that still exists
+    for module, name, param in ALLOWED_PARAMETERS:
+        nodes = [node for n, node, _ in definitions(ast.parse(modules[module])) if n == name]
+        assert any(param in {p for p, _ in defaulted(node, False)} for node in nodes)
 
 
 def test_the_scan_flags_a_dead_name_and_counts_only_code(tmp_path):
@@ -152,3 +231,35 @@ def test_the_scan_flags_a_dead_name_and_counts_only_code(tmp_path):
     others = ["import mod\nmod.caller()\nmod.Box().by_attribute()\n"]
     assert sorted(unused({"mod": src.read_text()}, others)) == [
         "mod.Box.shadowed", "mod.Box.unused_method", "mod.dead", "mod.docstring_only"]
+
+
+def test_the_parameter_scan_flags_a_default_that_no_call_sets(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def f(x, by_position=1, by_keyword=2, never=3, *, only_keyword=4):\n"
+        "    return f(x, 5, by_keyword=6)\n"
+        "def g(a=0, b=1):\n"
+        "    pass\n"
+        "def h(a=0):\n"
+        "    pass\n"
+        "def _private(a=0):\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def by_method(self, a=0, b=1):\n"
+        "        pass\n"
+        "    def bare(self, a=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def static(a=0):\n"
+        "        pass\n"
+        "def bare(a=0):\n"
+        "    pass\n")
+    others = ["import mod\n"
+              "mod.g(*[1, 2])\n"
+              "mod.h(**{'a': 1})\n"
+              "mod.Box().by_method(7)\n"
+              "mod.Box.static(8)\n"
+              "bare(9)\n"]
+    # a bare call reaches the function ``bare``, never the method ``Box.bare``
+    assert sorted(unset({"mod": src.read_text()}, others)) == [
+        "mod.Box.bare(a)", "mod.Box.by_method(b)", "mod.f(never)", "mod.f(only_keyword)"]

@@ -35,6 +35,8 @@ from oracles import (
     mixed_protocol_input,
     per_symbol_random_cq,
     random_cq,
+    random_mixed,
+    ranked_cq_draws,
 )
 
 
@@ -99,7 +101,7 @@ def _pair():
     (lambda: _pair().apply(np.eye(3), ["A"]), r"operator shape \(3, 3\) != \(2, 2\)"),
     (lambda: DensityOperator([("A", 2)], np.eye(3) / 3),
      r"matrix shape \(3, 3\) does not match registers"),
-    (lambda: DensityOperator([("A", 2), ("R", 2)], np.eye(4) / 4).purify("R"),
+    (lambda: DensityOperator([("A", 2), ("R", 2)], np.eye(4) / 4).purify(),
      "reference label 'R' already in use"),
     (lambda: CQState([0, 1], [1.5, -0.5], [np.eye(2) / 2] * 2, registers=[("B", 2)]),
      "negative probabilities"),
@@ -135,20 +137,20 @@ def test_density_of_a_pure_state_is_its_sorted_marginal(rng):
     # the marginal on the sorted registers, through the constructor's PSD check
     assert full.registers == (("A", 2), ("B", 3), ("C", 2))
     assert np.array_equal(full.matrix, linalg.psd_power(psi.marginal(["A", "B", "C"]), 1.0))
-    part = psi.density(["C", "B"])
+    part = DensityOperator([("B", 3), ("C", 2)], psi.marginal(["B", "C"]))
     assert part.registers == (("B", 3), ("C", 2))
     assert np.array_equal(part.matrix, linalg.psd_power(psi.marginal(["B", "C"]), 1.0))
     assert np.allclose(part.matrix, full.partial_trace(["B", "C"]).matrix, atol=1e-12)
 
 
 def test_partial_trace_unknown_label(rng):
-    d = random_density(rng, 4, "A")
+    d = random_density(rng, 4)
     with pytest.raises(KeyError):
         d.partial_trace("Z")
 
 
 def test_cq_state_drops_zero_probability(rng):
-    conds = [random_density(rng, 2, "B") for _ in range(3)]
+    conds = [random_mixed(rng, 2, "B") for _ in range(3)]
     cq = CQState([0, 1, 2], [0.6, 0.4, 1e-15], conds)
     assert len(cq) == 2
     assert np.isclose(np.sum(cq.probs), 1.0)
@@ -381,7 +383,7 @@ def test_density_matrix_is_read_only_so_a_kept_spectrum_stays_valid(rng):
 
 
 def test_cq_stack_is_read_only(rng):
-    for cq in (random_cq(rng, 3, 2), CQState([0, 1], [0.5, 0.5], [random_density(rng, 2, "B")] * 2)):
+    for cq in (random_cq(rng, 3, 2), CQState([0, 1], [0.5, 0.5], [random_mixed(rng, 2, "B")] * 2)):
         with pytest.raises(ValueError, match="read-only"):
             cq.stack[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -482,7 +484,7 @@ def test_cq_ensembles_keep_the_bits_and_generator_state_of_random_cq(kind):
         n, d, m = int(pick.integers(1, 13)), int(pick.integers(2, 7)), int(pick.integers(1, 6))
         rank = int(pick.integers(1, d + 1)) if kind == "low-rank" else None
         stacked, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = [cq_draws(stacked, n, d, pure_conditionals=kind == "pure", rank=rank)
+        draws = [ranked_cq_draws(stacked, n, d, pure_conditionals=kind == "pure", rank=rank)
                  for _ in range(m)]
         probs, stack, keep = cq_ensembles(*map(np.array, zip(*draws)), kind == "pure")
         assert probs.shape == (m, n) and stack.shape == (m, n, d, d) and keep.all()
