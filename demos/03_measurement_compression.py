@@ -12,6 +12,7 @@ import numpy as np
 from puredist.compression import (
     Compression,
     Instance,
+    compress_measurement,
     find_good_k,
     nice_sets,
     per_k_errors,
@@ -25,7 +26,7 @@ povm = basis_povm(2, "A")
 eps = 0.1
 
 inst = Instance(psi, povm, eps)
-view = inst.compression(K=4, L=32, seed=7)
+view = compress_measurement(inst, K=4, L=32, seed=7)
 rep = validate_compression(view)
 print("K x L table:", view.K, "x", view.L, "  normalization c =", round(view.c_norm, 4))
 print("ideal vs simulated (exact trace distance):", round(rep.ideal_vs_simulated, 4))
@@ -37,7 +38,7 @@ print("Q_KL vs uniform        :", round(rep.qkl_vs_uniform, 4))
 # its old cells, so the comparison is a true paired sample.
 print("\n   L   median error over 20 seeds")
 for L in (8, 16, 32, 64):
-    errs = [validate_compression(inst.compression(K=4, L=L, seed=s)).ideal_vs_simulated
+    errs = [validate_compression(compress_measurement(inst, K=4, L=L, seed=s)).ideal_vs_simulated
             for s in range(20)]
     print(f"  {L:3d}  {np.median(errs):.4f}")
 

@@ -9,7 +9,7 @@ embedding borrows almost nothing while distilling at the same rate.
 import numpy as np
 
 from puredist import bounds
-from puredist.compression import Instance, compress_seeds
+from puredist.compression import Instance, compress_measurement, compress_seeds
 from puredist.protocols import purity_trace, run_fewqubits, run_kd_oneshot, run_protocol_a
 from puredist.sampling import basis_povm, classical_correlated_pure, purified_input
 
@@ -26,7 +26,7 @@ psi = purified_input(classical_correlated_pure(rng, 8, 4, joint=joint))
 povm = basis_povm(8, "A")
 
 inst = Instance(psi, povm, eps)
-view = inst.compression(K=4, L=16, seed=1)
+view = compress_measurement(inst, K=4, L=16, seed=1)
 rows = [run_protocol_a(inst, seed=1), *run_kd_oneshot([view]), *run_fewqubits([view])]
 
 print(f"{'protocol':<12} {'alice':>5} {'bob':>4} {'borrow':>6} {'comm':>5} "

@@ -172,9 +172,6 @@ class Instance:
         self.bob_alone = self.env_dim == psi.dim(bob_label)
         self._solves = {}
 
-    def compression(self, K: int, L: int, seed: int) -> "Compression":
-        return compress_measurement(self, K, L, seed)
-
     @cached_property
     def rho_a(self) -> np.ndarray:
         return self.psi.marginal([self.povm.register])

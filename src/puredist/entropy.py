@@ -75,8 +75,8 @@ class ImaxResult:
     the distance to the true optimum (value - gap <= optimum <= value, up to
     rounding; a computed gap below 0 is reported as 0).
     ``iterations`` counts fixed-point iterations and ``newton_steps`` the
-    Newton steps of both Newton stages: on the optimality conditions and on
-    the barrier.
+    steps of both Newton stages: Newton's method on the optimality
+    conditions and the primal-dual interior-point stage.
     """
 
     value: float
@@ -627,7 +627,9 @@ class _Bounds:
     """Best certified lower and upper bound found so far on the ``states``
     that the stages solve, with the feasible tau attaining the upper one, and
     ``eye``, the identity the stages take. ``certify`` is the one
-    certify-and-stop step of all three stages."""
+    certify-and-stop step of all three stages; its rule that a Newton step
+    must halve the gap is what ends both Newton stages short of the
+    tolerance, since neither has a step cap."""
 
     def __init__(self, states: np.ndarray):
         self.states, self.eye = states, np.eye(states.shape[1])
@@ -688,40 +690,24 @@ def _fixed_point(states, povm, best: _Bounds, iterations: int):
     return povm, iterations
 
 
-# Stage 3 solves an r^2 x r^2 Newton system, so it only runs up to this support
-# dimension r.
+# Stages 2 and 3 solve systems of r^2 or more real unknowns, so they only run
+# up to this support dimension r.
 NEWTON_MAX_DIM = 16
 
 # i_max_cq stops once certified within this many bits, or after this many iterations
 IMAX_GAP_TOL = 1e-9
 IMAX_MAX_ITERATIONS = 10000
 
-
-def _fixed_point_budget(r: int, kkt: bool = False) -> int:
-    """Fixed-point iterations to run before handing the tail to stages 2 and 3.
-
-    ``r`` is the dimension the stages run in: the joint support of the
-    ensemble (see ``i_max_cq``), which is also what ``NEWTON_MAX_DIM``
-    gates, so a d > 16 ensemble of small support gets the Newton stages too;
-    ``kkt`` says whether stage 2 runs (``KKT_MAX_UNKNOWNS``).
-
-    Where it runs, 15 iterations bring the fixed point into its basin: of
-    the 600 kd-quantum pool ensembles (n = 3-4 states on r = 3-4), 20
-    certify within them, and the other 580 start stage 2 at gaps of 1e-9 to
-    1e-2 bits, from which 566 certify in 1-6 steps (median 2) and 14 decline
-    to stage 3. A budget of 10 runs faster still, but it hands stage 2
-    ensembles that the fixed point certifies within 11-15 iterations, such as
-    demo 01's, and moves their printed values.
-
-    Elsewhere the budget is the crossover with stage 3. On one core of a
-    2-CPU x86 host, with n = 3-4 states, a fixed-point iteration costs
-    0.09-0.12 ms at r <= 4, 0.1-0.17 ms at r = 6-8, 0.2 ms at r=12 and 0.3
-    ms at r=16; a barrier Newton step about 0.17 ms at r <= 4, 0.3-0.45 ms at
-    r = 6-8, 0.9 ms at r=12 and 3 ms at r=16. A stage 3 of 14 steps costs
-    about as much as 25 fixed-point iterations at r <= 4, 35 at r=8, 65 at
-    r=12 and 130 at r=16, and the budget follows that crossover.
-    """
-    return 15 if kkt else 25 + r ** 3 // 32
+# Fixed-point iterations before stages 2 and 3 take over, where they run. 15
+# bring the fixed point into its basin: of the 600 kd-quantum pool ensembles
+# (n = 3-4 states on r = 3-4), 20 certify within them, and the other 580 start
+# stage 2 at gaps of 1e-9 to 1e-2 bits. A budget of 10 runs faster still, but
+# it hands stage 2 ensembles that the fixed point certifies within 11-15
+# iterations, such as demo 01's, and moves their printed values. Where stage 3
+# takes over from it, on full-support ensembles of r = 6-16, budgets of 25 and
+# 40 made i_max_cq take 1.1-1.8x and 1.3-2.3x as long (one core of a 2-CPU
+# x86 host).
+FIXED_POINT_BUDGET = 15
 
 
 def _joint_support(states: np.ndarray):
@@ -733,26 +719,29 @@ def _joint_support(states: np.ndarray):
     return None if keep.all() else v[:, keep]
 
 
-def _newton_step(sinv: np.ndarray, grad: np.ndarray):
-    """Solve sum_x S_x^-1 H S_x^-1 = -grad for Hermitian H, or None if the
-    system is singular.
+def _schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The real matrix of H -> sum_x a_x H b_x on Hermitian d x d H, for a
+    map that keeps H Hermitian, as a (d, d, d, d) array.
 
-    The Newton matrix sum_x S_x^-1 (x) S_x^-T acts on complex d x d
-    matrices; it is solved in the real coordinates M = Re H + Im H of the
-    Hermitian ones (H = (M + M^T)/2 + i (M - M^T)/2), where it is the real
-    symmetric d^2 x d^2 matrix with entries Re K[ij,kl] + Im K[ij,lk] of the
-    complex one, K. That is a quarter of the arithmetic and half the memory.
+    The complex matrix of the map on row-major vec(H) is
+    K = sum_x a_x (x) b_x^T; in the real coordinates M = Re H + Im H of the
+    Hermitian H and of their images (see ``_solve_hermitian``) it is the real
+    d^2 x d^2 matrix with entries Re K[ij,kl] + Im K[ij,lk]. That is a
+    quarter of the arithmetic and half the memory of the complex system.
     """
-    n, d, _ = sinv.shape
-    p = sinv.real.reshape(n, d * d)
-    q = sinv.imag.reshape(n, d * d)
-    pq = np.concatenate([p, q])
-    # Re K[ij,kl] = sum_x P_ik P_lj - Q_ik Q_lj, computed indexed as [i,k,l,j]
-    # and Im K[ij,lk] = sum_x P_il Q_kj + Q_il P_kj as [i,l,k,j]; added in
-    # place, so no more than two d^4 arrays are alive at a time
-    hess = (pq.T @ np.concatenate([p, -q])).reshape(d, d, d, d).transpose(0, 3, 1, 2).copy()
-    hess += (pq.T @ np.concatenate([q, p])).reshape(d, d, d, d).transpose(0, 3, 2, 1)
-    return _solve_hermitian(hess, -(grad.real + grad.imag))
+    m, d, _ = a.shape
+    pa = a.real.reshape(m, d * d)
+    qa = a.imag.reshape(m, d * d)
+    pq = np.concatenate([pa, qa])
+    pb = b.real.reshape(m, d * d)
+    qb = b.imag.reshape(m, d * d)
+    # Re K[ij,kl] = sum_x Pa_ik Pb_lj - Qa_ik Qb_lj, computed indexed as
+    # [i,k,l,j], and Im K[ij,lk] = sum_x Pa_il Qb_kj + Qa_il Pb_kj as
+    # [i,l,k,j]; added in place, so no more than two d^4 arrays are alive at
+    # a time
+    hess = (pq.T @ np.concatenate([pb, -qb])).reshape(d, d, d, d).transpose(0, 3, 1, 2).copy()
+    hess += (pq.T @ np.concatenate([qb, pb])).reshape(d, d, d, d).transpose(0, 3, 2, 1)
+    return hess
 
 
 def _solve_hermitian(jac: np.ndarray, rhs: np.ndarray):
@@ -774,7 +763,7 @@ def _kkt_step(states, tau, pis):
     direction at mu = 0). None if the system is singular.
 
     Its (n + 1) r^2 real unknowns are the real coordinates of the Hermitian
-    dtau and dPi_x (see ``_newton_step``): the map H -> A H + H A of a
+    dtau and dPi_x (see ``_schur``): the map H -> A H + H A of a
     Hermitian A has the complex matrix K = A (x) I + I (x) A^T and the real
     one Re K[ij,kl] + Im K[ij,lk].
     """
@@ -796,11 +785,10 @@ def _kkt_step(states, tau, pis):
 
 
 # Stage 2 solves (n + 1) r^2 real unknowns a step, so it only runs up to this
-# many, and it takes at most this many steps. From the fixed point's budget on
-# full-support ensembles, one core of a 2-CPU x86 host, it took x0.36-0.64 of
-# stage 3's time up to 180 unknowns, x0.82 at 196 and x1.02-2.2 from 216 up.
+# many. On 12 full-support ensembles a size, one core of a 2-CPU x86 host,
+# i_max_cq with stage 2 took x0.52-0.72 of its time without it (stage 3 alone)
+# up to 144 unknowns, x0.97-0.98 at 180-196 and x1.36-1.51 from 216 up.
 KKT_MAX_UNKNOWNS = 150
-KKT_MAX_STEPS = 6
 
 
 def _kkt_newton(states, povm, best: _Bounds) -> int:
@@ -809,101 +797,84 @@ def _kkt_newton(states, povm, best: _Bounds) -> int:
 
     Each step is certified and kept through ``best.certify``, with the exact
     POVM that ``_povm_from`` makes of the PSD parts of the Pi_x. Stops at
-    ``IMAX_GAP_TOL``; declines on a singular system, on a step that does not
-    halve the gap, or after ``KKT_MAX_STEPS``. Returns the number of steps
-    taken.
+    ``IMAX_GAP_TOL``; declines on a singular system or on a step that does
+    not halve the gap. Returns the number of steps taken.
     """
-    tau, pis, gap = best.tau, povm, best.gap
-    for step in range(1, KKT_MAX_STEPS + 1):
+    tau, pis, gap, steps = best.tau, povm, best.gap, 0
+    while gap is not None:
         h = _kkt_step(states, tau, pis)
         if h is None:
-            return step - 1
-        tau, pis = tau + h[0], pis + h[1:]
+            break
+        tau, pis, steps = tau + h[0], pis + h[1:], steps + 1
         w, v = linalg._eigh(pis)
         certified = _povm_from(states, (v * np.maximum(w, 0.0)[:, None, :]) @ linalg.dagger(v),
                                best.eye)
         gap = best.certify(certified, tau, gap)
-        if gap is None:
-            return step
-    return KKT_MAX_STEPS
+    return steps
 
 
-# Stage 3 multiplies t by this factor per outer step, and takes at most this
-# many Newton steps in all.
-BARRIER_GROWTH = 8.0
-NEWTON_MAX_STEPS = 200
+def _to_boundary(w: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
+    """The step along ``d``, at most 1, that goes 95% of the way to the
+    boundary of the positive definite cone from each V W V^dag of the stacked
+    eigensystems (``w``, ``v``), read from the least eigenvalue of the
+    whitened directions W^-1/2 V^dag d V W^-1/2."""
+    u = v / np.sqrt(w)[:, None, :]
+    low = np.minimum.reduce(linalg._eigvalsh(linalg.dagger(u) @ d @ u), axis=None)
+    return 1.0 if low >= -0.95 else -0.95 / low
 
 
-def _barrier(states, best: _Bounds):
-    """Newton barrier method for min Tr tau s.t. tau > rho_x.
+def _primal_dual(states, povm, best: _Bounds):
+    """Primal-dual interior-point method on the S_x = tau - rho_x and the
+    Pi_x: the HKM direction with Mehrotra's predictor-corrector.
 
-    Minimizes t Tr tau - sum_x log det(tau - rho_x) for t rising by
-    ``BARRIER_GROWTH``, warm-started just inside the best feasible tau, with
-    damped Newton steps that backtrack until every tau - rho_x stays
-    positive definite. Each outer step is certified and kept through
-    ``best.certify`` with the dual point Z_x = (tau - rho_x)^-1 / t, built
-    from the positive eigenvalues of tau - rho_x and normalized into an exact
-    POVM. Stops when the gap reaches ``IMAX_GAP_TOL`` or stalls (singular or
-    non-descent Newton step, failed backtracking, or an outer step that does
-    not halve the gap). Returns the POVM of the last outer step (None if
-    there was none) and the number of Newton steps taken.
+    Starts from the best feasible tau moved inside by the gap and from
+    Pi_x = 0.9 P_x + 0.1 I / n of the POVM P = ``povm``. A step eliminates
+    dPi_x = sigma mu S_x^-1 - Pi_x - sym(S_x^-1 dtau Pi_x) - C_x, with
+    mu = sum_x Tr[S_x Pi_x] / (n r), from sum_x dPi_x = I - sum_x Pi_x, which
+    leaves the r^2 real unknowns of dtau (``_schur``): a predictor at
+    sigma = 0 and C = 0, then a corrector at sigma = (mu_aff / mu)^2 with
+    C_x = sym(S_x^-1 dtau dPi_x) of the predictor (Mehrotra's cube centers
+    too little here: on the kd-quantum pool ensembles with stage 2 gated
+    off it stalls on 90 of 600, the square on 1). tau and the Pi_x each go
+    95% of the way to the boundary of their cone (``_to_boundary``). Each
+    step's iterate, once checked positive definite, is certified and kept
+    through ``best.certify``, with the POVM that ``_povm_from`` makes of the
+    Pi_x. Stops at ``IMAX_GAP_TOL``, on a singular system, on an iterate that
+    is not positive definite, or on a step that does not halve the gap.
+    Returns the POVM last certified (``povm`` if none was) and the number of
+    steps taken.
     """
-    n, d, _ = states.shape
+    n, r, _ = states.shape
     margin = max(best.upper - best.lower, 1e-12 * best.upper)
-    tau = best.tau + (margin / d) * best.eye
-    t = n * d / margin
-    povm, steps = None, 0
-
-    def factor(candidate):
-        # sum_x log det(candidate - rho_x) and the eigensystems of the
-        # candidate - rho_x, or None outside the interior
-        w, v = linalg._eigh(candidate - states)
-        if np.minimum.reduce(w, axis=None) <= 0:
-            return None, None
-        return float(np.add.reduce(np.log(w), axis=None)), (w, v)
-
-    def inverses(eig, scale=1.0):
-        w, v = eig
-        return (v / (scale * w)[:, None, :]) @ linalg.dagger(v)
-
-    logdet, eig = factor(tau)
-    gap = np.inf
-    while gap is not None and logdet is not None and steps < NEWTON_MAX_STEPS:
-        # centering: damped Newton steps until the decrement is small
-        while steps < NEWTON_MAX_STEPS:
-            sinv = inverses(eig)
-            grad = t * best.eye - np.add.reduce(sinv)
-            step = _newton_step(sinv, grad)
-            if step is None:
+    tau = best.tau + (margin / r) * best.eye
+    pis = 0.9 * povm + (0.1 / n) * best.eye
+    gap, steps = np.inf, 0
+    while True:
+        s = tau - states
+        (ws, vs), (wp, vp) = linalg._eigh(s), linalg._eigh(pis)
+        if min(np.minimum.reduce(ws, axis=None), np.minimum.reduce(wp, axis=None)) <= 0:
+            return povm, steps
+        if steps:
+            povm = _povm_from(states, pis, best.eye)
+            gap = best.certify(povm, tau, gap)
+            if gap is None:
                 return povm, steps
-            decrement = -float(np.real(np.vdot(grad, step)))
-            if not np.isfinite(decrement) or decrement < 0:
+        sinv = (vs / ws[:, None, :]) @ linalg.dagger(vs)
+        schur = _schur(np.concatenate([sinv, pis]), np.concatenate([pis, sinv]))
+        mu = float(np.real(np.einsum("xij,xji->", s, pis))) / (n * r)
+        sigma, c = 0.0, np.zeros((1, r, r))
+        for predictor in (True, False):
+            rhs = 2.0 * (sigma * mu * np.add.reduce(sinv) - best.eye - np.add.reduce(c))
+            dtau = _solve_hermitian(schur, rhs.real + rhs.imag)
+            if dtau is None:
                 return povm, steps
-            if decrement < 1e-9:
-                break  # centered
-            # near the center the full step is feasible and decreasing (the
-            # barrier is self-concordant), and at large t rounding hides the
-            # decrease; farther out, backtrack into the interior and to
-            # sufficient decrease, formed from differences since t Tr tau
-            # alone is too large to resolve it
-            slope = t * float(step.trace().real)
-            alpha = 1.0
-            while True:
-                trial = tau + alpha * step
-                new_logdet, new_eig = factor(trial)
-                if new_logdet is not None and (
-                        decrement < 1e-2 or alpha * slope - (new_logdet - logdet)
-                        <= -0.25 * alpha * decrement):
-                    break
-                alpha *= 0.5
-                if alpha < 1e-10:
-                    return povm, steps
-            tau, logdet, eig = trial, new_logdet, new_eig
-            steps += 1
-        povm = _povm_from(states, inverses(eig, t), best.eye)
-        gap = best.certify(povm, tau, gap)
-        t *= BARRIER_GROWTH
-    return povm, steps
+            dpis = (sigma * mu) * sinv - pis - linalg.hermitian_part(sinv @ dtau @ pis) - c
+            step_s, step_p = _to_boundary(ws, vs, dtau), _to_boundary(wp, vp, dpis)
+            if predictor:
+                mu_aff = float(np.real(np.einsum("xij,xji->", s + step_s * dtau,
+                                                 pis + step_p * dpis))) / (n * r)
+                sigma, c = (mu_aff / mu) ** 2, linalg.hermitian_part(sinv @ dtau @ dpis)
+        tau, pis, steps = tau + step_s * dtau, pis + step_p * dpis, steps + 1
 
 
 def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
@@ -933,16 +904,18 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     environment ensembles, for one, have d = |B| rank(rho_AB) but
     r <= |A|. When r = d the states are used as they are.
 
-    1. The discrimination fixed point, for a budget set by r and by whether
-       stage 2 runs (``_fixed_point_budget``) when r <= ``NEWTON_MAX_DIM``.
+    1. The discrimination fixed point, for ``FIXED_POINT_BUDGET``
+       iterations when r <= ``NEWTON_MAX_DIM`` (else up to the cap).
     2. If it has not reached ``IMAX_GAP_TOL`` and the (n + 1) r^2 unknowns
        of n states are at most ``KKT_MAX_UNKNOWNS``, Newton's method on the
        optimality conditions (``_kkt_newton``) takes over from its POVM and
        the best feasible tau. Where the optimum is nondegenerate it
-       converges quadratically; elsewhere it declines within a few steps.
-    3. If the gap is still open, a Newton barrier method (``_barrier``) takes
-       over the slow tail. Should it stall, the fixed point resumes from its
-       POVM, up to ``IMAX_MAX_ITERATIONS`` iterations in all.
+       converges quadratically; where it is degenerate it cuts the gap a few
+       times a step, or declines.
+    3. If the gap is still open, a primal-dual interior-point method
+       (``_primal_dual``) takes over from the fixed point's POVM and the
+       best feasible tau. Should it stall, the fixed point resumes from the
+       POVM last certified, up to ``IMAX_MAX_ITERATIONS`` iterations in all.
 
     A reduced result is lifted back and its tau certified once more in the
     full space (``_Bounds.lift``), so ``sigma`` is a d x d operator feasible
@@ -966,20 +939,18 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     r = reduced.shape[1]
     best = _Bounds(reduced)
     povm = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
-    kkt = (n + 1) * r * r <= KKT_MAX_UNKNOWNS
     budget = IMAX_MAX_ITERATIONS
     if r <= NEWTON_MAX_DIM:
-        budget = min(budget, _fixed_point_budget(r, kkt))
+        budget = min(budget, FIXED_POINT_BUDGET)
     povm, iters = _fixed_point(reduced, povm, best, budget)
     steps = 0
     if best.gap > IMAX_GAP_TOL and iters < IMAX_MAX_ITERATIONS:  # the budget ran out
-        steps = _kkt_newton(reduced, povm, best) if kkt else 0
+        steps = _kkt_newton(reduced, povm, best) if (n + 1) * r * r <= KKT_MAX_UNKNOWNS else 0
         if best.gap > IMAX_GAP_TOL:
-            last, more = _barrier(reduced, best)
+            last, more = _primal_dual(reduced, povm, best)
             steps += more
             if best.gap > IMAX_GAP_TOL:
-                povm, more = _fixed_point(reduced, povm if last is None else last, best,
-                                          IMAX_MAX_ITERATIONS - iters)
+                povm, more = _fixed_point(reduced, last, best, IMAX_MAX_ITERATIONS - iters)
                 iters += more
     if basis is not None:
         best.lift(states, basis, povm)

@@ -12,6 +12,7 @@ from puredist import bounds, entropy, linalg
 from puredist import protocols as pr
 from puredist.compression import (
     Instance,
+    compress_measurement,
     find_good_k,
     per_k_errors,
     validate_compression,
@@ -169,7 +170,8 @@ def test_criterion_5_measurement_compression():
     rng = np.random.default_rng(5)
     psi_bell = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
-    rep = validate_compression(Instance(psi_bell, triv, 0.1).compression(K=4, L=4, seed=0))
+    rep = validate_compression(
+        compress_measurement(Instance(psi_bell, triv, 0.1), K=4, L=4, seed=0))
     report("criterion 5a: povm={I} ideal_vs_simulated <= 1e-8",
            rep.ideal_vs_simulated <= 1e-8, f"{rep.ideal_vs_simulated:.2e}")
 
@@ -182,7 +184,7 @@ def test_criterion_5_measurement_compression():
         medians = []
         for L in (8, 16, 32, 64):
             errs = [validate_compression(
-                Instance(psi, basis, 0.1).compression(K=4, L=L, seed=s)
+                compress_measurement(Instance(psi, basis, 0.1), K=4, L=L, seed=s)
             ).ideal_vs_simulated for s in range(20)]
             medians.append(float(np.median(errs)))
         if not all(medians[i + 1] <= medians[i] + 1e-12 for i in range(3)):
@@ -202,7 +204,7 @@ def test_criterion_5_measurement_compression():
     assert np.log2(L) >= imax + slack - 1e-9
     assert np.log2(K) + np.log2(L) >= hpmax + slack - 1e-9
     bots = [validate_compression(
-        Instance(psi_bell, basis, eps).compression(K=K, L=L, seed=s)
+        compress_measurement(Instance(psi_bell, basis, eps), K=K, L=L, seed=s)
     ).bot_mass for s in range(20)]
     med = float(np.median(bots))
     report("criterion 5c: median Tr[Theta_bot rho] <= 5 eps at rate thresholds",
@@ -219,7 +221,7 @@ def test_criterion_6_derandomization():
     K, L = 2, 32  # meets the rate conditions at eps = 0.5 (criterion 5c)
     fracs, sel_ok = [], True
     for seed in range(20):
-        view = Instance(psi, basis, eps).compression(K=K, L=L, seed=seed)
+        view = compress_measurement(Instance(psi, basis, eps), K=K, L=L, seed=seed)
         rep = pr.verify_derandomization(view)
         fracs.append(rep["fraction"])
         k = find_good_k(view)
@@ -252,7 +254,7 @@ def test_criterion_7_fewqubits_vs_kd():
         if np.log2(8) - entropy.h_h(rho_a, eps).value < slack:
             margin_ok = False
         for seed in (1, 2, 3):
-            view = Instance(psi, povm, eps).compression(K=4, L=16, seed=seed)
+            view = compress_measurement(Instance(psi, povm, eps), K=4, L=16, seed=seed)
             [kd] = pr.run_kd_oneshot([view])
             [fq] = pr.run_fewqubits([view])
             borrow_ok &= fq.borrowed < kd.borrowed
@@ -277,7 +279,7 @@ def test_criterion_8_bound_consistency():
         inst = Instance(psi, povm, eps)
         up = bounds.distributed_upper_bound(inst)
         slack = np.log2(1 / eps)
-        view = inst.compression(K=4, L=16, seed=1)
+        view = compress_measurement(inst, K=4, L=16, seed=1)
         for t in (*pr.run_kd_oneshot([view]), *pr.run_fewqubits([view]), pr.run_protocol_a(inst)):
             if t.net_rate > up + slack + 1e-9:
                 ok, detail = False, f"{t.protocol}: {t.net_rate} > {up} + {slack}"

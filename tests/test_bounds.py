@@ -5,7 +5,7 @@ import pytest
 
 from puredist import bounds, entropy, io, linalg
 from puredist.cli import main
-from puredist.compression import Instance, compress_seeds
+from puredist.compression import Instance, compress_measurement, compress_seeds
 from puredist.protocols import run_kd_oneshot
 from puredist.sampling import (
     basis_povm,
@@ -167,7 +167,7 @@ def test_ancilla_comparison_margin_asserted(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
     [rep] = bounds.rate_report(
-        [Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=1)])
+        [compress_measurement(Instance(psi, basis_povm(8, "A"), eps), K=4, L=16, seed=1)])
     assert rep.margin > 0  # instance chosen for a conclusive comparison
     assert rep.c_borrow - rep.d_borrow >= rep.margin - 1e-9
 
@@ -178,7 +178,7 @@ def test_ancilla_comparison_inconclusive_when_mixed(rng):
     joint = np.eye(4) / 4.0
     psi = purified_input(classical_correlated_pure(rng, 4, 4, joint=joint))
     [rep] = bounds.rate_report(
-        [Instance(psi, basis_povm(4, "A"), 0.25).compression(K=4, L=16, seed=1)])
+        [compress_measurement(Instance(psi, basis_povm(4, "A"), 0.25), K=4, L=16, seed=1)])
     assert rep.margin <= 0
 
 
@@ -190,7 +190,7 @@ def test_borrow_gap_below_the_margin_is_a_named_error(rng, monkeypatch, tmp_path
     orig = bounds.run_fewqubits
     monkeypatch.setattr(bounds, "run_fewqubits",
                         lambda views: [replace(t, borrowed=99) for t in orig(views)])
-    view = Instance(psi, basis_povm(8, "A"), 0.25).compression(K=4, L=16, seed=1)
+    view = compress_measurement(Instance(psi, basis_povm(8, "A"), 0.25), K=4, L=16, seed=1)
     [kd] = run_kd_oneshot([view])
     with pytest.raises(linalg.InvariantError, match=f"^borrow gap {kd.borrowed - 99} below "
                        r"margin (\d+\.\d{3})$") as exc:
@@ -208,7 +208,7 @@ def test_borrow_gap_below_the_margin_is_a_named_error(rng, monkeypatch, tmp_path
 def test_rate_report_consistency(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    view = Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=2)
+    view = compress_measurement(Instance(psi, basis_povm(8, "A"), eps), K=4, L=16, seed=2)
     [rep] = bounds.rate_report([view])
     # achievability never beats the upper bound beyond the declared slack
     assert rep.kd_rate <= rep.dist_upper + rep.slack_bits + 1e-9
@@ -258,8 +258,8 @@ def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
     # one distributed bound, whose H_max reads the same kept spectrum; the
     # tables' roots of rho_A come from that one eigensystem too
     assert calls == {"local": 1, "dist": 1, "eig_rho_a": 1}
-    [fresh] = bounds.rate_report([Instance(psi, basis_povm(8, "A"), 0.25).compression(
-        K=4, L=16, seed=3)])
+    [fresh] = bounds.rate_report([compress_measurement(
+        Instance(psi, basis_povm(8, "A"), 0.25), K=4, L=16, seed=3)])
     assert reports[-1].to_dict() == fresh.to_dict()
     assert {r.margin for r in reports} == {reports[0].local_upper - reports[0].slack_bits}
 

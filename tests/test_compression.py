@@ -43,7 +43,7 @@ def classical_instance(rng, da=2, db=2):
 def test_trivial_povm_is_exact(rng):
     psi = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
-    view = Instance(psi, triv, 0.1).compression(K=3, L=4, seed=0)
+    view = compress_measurement(Instance(psi, triv, 0.1), K=3, L=4, seed=0)
     rep = validate_compression(view)
     assert rep.ideal_vs_simulated <= 1e-8
     assert rep.bot_mass <= 1e-10
@@ -210,7 +210,7 @@ def test_k1_basis_recovers_relabeled_measurement(rng):
 def test_validation_exact_fields(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    view = Instance(psi, povm, 0.1).compression(K=4, L=16, seed=3)
+    view = compress_measurement(Instance(psi, povm, 0.1), K=4, L=16, seed=3)
     rep = validate_compression(view)
     assert 0 <= rep.ideal_vs_simulated <= 2
     assert rep.qk_vs_uniform <= 1e-9  # k is drawn uniformly by construction
@@ -227,7 +227,7 @@ def test_doubling_L_shrinks_error_in_median(rng):
     for L in (8, 16, 32, 64):
         errs = []
         for seed in range(20):
-            view = Instance(psi, povm, eps).compression(K=4, L=L, seed=seed)
+            view = compress_measurement(Instance(psi, povm, eps), K=4, L=L, seed=seed)
             errs.append(validate_compression(view).ideal_vs_simulated)
         medians.append(np.median(errs))
     assert all(medians[i + 1] <= medians[i] + 1e-12 for i in range(3)), medians
@@ -236,7 +236,7 @@ def test_doubling_L_shrinks_error_in_median(rng):
 def test_simulated_conditionals_depend_on_symbol_only(rng):
     psi = classical_instance(rng, 2, 3)
     povm = basis_povm(2, "A")
-    view = Instance(psi, povm, 0.1).compression(K=2, L=8, seed=4)
+    view = compress_measurement(Instance(psi, povm, 0.1), K=2, L=8, seed=4)
     live, sims, _ = simulated_conditionals(view.instance)
     env = sorted(view.instance.env)  # the registers of the stack, in order
     assert env == ["B", "R"]
@@ -249,7 +249,7 @@ def test_simulated_conditionals_depend_on_symbol_only(rng):
 def test_nice_sets_trivial_and_degenerate(rng):
     psi = purified_input(bell_pair())
     triv = Povm([np.eye(2)], register="A")
-    tprime, nice = nice_sets(Instance(psi, triv, 0.1).compression(K=3, L=4, seed=0))
+    tprime, nice = nice_sets(compress_measurement(Instance(psi, triv, 0.1), K=3, L=4, seed=0))
     assert tprime == [0, 1, 2]
     assert all(len(v) == 4 for v in nice.values())
 
@@ -262,7 +262,7 @@ def test_nice_sets_match_the_per_cell_loop(rng):
         bound_bob = inst.h_h_cond("ideal_bob", inst.eps) + inst.slack_bits
         h_env, _, h_bob = inst.pair_entropies
         for seed in range(4):
-            view = inst.compression(K=4, L=8, seed=seed)
+            view = compress_measurement(inst, K=4, L=8, seed=seed)
             want = {k: [l for l, x in enumerate(row) if inst.live[x]
                         and h_env[x] <= bound_env + 1e-12
                         and h_bob[x] <= bound_bob + 1e-12]
@@ -301,7 +301,7 @@ def test_per_k_errors_keep_the_bits_of_a_norm_per_block(rng):
 def test_find_good_k_minimizes_per_k_error(rng):
     psi = classical_instance(rng, 2, 2)
     povm = basis_povm(2, "A")
-    view = Instance(psi, povm, 0.1).compression(K=8, L=16, seed=6)
+    view = compress_measurement(Instance(psi, povm, 0.1), K=8, L=16, seed=6)
     k = find_good_k(view)
     errs = per_k_errors([view])[0]
     assert errs[k] <= np.median(errs) + 1e-12
@@ -311,7 +311,7 @@ def test_find_good_k_minimizes_per_k_error(rng):
 
 def test_view_takes_one_stacked_eigh_per_pass(rng, monkeypatch):
     inst = Instance(classical_instance(rng, 4, 3), basis_povm(4, "A"), 0.25)
-    view = inst.compression(K=8, L=16, seed=2)
+    view = compress_measurement(inst, K=8, L=16, seed=2)
     want = per_k_errors([view])  # fills the instance's caches
     calls = []
     orig = linalg._eigh
@@ -373,7 +373,7 @@ def _broad_outcome_instance():
 
 def test_find_good_k_degenerate_raises():
     # adversarial L = 1 on the broad outcome empties T'
-    view = _broad_outcome_instance().compression(K=1, L=1, seed=1)
+    view = compress_measurement(_broad_outcome_instance(), K=1, L=1, seed=1)
     assert view.decode[0, 0] == 1
     tprime, _ = nice_sets(view)
     assert tprime == []  # reported without error
@@ -581,7 +581,7 @@ def test_compressions_share_the_roots_of_rho_a(rng, monkeypatch):
     rho_a = psi.marginal(["A"])
     powers, eighs = _count_roots(monkeypatch)
     for seed in (1, 2):
-        inst.compression(K=2, L=4, seed=seed)  # the tables
+        compress_measurement(inst, K=2, L=4, seed=seed)  # the tables
     inst.sims, inst.rho_a_eig  # the conditionals, and the spectrum of rho_A
     assert eighs.count(linalg.hermitian_part(rho_a).tobytes()) == 1
     of_rho_a = [p[-1] for p in powers if p[1] is inst.rho_a_eig[0]]
@@ -606,16 +606,16 @@ def test_views_of_one_instance_share_simulated_conditionals(rng, monkeypatch):
 
     monkeypatch.setattr(compression, "simulated_conditionals", counting_sims)
     monkeypatch.setattr(entropy, "h_h_many", counting_h_h)
-    first = nice_sets(inst.compression(K=4, L=8, seed=1))
+    first = nice_sets(compress_measurement(inst, K=4, L=8, seed=1))
     n_first = len(h_h_calls)
-    second = nice_sets(inst.compression(K=4, L=8, seed=2))
+    second = nice_sets(compress_measurement(inst, K=4, L=8, seed=2))
     assert len(sims_calls) == 1 and n_first > 0 and len(h_h_calls) == n_first
     # one state per outcome of nonzero P_X, and the nice sets of views of
     # separate instances
     assert np.flatnonzero(inst.live).tolist() == np.flatnonzero(inst.p_x > 0).tolist()
     for seed, got in ((1, first), (2, second)):
-        assert got == nice_sets(Instance(psi, basis_povm(4, "A"), 0.25).compression(
-            K=4, L=8, seed=seed))
+        assert got == nice_sets(compress_measurement(
+            Instance(psi, basis_povm(4, "A"), 0.25), K=4, L=8, seed=seed))
 
 
 def test_pair_entropies_solve_bob_once_when_his_ensemble_is_the_environments(monkeypatch):

@@ -978,7 +978,7 @@ def test_i_max_certifies_a_d64_ensemble_of_small_support():
     assert cq.stack.shape[1] == 64 and ent._joint_support(cq.stack).shape[1] <= 4
     r = ent.i_max_cq(cq, 0.0)
     assert r.converged and r.duality_gap <= 1e-9
-    assert r.iterations <= ent._fixed_point_budget(4, kkt=True) and r.newton_steps > 0
+    assert r.iterations <= ent.FIXED_POINT_BUDGET and r.newton_steps > 0
     assert_sigma_feasible(cq, r)
 
 
@@ -993,53 +993,61 @@ def test_i_max_iteration_cap_warns_and_keeps_a_valid_interval(monkeypatch):
     assert r.value - r.duality_gap <= uncapped.value <= r.value
 
 
+def singular_schur(a, b):
+    """A zero Schur matrix of stage 3's size, which no solve inverts."""
+    return np.zeros((a.shape[1] ** 2,) * 2)
+
+
 def test_i_max_resumes_the_fixed_point_when_the_newton_stage_stalls(monkeypatch):
-    # a singular Newton system ends the barrier stage before its first step;
-    # the fixed point then resumes from its own POVM and must certify the same
-    # optimum. The stage on the optimality conditions is gated off, so both
-    # solves run the barrier's fixed-point budget
+    # a singular Schur system ends the primal-dual stage before its first
+    # step; the fixed point then resumes from its own POVM and must certify
+    # the same optimum. The stage on the optimality conditions is gated off,
+    # so stage 3 is the one Newton stage that runs
     monkeypatch.setattr(ent, "KKT_MAX_UNKNOWNS", 0)
     reached = 0
     for index in range(6):
         cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
         newton = ent.i_max_cq(cq, 1e-4)
         with monkeypatch.context() as m:
-            m.setattr(ent, "_newton_step", lambda sinv, grad: None)
+            m.setattr(ent, "_schur", singular_schur)
             resumed = ent.i_max_cq(cq, 1e-4)
         assert resumed.converged and resumed.duality_gap <= ent.IMAX_GAP_TOL
         assert resumed.newton_steps == 0
         assert abs(resumed.value - newton.value) <= resumed.duality_gap + newton.duality_gap
         assert_sigma_feasible(cq, resumed)
-        if newton.newton_steps:  # stage 2 ran, so the fixed point ran past its budget
+        if newton.newton_steps:  # stage 3 ran, so the fixed point ran past its budget
             reached += 1
             assert resumed.iterations > newton.iterations
-    assert reached == 5
+    assert reached == 6  # none of them certifies within FIXED_POINT_BUDGET
 
 
 @pytest.mark.parametrize("scale", [-1.0, 1e15])
 def test_i_max_resumes_the_fixed_point_when_the_barrier_stalls(monkeypatch, scale):
-    # the barrier's two other stall exits: a Newton direction that is not a
-    # descent direction (-step), and one along which backtracking finds no
-    # acceptable point before alpha drops below 1e-10 (1e15 x step). Either
-    # ends the barrier at its first step, and the fixed point resumes from its
-    # own POVM and certifies the same optimum. Stage 2 is gated off, so the
-    # barrier runs on these kd ensembles
+    # the primal-dual stage's two other stall exits, with each step to the
+    # boundary measured along scale x its direction. Reversed (-1.0), the
+    # first step leaves the cone, and its iterate is not positive definite;
+    # 1e15 times longer, the steps are too short to halve the gap, and the
+    # second one ends the stage. The fixed point then resumes from its own
+    # POVM and certifies the same optimum. Stage 2 is gated off, so stage 3
+    # runs on these kd ensembles
     monkeypatch.setattr(ent, "KKT_MAX_UNKNOWNS", 0)
-    newton_step, calls = ent._newton_step, []
+    to_boundary, calls = ent._to_boundary, []
 
-    def scaled(sinv, grad):
+    def scaled(w, v, d):
         calls.append(1)
-        return scale * newton_step(sinv, grad)
+        return to_boundary(w, v, scale * d)
 
+    steps = 1 if scale < 0 else 2
     for index in (0, 1, 2, 4, 5):
         cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
         newton = ent.i_max_cq(cq, 1e-4)
         assert newton.newton_steps > 0
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(ent, "_newton_step", scaled)
+            m.setattr(ent, "_to_boundary", scaled)
             stalled = ent.i_max_cq(cq, 1e-4)
-        assert len(calls) == 1 and stalled.newton_steps == 0
+        # a step measures the predictor's and the corrector's tau and Pi
+        assert len(calls) == 4 * steps and stalled.newton_steps == steps
         assert stalled.converged and stalled.duality_gap <= ent.IMAX_GAP_TOL
         assert stalled.iterations > newton.iterations
         assert abs(stalled.value - newton.value) <= stalled.duality_gap + newton.duality_gap
@@ -1094,79 +1102,30 @@ def ref_fixed_point(states, povm, best, iterations):
     return povm, iterations
 
 
-def ref_newton_step(sinv, grad):
+def ref_newton_hessian(sinv):
     n, d, _ = sinv.shape
     p = sinv.real.reshape(n, d * d)
     q = sinv.imag.reshape(n, d * d)
     pq = np.concatenate([p, q])
     hess = (pq.T @ np.concatenate([p, -q])).reshape(d, d, d, d).transpose(0, 3, 1, 2).copy()
     hess += (pq.T @ np.concatenate([q, p])).reshape(d, d, d, d).transpose(0, 3, 2, 1)
+    return hess
+
+
+def ref_newton_step(sinv, grad):
+    # the Newton step of the barrier stage that the primal-dual stage replaced
+    d = sinv.shape[1]
     try:
-        m = np.linalg.solve(hess.reshape(d * d, d * d),
+        m = np.linalg.solve(ref_newton_hessian(sinv).reshape(d * d, d * d),
                             -(grad.real + grad.imag).reshape(-1)).reshape(d, d)
     except np.linalg.LinAlgError:
         return None
     return (m + m.T) / 2.0 + 0.5j * (m - m.T)
 
 
-def ref_barrier(states, best):
-    n, d, _ = states.shape
-    eye = np.eye(d)
-    margin = max(best.upper - best.lower, 1e-12 * best.upper)
-    tau = best.tau + (margin / d) * eye
-    t = n * d / margin
-    povm, steps = None, 0
-
-    def factor(candidate):
-        w, v = np.linalg.eigh(candidate - states)
-        if w.min() <= 0:
-            return None, None
-        return float(np.log(w).sum()), (w, v)
-
-    def inverses(eig, scale=1.0):
-        w, v = eig
-        return (v / (scale * w)[:, None, :]) @ linalg.dagger(v)
-
-    logdet, eig = factor(tau)
-    gap = np.inf
-    while logdet is not None and steps < ent.NEWTON_MAX_STEPS:
-        while steps < ent.NEWTON_MAX_STEPS:
-            sinv = inverses(eig)
-            grad = t * eye - sinv.sum(axis=0)
-            step = ref_newton_step(sinv, grad)
-            if step is None:
-                return povm, steps
-            decrement = -float(np.real(np.vdot(grad, step)))
-            if not np.isfinite(decrement) or decrement < 0:
-                return povm, steps
-            if decrement < 1e-9:
-                break
-            slope = t * float(step.trace().real)
-            alpha = 1.0
-            while True:
-                new_logdet, new_eig = factor(tau + alpha * step)
-                if new_logdet is not None and (
-                        decrement < 1e-2 or alpha * slope - (new_logdet - logdet)
-                        <= -0.25 * alpha * decrement):
-                    break
-                alpha *= 0.5
-                if alpha < 1e-10:
-                    return povm, steps
-            tau, logdet, eig = tau + alpha * step, new_logdet, new_eig
-            steps += 1
-        povm = ref_povm_from(states, inverses(eig, t))
-        lower, upper, feasible = ref_certify(states, povm, tau)
-        step_gap = ent._gap_bits(lower, upper)
-        if best.update(lower, upper, feasible) <= ent.IMAX_GAP_TOL or step_gap > 0.5 * gap:
-            break
-        gap = step_gap
-        t *= ent.BARRIER_GROWTH
-    return povm, steps
-
-
 def test_i_max_keeps_the_bits_of_the_reference_stages(monkeypatch):
     # 48 kd environment ensembles (d = 8-16 on supports r = 3-4) and 12
-    # full-support ensembles of r = 2-16; most of them reach the barrier
+    # full-support ensembles of r = 2-16; most of them reach the primal-dual
     # stage, since the stage on the optimality conditions declines at once
     monkeypatch.setattr(ent, "_kkt_newton", lambda states, povm, best: 0)
     rng = np.random.default_rng(27)
@@ -1174,13 +1133,11 @@ def test_i_max_keeps_the_bits_of_the_reference_stages(monkeypatch):
              for i in range(48)]
     cases += [(random_cq(rng, int(rng.integers(3, 5)), d), 0.0)
               for d in (2, 2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16)]
-    ref = {"_fixed_point": ref_fixed_point, "_barrier": ref_barrier}
     supports, steps = set(), 0
     for cq, eps in cases:
         got = ent.i_max_cq(cq, eps)
         with monkeypatch.context() as m:
-            for name, f in ref.items():
-                m.setattr(ent, name, f)
+            m.setattr(ent, "_fixed_point", ref_fixed_point)
             m.setattr(ent._Bounds, "lift", ref_lift)
             want = ent.i_max_cq(cq, eps)
         assert (got.value, got.duality_gap, got.iterations, got.newton_steps) == (
@@ -1192,8 +1149,105 @@ def test_i_max_keeps_the_bits_of_the_reference_stages(monkeypatch):
     assert supports >= {2, 3, 4, 5, 8, 12, 16} and steps >= 40, (supports, steps)
 
 
-def test_newton_step_of_a_singular_system_is_none():
-    assert ent._newton_step(np.zeros((2, 3, 3), dtype=complex), np.eye(3, dtype=complex)) is None
+def hermitian_stack(rng, n, d, shift=0.0):
+    """n random Hermitian d x d matrices, each plus ``shift`` times I."""
+    return np.stack([linalg.hermitian_part(ginibre_matrix(rng, d)) + shift * np.eye(d)
+                     for _ in range(n)])
+
+
+def test_newton_step_of_a_singular_system_is_none(monkeypatch):
+    # the Schur matrix of zero S^-1 and Pi is singular, and a singular Schur
+    # solve ends stage 3 before its first step, with the POVM it was handed
+    zero = np.zeros((2, 3, 3), dtype=complex)
+    assert ent._solve_hermitian(ent._schur(zero, zero), -2.0 * np.eye(3)) is None
+    states, best, povm = handed_over(kd_environment_ensemble(0, 4, 4, 2), 1e-4)
+    assert best.gap > ent.IMAX_GAP_TOL
+    monkeypatch.setattr(ent, "_schur", singular_schur)
+    last, steps = ent._primal_dual(states, povm, best)
+    assert steps == 0 and last is povm
+
+
+def test_schur_of_one_stack_keeps_the_bits_of_the_barrier_hessian(rng):
+    # with a = b = S^-1 it is the build of the replaced barrier's Newton
+    # matrix, sum_x S_x^-1 H S_x^-1, op for op, and so is its solve
+    for n, d in ((2, 2), (3, 4), (4, 7), (5, 16)):
+        sinv, grad = hermitian_stack(rng, n, d), hermitian_stack(rng, 1, d)[0]
+        assert ent._schur(sinv, sinv).tobytes() == ref_newton_hessian(sinv).tobytes()
+        got = ent._solve_hermitian(ent._schur(sinv, sinv), -(grad.real + grad.imag))
+        assert got.tobytes() == ref_newton_step(sinv, grad).tobytes()
+
+
+def test_schur_matches_the_complex_kronecker_matrix(rng):
+    # H -> sum_x (S_x^-1 H Pi_x + Pi_x H S_x^-1), stage 3's Schur map: the
+    # complex matrix K = sum_x a_x (x) b_x^T on row-major vec(H), in real
+    # coordinates Re K[ij,kl] + Im K[ij,lk], maps Re H + Im H of a Hermitian H
+    # to Re G + Im G of its image G
+    for n, d in ((2, 2), (3, 4), (4, 6)):
+        sinv, pis = hermitian_stack(rng, n, d, 2 * d), hermitian_stack(rng, n, d, 2 * d)
+        a, b = np.concatenate([sinv, pis]), np.concatenate([pis, sinv])
+        k = sum(np.kron(x, y.T) for x, y in zip(a, b)).reshape(d, d, d, d)
+        want = (k.real + k.imag.swapaxes(-1, -2)).reshape(d * d, d * d)
+        got = ent._schur(a, b).reshape(d * d, d * d)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        h = hermitian_stack(rng, 1, d)[0]
+        g = np.add.reduce(a @ h @ b)
+        image = got @ (h.real + h.imag).reshape(-1)
+        assert np.abs(image - (g.real + g.imag).reshape(-1)).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_i_max_primal_dual_stage_certifies_commuting_ensembles_at_d16():
+    # 8 ensembles of 5 states of 8 levels on d = 16 under one Haar rotation:
+    # (n + 1) r^2 is above KKT_MAX_UNKNOWNS, so stage 3 takes over from the
+    # fixed point's budget and certifies each without the resume
+    rng = np.random.default_rng(2026)
+    for _ in range(8):
+        probs, dists = flat_dirichlet(rng, 5), np.zeros((5, 16))
+        for x in range(5):
+            dists[x, rng.choice(16, size=8, replace=False)] = flat_dirichlet(rng, 8)
+        u = haar_unitary(standard_complex(ginibre_normals(rng, 16, n=1)))[0]
+        cq = CQState(range(5), probs, (u * dists[:, None, :]) @ linalg.dagger(u),
+                     registers=(("E", 16),))
+        r = ent.i_max_cq(cq, 0.0)
+        want = imax_commuting(probs.tolist(), dists.tolist())
+        assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
+        assert r.iterations == ent.FIXED_POINT_BUDGET and 0 < r.newton_steps <= 12, r
+        assert r.value - r.duality_gap - 1e-12 <= want <= r.value + 1e-12, (r, want)
+
+
+# the kd-quantum pool ensembles on which stage 2 needs 7-11 steps
+DEGENERATE_KD = (47, 164, 193, 218, 257, 361, 366, 395, 401, 433, 453, 464, 486, 533)
+
+
+def test_i_max_primal_dual_stage_certifies_the_degenerate_kd_ensembles(monkeypatch):
+    # with stage 2 gated off, stage 3 certifies each from the fixed point's
+    # budget, without the resume, and the intervals of both stages overlap
+    for index in DEGENERATE_KD:
+        cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
+        kkt = ent.i_max_cq(cq, 1e-4)
+        with monkeypatch.context() as m:
+            m.setattr(ent, "KKT_MAX_UNKNOWNS", 0)
+            pd = ent.i_max_cq(cq, 1e-4)
+        assert kkt.iterations == ent.FIXED_POINT_BUDGET and kkt.newton_steps > 6
+        for r in (kkt, pd):
+            assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
+            assert_sigma_feasible(cq, r)
+        assert pd.iterations == ent.FIXED_POINT_BUDGET and pd.newton_steps > 0
+        lower = max(kkt.value - kkt.duality_gap, pd.value - pd.duality_gap)
+        assert lower <= min(kkt.value, pd.value), (index, kkt, pd)
+
+
+def handed_over(cq, eps):
+    """The reduced states of ``cq`` at ``eps``, and the bounds and POVM that
+    the fixed point hands the Newton stages after its budget."""
+    states = cq.stack[ent._imax_smooth_support(cq, eps)]
+    basis = ent._joint_support(states)
+    if basis is not None:
+        states = linalg.dagger(basis) @ states @ basis
+    n, r, _ = states.shape
+    best = ent._Bounds(states)
+    uniform = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
+    povm, _ = ent._fixed_point(states, uniform, best, ent.FIXED_POINT_BUDGET)
+    return states, best, povm
 
 
 def kkt_cases():
@@ -1233,10 +1287,11 @@ def test_i_max_certified_intervals_overlap_with_and_without_the_kkt_stage(monkey
 
 def test_i_max_kkt_stage_declines_to_the_barrier_on_a_degenerate_kd_ensemble(monkeypatch):
     # kd-quantum pool ensemble 47: Newton on the optimality conditions cuts
-    # its gap only about 4x a step, so stage 2 stops at its step cap and the
-    # barrier certifies; with both Newton stages singular, the fixed point
-    # resumes past its budget and certifies the same optimum
-    cq, budget = kd_environment_ensemble(47, 4, 4, 4), ent._fixed_point_budget(4, kkt=True)
+    # its gap only about 4x a step, and certifies it in more steps than
+    # stage 2 once took at most (6). With stage 2 declined, stage 3
+    # certifies it; with both Newton stages singular, the fixed point resumes
+    # past its budget. All three certify the same optimum
+    cq, budget = kd_environment_ensemble(47, 4, 4, 4), ent.FIXED_POINT_BUDGET
     kkt, after = ent._kkt_newton, []
 
     def recorded(states, povm, best):
@@ -1247,17 +1302,20 @@ def test_i_max_kkt_stage_declines_to_the_barrier_on_a_degenerate_kd_ensemble(mon
     monkeypatch.setattr(ent, "_kkt_newton", recorded)
     r = ent.i_max_cq(cq, 1e-4)
     [(steps, gap)] = after
-    assert steps == ent.KKT_MAX_STEPS and gap > ent.IMAX_GAP_TOL
-    assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
-    assert r.iterations == budget and r.newton_steps > steps
+    assert steps > 6 and gap <= ent.IMAX_GAP_TOL
+    assert r.converged and r.iterations == budget and r.newton_steps == steps
     assert_sigma_feasible(cq, r)
     monkeypatch.setattr(ent, "_kkt_step", lambda states, tau, pis: None)
-    monkeypatch.setattr(ent, "_newton_step", lambda sinv, grad: None)
+    declined = ent.i_max_cq(cq, 1e-4)
+    assert after[-1][0] == 0
+    assert declined.converged and declined.iterations == budget and declined.newton_steps > 0
+    monkeypatch.setattr(ent, "_schur", singular_schur)
     resumed = ent.i_max_cq(cq, 1e-4)
     assert after[-1][0] == 0
     assert resumed.converged and resumed.newton_steps == 0 and resumed.iterations > budget
-    assert abs(resumed.value - r.value) <= resumed.duality_gap + r.duality_gap
-    assert_sigma_feasible(cq, resumed)
+    for other in (declined, resumed):
+        assert abs(other.value - r.value) <= other.duality_gap + r.duality_gap
+        assert_sigma_feasible(cq, other)
 
 
 def test_kkt_step_solves_the_complex_optimality_system():
@@ -1267,14 +1325,8 @@ def test_kkt_step_solves_the_complex_optimality_system():
         return np.kron(a, np.eye(len(a))) + np.kron(np.eye(len(a)), a.T)
 
     for cq, eps in kkt_cases()[::4]:
-        states = cq.stack[ent._imax_smooth_support(cq, eps)]
-        basis = ent._joint_support(states)
-        if basis is not None:
-            states = linalg.dagger(basis) @ states @ basis
+        states, best, pis = handed_over(cq, eps)
         n, r, _ = states.shape
-        best = ent._Bounds(states)
-        uniform = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
-        pis, _ = ent._fixed_point(states, uniform, best, ent._fixed_point_budget(r, kkt=True))
         tau, r2 = best.tau, r * r
         jac = np.zeros(((n + 1) * r2, (n + 1) * r2), dtype=complex)
         for x in range(n):

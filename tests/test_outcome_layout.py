@@ -15,6 +15,7 @@ from puredist import protocols as pr
 from puredist.compression import (
     Instance,
     NoGoodK,
+    compress_measurement,
     compress_seeds,
     nice_sets,
     per_k_errors,
@@ -234,7 +235,8 @@ def test_outcome_layout_keeps_the_bits_of_the_per_symbol_dicts(rng, family):
             assert new.sims[x].tobytes() == ref.sims[x].tobytes()
             assert new.sims_bob[x].tobytes() == ref.sims_bob[x].tobytes()
         for seed in range(6):
-            view, ref_view = new.compression(4, 8, seed), ref.inst.compression(4, 8, seed)
+            view = compress_measurement(new, 4, 8, seed)
+            ref_view = compress_measurement(ref.inst, 4, 8, seed)
             report = validate_compression(view)
             assert (report.ideal_vs_simulated, report.per_pair_state_dist) == _validation(
                 ref, ref_view)
@@ -289,7 +291,7 @@ def test_sweeps_run_as_one_stack_with_the_bits_of_each_view():
         kds, fqs = pr.run_kd_oneshot(views), pr.run_fewqubits(views)
         shapes = []
         for seed, kd, fq in zip(range(6), kds, fqs):
-            ref_view = ref.inst.compression(K, L, seed)
+            ref_view = compress_measurement(ref.inst, K, L, seed)
             (tprime, nice), errs = _nice_sets(ref, ref_view), _per_k_errors(ref, ref_view)
             k = min(tprime, key=lambda k: (errs[k], k))
             ref_view.__dict__.update(nice=(tprime, nice), errors=errs)

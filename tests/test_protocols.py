@@ -4,7 +4,7 @@ import pytest
 from puredist import entropy, linalg
 from puredist import protocols as pr
 from puredist.bounds import rate_report
-from puredist.compression import Instance, compress_seeds
+from puredist.compression import Instance, compress_measurement, compress_seeds
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -202,7 +202,7 @@ def test_final_error_of_runs_keeps_the_bits_of_each_run_alone(rng):
 
 def test_kd_oneshot_codes_each_distinct_symbol_once(rng, monkeypatch):
     psi = near_pure_classical(rng, 4, 4, top=0.7)
-    view = Instance(psi, basis_povm(4, "A"), 0.25).compression(K=8, L=16, seed=2)
+    view = compress_measurement(Instance(psi, basis_povm(4, "A"), 0.25), K=8, L=16, seed=2)
     pr.run_kd_oneshot([view])  # fills the instance's and the view's caches
     distinct = len(set(view.decode[view.k].tolist()))
     assert 1 < distinct < view.L
@@ -220,7 +220,7 @@ def test_kd_oneshot_codes_each_distinct_symbol_once(rng, monkeypatch):
 def test_kd_oneshot_classical(rng):
     psi = near_pure_classical(rng, 4, 4)
     eps = 0.25
-    [t] = pr.run_kd_oneshot([Instance(psi, basis_povm(4, "A"), eps).compression(
+    [t] = pr.run_kd_oneshot([compress_measurement(Instance(psi, basis_povm(4, "A"), eps),
         K=8, L=16, seed=3)])
     assert t.borrowed == int(np.ceil(np.log2(17)))
     assert t.communication == t.borrowed
@@ -233,7 +233,8 @@ def test_kd_oneshot_classical(rng):
 def test_kd_oneshot_trivial_povm(rng):
     psi = purified_input(bell_pair())
     [t] = pr.run_kd_oneshot(
-        [Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=4, seed=1)])
+        [compress_measurement(Instance(psi, Povm([np.eye(2)], register="A"), 0.1),
+                              K=2, L=4, seed=1)])
     # reduces to local distillations (nothing distillable from Bell marginals)
     assert t.distilled_alice == 0 and t.distilled_bob == 0
     assert t.final_error <= 1e-8
@@ -310,7 +311,7 @@ def test_uhlmann_check_holds_on_a_rank_one_shared_marginal():
     eye = np.eye(8)
     povm = Povm([eye[:, c] @ eye[:, c].T for c in ([0], [1, 2], [3, 4, 5, 6], [7])],
                 register="A")
-    view = Instance(psi, povm, 0.25).compression(K=4, L=4, seed=4)
+    view = compress_measurement(Instance(psi, povm, 0.25), K=4, L=4, seed=4)
     [t] = pr.run_fewqubits([view])
     [report] = rate_report([view])
     assert report.final_error_fq == t.final_error
@@ -328,7 +329,8 @@ def test_uhlmann_dimension_mismatch(rng):
 def test_fewqubits_rank1_bell(rng):
     psi = purified_input(bell_pair())
     eps = 0.25
-    [t] = pr.run_fewqubits([Instance(psi, basis_povm(2, "A"), eps).compression(K=4, L=8, seed=3)])
+    [t] = pr.run_fewqubits([compress_measurement(Instance(psi, basis_povm(2, "A"), eps),
+                                                 K=4, L=8, seed=3)])
     # rank-1 POVM: borrow stays within the declared slack
     assert t.borrowed <= t.slack_bits
     assert t.distilled_bob == 1  # Bob's conditionals are pure
@@ -338,7 +340,8 @@ def test_fewqubits_rank1_bell(rng):
 def test_fewqubits_trivial_povm(rng):
     psi = purified_input(bell_pair())
     [t] = pr.run_fewqubits(
-        [Instance(psi, Povm([np.eye(2)], register="A"), 0.1).compression(K=2, L=2, seed=3)])
+        [compress_measurement(Instance(psi, Povm([np.eye(2)], register="A"), 0.1),
+                              K=2, L=2, seed=3)])
     assert t.dims["Ag"] == 1
     assert t.borrowed <= 1
     assert t.final_error <= 1e-8
@@ -347,7 +350,8 @@ def test_fewqubits_trivial_povm(rng):
 def test_fewqubits_case1_on_large_A(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
-    [t] = pr.run_fewqubits([Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=8, seed=2)])
+    [t] = pr.run_fewqubits([compress_measurement(Instance(psi, basis_povm(8, "A"), eps),
+                                                 K=4, L=8, seed=2)])
     assert t.dims["Ap"] * t.dims["LA"] * t.dims["Ag"] == 8 * 2 ** t.borrowed
     assert t.communication == int(np.log2(t.dims["LA"]))
     assert t.extra["uhlmann_overlap"] <= 1 + 1e-9
@@ -364,7 +368,7 @@ def test_fewqubits_case1_distills_alice_qubits_in_place():
     noise = np.concatenate([[c0], rng.dirichlet(np.ones(3)) * (1 - c0)])
     joint = np.array([p_a[a] * np.roll(noise, a % 4) for a in range(16)])
     psi = purified_input(classical_correlated_pure(rng, 16, 4, joint=joint))
-    view = Instance(psi, basis_povm(16, "A"), 0.05, slack_bits=0.5).compression(4, 4, 1)
+    view = compress_measurement(Instance(psi, basis_povm(16, "A"), 0.05, slack_bits=0.5), 4, 4, 1)
     plan = pr.plan_fewqubits(view)
     assert plan.case == "I" and plan.a_p_bits == 2 and plan.borrow == 0
     assert plan.ap_dim * plan.la_dim * plan.ag_dim == 16 << plan.borrow
@@ -375,7 +379,7 @@ def test_fewqubits_case1_distills_alice_qubits_in_place():
 def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     psi = near_pure_classical(rng, 8, 4)
     inst = Instance(psi, basis_povm(8, "A"), 0.25)
-    view = inst.compression(K=4, L=16, seed=1)
+    view = compress_measurement(inst, K=4, L=16, seed=1)
     codes, orig = [], entropy.truncation_codes
 
     def counting(w, v, eps):
@@ -391,7 +395,7 @@ def test_fewqubits_codes_bob_once_per_nice_symbol(rng, monkeypatch):
     simulated = set(np.flatnonzero(inst.live).tolist())
     assert len(codes) == len(simulated) and symbols <= simulated
     codes.clear()
-    pr.run_fewqubits([inst.compression(K=4, L=16, seed=2)])
+    pr.run_fewqubits([compress_measurement(inst, K=4, L=16, seed=2)])
     assert codes == []  # a second seed codes none again
 
 
@@ -399,7 +403,7 @@ def test_fewqubits_beats_kd_on_borrow(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
     for seed in (1, 2, 3):
-        view = Instance(psi, basis_povm(8, "A"), eps).compression(K=4, L=16, seed=seed)
+        view = compress_measurement(Instance(psi, basis_povm(8, "A"), eps), K=4, L=16, seed=seed)
         [kd] = pr.run_kd_oneshot([view])
         [fq] = pr.run_fewqubits([view])
         assert fq.borrowed < kd.borrowed
@@ -410,7 +414,7 @@ def test_plan_fewqubits_cases(rng):
     psi = near_pure_classical(rng, 8, 4)
     eps = 0.25
     povm = basis_povm(8, "A")
-    plan = pr.plan_fewqubits(Instance(psi, povm, eps).compression(K=4, L=8, seed=2))
+    plan = pr.plan_fewqubits(compress_measurement(Instance(psi, povm, eps), K=4, L=8, seed=2))
     assert plan.case in ("I", "II")
     assert plan.ag_dim >= plan.extra["ag_required"]
     assert plan.extra["ag_required"] <= plan.extra["ag_entropic_cap"]
@@ -422,7 +426,7 @@ def test_plan_fewqubits_cases(rng):
     vec[1, 0, 1] = vec[1, 1, 0] = 0.5
     psi2 = PureState([("A", 2), ("B", 2), ("R", 2)], vec)
     povm2 = basis_povm(2, "A")
-    plan2 = pr.plan_fewqubits(Instance(psi2, povm2, eps).compression(K=2, L=4, seed=0))
+    plan2 = pr.plan_fewqubits(compress_measurement(Instance(psi2, povm2, eps), K=2, L=4, seed=0))
     assert plan2.case == "II"
     assert plan2.borrow >= 1
 
@@ -438,7 +442,7 @@ def test_fewqubits_empty_nice_raises():
     from puredist.compression import NoGoodK
     with pytest.raises((NoGoodK, RuntimeError)):
         pr.run_fewqubits(
-            [Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)])
+            [compress_measurement(Instance(psi, povm, 1e-12, slack_bits=0.0), K=1, L=1, seed=1)])
 
 
 def test_declared_slack_reaches_the_choice_of_k():
@@ -452,7 +456,7 @@ def test_declared_slack_reaches_the_choice_of_k():
     vec[1, 1, 1] = np.sqrt((1 - q) / 2)
     psi = PureState([("A", 2), ("B", 2), ("R", 2)], vec)
     povm = Povm([np.diag([0.9, 0.0]), np.diag([0.1, 1.0])], register="A")
-    view = Instance(psi, povm, 1e-12, slack_bits=0.0).compression(K=1, L=1, seed=1)
+    view = compress_measurement(Instance(psi, povm, 1e-12, slack_bits=0.0), K=1, L=1, seed=1)
     with pytest.raises(NoGoodK) as chosen:
         find_good_k(view)
     for run in (lambda v: pr.run_kd_oneshot([v]), lambda v: pr.run_fewqubits([v])):
@@ -460,7 +464,7 @@ def test_declared_slack_reaches_the_choice_of_k():
             run(view)
         assert str(raised.value) == str(chosen.value)
     # at the default slack the same table has a good k
-    [t] = pr.run_kd_oneshot([Instance(psi, povm, 1e-12).compression(K=1, L=1, seed=1)])
+    [t] = pr.run_kd_oneshot([compress_measurement(Instance(psi, povm, 1e-12), K=1, L=1, seed=1)])
     assert t.extra["k"] == 0 and t.slack_bits == np.log2(1e12)
 
 
@@ -487,7 +491,7 @@ def test_fewqubits_branchwise_consistency(rng):
     psi = near_pure_classical(rng, 8, 4)
     povm = basis_povm(8, "A")
     eps = 0.25
-    view = Instance(psi, povm, eps).compression(K=4, L=8, seed=2)
+    view = compress_measurement(Instance(psi, povm, eps), K=4, L=8, seed=2)
     k = find_good_k(view)
     plan = pr.plan_fewqubits(view)
     _, nice_all = nice_sets(view)
@@ -533,7 +537,7 @@ def test_protocols_on_mixed_input_with_reference(rng):
     psi = mixed_protocol_input(rng, 4, 2, rank=2)
     assert psi.dim("R") == 2
     eps = 0.25
-    view = Instance(psi, basis_povm(4, "A"), eps).compression(K=4, L=8, seed=2)
+    view = compress_measurement(Instance(psi, basis_povm(4, "A"), eps), K=4, L=8, seed=2)
     [kd] = pr.run_kd_oneshot([view])
     [fq] = pr.run_fewqubits([view])
     for t in (kd, fq):
@@ -570,7 +574,7 @@ def test_rate_formulas_read_h_h_of_a_given_x_from_the_environment(rng):
         inst = Instance(psi, povm, eps)
         t = pr.run_protocol_a(inst)
         assert abs(t.rate_bound_real - formula(eps * eps, np.log2(len(povm)))) <= 1e-12
-        [kd] = pr.run_kd_oneshot([inst.compression(K=K, L=L, seed=1)])
+        [kd] = pr.run_kd_oneshot([compress_measurement(inst, K=K, L=L, seed=1)])
         assert abs(kd.rate_bound_real - formula(eps, kd.extra["imax_bits"])) <= 1e-12
 
 
@@ -596,11 +600,13 @@ def test_verify_derandomization_reports(rng):
     psi = near_pure_classical(rng, 4, 4)
     povm = basis_povm(4, "A")
     eps = 0.25
-    rep = pr.verify_derandomization(Instance(psi, povm, eps).compression(K=4, L=16, seed=2))
+    rep = pr.verify_derandomization(
+        compress_measurement(Instance(psi, povm, eps), K=4, L=16, seed=2))
     assert rep["pairs"] == 64
     assert 0 <= rep["fraction"] <= 1
     assert rep["passed"] == (rep["fraction"] >= rep["bound"])
     # trivial POVM: every pair is nice
     triv = Povm([np.eye(4)], register="A")
-    rep2 = pr.verify_derandomization(Instance(psi, triv, eps).compression(K=2, L=4, seed=0))
+    rep2 = pr.verify_derandomization(
+        compress_measurement(Instance(psi, triv, eps), K=2, L=4, seed=0))
     assert rep2["fraction"] == 1.0
