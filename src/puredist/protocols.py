@@ -31,7 +31,7 @@ protocols take a sweep's views as one stack of runs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,7 +222,6 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
         dims={"A": da, "B": db, "X": n_x},
         slack_bits=inst.slack_bits,
         rate_bound_real=float(formula),
-        extra={"env": inst.env},
     )
 
 
@@ -252,11 +251,10 @@ def run_kd_oneshot(views) -> list:
     results = _distill_branches(states.measure(psi, elements, a_reg), runs, a_reg, bob_label, eps)
 
     da, db = psi.dim(a_reg), psi.dim(bob_label)
-    imax = inst.imax
     # H_H(A|X) = H_H(E|X) on the pure branches: the solve the nice verdicts made
     formula = (np.log2(da) - inst.h_h_cond("ideal_env", eps)
                + np.log2(db) - inst.h_h_cond("ideal_bob", eps)
-               - imax.value)
+               - inst.imax.value)
     return [ProtocolTranscript(
         protocol="kd-oneshot",
         distilled_alice=a_bits,
@@ -269,7 +267,6 @@ def run_kd_oneshot(views) -> list:
         dims={"A": da, "B": db, "K": view.K, "L": view.L},
         slack_bits=inst.slack_bits,
         rate_bound_real=float(formula),
-        extra={"k": view.k, "c_norm": view.c_norm, "imax_bits": imax.value},
     ) for view, (a_bits, b_bits, err) in zip(views, results)]
 
 
@@ -322,8 +319,9 @@ def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
 class FewQubitsPlan:
     """Embedding and borrow plan for the in-place protocol.
 
-    ``case`` is decided by the entropic condition (constants exposed via
-    ``slack_bits``); the embedding dims multiply to |A| * 2^borrow exactly.
+    ``case`` is decided by the entropic condition (its slack is the
+    instance's ``slack_bits``); the embedding dims A_p, L_A and A_g multiply
+    to |A| * 2^borrow exactly, and A_p holds ``a_p_bits`` pure qubits.
     """
 
     case: str
@@ -332,32 +330,21 @@ class FewQubitsPlan:
     ap_dim: int
     la_dim: int
     ag_dim: int
-    nice_count: int
-    condition_lhs: float
-    condition_rhs: float
-    delta_bits: float
-    extra: dict = field(default_factory=dict)
 
 
 def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     """Evaluate the case condition and lay out the in-place embedding.
 
     Case I requires I_max + H_H(env|X) + slack <= log|A| (entropic
-    quantities on the ideal control state); the embedding then fits inside
-    A and the construction borrows only the power-of-two rounding (0 for
-    power-of-two instances). Case II borrows the shortfall, its theoretical
-    size being Delta = H_H(env|X) - H_min(env|X) + slack.
+    quantities on the ideal control state, H_H at eps); the embedding then
+    fits inside A and the construction borrows only the power-of-two
+    rounding (0 for power-of-two instances). Case II keeps no pure qubit in
+    A and borrows the qubits the embedding lacks.
     """
     inst, k = view.instance, view.k
-    eps, slack_bits = inst.eps, inst.slack_bits
     da = inst.psi.dim(inst.povm.register)
-    imax = inst.imax.value
-    hh_env = inst.h_h_cond("ideal_env", eps)
-    lhs = imax + hh_env + slack_bits
-    rhs = float(np.log2(da))
-    case = "I" if lhs <= rhs else "II"
-    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.h_min_cond("ideal_env", eps)
-                + slack_bits)
+    lhs = inst.imax.value + inst.h_h_cond("ideal_env", inst.eps) + inst.slack_bits
+    case = "I" if lhs <= np.log2(da) else "II"
 
     nice = view.nice[1][k]
     # A_g holds the purifications of the truncated branch states: its size is
@@ -379,13 +366,8 @@ def plan_fewqubits(view: Compression) -> FewQubitsPlan:
     while (da << borrow) < ap * la * ag_pow or (da << borrow) % (ap * la) != 0:
         borrow += 1
     ag = (da << borrow) // (ap * la)
-    return FewQubitsPlan(
-        case=case, borrow=borrow, a_p_bits=ap_bits,
-        ap_dim=ap, la_dim=la, ag_dim=ag, nice_count=len(nice),
-        condition_lhs=float(lhs), condition_rhs=rhs, delta_bits=float(delta),
-        extra={"ag_required": ag_req, "ag_entropic_cap": ag_cap,
-               "imax_bits": imax, "hh_env_bits": hh_env},
-    )
+    return FewQubitsPlan(case=case, borrow=borrow, a_p_bits=ap_bits,
+                         ap_dim=ap, la_dim=la, ag_dim=ag)
 
 
 def _fewqubits_setup(view: Compression, bob_codes, db: int, eps: float):
@@ -448,20 +430,18 @@ def run_fewqubits(views) -> list:
         # append |0>^borrow to A: out index a * 2^borrow + 0
         phi = psi.apply(np.eye(da << borrow, dtype=complex)[:, ::2 ** borrow], [a_reg],
                         out_regs=[(a_reg, da << borrow)]) if borrow else psi
-        u, overlaps = uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
+        u, _ = uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
         branches = phi.apply(u, [a_reg], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)]).split("LA")
         errors = _final_error(branches, branches.masses(), [(la, range(la))] * len(members),
                               [[setups[i][3]] for i in members], [(bob_label, ("Bp", "Bg"))])
-        for i, overlap, err in zip(members, overlaps, errors):
+        for i, err in zip(members, errors):
             view, (_, plan, _, (b_bits, _)) = views[i], setups[i]
             out[i] = ProtocolTranscript(
                 protocol="fewqubits", distilled_alice=plan.a_p_bits, distilled_bob=b_bits,
                 borrowed=borrow, communication=int(np.log2(la)), final_error=err, eps=eps,
                 seed=view.seed, dims={"A": da, "B": db, "K": view.K, "L": view.L,
                                       "Ap": ap, "LA": la, "Ag": ag},
-                slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None,
-                extra={"k": view.k, "uhlmann_overlap": overlap,
-                       "nice_count": plan.nice_count, "plan_delta_bits": plan.delta_bits})
+                slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None)
     if failure is not None:
         raise failure
     return out
@@ -471,22 +451,13 @@ def verify_derandomization(view: Compression) -> dict:
     """Measure the fraction of (k, l) pairs passing both entropic bounds.
 
     The claimed lower bound on the fraction is 1 - eps^(1/8); the report
-    carries pass/fail plus the slack convention used, and never raises on
+    holds the fraction, the bound and pass/fail, and never raises on
     failure (degenerate tables legitimately fail).
     """
     _, nice = view.nice
-    total = view.K * view.L
-    good = sum(len(v) for v in nice.values())
-    fraction = good / total
+    fraction = sum(len(v) for v in nice.values()) / (view.K * view.L)
     bound = 1.0 - view.instance.eps ** 0.125
-    return {
-        "fraction": fraction,
-        "bound": bound,
-        "passed": bool(fraction >= bound),
-        "pairs": total,
-        "nice_pairs": good,
-        "slack_bits": view.instance.slack_bits,
-    }
+    return {"fraction": fraction, "bound": bound, "passed": bool(fraction >= bound)}
 
 
 def _block_diag_mix(blocks: PureState, keep):

@@ -334,7 +334,9 @@ class ProtocolTranscript:
     Qubit counts are integers (floors of the real-valued log-dimension
     bounds); ``rate_bound_real`` keeps the un-floored formula value for
     reporting. ``net_rate`` is exactly
-    ``distilled_alice + distilled_bob - borrowed``.
+    ``distilled_alice + distilled_bob - borrowed``. A transcript holds what
+    ``to_dict`` prints and nothing more: the view and the instance a run
+    read keep the rest (chosen k, ``c_norm``, I_max, the environment).
     """
 
     protocol: str
@@ -349,7 +351,6 @@ class ProtocolTranscript:
     slack_bits: float = 0.0
     case: str | None = None
     rate_bound_real: float | None = None
-    extra: dict = field(default_factory=dict)
 
     CSV_COLUMNS = ("protocol", "seed", "eps", "distilled_alice", "distilled_bob",
                    "borrowed", "communication", "net_rate", "final_error",

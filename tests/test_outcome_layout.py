@@ -104,13 +104,8 @@ def _plan_fewqubits(ref, view, k, nice):
     inst = ref.inst
     eps, slack_bits = inst.eps, inst.slack_bits
     da = inst.psi.dim(inst.povm.register)
-    imax = inst.imax.value
-    hh_env = inst.h_h_cond("ideal_env", eps)
-    lhs = imax + hh_env + slack_bits
-    rhs = float(np.log2(da))
-    case = "I" if lhs <= rhs else "II"
-    delta = max(0.0, inst.h_h_cond("ideal_env", eps * eps) - inst.h_min_cond("ideal_env", eps)
-                + slack_bits)
+    lhs = inst.imax.value + inst.h_h_cond("ideal_env", eps) + slack_bits
+    case = "I" if lhs <= float(np.log2(da)) else "II"
     ag_req, ag_cap = 1, 2
     for x in np.unique(view.decode[k, nice], return_inverse=True)[0].tolist():
         hh_pair = ref.h_env[x]
@@ -130,10 +125,7 @@ def _plan_fewqubits(ref, view, k, nice):
         borrow += 1
     return pr.FewQubitsPlan(
         case=case, borrow=borrow, a_p_bits=ap_bits,
-        ap_dim=ap, la_dim=la, ag_dim=(da << borrow) // (ap * la), nice_count=len(nice),
-        condition_lhs=float(lhs), condition_rhs=rhs, delta_bits=float(delta),
-        extra={"ag_required": ag_req, "ag_entropic_cap": ag_cap,
-               "imax_bits": imax, "hh_env_bits": hh_env})
+        ap_dim=ap, la_dim=la, ag_dim=(da << borrow) // (ap * la))
 
 
 def _run_fewqubits(ref, view, k, nice):
@@ -164,7 +156,7 @@ def _run_fewqubits(ref, view, k, nice):
         block = 2 ** plan.borrow
         phi = psi.apply(np.eye(da * block, dtype=complex)[:, ::block], [a_reg],
                         out_regs=[(a_reg, da * block)])
-    u, overlap = pr.uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
+    u, _ = pr.uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
     state = phi.apply(u, [a_reg], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)])
     db = psi.dim(bob_label)
     b_bits, rows = pr._conditional_codes([ref.bob_codes[x] for x in symbols.tolist()],
@@ -178,9 +170,7 @@ def _run_fewqubits(ref, view, k, nice):
         borrowed=plan.borrow, communication=int(np.log2(la)), final_error=err, eps=eps,
         seed=view.seed, dims={"A": da, "B": db, "K": view.K, "L": view.L,
                               "Ap": ap, "LA": la, "Ag": ag},
-        slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None,
-        extra={"k": k, "uhlmann_overlap": overlap,
-               "nice_count": len(nice), "plan_delta_bits": plan.delta_bits})
+        slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None)
 
 
 def _kernel_povm_input(rng):

@@ -17,6 +17,11 @@ some call in the same code: a call ``name(...)`` or ``x.name(...)`` (a
 method only the latter) that passes it by position or by keyword, or
 through ``*args`` or ``**kwargs``. A default that no call overrides is a
 constant.
+
+Every annotated field of a ``@dataclass`` of the package is read by the
+same code: through an attribute access (``x.field``) or a whole string
+constant, as a method is used. A constructor keyword only writes the field,
+so a field that nothing reads is data that no caller needs.
 """
 
 import ast
@@ -37,6 +42,11 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     ("states", "control_state", "condition_on"):
         "the benchmark tracer wraps control_state by name, so it leaves with the tracer",
+}
+# (module, class, field): why a dataclass field that no code in the scan reads stays
+ALLOWED_FIELDS = {
+    ("entropy", "ImaxResult", "converged"): "ROADMAP item 2's trace records read them",
+    ("entropy", "ImaxResult", "newton_steps"): "ROADMAP item 2's trace records read them",
 }
 # a function under this decorator registers itself, and the registry runs it:
 # verify's checks, run through verify.SUITE
@@ -175,6 +185,28 @@ def unset(modules: dict, others: list) -> list:
     return dead
 
 
+def fields(tree) -> list:
+    """(class, field) of each annotated field of the ``@dataclass`` classes
+    of a module, a decorator with arguments included."""
+    def dataclass(d):
+        return getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+
+    return [(node.name, f.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(dataclass, node.decorator_list))
+            for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
+def unread(modules: dict, others: list) -> list:
+    """``module.Class.field`` of each dataclass field of ``modules`` that no
+    attribute access or whole string constant of ``modules`` or ``others``
+    reads."""
+    read = {name for text in [*modules.values(), *others]
+            for name, _, bare in uses(ast.parse(text)) if not bare}
+    return [f"{stem}.{cls}.{name}" for stem, text in modules.items()
+            for cls, name in fields(ast.parse(text))
+            if name not in read and (stem, cls, name) not in ALLOWED_FIELDS]
+
+
 def scanned():
     """The package's modules (stem -> source) and the sources of the demos
     and the benchmark that the scans read."""
@@ -200,6 +232,35 @@ def test_every_parameter_default_is_overridden_by_some_call():
     for module, name, param in ALLOWED_PARAMETERS:
         nodes = [node for n, node, _ in definitions(ast.parse(modules[module])) if n == name]
         assert any(param in {p for p, _ in defaulted(node, False)} for node in nodes)
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    modules, others = scanned()
+    assert unread(modules, others) == []
+    # every allowance names a dataclass field that still exists
+    for module, cls, name in ALLOWED_FIELDS:
+        assert (cls, name) in fields(ast.parse(modules[module]))
+
+
+def test_the_field_scan_counts_reads_not_constructor_keywords():
+    module = ("from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class Rec:\n"
+              "    by_attribute: int\n"
+              "    by_string: int\n"
+              "    by_keyword: int\n"
+              "    by_name: int = 0\n"
+              "    LIMIT = 3\n"
+              "@dataclass(eq=False)\n"
+              "class Other:\n"
+              "    never: dict = field(default_factory=dict)\n"
+              "class Plain:\n"
+              "    skipped: int\n"
+              "def make(by_name):\n"
+              "    r = Rec(1, 2, by_keyword=3, by_name=by_name)\n"
+              "    return r.by_attribute, getattr(r, 'by_string')\n")
+    assert sorted(unread({"mod": module}, [])) == [
+        "mod.Other.never", "mod.Rec.by_keyword", "mod.Rec.by_name"]
 
 
 def test_the_scan_flags_a_dead_name_and_counts_only_code(tmp_path):
