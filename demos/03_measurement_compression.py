@@ -54,7 +54,8 @@ print("qualifying k's:", tprime)
 print("chosen k:", k, " per-k error", round(errs[k], 4),
       " median", round(float(np.median(errs)), 4))
 
-# The table serializes for reproducible reruns.
+# The table serializes as its recipe (K, L, seed and the decode table it
+# checks), and from_json redraws it.
 text = view.to_json()
 print("\nserialized size:", len(text), "bytes; round-trips:",
       np.array_equal(view.decode, Compression.from_json(text, inst).decode))

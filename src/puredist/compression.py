@@ -105,12 +105,10 @@ class CompressionReport:
     ideal_vs_simulated: float
     per_pair_state_dist: float
     qkl_vs_uniform: float
-    qk_vs_uniform: float
     bot_mass: float
 
     def __post_init__(self):
-        for f in ("ideal_vs_simulated", "per_pair_state_dist",
-                  "qkl_vs_uniform", "qk_vs_uniform", "bot_mass"):
+        for f in ("ideal_vs_simulated", "per_pair_state_dist", "qkl_vs_uniform", "bot_mass"):
             if getattr(self, f) < 0:
                 raise ValueError(f"{f} must be non-negative")
 
@@ -358,7 +356,10 @@ class Instance:
 @dataclass(eq=False)
 class Compression:
     """One K x L compressed measurement of an ``Instance``, built by
-    ``compress_seeds`` (one seed: ``compress_measurement``) and reloaded by ``from_json``.
+    ``compress_seeds`` (one seed: ``compress_measurement``). Each cell is
+    drawn from its own seeded stream, so the table is a function of (instance,
+    K, L, seed): it serializes as that recipe (``to_json``), and ``from_json``
+    redraws it.
 
     ``elements[k]`` stacks row k's L cell operators, then the failure element.
     ``decode[k, l]`` is the original outcome x that cell (k, l) stands for;
@@ -386,26 +387,23 @@ class Compression:
         return self.q_kl[k] * self.K
 
     def to_json(self) -> str:
-        return io.dumps({
-            "K": self.K, "L": self.L, "seed": self.seed,
-            "register": self.instance.povm.register, "c_norm": self.c_norm,
-            "bot_decode": int(np.argmax(self.instance.p_x)),  # the likeliest x
-            "decode": self.decode,
-            "q_kl": self.q_kl,
-            "dim": self.elements.shape[-1],
-            "thetas": [[io.matrix_to_pairs(e) for e in row] for row in self.elements],
-        })
+        """The table's recipe as JSON: K, L and seed redraw it from its
+        instance; the register and the decode table let ``from_json`` check
+        that the instance is the one it was drawn from."""
+        return io.dumps({"K": self.K, "L": self.L, "seed": self.seed,
+                         "register": self.instance.povm.register, "decode": self.decode})
 
-    @classmethod
-    def from_json(cls, text: str, instance: Instance) -> "Compression":
+    @staticmethod
+    def from_json(text: str, instance: Instance) -> "Compression":
+        """Redraw the table that ``to_json`` wrote from ``instance``: a loaded
+        table is always one that ``compress_seeds`` draws."""
         d = json.loads(text)
-        if d["register"] != instance.povm.register or d["dim"] != instance.povm.dim:
+        if d["register"] != instance.povm.register:
             raise ValueError("the table does not measure this instance's register")
-        elements = np.array([[io.pairs_to_matrix(e, d["dim"]) for e in row]
-                             for row in d["thetas"]])
-        return cls(instance, K=d["K"], L=d["L"], seed=d["seed"], elements=elements,
-                   decode=np.array(d["decode"], dtype=int),
-                   q_kl=np.array(d["q_kl"], dtype=float), c_norm=d["c_norm"])
+        view = compress_measurement(instance, K=d["K"], L=d["L"], seed=d["seed"])
+        if not np.array_equal(view.decode, d["decode"]):
+            raise ValueError("the table was drawn from another instance")
+        return view
 
     @cached_property
     def nice(self):
@@ -540,7 +538,6 @@ def validate_compression(view: Compression) -> CompressionReport:
         ideal_vs_simulated=float(_block_distances(view.instance, view.outcome_weights[None])[0]),
         per_pair_state_dist=view.per_pair_state_dist,
         qkl_vs_uniform=float(np.sum(np.abs(q_kl[:, :L] - 1.0 / (K * L))) + np.sum(q_kl[:, L])),
-        qk_vs_uniform=float(np.sum(np.abs(np.sum(q_kl, axis=1) - 1.0 / K))),
         bot_mass=float(np.sum(q_kl[:, L])))
 
 

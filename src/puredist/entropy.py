@@ -352,13 +352,13 @@ def _result(pos, zero, t, gamma, gap, cost, mass, probes) -> EntropyResult:
 
 def d_h_many(rhos, sigmas, eps) -> list:
     """``d_h(rhos[i], sigmas[i], eps[i])`` for each i, as one stacked solver.
-    The pairs of one size decompose their rhos (the check, with
-    eigenvectors only where an eps = 0 pair takes its support projector),
-    their sigmas and their whitened pencils in one stacked call each. Then
-    the threshold searches of all sizes run in lockstep, one stacked
-    eigendecomposition per size and probe round for the pairs still
-    searching. Every pair's result has the bits of its own
-    solve, whatever else is in the lists; each uncertified one warns."""
+    The pairs of one size decompose their rhos (the check, and the support
+    projector an eps = 0 pair takes), their sigmas and their whitened
+    pencils in one stacked call each. Then the threshold searches of all
+    sizes run in lockstep, one stacked eigendecomposition per size and
+    probe round for the pairs still searching. Every pair's result has the
+    bits of its own solve, whatever else is in the lists; each uncertified
+    one warns."""
     rs, ss = [_matrix(r) for r in rhos], [_matrix(s) for s in sigmas]
     for r, s, e in zip(rs, ss, eps, strict=True):
         _validate_eps(e)
@@ -371,10 +371,9 @@ def d_h_many(rhos, sigmas, eps) -> list:
     for idx in linalg.groups(r.shape for r in rs).values():
         r, s, e = (np.array([x[i] for i in idx]) for x in (rs, ss, eps))
         # both inputs are checked (Hermitian, PSD) here, before any early return;
-        # rho's eigenvectors, read only where they give eps = 0 pairs their support
-        # projectors, come with the same spectrum
+        # rho's eigenvectors give eps = 0 pairs their support projectors
         zero = e == 0.0
-        wr, vr = linalg.psd_eig(r) if zero.any() else (linalg.psd_eigvals(r), None)
+        wr, vr = linalg.psd_eig(r)
         ws, vs = linalg.eig_hermitian(s)
         ws, d = linalg.clip_psd_spectrum(ws), r.shape[-1]
         # every rh - t*sh is Hermitian bit for bit too

@@ -1,10 +1,16 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from puredist import entropy, linalg
+from puredist import entropy, io, linalg
 from puredist.compression import (
     Compression,
     Instance,
@@ -28,6 +34,7 @@ from puredist.sampling import (
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
 from oracles import conditionals, mixed_protocol_input, pair_rng
+from test_golden import write_mixed
 
 BOT = "bot"  # the failure symbol's label
 
@@ -213,7 +220,6 @@ def test_validation_exact_fields(rng):
     view = compress_measurement(Instance(psi, povm, 0.1), K=4, L=16, seed=3)
     rep = validate_compression(view)
     assert 0 <= rep.ideal_vs_simulated <= 2
-    assert rep.qk_vs_uniform <= 1e-9  # k is drawn uniformly by construction
     assert rep.bot_mass == pytest.approx(float(np.sum(view.q_kl[:, -1])))
     # the simulated mixture is a substate: its total weight + bot mass = 1
     assert np.isclose(np.sum(view.q_kl), 1.0, atol=1e-9)
@@ -457,6 +463,59 @@ def test_json_round_trip(rng):
     assert back.k == view.k
     with pytest.raises(ValueError, match="does not measure"):
         Compression.from_json(text, Instance(psi, basis_povm(2, "B"), 0.1, bob_label="A"))
+
+
+# draws the K = 4, L = 8, seed 3 table of a saved (state, POVM) pair at eps 0.1,
+# then prints its JSON and one digest of its elements, q_kl and c_norm bytes
+DRAW = """
+import hashlib, sys
+import numpy as np
+from puredist import io
+from puredist.compression import Instance, compress_measurement
+inst = Instance(io.load_state(sys.argv[1]).purify(), io.load_povm(sys.argv[2]), 0.1)
+view = compress_measurement(inst, K=4, L=8, seed=3)
+print(view.to_json())
+print(hashlib.sha256(view.elements.tobytes() + view.q_kl.tobytes()
+                     + np.float64(view.c_norm).tobytes()).hexdigest())
+"""
+
+
+def test_a_table_redraws_with_the_same_bits_in_fresh_processes(tmp_path):
+    # the recipe (K, L, seed) stands for the table only if every process draws it alike
+    write_mixed(tmp_path)
+    state, povm = str(tmp_path / "mixed.json"), str(tmp_path / "povm3.json")
+    inst = Instance(io.load_state(state).purify(), io.load_povm(povm), 0.1)
+    view = compress_measurement(inst, K=4, L=8, seed=3)
+    digest = hashlib.sha256(view.elements.tobytes() + view.q_kl.tobytes()
+                            + np.float64(view.c_norm).tobytes()).hexdigest()
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", DRAW, state, povm], capture_output=True,
+                              text=True, timeout=600, env=dict(
+                                  os.environ, PYTHONHASHSEED=hash_seed,
+                                  PYTHONPATH=str(Path(io.__file__).parents[1])))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{view.to_json()}\n{digest}\n"
+
+
+def test_a_table_loads_only_into_the_instance_it_was_drawn_from():
+    def instance(joint):
+        return Instance(purified_input(classical_correlated_pure(None, 2, 2, joint=np.array(
+            joint))), basis_povm(2, "A"), 0.1)
+
+    inst = instance([[0.45, 0.05], [0.05, 0.45]])
+    view = compress_measurement(inst, K=4, L=8, seed=3)
+    text = view.to_json()
+    assert sorted(json.loads(text)) == ["K", "L", "decode", "register", "seed"]
+    # the same register, another P_X: the redrawn decode table differs
+    with pytest.raises(ValueError, match="drawn from another instance"):
+        Compression.from_json(text, instance([[0.85, 0.05], [0.05, 0.05]]))
+    edited = json.loads(text)
+    edited["decode"][0][0] = 1 - edited["decode"][0][0]
+    with pytest.raises(ValueError, match="drawn from another instance"):
+        Compression.from_json(io.dumps(edited), inst)
+    # a file that also holds the cell operators, as the full format did, loads
+    full = dict(json.loads(text), c_norm=view.c_norm, dim=2, thetas=[], q_kl=[])
+    assert Compression.from_json(io.dumps(full), inst).to_json() == text
 
 
 def _kernel_outcome_instance(rng):

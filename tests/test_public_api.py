@@ -21,7 +21,9 @@ constant.
 Every annotated field of a ``@dataclass`` of the package is read by the
 same code: through an attribute access (``x.field``) or a whole string
 constant, as a method is used. A constructor keyword only writes the field,
-so a field that nothing reads is data that no caller needs.
+and a string constant in a dataclass's own ``__post_init__`` only names a
+field that the constructor validates, so neither is a read: a field that
+nothing reads is data that no caller needs.
 """
 
 import ast
@@ -82,12 +84,13 @@ def definitions(tree) -> list:
     return out
 
 
-def uses(tree) -> list:
+def uses(tree, skip=()) -> list:
     """(name, line, bare) of every identifier, import alias and whole string
     constant in the code of ``tree``; a dotted string also uses each part.
     ``bare`` marks a bare name or an import alias, which cannot reach a
-    method. Docstrings and other bare string statements are left out."""
-    skip = set()
+    method. Docstrings and other bare string statements are left out, and
+    so are the nodes whose ids ``skip`` holds."""
+    skip = set(skip)
     for node in ast.walk(tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
             skip.add(id(node.value))
@@ -185,23 +188,35 @@ def unset(modules: dict, others: list) -> list:
     return dead
 
 
-def fields(tree) -> list:
-    """(class, field) of each annotated field of the ``@dataclass`` classes
-    of a module, a decorator with arguments included."""
+def dataclasses(tree) -> list:
+    """The ``@dataclass`` class nodes of a module, a decorator with arguments included."""
     def dataclass(d):
         return getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
 
-    return [(node.name, f.target.id) for node in tree.body
-            if isinstance(node, ast.ClassDef) and any(map(dataclass, node.decorator_list))
+    return [node for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(dataclass, node.decorator_list))]
+
+
+def fields(tree) -> list:
+    """(class, field) of each annotated field of the ``@dataclass`` classes of a module."""
+    return [(node.name, f.target.id) for node in dataclasses(tree)
             for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+
+
+def validated(tree) -> set:
+    """The ids of the string constants in the ``__post_init__`` of each
+    ``@dataclass`` of a module: the field names that its constructor checks."""
+    return {id(c) for node in dataclasses(tree) for f in node.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+            for c in ast.walk(f) if isinstance(c, ast.Constant)}
 
 
 def unread(modules: dict, others: list) -> list:
     """``module.Class.field`` of each dataclass field of ``modules`` that no
     attribute access or whole string constant of ``modules`` or ``others``
-    reads."""
-    read = {name for text in [*modules.values(), *others]
-            for name, _, bare in uses(ast.parse(text)) if not bare}
+    reads, the constants of a dataclass's own ``__post_init__`` left out."""
+    trees = map(ast.parse, [*modules.values(), *others])
+    read = {name for tree in trees for name, _, bare in uses(tree, validated(tree)) if not bare}
     return [f"{stem}.{cls}.{name}" for stem, text in modules.items()
             for cls, name in fields(ast.parse(text))
             if name not in read and (stem, cls, name) not in ALLOWED_FIELDS]
@@ -261,6 +276,27 @@ def test_the_field_scan_counts_reads_not_constructor_keywords():
               "    return r.by_attribute, getattr(r, 'by_string')\n")
     assert sorted(unread({"mod": module}, [])) == [
         "mod.Other.never", "mod.Rec.by_keyword", "mod.Rec.by_name"]
+
+
+def test_the_field_scan_counts_no_name_that_a_post_init_validates():
+    module = ("from dataclasses import dataclass\n"
+              "@dataclass\n"
+              "class Rec:\n"
+              "    validated_only: float\n"
+              "    read_too: float\n"
+              "    def __post_init__(self):\n"
+              "        for f in ('validated_only', 'read_too'):\n"
+              "            if getattr(self, f) < 0:\n"
+              "                raise ValueError(f)\n"
+              "class Plain:\n"
+              "    def __post_init__(self):\n"
+              "        return getattr(self, 'named_by_plain')\n"
+              "@dataclass\n"
+              "class Other:\n"
+              "    named_by_plain: int\n"
+              "def show(r):\n"
+              "    return r.read_too\n")
+    assert unread({"mod": module}, []) == ["mod.Rec.validated_only"]
 
 
 def test_the_scan_flags_a_dead_name_and_counts_only_code(tmp_path):
