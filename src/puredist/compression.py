@@ -365,9 +365,11 @@ class Compression:
     ``decode[k, l]`` is the original outcome x that cell (k, l) stands for;
     its operator, state and niceness depend on x alone. ``q_kl`` is the
     exact joint outcome distribution with uniform k (failure column last).
-    The nice sets, per-k errors, chosen k, the probability decoded to each
-    outcome and the per-pair state distance are computed on first use and
-    kept; ``k`` raises ``NoGoodK`` exactly where ``find_good_k`` does.
+    ``sweep`` is the list of views that ``compress_seeds`` drew together,
+    this one among them. The nice sets, per-k errors (scored for the whole
+    sweep at once), chosen k, the probability decoded to each outcome and the
+    per-pair state distance are computed on first use and kept; ``k`` raises
+    ``NoGoodK`` exactly where ``find_good_k`` does.
     """
 
     instance: Instance
@@ -411,7 +413,11 @@ class Compression:
 
     @cached_property
     def errors(self) -> np.ndarray:
-        return per_k_errors([self])[0]
+        """The per-k errors; the first read on any view of the sweep scores
+        every view of it in one ``per_k_errors`` pass."""
+        for view, errs in zip(self.sweep, per_k_errors(self.sweep)):
+            view.__dict__.setdefault("errors", errs)
+        return self.__dict__["errors"]
 
     @cached_property
     def k(self) -> int:
@@ -439,7 +445,8 @@ def compress_measurement(inst: Instance, K: int, L: int, seed: int) -> Compressi
 
 def compress_seeds(inst: Instance, K: int, L: int, seeds) -> list:
     """Build the randomized K x L compressed measurement of an instance for
-    each seed, all seeds in shared array passes, views in seed order.
+    each seed, all seeds in shared array passes, views in seed order; each
+    view keeps the list of them as its ``sweep``.
 
     For each cell an original outcome x(k, l) is sampled iid from the
     measurement statistics P_X; the cell operator is
@@ -478,11 +485,12 @@ def compress_seeds(inst: Instance, K: int, L: int, seeds) -> list:
     views = [Compression(inst, K, L, seed, elements=e, decode=dec, q_kl=q, c_norm=float(cs))
              for seed, e, dec, q, cs in zip(seeds, elements, decode, q_kl, c)]
     for view in views:
+        view.sweep = views
         if view.quality_warning:
             cap = inst.c_cap
             warnings.warn(f"compression normalization c={view.c_norm:.3f} < 1/2; " + (
                 "raise L" if cap >= 0.5 else f"no L lifts it past its cap c_cap={cap:.3f}"))
-    return views
+    return list(views)  # a copy: a caller's edits leave the sweep as drawn
 
 
 def simulated_conditionals(inst: Instance):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy, linalg, states
-from .compression import Compression, Instance, NoGoodK, per_k_errors
+from .compression import Compression, Instance, NoGoodK
 from .states import Povm, ProtocolTranscript, PureState
 
 
@@ -178,16 +178,36 @@ def _final_error(branches: PureState, masses, runs, codes, regs) -> list:
     return errors
 
 
-def _distill_branches(branches: PureState, runs, a_reg: str, b_reg: str, eps: float) -> list:
-    """Both parties' conditional codes on the dephased outcomes of each run
-    (as in ``_branch_codes``) of the stacked ``branches``; returns (Alice's
-    bits, Bob's bits, final error) per run."""
-    masses = branches.masses()
+def _distill_branches(branches: PureState, runs, inst: Instance) -> list:
+    """Both parties' conditional codes, on the instance's measured register
+    and Bob's, on the dephased outcomes of each run (as in ``_branch_codes``)
+    of the stacked ``branches``; returns (Alice's bits, Bob's bits, final
+    error) per run."""
+    a_reg, b_reg, eps, masses = inst.povm.register, inst.bob_label, inst.eps, branches.masses()
     codes = list(zip(_branch_codes(branches, masses, runs, a_reg, eps),
                      _branch_codes(branches, masses, runs, b_reg, eps)))
     errors = _final_error(branches, masses, runs, codes,
                           [(a_reg, ("Ap", "Ag")), (b_reg, ("Bp", "Bg"))])
     return [(a[0], b[0], err) for (a, b), err in zip(codes, errors)]
+
+
+def _transcript(inst: Instance, protocol: str, dims: dict, **fields) -> ProtocolTranscript:
+    """A run's transcript, with what every run of the instance shares: eps,
+    ``slack_bits`` and the |A| and |B| dims, ahead of the protocol's ``dims``."""
+    psi = inst.psi
+    return ProtocolTranscript(
+        protocol=protocol, eps=inst.eps, slack_bits=inst.slack_bits,
+        dims={"A": psi.dim(inst.povm.register), "B": psi.dim(inst.bob_label), **dims}, **fields)
+
+
+def _rate_formula(inst: Instance, smoothing: float, cost) -> float:
+    """log|A| - H_H(E|X) + log|B| - H_H(B|X) - ``cost``, the entropies at
+    ``smoothing``: H_H(A|X) is the environment's H_H(E|X) on the pure branches,
+    the solve the nice verdicts made."""
+    psi = inst.psi
+    return float(np.log2(psi.dim(inst.povm.register)) - inst.h_h_cond("ideal_env", smoothing)
+                 + np.log2(psi.dim(inst.bob_label)) - inst.h_h_cond("ideal_bob", smoothing)
+                 - cost)
 
 
 def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscript:
@@ -198,31 +218,13 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     through the dephasing channel, and Bob applies his per-outcome code.
     The |X| = 1 case degenerates to two independent local distillations.
     """
-    psi, povm, eps, bob_label = inst.psi, inst.povm, inst.eps, inst.bob_label
-    a_reg = povm.register
-    n_x = len(povm)
-    [(a_bits, b_bits, err)] = _distill_branches(inst.branches, [(n_x, range(n_x))], a_reg,
-                                                bob_label, eps)
-
-    da, db = psi.dim(a_reg), psi.dim(bob_label)
-    # the branches are pure, so H_H(A|X) is the environment's H_H(E|X)
-    formula = (np.log2(da) - inst.h_h_cond("ideal_env", eps * eps)
-               + np.log2(db) - inst.h_h_cond("ideal_bob", eps * eps)
-               - np.log2(n_x))
+    n_x = len(inst.povm)
+    [(a_bits, b_bits, err)] = _distill_branches(inst.branches, [(n_x, range(n_x))], inst)
     borrowed = math.ceil(np.log2(n_x)) if n_x > 1 else 0
-    return ProtocolTranscript(
-        protocol="protocol-a",
-        distilled_alice=a_bits,
-        distilled_bob=b_bits,
-        borrowed=borrowed,
-        communication=borrowed,
-        final_error=err,
-        eps=eps,
-        seed=seed,
-        dims={"A": da, "B": db, "X": n_x},
-        slack_bits=inst.slack_bits,
-        rate_bound_real=float(formula),
-    )
+    return _transcript(inst, "protocol-a", {"X": n_x}, distilled_alice=a_bits,
+                       distilled_bob=b_bits, borrowed=borrowed, communication=borrowed,
+                       final_error=err, seed=seed,
+                       rate_bound_real=_rate_formula(inst, inst.eps * inst.eps, np.log2(n_x)))
 
 
 def run_kd_oneshot(views) -> list:
@@ -234,40 +236,23 @@ def run_kd_oneshot(views) -> list:
     (failure outcome included), distills both sides per outcome, and
     dephases the outcome register to Bob. Communication equals the
     borrowed register size, ceil(log2(L + 1)) bits. The views run as one
-    stack: their per-k errors in one pass, the branches of all their rows
-    from one stacked root and each party's codes from one stacked
-    eigendecomposition.
+    stack: the branches of all their rows from one stacked root and each
+    party's codes from one stacked eigendecomposition; each view's k reads
+    the per-k errors that score its whole sweep at once.
     """
     inst = views[0].instance
-    psi, eps, bob_label = inst.psi, inst.eps, inst.bob_label
-    a_reg = inst.povm.register
-    for view, errs in zip(views, per_k_errors(views)):  # one pass, kept for find_good_k
-        view.__dict__.setdefault("errors", errs)
     # one branch per distinct symbol of row k, then the failure branch
     rows = [np.unique(v.decode[v.k], return_index=True, return_inverse=True)[1:] for v in views]
     elements = np.concatenate([v.elements[v.k, np.append(first, v.L)]
                                for v, (first, _) in zip(views, rows)])
     runs = [(len(first) + 1, at.tolist() + [len(first)]) for first, at in rows]
-    results = _distill_branches(states.measure(psi, elements, a_reg), runs, a_reg, bob_label, eps)
-
-    da, db = psi.dim(a_reg), psi.dim(bob_label)
-    # H_H(A|X) = H_H(E|X) on the pure branches: the solve the nice verdicts made
-    formula = (np.log2(da) - inst.h_h_cond("ideal_env", eps)
-               + np.log2(db) - inst.h_h_cond("ideal_bob", eps)
-               - inst.imax.value)
-    return [ProtocolTranscript(
-        protocol="kd-oneshot",
-        distilled_alice=a_bits,
-        distilled_bob=b_bits,
-        borrowed=math.ceil(np.log2(view.L + 1)),
-        communication=math.ceil(np.log2(view.L + 1)),
-        final_error=err,
-        eps=eps,
-        seed=view.seed,
-        dims={"A": da, "B": db, "K": view.K, "L": view.L},
-        slack_bits=inst.slack_bits,
-        rate_bound_real=float(formula),
-    ) for view, (a_bits, b_bits, err) in zip(views, results)]
+    results = _distill_branches(states.measure(inst.psi, elements, inst.povm.register), runs, inst)
+    formula = _rate_formula(inst, inst.eps, inst.imax.value)
+    return [_transcript(inst, "kd-oneshot", {"K": view.K, "L": view.L}, distilled_alice=a_bits,
+                        distilled_bob=b_bits, borrowed=math.ceil(np.log2(view.L + 1)),
+                        communication=math.ceil(np.log2(view.L + 1)), final_error=err,
+                        seed=view.seed, rate_bound_real=formula)
+            for view, (a_bits, b_bits, err) in zip(views, results)]
 
 
 def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
@@ -436,12 +421,11 @@ def run_fewqubits(views) -> list:
                               [[setups[i][3]] for i in members], [(bob_label, ("Bp", "Bg"))])
         for i, err in zip(members, errors):
             view, (_, plan, _, (b_bits, _)) = views[i], setups[i]
-            out[i] = ProtocolTranscript(
-                protocol="fewqubits", distilled_alice=plan.a_p_bits, distilled_bob=b_bits,
-                borrowed=borrow, communication=int(np.log2(la)), final_error=err, eps=eps,
-                seed=view.seed, dims={"A": da, "B": db, "K": view.K, "L": view.L,
-                                      "Ap": ap, "LA": la, "Ag": ag},
-                slack_bits=inst.slack_bits, case=plan.case, rate_bound_real=None)
+            out[i] = _transcript(
+                inst, "fewqubits", {"K": view.K, "L": view.L, "Ap": ap, "LA": la, "Ag": ag},
+                distilled_alice=plan.a_p_bits, distilled_bob=b_bits, borrowed=borrow,
+                communication=int(np.log2(la)), final_error=err, seed=view.seed,
+                case=plan.case, rate_bound_real=None)
     if failure is not None:
         raise failure
     return out

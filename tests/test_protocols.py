@@ -1,10 +1,14 @@
+from contextlib import redirect_stdout
+from io import StringIO
+
 import numpy as np
 import pytest
 
 from puredist import entropy, linalg
 from puredist import protocols as pr
 from puredist.bounds import rate_report
-from puredist.compression import Instance, compress_measurement, compress_seeds
+from puredist.compression import Instance, compress_measurement, compress_seeds, per_k_errors
+from puredist.io import dumps
 from puredist.sampling import (
     basis_povm,
     bell_pair,
@@ -632,3 +636,54 @@ def test_verify_derandomization_reports(rng):
     rep2 = pr.verify_derandomization(
         compress_measurement(Instance(psi, triv, eps), K=2, L=4, seed=0))
     assert rep2["fraction"] == 1.0
+
+
+# ---------------------------------------------------------- sweep scoring
+
+def _golden_mixed_instance():
+    """The golden mixed input (``test_golden.write_mixed``) at eps 0.1."""
+    golden = np.random.default_rng(20240817)
+    rho = DensityOperator([("A", 4), ("B", 4)], ginibre_density(golden, 16, 2))
+    return Instance(rho.purify(), random_povm(golden, 4, 3, register="A"), 0.1)
+
+
+@pytest.mark.parametrize("command", ["fewqubits", "kd-oneshot", "compare"])
+def test_a_seed_sweep_is_scored_in_one_pass(command, tmp_path, monkeypatch):
+    from test_golden import write_mixed
+
+    from puredist import compression
+    from puredist.cli import main
+    write_mixed(tmp_path)
+    calls, orig = [], compression._block_distances
+    monkeypatch.setattr(compression, "_block_distances", lambda *a: calls.append(a) or orig(*a))
+    with redirect_stdout(StringIO()):
+        assert main([command, "--state", str(tmp_path / "mixed.json"), "--povm",
+                     str(tmp_path / "povm3.json"), "--eps", "0.1", "--K", "4", "--L", "8",
+                     "--seeds", "1..5"]) == 0
+    assert len(calls) == 1
+
+
+def test_kd_oneshot_on_views_of_two_sweeps_runs_each_as_its_own():
+    def draw():
+        inst = _golden_mixed_instance()
+        return compress_seeds(inst, 4, 8, [1, 2, 3]), compress_seeds(inst, 4, 16, [4, 5])
+
+    def dumped(transcripts):
+        return [dumps(t.to_dict()) for t in transcripts]
+
+    a, b = draw()
+    got = dumped(pr.run_kd_oneshot(a[:1] + b))
+    a, b = draw()
+    assert got == dumped(pr.run_kd_oneshot(a[:1])) + dumped(pr.run_kd_oneshot(b))
+
+
+def test_a_view_scores_its_errors_as_it_would_alone():
+    inst = _golden_mixed_instance()
+    view = compress_measurement(inst, K=4, L=8, seed=1)
+    assert view.errors.tobytes() == per_k_errors([view])[0].tobytes()
+    # the sweep is the one drawn, whatever a caller does to the list it got
+    views = compress_seeds(inst, 4, 8, [2, 3, 4])
+    want = [per_k_errors([v])[0].tobytes() for v in views]
+    first = views.pop(0)
+    views.clear()
+    assert [v.errors.tobytes() for v in first.sweep] == want
