@@ -676,16 +676,29 @@ class _Bounds:
         self.lower = max(self.lower, lower)
 
 
-def _fixed_point(states, povm, best: _Bounds, iterations: int):
+def _fixed_point(states, povm, best: _Bounds, iterations: int, hand_over: bool = False):
     """Discrimination fixed point Pi_x <- T rho_x Pi_x rho_x T, certified every
     iteration by its Lagrange operator Y = sum_x rho_x Pi_x. Returns the last
-    POVM and the number of iterations run."""
-    rp = states @ povm
+    POVM and the number of iterations run.
+
+    With ``hand_over`` it also stops, for a Newton stage to take over, once
+    its pair gaps show that it cannot certify within ``iterations``: after
+    iteration j >= 2 with pair gap g_j and contraction c = g_j / g_{j-1}, when
+    g_j c^(2 (iterations - j)) > ``IMAX_GAP_TOL``, that is, when even at the
+    square of its last contraction the gap would still be open at the end. A
+    gap that has not shrunk (c >= 1) hands over at once, since g_j is above
+    the tolerance (the best gap is at most the pair's)."""
+    rp, last = states @ povm, np.inf  # c = 0 after iteration 1
     for it in range(1, iterations + 1):
         povm = _povm_from(states, rp @ states, best.eye)
         rp = states @ povm
-        if best.certify(povm, linalg.hermitian_part(np.add.reduce(rp))) is None:
+        gap = best.certify(povm, linalg.hermitian_part(np.add.reduce(rp)))
+        if gap is None:
             return povm, it
+        if hand_over and (gap >= last or
+                          gap * (gap / last) ** (2 * (iterations - it)) > IMAX_GAP_TOL):
+            return povm, it
+        last = gap
     return povm, iterations
 
 
@@ -697,15 +710,18 @@ NEWTON_MAX_DIM = 16
 IMAX_GAP_TOL = 1e-9
 IMAX_MAX_ITERATIONS = 10000
 
-# Fixed-point iterations before stages 2 and 3 take over, where they run. 15
-# bring the fixed point into its basin: of the 600 kd-quantum pool ensembles
-# (n = 3-4 states on r = 3-4), 20 certify within them, and the other 580 start
-# stage 2 at gaps of 1e-9 to 1e-2 bits. A budget of 10 runs faster still, but
-# it hands stage 2 ensembles that the fixed point certifies within 11-15
-# iterations, such as demo 01's, and moves their printed values. Where stage 3
-# takes over from it, on full-support ensembles of r = 6-16, budgets of 25 and
-# 40 made i_max_cq take 1.1-1.8x and 1.3-2.3x as long (one core of a 2-CPU
-# x86 host).
+# The most fixed-point iterations before stages 2 and 3 take over, where they
+# run; the fixed point hands over sooner once its pair gaps show that it cannot
+# certify within them (``_fixed_point``'s ``hand_over``). A run that certifies
+# within 15, such as demo 01's (at iteration 15), keeps its path: a fixed budget
+# of 10 would move its printed value. Of the 600 kd-quantum pool ensembles
+# (n = 3-4 states on r = 3-4), 20 certify within the cap; the other 580
+# contract by a median factor of 0.55 an iteration at their hand-off and 368
+# of them hand over at iteration 2 or 3: against the full budget, mean
+# iterations 14.9 -> 4.4, mean Newton steps 2.62 -> 3.88, i_max_cq x0.77, and
+# every interval overlaps the full budget's (one core of a 2-CPU x86 host). Where stage 3 takes over,
+# on full-support ensembles of r = 6-16, caps of 25 and 40 made i_max_cq take
+# 1.1-1.8x and 1.3-2.3x as long.
 FIXED_POINT_BUDGET = 15
 
 
@@ -903,8 +919,11 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     environment ensembles, for one, have d = |B| rank(rho_AB) but
     r <= |A|. When r = d the states are used as they are.
 
-    1. The discrimination fixed point, for ``FIXED_POINT_BUDGET``
-       iterations when r <= ``NEWTON_MAX_DIM`` (else up to the cap).
+    1. The discrimination fixed point. When r <= ``NEWTON_MAX_DIM`` it runs
+       for at most ``FIXED_POINT_BUDGET`` iterations, and hands over sooner
+       once its pair gaps contract too slowly to certify within them
+       (``_fixed_point``'s ``hand_over``); a run that certifies within the
+       budget keeps its path. Above ``NEWTON_MAX_DIM`` it runs up to the cap.
     2. If it has not reached ``IMAX_GAP_TOL`` and the (n + 1) r^2 unknowns
        of n states are at most ``KKT_MAX_UNKNOWNS``, Newton's method on the
        optimality conditions (``_kkt_newton``) takes over from its POVM and
@@ -914,7 +933,8 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     3. If the gap is still open, a primal-dual interior-point method
        (``_primal_dual``) takes over from the fixed point's POVM and the
        best feasible tau. Should it stall, the fixed point resumes from the
-       POVM last certified, up to ``IMAX_MAX_ITERATIONS`` iterations in all.
+       POVM last certified, up to ``IMAX_MAX_ITERATIONS`` iterations in all,
+       without the hand-off.
 
     A reduced result is lifted back and its tau certified once more in the
     full space (``_Bounds.lift``), so ``sigma`` is a d x d operator feasible
@@ -938,12 +958,11 @@ def i_max_cq(cq: CQState, eps: float = 0.0) -> ImaxResult:
     r = reduced.shape[1]
     best = _Bounds(reduced)
     povm = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
-    budget = IMAX_MAX_ITERATIONS
-    if r <= NEWTON_MAX_DIM:
-        budget = min(budget, FIXED_POINT_BUDGET)
-    povm, iters = _fixed_point(reduced, povm, best, budget)
+    newton = r <= NEWTON_MAX_DIM
+    budget = min(IMAX_MAX_ITERATIONS, FIXED_POINT_BUDGET) if newton else IMAX_MAX_ITERATIONS
+    povm, iters = _fixed_point(reduced, povm, best, budget, hand_over=newton)
     steps = 0
-    if best.gap > IMAX_GAP_TOL and iters < IMAX_MAX_ITERATIONS:  # the budget ran out
+    if best.gap > IMAX_GAP_TOL and iters < IMAX_MAX_ITERATIONS:  # handed over
         steps = _kkt_newton(reduced, povm, best) if (n + 1) * r * r <= KKT_MAX_UNKNOWNS else 0
         if best.gap > IMAX_GAP_TOL:
             last, more = _primal_dual(reduced, povm, best)

@@ -1,5 +1,6 @@
 """Independent oracles, instance builders and samplers shared by several test modules."""
 
+import functools
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from puredist.sampling import (
     purified_input,
     standard_complex,
 )
-from puredist.states import CQState, DensityOperator, PureState
+from puredist.states import CQState, DensityOperator, Povm, PureState
 
 
 def conditionals(cq: CQState) -> tuple:
@@ -302,3 +303,17 @@ class DroppingRng:
     def dirichlet(self, alpha):
         assert np.all(np.asarray(alpha) == 1.0), "a flat alpha only"
         return flat_dirichlet(self, len(alpha))
+
+
+def tensor_power(rho: DensityOperator, povm: Povm, n: int):
+    """rho^{(x) n} of a state on registers A and B, its copies reordered to
+    A^n B^n and merged into one register each (dimensions |A|^n and |B|^n),
+    and Lambda^{(x) n} on A^n, outcome (x_1, ..., x_n) at its row-major
+    index: the n-copy rung of the iid ladder."""
+    ((a, da), (b, db)), m = rho.registers, rho.matrix
+    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    power = functools.reduce(np.kron, [m] * n).reshape([da, db] * (2 * n))
+    power = power.transpose(order + [2 * n + i for i in order]).reshape((da * db) ** n, -1)
+    elements = [functools.reduce(np.kron, e) for e in itertools.product(povm.elements, repeat=n)]
+    return (DensityOperator([(a, da ** n), (b, db ** n)], power),
+            Povm(elements, register=povm.register))

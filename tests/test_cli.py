@@ -750,8 +750,19 @@ def test_no_operator_is_decomposed_twice_in_a_run(rng, tmp_path, monkeypatch):
                   "--seeds", "1"]):
         rc, _, err, _ = _run(argv)
         assert (rc, err) == (0, "")
-    # rho_A, the element stack and Bob's ensemble are each decomposed once
-    assert len(inputs) > 100 and len(set(inputs)) == len(inputs)
+    assert len(set(inputs)) == len(inputs)
+    # among them each state's rho_A, the kd element stack and Bob's ensemble,
+    # each decomposed once, as the symmetrized input the checked eigen
+    # functions hand LAPACK
+    recorded = set(inputs)
+    kd = Instance(io.load_state(str(tmp_path / "k.json")).purify(),
+                  io.load_povm(str(tmp_path / "wishart.json")), 0.1)
+    classical = Instance(io.load_state(str(tmp_path / "c.json")).purify(),
+                         io.load_povm(str(tmp_path / "basis.json")), 0.25)
+    for m in (classical.rho_a, kd.rho_a, np.array(kd.povm.elements), kd.ideal_bob.stack,
+              classical.ideal_bob.stack):
+        m = linalg.hermitian_part(np.asarray(m, dtype=complex))
+        assert (m.shape, m.tobytes()) in recorded
 
 
 def test_compare_solves_the_conditional_h_min_once(rng, tmp_path, monkeypatch):

@@ -10,7 +10,10 @@ from scipy.optimize import linprog
 
 from puredist import entropy as ent
 from puredist import linalg, states
+from puredist.compression import Instance
 from puredist.sampling import (
+    basis_povm,
+    classical_correlated_pure,
     flat_dirichlet,
     ginibre_density,
     ginibre_normals,
@@ -1091,14 +1094,22 @@ def ref_lift(best, states, basis, povm):
     best.lower = max(best.lower, lower)
 
 
-def ref_fixed_point(states, povm, best, iterations):
-    rp = states @ povm
+def ref_fixed_point(states, povm, best, iterations, hand_over=False):
+    rp, gaps = states @ povm, []
     for it in range(1, iterations + 1):
         povm = ref_povm_from(states, rp @ states)
         rp = states @ povm
         y = linalg.hermitian_part(rp.sum(axis=0))
-        if best.update(*ref_certify(states, povm, y)) <= ent.IMAX_GAP_TOL:
+        lower, upper, tau = ref_certify(states, povm, y)
+        if best.update(lower, upper, tau) <= ent.IMAX_GAP_TOL:
             return povm, it
+        gaps.append(float(np.log2(upper) - np.log2(max(lower, 1e-300))))
+        if hand_over and it >= 2:
+            # the pair gap, even contracting at the square of its last rate,
+            # would still be open after the last iteration
+            rate = gaps[-1] / gaps[-2]
+            if rate >= 1 or gaps[-1] * rate ** (2 * (iterations - it)) > ent.IMAX_GAP_TOL:
+                return povm, it
     return povm, iterations
 
 
@@ -1160,7 +1171,7 @@ def test_newton_step_of_a_singular_system_is_none(monkeypatch):
     # solve ends stage 3 before its first step, with the POVM it was handed
     zero = np.zeros((2, 3, 3), dtype=complex)
     assert ent._solve_hermitian(ent._schur(zero, zero), -2.0 * np.eye(3)) is None
-    states, best, povm = handed_over(kd_environment_ensemble(0, 4, 4, 2), 1e-4)
+    states, best, povm, _ = handed_over(kd_environment_ensemble(0, 4, 4, 2), 1e-4)
     assert best.gap > ent.IMAX_GAP_TOL
     monkeypatch.setattr(ent, "_schur", singular_schur)
     last, steps = ent._primal_dual(states, povm, best)
@@ -1210,7 +1221,7 @@ def test_i_max_primal_dual_stage_certifies_commuting_ensembles_at_d16():
         r = ent.i_max_cq(cq, 0.0)
         want = imax_commuting(probs.tolist(), dists.tolist())
         assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
-        assert r.iterations == ent.FIXED_POINT_BUDGET and 0 < r.newton_steps <= 12, r
+        assert r.iterations == handed_over(cq, 0.0)[3] and 0 < r.newton_steps <= 12, r
         assert r.value - r.duality_gap - 1e-12 <= want <= r.value + 1e-12, (r, want)
 
 
@@ -1220,25 +1231,27 @@ DEGENERATE_KD = (47, 164, 193, 218, 257, 361, 366, 395, 401, 433, 453, 464, 486,
 
 def test_i_max_primal_dual_stage_certifies_the_degenerate_kd_ensembles(monkeypatch):
     # with stage 2 gated off, stage 3 certifies each from the fixed point's
-    # budget, without the resume, and the intervals of both stages overlap
+    # hand-off, without the resume, and the intervals of both stages overlap
     for index in DEGENERATE_KD:
         cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
         kkt = ent.i_max_cq(cq, 1e-4)
         with monkeypatch.context() as m:
             m.setattr(ent, "KKT_MAX_UNKNOWNS", 0)
             pd = ent.i_max_cq(cq, 1e-4)
-        assert kkt.iterations == ent.FIXED_POINT_BUDGET and kkt.newton_steps > 6
+        hand_off = handed_over(cq, 1e-4)[3]
+        assert kkt.iterations == hand_off and kkt.newton_steps > 6
         for r in (kkt, pd):
             assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
             assert_sigma_feasible(cq, r)
-        assert pd.iterations == ent.FIXED_POINT_BUDGET and pd.newton_steps > 0
+        assert pd.iterations == hand_off and pd.newton_steps > 0
         lower = max(kkt.value - kkt.duality_gap, pd.value - pd.duality_gap)
         assert lower <= min(kkt.value, pd.value), (index, kkt, pd)
 
 
 def handed_over(cq, eps):
     """The reduced states of ``cq`` at ``eps``, and the bounds and POVM that
-    the fixed point hands the Newton stages after its budget."""
+    the reference fixed point hands the Newton stages, with the iteration it
+    hands them over at."""
     states = cq.stack[ent._imax_smooth_support(cq, eps)]
     basis = ent._joint_support(states)
     if basis is not None:
@@ -1246,8 +1259,8 @@ def handed_over(cq, eps):
     n, r, _ = states.shape
     best = ent._Bounds(states)
     uniform = np.broadcast_to(np.eye(r, dtype=complex) / n, (n, r, r))
-    povm, _ = ent._fixed_point(states, uniform, best, ent.FIXED_POINT_BUDGET)
-    return states, best, povm
+    povm, it = ref_fixed_point(states, uniform, best, ent.FIXED_POINT_BUDGET, hand_over=True)
+    return states, best, povm, it
 
 
 def kkt_cases():
@@ -1290,8 +1303,9 @@ def test_i_max_kkt_stage_declines_to_the_barrier_on_a_degenerate_kd_ensemble(mon
     # its gap only about 4x a step, and certifies it in more steps than
     # stage 2 once took at most (6). With stage 2 declined, stage 3
     # certifies it; with both Newton stages singular, the fixed point resumes
-    # past its budget. All three certify the same optimum
-    cq, budget = kd_environment_ensemble(47, 4, 4, 4), ent.FIXED_POINT_BUDGET
+    # past its hand-off. All three certify the same optimum
+    cq = kd_environment_ensemble(47, 4, 4, 4)
+    hand_off = handed_over(cq, 1e-4)[3]
     kkt, after = ent._kkt_newton, []
 
     def recorded(states, povm, best):
@@ -1303,19 +1317,88 @@ def test_i_max_kkt_stage_declines_to_the_barrier_on_a_degenerate_kd_ensemble(mon
     r = ent.i_max_cq(cq, 1e-4)
     [(steps, gap)] = after
     assert steps > 6 and gap <= ent.IMAX_GAP_TOL
-    assert r.converged and r.iterations == budget and r.newton_steps == steps
+    assert r.converged and r.iterations == hand_off and r.newton_steps == steps
     assert_sigma_feasible(cq, r)
     monkeypatch.setattr(ent, "_kkt_step", lambda states, tau, pis: None)
     declined = ent.i_max_cq(cq, 1e-4)
     assert after[-1][0] == 0
-    assert declined.converged and declined.iterations == budget and declined.newton_steps > 0
+    assert declined.converged and declined.iterations == hand_off and declined.newton_steps > 0
     monkeypatch.setattr(ent, "_schur", singular_schur)
     resumed = ent.i_max_cq(cq, 1e-4)
     assert after[-1][0] == 0
-    assert resumed.converged and resumed.newton_steps == 0 and resumed.iterations > budget
+    assert resumed.converged and resumed.newton_steps == 0 and resumed.iterations > hand_off
     for other in (declined, resumed):
         assert abs(other.value - r.value) <= other.duality_gap + r.duality_gap
         assert_sigma_feasible(cq, other)
+
+
+FIXED_POINT = ent._fixed_point
+
+
+def full_budget_fixed_point(states, povm, best, iterations, hand_over=False):
+    """Stage 1 without its hand-off: the fixed point spends its whole budget
+    unless it certifies."""
+    return FIXED_POINT(states, povm, best, iterations)
+
+
+def compare_environment_ensemble(index):
+    """The ensemble whose I_max a compare-sweep pool job needs, with the eps
+    it is solved at: a classical source through a random cyclic noise
+    channel, purified and measured in the basis."""
+    rng = np.random.default_rng([2403_16466, zlib.crc32(b"compare-sweep"), index])
+    top = rng.uniform(0.5, 0.95)
+    p_a = np.concatenate([[top], rng.dirichlet(np.ones(7)) * (1 - top)])
+    c0 = rng.uniform(0.6, 0.95)
+    noise = np.concatenate([[c0], rng.dirichlet(np.ones(3)) * (1 - c0)])
+    joint = np.array([p_a[a] * np.roll(noise, a % 4) for a in range(8)])
+    rng.integers(1, 1_000_000)  # the job's first seed
+    psi = classical_correlated_pure(rng, 8, 4, joint=joint).density().purify()
+    return Instance(psi, basis_povm(8, "A"), 0.25).ideal_env, 0.25 ** 4
+
+
+def test_i_max_keeps_its_path_where_the_fixed_point_certifies_within_its_budget(monkeypatch):
+    # demo 01's ensemble (certified by the fixed point at iteration 15), the
+    # golden mixed input's environment at 0.1^4 (handed to Newton after
+    # iteration 15) and 40 compare-sweep pool ensembles contract fast enough
+    # to certify within the budget, so the hand-off never fires: each result
+    # keeps the bits of the fixed point run to its full budget
+    demo = CQState([0, 1], [0.5, 0.5], [DensityOperator([("B", 2)], np.diag([1.0, 0.0])),
+                                        DensityOperator([("B", 2)], np.diag([0.5, 0.5]))])
+    rng = np.random.default_rng(20240817)
+    rho = DensityOperator([("A", 4), ("B", 4)], ginibre_density(rng, 16, 2))
+    mixed = Instance(rho.purify(), random_povm(rng, 4, 3, register="A"), 0.1).ideal_env
+    cases = [(demo, 0.0), (mixed, 0.1 ** 4)]
+    cases += [compare_environment_ensemble(i) for i in range(0, 400, 10)]
+    for k, (cq, eps) in enumerate(cases):
+        got = ent.i_max_cq(cq, eps)
+        with monkeypatch.context() as m:
+            m.setattr(ent, "_fixed_point", full_budget_fixed_point)
+            want = ent.i_max_cq(cq, eps)
+        fields = ("value", "duality_gap", "iterations", "converged", "newton_steps")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert got.sigma.matrix.tobytes() == want.sigma.matrix.tobytes()
+        if k < 2:
+            assert got.iterations == ent.FIXED_POINT_BUDGET and (got.newton_steps > 0) == k, got
+        assert got.converged and got.duality_gap <= ent.IMAX_GAP_TOL
+
+
+def test_i_max_hands_the_kd_pool_ensembles_to_newton_early_within_the_same_interval(monkeypatch):
+    # every 10th kd-quantum pool ensemble: the fixed point contracts too
+    # slowly to certify within its budget on most of them and hands over
+    # early; the certified intervals overlap those of the full budget
+    early = 0
+    for index in range(0, 600, 10):
+        cq = kd_environment_ensemble(index, *((4, 4, 2), (3, 4, 3), (4, 4, 4))[index % 3])
+        got = ent.i_max_cq(cq, 1e-4)
+        with monkeypatch.context() as m:
+            m.setattr(ent, "_fixed_point", full_budget_fixed_point)
+            want = ent.i_max_cq(cq, 1e-4)
+        for r in (got, want):
+            assert r.converged and r.duality_gap <= ent.IMAX_GAP_TOL
+        lower = max(got.value - got.duality_gap, want.value - want.duality_gap)
+        assert lower <= min(got.value, want.value), (index, got, want)
+        early += got.iterations < ent.FIXED_POINT_BUDGET and got.newton_steps > 0
+    assert early >= 50, early
 
 
 def test_kkt_step_solves_the_complex_optimality_system():
@@ -1325,7 +1408,7 @@ def test_kkt_step_solves_the_complex_optimality_system():
         return np.kron(a, np.eye(len(a))) + np.kron(np.eye(len(a)), a.T)
 
     for cq, eps in kkt_cases()[::4]:
-        states, best, pis = handed_over(cq, eps)
+        states, best, pis, _ = handed_over(cq, eps)
         n, r, _ = states.shape
         tau, r2 = best.tau, r * r
         jac = np.zeros(((n + 1) * r2, (n + 1) * r2), dtype=complex)
