@@ -80,16 +80,16 @@ def distributed_upper_bound(inst: Instance, f_eps: float | None = None,
     The smoothing parameters f and g default to eps and must be declared by
     the caller's report. With ``rank1`` the POVM is refined to rank-1
     elements first (the unbounded-communication variant). This evaluates one
-    candidate; optimizing over all POVMs is out of scope.
+    candidate; optimizing over all POVMs is out of scope. H_max(A) reads the
+    rho_A eigensystem that psi keeps, which a refined instance shares.
     """
     f_eps = inst.eps if f_eps is None else f_eps
     g_eps = inst.eps if g_eps is None else g_eps
-    # the refined instance has the same psi and register: rho_A is read here, once
-    hmax_a = entropy.h_max_smooth(inst.rho_a_eig[0], g_eps)
     if rank1:
         inst = Instance(inst.psi, rank1_refine(inst.povm), inst.eps,
                         bob_label=inst.bob_label)
     da, db = inst.psi.dim(inst.povm.register), inst.psi.dim(inst.bob_label)
+    hmax_a = entropy.h_max_smooth(inst.rho_a_eig[0], g_eps)
     hmin_b = inst.h_min_cond("ideal_bob", f_eps)
     return float(np.log2(da) + np.log2(db) - hmax_a - hmin_b)
 

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import replace
 
-from . import bounds, entropy, io, linalg, protocols
+from . import bounds, entropy, io, protocols
 from .compression import Instance, NoGoodK, compress_seeds
 from .linalg import InvariantError
 from .states import DensityOperator, ProtocolTranscript, PureState
@@ -208,9 +208,8 @@ def cmd_bounds(args) -> int:
     reg = measured.pop() if len(state.registers) > 1 else state.labels[0]
     if reg not in state.labels:
         raise KeyError(f"no register {reg!r}; have {state.labels}")
-    # rho_A decomposed once: the local bounds read its spectrum, every Instance its eigensystem
-    rho_a_eig = linalg.psd_eig(psi.marginal([reg]))
-    lo, up = bounds.local_purity_bounds(rho_a_eig[0], args.eps, args.slack_bits)
+    # psi keeps rho_A's eigensystem: every Instance of it reads this one
+    lo, up = bounds.local_purity_bounds(psi.reduced([reg])[1], args.eps, args.slack_bits)
     payload = {
         "eps": args.eps,
         "f_eps": args.f_eps if args.f_eps is not None else args.eps,
@@ -221,7 +220,6 @@ def cmd_bounds(args) -> int:
     }
     for path, povm in povms.items():
         inst = Instance(psi, povm, args.eps, bob_label=bob)
-        inst.__dict__.setdefault("rho_a_eig", rho_a_eig)
         payload["per_povm"][path] = {
             "dist_upper": bounds.distributed_upper_bound(
                 inst, f_eps=args.f_eps, g_eps=args.g_eps),

@@ -12,7 +12,8 @@ pool; the package mixes the spawn key into that pool and steps each cell's
 PCG64 itself, for all cells at once. A seed sweep is one stack: ``compress_seeds``
 draws and builds all its tables, and ``per_k_errors`` scores them, in shared passes.
 The cells are built from Y_x = rho_A^{-1/2} sqrt(Lambda_x) rho_A^{1/2}, powers
-of two kept eigensystems, the POVM's and rho_A's, each decomposed once.
+of two kept eigensystems, the POVM's and rho_A's (which the input
+``PureState`` keeps for every instance of it), each decomposed once.
 """
 
 import json
@@ -130,8 +131,9 @@ class Instance:
     ``ideal_bob`` serves both the rate formulas and the nice verdicts, and
     the environment's serves H_H(A|X) too, which equals H_H(E|X) on the
     pure branches),
-    P_X and its checked cdf, rho_A's one eigensystem (both its roots and its
-    spectrum), the roots Y_x and cell Grams the tables are built from, their cap
+    P_X and its checked cdf, rho_A and its one eigensystem (both its roots
+    and its spectrum: the ones psi keeps, shared by every instance of psi),
+    the roots Y_x and cell Grams the tables are built from, their cap
     ``c_cap`` on a table's c, I_max at eps^4 and the H_H and H_min
     conditional entropies (``h_h_cond`` and ``h_min_cond``, one solve per
     solver, state and smoothing). A compressed cell's state depends only on
@@ -170,15 +172,12 @@ class Instance:
         self.bob_alone = self.env_dim == psi.dim(bob_label)
         self._solves = {}
 
-    @cached_property
-    def rho_a(self) -> np.ndarray:
-        return self.psi.marginal([self.povm.register])
-
-    @cached_property
-    def rho_a_eig(self) -> tuple:
-        """rho_A's clipped ascending eigensystem (w, v), its one decomposition:
-        both roots in ``roots`` and the spectrum both local bounds and H_max read."""
-        return linalg.psd_eig(self.rho_a)
+    # rho_A and its clipped ascending eigensystem (w, v), the ones psi keeps
+    # (``PureState.reduced``): every instance of psi reads them, whatever its
+    # POVM, the eigensystem both for the roots in ``roots`` and for the
+    # spectrum that the local bounds and H_max read
+    rho_a = property(lambda self: self.psi.reduced([self.povm.register])[0])
+    rho_a_eig = property(lambda self: self.psi.reduced([self.povm.register])[1:])
 
     @cached_property
     def branches(self) -> states.PureState:
@@ -297,12 +296,12 @@ class Instance:
 
     @cached_property
     def sims_eig(self) -> tuple:
-        """The descending eigensystems (w, v) of ``sims`` and of ``sims_bob``,
-        one stacked ``linalg.descending_eig`` each, one in all when the stacks
-        are one: the pair entropies read their spectra, the truncated targets
-        and Bob's codes the whole."""
-        env = linalg.descending_eig(self.sims, tol=1e-7)
-        return env, env if self.bob_alone else linalg.descending_eig(self.sims_bob, tol=1e-7)
+        """The clipped ascending eigensystems (w, v) of ``sims`` and of
+        ``sims_bob``, one stacked ``linalg.psd_eig`` each, one in all when the
+        stacks are one: the pair entropies read their spectra, the truncated
+        targets and Bob's codes the whole."""
+        env = linalg.psd_eig(self.sims, tol=1e-7)
+        return env, env if self.bob_alone else linalg.psd_eig(self.sims_bob, tol=1e-7)
 
     @cached_property
     def pair_entropies(self) -> tuple:
@@ -312,11 +311,9 @@ class Instance:
         smooth, live, n = self.eps ** 0.125, self.live, len(self.live)
         h_env, weights, h_bob = np.zeros(n), np.zeros((n, self.env_dim)), np.zeros(n)
         (w_env, _), (w_bob, _) = self.sims_eig
-        # h_h_many takes ascending spectra
-        h_env[live], weights[live] = entropy.h_h_many(w_env[live, ::-1], smooth)
+        h_env[live], weights[live] = entropy.h_h_many(w_env[live], smooth)
         # Bob's LPs are the environment's when his ensemble is
-        h_bob[live] = (h_env[live] if self.bob_alone
-                       else entropy.h_h_many(w_bob[live, ::-1], smooth)[0])
+        h_bob[live] = h_env[live] if self.bob_alone else entropy.h_h_many(w_bob[live], smooth)[0]
         return h_env, weights, h_bob
 
     @cached_property
@@ -338,9 +335,10 @@ class Instance:
     @cached_property
     def truncated_targets(self) -> tuple:
         """(tw, v): the descending eigenvectors v of each simulated conditional
-        and its eigenvalues times the LP weights, renormalized (zero where x
-        is not live): the states the in-place protocol purifies into A_g."""
-        w, v = self.sims_eig[0]
+        and its eigenvalues times the LP weights (which run descending),
+        renormalized (zero where x is not live): the states the in-place
+        protocol purifies into A_g."""
+        w, v = (x[..., ::-1] for x in self.sims_eig[0])
         tw = w * self.pair_entropies[1]
         return np.divide(tw, np.sum(tw, axis=1, keepdims=True), out=np.zeros_like(tw),
                          where=self.live[:, None]), v

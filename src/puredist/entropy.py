@@ -93,11 +93,12 @@ def _validate_eps(eps):
 
 
 def _spectrum(rho) -> np.ndarray:
-    """The clipped ascending spectrum of a state, or ``rho`` itself when it is
-    1-D: such a spectrum, as ``linalg.psd_eigvals`` gives it."""
-    if np.ndim(rho) == 1:
-        return np.asarray(rho, dtype=float)
-    return linalg.psd_eigvals(_matrix(rho))
+    """The clipped ascending spectrum of a state (a ``DensityOperator``'s
+    kept one), or ``rho`` itself when it is 1-D: such a spectrum, as
+    ``linalg.psd_eigvals`` gives it."""
+    if isinstance(rho, DensityOperator):
+        return rho.spectrum()
+    return np.asarray(rho, dtype=float) if np.ndim(rho) == 1 else linalg.psd_eigvals(rho)
 
 
 def _matrix(rho) -> np.ndarray:
@@ -145,12 +146,14 @@ class Truncation:
 
 def truncation_codes(w: np.ndarray, v: np.ndarray, eps: float) -> list:
     """(bits, kept, rows) of the H_H^eps truncation code of each state of a
-    stack, from its descending eigensystem (w, v), one ``Truncation`` for
-    all: bits = floor(log2(d / kept)), and the rows conj(v).T send
-    eigenvector i (eigenvalues descending) to basis state i."""
-    kept = Truncation(w[:, ::-1], eps).kept
+    stack, from its clipped ascending eigensystem (w, v) as its owner keeps
+    it (``linalg.psd_eig``'s), one ``Truncation`` for all: bits =
+    floor(log2(d / kept)), and the rows conj(v).T, the eigenvectors taken
+    in descending order, send eigenvector i (eigenvalues descending) to
+    basis state i."""
+    kept = Truncation(w, eps).kept
     bits = np.frexp(w.shape[1] // kept)[1] - 1  # x = m 2^e with 1/2 <= m < 1
-    return list(zip(bits.tolist(), kept.tolist(), np.conj(v).swapaxes(-1, -2)))
+    return list(zip(bits.tolist(), kept.tolist(), np.conj(v[..., ::-1]).swapaxes(-1, -2)))
 
 
 def h_tilde_max(rho, eps: float) -> float:

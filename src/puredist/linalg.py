@@ -23,10 +23,11 @@ checks' spectra. Every other eigenvalue-only caller keeps ``_eigh``'s bits
 printed error through its last bits. The solvers of ``entropy`` pass the
 funnel ``hermitian_part``s unchecked.
 
-``psd_eig`` gives the clipped eigensystem of a PSD operator and
-``eig_power`` takes powers of a kept one (``psd_power`` is the two in one
-call), so the owner of an operator decomposes it once for all its roots and
-its spectrum.
+``psd_eig`` gives the clipped ascending eigensystem of a PSD operator,
+the one convention of the package: ``eig_power`` takes powers of a kept
+one (``psd_power`` is the two in one call), and ``purify`` and
+``fidelity`` read one too, so the owner of an operator (a state, a POVM)
+decomposes it once for all its roots, its spectrum and its purification.
 
 The eigen functions, ``psd_power``, ``trace_norm`` and ``partial_trace``
 also take an (n, d, d) stack, all but the last in one LAPACK batch, and
@@ -172,12 +173,6 @@ def psd_eig(m: np.ndarray, tol: float = HERM_TOL):
     return clip_psd_spectrum(w), v
 
 
-def descending_eig(m: np.ndarray, tol: float = HERM_TOL):
-    """``psd_eig`` in descending order (the ascending order reversed)."""
-    w, v = psd_eig(m, tol)
-    return w[..., ::-1], v[..., ::-1]
-
-
 def psd_power(m: np.ndarray, power: float) -> np.ndarray:
     """Matrix power of a PSD matrix on its support (pseudo-power), of one
     matrix or of each matrix of a stack: ``eig_power`` of its ``psd_eig``."""
@@ -242,16 +237,16 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(lead + (d_keep, d_keep))
 
 
-def purify(rho: np.ndarray) -> np.ndarray:
-    """Purification of a density matrix.
+def purify(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Purification of the density matrix rho with clipped ascending
+    eigensystem (w, v), as ``psd_eig`` gives it and its owner keeps it.
 
     Returns a vector on ``A x R`` (A-major ordering) with ``|R| = rank(rho)``
     and Schmidt coefficients equal to the square roots of the nonzero
-    eigenvalues of ``rho``.
+    eigenvalues of ``rho``, largest first.
     """
-    w, v = descending_eig(rho)
     rank = max(1, int((w > SUPPORT_TOL).sum()))
-    return (v[:, :rank] * np.sqrt(w[:rank])).reshape(-1)
+    return (v[:, ::-1][:, :rank] * np.sqrt(w[::-1][:rank])).reshape(-1)
 
 
 def trace_norm(m: np.ndarray):
@@ -315,12 +310,13 @@ def sum_in_order(arrays) -> np.ndarray:
     return out
 
 
-def fidelity(a: np.ndarray, b: np.ndarray):
+def fidelity(a, b: np.ndarray):
     """Fidelity ``F(a, b) = || sqrt(a) sqrt(b) ||_1`` for PSD a, b with trace
-    <= 1, or of a with each member of a stack b, a's root taken in b's stack;
-    the roots count every eigenvalue at or below ``SUPPORT_TOL`` as 0."""
-    w, v = psd_eig(np.concatenate([[a], b if np.ndim(b) == 3 else [b]]))
+    <= 1, or of a with each member of a stack b; a is given by its clipped
+    ascending eigensystem (w, v), as ``psd_eig`` gives it and its owner keeps
+    it. The roots count every eigenvalue at or below ``SUPPORT_TOL`` as 0."""
     # no root of rounding noise: off the support, an eigenvalue is 0
-    roots = eig_power(np.where(w > SUPPORT_TOL, w, 0.0), v, 0.5)
-    out = _svdvals(roots[0] @ roots[1:]).sum(axis=-1)
+    ra, rb = (eig_power(np.where(w > SUPPORT_TOL, w, 0.0), v, 0.5)
+              for w, v in (a, psd_eig(b if np.ndim(b) == 3 else np.array([b]))))
+    out = _svdvals(ra @ rb).sum(axis=-1)
     return out if np.ndim(b) == 3 else float(out[0])

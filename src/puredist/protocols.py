@@ -19,11 +19,13 @@ targets, Bob's codes) with its nice cells' decoded outcomes.
 All three protocols end in one path on one stacked ``PureState`` of
 branches, measured, coded and mixed as stacks. A conditional code is a
 shared bit count and an (n, d, d) stack of rows, one per branch:
-``_branch_codes`` codes every live branch from one stacked
-eigendecomposition, ``_conditional_codes`` keeps the rows of a good set of
-outcomes of mass >= 1 - min(2 sqrt(eps), 1/2) and gives the rest the
-identity, and ``_final_error`` pads, applies and mixes the codes, one
-pass for all the runs of equal code sizes. A run is one seed's branches:
+``_branch_codes`` codes every live branch from one stack of ascending
+eigensystems, those of ``_marginal_eig`` (one stacked eigendecomposition
+of the branches' marginals) or, for Bob in protocol A, the ones his
+ensemble ``Instance.ideal_bob`` keeps; ``_conditional_codes`` keeps the
+rows of a good set of outcomes of mass >= 1 - min(2 sqrt(eps), 1/2) and
+gives the rest the identity, and ``_final_error`` pads, applies and
+mixes the codes, one pass for all the runs of equal code sizes. A run is one seed's branches:
 ``cells`` maps each of its outcomes to its branch (the one-shot protocol
 measures one branch per decoded symbol of its row, in ``np.unique``
 order); code sizes and mixtures run in outcome order. The compressed
@@ -81,26 +83,20 @@ def _apply_code(branches: PureState, reg: str, labels, bits: int, rows) -> PureS
     return branches.apply(iso, [reg], out_regs=[(pure, ap), (garbage, iso.shape[-2] // ap)])
 
 
-def _eig_codes(mats: np.ndarray, eps: float) -> list:
-    """``entropy.truncation_codes`` of an (n, d, d) stack of matrices, from
-    one stacked eigendecomposition."""
-    return entropy.truncation_codes(*linalg.descending_eig(mats, tol=1e-7), eps)
-
-
-def local_distill(rho, eps: float):
+def local_distill(rho: states.DensityOperator, eps: float):
     """Single-system distillation isometry plus its exactly achieved error.
 
     The eigenvectors carrying all but the smallest <= eps of spectral mass
     are relabeled into |0>^{A_p} (x) basis(A_g) with
     a_p = floor(log2 d - log2 kept_dim) qubits; the achieved error is the
-    exact trace distance of the A_p marginal from |0><0|.
+    exact trace distance of the A_p marginal from |0><0|. The code reads
+    the state's kept ``eig``.
     """
     entropy._validate_eps(eps)
-    mat = entropy._matrix(rho)
-    bits, kept, rows = _eig_codes(mat[None], eps)[0]
+    bits, kept, rows = entropy.truncation_codes(*(x[None] for x in rho.eig), eps)[0]
     ap = 2 ** bits
     iso = _padded(rows, bits)
-    out = iso @ mat @ linalg.dagger(iso)
+    out = iso @ rho.matrix @ linalg.dagger(iso)
     marg = linalg.partial_trace(out, [ap, len(iso) // ap], 0)
     return DistillationIsometry(iso, kept, bits, len(iso) // ap), _distance_to_zero(marg)
 
@@ -134,18 +130,27 @@ def _conditional_codes(codes, masses, cells, d: int, eps: float):
                              for code in codes])
 
 
-def _branch_codes(branches: PureState, masses, runs, reg: str, eps: float) -> list:
-    """``_conditional_codes`` of each run on the normalized ``reg`` marginals
-    of a stack of sub-normalized branches of squared norms ``masses``, every
-    branch of mass >= 1e-12 coded from one stacked eigendecomposition. A run
-    is (branch count, cells): its branches follow the previous run's, and its
-    cells index them."""
+def _marginal_eig(branches: PureState, masses, reg: str) -> tuple:
+    """The ascending eigensystems of the normalized ``reg`` marginals of the
+    branches of mass >= 1e-12 of a stack of sub-normalized branches of
+    squared norms ``masses``, from one stacked eigendecomposition, and the
+    mask of those branches: ``_branch_codes``' input where no ensemble holds it."""
     live = masses >= 1e-12
-    codes = iter(_eig_codes(branches.marginal([reg])[live] / masses[live, None, None], eps))
-    codes = [next(codes) if ok else None for ok in live.tolist()]
+    return (linalg.psd_eig(branches.marginal([reg])[live] / masses[live, None, None], tol=1e-7),
+            live.tolist())
+
+
+def _branch_codes(eig, live, masses, runs, eps: float) -> list:
+    """``_conditional_codes`` of each run of a stack of branches of squared
+    norms ``masses`` on one register, from the ascending eigensystems ``eig``
+    of the normalized marginals of its ``live`` branches (a mask), one
+    ``entropy.truncation_codes`` call for all. A run is (branch count,
+    cells): its branches follow the previous run's, and its cells index them."""
+    codes = iter(entropy.truncation_codes(*eig, eps))
+    codes = [next(codes) if ok else None for ok in live]
     ends = np.cumsum([n for n, _ in runs]).tolist()
     return [_conditional_codes(codes[end - n:end], masses[end - n:end][list(cells)], cells,
-                               branches.dim(reg), eps) for (n, cells), end in zip(runs, ends)]
+                               eig[1].shape[-1], eps) for (n, cells), end in zip(runs, ends)]
 
 
 def _distance_to_zero(sigma: np.ndarray):
@@ -178,16 +183,16 @@ def _final_error(branches: PureState, masses, runs, codes, regs) -> list:
     return errors
 
 
-def _distill_branches(branches: PureState, runs, inst: Instance) -> list:
+def _distill_branches(branches: PureState, masses, runs, inst: Instance, bob) -> list:
     """Both parties' conditional codes, on the instance's measured register
     and Bob's, on the dephased outcomes of each run (as in ``_branch_codes``)
-    of the stacked ``branches``; returns (Alice's bits, Bob's bits, final
-    error) per run."""
-    a_reg, b_reg, eps, masses = inst.povm.register, inst.bob_label, inst.eps, branches.masses()
-    codes = list(zip(_branch_codes(branches, masses, runs, a_reg, eps),
-                     _branch_codes(branches, masses, runs, b_reg, eps)))
-    errors = _final_error(branches, masses, runs, codes,
-                          [(a_reg, ("Ap", "Ag")), (b_reg, ("Bp", "Bg"))])
+    of the stacked ``branches`` of squared norms ``masses``; Bob's from his
+    (eigensystems, live mask) ``bob``. Returns (Alice's bits, Bob's bits,
+    final error) per run."""
+    regs = [(inst.povm.register, ("Ap", "Ag")), (inst.bob_label, ("Bp", "Bg"))]
+    alice = _marginal_eig(branches, masses, inst.povm.register)
+    codes = list(zip(*(_branch_codes(*eig, masses, runs, inst.eps) for eig in (alice, bob))))
+    errors = _final_error(branches, masses, runs, codes, regs)
     return [(a[0], b[0], err) for (a, b), err in zip(codes, errors)]
 
 
@@ -218,8 +223,11 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     through the dephasing channel, and Bob applies his per-outcome code.
     The |X| = 1 case degenerates to two independent local distillations.
     """
-    n_x = len(inst.povm)
-    [(a_bits, b_bits, err)] = _distill_branches(inst.branches, [(n_x, range(n_x))], inst)
+    n_x, branches, bob = len(inst.povm), inst.branches, inst.ideal_bob
+    # Bob's conditionals are his ensemble's, which keeps their eigensystems
+    [(a_bits, b_bits, err)] = _distill_branches(
+        branches, branches.masses(), [(n_x, range(n_x))], inst,
+        (bob.eig, [lbl in bob.symbols for lbl in inst.povm.labels]))
     borrowed = math.ceil(np.log2(n_x)) if n_x > 1 else 0
     return _transcript(inst, "protocol-a", {"X": n_x}, distilled_alice=a_bits,
                        distilled_bob=b_bits, borrowed=borrowed, communication=borrowed,
@@ -246,7 +254,10 @@ def run_kd_oneshot(views) -> list:
     elements = np.concatenate([v.elements[v.k, np.append(first, v.L)]
                                for v, (first, _) in zip(views, rows)])
     runs = [(len(first) + 1, at.tolist() + [len(first)]) for first, at in rows]
-    results = _distill_branches(states.measure(inst.psi, elements, inst.povm.register), runs, inst)
+    branches = states.measure(inst.psi, elements, inst.povm.register)
+    masses = branches.masses()
+    results = _distill_branches(branches, masses, runs, inst,
+                                _marginal_eig(branches, masses, inst.bob_label))
     formula = _rate_formula(inst, inst.eps, inst.imax.value)
     return [_transcript(inst, "kd-oneshot", {"K": view.K, "L": view.L}, distilled_alice=a_bits,
                         distilled_bob=b_bits, borrowed=math.ceil(np.log2(view.L + 1)),
@@ -264,11 +275,11 @@ def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
     dimension) and are untouched. Returns (matrix, achieved overlap), for a
     stacked chi an (n, dq, dp) stack and a list of overlaps, from one
     overlap product and one SVD. Each achieved overlap equals the fidelity of
-    the shared-register marginals (Uhlmann, ``linalg.fidelity`` of phi's
-    with the stack of chi's), which is checked within 1e-8 member by member
-    in order
-    (``linalg.InvariantError``). The matrix is unitary when the system
-    dimensions match and an isometry when chi's side is larger.
+    the shared-register marginals (Uhlmann, ``linalg.fidelity`` of phi's,
+    whose eigensystem phi keeps, with the stack of chi's), which is checked
+    within 1e-8 member by member in order (``linalg.InvariantError``). The
+    matrix is unitary when the system dimensions match and an isometry when
+    chi's side is larger.
     """
     shared = [l for l in phi.labels if l not in phi_system]
     chi_shared = [l for l in chi.labels if l not in chi_system]
@@ -292,7 +303,7 @@ def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
     v, s, wh = linalg._svd(overlap)
     u = linalg.dagger(wh) @ linalg.dagger(v)
     achieved = s.sum(axis=-1).tolist()
-    fids = linalg.fidelity(phi_mat.T @ np.conj(phi_mat),
+    fids = linalg.fidelity(phi.reduced(rest)[1:],
                            chi_mat.swapaxes(-1, -2) @ np.conj(chi_mat)).tolist()
     for got, fid in zip(achieved, fids):
         if abs(got - fid) > 1e-8:
@@ -399,11 +410,10 @@ def run_fewqubits(views) -> list:
     """
     inst = views[0].instance
     psi, eps, bob_label, a_reg = inst.psi, inst.eps, inst.bob_label, inst.povm.register
-    da, db = psi.dim(a_reg), psi.dim(bob_label)
     setups, failure = [], None
     for view in views:
         try:
-            setups.append(_fewqubits_setup(view, inst.bob_codes, db, eps))
+            setups.append(_fewqubits_setup(view, inst.bob_codes, psi.dim(bob_label), eps))
         except (NoGoodK, linalg.InvariantError) as exc:
             failure = exc  # raised after the Uhlmann checks of the views before it
             break
@@ -413,8 +423,7 @@ def run_fewqubits(views) -> list:
                         + [(l, psi.dim(l)) for l in sorted(inst.env)],
                         np.stack([setups[i][2] for i in members]), stacked=True)
         # append |0>^borrow to A: out index a * 2^borrow + 0
-        phi = psi.apply(np.eye(da << borrow, dtype=complex)[:, ::2 ** borrow], [a_reg],
-                        out_regs=[(a_reg, da << borrow)]) if borrow else psi
+        phi = psi.padded(a_reg, borrow) if borrow else psi
         u, _ = uhlmann_unitary(phi, chi, [a_reg], ["Ap", "LA", "Ag"])
         branches = phi.apply(u, [a_reg], out_regs=[("Ap", ap), ("LA", la), ("Ag", ag)]).split("LA")
         errors = _final_error(branches, branches.masses(), [(la, range(la))] * len(members),
@@ -494,7 +503,9 @@ def purity_trace(psi: PureState, povm: Povm, eps: float) -> list:
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
     masses = branches.masses()
     run = [(n_x, range(n_x))]
-    alice = (a_reg, ("Ap", "Ag"), *_branch_codes(branches, masses, run, a_reg, eps)[0])
+    alice, bob = ((reg, labels, *_branch_codes(*_marginal_eig(branches, masses, reg), masses,
+                                               run, eps)[0])
+                  for reg, labels in ((a_reg, ("Ap", "Ag")), ("B", ("Bp", "Bg"))))
     blocks = _apply_code(branches, *alice)
     coherent = _stack_coherent(blocks, "XA")
     keep = sorted(set(coherent.labels) - {"R"})
@@ -505,7 +516,6 @@ def purity_trace(psi: PureState, povm: Povm, eps: float) -> list:
     trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
-    bob = ("B", ("Bp", "Bg"), *_branch_codes(branches, masses, run, "B", eps)[0])
     final_blocks = _apply_code(blocks, *bob)
     keep_f = sorted(set(final_blocks.labels) - {"R"})
     trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))

@@ -3,9 +3,16 @@
 Registers are (label, dimension) pairs. A ``DensityOperator`` canonicalizes
 its tensor order alphabetically by label at construction so partial traces
 are unambiguous; the lighter ``PureState`` keeps an explicit register order
-and is the working representation inside protocol simulations. A ``Povm``
-keeps the eigensystem its check computes and the roots sqrt(E) taken from
-it, which every coherent measurement and refinement of it reads.
+and is the working representation inside protocol simulations.
+
+Each object that holds an operator owns its one eigensystem, the clipped
+ascending (w, v) of ``linalg.psd_eig``, decomposed on first use, kept
+read-only and read by every caller: a ``DensityOperator``'s ``eig`` (its
+spectrum and its purification), a ``PureState``'s marginals per register
+list with theirs (``reduced``), a ``CQState``'s ``eig`` of its
+conditionals (their spectra and the codes built on them), and a ``Povm``'s
+``eig``, which its check computes, with the roots sqrt(E) taken from it
+that every coherent measurement and refinement of it reads.
 """
 
 import math
@@ -18,6 +25,13 @@ from . import linalg
 
 _ATOL = 1e-9
 _SUM_TOL = 1e-8
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only: a kept array that callers share."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _perm_matrix_indices(dims_from, perm):
@@ -38,6 +52,8 @@ class PureState:
     A stacked PureState holds states over the same registers along a
     leading tensor axis; ``masses``, ``apply`` (of one operator or a stack)
     and ``marginal`` act member by member, with each member's own bits.
+    ``reduced`` keeps a marginal and its eigensystem per register list, so
+    every reader of one state shares one decomposition.
     """
 
     def __init__(self, regs, vec, stacked=False):
@@ -48,6 +64,7 @@ class PureState:
         labels = [l for l, _ in self.regs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate register labels: {labels}")
+        self._kept = {}
 
     @property
     def labels(self):
@@ -127,6 +144,27 @@ class PureState:
         m, _ = self._moved(self._axes(list(keep)))
         return m @ linalg.dagger(m)
 
+    def reduced(self, keep) -> tuple:
+        """(m, w, v): the marginal m on ``keep`` (in the listed order) and its
+        clipped ascending eigensystem (``linalg.psd_eig``), computed on the
+        first call for those registers and dimensions and kept read-only."""
+        key = tuple((l, self.dim(l)) for l in keep)
+        if key not in self._kept:
+            m = self.marginal(keep)
+            self._kept[key] = _frozen(m, *linalg.psd_eig(m))
+        return self._kept[key]
+
+    def padded(self, label, bits: int) -> "PureState":
+        """This state with |0>^bits appended to register ``label`` (its basis
+        state a becomes a 2^bits), an isometry on it that leaves every other
+        marginal as it is: the padded state shares this one's ``reduced``
+        cache, whose keys hold the registers' dimensions."""
+        d = self.dim(label)
+        out = self.apply(np.eye(d << bits, dtype=complex)[:, ::2 ** bits], [label],
+                         out_regs=[(label, d << bits)])
+        out._kept = self._kept
+        return out
+
     def density(self) -> "DensityOperator":
         """The density operator of the whole state."""
         keep = sorted(self.labels)
@@ -138,7 +176,9 @@ class DensityOperator:
     """PSD unit-trace operator over alphabetically ordered labeled registers.
 
     The matrix is read-only from construction on (so is the caller's array
-    when it is taken without a copy).
+    when it is taken without a copy). ``eig`` is its one eigensystem, which
+    ``spectrum`` and ``purify`` read. The constructor's check decomposes the
+    matrix it is given, not the one it keeps, so ``eig`` is another call.
     """
 
     registers: tuple
@@ -166,9 +206,7 @@ class DensityOperator:
             tr = float(mat.trace().real)
             if abs(tr - 1.0) > _ATOL:
                 raise ValueError(f"trace {tr} is not 1 within 1e-9")
-        mat.flags.writeable = False
-        object.__setattr__(self, "registers", tuple(regs))
-        object.__setattr__(self, "matrix", mat)
+        self.__dict__.update(registers=tuple(regs), matrix=_frozen(mat)[0])
 
     @property
     def labels(self):
@@ -194,15 +232,21 @@ class DensityOperator:
         sub = linalg.partial_trace(self.matrix, self.dims, idx)
         return DensityOperator([self.registers[i] for i in idx], sub, validate=False)
 
+    @cached_property
+    def eig(self) -> tuple:
+        """The clipped ascending eigensystem (w, v) of the matrix
+        (``linalg.psd_eig``), read-only."""
+        return _frozen(*linalg.psd_eig(self.matrix))
+
     def spectrum(self) -> np.ndarray:
-        """The clipped ascending eigenvalues."""
-        return linalg.psd_eigvals(self.matrix)
+        """The clipped ascending eigenvalues, ``eig``'s (read-only)."""
+        return self.eig[0]
 
     def purify(self) -> PureState:
         """Pure state on (self x R) whose partial trace gives self back."""
         if "R" in self.labels:
             raise ValueError("reference label 'R' already in use")
-        vec = linalg.purify(self.matrix)
+        vec = linalg.purify(*self.eig)
         return PureState(list(self.registers) + [("R", vec.size // self.dim)], vec)
 
 
@@ -248,13 +292,14 @@ class CQState:
         return len(self.symbols)
 
     @cached_property
-    def spectra(self) -> np.ndarray:
-        """Row i is the spectrum of ``stack[i]`` as a ``DensityOperator``'s
-        ``spectrum()`` gives it, bit for bit, from one stacked
-        eigendecomposition, read-only."""
-        w = linalg.psd_eigvals(self.stack)
-        w.flags.writeable = False
-        return w
+    def eig(self) -> tuple:
+        """The clipped ascending eigensystems (w, v) of the conditionals, from
+        one stacked ``linalg.psd_eig``, read-only."""
+        return _frozen(*linalg.psd_eig(self.stack))
+
+    # row i is the spectrum of ``stack[i]`` as a ``DensityOperator``'s
+    # ``spectrum()`` gives it, bit for bit: ``eig``'s (read-only)
+    spectra = property(lambda self: self.eig[0])
 
 
 def kept_symbols(probs) -> np.ndarray:
@@ -278,7 +323,7 @@ class Povm:
     """Finite list of PSD operators on one register summing to identity.
 
     ``eig`` keeps the clipped ascending eigensystems (w, v) of the element
-    stack that the PSD check computes (``linalg.psd_eig``'s bits), and
+    stack that the PSD check computes (``linalg.psd_eig``'s bits, read-only), and
     ``roots`` the stack of sqrt(E) taken from them: every coherent
     measurement of the POVM reads these, and no element is decomposed again.
     """
@@ -310,11 +355,9 @@ class Povm:
             raise ValueError(f"POVM element not PSD: min eig {w.min():.2e}")
         if np.abs(sum(elems) - np.eye(d)).max() > _SUM_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-8")
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "register", str(register))
-        object.__setattr__(self, "eig", (linalg.clip_psd_spectrum(w), v))
-        object.__setattr__(self, "roots", linalg.eig_power(*self.eig, 0.5))
+        eig = _frozen(linalg.clip_psd_spectrum(w), v)
+        self.__dict__.update(labels=tuple(labels), elements=tuple(elems), register=str(register),
+                             eig=eig, roots=linalg.eig_power(*eig, 0.5))
 
     def __len__(self):
         return len(self.elements)

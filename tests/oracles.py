@@ -249,7 +249,7 @@ def mixed_protocol_input(rng, da: int, db: int, rank: int = 2,
                          labels=("A", "B", "R")) -> PureState:
     """Random mixed rho^{AB} of the given rank, presented as |rho>^{ABR}."""
     rho = ginibre_density(rng, da * db, rank)
-    vec = linalg.purify(rho)
+    vec = linalg.purify(*linalg.psd_eig(rho))
     dr = vec.size // (da * db)
     return PureState([(labels[0], da), (labels[1], db), (labels[2], dr)],
                      vec.reshape(da, db, dr))

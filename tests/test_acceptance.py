@@ -310,7 +310,7 @@ def test_criterion_9_uhlmann():
         phi = PureState([("P", d_sys), ("R", d_ref)], a)
         chi = PureState([("Q", d_sys), ("R", d_ref)], b)
         _, ov = pr.uhlmann_unitary(phi, chi, ["P"], ["Q"])
-        fid = linalg.fidelity(a.T @ np.conj(a), b.T @ np.conj(b))
+        fid = linalg.fidelity(linalg.psd_eig(a.T @ np.conj(a)), b.T @ np.conj(b))
         worst = max(worst, abs(ov - fid))
     report("criterion 9: Uhlmann overlap equals marginal fidelity, 500 pairs",
            worst <= 1e-8, f"worst {worst:.2e}")

@@ -241,12 +241,14 @@ def test_rate_report_computes_the_instance_bounds_once(rng, monkeypatch):
         calls["dist"] += 1
         return orig_dist(*args, **kwargs)
 
-    def eig(m, *args):
-        calls["eig_rho_a"] += m is inst.rho_a
-        return orig_eig(m, *args)
+    rho_a = psi.marginal(["A"])  # the bytes of the instance's, which psi keeps
+
+    def eig(m, *args, **kwargs):
+        calls["eig_rho_a"] += np.array_equal(m, rho_a)
+        return orig_eig(m, *args, **kwargs)
 
     def eigvals(m):
-        calls["eig_rho_a"] += m is inst.rho_a
+        calls["eig_rho_a"] += np.array_equal(m, rho_a)
         return orig_eigvals(m)
 
     monkeypatch.setattr(bounds, "local_purity_bounds", local)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import json
@@ -763,6 +764,39 @@ def test_no_operator_is_decomposed_twice_in_a_run(rng, tmp_path, monkeypatch):
               classical.ideal_bob.stack):
         m = linalg.hermitian_part(np.asarray(m, dtype=complex))
         assert (m.shape, m.tobytes()) in recorded
+
+
+def test_no_command_decomposes_an_operator_twice_on_the_mixed_inputs(tmp_path, monkeypatch):
+    # every command of the golden cases but verify on the mixed inputs, and
+    # the commands that take several POVMs with a second one on A: each run
+    # hands LAPACK every matrix once, a stack's members keyed one by one (a
+    # member repeated within one call counts once), a matrix as a stack of one.
+    # A 1 x 1 member is a number, no operator that an object could keep: the
+    # final errors of two POVMs' runs that distill nothing take |m - 1| of
+    # equal masses m
+    from test_golden import CASES, write_mixed
+    write_mixed(tmp_path)
+    io.save_povm(sampling.random_povm(np.random.default_rng(57), 4, 2, "A"),
+                 str(tmp_path / "povm2.json"))
+    runs = [list(argv) for name, argv in CASES.items() if name.endswith("-mixed")]
+    runs += [[command, *CASES[command + "-mixed"][1:], "--povm", "povm2.json"]
+             for command in ("kd-oneshot", "protocol-a", "compare", "bounds")]
+    monkeypatch.chdir(tmp_path)
+    members = []
+    for name in ("_eigh", "_eigvalsh"):
+        def recording(m, _orig=getattr(linalg, name)):
+            members.extend({(mat.shape, mat.tobytes())
+                            for mat in np.reshape(m, (-1,) + m.shape[-2:])})
+            return _orig(m)
+
+        monkeypatch.setattr(linalg, name, recording)
+    for argv in runs:
+        members.clear()
+        rc, _, err, _ = _run(argv)
+        assert (rc, err) == (0, "")
+        twice = [shape for (shape, _), n in collections.Counter(members).items()
+                 if n > 1 and shape != (1, 1)]
+        assert members and not twice, (argv, twice)
 
 
 def test_compare_solves_the_conditional_h_min_once(rng, tmp_path, monkeypatch):

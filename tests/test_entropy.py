@@ -142,7 +142,8 @@ def test_h_max_smooth_takes_one_spectrum(rng, monkeypatch):
         for eps in (0.0, 0.05, 0.3):
             calls.clear()
             got = ent.h_max_smooth(rho, eps)
-            assert len(calls) == 1
+            # a state keeps the spectrum of its first call for the others
+            assert len(calls) == (1 if eps == 0.0 or not isinstance(rho, DensityOperator) else 0)
             # the Renyi-1/2 value of the truncated spectrum, bit for bit
             supp, k = truncated_support(ent._spectrum(rho), eps)
             kept = supp[k:] / np.sum(supp[k:])
@@ -202,18 +203,19 @@ def test_stacked_truncation_keeps_the_bits_of_each_row(rng):
 
 
 def test_stacked_truncation_codes_keep_the_bits_of_each_row(rng):
-    # the codes of stacks of one dimension d each, from descending eigensystems
+    # the codes of stacks of one dimension d each, from ascending eigensystems;
+    # the rows are the eigenvectors' in descending order
     cases = truncation_cases(rng)
     for d in range(1, 17):
         rows = [(w, e) for w, e in cases if len(w) == d]
         if not rows:
             continue
-        w = np.array([w[::-1] for w, _ in rows])
+        w = np.array([w for w, _ in rows])
         v = np.array([ginibre_matrix(rng, d) for _ in rows])
         codes = ent.truncation_codes(w, v, [e for _, e in rows])  # one eps per row
         for (spectrum, eps), (bits, kept, out), vi in zip(rows, codes, v):
             assert (bits, kept) == truncation_entropies(spectrum, eps)[3:], (spectrum, eps)
-            assert out.tobytes() == np.conj(vi).T.tobytes()
+            assert out.tobytes() == np.conj(vi[:, ::-1]).T.tobytes()
 
 
 def test_spectral_entropies_take_a_state_or_its_spectrum(rng):

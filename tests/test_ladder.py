@@ -1,17 +1,22 @@
 """The n-copy ladder: the iid setting of the paper, rho^{(x) n} measured by
 Lambda^{(x) n}, on a quantum and a classical two-qubit input at n <= 3 and
 n <= 2. The compression cap is multiplicative over copies and I_max is
-additive, so each rung must reproduce the one-copy figures."""
+additive, so each rung must reproduce the one-copy figures. On the
+classical input the ``entropy`` command's H_H of each marginal, up to
+n = 3, must be the type-class value of ``oracles.h_h_iid``."""
+
+import json
 
 import numpy as np
 import pytest
 
-from puredist import entropy
+from puredist import entropy, io
+from puredist.cli import main
 from puredist.compression import Instance
 from puredist.sampling import basis_povm, ginibre_density, random_povm
 from puredist.states import DensityOperator
 
-from oracles import tensor_power
+from oracles import h_h_iid, tensor_power
 
 
 def quantum_input():
@@ -65,3 +70,18 @@ def test_i_max_of_n_copies_overlaps_n_times_one_copy(make, n):
         assert r.converged and r.duality_gap <= entropy.IMAX_GAP_TOL
     lower = max(got.value - got.duality_gap, n * (one.value - one.duality_gap))
     assert lower <= min(got.value, n * one.value), (got, one)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_entropy_command_gives_the_type_class_h_h_of_each_classical_marginal(
+        n, tmp_path, capsys):
+    # each marginal of rho^{(x) n} is the n-th power of rho's: joint, A and B
+    rho, povm = classical_input()
+    io.save_state(tensor_power(rho, povm, n)[0], str(tmp_path / "rho.json"))
+    assert main(["entropy", "--state", str(tmp_path / "rho.json"), "--eps", "0.1"]) == 0
+    got = json.loads(capsys.readouterr().out)["marginals"]
+    spectra = {"joint": [0.55, 0.05, 0.1, 0.3], "A": [0.6, 0.4], "B": [0.65, 0.35]}
+    assert sorted(got) == sorted(spectra)
+    for name, p in spectra.items():
+        want = h_h_iid(p, n, 0.1)
+        assert abs(got[name]["h_h"] - want) <= 1e-12, (name, got[name]["h_h"], want)

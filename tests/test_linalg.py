@@ -276,10 +276,10 @@ def test_partial_trace_of_a_stack_keeps_the_bits_of_each_member(rng):
 def test_purify_pure_and_mixed(rng):
     v = haar_vector(rng, 3)
     pure = np.outer(v, np.conj(v))
-    vec = linalg.purify(pure)
+    vec = linalg.purify(*linalg.psd_eig(pure))
     assert vec.size == 3  # one-dimensional reference
     rho = ginibre_density(rng, 4)
-    vec = linalg.purify(rho)
+    vec = linalg.purify(*linalg.psd_eig(rho))
     dr = vec.size // 4
     back = linalg.partial_trace(np.outer(vec, np.conj(vec)), [4, dr], 0)
     assert np.max(np.abs(back - rho)) <= 1e-8
@@ -297,14 +297,14 @@ def test_purify_keeps_the_bits_of_the_column_loop(rng):
         psi = np.zeros((d, rank), dtype=complex)
         for r in range(rank):
             psi[:, r] = np.sqrt(w[r]) * v[:, r]
-        assert np.array_equal(linalg.purify(rho), psi.reshape(d * rank))
+        assert np.array_equal(linalg.purify(*linalg.psd_eig(rho)), psi.reshape(d * rank))
 
 
 def test_purify_schmidt_coefficients():
-    vec = linalg.purify(np.diag([0.7, 0.3]))
+    vec = linalg.purify(*linalg.psd_eig(np.diag([0.7, 0.3])))
     s = np.linalg.svd(vec.reshape(2, -1), compute_uv=False)
     assert np.allclose(np.sort(s)[::-1], [np.sqrt(0.7), np.sqrt(0.3)])
-    vec = linalg.purify(np.eye(2) / 2)
+    vec = linalg.purify(*linalg.psd_eig(np.eye(2) / 2))
     s = np.linalg.svd(vec.reshape(2, -1), compute_uv=False)
     assert np.allclose(s, [1 / np.sqrt(2)] * 2)
 
@@ -312,7 +312,7 @@ def test_purify_schmidt_coefficients():
 def test_purify_partial_trace_idempotent_on_spectra(rng):
     for _ in range(20):
         rho = ginibre_density(rng, 5, rank=int(rng.integers(1, 6)))
-        vec = linalg.purify(rho)
+        vec = linalg.purify(*linalg.psd_eig(rho))
         dr = vec.size // 5
         back = linalg.partial_trace(np.outer(vec, np.conj(vec)), [5, dr], 0)
         w1, _ = linalg.eig_hermitian(rho)
@@ -330,12 +330,14 @@ def test_trace_distance_cases():
 
 def test_fidelity_cases(rng):
     rho = ginibre_density(rng, 3)
-    assert np.isclose(linalg.fidelity(rho, rho), 1.0, atol=1e-9)
-    assert np.isclose(linalg.fidelity(np.diag([1.0, 0]), np.diag([0, 1.0])), 0.0, atol=1e-9)
+    assert np.isclose(linalg.fidelity(linalg.psd_eig(rho), rho), 1.0, atol=1e-9)
+    assert np.isclose(linalg.fidelity(linalg.psd_eig(np.diag([1.0, 0])), np.diag([0, 1.0])), 0.0,
+                      atol=1e-9)
     # commuting Bhattacharyya oracle
-    got = linalg.fidelity(np.diag([0.5, 0.5]), np.diag([0.9, 0.1]))
+    got = linalg.fidelity(linalg.psd_eig(np.diag([0.5, 0.5])), np.diag([0.9, 0.1]))
     assert np.isclose(got, np.sqrt(0.45) + np.sqrt(0.05), atol=1e-10)
-    asym = abs(linalg.fidelity(rho, np.eye(3) / 3) - linalg.fidelity(np.eye(3) / 3, rho))
+    asym = abs(linalg.fidelity(linalg.psd_eig(rho), np.eye(3) / 3)
+               - linalg.fidelity(linalg.psd_eig(np.eye(3) / 3), rho))
     assert asym <= 1e-9
 
 
@@ -346,7 +348,7 @@ def test_fidelity_with_a_pure_state_takes_no_roots_of_rounding_noise(rng):
         d = int(rng.integers(2, 9))
         v, b = haar_vector(rng, d), ginibre_density(rng, d)
         want = np.sqrt((np.conj(v) @ b @ v).real)
-        assert abs(linalg.fidelity(np.outer(v, np.conj(v)), b) - want) <= 1e-12
+        assert abs(linalg.fidelity(linalg.psd_eig(np.outer(v, np.conj(v))), b) - want) <= 1e-12
 
 
 def test_groups_keep_their_keys_in_order_of_first_appearance():
@@ -360,7 +362,7 @@ def test_fuchs_van_de_graaf(rng):
         d = int(rng.integers(2, 6))
         a = ginibre_density(rng, d)
         b = ginibre_density(rng, d)
-        f = linalg.fidelity(a, b)
+        f = linalg.fidelity(linalg.psd_eig(a), b)
         td = linalg.trace_norm(a - b)
         assert 2 * (1 - f) <= td + 1e-8
         assert td <= 2 * np.sqrt(max(0.0, 1 - f * f)) + 1e-8

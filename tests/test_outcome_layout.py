@@ -50,9 +50,11 @@ def _per_symbol(inst):
         inst=inst, sims=sims, sims_bob=sims_bob,
         h_env={x: entropy.h_h(m, smooth) for x, m in sims.items()},
         h_bob={x: entropy.h_h(m, smooth).value for x, m in sims_bob.items()},
-        sims_eig=dict(zip(sims, zip(*linalg.descending_eig(np.array(list(sims.values())))))),
-        bob_codes=dict(zip(sims_bob, pr._eig_codes(np.array(list(sims_bob.values())),
-                                                   inst.eps))))
+        # descending eigensystems, as the in-place protocol reads them
+        sims_eig=dict(zip(sims, zip(*(x[..., ::-1] for x in linalg.psd_eig(
+            np.array(list(sims.values()))))))),
+        bob_codes=dict(zip(sims_bob, entropy.truncation_codes(
+            *linalg.psd_eig(np.array(list(sims_bob.values()))), inst.eps))))
 
 
 def _block_distances(ref, view, weights):

@@ -61,9 +61,9 @@ def test_protocol_a_trivial_povm_product_state(rng):
     # povm {I}: two independent local distillations, nothing borrowed
     rho_a = np.diag([0.97, 0.01, 0.01, 0.01])
     rho_b = np.diag([0.96, 0.04])
-    vec_a = linalg.purify(rho_a)
+    vec_a = linalg.purify(*linalg.psd_eig(rho_a))
     da, ra = 4, vec_a.size // 4
-    vec_b = linalg.purify(rho_b)
+    vec_b = linalg.purify(*linalg.psd_eig(rho_b))
     db, rb = 2, vec_b.size // 2
     vec = np.kron(vec_a, vec_b).reshape(da, ra, db, rb).transpose(0, 2, 1, 3)
     psi = PureState([("A", da), ("B", db), ("R", ra * rb)],
@@ -108,12 +108,16 @@ def test_protocol_a_eigendecomposes_each_branch_once(monkeypatch):
     joint = np.array([[0.5, 0.1], [0.05, 0.2], [0.1, 0.05], [0.0, 0.0]])
     psi = purified_input(classical_correlated_pure(None, 4, 2, joint=joint))
     inst = Instance(psi, basis_povm(4, "A"), 0.1)
-    pr.run_protocol_a(inst)  # fills the instance's caches
     calls = _count_calls(monkeypatch, linalg, "eig_hermitian")
+    pr.run_protocol_a(inst)
+    live = sum(inst.branches.masses() >= 1e-12)
+    # Alice's marginal and Bob's conditional of each live branch, Bob's kept
+    # by his ensemble: a second run decomposes only Alice's
+    assert live == 3 and len(calls) == 2 * live
+    calls.clear()
     t = pr.run_protocol_a(inst)
     assert t.distilled_alice == 2  # every live branch is good for Alice
-    live = sum(inst.branches.masses() >= 1e-12)
-    assert live == 3 and len(calls) == 2 * live
+    assert len(calls) == live
 
 
 def _count_calls(monkeypatch, module, name):
@@ -167,8 +171,9 @@ def test_final_error_keeps_the_bits_of_the_per_branch_loop(rng, first):
         masses = branches.masses()
         assert masses[3] < 1e-15 <= masses[:3].min()
         run = [(len(elements), cells)]
-        steps = [("A", ("Ap", "Ag"), *pr._branch_codes(branches, masses, run, "A", eps)[0]),
-                 ("B", ("Bp", "Bg"), *pr._branch_codes(branches, masses, run, "B", eps)[0])]
+        steps = [(reg, labels, *pr._branch_codes(*pr._marginal_eig(branches, masses, reg),
+                                                 masses, run, eps)[0])
+                 for reg, labels in (("A", ("Ap", "Ag")), ("B", ("Bp", "Bg")))]
         [got] = pr._final_error(branches, masses, run, [[step[2:] for step in steps]],
                                 [step[:2] for step in steps])
         singles = [psi.apply(linalg.psd_power(e, 0.5), ["A"]) for e in elements]
@@ -190,7 +195,8 @@ def test_final_error_of_runs_keeps_the_bits_of_each_run_alone(rng):
     masses = branches.masses()
     runs = [(4, [0, 2, 1, 0, 3]), (4, [1, 1, 2]), (4, [1, 0, 3, 2])]
     regs = [("A", ("Ap", "Ag")), ("B", ("Bp", "Bg"))]
-    coded = [pr._branch_codes(branches, masses, runs, reg, 0.25)[0] for reg, _ in regs]
+    coded = [pr._branch_codes(*pr._marginal_eig(branches, masses, reg), masses, runs, 0.25)[0]
+             for reg, _ in regs]
     identity = [(0, np.broadcast_to(np.eye(d), (4, d, d))) for d in (4, 2)]
     codes = [coded, coded, identity]
     assert coded[0][0] + coded[1][0] > 0  # the third run's sizes differ
@@ -297,7 +303,7 @@ def test_uhlmann_overlap_equals_marginal_fidelity(rng):
         phi = PureState([("P", da), ("R", dr)], va)
         chi = PureState([("Q", da), ("R", dr)], vb)
         u, ov = pr.uhlmann_unitary(phi, chi, ["P"], ["Q"])
-        fid = linalg.fidelity(va.T @ np.conj(va), vb.T @ np.conj(vb))
+        fid = linalg.fidelity(linalg.psd_eig(va.T @ np.conj(va)), vb.T @ np.conj(vb))
         assert abs(ov - fid) <= 1e-8 and ov <= 1 + 1e-9
         moved = phi.apply(u, ["P"], out_regs=[("Q", da)])
         got = chi.tensor.reshape(-1) @ np.conj(moved.tensor.reshape(-1))
@@ -535,7 +541,7 @@ def test_fewqubits_branchwise_consistency(rng):
     tilde = {}
     for idx, l in enumerate(nice):
         x = int(view.decode[k, l])
-        w, v = linalg.descending_eig(sims[x])
+        w, v = (a[..., ::-1] for a in linalg.psd_eig(sims[x]))  # descending
         res = entropy.h_h(sims[x], smooth)
         weights = np.zeros_like(w)
         weights[:len(res.witness["weights"])] = res.witness["weights"]

@@ -382,6 +382,24 @@ def test_density_matrix_is_read_only_so_a_kept_spectrum_stays_valid(rng):
         m[0, 0] = 1.0
 
 
+def test_kept_eigensystems_are_read_only(rng):
+    # the eigensystems, and the marginals, that their owners keep and every
+    # caller shares: a state's, a pure state's per register list, a cq
+    # state's and a POVM's
+    rho = DensityOperator([("A", 2), ("B", 3)], ginibre_density(rng, 6, 2))
+    psi = rho.purify()
+    povm = random_povm(rng, 2, 3, "A")
+    kept = [*rho.eig, rho.spectrum(), *psi.reduced(["A"]), *psi.reduced(["B", "R"]),
+            *control_state(psi, povm).eig, *povm.eig]
+    assert len(kept) == 13
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+    # a sorted copy of a kept spectrum is the caller's own (demo 01 prints one)
+    w = np.sort(rho.spectrum())
+    w[0] = 1.0
+
+
 def test_cq_stack_is_read_only(rng):
     for cq in (random_cq(rng, 3, 2), CQState([0, 1], [0.5, 0.5], [random_mixed(rng, 2, "B")] * 2)):
         with pytest.raises(ValueError, match="read-only"):

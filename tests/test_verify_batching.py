@@ -17,11 +17,12 @@ the per-symbol sampler that ``random_cq`` replaced, so a change in
 the stacked sampler's bits shows here too, and the D_H check's pairs go
 through the one-pair solver that ``d_h_many`` replaced. The spectral checks
 take their spectra from LAPACK's eigenvalue-only routine (``linalg.eigvalsh``),
-so their references run with ``linalg.psd_eigvals`` taking theirs the same
-way (``_run``). Each batched check must also leave its generator where its
-reference leaves it: its loop makes the same draws, merged into fewer
-``normal`` calls at most (a flat ``dirichlet`` call as
-``sampling.flat_dirichlet``), and builds the rest after it.
+so their references run with ``linalg.psd_eigvals`` and a ``CQState``'s
+``spectra`` taking theirs the same way (``_run``). Each batched check must
+also leave its generator where its reference leaves it: its loop makes the
+same draws, merged into fewer ``normal`` calls at most (a flat
+``dirichlet`` call as ``sampling.flat_dirichlet``), and builds the rest
+after it.
 """
 
 import numpy as np
@@ -302,7 +303,7 @@ SPECTRAL = set(REFERENCE) - {"dh-neyman-pearson-vs-lp"}
 
 def _eigvalsh_spectra(m):
     """The clipped spectra of verify._padded_spectra, where the per-trial
-    bodies' states take ``linalg.psd_eigvals``."""
+    bodies' states take ``linalg.psd_eigvals`` or a ``CQState``'s ``spectra``."""
     return linalg.clip_psd_spectrum(linalg.eigvalsh(m))
 
 
@@ -313,6 +314,7 @@ def _run(name, rng, trials, eps, monkeypatch):
     with monkeypatch.context() as patch:
         if name in SPECTRAL:
             patch.setattr(linalg, "psd_eigvals", _eigvalsh_spectra)
+            patch.setattr(CQState, "spectra", property(lambda cq: _eigvalsh_spectra(cq.stack)))
         for gap in REFERENCE[name](rng, trials, eps):
             worst = min(worst, gap)
             bad += gap < 0
