@@ -49,7 +49,7 @@ print("\npurity bookkeeping along the coherent-measurement protocol (4 x 2):")
 small_joint = np.array([[0.40, 0.05], [0.05, 0.20], [0.04, 0.16], [0.06, 0.04]])
 small_joint /= small_joint.sum()
 psi_small = purified_input(classical_correlated_pure(rng, 4, 2, joint=small_joint))
-for step, value in purity_trace(psi_small, basis_povm(4, "A"), 0.1):
+for step, value in purity_trace(Instance(psi_small, basis_povm(4, "A"), 0.1)):
     print(f"  {step:<18} {value:+.4f}")
 
 # Seed sweep: medians absorb the compression randomness.

@@ -25,7 +25,10 @@ of the branches' marginals) or, for Bob in protocol A, the ones his
 ensemble ``Instance.ideal_bob`` keeps; ``_conditional_codes`` keeps the
 rows of a good set of outcomes of mass >= 1 - min(2 sqrt(eps), 1/2) and
 gives the rest the identity, and ``_final_error`` pads, applies and
-mixes the codes, one pass for all the runs of equal code sizes. A run is one seed's branches:
+mixes the codes, one pass for all the runs of equal code sizes. Protocol A
+and kd-oneshot choose both parties' codes in one step, ``_code_step``;
+protocol A's (``_protocol_a_codes``, on the instance's branches) is also
+the one ``purity_trace`` follows. A run is one seed's branches:
 ``cells`` maps each of its outcomes to its branch (the one-shot protocol
 measures one branch per decoded symbol of its row, in ``np.unique``
 order); code sizes and mixtures run in outcome order. The compressed
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import entropy, linalg, states
 from .compression import Compression, Instance, NoGoodK
-from .states import Povm, ProtocolTranscript, PureState
+from .states import ProtocolTranscript, PureState
 
 
 def next_pow2(n: int) -> int:
@@ -183,17 +186,29 @@ def _final_error(branches: PureState, masses, runs, codes, regs) -> list:
     return errors
 
 
-def _distill_branches(branches: PureState, masses, runs, inst: Instance, bob) -> list:
-    """Both parties' conditional codes, on the instance's measured register
-    and Bob's, on the dephased outcomes of each run (as in ``_branch_codes``)
-    of the stacked ``branches`` of squared norms ``masses``; Bob's from his
-    (eigensystems, live mask) ``bob``. Returns (Alice's bits, Bob's bits,
-    final error) per run."""
-    regs = [(inst.povm.register, ("Ap", "Ag")), (inst.bob_label, ("Bp", "Bg"))]
+def _code_step(inst: Instance, branches: PureState, masses, runs, bob) -> tuple:
+    """The code choice of protocol A and kd-oneshot: both parties'
+    conditional codes on the dephased outcomes of each run (as in
+    ``_branch_codes``) of the stacked ``branches`` of squared norms
+    ``masses``, Alice's from ``_marginal_eig`` on the instance's measured
+    register and Bob's from his (eigensystems, live mask) ``bob``. Returns
+    the parties' (register, (pure, garbage) labels), Alice's first, and per
+    run their two (bits, rows): ``_final_error``'s ``regs`` and ``codes``."""
     alice = _marginal_eig(branches, masses, inst.povm.register)
-    codes = list(zip(*(_branch_codes(*eig, masses, runs, inst.eps) for eig in (alice, bob))))
-    errors = _final_error(branches, masses, runs, codes, regs)
-    return [(a[0], b[0], err) for (a, b), err in zip(codes, errors)]
+    return ([(inst.povm.register, ("Ap", "Ag")), (inst.bob_label, ("Bp", "Bg"))],
+            list(zip(*(_branch_codes(*eig, masses, runs, inst.eps) for eig in (alice, bob)))))
+
+
+def _protocol_a_codes(inst: Instance) -> tuple:
+    """Protocol A's one derivation, which both its simulations read: the
+    squared norms of the instance's branches, its one run (each outcome its
+    own cell) and ``_code_step``'s (regs, codes) of that run. Bob's codes
+    come from the eigensystems his ensemble ``ideal_bob`` keeps, of the
+    outcomes it keeps: those of mass >= 1e-12, as the branch masses sum to 1."""
+    n_x, masses = len(inst.povm), inst.branches.masses()
+    run = [(n_x, range(n_x))]
+    return (masses, run,
+            *_code_step(inst, inst.branches, masses, run, (inst.ideal_bob.eig, masses >= 1e-12)))
 
 
 def _transcript(inst: Instance, protocol: str, dims: dict, **fields) -> ProtocolTranscript:
@@ -222,12 +237,11 @@ def run_protocol_a(inst: Instance, seed: int | None = None) -> ProtocolTranscrip
     applies the per-outcome locally optimal code, sends the outcome register
     through the dephasing channel, and Bob applies his per-outcome code.
     The |X| = 1 case degenerates to two independent local distillations.
+    The codes are ``_protocol_a_codes``', the ones ``purity_trace`` follows.
     """
-    n_x, branches, bob = len(inst.povm), inst.branches, inst.ideal_bob
-    # Bob's conditionals are his ensemble's, which keeps their eigensystems
-    [(a_bits, b_bits, err)] = _distill_branches(
-        branches, branches.masses(), [(n_x, range(n_x))], inst,
-        (bob.eig, [lbl in bob.symbols for lbl in inst.povm.labels]))
+    n_x, (masses, run, regs, codes) = len(inst.povm), _protocol_a_codes(inst)
+    [err] = _final_error(inst.branches, masses, run, codes, regs)
+    [((a_bits, _), (b_bits, _))] = codes
     borrowed = math.ceil(np.log2(n_x)) if n_x > 1 else 0
     return _transcript(inst, "protocol-a", {"X": n_x}, distilled_alice=a_bits,
                        distilled_bob=b_bits, borrowed=borrowed, communication=borrowed,
@@ -256,14 +270,15 @@ def run_kd_oneshot(views) -> list:
     runs = [(len(first) + 1, at.tolist() + [len(first)]) for first, at in rows]
     branches = states.measure(inst.psi, elements, inst.povm.register)
     masses = branches.masses()
-    results = _distill_branches(branches, masses, runs, inst,
-                                _marginal_eig(branches, masses, inst.bob_label))
+    regs, codes = _code_step(inst, branches, masses, runs,
+                             _marginal_eig(branches, masses, inst.bob_label))
+    errors = _final_error(branches, masses, runs, codes, regs)
     formula = _rate_formula(inst, inst.eps, inst.imax.value)
-    return [_transcript(inst, "kd-oneshot", {"K": view.K, "L": view.L}, distilled_alice=a_bits,
-                        distilled_bob=b_bits, borrowed=math.ceil(np.log2(view.L + 1)),
+    return [_transcript(inst, "kd-oneshot", {"K": view.K, "L": view.L}, distilled_alice=a[0],
+                        distilled_bob=b[0], borrowed=math.ceil(np.log2(view.L + 1)),
                         communication=math.ceil(np.log2(view.L + 1)), final_error=err,
                         seed=view.seed, rate_bound_real=formula)
-            for view, (a_bits, b_bits, err) in zip(views, results)]
+            for view, (a, b), err in zip(views, codes, errors)]
 
 
 def uhlmann_unitary(phi: PureState, chi: PureState, phi_system, chi_system):
@@ -469,23 +484,27 @@ def _stack_coherent(blocks: PureState, label):
                      np.ascontiguousarray(blocks.tensor))
 
 
-def purity_trace(psi: PureState, povm: Povm, eps: float) -> list:
-    """Step-wise purity bookkeeping along Protocol A on a small instance.
+def purity_trace(inst: Instance) -> list:
+    """Step-wise purity bookkeeping along protocol A on a small instance.
 
     Returns [(step name, corrected purity measure)] where the measure is
-    log2(dim) - H_H^eps of the state held by the parties minus the borrowed
-    qubit correction. Allowable operations must never increase it.
+    log2(dim) - H_H^eps of the state held by the parties (every register
+    but the reference, the instance's ``env`` without Bob's) minus the
+    borrowed qubit correction. Allowable operations must never increase
+    it. The steps follow protocol A's own derivation: the instance's
+    branches and the codes of ``_protocol_a_codes``, which
+    ``run_protocol_a`` applies.
     """
-    a_reg = povm.register
-    n_x = len(povm)
-    held = sorted(l for l in psi.labels if l != "R")
-    trace = []
+    refs, n_x, branches = set(inst.env) - {inst.bob_label}, len(inst.povm), inst.branches
+
+    def held(state):
+        return sorted(set(state.labels) - refs)
 
     def purity(mat, borrowed_bits):
-        return float(np.log2(mat.shape[0]) - entropy.h_h(mat, eps).value - borrowed_bits)
+        return float(np.log2(mat.shape[0]) - entropy.h_h(mat, inst.eps).value - borrowed_bits)
 
-    rho0 = psi.marginal(held)
-    trace.append(("input", purity(rho0, 0.0)))
+    rho0 = inst.psi.marginal(held(inst.psi))
+    trace = [("input", purity(rho0, 0.0))]
 
     # borrow the outcome register (pure ancilla, accounted)
     borrow_bits = float(np.log2(n_x)) if n_x > 1 else 0.0
@@ -495,30 +514,23 @@ def purity_trace(psi: PureState, povm: Povm, eps: float) -> list:
 
     # coherent measurement: a unitary on X_A x A given the |0> ancilla,
     # which leaves sum_x |x> (x) sqrt(Lambda_x) psi
-    branches = psi.apply(povm.roots, [a_reg])
     post = _stack_coherent(branches, "XA")
-    trace.append(("coherent-measure",
-                  purity(post.marginal(sorted(held + ["XA"])), borrow_bits)))
+    trace.append(("coherent-measure", purity(post.marginal(held(post)), borrow_bits)))
 
     # Alice's conditional codes (a controlled unitary for power-of-two dims)
-    masses = branches.masses()
-    run = [(n_x, range(n_x))]
-    alice, bob = ((reg, labels, *_branch_codes(*_marginal_eig(branches, masses, reg), masses,
-                                               run, eps)[0])
-                  for reg, labels in ((a_reg, ("Ap", "Ag")), ("B", ("Bp", "Bg"))))
+    _, _, regs, [codes] = _protocol_a_codes(inst)
+    alice, bob = ((*reg, *code) for reg, code in zip(regs, codes))
     blocks = _apply_code(branches, *alice)
     coherent = _stack_coherent(blocks, "XA")
-    keep = sorted(set(coherent.labels) - {"R"})
-    trace.append(("conditional-codes", purity(coherent.marginal(keep), borrow_bits)))
+    trace.append(("conditional-codes", purity(coherent.marginal(held(coherent)), borrow_bits)))
 
     # dephase X_A -> X_B (a strict decrease is allowed here)
-    keep_b = sorted(set(blocks.labels) - {"R"})
-    trace.append(("dephase", purity(_block_diag_mix(blocks, keep_b), borrow_bits)))
+    trace.append(("dephase", purity(_block_diag_mix(blocks, held(blocks)), borrow_bits)))
 
     # Bob's conditional codes, then discard the garbage registers
     final_blocks = _apply_code(blocks, *bob)
-    keep_f = sorted(set(final_blocks.labels) - {"R"})
-    trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, keep_f), borrow_bits)))
+    trace.append(("bob-codes", purity(_block_diag_mix(final_blocks, held(final_blocks)),
+                                      borrow_bits)))
 
     final = sum(final_blocks.marginal(["Ap", "Bp"]))
     trace.append(("discard-garbage", purity(final, borrow_bits)))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from puredist import linalg
+from puredist.protocols import _protocol_a_codes
 from puredist.sampling import (
     classical_correlated_pure,
     cq_conditionals,
@@ -317,3 +318,48 @@ def tensor_power(rho: DensityOperator, povm: Povm, n: int):
     elements = [functools.reduce(np.kron, e) for e in itertools.product(povm.elements, repeat=n)]
     return (DensityOperator([(a, da ** n), (b, db ** n)], power),
             Povm(elements, register=povm.register))
+
+
+def _padded_code(rows, bits: int) -> np.ndarray:
+    """An (n, d, d) stack of code rows zero-padded to 2^bits * g rows,
+    g = ceil(d / 2^bits), as (n, 2^bits, g, d): row i maps to |i // g>|i mod g>."""
+    n, d, _ = rows.shape
+    g = math.ceil(d / 2 ** bits)
+    iso = np.zeros((n, 2 ** bits * g, d), dtype=complex)
+    iso[:, :d] = rows
+    return iso.reshape(n, 2 ** bits, g, d)
+
+
+def protocol_a_dense(inst):
+    """Protocol A's output on the full space, from the instance and the
+    codes of its code step only: the global vector after Alice's coherent
+    measurement and code on X (x) Ap (x) Ag (x) B (x) reference, its density
+    matrix with X dephased (off-diagonal X blocks zeroed), Bob's controlled
+    code sum_x |x><x| (x) rows_x on X (x) B, and the trace over X, Ag, Bg and
+    the reference. Returns (sigma on Ap (x) Bp, ||sigma - |00><00|||_1)."""
+    _, _, _, [((a_bits, a_rows), (b_bits, b_rows))] = _protocol_a_codes(inst)
+    psi, a_reg, bob = inst.psi, inst.povm.register, inst.bob_label
+    order = [a_reg, bob] + [l for l in inst.env if l != bob]
+    vec = np.transpose(psi.tensor, [psi.labels.index(l) for l in order])
+    vec = vec.reshape(psi.dim(a_reg), psi.dim(bob), -1)
+    roots = []
+    for e in inst.povm.elements:
+        w, v = np.linalg.eigh((e + e.conj().T) / 2)
+        roots.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    alice, bob_iso = _padded_code(a_rows, a_bits), _padded_code(b_rows, b_bits)
+    phi = np.einsum("xpga,xac,cbr->xpgbr", alice, np.array(roots), vec)
+    n, pa, ga, db, dr = phi.shape
+    rho = np.outer(phi.ravel(), phi.ravel().conj())
+    rho *= np.kron(np.eye(n), np.ones((pa * ga * db * dr,) * 2))  # dephase X
+    pb, gb = bob_iso.shape[1:3]
+    u = np.zeros((n, pa * ga, pb, gb, dr, n, pa * ga, db, dr), dtype=complex)
+    for x in range(n):
+        u[x, :, :, :, :, x] = np.einsum("st,qhb,rz->sqhrtbz", np.eye(pa * ga), bob_iso[x],
+                                        np.eye(dr))
+    u = u.reshape(n * pa * ga * pb * gb * dr, -1)
+    out = (u @ rho @ u.conj().T).reshape((n, pa, ga, pb, gb, dr) * 2)
+    sigma = np.einsum("xpgqhrxsgthr->pqst", out).reshape(pa * pb, pa * pb)
+    sigma = (sigma + sigma.conj().T) / 2
+    target = np.zeros_like(sigma)
+    target[0, 0] = 1.0
+    return sigma, float(np.abs(np.linalg.eigvalsh(sigma - target)).sum())

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,13 +447,13 @@ def test_malformed_input_files_are_named_errors(bell_file, basis_file, tmp_path,
 
 
 def test_malformed_nested_fields_are_named_errors(bell_file, basis_file, tmp_path, capsys):
-    state = json.loads(open(bell_file).read())
+    state = json.loads(Path(bell_file).read_text())
     state["registers"] = [[r["label"], r["dim"]] for r in state["registers"]]
     listed_registers = tmp_path / "registers.json"
     listed_registers.write_text(json.dumps(state))
     scalar_elements = tmp_path / "elements.json"
     scalar_elements.write_text(json.dumps({"register": "A", "elements": 5}))
-    state = json.loads(open(bell_file).read())
+    state = json.loads(Path(bell_file).read_text())
     state["matrix"][0] = [0.5]
     short_pair = tmp_path / "short-pair.json"
     short_pair.write_text(json.dumps(state))
@@ -492,7 +493,7 @@ def test_empty_registers_and_elements_are_named_errors(bell_file, basis_file, tm
 
 def test_povm_labels_must_be_null_or_a_list_as_long_as_elements(bell_file, basis_file,
                                                                  tmp_path, capsys):
-    povm = json.loads(open(basis_file).read())
+    povm = json.loads(Path(basis_file).read_text())
     del povm["labels"]
     paths = {}
     for name, labels in (("absent", ...), ("null", None), ("number", 5),
@@ -516,7 +517,7 @@ def test_povm_labels_must_be_null_or_a_list_as_long_as_elements(bell_file, basis
 
 
 def test_povm_register_must_be_a_string(bell_file, basis_file, tmp_path, capsys):
-    povm = json.loads(open(basis_file).read())
+    povm = json.loads(Path(basis_file).read_text())
     del povm["register"]
     paths = {}
     for name, register in (("absent", ...), ("A", "A"), ("number", 5), ("null", None),

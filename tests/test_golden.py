@@ -29,6 +29,7 @@ import pytest
 
 from puredist import io, sampling
 from puredist.cli import COMMANDS, main
+from puredist.compression import Instance
 from puredist.protocols import purity_trace
 from puredist.states import DensityOperator
 
@@ -84,7 +85,7 @@ def print_purity_trace():
     )
     for name, psi_ab, da, eps in cases:
         psi = sampling.purified_input(psi_ab)
-        for step, value in purity_trace(psi, sampling.basis_povm(da, "A"), eps):
+        for step, value in purity_trace(Instance(psi, sampling.basis_povm(da, "A"), eps)):
             print(name, step, repr(value))
     return 0
 

@@ -1,7 +1,7 @@
 """The n-copy ladder: the iid setting of the paper, rho^{(x) n} measured by
-Lambda^{(x) n}, on a quantum and a classical two-qubit input at n <= 3 and
-n <= 2. The compression cap is multiplicative over copies and I_max is
-additive, so each rung must reproduce the one-copy figures. On the
+Lambda^{(x) n}, on a quantum and a classical two-qubit input at n <= 3.
+The compression cap is multiplicative over copies and I_max is additive,
+so each rung must reproduce the one-copy figures. On the
 classical input the ``entropy`` command's H_H of each marginal, up to
 n = 3, must be the type-class value of ``oracles.h_h_iid``."""
 
@@ -31,7 +31,8 @@ def classical_input():
     return DensityOperator([("A", 2), ("B", 2)], np.diag([0.55, 0.05, 0.1, 0.3])), basis_povm(2)
 
 
-RUNGS = [(quantum_input, 2), (quantum_input, 3), (classical_input, 2)]
+RUNGS = [(quantum_input, 2), (quantum_input, 3), (classical_input, 2), (classical_input, 3)]
+IDS = ["quantum-2", "quantum-3", "classical-2", "classical-3"]
 
 
 def instance(rho, povm):
@@ -50,7 +51,7 @@ def test_tensor_power_orders_the_copies_as_a_then_b():
                                               np.kron(povm.elements[0], povm.elements[1]))
 
 
-@pytest.mark.parametrize("make, n", RUNGS, ids=["quantum-2", "quantum-3", "classical-2"])
+@pytest.mark.parametrize("make, n", RUNGS, ids=IDS)
 def test_the_compression_cap_of_n_copies_is_the_nth_power(make, n):
     # S of Lambda^{(x) n} on rho^{(x) n} is S^{(x) n}, so c_cap multiplies
     rho, povm = make()
@@ -59,7 +60,7 @@ def test_the_compression_cap_of_n_copies_is_the_nth_power(make, n):
     assert abs(got - one ** n) <= 1e-12 * one ** n, (got, one ** n)
 
 
-@pytest.mark.parametrize("make, n", RUNGS, ids=["quantum-2", "quantum-3", "classical-2"])
+@pytest.mark.parametrize("make, n", RUNGS, ids=IDS)
 def test_i_max_of_n_copies_overlaps_n_times_one_copy(make, n):
     # at eps = 0 no symbol is dropped, and the certified n-copy interval
     # meets n times the one-copy interval

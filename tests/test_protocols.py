@@ -20,7 +20,7 @@ from puredist.sampling import (
 )
 from puredist.states import DensityOperator, Povm, PureState, control_state
 
-from oracles import ginibre_matrix, mixed_protocol_input, near_pure_classical
+from oracles import ginibre_matrix, mixed_protocol_input, near_pure_classical, protocol_a_dense
 
 
 # ------------------------------------------------------------ local distill
@@ -504,14 +504,26 @@ def test_declared_slack_reaches_the_choice_of_k():
 
 def test_purity_monotone_along_protocol(rng):
     psi = purified_input(bell_pair())
-    tr = pr.purity_trace(psi, basis_povm(2, "A"), 0.1)
+    tr = pr.purity_trace(Instance(psi, basis_povm(2, "A"), 0.1))
     vals = [v for _, v in tr]
     assert all(vals[i + 1] <= vals[i] + 1e-7 for i in range(len(vals) - 1)), tr
     # and on a mixed classical instance with power-of-two dims
     psi2 = near_pure_classical(rng, 4, 2)
-    tr2 = pr.purity_trace(psi2, basis_povm(4, "A"), 0.05)
+    tr2 = pr.purity_trace(Instance(psi2, basis_povm(4, "A"), 0.05))
     vals2 = [v for _, v in tr2]
     assert all(vals2[i + 1] <= vals2[i] + 1e-7 for i in range(len(vals2) - 1)), tr2
+
+
+@pytest.mark.parametrize("reference", ["R", "B"])
+def test_purity_trace_names_bob_and_the_reference_through_the_instance(reference):
+    # the Bell pair with Bob's register named C, and the reference named R
+    # or even B: the trace keeps and drops registers by the instance's
+    # names, so it gives the B-named Bell values bit for bit
+    bell = purified_input(bell_pair())
+    renamed = PureState([("A", 2), ("C", 2), (reference, 1)], bell.tensor)
+    for eps in (0.1, 0.25):
+        want = pr.purity_trace(Instance(bell, basis_povm(2, "A"), eps))
+        assert pr.purity_trace(Instance(renamed, basis_povm(2, "A"), eps, bob_label="C")) == want
 
 
 def test_fewqubits_branchwise_consistency(rng):
@@ -610,6 +622,26 @@ def test_rate_formulas_read_h_h_of_a_given_x_from_the_environment(rng):
         assert abs(kd.rate_bound_real - formula(eps, inst.imax.value)) <= 1e-12
 
 
+@pytest.mark.parametrize("da", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("outcomes", [2, 3])
+def test_protocol_a_final_error_matches_the_dense_oracle(da, rank, outcomes):
+    # 9 seeded instances per case, 72 in all: the full-space simulation of
+    # protocol A's codes gives its final error, and the trace's last value
+    # is log2 dim sigma - H_H^eps(sigma) less the trace's borrowed bits
+    borrowed = np.log2(outcomes)
+    for seed in range(3):
+        rng = np.random.default_rng(5800 + 100 * da + 10 * rank + seed)
+        psi = mixed_protocol_input(rng, da, 2, rank=rank)
+        povm = random_povm(rng, da, outcomes)
+        for eps in (0.05, 0.1, 0.25):
+            inst = Instance(psi, povm, eps)
+            sigma, error = protocol_a_dense(inst)
+            assert abs(pr.run_protocol_a(inst).final_error - error) <= 1e-10
+            purity = np.log2(len(sigma)) - entropy.h_h(sigma, eps).value - borrowed
+            assert abs(pr.purity_trace(inst)[-1][1] - purity) <= 1e-9
+
+
 def test_protocol_a_generic_povm(rng):
     psi = mixed_protocol_input(rng, 4, 2, rank=2)
     t = pr.run_protocol_a(Instance(psi, random_povm(rng, 4, 3), 0.25))
@@ -623,7 +655,7 @@ def test_purity_monotone_through_compressed_row(rng):
     from puredist.compression import compress_measurement
     psi = purified_input(bell_pair())
     view = compress_measurement(Instance(psi, basis_povm(2, "A"), 0.1), K=2, L=4, seed=1)
-    tr = pr.purity_trace(psi, Povm(view.elements[0], register="A"), 0.1)
+    tr = pr.purity_trace(Instance(psi, Povm(view.elements[0], register="A"), 0.1))
     vals = [v for _, v in tr]
     assert all(vals[i + 1] <= vals[i] + 1e-7 for i in range(len(vals) - 1)), tr
 
